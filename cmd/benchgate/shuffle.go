@@ -7,7 +7,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/mapreduce"
@@ -21,7 +20,8 @@ import (
 // assembly, with an identity reduce so no kernel time dilutes the
 // measurement. The classic row runs the Pair plumbing (string keys, one
 // []byte value per point); the framed row runs the same workload through
-// RunFrames. Both see identical inputs and an identical partitioner.
+// RunFrames, which is fed the point set's rows directly. Both see the same
+// points and an identical partitioner.
 const shuffleNote = "identity reduce: rows time pure shuffle work, not skyline kernels; " +
 	"shuffle_bytes are payload semantics — key+value bytes on the classic path, " +
 	"frame payload bytes (header + packed coords, no gob envelope) on the framed path"
@@ -118,32 +118,22 @@ func shuffleSuite(n, d, nodes, runs int, min float64, quick bool, out string) {
 		return snap[mapreduce.CounterShuffle], snap[mapreduce.CounterShuffleBytes]
 	}
 
-	scratch := sync.Pool{New: func() any {
-		p := make(points.Point, 0, d)
-		return &p
-	}}
 	framed := func() (int64, int64) {
-		mapper := mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-			buf := scratch.Get().(*points.Point)
-			p, err := points.DecodeInto(*buf, rec)
-			if err != nil {
-				return err
+		mapper := func(row []float64, emit mapreduce.EmitPoint) error {
+			id, err := part.Assign(row)
+			if err == nil {
+				emit(id, row)
 			}
-			id, assignErr := part.Assign(p)
-			if assignErr == nil {
-				emit(id, p)
-			}
-			*buf = p[:0]
-			scratch.Put(buf)
-			return assignErr
-		})
+			return err
+		}
 		identity := mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
 			for i := 0; i < blk.Len(); i++ {
 				emit(partition, blk.Row(i))
 			}
 			return nil
 		})
-		res, err := mapreduce.RunFrames(ctx, cfg, input, mapper, nil, identity)
+		res, err := mapreduce.RunFrames(ctx, cfg, mapreduce.FrameJob{
+			Feed: mapreduce.SetRows(data), Mapper: mapper, Reducer: identity})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate: framed shuffle failed:", err)
 			os.Exit(2)

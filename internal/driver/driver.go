@@ -175,10 +175,15 @@ func (s *Stats) LocalSkylineTotal() int {
 // returns the global skyline plus execution statistics. The input set must
 // be non-empty, uniform-dimensional and finite.
 func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *Stats, error) {
-	if err := data.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("driver: %w", err)
-	}
 	opts = opts.withDefaults()
+	// The input is validated exactly once: by partition.New, in the same
+	// pass that takes the bounds it fits to — or here, when a pre-built
+	// partitioner means New never sees the data.
+	if opts.PartitionerOverride != nil {
+		if err := data.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("driver: %w", err)
+		}
+	}
 	ctx, rootSpan := telemetry.StartSpan(ctx, fmt.Sprintf("skyline:%s", opts.Scheme),
 		telemetry.A("scheme", fmt.Sprint(opts.Scheme)),
 		telemetry.A("points", len(data)))
@@ -189,6 +194,11 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 		var err error
 		part, err = partition.New(opts.Scheme, data, opts.Partitions)
 		if err != nil {
+			// Invalid input is reported as this package's error, worded by
+			// the reference check (error path only).
+			if verr := data.Validate(); verr != nil {
+				return nil, nil, fmt.Errorf("driver: %w", verr)
+			}
 			return nil, nil, err
 		}
 	}
@@ -205,11 +215,13 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 	// dominated cells are dropped at the source, sparing both the local
 	// skyline computation and the shuffle — the paper's §III-B gain.
 	var pruned []bool
+	var occupancy []int
 	if pruner, ok := part.(partition.Pruner); ok && !opts.DisableGridPruning {
 		counts, err := partition.Histogram(part, data)
 		if err != nil {
 			return nil, nil, err
 		}
+		occupancy = counts
 		occupied := make([]bool, len(counts))
 		for id, c := range counts {
 			occupied[id] = c > 0
@@ -239,7 +251,7 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 	// moves as packed point frames instead of per-point Pairs.
 	// ClassicShuffle restores the Pair path below as the escape hatch.
 	if flat && !opts.ClassicShuffle {
-		return computeFramed(ctx, data, opts, part, pruned, stats)
+		return computeFramed(ctx, data, opts, part, pruned, occupancy, stats)
 	}
 
 	// ---- Job 1: Partitioning Job ------------------------------------

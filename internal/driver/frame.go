@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
@@ -14,60 +12,93 @@ import (
 	"repro/internal/skyline"
 )
 
-// computeFramed is Compute's default flat-path body: the same two-job
-// pipeline routed through the block-framed shuffle. Points travel as
-// packed frames keyed by integer partition id — no string keys, no
-// per-point Pair allocation — the local-skyline combiner runs directly
-// on each assembled block before its frame is sealed, and reducers
-// ingest whole frames into contiguous blocks. Occupancy counting, grid
-// pruning, spilling and the hierarchical merge all behave exactly as on
-// the classic path.
-func computeFramed(ctx context.Context, data points.Set, opts Options, part partition.Partitioner, pruned []bool, stats *Stats) (points.Set, *Stats, error) {
-	blockKernel := skyline.BlockByAlgorithm(opts.Kernel)
+// bnlWindows recycles the default map-side combiner: one incremental BNL
+// window per partition, folded as points are routed (skyline.Window — the
+// same dominance tests in the same order as skyline.BlockBNL over the
+// staged partition, without staging it).
+var bnlWindows = mapreduce.NewAccumulators(func() mapreduce.Accumulator { return skyline.NewWindow() })
 
-	// ---- Job 1: Partitioning Job ------------------------------------
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
+// mapSide picks the map-side "middle process" of both jobs: nothing under
+// DisableCombiner, incremental windows for BNL, and for the other kernels
+// — which need the whole block — staged rows plus a block combiner.
+func (o Options) mapSide() (*mapreduce.Accumulators, mapreduce.FrameCombiner) {
+	switch {
+	case o.DisableCombiner:
+		return nil, nil
+	case o.Kernel == skyline.BNLAlgorithm:
+		return bnlWindows, nil
+	default:
+		kernel := skyline.BlockByAlgorithm(o.Kernel)
+		return nil, func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
 	}
+}
 
-	occCounts := make([]int64, part.Partitions())
-	scratch := sync.Pool{New: func() any {
-		p := make(points.Point, 0, data.Dim())
-		return &p
-	}}
-	mapper := mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-		buf := scratch.Get().(*points.Point)
-		p, err := points.DecodeInto(*buf, rec)
-		if err != nil {
-			return err
-		}
-		id, assignErr := part.Assign(p)
-		if assignErr == nil {
-			atomic.AddInt64(&occCounts[id], 1)
-			if pruned == nil || !pruned[id] {
-				// emit copies the coordinates into the partition's block
-				// immediately, so the scratch point can be recycled.
-				emit(id, p)
-			}
-		}
-		*buf = p[:0]
-		scratch.Put(buf)
-		return assignErr
-	})
-	localSkyline := mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-		sky := blockKernel(blk)
+// reduceSide completes job with its reduce half. Under a reducer budget
+// the reducers fold frames one at a time into a bounded skyline window
+// instead of assembling whole partitions; otherwise kernel runs over each
+// assembled partition and its survivors are the partition's output.
+func (o Options) reduceSide(job *mapreduce.FrameJob, dim int, kernel skyline.BlockFunc) {
+	if o.ReducerBudgetBytes > 0 {
+		job.Folder = BudgetedFolder(dim, o.ReducerBudgetBytes, o.SpillDir, o.Codec)
+		return
+	}
+	job.Reducer = mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
+		sky := kernel(blk)
 		for i := 0; i < sky.Len(); i++ {
 			emit(partition, sky.Row(i))
 		}
 		return nil
 	})
-	var combiner mapreduce.FrameCombiner
-	if !opts.DisableCombiner {
-		combiner = func(partition int, blk *points.Block) (*points.Block, error) {
-			return blockKernel(blk), nil
+}
+
+// routeRows is Job 1's mapper (Algorithm 1, lines 2–5): assign the point —
+// for MR-Angle, the angular transform of Eq. (1) — and emit it under its
+// partition id, unless the cell is provably dominated (MR-Grid pruning).
+func routeRows(part partition.Partitioner, pruned []bool) mapreduce.RowMapper {
+	return func(row []float64, emit mapreduce.EmitPoint) error {
+		id, err := part.Assign(row)
+		if err != nil {
+			return err
+		}
+		if pruned == nil || !pruned[id] {
+			emit(id, row)
+		}
+		return nil
+	}
+}
+
+// routedCounts turns the engine's per-partition routed-point tallies into
+// the dense occupancy histogram of Stats.PartitionCounts.
+func routedCounts(parts map[int]mapreduce.PartStat, n int) []int {
+	counts := make([]int, n)
+	for id, ps := range parts {
+		if id >= 0 && id < n {
+			counts[id] = int(ps.Records)
 		}
 	}
+	return counts
+}
+
+// computeFramed is Compute's default flat-path body: the two-job pipeline
+// over the block-framed shuffle. Map tasks are fed the input set's rows
+// directly, fold each routed point into its partition's accumulator as it
+// arrives, and seal packed frames keyed by integer partition id; reducers
+// ingest whole frames into contiguous blocks, and the merging job is fed
+// the partitioning job's result blocks as they are. Grid pruning, spilling
+// and the hierarchical merge all behave exactly as on the classic path.
+// occupancy is the pre-pass histogram when grid pruning took one, else nil.
+func computeFramed(ctx context.Context, data points.Set, opts Options, part partition.Partitioner, pruned []bool, occupancy []int, stats *Stats) (points.Set, *Stats, error) {
+	blockKernel := skyline.BlockByAlgorithm(opts.Kernel)
+	accumulators, combiner := opts.mapSide()
+
+	// ---- Job 1: Partitioning Job ------------------------------------
+	job1 := mapreduce.FrameJob{
+		Feed:         mapreduce.SetRows(data),
+		Mapper:       routeRows(part, pruned),
+		Accumulators: accumulators,
+		Combiner:     combiner,
+	}
+	opts.reduceSide(&job1, data.Dim(), blockKernel)
 	cfg1 := mapreduce.Config{
 		Name:               fmt.Sprintf("%s-partitioning", opts.Scheme),
 		Workers:            opts.Workers,
@@ -78,16 +109,7 @@ func computeFramed(ctx context.Context, data points.Set, opts Options, part part
 		Codec:              opts.Codec,
 		ReducerBudgetBytes: opts.ReducerBudgetBytes,
 	}
-	var res1 *mapreduce.FrameResult
-	var err error
-	if opts.ReducerBudgetBytes > 0 {
-		// Budgeted path: reducers fold frames one at a time into a bounded
-		// skyline window instead of assembling whole partitions.
-		res1, err = mapreduce.RunFramesFold(ctx, cfg1, input, mapper, combiner,
-			BudgetedFolder(data.Dim(), opts.ReducerBudgetBytes, opts.SpillDir, opts.Codec))
-	} else {
-		res1, err = mapreduce.RunFrames(ctx, cfg1, input, mapper, combiner, localSkyline)
-	}
+	res1, err := mapreduce.RunFrames(ctx, cfg1, job1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -100,11 +122,13 @@ func computeFramed(ctx context.Context, data points.Set, opts Options, part part
 		}
 		stats.LocalSkylines[id] = blk.ToSet()
 	}
-	counts := make([]int, len(occCounts))
-	for id := range occCounts {
-		counts[id] = int(atomic.LoadInt64(&occCounts[id]))
+	// Occupancy is what the mapper routed, which the engine already counts
+	// per partition; pruned cells route nothing, but then the pruning
+	// pre-pass has the whole histogram.
+	stats.PartitionCounts = occupancy
+	if occupancy == nil {
+		stats.PartitionCounts = routedCounts(res1.Partitions, part.Partitions())
 	}
-	stats.PartitionCounts = counts
 	publishPartitionGauges(opts.Metrics, stats)
 
 	// ---- Job 2: Merging Job -----------------------------------------
@@ -136,23 +160,26 @@ func computeFramed(ctx context.Context, data points.Set, opts Options, part part
 		return global, stats, nil
 	}
 
-	var mergeInput [][]byte
+	// The local skylines enter the merging job as the blocks Job 1 produced,
+	// in ascending partition order.
+	candidates := make([]*points.Block, 0, len(res1.Blocks))
 	for _, id := range sortedBlockIDs(res1.Blocks) {
-		blk := res1.Blocks[id]
-		for i := 0; i < blk.Len(); i++ {
-			mergeInput = append(mergeInput, points.Encode(points.Point(blk.Row(i))))
-		}
+		candidates = append(candidates, res1.Blocks[id])
 	}
-	identity := mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-		buf := scratch.Get().(*points.Point)
-		p, err := points.DecodeInto(*buf, rec)
-		if err != nil {
-			return err
-		}
-		emit(0, p) // paper line 13: output(null, si) — one global partition
-		*buf = p[:0]
-		scratch.Put(buf)
-		return nil
+	job2 := mapreduce.FrameJob{
+		Feed: mapreduce.BlockRows(candidates),
+		Mapper: func(row []float64, emit mapreduce.EmitPoint) error {
+			emit(0, row) // paper line 13: output(null, si) — one global partition
+			return nil
+		},
+		// Pre-merge each map task's share before the single reducer sees it.
+		Accumulators: accumulators,
+		Combiner:     combiner,
+	}
+	// Unbudgeted, the single global reduce runs the parallel merge tree on
+	// the assembled candidate block.
+	opts.reduceSide(&job2, data.Dim(), func(blk *points.Block) *points.Block {
+		return skyline.ParallelBlock(ctx, blk, opts.Workers)
 	})
 	cfg2 := mapreduce.Config{
 		Name:               fmt.Sprintf("%s-merging", opts.Scheme),
@@ -164,28 +191,7 @@ func computeFramed(ctx context.Context, data points.Set, opts Options, part part
 		Codec:              opts.Codec,
 		ReducerBudgetBytes: opts.ReducerBudgetBytes,
 	}
-	var mergeCombiner mapreduce.FrameCombiner
-	if !opts.DisableCombiner {
-		mergeCombiner = func(partition int, blk *points.Block) (*points.Block, error) {
-			return blockKernel(blk), nil
-		}
-	}
-	// The single global reduce runs the parallel merge tree on the
-	// assembled candidate block.
-	mergeReduce := mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-		sky := skyline.ParallelBlock(ctx, blk, opts.Workers)
-		for i := 0; i < sky.Len(); i++ {
-			emit(partition, sky.Row(i))
-		}
-		return nil
-	})
-	var res2 *mapreduce.FrameResult
-	if opts.ReducerBudgetBytes > 0 {
-		res2, err = mapreduce.RunFramesFold(ctx, cfg2, mergeInput, identity, mergeCombiner,
-			BudgetedFolder(data.Dim(), opts.ReducerBudgetBytes, opts.SpillDir, opts.Codec))
-	} else {
-		res2, err = mapreduce.RunFrames(ctx, cfg2, mergeInput, identity, mergeCombiner, mergeReduce)
-	}
+	res2, err := mapreduce.RunFrames(ctx, cfg2, job2)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,0 +1,136 @@
+package driver
+
+import (
+	"context"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/partition"
+	"repro/internal/points"
+)
+
+// TestMapSideAllocatesNothingPerPoint pins the record-free map side: a
+// whole Compute — validation, fit, both jobs — on 100 000 points costs a
+// few thousand allocations (blocks, streams, the result), not one per
+// point. An encode-into-[][]byte round trip, or accumulators that do not
+// survive from task to task, would put this back near 1.0.
+func TestMapSideAllocatesNothingPerPoint(t *testing.T) {
+	const n, d = 100000, 6
+	data := uniformSet(42, n, d)
+	opts := Options{Scheme: partition.Angular, Nodes: 4}
+	run := func() {
+		if _, _, err := Compute(context.Background(), data, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the accumulator pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perPoint := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.4f mallocs/point, %.1f bytes/point", perPoint, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	if perPoint >= 0.05 {
+		t.Fatalf("Compute allocated %.3f times per point, want < 0.05", perPoint)
+	}
+}
+
+// TestPartitionCountsAreTheHistogram: occupancy now comes from the
+// engine's routed-point tallies (or the pruning pre-pass), not from a
+// per-point counter in the mapper; it must still be exactly the
+// assignment histogram, pruned cells and empty partitions included.
+func TestPartitionCountsAreTheHistogram(t *testing.T) {
+	data := dupSet(5, 3000, 3)
+	for _, scheme := range allSchemes() {
+		for _, noPrune := range []bool{false, true} {
+			_, stats, err := Compute(context.Background(), data,
+				Options{Scheme: scheme, Nodes: 4, DisableGridPruning: noPrune})
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := partition.New(scheme, data, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := partition.Histogram(part, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(stats.PartitionCounts, want) {
+				t.Errorf("%v noPrune=%v: PartitionCounts %v, histogram %v", scheme, noPrune, stats.PartitionCounts, want)
+			}
+		}
+	}
+
+	src, err := dataset.NewSource(dataset.KindIndependent, 9, 4000, 4, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.New(partition.Angular, uniformSet(1, 500, 4), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := ComputeStream(context.Background(), src,
+		Options{Scheme: partition.Angular, Nodes: 4, PartitionerOverride: part, SpillDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, part.Partitions())
+	blk := points.NewBlock(0, 0)
+	for c := 0; c < src.Chunks(); c++ {
+		blk.Clear()
+		if err := src.ReadChunk(c, blk); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < blk.Len(); i++ {
+			id, err := part.Assign(blk.Row(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[id]++
+		}
+	}
+	if !reflect.DeepEqual(stats.PartitionCounts, want) {
+		t.Errorf("stream: PartitionCounts %v, histogram %v", stats.PartitionCounts, want)
+	}
+}
+
+// TestHostileInputErrorParity: validating once, inside partition.New's
+// bounds pass, must not change what a caller sees — every hostile set is
+// rejected with the reference check's wording under this package's
+// prefix, whether the partitioner is fitted or supplied.
+func TestHostileInputErrorParity(t *testing.T) {
+	clean := uniformSet(3, 200, 3)
+	with := func(mutate func(points.Set) points.Set) points.Set { return mutate(clean.Clone()) }
+	hostile := map[string]points.Set{
+		"NaN in the last point": with(func(s points.Set) points.Set { s[len(s)-1][2] = math.NaN(); return s }),
+		"+Inf":                  with(func(s points.Set) points.Set { s[17][0] = math.Inf(1); return s }),
+		"-Inf":                  with(func(s points.Set) points.Set { s[0][1] = math.Inf(-1); return s }),
+		"dimension mismatch":    with(func(s points.Set) points.Set { s[100] = points.Point{1, 2}; return s }),
+		"zero-dim first point":  with(func(s points.Set) points.Set { s[0] = points.Point{}; return s }),
+		"empty set":             {},
+	}
+	for name, data := range hostile {
+		want := "driver: " + data.Validate().Error()
+		for _, scheme := range append(allSchemes(), partition.Random) {
+			override, err := partition.New(scheme, clean, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []Options{
+				{Scheme: scheme},
+				{Scheme: scheme, PartitionerOverride: override},
+				{Scheme: scheme, ClassicShuffle: true},
+			} {
+				sky, stats, err := Compute(context.Background(), data, opts)
+				if err == nil || err.Error() != want || sky != nil || stats != nil {
+					t.Errorf("%s, %v, override=%v: got (%v, %v, %v), want error %q",
+						name, scheme, opts.PartitionerOverride != nil, sky, stats, err, want)
+				}
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package driver
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
@@ -110,7 +109,6 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		Partitions:    part.Partitions(),
 		LocalSkylines: make(map[int]points.Set),
 	}
-	blockKernel := skyline.BlockByAlgorithm(opts.Kernel)
 	if reg := opts.Metrics; reg != nil {
 		domBefore := skyline.DominanceTests()
 		defer func() {
@@ -119,25 +117,7 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 	}
 
 	// ---- Job 1: Partitioning Job (chunked) ---------------------------
-	occCounts := make([]int64, part.Partitions())
-	mapper := mapreduce.BlockMapperFunc(func(blk *points.Block, emit mapreduce.EmitPoint) error {
-		for i := 0; i < blk.Len(); i++ {
-			row := blk.Row(i)
-			id, err := part.Assign(points.Point(row))
-			if err != nil {
-				return err
-			}
-			atomic.AddInt64(&occCounts[id], 1)
-			emit(id, row)
-		}
-		return nil
-	})
-	var combiner mapreduce.FrameCombiner
-	if !opts.DisableCombiner {
-		combiner = func(partition int, blk *points.Block) (*points.Block, error) {
-			return blockKernel(blk), nil
-		}
-	}
+	accumulators, combiner := opts.mapSide()
 	cfg := mapreduce.Config{
 		Name:               fmt.Sprintf("%s-partitioning-stream", opts.Scheme),
 		Workers:            opts.Workers,
@@ -148,8 +128,13 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		Codec:              opts.Codec,
 		ReducerBudgetBytes: budget,
 	}
-	res, err := mapreduce.RunFramesChunked(ctx, cfg, src, mapper, combiner,
-		BudgetedFolder(dim, budget, opts.SpillDir, opts.Codec))
+	res, err := mapreduce.RunFrames(ctx, cfg, mapreduce.FrameJob{
+		Feed:         mapreduce.ChunkRows(src),
+		Mapper:       routeRows(part, nil),
+		Accumulators: accumulators,
+		Combiner:     combiner,
+		Folder:       BudgetedFolder(dim, budget, opts.SpillDir, opts.Codec),
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -159,11 +144,7 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		}
 		stats.LocalSkylines[id] = blk.ToSet()
 	}
-	counts := make([]int, len(occCounts))
-	for id := range occCounts {
-		counts[id] = int(atomic.LoadInt64(&occCounts[id]))
-	}
-	stats.PartitionCounts = counts
+	stats.PartitionCounts = routedCounts(res.Partitions, part.Partitions())
 	stats.ReducerPeakBytes = res.ReducerPeakBytes
 	stats.MergePasses = res.MergePasses
 	publishPartitionGauges(opts.Metrics, stats)

@@ -37,12 +37,31 @@ type Coordinates struct {
 // hyperspherical coordinates. It returns an error for points of dimension
 // < 2 (there is no angle to partition on) or non-finite input.
 func ToHyperspherical(p points.Point) (Coordinates, error) {
-	if err := p.Validate(); err != nil {
+	c := Coordinates{Angles: make([]float64, max(len(p)-1, 0))}
+	r, err := AnglesInto(c.Angles, p)
+	if err != nil {
 		return Coordinates{}, err
+	}
+	c.R = r
+	return c, nil
+}
+
+// anglesStackDim bounds the dimension for which AnglesInto works on a
+// stack buffer; higher dimensions fall back to a heap slice.
+const anglesStackDim = 16
+
+// AnglesInto is ToHyperspherical writing the len(p)−1 angles into dst
+// (which must have that length) and returning the radius — the same
+// checks and the same arithmetic, without allocating for dimensions up to
+// 16. Callers transforming many points use it to keep the angles in one
+// slab.
+func AnglesInto(dst []float64, p points.Point) (r float64, err error) {
+	if err := p.Validate(); err != nil {
+		return 0, err
 	}
 	n := len(p)
 	if n < 2 {
-		return Coordinates{}, fmt.Errorf("hyper: need dimension >= 2, got %d", n)
+		return 0, fmt.Errorf("hyper: need dimension >= 2, got %d", n)
 	}
 	// suffix[i] = sqrt(p[i]² + ... + p[n−1]²), computed back to front from
 	// a running sum of squares. One Sqrt per element instead of the Hypot
@@ -50,18 +69,23 @@ func ToHyperspherical(p points.Point) (Coordinates, error) {
 	// nowhere near the ±1e154 range where the guard matters (the transform
 	// of such input degrades to +Inf radius and π/2 angles, still finite
 	// and bucketable).
-	suffix := make([]float64, n+1)
+	var buf [anglesStackDim + 1]float64
+	suffix := buf[:]
+	if n > anglesStackDim {
+		suffix = make([]float64, n+1)
+	}
+	suffix[n] = 0
 	s := 0.0
 	for i := n - 1; i >= 0; i-- {
 		s += p[i] * p[i]
 		suffix[i] = math.Sqrt(s)
 	}
-	c := Coordinates{R: suffix[0], Angles: make([]float64, n-1)}
-	for i := 0; i < n-1; i++ {
+	dst = dst[:n-1]
+	for i := range dst {
 		// tan(φi) = suffix[i+1] / p[i]; atan2 handles p[i] == 0.
-		c.Angles[i] = math.Atan2(suffix[i+1], p[i])
+		dst[i] = math.Atan2(suffix[i+1], p[i])
 	}
-	return c, nil
+	return suffix[0], nil
 }
 
 // FromHyperspherical converts back to Cartesian coordinates. For input

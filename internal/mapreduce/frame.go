@@ -12,23 +12,31 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Block-framed shuffle: an alternative engine path that moves packed
-// point frames (points.AppendFrame's partition + count + contiguous
-// coordinates) between phases instead of per-point Pairs. Mappers emit
-// (integer partition, coords) into pooled per-reducer frame builders —
-// no string keys, no per-point Pair or value allocation — combiners run
-// directly on the assembled blocks before a frame is sealed, and
-// reducers ingest whole frames into contiguous blocks with zero
-// per-point allocation. The classic Pair path in mapreduce.go stays as
-// the reference implementation and escape hatch.
+// Block-framed shuffle: the engine path that moves packed point frames
+// (points.AppendFrame's partition + count + contiguous coordinates)
+// between phases instead of per-point Pairs. A map task is fed rows — from
+// an in-memory set, a chunk source or decoded transport records — routes
+// each row to an integer partition and folds it straight into that
+// partition's accumulator; accumulators are sealed into per-reducer frame
+// streams, and reducers ingest whole frames into contiguous blocks. No
+// string keys, no per-point record, Pair or value allocation anywhere on
+// the way. The classic Pair path in mapreduce.go stays as the reference
+// implementation and escape hatch.
 
-// EmitPoint is the frame-path emit callback: it appends one point to the
-// partition's building block, copying coords immediately, so callers may
-// reuse the slice. Valid only for the duration of the Map/Reduce call.
+// EmitPoint is the frame-path emit callback: it hands one point to the
+// partition's accumulator, which copies what it keeps immediately, so
+// callers may reuse the slice. Valid only for the duration of the
+// Map/Reduce call.
 type EmitPoint func(partition int, coords []float64)
 
-// FrameMapper transforms one input record into zero or more
-// (partition, point) emissions. Must be safe for concurrent use.
+// RowMapper routes one input row to zero or more (partition, point)
+// emissions — Algorithm 1's per-point map function. The row is only valid
+// for the call. Must be safe for concurrent use.
+type RowMapper func(row []float64, emit EmitPoint) error
+
+// FrameMapper is the RowMapper of record transports (rpcmr): it decodes
+// one input record itself and emits its points. Must be safe for
+// concurrent use.
 type FrameMapper interface {
 	MapFrame(record []byte, emit EmitPoint) error
 }
@@ -39,11 +47,11 @@ type FrameMapperFunc func(record []byte, emit EmitPoint) error
 // MapFrame implements FrameMapper.
 func (f FrameMapperFunc) MapFrame(record []byte, emit EmitPoint) error { return f(record, emit) }
 
-// FrameCombiner folds one partition's assembled block map-side, before
-// the frame is sealed — the paper's local-skyline combiner running
-// directly on contiguous memory. It may return its argument (mutated or
-// not) or a fresh block; the engine treats the input block as consumed.
-// Must be safe for concurrent use.
+// FrameCombiner folds the block one partition's accumulator sealed,
+// map-side, before the frame is encoded — a whole-block combiner for
+// kernels that are not incremental. It may return its argument (mutated
+// or not) or a fresh block; the result is encoded and dropped, the
+// argument goes back to the accumulator. Must be safe for concurrent use.
 type FrameCombiner func(partition int, block *points.Block) (*points.Block, error)
 
 // FrameReducer folds one partition's fully assembled block into zero or
@@ -74,9 +82,13 @@ type PartStat struct {
 // framework counters: record counts are points, byte counts are frame
 // payload bytes (header + coordinates — never the transport envelope).
 type FrameStats struct {
-	MapOut       int64
-	CombineIn    int64
-	CombineOut   int64
+	MapIn      int64
+	MapOut     int64
+	CombineIn  int64
+	CombineOut int64
+	// CombineNanos is the time spent sealing accumulators and running the
+	// block combiner. An incremental accumulator combines inside Add, as
+	// rows arrive; that share is map time and is not split out.
 	CombineNanos int64
 	ShuffleRecs  int64
 	ShuffleBytes int64
@@ -97,6 +109,7 @@ type FrameStats struct {
 
 // add accumulates o into s.
 func (s *FrameStats) add(o FrameStats) {
+	s.MapIn += o.MapIn
 	s.MapOut += o.MapOut
 	s.CombineIn += o.CombineIn
 	s.CombineOut += o.CombineOut
@@ -134,7 +147,8 @@ type FrameResult struct {
 	Counters *Counters
 	Timing   Timing
 	// Partitions breaks the map-side shuffle volume down by data-space
-	// partition id, for the flight recorder's skew picture.
+	// partition id, for the flight recorder's skew picture. Records is
+	// every point the mapper routed to the partition, before any combining.
 	Partitions map[int]PartStat
 	// ReducerPeakBytes is the largest streaming-reduce working set any
 	// reduce task reached (0 on the assemble-everything path) — the
@@ -146,19 +160,64 @@ type FrameResult struct {
 }
 
 // ---------------------------------------------------------------------------
-// Frame builders (map side)
+// Accumulators (map side)
 
-// frameBuilder accumulates one map task's emissions as per-partition
-// blocks. Builders and their blocks are pooled: a task borrows one,
-// seals it into immutable frame streams, and returns it, so steady-state
-// mapping allocates nothing per point.
-type frameBuilder struct {
-	blocks  []*points.Block // indexed by partition id; nil until touched
-	touched []int           // partition ids with at least one emission
-	err     error           // sticky emit-side error (negative partition)
+// Accumulator collects the rows one map task routes to one partition. Add
+// takes rows one at a time as the mapper emits them and copies what it
+// keeps; Seal returns the block to ship, valid until the next Add or
+// Reset; Reset empties the accumulator for the next task, keeping its
+// capacity. An accumulator is driven by one goroutine at a time.
+type Accumulator interface {
+	Add(row []float64)
+	Seal() *points.Block
+	Reset()
 }
 
-var frameBuilderPool = sync.Pool{New: func() any { return new(frameBuilder) }}
+// Accumulators is a kind of accumulator together with the pool that
+// recycles it: a map task borrows a builder holding one accumulator per
+// partition it touches and returns it, capacity intact, when its frames
+// are sealed. In the steady state mapping therefore allocates nothing per
+// point — per task only the sealed streams and the tallies. Keep one
+// Accumulators value per kind for the life of the process: the pool is
+// the point.
+type Accumulators struct {
+	pool sync.Pool
+}
+
+// NewAccumulators returns a recycling source of the accumulators newAcc
+// creates. They are taken to combine as they accumulate: the engine books
+// their input and output as mr.combine.records.*, as it does a
+// FrameCombiner's.
+func NewAccumulators(newAcc func() Accumulator) *Accumulators {
+	return newAccumulators(newAcc, true)
+}
+
+func newAccumulators(newAcc func() Accumulator, combines bool) *Accumulators {
+	a := new(Accumulators)
+	a.pool.New = func() any { return &frameBuilder{newAcc: newAcc, combines: combines} }
+	return a
+}
+
+// Staging is the default kind: rows are staged unchanged in a block that
+// keeps its capacity across tasks. It is what a job without a map-side
+// combiner uses, and what a whole-block FrameCombiner reads from.
+var Staging = newAccumulators(func() Accumulator { return stagedRows{points.NewBlock(0, 0)} }, false)
+
+type stagedRows struct{ blk *points.Block }
+
+func (s stagedRows) Add(row []float64)   { s.blk.AppendRow(row) }
+func (s stagedRows) Seal() *points.Block { return s.blk }
+func (s stagedRows) Reset()              { s.blk.Clear() }
+
+// frameBuilder holds one task's accumulators, indexed by partition id.
+type frameBuilder struct {
+	newAcc   func() Accumulator
+	combines bool          // the accumulators combine as they accumulate
+	accs     []Accumulator // nil until the partition is first touched
+	routed   []int64       // rows added per partition by the current task
+	touched  []int         // partition ids with at least one row this task
+	err      error         // sticky emit-side error (negative partition)
+}
 
 func (fb *frameBuilder) add(partition int, coords []float64) {
 	if partition < 0 {
@@ -167,111 +226,116 @@ func (fb *frameBuilder) add(partition int, coords []float64) {
 		}
 		return
 	}
-	for partition >= len(fb.blocks) {
-		fb.blocks = append(fb.blocks, nil)
+	for partition >= len(fb.accs) {
+		fb.accs = append(fb.accs, nil)
+		fb.routed = append(fb.routed, 0)
 	}
-	blk := fb.blocks[partition]
-	if blk == nil {
-		blk = points.NewBlock(0, 0)
-		fb.blocks[partition] = blk
+	acc := fb.accs[partition]
+	if acc == nil {
+		acc = fb.newAcc()
+		fb.accs[partition] = acc
 	}
-	if blk.Len() == 0 {
+	if fb.routed[partition] == 0 {
 		fb.touched = append(fb.touched, partition)
 	}
-	blk.AppendRow(coords)
+	fb.routed[partition]++
+	acc.Add(coords)
 }
 
-// reset clears touched blocks (keeping their capacity) for pooling.
+// reset empties the touched accumulators (keeping their capacity) for
+// pooling.
 func (fb *frameBuilder) reset() {
 	for _, p := range fb.touched {
-		if fb.blocks[p] != nil {
-			fb.blocks[p].Clear()
-		}
+		fb.accs[p].Reset()
+		fb.routed[p] = 0
 	}
 	fb.touched = fb.touched[:0]
 	fb.err = nil
 }
 
-// seal encodes every touched partition's block into per-reducer frame
-// streams (partition p goes to reducer p mod reducers), in ascending
-// partition order for determinism. When parts is non-nil the payload
-// bytes are also booked per partition. codec selects the frame wire
-// codec (FrameDefault → v1, the historical bytes).
-func (fb *frameBuilder) seal(reducers int, parts map[int]PartStat, codec points.FrameCodec) (streams [][]byte, recs, bytes int64) {
-	streams = make([][]byte, reducers)
+// seal closes every touched partition's accumulator, runs the block
+// combiner on what it sealed, and encodes the result into per-reducer
+// frame streams (partition p goes to reducer p mod reducers), in
+// ascending partition order for determinism, adding the task's tallies
+// to st. codec selects the frame wire codec (FrameDefault → v1, the
+// historical bytes).
+func (fb *frameBuilder) seal(reducers int, combiner FrameCombiner, codec points.FrameCodec, st *FrameStats) ([][]byte, error) {
+	if fb.err != nil {
+		return nil, fb.err
+	}
+	combining := combiner != nil || fb.combines
+	streams := make([][]byte, reducers)
+	st.Partitions = make(map[int]PartStat, len(fb.touched))
 	sort.Ints(fb.touched)
 	for _, p := range fb.touched {
-		blk := fb.blocks[p]
-		if blk == nil || blk.Len() == 0 {
-			continue
+		st.MapOut += fb.routed[p]
+		cs := time.Now()
+		blk := fb.accs[p].Seal()
+		if combiner != nil {
+			var err error
+			if blk, err = combiner(p, blk); err != nil {
+				return nil, fmt.Errorf("frame combiner: %w", err)
+			}
 		}
-		r := p % reducers
-		before := len(streams[r])
-		streams[r] = points.AppendFrameCodec(streams[r], p, blk, codec)
-		recs += int64(blk.Len())
-		frameBytes := int64(len(streams[r]) - before)
-		bytes += frameBytes
-		if parts != nil {
-			ps := parts[p]
-			ps.Bytes += frameBytes
-			parts[p] = ps
+		st.CombineNanos += time.Since(cs).Nanoseconds()
+		if combining {
+			st.CombineIn += fb.routed[p]
+			st.CombineOut += int64(blk.Len())
 		}
+		ps := PartStat{Records: fb.routed[p]}
+		if blk.Len() > 0 {
+			r := p % reducers
+			before := len(streams[r])
+			streams[r] = points.AppendFrameCodec(streams[r], p, blk, codec)
+			ps.Bytes = int64(len(streams[r]) - before)
+			st.ShuffleRecs += int64(blk.Len())
+			st.ShuffleBytes += ps.Bytes
+		}
+		st.Partitions[p] = ps
 	}
-	return streams, recs, bytes
+	return streams, nil
 }
 
-// BuildFrames runs the frame mapper (and optional combiner) over one map
-// task's records, returning one sealed frame stream per reducer plus the
-// task's tallies. It is the map-side half of the frame shuffle, shared
-// by the in-process engine and the rpcmr workers so both move identical
-// bytes. codec picks the sealed frames' wire codec.
+// buildFrames is the one map-task body, shared by every executor: feed
+// pushes the task's routed rows into a borrowed builder's accumulators,
+// which are then sealed into one frame stream per reducer. (Reduce tasks
+// seal their output through it too, as a one-reducer task.)
+func buildFrames(feed func(emit EmitPoint) (rows int, err error), accs *Accumulators, combiner FrameCombiner, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
+	if accs == nil {
+		accs = Staging
+	}
+	fb := accs.pool.Get().(*frameBuilder)
+	defer func() {
+		fb.reset()
+		accs.pool.Put(fb)
+	}()
+	var st FrameStats
+	rows, err := feed(fb.add)
+	if err != nil {
+		return nil, st, err
+	}
+	st.MapIn = int64(rows)
+	streams, err := fb.seal(reducers, combiner, codec, &st)
+	return streams, st, err
+}
+
+// BuildFrames runs the frame mapper (and optional block combiner) over one
+// map task's transport records, returning one sealed frame stream per
+// reducer plus the task's tallies. It is the map-task body behind the
+// rpcmr workers, so both executors move identical bytes. codec picks the
+// sealed frames' wire codec.
 func BuildFrames(records [][]byte, reducers int, mapper FrameMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
 	if reducers < 1 {
 		reducers = 1
 	}
-	fb := frameBuilderPool.Get().(*frameBuilder)
-	defer func() {
-		fb.reset()
-		frameBuilderPool.Put(fb)
-	}()
-	var st FrameStats
-	// Hoist the method value: evaluating fb.add in the loop would allocate
-	// one funcval per record.
-	add := fb.add
-	for _, rec := range records {
-		if err := mapper.MapFrame(rec, add); err != nil {
-			return nil, st, err
-		}
-	}
-	if fb.err != nil {
-		return nil, st, fb.err
-	}
-	st.Partitions = make(map[int]PartStat, len(fb.touched))
-	for _, p := range fb.touched {
-		n := int64(fb.blocks[p].Len())
-		st.MapOut += n
-		st.Partitions[p] = PartStat{Records: n}
-	}
-	if combiner != nil {
-		cs := time.Now()
-		for _, p := range fb.touched {
-			blk := fb.blocks[p]
-			if blk.Len() == 0 {
-				continue
+	return buildFrames(func(emit EmitPoint) (int, error) {
+		for _, rec := range records {
+			if err := mapper.MapFrame(rec, emit); err != nil {
+				return 0, err
 			}
-			st.CombineIn += int64(blk.Len())
-			out, err := combiner(p, blk)
-			if err != nil {
-				return nil, st, fmt.Errorf("frame combiner: %w", err)
-			}
-			fb.blocks[p] = out
-			st.CombineOut += int64(out.Len())
 		}
-		st.CombineNanos = time.Since(cs).Nanoseconds()
-	}
-	streams, recs, bytes := fb.seal(reducers, st.Partitions, codec)
-	st.ShuffleRecs, st.ShuffleBytes = recs, bytes
-	return streams, st, nil
+		return len(records), nil
+	}, Staging, combiner, reducers, codec)
 }
 
 // AssembleFrames decodes frame streams into per-partition blocks,
@@ -303,16 +367,6 @@ func AssembleFrames(streams [][]byte) (map[int]*points.Block, error) {
 	return parts, nil
 }
 
-// sortedPartitions returns the map's keys ascending.
-func sortedPartitions(parts map[int]*points.Block) []int {
-	ids := make([]int, 0, len(parts))
-	for id := range parts {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // ReduceFrames assembles per-partition blocks from the given frame
 // streams, runs the reducer on each partition in ascending id order, and
 // seals the emitted points back into one output frame stream. Shared by
@@ -324,83 +378,153 @@ func ReduceFrames(streams [][]byte, reducer FrameReducer, codec points.FrameCode
 	if err != nil {
 		return nil, st, err
 	}
-	fb := frameBuilderPool.Get().(*frameBuilder)
-	defer func() {
-		fb.reset()
-		frameBuilderPool.Put(fb)
-	}()
-	for _, p := range sortedPartitions(parts) {
-		blk := parts[p]
-		st.Groups++
-		st.ReduceIn += int64(blk.Len())
-		if err := reducer.ReduceFrame(p, blk, fb.add); err != nil {
-			return nil, st, err
+	// One "reducer" so every output partition lands in one stream,
+	// ascending by partition id.
+	out, sealed, err := buildFrames(func(emit EmitPoint) (int, error) {
+		for _, p := range sortedInts(parts) {
+			blk := parts[p]
+			st.Groups++
+			st.ReduceIn += int64(blk.Len())
+			if err := reducer.ReduceFrame(p, blk, emit); err != nil {
+				return 0, err
+			}
 		}
+		return 0, nil
+	}, Staging, nil, 1, codec)
+	if err != nil {
+		return nil, st, err
 	}
-	if fb.err != nil {
-		return nil, st, fb.err
-	}
-	// Seal with a single "reducer" so every output partition lands in one
-	// stream, ascending by partition id.
-	out, recs, _ := fb.seal(1, nil, codec)
-	st.ReduceOut = recs
+	st.ReduceOut = sealed.ShuffleRecs
 	return out[0], st, nil
+}
+
+// ---------------------------------------------------------------------------
+// Row feeds (job input)
+
+// RowFeed is a frame job's input as rows, cut into map tasks. A feed
+// drives the mapper itself — for every row of a task it calls
+// mapper(row, emit) — so nothing between the input's own storage and the
+// partition accumulators holds a copy of a point. Feeds are re-readable:
+// a retried task is fed the same rows again. Build one with SetRows,
+// BlockRows or ChunkRows.
+type RowFeed struct {
+	// units is the input length in the feed's splitting unit and
+	// perUnit whether every unit is its own map task (chunks) or tasks
+	// are Config.SplitSize units long (rows).
+	units   int
+	perUnit bool
+	// feed maps units [lo, hi) and returns the number of rows it fed.
+	feed func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error)
+}
+
+// SetRows feeds an in-memory point set, in order; tasks are
+// Config.SplitSize points long.
+func SetRows(data points.Set) RowFeed {
+	return RowFeed{units: len(data), feed: func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error) {
+		for _, p := range data[lo:hi] {
+			if err := mapper(p, emit); err != nil {
+				return 0, err
+			}
+		}
+		return hi - lo, nil
+	}}
+}
+
+// BlockRows feeds the rows of the given blocks as one sequence, block
+// after block — how one job's result blocks become the next job's input
+// without being re-encoded. Tasks are Config.SplitSize rows long and may
+// span blocks.
+func BlockRows(blocks []*points.Block) RowFeed {
+	total := 0
+	for _, blk := range blocks {
+		total += blk.Len()
+	}
+	return RowFeed{units: total, feed: func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error) {
+		off := 0 // index of the current block's first row in the sequence
+		for _, blk := range blocks {
+			n := blk.Len()
+			for i := max(lo-off, 0); i < min(hi-off, n); i++ {
+				if err := mapper(blk.Row(i), emit); err != nil {
+					return 0, err
+				}
+			}
+			off += n
+		}
+		return hi - lo, nil
+	}}
+}
+
+// ChunkRows feeds an out-of-core input one chunk per map task: the chunk
+// is read into a block that lives for the task only, so the full input
+// never exists in memory.
+func ChunkRows(src ChunkSource) RowFeed {
+	return RowFeed{units: src.Chunks(), perUnit: true, feed: func(lo, _ int, mapper RowMapper, emit EmitPoint) (int, error) {
+		blk := points.NewBlock(0, 0)
+		if err := src.ReadChunk(lo, blk); err != nil {
+			return 0, fmt.Errorf("reading chunk %d: %w", lo, err)
+		}
+		n := blk.Len()
+		for i := 0; i < n; i++ {
+			if err := mapper(blk.Row(i), emit); err != nil {
+				return 0, err
+			}
+		}
+		return n, nil
+	}}
 }
 
 // ---------------------------------------------------------------------------
 // In-process frame job execution
 
+// FrameJob is what a frame-shuffle job computes: rows from Feed are routed
+// by Mapper into per-partition Accumulators (nil means Staging), each
+// sealed block optionally passes through Combiner, and the shuffled frames
+// are reduced by exactly one of Reducer — which sees each partition's
+// fully assembled block — or Folder, whose per-partition folds absorb the
+// frames one at a time, from memory or spill, so that reduce-side memory
+// is bounded by the folds' budgets plus one frame of decode scratch and
+// never by partition size.
+type FrameJob struct {
+	Feed         RowFeed
+	Mapper       RowMapper
+	Accumulators *Accumulators
+	Combiner     FrameCombiner
+	Reducer      FrameReducer
+	Folder       FrameFolder
+}
+
 // frameTaskOutput is one map task's sealed output.
 type frameTaskOutput struct {
 	streams [][]byte // per reducer; nil when spilled
 	files   []string // spill file per reducer; nil when in memory
-	recs    int64    // points entering the shuffle
-	bytes   int64    // frame payload bytes entering the shuffle
-	parts   map[int]PartStat
-	// combineNanos rides along so the map phase can sum combiner time
-	// without another channel.
-	combineNanos int64
 }
 
 // RunFrames executes a frame-shuffle MapReduce job: the same
 // split → map → (combine) → shuffle → reduce pipeline as Run, with the
-// intermediate data moving as packed frames instead of Pairs. Phase
-// timing, counters, events and metrics bridging match Run's semantics;
-// the shuffle-byte counter reports frame payload bytes (header +
-// coordinates). Config.Combiner is ignored on this path — pass the
-// frame combiner explicitly.
-func RunFrames(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapper, combiner FrameCombiner, reducer FrameReducer) (*FrameResult, error) {
-	if reducer == nil {
-		return nil, fmt.Errorf("mapreduce: %s: reducer must be non-nil", cfg.Name)
+// input arriving as rows and the intermediate data moving as packed
+// frames instead of Pairs. Intermediate frames spill to cfg.SpillDir
+// when set. Phase timing, counters, events and metrics bridging match
+// Run's semantics; the shuffle-byte counter reports frame payload bytes
+// (header + coordinates). Config.Combiner is ignored on this path.
+func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, error) {
+	if job.Mapper == nil || job.Feed.feed == nil {
+		return nil, fmt.Errorf("mapreduce: %s: feed and mapper must be non-nil", cfg.Name)
 	}
-	return runFramesEngine(ctx, cfg, input, mapper, combiner, reducer, nil)
-}
-
-// RunFramesFold executes a frame-shuffle job whose reduce side streams:
-// instead of assembling each partition's full block, every reduce task
-// feeds its frames — from memory or spill, one frame at a time — into
-// per-partition folds created by folder, and the folds' finished output
-// becomes the result. Reduce-side memory is bounded by the folds'
-// budgets plus one frame of decode scratch, never by partition size;
-// FrameResult.ReducerPeakBytes reports the observed peak.
-func RunFramesFold(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapper, combiner FrameCombiner, folder FrameFolder) (*FrameResult, error) {
-	if folder == nil {
-		return nil, fmt.Errorf("mapreduce: %s: folder must be non-nil", cfg.Name)
+	if (job.Reducer == nil) == (job.Folder == nil) {
+		return nil, fmt.Errorf("mapreduce: %s: need exactly one of reducer and folder", cfg.Name)
 	}
-	return runFramesEngine(ctx, cfg, input, mapper, combiner, nil, folder)
-}
-
-func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper FrameMapper, combiner FrameCombiner, reducer FrameReducer, folder FrameFolder) (*FrameResult, error) {
-	if mapper == nil {
-		return nil, fmt.Errorf("mapreduce: %s: mapper must be non-nil", cfg.Name)
+	units := job.Feed.units
+	cfg = cfg.withDefaults(units)
+	if job.Feed.perUnit {
+		cfg.SplitSize = 1
 	}
-	cfg = cfg.withDefaults(len(input))
+	tasks := (units + cfg.SplitSize - 1) / cfg.SplitSize
 	counters := NewCounters()
 	start := time.Now()
 	cfg.emit("job-start", "", -1, "")
 	ctx, jobSpan := telemetry.StartSpan(ctx, "mr-job:"+cfg.Name,
 		telemetry.A("job", cfg.Name), telemetry.A("workers", cfg.Workers),
-		telemetry.A("reducers", cfg.Reducers), telemetry.A("records", len(input)),
+		telemetry.A("reducers", cfg.Reducers), telemetry.A("tasks", tasks),
 		telemetry.A("shuffle", "frames"))
 	fail := func(err error) (*FrameResult, error) {
 		cfg.emit("job-end", "", -1, err.Error())
@@ -409,21 +533,11 @@ func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper Fra
 		return nil, err
 	}
 
-	// --- Split ---------------------------------------------------------
-	var splits [][][]byte
-	for off := 0; off < len(input); off += cfg.SplitSize {
-		end := off + cfg.SplitSize
-		if end > len(input) {
-			end = len(input)
-		}
-		splits = append(splits, input[off:end])
-	}
-
 	// --- Map (+ combine) -----------------------------------------------
 	cfg.emit("phase-start", "map", -1, "")
-	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", len(splits)))
+	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", tasks))
 	mapStart := time.Now()
-	outputs, combineDur, err := runFrameMapPhase(mapCtx, cfg, splits, mapper, combiner, counters)
+	outputs, mapStats, err := runFrameMapPhase(mapCtx, cfg, tasks, job, counters)
 	mapSpan.End()
 	// Spill files must not outlive the job, whatever happens after this
 	// point.
@@ -432,8 +546,14 @@ func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper Fra
 		return fail(err)
 	}
 	mapDur := time.Since(mapStart)
+	counters.Add(CounterMapIn, mapStats.MapIn)
+	counters.Add(CounterMapOut, mapStats.MapOut)
+	if mapStats.CombineIn > 0 {
+		counters.Add(CounterCombineIn, mapStats.CombineIn)
+		counters.Add(CounterCombineOut, mapStats.CombineOut)
+	}
 	cfg.emitEvent(Event{Kind: "phase-end", Phase: "map", Task: -1,
-		Duration: mapDur, Records: counters.Get(CounterMapOut)})
+		Duration: mapDur, Records: mapStats.MapOut})
 
 	// --- Shuffle ---------------------------------------------------------
 	// Frames are already partitioned per reducer when map tasks seal them,
@@ -443,30 +563,18 @@ func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper Fra
 	cfg.emit("phase-start", "shuffle", -1, "")
 	_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
 	shuffleStart := time.Now()
-	var shufRecs, shufBytes int64
-	partStats := make(map[int]PartStat)
-	for _, out := range outputs {
-		shufRecs += out.recs
-		shufBytes += out.bytes
-		for id, ps := range out.parts {
-			acc := partStats[id]
-			acc.Records += ps.Records
-			acc.Bytes += ps.Bytes
-			partStats[id] = acc
-		}
-	}
-	counters.Add(CounterShuffle, shufRecs)
-	counters.Add(CounterShuffleBytes, shufBytes)
+	counters.Add(CounterShuffle, mapStats.ShuffleRecs)
+	counters.Add(CounterShuffleBytes, mapStats.ShuffleBytes)
 	shuffleSpan.End()
 	shuffleDur := time.Since(shuffleStart)
 	cfg.emitEvent(Event{Kind: "phase-end", Phase: "shuffle", Task: -1,
-		Duration: shuffleDur, Records: shufRecs})
+		Duration: shuffleDur, Records: mapStats.ShuffleRecs})
 
 	// --- Reduce ----------------------------------------------------------
 	cfg.emit("phase-start", "reduce", -1, "")
 	redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
 	reduceStart := time.Now()
-	blocks, redStats, err := runFrameReducePhase(redCtx, cfg, outputs, reducer, folder, counters)
+	blocks, redStats, err := runFrameReducePhase(redCtx, cfg, outputs, job.Reducer, job.Folder, counters)
 	reduceSpan.End()
 	if err != nil {
 		return fail(err)
@@ -480,12 +588,12 @@ func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper Fra
 	res := &FrameResult{
 		Blocks:           blocks,
 		Counters:         counters,
-		Partitions:       partStats,
+		Partitions:       mapStats.Partitions,
 		ReducerPeakBytes: redStats.PeakBytes,
 		MergePasses:      redStats.Passes,
 		Timing: Timing{
 			Map:     mapDur,
-			Combine: combineDur,
+			Combine: time.Duration(mapStats.CombineNanos),
 			Shuffle: shuffleDur,
 			Reduce:  reduceDur,
 			Total:   time.Since(start),
@@ -495,16 +603,19 @@ func runFramesEngine(ctx context.Context, cfg Config, input [][]byte, mapper Fra
 	return res, nil
 }
 
-func runFrameMapPhase(ctx context.Context, cfg Config, splits [][][]byte, mapper FrameMapper, combiner FrameCombiner, counters *Counters) ([]frameTaskOutput, time.Duration, error) {
-	outputs := make([]frameTaskOutput, len(splits))
-	var combineNanos int64
-	var combineMu sync.Mutex
-
-	err := runTasks(ctx, cfg.Workers, len(splits), func(worker, task int) error {
+// runFrameMapPhase runs the job's map tasks — each one buildFrames over
+// its slice of the feed — and returns their sealed outputs in task order
+// plus the summed tallies of the successful attempts.
+func runFrameMapPhase(ctx context.Context, cfg Config, tasks int, job FrameJob, counters *Counters) ([]frameTaskOutput, FrameStats, error) {
+	outputs := make([]frameTaskOutput, tasks)
+	var aggMu sync.Mutex
+	var agg FrameStats
+	err := runTasks(ctx, cfg.Workers, tasks, func(worker, task int) error {
+		lo := task * cfg.SplitSize
+		hi := min(lo+cfg.SplitSize, job.Feed.units)
 		var lastErr error
 		cfg.emit("task-start", "map", task, "")
-		_, span := telemetry.StartSpan(ctx, "map-task", telemetry.A("task", task),
-			telemetry.A("records", len(splits[task])))
+		_, span := telemetry.StartSpan(ctx, "map-task", telemetry.A("task", task))
 		span.SetTrack(worker + 1)
 		taskStart := time.Now()
 		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
@@ -512,16 +623,23 @@ func runFrameMapPhase(ctx context.Context, cfg Config, splits [][][]byte, mapper
 				counters.Add(CounterMapRetries, 1)
 				cfg.emit("task-retry", "map", task, lastErr.Error())
 			}
-			out, err := runFrameMapTask(cfg, task, splits[task], mapper, combiner, counters)
+			streams, st, err := buildFrames(func(emit EmitPoint) (int, error) {
+				return job.Feed.feed(lo, hi, job.Mapper, emit)
+			}, job.Accumulators, job.Combiner, cfg.Reducers, cfg.Codec)
+			outputs[task] = frameTaskOutput{streams: streams}
+			if err == nil && cfg.SpillDir != "" {
+				var files []string
+				files, err = spillFrameStreams(cfg, task, streams, counters)
+				outputs[task] = frameTaskOutput{files: files}
+			}
 			if err == nil {
-				outputs[task] = out
-				combineMu.Lock()
-				combineNanos += out.combineNanos
-				combineMu.Unlock()
+				aggMu.Lock()
+				agg.add(st)
+				aggMu.Unlock()
+				span.SetAttr("records", int(st.MapIn))
 				span.End()
 				cfg.emitEvent(Event{Kind: "task-end", Phase: "map", Task: task,
-					Worker: worker + 1, Duration: time.Since(taskStart),
-					Records: int64(len(splits[task]))})
+					Worker: worker + 1, Duration: time.Since(taskStart), Records: st.MapIn})
 				return nil
 			}
 			lastErr = err
@@ -533,35 +651,7 @@ func runFrameMapPhase(ctx context.Context, cfg Config, splits [][][]byte, mapper
 		return fmt.Errorf("mapreduce: %s: map task %d failed after %d attempt(s): %w",
 			cfg.Name, task, cfg.MaxAttempts, lastErr)
 	})
-	if err != nil {
-		return outputs, 0, err
-	}
-	return outputs, time.Duration(combineNanos), nil
-}
-
-func runFrameMapTask(cfg Config, task int, records [][]byte, mapper FrameMapper, combiner FrameCombiner, counters *Counters) (frameTaskOutput, error) {
-	counters.Add(CounterMapIn, int64(len(records)))
-	streams, st, err := BuildFrames(records, cfg.Reducers, mapper, combiner, cfg.Codec)
-	if err != nil {
-		return frameTaskOutput{}, err
-	}
-	counters.Add(CounterMapOut, st.MapOut)
-	if st.CombineIn > 0 {
-		counters.Add(CounterCombineIn, st.CombineIn)
-		counters.Add(CounterCombineOut, st.CombineOut)
-	}
-	out := frameTaskOutput{recs: st.ShuffleRecs, bytes: st.ShuffleBytes,
-		parts: st.Partitions, combineNanos: st.CombineNanos}
-	if cfg.SpillDir == "" {
-		out.streams = streams
-		return out, nil
-	}
-	files, err := spillFrameStreams(cfg, task, streams, counters)
-	if err != nil {
-		return frameTaskOutput{}, err
-	}
-	out.files = files
-	return out, nil
+	return outputs, agg, err
 }
 
 func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOutput, reducer FrameReducer, folder FrameFolder, counters *Counters) (map[int]*points.Block, FrameStats, error) {

@@ -34,12 +34,8 @@ func frameTestData(n, d int, seed int64) points.Set {
 
 // identityFrameJob routes each point to partition coords[0] mod parts and
 // re-emits it unchanged in the reducer — shuffle machinery only.
-func identityFrameJob(parts int) (FrameMapper, FrameReducer) {
-	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
-		p, err := points.Decode(rec)
-		if err != nil {
-			return err
-		}
+func identityFrameJob(parts int) (RowMapper, FrameReducer) {
+	mapper := RowMapper(func(p []float64, emit EmitPoint) error {
 		emit(int(p[0])%parts, p)
 		return nil
 	})
@@ -135,10 +131,6 @@ func requireSameSets(t *testing.T, want, got map[int]points.Set) {
 func TestRunFramesMatchesClassic(t *testing.T) {
 	data := frameTestData(2000, 4, 1)
 	const parts, reducers = 7, 3
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
 	mapper, reducer := identityFrameJob(parts)
 
 	for _, spill := range []bool{false, true} {
@@ -150,7 +142,7 @@ func TestRunFramesMatchesClassic(t *testing.T) {
 			}
 			res, err := RunFrames(context.Background(),
 				Config{Name: "frames", Workers: 4, Reducers: reducers, SpillDir: dir},
-				input, mapper, nil, reducer)
+				FrameJob{Feed: SetRows(data), Mapper: mapper, Reducer: reducer})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,10 +174,6 @@ func TestRunFramesMatchesClassic(t *testing.T) {
 // map-side and shrinks what crosses the shuffle.
 func TestRunFramesCombiner(t *testing.T) {
 	data := frameTestData(1000, 3, 2)
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
 	mapper, reducer := identityFrameJob(4)
 	// Combiner keeps only the first point of each block.
 	combiner := func(partition int, blk *points.Block) (*points.Block, error) {
@@ -196,7 +184,7 @@ func TestRunFramesCombiner(t *testing.T) {
 	}
 	res, err := RunFrames(context.Background(),
 		Config{Name: "comb", Workers: 2, Reducers: 2, SplitSize: 100},
-		input, mapper, combiner, reducer)
+		FrameJob{Feed: SetRows(data), Mapper: mapper, Combiner: combiner, Reducer: reducer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,28 +242,32 @@ func TestFrameSpillByteIdentical(t *testing.T) {
 // TestRunFramesErrors covers mapper, combiner and reducer failures plus
 // the negative-partition guard: errors, never panics.
 func TestRunFramesErrors(t *testing.T) {
-	input := [][]byte{points.Encode(points.Point{1, 2})}
+	input := points.Set{{1, 2}}
 	okMapper, okReducer := identityFrameJob(2)
 	boom := errors.New("boom")
 
 	cases := []struct {
 		name     string
-		mapper   FrameMapper
+		mapper   RowMapper
 		combiner FrameCombiner
 		reducer  FrameReducer
 	}{
-		{"mapper", FrameMapperFunc(func(rec []byte, emit EmitPoint) error { return boom }), nil, okReducer},
+		{"mapper", func(row []float64, emit EmitPoint) error { return boom }, nil, okReducer},
 		{"combiner", okMapper, func(int, *points.Block) (*points.Block, error) { return nil, boom }, okReducer},
 		{"reducer", okMapper, nil, FrameReducerFunc(func(int, *points.Block, EmitPoint) error { return boom })},
-		{"negative-partition", FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
-			emit(-1, []float64{1, 2})
+		{"negative-partition", func(row []float64, emit EmitPoint) error {
+			emit(-1, row)
 			return nil
-		}), nil, okReducer},
+		}, nil, okReducer},
+		{"no-reducer", okMapper, nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RunFrames(context.Background(), Config{Name: tc.name},
-				input, tc.mapper, tc.combiner, tc.reducer)
+			job := FrameJob{Feed: SetRows(input), Mapper: tc.mapper, Combiner: tc.combiner}
+			if tc.reducer != nil { // a nil FrameReducerFunc in the interface would not be nil
+				job.Reducer = tc.reducer
+			}
+			_, err := RunFrames(context.Background(), Config{Name: tc.name}, job)
 			if err == nil {
 				t.Fatal("no error")
 			}
@@ -287,17 +279,9 @@ func TestRunFramesErrors(t *testing.T) {
 // MaxAttempts=2 and books the retry counter.
 func TestRunFramesRetry(t *testing.T) {
 	data := frameTestData(100, 2, 3)
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
 	var failed Counters
 	failed.m = map[string]int64{}
-	mapper := FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
-		p, err := points.Decode(rec)
-		if err != nil {
-			return err
-		}
+	mapper := RowMapper(func(p []float64, emit EmitPoint) error {
 		// Fail the first time any mapper sees the zero-index sentinel.
 		failed.mu.Lock()
 		first := failed.m["n"] == 0
@@ -311,7 +295,8 @@ func TestRunFramesRetry(t *testing.T) {
 	})
 	_, reducer := identityFrameJob(3)
 	res, err := RunFrames(context.Background(),
-		Config{Name: "retry", MaxAttempts: 3, SplitSize: 50}, input, mapper, nil, reducer)
+		Config{Name: "retry", MaxAttempts: 3, SplitSize: 50},
+		FrameJob{Feed: SetRows(data), Mapper: mapper, Reducer: reducer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +316,8 @@ func TestRunFramesRetry(t *testing.T) {
 // TestRunFramesEmptyInput degenerates gracefully.
 func TestRunFramesEmptyInput(t *testing.T) {
 	mapper, reducer := identityFrameJob(2)
-	res, err := RunFrames(context.Background(), Config{Name: "empty"}, nil, mapper, nil, reducer)
+	res, err := RunFrames(context.Background(), Config{Name: "empty"},
+		FrameJob{Feed: SetRows(nil), Mapper: mapper, Reducer: reducer})
 	if err != nil {
 		t.Fatal(err)
 	}

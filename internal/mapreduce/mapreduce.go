@@ -105,7 +105,7 @@ type Config struct {
 	// encoding wherever it is smaller. Pair-path jobs ignore it.
 	Codec points.FrameCodec
 	// ReducerBudgetBytes is the working-memory target for one streaming
-	// reduce task (RunFramesFold / RunFramesChunked): the budget handed to
+	// reduce task (a FrameJob with a Folder): the budget handed to
 	// the task's frame folds, and the reference the reported peak is
 	// judged against. 0 means unbudgeted. The engine records the peak —
 	// FrameResult.ReducerPeakBytes — rather than killing tasks, so an

@@ -1,13 +1,10 @@
 package mapreduce
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/points"
-	"repro/internal/telemetry"
 )
 
 // Streaming reduce: the out-of-core half of the frame engine. The
@@ -119,21 +116,18 @@ func ReduceFramesStream(srcs []FrameSource, folder FrameFolder, codec points.Fra
 			}
 		}
 	}
-	fb := frameBuilderPool.Get().(*frameBuilder)
-	defer func() {
-		fb.reset()
-		frameBuilderPool.Put(fb)
-	}()
-	for _, p := range sortedInts(folds) {
-		if err := folds[p].Finish(fb.add); err != nil {
-			return nil, st, err
+	out, sealed, err := buildFrames(func(emit EmitPoint) (int, error) {
+		for _, p := range sortedInts(folds) {
+			if err := folds[p].Finish(emit); err != nil {
+				return 0, err
+			}
 		}
+		return 0, nil
+	}, Staging, nil, 1, codec)
+	if err != nil {
+		return nil, st, err
 	}
-	if fb.err != nil {
-		return nil, st, fb.err
-	}
-	out, recs, _ := fb.seal(1, nil, codec)
-	st.ReduceOut = recs
+	st.ReduceOut = sealed.ShuffleRecs
 	st.Passes = 1
 	st.PeakBytes = maxFrame
 	for _, fold := range folds {
@@ -194,215 +188,10 @@ func runFrameReduceTaskStream(cfg Config, r int, outputs []frameTaskOutput, fold
 // Chunked input: out-of-core map side
 
 // ChunkSource provides the input of an out-of-core job as random-access
-// chunks: one map task per chunk, each read directly into a block, so
-// the full input never exists in memory as [][]byte records. ReadChunk
-// must be safe for concurrent use and re-readable (task retry).
+// chunks: one map task per chunk (see ChunkRows), each read directly into
+// a block, so the full input never exists in memory. ReadChunk must be
+// safe for concurrent use and re-readable (task retry).
 type ChunkSource interface {
 	Chunks() int
 	ReadChunk(i int, blk *points.Block) error
-}
-
-// BlockMapper routes one input block's rows to partitions. Must be safe
-// for concurrent use.
-type BlockMapper interface {
-	MapBlock(blk *points.Block, emit EmitPoint) error
-}
-
-// BlockMapperFunc adapts a function to the BlockMapper interface.
-type BlockMapperFunc func(blk *points.Block, emit EmitPoint) error
-
-// MapBlock implements BlockMapper.
-func (f BlockMapperFunc) MapBlock(blk *points.Block, emit EmitPoint) error { return f(blk, emit) }
-
-// RunFramesChunked executes an out-of-core frame job: the input arrives
-// chunk-at-a-time from src (one map task per chunk), intermediate frames
-// spill to cfg.SpillDir when set, and the reduce side streams through
-// per-partition folds exactly as RunFramesFold. Nothing in the pipeline
-// ever holds the whole input: peak memory is
-// workers × (chunk + sealed frames) on the map side and the folds'
-// budgets plus decode scratch on the reduce side.
-func RunFramesChunked(ctx context.Context, cfg Config, src ChunkSource, mapper BlockMapper, combiner FrameCombiner, folder FrameFolder) (*FrameResult, error) {
-	if mapper == nil || folder == nil {
-		return nil, fmt.Errorf("mapreduce: %s: mapper and folder must be non-nil", cfg.Name)
-	}
-	chunks := src.Chunks()
-	cfg = cfg.withDefaults(chunks)
-	counters := NewCounters()
-	start := time.Now()
-	cfg.emit("job-start", "", -1, "")
-	ctx, jobSpan := telemetry.StartSpan(ctx, "mr-job:"+cfg.Name,
-		telemetry.A("job", cfg.Name), telemetry.A("workers", cfg.Workers),
-		telemetry.A("reducers", cfg.Reducers), telemetry.A("chunks", chunks),
-		telemetry.A("shuffle", "frames-chunked"))
-	fail := func(err error) (*FrameResult, error) {
-		cfg.emit("job-end", "", -1, err.Error())
-		jobSpan.SetAttr("error", err.Error())
-		jobSpan.End()
-		return nil, err
-	}
-
-	// --- Map (+ combine): one task per chunk --------------------------
-	cfg.emit("phase-start", "map", -1, "")
-	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", chunks))
-	mapStart := time.Now()
-	outputs := make([]frameTaskOutput, chunks)
-	var combineNanos int64
-	err := runTasks(mapCtx, cfg.Workers, chunks, func(worker, task int) error {
-		var lastErr error
-		cfg.emit("task-start", "map", task, "")
-		_, span := telemetry.StartSpan(mapCtx, "map-task", telemetry.A("task", task))
-		span.SetTrack(worker + 1)
-		taskStart := time.Now()
-		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-			if attempt > 1 {
-				counters.Add(CounterMapRetries, 1)
-				cfg.emit("task-retry", "map", task, lastErr.Error())
-			}
-			out, n, err := runChunkMapTask(cfg, task, src, mapper, combiner, counters)
-			if err == nil {
-				outputs[task] = out
-				span.SetAttr("records", n)
-				span.End()
-				cfg.emitEvent(Event{Kind: "task-end", Phase: "map", Task: task,
-					Worker: worker + 1, Duration: time.Since(taskStart), Records: int64(n)})
-				return nil
-			}
-			lastErr = err
-		}
-		span.SetAttr("error", lastErr.Error())
-		span.End()
-		cfg.emitEvent(Event{Kind: "task-end", Phase: "map", Task: task, Err: lastErr.Error(),
-			Worker: worker + 1, Duration: time.Since(taskStart)})
-		return fmt.Errorf("mapreduce: %s: map task %d failed after %d attempt(s): %w",
-			cfg.Name, task, cfg.MaxAttempts, lastErr)
-	})
-	mapSpan.End()
-	defer removeFrameSpills(outputs)
-	if err != nil {
-		return fail(err)
-	}
-	// Combine time is tallied inside runChunkMapTask via outputs.
-	for _, out := range outputs {
-		combineNanos += out.combineNanos
-	}
-	mapDur := time.Since(mapStart)
-	cfg.emitEvent(Event{Kind: "phase-end", Phase: "map", Task: -1,
-		Duration: mapDur, Records: counters.Get(CounterMapOut)})
-
-	// --- Shuffle (bookkeeping only; frames are pre-partitioned) -------
-	cfg.emit("phase-start", "shuffle", -1, "")
-	_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
-	shuffleStart := time.Now()
-	var shufRecs, shufBytes int64
-	partStats := make(map[int]PartStat)
-	for _, out := range outputs {
-		shufRecs += out.recs
-		shufBytes += out.bytes
-		for id, ps := range out.parts {
-			acc := partStats[id]
-			acc.Records += ps.Records
-			acc.Bytes += ps.Bytes
-			partStats[id] = acc
-		}
-	}
-	counters.Add(CounterShuffle, shufRecs)
-	counters.Add(CounterShuffleBytes, shufBytes)
-	shuffleSpan.End()
-	shuffleDur := time.Since(shuffleStart)
-	cfg.emitEvent(Event{Kind: "phase-end", Phase: "shuffle", Task: -1,
-		Duration: shuffleDur, Records: shufRecs})
-
-	// --- Reduce (streaming folds) --------------------------------------
-	cfg.emit("phase-start", "reduce", -1, "")
-	redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
-	reduceStart := time.Now()
-	blocks, redStats, err := runFrameReducePhase(redCtx, cfg, outputs, nil, folder, counters)
-	reduceSpan.End()
-	if err != nil {
-		return fail(err)
-	}
-	reduceDur := time.Since(reduceStart)
-	cfg.emitEvent(Event{Kind: "phase-end", Phase: "reduce", Task: -1,
-		Duration: reduceDur, Records: counters.Get(CounterReduceOut)})
-	cfg.emit("job-end", "", -1, "")
-	jobSpan.End()
-
-	res := &FrameResult{
-		Blocks:           blocks,
-		Counters:         counters,
-		Partitions:       partStats,
-		ReducerPeakBytes: redStats.PeakBytes,
-		MergePasses:      redStats.Passes,
-		Timing: Timing{
-			Map:     mapDur,
-			Combine: time.Duration(combineNanos),
-			Shuffle: shuffleDur,
-			Reduce:  reduceDur,
-			Total:   time.Since(start),
-		},
-	}
-	bridgeCounters(cfg, counters, res.Timing)
-	return res, nil
-}
-
-// runChunkMapTask reads one chunk and maps, combines, seals and
-// (optionally) spills it — BuildFrames with a block input.
-func runChunkMapTask(cfg Config, task int, src ChunkSource, mapper BlockMapper, combiner FrameCombiner, counters *Counters) (frameTaskOutput, int, error) {
-	blk := points.NewBlock(0, 0)
-	if err := src.ReadChunk(task, blk); err != nil {
-		return frameTaskOutput{}, 0, fmt.Errorf("mapreduce: %s: reading chunk %d: %w", cfg.Name, task, err)
-	}
-	n := blk.Len()
-	counters.Add(CounterMapIn, int64(n))
-	fb := frameBuilderPool.Get().(*frameBuilder)
-	defer func() {
-		fb.reset()
-		frameBuilderPool.Put(fb)
-	}()
-	var st FrameStats
-	if err := mapper.MapBlock(blk, fb.add); err != nil {
-		return frameTaskOutput{}, 0, err
-	}
-	if fb.err != nil {
-		return frameTaskOutput{}, 0, fb.err
-	}
-	st.Partitions = make(map[int]PartStat, len(fb.touched))
-	for _, p := range fb.touched {
-		c := int64(fb.blocks[p].Len())
-		st.MapOut += c
-		st.Partitions[p] = PartStat{Records: c}
-	}
-	counters.Add(CounterMapOut, st.MapOut)
-	if combiner != nil {
-		cs := time.Now()
-		for _, p := range fb.touched {
-			b := fb.blocks[p]
-			if b.Len() == 0 {
-				continue
-			}
-			st.CombineIn += int64(b.Len())
-			out, err := combiner(p, b)
-			if err != nil {
-				return frameTaskOutput{}, 0, fmt.Errorf("frame combiner: %w", err)
-			}
-			fb.blocks[p] = out
-			st.CombineOut += int64(out.Len())
-		}
-		st.CombineNanos = time.Since(cs).Nanoseconds()
-		counters.Add(CounterCombineIn, st.CombineIn)
-		counters.Add(CounterCombineOut, st.CombineOut)
-	}
-	streams, recs, bytes := fb.seal(cfg.Reducers, st.Partitions, cfg.Codec)
-	out := frameTaskOutput{recs: recs, bytes: bytes, parts: st.Partitions,
-		combineNanos: st.CombineNanos}
-	if cfg.SpillDir == "" {
-		out.streams = streams
-		return out, n, nil
-	}
-	files, err := spillFrameStreams(cfg, task, streams, counters)
-	if err != nil {
-		return frameTaskOutput{}, 0, err
-	}
-	out.files = files
-	return out, n, nil
 }

@@ -57,33 +57,29 @@ func canonicalBlocks(t *testing.T, blocks map[int]*points.Block) map[int][]strin
 	return out
 }
 
-func streamTestInput(rng *rand.Rand, n, d int) [][]byte {
-	input := make([][]byte, n)
+func streamTestInput(rng *rand.Rand, n, d int) points.Set {
+	input := make(points.Set, n)
 	for i := range input {
-		coords := make([]float64, d)
+		coords := make(points.Point, d)
 		for j := range coords {
 			coords[j] = rng.Float64()
 		}
-		input[i] = points.Encode(points.Point(coords))
+		input[i] = coords
 	}
 	return input
 }
 
-// streamSkyMapper routes each decoded point to partition hash(first
-// coordinate) mod parts.
-func streamSkyMapper(d, parts int) FrameMapper {
-	return FrameMapperFunc(func(rec []byte, emit EmitPoint) error {
-		p, err := points.Decode(rec)
-		if err != nil {
-			return err
-		}
+// streamSkyMapper routes each point to partition hash(first coordinate)
+// mod parts.
+func streamSkyMapper(parts int) RowMapper {
+	return func(p []float64, emit EmitPoint) error {
 		part := int(p[0]*1e6) % parts
 		if part < 0 {
 			part = 0
 		}
 		emit(part, p)
 		return nil
-	})
+	}
 }
 
 // skylineReducer computes each partition's skyline via the in-memory
@@ -106,11 +102,11 @@ func TestRunFramesFoldOracle(t *testing.T) {
 	const n, d, parts = 4000, 4, 6
 	rng := rand.New(rand.NewSource(21))
 	input := streamTestInput(rng, n, d)
-	mapper := streamSkyMapper(d, parts)
+	mapper := streamSkyMapper(parts)
 
 	oracle, err := RunFrames(context.Background(),
 		Config{Name: "oracle", Workers: 4, Reducers: 3},
-		input, mapper, nil, skylineReducer())
+		FrameJob{Feed: SetRows(input), Mapper: mapper, Reducer: skylineReducer()})
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -137,9 +133,10 @@ func TestRunFramesFoldOracle(t *testing.T) {
 			folder := func(partition int) FrameFold {
 				return newBudgetFold(partition, d, tc.budget, dir)
 			}
-			res, err := RunFramesFold(context.Background(), cfg, input, mapper, nil, folder)
+			res, err := RunFrames(context.Background(), cfg,
+				FrameJob{Feed: SetRows(input), Mapper: mapper, Folder: folder})
 			if err != nil {
-				t.Fatalf("RunFramesFold: %v", err)
+				t.Fatalf("RunFrames with a folder: %v", err)
 			}
 			got := canonicalBlocks(t, res.Blocks)
 			if len(got) != len(want) {
@@ -185,43 +182,30 @@ func (c chunkSrc) ReadChunk(i int, blk *points.Block) error {
 	return nil
 }
 
-// TestRunFramesChunkedOracle: the chunked out-of-core engine must match
-// RunFrames over the equivalent materialized input.
+// TestRunFramesChunkedOracle: a chunk-fed, combined, budget-folded job
+// must match RunFrames over the equivalent materialized blocks.
 func TestRunFramesChunkedOracle(t *testing.T) {
 	const chunks, per, d, parts = 16, 250, 5, 4
 	src := chunkSrc{chunks: chunks, per: per, d: d}
 
 	// Materialize the same rows for the oracle.
-	var input [][]byte
+	var input []*points.Block
 	for i := 0; i < chunks; i++ {
 		blk := points.NewBlock(d, per)
 		if err := src.ReadChunk(i, blk); err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < blk.Len(); r++ {
-			input = append(input, points.Encode(points.Point(blk.Row(r))))
-		}
+		input = append(input, blk)
 	}
-	mapper := streamSkyMapper(d, parts)
+	mapper := streamSkyMapper(parts)
 	oracle, err := RunFrames(context.Background(),
 		Config{Name: "chunk-oracle", Workers: 4, Reducers: 2},
-		input, mapper, nil, skylineReducer())
+		FrameJob{Feed: BlockRows(input), Mapper: mapper, Reducer: skylineReducer()})
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
 	want := canonicalBlocks(t, oracle.Blocks)
 
-	blockMapper := BlockMapperFunc(func(blk *points.Block, emit EmitPoint) error {
-		for i := 0; i < blk.Len(); i++ {
-			row := blk.Row(i)
-			part := int(row[0]*1e6) % parts
-			if part < 0 {
-				part = 0
-			}
-			emit(part, row)
-		}
-		return nil
-	})
 	combiner := func(partition int, blk *points.Block) (*points.Block, error) {
 		return skyline.BlockBNL(blk), nil
 	}
@@ -234,9 +218,10 @@ func TestRunFramesChunkedOracle(t *testing.T) {
 			folder := func(partition int) FrameFold {
 				return newBudgetFold(partition, d, budget, dir)
 			}
-			res, err := RunFramesChunked(context.Background(), cfg, src, blockMapper, combiner, folder)
+			res, err := RunFrames(context.Background(), cfg,
+				FrameJob{Feed: ChunkRows(src), Mapper: mapper, Combiner: combiner, Folder: folder})
 			if err != nil {
-				t.Fatalf("RunFramesChunked: %v", err)
+				t.Fatalf("RunFrames over chunks: %v", err)
 			}
 			// The combiner shrinks map output to local skylines; the global
 			// per-partition skyline is the skyline of local skylines, so the
@@ -268,21 +253,21 @@ func TestFrameCodecOnShuffle(t *testing.T) {
 	const n, d, parts = 2000, 6, 4
 	rng := rand.New(rand.NewSource(77))
 	// Clustered input: shared exponents/mantissa prefixes, v2's case.
-	input := make([][]byte, n)
+	input := make(points.Set, n)
 	for i := range input {
-		coords := make([]float64, d)
+		coords := make(points.Point, d)
 		base := float64(i%7) / 7
 		for j := range coords {
 			coords[j] = base + rng.NormFloat64()*1e-4
 		}
-		input[i] = points.Encode(points.Point(coords))
+		input[i] = coords
 	}
-	mapper := streamSkyMapper(d, parts)
+	mapper := streamSkyMapper(parts)
 
 	run := func(codec points.FrameCodec) *FrameResult {
 		res, err := RunFrames(context.Background(),
 			Config{Name: "codec", Workers: 2, Reducers: 2, Codec: codec},
-			input, mapper, nil, skylineReducer())
+			FrameJob{Feed: SetRows(input), Mapper: mapper, Reducer: skylineReducer()})
 		if err != nil {
 			t.Fatalf("codec %v: %v", codec, err)
 		}

@@ -103,14 +103,19 @@ type Pruner interface {
 // larger for grid-structured schemes, never smaller unless the scheme
 // cannot express that many cells). The dataset must be non-empty and
 // uniform-dimensional.
+//
+// New is the pipeline's one pass over the raw input before the map phase:
+// it validates the set and takes its bounding box together
+// (points.Set.ValidateBounds), so a caller that goes on to use the
+// partitioner need not validate the data again.
 func New(scheme Scheme, data points.Set, want int) (Partitioner, error) {
-	if err := data.Validate(); err != nil {
+	min, max, err := data.ValidateBounds()
+	if err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
 	if want < 1 {
 		return nil, fmt.Errorf("partition: want %d partitions, need >= 1", want)
 	}
-	min, max := data.Bounds()
 	switch scheme {
 	case Dimensional:
 		return NewDimensional(0, min[0], max[0], want, data.Dim())
@@ -122,7 +127,7 @@ func New(scheme Scheme, data points.Set, want int) (Partitioner, error) {
 		// width, and the full fit's angle transform over n points was the
 		// single most expensive prologue in the pipeline. Small inputs
 		// (≤ sample size) take the exact fit unchanged.
-		return FitAngularSampled(data, want, angularFitSample, 1)
+		return fitAngularSampled(data, min, want, angularFitSample, 1)
 	case Random:
 		return NewRandom(data.Dim(), want)
 	default:
@@ -515,30 +520,36 @@ func (a *AngularPartitioner) Cuts() [][][]float64 {
 // points. Heavily-tied data may still leave some sectors light — correct,
 // merely less balanced.
 func FitAngular(data points.Set, want int) (*AngularPartitioner, error) {
-	if err := data.Validate(); err != nil {
+	min, _, err := data.ValidateBounds()
+	if err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
+	return fitAngular(data, min, want)
+}
+
+// fitAngular is FitAngular over data already validated, with min its
+// coordinate-wise minimum.
+func fitAngular(data points.Set, min points.Point, want int) (*AngularPartitioner, error) {
 	d := data.Dim()
 	if d < 2 {
 		return nil, fmt.Errorf("partition: angular scheme needs dimension >= 2, got %d", d)
 	}
-	min, _ := data.Bounds()
 	a, err := NewAngular(min, d, want)
 	if err != nil {
 		return nil, err
 	}
-	// Compute every point's angle vector once.
-	angles := make([][]float64, len(data))
+	// Compute every point's angle vector once, into one slab: point k's
+	// angle i is angles[k*na+i].
+	na := d - 1
+	angles := make([]float64, len(data)*na)
 	shifted := make(points.Point, d)
 	for k, pt := range data {
 		for i := range pt {
 			shifted[i] = pt[i] - min[i]
 		}
-		c, err := hyper.ToHyperspherical(shifted)
-		if err != nil {
+		if _, err := hyper.AnglesInto(angles[k*na:(k+1)*na], shifted); err != nil {
 			return nil, err
 		}
-		angles[k] = c.Angles
 	}
 	// Recursively split: cells[j] holds the indices of points currently in
 	// partial cell j; each level refines every cell on the next angle.
@@ -558,7 +569,7 @@ func FitAngular(data points.Set, want int) (*AngularPartitioner, error) {
 		for j, members := range cells {
 			vals := make([]float64, len(members))
 			for m, idx := range members {
-				vals[m] = angles[idx][i]
+				vals[m] = angles[idx*na+i]
 			}
 			sort.Float64s(vals)
 			c := make([]float64, k-1)
@@ -578,8 +589,9 @@ func FitAngular(data points.Set, want int) (*AngularPartitioner, error) {
 			// upper-bucket rule for ties.
 			children := make([][]int, k)
 			for _, idx := range members {
-				b := sort.SearchFloat64s(c, angles[idx][i])
-				for b < len(c) && c[b] == angles[idx][i] {
+				ang := angles[idx*na+i]
+				b := sort.SearchFloat64s(c, ang)
+				for b < len(c) && c[b] == ang {
 					b++
 				}
 				children[b] = append(children[b], idx)
@@ -600,15 +612,22 @@ func FitAngular(data points.Set, want int) (*AngularPartitioner, error) {
 // the dataset size; values below 2×want quantiles are raised to 64×want
 // for stable cuts.
 func FitAngularSampled(data points.Set, want, sampleSize int, seed int64) (*AngularPartitioner, error) {
-	if err := data.Validate(); err != nil {
+	min, _, err := data.ValidateBounds()
+	if err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
+	return fitAngularSampled(data, min, want, sampleSize, seed)
+}
+
+// fitAngularSampled is FitAngularSampled over data already validated, with
+// min its coordinate-wise minimum.
+func fitAngularSampled(data points.Set, min points.Point, want, sampleSize int, seed int64) (*AngularPartitioner, error) {
 	minSample := 64 * want
 	if sampleSize < minSample {
 		sampleSize = minSample
 	}
 	if sampleSize >= len(data) {
-		return FitAngular(data, want)
+		return fitAngular(data, min, want)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	sample := make(points.Set, sampleSize)
@@ -618,9 +637,8 @@ func FitAngularSampled(data points.Set, want, sampleSize int, seed int64) (*Angu
 	// The translation offset must come from the full data so no point
 	// lands below the fitted origin; appending the full min corner as one
 	// synthetic sample point achieves that (and perturbs the quantiles by
-	// at most one rank).
-	fullMin, _ := data.Bounds()
-	return FitAngular(append(sample, fullMin.Clone()), want)
+	// at most one rank). It is also the augmented sample's own minimum.
+	return fitAngular(append(sample, min.Clone()), min, want)
 }
 
 // NewAngularWithCuts reconstructs a fitted angular partitioner from its

@@ -384,6 +384,32 @@ func TestNewErrors(t *testing.T) {
 	}
 }
 
+// TestNewValidatesOnce: New's fused validate+bounds pass rejects what
+// points.Set.Validate rejects, in its words, under this package's prefix —
+// for every scheme, so no caller needs a validation pass of its own.
+func TestNewValidatesOnce(t *testing.T) {
+	bad := uniformSet(2, 50, 3)
+	bad[49][1] = math.NaN()
+	ragged := uniformSet(2, 50, 3)
+	ragged[20] = points.Point{1}
+	for _, data := range []points.Set{bad, ragged, {}} {
+		want := "partition: " + data.Validate().Error()
+		for _, scheme := range []Scheme{Dimensional, Grid, Angular, Random} {
+			if _, err := New(scheme, data, 4); err == nil || err.Error() != want {
+				t.Errorf("%v: error %v, want %q", scheme, err, want)
+			}
+		}
+		for name, fit := range map[string]func() (*AngularPartitioner, error){
+			"FitAngular":        func() (*AngularPartitioner, error) { return FitAngular(data, 4) },
+			"FitAngularSampled": func() (*AngularPartitioner, error) { return FitAngularSampled(data, 4, 10, 1) },
+		} {
+			if _, err := fit(); err == nil || err.Error() != want {
+				t.Errorf("%s: error %v, want %q", name, err, want)
+			}
+		}
+	}
+}
+
 // The headline structural claim of the paper: angular partitions all
 // intersect the global skyline region, so local skyline sizes are far more
 // balanced than grid's, where the top-right region is pure garbage.

@@ -210,6 +210,44 @@ func (s Set) Bounds() (min, max Point) {
 	return min, max
 }
 
+// ValidateBounds is Validate and Bounds in one pass over the set: the same
+// checks in the same order with the same error text, and on success the
+// bounding box. Pipelines that need both call this instead of walking a
+// pointer-chased set twice.
+func (s Set) ValidateBounds() (min, max Point, err error) {
+	if len(s) == 0 {
+		return nil, nil, errors.New("points: empty set")
+	}
+	d := s[0].Dim()
+	if d > 0 {
+		min, max = s[0].Clone(), s[0].Clone()
+	}
+	for i, p := range s {
+		ok := len(p) == d && d > 0
+		if ok {
+			for j, v := range p {
+				if v-v != 0 { // NaN or ±Inf
+					ok = false
+					break
+				}
+				if v < min[j] {
+					min[j] = v
+				} else if v > max[j] {
+					max[j] = v
+				}
+			}
+		}
+		if !ok {
+			// First offending point: let the reference checks word the error.
+			if err := p.Validate(); err != nil {
+				return nil, nil, fmt.Errorf("point %d: %w", i, err)
+			}
+			return nil, nil, fmt.Errorf("points: point %d has dimension %d, want %d", i, p.Dim(), d)
+		}
+	}
+	return min, max, nil
+}
+
 // Project returns a new set keeping only the first d dimensions of every
 // point. It panics if any point has fewer than d dimensions.
 func (s Set) Project(d int) Set {

@@ -174,6 +174,60 @@ func TestBounds(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsMatchesValidateAndBounds: the fused pass is the two
+// reference passes — same verdict, same wording, same box — on clean and
+// hostile sets alike, including ±0 and a first point that is the extreme.
+func TestValidateBoundsMatchesValidateAndBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	clean := make(Set, 300)
+	for i := range clean {
+		clean[i] = Point{rng.NormFloat64(), float64(rng.Intn(3)) - 1, rng.Float64() * 1e300}
+	}
+	clean[0], clean[7] = Point{-1e9, 0, 1e308}, Point{0, math.Copysign(0, -1), 0}
+	with := func(i int, p Point) Set {
+		s := clean.Clone()
+		s[i] = p
+		return s
+	}
+	for name, s := range map[string]Set{
+		"clean":          clean,
+		"single":         {{3, 1}},
+		"empty":          {},
+		"nil":            nil,
+		"NaN last":       with(299, Point{1, 2, math.NaN()}),
+		"+Inf":           with(40, Point{math.Inf(1), 2, 3}),
+		"-Inf first":     with(0, Point{1, math.Inf(-1), 3}),
+		"short mid-set":  with(150, Point{1, 2}),
+		"long mid-set":   with(150, Point{1, 2, 3, 4}),
+		"NaN and short":  with(150, Point{math.NaN(), 2}),
+		"zero-dim":       with(9, Point{}),
+		"zero-dim first": with(0, Point{}),
+	} {
+		min, max, err := s.ValidateBounds()
+		want := s.Validate()
+		if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+			t.Errorf("%s: ValidateBounds error %v, Validate %v", name, err, want)
+			continue
+		}
+		if err != nil {
+			if min != nil || max != nil {
+				t.Errorf("%s: bounds returned beside an error", name)
+			}
+			continue
+		}
+		wmin, wmax := s.Bounds()
+		for j := range wmin {
+			if math.Float64bits(min[j]) != math.Float64bits(wmin[j]) || math.Float64bits(max[j]) != math.Float64bits(wmax[j]) {
+				t.Errorf("%s: bounds (%v, %v), want (%v, %v)", name, min, max, wmin, wmax)
+			}
+		}
+		min[0] = -99
+		if s[0][0] == -99 {
+			t.Errorf("%s: ValidateBounds aliases the input", name)
+		}
+	}
+}
+
 func TestBoundsPanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {

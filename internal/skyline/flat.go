@@ -251,6 +251,41 @@ func BlockBNL(b *points.Block) *points.Block {
 	return win
 }
 
+// Window is BlockBNL fed one row at a time: Add runs the same scanWindow
+// step, in arrival order, that BlockBNL runs per input row, so after the
+// same rows the window holds the same survivors in the same order and
+// DominanceTests has advanced by the same amount. It is the map-side
+// local-skyline combiner of the frame engine: a map task folds each point
+// into its partition's Window as the point is routed, instead of staging
+// the partition's block and running BlockBNL over it afterwards. Not safe
+// for concurrent use.
+type Window struct {
+	win   *points.Block
+	tests int64
+}
+
+// NewWindow returns an empty window; the first row fixes its dimension.
+func NewWindow() *Window { return &Window{win: points.NewBlock(0, 0)} }
+
+// Add folds one row into the window, copying it if it survives.
+func (w *Window) Add(row []float64) { w.tests += scanWindow(w.win, row) }
+
+// Seal publishes the dominance tests performed so far and returns the
+// current skyline. The block is the window itself: it is valid until the
+// next Add or Reset.
+func (w *Window) Seal() *points.Block {
+	dominanceTests.Add(w.tests)
+	w.tests = 0
+	return w.win
+}
+
+// Reset empties the window for reuse, keeping its capacity and forgetting
+// its dimension. Tests not yet published by Seal (an abandoned task) are
+// published here: they were performed.
+func (w *Window) Reset() {
+	w.Seal().Clear()
+}
+
 // scanWindow runs one BNL step: test p against every window row with the
 // twin-flag single-pass relation, evict dominated rows, and append p if it
 // survives. Returns the number of dominance tests performed. The relation
