@@ -320,11 +320,17 @@ func buildFrames(feed func(emit EmitPoint) (rows int, err error), accs *Accumula
 }
 
 // BuildFrames runs the frame mapper (and optional block combiner) over one
-// map task's transport records, returning one sealed frame stream per
-// reducer plus the task's tallies. It is the map-task body behind the
-// rpcmr workers, so both executors move identical bytes. codec picks the
-// sealed frames' wire codec.
+// map task's transport records, staging each partition's rows, and returns
+// one sealed frame stream per reducer plus the task's tallies. codec picks
+// the sealed frames' wire codec.
 func BuildFrames(records [][]byte, reducers int, mapper FrameMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
+	return BuildFramesInto(Staging, records, reducers, mapper, combiner, codec)
+}
+
+// BuildFramesInto is BuildFrames with the map-side accumulator kind chosen
+// by the caller (nil means Staging). It is the map-task body behind the
+// rpcmr workers, so both executors move identical bytes.
+func BuildFramesInto(accs *Accumulators, records [][]byte, reducers int, mapper FrameMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
 	if reducers < 1 {
 		reducers = 1
 	}
@@ -335,7 +341,7 @@ func BuildFrames(records [][]byte, reducers int, mapper FrameMapper, combiner Fr
 			}
 		}
 		return len(records), nil
-	}, Staging, combiner, reducers, codec)
+	}, accs, combiner, reducers, codec)
 }
 
 // AssembleFrames decodes frame streams into per-partition blocks,

@@ -58,6 +58,12 @@ type Job struct {
 	FrameCombiner mapreduce.FrameCombiner
 	FrameReducer  mapreduce.FrameReducer
 
+	// Accumulators is the kind of per-partition accumulator a framed map
+	// task routes its points into, as in mapreduce.FrameJob: nil stages
+	// the rows for FrameCombiner; an incremental kind (skyline.Window)
+	// combines as the points arrive and needs no FrameCombiner.
+	Accumulators *mapreduce.Accumulators
+
 	// FrameFolder, when non-nil, switches framed reduce tasks to the
 	// streaming fold path: the worker feeds frames into per-partition
 	// folds one at a time instead of assembling full blocks, bounding

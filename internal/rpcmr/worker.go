@@ -351,7 +351,7 @@ func combineWire(combiner mapreduce.Reducer, pairs []WirePair) ([]WirePair, erro
 }
 
 // executeMapFramed runs one framed map task: the shared frame builder
-// (mapreduce.BuildFrames, pooled scratch blocks) maps and combines the
+// (mapreduce.BuildFramesInto, pooled accumulators) maps and combines the
 // records, and the sealed per-reducer streams ship as single batched
 // payloads — one gob slice per reducer instead of one WirePair per
 // point, byte-identical to what the in-process engine would shuffle.
@@ -363,7 +363,7 @@ func executeMapFramed(task TaskReply) ([][]byte, map[int]mapreduce.PartStat, err
 	if !job.framed() {
 		return nil, nil, fmt.Errorf("rpcmr: job %q: framed task for unframed job", task.JobName)
 	}
-	streams, st, err := mapreduce.BuildFrames(task.Records, task.Reducers, job.FrameMapper, job.FrameCombiner, job.Codec)
+	streams, st, err := mapreduce.BuildFramesInto(job.Accumulators, task.Records, task.Reducers, job.FrameMapper, job.FrameCombiner, job.Codec)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -65,12 +65,15 @@ type Spec struct {
 }
 
 // SpecFor fits a Spec to a dataset, following the paper's partition-count
-// rule (2 × nodes) when partitions is given directly by the caller.
+// rule (2 × nodes) when partitions is given directly by the caller. The
+// angular cuts are those of partition.New — the deterministic sampled fit
+// the in-process driver uses, exact on small inputs — so the cluster and
+// driver.Compute partition a dataset alike.
 func SpecFor(data points.Set, scheme partition.Scheme, partitions int) (Spec, error) {
-	if err := data.Validate(); err != nil {
+	min, max, err := data.ValidateBounds()
+	if err != nil {
 		return Spec{}, fmt.Errorf("skyjob: %w", err)
 	}
-	min, max := data.Bounds()
 	spec := Spec{
 		Scheme:     scheme,
 		Dim:        data.Dim(),
@@ -79,10 +82,11 @@ func SpecFor(data points.Set, scheme partition.Scheme, partitions int) (Spec, er
 		Partitions: partitions,
 	}
 	if scheme == partition.Angular {
-		ap, err := partition.FitAngular(data, partitions)
+		part, err := partition.New(scheme, data, partitions)
 		if err != nil {
 			return Spec{}, err
 		}
+		ap := part.(*partition.AngularPartitioner)
 		spec.AngularSplits = ap.Splits()
 		spec.AngularCuts = ap.Cuts()
 	}
@@ -212,6 +216,37 @@ func (s Spec) folder() mapreduce.FrameFolder {
 	}
 }
 
+// bnlWindows recycles the default map-side combiner of both framed jobs:
+// one incremental BNL window per partition, folded as records are routed
+// (as in package driver; the pool is per package, the kind is the same).
+var bnlWindows = mapreduce.NewAccumulators(func() mapreduce.Accumulator { return skyline.NewWindow() })
+
+// mapSide picks a framed job's map-side combiner: incremental windows for
+// BNL, and for the other kernels — which need the whole block — staged
+// rows plus a block combiner.
+func (s Spec) mapSide() (*mapreduce.Accumulators, mapreduce.FrameCombiner) {
+	if s.Kernel == skyline.BNLAlgorithm {
+		return bnlWindows, nil
+	}
+	kernel := skyline.BlockByAlgorithm(s.Kernel)
+	return nil, func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
+}
+
+// rowMapper is the FrameMapper of both framed jobs: it decodes each record
+// into one reused row and hands the row to route. The row is this task's
+// alone: rpcmr builds a job value per task it executes, and a task maps
+// its records one after another.
+func rowMapper(route func(row points.Point, emit mapreduce.EmitPoint) error) mapreduce.FrameMapper {
+	var row points.Point
+	return mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
+		var err error
+		if row, err = points.DecodeInto(row, rec); err != nil {
+			return err
+		}
+		return route(row, emit)
+	})
+}
+
 // framed reports whether the spec selects the block-framed shuffle:
 // frames pack flat blocks, so the classic kernel path implies the
 // classic shuffle too.
@@ -228,24 +263,20 @@ func newPartitionJob(params []byte) (rpcmr.Job, error) {
 	}
 	if spec.framed() {
 		kernel := skyline.BlockByAlgorithm(spec.Kernel)
+		accs, combiner := spec.mapSide()
 		return rpcmr.Job{
-			FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-				p, err := points.Decode(rec)
+			FrameMapper: rowMapper(func(row points.Point, emit mapreduce.EmitPoint) error {
+				id, err := part.Assign(row)
 				if err != nil {
 					return err
 				}
-				id, err := part.Assign(p)
-				if err != nil {
-					return err
-				}
-				emit(id, p)
+				emit(id, row)
 				return nil
 			}),
-			// The local-skyline combiner runs directly on the assembled
-			// block before its frame is sealed for the wire.
-			FrameCombiner: func(partition int, blk *points.Block) (*points.Block, error) {
-				return kernel(blk), nil
-			},
+			// The local-skyline combiner runs map-side, before the frames
+			// are sealed for the wire.
+			Accumulators:  accs,
+			FrameCombiner: combiner,
 			FrameReducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
 				sky := kernel(blk)
 				for i := 0; i < sky.Len(); i++ {
@@ -282,19 +313,14 @@ func newMergeJob(params []byte) (rpcmr.Job, error) {
 		return rpcmr.Job{}, fmt.Errorf("skyjob: bad params: %w", err)
 	}
 	if spec.framed() {
-		kernel := skyline.BlockByAlgorithm(spec.Kernel)
+		accs, combiner := spec.mapSide()
 		return rpcmr.Job{
-			FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-				p, err := points.Decode(rec)
-				if err != nil {
-					return err
-				}
-				emit(0, p) // paper line 13: output(null, si) — one global partition
+			FrameMapper: rowMapper(func(row points.Point, emit mapreduce.EmitPoint) error {
+				emit(0, row) // paper line 13: output(null, si) — one global partition
 				return nil
 			}),
-			FrameCombiner: func(partition int, blk *points.Block) (*points.Block, error) {
-				return kernel(blk), nil
-			},
+			Accumulators:  accs,
+			FrameCombiner: combiner,
 			FrameReducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
 				sky := skyline.ParallelBlock(context.Background(), blk, 0)
 				for i := 0; i < sky.Len(); i++ {

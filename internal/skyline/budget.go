@@ -12,10 +12,10 @@ import (
 // BudgetedFold is a streaming skyline accumulator whose working memory is
 // bounded by an explicit byte budget. It is external BNL re-expressed
 // over the flat block kernels: candidates are scanned against a bounded
-// window with the same inlined twin-flag dominance step as scanWindow,
-// and candidates that survive a full window overflow to a temporary
-// frame-encoded sequence file instead of growing it. Finish resolves the
-// overflow in further passes until none remains.
+// window — the same signature-pruned scan step as every other kernel, see
+// window.go — and candidates that survive a full window overflow to a
+// temporary frame-encoded sequence file instead of growing it. Finish
+// resolves the overflow in further passes until none remains.
 //
 // Correctness follows the classic BNL timestamp argument: a window row
 // inserted before the pass's first overflow write has been compared
@@ -41,10 +41,9 @@ type BudgetedFold struct {
 	obufCap  int // overflow write-buffer rows
 	spillDir string
 
-	confirmed *points.Block
-	win       *points.Block
-	ticks     []int64 // insertion tick of each window row, swap-deleted in lockstep
-	tick      int64
+	confirmed     *points.Block
+	win           *window // timed: each row carries its insertion tick
+	tick          int64
 	firstOverflow int64 // tick of this pass's first overflow write; -1 while none
 
 	of      *os.File
@@ -54,7 +53,6 @@ type BudgetedFold struct {
 	scratch []byte
 
 	stats FoldStats
-	tests int64
 	done  bool
 }
 
@@ -85,13 +83,15 @@ func NewBudgetedFold(dim int, budgetBytes int64, spillDir string, codec points.F
 	if obufCap > 256 {
 		obufCap = 256
 	}
+	win := newWindow(dim, min(winCap, 1024))
+	win.timed = true
 	return &BudgetedFold{
 		dim:           dim,
 		winCap:        winCap,
 		obufCap:       obufCap,
 		spillDir:      spillDir,
 		confirmed:     points.NewBlock(dim, 0),
-		win:           points.NewBlock(dim, min(winCap, 1024)),
+		win:           win,
 		firstOverflow: -1,
 		codec:         codec,
 		stats:         FoldStats{Passes: 1},
@@ -135,41 +135,11 @@ func (f *BudgetedFold) AbsorbRow(p []float64) error {
 // if there is room and overflow it otherwise.
 func (f *BudgetedFold) absorbRow(p []float64) error {
 	f.tick++
-	d := f.dim
-	wn := f.win.Len()
-	for j := 0; j < wn; {
-		f.tests++
-		q := f.win.Row(j)[:d]
-		pp := p[:d]
-		var qWorse, pWorse bool
-		for k := range q {
-			if q[k] > pp[k] {
-				qWorse = true
-				if pWorse {
-					break
-				}
-			} else if q[k] < pp[k] {
-				pWorse = true
-				if qWorse {
-					break
-				}
-			}
-		}
-		if pWorse && !qWorse { // q dominates p: p dies
-			return nil
-		}
-		if qWorse && !pWorse { // p dominates q: evict, keep ticks in lockstep
-			f.win.SwapDelete(j)
-			f.ticks[j] = f.ticks[len(f.ticks)-1]
-			f.ticks = f.ticks[:len(f.ticks)-1]
-			wn--
-			continue
-		}
-		j++
+	if !f.win.scan(p) {
+		return nil
 	}
-	if f.win.Len() < f.winCap {
-		f.win.AppendRow(p)
-		f.ticks = append(f.ticks, f.tick)
+	if f.win.rows.Len() < f.winCap {
+		f.win.push(p, f.tick)
 		return nil
 	}
 	return f.overflowRow(p)
@@ -217,7 +187,7 @@ func (f *BudgetedFold) flushOverflow() error {
 // transient bytes the caller knows are live (decode scratch, input).
 func (f *BudgetedFold) notePeak(extra int64) {
 	rowBytes := int64(f.dim * 8)
-	live := int64(f.win.Len()+f.confirmed.Len()) * rowBytes
+	live := int64(f.win.rows.Len()+f.confirmed.Len()) * rowBytes
 	if f.obuf != nil {
 		live += int64(f.obuf.Len()) * rowBytes
 	}
@@ -234,8 +204,9 @@ func (f *BudgetedFold) Finish() (*points.Block, error) {
 		return nil, fmt.Errorf("skyline: Finish called twice")
 	}
 	f.done = true
+	win := f.win
 	defer func() {
-		dominanceTests.Add(f.tests)
+		win.publish()
 		if f.of != nil { // error-path cleanup; the loop normally consumed it
 			name := f.of.Name()
 			f.of.Close()
@@ -258,15 +229,14 @@ func (f *BudgetedFold) Finish() (*points.Block, error) {
 		// the rest are carried into the next pass ahead of the overflow
 		// stream.
 		carried := points.NewBlock(f.dim, 0)
-		for j := 0; j < f.win.Len(); j++ {
-			if f.ticks[j] < f.firstOverflow {
-				f.confirmed.AppendRow(f.win.Row(j))
+		for j, tick := range f.win.ticks {
+			if tick < f.firstOverflow {
+				f.confirmed.AppendRow(f.win.rows.Row(j))
 			} else {
-				carried.AppendRow(f.win.Row(j))
+				carried.AppendRow(f.win.rows.Row(j))
 			}
 		}
-		f.win.Reset()
-		f.ticks = f.ticks[:0]
+		f.win.reset()
 		f.firstOverflow = -1
 		f.stats.Passes++
 		f.notePeak(int64(carried.Len()) * int64(f.dim) * 8)
@@ -275,10 +245,9 @@ func (f *BudgetedFold) Finish() (*points.Block, error) {
 			return nil, err
 		}
 	}
-	f.confirmed.AppendBlock(f.win)
+	f.confirmed.AppendBlock(f.win.rows)
 	f.notePeak(0)
 	f.win = nil
-	f.ticks = nil
 	return f.confirmed, nil
 }
 

@@ -217,11 +217,12 @@ func RelationKernel(d int) func(a, b []float64) Relation {
 	return relGeneric
 }
 
-// dominanceTests counts every pairwise dominance test executed by the
-// flat kernels and the merge tree, process-wide. Kernels accumulate
-// locally and publish once per call, so the atomic stays off the inner
-// loop; package driver bridges deltas into the telemetry registry as
-// skyline_dominance_tests_total.
+// dominanceTests counts every pairwise coordinate test executed by the
+// flat kernels and the merge tree, process-wide. A pair the window's
+// signatures prove incomparable is skipped, not tested, and is not
+// counted. Kernels accumulate locally and publish once per call, so the
+// atomic stays off the inner loop; package driver bridges deltas into the
+// telemetry registry as skyline_dominance_tests_total.
 var dominanceTests atomic.Int64
 
 // DominanceTests returns the process-wide flat-kernel dominance-test
@@ -235,98 +236,17 @@ func DominanceTests() int64 { return dominanceTests.Load() }
 type BlockFunc func(*points.Block) *points.Block
 
 // BlockBNL is block-nested-loops over a flat block: the window is itself
-// a block reused as scratch, and evictions swap-delete instead of
-// rebuilding the window slice. The dominance relation is hand-inlined
-// into the scan (see scanWindow) — at combiner-sized inputs the window is
-// small and a per-pair call, even through the specialized relFuncs, costs
-// as much as the comparison itself.
+// a block reused as scratch, evictions swap-delete instead of rebuilding
+// the window slice, and pairs whose signatures prove them incomparable are
+// never compared (see window.go).
 func BlockBNL(b *points.Block) *points.Block {
-	win := points.NewBlock(b.Dim(), 16)
-	tests := int64(0)
+	win := newWindow(b.Dim(), 16)
 	n := b.Len()
 	for i := 0; i < n; i++ {
-		tests += scanWindow(win, b.Row(i))
+		win.add(b.Row(i))
 	}
-	dominanceTests.Add(tests)
-	return win
-}
-
-// Window is BlockBNL fed one row at a time: Add runs the same scanWindow
-// step, in arrival order, that BlockBNL runs per input row, so after the
-// same rows the window holds the same survivors in the same order and
-// DominanceTests has advanced by the same amount. It is the map-side
-// local-skyline combiner of the frame engine: a map task folds each point
-// into its partition's Window as the point is routed, instead of staging
-// the partition's block and running BlockBNL over it afterwards. Not safe
-// for concurrent use.
-type Window struct {
-	win   *points.Block
-	tests int64
-}
-
-// NewWindow returns an empty window; the first row fixes its dimension.
-func NewWindow() *Window { return &Window{win: points.NewBlock(0, 0)} }
-
-// Add folds one row into the window, copying it if it survives.
-func (w *Window) Add(row []float64) { w.tests += scanWindow(w.win, row) }
-
-// Seal publishes the dominance tests performed so far and returns the
-// current skyline. The block is the window itself: it is valid until the
-// next Add or Reset.
-func (w *Window) Seal() *points.Block {
-	dominanceTests.Add(w.tests)
-	w.tests = 0
-	return w.win
-}
-
-// Reset empties the window for reuse, keeping its capacity and forgetting
-// its dimension. Tests not yet published by Seal (an abandoned task) are
-// published here: they were performed.
-func (w *Window) Reset() {
-	w.Seal().Clear()
-}
-
-// scanWindow runs one BNL step: test p against every window row with the
-// twin-flag single-pass relation, evict dominated rows, and append p if it
-// survives. Returns the number of dominance tests performed. The relation
-// is inlined rather than dispatched through a relFunc so the compiler
-// keeps the flags in registers and pays no call per pair. When a window
-// row dominates p, p cannot have evicted anyone earlier (window rows are
-// mutually non-dominated), so the scan stops without repair.
-func scanWindow(win *points.Block, p []float64) int64 {
-	d := len(p)
-	wn := win.Len() // hoisted: Len divides, and the row count only changes on evictions we track
-	tests := int64(0)
-	for j := 0; j < wn; {
-		tests++
-		q := win.Row(j)[:d]
-		pp := p[:len(q)]
-		var qWorse, pWorse bool
-		for k := range q {
-			if q[k] > pp[k] {
-				qWorse = true
-				if pWorse {
-					break
-				}
-			} else if q[k] < pp[k] {
-				pWorse = true
-				if qWorse {
-					break
-				}
-			}
-		}
-		if pWorse && !qWorse { // q dominates p: p dies
-			return tests
-		}
-		if qWorse && !pWorse { // p dominates q: evict, re-test the swapped-in row
-			win.SwapDelete(j)
-			wn--
-			continue
-		}
-		j++ // equal or incomparable: q stays (duplicates are retained)
-	}
-	win.AppendRow(p)
-	return tests
+	win.publish()
+	return win.rows
 }
 
 // BlockSFS is sort-filter-skyline over a flat block: the monotone sum key

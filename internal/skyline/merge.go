@@ -32,9 +32,15 @@ import (
 )
 
 // parallelMergeCutoff is the |A|·|B| comparison volume below which a
-// pairwise merge stays sequential even when spare workers exist — under
-// it, goroutine startup outweighs the filter work.
-const parallelMergeCutoff = 1 << 14
+// pairwise merge stays a seeded BNL even when spare workers exist. The
+// cross-filter signs both sides and can prune a pair only in the one
+// direction it tests, so it does more than twice the seeded merge's work
+// and must win it back in parallel. Re-measured against the
+// signature-pruned window with 2 workers: QWS d=10 at 1354×1464 (2.0 M)
+// seeded 4.2 ms vs cross 5.0 ms, at 5688×5755 (33 M) 39 vs 21 ms;
+// independent d=6 at 1360×1355 (1.8 M) 3.4 vs 3.6 ms, at 2769×3033
+// (8.4 M) 9.7 vs 7.0 ms. The unpruned loop broke even at 1<<14.
+const parallelMergeCutoff = 1 << 22
 
 // MergeBlocks merges two partial skylines into one with a seeded BNL:
 // the window starts as the larger side, the smaller side streams through
@@ -52,14 +58,13 @@ func MergeBlocks(a, b *points.Block) *points.Block {
 	if a.Len() < b.Len() {
 		a, b = b, a
 	}
-	win := a.Clone()
-	tests := int64(0)
+	win := windowOver(a.Clone())
 	bn := b.Len()
 	for i := 0; i < bn; i++ {
-		tests += scanWindow(win, b.Row(i))
+		win.add(b.Row(i))
 	}
-	dominanceTests.Add(tests)
-	return win
+	win.publish()
+	return win.rows
 }
 
 // foldBlocks merges partial skylines sequentially with one shared BNL
@@ -69,7 +74,10 @@ func MergeBlocks(a, b *points.Block) *points.Block {
 // union-of-skylines input this roughly halves the fold's wall time versus
 // streaming in partial order. Unlike a pure SFS filter the eviction logic
 // stays, so floating-point ties in the sum key can never admit a dominated
-// row.
+// row. The window's thresholds are fitted once, to the whole union: fitted
+// to its own rows it would, in this order, know only the smallest ones
+// (QWS d=10, 16 partials: the fold took 157 ms so, 70 ms fitted to the
+// union; independent d=6 13 ms either way).
 func foldBlocks(parts []*points.Block) *points.Block {
 	total := 0
 	for _, part := range parts {
@@ -91,32 +99,27 @@ func foldBlocks(parts []*points.Block) *points.Block {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
-	win := points.NewBlock(u.Dim(), 16)
-	tests := int64(0)
-	for _, i := range order {
-		tests += scanWindow(win, u.Row(i))
+	win := newWindow(u.Dim(), 16)
+	if u.Len() >= firstFit {
+		win.fit(u)
 	}
-	dominanceTests.Add(tests)
-	return win
+	for _, i := range order {
+		win.add(u.Row(i))
+	}
+	win.publish()
+	return win.rows
 }
 
 // filterRows appends to out the rows of src in [lo, hi) not strictly
 // dominated by any row of against, and returns the dominance-test count.
 // src and against are skylines of disjoint chunks, so within-side
 // dominance cannot occur and the two directions are independent.
-func filterRows(src *points.Block, lo, hi int, against *points.Block, rel relFunc, out *points.Block) int64 {
+func filterRows(src *points.Block, lo, hi int, against *window, rel relFunc, out *points.Block) int64 {
 	tests := int64(0)
-	an := against.Len()
 	for i := lo; i < hi; i++ {
 		p := src.Row(i)
-		dominated := false
-		for j := 0; j < an; j++ {
-			tests++
-			if rel(against.Row(j), p) == LeftDominates {
-				dominated = true
-				break
-			}
-		}
+		dominated, n := against.dominates(p, rel)
+		tests += n
 		if !dominated {
 			out.AppendRow(p)
 		}
@@ -131,12 +134,12 @@ func mergeBlocksParallel(a, b *points.Block, workers int) *points.Block {
 	if workers <= 1 || a.Len()*b.Len() < parallelMergeCutoff {
 		return MergeBlocks(a, b)
 	}
-	if a.Len() == 0 {
-		return b
-	}
-	if b.Len() == 0 {
-		return a
-	}
+	return crossFilter(a, b, workers)
+}
+
+// crossFilter returns the rows of each side that no row of the other side
+// dominates, filtering in workers goroutines. Both sides are non-empty.
+func crossFilter(a, b *points.Block, workers int) *points.Block {
 	rel := RelationKernel(a.Dim())
 	// One shard per worker, allotted to the two sides by their share of
 	// the total rows (each side needs at least one shard).
@@ -150,12 +153,13 @@ func mergeBlocksParallel(a, b *points.Block, workers int) *points.Block {
 	}
 	bShards := workers - aShards
 	type shard struct {
-		src, against *points.Block
-		lo, hi       int
-		out          *points.Block
+		src     *points.Block
+		against *window
+		lo, hi  int
+		out     *points.Block
 	}
 	shards := make([]shard, 0, workers)
-	plan := func(src, against *points.Block, n int) {
+	plan := func(src *points.Block, against *window, n int) {
 		size := (src.Len() + n - 1) / n
 		for lo := 0; lo < src.Len(); lo += size {
 			hi := lo + size
@@ -166,8 +170,10 @@ func mergeBlocksParallel(a, b *points.Block, workers int) *points.Block {
 				out: points.NewBlock(src.Dim(), hi-lo)})
 		}
 	}
-	plan(a, b, aShards)
-	plan(b, a, bShards)
+	// Each side is signed once and then only read, by every shard that
+	// filters against it.
+	plan(a, windowOver(b), aShards)
+	plan(b, windowOver(a), bShards)
 	var wg sync.WaitGroup
 	tests := make([]int64, len(shards))
 	for i := range shards {

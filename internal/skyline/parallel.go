@@ -9,12 +9,15 @@ import (
 )
 
 // parallelCutoff is the input size below which Parallel runs the flat
-// sequential kernel instead of fanning out. Measured with
-// BenchmarkMergeTree/BenchmarkLocalSkyline on the benchmark machine (see
-// BENCH_kernels.json): below ~256 points the goroutine spawn plus the
-// merge-tree cross-filters cost more than the saved kernel time; the old
-// 64-point cutoff left 64–256 in a regime where fan-out still lost.
-const parallelCutoff = 256
+// sequential kernel instead of fanning out. Re-measured against the
+// signature-pruned window on the 2-vCPU benchmark box (two BlockBNL halves
+// side by side plus their merge, versus one BlockBNL): fan-out loses below
+// ~4096 points — QWS d=10 0.69 ms sequential vs 1.00 ms at n=1024 and
+// 4.08 vs 4.13 ms at n=4096; independent d=6 0.29 vs 0.48 ms and 1.50 vs
+// 1.40 ms — and wins from there up (n=16384: 22.0 vs 16.7 ms and 6.6 vs
+// 4.6 ms). The unpruned loop broke even at 256: pruning made the halves
+// cheap and left the merge, which fan-out adds, as the larger share.
+const parallelCutoff = 4096
 
 // normWorkers resolves a caller-supplied worker count: non-positive means
 // GOMAXPROCS, and every request is capped at GOMAXPROCS — the kernels are

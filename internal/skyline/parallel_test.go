@@ -2,16 +2,23 @@ package skyline
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/points"
 )
 
 func TestParallelMatchesOracle(t *testing.T) {
+	// normWorkers caps at GOMAXPROCS; pin it so the fan-out runs (and the
+	// tournament tree has more than one level) on any machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 30; trial++ {
 		d := 1 + rng.Intn(5)
 		n := 1 + rng.Intn(800)
+		if trial%5 == 0 { // past the cutoff: the chunked path, not the sequential kernel
+			n += parallelCutoff
+		}
 		s := make(points.Set, n)
 		for i := range s {
 			p := make(points.Point, d)

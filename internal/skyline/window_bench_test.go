@@ -1,0 +1,92 @@
+package skyline
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/points"
+	"repro/internal/qws"
+)
+
+// The benchmarks behind the constants in window.go, parallel.go and
+// merge.go; their comments quote these rows.
+
+func benchInputs() map[string]*points.Block {
+	out := map[string]*points.Block{}
+	for name, s := range map[string]points.Set{
+		"qws10": qws.Extend(qws.Generate(2012, 10000, 10), 11, 50000),
+		"ind6":  dataset.Independent(11, 200000, 6),
+		"anti4": dataset.Anticorrelated(11, 100000, 4),
+		"corr6": dataset.Correlated(11, 200000, 6),
+	} {
+		out[name], _ = points.BlockOf(s)
+	}
+	return out
+}
+
+// BenchmarkWindowBNL is one BlockBNL over each input, with the coordinate
+// tests per point the signatures left: the row maxLevels, firstFit,
+// refitGrowth and plainPrefix were swept on.
+func BenchmarkWindowBNL(b *testing.B) {
+	for name, blk := range benchInputs() {
+		b.Run(name, func(b *testing.B) {
+			t0 := DominanceTests()
+			for i := 0; i < b.N; i++ {
+				BlockBNL(blk)
+			}
+			b.ReportMetric(float64(DominanceTests()-t0)/float64(b.N)/float64(blk.Len()), "tests/pt")
+		})
+	}
+}
+
+// BenchmarkCutoffs measures both fan-out decisions at two workers: a
+// sequential BlockBNL against two halves side by side plus their merge
+// (parallelCutoff), and a seeded merge of two half-skylines against their
+// two-worker cross-filter (parallelMergeCutoff).
+func BenchmarkCutoffs(b *testing.B) {
+	for name, all := range benchInputs() {
+		if name == "corr6" {
+			continue // skylines of a few rows: nothing to fan out or merge
+		}
+		for _, n := range []int{256, 1024, 4096, 16384, 50000} {
+			blk := all.Slice(0, n)
+			b.Run(fmt.Sprintf("local/%s/n=%d/sequential", name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					BlockBNL(blk)
+				}
+			})
+			b.Run(fmt.Sprintf("local/%s/n=%d/fanout2", name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					parts := []*points.Block{blk.Slice(0, n/2), blk.Slice(n/2, n)}
+					var wg sync.WaitGroup
+					for k := range parts {
+						wg.Add(1)
+						go func(k int) {
+							defer wg.Done()
+							parts[k] = BlockBNL(parts[k])
+						}(k)
+					}
+					wg.Wait()
+					mergeTree(context.Background(), parts, 2)
+				}
+			})
+		}
+		for _, n := range []int{2000, 8000, 50000, all.Len()} {
+			a, c := BlockBNL(all.Slice(0, n/2)), BlockBNL(all.Slice(n/2, n))
+			size := fmt.Sprintf("%dx%d", a.Len(), c.Len())
+			b.Run(fmt.Sprintf("merge/%s/%s/seeded", name, size), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MergeBlocks(a, c)
+				}
+			})
+			b.Run(fmt.Sprintf("merge/%s/%s/cross2", name, size), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					crossFilter(a, c, 2)
+				}
+			})
+		}
+	}
+}
