@@ -38,6 +38,23 @@ func TestMapSideAllocatesNothingPerPoint(t *testing.T) {
 	}
 }
 
+// TestFitAllocatesPerSample pins the other per-point cost the prologue
+// once had: the angular fit draws its sample in O(sample), so fitting a
+// million points allocates a sample's worth of memory — the index
+// permutation it used to shuffle was 8 MB on its own.
+func TestFitAllocatesPerSample(t *testing.T) {
+	data := uniformSet(43, 1000000, 6)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := partition.New(partition.Angular, data, 8); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("partition.New allocated %d bytes on 1M points, want < 1 MB", got)
+	}
+}
+
 // TestPartitionCountsAreTheHistogram: occupancy now comes from the
 // engine's routed-point tallies (or the pruning pre-pass), not from a
 // per-point counter in the mapper; it must still be exactly the

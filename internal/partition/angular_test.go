@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/points"
@@ -132,6 +133,17 @@ func TestNewAngularWithCutsValidation(t *testing.T) {
 	}
 	if _, err := NewAngularWithCuts(offset, []int{2, 2}, [][][]float64{{{0.5}}, {{0.4}}}); err == nil {
 		t.Error("level with too few cells accepted")
+	}
+	// A spec arrives as JSON on every worker: a cut that is not an angle
+	// of the non-negative orthant would poison the tan² table.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-9, math.Nextafter(math.Pi/2, 2), 2} {
+		_, err := NewAngularWithCuts(offset, []int{3, 1}, [][][]float64{{{0.2, bad}}, nil})
+		if err == nil || !strings.HasPrefix(err.Error(), "partition: ") {
+			t.Errorf("cut %g: error %v, want a partition: error", bad, err)
+		}
+	}
+	if _, err := NewAngularWithCuts(offset, []int{3, 1}, [][][]float64{{{0, math.Pi / 2}}, nil}); err != nil {
+		t.Errorf("cuts at 0 and π/2 rejected: %v", err)
 	}
 	p, err := NewAngularWithCuts(offset, []int{4, 2}, [][][]float64{
 		{{0.3, 0.6, 0.9}},

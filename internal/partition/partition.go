@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/hyper"
 	"repro/internal/points"
@@ -377,8 +378,14 @@ type AngularPartitioner struct {
 	// cell id), the splits[i]−1 increasing interior boundaries of angle i
 	// within that cell. nil means equal-width buckets over [0, π/2].
 	cuts [][][]float64
+	// tan2[i] holds tan²(cut) for every cut of level i, flattened cell-major
+	// (cell id's cuts are tan2[i][id·(splits[i]−1):][:splits[i]−1]); NaN for a
+	// cut Assign must decide on the exact angle. See setCuts.
+	tan2 [][]float64
 	n    int
 	d    int
+
+	exactLookups atomic.Int64 // lookups that took the Atan2 path (test tally)
 }
 
 // NewAngular builds an angular partitioner for d-dimensional points with
@@ -418,24 +425,24 @@ func (a *AngularPartitioner) Splits() []int {
 const assignStackDim = 16
 
 // Assign implements Partitioner. This is the pipeline's per-point hot
-// path (the mapper calls it for every input point), so it inlines the
-// hyperspherical transform instead of calling hyper.ToHyperspherical:
-// same Hypot/Atan2 arithmetic in the same order — bucket boundaries are
-// bit-identical — but with stack buffers instead of three heap
-// allocations, no redundant re-validation, and no Atan2 for angles the
-// partitioner never splits on (splitCounts leaves most axes at one split
-// once want ≪ 2^(d−1); an unsplit angle contributes id·1+0 regardless of
-// its value).
+// path (the mapper calls it for every input point), so it works on stack
+// buffers, validates through the transform instead of up front, looks at
+// no angle the partitioner never splits on (splitCounts leaves most axes
+// at one split once want ≪ 2^(d−1); an unsplit angle contributes id·1+0
+// regardless of its value), and finds a fitted sector in tangent space
+// (tanBucket) without forming the angle at all. The ids are those of
+// hyper.ToHyperspherical's angles searched among the cuts, bit for bit.
 func (a *AngularPartitioner) Assign(pt points.Point) (int, error) {
 	if len(pt) != a.d {
 		return 0, checkPoint(pt, a.d)
 	}
 	var sbuf [assignStackDim]float64
 	var nbuf [assignStackDim + 1]float64
-	shifted, suffix := sbuf[:a.d], nbuf[:a.d+1]
+	shifted, sumsq := sbuf[:], nbuf[:]
 	if a.d > assignStackDim {
-		shifted, suffix = make([]float64, a.d), make([]float64, a.d+1)
+		shifted, sumsq = make([]float64, a.d), make([]float64, a.d+1)
 	}
+	shifted, sumsq = shifted[:a.d], sumsq[:a.d+1]
 	// Input validity is checked through the transform itself rather than a
 	// per-coordinate Validate pass up front: NaN and +Inf coordinates
 	// survive the shift and poison the sum of squares, and −Inf (which the
@@ -452,22 +459,21 @@ func (a *AngularPartitioner) Assign(pt points.Point) (int, error) {
 		}
 		shifted[i] = v
 	}
-	// suffix[i] = sqrt(shifted[i]² + ... + shifted[d−1]²), exactly as
-	// hyper.ToHyperspherical computes it (running sum of squares + Sqrt) —
-	// the fitted cuts and this lookup must agree bit-for-bit on the
-	// boundary tie rule.
-	suffix[a.d] = 0
+	// sumsq[i] = shifted[i]² + ... + shifted[d−1]², the running sum whose
+	// square root hyper.ToHyperspherical takes — the fitted cuts and this
+	// lookup must agree bit-for-bit on the boundary tie rule.
+	sumsq[a.d] = 0
 	s := 0.0
 	for i := a.d - 1; i >= 0; i-- {
 		s += shifted[i] * shifted[i]
-		suffix[i] = math.Sqrt(s)
+		sumsq[i] = s
 	}
-	if bad || !(suffix[0] <= math.MaxFloat64) { // NaN or +Inf radius
+	if bad || !(sumsq[0] <= math.MaxFloat64) { // NaN or +Inf radius
 		if err := pt.Validate(); err != nil {
 			return 0, err
 		}
-		// Finite input whose squares overflow: keep going — the +Inf
-		// suffix yields π/2 angles, still clamped into boundary sectors.
+		// Finite input whose squares overflow: keep going — the +Inf sum
+		// yields π/2 angles, still clamped into boundary sectors.
 	}
 	id := 0
 	for i := 0; i < a.d-1; i++ {
@@ -475,22 +481,124 @@ func (a *AngularPartitioner) Assign(pt points.Point) (int, error) {
 		if k <= 1 {
 			continue // id = id·1 + 0: the angle's value cannot matter
 		}
-		ang := math.Atan2(suffix[i+1], shifted[i])
 		var b int
-		if a.cuts != nil && a.cuts[i] != nil {
-			cell := a.cuts[i][id]
-			b = sort.SearchFloat64s(cell, ang)
-			// SearchFloat64s returns the first cut >= ang; a point exactly
-			// on a cut goes to the upper bucket for half-open intervals.
-			for b < len(cell) && cell[b] == ang {
-				b++
+		if a.tan2 != nil {
+			x := shifted[i]
+			b = tanBucket(a.tan2[i][id*(k-1):(id+1)*(k-1)], sumsq[i+1], x*x)
+			if b < 0 {
+				a.exactLookups.Add(1)
+				b = cutBucket(a.cuts[i][id], math.Atan2(math.Sqrt(sumsq[i+1]), x))
 			}
 		} else {
-			b = bucket(ang, 0, hyper.MaxAngle, k)
+			b = bucket(math.Atan2(math.Sqrt(sumsq[i+1]), shifted[i]), 0, hyper.MaxAngle, k)
 		}
 		id = id*k + b
 	}
 	return id, nil
+}
+
+// cutBucket returns the bucket of v among sorted cuts: the number of cuts
+// at or below it, so a value exactly on a cut goes to the upper bucket of
+// the half-open intervals. The fit distributes its sample with it, Assign
+// falls back to it, and the radial shells use it too.
+func cutBucket(cuts []float64, v float64) int {
+	b := sort.SearchFloat64s(cuts, v) // first cut >= v
+	for b < len(cuts) && cuts[b] == v {
+		b++
+	}
+	return b
+}
+
+// The sector lookup in tangent space. φ = atan2(S, x) with S, x ≥ 0 lies
+// in [0, π/2], where tan is monotone, so φ ≥ cut ⇔ S² ≥ x²·tan²(cut): the
+// comparison needs neither the Sqrt nor the Atan2, which were two thirds
+// of a job's samples on inputs whose skyline is small. The two sides carry
+// a few ulps of rounding each; the angle the exact lookup compares carries
+// Atan2's ulp, which tan amplifies by up to 1/cos² near π/2. A comparison
+// is therefore trusted only when the sides differ by more than tanBand of
+// their sum (plus tanFloor, which covers squares that underflowed), and
+// only for cuts at least tanEdge inside (0, π/2): there a decided
+// comparison means the true angle is ≥ 1e-14 away from the cut, against a
+// 4e-16 rounding of the computed one (and near 0 both shrink together).
+// Everything else — a side within the band, which includes every sample
+// point that defines a cut and its duplicates; a NaN or infinite side
+// (overflowed squares); a cut at 0, at π/2 or within tanEdge of them,
+// stored as NaN — is undecided, and Assign takes the exact angle for that
+// lookup: under 0.1% of lookups on independent data, which
+// TestAssignFallbackIsRare pins.
+const (
+	tanBand  = 1e-9
+	tanFloor = 1e-300
+	tanEdge  = 1e-5
+	// tanLinear is the run of cuts tanBucket counts through without
+	// branching on the outcome; a longer cell is first halved down to it.
+	// The bucket branches are coin flips by construction (equi-depth cuts),
+	// and mispredicting them was most of what remained of a lookup:
+	// BenchmarkAssign's cache-resident d=6 rows, 8 / 64 partitions, cost
+	// 56 / 93 ns per point with a pure binary search, 34 / 54 ns counting
+	// runs of up to 3, 7 or 15; 255 cuts in one cell (d=2, 256 partitions)
+	// 67 ns pure, 54 ns at 7, 56 ns at 15.
+	tanLinear = 7
+)
+
+// tanBucket is cutBucket for the angle whose squared tangent is s2/x2,
+// over the cell's tan²(cut) table; −1 when some comparison it needed was
+// undecided. Decided comparisons agree with the exact ones, which are
+// monotone over the sorted cuts, so the halving and the count are sound.
+func tanBucket(tan2 []float64, s2, x2 float64) int {
+	lo, hi := 0, len(tan2)
+	for hi-lo > tanLinear {
+		m := int(uint(lo+hi) >> 1)
+		rhs := x2 * tan2[m]
+		diff, band := s2-rhs, tanBand*(s2+rhs)+tanFloor
+		switch {
+		case diff > band:
+			lo = m + 1
+		case diff < -band:
+			hi = m
+		default:
+			return -1
+		}
+	}
+	ge, lt := 0, 0
+	for _, t := range tan2[lo:hi] {
+		rhs := x2 * t
+		diff, band := s2-rhs, tanBand*(s2+rhs)+tanFloor
+		if diff > band {
+			ge++
+		}
+		if diff < -band {
+			lt++
+		}
+	}
+	if ge+lt != hi-lo {
+		return -1
+	}
+	return lo + ge
+}
+
+// setCuts installs fitted cuts together with their tan² table. It runs at
+// construction, so the hot path never computes a tangent.
+func (a *AngularPartitioner) setCuts(cuts [][][]float64) {
+	a.cuts = cuts
+	a.tan2 = make([][]float64, len(cuts))
+	for i, level := range cuts {
+		if level == nil {
+			continue
+		}
+		flat := make([]float64, 0, len(level)*(a.splits[i]-1))
+		for _, cell := range level {
+			for _, c := range cell {
+				t := math.NaN()
+				if c >= tanEdge && c <= hyper.MaxAngle-tanEdge {
+					t = math.Tan(c)
+					t *= t
+				}
+				flat = append(flat, t)
+			}
+		}
+		a.tan2[i] = flat
+	}
 }
 
 // Cuts returns a deep copy of the recursive quantile boundaries (nil for
@@ -585,15 +693,10 @@ func fitAngular(data points.Set, min points.Point, want int) (*AngularPartitione
 				c[q-1] = vals[idx]
 			}
 			level[j] = c
-			// Distribute members into the k children, matching Assign's
-			// upper-bucket rule for ties.
+			// Distribute members into the k children by Assign's rule.
 			children := make([][]int, k)
 			for _, idx := range members {
-				ang := angles[idx*na+i]
-				b := sort.SearchFloat64s(c, ang)
-				for b < len(c) && c[b] == ang {
-					b++
-				}
+				b := cutBucket(c, angles[idx*na+i])
 				children[b] = append(children[b], idx)
 			}
 			next = append(next, children...)
@@ -601,7 +704,7 @@ func fitAngular(data points.Set, min points.Point, want int) (*AngularPartitione
 		cuts[i] = level
 		cells = next
 	}
-	a.cuts = cuts
+	a.setCuts(cuts)
 	return a, nil
 }
 
@@ -629,9 +732,8 @@ func fitAngularSampled(data points.Set, min points.Point, want, sampleSize int, 
 	if sampleSize >= len(data) {
 		return fitAngular(data, min, want)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	sample := make(points.Set, sampleSize)
-	for i, idx := range rng.Perm(len(data))[:sampleSize] {
+	sample := make(points.Set, sampleSize, sampleSize+1)
+	for i, idx := range sampleIndices(rand.New(rand.NewSource(seed)), len(data), sampleSize) {
 		sample[i] = data[idx]
 	}
 	// The translation offset must come from the full data so no point
@@ -641,11 +743,32 @@ func fitAngularSampled(data points.Set, min points.Point, want, sampleSize int, 
 	return fitAngular(append(sample, min.Clone()), min, want)
 }
 
+// sampleIndices draws k distinct indices of [0, n) uniformly: the first k
+// steps of a Fisher–Yates shuffle, with the few slots the steps displaced
+// kept in a map instead of an n-long permutation, so a draw costs O(k)
+// however large the input.
+func sampleIndices(rng *rand.Rand, n, k int) []int {
+	displaced := make(map[int]int, k)
+	at := func(i int) int {
+		if v, ok := displaced[i]; ok {
+			return v
+		}
+		return i
+	}
+	out := make([]int, k)
+	for i := range out {
+		j := i + rng.Intn(n-i)
+		out[i] = at(j)
+		displaced[j] = at(i)
+	}
+	return out
+}
+
 // NewAngularWithCuts reconstructs a fitted angular partitioner from its
 // offset, split counts and recursive quantile cuts (as shipped in a
 // distributed job spec). cuts may be nil for equal-width behaviour; when
 // non-nil, cuts[i] must either be nil (splits[i] == 1) or hold one sorted
-// list of splits[i]−1 boundaries per partial cell of level i.
+// list of splits[i]−1 boundaries in [0, π/2] per partial cell of level i.
 func NewAngularWithCuts(offset points.Point, splits []int, cuts [][][]float64) (*AngularPartitioner, error) {
 	d := len(offset)
 	if d < 2 {
@@ -680,8 +803,11 @@ func NewAngularWithCuts(offset points.Point, splits []int, cuts [][][]float64) (
 				if len(c) != splits[i]-1 {
 					return nil, fmt.Errorf("partition: level %d cell %d has %d cuts, want %d", i, j, len(c), splits[i]-1)
 				}
-				for q := 1; q < len(c); q++ {
-					if c[q] < c[q-1] {
+				for q, v := range c {
+					if !(v >= 0 && v <= hyper.MaxAngle) { // NaN included
+						return nil, fmt.Errorf("partition: level %d cell %d cut %g outside [0, π/2]", i, j, v)
+					}
+					if q > 0 && v < c[q-1] {
 						return nil, fmt.Errorf("partition: level %d cell %d cuts not sorted", i, j)
 					}
 				}
@@ -689,13 +815,16 @@ func NewAngularWithCuts(offset points.Point, splits []int, cuts [][][]float64) (
 			cellsAtLevel *= splits[i]
 		}
 	}
-	return &AngularPartitioner{
+	a := &AngularPartitioner{
 		offset: offset.Clone(),
 		splits: append([]int(nil), splits...),
-		cuts:   cuts,
 		n:      n,
 		d:      d,
-	}, nil
+	}
+	if cuts != nil {
+		a.setCuts(cuts)
+	}
+	return a, nil
 }
 
 // ---------------------------------------------------------------------------

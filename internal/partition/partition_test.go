@@ -1,11 +1,14 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/points"
+	"repro/internal/qws"
 )
 
 func uniformSet(seed int64, n, d int) points.Set {
@@ -495,5 +498,43 @@ func BenchmarkAssign(b *testing.B) {
 				}
 			}
 		})
+	}
+	// The angular lookup over cache-resident rows of the benchmark's
+	// inputs, cycling through 1024 rows so the bucket branches see real
+	// data; exact=all forces every lookup onto the Atan2 fallback (the
+	// cost before the tangent-space lookup, plus the failed attempt).
+	for _, in := range []struct {
+		name string
+		data points.Set
+	}{
+		{"corr6", dataset.Correlated(11, 100000, 6)},
+		{"ind6", dataset.Independent(11, 100000, 6)},
+		{"qws10", qws.Extend(qws.Generate(2012, 10000, 10), 11, 50000)},
+	} {
+		for _, want := range []int{8, 64} {
+			for _, exact := range []bool{false, true} {
+				p, err := New(Angular, in.data, want)
+				if err != nil {
+					b.Fatal(err)
+				}
+				name := fmt.Sprintf("angular/%s/p=%d", in.name, want)
+				if exact {
+					name += "/exact=all"
+					for _, level := range p.(*AngularPartitioner).tan2 {
+						for j := range level {
+							level[j] = math.NaN()
+						}
+					}
+				}
+				rows := in.data[:1024]
+				b.Run(name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := p.Assign(rows[i&1023]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

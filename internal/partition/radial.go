@@ -90,13 +90,7 @@ func (a *AngularRadialPartitioner) Assign(p points.Point) (int, error) {
 		}
 		shifted[i] = v
 	}
-	r := shifted.Norm()
-	cuts := a.shellCuts[sector]
-	shell := sort.SearchFloat64s(cuts, r)
-	for shell < len(cuts) && cuts[shell] == r {
-		shell++
-	}
-	return sector*a.shells + shell, nil
+	return sector*a.shells + cutBucket(a.shellCuts[sector], shifted.Norm()), nil
 }
 
 // Sectors returns the underlying angular partition count.

@@ -21,8 +21,9 @@ import (
 // directions is incomparable and is skipped with two AND-NOTs instead of
 // a d-wide coordinate scan. Skipped pairs are exactly pairs the plain loop
 // would have found incomparable — it would have stepped over them too — so
-// the window's rows and their order are those of the unpruned loop; only
-// the number of coordinate tests executed falls.
+// both loops meet the same first dominator, and the window's rows and
+// their order are those of the unpruned loop; only the number of
+// coordinate tests executed falls.
 
 const (
 	// plainPrefix is how many window rows an arriving point meets with the
@@ -218,6 +219,9 @@ func (w *window) scan(p []float64) bool {
 			}
 		}
 		if pWorse && !qWorse { // q dominates p: p dies
+			if j > 0 {
+				w.promote(j)
+			}
 			w.tests += tests
 			return false
 		}
@@ -231,6 +235,30 @@ func (w *window) scan(p []float64) bool {
 	w.tests += tests
 	w.psig, w.psigned = sp, signed
 	return true
+}
+
+// promote swaps row j, which has just killed an arrival, with row j/2 —
+// signature and tick in lockstep, as evict. A skyline is order-free, so
+// any order is a correct window; this one lets rows that kill drift to the
+// front, where the next arrival meets them inside the plain prefix. Only
+// scan promotes: dominates shares its window between goroutines. Measured
+// on BenchmarkMapSideFold (1 M independent d=6 points into 8 windows) and
+// BlockBNL over 200k of them: no promotion 189 / 55 ms, to j/2 72 / 28 ms,
+// to j/4 79 / 29 ms, to 3j/4 77 / 27 ms, one step (j−1) 98 / 41 ms, to the
+// front 134 / 50 ms — front churn evicts the proven killers from the
+// prefix. Correlated d=6, whose arrivals die at row 0, does not move.
+func (w *window) promote(j int) {
+	i := j / 2
+	qi, qj := w.rows.Row(i), w.rows.Row(j)
+	for k := range qi {
+		qi[k], qj[k] = qj[k], qi[k]
+	}
+	if w.levels > 0 {
+		w.sigs[i], w.sigs[j] = w.sigs[j], w.sigs[i]
+	}
+	if w.timed {
+		w.ticks[i], w.ticks[j] = w.ticks[j], w.ticks[i]
+	}
 }
 
 // evict swap-deletes row j, with its signature and tick in lockstep.

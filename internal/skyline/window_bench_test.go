@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/qws"
 )
@@ -40,6 +41,44 @@ func BenchmarkWindowBNL(b *testing.B) {
 			b.ReportMetric(float64(DominanceTests()-t0)/float64(b.N)/float64(blk.Len()), "tests/pt")
 		})
 	}
+}
+
+// BenchmarkMapSideFold is the map side of a job on ind_d6's shape: two
+// tasks, each folding its half of an independent d = 6 stream into one
+// Window per angular partition as the rows are routed. Nearly every arrival
+// dies, so the row is the cost of finding a dominator — what the promotion
+// rule in window.scan was chosen on.
+func BenchmarkMapSideFold(b *testing.B) {
+	const tasks, partitions = 2, 8
+	data := dataset.Independent(11, 1000000, 6)
+	p, err := partition.New(partition.Angular, data, partitions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]int, len(data))
+	for i, pt := range data {
+		if ids[i], err = p.Assign(pt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	wins := make([]*Window, p.Partitions())
+	for i := range wins {
+		wins[i] = NewWindow()
+	}
+	t0 := DominanceTests()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for task := 0; task < tasks; task++ {
+			lo, hi := task*len(data)/tasks, (task+1)*len(data)/tasks
+			for k := lo; k < hi; k++ {
+				wins[ids[k]].Add(data[k])
+			}
+			for _, w := range wins {
+				w.Reset()
+			}
+		}
+	}
+	b.ReportMetric(float64(DominanceTests()-t0)/float64(b.N)/float64(len(data)), "tests/pt")
 }
 
 // BenchmarkCutoffs measures both fan-out decisions at two workers: a

@@ -3,6 +3,8 @@ package skyline
 import (
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/points"
@@ -10,7 +12,9 @@ import (
 
 // plainScan is the unpruned BNL step the window replaced, kept as the
 // reference of the differential tests: test p against every row, evict
-// what it dominates, append it if it survives. Returns the tests it ran.
+// what it dominates, append it if it survives — and, like the window,
+// promote the row that kills it halfway to the front. Returns the tests it
+// ran.
 func plainScan(win *points.Block, p []float64) int64 {
 	wn := win.Len()
 	tests := int64(0)
@@ -26,6 +30,10 @@ func plainScan(win *points.Block, p []float64) int64 {
 			}
 		}
 		if pWorse && !qWorse {
+			qi := win.Row(j / 2)
+			for k := range q {
+				q[k], qi[k] = qi[k], q[k]
+			}
 			return tests
 		}
 		if qWorse && !pWorse {
@@ -290,6 +298,103 @@ func TestBudgetedFoldLockstep(t *testing.T) {
 		}
 		if !sameMultiset(got.ToSet(), BNL(set)) {
 			t.Fatalf("window=%d: budgeted fold is not the BNL skyline", winRows)
+		}
+	}
+}
+
+// TestPromotionKeepsLockstep drives a timed, unbounded window through
+// promotions, evictions and re-fits: after every step each row must still
+// sit beside its own tick and its own signature.
+func TestPromotionKeepsLockstep(t *testing.T) {
+	rng := rand.New(rand.NewSource(136))
+	const d = 4
+	rows := windowStream(rng, 2, 4000, d, -1)
+	for i := 0; i < 30; i++ { // strong late rows: evictions in a large window
+		rows[1000+100*i] = []float64{0.4 * rng.Float64(), 0.4 * rng.Float64(), 0.4 * rng.Float64(), 0.4 * rng.Float64()}
+	}
+	w := newWindow(d, 0)
+	w.timed = true
+	byTick := map[int64][]float64{}
+	promotions, evictions, fits := 0, 0, 0
+	for i, p := range rows {
+		tick := int64(i + 1)
+		before, fitAt := slices.Clone(w.ticks), w.fitAt
+		survived := w.scan(p)
+		if !survived && !slices.Equal(before, w.ticks) {
+			promotions++
+		}
+		if survived {
+			evictions += len(before) - len(w.ticks)
+			byTick[tick] = p
+			w.push(p, tick)
+		}
+		if w.fitAt != fitAt {
+			fits++
+		}
+		if len(w.ticks) != w.rows.Len() {
+			t.Fatalf("%d ticks for %d rows", len(w.ticks), w.rows.Len())
+		}
+		for j, tick := range w.ticks {
+			if !slices.Equal(w.rows.Row(j), byTick[tick]) {
+				t.Fatalf("after row %d: row %d is %v but carries the tick of %v", i, j, w.rows.Row(j), byTick[tick])
+			}
+		}
+		checkWindow(t, w)
+	}
+	if promotions < 100 || evictions < 10 || fits < 2 {
+		t.Fatalf("%d promotions, %d evictions, %d fits: the stream no longer covers all three", promotions, evictions, fits)
+	}
+}
+
+// TestDominatesDoesNotMutate: the cross-filter shares one window per side
+// among its goroutines, so the read-only step must leave it untouched —
+// no promotion there. Under -race a write would also be reported.
+func TestDominatesDoesNotMutate(t *testing.T) {
+	rng := rand.New(rand.NewSource(137))
+	const d = 5
+	side := func() *points.Block {
+		w := newWindow(d, 0)
+		for _, p := range windowStream(rng, 2, 3000, d, -1) {
+			w.add(p)
+		}
+		return w.rows
+	}
+	a, b := side(), side()
+	w := windowOver(a)
+	if w.levels == 0 {
+		t.Fatal("window not fitted")
+	}
+	rowsBefore, sigsBefore := a.Clone(), slices.Clone(w.sigs)
+	var wg sync.WaitGroup
+	var killed atomic.Int64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < b.Len(); i += 4 {
+				if dead, _ := w.dominates(b.Row(i), RelationKernel(d)); dead {
+					killed.Add(1)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if killed.Load() == 0 {
+		t.Fatal("no row of the other side was dominated: nothing would have been promoted anyway")
+	}
+	bBefore := b.Clone()
+	crossFilter(a, b, 4)
+	if !slices.Equal(w.sigs, sigsBefore) {
+		t.Fatal("dominates changed the window's signatures")
+	}
+	for _, c := range []struct{ got, want *points.Block }{{a, rowsBefore}, {b, bBefore}} {
+		if c.got.Len() != c.want.Len() {
+			t.Fatalf("the cross-filter changed an input block: %d rows, was %d", c.got.Len(), c.want.Len())
+		}
+		for j := 0; j < c.want.Len(); j++ {
+			if !slices.Equal(c.got.Row(j), c.want.Row(j)) {
+				t.Fatalf("the cross-filter changed an input block at row %d", j)
+			}
 		}
 	}
 }
