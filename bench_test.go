@@ -197,13 +197,10 @@ func BenchmarkEq5Optimality(b *testing.B) {
 	}
 }
 
-// BenchmarkSkyline pins the telemetry layer's hot-path cost and the
-// kernel-path split: the same MR-Angle computation with telemetry absent
-// (the library default, flat kernels), with a metrics registry attached,
-// with span tracing on, and with the ClassicKernel escape hatch. The off
-// variant is the regression gate; kernel=classic vs kernel=flat is the
-// quick-scale version of the comparison cmd/benchgate records in
-// BENCH_kernels.json at the paper's n=100k, d=6 configuration.
+// BenchmarkSkyline pins the telemetry layer's hot-path cost: the same
+// MR-Angle computation with telemetry absent (the library default), with
+// a metrics registry attached, and with span tracing on. The off variant
+// is the regression gate.
 func BenchmarkSkyline(b *testing.B) {
 	data := qws.Generate(2012, benchSmallN, 4)
 	run := func(b *testing.B, opts driver.Options, ctx context.Context) {
@@ -270,14 +267,6 @@ func BenchmarkSkyline(b *testing.B) {
 		}, timeseries.RateAboveRule("gc-pause-spike", "process_gc_pause_seconds_total", 0.05, time.Second))
 		wd.Start()
 		defer wd.Stop()
-		run(b, opts, context.Background())
-	})
-	b.Run("kernel=flat", func(b *testing.B) {
-		run(b, base, context.Background())
-	})
-	b.Run("kernel=classic", func(b *testing.B) {
-		opts := base
-		opts.ClassicKernel = true
 		run(b, opts, context.Background())
 	})
 }

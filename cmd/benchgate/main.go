@@ -1,28 +1,17 @@
 // Command benchgate measures the flat-kernel speedup over the classic
-// points.Set kernels and gates on it. At the paper's large configuration
-// (n=100k, d=6) it times the kernel workloads — one local skyline over the
-// full dataset, and the merge of per-chunk partial skylines — classic
-// versus flat, and additionally times the full MR-Angle pipeline
-// (driver.Compute) both ways. Measurements go to BENCH_kernels.json; the
-// gate requires every kernel row to reach -min speedup. The pipeline row
-// is recorded but not gated: end-to-end wall time includes the shared
-// partitioning, codec and shuffle work that is identical on both paths,
-// so its ratio is bounded by Amdahl's law at whatever fraction the
-// kernels are of the total (on a single-core container that bound sits
-// near 1.4× even if the kernels were free — the JSON keeps the honest
-// number next to the kernel ratios). CI runs -quick (smaller n, fewer
-// repetitions, no gate) to catch gross regressions without burning
-// minutes.
+// points.Set kernels — the oracle every test compares against — and gates
+// on it. At the paper's large configuration (n=100k, d=6) it times the
+// kernel workloads — one local skyline over the full dataset, and the
+// merge of per-chunk partial skylines — classic versus flat. Measurements
+// go to BENCH_kernels.json; the gate requires every kernel row to reach
+// -min speedup. (End-to-end pipeline numbers are bench/'s job: the
+// pipeline has one data path, so there is no second pipeline to compare
+// with here.) CI runs -quick (smaller n, fewer repetitions, no gate) to
+// catch gross regressions without burning minutes.
 //
 // Usage:
 //
-//	benchgate [-suite kernels|shuffle|serve|spill|critpath] [-n 100000] [-d 6] [-nodes 4] [-runs 3] [-min 1.5] [-quick] [-out BENCH_kernels.json]
-//
-// The shuffle suite (-suite shuffle) compares the classic Pair shuffle
-// against the block-framed path at the same configuration — records/s,
-// shuffle payload bytes, and allocations per point — and writes
-// BENCH_shuffle.json, gating on a 1.5x framed throughput advantage plus
-// reduced allocs/point.
+//	benchgate [-suite kernels|serve|spill|critpath|obs] [-n 100000] [-d 6] [-nodes 4] [-runs 3] [-min 1.5] [-quick] [-out BENCH_kernels.json]
 //
 // The spill suite (-suite spill) measures the out-of-core engine: frame
 // codec v2 vs v1 bytes per distribution (gated at 0.7 on correlated and
@@ -59,8 +48,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/driver"
-	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/qws"
 	"repro/internal/skyline"
@@ -79,21 +66,13 @@ type report struct {
 	Timestamp  string      `json:"timestamp"`
 	N          int         `json:"n"`
 	D          int         `json:"d"`
-	Nodes      int         `json:"nodes"`
 	Runs       int         `json:"runs"`
 	Quick      bool        `json:"quick"`
-	Pipeline   kernelRow   `json:"pipeline"`
 	Kernels    []kernelRow `json:"kernels"`
 	MinSpeedup float64     `json:"min_speedup"`
 	Gated      bool        `json:"gated"`
 	Pass       bool        `json:"pass"`
-	Notes      string      `json:"notes"`
 }
-
-// pipelineNote explains why the end-to-end row is reported but not gated.
-const pipelineNote = "gate applies to the kernel rows; the pipeline row is informational — " +
-	"partitioning, codec and shuffle costs are shared by both paths, so the end-to-end " +
-	"ratio is Amdahl-bounded by the kernels' share of total wall time"
 
 // best returns the fastest of runs invocations of f — minimum, not mean,
 // because scheduling noise only ever adds time. An optional prep function
@@ -123,22 +102,20 @@ func row(name string, n, d, runs int, classic, flat func()) kernelRow {
 }
 
 func main() {
-	n := flag.Int("n", 100000, "dataset cardinality for the pipeline row")
+	n := flag.Int("n", 100000, "dataset cardinality")
 	d := flag.Int("d", 6, "dataset dimensionality")
-	nodes := flag.Int("nodes", 4, "partitions / reduce tasks")
+	nodes := flag.Int("nodes", 4, "cluster nodes modelled by the spill and obs suites")
 	runs := flag.Int("runs", 3, "repetitions per configuration (best is kept)")
 	min := flag.Float64("min", 1.5, "minimum acceptable kernel-row speedup (flat over classic)")
 	quick := flag.Bool("quick", false, "CI mode: n=20000, 2 runs, report only (no gate)")
-	suite := flag.String("suite", "kernels", "which suite to run: kernels, shuffle, serve, spill, critpath or obs")
+	suite := flag.String("suite", "kernels", "which suite to run: kernels, serve, spill, critpath or obs")
 	budget := flag.Int64("budget", 1<<30, "reducer byte budget for the spill suite")
 	maxErr := flag.Float64("maxerr", 0.25, "maximum relative error of the critpath suite's no-straggler prediction")
-	out := flag.String("out", "", "report path (default BENCH_kernels.json / BENCH_shuffle.json per suite)")
+	out := flag.String("out", "", "report path (default BENCH_<suite>.json)")
 	flag.Parse()
 
 	if *out == "" {
 		switch *suite {
-		case "shuffle":
-			*out = "BENCH_shuffle.json"
 		case "serve":
 			*out = "BENCH_serve.json"
 		case "spill":
@@ -176,40 +153,23 @@ func main() {
 	if *quick {
 		*n, *runs = 20000, 2
 	}
-	switch *suite {
-	case "shuffle":
-		shuffleSuite(*n, *d, *nodes, *runs, *min, *quick, *out)
-		return
-	case "kernels":
-	default:
-		fmt.Fprintf(os.Stderr, "benchgate: unknown suite %q (want kernels, shuffle, serve, spill, critpath or obs)\n", *suite)
+	if *suite != "kernels" {
+		fmt.Fprintf(os.Stderr, "benchgate: unknown suite %q (want kernels, serve, spill, critpath or obs)\n", *suite)
 		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "benchgate: n=%d d=%d nodes=%d runs=%d\n", *n, *d, *nodes, *runs)
+	fmt.Fprintf(os.Stderr, "benchgate: n=%d d=%d runs=%d\n", *n, *d, *runs)
 	data := qws.Dataset(2012, *n, *d)
 	ctx := context.Background()
 
-	compute := func(classic bool) func() {
-		opts := driver.Options{Scheme: partition.Angular, Nodes: *nodes, ClassicKernel: classic}
-		return func() {
-			if _, _, err := driver.Compute(ctx, data, opts); err != nil {
-				fmt.Fprintln(os.Stderr, "benchgate: pipeline failed:", err)
-				os.Exit(2)
-			}
-		}
-	}
 	rep := report{
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		N:          *n,
 		D:          *d,
-		Nodes:      *nodes,
 		Runs:       *runs,
 		Quick:      *quick,
 		MinSpeedup: *min,
 		Gated:      !*quick,
-		Notes:      pipelineNote,
 	}
-	rep.Pipeline = row("pipeline_mr_angle", *n, *d, *runs, compute(true), compute(false))
 
 	// Kernel rows at the full configuration: the partitioning job's reducer
 	// workload (one local skyline over the dataset) and the merging job's
@@ -244,7 +204,7 @@ func main() {
 			}
 		}
 	}
-	for _, r := range append([]kernelRow{rep.Pipeline}, rep.Kernels...) {
+	for _, r := range rep.Kernels {
 		fmt.Fprintf(os.Stderr, "  %-18s n=%-7d d=%d classic=%s flat=%s speedup=%.2fx\n",
 			r.Name, r.N, r.D, time.Duration(r.ClassicNS), time.Duration(r.FlatNS), r.Speedup)
 	}

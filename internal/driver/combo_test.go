@@ -37,24 +37,6 @@ func TestPartitionerOverride(t *testing.T) {
 	}
 }
 
-func TestSpillPlusHierarchicalMerge(t *testing.T) {
-	data := uniformSet(102, 900, 3)
-	want := skyline.Naive(data)
-	got, _, err := Compute(context.Background(), data, Options{
-		Scheme:            partition.Angular,
-		Nodes:             8,
-		SpillDir:          t.TempDir(),
-		HierarchicalMerge: true,
-		MergeFanIn:        2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameMultiset(got, want) {
-		t.Error("spill + hierarchical merge changed the skyline")
-	}
-}
-
 func TestKernelOverrideBBS(t *testing.T) {
 	data := uniformSet(103, 700, 4)
 	want := skyline.Naive(data)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/skyline"
@@ -161,17 +162,38 @@ func TestLocalSkylinesAreLocalSkylines(t *testing.T) {
 	}
 }
 
+// TestStatsTimingAggregation: on every route — the single merging job,
+// budgeted Compute and ComputeStream, whose merge is the round schedule —
+// the merge is timed, and Timing is the two jobs' sum.
 func TestStatsTimingAggregation(t *testing.T) {
 	data := uniformSet(9, 300, 2)
-	_, stats, err := Compute(context.Background(), data, Options{Scheme: partition.Dimensional})
+	src, err := dataset.NewSource(dataset.KindIndependent, 9, 300, 2, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Timing.Total != stats.PartitionJob.Total+stats.MergeJob.Total {
-		t.Errorf("timing total %v != %v + %v", stats.Timing.Total, stats.PartitionJob.Total, stats.MergeJob.Total)
+	budgeted := Options{Scheme: partition.Dimensional, ReducerBudgetBytes: 1 << 10, SpillDir: t.TempDir()}
+	routes := map[string]func() (points.Set, *Stats, error){
+		"Compute": func() (points.Set, *Stats, error) {
+			return Compute(context.Background(), data, Options{Scheme: partition.Dimensional})
+		},
+		"budgeted Compute": func() (points.Set, *Stats, error) {
+			return Compute(context.Background(), data, budgeted)
+		},
+		"ComputeStream": func() (points.Set, *Stats, error) {
+			return ComputeStream(context.Background(), src, budgeted)
+		},
 	}
-	if stats.Timing.Total <= 0 {
-		t.Error("no timing recorded")
+	for name, run := range routes {
+		_, stats, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if stats.Timing.Total != stats.PartitionJob.Total+stats.MergeJob.Total {
+			t.Errorf("%s: timing total %v != %v + %v", name, stats.Timing.Total, stats.PartitionJob.Total, stats.MergeJob.Total)
+		}
+		if stats.PartitionJob.Total <= 0 || stats.MergeJob.Total <= 0 {
+			t.Errorf("%s: partition job %v, merge %v: a job went untimed", name, stats.PartitionJob.Total, stats.MergeJob.Total)
+		}
 	}
 }
 

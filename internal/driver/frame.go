@@ -4,13 +4,21 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
+	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/skyline"
+	"repro/internal/telemetry"
 )
+
+// This file defines what Algorithm 1's two jobs compute — once. PartitionJob
+// and MergeJob return a mapreduce.FrameJob without its Feed; twoJobs, the
+// one body behind Compute and ComputeStream, adds a feed and runs them on
+// the in-process engine, and package skyjob adapts the same values into
+// rpcmr jobs for the cluster. An executor decides where rows come from and
+// where tasks run, never what a task does.
 
 // bnlWindows recycles the default map-side combiner: one incremental BNL
 // window per partition, folded as points are routed (skyline.Window — the
@@ -18,44 +26,58 @@ import (
 // staged partition, without staging it).
 var bnlWindows = mapreduce.NewAccumulators(func() mapreduce.Accumulator { return skyline.NewWindow() })
 
-// mapSide picks the map-side "middle process" of both jobs: nothing under
-// DisableCombiner, incremental windows for BNL, and for the other kernels
-// — which need the whole block — staged rows plus a block combiner.
-func (o Options) mapSide() (*mapreduce.Accumulators, mapreduce.FrameCombiner) {
-	switch {
-	case o.DisableCombiner:
-		return nil, nil
-	case o.Kernel == skyline.BNLAlgorithm:
-		return bnlWindows, nil
-	default:
-		kernel := skyline.BlockByAlgorithm(o.Kernel)
-		return nil, func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
+// blockKernel resolves the kernel both jobs run over a block: the flat
+// implementation of o.Kernel, or KernelOverride through the Set↔Block
+// adapter.
+func (o Options) blockKernel() skyline.BlockFunc {
+	if o.KernelOverride != nil {
+		return skyline.BlockKernel(o.KernelOverride)
 	}
+	return skyline.BlockByAlgorithm(o.Kernel)
 }
 
-// reduceSide completes job with its reduce half. Under a reducer budget
-// the reducers fold frames one at a time into a bounded skyline window
-// instead of assembling whole partitions; otherwise kernel runs over each
-// assembled partition and its survivors are the partition's output.
-func (o Options) reduceSide(job *mapreduce.FrameJob, dim int, kernel skyline.BlockFunc) {
-	if o.ReducerBudgetBytes > 0 {
-		job.Folder = BudgetedFolder(dim, o.ReducerBudgetBytes, o.SpillDir, o.Codec)
-		return
+// frameJob assembles a job around mapper. Map side, the "middle process":
+// nothing under DisableCombiner, incremental windows for BNL, and for the
+// other kernels — which need the whole block — staged rows plus a block
+// combiner. Reduce side: under a reducer budget the reducers fold frames
+// one at a time into a bounded skyline window instead of assembling whole
+// partitions; otherwise reduce runs over each assembled partition and its
+// survivors are the partition's output.
+func (o Options) frameJob(dim int, mapper mapreduce.RowMapper, reduce skyline.BlockFunc) mapreduce.FrameJob {
+	job := mapreduce.FrameJob{Mapper: mapper}
+	switch {
+	case o.DisableCombiner:
+	case o.KernelOverride == nil && o.Kernel == skyline.BNLAlgorithm:
+		job.Accumulators = bnlWindows
+	default:
+		kernel := o.blockKernel()
+		job.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
+	}
+	if budget := o.ReducerBudgetBytes; budget > 0 {
+		spillDir, codec := o.SpillDir, o.Codec
+		job.Folder = func(int) mapreduce.FrameFold {
+			return skyline.NewBudgetedFold(dim, budget, spillDir, codec)
+		}
+		return job
 	}
 	job.Reducer = mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-		sky := kernel(blk)
+		sky := reduce(blk)
 		for i := 0; i < sky.Len(); i++ {
 			emit(partition, sky.Row(i))
 		}
 		return nil
 	})
+	return job
 }
 
-// routeRows is Job 1's mapper (Algorithm 1, lines 2–5): assign the point —
-// for MR-Angle, the angular transform of Eq. (1) — and emit it under its
-// partition id, unless the cell is provably dominated (MR-Grid pruning).
-func routeRows(part partition.Partitioner, pruned []bool) mapreduce.RowMapper {
-	return func(row []float64, emit mapreduce.EmitPoint) error {
+// PartitionJob is Job 1 (Algorithm 1, lines 2–10) over dim-dimensional
+// rows, without its Feed: assign each point — for MR-Angle, the angular
+// transform of Eq. (1) — and route it to its partition unless pruned marks
+// the cell provably dominated (MR-Grid pruning; nil prunes nothing); the
+// kernel reduces each partition to its local skyline. Of o it reads Kernel,
+// KernelOverride, DisableCombiner, ReducerBudgetBytes, SpillDir and Codec.
+func PartitionJob(part partition.Partitioner, pruned []bool, dim int, o Options) mapreduce.FrameJob {
+	return o.frameJob(dim, func(row []float64, emit mapreduce.EmitPoint) error {
 		id, err := part.Assign(row)
 		if err != nil {
 			return err
@@ -64,170 +86,144 @@ func routeRows(part partition.Partitioner, pruned []bool) mapreduce.RowMapper {
 			emit(id, row)
 		}
 		return nil
-	}
+	}, o.blockKernel())
 }
 
-// routedCounts turns the engine's per-partition routed-point tallies into
-// the dense occupancy histogram of Stats.PartitionCounts.
-func routedCounts(parts map[int]mapreduce.PartStat, n int) []int {
-	counts := make([]int, n)
-	for id, ps := range parts {
-		if id >= 0 && id < n {
-			counts[id] = int(ps.Records)
+// MergeJob is Job 2 (Algorithm 1, lines 11–15), without its Feed: every
+// local skyline point goes to the one global partition, each map task
+// pre-merging its share, and — unbudgeted — the single reduce runs the
+// parallel merge tree on the assembled candidate block. ctx carries the
+// run's tracer so each merge level records a span; o.Workers sizes the
+// tree (0 means GOMAXPROCS) and o is otherwise read as by PartitionJob.
+func MergeJob(ctx context.Context, dim int, o Options) mapreduce.FrameJob {
+	return o.frameJob(dim, func(row []float64, emit mapreduce.EmitPoint) error {
+		emit(0, row) // paper line 13: output(null, si) — one global partition
+		return nil
+	}, func(blk *points.Block) *points.Block {
+		return skyline.ParallelBlock(ctx, blk, o.Workers)
+	})
+}
+
+// twoJobs is the pipeline behind Compute and ComputeStream: Job 1 over feed
+// with the fitted partitioner, then the merge. Map tasks fold each routed
+// row into its partition's accumulator as it arrives and seal packed
+// frames keyed by integer partition id; reducers ingest whole frames, and
+// the merge is fed Job 1's result blocks as they are. pruned and occupancy
+// are the grid pruning mask and its pre-pass histogram, or nil.
+// opts.ReducerBudgetBytes is the one value that picks the merge: 0 runs
+// the single merging job, > 0 makes every reducer a budgeted fold and the
+// merge the multi-round schedule of mergeSchedule.
+func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim int, part partition.Partitioner, pruned []bool, occupancy []int, opts Options) (points.Set, *Stats, error) {
+	budget := opts.ReducerBudgetBytes
+	stats := &Stats{
+		Scheme:        opts.Scheme,
+		Partitions:    part.Partitions(),
+		LocalSkylines: make(map[int]points.Set),
+	}
+	for _, p := range pruned {
+		if p {
+			stats.PrunedPartitions++
 		}
 	}
-	return counts
-}
-
-// computeFramed is Compute's default flat-path body: the two-job pipeline
-// over the block-framed shuffle. Map tasks are fed the input set's rows
-// directly, fold each routed point into its partition's accumulator as it
-// arrives, and seal packed frames keyed by integer partition id; reducers
-// ingest whole frames into contiguous blocks, and the merging job is fed
-// the partitioning job's result blocks as they are. Grid pruning, spilling
-// and the hierarchical merge all behave exactly as on the classic path.
-// occupancy is the pre-pass histogram when grid pruning took one, else nil.
-func computeFramed(ctx context.Context, data points.Set, opts Options, part partition.Partitioner, pruned []bool, occupancy []int, stats *Stats) (points.Set, *Stats, error) {
-	blockKernel := skyline.BlockByAlgorithm(opts.Kernel)
-	accumulators, combiner := opts.mapSide()
+	// The dominance-test delta of the whole computation is bridged into the
+	// registry on every exit path.
+	if reg := opts.Metrics; reg != nil {
+		domBefore := skyline.DominanceTests()
+		defer func() {
+			reg.Counter("skyline_dominance_tests_total").Add(skyline.DominanceTests() - domBefore)
+		}()
+	}
+	config := func(job string, reducers int) mapreduce.Config {
+		return mapreduce.Config{
+			Name:               fmt.Sprintf("%s-%s", opts.Scheme, job),
+			Workers:            opts.Workers,
+			Reducers:           reducers,
+			SpillDir:           opts.SpillDir,
+			Metrics:            opts.Metrics,
+			Trace:              traceSink(ctx),
+			Codec:              opts.Codec,
+			ReducerBudgetBytes: budget,
+		}
+	}
 
 	// ---- Job 1: Partitioning Job ------------------------------------
-	job1 := mapreduce.FrameJob{
-		Feed:         mapreduce.SetRows(data),
-		Mapper:       routeRows(part, pruned),
-		Accumulators: accumulators,
-		Combiner:     combiner,
-	}
-	opts.reduceSide(&job1, data.Dim(), blockKernel)
-	cfg1 := mapreduce.Config{
-		Name:               fmt.Sprintf("%s-partitioning", opts.Scheme),
-		Workers:            opts.Workers,
-		Reducers:           opts.Workers,
-		SpillDir:           opts.SpillDir,
-		Metrics:            opts.Metrics,
-		Trace:              traceSink(ctx),
-		Codec:              opts.Codec,
-		ReducerBudgetBytes: opts.ReducerBudgetBytes,
-	}
-	res1, err := mapreduce.RunFrames(ctx, cfg1, job1)
+	job1 := PartitionJob(part, pruned, dim, opts)
+	job1.Feed = feed
+	res1, err := mapreduce.RunFrames(ctx, config("partitioning", opts.Workers), job1)
 	if err != nil {
 		return nil, nil, err
 	}
+	stats.PartitionJob = res1.Timing
+	stats.Counters = res1.Counters.Snapshot()
 	stats.ReducerPeakBytes = res1.ReducerPeakBytes
 	stats.MergePasses = res1.MergePasses
 
-	for id, blk := range res1.Blocks {
+	// The local skylines enter the merge as the blocks Job 1 produced, in
+	// ascending partition order.
+	ids := make([]int, 0, len(res1.Blocks))
+	for id := range res1.Blocks {
 		if id < 0 || id >= part.Partitions() {
 			return nil, nil, fmt.Errorf("driver: bad partition id %d in frame output", id)
 		}
-		stats.LocalSkylines[id] = blk.ToSet()
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	candidates := make([]*points.Block, len(ids))
+	for i, id := range ids {
+		candidates[i] = res1.Blocks[id]
+		stats.LocalSkylines[id] = candidates[i].ToSet()
 	}
 	// Occupancy is what the mapper routed, which the engine already counts
 	// per partition; pruned cells route nothing, but then the pruning
 	// pre-pass has the whole histogram.
 	stats.PartitionCounts = occupancy
 	if occupancy == nil {
-		stats.PartitionCounts = routedCounts(res1.Partitions, part.Partitions())
+		stats.PartitionCounts = make([]int, part.Partitions())
+		for id, ps := range res1.Partitions {
+			if id >= 0 && id < len(stats.PartitionCounts) {
+				stats.PartitionCounts[id] = int(ps.Records)
+			}
+		}
 	}
 	publishPartitionGauges(opts.Metrics, stats)
 
 	// ---- Job 2: Merging Job -----------------------------------------
-	if opts.HierarchicalMerge {
-		// The iterative merge rounds run on the classic Pair plumbing
-		// (group-prefixed records); feed them the frame job's local
-		// skylines in ascending partition order for determinism.
-		stats.PartitionJob = res1.Timing
-		stats.Timing = res1.Timing
-		var pairs []mapreduce.Pair
-		for _, id := range sortedBlockIDs(res1.Blocks) {
-			key := strconv.Itoa(id)
-			blk := res1.Blocks[id]
-			for i := 0; i < blk.Len(); i++ {
-				pairs = append(pairs, mapreduce.Pair{
-					Key: key, Value: points.Encode(points.Point(blk.Row(i)))})
-			}
-		}
-		reducer := skylineReducer(opts.kernelFunc(), blockKernel)
-		var mergeTiming mapreduce.Timing
-		global, err := hierarchicalMerge(ctx, opts, pairs, reducer, &mergeTiming)
+	var globalBlk *points.Block
+	if budget > 0 {
+		mergeCtx, mergeSpan := telemetry.StartSpan(ctx, "merge-schedule")
+		start := time.Now()
+		globalBlk, err = mergeSchedule(mergeCtx, candidates, dim, budget, opts, stats)
+		mergeSpan.End()
 		if err != nil {
 			return nil, nil, err
 		}
-		stats.MergeJob = mergeTiming
-		stats.Timing.Add(mergeTiming)
-		stats.Counters = res1.Counters.Snapshot()
-		feedRecorder(ctx, opts, stats, global, res1.Partitions)
-		return global, stats, nil
+		// The schedule is all reduce work: folds over candidate blocks.
+		wall := time.Since(start)
+		stats.MergeJob = mapreduce.Timing{Reduce: wall, Total: wall}
+	} else {
+		job2 := MergeJob(ctx, dim, opts)
+		job2.Feed = mapreduce.BlockRows(candidates)
+		// All local skylines share one partition (paper lines 12–15).
+		res2, err := mapreduce.RunFrames(ctx, config("merging", 1), job2)
+		if err != nil {
+			return nil, nil, err
+		}
+		stats.MergeJob = res2.Timing
+		for k, v := range res2.Counters.Snapshot() {
+			stats.Counters[k] += v
+		}
+		globalBlk = res2.Blocks[0]
 	}
-
-	// The local skylines enter the merging job as the blocks Job 1 produced,
-	// in ascending partition order.
-	candidates := make([]*points.Block, 0, len(res1.Blocks))
-	for _, id := range sortedBlockIDs(res1.Blocks) {
-		candidates = append(candidates, res1.Blocks[id])
-	}
-	job2 := mapreduce.FrameJob{
-		Feed: mapreduce.BlockRows(candidates),
-		Mapper: func(row []float64, emit mapreduce.EmitPoint) error {
-			emit(0, row) // paper line 13: output(null, si) — one global partition
-			return nil
-		},
-		// Pre-merge each map task's share before the single reducer sees it.
-		Accumulators: accumulators,
-		Combiner:     combiner,
-	}
-	// Unbudgeted, the single global reduce runs the parallel merge tree on
-	// the assembled candidate block.
-	opts.reduceSide(&job2, data.Dim(), func(blk *points.Block) *points.Block {
-		return skyline.ParallelBlock(ctx, blk, opts.Workers)
-	})
-	cfg2 := mapreduce.Config{
-		Name:               fmt.Sprintf("%s-merging", opts.Scheme),
-		Workers:            opts.Workers,
-		Reducers:           1, // all local skylines share one partition (paper line 12-15)
-		SpillDir:           opts.SpillDir,
-		Metrics:            opts.Metrics,
-		Trace:              traceSink(ctx),
-		Codec:              opts.Codec,
-		ReducerBudgetBytes: opts.ReducerBudgetBytes,
-	}
-	res2, err := mapreduce.RunFrames(ctx, cfg2, job2)
-	if err != nil {
-		return nil, nil, err
-	}
-	if res2.ReducerPeakBytes > stats.ReducerPeakBytes {
-		stats.ReducerPeakBytes = res2.ReducerPeakBytes
-	}
-	if res2.MergePasses > stats.MergePasses {
-		stats.MergePasses = res2.MergePasses
-	}
+	stats.Timing = stats.PartitionJob
+	stats.Timing.Add(stats.MergeJob)
 
 	var global points.Set
-	if blk := res2.Blocks[0]; blk != nil {
-		global = blk.ToSet()
-	}
-
-	stats.PartitionJob = res1.Timing
-	stats.MergeJob = res2.Timing
-	stats.Timing = res1.Timing
-	stats.Timing.Add(res2.Timing)
-	stats.Counters = res1.Counters.Snapshot()
-	for k, v := range res2.Counters.Snapshot() {
-		stats.Counters[k] += v
+	if globalBlk != nil {
+		global = globalBlk.ToSet()
 	}
 	if reg := opts.Metrics; reg != nil {
 		reg.Gauge("skyline_global_size").Set(float64(len(global)))
 	}
 	feedRecorder(ctx, opts, stats, global, res1.Partitions)
 	return global, stats, nil
-}
-
-// sortedBlockIDs returns a frame result's partition ids ascending.
-func sortedBlockIDs(blocks map[int]*points.Block) []int {
-	ids := make([]int, 0, len(blocks))
-	for id := range blocks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

@@ -6,127 +6,17 @@ import (
 
 	"repro/internal/partition"
 	"repro/internal/points"
-	"repro/internal/skyline"
 )
 
 // dupSet builds a uniform set and re-appends a slice of exact
-// duplicates, so multiset semantics of the two shuffle paths are
-// exercised, not just set semantics.
+// duplicates, so the pipeline's multiset semantics are exercised, not
+// just its set semantics.
 func dupSet(seed int64, n, d int) points.Set {
 	s := uniformSet(seed, n, d)
 	for i := 0; i < n/10; i++ {
 		s = append(s, s[i].Clone())
 	}
 	return s
-}
-
-// TestFrameShuffleMatchesClassicShuffle is the in-process equivalence
-// property: for every scheme and a spread of dimensions, the framed
-// pipeline and the ClassicShuffle escape hatch produce the same global
-// skyline, which also matches the oracle.
-func TestFrameShuffleMatchesClassicShuffle(t *testing.T) {
-	for _, d := range []int{2, 4, 6} {
-		data := dupSet(int64(100+d), 700, d)
-		want := skyline.Naive(data)
-		for _, scheme := range allSchemes() {
-			framed, fstats, err := Compute(context.Background(), data, Options{Scheme: scheme, Nodes: 4})
-			if err != nil {
-				t.Fatalf("%v d=%d framed: %v", scheme, d, err)
-			}
-			classic, cstats, err := Compute(context.Background(), data,
-				Options{Scheme: scheme, Nodes: 4, ClassicShuffle: true})
-			if err != nil {
-				t.Fatalf("%v d=%d classic shuffle: %v", scheme, d, err)
-			}
-			if !sameMultiset(framed, classic) {
-				t.Errorf("%v d=%d: framed skyline (%d pts) != classic shuffle (%d pts)",
-					scheme, d, len(framed), len(classic))
-			}
-			if !sameMultiset(framed, want) {
-				t.Errorf("%v d=%d: framed skyline (%d pts) != oracle (%d pts)",
-					scheme, d, len(framed), len(want))
-			}
-			// Local skylines must agree partition by partition.
-			if len(fstats.LocalSkylines) != len(cstats.LocalSkylines) {
-				t.Fatalf("%v d=%d: local skyline partitions %d vs %d",
-					scheme, d, len(fstats.LocalSkylines), len(cstats.LocalSkylines))
-			}
-			for id, fls := range fstats.LocalSkylines {
-				if !sameMultiset(fls, cstats.LocalSkylines[id]) {
-					t.Errorf("%v d=%d: partition %d local skylines differ", scheme, d, id)
-				}
-			}
-		}
-	}
-}
-
-// TestFrameShuffleSpillMatches runs both shuffle paths in spill mode:
-// frames must survive the disk round trip with results identical to the
-// in-memory run.
-func TestFrameShuffleSpillMatches(t *testing.T) {
-	data := dupSet(7, 900, 4)
-	want := skyline.Naive(data)
-	for _, compress := range []bool{false} {
-		_ = compress
-		framedSpill, _, err := Compute(context.Background(), data,
-			Options{Scheme: partition.Angular, Nodes: 4, SpillDir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		framedMem, _, err := Compute(context.Background(), data,
-			Options{Scheme: partition.Angular, Nodes: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameMultiset(framedSpill, framedMem) {
-			t.Error("spill-mode framed skyline differs from in-memory framed skyline")
-		}
-		if !sameMultiset(framedSpill, want) {
-			t.Error("spill-mode framed skyline differs from oracle")
-		}
-	}
-}
-
-// TestFrameShuffleHierarchicalMerge checks the framed partitioning job
-// feeds the iterative merge rounds correctly.
-func TestFrameShuffleHierarchicalMerge(t *testing.T) {
-	data := dupSet(9, 800, 3)
-	want := skyline.Naive(data)
-	got, stats, err := Compute(context.Background(), data,
-		Options{Scheme: partition.Grid, Nodes: 4, HierarchicalMerge: true, MergeFanIn: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameMultiset(got, want) {
-		t.Errorf("hierarchical framed skyline %d pts, oracle %d", len(got), len(want))
-	}
-	if stats.MergeJob.Total <= 0 {
-		t.Error("merge rounds recorded no time")
-	}
-}
-
-// TestFrameShuffleAblations: combiner off and pruning off still agree
-// with the classic path under the same ablation.
-func TestFrameShuffleAblations(t *testing.T) {
-	data := dupSet(13, 600, 3)
-	for _, opt := range []Options{
-		{Scheme: partition.Grid, Nodes: 4, DisableCombiner: true},
-		{Scheme: partition.Grid, Nodes: 4, DisableGridPruning: true},
-	} {
-		framed, _, err := Compute(context.Background(), data, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copt := opt
-		copt.ClassicShuffle = true
-		classic, _, err := Compute(context.Background(), data, copt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameMultiset(framed, classic) {
-			t.Errorf("ablation %+v: framed and classic shuffles disagree", opt)
-		}
-	}
 }
 
 // TestFrameShuffleCounters: the framed run books shuffle counters with

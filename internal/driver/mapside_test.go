@@ -140,7 +140,6 @@ func TestHostileInputErrorParity(t *testing.T) {
 			for _, opts := range []Options{
 				{Scheme: scheme},
 				{Scheme: scheme, PartitionerOverride: override},
-				{Scheme: scheme, ClassicShuffle: true},
 			} {
 				sky, stats, err := Compute(context.Background(), data, opts)
 				if err == nil || err.Error() != want || sky != nil || stats != nil {

@@ -21,40 +21,6 @@ import (
 // global skyline. Round count and per-round candidate bytes land in the
 // flight recorder, matching the model's round-complexity accounting.
 
-// budgetedFrameFold adapts skyline.BudgetedFold to the engine's FrameFold
-// interface, surfacing its peak/pass stats through FoldPeaker.
-type budgetedFrameFold struct {
-	partition int
-	fold      *skyline.BudgetedFold
-}
-
-func (b *budgetedFrameFold) Absorb(blk *points.Block) error { return b.fold.Absorb(blk) }
-
-func (b *budgetedFrameFold) Finish(emit mapreduce.EmitPoint) error {
-	out, err := b.fold.Finish()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < out.Len(); i++ {
-		emit(b.partition, out.Row(i))
-	}
-	return nil
-}
-
-func (b *budgetedFrameFold) PeakBytes() int64 { return b.fold.Stats().PeakBytes }
-func (b *budgetedFrameFold) Passes() int      { return b.fold.Stats().Passes }
-
-// BudgetedFolder returns a FrameFolder whose folds compute each
-// partition's skyline in roughly budgetBytes of window memory, spilling
-// overflow frames to spillDir (the process temp dir when empty) and
-// multi-passing when a local skyline outgrows the window.
-func BudgetedFolder(dim int, budgetBytes int64, spillDir string, codec points.FrameCodec) mapreduce.FrameFolder {
-	return func(partition int) mapreduce.FrameFold {
-		return &budgetedFrameFold{partition: partition,
-			fold: skyline.NewBudgetedFold(dim, budgetBytes, spillDir, codec)}
-	}
-}
-
 // defaultReducerBudget caps reducer memory at 1 GiB when the caller gave
 // no budget — the paper-scale "commodity reducer" setting.
 const defaultReducerBudget = 1 << 30
@@ -72,9 +38,8 @@ const defaultReducerBudget = 1 << 30
 // generators whose chunks are i.i.d.
 func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options) (points.Set, *Stats, error) {
 	opts = opts.withDefaults()
-	budget := opts.ReducerBudgetBytes
-	if budget <= 0 {
-		budget = defaultReducerBudget
+	if opts.ReducerBudgetBytes <= 0 {
+		opts.ReducerBudgetBytes = defaultReducerBudget
 	}
 	if src.Chunks() == 0 {
 		return nil, nil, fmt.Errorf("driver: empty chunk source")
@@ -91,7 +56,7 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 	ctx, rootSpan := telemetry.StartSpan(ctx, fmt.Sprintf("skyline-stream:%s", opts.Scheme),
 		telemetry.A("scheme", fmt.Sprint(opts.Scheme)),
 		telemetry.A("chunks", src.Chunks()),
-		telemetry.A("budget_bytes", budget))
+		telemetry.A("budget_bytes", opts.ReducerBudgetBytes))
 	defer rootSpan.End()
 
 	part := opts.PartitionerOverride
@@ -102,77 +67,8 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 			return nil, nil, err
 		}
 	}
-	sample = nil
-
-	stats := &Stats{
-		Scheme:        opts.Scheme,
-		Partitions:    part.Partitions(),
-		LocalSkylines: make(map[int]points.Set),
-	}
-	if reg := opts.Metrics; reg != nil {
-		domBefore := skyline.DominanceTests()
-		defer func() {
-			reg.Counter("skyline_dominance_tests_total").Add(skyline.DominanceTests() - domBefore)
-		}()
-	}
-
-	// ---- Job 1: Partitioning Job (chunked) ---------------------------
-	accumulators, combiner := opts.mapSide()
-	cfg := mapreduce.Config{
-		Name:               fmt.Sprintf("%s-partitioning-stream", opts.Scheme),
-		Workers:            opts.Workers,
-		Reducers:           opts.Workers,
-		SpillDir:           opts.SpillDir,
-		Metrics:            opts.Metrics,
-		Trace:              traceSink(ctx),
-		Codec:              opts.Codec,
-		ReducerBudgetBytes: budget,
-	}
-	res, err := mapreduce.RunFrames(ctx, cfg, mapreduce.FrameJob{
-		Feed:         mapreduce.ChunkRows(src),
-		Mapper:       routeRows(part, nil),
-		Accumulators: accumulators,
-		Combiner:     combiner,
-		Folder:       BudgetedFolder(dim, budget, opts.SpillDir, opts.Codec),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for id, blk := range res.Blocks {
-		if id < 0 || id >= part.Partitions() {
-			return nil, nil, fmt.Errorf("driver: bad partition id %d in frame output", id)
-		}
-		stats.LocalSkylines[id] = blk.ToSet()
-	}
-	stats.PartitionCounts = routedCounts(res.Partitions, part.Partitions())
-	stats.ReducerPeakBytes = res.ReducerPeakBytes
-	stats.MergePasses = res.MergePasses
-	publishPartitionGauges(opts.Metrics, stats)
-
-	// ---- Job 2: multi-round budgeted merge schedule ------------------
-	candidates := make([]*points.Block, 0, len(res.Blocks))
-	for _, id := range sortedBlockIDs(res.Blocks) {
-		candidates = append(candidates, res.Blocks[id])
-	}
-	mergeCtx, mergeSpan := telemetry.StartSpan(ctx, "merge-schedule")
-	globalBlk, err := mergeSchedule(mergeCtx, candidates, dim, budget, opts, stats)
-	mergeSpan.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	var global points.Set
-	if globalBlk != nil {
-		global = globalBlk.ToSet()
-	}
-
-	stats.PartitionJob = res.Timing
-	stats.Timing = res.Timing
-	stats.Counters = res.Counters.Snapshot()
-	if reg := opts.Metrics; reg != nil {
-		reg.Gauge("skyline_global_size").Set(float64(len(global)))
-	}
-	feedRecorder(ctx, opts, stats, global, res.Partitions)
-	return global, stats, nil
+	sample = nil // the job must not pin chunk 0
+	return twoJobs(ctx, mapreduce.ChunkRows(src), dim, part, nil, nil, opts)
 }
 
 // mergeSchedule folds the local skyline blocks to the global skyline in

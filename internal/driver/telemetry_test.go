@@ -6,8 +6,24 @@ import (
 	"testing"
 
 	"repro/internal/partition"
+	"repro/internal/qws"
 	"repro/internal/telemetry"
 )
+
+// TestDominanceCounterBridged: a run with a registry must surface the
+// flat kernels' dominance-test delta as skyline_dominance_tests_total.
+func TestDominanceCounterBridged(t *testing.T) {
+	data := qws.Dataset(9, 800, 4)
+	reg := telemetry.NewRegistry()
+	_, _, err := Compute(context.Background(), data,
+		Options{Scheme: partition.Angular, Nodes: 4, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := reg.Counter("skyline_dominance_tests_total").Value(); v <= 0 {
+		t.Fatalf("skyline_dominance_tests_total = %d, want > 0", v)
+	}
+}
 
 // TestComputeTelemetry: the in-process pipeline with a registry and
 // tracer attached must publish per-partition gauges and record a root

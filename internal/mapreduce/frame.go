@@ -20,8 +20,9 @@ import (
 // partition's accumulator; accumulators are sealed into per-reducer frame
 // streams, and reducers ingest whole frames into contiguous blocks. No
 // string keys, no per-point record, Pair or value allocation anywhere on
-// the way. The classic Pair path in mapreduce.go stays as the reference
-// implementation and escape hatch.
+// the way. It is the only route a skyline computation takes; the Pair
+// engine in mapreduce.go still runs the k-skyband pipelines and is the
+// reference these tests compare frames against.
 
 // EmitPoint is the frame-path emit callback: it hands one point to the
 // partition's accumulator, which copies what it keeps immediately, so

@@ -18,12 +18,13 @@ import (
 
 // FrameFold is incremental per-partition reduce state: Absorb is called
 // once per arriving frame block (the block is scratch — copy what must
-// survive), then Finish emits the fold's result. Implementations need
-// not be safe for concurrent use; the engine creates one fold per
-// partition and drives it from a single goroutine.
+// survive), then Finish returns the fold's result, which the engine emits
+// under the fold's partition. Implementations need not be safe for
+// concurrent use; the engine creates one fold per partition and drives it
+// from a single goroutine. *skyline.BudgetedFold is the one in use.
 type FrameFold interface {
 	Absorb(blk *points.Block) error
-	Finish(emit EmitPoint) error
+	Finish() (*points.Block, error)
 }
 
 // FrameFolder creates the fold for one partition — called lazily the
@@ -118,8 +119,12 @@ func ReduceFramesStream(srcs []FrameSource, folder FrameFolder, codec points.Fra
 	}
 	out, sealed, err := buildFrames(func(emit EmitPoint) (int, error) {
 		for _, p := range sortedInts(folds) {
-			if err := folds[p].Finish(emit); err != nil {
+			blk, err := folds[p].Finish()
+			if err != nil {
 				return 0, err
+			}
+			for i := 0; i < blk.Len(); i++ {
+				emit(p, blk.Row(i))
 			}
 		}
 		return 0, nil

@@ -11,36 +11,6 @@ import (
 	"repro/internal/skyline"
 )
 
-// budgetFold adapts skyline.BudgetedFold to the FrameFold interface the
-// way the driver does, reporting its peak through FoldPeaker.
-type budgetFold struct {
-	partition int
-	fold      *skyline.BudgetedFold
-	stats     skyline.FoldStats
-}
-
-func newBudgetFold(partition, dim int, budget int64, dir string) *budgetFold {
-	return &budgetFold{partition: partition,
-		fold: skyline.NewBudgetedFold(dim, budget, dir, points.FrameAuto)}
-}
-
-func (b *budgetFold) Absorb(blk *points.Block) error { return b.fold.Absorb(blk) }
-
-func (b *budgetFold) Finish(emit EmitPoint) error {
-	out, err := b.fold.Finish()
-	if err != nil {
-		return err
-	}
-	b.stats = b.fold.Stats()
-	for i := 0; i < out.Len(); i++ {
-		emit(b.partition, out.Row(i))
-	}
-	return nil
-}
-
-func (b *budgetFold) PeakBytes() int64 { return b.fold.Stats().PeakBytes }
-func (b *budgetFold) Passes() int      { return b.fold.Stats().Passes }
-
 // canonicalBlocks renders a result's blocks as sorted strings per
 // partition for multiset comparison.
 func canonicalBlocks(t *testing.T, blocks map[int]*points.Block) map[int][]string {
@@ -130,8 +100,8 @@ func TestRunFramesFoldOracle(t *testing.T) {
 			if tc.spill {
 				cfg.SpillDir = dir
 			}
-			folder := func(partition int) FrameFold {
-				return newBudgetFold(partition, d, tc.budget, dir)
+			folder := func(int) FrameFold {
+				return skyline.NewBudgetedFold(d, tc.budget, dir, points.FrameAuto)
 			}
 			res, err := RunFrames(context.Background(), cfg,
 				FrameJob{Feed: SetRows(input), Mapper: mapper, Folder: folder})
@@ -215,8 +185,8 @@ func TestRunFramesChunkedOracle(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{Name: "chunked", Workers: 4, Reducers: 2,
 				SpillDir: dir, Codec: points.FrameAuto, ReducerBudgetBytes: budget}
-			folder := func(partition int) FrameFold {
-				return newBudgetFold(partition, d, budget, dir)
+			folder := func(int) FrameFold {
+				return skyline.NewBudgetedFold(d, budget, dir, points.FrameAuto)
 			}
 			res, err := RunFrames(context.Background(), cfg,
 				FrameJob{Feed: ChunkRows(src), Mapper: mapper, Combiner: combiner, Folder: folder})

@@ -37,10 +37,10 @@ func init() {
 }
 
 // Job bundles the user code of one MapReduce job. A job is either
-// classic (Mapper + Reducer, per-pair gob traffic) or framed
-// (FrameMapper + FrameReducer, batched point-frame payloads); the frame
-// fields take precedence when both sets are present, leaving the classic
-// pair as the registered escape hatch.
+// classic (Mapper + Reducer, per-pair gob traffic — the k-skyband jobs)
+// or framed (FrameMapper + FrameReducer or FrameFolder, batched
+// point-frame payloads — the skyline jobs); the frame fields take
+// precedence when both sets are present.
 type Job struct {
 	Mapper mapreduce.Mapper
 	// Combiner optionally folds each map task's local output per key
@@ -67,8 +67,9 @@ type Job struct {
 	// FrameFolder, when non-nil, switches framed reduce tasks to the
 	// streaming fold path: the worker feeds frames into per-partition
 	// folds one at a time instead of assembling full blocks, bounding
-	// reduce memory by the folds' budget. Takes precedence over
-	// FrameReducer on the reduce side.
+	// reduce memory by the folds' budget. A framed job carries one of
+	// FrameReducer and FrameFolder, as a mapreduce.FrameJob does; the
+	// folder takes precedence when both are set.
 	FrameFolder mapreduce.FrameFolder
 
 	// Codec selects the wire codec for frames the worker seals (map
@@ -79,7 +80,9 @@ type Job struct {
 }
 
 // framed reports whether the job uses the block-framed shuffle.
-func (j Job) framed() bool { return j.FrameMapper != nil && j.FrameReducer != nil }
+func (j Job) framed() bool {
+	return j.FrameMapper != nil && (j.FrameReducer != nil || j.FrameFolder != nil)
+}
 
 // JobFactory instantiates a job from its parameter blob.
 type JobFactory func(params []byte) (Job, error)

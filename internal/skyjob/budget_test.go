@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/partition"
 	"repro/internal/points"
+	"repro/internal/rpcmr"
 	"repro/internal/skyline"
 )
 
@@ -64,11 +65,26 @@ func TestSpecBudgetTravels(t *testing.T) {
 	if back.ReducerBudgetBytes != spec.ReducerBudgetBytes || back.Codec != spec.Codec {
 		t.Fatalf("spec round-trip lost budget/codec: %+v", back)
 	}
-	if back.folder() == nil {
-		t.Fatal("budgeted spec produced no folder")
+	for _, factory := range []rpcmr.JobFactory{newPartitionJob, newMergeJob} {
+		job, err := factory(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.FrameFolder == nil || job.FrameReducer != nil || job.Codec != points.FrameAuto {
+			t.Fatalf("budgeted spec built folder=%v reducer=%v codec=%v",
+				job.FrameFolder != nil, job.FrameReducer != nil, job.Codec)
+		}
 	}
 	back.ReducerBudgetBytes = 0
-	if back.folder() != nil {
-		t.Fatal("unbudgeted spec produced a folder")
+	raw, err = json.Marshal(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := newPartitionJob(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.FrameFolder != nil || job.FrameReducer == nil {
+		t.Fatal("unbudgeted spec must reduce assembled blocks")
 	}
 }

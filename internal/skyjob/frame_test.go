@@ -1,7 +1,6 @@
 package skyjob
 
 import (
-	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -13,78 +12,6 @@ import (
 	"repro/internal/rpcmr"
 	"repro/internal/skyline"
 )
-
-// TestClusterFrameMatchesClassicShuffle runs the two-job pipeline twice
-// on a 3-worker cluster — framed (the default) and with the
-// ClassicShuffle escape hatch — over a duplicate-heavy dataset, and
-// requires identical global and local skylines, both matching the
-// oracle.
-func TestClusterFrameMatchesClassicShuffle(t *testing.T) {
-	master := startCluster(t, 3)
-	data := uniformSet(42, 1200, 4)
-	for i := 0; i < 120; i++ {
-		data = append(data, data[i].Clone())
-	}
-	want := skyline.Naive(data)
-
-	for _, scheme := range []partition.Scheme{partition.Angular, partition.Grid} {
-		spec, err := SpecFor(data, scheme, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		framed, err := ComputeSpec(context.Background(), master, data, spec, 3)
-		if err != nil {
-			t.Fatalf("%v framed: %v", scheme, err)
-		}
-		spec.ClassicShuffle = true
-		classic, err := ComputeSpec(context.Background(), master, data, spec, 3)
-		if err != nil {
-			t.Fatalf("%v classic: %v", scheme, err)
-		}
-		if !sameMultiset(framed.Skyline, classic.Skyline) {
-			t.Errorf("%v: framed skyline (%d pts) != classic shuffle (%d pts)",
-				scheme, len(framed.Skyline), len(classic.Skyline))
-		}
-		if !sameMultiset(framed.Skyline, want) {
-			t.Errorf("%v: framed skyline (%d pts) != oracle (%d pts)",
-				scheme, len(framed.Skyline), len(want))
-		}
-		if len(framed.LocalSkylines) != len(classic.LocalSkylines) {
-			t.Fatalf("%v: local skyline partitions %d vs %d",
-				scheme, len(framed.LocalSkylines), len(classic.LocalSkylines))
-		}
-		for id, fls := range framed.LocalSkylines {
-			if !sameMultiset(fls, classic.LocalSkylines[id]) {
-				t.Errorf("%v: partition %d local skylines differ", scheme, id)
-			}
-		}
-		if framed.Optimality() <= 0 {
-			t.Errorf("%v: optimality = %v, want > 0", scheme, framed.Optimality())
-		}
-	}
-}
-
-// TestSpecClassicShuffleTravels: the flag must round-trip through the
-// JSON params so every worker flips consistently.
-func TestSpecClassicShuffleTravels(t *testing.T) {
-	data := uniformSet(3, 50, 3)
-	spec, err := SpecFor(data, partition.Grid, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spec.framed() {
-		t.Error("default spec must select the framed shuffle")
-	}
-	spec.ClassicShuffle = true
-	if spec.framed() {
-		t.Error("ClassicShuffle did not disable frames")
-	}
-	spec.ClassicShuffle = false
-	spec.ClassicKernel = true
-	if spec.framed() {
-		t.Error("ClassicKernel must imply the classic shuffle")
-	}
-}
 
 // TestSpecForFitsLikePartitionNew: the spec's angular cuts are those of
 // partition.New — sampled on a large input, exact on a small one — so a

@@ -1,0 +1,239 @@
+package skyjob
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/driver"
+	"repro/internal/metrics"
+	"repro/internal/partition"
+	"repro/internal/points"
+	"repro/internal/rpcmr"
+	"repro/internal/skyline"
+)
+
+// TestOptionSurface pins the number of independently settable values that
+// travel to workers. A new field has to edit this count, and the
+// simplicity guide's rule for one applies: two callers or workloads that
+// exist today (tests and examples do not count) need different values,
+// and the code cannot work the value out from its inputs or a measurement
+// it already takes.
+func TestOptionSurface(t *testing.T) {
+	if n := reflect.TypeOf(Spec{}).NumField(); n != 10 {
+		t.Fatalf("skyjob.Spec has %d fields, want 10", n)
+	}
+}
+
+// membersOf groups data by the partition part assigns it to.
+func membersOf(t *testing.T, part partition.Partitioner, data points.Set) map[int]points.Set {
+	t.Helper()
+	members := make(map[int]points.Set)
+	for _, p := range data {
+		id, err := part.Assign(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[id] = append(members[id], p)
+	}
+	return members
+}
+
+// TestClusterMatchesOracle is driver.TestComputeMatchesOracle's cluster
+// twin: on a 3-worker loopback cluster, every scheme × kernel × spec
+// variant returns exactly the classic sequential skyline.BNL of the whole
+// input, and each partition's local skyline is exactly skyline.BNL of the
+// points the spec's partitioner assigns to it.
+func TestClusterMatchesOracle(t *testing.T) {
+	master := startCluster(t, 3)
+	uniform := uniformSet(42, 600, 4)
+	dups := append(uniformSet(43, 600, 3), uniformSet(43, 60, 3)...)
+	variants := []struct {
+		name       string
+		data       points.Set
+		partitions int
+		set        func(*Spec)
+	}{
+		{"default", uniform, 8, func(*Spec) {}},
+		{"budget 4 KiB", uniform, 8, func(s *Spec) { s.ReducerBudgetBytes, s.Codec = 4<<10, points.FrameAuto }},
+		{"one partition", uniform, 1, func(*Spec) {}},
+		{"duplicates", dups, 8, func(*Spec) {}},
+	}
+	schemes := []partition.Scheme{partition.Dimensional, partition.Grid, partition.Angular, partition.Random}
+	kernels := []skyline.Algorithm{skyline.BNLAlgorithm, skyline.SFSAlgorithm, skyline.DCAlgorithm}
+	for _, scheme := range schemes {
+		for _, kernel := range kernels {
+			for _, v := range variants {
+				t.Run(fmt.Sprintf("%v/%v/%s", scheme, kernel, v.name), func(t *testing.T) {
+					spec, err := SpecFor(v.data, scheme, v.partitions)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spec.Kernel = kernel
+					v.set(&spec)
+					res, err := ComputeSpec(context.Background(), master, v.data, spec, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := skyline.BNL(v.data); !sameMultiset(res.Skyline, want) {
+						t.Errorf("global skyline has %d points, oracle %d", len(res.Skyline), len(want))
+					}
+					part, err := spec.Build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					members := membersOf(t, part, v.data)
+					if len(res.LocalSkylines) != len(members) {
+						t.Errorf("%d local skylines for %d occupied partitions", len(res.LocalSkylines), len(members))
+					}
+					for id, m := range members {
+						if want := skyline.BNL(m); !sameMultiset(res.LocalSkylines[id], want) {
+							t.Errorf("partition %d: local skyline %d points, oracle %d",
+								id, len(res.LocalSkylines[id]), len(want))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestExecutorsAgree: the two jobs are defined once (driver.PartitionJob,
+// driver.MergeJob), so for one dataset and one fitted spec the in-process
+// engine and a 3-worker cluster must return the same global skyline, the
+// same local skyline per partition id, and the same Eq. (5) evidence.
+func TestExecutorsAgree(t *testing.T) {
+	master := startCluster(t, 3)
+	data := uniformSet(77, 2500, 5)
+	for i := 0; i < 100; i++ {
+		data = append(data, data[i].Clone())
+	}
+	for _, scheme := range []partition.Scheme{partition.Angular, partition.Grid} {
+		spec, err := SpecFor(data, scheme, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The cluster's partitioning job does not prune grid cells, so
+		// the in-process run must not either for local skylines to be
+		// comparable partition by partition.
+		sky, stats, err := driver.Compute(context.Background(), data,
+			driver.Options{Scheme: scheme, PartitionerOverride: part, DisableGridPruning: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ComputeSpec(context.Background(), master, data, spec, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMultiset(sky, res.Skyline) {
+			t.Errorf("%v: in-process skyline %d points, cluster %d", scheme, len(sky), len(res.Skyline))
+		}
+		if len(stats.LocalSkylines) != len(res.LocalSkylines) {
+			t.Errorf("%v: %d local skylines in-process, %d on the cluster",
+				scheme, len(stats.LocalSkylines), len(res.LocalSkylines))
+		}
+		for id, local := range stats.LocalSkylines {
+			if !sameMultiset(local, res.LocalSkylines[id]) {
+				t.Errorf("%v: partition %d local skylines differ", scheme, id)
+			}
+		}
+		if in, cl := metrics.GlobalSurvivors(stats.LocalSkylines, sky), metrics.GlobalSurvivors(res.LocalSkylines, res.Skyline); !reflect.DeepEqual(in, cl) {
+			t.Errorf("%v: Eq. (5) survivors differ: %v vs %v", scheme, in, cl)
+		}
+		// The ratio sums floats in map order; the survivor counts above
+		// are the exact form.
+		in := metrics.LocalSkylineOptimality(stats.LocalSkylines, sky)
+		if cl := res.Optimality(); math.Abs(in-cl) > 1e-12 || cl <= 0 {
+			t.Errorf("%v: optimality %v in-process, %v on the cluster", scheme, in, cl)
+		}
+	}
+}
+
+// TestHostileSpecRejected: job params arrive over the wire, so a spec no
+// SpecFor could have produced must come back as a skyjob error from both
+// job factories — which is what a worker reports as a failed task —
+// rather than panic in a kernel lookup or size a table from a hostile
+// count. A cluster handed every such spec still runs the next good job on
+// all of its workers.
+func TestHostileSpecRejected(t *testing.T) {
+	data := uniformSet(5, 300, 3)
+	good, err := SpecFor(data, partition.Angular, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := map[string]func(m map[string]any){
+		"unknown kernel":          func(m map[string]any) { m["kernel"] = 99 },
+		"negative kernel":         func(m map[string]any) { m["kernel"] = -1 },
+		"unknown scheme":          func(m map[string]any) { m["scheme"] = "MR-Bogus" },
+		"unknown codec":           func(m map[string]any) { m["codec"] = 9 },
+		"zero dimension":          func(m map[string]any) { m["dim"] = 0 },
+		"zero partitions":         func(m map[string]any) { m["partitions"] = 0 },
+		"negative partitions":     func(m map[string]any) { m["partitions"] = -4 },
+		"2^40 partitions":         func(m map[string]any) { m["partitions"] = 1 << 40 },
+		"negative budget":         func(m map[string]any) { m["reducer_budget_bytes"] = -1 },
+		"split product 2^62":      func(m map[string]any) { m["angular_splits"] = []int{1 << 31, 1 << 31}; delete(m, "angular_cuts") },
+		"zero split":              func(m map[string]any) { m["angular_splits"] = []int{0, 8}; delete(m, "angular_cuts") },
+		"short min":               func(m map[string]any) { m["min"] = []float64{0, 0} },
+		"long max":                func(m map[string]any) { m["max"] = []float64{1, 1, 1, 1} },
+		"min above max":           func(m map[string]any) { m["min"] = []float64{0, 2, 0}; m["max"] = []float64{1, 1, 1} },
+		"retired classic_kernel":  func(m map[string]any) { m["classic_kernel"] = true },
+		"retired classic_shuffle": func(m map[string]any) { m["classic_shuffle"] = true },
+		"misspelt field":          func(m map[string]any) { m["kernal"] = 1 },
+	}
+	master := startCluster(t, 3)
+	input := make([][]byte, len(data))
+	for i, p := range data {
+		input[i] = points.Encode(p)
+	}
+	for name, mutate := range hostile {
+		var m map[string]any
+		if err := json.Unmarshal(mustJSON(t, good), &m); err != nil {
+			t.Fatal(err)
+		}
+		mutate(m)
+		params := mustJSON(t, m)
+		for job, factory := range map[string]rpcmr.JobFactory{PartitionJobName: newPartitionJob, MergeJobName: newMergeJob} {
+			if _, err := factory(params); err == nil || !strings.HasPrefix(err.Error(), "skyjob: ") {
+				t.Errorf("%s, %s: factory returned %v, want a skyjob error", name, job, err)
+			}
+			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job, Params: params, Reducers: 2}, input)
+			if err == nil || !strings.Contains(err.Error(), "skyjob: ") {
+				t.Errorf("%s, %s: cluster run returned %v, want a skyjob error", name, job, err)
+			}
+		}
+	}
+	// An infinite bound cannot be written in JSON at all; the decoder
+	// refuses the overflowing literal.
+	overflow := strings.Replace(string(mustJSON(t, good)), `"min":[`, `"min":[1e999,`, 1)
+	if _, err := newPartitionJob([]byte(overflow)); err == nil || !strings.HasPrefix(err.Error(), "skyjob: ") {
+		t.Errorf("overflowing bound: %v, want a skyjob error", err)
+	}
+
+	res, err := ComputeSpec(context.Background(), master, data, good, 3)
+	if err != nil {
+		t.Fatalf("good spec after the hostile ones: %v", err)
+	}
+	if !sameMultiset(res.Skyline, skyline.BNL(data)) {
+		t.Error("good spec after the hostile ones: wrong skyline")
+	}
+	if st := master.Status(); st.LiveWorkers != 3 {
+		t.Errorf("%d of 3 workers alive after the hostile specs", st.LiveWorkers)
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}

@@ -1,17 +1,23 @@
-// Package skyjob defines the distributed skyline MapReduce jobs for the
-// rpcmr engine: the partitioning job (assign → local skyline) and the
-// merging job (single key → global skyline), mirroring the in-process
-// pipeline of package driver. Any process that links this package (master
-// or worker) has both jobs registered and can participate in a cluster.
+// Package skyjob runs the skyline pipeline on an rpcmr cluster. What the
+// partitioning job (assign → local skyline) and the merging job (one
+// partition → global skyline) compute is defined once, by package driver's
+// PartitionJob and MergeJob; this package is the cluster executor of those
+// definitions: a Spec that travels to workers as JSON, the adapter from a
+// mapreduce.FrameJob to an rpcmr.Job, and the two-job sequence on a
+// master. Any process that links this package (master or worker) has both
+// jobs registered and can participate in a cluster.
 package skyjob
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
+	"repro/internal/driver"
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/partition"
@@ -37,26 +43,15 @@ type Spec struct {
 	Partitions int              `json:"partitions"`
 	// Kernel selects the sequential skyline algorithm (default BNL).
 	Kernel skyline.Algorithm `json:"kernel"`
-	// ClassicKernel forces the classic points.Set kernels on every worker
-	// instead of the default flat block path (contiguous coordinates,
-	// dimension-specialized dominance, merge-tree global reduce). Both
-	// paths produce identical skylines.
-	ClassicKernel bool `json:"classic_kernel,omitempty"`
-	// ClassicShuffle forces the per-WirePair gob transport instead of the
-	// default block-framed shuffle (batched point frames, integer
-	// partition routing). Implied by ClassicKernel — frames only exist on
-	// the flat path. The spec travels to every worker, so one flag flips
-	// the whole cluster consistently.
-	ClassicShuffle bool `json:"classic_shuffle,omitempty"`
 	// AngularSplits and AngularCuts ship a fitted (equi-depth) angular
 	// partitioner to workers; empty for other schemes.
 	AngularSplits []int         `json:"angular_splits,omitempty"`
 	AngularCuts   [][][]float64 `json:"angular_cuts,omitempty"`
 	// Codec selects the frame wire codec on every worker: 0 keeps raw v1
 	// frames, points.FrameAuto enables the bit-packed v2 encoding wherever
-	// it is smaller. Framed path only.
+	// it is smaller.
 	Codec points.FrameCodec `json:"codec,omitempty"`
-	// ReducerBudgetBytes, when > 0, switches framed reduce tasks to the
+	// ReducerBudgetBytes, when > 0, switches reduce tasks to the
 	// memory-budgeted streaming fold on every worker: frames fold one at a
 	// time into a bounded skyline window that spills and multi-passes when
 	// a local skyline outgrows it, so worker reduce memory stays near the
@@ -93,12 +88,55 @@ func SpecFor(data points.Set, scheme partition.Scheme, partitions int) (Spec, er
 	return spec, nil
 }
 
+// maxPartitions caps the partition count a spec may ask for: far above any
+// real plan (the paper's rule is 2 × nodes) and small enough that the
+// per-partition tables a job sizes from it stay harmless.
+const maxPartitions = 1 << 20
+
+// validate rejects a spec no honest SpecFor could have produced. A spec
+// arrives over the wire, so every value a job would otherwise trust — enum
+// members it switches on, counts it allocates by, bounds it divides by —
+// is checked here, once, before Build or either job factory uses it: a
+// worker must report a bad spec as a failed task, not die on it.
+func (s Spec) validate() error {
+	switch {
+	case s.Scheme < partition.Dimensional || s.Scheme > partition.Random:
+		return fmt.Errorf("skyjob: unknown scheme %d", int(s.Scheme))
+	case s.Kernel < skyline.BNLAlgorithm || s.Kernel > skyline.NaiveAlgorithm:
+		return fmt.Errorf("skyjob: unknown kernel %d", int(s.Kernel))
+	case s.Codec < points.FrameDefault || s.Codec > points.FrameAuto:
+		return fmt.Errorf("skyjob: unknown codec %d", int(s.Codec))
+	case s.Dim < 1:
+		return fmt.Errorf("skyjob: spec dimension %d, need >= 1", s.Dim)
+	case s.Partitions < 1 || s.Partitions > maxPartitions:
+		return fmt.Errorf("skyjob: %d partitions, need 1..%d", s.Partitions, maxPartitions)
+	case s.ReducerBudgetBytes < 0:
+		return fmt.Errorf("skyjob: negative reducer budget %d", s.ReducerBudgetBytes)
+	case len(s.Min) != s.Dim || len(s.Max) != s.Dim:
+		return fmt.Errorf("skyjob: spec bounds dimension mismatch")
+	}
+	for i := range s.Min {
+		lo, hi := s.Min[i], s.Max[i]
+		if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) || lo > hi {
+			return fmt.Errorf("skyjob: spec bounds [%g, %g] in dimension %d", lo, hi, i)
+		}
+	}
+	cells := 1
+	for _, n := range s.AngularSplits {
+		if n < 1 || n > maxPartitions/cells {
+			return fmt.Errorf("skyjob: angular splits %v exceed %d partitions", s.AngularSplits, maxPartitions)
+		}
+		cells *= n
+	}
+	return nil
+}
+
 // Build reconstructs the partitioner described by the spec.
 func (s Spec) Build() (partition.Partitioner, error) {
-	min, max := points.Point(s.Min), points.Point(s.Max)
-	if len(min) != s.Dim || len(max) != s.Dim {
-		return nil, fmt.Errorf("skyjob: spec bounds dimension mismatch")
+	if err := s.validate(); err != nil {
+		return nil, err
 	}
+	min, max := points.Point(s.Min), points.Point(s.Max)
 	switch s.Scheme {
 	case partition.Dimensional:
 		return partition.NewDimensional(0, min[0], max[0], s.Partitions, s.Dim)
@@ -121,225 +159,66 @@ func init() {
 	rpcmr.RegisterJob(MergeJobName, newMergeJob)
 }
 
-// localReducer builds the local-skyline reducer of the spec's kernel
-// path. On the default flat path the group's values decode straight into
-// one contiguous block (no per-point allocation) and the block kernel's
-// survivors are re-encoded from rows; ClassicKernel restores the original
-// Set-typed decode-kernel-encode loop.
-func (s Spec) localReducer() mapreduce.Reducer {
-	if s.ClassicKernel {
-		kernel := skyline.ByAlgorithm(s.Kernel)
-		return mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-			set := make(points.Set, 0, len(values))
-			for _, v := range values {
-				p, err := points.Decode(v)
-				if err != nil {
-					return err
-				}
-				set = append(set, p)
-			}
-			for _, p := range kernel(set) {
-				emit(key, points.Encode(p))
-			}
-			return nil
-		})
+// decodeSpec parses and validates job params. Unknown fields are an error:
+// a spec that still carries a retired knob (version skew between master
+// and worker) or a misspelt field must fail the task, not run a job other
+// than the one its sender meant.
+func decodeSpec(params []byte) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(bytes.NewReader(params))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return Spec{}, fmt.Errorf("skyjob: bad params: %w", err)
 	}
-	kernel := skyline.BlockByAlgorithm(s.Kernel)
-	return blockReducer(func(blk *points.Block) *points.Block { return kernel(blk) })
+	return spec, spec.validate()
 }
 
-// mergeReducer is the merging job's final reducer: on the flat path the
-// single "global" group runs the parallel merge tree (chunked block
-// skylines folded pairwise across goroutines) instead of one sequential
-// kernel pass; the classic path keeps the paper's single-reducer kernel.
-func (s Spec) mergeReducer() mapreduce.Reducer {
-	if s.ClassicKernel {
-		return s.localReducer()
-	}
-	return blockReducer(func(blk *points.Block) *points.Block {
-		return skyline.ParallelBlock(context.Background(), blk, 0)
-	})
+// options carries the spec's share of what the job definitions read.
+func (s Spec) options() driver.Options {
+	return driver.Options{Kernel: s.Kernel, Codec: s.Codec, ReducerBudgetBytes: s.ReducerBudgetBytes}
 }
 
-// blockReducer wraps a block kernel into the decode-into-block reducer
-// shape shared by the flat-path jobs.
-func blockReducer(kernel func(*points.Block) *points.Block) mapreduce.Reducer {
-	return mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-		blk := points.NewBlock(0, len(values))
-		for _, v := range values {
-			if err := points.AppendDecode(blk, v); err != nil {
+// wireJob adapts a job definition to the record transport: rpcmr hands a
+// map task encoded records, so the mapper decodes each into one reused row
+// first. The row is this task's alone — rpcmr builds a job value per task
+// it executes, and a task maps its records one after another. Everything
+// else is the definition's, so both executors move identical bytes.
+func wireJob(job mapreduce.FrameJob, codec points.FrameCodec) rpcmr.Job {
+	var row points.Point
+	return rpcmr.Job{
+		FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
+			var err error
+			if row, err = points.DecodeInto(row, rec); err != nil {
 				return err
 			}
-		}
-		sky := kernel(blk)
-		for i := 0; i < sky.Len(); i++ {
-			emit(key, points.Encode(points.Point(sky.Row(i))))
-		}
-		return nil
-	})
-}
-
-// budgetedFold adapts skyline.BudgetedFold to the engine's FrameFold
-// interface for worker-side streaming reduce (mirrors the driver's
-// adapter; duplicated to keep skyjob free of the in-process driver).
-type budgetedFold struct {
-	partition int
-	fold      *skyline.BudgetedFold
-}
-
-func (b *budgetedFold) Absorb(blk *points.Block) error { return b.fold.Absorb(blk) }
-
-func (b *budgetedFold) Finish(emit mapreduce.EmitPoint) error {
-	out, err := b.fold.Finish()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < out.Len(); i++ {
-		emit(b.partition, out.Row(i))
-	}
-	return nil
-}
-
-func (b *budgetedFold) PeakBytes() int64 { return b.fold.Stats().PeakBytes }
-func (b *budgetedFold) Passes() int      { return b.fold.Stats().Passes }
-
-// folder returns the spec's streaming FrameFolder, or nil when the spec
-// is unbudgeted (keeping the assemble-everything reducers).
-func (s Spec) folder() mapreduce.FrameFolder {
-	if s.ReducerBudgetBytes <= 0 {
-		return nil
-	}
-	dim, budget, codec := s.Dim, s.ReducerBudgetBytes, s.Codec
-	return func(partition int) mapreduce.FrameFold {
-		return &budgetedFold{partition: partition,
-			fold: skyline.NewBudgetedFold(dim, budget, "", codec)}
+			return job.Mapper(row, emit)
+		}),
+		Accumulators:  job.Accumulators,
+		FrameCombiner: job.Combiner,
+		FrameReducer:  job.Reducer,
+		FrameFolder:   job.Folder,
+		Codec:         codec,
 	}
 }
-
-// bnlWindows recycles the default map-side combiner of both framed jobs:
-// one incremental BNL window per partition, folded as records are routed
-// (as in package driver; the pool is per package, the kind is the same).
-var bnlWindows = mapreduce.NewAccumulators(func() mapreduce.Accumulator { return skyline.NewWindow() })
-
-// mapSide picks a framed job's map-side combiner: incremental windows for
-// BNL, and for the other kernels — which need the whole block — staged
-// rows plus a block combiner.
-func (s Spec) mapSide() (*mapreduce.Accumulators, mapreduce.FrameCombiner) {
-	if s.Kernel == skyline.BNLAlgorithm {
-		return bnlWindows, nil
-	}
-	kernel := skyline.BlockByAlgorithm(s.Kernel)
-	return nil, func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
-}
-
-// rowMapper is the FrameMapper of both framed jobs: it decodes each record
-// into one reused row and hands the row to route. The row is this task's
-// alone: rpcmr builds a job value per task it executes, and a task maps
-// its records one after another.
-func rowMapper(route func(row points.Point, emit mapreduce.EmitPoint) error) mapreduce.FrameMapper {
-	var row points.Point
-	return mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-		var err error
-		if row, err = points.DecodeInto(row, rec); err != nil {
-			return err
-		}
-		return route(row, emit)
-	})
-}
-
-// framed reports whether the spec selects the block-framed shuffle:
-// frames pack flat blocks, so the classic kernel path implies the
-// classic shuffle too.
-func (s Spec) framed() bool { return !s.ClassicKernel && !s.ClassicShuffle }
 
 func newPartitionJob(params []byte) (rpcmr.Job, error) {
-	var spec Spec
-	if err := json.Unmarshal(params, &spec); err != nil {
-		return rpcmr.Job{}, fmt.Errorf("skyjob: bad params: %w", err)
+	spec, err := decodeSpec(params)
+	if err != nil {
+		return rpcmr.Job{}, err
 	}
 	part, err := spec.Build()
 	if err != nil {
 		return rpcmr.Job{}, err
 	}
-	if spec.framed() {
-		kernel := skyline.BlockByAlgorithm(spec.Kernel)
-		accs, combiner := spec.mapSide()
-		return rpcmr.Job{
-			FrameMapper: rowMapper(func(row points.Point, emit mapreduce.EmitPoint) error {
-				id, err := part.Assign(row)
-				if err != nil {
-					return err
-				}
-				emit(id, row)
-				return nil
-			}),
-			// The local-skyline combiner runs map-side, before the frames
-			// are sealed for the wire.
-			Accumulators:  accs,
-			FrameCombiner: combiner,
-			FrameReducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-				sky := kernel(blk)
-				for i := 0; i < sky.Len(); i++ {
-					emit(partition, sky.Row(i))
-				}
-				return nil
-			}),
-			FrameFolder: spec.folder(),
-			Codec:       spec.Codec,
-		}, nil
-	}
-	reducer := spec.localReducer()
-	return rpcmr.Job{
-		Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-			p, err := points.Decode(rec)
-			if err != nil {
-				return err
-			}
-			id, err := part.Assign(p)
-			if err != nil {
-				return err
-			}
-			emit(strconv.Itoa(id), rec)
-			return nil
-		}),
-		Combiner: reducer,
-		Reducer:  reducer,
-	}, nil
+	return wireJob(driver.PartitionJob(part, nil, spec.Dim, spec.options()), spec.Codec), nil
 }
 
 func newMergeJob(params []byte) (rpcmr.Job, error) {
-	var spec Spec
-	if err := json.Unmarshal(params, &spec); err != nil {
-		return rpcmr.Job{}, fmt.Errorf("skyjob: bad params: %w", err)
+	spec, err := decodeSpec(params)
+	if err != nil {
+		return rpcmr.Job{}, err
 	}
-	if spec.framed() {
-		accs, combiner := spec.mapSide()
-		return rpcmr.Job{
-			FrameMapper: rowMapper(func(row points.Point, emit mapreduce.EmitPoint) error {
-				emit(0, row) // paper line 13: output(null, si) — one global partition
-				return nil
-			}),
-			Accumulators:  accs,
-			FrameCombiner: combiner,
-			FrameReducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-				sky := skyline.ParallelBlock(context.Background(), blk, 0)
-				for i := 0; i < sky.Len(); i++ {
-					emit(partition, sky.Row(i))
-				}
-				return nil
-			}),
-			FrameFolder: spec.folder(),
-			Codec:       spec.Codec,
-		}, nil
-	}
-	return rpcmr.Job{
-		Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-			emit("global", rec)
-			return nil
-		}),
-		Combiner: spec.localReducer(),
-		Reducer:  spec.mergeReducer(),
-	}, nil
+	return wireJob(driver.MergeJob(context.Background(), spec.Dim, spec.options()), spec.Codec), nil
 }
 
 // Result is the outcome of a distributed skyline computation.
@@ -368,10 +247,7 @@ func (r *Result) Optimality() float64 {
 // Compute runs the two-job skyline pipeline on a live rpcmr cluster.
 // With a tracer in ctx it records a root span with Partitioning/Merging
 // children; with a registry on the master it publishes per-partition
-// local skyline sizes alongside the cluster's own series. The default
-// spec routes both jobs through the block-framed shuffle; use
-// ComputeSpec with Spec.ClassicShuffle (or ClassicKernel) to force the
-// per-WirePair transport.
+// local skyline sizes alongside the cluster's own series.
 func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme partition.Scheme, partitions, reducers int) (*Result, error) {
 	spec, err := SpecFor(data, scheme, partitions)
 	if err != nil {
@@ -381,9 +257,12 @@ func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme 
 }
 
 // ComputeSpec runs the pipeline with a caller-built Spec — the entry
-// point for escape hatches (ClassicKernel, ClassicShuffle) and custom
-// kernels.
+// point for a non-default kernel, codec or reducer budget.
 func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, reducers int) (*Result, error) {
+	part, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
 	params, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
@@ -406,13 +285,7 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 	// shape (e.g. angular split products), so cover the count the built
 	// partitioner actually uses — every planned partition appears in the
 	// flight record even when it receives no data.
-	if rec != nil {
-		if p, err := spec.Build(); err == nil {
-			rec.EnsurePartitions(p.Partitions())
-		} else {
-			rec.EnsurePartitions(spec.Partitions)
-		}
-	}
+	rec.EnsurePartitions(part.Partitions())
 	input := make([][]byte, len(data))
 	for i, p := range data {
 		input[i] = points.Encode(p)
@@ -423,36 +296,20 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 	if err != nil {
 		return nil, fmt.Errorf("skyjob: partitioning job: %w", err)
 	}
-	local := make(map[int]points.Set)
+	// Local skylines arrive as per-partition blocks; feed the merge job
+	// their rows in ascending partition order.
+	local := make(map[int]points.Set, len(res1.Blocks))
 	var mergeInput [][]byte
-	if res1.Blocks != nil {
-		// Frame path: local skylines arrive as per-partition blocks; feed
-		// the merge job their rows in ascending partition order.
-		ids := make([]int, 0, len(res1.Blocks))
-		for id := range res1.Blocks {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			blk := res1.Blocks[id]
-			local[id] = blk.ToSet()
-			for i := 0; i < blk.Len(); i++ {
-				mergeInput = append(mergeInput, points.Encode(points.Point(blk.Row(i))))
-			}
-		}
-	} else {
-		mergeInput = make([][]byte, 0, len(res1.Pairs))
-		for _, pair := range res1.Pairs {
-			id, err := strconv.Atoi(pair.Key)
-			if err != nil {
-				return nil, fmt.Errorf("skyjob: bad partition key %q", pair.Key)
-			}
-			p, err := points.Decode(pair.Value)
-			if err != nil {
-				return nil, err
-			}
-			local[id] = append(local[id], p)
-			mergeInput = append(mergeInput, pair.Value)
+	ids := make([]int, 0, len(res1.Blocks))
+	for id := range res1.Blocks {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		blk := res1.Blocks[id]
+		local[id] = blk.ToSet()
+		for i := 0; i < blk.Len(); i++ {
+			mergeInput = append(mergeInput, points.Encode(points.Point(blk.Row(i))))
 		}
 	}
 	if reg := master.Metrics(); reg != nil {
@@ -461,9 +318,8 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 				telemetry.L("partition", strconv.Itoa(id))).Set(float64(len(ls)))
 		}
 	}
-	// Partition job evidence: shuffle volume per partition (frame path
-	// reports it; the classic transport has no per-partition volume) and
-	// local skyline sizes.
+	// Partition job evidence: shuffle volume per partition and local
+	// skyline sizes.
 	for id, ps := range res1.Partitions {
 		rec.AddPartitionShuffle(id, ps.Records, ps.Bytes)
 	}
@@ -480,19 +336,8 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 		return nil, fmt.Errorf("skyjob: merging job: %w", err)
 	}
 	var sky points.Set
-	if res2.Blocks != nil {
-		if blk := res2.Blocks[0]; blk != nil {
-			sky = blk.ToSet()
-		}
-	} else {
-		sky = make(points.Set, 0, len(res2.Pairs))
-		for _, pair := range res2.Pairs {
-			p, err := points.Decode(pair.Value)
-			if err != nil {
-				return nil, err
-			}
-			sky = append(sky, p)
-		}
+	if blk := res2.Blocks[0]; blk != nil {
+		sky = blk.ToSet()
 	}
 	if reg := master.Metrics(); reg != nil {
 		reg.Gauge("skyline_global_size").Set(float64(len(sky)))

@@ -292,3 +292,9 @@ func (f *BudgetedFold) replay(overflow *os.File, carried *points.Block) error {
 // Stats reports the fold's pass count, overflow volume and peak memory.
 // Valid after Finish.
 func (f *BudgetedFold) Stats() FoldStats { return f.stats }
+
+// PeakBytes and Passes are Stats' two engine-facing numbers as methods, so
+// a *BudgetedFold is itself the MapReduce engine's streaming reduce state
+// (mapreduce.FrameFold and FoldPeaker) with no adapter in between.
+func (f *BudgetedFold) PeakBytes() int64 { return f.stats.PeakBytes }
+func (f *BudgetedFold) Passes() int      { return f.stats.Passes }

@@ -5,9 +5,9 @@ package skyline
 // loop in the repository — the pairwise dominance test — runs over one
 // contiguous []float64 with a dimension-specialized comparison selected
 // once per block rather than a generic length-checked loop per pair. The
-// classic points.Set kernels remain as the escape hatch
-// (driver.Options.ClassicKernel) and as the reference implementation; both
-// paths produce identical skylines on finite, uniform-dimensional input.
+// classic points.Set kernels remain as the reference implementation every
+// test compares against; both produce identical skylines on finite,
+// uniform-dimensional input.
 
 import (
 	"sort"
@@ -290,8 +290,8 @@ func BlockSFS(b *points.Block) *points.Block {
 }
 
 // BlockByAlgorithm returns the flat kernel implementing a. Algorithms
-// without a flat variant (D&C, Naive) run the classic kernel through a
-// Set round-trip, keeping the BlockFunc signature total.
+// without a flat variant (D&C, Naive) run the classic kernel through
+// BlockKernel's Set round-trip, keeping the BlockFunc signature total.
 func BlockByAlgorithm(a Algorithm) BlockFunc {
 	switch a {
 	case BNLAlgorithm:
@@ -299,14 +299,21 @@ func BlockByAlgorithm(a Algorithm) BlockFunc {
 	case SFSAlgorithm:
 		return BlockSFS
 	default:
-		classic := ByAlgorithm(a)
-		return func(b *points.Block) *points.Block {
-			out, ok := points.BlockOf(classic(b.ToSet()))
-			if !ok {
-				panic("skyline: classic kernel produced mixed-dimension set")
-			}
-			return out
+		return BlockKernel(ByAlgorithm(a))
+	}
+}
+
+// BlockKernel adapts a Set-typed kernel to the block signature: the block
+// is viewed as a set, the kernel runs, and its survivors are packed back
+// into a block. It is how kernels that carry their own state (the R-tree
+// BBS) or have no flat variant ride the framed pipeline.
+func BlockKernel(classic Func) BlockFunc {
+	return func(b *points.Block) *points.Block {
+		out, ok := points.BlockOf(classic(b.ToSet()))
+		if !ok {
+			panic("skyline: classic kernel produced mixed-dimension set")
 		}
+		return out
 	}
 }
 
@@ -330,9 +337,8 @@ func FlatBNL(s points.Set) points.Set { return flatten(s, BlockBNL, BNL) }
 func FlatSFS(s points.Set) points.Set { return flatten(s, BlockSFS, SFS) }
 
 // ByAlgorithmFlat returns the flat-memory kernel for a where one exists
-// (BNL, SFS), the classic kernel otherwise. This is the default selection
-// of the MapReduce drivers; ByAlgorithm remains the ClassicKernel escape
-// hatch.
+// (BNL, SFS), the classic kernel otherwise — the Set-typed selection for
+// callers that hold a point set rather than a block.
 func ByAlgorithmFlat(a Algorithm) Func {
 	switch a {
 	case BNLAlgorithm:

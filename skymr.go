@@ -122,12 +122,6 @@ type Options struct {
 	Workers int
 	// Kernel selects the sequential skyline algorithm (default BNL).
 	Kernel Kernel
-	// ClassicKernel forces the classic per-point kernels instead of the
-	// default flat-memory block kernels (contiguous coordinates,
-	// dimension-specialized dominance tests, parallel merge tree). Both
-	// paths produce identical skylines; see DESIGN.md "Flat-memory
-	// kernel layer".
-	ClassicKernel bool
 	// DisableCombiner ships raw partitions to reducers instead of
 	// combining local skylines map-side (ablation).
 	DisableCombiner bool
@@ -137,18 +131,13 @@ type Options struct {
 	// SpillDir, when set, spills intermediate MapReduce data to sequence
 	// files under this existing directory instead of the heap.
 	SpillDir string
-	// HierarchicalMerge replaces the single global merge with rounds of
-	// MergeFanIn-way partial merges — the paper's §II iterative
-	// (Twister-style) extension for very large candidate sets.
-	HierarchicalMerge bool
-	// MergeFanIn is the per-round fan-in of the hierarchical merge
-	// (default 8).
-	MergeFanIn int
 	// ReducerBudgetBytes caps every reducer's resident candidate window
 	// at this many payload bytes; overflow streams through spill frames
-	// and resolves in extra passes (see DESIGN.md "Out-of-core engine").
-	// 0 means unbudgeted. Budgeted runs seal frames with the
-	// size-adaptive auto codec.
+	// and resolves in extra passes, and the merge runs in as many
+	// budget-sized rounds as the local skylines need — the paper's §II
+	// iterative extension for very large candidate sets (see DESIGN.md
+	// "Out-of-core engine"). 0 means unbudgeted: one global merge.
+	// Budgeted runs seal frames with the size-adaptive auto codec.
 	ReducerBudgetBytes int64
 }
 
@@ -223,12 +212,9 @@ func Compute(ctx context.Context, data Set, opts Options) (*Result, error) {
 		Partitions:         opts.Partitions,
 		Workers:            opts.Workers,
 		Kernel:             opts.Kernel.algorithm(),
-		ClassicKernel:      opts.ClassicKernel,
 		DisableCombiner:    opts.DisableCombiner,
 		DisableGridPruning: opts.DisableGridPruning,
 		SpillDir:           opts.SpillDir,
-		HierarchicalMerge:  opts.HierarchicalMerge,
-		MergeFanIn:         opts.MergeFanIn,
 		ReducerBudgetBytes: opts.ReducerBudgetBytes,
 		Codec:              opts.codec(),
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/points"
@@ -40,6 +41,18 @@ func sameMultiset(a, b Set) bool {
 		}
 	}
 	return true
+}
+
+// TestOptionSurface pins the number of independently settable values on
+// the public entry point. A new field has to edit this count, and the
+// simplicity guide's rule for one applies: two callers or workloads that
+// exist today (tests and examples do not count) need different values,
+// and the code cannot work the value out from its inputs or a measurement
+// it already takes.
+func TestOptionSurface(t *testing.T) {
+	if n := reflect.TypeOf(Options{}).NumField(); n != 9 {
+		t.Fatalf("skymr.Options has %d fields, want 9", n)
+	}
 }
 
 func TestComputeAllMethodsMatchSequential(t *testing.T) {
