@@ -15,7 +15,7 @@ import (
 // Block-framed shuffle: the engine path that moves packed point frames
 // (points.AppendFrame's partition + count + contiguous coordinates)
 // between phases instead of per-point Pairs. A map task is fed rows — from
-// an in-memory set, a chunk source or decoded transport records — routes
+// an in-memory set, a chunk source or a split's input frame — routes
 // each row to an integer partition and folds it straight into that
 // partition's accumulator; accumulators are sealed into per-reducer frame
 // streams, and reducers ingest whole frames into contiguous blocks. No
@@ -35,9 +35,10 @@ type EmitPoint func(partition int, coords []float64)
 // for the call. Must be safe for concurrent use.
 type RowMapper func(row []float64, emit EmitPoint) error
 
-// FrameMapper is the RowMapper of record transports (rpcmr): it decodes
-// one input record itself and emits its points. Must be safe for
-// concurrent use.
+// FrameMapper maps one encoded input record, decoding it itself. Jobs take
+// rows (RowMapper) on every executor; this is BuildFrames' mapper only, kept
+// for the benchmark's staged replay, which compiles against it until
+// ROADMAP item 3a retires it. Must be safe for concurrent use.
 type FrameMapper interface {
 	MapFrame(record []byte, emit EmitPoint) error
 }
@@ -320,21 +321,25 @@ func buildFrames(feed func(emit EmitPoint) (rows int, err error), accs *Accumula
 	return streams, st, err
 }
 
-// BuildFrames runs the frame mapper (and optional block combiner) over one
-// map task's transport records, staging each partition's rows, and returns
-// one sealed frame stream per reducer plus the task's tallies. codec picks
-// the sealed frames' wire codec.
-func BuildFrames(records [][]byte, reducers int, mapper FrameMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
-	return BuildFramesInto(Staging, records, reducers, mapper, combiner, codec)
+// MapFrames is one map task of job for an executor that ships a split as a
+// sealed frame stream (rpcmr): the rows are walked out of input straight
+// into job.Mapper and the task's accumulators — the body RunFrames gives a
+// Feed's rows — so nothing the size of the split exists on the way. job.Feed
+// is not read. An empty, malformed or mixed-dimension stream fails the task.
+func MapFrames(job FrameJob, input []byte, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
+	if len(input) == 0 {
+		return nil, FrameStats{}, fmt.Errorf("mapreduce: map task without an input frame")
+	}
+	return buildFrames(func(emit EmitPoint) (int, error) {
+		return points.WalkFrames(input, func(row []float64) error { return job.Mapper(row, emit) })
+	}, job.Accumulators, job.Combiner, max(reducers, 1), codec)
 }
 
-// BuildFramesInto is BuildFrames with the map-side accumulator kind chosen
-// by the caller (nil means Staging). It is the map-task body behind the
-// rpcmr workers, so both executors move identical bytes.
-func BuildFramesInto(accs *Accumulators, records [][]byte, reducers int, mapper FrameMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
-	if reducers < 1 {
-		reducers = 1
-	}
+// BuildFrames runs a frame mapper (and optional block combiner) over one
+// map task's records, staging each partition's rows, and returns one sealed
+// frame stream per reducer plus the task's tallies. No executor calls it:
+// it serves the benchmark's staged replay and the staged-combiner tests.
+func BuildFrames(records [][]byte, reducers int, mapper FrameMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
 	return buildFrames(func(emit EmitPoint) (int, error) {
 		for _, rec := range records {
 			if err := mapper.MapFrame(rec, emit); err != nil {
@@ -342,7 +347,7 @@ func BuildFramesInto(accs *Accumulators, records [][]byte, reducers int, mapper 
 			}
 		}
 		return len(records), nil
-	}, accs, combiner, reducers, codec)
+	}, Staging, combiner, max(reducers, 1), codec)
 }
 
 // AssembleFrames decodes frame streams into per-partition blocks,

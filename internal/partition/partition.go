@@ -114,6 +114,14 @@ func New(scheme Scheme, data points.Set, want int) (Partitioner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
 	}
+	return NewWithBounds(scheme, data, min, max, want)
+}
+
+// NewWithBounds is New for a caller that has already made the
+// validate-and-bounds pass (points.Set.ValidateBounds) and hands over its
+// result, so the input is not scanned twice. min and max must be that
+// pass's — the fit trusts them as it trusts the data.
+func NewWithBounds(scheme Scheme, data points.Set, min, max points.Point, want int) (Partitioner, error) {
 	if want < 1 {
 		return nil, fmt.Errorf("partition: want %d partitions, need >= 1", want)
 	}

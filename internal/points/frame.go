@@ -183,3 +183,47 @@ func DecodeFrame(blk *Block, b []byte) (partition int, rest []byte, err error) {
 	}
 	return part, payload[total*8:], nil
 }
+
+// AppendFrameRows appends rows as one v1 frame — AppendFrame's bytes for
+// BlockOf(rows), without building the block: how a split of an in-memory
+// set becomes a map task's input. Rows of differing dimension are an error.
+func AppendFrameRows(dst []byte, partition int, rows Set) ([]byte, error) {
+	d := rows.Dim()
+	dst = append(dst, FrameVersion)
+	dst = binary.AppendUvarint(dst, uint64(partition))
+	dst = binary.AppendUvarint(dst, uint64(len(rows)))
+	dst = binary.AppendUvarint(dst, uint64(d))
+	for i, p := range rows {
+		if len(p) != d {
+			return nil, fmt.Errorf("points: point %d has dimension %d, want %d", i, len(p), d)
+		}
+		for _, v := range p {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
+	}
+	return dst, nil
+}
+
+// WalkFrames decodes a frame stream row by row: each frame of b is decoded,
+// as DecodeFrame decodes it, into one reused scratch block and its rows go
+// to fn in order, each valid for the call only. The block keeps its
+// dimension from frame to frame, so — as when a stream is decoded into one
+// block — the first non-empty frame fixes it and a later mismatch is an
+// error. Memory is the longest frame's: whoever seals a stream to be walked
+// keeps its frames short. It returns the number of rows fn accepted.
+func WalkFrames(b []byte, fn func(row []float64) error) (rows int, err error) {
+	var scratch Block
+	for len(b) > 0 {
+		scratch.Reset()
+		if _, b, err = DecodeFrame(&scratch, b); err != nil {
+			return rows, err
+		}
+		for i, n := 0, scratch.Len(); i < n; i++ {
+			if err := fn(scratch.Row(i)); err != nil {
+				return rows, err
+			}
+			rows++
+		}
+	}
+	return rows, nil
+}

@@ -85,7 +85,7 @@ func TestStitchedTraceThreeWorkers(t *testing.T) {
 		[]byte("30"), []byte("30"), []byte("30"),
 		[]byte("30"), []byte("30"), []byte("30"),
 	}
-	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 2}, input); err != nil {
+	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 2}, Records(input)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,7 +156,7 @@ func TestRetriedTaskSpansOnce(t *testing.T) {
 		[]byte("40"), []byte("40"), []byte("40"),
 	}
 	if _, err := master.Run(telemetry.WithTracer(ctx, tr),
-		JobSpec{Name: "slowtail", Reducers: 2}, input); err != nil {
+		JobSpec{Name: "slowtail", Reducers: 2}, Records(input)); err != nil {
 		t.Fatal(err)
 	}
 	if master.Status().TaskRetries == 0 {
@@ -210,7 +210,7 @@ func TestStragglerDetection(t *testing.T) {
 	rec := telemetry.NewRecorder("slowtail")
 	ctx := telemetry.WithRecorder(telemetry.WithTracer(context.Background(), tr), rec)
 	input := [][]byte{[]byte("5"), []byte("5"), []byte("5"), []byte("400")}
-	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 1}, input); err != nil {
+	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 1}, Records(input)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -259,7 +259,7 @@ func TestStragglerDetection(t *testing.T) {
 func TestUntracedRunShipsNoSpans(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1}, 2,
 		WorkerConfig{PollInterval: time.Millisecond})
-	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, wcInput)
+	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput))
 	if err != nil {
 		t.Fatal(err)
 	}

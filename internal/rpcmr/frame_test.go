@@ -1,10 +1,13 @@
 package rpcmr
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,26 +31,22 @@ func ensureFrameJobs() {
 		// skyline-frame: route by first coordinate, local skyline as the
 		// combiner on the assembled block, per-partition skyline in reduce.
 		RegisterJob("skyline-frame", func(params []byte) (Job, error) {
-			return Job{
-				FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-					p, err := points.Decode(rec)
-					if err != nil {
-						return err
-					}
-					emit(int(p[0])%frameParts, p)
+			return Job{FrameJob: mapreduce.FrameJob{
+				Mapper: func(row []float64, emit mapreduce.EmitPoint) error {
+					emit(int(row[0])%frameParts, row)
 					return nil
-				}),
-				FrameCombiner: func(partition int, blk *points.Block) (*points.Block, error) {
+				},
+				Combiner: func(partition int, blk *points.Block) (*points.Block, error) {
 					return skyline.BlockBNL(blk), nil
 				},
-				FrameReducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
+				Reducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
 					sky := skyline.BlockBNL(blk)
 					for i := 0; i < sky.Len(); i++ {
 						emit(partition, sky.Row(i))
 					}
 					return nil
 				}),
-			}, nil
+			}}, nil
 		})
 		// skyline-classic: the same job through the WirePair path.
 		sky := mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
@@ -81,21 +80,43 @@ func ensureFrameJobs() {
 	})
 }
 
-// frameClusterInput builds a duplicate-heavy dataset.
-func frameClusterInput(n, d int, seed int64) [][]byte {
+// frameClusterData builds a duplicate-heavy dataset.
+func frameClusterData(n, d int, seed int64) points.Set {
 	rng := rand.New(rand.NewSource(seed))
-	input := make([][]byte, 0, n+n/5)
+	data := make(points.Set, 0, n+n/5)
 	for i := 0; i < n; i++ {
 		p := make(points.Point, d)
 		for j := range p {
 			p[j] = float64(rng.Intn(30))
 		}
-		input = append(input, points.Encode(p))
+		data = append(data, p)
 	}
 	for i := 0; i < n/5; i++ {
-		input = append(input, append([]byte(nil), input[i]...))
+		data = append(data, data[i].Clone())
 	}
-	return input
+	return data
+}
+
+// setFrames is a set as a framed job's input: each split one v1 frame,
+// encoded when the master asks. built, when non-nil, sees every frame handed
+// over (under the caller's own synchronisation).
+func setFrames(data points.Set, built func(lo, hi int, frame []byte)) Input {
+	return FrameRows(len(data), func(lo, hi int) ([]byte, error) {
+		frame, err := points.AppendFrameRows(nil, 0, data[lo:hi])
+		if err == nil && built != nil {
+			built(lo, hi, frame)
+		}
+		return frame, err
+	})
+}
+
+// setRecords is the same set as a classic job's input.
+func setRecords(data points.Set) Input {
+	records := make([][]byte, len(data))
+	for i, p := range data {
+		records[i] = points.Encode(p)
+	}
+	return Records(records)
 }
 
 // distinctSorted reduces a multiset to its sorted distinct points.
@@ -119,10 +140,10 @@ func distinctSorted(s points.Set) points.Set {
 func TestFramedJobMatchesClassic(t *testing.T) {
 	ensureFrameJobs()
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 3, WorkerConfig{})
-	input := frameClusterInput(1500, 4, 11)
+	data := frameClusterData(1500, 4, 11)
 
 	framed, err := master.Run(context.Background(),
-		JobSpec{Name: "skyline-frame", Reducers: 3}, input)
+		JobSpec{Name: "skyline-frame", Reducers: 3}, setFrames(data, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +151,7 @@ func TestFramedJobMatchesClassic(t *testing.T) {
 		t.Fatal("framed job must return Blocks, not Pairs")
 	}
 	classic, err := master.Run(context.Background(),
-		JobSpec{Name: "skyline-classic", Reducers: 3}, input)
+		JobSpec{Name: "skyline-classic", Reducers: 3}, setRecords(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,61 +188,216 @@ func TestFramedJobMatchesClassic(t *testing.T) {
 	}
 }
 
-// TestFramedShuffleMetrics checks the per-worker frame-byte series land
-// in the master's registry with payload semantics.
+// TestFramedShuffleMetrics checks the per-worker frame-byte series land in
+// the master's registry with payload semantics: rpcmr_shuffle_bytes_total is
+// exactly the map tasks' sealed output — the input frames the tasks were
+// sent are booked under rpcmr_input_bytes_total and nowhere else — and one
+// task is counted per split and per reducer.
 func TestFramedShuffleMetrics(t *testing.T) {
 	ensureFrameJobs()
 	reg := telemetry.NewRegistry()
 	master, workers, _ := newCluster(t, MasterConfig{SplitSize: 200, Metrics: reg}, 2, WorkerConfig{})
-	input := frameClusterInput(800, 3, 7)
+	data := frameClusterData(800, 3, 7)
+	// What the map tasks must ship, from the same splits run here.
+	job, err := lookupJob("skyline-frame", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantShuffle, wantInput, splits int64
+	input := setFrames(data, nil)
+	for lo := 0; lo < len(data); lo += 200 {
+		frame, err := input.frame(lo, min(lo+200, len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams, _, err := mapreduce.MapFrames(job.FrameJob, frame, 2, job.Codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stream := range streams {
+			wantShuffle += int64(len(stream))
+		}
+		wantInput += int64(len(frame))
+		splits++
+	}
 	if _, err := master.Run(context.Background(),
 		JobSpec{Name: "skyline-frame", Reducers: 2}, input); err != nil {
 		t.Fatal(err)
 	}
-	var total int64
+	var shuffle, in int64
 	for _, w := range workers {
-		total += reg.Counter("rpcmr_shuffle_bytes_total", telemetry.L("worker", w.cfg.ID)).Value()
+		shuffle += reg.Counter("rpcmr_shuffle_bytes_total", telemetry.L("worker", w.cfg.ID)).Value()
+		in += reg.Counter("rpcmr_input_bytes_total", telemetry.L("worker", w.cfg.ID)).Value()
 	}
-	if total == 0 {
-		t.Fatal("rpcmr_shuffle_bytes_total never incremented")
+	if shuffle != wantShuffle {
+		t.Errorf("rpcmr_shuffle_bytes_total = %d, want the map output's %d bytes (input frames are %d)", shuffle, wantShuffle, wantInput)
 	}
-	// Payload semantics: combiner output is at most the input, so bytes
-	// must stay below the raw coordinate volume plus headers — far below
-	// any gob-envelope figure for the same traffic.
-	rawCoords := int64(len(input) * 3 * 8)
-	if total > rawCoords+rawCoords/2 {
-		t.Fatalf("shuffle bytes %d exceed plausible payload bound %d", total, rawCoords+rawCoords/2)
+	if in != wantInput {
+		t.Errorf("rpcmr_input_bytes_total = %d, want the split frames' %d bytes", in, wantInput)
+	}
+	if done := reg.Counter("rpcmr_tasks_done_total").Value(); done != splits+2 {
+		t.Errorf("rpcmr_tasks_done_total = %d, want %d map + 2 reduce tasks", done, splits)
 	}
 }
 
 // TestFramedWorkerCrashRecovery: the frame path inherits lease-expiry
-// reassignment — a worker vanishing mid-job must not lose frames.
+// reassignment — a worker vanishing mid-job must not lose frames. The task
+// it took to the grave is re-issued with a byte-identical input frame, and
+// the job's result blocks equal a run's that lost no worker.
 func TestFramedWorkerCrashRecovery(t *testing.T) {
 	ensureFrameJobs()
+	data := frameClusterData(1000, 3, 3)
+	calm, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
+	want, err := calm.Run(context.Background(),
+		JobSpec{Name: "skyline-frame", Reducers: 2}, setFrames(data, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	mcfg := MasterConfig{SplitSize: 100, TaskLease: 200 * time.Millisecond}
-	master, _, _ := newCluster(t, mcfg, 1, WorkerConfig{VanishAfterTasks: 2})
+	master, _, doomed := newCluster(t, mcfg, 1, WorkerConfig{VanishAfterTasks: 2})
+	// The healthy worker joins once the doomed one has gone, holding its
+	// third task: that task must be re-issued.
+	go func() {
+		doomed.Wait()
+		healthy, err := NewWorker(WorkerConfig{MasterAddr: master.Addr(), ID: "healthy"})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		t.Cleanup(func() { healthy.Close() })
+		_ = healthy.Run(context.Background())
+	}()
 
-	healthy, err := NewWorker(WorkerConfig{MasterAddr: master.Addr(), ID: "healthy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { healthy.Close() })
-	go func() { _ = healthy.Run(context.Background()) }()
-
-	input := frameClusterInput(1000, 3, 3)
+	var mu sync.Mutex
+	first := map[int][]byte{} // split's first row → the first frame built for it
+	rebuilt := 0
 	res, err := master.Run(context.Background(),
-		JobSpec{Name: "skyline-frame", Reducers: 2}, input)
+		JobSpec{Name: "skyline-frame", Reducers: 2}, setFrames(data, func(lo, hi int, frame []byte) {
+			mu.Lock()
+			defer mu.Unlock()
+			if prev, ok := first[lo]; !ok {
+				first[lo] = frame
+			} else if rebuilt++; !bytes.Equal(prev, frame) {
+				t.Errorf("split [%d, %d): re-issued task got a different input frame", lo, hi)
+			}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Blocks) == 0 {
-		t.Fatal("no output blocks after crash recovery")
+	if rebuilt == 0 || master.Status().WorkerFailures == 0 {
+		t.Fatalf("no map task was re-issued (%d rebuilt frames): the crash did not trigger", rebuilt)
 	}
-	total := 0
-	for _, blk := range res.Blocks {
-		total += blk.Len()
+	if len(res.Blocks) == 0 || len(res.Blocks) != len(want.Blocks) {
+		t.Fatalf("%d result blocks after crash recovery, %d without a fault", len(res.Blocks), len(want.Blocks))
 	}
-	if total == 0 {
-		t.Fatal("empty skyline after crash recovery")
+	for id, blk := range want.Blocks {
+		if got := res.Blocks[id]; got == nil || !bytes.Equal(points.AppendFrame(nil, id, got), points.AppendFrame(nil, id, blk)) {
+			t.Errorf("partition %d: result block differs from the no-fault run's", id)
+		}
+	}
+}
+
+// TestSplitBuiltOutsideMasterLock: while one worker's split is still being
+// encoded, the master goes on answering everyone else — registrations, task
+// requests (the next split is built and handed out), health reads.
+func TestSplitBuiltOutsideMasterLock(t *testing.T) {
+	ensureFrameJobs()
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 0, WorkerConfig{})
+	data := frameClusterData(300, 3, 5)
+	entered, release := make(chan struct{}), make(chan struct{})
+	input := FrameRows(len(data), func(lo, hi int) ([]byte, error) {
+		if lo == 0 {
+			close(entered)
+			<-release
+		}
+		return points.AppendFrameRows(nil, 0, data[lo:hi])
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := master.Run(context.Background(), JobSpec{Name: "skyline-frame", Reducers: 1}, input)
+		done <- err
+	}()
+	svc := &MasterService{m: master}
+	for master.Status().TasksTotal == 0 { // wait for Run to queue the map tasks
+		time.Sleep(time.Millisecond)
+	}
+	held := make(chan TaskReply, 1)
+	go func() {
+		var reply TaskReply
+		_ = svc.RequestTask(TaskArgs{WorkerID: "slow"}, &reply)
+		held <- reply
+	}()
+	<-entered // split 0's builder is now blocked, off the lock
+	answered := make(chan TaskReply, 1)
+	go func() {
+		var ok RegisterReply
+		_ = svc.Register(RegisterArgs{WorkerID: "other"}, &ok)
+		var reply TaskReply
+		_ = svc.RequestTask(TaskArgs{WorkerID: "other"}, &reply)
+		_ = master.Health()
+		answered <- reply
+	}()
+	select {
+	case reply := <-answered:
+		if reply.Kind != TaskMap || reply.TaskID != 1 || len(reply.Frames) == 0 || reply.Records != nil {
+			t.Errorf("second worker got kind %d task %d with %d frame bytes, want map task 1 with its frame",
+				reply.Kind, reply.TaskID, len(reply.Frames))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Register/RequestTask blocked behind another worker's split build")
+	}
+	close(release)
+	if reply := <-held; reply.TaskID != 0 || len(reply.Frames) == 0 {
+		t.Errorf("first worker got task %d with %d frame bytes, want task 0 with its frame", reply.TaskID, len(reply.Frames))
+	}
+	// Nobody will execute the two tasks handed out above; end the job.
+	master.Close()
+	if err := <-done; err == nil {
+		t.Error("job finished though two of its map tasks were never executed")
+	}
+}
+
+// TestRunRejectsWrongInputForm: a framed job takes frames and a classic job
+// records; the other form is an error before any task exists, and a split
+// that cannot be built — or is too big to send — fails the job with an error
+// naming the cause.
+func TestRunRejectsWrongInputForm(t *testing.T) {
+	ensureFrameJobs()
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
+	data := frameClusterData(300, 3, 9)
+	run := func(job string, in Input) error {
+		_, err := master.Run(context.Background(), JobSpec{Name: job, Reducers: 2}, in)
+		return err
+	}
+	if err := run("skyline-frame", setRecords(data)); err == nil || !strings.Contains(err.Error(), "FrameRows") {
+		t.Errorf("records into a framed job: %v", err)
+	}
+	if err := run("skyline-classic", setFrames(data, nil)); err == nil || !strings.Contains(err.Error(), "Records") {
+		t.Errorf("frames into a classic job: %v", err)
+	}
+	broken := FrameRows(len(data), func(lo, hi int) ([]byte, error) { return nil, errors.New("disk on fire") })
+	if err := run("skyline-frame", broken); err == nil || !strings.Contains(err.Error(), "disk on fire") {
+		t.Errorf("failing split source: %v", err)
+	}
+	if err := run("skyline-frame", setFrames(data, nil)); err != nil {
+		t.Errorf("good job after the refused ones: %v", err)
+	}
+	if st := master.Status(); st.LiveWorkers != 2 {
+		t.Errorf("%d of 2 workers alive", st.LiveWorkers)
+	}
+
+	// A master whose cap a 100-row split of 3-dim points (2400 bytes) exceeds.
+	small, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 0, WorkerConfig{})
+	small.maxSplit = 1000
+	w, err := NewWorker(WorkerConfig{MasterAddr: small.Addr(), ID: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	go func() { _ = w.Run(context.Background()) }()
+	_, err = small.Run(context.Background(), JobSpec{Name: "skyline-frame", Reducers: 2}, setFrames(data, nil))
+	if err == nil || !strings.Contains(err.Error(), "SplitSize") {
+		t.Errorf("oversized split: %v, want an error naming SplitSize", err)
 	}
 }

@@ -22,7 +22,8 @@ type MasterConfig struct {
 	// TaskLease is how long a worker may hold a task before it is
 	// re-queued for another worker. Defaults to 30s.
 	TaskLease time.Duration
-	// SplitSize is records per map task. Defaults to 1000.
+	// SplitSize is input rows (records or points) per map task. Defaults
+	// to 1000.
 	SplitSize int
 	// MaxTaskAttempts bounds re-executions of one task before the job is
 	// failed. Defaults to 5.
@@ -88,6 +89,7 @@ func (c MasterConfig) withDefaults() MasterConfig {
 // Master owns job state and serves the task protocol over net/rpc.
 type Master struct {
 	cfg      MasterConfig
+	maxSplit int // maxSplitBytes; a field so that its test can lower it
 	listener net.Listener
 	server   *rpc.Server
 
@@ -110,16 +112,16 @@ type Master struct {
 
 // jobState tracks one running job.
 type jobState struct {
-	spec      JobSpec
-	framed    bool     // block-framed shuffle: frame payloads, not WirePairs
-	phase     TaskKind // TaskMap or TaskReduce
-	splitData [][][]byte
-	tasks     []*taskState
-	pending   []int // indexes of queued tasks of the current phase
-	done      int   // completed tasks of the current phase
-	mapOut    [][][]WirePair
-	groups    [][]Group
-	out       []WirePair
+	spec    JobSpec
+	framed  bool     // block-framed shuffle: frame payloads, not WirePairs
+	phase   TaskKind // TaskMap or TaskReduce
+	input   Input
+	tasks   []*taskState
+	pending []int // indexes of queued tasks of the current phase
+	done    int   // completed tasks of the current phase
+	mapOut  [][][]WirePair
+	groups  [][]Group
+	out     []WirePair
 	// Frame-path state: frameOut[task][r] is map task's sealed stream for
 	// reducer r; frameStreams[r] gathers reducer r's streams in map-task
 	// order; outFrames[r] is reduce task r's output stream.
@@ -166,6 +168,31 @@ type JobSpec struct {
 	Reducers int
 }
 
+// Input is a job's input: a number of rows, which Run cuts into map tasks of
+// MasterConfig.SplitSize, and the means to produce any task's split when it
+// is assigned. Build one with Records (classic jobs) or FrameRows (framed).
+type Input struct {
+	rows    int
+	records [][]byte
+	frame   func(lo, hi int) ([]byte, error)
+}
+
+// Records is a classic job's input: one record per row, held in memory.
+func Records(records [][]byte) Input { return Input{rows: len(records), records: records} }
+
+// FrameRows is a framed job's input: rows points, of which frame(lo, hi)
+// seals rows [lo, hi) into one frame stream. The master calls it each time
+// it assigns the task — again, and for the same bytes, on a retry — from
+// RPC handlers, concurrently and outside its own lock, and keeps no
+// reference to the result: only the splits in flight exist at any moment.
+func FrameRows(rows int, frame func(lo, hi int) ([]byte, error)) Input {
+	return Input{rows: rows, frame: frame}
+}
+
+// maxSplitBytes caps one split's frame stream: a gob message may not exceed
+// 1 GiB, less a margin for the rest of the reply.
+const maxSplitBytes = 1<<30 - 1<<20
+
 // JobResult is what a distributed run returns. Classic jobs fill Pairs;
 // framed jobs fill Blocks (partition id → reduce output block, assembled
 // from the workers' output frames in reduce-task order).
@@ -188,6 +215,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	}
 	m := &Master{
 		cfg:      cfg,
+		maxSplit: maxSplitBytes,
 		listener: ln,
 		server:   rpc.NewServer(),
 		workers:  make(map[string]*workerInfo),
@@ -324,8 +352,9 @@ func (m *Master) WorkerCount() int {
 
 // Run executes one job across the connected workers and blocks until it
 // completes, fails, or ctx is cancelled. Only one job runs at a time;
-// concurrent Run calls return an error.
-func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobResult, error) {
+// concurrent Run calls return an error, as does input of the form the job
+// does not take.
+func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*JobResult, error) {
 	if spec.Reducers <= 0 {
 		spec.Reducers = 1
 	}
@@ -336,9 +365,12 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobRes
 	if err != nil {
 		return nil, err
 	}
+	if job.framed() != (input.frame != nil) {
+		return nil, fmt.Errorf("rpcmr: job %q: framed jobs take FrameRows input and classic jobs Records", spec.Name)
+	}
 	ctx, jobSpan := telemetry.StartSpan(ctx, "rpcmr-job:"+spec.Name,
 		telemetry.A("job", spec.Name), telemetry.A("reducers", spec.Reducers),
-		telemetry.A("records", len(input)))
+		telemetry.A("records", input.rows))
 	jobStart := time.Now()
 	endJob := func(result string, err error) {
 		if err != nil {
@@ -374,6 +406,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobRes
 		spec:     spec,
 		framed:   job.framed(),
 		phase:    TaskMap,
+		input:    input,
 		finished: make(chan struct{}),
 		mapStart: time.Now(),
 		// Stitched-trace wiring: worker task spans attach under the job
@@ -387,34 +420,26 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobRes
 		nextTrack:  1, // track 0 is the master's own timeline row
 		partStats:  make(map[int]mapreduce.PartStat),
 	}
-	// Build map tasks.
-	var splits [][][]byte
-	for off := 0; off < len(input); off += m.cfg.SplitSize {
-		end := off + m.cfg.SplitSize
-		if end > len(input) {
-			end = len(input)
-		}
-		splits = append(splits, input[off:end])
-	}
+	// One map task per SplitSize rows; assignTask cuts the split.
+	splits := (input.rows + m.cfg.SplitSize - 1) / m.cfg.SplitSize
 	if js.framed {
-		js.frameOut = make([][][]byte, len(splits))
+		js.frameOut = make([][][]byte, splits)
 	} else {
-		js.mapOut = make([][][]WirePair, len(splits))
+		js.mapOut = make([][][]WirePair, splits)
 	}
-	for i := range splits {
+	for i := 0; i < splits; i++ {
 		js.tasks = append(js.tasks, &taskState{id: i})
 		js.pending = append(js.pending, i)
 	}
-	js.splitData = splits
 	m.job = js
 	m.mu.Unlock()
 	m.cfg.Events.Info("job start", telemetry.A("job", spec.Name),
-		telemetry.A("records", len(input)), telemetry.A("reducers", spec.Reducers),
+		telemetry.A("records", input.rows), telemetry.A("reducers", spec.Reducers),
 		telemetry.A("trace", js.traceID))
 	m.cfg.Events.Info("phase start", telemetry.A("job", spec.Name),
-		telemetry.A("phase", "map"), telemetry.A("tasks", len(splits)))
+		telemetry.A("phase", "map"), telemetry.A("tasks", splits))
 
-	if len(splits) == 0 {
+	if splits == 0 {
 		// Degenerate empty input: go straight to reduce with no groups.
 		m.mu.Lock()
 		m.startReducePhase(js)
@@ -447,7 +472,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input [][]byte) (*JobRes
 	// the job span.
 	redDur := time.Since(js.redStart)
 	telemetry.RecordSpan(ctx, "map", js.mapStart, js.mapDur,
-		telemetry.A("tasks", len(js.splitData)))
+		telemetry.A("tasks", splits))
 	telemetry.RecordSpan(ctx, "shuffle", js.mapStart.Add(js.mapDur), js.shuffleDur)
 	telemetry.RecordSpan(ctx, "reduce", js.redStart, redDur,
 		telemetry.A("tasks", spec.Reducers))

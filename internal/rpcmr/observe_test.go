@@ -75,7 +75,7 @@ func TestWorkerSideTaskMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1},
 		1, WorkerConfig{Metrics: reg, PollInterval: time.Millisecond})
-	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, wcInput)
+	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMasterClusterGauges(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1, Metrics: reg},
 		2, WorkerConfig{PollInterval: time.Millisecond})
-	if _, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, wcInput); err != nil {
+	if _, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -36,11 +36,10 @@ func init() {
 	gob.Register(false)
 }
 
-// Job bundles the user code of one MapReduce job. A job is either
-// classic (Mapper + Reducer, per-pair gob traffic — the k-skyband jobs)
-// or framed (FrameMapper + FrameReducer or FrameFolder, batched
-// point-frame payloads — the skyline jobs); the frame fields take
-// precedence when both sets are present.
+// Job bundles the user code of one MapReduce job. A job is either classic
+// (Mapper + Reducer over records, per-pair gob traffic — the k-skyband
+// jobs) or framed (FrameJob — the skyline jobs), and the two take different
+// input: Records for the one, FrameRows for the other.
 type Job struct {
 	Mapper mapreduce.Mapper
 	// Combiner optionally folds each map task's local output per key
@@ -48,41 +47,19 @@ type Job struct {
 	Combiner mapreduce.Reducer
 	Reducer  mapreduce.Reducer
 
-	// FrameMapper/FrameReducer switch the job to the block-framed
-	// shuffle: map output crosses the wire as sealed point frames
-	// (partition + count + contiguous coordinates) instead of one
-	// WirePair per point, and reduce input arrives as whole frame
-	// streams. FrameCombiner optionally runs on each assembled block
-	// worker-side before sealing.
-	FrameMapper   mapreduce.FrameMapper
-	FrameCombiner mapreduce.FrameCombiner
-	FrameReducer  mapreduce.FrameReducer
-
-	// Accumulators is the kind of per-partition accumulator a framed map
-	// task routes its points into, as in mapreduce.FrameJob: nil stages
-	// the rows for FrameCombiner; an incremental kind (skyline.Window)
-	// combines as the points arrive and needs no FrameCombiner.
-	Accumulators *mapreduce.Accumulators
-
-	// FrameFolder, when non-nil, switches framed reduce tasks to the
-	// streaming fold path: the worker feeds frames into per-partition
-	// folds one at a time instead of assembling full blocks, bounding
-	// reduce memory by the folds' budget. A framed job carries one of
-	// FrameReducer and FrameFolder, as a mapreduce.FrameJob does; the
-	// folder takes precedence when both are set.
-	FrameFolder mapreduce.FrameFolder
-
-	// Codec selects the wire codec for frames the worker seals (map
-	// output and reduce output): the zero value keeps the raw v1 frames,
-	// points.FrameAuto enables the bit-packed v2 encoding wherever it is
-	// smaller.
+	// FrameJob, when its Mapper is set, is the whole of a framed job, as
+	// the in-process engine would run it: input, shuffle and output all
+	// move as sealed point frames. Its Feed is not read — the master feeds
+	// each map task its split as a frame stream.
+	FrameJob mapreduce.FrameJob
+	// Codec selects the wire codec of the frames workers seal (map and
+	// reduce output): the zero value keeps raw v1 frames, points.FrameAuto
+	// bit-packs wherever that is smaller.
 	Codec points.FrameCodec
 }
 
 // framed reports whether the job uses the block-framed shuffle.
-func (j Job) framed() bool {
-	return j.FrameMapper != nil && (j.FrameReducer != nil || j.FrameFolder != nil)
-}
+func (j Job) framed() bool { return j.FrameJob.Mapper != nil }
 
 // JobFactory instantiates a job from its parameter blob.
 type JobFactory func(params []byte) (Job, error)
@@ -120,7 +97,8 @@ func lookupJob(name string, params []byte) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("rpcmr: instantiating job %q: %w", name, err)
 	}
-	if !job.framed() && (job.Mapper == nil || job.Reducer == nil) {
+	if f := job.FrameJob; job.framed() && (f.Reducer == nil) == (f.Folder == nil) ||
+		!job.framed() && (job.Mapper == nil || job.Reducer == nil) {
 		return Job{}, fmt.Errorf("rpcmr: job %q must provide mapper and reducer (classic or frame)", name)
 	}
 	return job, nil
@@ -142,9 +120,9 @@ type TaskKind int
 const (
 	// TaskWait tells the worker to back off briefly and poll again.
 	TaskWait TaskKind = iota
-	// TaskMap carries input records to map (and combine).
+	// TaskMap carries one input split, records or frames, to map and combine.
 	TaskMap
-	// TaskReduce carries key groups to reduce.
+	// TaskReduce carries key groups or frame streams to reduce.
 	TaskReduce
 	// TaskShutdown tells the worker its master has no more work ever.
 	TaskShutdown
@@ -189,12 +167,11 @@ type TaskReply struct {
 	JobName  string
 	Params   []byte
 	Reducers int
-	// Framed marks a block-framed job: map tasks report FrameParts
-	// instead of Partitions, reduce tasks receive FrameStreams instead
-	// of Groups.
-	Framed bool
-	// Map payload
+	// Map payload (classic job)
 	Records [][]byte
+	// Map payload (framed job): the split as one sealed frame stream, which
+	// gob moves as a single length-prefixed copy. Never set with Records.
+	Frames []byte
 	// Reduce payload (classic path)
 	Groups []Group
 	// Reduce payload (frame path): sealed frame streams for this

@@ -119,7 +119,7 @@ func checkWordCount(t *testing.T, res *JobResult) {
 
 func TestDistributedWordCount(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1}, 3, WorkerConfig{})
-	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, wcInput)
+	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDistributedWordCount(t *testing.T) {
 
 func TestSingleWorker(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 2}, 1, WorkerConfig{})
-	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 3}, wcInput)
+	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 3}, Records(wcInput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSingleWorker(t *testing.T) {
 func TestSequentialJobs(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1}, 2, WorkerConfig{})
 	for i := 0; i < 3; i++ {
-		res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, wcInput)
+		res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput))
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -154,7 +154,7 @@ func TestSequentialJobs(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{}, 1, WorkerConfig{})
-	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, nil)
+	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,17 +165,17 @@ func TestEmptyInput(t *testing.T) {
 
 func TestUnknownJobRejectedFast(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{}, 1, WorkerConfig{})
-	if _, err := master.Run(context.Background(), JobSpec{Name: "no-such-job"}, wcInput); err == nil {
+	if _, err := master.Run(context.Background(), JobSpec{Name: "no-such-job"}, Records(wcInput)); err == nil {
 		t.Error("unknown job accepted")
 	}
-	if _, err := master.Run(context.Background(), JobSpec{Name: "bad-factory"}, wcInput); err == nil {
+	if _, err := master.Run(context.Background(), JobSpec{Name: "bad-factory"}, Records(wcInput)); err == nil {
 		t.Error("bad factory accepted")
 	}
 }
 
 func TestDeterministicTaskFailureFailsJob(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{MaxTaskAttempts: 2, SplitSize: 1}, 2, WorkerConfig{})
-	_, err := master.Run(context.Background(), JobSpec{Name: "always-fails", Reducers: 1}, wcInput)
+	_, err := master.Run(context.Background(), JobSpec{Name: "always-fails", Reducers: 1}, Records(wcInput))
 	var wte *WorkerTaskError
 	if !errors.As(err, &wte) {
 		t.Fatalf("err = %v, want WorkerTaskError", err)
@@ -203,7 +203,7 @@ func TestWorkerCrashRecovery(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 2}, wcInput)
+	res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRunContextCancel(t *testing.T) {
 	defer master.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err = master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 1}, wcInput)
+	_, err = master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 1}, Records(wcInput))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want deadline exceeded", err)
 	}
@@ -237,11 +237,11 @@ func TestConcurrentRunRejected(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		close(started)
-		_, _ = master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 1}, wcInput)
+		_, _ = master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 1}, Records(wcInput))
 	}()
 	<-started
 	time.Sleep(20 * time.Millisecond)
-	if _, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 1}, wcInput); err == nil {
+	if _, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 1}, Records(wcInput)); err == nil {
 		// The first job may have already finished on a fast machine; only
 		// fail when it is provably still running.
 		t.Log("second Run succeeded; first likely finished already")
@@ -256,7 +256,7 @@ func TestMasterCloseFailsJob(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 1}, wcInput)
+		_, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 1}, Records(wcInput))
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

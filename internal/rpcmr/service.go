@@ -46,7 +46,8 @@ func (s *MasterService) RequestTask(args TaskArgs, reply *TaskReply) error {
 // assignTask (mu held) fills reply with the next assignment for worker:
 // a task, a wait directive, or a shutdown notice. Shared by RequestTask
 // and the piggybacked ResultReply.Next so both hand out identical
-// leases.
+// leases. It is the last thing a handler does, because it lets go of mu
+// while it seals a framed map task's input.
 func (m *Master) assignTask(worker string, reply *TaskReply) {
 	if m.shutdown {
 		reply.Kind = TaskShutdown
@@ -84,7 +85,6 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	reply.JobName = js.spec.Name
 	reply.Params = js.spec.Params
 	reply.Reducers = js.spec.Reducers
-	reply.Framed = js.framed
 	if js.tracer != nil {
 		// Each worker gets its own Chrome-trace row so the stitched trace
 		// reads like the cluster's real timeline.
@@ -98,14 +98,34 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 		reply.ParentSpan = js.parentSpan
 		reply.Track = track
 	}
-	switch js.phase {
-	case TaskMap:
-		reply.Records = js.splitData[id]
-	case TaskReduce:
-		if js.framed {
-			reply.FrameStreams = js.frameStreams[id]
-		} else {
-			reply.Groups = js.groups[id]
+	lo, hi := id*m.cfg.SplitSize, min((id+1)*m.cfg.SplitSize, js.input.rows)
+	switch {
+	case js.phase == TaskReduce && js.framed:
+		reply.FrameStreams = js.frameStreams[id]
+	case js.phase == TaskReduce:
+		reply.Groups = js.groups[id]
+	case !js.framed: // a map task: input rows [lo, hi)
+		reply.Records = js.input.records[lo:hi]
+	default:
+		// The split is sealed now, from the job's rows, and belongs to the
+		// reply alone: once sent it is garbage, and a retry seals it again.
+		// It is megabytes, so mu is released meanwhile: heartbeats, reports
+		// and health sweeps must not wait on an encode.
+		m.mu.Unlock()
+		frame, err := js.input.frame(lo, hi)
+		if err == nil && len(frame) > m.maxSplit {
+			err = fmt.Errorf("a %d-byte frame is more than the %d bytes one task message may carry: lower MasterConfig.SplitSize (%d rows)",
+				len(frame), m.maxSplit, m.cfg.SplitSize)
+		}
+		m.mu.Lock()
+		if err != nil {
+			m.finish(js, fmt.Errorf("rpcmr: sealing the input of map task %d: %w", id, err))
+			*reply = TaskReply{Kind: TaskWait}
+			return
+		}
+		reply.Frames = frame
+		if reg := m.cfg.Metrics; reg != nil {
+			reg.Counter("rpcmr_input_bytes_total", telemetry.L("worker", worker)).Add(int64(len(frame)))
 		}
 	}
 }

@@ -46,7 +46,7 @@ func TestStressManyTasksWithChaos(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 4}, input)
+	res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 4}, Records(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestStressSequentialJobsAfterChaos(t *testing.T) {
 		WorkerConfig{PollInterval: 2 * time.Millisecond})
 	healthyInput := [][]byte{[]byte("x y"), []byte("y z"), []byte("z x")}
 	for round := 0; round < 5; round++ {
-		res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, healthyInput)
+		res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(healthyInput))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

@@ -211,14 +211,14 @@ func (w *Worker) willStop() bool {
 // ends the span and hands back the recorded SpanData batch (nil when
 // tracing is off or the task failed — error reports must not ship spans,
 // or a retried task would appear twice in the stitched trace).
-func (w *Worker) taskSpan(task TaskReply, name string, records int) (span *telemetry.Span, finish func(failed bool) []telemetry.SpanData) {
+func (w *Worker) taskSpan(task TaskReply, name string) (span *telemetry.Span, finish func(failed bool) []telemetry.SpanData) {
 	if task.TraceID == 0 {
 		return nil, func(bool) []telemetry.SpanData { return nil }
 	}
 	tracer := telemetry.NewTracer()
 	_, span = telemetry.StartSpan(telemetry.WithTracer(context.Background(), tracer), name,
 		telemetry.A("task", task.TaskID), telemetry.A("attempt", task.Attempt),
-		telemetry.A("worker", w.cfg.ID), telemetry.A("records", records))
+		telemetry.A("worker", w.cfg.ID))
 	span.SetTrack(task.Track)
 	return span, func(failed bool) []telemetry.SpanData {
 		span.End()
@@ -237,15 +237,21 @@ func (w *Worker) runMap(task TaskReply) (TaskReply, error) {
 		Final:    w.willStop(),
 		TraceID:  task.TraceID,
 	}
-	span, finish := w.taskSpan(task, "map-task", len(task.Records))
+	span, finish := w.taskSpan(task, "map-task")
 	start := time.Now()
 	w.stall()
-	var err error
-	if task.Framed {
-		args.FrameParts, args.PartStats, err = executeMapFramed(task)
-	} else {
-		args.Partitions, err = executeMap(task)
+	// The span's record count is input rows: a framed task learns it from
+	// the frames it walked, not from how many payloads it was handed.
+	rows := len(task.Records)
+	job, err := lookupJob(task.JobName, task.Params)
+	if err == nil && job.framed() {
+		var st mapreduce.FrameStats
+		args.FrameParts, st, err = mapreduce.MapFrames(job.FrameJob, task.Frames, task.Reducers, job.Codec)
+		args.PartStats, rows = st.Partitions, int(st.MapIn)
+	} else if err == nil {
+		args.Partitions, err = executeMap(job, task)
 	}
+	span.SetAttr("records", rows)
 	if err != nil {
 		args.Err = err.Error()
 		args.Partitions, args.FrameParts, args.PartStats = nil, nil, nil
@@ -268,14 +274,15 @@ func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
 		Final:    w.willStop(),
 		TraceID:  task.TraceID,
 	}
-	span, finish := w.taskSpan(task, "reduce-task", len(task.Groups))
+	span, finish := w.taskSpan(task, "reduce-task")
+	span.SetAttr("records", len(task.Groups))
 	start := time.Now()
 	w.stall()
-	var err error
-	if task.Framed {
-		args.Frames, err = executeReduceFramed(task)
-	} else {
-		args.Pairs, err = executeReduce(task)
+	job, err := lookupJob(task.JobName, task.Params)
+	if err == nil && job.framed() {
+		args.Frames, err = executeReduceFramed(job, task)
+	} else if err == nil {
+		args.Pairs, err = executeReduce(job, task)
 	}
 	if err != nil {
 		args.Err = err.Error()
@@ -293,11 +300,7 @@ func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
 
 // executeMap runs the mapper (and combiner) of one map task, returning
 // output pairs partitioned by reducer.
-func executeMap(task TaskReply) ([][]WirePair, error) {
-	job, err := lookupJob(task.JobName, task.Params)
-	if err != nil {
-		return nil, err
-	}
+func executeMap(job Job, task TaskReply) ([][]WirePair, error) {
 	reducers := task.Reducers
 	if reducers < 1 {
 		reducers = 1
@@ -350,56 +353,25 @@ func combineWire(combiner mapreduce.Reducer, pairs []WirePair) ([]WirePair, erro
 	return out, nil
 }
 
-// executeMapFramed runs one framed map task: the shared frame builder
-// (mapreduce.BuildFramesInto, pooled accumulators) maps and combines the
-// records, and the sealed per-reducer streams ship as single batched
-// payloads — one gob slice per reducer instead of one WirePair per
-// point, byte-identical to what the in-process engine would shuffle.
-func executeMapFramed(task TaskReply) ([][]byte, map[int]mapreduce.PartStat, error) {
-	job, err := lookupJob(task.JobName, task.Params)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !job.framed() {
-		return nil, nil, fmt.Errorf("rpcmr: job %q: framed task for unframed job", task.JobName)
-	}
-	streams, st, err := mapreduce.BuildFramesInto(job.Accumulators, task.Records, task.Reducers, job.FrameMapper, job.FrameCombiner, job.Codec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return streams, st.Partitions, nil
-}
-
 // executeReduceFramed folds one reducer's frame streams into a single
 // output stream via the shared mapreduce.ReduceFrames — or, when the job
 // carries a FrameFolder, via the streaming mapreduce.ReduceFramesStream,
 // which never assembles a partition's full block.
-func executeReduceFramed(task TaskReply) ([]byte, error) {
-	job, err := lookupJob(task.JobName, task.Params)
-	if err != nil {
-		return nil, err
-	}
-	if !job.framed() {
-		return nil, fmt.Errorf("rpcmr: job %q: framed task for unframed job", task.JobName)
-	}
-	if job.FrameFolder != nil {
+func executeReduceFramed(job Job, task TaskReply) ([]byte, error) {
+	if folder := job.FrameJob.Folder; folder != nil {
 		srcs := make([]mapreduce.FrameSource, 0, len(task.FrameStreams))
 		for _, stream := range task.FrameStreams {
 			srcs = append(srcs, mapreduce.StreamFrameSource(stream))
 		}
-		out, _, err := mapreduce.ReduceFramesStream(srcs, job.FrameFolder, job.Codec)
+		out, _, err := mapreduce.ReduceFramesStream(srcs, folder, job.Codec)
 		return out, err
 	}
-	out, _, err := mapreduce.ReduceFrames(task.FrameStreams, job.FrameReducer, job.Codec)
+	out, _, err := mapreduce.ReduceFrames(task.FrameStreams, job.FrameJob.Reducer, job.Codec)
 	return out, err
 }
 
 // executeReduce runs the reducer over one task's key groups.
-func executeReduce(task TaskReply) ([]WirePair, error) {
-	job, err := lookupJob(task.JobName, task.Params)
-	if err != nil {
-		return nil, err
-	}
+func executeReduce(job Job, task TaskReply) ([]WirePair, error) {
 	var out []WirePair
 	emit := func(key string, value []byte) {
 		out = append(out, WirePair{Key: key, Value: value})

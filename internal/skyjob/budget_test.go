@@ -70,9 +70,9 @@ func TestSpecBudgetTravels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job.FrameFolder == nil || job.FrameReducer != nil || job.Codec != points.FrameAuto {
+		if job.FrameJob.Folder == nil || job.FrameJob.Reducer != nil || job.Codec != points.FrameAuto {
 			t.Fatalf("budgeted spec built folder=%v reducer=%v codec=%v",
-				job.FrameFolder != nil, job.FrameReducer != nil, job.Codec)
+				job.FrameJob.Folder != nil, job.FrameJob.Reducer != nil, job.Codec)
 		}
 	}
 	back.ReducerBudgetBytes = 0
@@ -84,7 +84,7 @@ func TestSpecBudgetTravels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.FrameFolder != nil || job.FrameReducer == nil {
+	if job.FrameJob.Folder != nil || job.FrameJob.Reducer == nil {
 		t.Fatal("unbudgeted spec must reduce assembled blocks")
 	}
 }

@@ -1,10 +1,13 @@
 package skyjob
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
@@ -48,9 +51,9 @@ func TestSpecForFitsLikePartitionNew(t *testing.T) {
 	}
 }
 
-// TestFramedMapSideMatchesBlockCombiner: a worker's map task folding its
-// records into incremental windows ships the bytes the staged block
-// combiner shipped, for both jobs.
+// TestFramedMapSideMatchesBlockCombiner: a worker's map task walking its
+// input frame into incremental windows ships the bytes the staged block
+// combiner shipped over the same points as records, for both jobs.
 func TestFramedMapSideMatchesBlockCombiner(t *testing.T) {
 	data := uniformSet(7, 3000, 4)
 	for i := 0; i < 200; i++ {
@@ -64,6 +67,12 @@ func TestFramedMapSideMatchesBlockCombiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The task's input as a worker receives it — one sealed frame — and as
+	// the staged reference takes it, one record per point.
+	frame, err := points.AppendFrameRows(nil, 0, data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	records := make([][]byte, len(data))
 	for i, p := range data {
 		records[i] = points.Encode(p)
@@ -73,15 +82,21 @@ func TestFramedMapSideMatchesBlockCombiner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job.Accumulators == nil || job.FrameCombiner != nil {
+		if job.FrameJob.Accumulators == nil || job.FrameJob.Combiner != nil {
 			t.Fatalf("%s: BNL job does not fold map-side windows", name)
 		}
-		got, gotStats, err := mapreduce.BuildFramesInto(job.Accumulators, records, 3, job.FrameMapper, nil, spec.Codec)
+		got, gotStats, err := mapreduce.MapFrames(job.FrameJob, frame, 3, spec.Codec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		staged := func(_ int, blk *points.Block) (*points.Block, error) { return skyline.BlockBNL(blk), nil }
-		want, wantStats, err := mapreduce.BuildFrames(records, 3, job.FrameMapper, staged, spec.Codec)
+		var row points.Point
+		want, wantStats, err := mapreduce.BuildFrames(records, 3, mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
+			if row, err = points.DecodeInto(row, rec); err != nil {
+				return err
+			}
+			return job.FrameJob.Mapper(row, emit)
+		}), staged, spec.Codec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,6 +106,65 @@ func TestFramedMapSideMatchesBlockCombiner(t *testing.T) {
 		gotStats.CombineNanos, wantStats.CombineNanos = 0, 0
 		if !reflect.DeepEqual(gotStats, wantStats) {
 			t.Errorf("%s: stats %+v, staged %+v", name, gotStats, wantStats)
+		}
+	}
+}
+
+// TestClusterMapAllocatesPerTaskNotPerPoint pins the record-free cluster
+// path, in the spirit of driver.TestMapSideAllocatesNothingPerPoint: a whole
+// cluster job — fit, both rpcmr jobs, master and two in-process workers — on
+// 200 000 points costs allocations per task, frame and result block, not per
+// point. One record per point on the wire put this above 2. What is left,
+// some 2 000–2 600 allocations a job whatever its size (0.010–0.013 per
+// point here), is each task's spec decoded from JSON, its gob and net/rpc
+// envelopes, and window growth after a GC has emptied the accumulator
+// pools; the race detector, which drops pool puts at random, triples it —
+// hence the driver test's bound of 0.05.
+func TestClusterMapAllocatesPerTaskNotPerPoint(t *testing.T) {
+	const n, d = 200000, 6
+	data := uniformSet(42, n, d)
+	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: 50000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { master.Close() })
+	for _, id := range []string{"a", "b"} {
+		w, err := rpcmr.NewWorker(rpcmr.WorkerConfig{MasterAddr: master.Addr(), ID: id, PollInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		go func() { _ = w.Run(context.Background()) }()
+	}
+	run := func() {
+		spec, err := SpecFor(data, partition.Angular, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ComputeSpec(context.Background(), master, data, spec, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the accumulator pools and the gob type tables
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perPoint := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.4f mallocs/point, %.1f bytes/point", perPoint, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	if perPoint >= 0.05 {
+		t.Fatalf("a cluster job allocated %.4f times per input point, want < 0.05", perPoint)
+	}
+}
+
+// BenchmarkSpecFor is the cluster pipeline's prologue on the benchmark's
+// cluster input size: one validate-and-bounds pass plus the sampled fit.
+func BenchmarkSpecFor(b *testing.B) {
+	data := uniformSet(2012, 1000000, 6)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SpecFor(data, partition.Angular, 8); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

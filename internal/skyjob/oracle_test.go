@@ -2,8 +2,10 @@ package skyjob
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"strings"
@@ -189,10 +191,6 @@ func TestHostileSpecRejected(t *testing.T) {
 		"misspelt field":          func(m map[string]any) { m["kernal"] = 1 },
 	}
 	master := startCluster(t, 3)
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
 	for name, mutate := range hostile {
 		var m map[string]any
 		if err := json.Unmarshal(mustJSON(t, good), &m); err != nil {
@@ -204,7 +202,7 @@ func TestHostileSpecRejected(t *testing.T) {
 			if _, err := factory(params); err == nil || !strings.HasPrefix(err.Error(), "skyjob: ") {
 				t.Errorf("%s, %s: factory returned %v, want a skyjob error", name, job, err)
 			}
-			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job, Params: params, Reducers: 2}, input)
+			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job, Params: params, Reducers: 2}, setSplits(data))
 			if err == nil || !strings.Contains(err.Error(), "skyjob: ") {
 				t.Errorf("%s, %s: cluster run returned %v, want a skyjob error", name, job, err)
 			}
@@ -226,6 +224,102 @@ func TestHostileSpecRejected(t *testing.T) {
 	}
 	if st := master.Status(); st.LiveWorkers != 3 {
 		t.Errorf("%d of 3 workers alive after the hostile specs", st.LiveWorkers)
+	}
+}
+
+// TestHostileInputFrameRejected: a map task's input frame arrives over RPC,
+// so a frame no master could have sealed — or one for another job — must
+// come back from both jobs as an error that says what is wrong with it,
+// never a worker that died in a decoder, a partitioner or a window. The
+// cluster then runs a good job on all of its workers.
+func TestHostileInputFrameRejected(t *testing.T) {
+	data := uniformSet(6, 300, 3)
+	spec, err := SpecFor(data, partition.Angular, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := mustJSON(t, spec)
+	frameOf := func(rows points.Set, codec points.FrameCodec) []byte {
+		blk, ok := points.BlockOf(rows)
+		if !ok {
+			t.Fatal("ragged rows")
+		}
+		return points.AppendFrameCodec(nil, 0, blk, codec)
+	}
+	good := frameOf(data[:50], points.FrameV1)
+	flipped := append([]byte(nil), good...)
+	flipped[0] ^= 0x40 // the version byte
+	// Header claims 2^40 rows of 3 coordinates over a 1200-byte payload.
+	lying := append([]byte{points.FrameVersion, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 3}, good[4:]...)
+	// A v2 frame — valid header, valid checksum — whose second value reuses
+	// a bit window ('10') no earlier value set.
+	payload := []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0x80}
+	badWindow := binary.LittleEndian.AppendUint32([]byte{points.FrameVersion2, 0, 2, 1, byte(len(payload))}, crc32.ChecksumIEEE(payload))
+	badWindow = append(badWindow, payload...)
+	v2 := frameOf(data[:50], points.FrameV2)
+	corruptV2 := append([]byte(nil), v2...)
+	corruptV2[len(corruptV2)-3] ^= 0x10
+	withRow := func(row points.Point) []byte {
+		return frameOf(append(data[:20:20], row), points.FrameV1)
+	}
+	hostile := []struct {
+		name      string
+		frame     []byte
+		want      string // the error names this
+		partition bool   // only Job 1 looks at the coordinates
+	}{
+		{"truncated frame", good[:len(good)-5], "points: truncated frame", false},
+		{"truncated header", good[:2], "points: bad frame", false},
+		{"bit-flipped header", flipped, "points: unsupported frame version", false},
+		{"count × dim beyond the payload", lying, "points: truncated frame", false},
+		{"v2 window never set", badWindow, "points: v2 frame reuses window", false},
+		{"v2 payload corrupted", corruptV2, "points: v2 frame checksum", false},
+		{"v2 cut short", v2[:len(v2)-7], "points: truncated v2 frame", false},
+		{"2-dim frame, 3-dim job", frameOf(data.Project(2)[:50], points.FrameV1), "imension", false},
+		{"4-dim v2 frame, 3-dim job", frameOf(uniformSet(2, 50, 4), points.FrameV2), "imension", false},
+		{"dimension changes mid-stream", append(append([]byte(nil), good...), frameOf(uniformSet(2, 5, 4), points.FrameV1)...), "points: decoding 4-dim frame into 3-dim block", false},
+		{"NaN row", withRow(points.Point{1, math.NaN(), 1}), "points: NaN", true},
+		{"+Inf row", withRow(points.Point{math.Inf(1), 1, 1}), "points: infinity", true},
+		{"-Inf row", withRow(points.Point{1, 1, math.Inf(-1)}), "points: infinity", true},
+		{"empty stream", nil, "mapreduce: map task without an input frame", false},
+	}
+	master := startCluster(t, 3)
+	for _, h := range hostile {
+		for _, job := range []string{PartitionJobName, MergeJobName} {
+			if h.partition && job != PartitionJobName {
+				continue
+			}
+			input := rpcmr.FrameRows(50, func(lo, hi int) ([]byte, error) { return h.frame, nil })
+			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job, Params: params, Reducers: 2}, input)
+			if err == nil || !strings.Contains(err.Error(), h.want) {
+				t.Errorf("%s, %s: cluster run returned %v, want an error naming %q", h.name, job, err, h.want)
+			}
+		}
+	}
+	// The dimension rows again, for their wording: Job 1's is the
+	// partitioner's, the merge's this package's.
+	narrow := rpcmr.FrameRows(50, func(lo, hi int) ([]byte, error) { return frameOf(data.Project(2)[:50], points.FrameV1), nil })
+	for job, want := range map[string]string{PartitionJobName: "partition: point has dimension 2, want 3", MergeJobName: "skyjob: 2-dimensional row in a 3-dimensional merge"} {
+		_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job, Params: params, Reducers: 2}, narrow)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("2-dim frame, %s: %v, want %q", job, err, want)
+		}
+	}
+	// Records are not a framed job's input at all.
+	records := rpcmr.Records([][]byte{points.Encode(data[0])})
+	if _, err := master.Run(context.Background(), rpcmr.JobSpec{Name: PartitionJobName, Params: params, Reducers: 2}, records); err == nil || !strings.Contains(err.Error(), "rpcmr: ") {
+		t.Errorf("records into the partitioning job: %v, want an rpcmr error", err)
+	}
+
+	res, err := ComputeSpec(context.Background(), master, data, spec, 3)
+	if err != nil {
+		t.Fatalf("good job after the hostile frames: %v", err)
+	}
+	if !sameMultiset(res.Skyline, skyline.BNL(data)) {
+		t.Error("good job after the hostile frames: wrong skyline")
+	}
+	if st := master.Status(); st.LiveWorkers != 3 {
+		t.Errorf("%d of 3 workers alive after the hostile frames", st.LiveWorkers)
 	}
 }
 

@@ -128,7 +128,7 @@ func ComputeSkyband(ctx context.Context, master *rpcmr.Master, data points.Set, 
 	for i, p := range data {
 		input[i] = points.Encode(p)
 	}
-	res1, err := master.Run(ctx, rpcmr.JobSpec{Name: SkybandPartitionJobName, Params: params, Reducers: reducers}, input)
+	res1, err := master.Run(ctx, rpcmr.JobSpec{Name: SkybandPartitionJobName, Params: params, Reducers: reducers}, rpcmr.Records(input))
 	if err != nil {
 		return nil, fmt.Errorf("skyjob: skyband partitioning job: %w", err)
 	}
@@ -136,7 +136,7 @@ func ComputeSkyband(ctx context.Context, master *rpcmr.Master, data points.Set, 
 	for i, pair := range res1.Pairs {
 		mergeInput[i] = pair.Value
 	}
-	res2, err := master.Run(ctx, rpcmr.JobSpec{Name: SkybandMergeJobName, Params: params, Reducers: 1}, mergeInput)
+	res2, err := master.Run(ctx, rpcmr.JobSpec{Name: SkybandMergeJobName, Params: params, Reducers: 1}, rpcmr.Records(mergeInput))
 	if err != nil {
 		return nil, fmt.Errorf("skyjob: skyband merging job: %w", err)
 	}

@@ -2,10 +2,10 @@
 // partitioning job (assign → local skyline) and the merging job (one
 // partition → global skyline) compute is defined once, by package driver's
 // PartitionJob and MergeJob; this package is the cluster executor of those
-// definitions: a Spec that travels to workers as JSON, the adapter from a
-// mapreduce.FrameJob to an rpcmr.Job, and the two-job sequence on a
-// master. Any process that links this package (master or worker) has both
-// jobs registered and can participate in a cluster.
+// definitions: a Spec that travels to workers as JSON, the input of each
+// job as splits sealed into point frames on demand, and the two-job
+// sequence on a master. Any process that links this package (master or
+// worker) has both jobs registered and can participate in a cluster.
 package skyjob
 
 import (
@@ -63,7 +63,9 @@ type Spec struct {
 // rule (2 × nodes) when partitions is given directly by the caller. The
 // angular cuts are those of partition.New — the deterministic sampled fit
 // the in-process driver uses, exact on small inputs — so the cluster and
-// driver.Compute partition a dataset alike.
+// driver.Compute partition a dataset alike. It is the cluster pipeline's
+// one pass over the raw input before the map phase: the fit reuses the
+// bounds taken here.
 func SpecFor(data points.Set, scheme partition.Scheme, partitions int) (Spec, error) {
 	min, max, err := data.ValidateBounds()
 	if err != nil {
@@ -77,7 +79,7 @@ func SpecFor(data points.Set, scheme partition.Scheme, partitions int) (Spec, er
 		Partitions: partitions,
 	}
 	if scheme == partition.Angular {
-		part, err := partition.New(scheme, data, partitions)
+		part, err := partition.NewWithBounds(scheme, data, min, max, partitions)
 		if err != nil {
 			return Spec{}, err
 		}
@@ -178,29 +180,6 @@ func (s Spec) options() driver.Options {
 	return driver.Options{Kernel: s.Kernel, Codec: s.Codec, ReducerBudgetBytes: s.ReducerBudgetBytes}
 }
 
-// wireJob adapts a job definition to the record transport: rpcmr hands a
-// map task encoded records, so the mapper decodes each into one reused row
-// first. The row is this task's alone — rpcmr builds a job value per task
-// it executes, and a task maps its records one after another. Everything
-// else is the definition's, so both executors move identical bytes.
-func wireJob(job mapreduce.FrameJob, codec points.FrameCodec) rpcmr.Job {
-	var row points.Point
-	return rpcmr.Job{
-		FrameMapper: mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-			var err error
-			if row, err = points.DecodeInto(row, rec); err != nil {
-				return err
-			}
-			return job.Mapper(row, emit)
-		}),
-		Accumulators:  job.Accumulators,
-		FrameCombiner: job.Combiner,
-		FrameReducer:  job.Reducer,
-		FrameFolder:   job.Folder,
-		Codec:         codec,
-	}
-}
-
 func newPartitionJob(params []byte) (rpcmr.Job, error) {
 	spec, err := decodeSpec(params)
 	if err != nil {
@@ -210,7 +189,7 @@ func newPartitionJob(params []byte) (rpcmr.Job, error) {
 	if err != nil {
 		return rpcmr.Job{}, err
 	}
-	return wireJob(driver.PartitionJob(part, nil, spec.Dim, spec.options()), spec.Codec), nil
+	return rpcmr.Job{FrameJob: driver.PartitionJob(part, nil, spec.Dim, spec.options()), Codec: spec.Codec}, nil
 }
 
 func newMergeJob(params []byte) (rpcmr.Job, error) {
@@ -218,7 +197,51 @@ func newMergeJob(params []byte) (rpcmr.Job, error) {
 	if err != nil {
 		return rpcmr.Job{}, err
 	}
-	return wireJob(driver.MergeJob(context.Background(), spec.Dim, spec.options()), spec.Codec), nil
+	job := driver.MergeJob(context.Background(), spec.Dim, spec.options())
+	// Job 1's mapper checks each row against the partitioner; the merge
+	// mapper trusts its rows, and here they come off the wire.
+	merge := job.Mapper
+	job.Mapper = func(row []float64, emit mapreduce.EmitPoint) error {
+		if len(row) != spec.Dim {
+			return fmt.Errorf("skyjob: %d-dimensional row in a %d-dimensional merge", len(row), spec.Dim)
+		}
+		return merge(row, emit)
+	}
+	return rpcmr.Job{FrameJob: job, Codec: spec.Codec}, nil
+}
+
+// walkRows bounds the frames of an input split: a worker walks them through
+// a scratch block the size of the longest, which this keeps in cache.
+const walkRows = 512
+
+// setSplits is an in-memory set as job input: split [lo, hi) is those rows
+// as v1 frames, encoded from the set when the master asks for them.
+func setSplits(data points.Set) rpcmr.Input {
+	return rpcmr.FrameRows(len(data), func(lo, hi int) (frames []byte, err error) {
+		frames = make([]byte, 0, (hi-lo)*(data[lo].Dim()*8+1)+16) // payload + headers
+		for ; lo < hi && err == nil; lo += walkRows {
+			frames, err = points.AppendFrameRows(frames, 0, data[lo:min(lo+walkRows, hi)])
+		}
+		return frames, err
+	})
+}
+
+// blockSplits is one job's result blocks — rows in all — as the next job's
+// input, block after block in the order of ids: split [lo, hi) is sealed
+// from the blocks' rows as they are.
+func blockSplits(ids []int, blocks map[int]*points.Block, rows int, codec points.FrameCodec) rpcmr.Input {
+	return rpcmr.FrameRows(rows, func(lo, hi int) ([]byte, error) {
+		var frames []byte
+		off := 0 // index of the current block's first row in the sequence
+		for _, id := range ids {
+			blk := blocks[id]
+			for from, to := max(lo-off, 0), min(hi-off, blk.Len()); from < to; from += walkRows {
+				frames = points.AppendFrameCodec(frames, id, blk.Slice(from, min(from+walkRows, to)), codec)
+			}
+			off += blk.Len()
+		}
+		return frames, nil
+	})
 }
 
 // Result is the outcome of a distributed skyline computation.
@@ -286,32 +309,23 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 	// partitioner actually uses — every planned partition appears in the
 	// flight record even when it receives no data.
 	rec.EnsurePartitions(part.Partitions())
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
 	partCtx, partSpan := telemetry.StartSpan(ctx, "partitioning-job")
-	res1, err := master.Run(partCtx, rpcmr.JobSpec{Name: PartitionJobName, Params: params, Reducers: reducers}, input)
+	res1, err := master.Run(partCtx, rpcmr.JobSpec{Name: PartitionJobName, Params: params, Reducers: reducers}, setSplits(data))
 	partSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("skyjob: partitioning job: %w", err)
 	}
-	// Local skylines arrive as per-partition blocks; feed the merge job
-	// their rows in ascending partition order.
+	// Local skylines arrive as per-partition blocks; the merge job is fed
+	// their rows, as frames, in ascending partition order.
 	local := make(map[int]points.Set, len(res1.Blocks))
-	var mergeInput [][]byte
 	ids := make([]int, 0, len(res1.Blocks))
-	for id := range res1.Blocks {
+	candidates := 0
+	for id, blk := range res1.Blocks {
 		ids = append(ids, id)
+		local[id] = blk.ToSet()
+		candidates += blk.Len()
 	}
 	sort.Ints(ids)
-	for _, id := range ids {
-		blk := res1.Blocks[id]
-		local[id] = blk.ToSet()
-		for i := 0; i < blk.Len(); i++ {
-			mergeInput = append(mergeInput, points.Encode(points.Point(blk.Row(i))))
-		}
-	}
 	if reg := master.Metrics(); reg != nil {
 		for id, ls := range local {
 			reg.Gauge("skyline_partition_local_size",
@@ -327,10 +341,10 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 		rec.SetLocalSkyline(id, len(ls))
 	}
 	ev.Info("partitioning job done",
-		telemetry.A("local_skyline_points", len(mergeInput)),
+		telemetry.A("local_skyline_points", candidates),
 		telemetry.A("partitions_hit", len(local)))
 	mergeCtx, mergeSpan := telemetry.StartSpan(ctx, "merging-job")
-	res2, err := master.Run(mergeCtx, rpcmr.JobSpec{Name: MergeJobName, Params: params, Reducers: 1}, mergeInput)
+	res2, err := master.Run(mergeCtx, rpcmr.JobSpec{Name: MergeJobName, Params: params, Reducers: 1}, blockSplits(ids, res1.Blocks, candidates, spec.Codec))
 	mergeSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("skyjob: merging job: %w", err)
