@@ -151,6 +151,12 @@ func (s *Stats) LocalSkylineTotal() int {
 // returns the global skyline plus execution statistics. The input set must
 // be non-empty, uniform-dimensional and finite.
 func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *Stats, error) {
+	return compute(ctx, data, 0, opts)
+}
+
+// compute is Compute for the operator band selects (see blockKernel): the
+// skyline, or ComputeSkyband's k-skyband.
+func compute(ctx context.Context, data points.Set, band int, opts Options) (points.Set, *Stats, error) {
 	opts = opts.withDefaults()
 	// The input is validated exactly once: by partition.New, in the same
 	// pass that takes the bounds it fits to — or here, when a pre-built
@@ -183,10 +189,12 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 	// assignment; we take a pre-pass over the data (the same O(n) assigns
 	// the map phase performs) and hand the mapper a pruned-cell mask so
 	// dominated cells are dropped at the source, sparing both the local
-	// skyline computation and the shuffle — the paper's §III-B gain.
+	// skyline computation and the shuffle — the paper's §III-B gain. It is
+	// a skyline shortcut: the occupied cell that dominates a pruned one
+	// proves one dominator of its points, and a band needs k of them.
 	var pruned []bool
 	var occupancy []int
-	if pruner, ok := part.(partition.Pruner); ok && !opts.DisableGridPruning {
+	if pruner, ok := part.(partition.Pruner); ok && !opts.DisableGridPruning && band == 0 {
 		occupancy, err = partition.Histogram(part, data)
 		if err != nil {
 			return nil, nil, err
@@ -197,7 +205,7 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 		}
 		pruned = pruner.Prunable(occupied)
 	}
-	return twoJobs(ctx, mapreduce.SetRows(data), data.Dim(), part, pruned, occupancy, opts)
+	return twoJobs(ctx, mapreduce.SetRows(data), data.Dim(), band, part, pruned, occupancy, opts)
 }
 
 // feedRecorder hands one finished computation's per-partition evidence to

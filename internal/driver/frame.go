@@ -26,11 +26,19 @@ import (
 // staged partition, without staging it).
 var bnlWindows = mapreduce.NewAccumulators(func() mapreduce.Accumulator { return skyline.NewWindow() })
 
-// blockKernel resolves the kernel both jobs run over a block: the flat
-// implementation of o.Kernel, or KernelOverride through the Set↔Block
-// adapter.
-func (o Options) blockKernel() skyline.BlockFunc {
-	if o.KernelOverride != nil {
+// blockKernel resolves the operator both jobs run over a block. band is
+// what every job constructor here calls its operator argument: 0 is the
+// skyline — the flat implementation of o.Kernel, or KernelOverride through
+// the Set↔Block adapter — and k ≥ 1 the k-skyband, skyline.Skyband(·, k)
+// through the same adapter.
+func (o Options) blockKernel(band int) skyline.BlockFunc {
+	switch {
+	case band > 0:
+		return skyline.BlockKernel(func(s points.Set) points.Set {
+			kept, _ := skyline.Skyband(s, band) // errs only on band < 1
+			return kept
+		})
+	case o.KernelOverride != nil:
 		return skyline.BlockKernel(o.KernelOverride)
 	}
 	return skyline.BlockByAlgorithm(o.Kernel)
@@ -38,22 +46,24 @@ func (o Options) blockKernel() skyline.BlockFunc {
 
 // frameJob assembles a job around mapper. Map side, the "middle process":
 // nothing under DisableCombiner, incremental windows for BNL, and for the
-// other kernels — which need the whole block — staged rows plus a block
+// other operators — which need the whole block — staged rows plus a block
 // combiner. Reduce side: under a reducer budget the reducers fold frames
 // one at a time into a bounded skyline window instead of assembling whole
 // partitions; otherwise reduce runs over each assembled partition and its
-// survivors are the partition's output.
-func (o Options) frameJob(dim int, mapper mapreduce.RowMapper, reduce skyline.BlockFunc) mapreduce.FrameJob {
+// survivors are the partition's output. The windows and the budgeted fold
+// are skyline folds — one dominator evicts a row — so a band job gets
+// neither.
+func (o Options) frameJob(dim, band int, mapper mapreduce.RowMapper, reduce skyline.BlockFunc) mapreduce.FrameJob {
 	job := mapreduce.FrameJob{Mapper: mapper}
 	switch {
 	case o.DisableCombiner:
-	case o.KernelOverride == nil && o.Kernel == skyline.BNLAlgorithm:
+	case band == 0 && o.KernelOverride == nil && o.Kernel == skyline.BNLAlgorithm:
 		job.Accumulators = bnlWindows
 	default:
-		kernel := o.blockKernel()
+		kernel := o.blockKernel(band)
 		job.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
 	}
-	if budget := o.ReducerBudgetBytes; budget > 0 {
+	if budget := o.ReducerBudgetBytes; budget > 0 && band == 0 {
 		spillDir, codec := o.SpillDir, o.Codec
 		job.Folder = func(int) mapreduce.FrameFold {
 			return skyline.NewBudgetedFold(dim, budget, spillDir, codec)
@@ -74,10 +84,11 @@ func (o Options) frameJob(dim int, mapper mapreduce.RowMapper, reduce skyline.Bl
 // rows, without its Feed: assign each point — for MR-Angle, the angular
 // transform of Eq. (1) — and route it to its partition unless pruned marks
 // the cell provably dominated (MR-Grid pruning; nil prunes nothing); the
-// kernel reduces each partition to its local skyline. Of o it reads Kernel,
-// KernelOverride, DisableCombiner, ReducerBudgetBytes, SpillDir and Codec.
-func PartitionJob(part partition.Partitioner, pruned []bool, dim int, o Options) mapreduce.FrameJob {
-	return o.frameJob(dim, func(row []float64, emit mapreduce.EmitPoint) error {
+// operator band selects (see blockKernel) reduces each partition to its
+// local skyline or band. Of o it reads Kernel, KernelOverride,
+// DisableCombiner, ReducerBudgetBytes, SpillDir and Codec.
+func PartitionJob(part partition.Partitioner, pruned []bool, dim, band int, o Options) mapreduce.FrameJob {
+	return o.frameJob(dim, band, func(row []float64, emit mapreduce.EmitPoint) error {
 		id, err := part.Assign(row)
 		if err != nil {
 			return err
@@ -86,26 +97,32 @@ func PartitionJob(part partition.Partitioner, pruned []bool, dim int, o Options)
 			emit(id, row)
 		}
 		return nil
-	}, o.blockKernel())
+	}, o.blockKernel(band))
 }
 
 // MergeJob is Job 2 (Algorithm 1, lines 11–15), without its Feed: every
 // local skyline point goes to the one global partition, each map task
 // pre-merging its share, and — unbudgeted — the single reduce runs the
-// parallel merge tree on the assembled candidate block. ctx carries the
-// run's tracer so each merge level records a span; o.Workers sizes the
-// tree (0 means GOMAXPROCS) and o is otherwise read as by PartitionJob.
-func MergeJob(ctx context.Context, dim int, o Options) mapreduce.FrameJob {
-	return o.frameJob(dim, func(row []float64, emit mapreduce.EmitPoint) error {
+// parallel merge tree on the assembled candidate block (for a band, the
+// band operator: the tree is a skyline merge). ctx carries the run's tracer
+// so each merge level records a span; o.Workers sizes the tree (0 means
+// GOMAXPROCS) and band and o are otherwise read as by PartitionJob.
+func MergeJob(ctx context.Context, dim, band int, o Options) mapreduce.FrameJob {
+	reduce := func(blk *points.Block) *points.Block {
+		return skyline.ParallelBlock(ctx, blk, o.Workers)
+	}
+	if band > 0 {
+		reduce = o.blockKernel(band)
+	}
+	return o.frameJob(dim, band, func(row []float64, emit mapreduce.EmitPoint) error {
 		emit(0, row) // paper line 13: output(null, si) — one global partition
 		return nil
-	}, func(blk *points.Block) *points.Block {
-		return skyline.ParallelBlock(ctx, blk, o.Workers)
-	})
+	}, reduce)
 }
 
-// twoJobs is the pipeline behind Compute and ComputeStream: Job 1 over feed
-// with the fitted partitioner, then the merge. Map tasks fold each routed
+// twoJobs is the pipeline behind Compute, ComputeStream and ComputeSkyband:
+// Job 1 over feed with the fitted partitioner, then the merge, both running
+// the operator band selects. Map tasks fold each routed
 // row into its partition's accumulator as it arrives and seal packed
 // frames keyed by integer partition id; reducers ingest whole frames, and
 // the merge is fed Job 1's result blocks as they are. pruned and occupancy
@@ -113,7 +130,7 @@ func MergeJob(ctx context.Context, dim int, o Options) mapreduce.FrameJob {
 // opts.ReducerBudgetBytes is the one value that picks the merge: 0 runs
 // the single merging job, > 0 makes every reducer a budgeted fold and the
 // merge the multi-round schedule of mergeSchedule.
-func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim int, part partition.Partitioner, pruned []bool, occupancy []int, opts Options) (points.Set, *Stats, error) {
+func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim, band int, part partition.Partitioner, pruned []bool, occupancy []int, opts Options) (points.Set, *Stats, error) {
 	budget := opts.ReducerBudgetBytes
 	stats := &Stats{
 		Scheme:        opts.Scheme,
@@ -134,6 +151,9 @@ func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim int, part partitio
 		}()
 	}
 	config := func(job string, reducers int) mapreduce.Config {
+		if band > 0 {
+			job = fmt.Sprintf("skyband%d-%s", band, job)
+		}
 		return mapreduce.Config{
 			Name:               fmt.Sprintf("%s-%s", opts.Scheme, job),
 			Workers:            opts.Workers,
@@ -147,7 +167,7 @@ func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim int, part partitio
 	}
 
 	// ---- Job 1: Partitioning Job ------------------------------------
-	job1 := PartitionJob(part, pruned, dim, opts)
+	job1 := PartitionJob(part, pruned, dim, band, opts)
 	job1.Feed = feed
 	res1, err := mapreduce.RunFrames(ctx, config("partitioning", opts.Workers), job1)
 	if err != nil {
@@ -201,7 +221,7 @@ func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim int, part partitio
 		wall := time.Since(start)
 		stats.MergeJob = mapreduce.Timing{Reduce: wall, Total: wall}
 	} else {
-		job2 := MergeJob(ctx, dim, opts)
+		job2 := MergeJob(ctx, dim, band, opts)
 		job2.Feed = mapreduce.BlockRows(candidates)
 		// All local skylines share one partition (paper lines 12–15).
 		res2, err := mapreduce.RunFrames(ctx, config("merging", 1), job2)

@@ -15,26 +15,38 @@ import (
 // TestMapSideAllocatesNothingPerPoint pins the record-free map side: a
 // whole Compute — validation, fit, both jobs — on 100 000 points costs a
 // few thousand allocations (blocks, streams, the result), not one per
-// point. An encode-into-[][]byte round trip, or accumulators that do not
-// survive from task to task, would put this back near 1.0.
+// point, and so does a whole ComputeSkyband, which runs the same jobs. An
+// encode-into-[][]byte round trip, or accumulators that do not survive
+// from task to task, would put this back near 1.0 (the band's Pair route
+// read 3.0).
 func TestMapSideAllocatesNothingPerPoint(t *testing.T) {
 	const n, d = 100000, 6
 	data := uniformSet(42, n, d)
 	opts := Options{Scheme: partition.Angular, Nodes: 4}
-	run := func() {
-		if _, _, err := Compute(context.Background(), data, opts); err != nil {
+	for name, run := range map[string]func() error{
+		"Compute": func() error {
+			_, _, err := Compute(context.Background(), data, opts)
+			return err
+		},
+		"ComputeSkyband": func() error {
+			_, _, err := ComputeSkyband(context.Background(), data, 2, opts)
+			return err
+		},
+	} {
+		if err := run(); err != nil { // warm the accumulator pools
 			t.Fatal(err)
 		}
-	}
-	run() // warm the accumulator pools
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	perPoint := float64(after.Mallocs-before.Mallocs) / n
-	t.Logf("%.4f mallocs/point, %.1f bytes/point", perPoint, float64(after.TotalAlloc-before.TotalAlloc)/n)
-	if perPoint >= 0.05 {
-		t.Fatalf("Compute allocated %.3f times per point, want < 0.05", perPoint)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perPoint := float64(after.Mallocs-before.Mallocs) / n
+		t.Logf("%s: %.4f mallocs/point, %.1f bytes/point", name, perPoint, float64(after.TotalAlloc-before.TotalAlloc)/n)
+		if perPoint >= 0.05 {
+			t.Errorf("%s allocated %.3f times per point, want < 0.05", name, perPoint)
+		}
 	}
 }
 

@@ -40,7 +40,9 @@ func bbsKernel(s points.Set) points.Set {
 // scheme × kernel × option combination must return exactly what the
 // classic sequential skyline.BNL returns over the whole input, with each
 // partition's local skyline exactly skyline.BNL of the points the
-// partitioner assigns to it, and every input point counted once.
+// partitioner assigns to it, and every input point counted once — and
+// every scheme × k × option combination of ComputeSkyband the same of
+// skyline.Skyband(·, k).
 func TestComputeMatchesOracle(t *testing.T) {
 	uniform, dups := uniformSet(31, 600, 4), dupSet(32, 600, 3)
 	kernels := []struct {
@@ -56,22 +58,24 @@ func TestComputeMatchesOracle(t *testing.T) {
 		name string
 		data points.Set
 		set  func(*testing.T, *Options)
+		band bool // a row of the band table too
 	}{
-		{"default", uniform, func(*testing.T, *Options) {}},
-		{"no combiner", uniform, func(_ *testing.T, o *Options) { o.DisableCombiner = true }},
-		{"no grid pruning", uniform, func(_ *testing.T, o *Options) { o.DisableGridPruning = true }},
-		{"spill", uniform, func(t *testing.T, o *Options) { o.SpillDir = t.TempDir() }},
+		{"default", uniform, func(*testing.T, *Options) {}, true},
+		{"no combiner", uniform, func(_ *testing.T, o *Options) { o.DisableCombiner = true }, true},
+		{"no grid pruning", uniform, func(_ *testing.T, o *Options) { o.DisableGridPruning = true }, false},
+		{"spill", uniform, func(t *testing.T, o *Options) { o.SpillDir = t.TempDir() }, true},
 		// 4 KiB is a 128-row window at d=4: the local skylines together
 		// outgrow it, so the merge schedule needs a second round.
 		{"budget 4 KiB", uniform, func(t *testing.T, o *Options) {
 			o.ReducerBudgetBytes, o.Codec, o.SpillDir = 4<<10, points.FrameAuto, t.TempDir()
-		}},
-		{"one partition", uniform, func(_ *testing.T, o *Options) { o.Partitions = 1 }},
-		{"duplicates", dups, func(*testing.T, *Options) {}},
+		}, false},
+		{"FrameAuto", uniform, func(_ *testing.T, o *Options) { o.Codec = points.FrameAuto }, true},
+		{"one partition", uniform, func(_ *testing.T, o *Options) { o.Partitions = 1 }, true},
+		{"duplicates", dups, func(*testing.T, *Options) {}, true},
 	}
 	for _, scheme := range allSchemes() {
-		for _, k := range kernels {
-			for _, v := range variants {
+		for _, v := range variants {
+			for _, k := range kernels {
 				t.Run(fmt.Sprintf("%v/%s/%s", scheme, k.name, v.name), func(t *testing.T) {
 					opts := Options{Scheme: scheme, Nodes: 4}
 					k.set(&opts)
@@ -80,18 +84,37 @@ func TestComputeMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkAgainstOracle(t, v.data, opts, got, stats)
+					checkAgainstOracle(t, v.data, opts, 0, got, stats)
+				})
+			}
+			for _, k := range []int{1, 2, 5} {
+				if !v.band {
+					continue
+				}
+				t.Run(fmt.Sprintf("%v/%d-skyband/%s", scheme, k, v.name), func(t *testing.T) {
+					opts := Options{Scheme: scheme, Nodes: 4}
+					v.set(t, &opts)
+					got, stats, err := ComputeSkyband(context.Background(), v.data, k, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkAgainstOracle(t, v.data, opts, k, got, stats)
 				})
 			}
 		}
 	}
 }
 
-// checkAgainstOracle holds one finished run to the classic kernel.
-func checkAgainstOracle(t *testing.T, data points.Set, opts Options, got points.Set, stats *Stats) {
+// checkAgainstOracle holds one finished run to the sequential operator:
+// the classic skyline.BNL, or for band = k > 0 skyline.Skyband(·, k).
+func checkAgainstOracle(t *testing.T, data points.Set, opts Options, band int, got points.Set, stats *Stats) {
 	t.Helper()
-	if want := skyline.BNL(data); !sameMultiset(got, want) {
-		t.Errorf("global skyline has %d points, oracle %d", len(got), len(want))
+	oracle := skyline.BNL
+	if band > 0 {
+		oracle = func(s points.Set) points.Set { return naiveSkyband(t, s, band) }
+	}
+	if want := oracle(data); !sameMultiset(got, want) {
+		t.Errorf("global result has %d points, oracle %d", len(got), len(want))
 	}
 	total := 0
 	for _, c := range stats.PartitionCounts {
@@ -119,14 +142,14 @@ func checkAgainstOracle(t *testing.T, data points.Set, opts Options, got points.
 		}
 	}
 	_, prunes := part.(partition.Pruner)
-	prunes = prunes && !opts.DisableGridPruning
+	prunes = prunes && !opts.DisableGridPruning && band == 0 // a band never prunes
 	for id, m := range members {
 		local, ok := stats.LocalSkylines[id]
 		if !ok && prunes {
 			continue // a pruned cell: the global check covers its points
 		}
-		if want := skyline.BNL(m); !sameMultiset(local, want) {
-			t.Errorf("partition %d: local skyline %d points, oracle %d", id, len(local), len(want))
+		if want := oracle(m); !sameMultiset(local, want) {
+			t.Errorf("partition %d: local result %d points, oracle %d", id, len(local), len(want))
 		}
 	}
 	if stats.PrunedPartitions > 0 && !prunes {

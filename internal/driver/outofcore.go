@@ -68,7 +68,7 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		}
 	}
 	sample = nil // the job must not pin chunk 0
-	return twoJobs(ctx, mapreduce.ChunkRows(src), dim, part, nil, nil, opts)
+	return twoJobs(ctx, mapreduce.ChunkRows(src), dim, 0, part, nil, nil, opts)
 }
 
 // mergeSchedule folds the local skyline blocks to the global skyline in

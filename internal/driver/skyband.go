@@ -2,22 +2,22 @@ package driver
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strconv"
 
-	"repro/internal/mapreduce"
-	"repro/internal/partition"
 	"repro/internal/points"
 )
 
 // ComputeSkyband runs the MapReduce k-skyband — the QoS-tolerant
 // generalization of the skyline (points dominated by fewer than k others)
-// that the paper's conclusion suggests as an extension. The two-job
-// structure mirrors Algorithm 1:
+// that the paper's conclusion suggests as an extension. It is Compute with
+// a more tolerant operator: the same two jobs of Algorithm 1, running
+// skyline.Skyband(·, k) wherever the skyline runs its kernel.
 //
-//	Job 1: map points to partitions; reduce keeps each partition's local
-//	       k-skyband (sound: a point with ≥ k dominators in its own
-//	       partition has ≥ k dominators globally).
+//	Job 1: map points to partitions; the combiner and the reducer keep each
+//	       map task's, then each partition's, local k-skyband (sound: a
+//	       point with ≥ k dominators in any subset of the input has ≥ k
+//	       dominators globally).
 //
 //	Job 2: count, for every surviving candidate, its dominators among all
 //	       survivors and keep those with < k.
@@ -27,167 +27,19 @@ import (
 // and by transitivity those dominate p too; in any finite dominance order
 // with ≥ k elements above p, at least k of them have < k dominators
 // themselves (the first k of any linear extension), so they survive Job 1
-// and p's survivor-count reaches k whenever its global count does.
+// and p's survivor-count reaches k whenever its global count does. The
+// argument needs only that a pre-filter drops no point with < k dominators,
+// so it holds for the per-map-task combiner as for the reducer.
+//
+// The skyline's shortcuts that one dominator justifies are off: no grid
+// cell is pruned whatever opts.DisableGridPruning says, and a reducer
+// budget — whose folds and merge schedule are skyline folds — is an error.
 func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (points.Set, *Stats, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("driver: skyband k = %d, need >= 1", k)
 	}
-	if err := data.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("driver: %w", err)
+	if opts.ReducerBudgetBytes > 0 {
+		return nil, nil, errors.New("driver: k-skyband does not run under a reducer budget")
 	}
-	opts = opts.withDefaults()
-	part, err := partition.New(opts.Scheme, data, opts.Partitions)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats := &Stats{
-		Scheme:        opts.Scheme,
-		Partitions:    part.Partitions(),
-		LocalSkylines: make(map[int]points.Set),
-	}
-
-	// ---- Job 1: local k-skybands --------------------------------------
-	input := make([][]byte, len(data))
-	for i, p := range data {
-		input[i] = points.Encode(p)
-	}
-	mapper := mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-		p, err := points.Decode(rec)
-		if err != nil {
-			return err
-		}
-		id, err := part.Assign(p)
-		if err != nil {
-			return err
-		}
-		emit(strconv.Itoa(id), rec)
-		return nil
-	})
-	localBand := mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-		set := make(points.Set, 0, len(values))
-		for _, v := range values {
-			p, err := points.Decode(v)
-			if err != nil {
-				return err
-			}
-			set = append(set, p)
-		}
-		band, err := kSkyband(set, k)
-		if err != nil {
-			return err
-		}
-		for _, p := range band {
-			emit(key, points.Encode(p))
-		}
-		return nil
-	})
-	cfg1 := mapreduce.Config{
-		Name:     fmt.Sprintf("%s-skyband%d-partitioning", opts.Scheme, k),
-		Workers:  opts.Workers,
-		Reducers: opts.Workers,
-		SpillDir: opts.SpillDir,
-		Trace:    traceSink(ctx),
-	}
-	// No combiner here: the local k-skyband must see the whole partition
-	// at once (a per-map-task band could keep too few dominator
-	// witnesses, which is still sound, but running the band twice at
-	// different granularities buys little; keep the reducer-only shape).
-	res1, err := mapreduce.Run(ctx, cfg1, input, mapper, localBand)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, pair := range res1.Pairs {
-		id, err := strconv.Atoi(pair.Key)
-		if err != nil || id < 0 || id >= part.Partitions() {
-			return nil, nil, fmt.Errorf("driver: bad partition key %q", pair.Key)
-		}
-		p, err := points.Decode(pair.Value)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.LocalSkylines[id] = append(stats.LocalSkylines[id], p)
-	}
-
-	// ---- Job 2: global dominator counting ------------------------------
-	// Candidates are few (local bands); broadcast-join them: every map
-	// task emits each candidate under one key, the reducer counts
-	// dominators within the union. For simplicity and determinism the
-	// counting happens in one reducer over the full candidate set.
-	mergeInput := make([][]byte, len(res1.Pairs))
-	for i, pair := range res1.Pairs {
-		mergeInput[i] = pair.Value
-	}
-	identity := mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-		emit("band", rec)
-		return nil
-	})
-	countReducer := mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-		set := make(points.Set, 0, len(values))
-		for _, v := range values {
-			p, err := points.Decode(v)
-			if err != nil {
-				return err
-			}
-			set = append(set, p)
-		}
-		band, err := kSkyband(set, k)
-		if err != nil {
-			return err
-		}
-		for _, p := range band {
-			emit(key, points.Encode(p))
-		}
-		return nil
-	})
-	cfg2 := mapreduce.Config{
-		Name:     fmt.Sprintf("%s-skyband%d-merging", opts.Scheme, k),
-		Workers:  opts.Workers,
-		Reducers: 1,
-		SpillDir: opts.SpillDir,
-		Trace:    traceSink(ctx),
-	}
-	res2, err := mapreduce.Run(ctx, cfg2, mergeInput, identity, countReducer)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make(points.Set, 0, len(res2.Pairs))
-	for _, pair := range res2.Pairs {
-		p, err := points.Decode(pair.Value)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, p)
-	}
-	stats.PartitionJob = res1.Timing
-	stats.MergeJob = res2.Timing
-	stats.Timing = res1.Timing
-	stats.Timing.Add(res2.Timing)
-	stats.Counters = res1.Counters.Snapshot()
-	for k2, v := range res2.Counters.Snapshot() {
-		stats.Counters[k2] += v
-	}
-	return out, stats, nil
-}
-
-// kSkyband keeps points with fewer than k dominators within set.
-func kSkyband(set points.Set, k int) (points.Set, error) {
-	out := make(points.Set, 0, len(set))
-	for i, p := range set {
-		dominators := 0
-		for j, q := range set {
-			if i == j {
-				continue
-			}
-			if points.DominatesOrEqual(q, p) && !q.Equal(p) {
-				dominators++
-				if dominators >= k {
-					break
-				}
-			}
-		}
-		if dominators < k {
-			out = append(out, p)
-		}
-	}
-	return out, nil
+	return compute(ctx, data, k, opts)
 }

@@ -95,3 +95,37 @@ func TestComputeSkybandSupersetOfSkyline(t *testing.T) {
 		}
 	}
 }
+
+// TestComputeSkybandNeverPrunesGridCells: MR-Grid drops a cell that one
+// occupied cell dominates, which proves one dominator of its points — enough
+// for the skyline, not for a band. Here the lower-left cell's single point
+// dominates the whole upper-right cell, whose best point has no other
+// dominator and so belongs to the 2-skyband.
+func TestComputeSkybandNeverPrunesGridCells(t *testing.T) {
+	data := points.Set{{1, 1}, {6, 6}, {7, 9}, {9, 7}, {8, 8}}
+	opts := Options{Scheme: partition.Grid, Partitions: 4}
+	if _, stats, err := Compute(context.Background(), data, opts); err != nil || stats.PrunedPartitions != 1 {
+		t.Fatalf("the skyline run pruned %v cells (err %v), want the upper-right one: the test would prove nothing", stats, err)
+	}
+	got, stats, err := ComputeSkyband(context.Background(), data, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (points.Set{{1, 1}, {6, 6}}); !sameMultiset(got, want) {
+		t.Errorf("2-skyband = %v, want %v", got, want)
+	}
+	if stats.PrunedPartitions != 0 {
+		t.Errorf("%d cells pruned under a band", stats.PrunedPartitions)
+	}
+}
+
+// TestComputeSkybandRejectsReducerBudget: the budgeted fold and the merge
+// schedule evict a row on its first dominator; running them for a band
+// would silently return the skyline.
+func TestComputeSkybandRejectsReducerBudget(t *testing.T) {
+	data := uniformSet(65, 200, 3)
+	got, stats, err := ComputeSkyband(context.Background(), data, 2, Options{ReducerBudgetBytes: 4 << 10, SpillDir: t.TempDir()})
+	if err == nil || err.Error() != "driver: k-skyband does not run under a reducer budget" || got != nil || stats != nil {
+		t.Errorf("budgeted band: got (%v, %v, %v), want the budget error", got, stats, err)
+	}
+}

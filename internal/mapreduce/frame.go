@@ -12,17 +12,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Block-framed shuffle: the engine path that moves packed point frames
-// (points.AppendFrame's partition + count + contiguous coordinates)
-// between phases instead of per-point Pairs. A map task is fed rows — from
-// an in-memory set, a chunk source or a split's input frame — routes
-// each row to an integer partition and folds it straight into that
-// partition's accumulator; accumulators are sealed into per-reducer frame
-// streams, and reducers ingest whole frames into contiguous blocks. No
-// string keys, no per-point record, Pair or value allocation anywhere on
-// the way. It is the only route a skyline computation takes; the Pair
-// engine in mapreduce.go still runs the k-skyband pipelines and is the
-// reference these tests compare frames against.
+// The engine: packed point frames (points.AppendFrame's partition + count
+// + contiguous coordinates) are what moves between phases. A map task is
+// fed rows — from an in-memory set, a chunk source or a split's input
+// frame — routes each row to an integer partition and folds it straight
+// into that partition's accumulator; accumulators are sealed into
+// per-reducer frame streams, and reducers ingest whole frames into
+// contiguous blocks. No string keys, no per-point record or value
+// allocation anywhere on the way.
 
 // EmitPoint is the frame-path emit callback: it hands one point to the
 // partition's accumulator, which copies what it keeps immediately, so
@@ -511,13 +508,14 @@ type frameTaskOutput struct {
 	files   []string // spill file per reducer; nil when in memory
 }
 
-// RunFrames executes a frame-shuffle MapReduce job: the same
-// split → map → (combine) → shuffle → reduce pipeline as Run, with the
-// input arriving as rows and the intermediate data moving as packed
-// frames instead of Pairs. Intermediate frames spill to cfg.SpillDir
-// when set. Phase timing, counters, events and metrics bridging match
-// Run's semantics; the shuffle-byte counter reports frame payload bytes
-// (header + coordinates). Config.Combiner is ignored on this path.
+// RunFrames executes a MapReduce job in process — the
+// split → map → (combine) → shuffle → reduce pipeline, with the input
+// arriving as rows and the intermediate data moving as packed frames — and
+// blocks until the job completes, fails, or ctx is cancelled. Intermediate
+// frames spill to cfg.SpillDir when set. Each phase is timed, counted
+// (mr.* counters; the shuffle-byte counter reports frame payload bytes,
+// header + coordinates), narrated to cfg.Trace and bridged into
+// cfg.Metrics.
 func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, error) {
 	if job.Mapper == nil || job.Feed.feed == nil {
 		return nil, fmt.Errorf("mapreduce: %s: feed and mapper must be non-nil", cfg.Name)
@@ -571,7 +569,8 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	// Frames are already partitioned per reducer when map tasks seal them,
 	// so the in-memory shuffle is zero-copy: this phase only books the
 	// counters. (Spilled frames are read back inside the reduce tasks,
-	// landing in Reduce time like the classic external shuffle.)
+	// landing in Reduce time, as on a real cluster where reducers pull map
+	// outputs.)
 	cfg.emit("phase-start", "shuffle", -1, "")
 	_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
 	shuffleStart := time.Now()

@@ -1,55 +1,96 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/points"
 )
 
-// wordCount splits records into words and counts them — the canonical
-// smoke test for any MapReduce engine.
-func wordCountJob(t *testing.T, cfg Config, docs []string) map[string]int {
-	t.Helper()
-	input := make([][]byte, len(docs))
-	for i, d := range docs {
-		input[i] = []byte(d)
+// The tally job is word count — the canonical smoke test for any MapReduce
+// engine — on frames: a row is one word's id, the mapper routes a 1 to the
+// partition of that id, and combiner and reducer sum what a partition
+// holds, so a partition's one output row is its word's count.
+
+func tallyMapper(row []float64, emit EmitPoint) error {
+	emit(int(row[0]), []float64{1})
+	return nil
+}
+
+func sumRows(blk *points.Block) float64 {
+	total := 0.0
+	for i := 0; i < blk.Len(); i++ {
+		total += blk.Row(i)[0]
 	}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		for _, w := range strings.Fields(string(rec)) {
-			emit(w, []byte("1"))
-		}
-		return nil
-	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		total := 0
-		for _, v := range values {
-			n, err := strconv.Atoi(string(v))
-			if err != nil {
-				return err
+	return total
+}
+
+var tallyReducer = FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
+	emit(partition, []float64{sumRows(blk)})
+	return nil
+})
+
+func tallyCombiner(_ int, blk *points.Block) (*points.Block, error) {
+	out := points.NewBlock(1, 1)
+	out.AppendRow([]float64{sumRows(blk)})
+	return out, nil
+}
+
+// wordRows turns documents into the tally job's input, one row per word in
+// reading order, and returns the vocabulary (id → word).
+func wordRows(docs []string) (points.Set, []string) {
+	ids := map[string]int{}
+	var vocab []string
+	var rows points.Set
+	for _, d := range docs {
+		for _, w := range strings.Fields(d) {
+			id, ok := ids[w]
+			if !ok {
+				id = len(vocab)
+				ids[w] = id
+				vocab = append(vocab, w)
 			}
-			total += n
+			rows = append(rows, points.Point{float64(id)})
 		}
-		emit(key, []byte(strconv.Itoa(total)))
-		return nil
-	})
-	res, err := Run(context.Background(), cfg, input, mapper, reducer)
+	}
+	return rows, vocab
+}
+
+// tally runs job over rows and returns partition id → count.
+func tally(t *testing.T, cfg Config, rows points.Set, job FrameJob) (map[int]int, *FrameResult) {
+	t.Helper()
+	job.Feed = SetRows(rows)
+	res, err := RunFrames(context.Background(), cfg, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]int{}
-	for _, p := range res.Pairs {
-		n, err := strconv.Atoi(string(p.Value))
-		if err != nil {
-			t.Fatal(err)
+	out := map[int]int{}
+	for id, blk := range res.Blocks {
+		if blk.Len() != 1 {
+			t.Fatalf("partition %d: %d output rows, want 1", id, blk.Len())
 		}
-		out[p.Key] = n
+		out[id] = int(blk.Row(0)[0])
+	}
+	return out, res
+}
+
+// wordCountJob counts the words of docs with the tally job.
+func wordCountJob(t *testing.T, cfg Config, docs []string, combiner FrameCombiner) map[string]int {
+	t.Helper()
+	rows, vocab := wordRows(docs)
+	counts, _ := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Combiner: combiner, Reducer: tallyReducer})
+	out := map[string]int{}
+	for id, n := range counts {
+		out[vocab[id]] = n
 	}
 	return out
 }
@@ -66,8 +107,8 @@ var wcWant = map[string]int{
 	"dog": 3, "jumps": 1, "and": 2,
 }
 
-func TestWordCount(t *testing.T) {
-	got := wordCountJob(t, Config{Name: "wc", Workers: 4, Reducers: 3, SplitSize: 1}, wcDocs)
+func checkWordCount(t *testing.T, got map[string]int) {
+	t.Helper()
 	if len(got) != len(wcWant) {
 		t.Fatalf("got %v, want %v", got, wcWant)
 	}
@@ -78,141 +119,81 @@ func TestWordCount(t *testing.T) {
 	}
 }
 
+func TestWordCount(t *testing.T) {
+	checkWordCount(t, wordCountJob(t, Config{Name: "wc", Workers: 4, Reducers: 3, SplitSize: 1}, wcDocs, nil))
+}
+
 func TestWordCountWithCombiner(t *testing.T) {
-	sum := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(string(v))
-			total += n
-		}
-		emit(key, []byte(strconv.Itoa(total)))
-		return nil
-	})
-	cfg := Config{Name: "wc-comb", Workers: 2, Reducers: 2, SplitSize: 2, Combiner: sum}
-	got := wordCountJob(t, cfg, wcDocs)
-	for k, v := range wcWant {
-		if got[k] != v {
-			t.Errorf("count[%q] = %d, want %d", k, got[k], v)
-		}
-	}
+	cfg := Config{Name: "wc-comb", Workers: 2, Reducers: 2, SplitSize: 2}
+	checkWordCount(t, wordCountJob(t, cfg, wcDocs, tallyCombiner))
 }
 
 func TestCombinerReducesShuffleVolume(t *testing.T) {
-	input := make([][]byte, 100)
-	for i := range input {
-		input[i] = []byte("same-key")
+	rows := make(points.Set, 100)
+	for i := range rows {
+		rows[i] = points.Point{7} // one word, a hundred times
 	}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		emit(string(rec), []byte("1"))
-		return nil
-	})
-	count := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		emit(key, []byte(strconv.Itoa(len(values))))
-		return nil
-	})
-	sum := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(string(v))
-			total += n
-		}
-		emit(key, []byte(strconv.Itoa(total)))
-		return nil
-	})
-
-	noComb, err := Run(context.Background(), Config{Workers: 2, SplitSize: 10}, input, mapper, count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withComb, err := Run(context.Background(), Config{Workers: 2, SplitSize: 10, Combiner: sum}, input, mapper, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Workers: 2, SplitSize: 10}
+	_, noComb := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer})
+	counts, withComb := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Combiner: tallyCombiner, Reducer: tallyReducer})
 	if n, w := noComb.Counters.Get(CounterShuffle), withComb.Counters.Get(CounterShuffle); w >= n {
 		t.Errorf("combiner did not cut shuffle volume: %d -> %d", n, w)
 	}
 	// Both must still compute the same total.
-	if string(withComb.Pairs[0].Value) != "100" {
-		t.Errorf("combined total = %s, want 100", withComb.Pairs[0].Value)
+	if counts[7] != 100 {
+		t.Errorf("combined total = %d, want 100", counts[7])
 	}
 }
 
+// TestDeterministicOutputAcrossRuns: result blocks are assembled in
+// reduce-task and map-task order, whatever order tasks finish in.
 func TestDeterministicOutputAcrossRuns(t *testing.T) {
-	var ref []Pair
-	for trial := 0; trial < 5; trial++ {
-		input := make([][]byte, 200)
-		for i := range input {
-			input[i] = []byte(fmt.Sprintf("doc %d word%d shared", i, i%7))
+	data := frameTestData(600, 3, 9)
+	mapper, reducer := identityFrameJob(7)
+	seal := func(blocks map[int]*points.Block) []byte {
+		var out []byte
+		for _, id := range sortedInts(blocks) {
+			out = points.AppendFrame(out, id, blocks[id])
 		}
-		mapper := MapperFunc(func(rec []byte, emit Emit) error {
-			for _, w := range strings.Fields(string(rec)) {
-				emit(w, []byte(w))
-			}
-			return nil
-		})
-		reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-			emit(key, []byte(strconv.Itoa(len(values))))
-			return nil
-		})
-		res, err := Run(context.Background(), Config{Workers: 8, Reducers: 4, SplitSize: 3}, input, mapper, reducer)
+		return out
+	}
+	var ref []byte
+	for trial := 0; trial < 5; trial++ {
+		res, err := RunFrames(context.Background(), Config{Workers: 8, Reducers: 4, SplitSize: 3},
+			FrameJob{Feed: SetRows(data), Mapper: mapper, Reducer: reducer})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if trial == 0 {
-			ref = res.Pairs
-			continue
-		}
-		if len(res.Pairs) != len(ref) {
-			t.Fatalf("trial %d: %d pairs, want %d", trial, len(res.Pairs), len(ref))
-		}
-		for i := range ref {
-			if res.Pairs[i].Key != ref[i].Key || string(res.Pairs[i].Value) != string(ref[i].Value) {
-				t.Fatalf("trial %d: pair %d = %v, want %v", trial, i, res.Pairs[i], ref[i])
-			}
+		if got := seal(res.Blocks); trial == 0 {
+			ref = got
+		} else if !bytes.Equal(got, ref) {
+			t.Fatalf("trial %d: result blocks differ from the first run's", trial)
 		}
 	}
 }
 
 func TestFrameworkCounters(t *testing.T) {
-	cfg := Config{Workers: 2, Reducers: 2, SplitSize: 1}
-	input := [][]byte{[]byte("a b"), []byte("a")}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		for _, w := range strings.Fields(string(rec)) {
-			emit(w, nil)
-		}
-		return nil
-	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		emit(key, nil)
-		return nil
-	})
-	res, err := Run(context.Background(), cfg, input, mapper, reducer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Workers: 2, Reducers: 2, SplitSize: 2}
+	rows, _ := wordRows([]string{"a b", "a"})
+	_, res := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer})
 	c := res.Counters
-	if got := c.Get(CounterMapIn); got != 2 {
-		t.Errorf("map in = %d, want 2", got)
-	}
-	if got := c.Get(CounterMapOut); got != 3 {
-		t.Errorf("map out = %d, want 3", got)
-	}
-	if got := c.Get(CounterShuffle); got != 3 {
-		t.Errorf("shuffle = %d, want 3", got)
-	}
-	if got := c.Get(CounterGroups); got != 2 {
-		t.Errorf("groups = %d, want 2", got)
-	}
-	if got := c.Get(CounterReduceOut); got != 2 {
-		t.Errorf("reduce out = %d, want 2", got)
+	for name, want := range map[string]int64{
+		CounterMapIn: 3, CounterMapOut: 3, CounterShuffle: 3,
+		CounterGroups: 2, CounterReduceIn: 3, CounterReduceOut: 2,
+	} {
+		if got := c.Get(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 
 func TestMapErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { return boom })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return nil })
-	_, err := Run(context.Background(), Config{Name: "failing"}, [][]byte{[]byte("x")}, mapper, reducer)
+	_, err := RunFrames(context.Background(), Config{Name: "failing"}, FrameJob{
+		Feed:    SetRows(points.Set{{1}}),
+		Mapper:  func([]float64, EmitPoint) error { return boom },
+		Reducer: tallyReducer,
+	})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -223,9 +204,11 @@ func TestMapErrorPropagates(t *testing.T) {
 
 func TestReduceErrorPropagates(t *testing.T) {
 	boom := errors.New("reduce-boom")
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { emit("k", rec); return nil })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return boom })
-	_, err := Run(context.Background(), Config{}, [][]byte{[]byte("x")}, mapper, reducer)
+	_, err := RunFrames(context.Background(), Config{}, FrameJob{
+		Feed:    SetRows(points.Set{{1}}),
+		Mapper:  tallyMapper,
+		Reducer: FrameReducerFunc(func(int, *points.Block, EmitPoint) error { return boom }),
+	})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
@@ -233,47 +216,42 @@ func TestReduceErrorPropagates(t *testing.T) {
 
 func TestCombinerErrorPropagates(t *testing.T) {
 	boom := errors.New("combine-boom")
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { emit("k", rec); return nil })
-	ok := ReducerFunc(func(key string, values [][]byte, emit Emit) error { emit(key, nil); return nil })
-	bad := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return boom })
-	_, err := Run(context.Background(), Config{Combiner: bad}, [][]byte{[]byte("x")}, mapper, ok)
+	_, err := RunFrames(context.Background(), Config{}, FrameJob{
+		Feed:     SetRows(points.Set{{1}}),
+		Mapper:   tallyMapper,
+		Combiner: func(int, *points.Block) (*points.Block, error) { return nil, boom },
+		Reducer:  tallyReducer,
+	})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
 	}
 }
 
 func TestFlakyMapTaskRetried(t *testing.T) {
-	var failures int32
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		// First attempt of each record fails; retry succeeds.
-		if atomic.AddInt32(&failures, 1)%2 == 1 {
+	var calls int32
+	flaky := RowMapper(func(row []float64, emit EmitPoint) error {
+		// The first attempt fails; the retry succeeds.
+		if atomic.AddInt32(&calls, 1) == 1 {
 			return errors.New("transient")
 		}
-		emit("k", rec)
-		return nil
+		return tallyMapper(row, emit)
 	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		emit(key, []byte(strconv.Itoa(len(values))))
-		return nil
-	})
-	res, err := Run(context.Background(),
-		Config{Workers: 1, SplitSize: 1, MaxAttempts: 3},
-		[][]byte{[]byte("a")}, mapper, reducer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	counts, res := tally(t, Config{Workers: 1, SplitSize: 1, MaxAttempts: 3},
+		points.Set{{4}}, FrameJob{Mapper: flaky, Reducer: tallyReducer})
 	if got := res.Counters.Get(CounterMapRetries); got < 1 {
 		t.Errorf("retries = %d, want >= 1", got)
 	}
-	if len(res.Pairs) != 1 || string(res.Pairs[0].Value) != "1" {
-		t.Errorf("pairs = %v", res.Pairs)
+	if len(counts) != 1 || counts[4] != 1 {
+		t.Errorf("counts = %v", counts)
 	}
 }
 
 func TestPersistentFailureExhaustsAttempts(t *testing.T) {
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { return errors.New("always") })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return nil })
-	_, err := Run(context.Background(), Config{MaxAttempts: 3}, [][]byte{[]byte("x")}, mapper, reducer)
+	_, err := RunFrames(context.Background(), Config{MaxAttempts: 3}, FrameJob{
+		Feed:    SetRows(points.Set{{1}}),
+		Mapper:  func([]float64, EmitPoint) error { return errors.New("always") },
+		Reducer: tallyReducer,
+	})
 	if err == nil || !strings.Contains(err.Error(), "3 attempt(s)") {
 		t.Errorf("err = %v, want exhausted-attempts failure", err)
 	}
@@ -284,19 +262,19 @@ func TestContextCancellation(t *testing.T) {
 	started := make(chan struct{})
 	var once sync.Once
 	block := make(chan struct{})
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
+	mapper := RowMapper(func([]float64, EmitPoint) error {
 		once.Do(func() { close(started) })
 		<-block
 		return nil
 	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return nil })
-	input := make([][]byte, 100)
-	for i := range input {
-		input[i] = []byte("x")
+	rows := make(points.Set, 100)
+	for i := range rows {
+		rows[i] = points.Point{0}
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, Config{Workers: 1, SplitSize: 1}, input, mapper, reducer)
+		_, err := RunFrames(ctx, Config{Workers: 1, SplitSize: 1},
+			FrameJob{Feed: SetRows(rows), Mapper: mapper, Reducer: tallyReducer})
 		done <- err
 	}()
 	<-started
@@ -308,37 +286,30 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestNilMapperRejected(t *testing.T) {
-	if _, err := Run(context.Background(), Config{}, nil, nil, ReducerFunc(func(string, [][]byte, Emit) error { return nil })); err == nil {
+	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Feed: SetRows(nil), Reducer: tallyReducer}); err == nil {
 		t.Error("nil mapper accepted")
 	}
-	if _, err := Run(context.Background(), Config{}, nil, MapperFunc(func([]byte, Emit) error { return nil }), nil); err == nil {
+	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Feed: SetRows(nil), Mapper: tallyMapper}); err == nil {
 		t.Error("nil reducer accepted")
+	}
+	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer}); err == nil {
+		t.Error("job without a feed accepted")
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { emit("k", rec); return nil })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { emit(key, nil); return nil })
-	res, err := Run(context.Background(), Config{}, nil, mapper, reducer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Pairs) != 0 {
-		t.Errorf("pairs = %v, want none", res.Pairs)
+	counts, _ := tally(t, Config{}, nil, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer})
+	if len(counts) != 0 {
+		t.Errorf("counts = %v, want none", counts)
 	}
 }
 
 func TestSpillMode(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Name: "spilled", Workers: 3, Reducers: 2, SplitSize: 1, SpillDir: dir}
-	got := wordCountJob(t, cfg, wcDocs)
-	for k, v := range wcWant {
-		if got[k] != v {
-			t.Errorf("count[%q] = %d, want %d", k, got[k], v)
-		}
-	}
-	// Spill files must be cleaned up after the shuffle.
-	left, err := filepath.Glob(filepath.Join(dir, "*.seq"))
+	checkWordCount(t, wordCountJob(t, cfg, wcDocs, nil))
+	// Spill files must not outlive the job.
+	left, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,19 +319,8 @@ func TestSpillMode(t *testing.T) {
 }
 
 func TestSpillBytesCounter(t *testing.T) {
-	dir := t.TempDir()
-	input := [][]byte{[]byte("hello world hello")}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		for _, w := range strings.Fields(string(rec)) {
-			emit(w, []byte("1"))
-		}
-		return nil
-	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { emit(key, nil); return nil })
-	res, err := Run(context.Background(), Config{SpillDir: dir}, input, mapper, reducer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := wordRows([]string{"hello world hello"})
+	_, res := tally(t, Config{SpillDir: t.TempDir()}, rows, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer})
 	if res.Counters.Get(CounterSpillBytes) <= 0 {
 		t.Error("spill bytes counter not incremented")
 	}
@@ -368,28 +328,16 @@ func TestSpillBytesCounter(t *testing.T) {
 
 func TestSpillDirMissing(t *testing.T) {
 	cfg := Config{SpillDir: filepath.Join(os.TempDir(), "definitely-missing-dir-xyz")}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { emit("k", rec); return nil })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { return nil })
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("x")}, mapper, reducer); err == nil {
+	_, err := RunFrames(context.Background(), cfg,
+		FrameJob{Feed: SetRows(points.Set{{1}}), Mapper: tallyMapper, Reducer: tallyReducer})
+	if err == nil {
 		t.Error("missing spill dir accepted")
 	}
 }
 
 func TestTimingPopulated(t *testing.T) {
-	got := wordCountJob(t, Config{Workers: 2}, wcDocs)
-	if len(got) == 0 {
-		t.Fatal("no output")
-	}
-	input := make([][]byte, len(wcDocs))
-	for i, d := range wcDocs {
-		input[i] = []byte(d)
-	}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error { emit("k", rec); return nil })
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error { emit(key, nil); return nil })
-	res, err := Run(context.Background(), Config{}, input, mapper, reducer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := wordRows(wcDocs)
+	_, res := tally(t, Config{Workers: 2}, rows, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer})
 	tm := res.Timing
 	if tm.Total <= 0 {
 		t.Error("total timing not recorded")
@@ -423,49 +371,31 @@ func TestCountersSnapshot(t *testing.T) {
 	}
 }
 
-func TestPartitionOfStableAndInRange(t *testing.T) {
-	for _, key := range []string{"", "a", "partition-7", "日本語"} {
-		p1 := partitionOf(key, 7)
-		p2 := partitionOf(key, 7)
-		if p1 != p2 {
-			t.Errorf("partitionOf(%q) unstable", key)
-		}
-		if p1 < 0 || p1 >= 7 {
-			t.Errorf("partitionOf(%q) = %d out of range", key, p1)
-		}
-	}
-	if partitionOf("anything", 1) != 0 {
-		t.Error("single reducer must get everything")
-	}
+func TestManyWorkersFewTasks(t *testing.T) {
+	checkWordCount(t, wordCountJob(t, Config{Workers: 64, SplitSize: 100}, wcDocs, nil))
 }
 
-func TestManyWorkersFewTasks(t *testing.T) {
-	got := wordCountJob(t, Config{Workers: 64, SplitSize: 100}, wcDocs)
-	for k, v := range wcWant {
-		if got[k] != v {
-			t.Errorf("count[%q] = %d, want %d", k, got[k], v)
-		}
+// TestOptionSurface pins the number of independently settable values of a
+// job's configuration. A new field has to edit this count, and the
+// simplicity guide's rule for one applies: two callers that exist today
+// (tests and examples do not count) need different values, and the engine
+// cannot work the value out from its inputs.
+func TestOptionSurface(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n != 10 {
+		t.Fatalf("mapreduce.Config has %d fields, want 10", n)
 	}
 }
 
 func BenchmarkWordCount(b *testing.B) {
-	input := make([][]byte, 1000)
-	for i := range input {
-		input[i] = []byte(fmt.Sprintf("word%d common word%d common common", i%50, i%13))
+	var docs []string
+	for i := 0; i < 1000; i++ {
+		docs = append(docs, fmt.Sprintf("word%d common word%d common common", i%50, i%13))
 	}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		for _, w := range strings.Fields(string(rec)) {
-			emit(w, []byte("1"))
-		}
-		return nil
-	})
-	reducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		emit(key, []byte(strconv.Itoa(len(values))))
-		return nil
-	})
+	rows, _ := wordRows(docs)
+	job := FrameJob{Feed: SetRows(rows), Mapper: tallyMapper, Reducer: tallyReducer}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), Config{Workers: 4}, input, mapper, reducer); err != nil {
+		if _, err := RunFrames(context.Background(), Config{Workers: 4}, job); err != nil {
 			b.Fatal(err)
 		}
 	}

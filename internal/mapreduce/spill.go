@@ -11,55 +11,7 @@ import (
 	"repro/internal/sequencefile"
 )
 
-// spillTask writes one map task's partitioned output to sequence files,
-// one file per non-empty reducer partition, and returns the file paths
-// (empty string for partitions with no output).
-func spillTask(cfg Config, task int, parts [][]Pair, counters *Counters) ([]string, error) {
-	files := make([]string, len(parts))
-	var spilled int64
-	for r, pairs := range parts {
-		if len(pairs) == 0 {
-			continue
-		}
-		name := spillFileName(cfg, task, r)
-		f, err := os.Create(name)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: %s: creating spill: %w", cfg.Name, err)
-		}
-		var w *sequencefile.Writer
-		if cfg.CompressSpill {
-			w = sequencefile.NewCompressedWriter(f)
-		} else {
-			w = sequencefile.NewWriter(f)
-		}
-		for _, p := range pairs {
-			if err := w.Append([]byte(p.Key), p.Value); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("mapreduce: %s: writing spill: %w", cfg.Name, err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("mapreduce: %s: flushing spill: %w", cfg.Name, err)
-		}
-		info, err := f.Stat()
-		if err == nil {
-			counters.Add(CounterSpillBytes, info.Size())
-			spilled += info.Size()
-		}
-		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("mapreduce: %s: closing spill: %w", cfg.Name, err)
-		}
-		files[r] = name
-	}
-	if spilled > 0 {
-		cfg.emitEvent(Event{Kind: "spill", Phase: "map", Task: task, Bytes: spilled})
-	}
-	return files, nil
-}
-
-// frameSpillFileName names frame-path spill runs distinctly from the
-// classic .seq runs so the two paths can never collide in one SpillDir.
+// frameSpillFileName names one map task's spill run for one reducer.
 func frameSpillFileName(cfg Config, task, reducer int) string {
 	return filepath.Join(cfg.SpillDir, fmt.Sprintf("%s-m%05d-r%03d.fseq", cfg.Name, task, reducer))
 }
@@ -80,12 +32,7 @@ func spillFrameStreams(cfg Config, task int, streams [][]byte, counters *Counter
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: %s: creating frame spill: %w", cfg.Name, err)
 		}
-		var w *sequencefile.Writer
-		if cfg.CompressSpill {
-			w = sequencefile.NewCompressedWriter(f)
-		} else {
-			w = sequencefile.NewWriter(f)
-		}
+		w := sequencefile.NewWriter(f)
 		for len(stream) > 0 {
 			n, err := points.FrameLen(stream)
 			if err != nil {
@@ -182,30 +129,5 @@ func readFrameSpill(name string) ([][]byte, error) {
 			return nil, err
 		}
 		frames = append(frames, frame)
-	}
-}
-
-// readSpill loads one spill file back into pairs, streaming records off
-// disk instead of loading the whole file.
-func readSpill(name string) ([]Pair, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sr := sequencefile.NewReader(f)
-	var pairs []Pair
-	for {
-		rec, err := sr.Next()
-		if err == io.EOF {
-			return pairs, nil
-		}
-		if err != nil {
-			if errors.Is(err, sequencefile.ErrCorrupt) {
-				return nil, fmt.Errorf("%w: %s: %v", ErrSpillTruncated, name, err)
-			}
-			return nil, fmt.Errorf("mapreduce: reading spill %s: %w", name, err)
-		}
-		pairs = append(pairs, Pair{Key: string(rec.Key), Value: rec.Value})
 	}
 }

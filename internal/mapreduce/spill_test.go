@@ -12,10 +12,10 @@ import (
 
 // writeTestFrameSpill seals a few frames into one spill file and returns
 // the path plus the frames as written.
-func writeTestFrameSpill(t *testing.T, compress bool) (string, [][]byte) {
+func writeTestFrameSpill(t *testing.T) (string, [][]byte) {
 	t.Helper()
 	dir := t.TempDir()
-	cfg := Config{Name: "spilltest", SpillDir: dir, CompressSpill: compress}
+	cfg := Config{Name: "spilltest", SpillDir: dir}
 	var stream []byte
 	var frames [][]byte
 	for i := 0; i < 4; i++ {
@@ -35,37 +35,35 @@ func writeTestFrameSpill(t *testing.T, compress bool) (string, [][]byte) {
 }
 
 func TestFrameSpillReaderStreams(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name, want := writeTestFrameSpill(t, compress)
-		r, err := openFrameSpill(name)
+	name, want := writeTestFrameSpill(t)
+	r, err := openFrameSpill(name)
+	if err != nil {
+		t.Fatalf("openFrameSpill: %v", err)
+	}
+	var got [][]byte
+	for {
+		frame, err := r.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			t.Fatalf("openFrameSpill: %v", err)
+			t.Fatalf("Next: %v", err)
 		}
-		var got [][]byte
-		for {
-			frame, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("Next: %v", err)
-			}
-			got = append(got, frame)
-		}
-		r.Close()
-		if len(got) != len(want) {
-			t.Fatalf("compress=%v: %d frames, want %d", compress, len(got), len(want))
-		}
-		for i := range want {
-			if string(got[i]) != string(want[i]) {
-				t.Fatalf("compress=%v: frame %d not byte-identical", compress, i)
-			}
+		got = append(got, frame)
+	}
+	r.Close()
+	if len(got) != len(want) {
+		t.Fatalf("%d frames, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if string(got[i]) != string(want[i]) {
+			t.Fatalf("frame %d not byte-identical", i)
 		}
 	}
 }
 
 func TestFrameSpillTruncatedTyped(t *testing.T) {
-	name, _ := writeTestFrameSpill(t, false)
+	name, _ := writeTestFrameSpill(t)
 	data, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,7 @@ func TestEngineSpans(t *testing.T) {
 	tr := telemetry.NewTracer()
 	ctx := telemetry.WithTracer(context.Background(), tr)
 	cfg := Config{Name: "spanned", Workers: 2, Reducers: 2, SplitSize: 1}
-	input := [][]byte{[]byte("a b"), []byte("c d"), []byte("e")}
-	if _, err := Run(ctx, cfg, input, traceMapper(), traceReducer()); err != nil {
+	if _, err := RunFrames(ctx, cfg, tallyOf("a", "c", "e")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,8 +62,7 @@ func TestEngineSpans(t *testing.T) {
 func TestEngineMetricsBridge(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cfg := Config{Name: "metered", Workers: 2, SplitSize: 1, Metrics: reg}
-	input := [][]byte{[]byte("x y"), []byte("z")}
-	res, err := Run(context.Background(), cfg, input, traceMapper(), traceReducer())
+	res, err := RunFrames(context.Background(), cfg, tallyOf("x", "z"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func TestEngineMetricsBridge(t *testing.T) {
 // record anything anywhere (the default-off contract for library code).
 func TestTelemetryOffIsInert(t *testing.T) {
 	cfg := Config{Name: "dark", Workers: 1}
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), traceReducer()); err != nil {
+	if _, err := RunFrames(context.Background(), cfg, tallyOf("a")); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -35,7 +35,7 @@ type Event struct {
 	// "task-end" and "phase-end" events.
 	Duration time.Duration `json:"duration_ns,omitempty"`
 	// Records counts what flowed through: input records for a map
-	// task-end, output pairs for a reduce task-end, and the phase's
+	// task-end, output points for a reduce task-end, and the phase's
 	// framework-counter volume for phase-end events (map out, shuffle
 	// records, reduce out).
 	Records int64 `json:"records,omitempty"`

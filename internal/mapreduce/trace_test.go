@@ -10,27 +10,16 @@ import (
 	"testing"
 )
 
-func traceMapper() Mapper {
-	return MapperFunc(func(rec []byte, emit Emit) error {
-		for _, w := range strings.Fields(string(rec)) {
-			emit(w, []byte("1"))
-		}
-		return nil
-	})
-}
-
-func traceReducer() Reducer {
-	return ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		emit(key, nil)
-		return nil
-	})
+// tallyOf is the tally job over one row per word of docs.
+func tallyOf(docs ...string) FrameJob {
+	rows, _ := wordRows(docs)
+	return FrameJob{Feed: SetRows(rows), Mapper: tallyMapper, Reducer: tallyReducer}
 }
 
 func TestTraceLifecycle(t *testing.T) {
 	sink := &MemorySink{}
 	cfg := Config{Name: "traced", Workers: 2, Reducers: 2, SplitSize: 1, Trace: sink}
-	input := [][]byte{[]byte("a b"), []byte("c")}
-	if _, err := Run(context.Background(), cfg, input, traceMapper(), traceReducer()); err != nil {
+	if _, err := RunFrames(context.Background(), cfg, tallyOf("a", "c")); err != nil {
 		t.Fatal(err)
 	}
 	events := sink.Events()
@@ -89,15 +78,15 @@ func TestTraceLifecycle(t *testing.T) {
 func TestTraceRetries(t *testing.T) {
 	sink := &MemorySink{}
 	var calls int32
-	flaky := MapperFunc(func(rec []byte, emit Emit) error {
+	job := tallyOf("x")
+	job.Mapper = func(row []float64, emit EmitPoint) error {
 		if atomic.AddInt32(&calls, 1) == 1 {
 			return errors.New("transient")
 		}
-		emit("k", rec)
-		return nil
-	})
+		return tallyMapper(row, emit)
+	}
 	cfg := Config{Workers: 1, MaxAttempts: 2, Trace: sink}
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("x")}, flaky, traceReducer()); err != nil {
+	if _, err := RunFrames(context.Background(), cfg, job); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -113,9 +102,10 @@ func TestTraceRetries(t *testing.T) {
 
 func TestTraceFailureEndsJob(t *testing.T) {
 	sink := &MemorySink{}
-	bad := MapperFunc(func(rec []byte, emit Emit) error { return errors.New("fatal") })
+	job := tallyOf("x")
+	job.Mapper = func([]float64, EmitPoint) error { return errors.New("fatal") }
 	cfg := Config{Trace: sink}
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("x")}, bad, traceReducer()); err == nil {
+	if _, err := RunFrames(context.Background(), cfg, job); err == nil {
 		t.Fatal("job should fail")
 	}
 	events := sink.Events()
@@ -129,7 +119,7 @@ func TestJSONSink(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONSink(&buf)
 	cfg := Config{Name: "jsonjob", Workers: 1, Trace: sink}
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), traceReducer()); err != nil {
+	if _, err := RunFrames(context.Background(), cfg, tallyOf("a")); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -149,7 +139,7 @@ func TestJSONSink(t *testing.T) {
 
 func TestNoTraceNoPanic(t *testing.T) {
 	cfg := Config{} // Trace nil
-	if _, err := Run(context.Background(), cfg, [][]byte{[]byte("a")}, traceMapper(), traceReducer()); err != nil {
+	if _, err := RunFrames(context.Background(), cfg, tallyOf("a")); err != nil {
 		t.Fatal(err)
 	}
 }

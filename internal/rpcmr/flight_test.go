@@ -2,12 +2,10 @@ package rpcmr
 
 import (
 	"context"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/mapreduce"
 	"repro/internal/telemetry"
 )
 
@@ -19,24 +17,13 @@ var flightJobsOnce sync.Once
 func ensureFlightJobs() {
 	ensureJobs()
 	flightJobsOnce.Do(func() {
-		// slowtail: each record is a sleep duration in milliseconds, so the
+		// slowtail: each row is a sleep duration in milliseconds, so the
 		// input controls the task-duration distribution exactly.
 		RegisterJob("slowtail", func(params []byte) (Job, error) {
-			return Job{
-				Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-					ms, err := strconv.Atoi(string(rec))
-					if err != nil {
-						return err
-					}
-					time.Sleep(time.Duration(ms) * time.Millisecond)
-					emit("slept", []byte(strconv.Itoa(ms)))
-					return nil
-				}),
-				Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-					emit(key, []byte(strconv.Itoa(len(values))))
-					return nil
-				}),
-			}, nil
+			return tallyJob(func(row []float64) error {
+				time.Sleep(time.Duration(row[0]) * time.Millisecond)
+				return nil
+			}), nil
 		})
 	})
 }
@@ -81,11 +68,8 @@ func TestStitchedTraceThreeWorkers(t *testing.T) {
 	tr := telemetry.NewTracer()
 	rec := telemetry.NewRecorder("stitch")
 	ctx := telemetry.WithRecorder(telemetry.WithTracer(context.Background(), tr), rec)
-	input := [][]byte{
-		[]byte("30"), []byte("30"), []byte("30"),
-		[]byte("30"), []byte("30"), []byte("30"),
-	}
-	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 2}, Records(input)); err != nil {
+	input := tallyRows(30, 30, 30, 30, 30, 30)
+	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 2}, setFrames(input, nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,12 +135,9 @@ func TestRetriedTaskSpansOnce(t *testing.T) {
 	tr := telemetry.NewTracer()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	input := [][]byte{
-		[]byte("40"), []byte("40"), []byte("40"),
-		[]byte("40"), []byte("40"), []byte("40"),
-	}
+	input := tallyRows(40, 40, 40, 40, 40, 40)
 	if _, err := master.Run(telemetry.WithTracer(ctx, tr),
-		JobSpec{Name: "slowtail", Reducers: 2}, Records(input)); err != nil {
+		JobSpec{Name: "slowtail", Reducers: 2}, setFrames(input, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if master.Status().TaskRetries == 0 {
@@ -209,8 +190,8 @@ func TestStragglerDetection(t *testing.T) {
 	tr := telemetry.NewTracer()
 	rec := telemetry.NewRecorder("slowtail")
 	ctx := telemetry.WithRecorder(telemetry.WithTracer(context.Background(), tr), rec)
-	input := [][]byte{[]byte("5"), []byte("5"), []byte("5"), []byte("400")}
-	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 1}, Records(input)); err != nil {
+	input := tallyRows(5, 5, 5, 400)
+	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 1}, setFrames(input, nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -259,7 +240,7 @@ func TestStragglerDetection(t *testing.T) {
 func TestUntracedRunShipsNoSpans(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1}, 2,
 		WorkerConfig{PollInterval: time.Millisecond})
-	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput))
+	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, setFrames(wcInput, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +19,9 @@ import (
 
 const frameParts = 5
 
-// ensureFrameJobs registers the framed skyline job and its classic
-// WirePair twin. Separate Once from ensureJobs, which it calls first:
-// ensureJobs owns resetRegistryForTest, so ordering matters.
+// ensureFrameJobs registers the skyline job. Separate Once from
+// ensureJobs, which it calls first: ensureJobs owns resetRegistryForTest,
+// so ordering matters.
 var frameJobsOnce sync.Once
 
 func ensureFrameJobs() {
@@ -48,35 +47,6 @@ func ensureFrameJobs() {
 				}),
 			}}, nil
 		})
-		// skyline-classic: the same job through the WirePair path.
-		sky := mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-			set := make(points.Set, 0, len(values))
-			for _, v := range values {
-				p, err := points.Decode(v)
-				if err != nil {
-					return err
-				}
-				set = append(set, p)
-			}
-			for _, p := range skyline.BNL(set) {
-				emit(key, points.Encode(p))
-			}
-			return nil
-		})
-		RegisterJob("skyline-classic", func(params []byte) (Job, error) {
-			return Job{
-				Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-					p, err := points.Decode(rec)
-					if err != nil {
-						return err
-					}
-					emit(strconv.Itoa(int(p[0])%frameParts), rec)
-					return nil
-				}),
-				Combiner: sky,
-				Reducer:  sky,
-			}, nil
-		})
 	})
 }
 
@@ -97,7 +67,7 @@ func frameClusterData(n, d int, seed int64) points.Set {
 	return data
 }
 
-// setFrames is a set as a framed job's input: each split one v1 frame,
+// setFrames is a set as a job's input: each split one v1 frame,
 // encoded when the master asks. built, when non-nil, sees every frame handed
 // over (under the caller's own synchronisation).
 func setFrames(data points.Set, built func(lo, hi int, frame []byte)) Input {
@@ -108,15 +78,6 @@ func setFrames(data points.Set, built func(lo, hi int, frame []byte)) Input {
 		}
 		return frame, err
 	})
-}
-
-// setRecords is the same set as a classic job's input.
-func setRecords(data points.Set) Input {
-	records := make([][]byte, len(data))
-	for i, p := range data {
-		records[i] = points.Encode(p)
-	}
-	return Records(records)
 }
 
 // distinctSorted reduces a multiset to its sorted distinct points.
@@ -134,49 +95,34 @@ func distinctSorted(s points.Set) points.Set {
 	return out
 }
 
-// TestFramedJobMatchesClassic runs the same skyline job through the
-// frame transport and the WirePair transport on a 3-worker cluster and
-// requires identical per-partition skylines.
+// TestFramedJobMatchesClassic runs the skyline job on a 3-worker cluster
+// and requires, per partition, the skyline a direct computation gives:
+// the rows grouped by the job's routing rule, classic skyline.BNL of each
+// group.
 func TestFramedJobMatchesClassic(t *testing.T) {
 	ensureFrameJobs()
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 3, WorkerConfig{})
 	data := frameClusterData(1500, 4, 11)
 
-	framed, err := master.Run(context.Background(),
+	res, err := master.Run(context.Background(),
 		JobSpec{Name: "skyline-frame", Reducers: 3}, setFrames(data, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if framed.Blocks == nil || framed.Pairs != nil {
-		t.Fatal("framed job must return Blocks, not Pairs")
+	groups := map[int]points.Set{}
+	for _, p := range data {
+		id := int(p[0]) % frameParts
+		groups[id] = append(groups[id], p)
 	}
-	classic, err := master.Run(context.Background(),
-		JobSpec{Name: "skyline-classic", Reducers: 3}, setRecords(data))
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Blocks) != len(groups) {
+		t.Fatalf("partitions: cluster %d, reference %d", len(res.Blocks), len(groups))
 	}
-
-	want := map[int]points.Set{}
-	for _, p := range classic.Pairs {
-		id, err := strconv.Atoi(p.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pt, err := points.Decode(p.Value)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[id] = append(want[id], pt)
-	}
-	if len(framed.Blocks) != len(want) {
-		t.Fatalf("partitions: framed %d, classic %d", len(framed.Blocks), len(want))
-	}
-	for id, w := range want {
-		blk := framed.Blocks[id]
+	for id, g := range groups {
+		blk := res.Blocks[id]
 		if blk == nil {
-			t.Fatalf("partition %d missing from framed result", id)
+			t.Fatalf("partition %d missing from the cluster's result", id)
 		}
-		ws, gs := distinctSorted(w), distinctSorted(blk.ToSet())
+		ws, gs := distinctSorted(skyline.BNL(g)), distinctSorted(blk.ToSet())
 		if len(ws) != len(gs) {
 			t.Fatalf("partition %d: skyline sizes %d vs %d", id, len(gs), len(ws))
 		}
@@ -340,7 +286,7 @@ func TestSplitBuiltOutsideMasterLock(t *testing.T) {
 	}()
 	select {
 	case reply := <-answered:
-		if reply.Kind != TaskMap || reply.TaskID != 1 || len(reply.Frames) == 0 || reply.Records != nil {
+		if reply.Kind != TaskMap || reply.TaskID != 1 || len(reply.Frames) == 0 {
 			t.Errorf("second worker got kind %d task %d with %d frame bytes, want map task 1 with its frame",
 				reply.Kind, reply.TaskID, len(reply.Frames))
 		}
@@ -358,10 +304,10 @@ func TestSplitBuiltOutsideMasterLock(t *testing.T) {
 	}
 }
 
-// TestRunRejectsWrongInputForm: a framed job takes frames and a classic job
-// records; the other form is an error before any task exists, and a split
-// that cannot be built — or is too big to send — fails the job with an error
-// naming the cause.
+// TestRunRejectsWrongInputForm: an input whose splits cannot be built — or
+// are too big to send — fails the job with an error naming the cause, and
+// an Input that FrameRows did not build is refused before any task exists.
+// (A job has one input form now; there is no second one to mistake it for.)
 func TestRunRejectsWrongInputForm(t *testing.T) {
 	ensureFrameJobs()
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
@@ -370,11 +316,8 @@ func TestRunRejectsWrongInputForm(t *testing.T) {
 		_, err := master.Run(context.Background(), JobSpec{Name: job, Reducers: 2}, in)
 		return err
 	}
-	if err := run("skyline-frame", setRecords(data)); err == nil || !strings.Contains(err.Error(), "FrameRows") {
-		t.Errorf("records into a framed job: %v", err)
-	}
-	if err := run("skyline-classic", setFrames(data, nil)); err == nil || !strings.Contains(err.Error(), "Records") {
-		t.Errorf("frames into a classic job: %v", err)
+	if err := run("skyline-frame", Input{}); err == nil || !strings.Contains(err.Error(), "FrameRows") {
+		t.Errorf("zero Input: %v", err)
 	}
 	broken := FrameRows(len(data), func(lo, hi int) ([]byte, error) { return nil, errors.New("disk on fire") })
 	if err := run("skyline-frame", broken); err == nil || !strings.Contains(err.Error(), "disk on fire") {

@@ -22,8 +22,7 @@ type MasterConfig struct {
 	// TaskLease is how long a worker may hold a task before it is
 	// re-queued for another worker. Defaults to 30s.
 	TaskLease time.Duration
-	// SplitSize is input rows (records or points) per map task. Defaults
-	// to 1000.
+	// SplitSize is input rows per map task. Defaults to 1000.
 	SplitSize int
 	// MaxTaskAttempts bounds re-executions of one task before the job is
 	// failed. Defaults to 5.
@@ -113,24 +112,20 @@ type Master struct {
 // jobState tracks one running job.
 type jobState struct {
 	spec    JobSpec
-	framed  bool     // block-framed shuffle: frame payloads, not WirePairs
 	phase   TaskKind // TaskMap or TaskReduce
 	input   Input
 	tasks   []*taskState
 	pending []int // indexes of queued tasks of the current phase
 	done    int   // completed tasks of the current phase
-	mapOut  [][][]WirePair
-	groups  [][]Group
-	out     []WirePair
-	// Frame-path state: frameOut[task][r] is map task's sealed stream for
-	// reducer r; frameStreams[r] gathers reducer r's streams in map-task
-	// order; outFrames[r] is reduce task r's output stream.
+	// frameOut[task][r] is map task's sealed stream for reducer r;
+	// frameStreams[r] gathers reducer r's streams in map-task order;
+	// outFrames[r] is reduce task r's output stream.
 	frameOut     [][][]byte
 	frameStreams [][][]byte
 	outFrames    [][]byte
 	mapStart     time.Time
 	mapDur       time.Duration
-	shuffleDur   time.Duration // master-side grouping in startReducePhase
+	shuffleDur   time.Duration // master-side gathering in startReducePhase
 	redStart     time.Time
 	finished     chan struct{}
 	err          error
@@ -170,21 +165,17 @@ type JobSpec struct {
 
 // Input is a job's input: a number of rows, which Run cuts into map tasks of
 // MasterConfig.SplitSize, and the means to produce any task's split when it
-// is assigned. Build one with Records (classic jobs) or FrameRows (framed).
+// is assigned. Build one with FrameRows.
 type Input struct {
-	rows    int
-	records [][]byte
-	frame   func(lo, hi int) ([]byte, error)
+	rows  int
+	frame func(lo, hi int) ([]byte, error)
 }
 
-// Records is a classic job's input: one record per row, held in memory.
-func Records(records [][]byte) Input { return Input{rows: len(records), records: records} }
-
-// FrameRows is a framed job's input: rows points, of which frame(lo, hi)
-// seals rows [lo, hi) into one frame stream. The master calls it each time
-// it assigns the task — again, and for the same bytes, on a retry — from
-// RPC handlers, concurrently and outside its own lock, and keeps no
-// reference to the result: only the splits in flight exist at any moment.
+// FrameRows is rows points of input, of which frame(lo, hi) seals rows
+// [lo, hi) into one frame stream. The master calls it each time it assigns
+// the task — again, and for the same bytes, on a retry — from RPC handlers,
+// concurrently and outside its own lock, and keeps no reference to the
+// result: only the splits in flight exist at any moment.
 func FrameRows(rows int, frame func(lo, hi int) ([]byte, error)) Input {
 	return Input{rows: rows, frame: frame}
 }
@@ -193,16 +184,15 @@ func FrameRows(rows int, frame func(lo, hi int) ([]byte, error)) Input {
 // 1 GiB, less a margin for the rest of the reply.
 const maxSplitBytes = 1<<30 - 1<<20
 
-// JobResult is what a distributed run returns. Classic jobs fill Pairs;
-// framed jobs fill Blocks (partition id → reduce output block, assembled
-// from the workers' output frames in reduce-task order).
+// JobResult is what a distributed run returns: Blocks maps partition id →
+// reduce output block, assembled from the workers' output frames in
+// reduce-task order.
 type JobResult struct {
-	Pairs      []mapreduce.Pair
 	Blocks     map[int]*points.Block
 	MapTime    time.Duration
 	ReduceTime time.Duration
 	// Partitions breaks the map-side shuffle volume down by data-space
-	// partition id (frame jobs only), aggregated from worker reports.
+	// partition id, aggregated from worker reports.
 	Partitions map[int]mapreduce.PartStat
 }
 
@@ -352,21 +342,18 @@ func (m *Master) WorkerCount() int {
 
 // Run executes one job across the connected workers and blocks until it
 // completes, fails, or ctx is cancelled. Only one job runs at a time;
-// concurrent Run calls return an error, as does input of the form the job
-// does not take.
+// concurrent Run calls return an error.
 func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*JobResult, error) {
 	if spec.Reducers <= 0 {
 		spec.Reducers = 1
 	}
 	// Validate the job is instantiable on the master side too, so typos
-	// fail fast rather than on a worker — and learn whether it runs the
-	// block-framed shuffle.
-	job, err := lookupJob(spec.Name, spec.Params)
-	if err != nil {
+	// fail fast rather than on a worker.
+	if _, err := lookupJob(spec.Name, spec.Params); err != nil {
 		return nil, err
 	}
-	if job.framed() != (input.frame != nil) {
-		return nil, fmt.Errorf("rpcmr: job %q: framed jobs take FrameRows input and classic jobs Records", spec.Name)
+	if input.frame == nil {
+		return nil, fmt.Errorf("rpcmr: job %q: no input (build one with FrameRows)", spec.Name)
 	}
 	ctx, jobSpan := telemetry.StartSpan(ctx, "rpcmr-job:"+spec.Name,
 		telemetry.A("job", spec.Name), telemetry.A("reducers", spec.Reducers),
@@ -404,7 +391,6 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*JobResult
 	}
 	js := &jobState{
 		spec:     spec,
-		framed:   job.framed(),
 		phase:    TaskMap,
 		input:    input,
 		finished: make(chan struct{}),
@@ -422,11 +408,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*JobResult
 	}
 	// One map task per SplitSize rows; assignTask cuts the split.
 	splits := (input.rows + m.cfg.SplitSize - 1) / m.cfg.SplitSize
-	if js.framed {
-		js.frameOut = make([][][]byte, splits)
-	} else {
-		js.mapOut = make([][][]WirePair, splits)
-	}
+	js.frameOut = make([][][]byte, splits)
 	for i := 0; i < splits; i++ {
 		js.tasks = append(js.tasks, &taskState{id: i})
 		js.pending = append(js.pending, i)
@@ -477,74 +459,37 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*JobResult
 	telemetry.RecordSpan(ctx, "reduce", js.redStart, redDur,
 		telemetry.A("tasks", spec.Reducers))
 	endJob("ok", nil)
-	if js.framed {
-		// Assemble reduce-output frames in reduce-task order — the per-task
-		// slots make completion order irrelevant, so output is deterministic.
-		blocks, err := mapreduce.AssembleFrames(js.outFrames)
-		if err != nil {
-			return nil, fmt.Errorf("rpcmr: assembling reduce output frames: %w", err)
-		}
-		return &JobResult{Blocks: blocks, MapTime: js.mapDur, ReduceTime: redDur,
-			Partitions: js.partStats}, nil
+	// Assemble reduce-output frames in reduce-task order — the per-task
+	// slots make completion order irrelevant, so output is deterministic.
+	blocks, err := mapreduce.AssembleFrames(js.outFrames)
+	if err != nil {
+		return nil, fmt.Errorf("rpcmr: assembling reduce output frames: %w", err)
 	}
-	pairs := make([]mapreduce.Pair, len(js.out))
-	for i, p := range js.out {
-		pairs[i] = mapreduce.Pair{Key: p.Key, Value: p.Value}
-	}
-	// Reduce tasks complete in arbitrary order; sort by key (stable, so
-	// per-task emission order within a key survives) for deterministic
-	// output across runs.
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].Key < pairs[j].Key })
-	return &JobResult{Pairs: pairs, MapTime: js.mapDur, ReduceTime: redDur}, nil
+	return &JobResult{Blocks: blocks, MapTime: js.mapDur, ReduceTime: redDur,
+		Partitions: js.partStats}, nil
 }
 
-// startReducePhase (mu held) transitions from map to reduce: group map
-// outputs by reducer partition and key, then queue reduce tasks.
+// startReducePhase (mu held) transitions from map to reduce: gather each
+// reducer's streams, then queue reduce tasks.
 func (m *Master) startReducePhase(js *jobState) {
 	js.mapDur = time.Since(js.mapStart)
 	js.phase = TaskReduce
 	m.cfg.Events.Info("phase end", telemetry.A("job", js.spec.Name),
 		telemetry.A("phase", "map"), telemetry.A("seconds", js.mapDur.Seconds()))
 	shuffleStart := time.Now()
-	if js.framed {
-		// Frame shuffle: map tasks already sealed per-reducer streams, so
-		// the master only gathers slices in map-task order — no per-key
-		// grouping, no string sort, no per-point copying.
-		js.frameStreams = make([][][]byte, js.spec.Reducers)
-		for r := 0; r < js.spec.Reducers; r++ {
-			for _, taskParts := range js.frameOut {
-				if r < len(taskParts) && len(taskParts[r]) > 0 {
-					js.frameStreams[r] = append(js.frameStreams[r], taskParts[r])
-				}
+	// Frame shuffle: map tasks already sealed per-reducer streams, so
+	// the master only gathers slices in map-task order — no per-key
+	// grouping, no string sort, no per-point copying.
+	js.frameStreams = make([][][]byte, js.spec.Reducers)
+	for r := 0; r < js.spec.Reducers; r++ {
+		for _, taskParts := range js.frameOut {
+			if r < len(taskParts) && len(taskParts[r]) > 0 {
+				js.frameStreams[r] = append(js.frameStreams[r], taskParts[r])
 			}
 		}
-		js.frameOut = nil
-		js.outFrames = make([][]byte, js.spec.Reducers)
-	} else {
-		js.groups = make([][]Group, js.spec.Reducers)
-		for r := 0; r < js.spec.Reducers; r++ {
-			order := []string{}
-			byKey := map[string][][]byte{}
-			for _, taskParts := range js.mapOut {
-				if r >= len(taskParts) {
-					continue
-				}
-				for _, p := range taskParts[r] {
-					if _, ok := byKey[p.Key]; !ok {
-						order = append(order, p.Key)
-					}
-					byKey[p.Key] = append(byKey[p.Key], p.Value)
-				}
-			}
-			sort.Strings(order)
-			gs := make([]Group, 0, len(order))
-			for _, k := range order {
-				gs = append(gs, Group{Key: k, Values: byKey[k]})
-			}
-			js.groups[r] = gs
-		}
-		js.mapOut = nil
 	}
+	js.frameOut = nil
+	js.outFrames = make([][]byte, js.spec.Reducers)
 	js.shuffleDur = time.Since(shuffleStart)
 	js.redStart = time.Now()
 	js.tasks = js.tasks[:0]

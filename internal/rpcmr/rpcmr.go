@@ -36,30 +36,18 @@ func init() {
 	gob.Register(false)
 }
 
-// Job bundles the user code of one MapReduce job. A job is either classic
-// (Mapper + Reducer over records, per-pair gob traffic — the k-skyband
-// jobs) or framed (FrameJob — the skyline jobs), and the two take different
-// input: Records for the one, FrameRows for the other.
+// Job bundles the user code of one MapReduce job: what the in-process
+// engine would run, plus the codec workers seal their frames with. Input,
+// shuffle and output all move as sealed point frames.
 type Job struct {
-	Mapper mapreduce.Mapper
-	// Combiner optionally folds each map task's local output per key
-	// before it is shipped to the master.
-	Combiner mapreduce.Reducer
-	Reducer  mapreduce.Reducer
-
-	// FrameJob, when its Mapper is set, is the whole of a framed job, as
-	// the in-process engine would run it: input, shuffle and output all
-	// move as sealed point frames. Its Feed is not read — the master feeds
-	// each map task its split as a frame stream.
+	// FrameJob is the whole of the job. Its Feed is not read — the master
+	// feeds each map task its split as a frame stream (see FrameRows).
 	FrameJob mapreduce.FrameJob
 	// Codec selects the wire codec of the frames workers seal (map and
 	// reduce output): the zero value keeps raw v1 frames, points.FrameAuto
 	// bit-packs wherever that is smaller.
 	Codec points.FrameCodec
 }
-
-// framed reports whether the job uses the block-framed shuffle.
-func (j Job) framed() bool { return j.FrameJob.Mapper != nil }
 
 // JobFactory instantiates a job from its parameter blob.
 type JobFactory func(params []byte) (Job, error)
@@ -97,9 +85,8 @@ func lookupJob(name string, params []byte) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("rpcmr: instantiating job %q: %w", name, err)
 	}
-	if f := job.FrameJob; job.framed() && (f.Reducer == nil) == (f.Folder == nil) ||
-		!job.framed() && (job.Mapper == nil || job.Reducer == nil) {
-		return Job{}, fmt.Errorf("rpcmr: job %q must provide mapper and reducer (classic or frame)", name)
+	if f := job.FrameJob; f.Mapper == nil || (f.Reducer == nil) == (f.Folder == nil) {
+		return Job{}, fmt.Errorf("rpcmr: job %q must provide a mapper and exactly one of reducer and folder", name)
 	}
 	return job, nil
 }
@@ -120,25 +107,13 @@ type TaskKind int
 const (
 	// TaskWait tells the worker to back off briefly and poll again.
 	TaskWait TaskKind = iota
-	// TaskMap carries one input split, records or frames, to map and combine.
+	// TaskMap carries one input split, as a frame stream, to map and combine.
 	TaskMap
-	// TaskReduce carries key groups or frame streams to reduce.
+	// TaskReduce carries one reducer's frame streams to reduce.
 	TaskReduce
 	// TaskShutdown tells the worker its master has no more work ever.
 	TaskShutdown
 )
-
-// Group is one reduce key group on the wire.
-type Group struct {
-	Key    string
-	Values [][]byte
-}
-
-// WirePair mirrors mapreduce.Pair for gob transport.
-type WirePair struct {
-	Key   string
-	Value []byte
-}
 
 // RegisterArgs announces a worker.
 type RegisterArgs struct {
@@ -167,15 +142,11 @@ type TaskReply struct {
 	JobName  string
 	Params   []byte
 	Reducers int
-	// Map payload (classic job)
-	Records [][]byte
-	// Map payload (framed job): the split as one sealed frame stream, which
-	// gob moves as a single length-prefixed copy. Never set with Records.
+	// Map payload: the split as one sealed frame stream, which gob moves as
+	// a single length-prefixed copy.
 	Frames []byte
-	// Reduce payload (classic path)
-	Groups []Group
-	// Reduce payload (frame path): sealed frame streams for this
-	// reducer, one per contributing map task, in map-task order.
+	// Reduce payload: sealed frame streams for this reducer, one per
+	// contributing map task, in map-task order.
 	FrameStreams [][]byte
 	// TraceID, ParentSpan and Track propagate the master's trace to the
 	// worker: a non-zero TraceID asks the worker to record its task span
@@ -187,17 +158,14 @@ type TaskReply struct {
 	Track      int
 }
 
-// MapResultArgs reports a finished map task: output pairs partitioned by
+// MapResultArgs reports a finished map task: its output, partitioned by
 // reducer index.
 type MapResultArgs struct {
 	WorkerID string
 	TaskID   int
 	Attempt  int
-	// Partitions[r] holds the pairs destined for reducer r (classic path).
-	Partitions [][]WirePair
-	// FrameParts[r] holds the sealed frame stream destined for reducer r
-	// (frame path): one batched payload per reducer instead of one
-	// WirePair per point.
+	// FrameParts[r] holds the sealed frame stream destined for reducer r:
+	// one batched payload per reducer.
 	FrameParts [][]byte
 	// Final tells the master not to piggyback another assignment: this
 	// worker is about to stop.
@@ -211,8 +179,8 @@ type MapResultArgs struct {
 	// from a previous job cannot pollute the current trace.
 	Spans   []telemetry.SpanData
 	TraceID uint64
-	// PartStats breaks the task's map output down by data-space partition
-	// (frame path only), feeding the flight recorder's skew picture.
+	// PartStats breaks the task's map output down by data-space partition,
+	// feeding the flight recorder's skew picture.
 	PartStats map[int]mapreduce.PartStat
 }
 
@@ -221,8 +189,7 @@ type ReduceResultArgs struct {
 	WorkerID string
 	TaskID   int
 	Attempt  int
-	Pairs    []WirePair
-	// Frames is the reduce output as one sealed frame stream (frame path).
+	// Frames is the reduce output as one sealed frame stream.
 	Frames []byte
 	// Final tells the master not to piggyback another assignment.
 	Final bool

@@ -3,6 +3,7 @@ package rpcmr
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,48 +11,62 @@ import (
 	"time"
 
 	"repro/internal/mapreduce"
+	"repro/internal/points"
 )
 
-// registerTestJobs installs the word-count and failing jobs used across
-// tests. Call once per test via ensureJobs.
+// tallyJob is word count on frames: a row is one word's id, its
+// partition is that id, and the reducer emits the partition's row count.
+// before, when non-nil, sees every row first — a failure or a delay to
+// inject.
+func tallyJob(before func(row []float64) error) Job {
+	return Job{FrameJob: mapreduce.FrameJob{
+		Mapper: func(row []float64, emit mapreduce.EmitPoint) error {
+			if before != nil {
+				if err := before(row); err != nil {
+					return err
+				}
+			}
+			emit(int(row[0]), row)
+			return nil
+		},
+		Reducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
+			emit(partition, []float64{float64(blk.Len())})
+			return nil
+		}),
+	}}
+}
+
+// tallyRows is the tally job's input: one row per word id.
+func tallyRows(ids ...int) points.Set {
+	rows := make(points.Set, len(ids))
+	for i, id := range ids {
+		rows[i] = points.Point{float64(id)}
+	}
+	return rows
+}
+
+// tallies reads a tally result back as word id → count.
+func tallies(t *testing.T, res *JobResult) map[int]int {
+	t.Helper()
+	got := map[int]int{}
+	for id, blk := range res.Blocks {
+		if blk.Len() != 1 {
+			t.Fatalf("word %d: %d output rows, want 1", id, blk.Len())
+		}
+		got[id] = int(blk.Row(0)[0])
+	}
+	return got
+}
+
+// ensureJobs installs the word-count and failing jobs used across tests.
 var jobsOnce sync.Once
 
 func ensureJobs() {
 	jobsOnce.Do(func() {
 		resetRegistryForTest()
-		RegisterJob("wordcount", func(params []byte) (Job, error) {
-			sum := mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-				total := 0
-				for _, v := range values {
-					n, err := strconv.Atoi(string(v))
-					if err != nil {
-						return err
-					}
-					total += n
-				}
-				emit(key, []byte(strconv.Itoa(total)))
-				return nil
-			})
-			return Job{
-				Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-					for _, w := range strings.Fields(string(rec)) {
-						emit(w, []byte("1"))
-					}
-					return nil
-				}),
-				Combiner: sum,
-				Reducer:  sum,
-			}, nil
-		})
+		RegisterJob("wordcount", func(params []byte) (Job, error) { return tallyJob(nil), nil })
 		RegisterJob("always-fails", func(params []byte) (Job, error) {
-			return Job{
-				Mapper: mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-					return errors.New("deterministic task failure")
-				}),
-				Reducer: mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-					return nil
-				}),
-			}, nil
+			return tallyJob(func([]float64) error { return errors.New("deterministic task failure") }), nil
 		})
 		RegisterJob("bad-factory", func(params []byte) (Job, error) {
 			return Job{}, errors.New("cannot instantiate")
@@ -89,37 +104,22 @@ func newCluster(t *testing.T, mcfg MasterConfig, n int, wcfg WorkerConfig) (*Mas
 	return master, workers, &wg
 }
 
-var wcInput = [][]byte{
-	[]byte("the quick brown fox"),
-	[]byte("the lazy dog"),
-	[]byte("the quick dog jumps"),
-	[]byte("fox and dog and fox"),
-}
+// wcInput is four documents, a row per word: the=0 quick=1 brown=2 fox=3,
+// the lazy=4 dog=5, the quick dog jumps=6, fox and=7 dog and fox.
+var wcInput = tallyRows(0, 1, 2, 3, 0, 4, 5, 0, 1, 5, 6, 3, 7, 5, 7, 3)
 
-var wcWant = map[string]string{
-	"the": "3", "quick": "2", "brown": "1", "fox": "3", "lazy": "1",
-	"dog": "3", "jumps": "1", "and": "2",
-}
+var wcWant = map[int]int{0: 3, 1: 2, 2: 1, 3: 3, 4: 1, 5: 3, 6: 1, 7: 2}
 
 func checkWordCount(t *testing.T, res *JobResult) {
 	t.Helper()
-	got := map[string]string{}
-	for _, p := range res.Pairs {
-		got[p.Key] = string(p.Value)
-	}
-	if len(got) != len(wcWant) {
-		t.Fatalf("got %v, want %v", got, wcWant)
-	}
-	for k, v := range wcWant {
-		if got[k] != v {
-			t.Errorf("count[%q] = %q, want %q", k, got[k], v)
-		}
+	if got := tallies(t, res); !reflect.DeepEqual(got, wcWant) {
+		t.Errorf("got %v, want %v", got, wcWant)
 	}
 }
 
 func TestDistributedWordCount(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1}, 3, WorkerConfig{})
-	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput))
+	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, setFrames(wcInput, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDistributedWordCount(t *testing.T) {
 
 func TestSingleWorker(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 2}, 1, WorkerConfig{})
-	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 3}, Records(wcInput))
+	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 3}, setFrames(wcInput, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSingleWorker(t *testing.T) {
 func TestSequentialJobs(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1}, 2, WorkerConfig{})
 	for i := 0; i < 3; i++ {
-		res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput))
+		res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, setFrames(wcInput, nil))
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -154,28 +154,28 @@ func TestSequentialJobs(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{}, 1, WorkerConfig{})
-	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(nil))
+	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, setFrames(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Pairs) != 0 {
-		t.Errorf("pairs = %v", res.Pairs)
+	if len(res.Blocks) != 0 {
+		t.Errorf("blocks = %v", res.Blocks)
 	}
 }
 
 func TestUnknownJobRejectedFast(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{}, 1, WorkerConfig{})
-	if _, err := master.Run(context.Background(), JobSpec{Name: "no-such-job"}, Records(wcInput)); err == nil {
+	if _, err := master.Run(context.Background(), JobSpec{Name: "no-such-job"}, setFrames(wcInput, nil)); err == nil {
 		t.Error("unknown job accepted")
 	}
-	if _, err := master.Run(context.Background(), JobSpec{Name: "bad-factory"}, Records(wcInput)); err == nil {
+	if _, err := master.Run(context.Background(), JobSpec{Name: "bad-factory"}, setFrames(wcInput, nil)); err == nil {
 		t.Error("bad factory accepted")
 	}
 }
 
 func TestDeterministicTaskFailureFailsJob(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{MaxTaskAttempts: 2, SplitSize: 1}, 2, WorkerConfig{})
-	_, err := master.Run(context.Background(), JobSpec{Name: "always-fails", Reducers: 1}, Records(wcInput))
+	_, err := master.Run(context.Background(), JobSpec{Name: "always-fails", Reducers: 1}, setFrames(wcInput, nil))
 	var wte *WorkerTaskError
 	if !errors.As(err, &wte) {
 		t.Fatalf("err = %v, want WorkerTaskError", err)
@@ -203,7 +203,7 @@ func TestWorkerCrashRecovery(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput))
+	res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 2}, setFrames(wcInput, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRunContextCancel(t *testing.T) {
 	defer master.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, err = master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 1}, Records(wcInput))
+	_, err = master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 1}, setFrames(wcInput, nil))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want deadline exceeded", err)
 	}
@@ -237,11 +237,11 @@ func TestConcurrentRunRejected(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		close(started)
-		_, _ = master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 1}, Records(wcInput))
+		_, _ = master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 1}, setFrames(wcInput, nil))
 	}()
 	<-started
 	time.Sleep(20 * time.Millisecond)
-	if _, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 1}, Records(wcInput)); err == nil {
+	if _, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 1}, setFrames(wcInput, nil)); err == nil {
 		// The first job may have already finished on a fast machine; only
 		// fail when it is provably still running.
 		t.Log("second Run succeeded; first likely finished already")
@@ -256,7 +256,7 @@ func TestMasterCloseFailsJob(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 1}, Records(wcInput))
+		_, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 1}, setFrames(wcInput, nil))
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -314,4 +314,14 @@ func TestRegisterJobPanics(t *testing.T) {
 		RegisterJob("wordcount", func([]byte) (Job, error) { return Job{}, nil })
 	})
 	mustPanic("nil factory", func() { RegisterJob("brand-new", nil) })
+}
+
+// TestOptionSurface pins the number of independently settable values of a
+// job. A new field has to edit this count, and the simplicity guide's rule
+// for one applies: two callers that exist today (tests and examples do not
+// count) need different values, and the code cannot work the value out.
+func TestOptionSurface(t *testing.T) {
+	if n := reflect.TypeOf(Job{}).NumField(); n != 2 {
+		t.Fatalf("rpcmr.Job has %d fields, want 2", n)
+	}
 }

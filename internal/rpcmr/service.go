@@ -47,7 +47,7 @@ func (s *MasterService) RequestTask(args TaskArgs, reply *TaskReply) error {
 // a task, a wait directive, or a shutdown notice. Shared by RequestTask
 // and the piggybacked ResultReply.Next so both hand out identical
 // leases. It is the last thing a handler does, because it lets go of mu
-// while it seals a framed map task's input.
+// while it seals a map task's input.
 func (m *Master) assignTask(worker string, reply *TaskReply) {
 	if m.shutdown {
 		reply.Kind = TaskShutdown
@@ -98,35 +98,31 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 		reply.ParentSpan = js.parentSpan
 		reply.Track = track
 	}
-	lo, hi := id*m.cfg.SplitSize, min((id+1)*m.cfg.SplitSize, js.input.rows)
-	switch {
-	case js.phase == TaskReduce && js.framed:
+	if js.phase == TaskReduce {
 		reply.FrameStreams = js.frameStreams[id]
-	case js.phase == TaskReduce:
-		reply.Groups = js.groups[id]
-	case !js.framed: // a map task: input rows [lo, hi)
-		reply.Records = js.input.records[lo:hi]
-	default:
-		// The split is sealed now, from the job's rows, and belongs to the
-		// reply alone: once sent it is garbage, and a retry seals it again.
-		// It is megabytes, so mu is released meanwhile: heartbeats, reports
-		// and health sweeps must not wait on an encode.
-		m.mu.Unlock()
-		frame, err := js.input.frame(lo, hi)
-		if err == nil && len(frame) > m.maxSplit {
-			err = fmt.Errorf("a %d-byte frame is more than the %d bytes one task message may carry: lower MasterConfig.SplitSize (%d rows)",
-				len(frame), m.maxSplit, m.cfg.SplitSize)
-		}
-		m.mu.Lock()
-		if err != nil {
-			m.finish(js, fmt.Errorf("rpcmr: sealing the input of map task %d: %w", id, err))
-			*reply = TaskReply{Kind: TaskWait}
-			return
-		}
-		reply.Frames = frame
-		if reg := m.cfg.Metrics; reg != nil {
-			reg.Counter("rpcmr_input_bytes_total", telemetry.L("worker", worker)).Add(int64(len(frame)))
-		}
+		return
+	}
+	// A map task: input rows [lo, hi). The split is sealed now, from the
+	// job's rows, and belongs to the reply alone: once sent it is garbage,
+	// and a retry seals it again. It is megabytes, so mu is released
+	// meanwhile: heartbeats, reports and health sweeps must not wait on an
+	// encode.
+	lo, hi := id*m.cfg.SplitSize, min((id+1)*m.cfg.SplitSize, js.input.rows)
+	m.mu.Unlock()
+	frame, err := js.input.frame(lo, hi)
+	if err == nil && len(frame) > m.maxSplit {
+		err = fmt.Errorf("a %d-byte frame is more than the %d bytes one task message may carry: lower MasterConfig.SplitSize (%d rows)",
+			len(frame), m.maxSplit, m.cfg.SplitSize)
+	}
+	m.mu.Lock()
+	if err != nil {
+		m.finish(js, fmt.Errorf("rpcmr: sealing the input of map task %d: %w", id, err))
+		*reply = TaskReply{Kind: TaskWait}
+		return
+	}
+	reply.Frames = frame
+	if reg := m.cfg.Metrics; reg != nil {
+		reg.Counter("rpcmr_input_bytes_total", telemetry.L("worker", worker)).Add(int64(len(frame)))
 	}
 }
 
@@ -175,17 +171,13 @@ func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error 
 	w.tasksDone++
 	m.observeTask(t, "map", args.WorkerID)
 	m.recordCompletion(js, t, "map", args.WorkerID, args.Spans, args.TraceID)
-	if js.framed {
-		js.frameOut[args.TaskID] = args.FrameParts
-		m.observeFrameBytes(args.WorkerID, args.FrameParts)
-		for id, ps := range args.PartStats {
-			acc := js.partStats[id]
-			acc.Records += ps.Records
-			acc.Bytes += ps.Bytes
-			js.partStats[id] = acc
-		}
-	} else {
-		js.mapOut[args.TaskID] = args.Partitions
+	js.frameOut[args.TaskID] = args.FrameParts
+	m.observeFrameBytes(args.WorkerID, args.FrameParts)
+	for id, ps := range args.PartStats {
+		acc := js.partStats[id]
+		acc.Records += ps.Records
+		acc.Bytes += ps.Bytes
+		js.partStats[id] = acc
 	}
 	js.done++
 	reply.Accepted = true
@@ -239,11 +231,7 @@ func (s *MasterService) ReportReduce(args ReduceResultArgs, reply *ResultReply) 
 	w.tasksDone++
 	m.observeTask(t, "reduce", args.WorkerID)
 	m.recordCompletion(js, t, "reduce", args.WorkerID, args.Spans, args.TraceID)
-	if js.framed {
-		js.outFrames[args.TaskID] = args.Frames
-	} else {
-		js.out = append(js.out, args.Pairs...)
-	}
+	js.outFrames[args.TaskID] = args.Frames
 	js.done++
 	reply.Accepted = true
 	if js.done == len(js.tasks) {

@@ -26,7 +26,7 @@ func TestStatusDuringAndAfterJob(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput))
+		_, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, setFrames(wcInput, nil))
 		done <- err
 	}()
 

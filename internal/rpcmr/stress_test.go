@@ -3,8 +3,7 @@ package rpcmr
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -40,28 +39,24 @@ func TestStressManyTasksWithChaos(t *testing.T) {
 		go func() { _ = w.Run(context.Background()) }()
 	}
 
-	input := make([][]byte, 200)
-	for i := range input {
-		input[i] = []byte(fmt.Sprintf("word%d common", i%13))
+	// 200 one-row tasks: word i%13, and after every one the common word 13.
+	var ids []int
+	for i := 0; i < 100; i++ {
+		ids = append(ids, i%13, 13)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 4}, Records(input))
+	res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 4}, setFrames(tallyRows(ids...), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]string{}
-	for _, p := range res.Pairs {
-		got[p.Key] = string(p.Value)
-	}
-	if got["common"] != "200" {
-		t.Errorf("common = %s, want 200", got["common"])
+	got := tallies(t, res)
+	if got[13] != 100 {
+		t.Errorf("common = %d, want 100", got[13])
 	}
 	for i := 0; i < 13; i++ {
-		key := "word" + strconv.Itoa(i)
-		n, err := strconv.Atoi(got[key])
-		if err != nil || n < 15 || n > 16 {
-			t.Errorf("%s = %q, want 15..16", key, got[key])
+		if n := got[i]; n < 7 || n > 8 {
+			t.Errorf("word%d = %d, want 7..8", i, n)
 		}
 	}
 }
@@ -71,20 +66,14 @@ func TestStressManyTasksWithChaos(t *testing.T) {
 func TestStressSequentialJobsAfterChaos(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 2, TaskLease: 300 * time.Millisecond}, 3,
 		WorkerConfig{PollInterval: 2 * time.Millisecond})
-	healthyInput := [][]byte{[]byte("x y"), []byte("y z"), []byte("z x")}
+	healthyInput := tallyRows(0, 1, 1, 2, 2, 0) // "x y", "y z", "z x"
 	for round := 0; round < 5; round++ {
-		res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, Records(healthyInput))
+		res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, setFrames(healthyInput, nil))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		joined := ""
-		for _, p := range res.Pairs {
-			joined += p.Key + "=" + string(p.Value) + " "
-		}
-		for _, want := range []string{"x=2", "y=2", "z=2"} {
-			if !strings.Contains(joined, want) {
-				t.Fatalf("round %d: missing %s in %s", round, want, joined)
-			}
+		if got, want := tallies(t, res), map[int]int{0: 2, 1: 2, 2: 2}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: counts %v, want %v", round, got, want)
 		}
 	}
 }

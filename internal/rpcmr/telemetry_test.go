@@ -37,7 +37,7 @@ func TestStatusCountsRetries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	master, _, _ := newCluster(t, MasterConfig{MaxTaskAttempts: 2, Metrics: reg},
 		1, WorkerConfig{PollInterval: time.Millisecond})
-	if _, err := master.Run(context.Background(), JobSpec{Name: "always-fails", Reducers: 1}, Records(wcInput)); err == nil {
+	if _, err := master.Run(context.Background(), JobSpec{Name: "always-fails", Reducers: 1}, setFrames(wcInput, nil)); err == nil {
 		t.Fatal("always-fails should fail the job")
 	}
 	st := master.Status()
@@ -66,7 +66,7 @@ func TestMasterTelemetry(t *testing.T) {
 		2, WorkerConfig{PollInterval: time.Millisecond})
 	tr := telemetry.NewTracer()
 	ctx := telemetry.WithTracer(context.Background(), tr)
-	if _, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 2}, Records(wcInput)); err != nil {
+	if _, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 2}, setFrames(wcInput, nil)); err != nil {
 		t.Fatal(err)
 	}
 

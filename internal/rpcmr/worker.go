@@ -3,7 +3,6 @@ package rpcmr
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"net/rpc"
 	"sync"
 	"time"
@@ -240,21 +239,19 @@ func (w *Worker) runMap(task TaskReply) (TaskReply, error) {
 	span, finish := w.taskSpan(task, "map-task")
 	start := time.Now()
 	w.stall()
-	// The span's record count is input rows: a framed task learns it from
-	// the frames it walked, not from how many payloads it was handed.
-	rows := len(task.Records)
+	// The span's record count is input rows: the task learns it from the
+	// frames it walked.
+	rows := 0
 	job, err := lookupJob(task.JobName, task.Params)
-	if err == nil && job.framed() {
+	if err == nil {
 		var st mapreduce.FrameStats
 		args.FrameParts, st, err = mapreduce.MapFrames(job.FrameJob, task.Frames, task.Reducers, job.Codec)
 		args.PartStats, rows = st.Partitions, int(st.MapIn)
-	} else if err == nil {
-		args.Partitions, err = executeMap(job, task)
 	}
 	span.SetAttr("records", rows)
 	if err != nil {
 		args.Err = err.Error()
-		args.Partitions, args.FrameParts, args.PartStats = nil, nil, nil
+		args.FrameParts, args.PartStats = nil, nil
 		span.SetAttr("error", err.Error())
 	}
 	args.Spans = finish(err != nil)
@@ -275,18 +272,14 @@ func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
 		TraceID:  task.TraceID,
 	}
 	span, finish := w.taskSpan(task, "reduce-task")
-	span.SetAttr("records", len(task.Groups))
 	start := time.Now()
 	w.stall()
 	job, err := lookupJob(task.JobName, task.Params)
-	if err == nil && job.framed() {
-		args.Frames, err = executeReduceFramed(job, task)
-	} else if err == nil {
-		args.Pairs, err = executeReduce(job, task)
+	if err == nil {
+		args.Frames, err = executeReduce(job, task)
 	}
 	if err != nil {
-		args.Err = err.Error()
-		args.Pairs, args.Frames = nil, nil
+		args.Err, args.Frames = err.Error(), nil
 		span.SetAttr("error", err.Error())
 	}
 	args.Spans = finish(err != nil)
@@ -298,66 +291,11 @@ func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
 	return reply.Next, w.bumpCompleted()
 }
 
-// executeMap runs the mapper (and combiner) of one map task, returning
-// output pairs partitioned by reducer.
-func executeMap(job Job, task TaskReply) ([][]WirePair, error) {
-	reducers := task.Reducers
-	if reducers < 1 {
-		reducers = 1
-	}
-	parts := make([][]WirePair, reducers)
-	emit := func(key string, value []byte) {
-		r := wirePartition(key, reducers)
-		parts[r] = append(parts[r], WirePair{Key: key, Value: value})
-	}
-	for _, rec := range task.Records {
-		if err := job.Mapper.Map(rec, emit); err != nil {
-			return nil, err
-		}
-	}
-	if job.Combiner != nil {
-		for r := range parts {
-			combined, err := combineWire(job.Combiner, parts[r])
-			if err != nil {
-				return nil, err
-			}
-			parts[r] = combined
-		}
-	}
-	return parts, nil
-}
-
-// combineWire groups one partition's pairs by key (first-seen order) and
-// applies the combiner.
-func combineWire(combiner mapreduce.Reducer, pairs []WirePair) ([]WirePair, error) {
-	if len(pairs) == 0 {
-		return pairs, nil
-	}
-	order := make([]string, 0, 8)
-	groups := make(map[string][][]byte, 8)
-	for _, p := range pairs {
-		if _, ok := groups[p.Key]; !ok {
-			order = append(order, p.Key)
-		}
-		groups[p.Key] = append(groups[p.Key], p.Value)
-	}
-	var out []WirePair
-	emit := func(key string, value []byte) {
-		out = append(out, WirePair{Key: key, Value: value})
-	}
-	for _, k := range order {
-		if err := combiner.Reduce(k, groups[k], emit); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// executeReduceFramed folds one reducer's frame streams into a single
+// executeReduce folds one reducer's frame streams into a single
 // output stream via the shared mapreduce.ReduceFrames — or, when the job
 // carries a FrameFolder, via the streaming mapreduce.ReduceFramesStream,
 // which never assembles a partition's full block.
-func executeReduceFramed(job Job, task TaskReply) ([]byte, error) {
+func executeReduce(job Job, task TaskReply) ([]byte, error) {
 	if folder := job.FrameJob.Folder; folder != nil {
 		srcs := make([]mapreduce.FrameSource, 0, len(task.FrameStreams))
 		for _, stream := range task.FrameStreams {
@@ -368,28 +306,4 @@ func executeReduceFramed(job Job, task TaskReply) ([]byte, error) {
 	}
 	out, _, err := mapreduce.ReduceFrames(task.FrameStreams, job.FrameJob.Reducer, job.Codec)
 	return out, err
-}
-
-// executeReduce runs the reducer over one task's key groups.
-func executeReduce(job Job, task TaskReply) ([]WirePair, error) {
-	var out []WirePair
-	emit := func(key string, value []byte) {
-		out = append(out, WirePair{Key: key, Value: value})
-	}
-	for _, g := range task.Groups {
-		if err := job.Reducer.Reduce(g.Key, g.Values, emit); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// wirePartition must agree between all workers: FNV-1a over the key.
-func wirePartition(key string, reducers int) int {
-	if reducers == 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(reducers))
 }

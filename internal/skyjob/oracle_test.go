@@ -45,11 +45,37 @@ func membersOf(t *testing.T, part partition.Partitioner, data points.Set) map[in
 	return members
 }
 
+// requireOracle checks one cluster run against the sequential operator:
+// the global result is exactly oracle over the whole input, and each
+// partition's local result exactly oracle over the points the spec's
+// partitioner assigns to it.
+func requireOracle(t *testing.T, res *Result, spec Spec, data points.Set, oracle func(points.Set) points.Set) {
+	t.Helper()
+	if want := oracle(data); !sameMultiset(res.Skyline, want) {
+		t.Errorf("global result has %d points, oracle %d", len(res.Skyline), len(want))
+	}
+	part, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := membersOf(t, part, data)
+	if len(res.LocalSkylines) != len(members) {
+		t.Errorf("%d local results for %d occupied partitions", len(res.LocalSkylines), len(members))
+	}
+	for id, m := range members {
+		if want := oracle(m); !sameMultiset(res.LocalSkylines[id], want) {
+			t.Errorf("partition %d: local result %d points, oracle %d",
+				id, len(res.LocalSkylines[id]), len(want))
+		}
+	}
+}
+
 // TestClusterMatchesOracle is driver.TestComputeMatchesOracle's cluster
 // twin: on a 3-worker loopback cluster, every scheme × kernel × spec
 // variant returns exactly the classic sequential skyline.BNL of the whole
 // input, and each partition's local skyline is exactly skyline.BNL of the
-// points the spec's partitioner assigns to it.
+// points the spec's partitioner assigns to it — and every scheme × k ×
+// spec variant of the band jobs the same of skyline.Skyband(·, k).
 func TestClusterMatchesOracle(t *testing.T) {
 	master := startCluster(t, 3)
 	uniform := uniformSet(42, 600, 4)
@@ -59,45 +85,45 @@ func TestClusterMatchesOracle(t *testing.T) {
 		data       points.Set
 		partitions int
 		set        func(*Spec)
+		band       bool // the band jobs take it too
 	}{
-		{"default", uniform, 8, func(*Spec) {}},
-		{"budget 4 KiB", uniform, 8, func(s *Spec) { s.ReducerBudgetBytes, s.Codec = 4<<10, points.FrameAuto }},
-		{"one partition", uniform, 1, func(*Spec) {}},
-		{"duplicates", dups, 8, func(*Spec) {}},
+		{"default", uniform, 8, func(*Spec) {}, true},
+		{"budget 4 KiB", uniform, 8, func(s *Spec) { s.ReducerBudgetBytes, s.Codec = 4<<10, points.FrameAuto }, false},
+		{"FrameAuto", uniform, 8, func(s *Spec) { s.Codec = points.FrameAuto }, true},
+		{"one partition", uniform, 1, func(*Spec) {}, true},
+		{"duplicates", dups, 8, func(*Spec) {}, true},
 	}
 	schemes := []partition.Scheme{partition.Dimensional, partition.Grid, partition.Angular, partition.Random}
 	kernels := []skyline.Algorithm{skyline.BNLAlgorithm, skyline.SFSAlgorithm, skyline.DCAlgorithm}
 	for _, scheme := range schemes {
-		for _, kernel := range kernels {
-			for _, v := range variants {
+		for _, v := range variants {
+			spec, err := SpecFor(v.data, scheme, v.partitions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.set(&spec)
+			for _, kernel := range kernels {
 				t.Run(fmt.Sprintf("%v/%v/%s", scheme, kernel, v.name), func(t *testing.T) {
-					spec, err := SpecFor(v.data, scheme, v.partitions)
-					if err != nil {
-						t.Fatal(err)
-					}
+					spec := spec
 					spec.Kernel = kernel
-					v.set(&spec)
 					res, err := ComputeSpec(context.Background(), master, v.data, spec, 3)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := skyline.BNL(v.data); !sameMultiset(res.Skyline, want) {
-						t.Errorf("global skyline has %d points, oracle %d", len(res.Skyline), len(want))
-					}
-					part, err := spec.Build()
+					requireOracle(t, res, spec, v.data, skyline.BNL)
+				})
+			}
+			for _, k := range []int{1, 3} {
+				if !v.band {
+					continue
+				}
+				t.Run(fmt.Sprintf("%v/%d-skyband/%s", scheme, k, v.name), func(t *testing.T) {
+					res, err := runJobs(context.Background(), master, v.data, spec, skybandSpec{Spec: spec, K: k},
+						SkybandPartitionJobName, SkybandMergeJobName, 3)
 					if err != nil {
 						t.Fatal(err)
 					}
-					members := membersOf(t, part, v.data)
-					if len(res.LocalSkylines) != len(members) {
-						t.Errorf("%d local skylines for %d occupied partitions", len(res.LocalSkylines), len(members))
-					}
-					for id, m := range members {
-						if want := skyline.BNL(m); !sameMultiset(res.LocalSkylines[id], want) {
-							t.Errorf("partition %d: local skyline %d points, oracle %d",
-								id, len(res.LocalSkylines[id]), len(want))
-						}
-					}
+					requireOracle(t, res, spec, v.data, func(s points.Set) points.Set { return oracleBand(t, s, k) })
 				})
 			}
 		}
@@ -107,7 +133,8 @@ func TestClusterMatchesOracle(t *testing.T) {
 // TestExecutorsAgree: the two jobs are defined once (driver.PartitionJob,
 // driver.MergeJob), so for one dataset and one fitted spec the in-process
 // engine and a 3-worker cluster must return the same global skyline, the
-// same local skyline per partition id, and the same Eq. (5) evidence.
+// same local skyline per partition id, and the same Eq. (5) evidence —
+// and, for a band (k = 3), the same of the k-skyband.
 func TestExecutorsAgree(t *testing.T) {
 	master := startCluster(t, 3)
 	data := uniformSet(77, 2500, 5)
@@ -126,52 +153,80 @@ func TestExecutorsAgree(t *testing.T) {
 		// The cluster's partitioning job does not prune grid cells, so
 		// the in-process run must not either for local skylines to be
 		// comparable partition by partition.
-		sky, stats, err := driver.Compute(context.Background(), data,
-			driver.Options{Scheme: scheme, PartitionerOverride: part, DisableGridPruning: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ComputeSpec(context.Background(), master, data, spec, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameMultiset(sky, res.Skyline) {
-			t.Errorf("%v: in-process skyline %d points, cluster %d", scheme, len(sky), len(res.Skyline))
-		}
-		if len(stats.LocalSkylines) != len(res.LocalSkylines) {
-			t.Errorf("%v: %d local skylines in-process, %d on the cluster",
-				scheme, len(stats.LocalSkylines), len(res.LocalSkylines))
-		}
-		for id, local := range stats.LocalSkylines {
-			if !sameMultiset(local, res.LocalSkylines[id]) {
-				t.Errorf("%v: partition %d local skylines differ", scheme, id)
+		opts := driver.Options{Scheme: scheme, PartitionerOverride: part, DisableGridPruning: true}
+		for _, k := range []int{0, 3} {
+			name := fmt.Sprintf("%v, k=%d", scheme, k)
+			var sky points.Set
+			var stats *driver.Stats
+			var res *Result
+			if k == 0 {
+				sky, stats, err = driver.Compute(context.Background(), data, opts)
+			} else {
+				sky, stats, err = driver.ComputeSkyband(context.Background(), data, k, opts)
 			}
-		}
-		if in, cl := metrics.GlobalSurvivors(stats.LocalSkylines, sky), metrics.GlobalSurvivors(res.LocalSkylines, res.Skyline); !reflect.DeepEqual(in, cl) {
-			t.Errorf("%v: Eq. (5) survivors differ: %v vs %v", scheme, in, cl)
-		}
-		// The ratio sums floats in map order; the survivor counts above
-		// are the exact form.
-		in := metrics.LocalSkylineOptimality(stats.LocalSkylines, sky)
-		if cl := res.Optimality(); math.Abs(in-cl) > 1e-12 || cl <= 0 {
-			t.Errorf("%v: optimality %v in-process, %v on the cluster", scheme, in, cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k == 0 {
+				res, err = ComputeSpec(context.Background(), master, data, spec, 3)
+			} else {
+				res, err = runJobs(context.Background(), master, data, spec, skybandSpec{Spec: spec, K: k},
+					SkybandPartitionJobName, SkybandMergeJobName, 3)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameMultiset(sky, res.Skyline) {
+				t.Errorf("%s: in-process result %d points, cluster %d", name, len(sky), len(res.Skyline))
+			}
+			if len(stats.LocalSkylines) != len(res.LocalSkylines) {
+				t.Errorf("%s: %d local results in-process, %d on the cluster",
+					name, len(stats.LocalSkylines), len(res.LocalSkylines))
+			}
+			for id, local := range stats.LocalSkylines {
+				if !sameMultiset(local, res.LocalSkylines[id]) {
+					t.Errorf("%s: partition %d local results differ", name, id)
+				}
+			}
+			if in, cl := metrics.GlobalSurvivors(stats.LocalSkylines, sky), metrics.GlobalSurvivors(res.LocalSkylines, res.Skyline); !reflect.DeepEqual(in, cl) {
+				t.Errorf("%s: Eq. (5) survivors differ: %v vs %v", name, in, cl)
+			}
+			// The ratio sums floats in map order; the survivor counts above
+			// are the exact form.
+			in := metrics.LocalSkylineOptimality(stats.LocalSkylines, sky)
+			if cl := res.Optimality(); math.Abs(in-cl) > 1e-12 || cl <= 0 {
+				t.Errorf("%s: optimality %v in-process, %v on the cluster", name, in, cl)
+			}
 		}
 	}
 }
 
+// allJobs is the four registered jobs; the band jobs' params carry a k.
+var allJobs = []struct {
+	name    string
+	factory rpcmr.JobFactory
+	band    bool
+}{
+	{PartitionJobName, newPartitionJob, false},
+	{MergeJobName, newMergeJob, false},
+	{SkybandPartitionJobName, newSkybandPartitionJob, true},
+	{SkybandMergeJobName, newSkybandMergeJob, true},
+}
+
 // TestHostileSpecRejected: job params arrive over the wire, so a spec no
-// SpecFor could have produced must come back as a skyjob error from both
-// job factories — which is what a worker reports as a failed task —
+// SpecFor could have produced must come back as a skyjob error from all
+// four job factories — which is what a worker reports as a failed task —
 // rather than panic in a kernel lookup or size a table from a hostile
-// count. A cluster handed every such spec still runs the next good job on
-// all of its workers.
+// count. A cluster handed every such spec still runs the next good jobs,
+// skyline and band, on all of its workers.
 func TestHostileSpecRejected(t *testing.T) {
 	data := uniformSet(5, 300, 3)
 	good, err := SpecFor(data, partition.Angular, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostile := map[string]func(m map[string]any){
+	type mutation func(m map[string]any)
+	hostile := map[string]mutation{
 		"unknown kernel":          func(m map[string]any) { m["kernel"] = 99 },
 		"negative kernel":         func(m map[string]any) { m["kernel"] = -1 },
 		"unknown scheme":          func(m map[string]any) { m["scheme"] = "MR-Bogus" },
@@ -190,21 +245,49 @@ func TestHostileSpecRejected(t *testing.T) {
 		"retired classic_shuffle": func(m map[string]any) { m["classic_shuffle"] = true },
 		"misspelt field":          func(m map[string]any) { m["kernal"] = 1 },
 	}
-	master := startCluster(t, 3)
-	for name, mutate := range hostile {
-		var m map[string]any
-		if err := json.Unmarshal(mustJSON(t, good), &m); err != nil {
-			t.Fatal(err)
-		}
-		mutate(m)
-		params := mustJSON(t, m)
-		for job, factory := range map[string]rpcmr.JobFactory{PartitionJobName: newPartitionJob, MergeJobName: newMergeJob} {
-			if _, err := factory(params); err == nil || !strings.HasPrefix(err.Error(), "skyjob: ") {
-				t.Errorf("%s, %s: factory returned %v, want a skyjob error", name, job, err)
+	// What only one kind of job must refuse: a skyline job has no k, and a
+	// band job needs one, a whole spec around it, and no reducer budget —
+	// the budgeted fold is a skyline fold.
+	skylineOnly := map[string]mutation{
+		"band width on a skyline job": func(m map[string]any) { m["k"] = 2 },
+	}
+	bandOnly := map[string]mutation{
+		"zero k":     func(m map[string]any) { m["k"] = 0 },
+		"negative k": func(m map[string]any) { m["k"] = -3 },
+		"no k":       func(m map[string]any) { delete(m, "k") },
+		"nothing but k": func(m map[string]any) {
+			for key := range m {
+				if key != "k" {
+					delete(m, key)
+				}
 			}
-			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job, Params: params, Reducers: 2}, setSplits(data))
-			if err == nil || !strings.Contains(err.Error(), "skyjob: ") {
-				t.Errorf("%s, %s: cluster run returned %v, want a skyjob error", name, job, err)
+		},
+		"reducer budget": func(m map[string]any) { m["reducer_budget_bytes"] = 4096 },
+	}
+	master := startCluster(t, 3)
+	for _, job := range allJobs {
+		rows := []map[string]mutation{hostile, skylineOnly}
+		if job.band {
+			rows[1] = bandOnly
+		}
+		for _, row := range rows {
+			for name, mutate := range row {
+				var m map[string]any
+				if err := json.Unmarshal(mustJSON(t, good), &m); err != nil {
+					t.Fatal(err)
+				}
+				if job.band {
+					m["k"] = 2
+				}
+				mutate(m)
+				params := mustJSON(t, m)
+				if _, err := job.factory(params); err == nil || !strings.HasPrefix(err.Error(), "skyjob: ") {
+					t.Errorf("%s, %s: factory returned %v, want a skyjob error", name, job.name, err)
+				}
+				_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params, Reducers: 2}, setSplits(data))
+				if err == nil || !strings.Contains(err.Error(), "skyjob: ") {
+					t.Errorf("%s, %s: cluster run returned %v, want a skyjob error", name, job.name, err)
+				}
 			}
 		}
 	}
@@ -222,23 +305,42 @@ func TestHostileSpecRejected(t *testing.T) {
 	if !sameMultiset(res.Skyline, skyline.BNL(data)) {
 		t.Error("good spec after the hostile ones: wrong skyline")
 	}
+	band, err := ComputeSkyband(context.Background(), master, data, partition.Angular, 2, 8, 3)
+	if err != nil {
+		t.Fatalf("good band job after the hostile ones: %v", err)
+	}
+	if !sameMultiset(band, oracleBand(t, data, 2)) {
+		t.Error("good band job after the hostile ones: wrong 2-skyband")
+	}
 	if st := master.Status(); st.LiveWorkers != 3 {
 		t.Errorf("%d of 3 workers alive after the hostile specs", st.LiveWorkers)
 	}
 }
 
+// oracleBand is the sequential k-skyband.
+func oracleBand(t *testing.T, data points.Set, k int) points.Set {
+	t.Helper()
+	band, err := skyline.Skyband(data, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return band
+}
+
 // TestHostileInputFrameRejected: a map task's input frame arrives over RPC,
 // so a frame no master could have sealed — or one for another job — must
-// come back from both jobs as an error that says what is wrong with it,
-// never a worker that died in a decoder, a partitioner or a window. The
-// cluster then runs a good job on all of its workers.
+// come back from all four jobs as an error that says what is wrong with it,
+// never a worker that died in a decoder, a partitioner or a window — nor,
+// from a band merge, a band that kept every row of another dimension
+// because nothing dominates across dimensions. The cluster then runs a
+// good job on all of its workers.
 func TestHostileInputFrameRejected(t *testing.T) {
 	data := uniformSet(6, 300, 3)
 	spec, err := SpecFor(data, partition.Angular, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := mustJSON(t, spec)
+	params := map[bool][]byte{false: mustJSON(t, spec), true: mustJSON(t, skybandSpec{Spec: spec, K: 2})}
 	frameOf := func(rows points.Set, codec points.FrameCodec) []byte {
 		blk, ok := points.BlockOf(rows)
 		if !ok {
@@ -285,30 +387,29 @@ func TestHostileInputFrameRejected(t *testing.T) {
 	}
 	master := startCluster(t, 3)
 	for _, h := range hostile {
-		for _, job := range []string{PartitionJobName, MergeJobName} {
-			if h.partition && job != PartitionJobName {
+		for _, job := range allJobs {
+			if h.partition && job.name != PartitionJobName && job.name != SkybandPartitionJobName {
 				continue
 			}
 			input := rpcmr.FrameRows(50, func(lo, hi int) ([]byte, error) { return h.frame, nil })
-			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job, Params: params, Reducers: 2}, input)
+			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, input)
 			if err == nil || !strings.Contains(err.Error(), h.want) {
-				t.Errorf("%s, %s: cluster run returned %v, want an error naming %q", h.name, job, err, h.want)
+				t.Errorf("%s, %s: cluster run returned %v, want an error naming %q", h.name, job.name, err, h.want)
 			}
 		}
 	}
 	// The dimension rows again, for their wording: Job 1's is the
 	// partitioner's, the merge's this package's.
 	narrow := rpcmr.FrameRows(50, func(lo, hi int) ([]byte, error) { return frameOf(data.Project(2)[:50], points.FrameV1), nil })
-	for job, want := range map[string]string{PartitionJobName: "partition: point has dimension 2, want 3", MergeJobName: "skyjob: 2-dimensional row in a 3-dimensional merge"} {
-		_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job, Params: params, Reducers: 2}, narrow)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("2-dim frame, %s: %v, want %q", job, err, want)
+	for _, job := range allJobs {
+		want := "partition: point has dimension 2, want 3"
+		if job.name == MergeJobName || job.name == SkybandMergeJobName {
+			want = "skyjob: 2-dimensional row in a 3-dimensional merge"
 		}
-	}
-	// Records are not a framed job's input at all.
-	records := rpcmr.Records([][]byte{points.Encode(data[0])})
-	if _, err := master.Run(context.Background(), rpcmr.JobSpec{Name: PartitionJobName, Params: params, Reducers: 2}, records); err == nil || !strings.Contains(err.Error(), "rpcmr: ") {
-		t.Errorf("records into the partitioning job: %v, want an rpcmr error", err)
+		_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, narrow)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("2-dim frame, %s: %v, want %q", job.name, err, want)
+		}
 	}
 
 	res, err := ComputeSpec(context.Background(), master, data, spec, 3)

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -159,20 +160,46 @@ func (s Spec) Build() (partition.Partitioner, error) {
 func init() {
 	rpcmr.RegisterJob(PartitionJobName, newPartitionJob)
 	rpcmr.RegisterJob(MergeJobName, newMergeJob)
+	rpcmr.RegisterJob(SkybandPartitionJobName, newSkybandPartitionJob)
+	rpcmr.RegisterJob(SkybandMergeJobName, newSkybandMergeJob)
 }
 
-// decodeSpec parses and validates job params. Unknown fields are an error:
-// a spec that still carries a retired knob (version skew between master
-// and worker) or a misspelt field must fail the task, not run a job other
-// than the one its sender meant.
-func decodeSpec(params []byte) (Spec, error) {
-	var spec Spec
+// The four job factories: driver's two job definitions, for the skyline
+// (params are a Spec) and for the k-skyband (a skybandSpec).
+var (
+	newPartitionJob        = partitionFactory(false)
+	newMergeJob            = mergeFactory(false)
+	newSkybandPartitionJob = partitionFactory(true)
+	newSkybandMergeJob     = mergeFactory(true)
+)
+
+// decodeSpec parses and validates job params: a Spec, or with band a
+// skybandSpec — K stays 0, the skyline, otherwise. Unknown fields are an
+// error: a spec that still carries a retired knob (version skew between
+// master and worker) or a misspelt field must fail the task, not run a job
+// other than the one its sender meant.
+func decodeSpec(params []byte, band bool) (skybandSpec, error) {
+	var spec skybandSpec
+	into := any(&spec.Spec)
+	if band {
+		into = &spec
+	}
 	dec := json.NewDecoder(bytes.NewReader(params))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return Spec{}, fmt.Errorf("skyjob: bad params: %w", err)
+	if err := dec.Decode(into); err != nil {
+		return spec, fmt.Errorf("skyjob: bad params: %w", err)
 	}
-	return spec, spec.validate()
+	if err := spec.validate(); err != nil {
+		return spec, err
+	}
+	if band && spec.K < 1 {
+		return spec, fmt.Errorf("skyjob: skyband k = %d, need >= 1", spec.K)
+	}
+	if band && spec.ReducerBudgetBytes > 0 {
+		// The budgeted fold is a skyline fold: one dominator evicts a row.
+		return spec, errors.New("skyjob: k-skyband does not run under a reducer budget")
+	}
+	return spec, nil
 }
 
 // options carries the spec's share of what the job definitions read.
@@ -180,34 +207,38 @@ func (s Spec) options() driver.Options {
 	return driver.Options{Kernel: s.Kernel, Codec: s.Codec, ReducerBudgetBytes: s.ReducerBudgetBytes}
 }
 
-func newPartitionJob(params []byte) (rpcmr.Job, error) {
-	spec, err := decodeSpec(params)
-	if err != nil {
-		return rpcmr.Job{}, err
+func partitionFactory(band bool) rpcmr.JobFactory {
+	return func(params []byte) (rpcmr.Job, error) {
+		spec, err := decodeSpec(params, band)
+		if err != nil {
+			return rpcmr.Job{}, err
+		}
+		part, err := spec.Build()
+		if err != nil {
+			return rpcmr.Job{}, err
+		}
+		return rpcmr.Job{FrameJob: driver.PartitionJob(part, nil, spec.Dim, spec.K, spec.options()), Codec: spec.Codec}, nil
 	}
-	part, err := spec.Build()
-	if err != nil {
-		return rpcmr.Job{}, err
-	}
-	return rpcmr.Job{FrameJob: driver.PartitionJob(part, nil, spec.Dim, spec.options()), Codec: spec.Codec}, nil
 }
 
-func newMergeJob(params []byte) (rpcmr.Job, error) {
-	spec, err := decodeSpec(params)
-	if err != nil {
-		return rpcmr.Job{}, err
-	}
-	job := driver.MergeJob(context.Background(), spec.Dim, spec.options())
-	// Job 1's mapper checks each row against the partitioner; the merge
-	// mapper trusts its rows, and here they come off the wire.
-	merge := job.Mapper
-	job.Mapper = func(row []float64, emit mapreduce.EmitPoint) error {
-		if len(row) != spec.Dim {
-			return fmt.Errorf("skyjob: %d-dimensional row in a %d-dimensional merge", len(row), spec.Dim)
+func mergeFactory(band bool) rpcmr.JobFactory {
+	return func(params []byte) (rpcmr.Job, error) {
+		spec, err := decodeSpec(params, band)
+		if err != nil {
+			return rpcmr.Job{}, err
 		}
-		return merge(row, emit)
+		job := driver.MergeJob(context.Background(), spec.Dim, spec.K, spec.options())
+		// Job 1's mapper checks each row against the partitioner; the merge
+		// mapper trusts its rows, and here they come off the wire.
+		merge := job.Mapper
+		job.Mapper = func(row []float64, emit mapreduce.EmitPoint) error {
+			if len(row) != spec.Dim {
+				return fmt.Errorf("skyjob: %d-dimensional row in a %d-dimensional merge", len(row), spec.Dim)
+			}
+			return merge(row, emit)
+		}
+		return rpcmr.Job{FrameJob: job, Codec: spec.Codec}, nil
 	}
-	return rpcmr.Job{FrameJob: job, Codec: spec.Codec}, nil
 }
 
 // walkRows bounds the frames of an input split: a worker walks them through
@@ -282,11 +313,18 @@ func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme 
 // ComputeSpec runs the pipeline with a caller-built Spec — the entry
 // point for a non-default kernel, codec or reducer budget.
 func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, reducers int) (*Result, error) {
+	return runJobs(ctx, master, data, spec, spec, PartitionJobName, MergeJobName, reducers)
+}
+
+// runJobs is the two-job sequence behind ComputeSpec and ComputeSkyband:
+// the registered jobs job1 then job2, both instantiated from wire — spec,
+// or a skybandSpec around it — as JSON.
+func runJobs(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, wire any, job1, job2 string, reducers int) (*Result, error) {
 	part, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
-	params, err := json.Marshal(spec)
+	params, err := json.Marshal(wire)
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +348,7 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 	// flight record even when it receives no data.
 	rec.EnsurePartitions(part.Partitions())
 	partCtx, partSpan := telemetry.StartSpan(ctx, "partitioning-job")
-	res1, err := master.Run(partCtx, rpcmr.JobSpec{Name: PartitionJobName, Params: params, Reducers: reducers}, setSplits(data))
+	res1, err := master.Run(partCtx, rpcmr.JobSpec{Name: job1, Params: params, Reducers: reducers}, setSplits(data))
 	partSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("skyjob: partitioning job: %w", err)
@@ -344,7 +382,7 @@ func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spe
 		telemetry.A("local_skyline_points", candidates),
 		telemetry.A("partitions_hit", len(local)))
 	mergeCtx, mergeSpan := telemetry.StartSpan(ctx, "merging-job")
-	res2, err := master.Run(mergeCtx, rpcmr.JobSpec{Name: MergeJobName, Params: params, Reducers: 1}, blockSplits(ids, res1.Blocks, candidates, spec.Codec))
+	res2, err := master.Run(mergeCtx, rpcmr.JobSpec{Name: job2, Params: params, Reducers: 1}, blockSplits(ids, res1.Blocks, candidates, spec.Codec))
 	mergeSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("skyjob: merging job: %w", err)
