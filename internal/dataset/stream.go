@@ -86,15 +86,16 @@ func (s *Source) chunkLen(i int) int {
 
 // ReadChunk appends chunk i's points to blk. It is pure in (s, i): any
 // number of calls, in any order, from any goroutine (each call builds
-// its own RNG), append the same rows.
+// its own RNG), append the same rows. The rows are reserved once
+// (points.Block.Extend) and generated in place: a block that carries a
+// chunk's capacity is filled without allocating, a fresh one allocates it.
 func (s *Source) ReadChunk(i int, blk *points.Block) error {
 	if i < 0 || i >= s.Chunks() {
 		return fmt.Errorf("dataset: chunk %d out of range [0,%d)", i, s.Chunks())
 	}
 	rng := rand.New(rand.NewSource(s.seed ^ int64(uint64(i+1)*chunkSeedMix)))
-	count := s.chunkLen(i)
-	row := make([]float64, s.d)
-	for p := 0; p < count; p++ {
+	for rows := blk.Extend(s.d, s.chunkLen(i)); len(rows) > 0; rows = rows[s.d:] {
+		row := rows[:s.d]
 		switch s.kind {
 		case KindCorrelated:
 			fillCorrelated(rng, row)
@@ -105,7 +106,6 @@ func (s *Source) ReadChunk(i int, blk *points.Block) error {
 		default:
 			fillIndependent(rng, row)
 		}
-		blk.AppendRow(row)
 	}
 	return nil
 }

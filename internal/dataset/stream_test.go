@@ -1,7 +1,10 @@
 package dataset
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/points"
@@ -140,5 +143,74 @@ func TestSourceEmptyAndDefaults(t *testing.T) {
 	}
 	if _, err := NewSource(KindIndependent, 1, 10, 0, 0); err == nil {
 		t.Fatal("d=0 accepted")
+	}
+}
+
+// chunkGolden is the FNV-1a hash of chunks 2 and 3 (the short last one) of
+// NewSource(kind, 2012, 1000, 5, 300), coordinates as little-endian float64
+// bits, taken from the append-one-row-at-a-time ReadChunk: the in-place
+// fill must generate the same rows bit for bit.
+var chunkGolden = map[Kind]uint64{
+	KindIndependent:    0xd7ca4ee827c9d92e,
+	KindCorrelated:     0xa19f274d9881edef,
+	KindAnticorrelated: 0xb9efd56ae3849ddb,
+	KindClustered:      0x540b72123d249355,
+}
+
+func hashRows(blk *points.Block, lo int) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for i := lo; i < blk.Len(); i++ {
+		for _, v := range blk.Row(i) {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestReadChunkGolden pins ReadChunk's rows for every Kind and its append
+// contract: rows land after whatever the block already holds (bench's
+// materialise reads every chunk into one block), whether the block arrives
+// with no capacity, with exactly enough, or — recycled — with stale rows in
+// the capacity beyond its length.
+func TestReadChunkGolden(t *testing.T) {
+	for _, kind := range []Kind{KindIndependent, KindCorrelated, KindAnticorrelated, KindClustered} {
+		t.Run(kind.String(), func(t *testing.T) {
+			src, err := NewSource(kind, 2012, 1000, 5, 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale := points.NewBlock(0, 0)
+			if err := src.ReadChunk(0, stale); err != nil {
+				t.Fatal(err)
+			}
+			stale.Clear() // a recycled block: empty, dimension forgotten, chunk 0 still in its capacity
+			for name, blk := range map[string]*points.Block{
+				"fresh": points.NewBlock(0, 0), "sized": points.NewBlock(5, 400), "recycled": stale,
+			} {
+				for _, i := range []int{2, 3} {
+					if err := src.ReadChunk(i, blk); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if blk.Len() != 400 || blk.Dim() != 5 {
+					t.Fatalf("%s: %d rows of dim %d, want 400 of dim 5", name, blk.Len(), blk.Dim())
+				}
+				if got := hashRows(blk, 0); got != chunkGolden[kind] {
+					t.Errorf("%s: rows hash %#x, want %#x", name, got, chunkGolden[kind])
+				}
+				// The short last chunk again, after the 400 rows already there.
+				if err := src.ReadChunk(3, blk); err != nil {
+					t.Fatal(err)
+				}
+				if blk.Len() != 500 || hashRows(blk, 400) != hashRows(blk.Slice(300, 400), 0) {
+					t.Errorf("%s: chunk 3 appended after existing rows differs from chunk 3", name)
+				}
+				if got := hashRows(blk.Slice(0, 400), 0); got != chunkGolden[kind] {
+					t.Errorf("%s: appending disturbed the rows before it: %#x", name, got)
+				}
+			}
+		})
 	}
 }

@@ -73,8 +73,10 @@ type Options struct {
 	// skyline outgrows it, so reduce memory stays near the budget instead
 	// of scaling with partition size — and the merge runs as the
 	// multi-round budgeted schedule (the paper's §II iterative merge)
-	// instead of one global reduce. 0 keeps the assemble-everything
-	// reducers and the single merge job.
+	// instead of one global reduce. The budget is per reducer: up to
+	// Workers run at once, in Job 1 and in each round of the schedule, so
+	// resident reduce memory is bounded by Workers × budget. 0 keeps the
+	// assemble-everything reducers and the single merge job.
 	ReducerBudgetBytes int64
 	// Metrics, when non-nil, receives skyline-level series (per-partition
 	// local skyline sizes, pruned-cell counts) and is passed through to

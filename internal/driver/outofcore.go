@@ -3,6 +3,8 @@ package driver
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
@@ -80,6 +82,11 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 // the greedy packing makes no progress, so the round falls back to
 // pairwise grouping; the folds then multi-pass internally, and the group
 // count still halves — termination is unconditional.
+//
+// A round's groups are independent reducers: they fold on up to
+// opts.Workers goroutines, so a round holds at most Workers × budget
+// resident, as Job 1's concurrent budgeted reducers do. Survivors are
+// collected in group order — rows and their order do not depend on Workers.
 func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, budget int64, opts Options, stats *Stats) (*points.Block, error) {
 	if len(candidates) == 0 {
 		return nil, nil
@@ -88,7 +95,7 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 	for round := 1; len(candidates) > 1 || round == 1; round++ {
 		var groups [][]*points.Block
 		var cur []*points.Block
-		var curBytes int64
+		var curBytes, roundBytes int64
 		for _, blk := range candidates {
 			b := int64(blk.Len()) * int64(dim) * 8
 			if len(cur) > 0 && curBytes+b > budget {
@@ -97,6 +104,7 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 			}
 			cur = append(cur, blk)
 			curBytes += b
+			roundBytes += b
 		}
 		if len(cur) > 0 {
 			groups = append(groups, cur)
@@ -108,28 +116,16 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 				groups = append(groups, candidates[i:hi])
 			}
 		}
-		var roundBytes int64
-		next := make([]*points.Block, 0, len(groups))
-		for _, g := range groups {
-			fold := skyline.NewBudgetedFold(dim, budget, opts.SpillDir, opts.Codec)
-			for _, blk := range g {
-				roundBytes += int64(blk.Len()) * int64(dim) * 8
-				if err := fold.Absorb(blk); err != nil {
-					return nil, err
-				}
-			}
-			out, err := fold.Finish()
-			if err != nil {
-				return nil, err
-			}
-			fs := fold.Stats()
-			if fs.PeakBytes > stats.ReducerPeakBytes {
-				stats.ReducerPeakBytes = fs.PeakBytes
-			}
-			if fs.Passes > stats.MergePasses {
-				stats.MergePasses = fs.Passes
-			}
-			next = append(next, out)
+		roundCtx, span := telemetry.StartSpan(ctx, "merge-round", telemetry.A("round", round),
+			telemetry.A("groups", len(groups)), telemetry.A("bytes", roundBytes))
+		next, folds, err := foldRound(roundCtx, groups, dim, budget, opts)
+		span.End()
+		if err != nil {
+			return nil, err
+		}
+		for _, fs := range folds {
+			stats.ReducerPeakBytes = max(stats.ReducerPeakBytes, fs.PeakBytes)
+			stats.MergePasses = max(stats.MergePasses, fs.Passes)
 		}
 		stats.MergeRounds++
 		stats.MergeRoundBytes = append(stats.MergeRoundBytes, roundBytes)
@@ -137,4 +133,55 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 		candidates = next
 	}
 	return candidates[0], nil
+}
+
+// foldRound reduces each group of a round on up to opts.Workers goroutines
+// that take the groups in order, and returns the survivors and the folds'
+// stats in group order once every goroutine has exited. The first error —
+// ctx's, checked before each group, or a fold's — stops the groups not yet
+// started and is returned.
+func foldRound(ctx context.Context, groups [][]*points.Block, dim int, budget int64, opts Options) ([]*points.Block, []skyline.FoldStats, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	next := make([]*points.Block, len(groups))
+	folds := make([]skyline.FoldStats, len(groups))
+	var wg sync.WaitGroup
+	var taken atomic.Int64
+	var failOnce sync.Once
+	var firstErr error
+	for w := 0; w < max(min(opts.Workers, len(groups)), 1); w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			for g := int(taken.Add(1)) - 1; g < len(groups); g = int(taken.Add(1)) - 1 {
+				err := ctx.Err()
+				if err == nil {
+					next[g], folds[g], err = foldGroup(ctx, worker, g, groups[g], dim, budget, opts)
+				}
+				if err != nil {
+					failOnce.Do(func() { firstErr = err; cancel() })
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return next, folds, firstErr
+}
+
+// foldGroup is one reducer of a round: the group's blocks through a
+// BudgetedFold, closed on every path so a failed absorb leaves no file.
+func foldGroup(ctx context.Context, worker, g int, group []*points.Block, dim int, budget int64, opts Options) (*points.Block, skyline.FoldStats, error) {
+	_, span := telemetry.StartSpan(ctx, "merge-fold", telemetry.A("group", g))
+	span.SetTrack(worker + 1)
+	defer span.End()
+	fold := skyline.NewBudgetedFold(dim, budget, opts.SpillDir, opts.Codec)
+	defer fold.Close()
+	for _, blk := range group {
+		if err := fold.Absorb(blk); err != nil {
+			return nil, skyline.FoldStats{}, err
+		}
+	}
+	out, err := fold.Finish()
+	return out, fold.Stats(), err
 }

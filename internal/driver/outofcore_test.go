@@ -2,11 +2,20 @@ package driver
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"reflect"
+	"runtime"
 	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/telemetry"
@@ -180,5 +189,279 @@ func TestMergeScheduleRounds(t *testing.T) {
 	// Single empty-candidate edge.
 	if blk, err := mergeSchedule(context.Background(), nil, d, budget, Options{}, &Stats{}); err != nil || blk != nil {
 		t.Fatalf("nil candidates: blk=%v err=%v", blk, err)
+	}
+}
+
+// antiBlock is one candidate block of anti-correlated rows — most of them
+// survive a merge, so budgeted folds over a few of them overflow.
+func antiBlock(seed int64, rows, d int) *points.Block {
+	blk, _ := points.BlockOf(dataset.Generate(dataset.KindAnticorrelated, seed, rows, d))
+	return blk
+}
+
+// countSpans counts the tracer's finished spans of one name.
+func countSpans(tr *telemetry.Tracer, name string) int {
+	n := 0
+	for _, s := range tr.Spans() {
+		if s.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
+// assertNoLeak: nothing is left in the spill directory and the goroutine
+// count is back to what it was before the job (exiting goroutines are
+// given a moment to finish exiting).
+func assertNoLeak(t *testing.T, dir string, goroutines int) {
+	t.Helper()
+	if left, err := os.ReadDir(dir); err != nil || len(left) > 0 {
+		t.Errorf("spill directory after the job: %d entries (first: %v), err %v", len(left), left[:min(len(left), 1)], err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines after the job, %d before", runtime.NumGoroutine(), goroutines)
+			return
+		}
+	}
+}
+
+// TestMergeScheduleSameForAnyWorkers: folding a round's groups
+// concurrently changes nothing one can observe in the result — rows and
+// their order, rounds, per-round bytes, passes and the peak (the max over
+// folds) equal the one-worker schedule's — under budgets that force the
+// pair-wise fallback with multi-pass folds, greedy packing, and a single
+// group, on input where every third candidate duplicates its predecessor.
+func TestMergeScheduleSameForAnyWorkers(t *testing.T) {
+	const d, rows = 4, 600
+	candidates := make([]*points.Block, 9)
+	for i := range candidates {
+		candidates[i] = antiBlock(int64(100+i-i%3/2), rows, d) // seeds 100 101 101 103 104 104 …
+	}
+	for _, tc := range []struct {
+		name      string
+		budget    int64
+		rounds    int // 0: not pinned
+		multiPass bool
+	}{
+		{"pairwise", rows * d * 8 / 4, 4, true},
+		{"packed", 2*rows*d*8 + 1, 0, false},
+		{"one-group", 1 << 24, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want points.Set
+			var wantStats Stats
+			for _, workers := range []int{1, 2, 8} {
+				tr := telemetry.NewTracer()
+				stats := &Stats{}
+				out, err := mergeSchedule(telemetry.WithTracer(context.Background(), tr), candidates, d, tc.budget,
+					Options{Workers: workers, SpillDir: t.TempDir(), Codec: points.FrameAuto}, stats)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if workers == 1 {
+					want, wantStats = out.ToSet(), *stats
+					if tc.rounds > 0 && stats.MergeRounds != tc.rounds {
+						t.Errorf("MergeRounds = %d, want %d", stats.MergeRounds, tc.rounds)
+					}
+					if (stats.MergePasses > 1) != tc.multiPass {
+						t.Errorf("MergePasses = %d, multi-pass wanted: %v", stats.MergePasses, tc.multiPass)
+					}
+					if stats.ReducerPeakBytes <= 0 {
+						t.Error("ReducerPeakBytes not recorded")
+					}
+					continue
+				}
+				if !reflect.DeepEqual(out.ToSet(), want) {
+					t.Errorf("workers=%d: rows or their order differ from the one-worker schedule", workers)
+				}
+				if !reflect.DeepEqual(*stats, wantStats) {
+					t.Errorf("workers=%d: stats %+v, one worker %+v", workers, *stats, wantStats)
+				}
+				if got := countSpans(tr, "merge-round"); got != stats.MergeRounds {
+					t.Errorf("workers=%d: %d merge-round spans for %d rounds", workers, got, stats.MergeRounds)
+				}
+			}
+		})
+	}
+}
+
+// TestMergeScheduleFailedGroupLeavesNothing: the second group of a round
+// fails after its fold has already overflowed to disk. The error comes
+// back, no overflow file and no goroutine is left behind — the failing
+// fold's own file, and its siblings' — and with one worker the third group
+// is never started.
+func TestMergeScheduleFailedGroupLeavesNothing(t *testing.T) {
+	const d = 4
+	wrongDim := points.NewBlock(d+1, 1)
+	wrongDim.AppendRow(make([]float64, d+1))
+	// Every candidate alone exceeds the 1 KiB budget, so the round pairs
+	// them: (0,1) (2,wrongDim) (3,4).
+	candidates := []*points.Block{antiBlock(1, 2000, d), antiBlock(2, 2000, d), antiBlock(3, 2000, d),
+		wrongDim, antiBlock(4, 2000, d), antiBlock(5, 2000, d)}
+	for _, workers := range []int{1, 2} {
+		dir := t.TempDir()
+		goroutines := runtime.NumGoroutine()
+		tr := telemetry.NewTracer()
+		_, err := mergeSchedule(telemetry.WithTracer(context.Background(), tr), candidates, d, 1024,
+			Options{Workers: workers, SpillDir: dir}, &Stats{})
+		if err == nil || !strings.Contains(err.Error(), "5-dim block into 4-dim fold") {
+			t.Fatalf("workers=%d: err = %v, want the second group's absorb error", workers, err)
+		}
+		assertNoLeak(t, dir, goroutines)
+		if folds := countSpans(tr, "merge-fold"); workers == 1 && folds != 2 {
+			t.Errorf("one worker started %d folds, want 2: the first error stops the groups after it", folds)
+		}
+	}
+}
+
+// TestMergeScheduleHonoursContext: a cancelled context stops the schedule
+// before the next group — here before the first — with the context's error.
+func TestMergeScheduleHonoursContext(t *testing.T) {
+	const d = 4
+	candidates := []*points.Block{antiBlock(1, 2000, d), antiBlock(2, 2000, d), antiBlock(3, 2000, d)}
+	dir := t.TempDir()
+	goroutines := runtime.NumGoroutine()
+	tr := telemetry.NewTracer()
+	ctx, cancel := context.WithCancel(telemetry.WithTracer(context.Background(), tr))
+	cancel()
+	out, err := mergeSchedule(ctx, candidates, d, 1024, Options{Workers: 2, SpillDir: dir}, &Stats{})
+	if !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("cancelled schedule returned a block: %v, err %v; want context.Canceled", out != nil, err)
+	}
+	if folds := countSpans(tr, "merge-fold"); folds != 0 {
+		t.Errorf("%d folds ran under a cancelled context", folds)
+	}
+	assertNoLeak(t, dir, goroutines)
+}
+
+// cancelAfterJob1 is a partitioner that cancels the run the first time the
+// driver asks for its partition count after every row has been assigned —
+// which twoJobs does between Job 1's return and the merge schedule.
+type cancelAfterJob1 struct {
+	partition.Partitioner
+	rows     int64
+	assigned atomic.Int64
+	cancel   context.CancelFunc
+}
+
+func (c *cancelAfterJob1) Assign(p points.Point) (int, error) {
+	c.assigned.Add(1)
+	return c.Partitioner.Assign(p)
+}
+
+func (c *cancelAfterJob1) Partitions() int {
+	if c.assigned.Load() >= c.rows {
+		c.cancel()
+	}
+	return c.Partitioner.Partitions()
+}
+
+// TestComputeStreamCancelledBeforeMerge: a run cancelled once Job 1 has
+// finished does not fold a single merge group; it fails with the context's
+// error and leaves the spill directory empty.
+func TestComputeStreamCancelledBeforeMerge(t *testing.T) {
+	const n, d = 8000, 4
+	src, err := dataset.NewSource(dataset.KindAnticorrelated, 5, n, d, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.New(partition.Angular, dataset.Generate(dataset.KindAnticorrelated, 5, 500, d), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	goroutines := runtime.NumGoroutine()
+	tr := telemetry.NewTracer()
+	ctx, cancel := context.WithCancel(telemetry.WithTracer(context.Background(), tr))
+	defer cancel()
+	_, _, err = ComputeStream(ctx, src, Options{Scheme: partition.Angular, Nodes: 2, SpillDir: dir, ReducerBudgetBytes: 1024,
+		PartitionerOverride: &cancelAfterJob1{Partitioner: part, rows: n, cancel: cancel}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if countSpans(tr, "merge-schedule") != 1 || countSpans(tr, "merge-fold") != 0 {
+		t.Errorf("spans: %d merge-schedule, %d merge-fold; want the schedule entered and no group folded",
+			countSpans(tr, "merge-schedule"), countSpans(tr, "merge-fold"))
+	}
+	assertNoLeak(t, dir, goroutines)
+}
+
+// countingChunks wraps a chunk source and remembers every distinct block
+// ReadChunk was handed, and whether each arrived empty.
+type countingChunks struct {
+	mapreduce.ChunkSource
+	mu       sync.Mutex
+	blocks   map[*points.Block]int
+	nonEmpty int
+}
+
+func (c *countingChunks) ReadChunk(i int, blk *points.Block) error {
+	c.mu.Lock()
+	c.blocks[blk]++
+	if blk.Len() != 0 || blk.Dim() != 0 {
+		c.nonEmpty++
+	}
+	c.mu.Unlock()
+	return c.ChunkSource.ReadChunk(i, blk)
+}
+
+// TestComputeStreamAllocatesInputOnce: a streamed job's chunk memory is
+// Workers recycled blocks, not a block per map task grown by appending.
+// Over bench's stream_ind_d6 shape (16 chunks of 62 500 d=6 rows, two
+// workers) the source sees at most Workers+1 distinct blocks — the extra
+// one is the sampling read — and a steady-state job allocates less than
+// twice the input's bytes in total (6.8× when every task append-grew a
+// fresh block; ~1.03× now). The byte bound means nothing under -race.
+func TestComputeStreamAllocatesInputOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-row job")
+	}
+	const n, d, chunks, workers = 1000000, 6, 16, 2
+	inner, err := dataset.NewSource(dataset.KindIndependent, 2012, n, d, n/chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Scheme: partition.Angular, Nodes: 4, Workers: workers, SpillDir: t.TempDir(),
+		Codec: points.FrameAuto, ReducerBudgetBytes: 128 << 10}
+	var ms runtime.MemStats
+	var allocated uint64
+	for job := 0; job < 2; job++ { // the second job is the steady state
+		src := &countingChunks{ChunkSource: inner, blocks: map[*points.Block]int{}}
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, _, err := ComputeStream(context.Background(), src, opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		allocated = ms.TotalAlloc - before
+		if len(src.blocks) > workers+1 || src.nonEmpty > 0 {
+			t.Errorf("job %d: %d chunk reads went to %d distinct blocks (want <= %d), %d not empty on arrival",
+				job, chunks+1, len(src.blocks), workers+1, src.nonEmpty)
+		}
+	}
+	t.Logf("steady-state job allocated %d bytes", allocated)
+	if input := uint64(n * d * 8); !raceEnabled && allocated > 2*input {
+		t.Errorf("steady-state job allocated %d bytes, %.2fx its %d-byte input; want <= 2x", allocated, float64(allocated)/float64(input), input)
+	}
+}
+
+// BenchmarkComputeStream is one streamed job end to end — 200 k
+// independent d=6 rows as 16 chunks, 128 KiB reducer budget, FrameAuto,
+// spills on — so B/op is what a streamed job allocates. CI prints it.
+func BenchmarkComputeStream(b *testing.B) {
+	const n, d = 200000, 6
+	src, err := dataset.NewSource(dataset.KindIndependent, 2012, n, d, n/16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Scheme: partition.Angular, Nodes: 4, Workers: 2, SpillDir: b.TempDir(),
+		Codec: points.FrameAuto, ReducerBudgetBytes: 128 << 10}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ComputeStream(context.Background(), src, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -132,16 +132,23 @@ func TestWindowAccumulatorsMatchBlockCombiner(t *testing.T) {
 }
 
 // flakyChunks serves a block set as chunks and fails the first read of
-// every chunk, so each map task is retried and re-reads its feed.
+// every chunk, so each map task is retried and re-reads its feed. With
+// partial set the failing read first leaves half of another chunk in the
+// block it was handed — a read that died mid-way — and since chunk blocks
+// are recycled, only an emptied block keeps those rows out of the retry.
 type flakyChunks struct {
-	blocks []*points.Block
-	reads  []atomic.Int32
+	blocks  []*points.Block
+	reads   []atomic.Int32
+	partial bool
 }
 
 func (f *flakyChunks) Chunks() int { return len(f.blocks) }
 
 func (f *flakyChunks) ReadChunk(i int, blk *points.Block) error {
 	if f.reads[i].Add(1) == 1 {
+		if other := f.blocks[(i+1)%len(f.blocks)]; f.partial {
+			blk.AppendBlock(other.Slice(0, other.Len()/2))
+		}
 		return errors.New("transient read error")
 	}
 	blk.AppendBlock(f.blocks[i])
@@ -204,6 +211,8 @@ func TestAccumulatorJobsAgreeUnderRetry(t *testing.T) {
 		{"windows, mapper fails mid-task", FrameJob{Feed: BlockRows(blocks), Mapper: failsOnce, Accumulators: windows}, int64(len(blocks))},
 		{"windows over flaky chunks", FrameJob{Feed: ChunkRows(&flakyChunks{blocks: blocks, reads: make([]atomic.Int32, len(blocks))}),
 			Mapper: mapper, Accumulators: windows}, int64(len(blocks))},
+		{"windows over chunks whose first read dies half-way", FrameJob{Feed: ChunkRows(&flakyChunks{blocks: blocks,
+			reads: make([]atomic.Int32, len(blocks)), partial: true}), Mapper: mapper, Accumulators: windows}, int64(len(blocks))},
 	} {
 		got := run(tc.name, tc.job)
 		if n := got.Counters.Get(CounterMapRetries); n != tc.retries {

@@ -463,12 +463,31 @@ func BlockRows(blocks []*points.Block) RowFeed {
 	}}
 }
 
-// ChunkRows feeds an out-of-core input one chunk per map task: the chunk
-// is read into a block that lives for the task only, so the full input
-// never exists in memory.
+// ChunkRows feeds an out-of-core input one chunk per map task, so the full
+// input never exists in memory. A task borrows its chunk block from the
+// feed's free list and returns it, emptied but with its capacity, once its
+// rows are routed (or the attempt failed): the feed holds at most one block
+// per engine worker for its life, each sized by the first chunk read into
+// it, and a steady-state task — a retry included — allocates no chunk memory.
 func ChunkRows(src ChunkSource) RowFeed {
+	var mu sync.Mutex
+	var free []*points.Block
 	return RowFeed{units: src.Chunks(), perUnit: true, feed: func(lo, _ int, mapper RowMapper, emit EmitPoint) (int, error) {
-		blk := points.NewBlock(0, 0)
+		var blk *points.Block
+		mu.Lock()
+		if last := len(free) - 1; last >= 0 {
+			blk, free = free[last], free[:last]
+		}
+		mu.Unlock()
+		if blk == nil {
+			blk = points.NewBlock(0, 0)
+		}
+		defer func() {
+			blk.Clear()
+			mu.Lock()
+			free = append(free, blk)
+			mu.Unlock()
+		}()
 		if err := src.ReadChunk(lo, blk); err != nil {
 			return 0, fmt.Errorf("reading chunk %d: %w", lo, err)
 		}

@@ -21,7 +21,9 @@ import (
 // survive), then Finish returns the fold's result, which the engine emits
 // under the fold's partition. Implementations need not be safe for
 // concurrent use; the engine creates one fold per partition and drives it
-// from a single goroutine. *skyline.BudgetedFold is the one in use.
+// from a single goroutine. A fold that holds resources until Finish also
+// implements io.Closer: the engine closes every fold it created when the
+// task returns, finished or not. *skyline.BudgetedFold is the one in use.
 type FrameFold interface {
 	Absorb(blk *points.Block) error
 	Finish() (*points.Block, error)
@@ -80,6 +82,15 @@ func (m *memFrameSource) Next() ([]byte, error) {
 func ReduceFramesStream(srcs []FrameSource, folder FrameFolder, codec points.FrameCodec) ([]byte, FrameStats, error) {
 	var st FrameStats
 	folds := make(map[int]FrameFold)
+	// On an error return some folds are never finished, and an unfinished
+	// fold may hold an overflow file: close them all (a no-op once finished).
+	defer func() {
+		for _, fold := range folds {
+			if c, ok := fold.(io.Closer); ok {
+				c.Close()
+			}
+		}
+	}()
 	scratch := points.NewBlock(0, 0)
 	var maxFrame int64
 	for _, src := range srcs {
@@ -194,8 +205,12 @@ func runFrameReduceTaskStream(cfg Config, r int, outputs []frameTaskOutput, fold
 
 // ChunkSource provides the input of an out-of-core job as random-access
 // chunks: one map task per chunk (see ChunkRows), each read directly into
-// a block, so the full input never exists in memory. ReadChunk must be
-// safe for concurrent use and re-readable (task retry).
+// a block, so the full input never exists in memory. The block ReadChunk
+// is handed is empty but may carry an earlier chunk's capacity — the
+// engine recycles chunk blocks across tasks — so a source reserves the
+// chunk's rows once (points.Block.Extend) and never append-grows row by
+// row: a task's chunk memory is then one chunk, and nothing once recycled.
+// ReadChunk must be safe for concurrent use and re-readable (task retry).
 type ChunkSource interface {
 	Chunks() int
 	ReadChunk(i int, blk *points.Block) error

@@ -2,11 +2,16 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/points"
 	"repro/internal/skyline"
 )
@@ -259,5 +264,100 @@ func TestFrameCodecOnShuffle(t *testing.T) {
 	b2 := v2.Counters.Get(CounterShuffleBytes)
 	if b2 >= b1 {
 		t.Fatalf("auto codec shuffled %d bytes, v1 %d — no compression on clustered input", b2, b1)
+	}
+}
+
+// refusingFold fails its first Absorb.
+type refusingFold struct{}
+
+func (refusingFold) Absorb(*points.Block) error     { return errors.New("fold refuses") }
+func (refusingFold) Finish() (*points.Block, error) { return nil, nil }
+
+// TestAbandonedFoldsLeaveNoOverflowFile: a streaming reduce that returns
+// early — a bad frame, another partition's fold failing — has folds it
+// never finishes, and a budgeted fold that has overflowed holds a temp
+// file until it is finished or closed. The engine closes what it created.
+func TestAbandonedFoldsLeaveNoOverflowFile(t *testing.T) {
+	const d = 4
+	blk, _ := points.BlockOf(dataset.Generate(dataset.KindAnticorrelated, 3, 5000, d))
+	assertEmpty := func(t *testing.T, dir string) {
+		t.Helper()
+		if left, err := os.ReadDir(dir); err != nil || len(left) > 0 {
+			t.Errorf("%d files left in the folds' spill directory (first: %v), err %v", len(left), left[:min(len(left), 1)], err)
+		}
+	}
+	t.Run("bad frame into ReduceFramesStream", func(t *testing.T) {
+		dir := t.TempDir()
+		stream := append(points.AppendFrame(nil, 0, blk), 0xff, 0xff, 0xff)
+		_, _, err := ReduceFramesStream([]FrameSource{StreamFrameSource(stream)}, func(int) FrameFold {
+			return skyline.NewBudgetedFold(d, 1024, dir, points.FrameDefault)
+		}, points.FrameDefault)
+		if err == nil || !strings.Contains(err.Error(), "unsupported frame version 255") {
+			t.Fatalf("err = %v, want the bad frame's", err)
+		}
+		assertEmpty(t, dir)
+	})
+	t.Run("another fold fails in RunFrames", func(t *testing.T) {
+		// Partition 0's frame comes first in every sealed stream and
+		// overflows its fold; partition 1's fold then refuses its frame.
+		dir := t.TempDir()
+		_, err := RunFrames(context.Background(), Config{Name: "abandoned", Workers: 2, Reducers: 1, MaxAttempts: 1}, FrameJob{
+			Feed: BlockRows([]*points.Block{blk}),
+			Mapper: func(row []float64, emit EmitPoint) error {
+				if row[0] < 0.9 {
+					emit(0, row)
+				} else {
+					emit(1, row)
+				}
+				return nil
+			},
+			Folder: func(p int) FrameFold {
+				if p == 1 {
+					return refusingFold{}
+				}
+				return skyline.NewBudgetedFold(d, 1024, dir, points.FrameDefault)
+			},
+		})
+		if err == nil || !strings.Contains(err.Error(), "fold refuses") {
+			t.Fatalf("err = %v, want the refusing fold's", err)
+		}
+		assertEmpty(t, dir)
+	})
+}
+
+// blockCounter is a chunk source that remembers which blocks it was handed.
+type blockCounter struct {
+	chunkSrc
+	mu       sync.Mutex
+	blocks   map[*points.Block]bool
+	nonEmpty int
+}
+
+func (c *blockCounter) ReadChunk(i int, blk *points.Block) error {
+	c.mu.Lock()
+	c.blocks[blk] = true
+	if blk.Len() != 0 || blk.Dim() != 0 {
+		c.nonEmpty++
+	}
+	c.mu.Unlock()
+	return c.chunkSrc.ReadChunk(i, blk)
+}
+
+// TestChunkRowsRecyclesBlocks: a chunk feed hands its source at most one
+// block per engine worker over a whole job, each empty on arrival.
+func TestChunkRowsRecyclesBlocks(t *testing.T) {
+	const chunks, workers = 16, 2
+	src := &blockCounter{chunkSrc: chunkSrc{chunks: chunks, per: 300, d: 5}, blocks: map[*points.Block]bool{}}
+	res, err := RunFrames(context.Background(), Config{Name: "recycle", Workers: workers, Reducers: 2},
+		FrameJob{Feed: ChunkRows(src), Mapper: streamSkyMapper(4), Reducer: skylineReducer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := res.Counters.Get(CounterMapIn); in != chunks*300 {
+		t.Errorf("map-in %d, want %d", in, chunks*300)
+	}
+	if len(src.blocks) > workers || src.nonEmpty > 0 {
+		t.Errorf("%d chunks were read into %d distinct blocks (want <= %d workers), %d of them not empty on arrival",
+			chunks, len(src.blocks), workers, src.nonEmpty)
 	}
 }

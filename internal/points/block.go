@@ -73,6 +73,30 @@ func (b *Block) AppendRow(row []float64) {
 	b.coords = append(b.coords, row...)
 }
 
+// Extend appends n rows of dimension dim and returns their coordinates —
+// n×dim values, row-major, contents unspecified — for the caller to fill in
+// place: the reserve for a producer that knows its row count up front. The
+// backing array grows at most once, to exactly the length needed, and not at
+// all on a block that carries the capacity (a recycled one). AppendRow's
+// rules apply to dim; the view dies with the block's next mutation.
+func (b *Block) Extend(dim, n int) []float64 {
+	if b.dim == 0 && len(b.coords) == 0 {
+		b.dim = dim
+	}
+	if dim != b.dim || dim <= 0 || n < 0 {
+		panic(fmt.Sprintf("points: extending %d-dim block by %d %d-dim rows", b.dim, n, dim))
+	}
+	lo := len(b.coords)
+	need := lo + n*dim
+	if cap(b.coords) < need {
+		grown := make([]float64, need)
+		copy(grown, b.coords)
+		b.coords = grown
+	}
+	b.coords = b.coords[:need]
+	return b.coords[lo:need:need]
+}
+
 // AppendBlock copies every row of o onto the end of the block. The usual
 // AppendRow rules apply: an empty dimension-inferring block adopts o's
 // dimension, and a mismatch panics.

@@ -79,6 +79,42 @@ func TestBlockDimInference(t *testing.T) {
 	b.AppendRow([]float64{1})
 }
 
+// TestBlockExtend: Extend appends rows to fill in place, after whatever
+// the block holds; it allocates exactly the rows on a block without the
+// capacity and nothing on one that has it (a Cleared, recycled block), and
+// applies AppendRow's dimension rules.
+func TestBlockExtend(t *testing.T) {
+	b := NewBlock(0, 0)
+	b.AppendRow([]float64{1, 2, 3})
+	rows := b.Extend(3, 2)
+	if len(rows) != 6 || b.Len() != 3 || b.Dim() != 3 {
+		t.Fatalf("Extend(3, 2) on a 1-row block: %d values, block %d×%d", len(rows), b.Len(), b.Dim())
+	}
+	copy(rows, []float64{4, 5, 6, 7, 8, 9})
+	if b.Row(0)[0] != 1 || b.Row(1)[0] != 4 || b.Row(2)[2] != 9 {
+		t.Fatalf("rows after fill: %v %v %v", b.Row(0), b.Row(1), b.Row(2))
+	}
+	if cap(b.coords) != 9 {
+		t.Errorf("capacity %d after growing to 3 rows of 3, want exactly 9", cap(b.coords))
+	}
+	b.Clear()
+	if allocs := testing.AllocsPerRun(10, func() {
+		b.Clear()
+		b.Extend(3, 3)
+	}); allocs != 0 || b.Len() != 3 {
+		t.Errorf("Extend within a recycled block's capacity: %v allocations, %d rows", allocs, b.Len())
+	}
+	if got := b.Extend(3, 0); len(got) != 0 || b.Len() != 3 {
+		t.Errorf("Extend by no rows: %d values, %d rows", len(got), b.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched Extend did not panic")
+		}
+	}()
+	b.Extend(2, 1)
+}
+
 func TestBlockSliceAndClone(t *testing.T) {
 	b := NewBlock(2, 4)
 	for i := 0; i < 4; i++ {

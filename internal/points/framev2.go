@@ -203,7 +203,10 @@ func appendFrameV2(dst []byte, partition int, blk *Block) []byte {
 		panic(fmt.Sprintf("points: negative partition id %d in frame", partition))
 	}
 	n, d := blk.Len(), blk.dim
-	w := bitWriter{buf: make([]byte, 0, len(blk.coords)*8/2)}
+	// Reserved at the raw payload's length — FrameAuto's cut-off, beyond
+	// which the encoding is discarded anyway — so the buffer is allocated
+	// once even on data that barely packs (uniform coordinates: 0.91).
+	w := bitWriter{buf: make([]byte, 0, len(blk.coords)*8)}
 	for j := 0; j < d; j++ {
 		prev := math.Float64bits(blk.coords[j])
 		w.writeBits(prev, 64)

@@ -2,6 +2,7 @@ package points
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -250,4 +251,41 @@ func FuzzDecodeFrameV2(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFrameV2ReserveKeepsBytes: reserving the bit buffer at the v1 length
+// changes how often the encoder allocates, never what it writes. The
+// golden hashes are of the frames the half-payload reserve produced, on a
+// block that packs well, one that packs to ~0.91 (uniform coordinates —
+// what doubled the old buffer) and one v2 expands.
+func TestFrameV2ReserveKeepsBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	random := NewBlock(3, 0)
+	for i := 0; i < 300; i++ {
+		random.AppendRow([]float64{math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64())})
+	}
+	for _, tc := range []struct {
+		name     string
+		blk      *Block
+		v2, auto uint64
+	}{
+		{"compressible", randomBlock(rng, 2000, 6, true), 0xb83f899c5120358a, 0xb83f899c5120358a},
+		{"uniform", randomBlock(rng, 2000, 6, false), 0x1b50a0a8ca7aa03f, 0x1b50a0a8ca7aa03f},
+		{"random-bits", random, 0x11f2b5956408c05b, 0x821b13594c9f1a95},
+	} {
+		for codec, want := range map[FrameCodec]uint64{FrameV2: tc.v2, FrameAuto: tc.auto} {
+			h := fnv.New64a()
+			h.Write(AppendFrameCodec([]byte("prefix"), 7, tc.blk, codec))
+			if got := h.Sum64(); got != want {
+				t.Errorf("%s/%v: frame hash %#x, want %#x", tc.name, codec, got, want)
+			}
+		}
+	}
+	// One allocation per v2 frame — the bit buffer, never re-grown — when
+	// the packed payload is no longer than the raw one.
+	uniform := randomBlock(rng, 2000, 6, false)
+	dst := make([]byte, 0, 2*frameV1Len(0, uniform))
+	if allocs := testing.AllocsPerRun(10, func() { AppendFrameCodec(dst, 0, uniform, FrameV2) }); allocs != 1 {
+		t.Errorf("v2 encode of an uncompressible block: %v allocations, want 1", allocs)
+	}
 }

@@ -101,7 +101,7 @@ func NewBudgetedFold(dim int, budgetBytes int64, spillDir string, codec points.F
 // Absorb feeds every row of blk into the fold. blk is not retained.
 func (f *BudgetedFold) Absorb(blk *points.Block) error {
 	if f.done {
-		return fmt.Errorf("skyline: Absorb after Finish")
+		return fmt.Errorf("skyline: Absorb after Finish or Close")
 	}
 	if blk.Len() == 0 {
 		return nil
@@ -122,7 +122,7 @@ func (f *BudgetedFold) Absorb(blk *points.Block) error {
 // AbsorbRow feeds a single row.
 func (f *BudgetedFold) AbsorbRow(p []float64) error {
 	if f.done {
-		return fmt.Errorf("skyline: Absorb after Finish")
+		return fmt.Errorf("skyline: Absorb after Finish or Close")
 	}
 	if len(p) != f.dim {
 		return fmt.Errorf("skyline: absorbing %d-dim row into %d-dim fold", len(p), f.dim)
@@ -201,19 +201,11 @@ func (f *BudgetedFold) notePeak(extra int64) {
 // absorbed row. The fold cannot be used afterwards.
 func (f *BudgetedFold) Finish() (*points.Block, error) {
 	if f.done {
-		return nil, fmt.Errorf("skyline: Finish called twice")
+		return nil, fmt.Errorf("skyline: Finish after Finish or Close")
 	}
-	f.done = true
-	win := f.win
-	defer func() {
-		win.publish()
-		if f.of != nil { // error-path cleanup; the loop normally consumed it
-			name := f.of.Name()
-			f.of.Close()
-			os.Remove(name)
-			f.of, f.ow = nil, nil
-		}
-	}()
+	// Publishes the window's tests and, on an error path, removes the
+	// overflow file the loop did not consume.
+	defer f.Close()
 	for f.firstOverflow >= 0 || (f.obuf != nil && f.obuf.Len() > 0) {
 		if err := f.flushOverflow(); err != nil {
 			return nil, err
@@ -247,8 +239,26 @@ func (f *BudgetedFold) Finish() (*points.Block, error) {
 	}
 	f.confirmed.AppendBlock(f.win.rows)
 	f.notePeak(0)
-	f.win = nil
 	return f.confirmed, nil
+}
+
+// Close abandons the fold: it releases the window and closes and removes
+// the overflow file, if one is open, so a fold dropped before Finish — a
+// sibling failed, the job was cancelled — leaves nothing in the spill
+// directory. Idempotent, a no-op after Finish; Absorb and Finish then fail.
+func (f *BudgetedFold) Close() error {
+	f.done = true
+	if f.win != nil {
+		f.win.publish()
+		f.win = nil
+	}
+	if f.of == nil {
+		return nil
+	}
+	name := f.of.Name()
+	f.of.Close()
+	f.of, f.ow = nil, nil
+	return os.Remove(name)
 }
 
 // replay re-absorbs the carried window rows and then the overflow file's

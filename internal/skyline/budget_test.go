@@ -3,6 +3,7 @@ package skyline
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 
@@ -152,5 +153,53 @@ func TestBudgetedFoldEmptyAndMisuse(t *testing.T) {
 	}
 	if err := fold.AbsorbRow([]float64{1, 2, 3, 4}); err == nil {
 		t.Fatal("Absorb after Finish did not error")
+	}
+}
+
+// TestBudgetedFoldClose: closing a fold that has overflowed removes its
+// temp file; Close is idempotent, a no-op after Finish, and a closed fold
+// refuses further use.
+func TestBudgetedFoldClose(t *testing.T) {
+	dir := t.TempDir()
+	files := func() int {
+		left, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(left)
+	}
+	fold := NewBudgetedFold(4, 1024, dir, points.FrameDefault)
+	if err := fold.Absorb(randBlock(rand.New(rand.NewSource(5)), 3000, 4, true)); err != nil {
+		t.Fatal(err)
+	}
+	if files() != 1 {
+		t.Fatalf("%d overflow files after a 3000-row absorb under a 1 KiB budget, want 1", files())
+	}
+	for i := 0; i < 2; i++ {
+		if err := fold.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+	}
+	if files() != 0 {
+		t.Fatalf("%d files left after Close", files())
+	}
+	if err := fold.AbsorbRow([]float64{1, 2, 3, 4}); err == nil {
+		t.Error("Absorb after Close did not error")
+	}
+	if _, err := fold.Finish(); err == nil {
+		t.Error("Finish after Close did not error")
+	}
+
+	done := NewBudgetedFold(4, 1024, dir, points.FrameDefault)
+	if err := done.Absorb(randBlock(rand.New(rand.NewSource(6)), 3000, 4, true)); err != nil {
+		t.Fatal(err)
+	}
+	sky, err := done.Finish()
+	if err != nil || sky.Len() == 0 {
+		t.Fatalf("Finish: %d rows, err %v", sky.Len(), err)
+	}
+	rows := sky.Len()
+	if err := done.Close(); err != nil || sky.Len() != rows || files() != 0 {
+		t.Errorf("Close after Finish: err %v, result %d → %d rows, %d files", err, rows, sky.Len(), files())
 	}
 }
