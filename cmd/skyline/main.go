@@ -96,7 +96,7 @@ func run(path, method string, nodes int, header, stats bool, out string, k, rep 
 				k, len(sky), len(data), time.Since(start).Round(time.Microsecond))
 		}
 	case k > 1:
-		m, err := parseMethod(method)
+		m, err := skymr.ParseMethod(method)
 		if err != nil {
 			return err
 		}
@@ -109,7 +109,7 @@ func run(path, method string, nodes int, header, stats bool, out string, k, rep 
 				m, k, len(sky), len(data), time.Since(start).Round(time.Microsecond))
 		}
 	default:
-		m, err := parseMethod(method)
+		m, err := skymr.ParseMethod(method)
 		if err != nil {
 			return err
 		}
@@ -191,20 +191,5 @@ func printExplain(w io.Writer, res *skymr.Result) {
 	fmt.Fprintf(w, "  %9s %10s %10s %9s\n", "partition", "candidates", "dom_tests", "survivors")
 	for _, pe := range ex.Partitions {
 		fmt.Fprintf(w, "  %9d %10d %10d %9d\n", pe.Partition, pe.Candidates, pe.DominanceTests, pe.Survivors)
-	}
-}
-
-func parseMethod(s string) (skymr.Method, error) {
-	switch s {
-	case "angle":
-		return skymr.Angle, nil
-	case "grid":
-		return skymr.Grid, nil
-	case "dim":
-		return skymr.Dim, nil
-	case "random":
-		return skymr.Random, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q (want angle, grid, dim, random, or seq)", s)
 	}
 }

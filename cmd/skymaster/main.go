@@ -28,7 +28,10 @@
 // Perfetto. With -flight-out, the flight record is also written to a
 // file. With -linger, the master keeps the debug endpoints up for that
 // long after the job finishes (or until SIGINT/SIGTERM) so dashboards
-// and CI can inspect the completed run.
+// and CI can inspect the completed run. With -reducer-budget, the
+// workers' reducers fold under that many bytes and the merge runs as
+// rounds of budget-sized folds on the master, over the local skylines the
+// partitioning job returned to it, instead of as a second cluster job.
 //
 // On SIGINT/SIGTERM the master drains workers, takes one final
 // time-series sample, shuts the debug server down gracefully, and
@@ -52,6 +55,7 @@ import (
 	"time"
 
 	skymr "repro"
+	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/rpcmr"
@@ -107,7 +111,7 @@ func main() {
 	flag.StringVar(&o.historyFile, "runhistory", "",
 		"append this run's flight+critpath summary to a bounded JSONL history file and compare against the baseline (empty = in-memory only)")
 	flag.Int64Var(&o.budget, "reducer-budget", 0,
-		"per-worker reducer memory budget in bytes; overflow spills to frames and resolves in extra passes (0 = unbudgeted)")
+		"per-reducer memory budget in bytes: overflow spills to frames and resolves in extra passes, and the merge runs as budget-sized rounds on the master (0 = unbudgeted, one merging job)")
 	flag.DurationVar(&o.sampleInterval, "sample-interval", time.Second, "metric time-series sampling cadence")
 	flag.IntVar(&o.sampleRetention, "sample-retention", 300, "metric time-series samples retained per series")
 	flag.DurationVar(&o.scrapeInterval, "scrape-interval", 2*time.Second, "worker /metrics federation scrape cadence")
@@ -132,7 +136,7 @@ func main() {
 }
 
 func run(o options) error {
-	scheme, err := parseScheme(o.method)
+	scheme, err := partition.ParseScheme(o.method)
 	if err != nil {
 		return err
 	}
@@ -339,11 +343,18 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	st := res.Stats
 	fmt.Fprintf(os.Stderr,
 		"skymaster: skyline %d of %d points in %s (partition job map %.2fs/reduce %.2fs, merge job map %.2fs/reduce %.2fs)\n",
 		len(res.Skyline), len(data), time.Since(start).Round(time.Millisecond),
-		res.MapTime.PartitionJob, res.ReduceTime.PartitionJob,
-		res.MapTime.MergeJob, res.ReduceTime.MergeJob)
+		st.PartitionJob.Map.Seconds(), st.PartitionJob.Reduce.Seconds(),
+		st.MergeJob.Map.Seconds(), st.MergeJob.Reduce.Seconds())
+	fmt.Fprintf(os.Stderr, "skymaster: %d partitions, %d local skyline points, %d shuffle bytes, %d dominance tests on the master",
+		st.Partitions, st.LocalSkylineTotal(), st.Counters[mapreduce.CounterShuffleBytes], st.DominanceTests)
+	if st.MergeRounds > 0 {
+		fmt.Fprintf(os.Stderr, ", %d merge rounds (reducer peak %d bytes)", st.MergeRounds, st.ReducerPeakBytes)
+	}
+	fmt.Fprintln(os.Stderr)
 	// Critical-path profile: where the makespan went, and what balance
 	// or de-straggling would have bought. The summary joins the bounded
 	// run history, which flags regressions against prior same-shape runs.
@@ -410,19 +421,4 @@ func run(o options) error {
 		}
 	}
 	return nil
-}
-
-func parseScheme(s string) (partition.Scheme, error) {
-	switch s {
-	case "angle":
-		return partition.Angular, nil
-	case "grid":
-		return partition.Grid, nil
-	case "dim":
-		return partition.Dimensional, nil
-	case "random":
-		return partition.Random, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
-	}
 }

@@ -96,7 +96,7 @@ func main() {
 
 func run(addr, method string, seedN, seedD int, seedFile string, header bool, snapshot string,
 	sloP99 time.Duration, sloAvail float64, slowThreshold time.Duration, publishQueue, publishBatch int) error {
-	scheme, err := parseScheme(method)
+	scheme, err := partition.ParseScheme(method)
 	if err != nil {
 		return err
 	}
@@ -226,19 +226,4 @@ func bootRegistry(ctx context.Context, scheme partition.Scheme, seedN, seedD int
 		seeds[i] = registry.Service{Name: fmt.Sprintf("seed-%06d", i), QoS: p}
 	}
 	return registry.New(ctx, seeds, opts)
-}
-
-func parseScheme(s string) (partition.Scheme, error) {
-	switch s {
-	case "angle":
-		return partition.Angular, nil
-	case "grid":
-		return partition.Grid, nil
-	case "dim":
-		return partition.Dimensional, nil
-	case "random":
-		return partition.Random, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
-	}
 }

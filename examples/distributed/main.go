@@ -12,6 +12,7 @@ import (
 	"time"
 
 	skymr "repro"
+	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/rpcmr"
 	"repro/internal/skyjob"
@@ -62,8 +63,11 @@ func main() {
 		if len(res.Skyline) != len(seq) {
 			agree = false
 		}
-		fmt.Printf("%-9s skyline=%4d of %d  localSkylines=%d partitions  wall=%s\n",
-			scheme, len(res.Skyline), len(data), len(res.LocalSkylines),
+		// res.Stats is the record driver.Compute returns in process.
+		st := res.Stats
+		fmt.Printf("%-9s skyline=%4d of %d  partitions=%d  localSkyline=%d points  shuffle=%d B  dominanceTests=%d  wall=%s\n",
+			scheme, len(res.Skyline), len(data), st.Partitions, st.LocalSkylineTotal(),
+			st.Counters[mapreduce.CounterShuffleBytes], st.DominanceTests,
 			time.Since(start).Round(time.Millisecond))
 	}
 	fmt.Printf("\nsequential reference: %d skyline services — all methods agree: %v\n",

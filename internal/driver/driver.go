@@ -12,8 +12,8 @@
 //
 // There is one data path: points travel as rows into per-partition
 // accumulators and between phases as packed frames (see frame.go, which
-// defines the two jobs once for this package and for the cluster executor
-// in package skyjob). The driver also implements MR-Grid's cell-level
+// defines the two jobs and their sequence once, for this package's executor
+// and for the cluster's in package skyjob). The driver also implements MR-Grid's cell-level
 // dominance pruning and collects the per-partition local skylines needed
 // by the paper's local skyline optimality metric (Eq. 5).
 package driver
@@ -137,6 +137,10 @@ type Stats struct {
 	// i. Zero/nil when the merge ran as a single job.
 	MergeRounds     int
 	MergeRoundBytes []int64
+	// DominanceTests is how far the process-wide flat-kernel dominance-test
+	// counter moved during the computation. Workers in other processes
+	// count their own.
+	DominanceTests int64
 }
 
 // LocalSkylineTotal returns the number of points across all local
@@ -207,35 +211,40 @@ func compute(ctx context.Context, data points.Set, band int, opts Options) (poin
 		}
 		pruned = pruner.Prunable(occupied)
 	}
-	return twoJobs(ctx, mapreduce.SetRows(data), data.Dim(), band, part, pruned, occupancy, opts)
+	exec := inProcess{feed: mapreduce.SetRows(data), part: part, pruned: pruned, dim: data.Dim(), band: band, opts: opts}
+	return TwoJobs(ctx, exec, data.Dim(), part, pruned, occupancy, opts)
 }
 
-// feedRecorder hands one finished computation's per-partition evidence to
-// the context's flight recorder (no-op when recording is off): partition
-// occupancy as input load, local skyline sizes, the Eq. (5) survivor
-// counts — computed here where local and global skylines are both in
-// hand — and per-partition shuffle bytes. The rollups are then bridged
-// into the run's metrics registry.
+// feedRecorder is the one writer of the run's flight record (no-op when the
+// context carries no recorder): per planned partition its occupancy as
+// input load, shuffle bytes, local skyline size and Eq. (5) survivor count
+// — computed here, where local and global skylines are both in hand — and
+// the run's retries, merge rounds and reducer peak. The rollups are then
+// bridged into the run's metrics registry.
 func feedRecorder(ctx context.Context, opts Options, stats *Stats, global points.Set, shuffle map[int]mapreduce.PartStat) {
 	rec := telemetry.RecorderFrom(ctx)
 	if rec == nil {
 		return
 	}
-	rec.EnsurePartitions(stats.Partitions)
-	for id, n := range stats.PartitionCounts {
-		rec.SetPartitionInput(id, int64(n))
+	run := telemetry.RunRecord{
+		Partitions:       make([]telemetry.PartitionRecord, stats.Partitions),
+		GlobalSkyline:    len(global),
+		TaskRetries:      stats.Counters[mapreduce.CounterMapRetries] + stats.Counters[mapreduce.CounterRedRetries],
+		WorkerFailures:   stats.Counters[mapreduce.CounterWorkerFailures],
+		MergeRoundBytes:  stats.MergeRoundBytes,
+		ReducerPeakBytes: stats.ReducerPeakBytes,
 	}
-	for id, ps := range shuffle {
-		rec.AddPartitionShuffle(id, 0, ps.Bytes) // occupancy already carries the records
+	survivors := metrics.GlobalSurvivors(stats.LocalSkylines, global)
+	for id := range run.Partitions {
+		run.Partitions[id] = telemetry.PartitionRecord{
+			Partition:       id,
+			InputRecords:    int64(stats.PartitionCounts[id]),
+			ShuffleBytes:    shuffle[id].Bytes,
+			LocalSkyline:    len(stats.LocalSkylines[id]),
+			GlobalSurvivors: survivors[id],
+		}
 	}
-	for id, ls := range stats.LocalSkylines {
-		rec.SetLocalSkyline(id, len(ls))
-	}
-	for id, hits := range metrics.GlobalSurvivors(stats.LocalSkylines, global) {
-		rec.SetGlobalSurvivors(id, hits)
-	}
-	rec.SetGlobalSkyline(len(global))
-	rec.SetReducerPeak(stats.ReducerPeakBytes)
+	rec.RecordRun(run)
 	rec.Publish(opts.Metrics)
 }
 

@@ -13,12 +13,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file defines what Algorithm 1's two jobs compute — once. PartitionJob
-// and MergeJob return a mapreduce.FrameJob without its Feed; twoJobs, the
-// one body behind Compute and ComputeStream, adds a feed and runs them on
-// the in-process engine, and package skyjob adapts the same values into
-// rpcmr jobs for the cluster. An executor decides where rows come from and
-// where tasks run, never what a task does.
+// This file defines Algorithm 1 — once. PartitionJob and MergeJob are what
+// its two jobs compute, a mapreduce.FrameJob without its Feed; TwoJobs is
+// the sequence, run on an Executor: inProcess, behind Compute, ComputeStream
+// and ComputeSkyband, gives the jobs a feed and the in-process engine, and
+// package skyjob's hands the same values to rpcmr as registered jobs. An
+// executor decides where rows come from and where tasks run, never what a
+// task does nor what happens to its result.
 
 // bnlWindows recycles the default map-side combiner: one incremental BNL
 // window per partition, folded as points are routed (skyline.Window — the
@@ -120,18 +121,70 @@ func MergeJob(ctx context.Context, dim, band int, o Options) mapreduce.FrameJob 
 	}, reduce)
 }
 
-// twoJobs is the pipeline behind Compute, ComputeStream and ComputeSkyband:
-// Job 1 over feed with the fitted partitioner, then the merge, both running
-// the operator band selects. Map tasks fold each routed
-// row into its partition's accumulator as it arrives and seal packed
-// frames keyed by integer partition id; reducers ingest whole frames, and
-// the merge is fed Job 1's result blocks as they are. pruned and occupancy
-// are the grid pruning mask and its pre-pass histogram, or nil.
-// opts.ReducerBudgetBytes is the one value that picks the merge: 0 runs
-// the single merging job, > 0 makes every reducer a budgeted fold and the
-// merge the multi-round schedule of mergeSchedule.
-func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim, band int, part partition.Partitioner, pruned []bool, occupancy []int, opts Options) (points.Set, *Stats, error) {
-	budget := opts.ReducerBudgetBytes
+// Executor is where Algorithm 1's two jobs run. It decides where rows come
+// from and where tasks run — Partition is Job 1 over the executor's own
+// input, Merge is Job 2 over the local skylines it is handed, in ascending
+// partition order — and reports each job the way mapreduce.RunFrames does.
+// Nothing after a job returns is an executor's: TwoJobs reads the results,
+// keeps the statistics and picks the merge. There are two: inProcess here,
+// and package skyjob's cluster.
+type Executor interface {
+	Partition(ctx context.Context) (*mapreduce.FrameResult, error)
+	Merge(ctx context.Context, candidates []*points.Block) (*mapreduce.FrameResult, error)
+}
+
+// inProcess runs both jobs on mapreduce.RunFrames, Job 1 over feed: map
+// tasks fold each routed row into its partition's accumulator as it arrives
+// and seal packed frames keyed by integer partition id, reducers ingest
+// whole frames, and the merge is fed Job 1's result blocks as they are.
+type inProcess struct {
+	feed      mapreduce.RowFeed
+	part      partition.Partitioner
+	pruned    []bool
+	dim, band int
+	opts      Options
+}
+
+func (e inProcess) config(ctx context.Context, job string, reducers int) mapreduce.Config {
+	if e.band > 0 {
+		job = fmt.Sprintf("skyband%d-%s", e.band, job)
+	}
+	return mapreduce.Config{
+		Name:               fmt.Sprintf("%s-%s", e.opts.Scheme, job),
+		Workers:            e.opts.Workers,
+		Reducers:           reducers,
+		SpillDir:           e.opts.SpillDir,
+		Metrics:            e.opts.Metrics,
+		Trace:              traceSink(ctx),
+		Codec:              e.opts.Codec,
+		ReducerBudgetBytes: e.opts.ReducerBudgetBytes,
+	}
+}
+
+func (e inProcess) Partition(ctx context.Context) (*mapreduce.FrameResult, error) {
+	job := PartitionJob(e.part, e.pruned, e.dim, e.band, e.opts)
+	job.Feed = e.feed
+	return mapreduce.RunFrames(ctx, e.config(ctx, "partitioning", e.opts.Workers), job)
+}
+
+func (e inProcess) Merge(ctx context.Context, candidates []*points.Block) (*mapreduce.FrameResult, error) {
+	job := MergeJob(ctx, e.dim, e.band, e.opts)
+	job.Feed = mapreduce.BlockRows(candidates)
+	// All local skylines share one partition (paper lines 12–15).
+	return mapreduce.RunFrames(ctx, e.config(ctx, "merging", 1), job)
+}
+
+// TwoJobs is Algorithm 1, once, for every entry point and both executors:
+// Job 1 on exec, the local skylines out of its result, then the merge.
+// part is the fitted partitioner exec's Job 1 routes by and dim its rows'
+// dimension; pruned and occupancy are the grid pruning mask and its
+// pre-pass histogram, or nil. opts.ReducerBudgetBytes is the one value that
+// picks the merge: 0 runs exec's single merging job, > 0 the multi-round
+// schedule of mergeSchedule, here, over the local skylines already in hand.
+// Of opts it also reads Scheme, Workers, SpillDir and Codec (the schedule's
+// folds) and Metrics. The statistics, the gauges, the context's event log
+// and flight record are fed here and nowhere else.
+func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partitioner, pruned []bool, occupancy []int, opts Options) (points.Set, *Stats, error) {
 	stats := &Stats{
 		Scheme:        opts.Scheme,
 		Partitions:    part.Partitions(),
@@ -142,34 +195,22 @@ func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim, band int, part pa
 			stats.PrunedPartitions++
 		}
 	}
-	// The dominance-test delta of the whole computation is bridged into the
-	// registry on every exit path.
-	if reg := opts.Metrics; reg != nil {
-		domBefore := skyline.DominanceTests()
-		defer func() {
-			reg.Counter("skyline_dominance_tests_total").Add(skyline.DominanceTests() - domBefore)
-		}()
-	}
-	config := func(job string, reducers int) mapreduce.Config {
-		if band > 0 {
-			job = fmt.Sprintf("skyband%d-%s", band, job)
+	// The dominance tests of the whole computation, as far as this process
+	// ran them, are bridged into the registry on every exit path.
+	domBefore := skyline.DominanceTests()
+	defer func() {
+		stats.DominanceTests = skyline.DominanceTests() - domBefore
+		if reg := opts.Metrics; reg != nil {
+			reg.Counter("skyline_dominance_tests_total").Add(stats.DominanceTests)
 		}
-		return mapreduce.Config{
-			Name:               fmt.Sprintf("%s-%s", opts.Scheme, job),
-			Workers:            opts.Workers,
-			Reducers:           reducers,
-			SpillDir:           opts.SpillDir,
-			Metrics:            opts.Metrics,
-			Trace:              traceSink(ctx),
-			Codec:              opts.Codec,
-			ReducerBudgetBytes: budget,
-		}
-	}
+	}()
+	// Every EventLog method is nil-safe, so no log means no cost.
+	ev := telemetry.EventLogFrom(ctx)
+	ev.Info("pipeline start", telemetry.A("scheme", fmt.Sprint(opts.Scheme)),
+		telemetry.A("partitions", stats.Partitions))
 
 	// ---- Job 1: Partitioning Job ------------------------------------
-	job1 := PartitionJob(part, pruned, dim, band, opts)
-	job1.Feed = feed
-	res1, err := mapreduce.RunFrames(ctx, config("partitioning", opts.Workers), job1)
+	res1, err := exec.Partition(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -198,7 +239,7 @@ func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim, band int, part pa
 	// pre-pass has the whole histogram.
 	stats.PartitionCounts = occupancy
 	if occupancy == nil {
-		stats.PartitionCounts = make([]int, part.Partitions())
+		stats.PartitionCounts = make([]int, stats.Partitions)
 		for id, ps := range res1.Partitions {
 			if id >= 0 && id < len(stats.PartitionCounts) {
 				stats.PartitionCounts[id] = int(ps.Records)
@@ -206,10 +247,14 @@ func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim, band int, part pa
 		}
 	}
 	publishPartitionGauges(opts.Metrics, stats)
+	ev.Info("partitioning job done",
+		telemetry.A("points", stats.Counters[mapreduce.CounterMapIn]),
+		telemetry.A("local_skyline_points", stats.LocalSkylineTotal()),
+		telemetry.A("partitions_hit", len(ids)))
 
 	// ---- Job 2: Merging Job -----------------------------------------
 	var globalBlk *points.Block
-	if budget > 0 {
+	if budget := opts.ReducerBudgetBytes; budget > 0 {
 		mergeCtx, mergeSpan := telemetry.StartSpan(ctx, "merge-schedule")
 		start := time.Now()
 		globalBlk, err = mergeSchedule(mergeCtx, candidates, dim, budget, opts, stats)
@@ -221,10 +266,7 @@ func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim, band int, part pa
 		wall := time.Since(start)
 		stats.MergeJob = mapreduce.Timing{Reduce: wall, Total: wall}
 	} else {
-		job2 := MergeJob(ctx, dim, band, opts)
-		job2.Feed = mapreduce.BlockRows(candidates)
-		// All local skylines share one partition (paper lines 12–15).
-		res2, err := mapreduce.RunFrames(ctx, config("merging", 1), job2)
+		res2, err := exec.Merge(ctx, candidates)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -245,5 +287,6 @@ func twoJobs(ctx context.Context, feed mapreduce.RowFeed, dim, band int, part pa
 		reg.Gauge("skyline_global_size").Set(float64(len(global)))
 	}
 	feedRecorder(ctx, opts, stats, global, res1.Partitions)
+	ev.Info("pipeline end", telemetry.A("skyline_size", len(global)))
 	return global, stats, nil
 }

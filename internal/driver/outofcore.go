@@ -70,7 +70,8 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		}
 	}
 	sample = nil // the job must not pin chunk 0
-	return twoJobs(ctx, mapreduce.ChunkRows(src), dim, 0, part, nil, nil, opts)
+	exec := inProcess{feed: mapreduce.ChunkRows(src), part: part, dim: dim, opts: opts}
+	return TwoJobs(ctx, exec, dim, part, nil, nil, opts)
 }
 
 // mergeSchedule folds the local skyline blocks to the global skyline in
@@ -91,7 +92,6 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 	if len(candidates) == 0 {
 		return nil, nil
 	}
-	rec := telemetry.RecorderFrom(ctx)
 	for round := 1; len(candidates) > 1 || round == 1; round++ {
 		var groups [][]*points.Block
 		var cur []*points.Block
@@ -129,7 +129,6 @@ func mergeSchedule(ctx context.Context, candidates []*points.Block, dim int, bud
 		}
 		stats.MergeRounds++
 		stats.MergeRoundBytes = append(stats.MergeRoundBytes, roundBytes)
-		rec.AddMergeRound(roundBytes)
 		candidates = next
 	}
 	return candidates[0], nil

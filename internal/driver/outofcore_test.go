@@ -337,7 +337,7 @@ func TestMergeScheduleHonoursContext(t *testing.T) {
 
 // cancelAfterJob1 is a partitioner that cancels the run the first time the
 // driver asks for its partition count after every row has been assigned —
-// which twoJobs does between Job 1's return and the merge schedule.
+// which TwoJobs does between Job 1's return and the merge schedule.
 type cancelAfterJob1 struct {
 	partition.Partitioner
 	rows     int64

@@ -106,8 +106,10 @@ type FrameStats struct {
 	Partitions map[int]PartStat
 }
 
-// add accumulates o into s.
-func (s *FrameStats) add(o FrameStats) {
+// Add accumulates another task's tallies into s: counts sum, the peak and
+// the pass count take the maximum, per-partition volumes merge by id. Every
+// executor aggregates its accepted task reports with it.
+func (s *FrameStats) Add(o FrameStats) {
 	s.MapIn += o.MapIn
 	s.MapOut += o.MapOut
 	s.CombineIn += o.CombineIn
@@ -575,26 +577,18 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		return fail(err)
 	}
 	mapDur := time.Since(mapStart)
-	counters.Add(CounterMapIn, mapStats.MapIn)
-	counters.Add(CounterMapOut, mapStats.MapOut)
-	if mapStats.CombineIn > 0 {
-		counters.Add(CounterCombineIn, mapStats.CombineIn)
-		counters.Add(CounterCombineOut, mapStats.CombineOut)
-	}
 	cfg.emitEvent(Event{Kind: "phase-end", Phase: "map", Task: -1,
 		Duration: mapDur, Records: mapStats.MapOut})
 
 	// --- Shuffle ---------------------------------------------------------
 	// Frames are already partitioned per reducer when map tasks seal them,
-	// so the in-memory shuffle is zero-copy: this phase only books the
-	// counters. (Spilled frames are read back inside the reduce tasks,
-	// landing in Reduce time, as on a real cluster where reducers pull map
-	// outputs.)
+	// so the in-memory shuffle is zero-copy and this phase is a boundary
+	// only, narrated like the other two. (Spilled frames are read back
+	// inside the reduce tasks, landing in Reduce time, as on a real cluster
+	// where reducers pull map outputs.)
 	cfg.emit("phase-start", "shuffle", -1, "")
 	_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
 	shuffleStart := time.Now()
-	counters.Add(CounterShuffle, mapStats.ShuffleRecs)
-	counters.Add(CounterShuffleBytes, mapStats.ShuffleBytes)
 	shuffleSpan.End()
 	shuffleDur := time.Since(shuffleStart)
 	cfg.emitEvent(Event{Kind: "phase-end", Phase: "shuffle", Task: -1,
@@ -611,26 +605,48 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	}
 	reduceDur := time.Since(reduceStart)
 	cfg.emitEvent(Event{Kind: "phase-end", Phase: "reduce", Task: -1,
-		Duration: reduceDur, Records: counters.Get(CounterReduceOut)})
+		Duration: reduceDur, Records: redStats.ReduceOut})
 	cfg.emit("job-end", "", -1, "")
 	jobSpan.End()
 
-	res := &FrameResult{
-		Blocks:           blocks,
-		Counters:         counters,
-		Partitions:       mapStats.Partitions,
-		ReducerPeakBytes: redStats.PeakBytes,
-		MergePasses:      redStats.Passes,
-		Timing: Timing{
-			Map:     mapDur,
-			Combine: time.Duration(mapStats.CombineNanos),
-			Shuffle: shuffleDur,
-			Reduce:  reduceDur,
-			Total:   time.Since(start),
-		},
-	}
+	mapStats.Add(redStats)
+	res := NewFrameResult(blocks, counters, mapStats, Timing{
+		Map:     mapDur,
+		Shuffle: shuffleDur,
+		Reduce:  reduceDur,
+		Total:   time.Since(start),
+	})
 	bridgeCounters(cfg, counters, res.Timing)
 	return res, nil
+}
+
+// NewFrameResult is how a finished job's result is put together, by RunFrames
+// and by the cluster master alike: st — the summed tallies of every task's
+// one accepted attempt, map and reduce — becomes the mr.* counters, the
+// per-partition volumes, the reducer peak and pass count, and timing's
+// Combine share. counters already holds what an executor counts as it
+// happens: task retries, spill bytes.
+func NewFrameResult(blocks map[int]*points.Block, counters *Counters, st FrameStats, timing Timing) *FrameResult {
+	counters.Add(CounterMapIn, st.MapIn)
+	counters.Add(CounterMapOut, st.MapOut)
+	if st.CombineIn > 0 {
+		counters.Add(CounterCombineIn, st.CombineIn)
+		counters.Add(CounterCombineOut, st.CombineOut)
+	}
+	counters.Add(CounterShuffle, st.ShuffleRecs)
+	counters.Add(CounterShuffleBytes, st.ShuffleBytes)
+	counters.Add(CounterGroups, st.Groups)
+	counters.Add(CounterReduceIn, st.ReduceIn)
+	counters.Add(CounterReduceOut, st.ReduceOut)
+	timing.Combine = time.Duration(st.CombineNanos)
+	return &FrameResult{
+		Blocks:           blocks,
+		Counters:         counters,
+		Timing:           timing,
+		Partitions:       st.Partitions,
+		ReducerPeakBytes: st.PeakBytes,
+		MergePasses:      st.Passes,
+	}
 }
 
 // runFrameMapPhase runs the job's map tasks — each one buildFrames over
@@ -664,7 +680,7 @@ func runFrameMapPhase(ctx context.Context, cfg Config, tasks int, job FrameJob, 
 			}
 			if err == nil {
 				aggMu.Lock()
-				agg.add(st)
+				agg.Add(st)
 				aggMu.Unlock()
 				span.SetAttr("records", int(st.MapIn))
 				span.End()
@@ -709,11 +725,8 @@ func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOut
 			}
 			if err == nil {
 				outStreams[r] = out
-				counters.Add(CounterGroups, st.Groups)
-				counters.Add(CounterReduceIn, st.ReduceIn)
-				counters.Add(CounterReduceOut, st.ReduceOut)
 				aggMu.Lock()
-				agg.add(st)
+				agg.Add(st)
 				aggMu.Unlock()
 				span.SetAttr("records", int(st.ReduceOut))
 				span.End()

@@ -163,6 +163,10 @@ const (
 	CounterMapRetries   = "mr.map.task.retries"
 	CounterRedRetries   = "mr.reduce.task.retries"
 	CounterSpillBytes   = "mr.spill.bytes"
+	// CounterWorkerFailures counts task leases that ran out on a silent
+	// worker — each also a retry of that task. Only an executor whose
+	// workers can vanish (rpcmr) books it.
+	CounterWorkerFailures = "mr.worker.failures"
 )
 
 // bridgeCounters folds one finished job's counters and phase timings

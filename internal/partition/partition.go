@@ -76,6 +76,23 @@ func (s *Scheme) UnmarshalText(b []byte) error {
 	return nil
 }
 
+// ParseScheme reads a scheme as the command-line tools spell it in their
+// -method flag: angle, grid, dim or random.
+func ParseScheme(flag string) (Scheme, error) {
+	switch flag {
+	case "angle":
+		return Angular, nil
+	case "grid":
+		return Grid, nil
+	case "dim":
+		return Dimensional, nil
+	case "random":
+		return Random, nil
+	default:
+		return 0, fmt.Errorf("partition: unknown method %q (want angle, grid, dim or random)", flag)
+	}
+}
+
 // Partitioner assigns points to partitions. Implementations are immutable
 // after construction and safe for concurrent use.
 type Partitioner interface {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -34,6 +36,41 @@ func TestSchemeString(t *testing.T) {
 	}
 	if len(Schemes()) != 3 {
 		t.Error("Schemes() must list the paper's three methods")
+	}
+}
+
+// TestParseScheme: the -method spelling every command shares, and an error
+// for anything else that names the valid values.
+func TestParseScheme(t *testing.T) {
+	for _, tt := range []struct {
+		flag string
+		want Scheme
+		ok   bool
+	}{
+		{"angle", Angular, true},
+		{"grid", Grid, true},
+		{"dim", Dimensional, true},
+		{"random", Random, true},
+		{"", 0, false},
+		{"Angle", 0, false},
+		{"MR-Angle", 0, false}, // the wire name is UnmarshalText's
+		{"seq", 0, false},
+	} {
+		got, err := ParseScheme(tt.flag)
+		if tt.ok && (err != nil || got != tt.want) {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", tt.flag, got, err, tt.want)
+		}
+		if !tt.ok {
+			if err == nil {
+				t.Errorf("ParseScheme(%q) accepted as %v", tt.flag, got)
+				continue
+			}
+			for _, name := range []string{strconv.Quote(tt.flag), "angle", "grid", "dim", "random"} {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("ParseScheme(%q) error %q does not name %s", tt.flag, err, name)
+				}
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -19,7 +20,7 @@ import (
 
 const frameParts = 5
 
-// ensureFrameJobs registers the skyline job. Separate Once from
+// ensureFrameJobs registers the skyline jobs. Separate Once from
 // ensureJobs, which it calls first: ensureJobs owns resetRegistryForTest,
 // so ordering matters.
 var frameJobsOnce sync.Once
@@ -29,15 +30,24 @@ func ensureFrameJobs() {
 	frameJobsOnce.Do(func() {
 		// skyline-frame: route by first coordinate, local skyline as the
 		// combiner on the assembled block, per-partition skyline in reduce.
+		mapper := func(row []float64, emit mapreduce.EmitPoint) error {
+			emit(int(row[0])%frameParts, row)
+			return nil
+		}
+		combiner := func(partition int, blk *points.Block) (*points.Block, error) {
+			return skyline.BlockBNL(blk), nil
+		}
+		// skyline-fold: the same over 3-dimensional rows, its reducers 1 KiB
+		// budgeted folds — reduce tasks with a peak and a pass count to report.
+		RegisterJob("skyline-fold", func(params []byte) (Job, error) {
+			return Job{FrameJob: mapreduce.FrameJob{Mapper: mapper, Combiner: combiner,
+				Folder: func(int) mapreduce.FrameFold { return skyline.NewBudgetedFold(3, 1<<10, "", points.FrameDefault) },
+			}}, nil
+		})
 		RegisterJob("skyline-frame", func(params []byte) (Job, error) {
 			return Job{FrameJob: mapreduce.FrameJob{
-				Mapper: func(row []float64, emit mapreduce.EmitPoint) error {
-					emit(int(row[0])%frameParts, row)
-					return nil
-				},
-				Combiner: func(partition int, blk *points.Block) (*points.Block, error) {
-					return skyline.BlockBNL(blk), nil
-				},
+				Mapper:   mapper,
+				Combiner: combiner,
 				Reducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
 					sky := skyline.BlockBNL(blk)
 					for i := 0; i < sky.Len(); i++ {
@@ -186,60 +196,183 @@ func TestFramedShuffleMetrics(t *testing.T) {
 	}
 }
 
-// TestFramedWorkerCrashRecovery: the frame path inherits lease-expiry
-// reassignment — a worker vanishing mid-job must not lose frames. The task
-// it took to the grave is re-issued with a byte-identical input frame, and
-// the job's result blocks equal a run's that lost no worker.
-func TestFramedWorkerCrashRecovery(t *testing.T) {
-	ensureFrameJobs()
-	data := frameClusterData(1000, 3, 3)
-	calm, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
-	want, err := calm.Run(context.Background(),
-		JobSpec{Name: "skyline-frame", Reducers: 2}, setFrames(data, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mcfg := MasterConfig{SplitSize: 100, TaskLease: 200 * time.Millisecond}
-	master, _, doomed := newCluster(t, mcfg, 1, WorkerConfig{VanishAfterTasks: 2})
-	// The healthy worker joins once the doomed one has gone, holding its
-	// third task: that task must be re-issued.
-	go func() {
-		doomed.Wait()
-		healthy, err := NewWorker(WorkerConfig{MasterAddr: master.Addr(), ID: "healthy"})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		t.Cleanup(func() { healthy.Close() })
-		_ = healthy.Run(context.Background())
-	}()
-
-	var mu sync.Mutex
-	first := map[int][]byte{} // split's first row → the first frame built for it
-	rebuilt := 0
-	res, err := master.Run(context.Background(),
-		JobSpec{Name: "skyline-frame", Reducers: 2}, setFrames(data, func(lo, hi int, frame []byte) {
-			mu.Lock()
-			defer mu.Unlock()
-			if prev, ok := first[lo]; !ok {
-				first[lo] = frame
-			} else if rebuilt++; !bytes.Equal(prev, frame) {
-				t.Errorf("split [%d, %d): re-issued task got a different input frame", lo, hi)
-			}
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt == 0 || master.Status().WorkerFailures == 0 {
-		t.Fatalf("no map task was re-issued (%d rebuilt frames): the crash did not trigger", rebuilt)
-	}
+// sameJobRecord fails t unless res reports what want — a run of the same job
+// over the same splits that lost no worker and saw no bad report — does:
+// the same result blocks, every input row mapped once, and the counters,
+// per-partition volumes and reducer peak of one accepted attempt per task.
+// Retries and expired leases are the counters a faulty run may add.
+func sameJobRecord(t *testing.T, res, want *mapreduce.FrameResult, rows int) {
+	t.Helper()
 	if len(res.Blocks) == 0 || len(res.Blocks) != len(want.Blocks) {
-		t.Fatalf("%d result blocks after crash recovery, %d without a fault", len(res.Blocks), len(want.Blocks))
+		t.Fatalf("%d result blocks, %d without a fault", len(res.Blocks), len(want.Blocks))
 	}
 	for id, blk := range want.Blocks {
 		if got := res.Blocks[id]; got == nil || !bytes.Equal(points.AppendFrame(nil, id, got), points.AppendFrame(nil, id, blk)) {
 			t.Errorf("partition %d: result block differs from the no-fault run's", id)
+		}
+	}
+	got, calm := res.Counters.Snapshot(), want.Counters.Snapshot()
+	if got[mapreduce.CounterMapIn] != int64(rows) {
+		t.Errorf("mr.map.records.in = %d, want the input's %d rows", got[mapreduce.CounterMapIn], rows)
+	}
+	for _, faults := range []string{mapreduce.CounterMapRetries, mapreduce.CounterRedRetries, mapreduce.CounterWorkerFailures} {
+		delete(got, faults)
+	}
+	if !reflect.DeepEqual(got, calm) {
+		t.Errorf("counters %v, without a fault %v", got, calm)
+	}
+	if !reflect.DeepEqual(res.Partitions, want.Partitions) {
+		t.Errorf("per-partition volumes %v, without a fault %v", res.Partitions, want.Partitions)
+	}
+	if res.ReducerPeakBytes != want.ReducerPeakBytes || res.MergePasses != want.MergePasses {
+		t.Errorf("reducer peak %d bytes in %d passes, without a fault %d in %d",
+			res.ReducerPeakBytes, res.MergePasses, want.ReducerPeakBytes, want.MergePasses)
+	}
+}
+
+// TestFramedWorkerCrashRecovery: the frame path inherits lease-expiry
+// reassignment — a worker vanishing mid-job must not lose frames. The task
+// it took to the grave is re-issued with a byte-identical input frame, and
+// the job's result — blocks, counters, per-partition volumes, reducer peak
+// — equals a run's that lost no worker: an attempt is counted once.
+func TestFramedWorkerCrashRecovery(t *testing.T) {
+	ensureFrameJobs()
+	data := frameClusterData(1000, 3, 3)
+	for _, job := range []string{"skyline-frame", "skyline-fold"} {
+		calm, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
+		want, err := calm.Run(context.Background(), JobSpec{Name: job, Reducers: 2}, setFrames(data, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if folds := job == "skyline-fold"; folds != (want.ReducerPeakBytes > 0) || folds != (want.MergePasses >= 1) {
+			t.Fatalf("%s: no-fault run reports a reducer peak of %d bytes in %d passes", job, want.ReducerPeakBytes, want.MergePasses)
+		}
+
+		mcfg := MasterConfig{SplitSize: 100, TaskLease: 200 * time.Millisecond}
+		master, _, doomed := newCluster(t, mcfg, 1, WorkerConfig{VanishAfterTasks: 2})
+		// The healthy worker joins once the doomed one has gone, holding its
+		// third task: that task must be re-issued.
+		go func() {
+			doomed.Wait()
+			healthy, err := NewWorker(WorkerConfig{MasterAddr: master.Addr(), ID: "healthy"})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			t.Cleanup(func() { healthy.Close() })
+			_ = healthy.Run(context.Background())
+		}()
+
+		var mu sync.Mutex
+		first := map[int][]byte{} // split's first row → the first frame built for it
+		rebuilt := 0
+		res, err := master.Run(context.Background(),
+			JobSpec{Name: job, Reducers: 2}, setFrames(data, func(lo, hi int, frame []byte) {
+				mu.Lock()
+				defer mu.Unlock()
+				if prev, ok := first[lo]; !ok {
+					first[lo] = frame
+				} else if rebuilt++; !bytes.Equal(prev, frame) {
+					t.Errorf("split [%d, %d): re-issued task got a different input frame", lo, hi)
+				}
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt == 0 || master.Status().WorkerFailures == 0 {
+			t.Fatalf("no map task was re-issued (%d rebuilt frames): the crash did not trigger", rebuilt)
+		}
+		if res.Counters.Get(mapreduce.CounterMapRetries) == 0 || res.Counters.Get(mapreduce.CounterWorkerFailures) == 0 {
+			t.Errorf("%s: counters %v do not book the retry and the lost worker", job, res.Counters.Snapshot())
+		}
+		sameJobRecord(t, res, want, len(data))
+	}
+}
+
+// TestBadReportsNotCounted: the master sums the tallies of one accepted
+// report per task. Every task here is reported three times by a hand-driven
+// worker — failed (with tallies attached all the same), then done, then done
+// again, late — and the job's record equals a run's that saw each task once.
+func TestBadReportsNotCounted(t *testing.T) {
+	ensureFrameJobs()
+	data := frameClusterData(600, 3, 4)
+	spec := JobSpec{Name: "skyline-fold", Reducers: 2}
+	calm, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
+	want, err := calm.Run(context.Background(), spec, setFrames(data, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 0, WorkerConfig{})
+	type outcome struct {
+		res *mapreduce.FrameResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := master.Run(context.Background(), spec, setFrames(data, nil))
+		done <- outcome{res, err}
+	}()
+	svc := &MasterService{m: master}
+	job, err := lookupJob(spec.Name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := map[[2]int]bool{} // (kind, task) already reported failed once
+	for {
+		var task TaskReply
+		_ = svc.RequestTask(TaskArgs{WorkerID: "hand"}, &task)
+		var report func(errMsg string) bool // reports the task, Final so that no next one rides back
+		switch task.Kind {
+		case TaskWait:
+			select {
+			case out := <-done:
+				if out.err != nil {
+					t.Fatal(out.err)
+				}
+				if splits := int64(len(data)+99) / 100; out.res.Counters.Get(mapreduce.CounterMapRetries) != splits || out.res.Counters.Get(mapreduce.CounterRedRetries) != 2 {
+					t.Errorf("counters %v, want one retry per task: %d map, 2 reduce", out.res.Counters.Snapshot(), splits)
+				}
+				sameJobRecord(t, out.res, want, len(data))
+				return
+			case <-time.After(time.Millisecond): // Run has not queued the tasks yet
+			}
+			continue
+		case TaskMap:
+			parts, st, err := mapreduce.MapFrames(job.FrameJob, task.Frames, task.Reducers, job.Codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report = func(errMsg string) bool {
+				var reply ResultReply
+				_ = svc.ReportMap(MapResultArgs{WorkerID: "hand", TaskID: task.TaskID, Attempt: task.Attempt,
+					FrameParts: parts, Stats: st, Err: errMsg, Final: true}, &reply)
+				return reply.Accepted
+			}
+		case TaskReduce:
+			frames, st, err := executeReduce(job, task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report = func(errMsg string) bool {
+				var reply ResultReply
+				_ = svc.ReportReduce(ReduceResultArgs{WorkerID: "hand", TaskID: task.TaskID, Attempt: task.Attempt,
+					Frames: frames, Stats: st, Err: errMsg, Final: true}, &reply)
+				return reply.Accepted
+			}
+		default:
+			t.Fatalf("task kind %d", task.Kind)
+		}
+		if key := [2]int{int(task.Kind), task.TaskID}; !failed[key] {
+			failed[key] = true
+			report("injected failure") // re-queued: the task comes round again
+			continue
+		}
+		if !report("") {
+			t.Errorf("kind %d task %d: the good report was not accepted", task.Kind, task.TaskID)
+		}
+		if report("") {
+			t.Errorf("kind %d task %d: a second good report was accepted", task.Kind, task.TaskID)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/mapreduce"
-	"repro/internal/points"
 	"repro/internal/telemetry"
 )
 
@@ -139,7 +138,11 @@ type jobState struct {
 	tracks     map[string]int // worker id → Chrome-trace row
 	nextTrack  int
 	durs       []float64 // completed task durations, current phase
-	partStats  map[int]mapreduce.PartStat
+	// stats sums the tallies of every task's one accepted report; counters
+	// holds what the master counts as it happens (retries, expired leases).
+	// Run turns both into the job's result.
+	stats    mapreduce.FrameStats
+	counters *mapreduce.Counters
 }
 
 // taskState tracks one task of the current phase.
@@ -183,18 +186,6 @@ func FrameRows(rows int, frame func(lo, hi int) ([]byte, error)) Input {
 // maxSplitBytes caps one split's frame stream: a gob message may not exceed
 // 1 GiB, less a margin for the rest of the reply.
 const maxSplitBytes = 1<<30 - 1<<20
-
-// JobResult is what a distributed run returns: Blocks maps partition id →
-// reduce output block, assembled from the workers' output frames in
-// reduce-task order.
-type JobResult struct {
-	Blocks     map[int]*points.Block
-	MapTime    time.Duration
-	ReduceTime time.Duration
-	// Partitions breaks the map-side shuffle volume down by data-space
-	// partition id, aggregated from worker reports.
-	Partitions map[int]mapreduce.PartStat
-}
 
 // NewMaster starts a master listening on cfg.Addr.
 func NewMaster(cfg MasterConfig) (*Master, error) {
@@ -342,8 +333,12 @@ func (m *Master) WorkerCount() int {
 
 // Run executes one job across the connected workers and blocks until it
 // completes, fails, or ctx is cancelled. Only one job runs at a time;
-// concurrent Run calls return an error.
-func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*JobResult, error) {
+// concurrent Run calls return an error. The result is what
+// mapreduce.RunFrames returns for the job in process: blocks assembled from
+// the workers' output frames in reduce-task order, the counters and
+// per-partition volumes of the accepted task reports, and the phase timing
+// as the master saw it.
+func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce.FrameResult, error) {
 	if spec.Reducers <= 0 {
 		spec.Reducers = 1
 	}
@@ -404,7 +399,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*JobResult
 		parentSpan: jobSpan.ID(),
 		tracks:     make(map[string]int),
 		nextTrack:  1, // track 0 is the master's own timeline row
-		partStats:  make(map[int]mapreduce.PartStat),
+		counters:   mapreduce.NewCounters(),
 	}
 	// One map task per SplitSize rows; assignTask cuts the split.
 	splits := (input.rows + m.cfg.SplitSize - 1) / m.cfg.SplitSize
@@ -465,8 +460,12 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*JobResult
 	if err != nil {
 		return nil, fmt.Errorf("rpcmr: assembling reduce output frames: %w", err)
 	}
-	return &JobResult{Blocks: blocks, MapTime: js.mapDur, ReduceTime: redDur,
-		Partitions: js.partStats}, nil
+	return mapreduce.NewFrameResult(blocks, js.counters, js.stats, mapreduce.Timing{
+		Map:     js.mapDur,
+		Shuffle: js.shuffleDur,
+		Reduce:  redDur,
+		Total:   time.Since(jobStart),
+	}), nil
 }
 
 // startReducePhase (mu held) transitions from map to reduce: gather each
@@ -532,7 +531,8 @@ func (m *Master) requeueExpired(js *jobState) {
 			t.running = false
 			t.attempt++
 			t.failures++
-			m.countRetry(t.worker, "lease-expiry")
+			m.countRetry(js, t.worker, "lease-expiry")
+			js.counters.Add(mapreduce.CounterWorkerFailures, 1)
 			m.workerFailures++
 			if reg := m.cfg.Metrics; reg != nil {
 				reg.Counter("rpcmr_worker_failures_total", telemetry.L("worker", t.worker)).Inc()

@@ -179,9 +179,9 @@ type MapResultArgs struct {
 	// from a previous job cannot pollute the current trace.
 	Spans   []telemetry.SpanData
 	TraceID uint64
-	// PartStats breaks the task's map output down by data-space partition,
-	// feeding the flight recorder's skew picture.
-	PartStats map[int]mapreduce.PartStat
+	// Stats is the task's tallies, as mapreduce.MapFrames returned them;
+	// the master sums the accepted reports' into the job's result.
+	Stats mapreduce.FrameStats
 }
 
 // ReduceResultArgs reports a finished reduce task.
@@ -197,6 +197,9 @@ type ReduceResultArgs struct {
 	// Spans/TraceID: worker-side task spans, as on MapResultArgs.
 	Spans   []telemetry.SpanData
 	TraceID uint64
+	// Stats is the task's tallies — reducer peak and fold passes among
+	// them — summed by the master as a map task's are.
+	Stats mapreduce.FrameStats
 }
 
 // ResultReply acknowledges a result report.

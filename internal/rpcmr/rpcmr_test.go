@@ -46,7 +46,7 @@ func tallyRows(ids ...int) points.Set {
 }
 
 // tallies reads a tally result back as word id → count.
-func tallies(t *testing.T, res *JobResult) map[int]int {
+func tallies(t *testing.T, res *mapreduce.FrameResult) map[int]int {
 	t.Helper()
 	got := map[int]int{}
 	for id, blk := range res.Blocks {
@@ -110,7 +110,7 @@ var wcInput = tallyRows(0, 1, 2, 3, 0, 4, 5, 0, 1, 5, 6, 3, 7, 5, 7, 3)
 
 var wcWant = map[int]int{0: 3, 1: 2, 2: 1, 3: 3, 4: 1, 5: 3, 6: 1, 7: 2}
 
-func checkWordCount(t *testing.T, res *JobResult) {
+func checkWordCount(t *testing.T, res *mapreduce.FrameResult) {
 	t.Helper()
 	if got := tallies(t, res); !reflect.DeepEqual(got, wcWant) {
 		t.Errorf("got %v, want %v", got, wcWant)
@@ -124,7 +124,7 @@ func TestDistributedWordCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkWordCount(t, res)
-	if res.MapTime <= 0 {
+	if res.Timing.Map <= 0 {
 		t.Error("map time not recorded")
 	}
 	if master.WorkerCount() != 3 {

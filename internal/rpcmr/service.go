@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/mapreduce"
 	"repro/internal/telemetry"
 )
 
@@ -157,7 +158,7 @@ func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error 
 		t.running = false
 		t.attempt++
 		t.failures++
-		m.countRetry(args.WorkerID, "report")
+		m.countRetry(js, args.WorkerID, "report")
 		m.reportTaskFailure(js, w, "map", args.TaskID, t.failures, args.Err)
 		if t.failures >= m.cfg.MaxTaskAttempts {
 			m.finish(js, &WorkerTaskError{Task: args.TaskID, Msg: args.Err})
@@ -173,12 +174,7 @@ func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error 
 	m.recordCompletion(js, t, "map", args.WorkerID, args.Spans, args.TraceID)
 	js.frameOut[args.TaskID] = args.FrameParts
 	m.observeFrameBytes(args.WorkerID, args.FrameParts)
-	for id, ps := range args.PartStats {
-		acc := js.partStats[id]
-		acc.Records += ps.Records
-		acc.Bytes += ps.Bytes
-		js.partStats[id] = acc
-	}
+	js.stats.Add(args.Stats)
 	js.done++
 	reply.Accepted = true
 	if js.done == len(js.tasks) {
@@ -217,7 +213,7 @@ func (s *MasterService) ReportReduce(args ReduceResultArgs, reply *ResultReply) 
 		t.running = false
 		t.attempt++
 		t.failures++
-		m.countRetry(args.WorkerID, "report")
+		m.countRetry(js, args.WorkerID, "report")
 		m.reportTaskFailure(js, w, "reduce", args.TaskID, t.failures, args.Err)
 		if t.failures >= m.cfg.MaxTaskAttempts {
 			m.finish(js, &WorkerTaskError{Task: args.TaskID, Msg: args.Err})
@@ -232,6 +228,7 @@ func (s *MasterService) ReportReduce(args ReduceResultArgs, reply *ResultReply) 
 	m.observeTask(t, "reduce", args.WorkerID)
 	m.recordCompletion(js, t, "reduce", args.WorkerID, args.Spans, args.TraceID)
 	js.outFrames[args.TaskID] = args.Frames
+	js.stats.Add(args.Stats)
 	js.done++
 	reply.Accepted = true
 	if js.done == len(js.tasks) {
@@ -318,11 +315,16 @@ func (m *Master) reportTaskFailure(js *jobState, w *workerInfo, kind string, tas
 		telemetry.A("err", msg))
 }
 
-// countRetry (mu held) books one task re-execution. cause is "report"
-// (the worker returned an error) or "lease-expiry" (the worker went
-// silent holding the task).
-func (m *Master) countRetry(worker, cause string) {
+// countRetry (mu held) books one re-execution of a task of js's current
+// phase. cause is "report" (the worker returned an error) or "lease-expiry"
+// (the worker went silent holding the task).
+func (m *Master) countRetry(js *jobState, worker, cause string) {
 	m.taskRetries++
+	if js.phase == TaskMap {
+		js.counters.Add(mapreduce.CounterMapRetries, 1)
+	} else {
+		js.counters.Add(mapreduce.CounterRedRetries, 1)
+	}
 	if reg := m.cfg.Metrics; reg != nil {
 		reg.Counter("rpcmr_task_retries_total",
 			telemetry.L("cause", cause), telemetry.L("worker", worker)).Inc()

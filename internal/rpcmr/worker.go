@@ -239,19 +239,16 @@ func (w *Worker) runMap(task TaskReply) (TaskReply, error) {
 	span, finish := w.taskSpan(task, "map-task")
 	start := time.Now()
 	w.stall()
-	// The span's record count is input rows: the task learns it from the
-	// frames it walked.
-	rows := 0
 	job, err := lookupJob(task.JobName, task.Params)
 	if err == nil {
-		var st mapreduce.FrameStats
-		args.FrameParts, st, err = mapreduce.MapFrames(job.FrameJob, task.Frames, task.Reducers, job.Codec)
-		args.PartStats, rows = st.Partitions, int(st.MapIn)
+		args.FrameParts, args.Stats, err = mapreduce.MapFrames(job.FrameJob, task.Frames, task.Reducers, job.Codec)
 	}
-	span.SetAttr("records", rows)
+	// The span's record count is input rows: the task learns it from the
+	// frames it walked.
+	span.SetAttr("records", int(args.Stats.MapIn))
 	if err != nil {
 		args.Err = err.Error()
-		args.FrameParts, args.PartStats = nil, nil
+		args.FrameParts, args.Stats = nil, mapreduce.FrameStats{}
 		span.SetAttr("error", err.Error())
 	}
 	args.Spans = finish(err != nil)
@@ -276,10 +273,10 @@ func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
 	w.stall()
 	job, err := lookupJob(task.JobName, task.Params)
 	if err == nil {
-		args.Frames, err = executeReduce(job, task)
+		args.Frames, args.Stats, err = executeReduce(job, task)
 	}
 	if err != nil {
-		args.Err, args.Frames = err.Error(), nil
+		args.Err, args.Frames, args.Stats = err.Error(), nil, mapreduce.FrameStats{}
 		span.SetAttr("error", err.Error())
 	}
 	args.Spans = finish(err != nil)
@@ -295,15 +292,13 @@ func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
 // output stream via the shared mapreduce.ReduceFrames — or, when the job
 // carries a FrameFolder, via the streaming mapreduce.ReduceFramesStream,
 // which never assembles a partition's full block.
-func executeReduce(job Job, task TaskReply) ([]byte, error) {
+func executeReduce(job Job, task TaskReply) ([]byte, mapreduce.FrameStats, error) {
 	if folder := job.FrameJob.Folder; folder != nil {
 		srcs := make([]mapreduce.FrameSource, 0, len(task.FrameStreams))
 		for _, stream := range task.FrameStreams {
 			srcs = append(srcs, mapreduce.StreamFrameSource(stream))
 		}
-		out, _, err := mapreduce.ReduceFramesStream(srcs, folder, job.Codec)
-		return out, err
+		return mapreduce.ReduceFramesStream(srcs, folder, job.Codec)
 	}
-	out, _, err := mapreduce.ReduceFrames(task.FrameStreams, job.FrameJob.Reducer, job.Codec)
-	return out, err
+	return mapreduce.ReduceFrames(task.FrameStreams, job.FrameJob.Reducer, job.Codec)
 }

@@ -10,27 +10,41 @@ import (
 	"testing"
 
 	"repro/internal/partition"
+	"repro/internal/points"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/timeseries"
 )
 
 // TestClusterFlightRecord: a recorded cluster run must produce a flight
 // report that covers every planned partition, reproduces the pipeline's
 // own Eq. (5) optimality, carries per-task records, and publishes the
-// skew rollups into the master's /metrics exposition.
+// skew rollups into the master's /metrics exposition — and, under a reducer
+// budget, what the workers' folds and the master's merge rounds cost, in
+// the report and on the gauge skymaster's reducer-budget rule watches.
 func TestClusterFlightRecord(t *testing.T) {
+	t.Run("unbudgeted", func(t *testing.T) { testClusterFlightRecord(t, 0) })
+	t.Run("budget 4 KiB", func(t *testing.T) { testClusterFlightRecord(t, 4<<10) })
+}
+
+func testClusterFlightRecord(t *testing.T, budget int64) {
 	reg := telemetry.NewRegistry()
 	master := startMeteredCluster(t, 3, reg)
 	rec := telemetry.NewRecorder("skyline:MR-Angle")
 	ctx := telemetry.WithRecorder(context.Background(), rec)
 	data := uniformSet(11, 900, 3)
-	res, err := Compute(ctx, master, data, partition.Angular, 6, 2)
-	if err != nil {
-		t.Fatal(err)
+	if budget > 0 {
+		data = uniformSet(11, 6000, 5) // local skylines that outgrow the budget
 	}
-
 	// The angular partitioner may round the requested 6 up to a regular
 	// split product; the report must cover the count actually planned.
 	spec, err := SpecFor(data, partition.Angular, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if budget > 0 {
+		spec.ReducerBudgetBytes, spec.Codec = budget, points.FrameAuto
+	}
+	res, err := ComputeSpec(ctx, master, data, spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +73,33 @@ func TestClusterFlightRecord(t *testing.T) {
 			t.Errorf("p%d survivors %d > local skyline %d", p.Partition, p.GlobalSurvivors, p.LocalSkyline)
 		}
 	}
+	if budget > 0 {
+		// The reduce tasks' tallies cross the wire, and the merge ran as
+		// rounds on the master.
+		if rep.ReducerPeakBytes <= 0 || rep.MergeRounds < 1 || len(rep.MergeRoundBytes) != rep.MergeRounds {
+			t.Errorf("budgeted report: reducer_peak_bytes %d, merge_rounds %d, merge_round_bytes %v; want all reported",
+				rep.ReducerPeakBytes, rep.MergeRounds, rep.MergeRoundBytes)
+		}
+		if st := res.Stats; st.MergePasses < 1 || st.MergeRounds != rep.MergeRounds || st.ReducerPeakBytes != rep.ReducerPeakBytes {
+			t.Errorf("budgeted stats: MergePasses %d, MergeRounds %d, ReducerPeakBytes %d; report says %d rounds, peak %d",
+				st.MergePasses, st.MergeRounds, st.ReducerPeakBytes, rep.MergeRounds, rep.ReducerPeakBytes)
+		}
+		if got := reg.Snapshot().Gauges["skyline_reducer_peak_bytes"]; got != float64(rep.ReducerPeakBytes) {
+			t.Errorf("skyline_reducer_peak_bytes = %v, report says %d", got, rep.ReducerPeakBytes)
+		}
+		// The rule as cmd/skymaster builds it, over a sampler of this registry.
+		sampler := timeseries.NewSampler(reg, timeseries.Config{})
+		sampler.Sample()
+		rule := timeseries.GaugeAboveRule("reducer-budget", "skyline_reducer_peak_bytes", 0.8*float64(budget), "")
+		if findings := rule.Eval(sampler); len(findings) != 1 || findings[0].Series != "skyline_reducer_peak_bytes" {
+			t.Errorf("reducer-budget rule over a peak of %d bytes (budget %d): findings %+v, want one",
+				rep.ReducerPeakBytes, budget, findings)
+		}
+	} else if rep.MergeRounds != 0 || rep.ReducerPeakBytes != 0 {
+		t.Errorf("unbudgeted report: merge_rounds %d, reducer_peak_bytes %d; want neither", rep.MergeRounds, rep.ReducerPeakBytes)
+	}
 	// Both jobs' task completions are recorded (at least one map and one
-	// reduce task each).
+	// reduce task each) — under a budget, Job 1's: the merge ran here.
 	kinds := map[string]int{}
 	for _, task := range rep.Tasks {
 		kinds[task.Kind]++

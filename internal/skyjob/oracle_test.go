@@ -8,15 +8,18 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/driver"
+	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/rpcmr"
 	"repro/internal/skyline"
+	"repro/internal/telemetry"
 )
 
 // TestOptionSurface pins the number of independently settable values that
@@ -118,7 +121,7 @@ func TestClusterMatchesOracle(t *testing.T) {
 					continue
 				}
 				t.Run(fmt.Sprintf("%v/%d-skyband/%s", scheme, k, v.name), func(t *testing.T) {
-					res, err := runJobs(context.Background(), master, v.data, spec, skybandSpec{Spec: spec, K: k},
+					res, err := compute(context.Background(), master, v.data, spec, skybandSpec{Spec: spec, K: k},
 						SkybandPartitionJobName, SkybandMergeJobName, 3)
 					if err != nil {
 						t.Fatal(err)
@@ -130,47 +133,62 @@ func TestClusterMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestExecutorsAgree: the two jobs are defined once (driver.PartitionJob,
-// driver.MergeJob), so for one dataset and one fitted spec the in-process
-// engine and a 3-worker cluster must return the same global skyline, the
-// same local skyline per partition id, and the same Eq. (5) evidence —
-// and, for a band (k = 3), the same of the k-skyband.
+// TestExecutorsAgree: Algorithm 1 is written once (driver.PartitionJob,
+// driver.MergeJob, driver.TwoJobs), so for one dataset and one fitted spec
+// the in-process executor and a 3-worker cluster must return the same
+// global skyline, the same local skyline per partition id and the same
+// record of the run — partition counts, counters, Eq. (5) evidence, flight
+// report — for the skyline, for a band (k = 3), and under a reducer budget,
+// where both fold the merge in rounds. Shuffle bytes depend on where the
+// splits fall, which the executors choose: only their presence is compared.
 func TestExecutorsAgree(t *testing.T) {
 	master := startCluster(t, 3)
 	data := uniformSet(77, 2500, 5)
 	for i := 0; i < 100; i++ {
 		data = append(data, data[i].Clone())
 	}
+	n := int64(len(data))
+	rows := []struct {
+		k      int
+		budget int64
+	}{{0, 0}, {3, 0}, {0, 4 << 10}}
 	for _, scheme := range []partition.Scheme{partition.Angular, partition.Grid} {
-		spec, err := SpecFor(data, scheme, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := spec.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The cluster's partitioning job does not prune grid cells, so
-		// the in-process run must not either for local skylines to be
-		// comparable partition by partition.
-		opts := driver.Options{Scheme: scheme, PartitionerOverride: part, DisableGridPruning: true}
-		for _, k := range []int{0, 3} {
-			name := fmt.Sprintf("%v, k=%d", scheme, k)
+		for _, row := range rows {
+			name := fmt.Sprintf("%v, k=%d, budget=%d", scheme, row.k, row.budget)
+			spec, err := SpecFor(data, scheme, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.budget > 0 {
+				spec.ReducerBudgetBytes, spec.Codec = row.budget, points.FrameAuto
+			}
+			part, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The cluster's partitioning job does not prune grid cells, so
+			// the in-process run must not either for local skylines to be
+			// comparable partition by partition.
+			opts := driver.Options{Scheme: scheme, PartitionerOverride: part, DisableGridPruning: true,
+				ReducerBudgetBytes: spec.ReducerBudgetBytes, Codec: spec.Codec}
+			inRec, clRec := telemetry.NewRecorder(name), telemetry.NewRecorder(name)
+			inCtx := telemetry.WithRecorder(context.Background(), inRec)
+			clCtx := telemetry.WithRecorder(context.Background(), clRec)
 			var sky points.Set
 			var stats *driver.Stats
 			var res *Result
-			if k == 0 {
-				sky, stats, err = driver.Compute(context.Background(), data, opts)
+			if row.k == 0 {
+				sky, stats, err = driver.Compute(inCtx, data, opts)
 			} else {
-				sky, stats, err = driver.ComputeSkyband(context.Background(), data, k, opts)
+				sky, stats, err = driver.ComputeSkyband(inCtx, data, row.k, opts)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if k == 0 {
-				res, err = ComputeSpec(context.Background(), master, data, spec, 3)
+			if row.k == 0 {
+				res, err = ComputeSpec(clCtx, master, data, spec, 3)
 			} else {
-				res, err = runJobs(context.Background(), master, data, spec, skybandSpec{Spec: spec, K: k},
+				res, err = compute(clCtx, master, data, spec, skybandSpec{Spec: spec, K: row.k},
 					SkybandPartitionJobName, SkybandMergeJobName, 3)
 			}
 			if err != nil {
@@ -196,6 +214,71 @@ func TestExecutorsAgree(t *testing.T) {
 			in := metrics.LocalSkylineOptimality(stats.LocalSkylines, sky)
 			if cl := res.Optimality(); math.Abs(in-cl) > 1e-12 || cl <= 0 {
 				t.Errorf("%s: optimality %v in-process, %v on the cluster", name, in, cl)
+			}
+
+			// The whole record, not just the skyline.
+			cl := res.Stats
+			if stats.Partitions != cl.Partitions || !reflect.DeepEqual(stats.PartitionCounts, cl.PartitionCounts) {
+				t.Errorf("%s: partitions %d %v in-process, %d %v on the cluster",
+					name, stats.Partitions, stats.PartitionCounts, cl.Partitions, cl.PartitionCounts)
+			}
+			routed := 0
+			for _, c := range cl.PartitionCounts {
+				routed += c
+			}
+			if int64(routed) != n {
+				t.Errorf("%s: cluster partition counts sum to %d, input has %d rows", name, routed, n)
+			}
+			names := func(counters map[string]int64) []string {
+				var out []string
+				for key := range counters {
+					out = append(out, key)
+				}
+				sort.Strings(out)
+				return out
+			}
+			if in, cl := names(stats.Counters), names(cl.Counters); !reflect.DeepEqual(in, cl) {
+				t.Errorf("%s: counter names %v in-process, %v on the cluster", name, in, cl)
+			}
+			for _, st := range []*driver.Stats{stats, cl} {
+				if st.Counters[mapreduce.CounterShuffleBytes] <= 0 {
+					t.Errorf("%s: counters %v; want shuffle bytes booked", name, st.Counters)
+				}
+				if budgeted := row.budget > 0; budgeted != (st.MergeRounds >= 1) || budgeted != (st.ReducerPeakBytes > 0) ||
+					len(st.MergeRoundBytes) != st.MergeRounds {
+					t.Errorf("%s: MergeRounds %d, MergeRoundBytes %v, ReducerPeakBytes %d", name, st.MergeRounds, st.MergeRoundBytes, st.ReducerPeakBytes)
+				}
+			}
+			// Job 1 maps the input once on either executor; the merge's map
+			// side, when it is a job, maps the local skylines.
+			merged := int64(0)
+			if row.budget == 0 {
+				merged = int64(stats.LocalSkylineTotal())
+			}
+			if in, cl := stats.Counters[mapreduce.CounterMapIn], cl.Counters[mapreduce.CounterMapIn]; in != n+merged || cl != n+merged {
+				t.Errorf("%s: mr.map.records.in %d in-process, %d on the cluster, want %d + %d", name, in, cl, n, merged)
+			}
+			if stats.MergeRounds != cl.MergeRounds || !reflect.DeepEqual(stats.MergeRoundBytes, cl.MergeRoundBytes) {
+				t.Errorf("%s: merge rounds %d %v in-process, %d %v on the cluster",
+					name, stats.MergeRounds, stats.MergeRoundBytes, cl.MergeRounds, cl.MergeRoundBytes)
+			}
+			inRep, clRep := inRec.Report(), clRec.Report()
+			if len(inRep.Partitions) != stats.Partitions || len(clRep.Partitions) != stats.Partitions {
+				t.Fatalf("%s: reports cover %d and %d of %d partitions", name, len(inRep.Partitions), len(clRep.Partitions), stats.Partitions)
+			}
+			for id, p := range inRep.Partitions {
+				q := clRep.Partitions[id]
+				if p.InputRecords != q.InputRecords || p.LocalSkyline != q.LocalSkyline || p.GlobalSurvivors != q.GlobalSurvivors {
+					t.Errorf("%s: partition %d reported as %+v in-process, %+v on the cluster", name, id, p, q)
+				}
+				if (p.ShuffleBytes > 0) != (q.ShuffleBytes > 0) {
+					t.Errorf("%s: partition %d shuffle bytes %d in-process, %d on the cluster", name, id, p.ShuffleBytes, q.ShuffleBytes)
+				}
+			}
+			if inRep.GlobalSkyline != clRep.GlobalSkyline || inRep.MergeRounds != clRep.MergeRounds ||
+				(inRep.ReducerPeakBytes > 0) != (clRep.ReducerPeakBytes > 0) {
+				t.Errorf("%s: report skyline %d, rounds %d, peak %d in-process; %d, %d, %d on the cluster", name,
+					inRep.GlobalSkyline, inRep.MergeRounds, inRep.ReducerPeakBytes, clRep.GlobalSkyline, clRep.MergeRounds, clRep.ReducerPeakBytes)
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func ComputeSkyband(ctx context.Context, master *rpcmr.Master, data points.Set, 
 	if err != nil {
 		return nil, err
 	}
-	res, err := runJobs(ctx, master, data, spec, skybandSpec{Spec: spec, K: k}, SkybandPartitionJobName, SkybandMergeJobName, reducers)
+	res, err := compute(ctx, master, data, spec, skybandSpec{Spec: spec, K: k}, SkybandPartitionJobName, SkybandMergeJobName, reducers)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,12 @@
 // Package skyjob runs the skyline pipeline on an rpcmr cluster. What the
 // partitioning job (assign → local skyline) and the merging job (one
-// partition → global skyline) compute is defined once, by package driver's
-// PartitionJob and MergeJob; this package is the cluster executor of those
-// definitions: a Spec that travels to workers as JSON, the input of each
-// job as splits sealed into point frames on demand, and the two-job
-// sequence on a master. Any process that links this package (master or
-// worker) has both jobs registered and can participate in a cluster.
+// partition → global skyline) compute, and the sequence they run in, are
+// defined once, by package driver's PartitionJob, MergeJob and TwoJobs;
+// this package is the cluster executor of that sequence: a Spec that
+// travels to workers as JSON, and each job as a registered name run on a
+// master over splits sealed into point frames on demand. Any process that
+// links this package (master or worker) has both jobs registered and can
+// participate in a cluster.
 package skyjob
 
 import (
@@ -15,8 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
 
 	"repro/internal/driver"
 	"repro/internal/mapreduce"
@@ -257,17 +256,19 @@ func setSplits(data points.Set) rpcmr.Input {
 	})
 }
 
-// blockSplits is one job's result blocks — rows in all — as the next job's
-// input, block after block in the order of ids: split [lo, hi) is sealed
-// from the blocks' rows as they are.
-func blockSplits(ids []int, blocks map[int]*points.Block, rows int, codec points.FrameCodec) rpcmr.Input {
+// blockSplits is one job's result blocks as the next job's input, block
+// after block: split [lo, hi) is sealed from the blocks' rows as they are.
+func blockSplits(blocks []*points.Block, codec points.FrameCodec) rpcmr.Input {
+	rows := 0
+	for _, blk := range blocks {
+		rows += blk.Len()
+	}
 	return rpcmr.FrameRows(rows, func(lo, hi int) ([]byte, error) {
 		var frames []byte
 		off := 0 // index of the current block's first row in the sequence
-		for _, id := range ids {
-			blk := blocks[id]
+		for _, blk := range blocks {
 			for from, to := max(lo-off, 0), min(hi-off, blk.Len()); from < to; from += walkRows {
-				frames = points.AppendFrameCodec(frames, id, blk.Slice(from, min(from+walkRows, to)), codec)
+				frames = points.AppendFrameCodec(frames, 0, blk.Slice(from, min(from+walkRows, to)), codec)
 			}
 			off += blk.Len()
 		}
@@ -285,9 +286,12 @@ type Result struct {
 	// Figure 6 sense: MapTime covers both jobs' map sides, ReduceTime
 	// both jobs' reduce sides.
 	MapTime, ReduceTime JobResultTiming
+	// Stats is the run's whole record — counters, per-partition counts,
+	// timing, merge rounds — as driver.Compute returns it in process.
+	Stats *driver.Stats
 }
 
-// JobResultTiming mirrors the rpcmr per-job split.
+// JobResultTiming is one phase's wall clock in each of the two jobs.
 type JobResultTiming struct {
 	PartitionJob, MergeJob float64 // seconds
 }
@@ -300,8 +304,8 @@ func (r *Result) Optimality() float64 {
 
 // Compute runs the two-job skyline pipeline on a live rpcmr cluster.
 // With a tracer in ctx it records a root span with Partitioning/Merging
-// children; with a registry on the master it publishes per-partition
-// local skyline sizes alongside the cluster's own series.
+// children; with a registry on the master it publishes the run's gauges
+// alongside the cluster's own series.
 func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme partition.Scheme, partitions, reducers int) (*Result, error) {
 	spec, err := SpecFor(data, scheme, partitions)
 	if err != nil {
@@ -311,15 +315,51 @@ func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme 
 }
 
 // ComputeSpec runs the pipeline with a caller-built Spec — the entry
-// point for a non-default kernel, codec or reducer budget.
+// point for a non-default kernel, codec or reducer budget. Under a budget
+// the workers' reducers are budgeted folds and the merge runs on the
+// master, over the local skylines Job 1 returned to it, as rounds of
+// budget-sized folds (driver.TwoJobs picks it) instead of a second job.
 func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, reducers int) (*Result, error) {
-	return runJobs(ctx, master, data, spec, spec, PartitionJobName, MergeJobName, reducers)
+	return compute(ctx, master, data, spec, spec, PartitionJobName, MergeJobName, reducers)
 }
 
-// runJobs is the two-job sequence behind ComputeSpec and ComputeSkyband:
-// the registered jobs job1 then job2, both instantiated from wire — spec,
-// or a skybandSpec around it — as JSON.
-func runJobs(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, wire any, job1, job2 string, reducers int) (*Result, error) {
+// cluster is the cluster executor of driver.TwoJobs: the registered jobs
+// job1 over data and job2 over the candidates, both instantiated by the
+// workers from params.
+type cluster struct {
+	master     *rpcmr.Master
+	data       points.Set
+	job1, job2 string
+	params     []byte
+	reducers   int
+	codec      points.FrameCodec
+}
+
+func (c cluster) run(ctx context.Context, span, job string, reducers int, input rpcmr.Input) (*mapreduce.FrameResult, error) {
+	ctx, jobSpan := telemetry.StartSpan(ctx, span)
+	defer jobSpan.End()
+	res, err := c.master.Run(ctx, rpcmr.JobSpec{Name: job, Params: c.params, Reducers: reducers}, input)
+	if err != nil {
+		return nil, fmt.Errorf("skyjob: %s: %w", span, err)
+	}
+	return res, nil
+}
+
+func (c cluster) Partition(ctx context.Context) (*mapreduce.FrameResult, error) {
+	return c.run(ctx, "partitioning-job", c.job1, c.reducers, setSplits(c.data))
+}
+
+func (c cluster) Merge(ctx context.Context, candidates []*points.Block) (*mapreduce.FrameResult, error) {
+	return c.run(ctx, "merging-job", c.job2, 1, blockSplits(candidates, c.codec))
+}
+
+// compute is what ComputeSpec and ComputeSkyband are: driver.TwoJobs on the
+// cluster executor, over the registered jobs job1 and job2 with wire — spec,
+// or a skybandSpec around it — as their JSON params.
+func compute(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, wire any, job1, job2 string, reducers int) (*Result, error) {
+	// The partitioners may round the requested count up to a regular shape
+	// (e.g. angular split products): the run is accounted by the count the
+	// built partitioner actually uses.
 	part, err := spec.Build()
 	if err != nil {
 		return nil, err
@@ -333,90 +373,22 @@ func runJobs(ctx context.Context, master *rpcmr.Master, data points.Set, spec Sp
 		telemetry.A("points", len(data)),
 		telemetry.A("partitions", spec.Partitions))
 	defer rootSpan.End()
-	rec := telemetry.RecorderFrom(ctx)
-	// Pipeline narration goes to the master's event log (/debug/events);
-	// every EventLog method is nil-safe, so no telemetry means no cost.
-	ev := master.Events()
-	if ev == nil {
-		ev = telemetry.EventLogFrom(ctx)
+	// The run is narrated to, and its gauges land on, what the master serves.
+	if ev := master.Events(); ev != nil {
+		ctx = telemetry.WithEventLog(ctx, ev)
 	}
-	ev.Info("pipeline start", telemetry.A("scheme", fmt.Sprint(spec.Scheme)),
-		telemetry.A("points", len(data)), telemetry.A("partitions", spec.Partitions))
-	// The partitioners may round the requested count up to a regular
-	// shape (e.g. angular split products), so cover the count the built
-	// partitioner actually uses — every planned partition appears in the
-	// flight record even when it receives no data.
-	rec.EnsurePartitions(part.Partitions())
-	partCtx, partSpan := telemetry.StartSpan(ctx, "partitioning-job")
-	res1, err := master.Run(partCtx, rpcmr.JobSpec{Name: job1, Params: params, Reducers: reducers}, setSplits(data))
-	partSpan.End()
+	opts := spec.options()
+	opts.Scheme, opts.Workers, opts.Metrics = spec.Scheme, reducers, master.Metrics()
+	exec := cluster{master: master, data: data, job1: job1, job2: job2, params: params, reducers: reducers, codec: spec.Codec}
+	sky, stats, err := driver.TwoJobs(ctx, exec, spec.Dim, part, nil, nil, opts)
 	if err != nil {
-		return nil, fmt.Errorf("skyjob: partitioning job: %w", err)
+		return nil, err
 	}
-	// Local skylines arrive as per-partition blocks; the merge job is fed
-	// their rows, as frames, in ascending partition order.
-	local := make(map[int]points.Set, len(res1.Blocks))
-	ids := make([]int, 0, len(res1.Blocks))
-	candidates := 0
-	for id, blk := range res1.Blocks {
-		ids = append(ids, id)
-		local[id] = blk.ToSet()
-		candidates += blk.Len()
-	}
-	sort.Ints(ids)
-	if reg := master.Metrics(); reg != nil {
-		for id, ls := range local {
-			reg.Gauge("skyline_partition_local_size",
-				telemetry.L("partition", strconv.Itoa(id))).Set(float64(len(ls)))
-		}
-	}
-	// Partition job evidence: shuffle volume per partition and local
-	// skyline sizes.
-	for id, ps := range res1.Partitions {
-		rec.AddPartitionShuffle(id, ps.Records, ps.Bytes)
-	}
-	for id, ls := range local {
-		rec.SetLocalSkyline(id, len(ls))
-	}
-	ev.Info("partitioning job done",
-		telemetry.A("local_skyline_points", candidates),
-		telemetry.A("partitions_hit", len(local)))
-	mergeCtx, mergeSpan := telemetry.StartSpan(ctx, "merging-job")
-	res2, err := master.Run(mergeCtx, rpcmr.JobSpec{Name: job2, Params: params, Reducers: 1}, blockSplits(ids, res1.Blocks, candidates, spec.Codec))
-	mergeSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("skyjob: merging job: %w", err)
-	}
-	var sky points.Set
-	if blk := res2.Blocks[0]; blk != nil {
-		sky = blk.ToSet()
-	}
-	if reg := master.Metrics(); reg != nil {
-		reg.Gauge("skyline_global_size").Set(float64(len(sky)))
-	}
-	// Merge evidence: per-partition survivors (the Eq. (5) numerator) are
-	// computed here, where local skylines and the global skyline are both
-	// in hand, then the rollups are bridged into the master's registry.
-	if rec != nil {
-		for id, hits := range metrics.GlobalSurvivors(local, sky) {
-			rec.SetGlobalSurvivors(id, hits)
-		}
-		rec.SetGlobalSkyline(len(sky))
-		st := master.Status()
-		rec.SetRetryCounts(st.TaskRetries, st.WorkerFailures)
-		rec.Publish(master.Metrics())
-	}
-	ev.Info("pipeline end", telemetry.A("skyline_size", len(sky)))
 	return &Result{
 		Skyline:       sky,
-		LocalSkylines: local,
-		MapTime: JobResultTiming{
-			PartitionJob: res1.MapTime.Seconds(),
-			MergeJob:     res2.MapTime.Seconds(),
-		},
-		ReduceTime: JobResultTiming{
-			PartitionJob: res1.ReduceTime.Seconds(),
-			MergeJob:     res2.ReduceTime.Seconds(),
-		},
+		LocalSkylines: stats.LocalSkylines,
+		MapTime:       JobResultTiming{stats.PartitionJob.Map.Seconds(), stats.MergeJob.Map.Seconds()},
+		ReduceTime:    JobResultTiming{stats.PartitionJob.Reduce.Seconds(), stats.MergeJob.Reduce.Seconds()},
+		Stats:         stats,
 	}, nil
 }

@@ -99,29 +99,36 @@ type Report struct {
 	ReducerPeakBytes int64 `json:"reducer_peak_bytes,omitempty"`
 }
 
-// Recorder accumulates one job's flight record. Safe for concurrent use;
-// all methods no-op on a nil receiver.
+// RunRecord is what one finished skyline run hands the recorder, all at
+// once (Recorder.RecordRun): a record per planned partition — its id,
+// input records, shuffle bytes, local skyline size and global survivors;
+// Report works out the optimality ratio — and the run-wide numbers Report
+// carries under the same names.
+type RunRecord struct {
+	Partitions       []PartitionRecord
+	GlobalSkyline    int
+	TaskRetries      int64
+	WorkerFailures   int64
+	MergeRoundBytes  []int64
+	ReducerPeakBytes int64
+}
+
+// Recorder accumulates one job's flight record: task completions as the
+// engine reports them (RecordTask), and the run's own numbers once it has
+// finished (RecordRun). Safe for concurrent use; all methods no-op on a
+// nil receiver.
 type Recorder struct {
 	mu         sync.Mutex
 	job        string
 	start      time.Time
-	partitions map[int]*PartitionRecord
 	tasks      []TaskRecord
 	stragglers int64
-	retries    int64
-	failures   int64
-	globalSky  int
-	mergeRound []int64
-	redPeak    int64
+	run        RunRecord
 }
 
 // NewRecorder returns an empty recorder for the named job.
 func NewRecorder(job string) *Recorder {
-	return &Recorder{
-		job:        job,
-		start:      time.Now(),
-		partitions: make(map[int]*PartitionRecord),
-	}
+	return &Recorder{job: job, start: time.Now()}
 }
 
 type recorderKey struct{}
@@ -138,109 +145,15 @@ func RecorderFrom(ctx context.Context) *Recorder {
 	return rec
 }
 
-// part (mu held) returns the record for a partition, creating it.
-func (r *Recorder) part(id int) *PartitionRecord {
-	p := r.partitions[id]
-	if p == nil {
-		p = &PartitionRecord{Partition: id}
-		r.partitions[id] = p
-	}
-	return p
-}
-
-// EnsurePartitions guarantees entries for partitions 0..n-1, so the
-// report covers every planned partition even when some receive no data.
-func (r *Recorder) EnsurePartitions(n int) {
+// RecordRun sets the finished run's numbers, replacing an earlier run's.
+// The recorder keeps run's slices: the caller must not change them after.
+func (r *Recorder) RecordRun(run RunRecord) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for id := 0; id < n; id++ {
-		r.part(id)
-	}
-}
-
-// AddPartitionShuffle books one partition's shuffle contribution: records
-// are map-output points routed to the partition (pre-combine), bytes the
-// sealed frame payload it put on the wire.
-func (r *Recorder) AddPartitionShuffle(id int, records, bytes int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := r.part(id)
-	p.InputRecords += records
-	p.ShuffleBytes += bytes
-}
-
-// SetPartitionInput replaces one partition's input-record count — for
-// engines that count partition occupancy directly (the in-process
-// driver) rather than accumulating shuffle reports.
-func (r *Recorder) SetPartitionInput(id int, records int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.part(id).InputRecords = records
-}
-
-// SetLocalSkyline records one partition's local skyline size.
-func (r *Recorder) SetLocalSkyline(id, size int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.part(id).LocalSkyline = size
-}
-
-// SetGlobalSurvivors records how many of the partition's local skyline
-// points survived the global merge — computed where both sides are in
-// hand, right after the merging job.
-func (r *Recorder) SetGlobalSurvivors(id, survivors int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.part(id).GlobalSurvivors = survivors
-}
-
-// SetGlobalSkyline records the global skyline size.
-func (r *Recorder) SetGlobalSkyline(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.globalSky = n
-}
-
-// AddMergeRound books one round of the out-of-core merge schedule with
-// the candidate bytes that entered it.
-func (r *Recorder) AddMergeRound(bytes int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.mergeRound = append(r.mergeRound, bytes)
-}
-
-// SetReducerPeak records the largest reducer working set observed so
-// far; smaller reports keep the running maximum.
-func (r *Recorder) SetReducerPeak(bytes int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if bytes > r.redPeak {
-		r.redPeak = bytes
-	}
+	r.run = run
 }
 
 // RecordTask appends one completed task; straggler tasks also bump the
@@ -257,18 +170,6 @@ func (r *Recorder) RecordTask(t TaskRecord) {
 	}
 }
 
-// SetRetryCounts mirrors the cluster's cumulative retry/failure counters
-// (rpcmr.Status.TaskRetries / WorkerFailures) into the record.
-func (r *Recorder) SetRetryCounts(taskRetries, workerFailures int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.retries = taskRetries
-	r.failures = workerFailures
-}
-
 // Report assembles the current flight record: partitions sorted by id,
 // per-partition optimality ratios, and the skew/optimality rollups.
 // It may be called while the job is still running (the /debug handler
@@ -283,26 +184,23 @@ func (r *Recorder) Report() *Report {
 		Job:              r.job,
 		Start:            r.start,
 		DurationSeconds:  time.Since(r.start).Seconds(),
-		Partitions:       make([]PartitionRecord, 0, len(r.partitions)),
+		Partitions:       append(make([]PartitionRecord, 0, len(r.run.Partitions)), r.run.Partitions...),
 		Tasks:            append([]TaskRecord(nil), r.tasks...),
-		GlobalSkyline:    r.globalSky,
+		GlobalSkyline:    r.run.GlobalSkyline,
 		Stragglers:       r.stragglers,
-		TaskRetries:      r.retries,
-		WorkerFailures:   r.failures,
-		MergeRounds:      len(r.mergeRound),
-		MergeRoundBytes:  append([]int64(nil), r.mergeRound...),
-		ReducerPeakBytes: r.redPeak,
+		TaskRetries:      r.run.TaskRetries,
+		WorkerFailures:   r.run.WorkerFailures,
+		MergeRounds:      len(r.run.MergeRoundBytes),
+		MergeRoundBytes:  append([]int64(nil), r.run.MergeRoundBytes...),
+		ReducerPeakBytes: r.run.ReducerPeakBytes,
 	}
-	ids := make([]int, 0, len(r.partitions))
-	for id := range r.partitions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	sort.Slice(rep.Partitions, func(i, j int) bool { return rep.Partitions[i].Partition < rep.Partitions[j].Partition })
 	sum, n := 0.0, 0
-	loads := make([]float64, 0, len(ids))
+	loads := make([]float64, 0, len(rep.Partitions))
 	haveInput := false
-	for _, id := range ids {
-		p := *r.partitions[id]
+	for i := range rep.Partitions {
+		p := &rep.Partitions[i]
+		p.Optimality = 0
 		if p.LocalSkyline > 0 {
 			p.Optimality = float64(p.GlobalSurvivors) / float64(p.LocalSkyline)
 			sum += p.Optimality
@@ -311,7 +209,6 @@ func (r *Recorder) Report() *Report {
 		if p.InputRecords > 0 {
 			haveInput = true
 		}
-		rep.Partitions = append(rep.Partitions, p)
 	}
 	if n > 0 {
 		rep.Optimality = sum / float64(n)

@@ -12,14 +12,11 @@ import (
 
 func TestRecorderNilSafety(t *testing.T) {
 	var r *Recorder
-	r.EnsurePartitions(4)
-	r.AddPartitionShuffle(0, 10, 100)
-	r.SetPartitionInput(1, 5)
-	r.SetLocalSkyline(0, 3)
-	r.SetGlobalSurvivors(0, 2)
-	r.SetGlobalSkyline(7)
+	r.RecordRun(RunRecord{
+		Partitions:    []PartitionRecord{{Partition: 0, InputRecords: 10, ShuffleBytes: 100, LocalSkyline: 3, GlobalSurvivors: 2}},
+		GlobalSkyline: 7, TaskRetries: 1, WorkerFailures: 2,
+	})
 	r.RecordTask(TaskRecord{Kind: "map"})
-	r.SetRetryCounts(1, 2)
 	r.Publish(NewRegistry())
 	if rep := r.Report(); rep != nil {
 		t.Errorf("nil recorder Report = %+v, want nil", rep)
@@ -28,18 +25,22 @@ func TestRecorderNilSafety(t *testing.T) {
 
 func TestRecorderOptimality(t *testing.T) {
 	r := NewRecorder("test")
-	r.EnsurePartitions(4)
 	// p0: 4 local, 2 survive → 0.5. p1: 2 local, 2 survive → 1.0.
 	// p2: empty local skyline → excluded from the mean. p3: untouched.
-	r.SetLocalSkyline(0, 4)
-	r.SetGlobalSurvivors(0, 2)
-	r.SetLocalSkyline(1, 2)
-	r.SetGlobalSurvivors(1, 2)
-	r.SetGlobalSkyline(4)
+	// Handed over out of order: the report sorts by id.
+	r.RecordRun(RunRecord{
+		Partitions: []PartitionRecord{
+			{Partition: 3},
+			{Partition: 1, LocalSkyline: 2, GlobalSurvivors: 2},
+			{Partition: 0, LocalSkyline: 4, GlobalSurvivors: 2},
+			{Partition: 2},
+		},
+		GlobalSkyline: 4,
+	})
 
 	rep := r.Report()
 	if len(rep.Partitions) != 4 {
-		t.Fatalf("partitions = %d, want 4 (EnsurePartitions)", len(rep.Partitions))
+		t.Fatalf("partitions = %d, want all 4 planned", len(rep.Partitions))
 	}
 	for i, p := range rep.Partitions {
 		if p.Partition != i {
@@ -66,9 +67,11 @@ func TestRecorderOptimality(t *testing.T) {
 
 func TestRecorderSkew(t *testing.T) {
 	r := NewRecorder("skew")
+	var run RunRecord
 	for id, load := range []int64{1, 2, 3, 4} {
-		r.AddPartitionShuffle(id, load, load*10)
+		run.Partitions = append(run.Partitions, PartitionRecord{Partition: id, InputRecords: load, ShuffleBytes: load * 10})
 	}
+	r.RecordRun(run)
 	rep := r.Report()
 	if rep.Skew.MaxLoad != 4 {
 		t.Errorf("max load = %d, want 4", rep.Skew.MaxLoad)
@@ -91,9 +94,8 @@ func TestRecorderSkew(t *testing.T) {
 
 func TestRecorderSkewUniformAndEmpty(t *testing.T) {
 	r := NewRecorder("uniform")
-	for id := 0; id < 3; id++ {
-		r.SetPartitionInput(id, 5)
-	}
+	r.RecordRun(RunRecord{Partitions: []PartitionRecord{
+		{Partition: 0, InputRecords: 5}, {Partition: 1, InputRecords: 5}, {Partition: 2, InputRecords: 5}}})
 	rep := r.Report()
 	if rep.Skew.Gini != 0 {
 		t.Errorf("uniform gini = %v, want 0", rep.Skew.Gini)
@@ -106,12 +108,12 @@ func TestRecorderSkewUniformAndEmpty(t *testing.T) {
 	}
 }
 
-// TestRecorderSkewFallback: with no input-record counts (the classic
-// rpcmr transport), skew must be computed over local skyline sizes.
+// TestRecorderSkewFallback: with no input-record counts, skew must be
+// computed over local skyline sizes.
 func TestRecorderSkewFallback(t *testing.T) {
 	r := NewRecorder("fallback")
-	r.SetLocalSkyline(0, 10)
-	r.SetLocalSkyline(1, 30)
+	r.RecordRun(RunRecord{Partitions: []PartitionRecord{
+		{Partition: 0, LocalSkyline: 10}, {Partition: 1, LocalSkyline: 30}}})
 	rep := r.Report()
 	if rep.Skew.MaxLoad != 30 {
 		t.Errorf("fallback max load = %d, want 30 (local skyline)", rep.Skew.MaxLoad)
@@ -125,7 +127,7 @@ func TestRecorderTasksAndRetries(t *testing.T) {
 	r := NewRecorder("tasks")
 	r.RecordTask(TaskRecord{Job: "j", Kind: "map", Task: 0, Seconds: 0.1})
 	r.RecordTask(TaskRecord{Job: "j", Kind: "map", Task: 1, Seconds: 2.5, Straggler: true})
-	r.SetRetryCounts(3, 1)
+	r.RecordRun(RunRecord{TaskRetries: 3, WorkerFailures: 1})
 	rep := r.Report()
 	if len(rep.Tasks) != 2 {
 		t.Fatalf("tasks = %d, want 2", len(rep.Tasks))
@@ -140,10 +142,14 @@ func TestRecorderTasksAndRetries(t *testing.T) {
 
 func TestRecorderPublish(t *testing.T) {
 	r := NewRecorder("pub")
-	r.SetPartitionInput(0, 10)
-	r.SetPartitionInput(1, 30)
-	r.SetLocalSkyline(0, 4)
-	r.SetGlobalSurvivors(0, 1)
+	r.RecordRun(RunRecord{
+		Partitions: []PartitionRecord{
+			{Partition: 0, InputRecords: 10, LocalSkyline: 4, GlobalSurvivors: 1},
+			{Partition: 1, InputRecords: 30},
+		},
+		MergeRoundBytes:  []int64{640, 320},
+		ReducerPeakBytes: 4096,
+	})
 	reg := NewRegistry()
 	r.Publish(reg)
 	snap := reg.Snapshot()
@@ -155,6 +161,14 @@ func TestRecorderPublish(t *testing.T) {
 	}
 	if snap.Gauges[`skyline_partition_optimality{partition="0"}`] != 0.25 {
 		t.Errorf("per-partition gauge missing: %v", snap.Gauges)
+	}
+	if snap.Gauges["skyline_merge_rounds"] != 2 || snap.Gauges["skyline_reducer_peak_bytes"] != 4096 {
+		t.Errorf("merge rounds / reducer peak gauges = %v / %v, want 2 / 4096",
+			snap.Gauges["skyline_merge_rounds"], snap.Gauges["skyline_reducer_peak_bytes"])
+	}
+	rep := r.Report()
+	if rep.MergeRounds != 2 || len(rep.MergeRoundBytes) != 2 || rep.MergeRoundBytes[0] != 640 || rep.ReducerPeakBytes != 4096 {
+		t.Errorf("report merge rounds %d %v, reducer peak %d", rep.MergeRounds, rep.MergeRoundBytes, rep.ReducerPeakBytes)
 	}
 }
 
@@ -176,9 +190,8 @@ func TestMountFlightRecorder(t *testing.T) {
 	}
 
 	rec = NewRecorder("http-job")
-	rec.EnsurePartitions(2)
-	rec.SetLocalSkyline(0, 3)
-	rec.SetGlobalSurvivors(0, 3)
+	rec.RecordRun(RunRecord{Partitions: []PartitionRecord{
+		{Partition: 0, LocalSkyline: 3, GlobalSurvivors: 3}, {Partition: 1}}})
 	resp, err = http.Get(srv.URL + FlightRecorderPath)
 	if err != nil {
 		t.Fatal(err)

@@ -80,6 +80,18 @@ func (m Method) scheme() partition.Scheme {
 	}
 }
 
+// ParseMethod reads a method as the command-line tools spell it: angle,
+// grid, dim or random (partition.ParseScheme).
+func ParseMethod(flag string) (Method, error) {
+	scheme, err := partition.ParseScheme(flag)
+	for m := Dim; err == nil && m <= Random; m++ {
+		if m.scheme() == scheme {
+			return m, nil
+		}
+	}
+	return 0, err
+}
+
 // Methods lists the paper's three methods in presentation order.
 func Methods() []Method { return []Method{Dim, Grid, Angle} }
 

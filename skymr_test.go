@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/points"
@@ -87,6 +88,14 @@ func TestMethodsAndStrings(t *testing.T) {
 	}
 	if _, err := Compute(context.Background(), uniform(2, 10, 2), Options{Method: Method(99)}); err == nil {
 		t.Error("unknown method accepted")
+	}
+	for flag, want := range map[string]Method{"angle": Angle, "grid": Grid, "dim": Dim, "random": Random} {
+		if got, err := ParseMethod(flag); err != nil || got != want {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", flag, got, err, want)
+		}
+	}
+	if _, err := ParseMethod("hexagon"); err == nil || !strings.Contains(err.Error(), "angle, grid, dim or random") {
+		t.Errorf("ParseMethod(hexagon): %v, want an error naming the valid values", err)
 	}
 }
 
