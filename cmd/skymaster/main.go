@@ -263,10 +263,9 @@ func run(o options) error {
 	defer stopSignals()
 	signalled := func() bool { return sigCtx.Err() != nil }
 	defer func() {
+		// Drain returns once the workers parked on the master have their
+		// TaskShutdown notice.
 		master.Drain()
-		// One poll interval of grace so idle workers pick up the
-		// TaskShutdown notice before the listener goes away.
-		time.Sleep(200 * time.Millisecond)
 		events.Info("shutdown", telemetry.A("signalled", signalled()))
 		// Drain the observability plane in dependency order: watchdog and
 		// federator first (both read the sampler/registry), then the
@@ -412,7 +411,7 @@ func run(o options) error {
 	}
 	if o.linger > 0 && !signalled() {
 		// Keep /metrics and /debug/* up for dashboards (skytop) and CI
-		// probes; workers stay idle-polling until drained on exit.
+		// probes; workers stay parked on the master until drained on exit.
 		events.Info("lingering", telemetry.A("seconds", o.linger.Seconds()))
 		fmt.Fprintf(os.Stderr, "skymaster: job done, serving debug endpoints for %s (SIGTERM to exit now)\n", o.linger)
 		select {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sync"
 	"time"
 
 	skymr "repro"
@@ -27,26 +28,31 @@ func main() {
 	defer master.Close()
 	fmt.Printf("master listening on %s\n", master.Addr())
 
-	// Launch four workers, each a TCP client pulling tasks.
+	// Launch four workers, each a TCP client pulling tasks. An idle worker
+	// waits parked on the master, so a job's tasks reach it at once.
+	var workers sync.WaitGroup
 	for i := 0; i < 4; i++ {
+		// NewWorker returns once the worker is registered with the master.
 		w, err := rpcmr.NewWorker(rpcmr.WorkerConfig{
-			MasterAddr:   master.Addr(),
-			ID:           fmt.Sprintf("worker-%d", i),
-			PollInterval: 10 * time.Millisecond,
+			MasterAddr: master.Addr(),
+			ID:         fmt.Sprintf("worker-%d", i),
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer w.Close()
-		go func(id int) {
-			// Run ends with a connection error when the master closes at
-			// process exit; that is the expected shutdown path here.
-			_ = w.Run(context.Background())
-		}(i)
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			if err := w.Run(context.Background()); err != nil {
+				log.Printf("worker: %v", err)
+			}
+		}()
 	}
-	for master.WorkerCount() < 4 {
-		time.Sleep(10 * time.Millisecond)
-	}
+	// Teardown, in order: the master tells every worker to stop (Run then
+	// returns nil), the workers are waited for, the listener closes.
+	defer workers.Wait()
+	defer master.Drain()
 	fmt.Printf("%d workers connected\n\n", master.WorkerCount())
 
 	// Run the two-job skyline pipeline for each method and cross-check

@@ -2,8 +2,14 @@ package skymr
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/driver"
+	"repro/internal/partition"
+	"repro/internal/points"
+	"repro/internal/skyline"
 )
 
 func TestComputeSkybandPublic(t *testing.T) {
@@ -26,6 +32,57 @@ func TestComputeSkybandPublic(t *testing.T) {
 	}
 	if _, err := ComputeSkyband(context.Background(), data, 2, Options{Method: Method(99)}); err == nil {
 		t.Error("unknown method accepted")
+	}
+}
+
+// TestOptionsReachTheDriver: Compute and ComputeSkyband share one
+// conversion of Options, and it carries every field — so an option the band
+// cannot honour is the driver's error, not a silently different run.
+func TestOptionsReachTheDriver(t *testing.T) {
+	opts := Options{
+		Method: Angle, Nodes: 3, Partitions: 5, Workers: 7, Kernel: SFS,
+		DisableCombiner: true, DisableGridPruning: true, SpillDir: "/spill",
+		ReducerBudgetBytes: 4096,
+	}
+	for v, i := reflect.ValueOf(opts), 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("Options.%s is not set by this test: set it, and expect it below", v.Type().Field(i).Name)
+		}
+	}
+	got, err := opts.driverOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := driver.Options{
+		Scheme: partition.Angular, Nodes: 3, Partitions: 5, Workers: 7, Kernel: skyline.SFSAlgorithm,
+		DisableCombiner: true, DisableGridPruning: true, SpillDir: "/spill",
+		ReducerBudgetBytes: 4096, Codec: points.FrameAuto, // a budgeted run seals with the auto codec
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("driver options %+v, want %+v", got, want)
+	}
+
+	data := uniform(74, 300, 3)
+	_, err = ComputeSkyband(context.Background(), data, 2, Options{Method: Angle, ReducerBudgetBytes: 4096})
+	if err == nil || !strings.Contains(err.Error(), "k-skyband does not run under a reducer budget") {
+		t.Errorf("budgeted ComputeSkyband: %v, want the driver's refusal", err)
+	}
+	// The options the band does honour still give the band.
+	wantBand, err := Skyband(data, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []Options{
+		{Method: Grid, Kernel: SFS, DisableGridPruning: true},
+		{Method: Angle, DisableCombiner: true, Workers: 3},
+	} {
+		band, err := ComputeSkyband(context.Background(), data, 2, o)
+		if err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
+		if !sameMultiset(band, wantBand) {
+			t.Errorf("%+v: %d band points, sequential %d", o, len(band), len(wantBand))
+		}
 	}
 }
 

@@ -77,12 +77,13 @@ func frameClusterData(n, d int, seed int64) points.Set {
 	return data
 }
 
-// setFrames is a set as a job's input: each split one v1 frame,
-// encoded when the master asks. built, when non-nil, sees every frame handed
-// over (under the caller's own synchronisation).
+// setFrames is a set as a job's input: each split one v1 frame, encoded
+// into the master's buffer when it asks. built, when non-nil, sees every
+// frame handed over (under the caller's own synchronisation) — while it is
+// handed over: the master will seal another split into the same memory.
 func setFrames(data points.Set, built func(lo, hi int, frame []byte)) Input {
-	return FrameRows(len(data), func(lo, hi int) ([]byte, error) {
-		frame, err := points.AppendFrameRows(nil, 0, data[lo:hi])
+	return FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) {
+		frame, err := points.AppendFrameRows(dst, 0, data[lo:hi])
 		if err == nil && built != nil {
 			built(lo, hi, frame)
 		}
@@ -162,7 +163,7 @@ func TestFramedShuffleMetrics(t *testing.T) {
 	var wantShuffle, wantInput, splits int64
 	input := setFrames(data, nil)
 	for lo := 0; lo < len(data); lo += 200 {
-		frame, err := input.frame(lo, min(lo+200, len(data)))
+		frame, err := input.frame(nil, lo, min(lo+200, len(data)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +272,7 @@ func TestFramedWorkerCrashRecovery(t *testing.T) {
 				mu.Lock()
 				defer mu.Unlock()
 				if prev, ok := first[lo]; !ok {
-					first[lo] = frame
+					first[lo] = bytes.Clone(frame)
 				} else if rebuilt++; !bytes.Equal(prev, frame) {
 					t.Errorf("split [%d, %d): re-issued task got a different input frame", lo, hi)
 				}
@@ -303,7 +304,9 @@ func TestBadReportsNotCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 0, WorkerConfig{})
+	// A request on an empty queue is held for half the liveness window: the
+	// hand-driven worker below sits out one such hold, once the job is done.
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: 20 * time.Millisecond}, 0, WorkerConfig{})
 	type outcome struct {
 		res *mapreduce.FrameResult
 		err error
@@ -350,7 +353,7 @@ func TestBadReportsNotCounted(t *testing.T) {
 				return reply.Accepted
 			}
 		case TaskReduce:
-			frames, st, err := executeReduce(job, task)
+			frames, st, err := executeReduce(job, &task)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,12 +388,12 @@ func TestSplitBuiltOutsideMasterLock(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 0, WorkerConfig{})
 	data := frameClusterData(300, 3, 5)
 	entered, release := make(chan struct{}), make(chan struct{})
-	input := FrameRows(len(data), func(lo, hi int) ([]byte, error) {
+	input := FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) {
 		if lo == 0 {
 			close(entered)
 			<-release
 		}
-		return points.AppendFrameRows(nil, 0, data[lo:hi])
+		return points.AppendFrameRows(dst, 0, data[lo:hi])
 	})
 	done := make(chan error, 1)
 	go func() {
@@ -452,7 +455,7 @@ func TestRunRejectsWrongInputForm(t *testing.T) {
 	if err := run("skyline-frame", Input{}); err == nil || !strings.Contains(err.Error(), "FrameRows") {
 		t.Errorf("zero Input: %v", err)
 	}
-	broken := FrameRows(len(data), func(lo, hi int) ([]byte, error) { return nil, errors.New("disk on fire") })
+	broken := FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) { return nil, errors.New("disk on fire") })
 	if err := run("skyline-frame", broken); err == nil || !strings.Contains(err.Error(), "disk on fire") {
 		t.Errorf("failing split source: %v", err)
 	}

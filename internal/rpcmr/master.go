@@ -27,9 +27,12 @@ type MasterConfig struct {
 	// failed. Defaults to 5.
 	MaxTaskAttempts int
 	// LivenessWindow is how recently a worker must have called in to
-	// count as live in Status and healthy in Health. Defaults to 10s;
-	// tune it to the cluster's poll interval so a slow-but-healthy worker
-	// is not reported dead. A worker silent for longer becomes suspect.
+	// count as live in Status and healthy in Health. Defaults to 10s. A
+	// worker silent for longer becomes suspect. It also sets how long the
+	// master holds a task request it cannot answer yet — half the window,
+	// the worker counted as heard from when the hold begins and when it
+	// ends — so an idle worker is never silent for longer than that plus
+	// its own PollInterval.
 	LivenessWindow time.Duration
 	// DeadWindow is how long a worker may stay silent before the health
 	// state machine declares it dead. Defaults to 3 × LivenessWindow.
@@ -99,6 +102,13 @@ type Master struct {
 	workers  map[string]*workerInfo // health state machine per worker
 	job      *jobState              // nil when idle
 	shutdown bool
+	// wake is closed, and replaced, by whatever may change the answer to a
+	// held task request (see wakeHeld). held counts the requests that were
+	// held and whose response is not yet written; answered, when Drain is
+	// waiting for that to reach zero, is closed when it does.
+	wake     chan struct{}
+	held     int
+	answered chan struct{}
 	// Cumulative counters across all jobs (mu held): task re-executions
 	// from failure reports, and lease expiries (a worker presumed dead
 	// or stalled while holding a task). lastJobErr remembers the most
@@ -128,6 +138,12 @@ type jobState struct {
 	redStart     time.Time
 	finished     chan struct{}
 	err          error
+	// spare is the job's free list of split buffers: assignTask seals a map
+	// task's input into one (or into a new one when the list is empty) and
+	// it comes back once the reply that carries it has been written, so as
+	// many exist as map tasks were ever in flight at once. It is dropped
+	// with the job: an idle master holds none.
+	spare [][]byte
 	// Flight-recorder / stitched-trace state. tracer and recorder come
 	// from the Run context (nil when off); traceID doubles as the wire
 	// trace id and the parent span for imported worker spans.
@@ -171,20 +187,23 @@ type JobSpec struct {
 // is assigned. Build one with FrameRows.
 type Input struct {
 	rows  int
-	frame func(lo, hi int) ([]byte, error)
+	frame func(dst []byte, lo, hi int) ([]byte, error)
 }
 
-// FrameRows is rows points of input, of which frame(lo, hi) seals rows
-// [lo, hi) into one frame stream. The master calls it each time it assigns
-// the task — again, and for the same bytes, on a retry — from RPC handlers,
-// concurrently and outside its own lock, and keeps no reference to the
-// result: only the splits in flight exist at any moment.
-func FrameRows(rows int, frame func(lo, hi int) ([]byte, error)) Input {
+// FrameRows is rows points of input, of which frame(dst, lo, hi) seals rows
+// [lo, hi) into one frame stream appended to dst, as points.AppendFrame
+// does. The master calls it each time it assigns the task — again, and for
+// the same bytes, on a retry — from RPC handlers, concurrently and outside
+// its own lock. The result is the master's: once it has been sent it is the
+// dst of a later call, empty but with its capacity, so only the splits in
+// flight exist at any moment and a steady job allocates none.
+func FrameRows(rows int, frame func(dst []byte, lo, hi int) ([]byte, error)) Input {
 	return Input{rows: rows, frame: frame}
 }
 
-// maxSplitBytes caps one split's frame stream: a gob message may not exceed
-// 1 GiB, less a margin for the rest of the reply.
+// maxSplitBytes caps one frame payload on the wire — a split's stream, a map
+// task's part, a reduce task's output. A reader refuses a longer one before
+// it allocates anything.
 const maxSplitBytes = 1<<30 - 1<<20
 
 // NewMaster starts a master listening on cfg.Addr.
@@ -201,6 +220,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		server:   rpc.NewServer(),
 		workers:  make(map[string]*workerInfo),
 		stopc:    make(chan struct{}),
+		wake:     make(chan struct{}),
 	}
 	svc := &MasterService{m: m}
 	if err := m.server.RegisterName("Master", svc); err != nil {
@@ -279,6 +299,7 @@ func (m *Master) Addr() string { return m.listener.Addr().String() }
 func (m *Master) Close() error {
 	m.mu.Lock()
 	m.shutdown = true
+	m.wakeHeld()
 	if m.job != nil && m.job.err == nil && !isClosed(m.job.finished) {
 		m.job.err = errors.New("rpcmr: master closed")
 		close(m.job.finished)
@@ -291,18 +312,46 @@ func (m *Master) Close() error {
 	return m.listener.Close()
 }
 
+// drainGrace bounds how long Drain waits for held requests to be answered.
+const drainGrace = 200 * time.Millisecond
+
 // Drain tells workers to shut down: from now on every task request (and
 // piggybacked assignment) answers TaskShutdown, while the listener stays
-// up so in-flight result reports and final polls still land. Call before
-// Close for a graceful cluster teardown.
+// up so in-flight result reports and later requests still land. The
+// requests the master is holding are answered now, and Drain returns once
+// their responses are written (or after drainGrace): an idle worker has its
+// notice when Drain returns. Call before Close for a graceful cluster
+// teardown.
 func (m *Master) Drain() {
 	m.mu.Lock()
 	already := m.shutdown
 	m.shutdown = true
+	m.wakeHeld()
+	var answered chan struct{}
+	if m.held > 0 {
+		if m.answered == nil {
+			m.answered = make(chan struct{})
+		}
+		answered = m.answered
+	}
 	m.mu.Unlock()
 	if !already {
 		m.cfg.Events.Info("master draining", telemetry.A("addr", m.Addr()))
 	}
+	if answered != nil {
+		select {
+		case <-answered:
+		case <-time.After(drainGrace):
+		}
+	}
+}
+
+// wakeHeld (mu held) releases every held task request to ask again. Called
+// by whatever may change the answer: a job installed, the reduce phase
+// begun, a task re-queued, Drain, Close.
+func (m *Master) wakeHeld() {
+	close(m.wake)
+	m.wake = make(chan struct{})
 }
 
 func isClosed(ch chan struct{}) bool {
@@ -320,7 +369,7 @@ func (m *Master) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		go m.server.ServeConn(conn)
+		go m.server.ServeCodec(newWire(conn))
 	}
 }
 
@@ -409,6 +458,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		js.pending = append(js.pending, i)
 	}
 	m.job = js
+	m.wakeHeld()
 	m.mu.Unlock()
 	m.cfg.Events.Info("job start", telemetry.A("job", spec.Name),
 		telemetry.A("records", input.rows), telemetry.A("reducers", spec.Reducers),
@@ -499,6 +549,7 @@ func (m *Master) startReducePhase(js *jobState) {
 		js.tasks = append(js.tasks, &taskState{id: r})
 		js.pending = append(js.pending, r)
 	}
+	m.wakeHeld()
 	m.cfg.Events.Info("phase start", telemetry.A("job", js.spec.Name),
 		telemetry.A("phase", "reduce"), telemetry.A("tasks", js.spec.Reducers),
 		telemetry.A("shuffle_seconds", js.shuffleDur.Seconds()))
@@ -527,7 +578,9 @@ func (m *Master) finish(js *jobState, err error) {
 func (m *Master) requeueExpired(js *jobState) {
 	now := time.Now()
 	for _, t := range js.tasks {
-		if t.running && !t.complete && now.After(t.deadline) {
+		// At the deadline, not after it: a held request's timer set for a
+		// deadline must find the task expired when it fires.
+		if t.running && !t.complete && !now.Before(t.deadline) {
 			t.running = false
 			t.attempt++
 			t.failures++
@@ -549,8 +602,23 @@ func (m *Master) requeueExpired(js *jobState) {
 				return
 			}
 			js.pending = append(js.pending, t.id)
+			m.wakeHeld()
 		}
 	}
+}
+
+// nextLease (mu held) is the earliest deadline among the running job's
+// outstanding leases, zero when there is none.
+func (m *Master) nextLease() time.Time {
+	var next time.Time
+	if js := m.job; js != nil && !isClosed(js.finished) {
+		for _, t := range js.tasks {
+			if t.running && !t.complete && (next.IsZero() || t.deadline.Before(next)) {
+				next = t.deadline
+			}
+		}
+	}
+	return next
 }
 
 // Metrics returns the registry configured on the master (nil when

@@ -105,7 +105,10 @@ func resetRegistryForTest() {
 type TaskKind int
 
 const (
-	// TaskWait tells the worker to back off briefly and poll again.
+	// TaskWait says there is nothing to hand out. On a report's reply it
+	// sends the worker to RequestTask, which the master holds until there
+	// is; as RequestTask's own answer it means a hold ran out, and the
+	// worker pauses WorkerConfig.PollInterval before asking again.
 	TaskWait TaskKind = iota
 	// TaskMap carries one input split, as a frame stream, to map and combine.
 	TaskMap
@@ -132,6 +135,9 @@ type RegisterReply struct {
 // TaskArgs requests work.
 type TaskArgs struct {
 	WorkerID string
+	// gone, on the master, is the wire's signal that the connection the
+	// request came over is lost (nil when the request came over none).
+	gone chan struct{}
 }
 
 // TaskReply carries an assignment.
@@ -142,8 +148,9 @@ type TaskReply struct {
 	JobName  string
 	Params   []byte
 	Reducers int
-	// Map payload: the split as one sealed frame stream, which gob moves as
-	// a single length-prefixed copy.
+	// Map payload: the split as one sealed frame stream. Like every frame
+	// payload it crosses outside gob, in the message's payload section (see
+	// wire), into the memory the receiver's TaskReply already has.
 	Frames []byte
 	// Reduce payload: sealed frame streams for this reducer, one per
 	// contributing map task, in map-task order.
@@ -156,6 +163,27 @@ type TaskReply struct {
 	TraceID    uint64
 	ParentSpan uint64
 	Track      int
+	// onSent, on the master, is called by the wire once the response that
+	// carries this reply has been written or could not be: what the reply
+	// borrowed — a split buffer, a place among the held requests — goes
+	// back. A reply that crosses no wire never calls it.
+	onSent func()
+}
+
+// sent runs onSent, once.
+func (t *TaskReply) sent() {
+	if f := t.onSent; f != nil {
+		t.onSent = nil
+		f()
+	}
+}
+
+// emptied returns the reply as the destination of a next one: zero — gob
+// leaves alone the fields a message omits — but for the capacity of its
+// payload slots, which the next payloads are read into. The payloads it
+// held must be dead.
+func (t TaskReply) emptied() TaskReply {
+	return TaskReply{Frames: t.Frames[:0], FrameStreams: t.FrameStreams[:0]}
 }
 
 // MapResultArgs reports a finished map task: its output, partitioned by
@@ -209,7 +237,9 @@ type ResultReply struct {
 	Accepted bool
 	// Next piggybacks the worker's next assignment on the report reply,
 	// saving one RequestTask round-trip per completed task. The zero
-	// value (Kind == TaskWait) tells the worker to fall back to polling,
-	// so masters that never fill it remain compatible.
+	// value (Kind == TaskWait) sends the worker to RequestTask.
 	Next TaskReply
 }
+
+// sent is Next's.
+func (r *ResultReply) sent() { r.Next.sent() }

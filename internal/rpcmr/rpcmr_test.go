@@ -285,10 +285,9 @@ func TestWorkerShutdownOnMasterShutdown(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- w.Run(context.Background()) }()
 	time.Sleep(30 * time.Millisecond)
-	// Mark shutdown but keep serving RPCs briefly so the worker sees it.
-	master.mu.Lock()
-	master.shutdown = true
-	master.mu.Unlock()
+	// Drain keeps serving RPCs, and answers the request the worker is
+	// parked on with the shutdown notice.
+	master.Drain()
 	select {
 	case err := <-done:
 		if err != nil {

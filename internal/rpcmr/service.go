@@ -33,22 +33,70 @@ func (s *MasterService) Register(args RegisterArgs, reply *RegisterReply) error 
 	return nil
 }
 
-// RequestTask hands the calling worker a task, a wait directive, or a
-// shutdown notice.
+// RequestTask hands the calling worker a task or a shutdown notice. With
+// neither to give it holds the request, and asks again at every event that
+// may change the answer (wakeHeld) and at the earliest outstanding lease
+// deadline — held requests are what re-queue an expired lease. No worker is
+// held for more than half the liveness window, and it is counted as heard
+// from when the hold begins and each time it wakes, so a parked worker
+// never turns suspect; past that the answer is TaskWait. A request whose
+// connection is lost gives up its hold without taking a task.
 func (s *MasterService) RequestTask(args TaskArgs, reply *TaskReply) error {
 	m := s.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.touchWorker(args.WorkerID)
-	m.assignTask(args.WorkerID, reply)
+	holdUntil := time.Now().Add(m.cfg.LivenessWindow / 2)
+	held := false
+	for {
+		m.assignTask(args.WorkerID, reply)
+		wait := time.Until(holdUntil)
+		if reply.Kind != TaskWait || wait <= 0 {
+			break
+		}
+		if lease := m.nextLease(); !lease.IsZero() {
+			wait = min(wait, time.Until(lease))
+		}
+		if !held {
+			held = true
+			m.held++
+		}
+		wake, timer := m.wake, time.NewTimer(wait)
+		m.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timer.C:
+		case <-args.gone:
+		}
+		timer.Stop()
+		m.mu.Lock()
+		if isClosed(args.gone) {
+			break
+		}
+		m.touchWorker(args.WorkerID)
+	}
+	if held {
+		release := reply.onSent
+		reply.onSent = func() {
+			if release != nil {
+				release()
+			}
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			if m.held--; m.held == 0 && m.answered != nil {
+				close(m.answered)
+				m.answered = nil
+			}
+		}
+	}
 	return nil
 }
 
 // assignTask (mu held) fills reply with the next assignment for worker:
 // a task, a wait directive, or a shutdown notice. Shared by RequestTask
 // and the piggybacked ResultReply.Next so both hand out identical
-// leases. It is the last thing a handler does, because it lets go of mu
-// while it seals a map task's input.
+// leases. It lets go of mu while it seals a map task's input: a handler
+// calls it last, or reads the master's state afresh after it.
 func (m *Master) assignTask(worker string, reply *TaskReply) {
 	if m.shutdown {
 		reply.Kind = TaskShutdown
@@ -104,13 +152,17 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 		return
 	}
 	// A map task: input rows [lo, hi). The split is sealed now, from the
-	// job's rows, and belongs to the reply alone: once sent it is garbage,
-	// and a retry seals it again. It is megabytes, so mu is released
-	// meanwhile: heartbeats, reports and health sweeps must not wait on an
-	// encode.
+	// job's rows, into a buffer that is this reply's alone until the reply
+	// has been sent — a retry seals it again, into another. It is megabytes,
+	// so mu is released meanwhile: heartbeats, reports and health sweeps
+	// must not wait on an encode.
 	lo, hi := id*m.cfg.SplitSize, min((id+1)*m.cfg.SplitSize, js.input.rows)
+	var dst []byte
+	if n := len(js.spare); n > 0 {
+		dst, js.spare = js.spare[n-1], js.spare[:n-1]
+	}
 	m.mu.Unlock()
-	frame, err := js.input.frame(lo, hi)
+	frame, err := js.input.frame(dst, lo, hi)
 	if err == nil && len(frame) > m.maxSplit {
 		err = fmt.Errorf("a %d-byte frame is more than the %d bytes one task message may carry: lower MasterConfig.SplitSize (%d rows)",
 			len(frame), m.maxSplit, m.cfg.SplitSize)
@@ -122,6 +174,11 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 		return
 	}
 	reply.Frames = frame
+	reply.onSent = func() {
+		m.mu.Lock()
+		js.spare = append(js.spare, frame[:0])
+		m.mu.Unlock()
+	}
 	if reg := m.cfg.Metrics; reg != nil {
 		reg.Counter("rpcmr_input_bytes_total", telemetry.L("worker", worker)).Add(int64(len(frame)))
 	}
@@ -165,6 +222,7 @@ func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error 
 			return nil
 		}
 		js.pending = append(js.pending, args.TaskID)
+		m.wakeHeld()
 		return nil
 	}
 	t.complete = true
@@ -220,6 +278,7 @@ func (s *MasterService) ReportReduce(args ReduceResultArgs, reply *ResultReply) 
 			return nil
 		}
 		js.pending = append(js.pending, args.TaskID)
+		m.wakeHeld()
 		return nil
 	}
 	t.complete = true
@@ -349,7 +408,7 @@ func (m *Master) observeTask(t *taskState, kind, worker string) {
 
 // observeFrameBytes (mu held) books one map task's frame payload into the
 // per-worker shuffle series: rpcmr_shuffle_bytes_total counts payload
-// bytes (frame header + coordinates — never the gob envelope, matching
+// bytes (frame header + coordinates — never the message around them, matching
 // the engine's mr.shuffle.bytes semantics) and rpcmr_shuffle_frame_bytes
 // tracks the per-task payload size distribution, so a worker producing
 // outsized frames stands out.

@@ -2,7 +2,6 @@ package rpcmr
 
 import (
 	"context"
-	"net/rpc"
 	"testing"
 	"time"
 )
@@ -77,13 +76,13 @@ func TestStatusDuringAndAfterJob(t *testing.T) {
 
 func TestStatusOverRPC(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{}, 1, WorkerConfig{})
-	client, err := rpc.Dial("tcp", master.Addr())
+	client, err := dial(master.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 	var st Status
-	if err := client.Call("Master.Status", StatusArgs{}, &st); err != nil {
+	if err := client.Call("Master.Status", &StatusArgs{}, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Workers != 1 {

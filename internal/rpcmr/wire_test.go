@@ -1,0 +1,477 @@
+package rpcmr
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math/rand"
+	"net"
+	"net/rpc"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/mapreduce"
+	"repro/internal/points"
+)
+
+// totalAlloc is the bytes this process has allocated so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// noise fills n bytes that no compressor or coincidence could reproduce.
+func noise(seed int64, n int) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
+}
+
+// tape is a connection played back from bytes: reads come from in, writes
+// go to out, and Close is remembered.
+type tape struct {
+	in     io.Reader
+	out    bytes.Buffer
+	closed bool
+}
+
+func (c *tape) Read(p []byte) (int, error)  { return c.in.Read(p) }
+func (c *tape) Write(p []byte) (int, error) { return c.out.Write(p) }
+func (c *tape) Close() error                { c.closed = true; return nil }
+
+// message is one message as write puts it on a new connection, cut where
+// its parts meet: the header (behind the gob type definition that precedes
+// it), the body, and the payload section.
+func message(t testing.TB, body any) (header, gobBody, section []byte) {
+	t.Helper()
+	response := &rpc.Response{ServiceMethod: "Master.Any", Seq: 7}
+	whole := &tape{}
+	if err := newWire(whole).write(response, body); err != nil {
+		t.Fatal(err)
+	}
+	// The gob parts again, one at a time: a new encoder repeats itself.
+	parts := &tape{}
+	w := newWire(parts)
+	var ends [2]int
+	for i, part := range []any{response, w.detach(body)} {
+		if err := w.enc.Encode(part); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ends[i] = parts.out.Len()
+	}
+	all := whole.out.Bytes()
+	if !bytes.HasPrefix(all, parts.out.Bytes()) {
+		t.Fatal("a message does not begin with its gob header and body")
+	}
+	return all[:ends[0]:ends[0]], all[ends[0]:ends[1]:ends[1]], all[ends[1]:]
+}
+
+// section builds a payload section by hand.
+func section(count uint64, lengths []uint64, payload []byte) []byte {
+	s := binary.AppendUvarint(nil, count)
+	for _, n := range lengths {
+		s = binary.AppendUvarint(s, n)
+	}
+	return append(s, payload...)
+}
+
+// readBack plays header+rest to a fresh wire and reads it into body.
+func readBack(header, rest []byte, body any) (*tape, error) {
+	conn := &tape{in: io.MultiReader(bytes.NewReader(header), bytes.NewReader(rest))}
+	w := newWire(conn)
+	var h rpc.Response
+	if err := w.ReadResponseHeader(&h); err != nil {
+		return conn, err
+	}
+	return conn, w.ReadResponseBody(body)
+}
+
+// TestWireRoundTrip: every body that carries payloads comes back as it was
+// sent, through the section and not through gob; a shared outer slice is
+// left as it was.
+func TestWireRoundTrip(t *testing.T) {
+	streams := [][]byte{noise(1, 300), nil, noise(2, 70000)}
+	kept := append([][]byte(nil), streams...)
+	bodies := []struct{ sent, into any }{
+		{&TaskReply{Kind: TaskMap, TaskID: 3, JobName: "j", Params: []byte("p"), Frames: noise(3, 5000)}, &TaskReply{}},
+		{&TaskReply{Kind: TaskReduce, TaskID: 1, FrameStreams: streams}, &TaskReply{}},
+		{&TaskReply{}, &TaskReply{}},
+		{&ResultReply{Accepted: true, Next: TaskReply{Kind: TaskReduce, FrameStreams: streams}}, &ResultReply{}},
+		{&MapResultArgs{WorkerID: "w", TaskID: 2, FrameParts: streams, Stats: mapreduce.FrameStats{MapIn: 9}}, &MapResultArgs{}},
+		{&ReduceResultArgs{WorkerID: "w", Frames: noise(4, 999)}, &ReduceResultArgs{}},
+		{&RegisterArgs{WorkerID: "w"}, &RegisterArgs{}},
+	}
+	for _, b := range bodies {
+		header, gobBody, sec := message(t, b.sent)
+		for _, p := range [][]byte{noise(3, 5000), noise(2, 70000), noise(4, 999)} {
+			if bytes.Contains(gobBody, p[:64]) {
+				t.Errorf("%T: a payload crossed inside the gob body", b.sent)
+			}
+		}
+		conn, err := readBack(header, append(gobBody, sec...), b.into)
+		if err != nil || conn.closed {
+			t.Fatalf("%T: read back: %v (closed %v)", b.sent, err, conn.closed)
+		}
+		if !samePayloads(b.sent, b.into) {
+			t.Errorf("%T: payloads differ after the round trip", b.sent)
+		}
+		// And around the payloads, gob has done what it always did.
+		if !reflect.DeepEqual(newWire(&tape{}).detach(b.sent), newWire(&tape{}).detach(b.into)) {
+			t.Errorf("%T: fields differ after the round trip", b.sent)
+		}
+	}
+	if !reflect.DeepEqual(streams, kept) {
+		t.Error("writing a body emptied the outer slice it shares with the job")
+	}
+}
+
+// samePayloads compares two bodies slot by slot, nil and empty alike.
+func samePayloads(a, b any) bool {
+	sa, sb := payloadSlots(nil, a), payloadSlots(nil, b)
+	if len(sa) != len(sb) {
+		return false
+	}
+	for i := range sa {
+		if !bytes.Equal(*sa[i], *sb[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPayloadLandsInRecycledMemory: the payload is copied once per hop and
+// lands in memory that already exists. Over a net.Pipe, a TaskReply with a
+// 1 MiB split read into an emptied TaskReply that has held one costs under
+// 64 KiB — stock gob allocated the megabyte twice — and so does a
+// ResultReply whose Next carries it.
+func TestPayloadLandsInRecycledMemory(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	master, worker := newWire(a), newWire(b)
+	split := noise(5, 1<<20)
+	exchange := func(sent, into any) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- master.WriteResponse(&rpc.Response{ServiceMethod: "Master.Any"}, sent) }()
+		var h rpc.Response
+		if err := worker.ReadResponseHeader(&h); err != nil {
+			t.Fatal(err)
+		}
+		if err := worker.ReadResponseBody(into); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	var task TaskReply
+	exchange(&TaskReply{Kind: TaskMap, Frames: split}, &task) // grows the slot; the type tables cross
+	exchange(&ResultReply{}, &ResultReply{})
+
+	task = task.emptied()
+	before := totalAlloc()
+	exchange(&TaskReply{Kind: TaskMap, TaskID: 1, Frames: split}, &task)
+	if grew := totalAlloc() - before; grew >= 64<<10 {
+		t.Errorf("a 1 MiB split into a recycled TaskReply allocated %d bytes, want < 64 KiB", grew)
+	}
+	if task.TaskID != 1 || !bytes.Equal(task.Frames, split) {
+		t.Error("the recycled TaskReply does not hold what was sent")
+	}
+
+	reply := ResultReply{Next: task.emptied()}
+	before = totalAlloc()
+	exchange(&ResultReply{Accepted: true, Next: TaskReply{Kind: TaskMap, TaskID: 2, Frames: split}}, &reply)
+	if grew := totalAlloc() - before; grew >= 64<<10 {
+		t.Errorf("a 1 MiB split riding a ResultReply into a recycled Next allocated %d bytes, want < 64 KiB", grew)
+	}
+	if !reply.Accepted || reply.Next.TaskID != 2 || !bytes.Equal(reply.Next.Frames, split) {
+		t.Error("the recycled ResultReply does not hold what was sent")
+	}
+
+	// A reduce task's streams after a map task's split: each into its slot.
+	streams := [][]byte{noise(6, 4000), noise(7, 9000)}
+	task = reply.Next.emptied()
+	exchange(&TaskReply{Kind: TaskReduce, FrameStreams: streams}, &task)
+	if task.Kind != TaskReduce || len(task.Frames) != 0 || !reflect.DeepEqual(task.FrameStreams, streams) {
+		t.Error("a reduce task into the TaskReply that held a map task: wrong payloads")
+	}
+}
+
+// TestHostileSectionRejected: a section no writer made is a typed error
+// before anything is sized from it, and the connection is closed — never
+// resynchronised.
+func TestHostileSectionRejected(t *testing.T) {
+	sent := &TaskReply{Kind: TaskReduce, FrameStreams: [][]byte{noise(1, 100), noise(2, 100)}}
+	header, gobBody, good := message(t, sent)
+	payload := append(noise(1, 100), noise(2, 100)...)
+	if want := section(3, []uint64{0, 100, 100}, payload); !bytes.Equal(good, want) {
+		t.Fatalf("the section of a 2-stream reduce task is % x, want count 3, lengths 0 100 100, the bytes", good[:8])
+	}
+	negative := int64(-1)
+	hostile := []struct {
+		name    string
+		section []byte
+	}{
+		{"length above the cap", section(3, []uint64{0, maxSplitBytes + 1, 100}, payload)},
+		{"negative length", section(3, []uint64{0, uint64(negative), 100}, payload)},
+		{"more payloads than slots", section(4, []uint64{0, 100, 100, 0}, payload)},
+		{"fewer payloads than slots", section(2, []uint64{100, 100}, payload)},
+		{"2^60 payloads", section(1<<60, nil, nil)},
+		{"no section", nil},
+		{"lengths cut short", section(3, []uint64{0, 100}, nil)},
+		{"cut mid-payload", section(3, []uint64{0, 100, 100}, payload[:150])},
+		{"a cap-sized payload that never comes", section(3, []uint64{0, maxSplitBytes, 100}, payload)},
+	}
+	for _, h := range hostile {
+		var into TaskReply
+		before := totalAlloc()
+		conn, err := readBack(header, append(bytes.Clone(gobBody), h.section...), &into)
+		grew := totalAlloc() - before
+		if !errors.Is(err, errSection) {
+			t.Errorf("%s: error %v, want one that wraps errSection", h.name, err)
+		}
+		if !conn.closed {
+			t.Errorf("%s: the connection was left open", h.name)
+		}
+		if grew > payloadStep+256<<10 {
+			t.Errorf("%s: allocated %d bytes for a %d-byte section", h.name, grew, len(h.section))
+		}
+	}
+	// A skipped body is held to the same lengths.
+	conn, err := readBack(header, append(bytes.Clone(gobBody), section(1, []uint64{maxSplitBytes + 1}, nil)...), nil)
+	if !errors.Is(err, errSection) || !conn.closed {
+		t.Errorf("skipped body with an oversized payload: error %v, closed %v", err, conn.closed)
+	}
+}
+
+// TestSkippedBodyKeepsStreamInStep: a request for a method the master does
+// not have carries its payloads all the same; the master reads past them
+// (ReadRequestBody(nil)), the worker past the error reply's body, and the
+// next call on the same connection is answered.
+func TestSkippedBodyKeepsStreamInStep(t *testing.T) {
+	master, _, _ := newCluster(t, MasterConfig{}, 0, WorkerConfig{})
+	client, err := dial(master.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for i := 0; i < 3; i++ {
+		args := &MapResultArgs{WorkerID: "w", FrameParts: [][]byte{noise(1, 70000), nil, noise(2, 10)}}
+		err := client.Call("Master.NoSuchMethod", args, &ResultReply{})
+		if err == nil || !strings.Contains(err.Error(), "can't find method") {
+			t.Fatalf("unknown method: %v", err)
+		}
+		var st Status
+		if err := client.Call("Master.Status", &StatusArgs{}, &st); err != nil {
+			t.Fatalf("call after a skipped body: %v", err)
+		}
+	}
+}
+
+// TestTruncatedPayloadClosesConnection: a worker that dies mid-payload
+// costs the master that connection and nothing else — the report is not
+// half-accepted, and a job runs on the workers that remain.
+func TestTruncatedPayloadClosesConnection(t *testing.T) {
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 4}, 2, WorkerConfig{})
+	conn, err := net.Dial("tcp", master.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	w := newWire(conn)
+	stripped := w.detach(&MapResultArgs{WorkerID: "liar", FrameParts: [][]byte{make([]byte, 1000)}})
+	if err := w.enc.Encode(&rpc.Request{ServiceMethod: "Master.ReportMap", Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.enc.Encode(stripped); err != nil {
+		t.Fatal(err)
+	}
+	w.bw.Write(section(1, []uint64{1000}, make([]byte, 10)))
+	if err := w.bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("read %d bytes, error %v from the master after a truncated payload; want the connection closed", n, err)
+	}
+	if got := master.WorkerCount(); got != 2 {
+		t.Errorf("%d workers known, want 2: the truncated report must not have reached its handler", got)
+	}
+	res, err := master.Run(context.Background(), JobSpec{Name: "wordcount", Reducers: 2}, setFrames(wcInput, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWordCount(t, res)
+}
+
+// fuzzSeeds are the bodies FuzzWireSection starts from, and the kind of
+// destination each is read into.
+func fuzzSeeds() []any {
+	streams := [][]byte{noise(1, 40), nil, noise(2, 300)}
+	return []any{
+		&TaskReply{Kind: TaskMap, TaskID: 3, Attempt: 1, JobName: "skyline/partition", Params: []byte(`{"dim":3}`), Reducers: 2, Frames: noise(3, 600)},
+		&ResultReply{Accepted: true, Next: TaskReply{Kind: TaskReduce, TaskID: 1, JobName: "skyline/merge", FrameStreams: streams}},
+		&MapResultArgs{WorkerID: "w1", TaskID: 2, FrameParts: streams, Stats: mapreduce.FrameStats{MapIn: 50}},
+	}
+}
+
+func fuzzDestination(kind uint8) any {
+	switch kind % 3 {
+	case 0:
+		return &TaskReply{}
+	case 1:
+		return &ResultReply{}
+	default:
+		return &MapResultArgs{}
+	}
+}
+
+// FuzzWireSection: whatever bytes follow a valid header — a body and a
+// section, or neither — reading them yields what a writer sent or an error,
+// never a panic; what it yields survives another trip unchanged; and the
+// section allocates no more than the bytes supplied and one growth step,
+// whatever lengths it claims.
+func FuzzWireSection(f *testing.F) {
+	var header []byte
+	sent := map[string]any{}
+	for kind, body := range fuzzSeeds() {
+		h, gobBody, sec := message(f, body)
+		header = h
+		rest := append(gobBody, sec...)
+		sent[string(rest)] = body
+		f.Add(uint8(kind), rest)
+		f.Add(uint8(kind), rest[:len(rest)-5])
+		f.Add(uint8(kind+1), rest)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, rest []byte) {
+		conn := &tape{in: io.MultiReader(bytes.NewReader(header), bytes.NewReader(rest))}
+		w := newWire(conn)
+		var h rpc.Response
+		if err := w.ReadResponseHeader(&h); err != nil {
+			t.Fatal(err)
+		}
+		// readBody, taken apart so that the section alone is measured.
+		body := fuzzDestination(kind)
+		if err := w.dec.Decode(body); err != nil {
+			return
+		}
+		w.in = payloadSlots(w.in[:0], body)
+		before := totalAlloc()
+		err := w.readSection(false)
+		if grew := totalAlloc() - before; grew > uint64(len(rest))+payloadStep+16<<10 {
+			t.Fatalf("the section of a %d-byte message allocated %d bytes", len(rest), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, errSection) {
+				t.Fatalf("section error %v does not wrap errSection", err)
+			}
+			return
+		}
+		if orig, ok := sent[string(rest)]; ok && reflect.TypeOf(orig) == reflect.TypeOf(body) && !samePayloads(orig, body) {
+			t.Fatal("a message read back differs from the one written")
+		}
+		// What was read is what a writer would send: it reads back the same.
+		again := fuzzDestination(kind)
+		h2, gobBody, sec := message(t, body)
+		if conn, err := readBack(h2, append(gobBody, sec...), again); err != nil || conn.closed {
+			t.Fatalf("a body that was read cannot be written and read again: %v", err)
+		}
+		if !samePayloads(body, again) {
+			t.Fatal("a body changed on its second trip")
+		}
+	})
+}
+
+// firstRowJob keeps one row in a thousand: a map task whose sealed output is
+// next to nothing, so that what the task allocates is what moving its input
+// costs.
+func firstRowJob() Job {
+	return Job{FrameJob: mapreduce.FrameJob{
+		Mapper: func(row []float64, emit mapreduce.EmitPoint) error {
+			if int(row[0])%1000 == 0 {
+				emit(0, row)
+			}
+			return nil
+		},
+		Reducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
+			emit(partition, blk.Row(0))
+			return nil
+		}),
+	}}
+}
+
+var firstRowOnce sync.Once
+
+// TestWarmMapTaskAllocatesNoSplit: once a worker and a job are warm, a map
+// task allocates nothing the size of its split on either side — the master
+// seals into a buffer that came back, the worker reads into the one the
+// last task left. From one sealing to the next (one whole task: seal, send,
+// receive, map, report, accept) the process allocates under 64 KiB, for
+// splits of 1.2 MB.
+func TestWarmMapTaskAllocatesNoSplit(t *testing.T) {
+	ensureJobs()
+	firstRowOnce.Do(func() {
+		RegisterJob("first-row", func([]byte) (Job, error) { return firstRowJob(), nil })
+	})
+	const rows, dim, tasks = 50000, 3, 8 // 1.2 MB of coordinates a split
+	data := make(points.Set, rows*tasks)
+	for i := range data {
+		data[i] = points.Point{float64(i), 1, 2}
+	}
+	// The stall is the moment the master's writer needs to take its buffer
+	// back before the worker's next report asks for it. Without it the next
+	// assignment now and then finds the list empty and makes a second buffer
+	// — allowed, the first being the unwritten reply's still, but not the
+	// steady state measured here; the loop below skips such a task.
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: rows}, 1, WorkerConfig{TaskStall: 2 * time.Millisecond})
+	var sealedAt []uint64 // TotalAlloc as each split is about to be sealed
+	var dsts []*byte      // and the memory it is sealed into
+	input := FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) {
+		sealedAt = append(sealedAt, totalAlloc()) // one worker: one sealing at a time
+		dsts = append(dsts, unsafe.SliceData(dst))
+		// Frames of 500 rows, as skyjob cuts them: a worker walks a split
+		// through a scratch block the size of its longest frame.
+		var err error
+		for ; lo < hi && err == nil; lo += 500 {
+			dst, err = points.AppendFrameRows(dst, 0, data[lo:min(lo+500, hi)])
+		}
+		return dst, err
+	})
+	if _, err := master.Run(context.Background(), JobSpec{Name: "first-row", Reducers: 1}, input); err != nil {
+		t.Fatal(err)
+	}
+	if len(sealedAt) != tasks {
+		t.Fatalf("%d splits sealed, want %d", len(sealedAt), tasks)
+	}
+	warm := 0
+	for i := 2; i < tasks; i++ {
+		if dsts[i-1] == nil || dsts[i] == nil {
+			continue // task i-1 or its successor was sealed into a new buffer
+		}
+		warm++
+		if dsts[i] != dsts[i-1] {
+			t.Errorf("split %d was sealed into another buffer than split %d, with one task in flight", i, i-1)
+		}
+		if grew := sealedAt[i] - sealedAt[i-1]; grew >= 64<<10 {
+			t.Errorf("map task %d (a %d-byte split) cost the process %d bytes, want < 64 KiB", i-1, rows*dim*8, grew)
+		}
+	}
+	if warm < (tasks-2)/2 {
+		t.Errorf("%d of %d map tasks found their buffer waiting", warm, tasks-2)
+	}
+}

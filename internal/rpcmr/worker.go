@@ -17,8 +17,11 @@ type WorkerConfig struct {
 	MasterAddr string
 	// ID labels this worker; defaults to a generated name.
 	ID string
-	// PollInterval is how long to sleep after a TaskWait. Defaults to
-	// 50ms.
+	// PollInterval is how long to pause after RequestTask answers TaskWait
+	// — the master held the request as long as it would and had nothing to
+	// hand out — before asking again. Defaults to 50ms. Nothing else a
+	// worker does waits on it: job starts, phase changes and re-queued
+	// tasks reach a worker parked on the master at once.
 	PollInterval time.Duration
 	// FailAfterTasks, when > 0, makes the worker exit with an error after
 	// completing that many tasks — fault-injection support for tests and
@@ -70,14 +73,14 @@ type Worker struct {
 // NewWorker connects to the master.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	cfg = cfg.withDefaults()
-	client, err := rpc.Dial("tcp", cfg.MasterAddr)
+	client, err := dial(cfg.MasterAddr)
 	if err != nil {
 		return nil, fmt.Errorf("rpcmr: dialing master %s: %w", cfg.MasterAddr, err)
 	}
 	w := &Worker{cfg: cfg, client: client}
 	var reply RegisterReply
 	args := RegisterArgs{WorkerID: cfg.ID, DebugAddr: cfg.DebugAddr}
-	if err := client.Call("Master.Register", args, &reply); err != nil {
+	if err := client.Call("Master.Register", &args, &reply); err != nil {
 		client.Close()
 		return nil, fmt.Errorf("rpcmr: registering: %w", err)
 	}
@@ -96,32 +99,45 @@ func (w *Worker) Completed() int {
 // Close drops the master connection.
 func (w *Worker) Close() error { return w.client.Close() }
 
-// Run is the worker main loop: poll for tasks and execute them until the
-// master shuts down, the connection drops, or ctx is cancelled. A clean
+// Run is the worker main loop: ask for a task, execute it, report it, until
+// the master shuts down, the connection drops, or ctx is cancelled. A clean
 // master shutdown returns nil.
 //
-// The loop rides the persistent net/rpc connection, so the gob codec —
-// and its one-time type descriptors — is set up once per worker, not per
-// call; result reports piggyback the next assignment (ResultReply.Next),
-// so a busy worker makes one round-trip per task instead of two.
+// The worker waits on no timer of its own. Result reports piggyback the next
+// assignment (ResultReply.Next), so a busy worker makes one round-trip per
+// task; with nothing riding back it asks at once, and the master holds the
+// request until there is an answer. Only when a hold runs out into TaskWait
+// does it pause PollInterval.
+//
+// One TaskReply serves the whole loop: emptied, it is the destination of
+// every reply, so a task's payloads are read into the memory the last
+// task's left behind (they are dead by then: a task is reported after
+// MapFrames or the reduce has returned, and those keep nothing of their
+// input).
 func (w *Worker) Run(ctx context.Context) error {
 	var task TaskReply
-	haveTask := false
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !haveTask {
-			task = TaskReply{}
-			if err := w.client.Call("Master.RequestTask", TaskArgs{WorkerID: w.cfg.ID}, &task); err != nil {
-				return fmt.Errorf("rpcmr: worker %s: request task: %w", w.cfg.ID, err)
-			}
-		}
-		haveTask = false
 		switch task.Kind {
 		case TaskShutdown:
 			return nil
 		case TaskWait:
+			task = task.emptied()
+			call := w.client.Go("Master.RequestTask", &TaskArgs{WorkerID: w.cfg.ID}, &task, make(chan *rpc.Call, 1))
+			select {
+			case <-ctx.Done():
+				// The reply, if one comes, lands in task, which nobody reads again.
+				return ctx.Err()
+			case <-call.Done:
+			}
+			if call.Error != nil {
+				return fmt.Errorf("rpcmr: worker %s: request task: %w", w.cfg.ID, call.Error)
+			}
+			if task.Kind != TaskWait {
+				continue
+			}
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -131,20 +147,16 @@ func (w *Worker) Run(ctx context.Context) error {
 			if w.shouldVanish() {
 				return fmt.Errorf("rpcmr: worker %s: injected crash holding map task %d", w.cfg.ID, task.TaskID)
 			}
-			next, err := w.runMap(task)
-			if err != nil {
+			if err := w.runMap(&task); err != nil {
 				return err
 			}
-			task, haveTask = next, true
 		case TaskReduce:
 			if w.shouldVanish() {
 				return fmt.Errorf("rpcmr: worker %s: injected crash holding reduce task %d", w.cfg.ID, task.TaskID)
 			}
-			next, err := w.runReduce(task)
-			if err != nil {
+			if err := w.runReduce(&task); err != nil {
 				return err
 			}
-			task, haveTask = next, true
 		default:
 			return fmt.Errorf("rpcmr: worker %s: unknown task kind %d", w.cfg.ID, task.Kind)
 		}
@@ -210,7 +222,7 @@ func (w *Worker) willStop() bool {
 // ends the span and hands back the recorded SpanData batch (nil when
 // tracing is off or the task failed — error reports must not ship spans,
 // or a retried task would appear twice in the stitched trace).
-func (w *Worker) taskSpan(task TaskReply, name string) (span *telemetry.Span, finish func(failed bool) []telemetry.SpanData) {
+func (w *Worker) taskSpan(task *TaskReply, name string) (span *telemetry.Span, finish func(failed bool) []telemetry.SpanData) {
 	if task.TraceID == 0 {
 		return nil, func(bool) []telemetry.SpanData { return nil }
 	}
@@ -228,7 +240,10 @@ func (w *Worker) taskSpan(task TaskReply, name string) (span *telemetry.Span, fi
 	}
 }
 
-func (w *Worker) runMap(task TaskReply) (TaskReply, error) {
+// runMap executes the map task in *task and reports it; what rides back on
+// the report's reply — the next assignment, read into the task's own
+// memory — replaces it.
+func (w *Worker) runMap(task *TaskReply) error {
 	args := MapResultArgs{
 		WorkerID: w.cfg.ID,
 		TaskID:   task.TaskID,
@@ -253,14 +268,16 @@ func (w *Worker) runMap(task TaskReply) (TaskReply, error) {
 	}
 	args.Spans = finish(err != nil)
 	w.observeTask("map", start, err)
-	var reply ResultReply
-	if err := w.client.Call("Master.ReportMap", args, &reply); err != nil {
-		return TaskReply{}, fmt.Errorf("rpcmr: worker %s: report map: %w", w.cfg.ID, err)
+	reply := ResultReply{Next: task.emptied()}
+	if err := w.client.Call("Master.ReportMap", &args, &reply); err != nil {
+		return fmt.Errorf("rpcmr: worker %s: report map: %w", w.cfg.ID, err)
 	}
-	return reply.Next, w.bumpCompleted()
+	*task = reply.Next
+	return w.bumpCompleted()
 }
 
-func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
+// runReduce is runMap for a reduce task.
+func (w *Worker) runReduce(task *TaskReply) error {
 	args := ReduceResultArgs{
 		WorkerID: w.cfg.ID,
 		TaskID:   task.TaskID,
@@ -281,18 +298,19 @@ func (w *Worker) runReduce(task TaskReply) (TaskReply, error) {
 	}
 	args.Spans = finish(err != nil)
 	w.observeTask("reduce", start, err)
-	var reply ResultReply
-	if err := w.client.Call("Master.ReportReduce", args, &reply); err != nil {
-		return TaskReply{}, fmt.Errorf("rpcmr: worker %s: report reduce: %w", w.cfg.ID, err)
+	reply := ResultReply{Next: task.emptied()}
+	if err := w.client.Call("Master.ReportReduce", &args, &reply); err != nil {
+		return fmt.Errorf("rpcmr: worker %s: report reduce: %w", w.cfg.ID, err)
 	}
-	return reply.Next, w.bumpCompleted()
+	*task = reply.Next
+	return w.bumpCompleted()
 }
 
 // executeReduce folds one reducer's frame streams into a single
 // output stream via the shared mapreduce.ReduceFrames — or, when the job
 // carries a FrameFolder, via the streaming mapreduce.ReduceFramesStream,
 // which never assembles a partition's full block.
-func executeReduce(job Job, task TaskReply) ([]byte, mapreduce.FrameStats, error) {
+func executeReduce(job Job, task *TaskReply) ([]byte, mapreduce.FrameStats, error) {
 	if folder := job.FrameJob.Folder; folder != nil {
 		srcs := make([]mapreduce.FrameSource, 0, len(task.FrameStreams))
 		for _, stream := range task.FrameStreams {

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
@@ -110,50 +109,91 @@ func TestFramedMapSideMatchesBlockCombiner(t *testing.T) {
 	}
 }
 
-// TestClusterMapAllocatesPerTaskNotPerPoint pins the record-free cluster
-// path, in the spirit of driver.TestMapSideAllocatesNothingPerPoint: a whole
-// cluster job — fit, both rpcmr jobs, master and two in-process workers — on
-// 200 000 points costs allocations per task, frame and result block, not per
-// point. One record per point on the wire put this above 2. What is left,
-// some 2 000–2 600 allocations a job whatever its size (0.010–0.013 per
-// point here), is each task's spec decoded from JSON, its gob and net/rpc
-// envelopes, and window growth after a GC has emptied the accumulator
-// pools; the race detector, which drops pool puts at random, triples it —
-// hence the driver test's bound of 0.05.
-func TestClusterMapAllocatesPerTaskNotPerPoint(t *testing.T) {
-	const n, d = 200000, 6
-	data := uniformSet(42, n, d)
-	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: 50000})
+// warmCluster is a master and two in-process workers on loopback, and run,
+// which fits a spec to data and runs the whole pipeline on them — after one
+// run that has warmed the accumulator pools, the gob type tables and the
+// workers' reply buffers.
+func warmCluster(tb testing.TB, data points.Set, splitSize int) (run func()) {
+	tb.Helper()
+	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: splitSize})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { master.Close() })
+	tb.Cleanup(func() { master.Close() })
 	for _, id := range []string{"a", "b"} {
-		w, err := rpcmr.NewWorker(rpcmr.WorkerConfig{MasterAddr: master.Addr(), ID: id, PollInterval: time.Millisecond})
+		w, err := rpcmr.NewWorker(rpcmr.WorkerConfig{MasterAddr: master.Addr(), ID: id})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		t.Cleanup(func() { w.Close() })
+		tb.Cleanup(func() { w.Close() })
 		go func() { _ = w.Run(context.Background()) }()
 	}
-	run := func() {
+	run = func() {
 		spec, err := SpecFor(data, partition.Angular, 8)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := ComputeSpec(context.Background(), master, data, spec, 2); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	run() // warm the accumulator pools and the gob type tables
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	run()
-	runtime.ReadMemStats(&after)
-	perPoint := float64(after.Mallocs-before.Mallocs) / n
-	t.Logf("%.4f mallocs/point, %.1f bytes/point", perPoint, float64(after.TotalAlloc-before.TotalAlloc)/n)
-	if perPoint >= 0.05 {
-		t.Fatalf("a cluster job allocated %.4f times per input point, want < 0.05", perPoint)
+	return run
+}
+
+// TestClusterMapAllocatesPerTaskNotPerPoint pins the record-free cluster
+// path, in the spirit of driver.TestMapSideAllocatesNothingPerPoint: a whole
+// cluster job — fit, both rpcmr jobs, master and two in-process workers —
+// costs allocations per task, frame and result block, not per point, and
+// bytes by what it computes, not by what it is sent.
+//
+// Counts, on 200 000 points in four splits: one record per point on the
+// wire put this above 2. What is left, some 1 600–2 600 allocations a job
+// whatever its size (0.008–0.013 per point here), is each task's spec
+// decoded from JSON, its wire and net/rpc envelopes, and window growth after
+// a GC has emptied the accumulator pools; the race detector, which drops
+// pool puts at random, triples it — hence the driver test's bound of 0.05.
+//
+// Bytes, at the benchmark's shape (1 000 000 points in sixteen splits): less
+// than the 48 of the point itself. With every split sealed, gob-encoded and
+// gob-decoded into fresh memory the input alone cost 145 bytes a point
+// (174 in all); sealed into a job's two or three recycled buffers and read
+// into the workers' own it costs 6–9, and the rest — some 25 MB a job,
+// whatever moves the input: sealed map output, the reducers' blocks, window
+// growth — is what is left (34–36 in all). At 200 000 points that rest is
+// 65 bytes a point by itself, which is why the bound is not asserted there.
+func TestClusterMapAllocatesPerTaskNotPerPoint(t *testing.T) {
+	measure := func(n, splitSize int) (mallocs, bytes float64) {
+		run := warmCluster(t, uniformSet(42, n, 6), splitSize)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		mallocs = float64(after.Mallocs-before.Mallocs) / float64(n)
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		t.Logf("n = %d: %.4f mallocs/point, %.1f bytes/point", n, mallocs, bytes)
+		return mallocs, bytes
+	}
+	if mallocs, _ := measure(200000, 50000); mallocs >= 0.05 {
+		t.Fatalf("a cluster job allocated %.4f times per input point, want < 0.05", mallocs)
+	}
+	if raceEnabled || testing.Short() {
+		return // the byte bound is for the uninstrumented build, and its run is the long one
+	}
+	if _, bytes := measure(1000000, 62500); bytes >= 48 {
+		t.Fatalf("a cluster job allocated %.1f bytes per input point, want less than the point's own 48", bytes)
+	}
+}
+
+// BenchmarkClusterJob is one whole cluster job — fit and both rpcmr jobs —
+// on 200 000 6-dimensional points over two loopback workers: CI prints its
+// ns/op and B/op beside the streamed job's.
+func BenchmarkClusterJob(b *testing.B) {
+	run := warmCluster(b, uniformSet(42, 200000, 6), 50000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -474,7 +474,7 @@ func TestHostileInputFrameRejected(t *testing.T) {
 			if h.partition && job.name != PartitionJobName && job.name != SkybandPartitionJobName {
 				continue
 			}
-			input := rpcmr.FrameRows(50, func(lo, hi int) ([]byte, error) { return h.frame, nil })
+			input := rpcmr.FrameRows(50, func(dst []byte, lo, hi int) ([]byte, error) { return append(dst, h.frame...), nil })
 			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, input)
 			if err == nil || !strings.Contains(err.Error(), h.want) {
 				t.Errorf("%s, %s: cluster run returned %v, want an error naming %q", h.name, job.name, err, h.want)
@@ -483,7 +483,9 @@ func TestHostileInputFrameRejected(t *testing.T) {
 	}
 	// The dimension rows again, for their wording: Job 1's is the
 	// partitioner's, the merge's this package's.
-	narrow := rpcmr.FrameRows(50, func(lo, hi int) ([]byte, error) { return frameOf(data.Project(2)[:50], points.FrameV1), nil })
+	narrow := rpcmr.FrameRows(50, func(dst []byte, lo, hi int) ([]byte, error) {
+		return append(dst, frameOf(data.Project(2)[:50], points.FrameV1)...), nil
+	})
 	for _, job := range allJobs {
 		want := "partition: point has dimension 2, want 3"
 		if job.name == MergeJobName || job.name == SkybandMergeJobName {

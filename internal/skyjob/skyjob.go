@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/driver"
 	"repro/internal/mapreduce"
@@ -245,10 +246,14 @@ func mergeFactory(band bool) rpcmr.JobFactory {
 const walkRows = 512
 
 // setSplits is an in-memory set as job input: split [lo, hi) is those rows
-// as v1 frames, encoded from the set when the master asks for them.
+// as v1 frames, encoded from the set when the master asks for them, into the
+// buffer it lends.
 func setSplits(data points.Set) rpcmr.Input {
-	return rpcmr.FrameRows(len(data), func(lo, hi int) (frames []byte, err error) {
-		frames = make([]byte, 0, (hi-lo)*(data[lo].Dim()*8+1)+16) // payload + headers
+	return rpcmr.FrameRows(len(data), func(frames []byte, lo, hi int) ([]byte, error) {
+		// Payload + headers at once: a job's first splits do not grow by
+		// doubling, and its later ones find the room already there.
+		frames = slices.Grow(frames, (hi-lo)*(data[lo].Dim()*8+1)+16)
+		var err error
 		for ; lo < hi && err == nil; lo += walkRows {
 			frames, err = points.AppendFrameRows(frames, 0, data[lo:min(lo+walkRows, hi)])
 		}
@@ -263,8 +268,7 @@ func blockSplits(blocks []*points.Block, codec points.FrameCodec) rpcmr.Input {
 	for _, blk := range blocks {
 		rows += blk.Len()
 	}
-	return rpcmr.FrameRows(rows, func(lo, hi int) ([]byte, error) {
-		var frames []byte
+	return rpcmr.FrameRows(rows, func(frames []byte, lo, hi int) ([]byte, error) {
 		off := 0 // index of the current block's first row in the sequence
 		for _, blk := range blocks {
 			for from, to := max(lo-off, 0), min(hi-off, blk.Len()); from < to; from += walkRows {

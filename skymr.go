@@ -153,13 +153,29 @@ type Options struct {
 	ReducerBudgetBytes int64
 }
 
-// codec picks the frame codec for a run: budgeted runs spill, so they
-// get the size-adaptive auto codec; unbudgeted runs keep the default.
-func (o Options) codec() points.FrameCodec {
-	if o.ReducerBudgetBytes > 0 {
-		return points.FrameAuto
+// driverOptions is the one conversion to the driver's options, for Compute
+// and ComputeSkyband alike: every field crosses. Budgeted runs spill, so
+// they seal frames with the size-adaptive auto codec; unbudgeted runs keep
+// the default.
+func (o Options) driverOptions() (driver.Options, error) {
+	if o.Method.scheme() < 0 {
+		return driver.Options{}, fmt.Errorf("skymr: unknown method %d", int(o.Method))
 	}
-	return 0
+	d := driver.Options{
+		Scheme:             o.Method.scheme(),
+		Nodes:              o.Nodes,
+		Partitions:         o.Partitions,
+		Workers:            o.Workers,
+		Kernel:             o.Kernel.algorithm(),
+		DisableCombiner:    o.DisableCombiner,
+		DisableGridPruning: o.DisableGridPruning,
+		SpillDir:           o.SpillDir,
+		ReducerBudgetBytes: o.ReducerBudgetBytes,
+	}
+	if o.ReducerBudgetBytes > 0 {
+		d.Codec = points.FrameAuto
+	}
+	return d, nil
 }
 
 // Timing is the per-phase wall-clock breakdown of a computation.
@@ -215,21 +231,11 @@ func (r *Result) LocalSkylineTotal() int {
 // Compute runs the selected MapReduce skyline method over data. The input
 // must be non-empty, finite and uniform-dimensional; it is not mutated.
 func Compute(ctx context.Context, data Set, opts Options) (*Result, error) {
-	if opts.Method.scheme() < 0 {
-		return nil, fmt.Errorf("skymr: unknown method %d", int(opts.Method))
+	dopts, err := opts.driverOptions()
+	if err != nil {
+		return nil, err
 	}
-	sky, stats, err := driver.Compute(ctx, data, driver.Options{
-		Scheme:             opts.Method.scheme(),
-		Nodes:              opts.Nodes,
-		Partitions:         opts.Partitions,
-		Workers:            opts.Workers,
-		Kernel:             opts.Kernel.algorithm(),
-		DisableCombiner:    opts.DisableCombiner,
-		DisableGridPruning: opts.DisableGridPruning,
-		SpillDir:           opts.SpillDir,
-		ReducerBudgetBytes: opts.ReducerBudgetBytes,
-		Codec:              opts.codec(),
-	})
+	sky, stats, err := driver.Compute(ctx, data, dopts)
 	if err != nil {
 		return nil, err
 	}
@@ -257,18 +263,14 @@ func Compute(ctx context.Context, data Set, opts Options) (*Result, error) {
 // ComputeSkyband runs the MapReduce k-skyband — services dominated by
 // fewer than k others — the QoS-tolerant generalization of the skyline
 // (k = 1 is exactly Compute's skyline). Same two-job structure and
-// options as Compute.
+// options as Compute, but for the two the band has no use for: no grid
+// cell is pruned, and a reducer budget is an error.
 func ComputeSkyband(ctx context.Context, data Set, k int, opts Options) (Set, error) {
-	if opts.Method.scheme() < 0 {
-		return nil, fmt.Errorf("skymr: unknown method %d", int(opts.Method))
+	dopts, err := opts.driverOptions()
+	if err != nil {
+		return nil, err
 	}
-	band, _, err := driver.ComputeSkyband(ctx, data, k, driver.Options{
-		Scheme:     opts.Method.scheme(),
-		Nodes:      opts.Nodes,
-		Partitions: opts.Partitions,
-		Workers:    opts.Workers,
-		SpillDir:   opts.SpillDir,
-	})
+	band, _, err := driver.ComputeSkyband(ctx, data, k, dopts)
 	return band, err
 }
 
