@@ -22,6 +22,7 @@ import (
 	"repro/internal/qws"
 	"repro/internal/skyline"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/debugserver"
 	"repro/internal/telemetry/timeseries"
 )
 
@@ -245,8 +246,8 @@ func BenchmarkSkyline(b *testing.B) {
 		run(b, base, telemetry.WithEventLog(context.Background(), log))
 	})
 	// sampling=off vs sampling=on is the observability-plane regression
-	// gate: a background sampler ticking the registry plus a watchdog
-	// evaluating its rules must not slow the computation itself — the
+	// gate: the debug plane's clock, sampling the registry and evaluating
+	// a watchdog rule every 10ms, must not slow the computation itself — the
 	// sample path reads atomics and writes ring slots, never touching the
 	// compute goroutines. cmd/benchgate's obs suite enforces ≤1.05×.
 	b.Run("sampling=off", func(b *testing.B) {
@@ -258,15 +259,15 @@ func BenchmarkSkyline(b *testing.B) {
 		opts := base
 		reg := telemetry.NewRegistry()
 		opts.Metrics = reg
-		sampler := timeseries.NewSampler(reg, timeseries.Config{Interval: 10 * time.Millisecond, Retention: 512})
-		sampler.Start()
-		defer sampler.Stop()
-		wd := timeseries.NewWatchdog(sampler, timeseries.WatchdogConfig{
-			Interval: 20 * time.Millisecond,
+		plane, err := debugserver.Start("", debugserver.Sources{
 			Metrics:  reg,
-		}, timeseries.RateAboveRule("gc-pause-spike", "process_gc_pause_seconds_total", 0.05, time.Second))
-		wd.Start()
-		defer wd.Stop()
+			Rules:    []timeseries.Rule{timeseries.RateAboveRule("gc-pause-spike", "process_gc_pause_seconds_total", 0.05, time.Second)},
+			Interval: 10 * time.Millisecond,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer plane.Close(nil)
 		run(b, opts, context.Background())
 	})
 }

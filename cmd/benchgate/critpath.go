@@ -155,7 +155,7 @@ func critpathSuite(n, d, runs int, maxErr float64, quick bool, out string) {
 			w.Close()
 		}
 		wg.Wait()
-		a, err := critpath.Analyze(tracer.Spans(), recorder.Report(), critpath.Options{})
+		a, err := critpath.Analyze(tracer.Spans(), recorder.Report())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate: critpath analysis:", err)
 			os.Exit(2)

@@ -11,22 +11,23 @@ import (
 	"repro/internal/partition"
 	"repro/internal/qws"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/debugserver"
 	"repro/internal/telemetry/timeseries"
 )
 
 // The obs suite prices the cluster observability plane: the same
 // MR-Angle computation with a metrics registry alone versus with the
-// full plane running against that registry — a background sampler
-// ticking every 10ms (far hotter than the production 1s default) and a
-// watchdog evaluating the stall/GC rules every 20ms. The gate bounds
+// debug plane's clock running against that registry — sampling it and
+// evaluating the stall/GC rules every 10ms (far hotter than the
+// production 1s default). The gate bounds
 // the sampled run at obsMaxOverhead of the plain one: sampling reads
 // atomics and writes ring slots off the compute path, so the plane
 // must be close to free. Two micro rows price the primitives
 // themselves — one sampler tick and one watchdog evaluation over the
 // registry the pipeline just populated — informational, for sizing
 // cadence budgets.
-const obsNote = "gate: sampled_ns / plain_ns <= max_overhead for the end-to-end pipeline with a " +
-	"10ms sampler + 20ms watchdog (production cadence is 1s/5s); the sample_tick and " +
+const obsNote = "gate: sampled_ns / plain_ns <= max_overhead for the end-to-end pipeline with the " +
+	"debug plane's clock at 10ms (production cadence is 1s); the sample_tick and " +
 	"watchdog_eval rows are per-invocation micro costs, reported, not gated"
 
 const obsMaxOverhead = 1.05
@@ -106,15 +107,13 @@ func obsSuite(n, d, nodes, runs int, quick bool, out string) {
 	telemetry.RegisterProcessMetrics(plainReg)
 	sampledReg := telemetry.NewRegistry()
 	telemetry.RegisterProcessMetrics(sampledReg)
-	sampler := timeseries.NewSampler(sampledReg, timeseries.Config{
-		Interval: 10 * time.Millisecond, Retention: 1024,
+	plane, err := debugserver.Start("", debugserver.Sources{
+		Metrics: sampledReg, Rules: obsRules(time.Second), Interval: 10 * time.Millisecond,
 	})
-	sampler.Start()
-	wd := timeseries.NewWatchdog(sampler, timeseries.WatchdogConfig{
-		Interval: 20 * time.Millisecond,
-		Metrics:  sampledReg,
-	}, obsRules(time.Second)...)
-	wd.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(2)
+	}
 	compute(plainReg)   // warm-up, untimed
 	compute(sampledReg) // warm-up, untimed
 	var plainWall, sampledWall int64 = 1<<63 - 1, 1<<63 - 1
@@ -130,14 +129,15 @@ func obsSuite(n, d, nodes, runs int, quick bool, out string) {
 			sampledWall = el
 		}
 	}
-	wd.Stop()
-	sampler.Stop()
+	_ = plane.Close(nil)
 	rep.Plain = obsRow{Name: "pipeline_plain", Runs: runs, WallNS: plainWall}
 	rep.Sampled = obsRow{Name: "pipeline_sampled", Runs: runs, WallNS: sampledWall}
 	rep.Overhead = float64(rep.Sampled.WallNS) / float64(rep.Plain.WallNS)
 
 	// Micro rows over the registry the sampled pipeline populated.
 	sampledReg.VisitSamples(func(string, float64) { rep.Series++ })
+	sampler := timeseries.NewSampler(sampledReg, timeseries.Config{Retention: 1024})
+	wd := timeseries.NewWatchdog(sampler, timeseries.WatchdogConfig{Metrics: sampledReg}, obsRules(time.Second)...)
 	tickRuns := 1000
 	rep.SampleTickNS = float64(best(3, func() {
 		for i := 0; i < tickRuns; i++ {

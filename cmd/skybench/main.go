@@ -201,7 +201,7 @@ func main() {
 			}); err != nil {
 				return fmt.Errorf("critpath %v: %w", scheme, err)
 			}
-			a, err := critpath.Analyze(tr.Spans(), rec.Report(), critpath.Options{})
+			a, err := critpath.Analyze(tr.Spans(), rec.Report())
 			if err != nil {
 				return fmt.Errorf("critpath %v: %w", scheme, err)
 			}

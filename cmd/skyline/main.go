@@ -136,7 +136,7 @@ func run(path, method string, nodes int, header, stats bool, out string, k, rep 
 			}
 		}
 		if critPath {
-			analysis, err := critpath.Analyze(tracer.Spans(), recorder.Report(), critpath.Options{})
+			analysis, err := critpath.Analyze(tracer.Spans(), recorder.Report())
 			if err != nil {
 				return err
 			}

@@ -10,22 +10,25 @@
 //	          [-metrics-addr 127.0.0.1:9090] [-trace run.json]
 //	          [-flight-out flight.json] [-capture-dir DIR] [-header] input.csv
 //
-// With -metrics-addr, the master serves /metrics (Prometheus text),
-// /debug/pprof/, /debug/flightrecorder (the job's flight record as
-// JSON), /debug/events (the structured event stream as JSON lines),
-// /debug/health (worker states, queue depth, phase progress),
-// /debug/timeseries (sampled metric history) and /debug/cluster (the
-// federated view: every worker's /metrics scraped, re-labeled with its
-// worker id, and merged with the master's own registry) on a second
-// listener — the surface `skytop` renders. An anomaly watchdog watches
-// the sampled history for throughput stalls, heartbeat gaps, reducer
-// budget pressure and GC-pause spikes; each anomaly lands in the event
-// log and bumps telemetry_anomalies_total{rule}, and with -capture-dir
-// the first anomaly per cooldown also writes a CPU+heap profile pair
-// there. With -trace, the two-job run — including the workers' task
-// spans, shipped back over RPC and stitched under one trace — is
-// recorded as Chrome trace_event JSON, loadable in chrome://tracing or
-// Perfetto. With -flight-out, the flight record is also written to a
+// With -metrics-addr, the master starts the debug plane
+// (internal/telemetry/debugserver) on a second listener: /metrics
+// (Prometheus text), /debug/pprof/, /debug/flightrecorder (the job's
+// flight record), /debug/events (the structured event stream as JSON
+// lines), /debug/health (worker states, queue depth, phase progress),
+// /debug/timeseries (sampled metric history), /debug/critpath,
+// /debug/runhistory and /debug/cluster (the federated view: every
+// worker's /metrics scraped, re-labeled with its worker id, and merged
+// with the master's own registry) — the surface `skytop` renders. The
+// plane's clock samples the registry every min(1s, -stall-window/3) and
+// scrapes the workers every second tick; after each sample an anomaly
+// watchdog checks the history for throughput stalls, heartbeat gaps,
+// reducer budget pressure and GC-pause spikes; each anomaly lands in
+// the event log and bumps telemetry_anomalies_total{rule}, and with
+// -capture-dir the first anomaly per five minutes also writes a CPU+heap
+// profile pair there. With -trace, the two-job run — including the
+// workers' task spans, shipped back over RPC and stitched under one
+// trace — is recorded as Chrome trace_event JSON, loadable in
+// chrome://tracing or Perfetto. With -flight-out, the flight record is also written to a
 // file. With -linger, the master keeps the debug endpoints up for that
 // long after the job finishes (or until SIGINT/SIGTERM) so dashboards
 // and CI can inspect the completed run. With -reducer-budget, the
@@ -46,9 +49,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -62,33 +63,30 @@ import (
 	"repro/internal/skyjob"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/critpath"
+	"repro/internal/telemetry/debugserver"
 	"repro/internal/telemetry/timeseries"
 )
 
 // options bundles the command-line configuration.
 type options struct {
-	addr            string
-	method          string
-	path            string
-	partitions      int
-	reducers        int
-	minWorkers      int
-	split           int
-	header          bool
-	timeout         time.Duration
-	liveness        time.Duration
-	linger          time.Duration
-	metricsAddr     string
-	traceFile       string
-	flightFile      string
-	historyFile     string
-	budget          int64
-	sampleInterval  time.Duration
-	sampleRetention int
-	scrapeInterval  time.Duration
-	stallWindow     time.Duration
-	captureDir      string
-	captureCooldown time.Duration
+	addr        string
+	method      string
+	path        string
+	partitions  int
+	reducers    int
+	minWorkers  int
+	split       int
+	header      bool
+	timeout     time.Duration
+	liveness    time.Duration
+	linger      time.Duration
+	metricsAddr string
+	traceFile   string
+	flightFile  string
+	historyFile string
+	budget      int64
+	stallWindow time.Duration
+	captureDir  string
 }
 
 func main() {
@@ -112,15 +110,10 @@ func main() {
 		"append this run's flight+critpath summary to a bounded JSONL history file and compare against the baseline (empty = in-memory only)")
 	flag.Int64Var(&o.budget, "reducer-budget", 0,
 		"per-reducer memory budget in bytes: overflow spills to frames and resolves in extra passes, and the merge runs as budget-sized rounds on the master (0 = unbudgeted, one merging job)")
-	flag.DurationVar(&o.sampleInterval, "sample-interval", time.Second, "metric time-series sampling cadence")
-	flag.IntVar(&o.sampleRetention, "sample-retention", 300, "metric time-series samples retained per series")
-	flag.DurationVar(&o.scrapeInterval, "scrape-interval", 2*time.Second, "worker /metrics federation scrape cadence")
 	flag.DurationVar(&o.stallWindow, "stall-window", 5*time.Second,
-		"a worker holding work with zero completions for this long is a throughput stall")
+		"a worker holding work with zero completions for this long is a throughput stall; metrics are sampled every min(1s, a third of this)")
 	flag.StringVar(&o.captureDir, "capture-dir", "",
-		"write a CPU+heap profile pair here on each anomaly (empty = no capture)")
-	flag.DurationVar(&o.captureCooldown, "capture-cooldown", 5*time.Minute,
-		"minimum spacing between anomaly profile captures")
+		"write a CPU+heap profile pair here on an anomaly, at most once per five minutes (empty = no capture)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -169,7 +162,6 @@ func run(o options) error {
 	if o.metricsAddr != "" {
 		metrics = telemetry.NewRegistry()
 		telemetry.RegisterProcessMetrics(metrics)
-		events.BindMetrics(metrics)
 	}
 
 	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{
@@ -184,28 +176,11 @@ func run(o options) error {
 	}
 	defer master.Close()
 
-	// The observability plane: sampler (metric history), federator
-	// (cluster-wide scrape) and watchdog (anomaly rules over the
-	// history). All nil-safe, so the drain path below stops them
-	// unconditionally.
-	var (
-		sampler   *timeseries.Sampler
-		federator *telemetry.Federator
-		watchdog  *timeseries.Watchdog
-		srv       *http.Server
-	)
+	// The debug plane, nil without -metrics-addr. Its clock is derived
+	// from the stall window, so the stall rule always sees three samples
+	// of a window; the other rules are not window-bound.
+	var plane *debugserver.Plane
 	if o.metricsAddr != "" {
-		sampler = timeseries.NewSampler(metrics, timeseries.Config{
-			Interval: o.sampleInterval, Retention: o.sampleRetention,
-		})
-		sampler.Start()
-		federator = telemetry.NewFederator(telemetry.FederatorConfig{
-			Self:     metrics,
-			Targets:  master.DebugTargets,
-			Interval: o.scrapeInterval,
-			Events:   events,
-		})
-		federator.Start()
 		rules := []timeseries.Rule{
 			timeseries.PairedStallRule("throughput-stall",
 				"rpcmr_worker_tasks_done", "rpcmr_worker_inflight", "worker", o.stallWindow, 1),
@@ -219,42 +194,23 @@ func run(o options) error {
 			rules = append(rules, timeseries.GaugeAboveRule("reducer-budget",
 				"skyline_reducer_peak_bytes", 0.8*float64(o.budget), ""))
 		}
-		watchdog = timeseries.NewWatchdog(sampler, timeseries.WatchdogConfig{
-			Events:          events,
-			Metrics:         metrics,
-			CaptureDir:      o.captureDir,
-			CaptureCooldown: o.captureCooldown,
-		}, rules...)
-		watchdog.Start()
-
-		ln, err := net.Listen("tcp", o.metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listen: %w", err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", metrics.Handler())
-		telemetry.MountPprof(mux)
-		telemetry.MountFlightRecorder(mux, func() *telemetry.Recorder { return recorder })
-		telemetry.MountEvents(mux, events)
-		telemetry.MountHealth(mux, func() any { return master.Health() })
-		telemetry.MountCluster(mux, federator)
-		timeseries.Mount(mux, sampler)
-		critpath.Mount(mux, func() *critpath.Analysis {
-			a, err := critpath.Analyze(tracer.Spans(), recorder.Report(), critpath.Options{})
-			if err != nil {
-				return nil
-			}
-			return a
+		plane, err = debugserver.Start(o.metricsAddr, debugserver.Sources{
+			Metrics:    metrics,
+			Events:     events,
+			Recorder:   recorder,
+			Tracer:     tracer,
+			History:    history,
+			Health:     func() any { return master.Health() },
+			Targets:    master.DebugTargets,
+			Rules:      rules,
+			CaptureDir: o.captureDir,
+			Interval:   min(time.Second, o.stallWindow/3),
 		})
-		telemetry.MountRunHistory(mux, func() *telemetry.RunHistory { return history })
-		srv = &http.Server{Handler: mux}
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "skymaster: metrics server: %v\n", err)
-			}
-		}()
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(os.Stderr, "skymaster: metrics on http://%s/metrics, cluster on /debug/cluster, history on /debug/timeseries\n",
-			ln.Addr().String())
+			plane.Addr())
 	}
 
 	// Signal handling: first SIGINT/SIGTERM drains the cluster and aborts
@@ -267,23 +223,17 @@ func run(o options) error {
 		// TaskShutdown notice.
 		master.Drain()
 		events.Info("shutdown", telemetry.A("signalled", signalled()))
-		// Drain the observability plane in dependency order: watchdog and
-		// federator first (both read the sampler/registry), then the
-		// sampler (Stop takes the final flush sample), then a bounded
-		// graceful server shutdown so in-flight scrapes finish.
-		watchdog.Stop()
-		federator.Stop()
-		sampler.Stop()
-		if srv != nil {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_ = srv.Shutdown(sctx)
-			cancel()
-		}
+		// An interrupted run still leaves its operational record behind:
+		// the event log and a last metrics snapshot, once the plane is down.
+		var dump io.Writer
 		if signalled() {
-			// Flush the event log and a last metrics snapshot so an
-			// interrupted run still leaves its operational record behind.
 			fmt.Fprintln(os.Stderr, "skymaster: interrupted — dumping event log and metrics")
-			_ = telemetry.DumpOps(os.Stderr, events, slog.LevelInfo, metrics)
+			dump = os.Stderr
+		}
+		if plane != nil {
+			_ = plane.Close(dump)
+		} else if dump != nil {
+			_ = telemetry.DumpOps(dump, events, nil)
 		}
 	}()
 
@@ -357,7 +307,7 @@ func run(o options) error {
 	// Critical-path profile: where the makespan went, and what balance
 	// or de-straggling would have bought. The summary joins the bounded
 	// run history, which flags regressions against prior same-shape runs.
-	if analysis, aerr := critpath.Analyze(tracer.Spans(), recorder.Report(), critpath.Options{}); aerr == nil {
+	if analysis, aerr := critpath.Analyze(tracer.Spans(), recorder.Report()); aerr == nil {
 		var top critpath.PhaseBlame
 		for _, p := range analysis.Phases {
 			if p.Seconds > top.Seconds {

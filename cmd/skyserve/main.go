@@ -22,31 +22,35 @@
 //	GET  /skyline       current skyline; ?explain=1 adds the per-partition plan
 //	GET  /stats
 //	GET  /metrics       Prometheus text exposition
-//	GET  /debug/pprof/  Go runtime profiles
-//	GET  /debug/flightrecorder  boot computation's flight record (JSON)
-//	GET  /debug/events  structured event stream (JSON lines; ?level= ?since=)
-//	GET  /debug/health  service health summary (JSON)
 //	GET  /debug/queries recent per-query cost records + cumulative totals
 //	GET  /debug/slowlog top-K slowest queries (threshold via -slow-threshold)
 //	GET  /debug/slo     SLO burn state (objectives via -slo-p99 / -slo-avail)
 //
-// The SLO tracker evaluates its objectives every few seconds against the
-// registry's own metrics and emits "slo budget burning" events while the
-// multi-window burn rate exceeds 1; set a flag to zero to disable the
-// corresponding objective.
+// and, on the same listener, the debug plane every binary starts
+// (internal/telemetry/debugserver):
+//
+//	GET  /debug/pprof/  Go runtime profiles
+//	GET  /debug/flightrecorder  boot computation's flight record (JSON)
+//	GET  /debug/events  structured event stream (JSON lines; ?level= ?since= ?limit=)
+//	GET  /debug/health  service health summary (JSON)
+//	GET  /debug/timeseries  metric history, sampled every second
+//
+// The plane's clock ticks the SLO tracker after each sample: it evaluates
+// its objectives against the registry's own metrics and emits "slo budget
+// burning" events while the multi-window burn rate exceeds 1; set a flag
+// to zero to disable the corresponding objective.
 //
 // With -snapshot, the catalogue is loaded from the file at boot (when it
 // exists) and written back on SIGINT/SIGTERM, so a restarted registry
 // resumes where it left off. On shutdown the service emits a final
-// shutdown event and flushes the event log plus a last metrics snapshot
-// to stderr.
+// shutdown event, stops serving (in-flight requests get two seconds) and
+// flushes the event log plus a last metrics snapshot to stderr.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -58,7 +62,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/registry"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/timeseries"
+	"repro/internal/telemetry/debugserver"
 )
 
 // serveHealth is skyserve's /debug/health document: a long-running
@@ -111,67 +115,61 @@ func run(addr, method string, seedN, seedD int, seedFile string, header bool, sn
 	if err != nil {
 		return err
 	}
-	events.BindMetrics(reg.Metrics())
 	if publishQueue > 0 || publishBatch > 0 {
 		if err := reg.ConfigurePublish(publishQueue, publishBatch); err != nil {
 			return err
 		}
 	}
 	reg.ConfigureQueryLog(256, 16, slowThreshold)
-	sloCtx, stopSLO := context.WithCancel(context.Background())
-	defer stopSLO()
+	var slo *telemetry.SLOTracker
 	if sloP99 > 0 || sloAvail > 0 {
-		tracker := reg.ConfigureSLO(registry.SLOOptions{
+		slo = reg.ConfigureSLO(registry.SLOOptions{
 			P99Threshold: sloP99,
 			Availability: sloAvail,
 			Events:       events,
 		})
-		go tracker.Run(sloCtx, 5*time.Second)
 	}
 	events.Info("registry ready", telemetry.A("services", reg.Len()),
 		telemetry.A("dim", reg.Dim()), telemetry.A("scheme", fmt.Sprint(scheme)))
-	fmt.Fprintf(os.Stderr, "skyserve: %d services (%d attributes), %s partitioning, listening on %s\n",
-		reg.Len(), reg.Dim(), scheme, addr)
 
-	// Metric history: the sampler feeds /debug/timeseries so operators
-	// can read QPS and latency trends off the registry itself.
-	sampler := timeseries.NewSampler(reg.Metrics(), timeseries.Config{})
-	sampler.Start()
-
+	// One listener: the registry's API under "/", the debug plane beside
+	// it on the same mux. The plane's clock feeds /debug/timeseries from
+	// the registry's own metrics, so operators read QPS and latency trends
+	// off the service itself, and ticks the SLO tracker.
 	mux := http.NewServeMux()
 	mux.Handle("/", reg.Handler())
-	timeseries.Mount(mux, sampler)
-	telemetry.MountPprof(mux)
-	telemetry.MountFlightRecorder(mux, func() *telemetry.Recorder { return recorder })
-	telemetry.MountEvents(mux, events)
-	telemetry.MountHealth(mux, func() any {
-		return serveHealth{
-			Status:        "ok",
-			UptimeSeconds: time.Since(start).Seconds(),
-			Services:      reg.Len(),
-			Dim:           reg.Dim(),
-			SkylineSize:   len(reg.Skyline()),
-			EventCounts:   events.LevelCounts(),
-		}
+	plane, err := debugserver.Start(addr, debugserver.Sources{
+		Metrics:  reg.Metrics(),
+		Events:   events,
+		Recorder: recorder,
+		SLO:      slo,
+		Health: func() any {
+			return serveHealth{
+				Status:        "ok",
+				UptimeSeconds: time.Since(start).Seconds(),
+				Services:      reg.Len(),
+				Dim:           reg.Dim(),
+				SkylineSize:   len(reg.Skyline()),
+				EventCounts:   events.LevelCounts(),
+			}
+		},
+		Mux: mux,
 	})
-	srv := &http.Server{Addr: addr, Handler: mux}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "skyserve: %d services (%d attributes), %s partitioning, listening on %s\n",
+		reg.Len(), reg.Dim(), scheme, plane.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		return err
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "skyserve: %v, shutting down\n", s)
-		events.Info("shutdown", telemetry.A("signal", s.String()),
-			telemetry.A("services", reg.Len()))
-		// Stop takes the final flush sample before the dump, so the last
-		// state of the draining process is in the retained history too.
-		sampler.Stop()
-		_ = telemetry.DumpOps(os.Stderr, events, slog.LevelInfo, reg.Metrics())
-	}
+	s := <-sig
+	fmt.Fprintf(os.Stderr, "skyserve: %v, shutting down\n", s)
+	events.Info("shutdown", telemetry.A("signal", s.String()),
+		telemetry.A("services", reg.Len()))
+	// The listener goes first, so no publish is accepted after the drain
+	// below; the dump is written once nothing is ticking or serving.
+	_ = plane.Close(os.Stderr)
 	// Drain the publish pipeline before snapshotting: every queued publish
 	// is folded and acknowledged, so the saved catalogue includes them.
 	reg.Close()
@@ -189,7 +187,7 @@ func run(addr, method string, seedN, seedD int, seedFile string, header bool, sn
 		}
 		fmt.Fprintf(os.Stderr, "skyserve: catalogue saved to %s (%d services)\n", snapshot, reg.Len())
 	}
-	return srv.Shutdown(context.Background())
+	return nil
 }
 
 // bootRegistry picks the data source by precedence: snapshot file (if it

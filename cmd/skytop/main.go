@@ -64,19 +64,6 @@ func main() {
 	}
 }
 
-// queryDoc mirrors the /debug/queries and /debug/slowlog JSON shape.
-type queryDoc struct {
-	Totals           telemetry.QueryTotals  `json:"totals"`
-	ThresholdSeconds float64                `json:"threshold_seconds"`
-	Queries          []telemetry.QueryStats `json:"queries"`
-}
-
-// sloDoc mirrors the /debug/slo JSON shape.
-type sloDoc struct {
-	Objectives []telemetry.SLOStatus `json:"objectives"`
-	Burning    bool                  `json:"burning"`
-}
-
 // sample is one poll of the target's debug surface.
 type sample struct {
 	at      time.Time
@@ -87,8 +74,8 @@ type sample struct {
 	cluster *telemetry.ClusterSnapshot
 	series  *timeseries.Doc
 	events  []telemetry.LogEvent
-	slowlog *queryDoc
-	slo     *sloDoc
+	slowlog *telemetry.QueryLogDoc
+	slo     *telemetry.SLODoc
 	err     error // metrics fetch error; partial samples still render
 }
 
@@ -188,7 +175,7 @@ func render(w io.Writer, addr string, s, prev *sample, maxEvents int) {
 
 // renderSLO shows each objective's achieved level, budget consumption
 // and multi-window burn state; "n/a" when the target serves no tracker.
-func renderSLO(w io.Writer, doc *sloDoc) {
+func renderSLO(w io.Writer, doc *telemetry.SLODoc) {
 	if doc == nil {
 		fmt.Fprintf(w, "\nslo: n/a\n")
 		return
@@ -220,7 +207,7 @@ func renderSLO(w io.Writer, doc *sloDoc) {
 
 // renderSlowlog shows the slowest tracked queries; "n/a" when the target
 // serves no query log.
-func renderSlowlog(w io.Writer, doc *queryDoc, max int) {
+func renderSlowlog(w io.Writer, doc *telemetry.QueryLogDoc, max int) {
 	if doc == nil {
 		fmt.Fprintf(w, "\nslow queries: n/a\n")
 		return

@@ -2,11 +2,12 @@
 // skymaster, pulls map/reduce tasks of the registered skyline jobs, and
 // executes them until the master shuts down.
 //
-// With -metrics-addr the worker serves the same debug surface as the
-// master — /metrics (Prometheus text), /debug/pprof/, /debug/events and
-// /debug/timeseries (sampled metric history) — and reports the address
-// to the master at registration, so the master's /debug/cluster view
-// federates this worker's metrics automatically.
+// With -metrics-addr the worker starts the same debug plane as the
+// master (internal/telemetry/debugserver) — /metrics (Prometheus text),
+// /debug/pprof/, /debug/events and /debug/timeseries (metric history,
+// sampled every second); the paths it has no source for answer 404 —
+// and reports the address to the master at registration, so the master's
+// /debug/cluster view federates this worker's metrics automatically.
 //
 // On SIGINT/SIGTERM the worker stops pulling tasks, takes one final
 // time-series sample, shuts the debug server down gracefully, and
@@ -22,18 +23,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/rpcmr"
 	_ "repro/internal/skyjob" // registers the skyline jobs
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/timeseries"
+	"repro/internal/telemetry/debugserver"
 )
 
 func main() {
@@ -43,46 +41,27 @@ func main() {
 		"serve /metrics and /debug/* on this address and report it to the master (empty = off)")
 	stall := flag.Duration("stall", 0,
 		"sleep this long before every task — straggler fault injection (0 = off)")
-	sampleInterval := flag.Duration("sample-interval", time.Second, "metric time-series sampling cadence")
-	sampleRetention := flag.Int("sample-retention", 300, "metric time-series samples retained per series")
 	flag.Parse()
 
 	events := telemetry.NewEventLog(256)
 
-	// Debug server first: its resolved address travels with the
+	// Debug plane first: its resolved address travels with the
 	// registration, so the master can scrape this worker from the start.
 	var (
 		metrics *telemetry.Registry
-		sampler *timeseries.Sampler
-		srv     *http.Server
+		plane   *debugserver.Plane
 	)
 	debugAddr := ""
 	if *metricsAddr != "" {
 		metrics = telemetry.NewRegistry()
 		telemetry.RegisterProcessMetrics(metrics)
-		events.BindMetrics(metrics)
-		sampler = timeseries.NewSampler(metrics, timeseries.Config{
-			Interval: *sampleInterval, Retention: *sampleRetention,
-		})
-		sampler.Start()
-
-		ln, err := net.Listen("tcp", *metricsAddr)
+		var err error
+		plane, err = debugserver.Start(*metricsAddr, debugserver.Sources{Metrics: metrics, Events: events})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skyworker: metrics listen: %v\n", err)
+			fmt.Fprintf(os.Stderr, "skyworker: %v\n", err)
 			os.Exit(1)
 		}
-		debugAddr = ln.Addr().String()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", metrics.Handler())
-		telemetry.MountPprof(mux)
-		telemetry.MountEvents(mux, events)
-		timeseries.Mount(mux, sampler)
-		srv = &http.Server{Handler: mux}
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "skyworker: metrics server: %v\n", err)
-			}
-		}()
+		debugAddr = plane.Addr()
 		fmt.Fprintf(os.Stderr, "skyworker: metrics on http://%s/metrics, history on /debug/timeseries\n", debugAddr)
 	}
 
@@ -107,28 +86,22 @@ func main() {
 		telemetry.A("debug_addr", debugAddr))
 	err = w.Run(ctx)
 
-	// Drain path: one final time-series sample (Stop flushes), then a
-	// bounded graceful shutdown of the debug server so in-flight scrapes
-	// finish before the listener goes away.
-	sampler.Stop()
-	if srv != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_ = srv.Shutdown(sctx)
-		cancel()
-	}
-
+	// Interrupted: leave the operational record behind on the way out,
+	// once the plane is down.
+	var dump io.Writer
 	if ctx.Err() != nil {
-		// Interrupted: leave the operational record behind on the way out.
-		events.Info("shutdown", telemetry.A("signalled", true),
-			telemetry.A("tasks_completed", w.Completed()))
 		fmt.Fprintln(os.Stderr, "skyworker: interrupted — dumping event log")
-		_ = telemetry.DumpOps(os.Stderr, events, slog.LevelInfo, metrics)
+		dump = os.Stderr
 	} else if err != nil {
 		fmt.Fprintf(os.Stderr, "skyworker: %v\n", err)
 		os.Exit(1)
-	} else {
-		events.Info("shutdown", telemetry.A("signalled", false),
-			telemetry.A("tasks_completed", w.Completed()))
+	}
+	events.Info("shutdown", telemetry.A("signalled", dump != nil),
+		telemetry.A("tasks_completed", w.Completed()))
+	if plane != nil {
+		_ = plane.Close(dump)
+	} else if dump != nil {
+		_ = telemetry.DumpOps(dump, events, nil)
 	}
 	fmt.Fprintf(os.Stderr, "skyworker: done (%d tasks completed)\n", w.Completed())
 }

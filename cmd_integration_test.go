@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -91,6 +92,39 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 	if !sameMultiset(got, want) {
 		t.Errorf("distributed binaries produced %d skyline points, oracle %d", len(got), len(want))
+	}
+}
+
+// TestFlagSurface pins the number of flags each binary declares — the
+// command-line half of the surface TestOptionSurface pins. The rule for
+// adding one is the same: two deployments that exist need different
+// values and the program cannot derive the value (as skymaster derives
+// its sampling and scrape cadence from -stall-window).
+func TestFlagSurface(t *testing.T) {
+	want := map[string]int{
+		"benchgate": 10, "qwsgen": 5, "skybench": 5, "skyline": 11, "skyload": 13,
+		"skymaster": 17, "skyserve": 12, "skytop": 4, "skyworker": 4,
+	}
+	decl := regexp.MustCompile(`\bflag\.(String|Int|Int64|Bool|Duration|Float64)(Var)?\(`)
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(mains) != len(want) {
+		t.Fatalf("found %d cmd/*/main.go (%v), want %d", len(mains), err, len(want))
+	}
+	total := 0
+	for _, path := range mains {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(filepath.Dir(path))
+		n := len(decl.FindAll(src, -1))
+		if n != want[name] {
+			t.Errorf("%s declares %d flags, want %d", name, n, want[name])
+		}
+		total += n
+	}
+	if total != 81 {
+		t.Errorf("cmd/*/main.go declare %d flags in all, want 81", total)
 	}
 }
 

@@ -248,16 +248,6 @@ func feedRecorder(ctx context.Context, opts Options, stats *Stats, global points
 	rec.Publish(opts.Metrics)
 }
 
-// traceSink bridges the context's event log (telemetry.WithEventLog)
-// into the engine's event stream, so in-process jobs narrate job/phase/
-// retry/spill transitions to /debug/events. Nil when no log is bound.
-func traceSink(ctx context.Context) mapreduce.EventSink {
-	if log := telemetry.EventLogFrom(ctx); log != nil {
-		return mapreduce.NewLogSink(log)
-	}
-	return nil
-}
-
 // publishPartitionGauges exports the partition-level shape of a run:
 // per-partition local skyline sizes and point counts (the paper's load
 // balance picture), plus the pruned-cell total for MR-Grid.

@@ -155,7 +155,7 @@ func (e inProcess) config(ctx context.Context, job string, reducers int) mapredu
 		Reducers:           reducers,
 		SpillDir:           e.opts.SpillDir,
 		Metrics:            e.opts.Metrics,
-		Trace:              traceSink(ctx),
+		Events:             telemetry.EventLogFrom(ctx),
 		Codec:              e.opts.Codec,
 		ReducerBudgetBytes: e.opts.ReducerBudgetBytes,
 	}

@@ -535,7 +535,7 @@ type frameTaskOutput struct {
 // blocks until the job completes, fails, or ctx is cancelled. Intermediate
 // frames spill to cfg.SpillDir when set. Each phase is timed, counted
 // (mr.* counters; the shuffle-byte counter reports frame payload bytes,
-// header + coordinates), narrated to cfg.Trace and bridged into
+// header + coordinates), narrated to cfg.Events and bridged into
 // cfg.Metrics.
 func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, error) {
 	if job.Mapper == nil || job.Feed.feed == nil {
@@ -552,20 +552,30 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	tasks := (units + cfg.SplitSize - 1) / cfg.SplitSize
 	counters := NewCounters()
 	start := time.Now()
-	cfg.emit("job-start", "", -1, "")
 	ctx, jobSpan := telemetry.StartSpan(ctx, "mr-job:"+cfg.Name,
 		telemetry.A("job", cfg.Name), telemetry.A("workers", cfg.Workers),
 		telemetry.A("reducers", cfg.Reducers), telemetry.A("tasks", tasks),
 		telemetry.A("shuffle", "frames"))
+	ev, jobAttr := cfg.Events, telemetry.A("job", cfg.Name)
+	input := "records"
+	if job.Feed.perUnit {
+		input = "chunks" // a chunk feed does not know its row count up front
+	}
+	ev.Info("job start", jobAttr, telemetry.A(input, units),
+		telemetry.A("reducers", cfg.Reducers), telemetry.A("trace", jobSpan.ID()))
 	fail := func(err error) (*FrameResult, error) {
-		cfg.emit("job-end", "", -1, err.Error())
+		result := "error"
+		if ctx.Err() != nil {
+			result = "cancelled"
+		}
+		ev.Error("job failed", jobAttr, telemetry.A("result", result), telemetry.A("err", err.Error()))
 		jobSpan.SetAttr("error", err.Error())
 		jobSpan.End()
 		return nil, err
 	}
 
 	// --- Map (+ combine) -----------------------------------------------
-	cfg.emit("phase-start", "map", -1, "")
+	ev.Info("phase start", jobAttr, telemetry.A("phase", "map"), telemetry.A("tasks", tasks))
 	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", tasks))
 	mapStart := time.Now()
 	outputs, mapStats, err := runFrameMapPhase(mapCtx, cfg, tasks, job, counters)
@@ -577,25 +587,23 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		return fail(err)
 	}
 	mapDur := time.Since(mapStart)
-	cfg.emitEvent(Event{Kind: "phase-end", Phase: "map", Task: -1,
-		Duration: mapDur, Records: mapStats.MapOut})
+	ev.Info("phase end", jobAttr, telemetry.A("phase", "map"), telemetry.A("seconds", mapDur.Seconds()))
 
 	// --- Shuffle ---------------------------------------------------------
 	// Frames are already partitioned per reducer when map tasks seal them,
 	// so the in-memory shuffle is zero-copy and this phase is a boundary
-	// only, narrated like the other two. (Spilled frames are read back
-	// inside the reduce tasks, landing in Reduce time, as on a real cluster
-	// where reducers pull map outputs.)
-	cfg.emit("phase-start", "shuffle", -1, "")
+	// only: a span, and — as on the cluster — an attribute of the reduce
+	// phase's start rather than a narrated phase. (Spilled frames are read
+	// back inside the reduce tasks, landing in Reduce time, as on a real
+	// cluster where reducers pull map outputs.)
 	_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
 	shuffleStart := time.Now()
 	shuffleSpan.End()
 	shuffleDur := time.Since(shuffleStart)
-	cfg.emitEvent(Event{Kind: "phase-end", Phase: "shuffle", Task: -1,
-		Duration: shuffleDur, Records: mapStats.ShuffleRecs})
 
 	// --- Reduce ----------------------------------------------------------
-	cfg.emit("phase-start", "reduce", -1, "")
+	ev.Info("phase start", jobAttr, telemetry.A("phase", "reduce"), telemetry.A("tasks", cfg.Reducers),
+		telemetry.A("shuffle_seconds", shuffleDur.Seconds()))
 	redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
 	reduceStart := time.Now()
 	blocks, redStats, err := runFrameReducePhase(redCtx, cfg, outputs, job.Reducer, job.Folder, counters)
@@ -604,9 +612,8 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		return fail(err)
 	}
 	reduceDur := time.Since(reduceStart)
-	cfg.emitEvent(Event{Kind: "phase-end", Phase: "reduce", Task: -1,
-		Duration: reduceDur, Records: redStats.ReduceOut})
-	cfg.emit("job-end", "", -1, "")
+	ev.Info("phase end", jobAttr, telemetry.A("phase", "reduce"), telemetry.A("seconds", reduceDur.Seconds()))
+	ev.Info("job end", jobAttr, telemetry.A("seconds", time.Since(start).Seconds()))
 	jobSpan.End()
 
 	mapStats.Add(redStats)
@@ -649,6 +656,13 @@ func NewFrameResult(blocks map[int]*points.Block, counters *Counters, st FrameSt
 	}
 }
 
+// logRetry narrates one re-execution of a task: attempt is the one about
+// to run, err what the previous one failed with.
+func (c Config) logRetry(phase string, task, attempt int, err error) {
+	c.Events.Warn("task retry", telemetry.A("job", c.Name), telemetry.A("phase", phase),
+		telemetry.A("task", task), telemetry.A("attempt", attempt), telemetry.A("err", err.Error()))
+}
+
 // runFrameMapPhase runs the job's map tasks — each one buildFrames over
 // its slice of the feed — and returns their sealed outputs in task order
 // plus the summed tallies of the successful attempts.
@@ -660,14 +674,12 @@ func runFrameMapPhase(ctx context.Context, cfg Config, tasks int, job FrameJob, 
 		lo := task * cfg.SplitSize
 		hi := min(lo+cfg.SplitSize, job.Feed.units)
 		var lastErr error
-		cfg.emit("task-start", "map", task, "")
 		_, span := telemetry.StartSpan(ctx, "map-task", telemetry.A("task", task))
 		span.SetTrack(worker + 1)
-		taskStart := time.Now()
 		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
 			if attempt > 1 {
 				counters.Add(CounterMapRetries, 1)
-				cfg.emit("task-retry", "map", task, lastErr.Error())
+				cfg.logRetry("map", task, attempt, lastErr)
 			}
 			streams, st, err := buildFrames(func(emit EmitPoint) (int, error) {
 				return job.Feed.feed(lo, hi, job.Mapper, emit)
@@ -684,16 +696,12 @@ func runFrameMapPhase(ctx context.Context, cfg Config, tasks int, job FrameJob, 
 				aggMu.Unlock()
 				span.SetAttr("records", int(st.MapIn))
 				span.End()
-				cfg.emitEvent(Event{Kind: "task-end", Phase: "map", Task: task,
-					Worker: worker + 1, Duration: time.Since(taskStart), Records: st.MapIn})
 				return nil
 			}
 			lastErr = err
 		}
 		span.SetAttr("error", lastErr.Error())
 		span.End()
-		cfg.emitEvent(Event{Kind: "task-end", Phase: "map", Task: task, Err: lastErr.Error(),
-			Worker: worker + 1, Duration: time.Since(taskStart)})
 		return fmt.Errorf("mapreduce: %s: map task %d failed after %d attempt(s): %w",
 			cfg.Name, task, cfg.MaxAttempts, lastErr)
 	})
@@ -706,14 +714,12 @@ func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOut
 	var agg FrameStats
 	err := runTasks(ctx, cfg.Workers, cfg.Reducers, func(worker, r int) error {
 		var lastErr error
-		cfg.emit("task-start", "reduce", r, "")
 		_, span := telemetry.StartSpan(ctx, "reduce-task", telemetry.A("task", r))
 		span.SetTrack(worker + 1)
-		taskStart := time.Now()
 		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
 			if attempt > 1 {
 				counters.Add(CounterRedRetries, 1)
-				cfg.emit("task-retry", "reduce", r, lastErr.Error())
+				cfg.logRetry("reduce", r, attempt, lastErr)
 			}
 			var out []byte
 			var st FrameStats
@@ -730,17 +736,12 @@ func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOut
 				aggMu.Unlock()
 				span.SetAttr("records", int(st.ReduceOut))
 				span.End()
-				cfg.emitEvent(Event{Kind: "task-end", Phase: "reduce", Task: r,
-					Worker: worker + 1, Duration: time.Since(taskStart),
-					Records: st.ReduceOut})
 				return nil
 			}
 			lastErr = err
 		}
 		span.SetAttr("error", lastErr.Error())
 		span.End()
-		cfg.emitEvent(Event{Kind: "task-end", Phase: "reduce", Task: r, Err: lastErr.Error(),
-			Worker: worker + 1, Duration: time.Since(taskStart)})
 		return fmt.Errorf("mapreduce: %s: reduce task %d failed after %d attempt(s): %w",
 			cfg.Name, r, cfg.MaxAttempts, lastErr)
 	})

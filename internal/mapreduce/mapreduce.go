@@ -60,8 +60,12 @@ type Config struct {
 	// FrameResult.ReducerPeakBytes — rather than killing tasks, so an
 	// over-budget fold is visible, not fatal.
 	ReducerBudgetBytes int64
-	// Trace, when non-nil, receives job/phase/task lifecycle events.
-	Trace EventSink
+	// Events, when non-nil, receives the job's narration — "job start",
+	// "phase start", "phase end", "job end" or "job failed", "task retry",
+	// "spill" — under the message names and attribute keys rpcmr's master
+	// uses for a cluster job, so one reader follows either executor.
+	// Per-record and per-task paths never log.
+	Events *telemetry.EventLog
 	// Metrics, when non-nil, receives the job's framework counters and
 	// per-phase latency histograms under the mr_* namespace after each
 	// run. Nil (the default) costs nothing on the hot path.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/points"
 	"repro/internal/sequencefile"
+	"repro/internal/telemetry"
 )
 
 // frameSpillFileName names one map task's spill run for one reducer.
@@ -59,7 +60,8 @@ func spillFrameStreams(cfg Config, task int, streams [][]byte, counters *Counter
 		files[r] = name
 	}
 	if spilled > 0 {
-		cfg.emitEvent(Event{Kind: "spill", Phase: "map", Task: task, Bytes: spilled})
+		cfg.Events.Info("spill", telemetry.A("job", cfg.Name), telemetry.A("phase", "map"),
+			telemetry.A("task", task), telemetry.A("bytes", spilled))
 	}
 	return files, nil
 }

@@ -201,8 +201,8 @@ type SLOOptions struct {
 // ConfigureSLO installs an SLO tracker evaluating the configured
 // objectives against the registry's own metrics: the skyline endpoint's
 // latency histogram and the 5xx share of all instrumented requests. It
-// returns the tracker so the caller can drive its evaluation loop
-// (tracker.Run) and is also mounted at /debug/slo by Handler.
+// returns the tracker so the caller can tick it (a debugserver plane's
+// clock does); its state is served at /debug/slo by Handler.
 func (r *Registry) ConfigureSLO(opts SLOOptions) *telemetry.SLOTracker {
 	tr := telemetry.NewSLOTracker(telemetry.SLOConfig{
 		Windows: opts.Windows,

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"math"
 	"reflect"
 	"sort"
@@ -172,8 +173,13 @@ func TestExecutorsAgree(t *testing.T) {
 			opts := driver.Options{Scheme: scheme, PartitionerOverride: part, DisableGridPruning: true,
 				ReducerBudgetBytes: spec.ReducerBudgetBytes, Codec: spec.Codec}
 			inRec, clRec := telemetry.NewRecorder(name), telemetry.NewRecorder(name)
-			inCtx := telemetry.WithRecorder(context.Background(), inRec)
+			inLog, clLog := telemetry.NewEventLog(256), master.Events()
+			inCtx := telemetry.WithEventLog(telemetry.WithRecorder(context.Background(), inRec), inLog)
 			clCtx := telemetry.WithRecorder(context.Background(), clRec)
+			clSince := uint64(0)
+			if earlier := clLog.Events(0, slog.LevelDebug); len(earlier) > 0 {
+				clSince = earlier[len(earlier)-1].Seq
+			}
 			var sky points.Set
 			var stats *driver.Stats
 			var res *Result
@@ -262,6 +268,12 @@ func TestExecutorsAgree(t *testing.T) {
 				t.Errorf("%s: merge rounds %d %v in-process, %d %v on the cluster",
 					name, stats.MergeRounds, stats.MergeRoundBytes, cl.MergeRounds, cl.MergeRoundBytes)
 			}
+			// One vocabulary: the engines narrate the same jobs and phases, in
+			// the same order, under the same messages and attribute keys (the
+			// values — job names, durations, trace ids — are each executor's).
+			if in, cl := narration(inLog.Events(0, slog.LevelInfo)), narration(clLog.Events(clSince, slog.LevelInfo)); !reflect.DeepEqual(in, cl) || len(in) < 6 {
+				t.Errorf("%s: narrated in process as\n  %s\non the cluster as\n  %s", name, strings.Join(in, "\n  "), strings.Join(cl, "\n  "))
+			}
 			inRep, clRep := inRec.Report(), clRec.Report()
 			if len(inRep.Partitions) != stats.Partitions || len(clRep.Partitions) != stats.Partitions {
 				t.Fatalf("%s: reports cover %d and %d of %d partitions", name, len(inRep.Partitions), len(clRep.Partitions), stats.Partitions)
@@ -282,6 +294,24 @@ func TestExecutorsAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// narration reduces an event stream to its job and phase boundaries:
+// "message [sorted attribute keys]" per event, in order.
+func narration(events []telemetry.LogEvent) []string {
+	var out []string
+	for _, ev := range events {
+		switch ev.Msg {
+		case "job start", "phase start", "phase end", "job end":
+			keys := make([]string, 0, len(ev.Attrs))
+			for k := range ev.Attrs {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			out = append(out, fmt.Sprintf("%s %v", ev.Msg, keys))
+		}
+	}
+	return out
 }
 
 // allJobs is the four registered jobs; the band jobs' params carry a k.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/points"
 	"repro/internal/rpcmr"
 	"repro/internal/skyline"
+	"repro/internal/telemetry"
 )
 
 func uniformSet(seed int64, n, d int) points.Set {
@@ -29,7 +30,7 @@ func uniformSet(seed int64, n, d int) points.Set {
 
 func startCluster(t *testing.T, workers int) *rpcmr.Master {
 	t.Helper()
-	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: 200})
+	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: 200, Events: telemetry.NewEventLog(4096)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,14 +126,8 @@ type Analysis struct {
 	SkewCheck       *SkewCheck       `json:"skew_check,omitempty"`
 }
 
-// Options tunes the analysis.
-type Options struct {
-	// DeltaWorkers lists the ±k worker-count scenarios to model
-	// (default {-1, +1}).
-	DeltaWorkers []int
-	// TopSlack bounds the slack list (default 8).
-	TopSlack int
-}
+// topSlack bounds the slack list.
+const topSlack = 8
 
 // eps is the containment / walk tolerance in seconds — just enough to
 // absorb float noise and the sub-RPC jitter of receipt-anchored
@@ -158,16 +152,10 @@ type node struct {
 // flight record) is optional: without it partition blame and the flight
 // side of the skew check are omitted. It returns an error only when the
 // trace has no usable root span.
-func Analyze(spans []telemetry.SpanData, rep *telemetry.Report, opts Options) (*Analysis, error) {
+func Analyze(spans []telemetry.SpanData, rep *telemetry.Report) (*Analysis, error) {
 	root, epoch, err := buildTree(spans)
 	if err != nil {
 		return nil, err
-	}
-	if opts.TopSlack == 0 {
-		opts.TopSlack = 8
-	}
-	if opts.DeltaWorkers == nil {
-		opts.DeltaWorkers = []int{-1, 1}
 	}
 
 	a := &analyzer{slack: make(map[*node]float64)}
@@ -196,9 +184,9 @@ func Analyze(spans []telemetry.SpanData, rep *telemetry.Report, opts Options) (*
 	out.Phases = phaseBlame(out.CriticalPath, out.MakespanSeconds)
 	out.Workers = workerBlame(out.CriticalPath, out.MakespanSeconds, a.segs)
 	out.Partitions = partitionBlame(out.Phases, rep)
-	out.Slack = slackList(a.slack, opts.TopSlack)
+	out.Slack = slackList(a.slack, topSlack)
 	tasks := collectTasks(root)
-	out.WhatIf = whatIf(out, tasks, opts)
+	out.WhatIf = whatIf(out, tasks)
 	out.SkewCheck = skewCheck(rep, tasks, out.WhatIf)
 	return out, nil
 }

@@ -30,7 +30,7 @@ func span(id, parent uint64, name string, start, dur float64, attrs ...telemetry
 // all spans.
 func checkInvariants(t *testing.T, spans []telemetry.SpanData) *Analysis {
 	t.Helper()
-	a, err := Analyze(spans, nil, Options{})
+	a, err := Analyze(spans, nil)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestPartitionBlame(t *testing.T) {
 		{Partition: 0, InputRecords: 300},
 		{Partition: 1, InputRecords: 100},
 	}}
-	a, err := Analyze(spans, rep, Options{})
+	a, err := Analyze(spans, rep)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -266,7 +266,7 @@ func TestPartitionBlame(t *testing.T) {
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
-	if _, err := Analyze(nil, nil, Options{}); err == nil {
+	if _, err := Analyze(nil, nil); err == nil {
 		t.Fatal("want error on empty trace")
 	}
 }

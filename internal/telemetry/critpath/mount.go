@@ -1,7 +1,7 @@
 package critpath
 
 import (
-	"encoding/json"
+	"errors"
 	"net/http"
 	"time"
 
@@ -11,25 +11,15 @@ import (
 // Path is where Mount serves the critical-path analysis.
 const Path = "/debug/critpath"
 
-// Mount serves the analysis as indented JSON at Path. The source is
-// re-evaluated per request (a running job re-analyzes its partial
-// trace); a nil result is a 404, so dashboards probing an engine
-// without tracing degrade cleanly.
+// Mount serves the analysis at Path. The source is re-evaluated per
+// request (a running job re-analyzes its partial trace); a nil result is
+// a 404, so dashboards probing an engine without tracing degrade cleanly.
 func Mount(mux *http.ServeMux, source func() *Analysis) {
-	mux.HandleFunc(Path, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
+	telemetry.HandleJSON(mux, Path, func(telemetry.Params) (any, int, error) {
+		if a := source(); a != nil {
+			return a, 0, nil
 		}
-		a := source()
-		if a == nil {
-			http.Error(w, "critical-path analysis not available", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(a)
+		return nil, http.StatusNotFound, errors.New("critical-path analysis not available")
 	})
 }
 

@@ -72,7 +72,7 @@ func lpt(durs []float64, slots int) float64 {
 // task-attributed critical seconds of each (job, phase) group with the
 // group's re-scheduled makespan. Groups re-schedule independently
 // because the pipeline runs them behind barriers.
-func whatIf(a *Analysis, tasks []taskInfo, opts Options) []Scenario {
+func whatIf(a *Analysis, tasks []taskInfo) []Scenario {
 	if len(tasks) == 0 {
 		return nil
 	}
@@ -194,7 +194,7 @@ func whatIf(a *Analysis, tasks []taskInfo, opts Options) []Scenario {
 	}
 	add("perfect-balance", predict(w, identity, true),
 		fmt.Sprintf("Eq. (5)-perfect split of %.3g task-seconds of work over %d workers", taskSum(tasks), w))
-	for _, dk := range opts.DeltaWorkers {
+	for _, dk := range []int{-1, 1} { // one worker fewer, one more
 		slots := w + dk
 		if slots < 1 || slots == w {
 			continue

@@ -1,0 +1,374 @@
+package debugserver
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/driver"
+	"repro/internal/partition"
+	"repro/internal/qws"
+	"repro/internal/registry"
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/critpath"
+	"repro/internal/telemetry/timeseries"
+)
+
+// jsonPaths is every path the one handler serves; planePaths of them are
+// the plane's own, the rest the registry's handler mounts beside it.
+var (
+	planePaths = []string{
+		telemetry.FlightRecorderPath, telemetry.EventsPath, telemetry.HealthPath, telemetry.ClusterPath,
+		timeseries.Path, critpath.Path, telemetry.RunHistoryPath,
+	}
+	jsonPaths = append([]string{telemetry.QueriesPath, telemetry.SlowLogPath, telemetry.SLOPath}, planePaths...)
+)
+
+// settleGoroutines fails the test unless the goroutine count returns to
+// baseline: what a closed plane, and the connections of the requests made
+// to it, must do.
+func settleGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the plane started:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func get(t *testing.T, method, url string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// decode is the golden decode: the body must fill doc and carry no field
+// doc's type does not declare.
+func decode(t *testing.T, path string, body []byte, doc any) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(doc); err != nil {
+		t.Fatalf("%s does not decode into %T: %v\n%s", path, doc, err, body)
+	}
+}
+
+// TestPlaneServesEveryPath starts a skyserve-shaped plane with every
+// source (the registry's API under "/", a worker-shaped plane as its one
+// federation target) and reads every path CI curls into the document
+// type its endpoint declares; then checks the one method and parameter
+// rule on each, the 404s of the worker-shaped plane, and that Close leaves
+// nothing running.
+func TestPlaneServesEveryPath(t *testing.T) {
+	events := telemetry.NewEventLog(256)
+	recorder, tracer := telemetry.NewRecorder("boot"), telemetry.NewTracer()
+	ctx := telemetry.WithEventLog(telemetry.WithTracer(telemetry.WithRecorder(context.Background(), recorder), tracer), events)
+	data := qws.Dataset(7, 400, 3)
+	seeds := make([]registry.Service, len(data))
+	for i, p := range data {
+		seeds[i] = registry.Service{Name: fmt.Sprintf("seed-%d", i), QoS: p}
+	}
+	reg, err := registry.New(ctx, seeds, driver.Options{Scheme: partition.Angular})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	baseline := runtime.NumGoroutine() // the registry's publish pipeline is not the plane's
+
+	workerEvents := telemetry.NewEventLog(16)
+	workerMetrics := telemetry.NewRegistry()
+	workerMetrics.Counter("rpcmr_worker_tasks_total").Add(4)
+	worker, err := Start("127.0.0.1:0", Sources{Metrics: workerMetrics, Events: workerEvents})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg.ConfigureQueryLog(64, 8, time.Nanosecond)
+	slo := reg.ConfigureSLO(registry.SLOOptions{P99Threshold: 250 * time.Millisecond, Availability: 0.99, Events: events})
+	history, err := telemetry.OpenRunHistory("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := history.Append(telemetry.RunSummary{Time: time.Now(), Job: "boot", MakespanSeconds: 1}); err != nil {
+		t.Fatal(err)
+	}
+	type health struct {
+		Status string `json:"status"`
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", reg.Handler())
+	plane, err := Start("127.0.0.1:0", Sources{
+		Metrics:  reg.Metrics(),
+		Events:   events,
+		Recorder: recorder,
+		Tracer:   tracer,
+		History:  history,
+		Health:   func() any { return health{"ok"} },
+		Targets: func() []telemetry.FederationTarget {
+			return []telemetry.FederationTarget{{ID: "w0", Addr: worker.Addr()}}
+		},
+		Rules:    []timeseries.Rule{timeseries.GaugeAboveRule("always", "process_never_registered", 1, "")},
+		SLO:      slo,
+		Interval: 10 * time.Millisecond,
+		Mux:      mux,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + plane.Addr()
+
+	if _, err := Start(plane.Addr(), Sources{Metrics: workerMetrics}); err == nil {
+		t.Fatal("a second plane started on an address in use")
+	}
+
+	// The application's own routes are served by the same listener.
+	if code, _ := get(t, http.MethodGet, base+"/skyline"); code != http.StatusOK {
+		t.Fatalf("/skyline through the plane's listener = %d", code)
+	}
+	if code, body := get(t, http.MethodGet, base+"/metrics"); code != http.StatusOK {
+		t.Fatalf("/metrics = %d", code)
+	} else if samples, err := telemetry.ParsePrometheus(string(body)); err != nil || samples[`registry_requests_total{endpoint="skyline",status="2xx"}`] < 1 {
+		t.Fatalf("/metrics does not parse (%v) or lacks the request just served:\n%s", err, body)
+	}
+	if code, _ := get(t, http.MethodGet, base+"/debug/pprof/"); code != http.StatusOK {
+		t.Fatalf("/debug/pprof/ = %d", code)
+	}
+
+	// Each path into its document type.
+	fetch := func(path string, doc any) {
+		t.Helper()
+		code, body := get(t, http.MethodGet, base+path)
+		if code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", path, code, body)
+		}
+		decode(t, path, body, doc)
+	}
+	var flight telemetry.Report
+	if fetch(telemetry.FlightRecorderPath, &flight); len(flight.Partitions) == 0 {
+		t.Errorf("flight record has no partitions: %+v", flight)
+	}
+	var h health
+	if fetch(telemetry.HealthPath, &h); h.Status != "ok" {
+		t.Errorf("health = %+v", h)
+	}
+	var crit critpath.Analysis
+	if fetch(critpath.Path, &crit); crit.MakespanSeconds <= 0 || len(crit.CriticalPath) == 0 {
+		t.Errorf("critical path of the boot computation = %+v", crit)
+	}
+	var runs telemetry.RunHistoryDoc
+	if fetch(telemetry.RunHistoryPath, &runs); len(runs.Runs) != 1 || runs.Runs[0].Job != "boot" {
+		t.Errorf("run history = %+v", runs)
+	}
+	var queries, slow telemetry.QueryLogDoc
+	if fetch(telemetry.QueriesPath, &queries); queries.Totals.Queries < 1 || len(queries.Queries) < 1 {
+		t.Errorf("query log = %+v, want the /skyline read", queries)
+	}
+	if fetch(telemetry.SlowLogPath, &slow); len(slow.Queries) < 1 || slow.ThresholdSeconds <= 0 {
+		t.Errorf("slow log = %+v, want the /skyline read over a 1ns threshold", slow)
+	}
+	var slos telemetry.SLODoc
+	if fetch(telemetry.SLOPath, &slos); len(slos.Objectives) != 2 {
+		t.Errorf("slo = %+v, want two objectives", slos)
+	}
+	// The clock's products: wait for a second sample and the first scrape.
+	var series timeseries.Doc
+	var cluster telemetry.ClusterSnapshot
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		series, cluster = timeseries.Doc{}, telemetry.ClusterSnapshot{}
+		fetch(timeseries.Path+"?series=process_uptime_seconds,registry_requests&window=1m", &series)
+		fetch(telemetry.ClusterPath+"?series=rpcmr_worker", &cluster)
+		if series.Samples >= 2 && len(cluster.Workers) == 2 && len(cluster.Workers[1].Samples) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no second sample or no scrape after 5s: %+v, %+v", series, cluster)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if series.IntervalSeconds != 0.01 || series.Retention != 300 {
+		t.Errorf("timeseries doc = interval %v, retention %d", series.IntervalSeconds, series.Retention)
+	}
+	for id := range series.Series {
+		if !strings.HasPrefix(id, "registry_requests") && id != "process_uptime_seconds" {
+			t.Errorf("series filter let %q through", id)
+		}
+	}
+	if w := cluster.Workers[1]; w.ID != "w0" || w.Stale || w.Samples[`rpcmr_worker_tasks_total{worker="w0"}`] != 4 ||
+		cluster.Merged[`rpcmr_worker_tasks_total{worker="w0"}`] != 4 {
+		t.Errorf("federated member = %+v, merged %v", w, cluster.Merged)
+	}
+	code, body := get(t, http.MethodGet, base+telemetry.EventsPath+"?level=info")
+	if code != http.StatusOK {
+		t.Fatalf("%s = %d", telemetry.EventsPath, code)
+	}
+	var msgs []string
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		var ev telemetry.LogEvent
+		decode(t, telemetry.EventsPath, []byte(line), &ev)
+		msgs = append(msgs, ev.Msg)
+	}
+	if joined := strings.Join(msgs, "|"); !strings.Contains(joined, "job start") || !strings.Contains(joined, "pipeline end") {
+		t.Errorf("event stream %q does not narrate the boot computation", msgs)
+	}
+
+	// One rule on every path: GET and HEAD, limit=0 is no cap, a negative
+	// or garbage parameter is a 400.
+	for _, path := range jsonPaths {
+		for query, want := range map[string]int{
+			"": http.StatusOK, "?limit=0": http.StatusOK, "?limit=-1": http.StatusBadRequest,
+			"?limit=ten": http.StatusBadRequest, "?window=soon": http.StatusBadRequest, "?since=-3": http.StatusBadRequest,
+			"?level=loud": http.StatusBadRequest,
+		} {
+			if code, _ := get(t, http.MethodHead, base+path+query); code != want {
+				t.Errorf("HEAD %s%s = %d, want %d", path, query, code, want)
+			}
+		}
+		if code, _ := get(t, http.MethodPost, base+path); code != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s = %d, want 405", path, code)
+		}
+	}
+	_, capped := get(t, http.MethodGet, base+telemetry.EventsPath+"?limit=1")
+	_, all := get(t, http.MethodGet, base+telemetry.EventsPath+"?limit=0")
+	if bytes.Count(capped, []byte("\n")) != 1 || bytes.Count(all, []byte("\n")) < len(msgs) {
+		t.Errorf("events ?limit=1 returned %d lines, ?limit=0 %d of at least %d",
+			bytes.Count(capped, []byte("\n")), bytes.Count(all, []byte("\n")), len(msgs))
+	}
+
+	// A plane with only the required sources: every other path is a 404.
+	for _, path := range jsonPaths {
+		want := http.StatusNotFound
+		if path == telemetry.EventsPath || path == timeseries.Path {
+			want = http.StatusOK
+		}
+		if code, _ := get(t, http.MethodGet, "http://"+worker.Addr()+path); code != want {
+			t.Errorf("worker-shaped plane: %s = %d, want %d", path, code, want)
+		}
+	}
+
+	var dump bytes.Buffer
+	if err := plane.Close(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if out := dump.String(); !strings.Contains(out, "# event log") || !strings.Contains(out, `"msg":"job start"`) ||
+		!strings.Contains(out, "# final metrics snapshot") || !strings.Contains(out, "registry_requests_total") {
+		t.Errorf("dump lacks the event log or the metrics snapshot:\n%s", out)
+	}
+	if err := worker.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, baseline)
+}
+
+// TestCloseTakesFinalSample: a plane whose clock never ticked still
+// retains, after Close, the state the process was leaving in — and the
+// endpoints without a source are 404 on a plane that is not listening too.
+func TestCloseTakesFinalSample(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	reg := telemetry.NewRegistry()
+	g := reg.Gauge("g")
+	mux := http.NewServeMux()
+	plane, err := Start("", Sources{Metrics: reg, Interval: time.Hour, Mux: mux})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plane.Addr() != "" {
+		t.Errorf("a plane started without an address listens on %q", plane.Addr())
+	}
+	g.Set(77)
+	if err := plane.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, baseline)
+
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, timeseries.Path, nil))
+	var doc timeseries.Doc
+	decode(t, timeseries.Path, rr.Body.Bytes(), &doc)
+	if pts := doc.Series["g"]; doc.Samples != 1 || len(pts) != 1 || pts[0].Value != 77 {
+		t.Errorf("after Close: %d samples, g = %v; want the one final sample of 77", doc.Samples, pts)
+	}
+	for _, path := range planePaths {
+		if path == timeseries.Path {
+			continue
+		}
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		if rr.Code != http.StatusNotFound {
+			t.Errorf("%s without a source = %d, want 404", path, rr.Code)
+		}
+	}
+}
+
+// TestCloseBoundedWithHeldRequest: a request still being served when the
+// process is told to stop (skyserve under load) delays Close by the grace
+// period and no longer; its connection is then dropped, the dump is
+// written after everything has stopped, and nothing is left running.
+func TestCloseBoundedWithHeldRequest(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	entered := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/hold", func(w http.ResponseWriter, req *http.Request) {
+		close(entered)
+		<-req.Context().Done()
+	})
+	events := telemetry.NewEventLog(16)
+	slo := telemetry.NewSLOTracker(telemetry.SLOConfig{Events: events})
+	plane, err := Start("127.0.0.1:0", Sources{
+		Metrics: telemetry.NewRegistry(), Events: events, SLO: slo, Interval: 5 * time.Millisecond, Mux: mux,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan error, 1)
+	go func() {
+		resp, err := http.Get("http://" + plane.Addr() + "/hold")
+		if err == nil {
+			resp.Body.Close()
+		}
+		held <- err
+	}()
+	<-entered
+	events.Info("shutdown")
+
+	var dump bytes.Buffer
+	start := time.Now()
+	if err := plane.Close(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < shutdownGrace || took > shutdownGrace+time.Second {
+		t.Errorf("Close with a held request took %v, want the %v grace and little more", took, shutdownGrace)
+	}
+	if err := <-held; err == nil {
+		t.Error("the held request completed; its connection should have been dropped")
+	}
+	if !strings.Contains(dump.String(), `"msg":"shutdown"`) {
+		t.Errorf("dump lacks the shutdown event:\n%s", dump.String())
+	}
+	settleGoroutines(t, baseline)
+}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -88,37 +89,26 @@ type eventSlot struct {
 // EventLog is a bounded, concurrency-friendly ring of structured events.
 // All methods are safe for concurrent use and no-op on a nil receiver.
 type EventLog struct {
-	slots []eventSlot
-	seq   atomic.Uint64
-	min   atomic.Int64                // minimum recorded level (slog.Level)
-	count [4]atomic.Int64             // per-level totals since start
+	slots  []eventSlot
+	seq    atomic.Uint64
+	count  [4]atomic.Int64             // per-level totals since start
 	bridge atomic.Pointer[[4]*Counter] // per-level registry counters, when bound
 }
 
 // NewEventLog returns an event log retaining the most recent capacity
 // events (minimum 16; 1024 is a sensible default for a long-lived
-// process). The log records every level until SetLevel raises the bar.
+// process). The log records every level; readers filter.
 func NewEventLog(capacity int) *EventLog {
 	if capacity < 16 {
 		capacity = 16
 	}
-	l := &EventLog{slots: make([]eventSlot, capacity)}
-	l.min.Store(int64(slog.LevelDebug))
-	return l
-}
-
-// SetLevel drops events below min at the write path.
-func (l *EventLog) SetLevel(min slog.Level) {
-	if l == nil {
-		return
-	}
-	l.min.Store(int64(min))
+	return &EventLog{slots: make([]eventSlot, capacity)}
 }
 
 // Enabled reports whether an event at level would be recorded — the
 // cheap pre-check for hot call sites that build attribute lists.
 func (l *EventLog) Enabled(level slog.Level) bool {
-	return l != nil && int64(level) >= l.min.Load()
+	return l != nil && level >= slog.LevelDebug
 }
 
 // BindMetrics bridges the per-level event totals into reg as
@@ -141,13 +131,9 @@ func (l *EventLog) BindMetrics(reg *Registry) {
 // atomic increment and locks only that slot — the attr slice is retained
 // as-is, with no per-event map build.
 func (l *EventLog) Log(level slog.Level, msg string, attrs ...Attr) {
-	if l == nil || int64(level) < l.min.Load() {
+	if !l.Enabled(level) {
 		return
 	}
-	l.log(level, msg, attrs)
-}
-
-func (l *EventLog) log(level slog.Level, msg string, attrs []Attr) {
 	li := levelIndex(level)
 	l.count[li].Add(1)
 	if cs := l.bridge.Load(); cs != nil {
@@ -248,15 +234,6 @@ func (l *EventLog) Info(msg string, attrs ...Attr)  { l.Log(slog.LevelInfo, msg,
 func (l *EventLog) Warn(msg string, attrs ...Attr)  { l.Log(slog.LevelWarn, msg, attrs...) }
 func (l *EventLog) Error(msg string, attrs ...Attr) { l.Log(slog.LevelError, msg, attrs...) }
 
-// LastSeq returns the sequence number of the most recently written event
-// (0 when nothing has been logged) — the cursor for incremental reads.
-func (l *EventLog) LastSeq() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.seq.Load()
-}
-
 // LevelCounts returns the per-level totals since the log was created
 // (dropped-by-ring events included — the counts are write-side).
 func (l *EventLog) LevelCounts() map[string]int64 {
@@ -271,7 +248,8 @@ func (l *EventLog) LevelCounts() map[string]int64 {
 }
 
 // Events returns the retained events with Seq > since and level >= min,
-// in sequence order. A wrapped ring returns only the surviving tail —
+// in sequence order, parsed back from their stored lines — the form
+// tests assert on. A wrapped ring returns only the surviving tail —
 // consumers detect loss by a gap between their cursor and the first
 // returned Seq.
 func (l *EventLog) Events(since uint64, min slog.Level) []LogEvent {
@@ -314,77 +292,24 @@ func (l *EventLog) lines(since uint64, min slog.Level) [][]byte {
 	return out
 }
 
-// WriteJSONLines writes the retained events matching the filters as one
-// JSON object per line — the exposition and shutdown-flush format.
-func (l *EventLog) WriteJSONLines(w io.Writer, since uint64, min slog.Level) error {
+// WriteJSONLines writes the retained events matching the filters — the
+// most recent limit of them when limit > 0 — as one JSON object per
+// line, exactly as they were rendered when logged: the body of
+// /debug/events and of the shutdown dump.
+func (l *EventLog) WriteJSONLines(w io.Writer, since uint64, min slog.Level, limit int) error {
 	if l == nil {
 		return nil
 	}
-	for _, line := range l.lines(since, min) {
+	lines := l.lines(since, min)
+	if limit > 0 && len(lines) > limit {
+		lines = lines[len(lines)-limit:]
+	}
+	for _, line := range lines {
 		if _, err := w.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// log/slog integration
-
-// Logger returns a *slog.Logger whose records land in the event log, so
-// code written against the standard structured-logging API feeds the
-// same ring as the direct Log calls.
-func (l *EventLog) Logger() *slog.Logger {
-	return slog.New(&slogHandler{log: l})
-}
-
-// slogHandler adapts EventLog to slog.Handler. WithAttrs pre-binds
-// attributes; WithGroup prefixes subsequent keys ("group.key"), the flat
-// rendering the JSON-lines exposition wants.
-type slogHandler struct {
-	log    *EventLog
-	prefix string
-	bound  []Attr
-}
-
-// Enabled implements slog.Handler.
-func (h *slogHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return h.log != nil && int64(level) >= h.log.min.Load()
-}
-
-// Handle implements slog.Handler.
-func (h *slogHandler) Handle(_ context.Context, r slog.Record) error {
-	if h.log == nil {
-		return nil
-	}
-	var attrs []Attr
-	if len(h.bound) > 0 || r.NumAttrs() > 0 {
-		attrs = make([]Attr, 0, len(h.bound)+r.NumAttrs())
-		attrs = append(attrs, h.bound...)
-		r.Attrs(func(a slog.Attr) bool {
-			attrs = append(attrs, Attr{Key: h.prefix + a.Key, Value: a.Value.Resolve().Any()})
-			return true
-		})
-	}
-	h.log.log(r.Level, r.Message, attrs)
-	return nil
-}
-
-// WithAttrs implements slog.Handler.
-func (h *slogHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	nh := &slogHandler{log: h.log, prefix: h.prefix, bound: append([]Attr(nil), h.bound...)}
-	for _, a := range attrs {
-		nh.bound = append(nh.bound, Attr{Key: h.prefix + a.Key, Value: a.Value.Resolve().Any()})
-	}
-	return nh
-}
-
-// WithGroup implements slog.Handler.
-func (h *slogHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	return &slogHandler{log: h.log, prefix: h.prefix + name + ".", bound: h.bound}
 }
 
 // ---------------------------------------------------------------------------
@@ -411,90 +336,51 @@ func EventLogFrom(ctx context.Context) *EventLog {
 const EventsPath = "/debug/events"
 
 // MountEvents serves the event log as JSON lines at /debug/events.
-// Query parameters: ?level=info filters to that level and above,
-// ?since=N returns only events with Seq > N (the incremental cursor),
-// ?limit=N keeps only the most recent N matching events.
+// ?level=info filters to that level and above, ?since=N returns only
+// events with Seq > N (the incremental cursor), ?limit=N keeps only the
+// most recent N matching events. A nil log is a 404.
 func MountEvents(mux *http.ServeMux, log *EventLog) {
-	mux.HandleFunc(EventsPath, func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
+	HandleJSON(mux, EventsPath, func(p Params) (any, int, error) {
+		if log == nil {
+			return nil, http.StatusNotFound, errors.New("event log off")
 		}
-		min, err := ParseLevel(req.URL.Query().Get("level"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var since uint64
-		if s := req.URL.Query().Get("since"); s != "" {
-			since, err = strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since cursor: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		events := log.Events(since, min)
-		if s := req.URL.Query().Get("limit"); s != "" {
-			limit, err := strconv.Atoi(s)
-			if err != nil || limit < 0 {
-				http.Error(w, "bad limit", http.StatusBadRequest)
-				return
-			}
-			if len(events) > limit {
-				events = events[len(events)-limit:]
-			}
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, ev := range events {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-		}
+		return JSONLines(func(w io.Writer) error {
+			return log.WriteJSONLines(w, p.Since, p.Level, p.Limit)
+		}), 0, nil
 	})
 }
 
 // HealthPath is where MountHealth serves the health summary.
 const HealthPath = "/debug/health"
 
-// MountHealth serves source() as indented JSON at /debug/health. The
-// source is called per request (so the summary is always current) and
-// may return nil for 503 — a server that cannot assemble its health
-// picture is not healthy.
+// MountHealth serves source() at /debug/health. The source is called
+// per request (so the summary is always current). A nil source is a 404;
+// a source that returns nil is a 503 — a server that cannot assemble its
+// health picture is not healthy.
 func MountHealth(mux *http.ServeMux, source func() any) {
-	mux.HandleFunc(HealthPath, func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
+	HandleJSON(mux, HealthPath, func(Params) (any, int, error) {
+		if source == nil {
+			return nil, http.StatusNotFound, errors.New("no health source")
 		}
-		h := source()
-		if h == nil {
-			http.Error(w, "health unavailable", http.StatusServiceUnavailable)
-			return
+		if h := source(); h != nil {
+			return h, 0, nil
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(h)
+		return nil, http.StatusServiceUnavailable, errors.New("health unavailable")
 	})
 }
 
-// DumpOps writes a final operational snapshot — the retained event log
-// as JSON lines, then a Prometheus metrics snapshot — the
+// DumpOps writes a final operational snapshot — the retained events at
+// info and above as JSON lines, then a Prometheus metrics snapshot — the
 // graceful-shutdown flush shared by the binaries. Either source may be
 // nil; section headers are comment lines so the dump stays greppable
 // and line-parseable.
-func DumpOps(w io.Writer, log *EventLog, min slog.Level, reg *Registry) error {
+func DumpOps(w io.Writer, log *EventLog, reg *Registry) error {
 	if log != nil {
-		events := log.Events(0, min)
-		if _, err := fmt.Fprintf(w, "# event log (%d events retained)\n", len(events)); err != nil {
+		if _, err := fmt.Fprintln(w, "# event log (retained events, oldest first)"); err != nil {
 			return err
 		}
-		enc := json.NewEncoder(w)
-		for _, ev := range events {
-			if err := enc.Encode(ev); err != nil {
-				return err
-			}
+		if err := log.WriteJSONLines(w, 0, slog.LevelInfo, 0); err != nil {
+			return err
 		}
 	}
 	if reg != nil {

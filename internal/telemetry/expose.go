@@ -3,14 +3,18 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // WritePrometheus renders every series in the Prometheus text format
@@ -94,28 +98,118 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// FlightRecorderPath is where MountFlightRecorder serves the report.
-const FlightRecorderPath = "/debug/flightrecorder"
+// Params are the query parameters the /debug/* endpoints share, parsed
+// once by HandleJSON so every path reads them by the same rules.
+type Params struct {
+	// Limit caps how many entries a listing returns (?limit=N; 0, the
+	// default, is no cap).
+	Limit int
+	// Series keeps only series ids with one of these prefixes
+	// (?series=a,b; empty keeps all).
+	Series []string
+	// Window bounds returned history to the trailing duration
+	// (?window=30s; 0 is everything retained).
+	Window time.Duration
+	// Since and Level filter the event stream: events with Seq > Since
+	// (?since=N) at Level or above (?level=warn).
+	Since uint64
+	Level slog.Level
+}
 
-// MountFlightRecorder serves the current flight record of the job as
-// JSON at /debug/flightrecorder. source is called per request and may
-// return nil (no job recorded yet → 404), so binaries can swap recorders
-// between jobs without re-mounting.
-func MountFlightRecorder(mux *http.ServeMux, source func() *Recorder) {
-	mux.HandleFunc(FlightRecorderPath, func(w http.ResponseWriter, req *http.Request) {
+// ParseParams reads the shared parameters from q. A negative or
+// unparsable value is an error, never a silent default.
+func ParseParams(q url.Values) (Params, error) {
+	var p Params
+	var err error
+	if s := q.Get("limit"); s != "" {
+		if p.Limit, err = strconv.Atoi(s); err != nil || p.Limit < 0 {
+			return p, fmt.Errorf("bad limit %q", s)
+		}
+	}
+	for _, f := range strings.Split(q.Get("series"), ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			p.Series = append(p.Series, f)
+		}
+	}
+	if s := q.Get("window"); s != "" {
+		if p.Window, err = time.ParseDuration(s); err != nil || p.Window < 0 {
+			return p, fmt.Errorf("bad window %q", s)
+		}
+	}
+	if s := q.Get("since"); s != "" {
+		if p.Since, err = strconv.ParseUint(s, 10, 64); err != nil {
+			return p, fmt.Errorf("bad since cursor %q", s)
+		}
+	}
+	if p.Level, err = ParseLevel(q.Get("level")); err != nil {
+		return p, err
+	}
+	return p, nil
+}
+
+// MatchSeries reports whether a series id passes a ?series= filter: any
+// entry that is a prefix of the id matches, so "rpcmr_task" selects the
+// whole family and a full rendered id selects one series.
+func (p Params) MatchSeries(id string) bool {
+	for _, f := range p.Series {
+		if strings.HasPrefix(id, f) {
+			return true
+		}
+	}
+	return len(p.Series) == 0
+}
+
+// JSONLines is a document that renders itself as one JSON object per
+// line instead of as one indented JSON value (the event stream).
+type JSONLines func(w io.Writer) error
+
+// HandleJSON registers the one handler every /debug/* endpoint is: GET
+// and HEAD only, the shared parameters parsed up front (a bad one is a
+// 400 on every path), then source's document written as indented JSON —
+// or, for a JSONLines document, as JSON lines. A non-nil err is answered
+// with status and err's text; the convention is 404 for a source that is
+// switched off or has nothing to show yet.
+func HandleJSON(mux *http.ServeMux, path string, source func(Params) (doc any, status int, err error)) {
+	mux.HandleFunc(path, func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		rec := source()
-		if rec == nil {
-			http.Error(w, "no flight record", http.StatusNotFound)
+		p, err := ParseParams(req.URL.Query())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		doc, status, err := source(p)
+		if err != nil {
+			http.Error(w, err.Error(), status)
+			return
+		}
+		if lines, ok := doc.(JSONLines); ok {
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			_ = lines(w)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(rec.Report())
+		_ = enc.Encode(doc)
+	})
+}
+
+// FlightRecorderPath is where MountFlightRecorder serves the report.
+const FlightRecorderPath = "/debug/flightrecorder"
+
+// MountFlightRecorder serves the job's current flight record. source is
+// called per request and may return nil (no job recorded yet → 404), so
+// binaries can swap recorders between jobs without re-mounting.
+func MountFlightRecorder(mux *http.ServeMux, source func() *Recorder) {
+	HandleJSON(mux, FlightRecorderPath, func(Params) (any, int, error) {
+		rec := source()
+		if rec == nil {
+			return nil, http.StatusNotFound, errors.New("no flight record")
+		}
+		return rec.Report(), 0, nil
 	})
 }
 

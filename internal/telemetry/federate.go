@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,8 +13,7 @@ import (
 )
 
 // Federation gives the master one pane of glass over the cluster: a
-// Federator periodically scrapes every registered worker's /metrics
-// endpoint (the same Prometheus text format this package writes),
+// Federator scrapes every registered worker's /metrics endpoint (the same Prometheus text format this package writes),
 // re-labels each scraped series with the worker's id, and merges the
 // result with the master's own registry into a cluster snapshot served
 // at /debug/cluster. A worker that stops answering keeps its last-good
@@ -37,50 +36,25 @@ type FederationTarget struct {
 	Stale bool
 }
 
-// FederatorConfig tunes a Federator.
+// FederatorConfig is what a Federator federates.
 type FederatorConfig struct {
-	// Self is the local registry merged into every snapshot under
-	// SelfID. Nil skips the local contribution.
+	// Self is the local registry merged into every snapshot as member
+	// "master". Nil skips the local contribution.
 	Self *Registry
-	// SelfID labels the local registry's series. Defaults to "master".
-	SelfID string
 	// Targets enumerates the current scrape targets each cycle —
 	// typically Master.DebugTargets, so workers join and leave the
 	// federation as they register and die.
 	Targets func() []FederationTarget
-	// Interval is the scrape cadence. Defaults to 2s.
-	Interval time.Duration
-	// Timeout bounds each target scrape. Defaults to min(Interval, 1s).
-	Timeout time.Duration
-	// LabelKey is the label injected into scraped series. Defaults to
-	// "worker".
-	LabelKey string
 	// Events receives scrape-failure warnings, once per target outage
 	// (nil drops).
 	Events *EventLog
-	// Client overrides the scrape HTTP client (tests). Defaults to a
-	// client with the configured Timeout.
-	Client *http.Client
 }
 
-func (c FederatorConfig) withDefaults() FederatorConfig {
-	if c.SelfID == "" {
-		c.SelfID = "master"
-	}
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = time.Second
-		if c.Interval < c.Timeout {
-			c.Timeout = c.Interval
-		}
-	}
-	if c.LabelKey == "" {
-		c.LabelKey = "worker"
-	}
-	return c
-}
+const (
+	selfID          = "master"    // the local registry's member id
+	federationLabel = "worker"    // the label injected into every federated series
+	scrapeTimeout   = time.Second // bounds each target scrape
+)
 
 // WorkerSnapshot is one federation member's contribution to the
 // cluster snapshot.
@@ -116,67 +90,25 @@ type memberState struct {
 	addr       string
 	stale      bool
 	lastScrape time.Time
-	err        string
+	err        string // the current outage's scrape error; "" while scrapes succeed
 	samples    map[string]float64
-	failing    bool // edge detector for the scrape-failure event
 }
 
-// Federator owns the scrape loop and the retained member states.
+// Federator owns the retained member states. It has no loop of its own:
+// whoever owns it (the debugserver plane) calls ScrapeOnce on a cadence.
 type Federator struct {
 	cfg FederatorConfig
 
 	mu      sync.Mutex
 	members map[string]*memberState
-
-	stopc    chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
-// NewFederator builds a federator; call Start for the periodic loop or
-// ScrapeOnce to drive it manually.
+// NewFederator builds a federator.
 func NewFederator(cfg FederatorConfig) *Federator {
-	return &Federator{
-		cfg:     cfg.withDefaults(),
-		members: make(map[string]*memberState),
-		stopc:   make(chan struct{}),
-	}
-}
-
-// Start launches the background scrape loop.
-func (f *Federator) Start() {
-	if f == nil {
-		return
-	}
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		ticker := time.NewTicker(f.cfg.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-f.stopc:
-				return
-			case <-ticker.C:
-				f.ScrapeOnce(context.Background())
-			}
-		}
-	}()
-}
-
-// Stop ends the scrape loop.
-func (f *Federator) Stop() {
-	if f == nil {
-		return
-	}
-	f.stopOnce.Do(func() {
-		close(f.stopc)
-		f.wg.Wait()
-	})
+	return &Federator{cfg: cfg, members: make(map[string]*memberState)}
 }
 
 // ScrapeOnce scrapes every current target and refreshes member states.
-// The background loop calls it on cadence; tests call it directly.
 func (f *Federator) ScrapeOnce(ctx context.Context) {
 	if f == nil || f.cfg.Targets == nil {
 		return
@@ -219,49 +151,43 @@ func (f *Federator) scrapeTarget(ctx context.Context, t FederationTarget) {
 	f.mu.Lock()
 	if err != nil {
 		m.stale = true
+		rising := m.err == ""
 		m.err = err.Error()
-		rising := !m.failing
-		m.failing = true
 		f.mu.Unlock()
 		if rising {
 			f.cfg.Events.Warn("federation scrape failed",
-				A(f.cfg.LabelKey, t.ID), A("addr", t.Addr), A("err", err.Error()))
+				A(federationLabel, t.ID), A("addr", t.Addr), A("err", err.Error()))
 		}
 		return
 	}
 	relabeled, relabelErr := f.relabel(samples, t.ID)
 	m.samples = relabeled
 	m.stale = false
+	recovered := m.err != ""
 	m.err = ""
 	m.lastScrape = time.Now()
-	recovered := m.failing
-	m.failing = false
 	f.mu.Unlock()
 	if relabelErr != nil {
 		// Unparseable ids were dropped, not fatal — but say so once.
 		f.cfg.Events.Warn("federation relabel dropped series",
-			A(f.cfg.LabelKey, t.ID), A("err", relabelErr.Error()))
+			A(federationLabel, t.ID), A("err", relabelErr.Error()))
 	}
 	if recovered {
 		f.cfg.Events.Info("federation scrape recovered",
-			A(f.cfg.LabelKey, t.ID), A("addr", t.Addr))
+			A(federationLabel, t.ID), A("addr", t.Addr))
 	}
 }
 
 // scrape fetches and parses one /metrics endpoint.
 func (f *Federator) scrape(ctx context.Context, addr string) (map[string]float64, error) {
 	url := "http://" + addr + "/metrics"
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	client := f.cfg.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +202,7 @@ func (f *Federator) scrape(ctx context.Context, addr string) (map[string]float64
 	return ParsePrometheus(string(body))
 }
 
-// relabel injects LabelKey=id into every sample id, re-rendering in
+// relabel injects worker=id into every sample id, re-rendering in
 // canonical sorted order so federated ids are comparable with native
 // registry ids. Histogram bucket series (le label) are skipped — the
 // cluster snapshot is a scalar view; _count and _sum survive and carry
@@ -288,7 +214,7 @@ func (f *Federator) relabel(samples map[string]float64, id string) (map[string]f
 		if strings.Contains(sid, `le="`) {
 			continue
 		}
-		nid, err := InjectLabel(sid, f.cfg.LabelKey, id)
+		nid, err := InjectLabel(sid, federationLabel, id)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -310,12 +236,12 @@ func (f *Federator) Snapshot() ClusterSnapshot {
 	}
 	if f.cfg.Self != nil {
 		self := WorkerSnapshot{
-			ID:         f.cfg.SelfID,
+			ID:         selfID,
 			LastScrape: snap.Time,
 			Samples:    make(map[string]float64),
 		}
 		f.cfg.Self.VisitSamples(func(sid string, v float64) {
-			nid, err := InjectLabel(sid, f.cfg.LabelKey, f.cfg.SelfID)
+			nid, err := InjectLabel(sid, federationLabel, selfID)
 			if err != nil {
 				return
 			}
@@ -358,48 +284,32 @@ func (f *Federator) Snapshot() ClusterSnapshot {
 // ClusterPath is where MountCluster serves the snapshot.
 const ClusterPath = "/debug/cluster"
 
-// MountCluster serves the federator's cluster snapshot as JSON at
-// /debug/cluster. ?series=prefix filters the merged map and each
-// member's samples to ids with that prefix (comma-separated for
-// several).
+// MountCluster serves the federator's cluster snapshot at
+// /debug/cluster; ?series=prefix,... filters the merged map and each
+// member's samples to matching ids. A nil federator is a 404.
 func MountCluster(mux *http.ServeMux, f *Federator) {
-	mux.HandleFunc(ClusterPath, func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
+	HandleJSON(mux, ClusterPath, func(p Params) (any, int, error) {
+		if f == nil {
+			return nil, http.StatusNotFound, errors.New("federation off")
 		}
 		snap := f.Snapshot()
-		if raw := req.URL.Query().Get("series"); raw != "" {
-			var prefixes []string
-			for _, p := range strings.Split(raw, ",") {
-				if p = strings.TrimSpace(p); p != "" {
-					prefixes = append(prefixes, p)
-				}
-			}
-			snap.Merged = filterSamples(snap.Merged, prefixes)
-			for i := range snap.Workers {
-				snap.Workers[i].Samples = filterSamples(snap.Workers[i].Samples, prefixes)
-			}
+		snap.Merged = filterSamples(snap.Merged, p)
+		for i := range snap.Workers {
+			snap.Workers[i].Samples = filterSamples(snap.Workers[i].Samples, p)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(snap)
+		return snap, 0, nil
 	})
 }
 
-// filterSamples keeps ids matching any prefix.
-func filterSamples(samples map[string]float64, prefixes []string) map[string]float64 {
-	if len(prefixes) == 0 || samples == nil {
+// filterSamples keeps the ids that pass the ?series= filter.
+func filterSamples(samples map[string]float64, p Params) map[string]float64 {
+	if len(p.Series) == 0 || samples == nil {
 		return samples
 	}
 	out := make(map[string]float64)
 	for id, v := range samples {
-		for _, p := range prefixes {
-			if strings.HasPrefix(id, p) {
-				out[id] = v
-				break
-			}
+		if p.MatchSeries(id) {
+			out[id] = v
 		}
 	}
 	return out

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestParseSeriesIDRoundTrip(t *testing.T) {
@@ -191,8 +190,7 @@ func TestFederatorDeadWorkerGoesStaleKeepingLastGood(t *testing.T) {
 		Targets: func() []FederationTarget {
 			return []FederationTarget{{ID: "w0", Addr: addr, Stale: stale.Load()}}
 		},
-		Timeout: 500 * time.Millisecond,
-		Events:  events,
+		Events: events,
 	})
 	f.ScrapeOnce(context.Background())
 	snap := f.Snapshot()

@@ -2,10 +2,9 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -261,53 +260,34 @@ const (
 	SlowLogPath = "/debug/slowlog"
 )
 
-// queryLogDoc is the JSON shape of both query-log endpoints.
-type queryLogDoc struct {
+// QueryLogDoc is the document of both query-log endpoints.
+type QueryLogDoc struct {
 	Totals           QueryTotals  `json:"totals"`
 	ThresholdSeconds float64      `json:"threshold_seconds,omitempty"`
 	Queries          []QueryStats `json:"queries"`
 }
 
-// MountQueryLog serves the recent-queries ring at /debug/queries
-// (?limit=N caps the count) and the slow-query log at /debug/slowlog,
-// both as JSON with the cumulative totals alongside. The source is
-// called per request and may return nil (attribution off → 404).
+// MountQueryLog serves the recent-queries ring at /debug/queries and the
+// slow-query log at /debug/slowlog (?limit=N caps either), with the
+// cumulative totals alongside. The source is called per request and may
+// return nil (attribution off → 404).
 func MountQueryLog(mux *http.ServeMux, source func() *QueryLog) {
-	serve := func(slow bool) http.HandlerFunc {
-		return func(w http.ResponseWriter, req *http.Request) {
-			if req.Method != http.MethodGet && req.Method != http.MethodHead {
-				http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-				return
-			}
+	mount := func(path string, queries func(l *QueryLog, limit int) []QueryStats) {
+		HandleJSON(mux, path, func(p Params) (any, int, error) {
 			l := source()
 			if l == nil {
-				http.Error(w, "query log off", http.StatusNotFound)
-				return
+				return nil, http.StatusNotFound, errors.New("query log off")
 			}
-			limit := 0
-			if s := req.URL.Query().Get("limit"); s != "" {
-				var err error
-				limit, err = strconv.Atoi(s)
-				if err != nil || limit < 0 {
-					http.Error(w, "bad limit", http.StatusBadRequest)
-					return
-				}
-			}
-			doc := queryLogDoc{Totals: l.Totals(), ThresholdSeconds: l.ThresholdSeconds()}
-			if slow {
-				doc.Queries = l.Slow()
-				if limit > 0 && len(doc.Queries) > limit {
-					doc.Queries = doc.Queries[:limit]
-				}
-			} else {
-				doc.Queries = l.Recent(limit)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(doc)
-		}
+			return QueryLogDoc{Totals: l.Totals(), ThresholdSeconds: l.ThresholdSeconds(),
+				Queries: queries(l, p.Limit)}, 0, nil
+		})
 	}
-	mux.HandleFunc(QueriesPath, serve(false))
-	mux.HandleFunc(SlowLogPath, serve(true))
+	mount(QueriesPath, (*QueryLog).Recent)
+	mount(SlowLogPath, func(l *QueryLog, limit int) []QueryStats {
+		slow := l.Slow()
+		if limit > 0 && len(slow) > limit {
+			slow = slow[:limit]
+		}
+		return slow
+	})
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -231,26 +232,20 @@ func (h *RunHistory) CompareLatest() []Regression {
 // RunHistoryPath is where MountRunHistory serves the store.
 const RunHistoryPath = "/debug/runhistory"
 
-// MountRunHistory serves the retained runs plus the latest run's
-// regression verdict as JSON. A nil history (source returns nil) is a
-// 404, matching the package's other mounts.
-func MountRunHistory(mux *http.ServeMux, source func() *RunHistory) {
-	mux.HandleFunc(RunHistoryPath, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		h := source()
+// RunHistoryDoc is the /debug/runhistory document: the retained runs
+// plus the latest run's regression verdict.
+type RunHistoryDoc struct {
+	Runs        []RunSummary `json:"runs"`
+	Regressions []Regression `json:"regressions"`
+}
+
+// MountRunHistory serves the store at /debug/runhistory. A nil history
+// is a 404, matching the package's other mounts.
+func MountRunHistory(mux *http.ServeMux, h *RunHistory) {
+	HandleJSON(mux, RunHistoryPath, func(Params) (any, int, error) {
 		if h == nil {
-			http.Error(w, "run history not available", http.StatusNotFound)
-			return
+			return nil, http.StatusNotFound, errors.New("run history not available")
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
-			Runs        []RunSummary `json:"runs"`
-			Regressions []Regression `json:"regressions"`
-		}{h.Runs(), h.CompareLatest()})
+		return RunHistoryDoc{h.Runs(), h.CompareLatest()}, 0, nil
 	})
 }

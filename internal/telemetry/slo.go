@@ -1,8 +1,7 @@
 package telemetry
 
 import (
-	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -133,15 +132,15 @@ type sloPoint struct {
 	sample SLOSample
 }
 
+// alertBurn is the burn rate above which every window must sit for an
+// objective to be Burning: the budget being spent faster than sustainable.
+const alertBurn = 1.0
+
 // SLOConfig configures an SLOTracker.
 type SLOConfig struct {
 	// Windows are the burn-rate lookbacks, shortest first (default
 	// 1m, 5m, 30m).
 	Windows []time.Duration
-	// AlertBurn is the burn rate above which every window must sit for an
-	// objective to be Burning (default 1.0 — budget spending faster than
-	// sustainable).
-	AlertBurn float64
 	// Events, when non-nil, receives a warning each time an objective
 	// transitions into the burning state (and an info when it recovers).
 	Events *EventLog
@@ -161,9 +160,6 @@ type SLOTracker struct {
 func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	if len(cfg.Windows) == 0 {
 		cfg.Windows = []time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
-	}
-	if cfg.AlertBurn <= 0 {
-		cfg.AlertBurn = 1.0
 	}
 	return &SLOTracker{cfg: cfg, burning: make(map[string]bool), now: time.Now}
 }
@@ -200,7 +196,8 @@ func (t *SLOTracker) add(o *sloObjective) {
 
 // Tick samples every objective's source into its history, prunes history
 // beyond the longest window, and emits burn-transition events. Call it on
-// a steady cadence (Run does) — window resolution is the tick interval.
+// a steady cadence (the debugserver plane's clock does) — window
+// resolution is the tick interval.
 func (t *SLOTracker) Tick() {
 	if t == nil {
 		return
@@ -247,26 +244,6 @@ func (t *SLOTracker) Tick() {
 	}
 }
 
-// Run ticks the tracker every interval until ctx is done.
-func (t *SLOTracker) Run(ctx context.Context, interval time.Duration) {
-	if t == nil {
-		return
-	}
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			t.Tick()
-		}
-	}
-}
-
 // Status evaluates every objective now: sources are sampled fresh (so a
 // curl sees current traffic even between ticks), windows are differenced
 // against the recorded history.
@@ -302,7 +279,7 @@ func (t *SLOTracker) statusLocked(now time.Time) []SLOStatus {
 		for _, w := range t.cfg.Windows {
 			win := burnWindow(o, cur, now, w)
 			st.Windows = append(st.Windows, win)
-			if win.BurnRate <= t.cfg.AlertBurn {
+			if win.BurnRate <= alertBurn {
 				st.Burning = false
 			}
 		}
@@ -340,75 +317,28 @@ func burnWindow(o *sloObjective, cur SLOSample, now time.Time, w time.Duration) 
 	return win
 }
 
-// QuantileFromSnapshot estimates the q-quantile (0..1) of a histogram
-// snapshot by linear interpolation within the containing bucket — the
-// Prometheus histogram_quantile estimate. The overflow bucket reports
-// its lower bound (the largest finite bound). Returns 0 with no samples.
-func QuantileFromSnapshot(s HistogramSnapshot, q float64) float64 {
-	if s.Count == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	cum := int64(0)
-	for i, c := range s.Counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i >= len(s.Bounds) {
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		if c == 0 {
-			return s.Bounds[i]
-		}
-		return lo + (s.Bounds[i]-lo)*(rank-float64(cum))/float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // SLOPath is where MountSLO serves the tracker state.
 const SLOPath = "/debug/slo"
 
-// sloDoc is the /debug/slo JSON shape.
-type sloDoc struct {
+// SLODoc is the /debug/slo document.
+type SLODoc struct {
 	Objectives []SLOStatus `json:"objectives"`
 	Burning    bool        `json:"burning"`
 }
 
-// MountSLO serves the tracker's evaluated objectives as JSON at
-// /debug/slo. The source is called per request and may return nil (SLO
-// tracking off → 404), so binaries can swap trackers without
-// re-mounting.
+// MountSLO serves the tracker's evaluated objectives at /debug/slo. The
+// source is called per request and may return nil (SLO tracking off →
+// 404), so binaries can swap trackers without re-mounting.
 func MountSLO(mux *http.ServeMux, source func() *SLOTracker) {
-	mux.HandleFunc(SLOPath, func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
+	HandleJSON(mux, SLOPath, func(Params) (any, int, error) {
 		t := source()
 		if t == nil {
-			http.Error(w, "slo tracking off", http.StatusNotFound)
-			return
+			return nil, http.StatusNotFound, errors.New("slo tracking off")
 		}
-		doc := sloDoc{Objectives: t.Status()}
+		doc := SLODoc{Objectives: t.Status()}
 		for _, o := range doc.Objectives {
-			if o.Burning {
-				doc.Burning = true
-			}
+			doc.Burning = doc.Burning || o.Burning
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(doc)
+		return doc, 0, nil
 	})
 }

@@ -26,8 +26,7 @@ func TestSLOBurnRates(t *testing.T) {
 	clock := newFakeClock()
 	var good, bad atomic.Int64
 	tr := withClock(NewSLOTracker(SLOConfig{
-		Windows:   []time.Duration{time.Minute, 10 * time.Minute},
-		AlertBurn: 1.0,
+		Windows: []time.Duration{time.Minute, 10 * time.Minute},
 	}), clock)
 	tr.AddLatency("query-p99", 0.99, 5*time.Millisecond,
 		CounterSLOSource(good.Load, bad.Load))
@@ -92,8 +91,7 @@ func TestSLOBurnEvents(t *testing.T) {
 	events := NewEventLog(64)
 	var good, bad atomic.Int64
 	tr := withClock(NewSLOTracker(SLOConfig{
-		Windows:   []time.Duration{time.Minute},
-		AlertBurn: 1.0,
+		Windows: []time.Duration{time.Minute},
 		Events:    events,
 	}), clock)
 	tr.AddAvailability("availability", 0.99, CounterSLOSource(good.Load, bad.Load))
@@ -140,27 +138,6 @@ func TestLatencySLOSource(t *testing.T) {
 	s := LatencySLOSource(h, 5*time.Millisecond)()
 	if s.Good != 2 || s.Bad != 2 {
 		t.Errorf("sample = %+v, want good=2 bad=2", s)
-	}
-}
-
-// TestQuantileFromSnapshot: interpolation inside the containing bucket,
-// overflow clamped to the largest finite bound.
-func TestQuantileFromSnapshot(t *testing.T) {
-	snap := HistogramSnapshot{
-		Bounds: []float64{1, 2, 4},
-		Counts: []int64{0, 100, 0, 0}, // all samples in (1, 2]
-		Count:  100,
-	}
-	if got := QuantileFromSnapshot(snap, 0.5); math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("median = %v, want 1.5 (midpoint of (1,2])", got)
-	}
-	snap.Counts = []int64{0, 0, 0, 10} // all overflow
-	snap.Count = 10
-	if got := QuantileFromSnapshot(snap, 0.99); got != 4 {
-		t.Errorf("overflow quantile = %v, want 4 (largest bound)", got)
-	}
-	if got := QuantileFromSnapshot(HistogramSnapshot{}, 0.5); got != 0 {
-		t.Errorf("empty snapshot quantile = %v, want 0", got)
 	}
 }
 

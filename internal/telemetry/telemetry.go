@@ -217,6 +217,7 @@ type Registry struct {
 	mu     sync.RWMutex
 	series map[string]*series
 	hooks  []func(*Registry)
+	hookMu sync.Mutex // one scrape's hooks at a time: hooks keep scratch state
 }
 
 // NewRegistry returns an empty registry.
@@ -236,12 +237,16 @@ func (r *Registry) OnScrape(f func(*Registry)) {
 	r.mu.Unlock()
 }
 
-// runHooks executes scrape hooks outside the registry lock.
+// runHooks executes scrape hooks outside the registry lock, one caller
+// at a time: the sampler, a /metrics scrape and a cluster snapshot may
+// all arrive together, and a hook (the procfs reader) reuses a buffer.
 func (r *Registry) runHooks() {
 	r.mu.RLock()
 	hooks := make([]func(*Registry), len(r.hooks))
 	copy(hooks, r.hooks)
 	r.mu.RUnlock()
+	r.hookMu.Lock()
+	defer r.hookMu.Unlock()
 	for _, f := range hooks {
 		f(r)
 	}

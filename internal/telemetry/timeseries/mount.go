@@ -1,10 +1,10 @@
 package timeseries
 
 import (
-	"encoding/json"
+	"errors"
 	"net/http"
-	"strings"
-	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Path is where Mount serves the rings.
@@ -18,10 +18,9 @@ type Doc struct {
 	Series          map[string][]Point `json:"series"`
 }
 
-// Doc assembles the exposition document. series filters to ids equal to
-// or prefixed by any of the given names (all series when empty); window
-// bounds the returned history (everything retained when <= 0).
-func (s *Sampler) Doc(seriesFilter []string, window time.Duration) Doc {
+// Doc assembles the exposition document from the request's ?series=
+// filter and ?window= bound.
+func (s *Sampler) Doc(p telemetry.Params) Doc {
 	doc := Doc{Series: map[string][]Point{}}
 	if s == nil {
 		return doc
@@ -30,60 +29,24 @@ func (s *Sampler) Doc(seriesFilter []string, window time.Duration) Doc {
 	doc.Retention = s.cfg.Retention
 	doc.Samples = s.Samples()
 	for _, id := range s.SeriesNames() {
-		if !matchSeries(id, seriesFilter) {
+		if !p.MatchSeries(id) {
 			continue
 		}
-		if pts := s.Window(id, window); len(pts) > 0 {
+		if pts := s.Window(id, p.Window); len(pts) > 0 {
 			doc.Series[id] = pts
 		}
 	}
 	return doc
 }
 
-// matchSeries reports whether id passes the filter: any filter entry
-// that is a prefix of the id matches, so "rpcmr_task" selects the whole
-// family and a full rendered id selects one series.
-func matchSeries(id string, filter []string) bool {
-	if len(filter) == 0 {
-		return true
-	}
-	for _, f := range filter {
-		if strings.HasPrefix(id, f) {
-			return true
-		}
-	}
-	return false
-}
-
-// Mount serves the sampler's rings as JSON at /debug/timeseries.
-// Query parameters: ?series=a,b filters to those ids or prefixes,
-// ?window=30s bounds the returned history.
+// Mount serves the sampler's rings at /debug/timeseries. ?series=a,b
+// filters to those ids or prefixes, ?window=30s bounds the returned
+// history. A nil sampler is a 404.
 func Mount(mux *http.ServeMux, s *Sampler) {
-	mux.HandleFunc(Path, func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet && req.Method != http.MethodHead {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
+	telemetry.HandleJSON(mux, Path, func(p telemetry.Params) (any, int, error) {
+		if s == nil {
+			return nil, http.StatusNotFound, errors.New("time-series sampling off")
 		}
-		var filter []string
-		if raw := req.URL.Query().Get("series"); raw != "" {
-			for _, f := range strings.Split(raw, ",") {
-				if f = strings.TrimSpace(f); f != "" {
-					filter = append(filter, f)
-				}
-			}
-		}
-		var window time.Duration
-		if raw := req.URL.Query().Get("window"); raw != "" {
-			d, err := time.ParseDuration(raw)
-			if err != nil {
-				http.Error(w, "bad window: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			window = d
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Doc(filter, window))
+		return s.Doc(p), 0, nil
 	})
 }

@@ -1,5 +1,5 @@
-// Package timeseries gives the metrics registry a memory: a Sampler
-// periodically copies every scalar series of a telemetry.Registry into
+// Package timeseries gives the metrics registry a memory: each Sample of
+// a Sampler copies every scalar series of a telemetry.Registry into
 // bounded in-memory rings, turning the registry's instantaneous values
 // into short history that windowed queries — rate, min/max, quantile —
 // and the anomaly watchdog can reason about. A /debug/timeseries mount
@@ -24,21 +24,12 @@ import (
 
 // Config tunes a Sampler.
 type Config struct {
-	// Interval is the sampling cadence. Defaults to 1s.
+	// Interval is the cadence the sampler's owner calls Sample at; the
+	// sampler only reports it, in the /debug/timeseries document.
 	Interval time.Duration
 	// Retention is how many samples each series ring keeps. Defaults to
-	// 300 (5 minutes at the default cadence).
+	// 300 (5 minutes at a 1s cadence).
 	Retention int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
-	if c.Retention < 2 {
-		c.Retention = 300
-	}
-	return c
 }
 
 // Point is one recorded sample of one series.
@@ -54,9 +45,10 @@ type ring struct {
 	vals []float64
 }
 
-// Sampler owns the rings and the background sampling loop. All methods
-// are safe for concurrent use; a nil *Sampler answers every query empty,
-// so call sites can hold a bare handle when sampling is off.
+// Sampler owns the rings. It has no loop of its own: its owner (the
+// debugserver plane's clock; a test) calls Sample. All methods are safe
+// for concurrent use; a nil *Sampler answers every query empty, so call
+// sites can hold a bare handle when sampling is off.
 type Sampler struct {
 	reg *telemetry.Registry
 	cfg Config
@@ -67,27 +59,23 @@ type Sampler struct {
 	tick   int     // total samples taken
 	series map[string]*ring
 
-	stopc    chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
 	// visit is the pre-bound VisitSamples callback, hoisted so the
 	// steady-state sample path closes over nothing per tick.
 	visit func(id string, v float64)
 	slot  int // ring slot the in-progress sample writes (mu held)
 }
 
-// NewSampler builds a sampler over reg. Call Start to begin the
-// periodic loop, or drive Sample directly (tests, final flushes).
+// NewSampler builds a sampler over reg.
 func NewSampler(reg *telemetry.Registry, cfg Config) *Sampler {
-	cfg = cfg.withDefaults()
+	if cfg.Retention < 2 {
+		cfg.Retention = 300
+	}
 	s := &Sampler{
 		reg:    reg,
 		cfg:    cfg,
 		now:    time.Now,
 		times:  make([]int64, cfg.Retention),
 		series: make(map[string]*ring),
-		stopc:  make(chan struct{}),
 	}
 	s.visit = func(id string, v float64) {
 		r := s.series[id]
@@ -103,60 +91,7 @@ func NewSampler(reg *telemetry.Registry, cfg Config) *Sampler {
 	return s
 }
 
-// Interval reports the configured cadence.
-func (s *Sampler) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.cfg.Interval
-}
-
-// Retention reports the configured ring capacity.
-func (s *Sampler) Retention() int {
-	if s == nil {
-		return 0
-	}
-	return s.cfg.Retention
-}
-
-// Start launches the background sampling loop. Safe to call once.
-func (s *Sampler) Start() {
-	if s == nil {
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		ticker := time.NewTicker(s.cfg.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-s.stopc:
-				return
-			case <-ticker.C:
-				s.Sample()
-			}
-		}
-	}()
-}
-
-// Stop ends the background loop and takes one final sample, so the last
-// state of a draining process is retained (the graceful-shutdown flush
-// the binaries call before their debug server goes away).
-func (s *Sampler) Stop() {
-	if s == nil {
-		return
-	}
-	s.stopOnce.Do(func() {
-		close(s.stopc)
-		s.wg.Wait()
-		s.Sample()
-	})
-}
-
-// Sample takes one sample of every registry series right now. The
-// periodic loop calls it on cadence; binaries call it once more on the
-// drain path.
+// Sample takes one sample of every registry series right now.
 func (s *Sampler) Sample() {
 	if s == nil {
 		return
@@ -257,50 +192,6 @@ func (s *Sampler) Rate(id string, window time.Duration) (perSec float64, ok bool
 		return 0, false
 	}
 	return rise / dt, true
-}
-
-// MinMax returns the smallest and largest sample in the window. ok is
-// false when the window holds no samples.
-func (s *Sampler) MinMax(id string, window time.Duration) (min, max float64, ok bool) {
-	pts := s.Window(id, window)
-	if len(pts) == 0 {
-		return 0, 0, false
-	}
-	min, max = pts[0].Value, pts[0].Value
-	for _, p := range pts[1:] {
-		if p.Value < min {
-			min = p.Value
-		}
-		if p.Value > max {
-			max = p.Value
-		}
-	}
-	return min, max, true
-}
-
-// Quantile returns the q-quantile (0..1, nearest-rank) of the window's
-// sample values. ok is false when the window holds no samples.
-func (s *Sampler) Quantile(id string, q float64, window time.Duration) (float64, bool) {
-	pts := s.Window(id, window)
-	if len(pts) == 0 {
-		return 0, false
-	}
-	vals := make([]float64, len(pts))
-	for i, p := range pts {
-		vals[i] = p.Value
-	}
-	sort.Float64s(vals)
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	i := int(math.Ceil(q*float64(len(vals)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return vals[i], true
 }
 
 // Last returns the most recent sample of series id.

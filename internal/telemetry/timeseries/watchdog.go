@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,9 +14,9 @@ import (
 )
 
 // The anomaly watchdog closes the observe→notice loop: a small rule
-// engine evaluated on cadence against the sampler's rings. A rule that
-// starts firing (the rising edge — a firing rule stays quiet until it
-// clears and fires again) emits one EventLog warning, increments
+// engine its owner evaluates after each sample of the sampler's rings. A
+// rule that starts firing (the rising edge — a firing rule stays quiet
+// until it clears and fires again) emits one EventLog warning, increments
 // telemetry_anomalies_total{rule}, and can trigger capture-on-anomaly:
 // an on-disk CPU+heap pprof pair taken while the anomaly is still live,
 // rate-limited by a cooldown so a flapping rule cannot fill the disk.
@@ -40,9 +41,6 @@ type Rule struct {
 
 // WatchdogConfig tunes a Watchdog.
 type WatchdogConfig struct {
-	// Interval is the evaluation cadence. Defaults to the sampler's
-	// sampling interval.
-	Interval time.Duration
 	// Events receives one warning per anomaly rising edge (nil drops).
 	Events *telemetry.EventLog
 	// Metrics receives telemetry_anomalies_total{rule} and
@@ -51,40 +49,20 @@ type WatchdogConfig struct {
 	// CaptureDir, when non-empty, enables capture-on-anomaly: a CPU and
 	// a heap profile written there on each captured anomaly.
 	CaptureDir string
-	// CaptureCooldown is the minimum spacing between captures (across
-	// all rules). Defaults to 5 minutes.
-	CaptureCooldown time.Duration
-	// CPUProfileDuration is how long the capture's CPU profile runs.
-	// Defaults to 1s.
-	CPUProfileDuration time.Duration
 }
 
-func (c WatchdogConfig) withDefaults(s *Sampler) WatchdogConfig {
-	if c.Interval <= 0 {
-		c.Interval = s.Interval()
-		if c.Interval <= 0 {
-			c.Interval = time.Second
-		}
-	}
-	if c.CaptureCooldown <= 0 {
-		c.CaptureCooldown = 5 * time.Minute
-	}
-	if c.CPUProfileDuration <= 0 {
-		c.CPUProfileDuration = time.Second
-	}
-	return c
-}
+const (
+	// captureCooldown is the minimum spacing between captures, across
+	// all rules: a flapping rule cannot fill the disk.
+	captureCooldown = 5 * time.Minute
+	// cpuProfileDuration is how long a capture's CPU profile runs, unless
+	// Close cuts it short.
+	cpuProfileDuration = time.Second
+)
 
-// Capture records one on-disk profile pair.
-type Capture struct {
-	Rule     string    `json:"rule"`
-	Time     time.Time `json:"time"`
-	CPUFile  string    `json:"cpu_file"`
-	HeapFile string    `json:"heap_file"`
-	Err      string    `json:"err,omitempty"`
-}
-
-// Watchdog evaluates rules against a sampler on cadence.
+// Watchdog evaluates rules against a sampler. It has no loop of its own:
+// its owner (the debugserver plane's clock; a test) calls Evaluate after
+// Sample, and Close when done.
 type Watchdog struct {
 	s     *Sampler
 	cfg   WatchdogConfig
@@ -93,71 +71,34 @@ type Watchdog struct {
 	mu          sync.Mutex
 	firing      map[string]bool // rule name → was firing last tick
 	lastCapture time.Time
-	capturing   bool
-	captures    []Capture
-	seq         int
 
-	stopc    chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	closec    chan struct{} // closed by Close: cuts a running CPU profile short
+	closeOnce sync.Once
+	captures  sync.WaitGroup
 }
 
 // NewWatchdog builds a watchdog over s with the given rules.
 func NewWatchdog(s *Sampler, cfg WatchdogConfig, rules ...Rule) *Watchdog {
 	return &Watchdog{
 		s:      s,
-		cfg:    cfg.withDefaults(s),
+		cfg:    cfg,
 		rules:  rules,
 		firing: make(map[string]bool),
-		stopc:  make(chan struct{}),
+		closec: make(chan struct{}),
 	}
 }
 
-// Start launches the background evaluation loop.
-func (w *Watchdog) Start() {
+// Close ends a capture in flight (its CPU profile is cut short, the
+// heap profile still written) and returns once it has finished.
+func (w *Watchdog) Close() {
 	if w == nil {
 		return
 	}
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		ticker := time.NewTicker(w.cfg.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-w.stopc:
-				return
-			case <-ticker.C:
-				w.Evaluate()
-			}
-		}
-	}()
+	w.closeOnce.Do(func() { close(w.closec) })
+	w.captures.Wait()
 }
 
-// Stop ends the evaluation loop (a capture in flight finishes on its
-// own goroutine).
-func (w *Watchdog) Stop() {
-	if w == nil {
-		return
-	}
-	w.stopOnce.Do(func() {
-		close(w.stopc)
-		w.wg.Wait()
-	})
-}
-
-// Captures returns the captures recorded so far.
-func (w *Watchdog) Captures() []Capture {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]Capture(nil), w.captures...)
-}
-
-// Evaluate runs every rule once. The background loop calls it on
-// cadence; tests call it directly.
+// Evaluate runs every rule once.
 func (w *Watchdog) Evaluate() {
 	if w == nil {
 		return
@@ -189,62 +130,50 @@ func (w *Watchdog) Evaluate() {
 	}
 }
 
-// maybeCapture starts an async CPU+heap capture unless disabled, inside
-// the cooldown, or already capturing.
+// maybeCapture starts an async CPU+heap capture unless disabled or
+// inside the cooldown — which, outlasting a capture many times over, also
+// keeps two from running at once and their file names apart.
 func (w *Watchdog) maybeCapture(rule string) {
 	if w.cfg.CaptureDir == "" {
 		return
 	}
 	w.mu.Lock()
 	now := time.Now()
-	if w.capturing || (!w.lastCapture.IsZero() && now.Sub(w.lastCapture) < w.cfg.CaptureCooldown) {
+	if !w.lastCapture.IsZero() && now.Sub(w.lastCapture) < captureCooldown {
 		w.mu.Unlock()
 		return
 	}
-	w.capturing = true
 	w.lastCapture = now
-	w.seq++
-	seq := w.seq
 	w.mu.Unlock()
 
-	w.wg.Add(1)
+	w.captures.Add(1)
 	go func() {
-		defer w.wg.Done()
-		cap := w.capture(rule, now, seq)
-		w.mu.Lock()
-		w.captures = append(w.captures, cap)
-		w.capturing = false
-		w.mu.Unlock()
-		if cap.Err != "" {
+		defer w.captures.Done()
+		cpuFile, heapFile, err := w.capture(rule, now)
+		if err != nil {
 			w.cfg.Events.Warn("anomaly capture failed",
-				telemetry.A("rule", rule), telemetry.A("err", cap.Err))
+				telemetry.A("rule", rule), telemetry.A("err", err.Error()))
 			return
 		}
 		if reg := w.cfg.Metrics; reg != nil {
 			reg.Counter("telemetry_anomaly_captures_total").Inc()
 		}
-		w.cfg.Events.Info("anomaly profile captured",
-			telemetry.A("rule", rule),
-			telemetry.A("cpu_file", cap.CPUFile),
-			telemetry.A("heap_file", cap.HeapFile))
+		w.cfg.Events.Info("anomaly profile captured", telemetry.A("rule", rule),
+			telemetry.A("cpu_file", cpuFile), telemetry.A("heap_file", heapFile))
 	}()
 }
 
-// capture writes the CPU and heap profile pair.
-func (w *Watchdog) capture(rule string, at time.Time, seq int) Capture {
-	cap := Capture{Rule: rule, Time: at}
+// capture writes the CPU and heap profile pair into CaptureDir.
+func (w *Watchdog) capture(rule string, at time.Time) (cpuFile, heapFile string, err error) {
 	if err := os.MkdirAll(w.cfg.CaptureDir, 0o755); err != nil {
-		cap.Err = err.Error()
-		return cap
+		return "", "", err
 	}
-	stamp := fmt.Sprintf("%s-%s-%03d", sanitizeRule(rule), at.Format("20060102T150405"), seq)
-	cap.CPUFile = filepath.Join(w.cfg.CaptureDir, "anomaly-"+stamp+".cpu.pprof")
-	cap.HeapFile = filepath.Join(w.cfg.CaptureDir, "anomaly-"+stamp+".heap.pprof")
+	base := filepath.Join(w.cfg.CaptureDir, "anomaly-"+sanitizeRule(rule)+"-"+at.Format("20060102T150405"))
+	cpuFile, heapFile = base+".cpu.pprof", base+".heap.pprof"
 
-	cf, err := os.Create(cap.CPUFile)
+	cf, err := os.Create(cpuFile)
 	if err != nil {
-		cap.Err = err.Error()
-		return cap
+		return "", "", err
 	}
 	// StartCPUProfile fails when another CPU profile is already running
 	// (e.g. a /debug/pprof/profile scrape) — record and move on, the
@@ -252,32 +181,23 @@ func (w *Watchdog) capture(rule string, at time.Time, seq int) Capture {
 	cpuErr := pprof.StartCPUProfile(cf)
 	if cpuErr == nil {
 		select {
-		case <-time.After(w.cfg.CPUProfileDuration):
-		case <-w.stopc:
+		case <-time.After(cpuProfileDuration):
+		case <-w.closec:
 		}
 		pprof.StopCPUProfile()
 	}
 	if err := cf.Close(); err != nil && cpuErr == nil {
 		cpuErr = err
 	}
-	hf, err := os.Create(cap.HeapFile)
+	hf, err := os.Create(heapFile)
 	if err != nil {
-		cap.Err = err.Error()
-		return cap
+		return "", "", errors.Join(cpuErr, err)
 	}
 	heapErr := pprof.WriteHeapProfile(hf)
 	if err := hf.Close(); err != nil && heapErr == nil {
 		heapErr = err
 	}
-	switch {
-	case cpuErr != nil && heapErr != nil:
-		cap.Err = cpuErr.Error() + "; " + heapErr.Error()
-	case cpuErr != nil:
-		cap.Err = cpuErr.Error()
-	case heapErr != nil:
-		cap.Err = heapErr.Error()
-	}
-	return cap
+	return cpuFile, heapFile, errors.Join(cpuErr, heapErr)
 }
 
 // sanitizeRule makes a rule name filesystem-safe.
@@ -389,10 +309,8 @@ func GaugeAboveRule(name, family string, threshold float64, labelKey string) Rul
 				Series: id,
 				Detail: fmt.Sprintf("value %g >= threshold %g", last.Value, threshold),
 			}
-			if labelKey != "" {
-				if who := labelOf(id, labelKey); who != "" {
-					f.Attrs = append(f.Attrs, telemetry.A(labelKey, who))
-				}
+			if who := labelOf(id, labelKey); who != "" {
+				f.Attrs = append(f.Attrs, telemetry.A(labelKey, who))
 			}
 			findings = append(findings, f)
 		}

@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"log/slog"
 	"os"
 	"path/filepath"
 	"testing"
@@ -141,11 +142,9 @@ func TestWatchdogCaptureWritesProfilesOnceWithinCooldown(t *testing.T) {
 		return nil
 	}}
 	w := NewWatchdog(s, WatchdogConfig{
-		Events:             events,
-		Metrics:            reg,
-		CaptureDir:         dir,
-		CaptureCooldown:    time.Hour,
-		CPUProfileDuration: 10 * time.Millisecond,
+		Events:     events,
+		Metrics:    reg,
+		CaptureDir: dir,
 	}, rule)
 
 	// First incident captures; a cleared-and-refired incident inside the
@@ -155,26 +154,19 @@ func TestWatchdogCaptureWritesProfilesOnceWithinCooldown(t *testing.T) {
 	w.Evaluate()
 	firing = true
 	w.Evaluate()
-	w.Stop() // waits for the capture goroutine
+	w.Close() // waits for the capture goroutine
 
-	caps := w.Captures()
-	if len(caps) != 1 {
-		t.Fatalf("captures = %d, want exactly 1 (cooldown)", len(caps))
+	for _, kind := range []string{"cpu", "heap"} {
+		files, err := filepath.Glob(filepath.Join(dir, "anomaly-cap-rule-*."+kind+".pprof"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("%s profiles in %s = %v (%v), want exactly 1 (cooldown)", kind, dir, files, err)
+		}
+		if st, err := os.Stat(files[0]); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s: %v, want a non-empty file", files[0], err)
+		}
 	}
-	if caps[0].Err != "" {
-		t.Fatalf("capture error: %s", caps[0].Err)
-	}
-	for _, f := range []string{caps[0].CPUFile, caps[0].HeapFile} {
-		st, err := os.Stat(f)
-		if err != nil {
-			t.Fatalf("profile %s: %v", f, err)
-		}
-		if st.Size() == 0 {
-			t.Errorf("profile %s is empty", f)
-		}
-		if filepath.Dir(f) != dir {
-			t.Errorf("profile %s outside capture dir %s", f, dir)
-		}
+	if warned := events.Events(0, slog.LevelWarn); len(warned) != 2 { // the two rising edges; no capture failure
+		t.Errorf("warnings = %+v, want only the two anomalies", warned)
 	}
 	if got := reg.Counter("telemetry_anomaly_captures_total").Value(); got != 1 {
 		t.Errorf("captures counter = %d, want 1", got)
@@ -189,8 +181,8 @@ func TestWatchdogNoCaptureWithoutDir(t *testing.T) {
 	}}
 	w := NewWatchdog(s, WatchdogConfig{Metrics: reg}, rule)
 	w.Evaluate()
-	w.Stop()
-	if caps := w.Captures(); len(caps) != 0 {
-		t.Fatalf("captures without dir = %d, want 0", len(caps))
+	w.Close()
+	if got := reg.Counter("telemetry_anomaly_captures_total").Value(); got != 0 {
+		t.Fatalf("captures without dir = %d, want 0", got)
 	}
 }
