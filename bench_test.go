@@ -354,9 +354,10 @@ func BenchmarkLocalSkyline(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeTree is the merging job's reducer workload: fold 16
-// partial skylines into the global one, sequential concat+BNL versus the
-// parallel merge tree.
+// BenchmarkMergeTree is the merging job's workload: merge 16 partial
+// skylines into the global one, sequential concat+BNL versus the shared
+// filter of skyline.MergeSkylines. (It keeps the name it had while that was
+// a tournament tree: BENCH_kernels.json is keyed by it.)
 func BenchmarkMergeTree(b *testing.B) {
 	const chunks = 16
 	for _, d := range benchKernelDims {

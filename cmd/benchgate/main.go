@@ -186,7 +186,7 @@ func main() {
 		lo, hi := i*kn/chunks, (i+1)*kn/chunks
 		partials = append(partials, skyline.FlatBNL(kdata[lo:hi]))
 	}
-	rep.Kernels = append(rep.Kernels, row("merge_tree", kn, *d, *runs,
+	rep.Kernels = append(rep.Kernels, row("merge_filter", kn, *d, *runs,
 		func() {
 			var union points.Set
 			for _, p := range partials {

@@ -120,10 +120,13 @@ type Stats struct {
 	// LocalSkylines maps partition id → local skyline (Job 1 output).
 	LocalSkylines map[int]points.Set
 	// PartitionJob and MergeJob are the per-job phase timings; Timing is
-	// their sum. A budgeted merge schedule books its wall clock as
-	// MergeJob's Reduce and Total.
+	// their sum. The merging job's work — every worker filtering its share
+	// of the candidates — is MergeJob's Map; its Reduce only concatenates
+	// the survivors. A budgeted merge schedule, which folds, books its wall
+	// clock as MergeJob's Reduce and Total.
 	PartitionJob, MergeJob, Timing mapreduce.Timing
-	// Counters merges both jobs' framework counters.
+	// Counters merges both jobs' framework counters. The merging job
+	// combines nothing, so mr.combine.records.* are Job 1's alone.
 	Counters map[string]int64
 	// ReducerPeakBytes is the largest reducer-resident working set any
 	// reduce task or merge fold reached (0 when the budgeted streaming

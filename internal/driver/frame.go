@@ -3,7 +3,9 @@ package driver
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/mapreduce"
@@ -27,10 +29,10 @@ import (
 // staged partition, without staging it).
 var bnlWindows = mapreduce.NewAccumulators(func() mapreduce.Accumulator { return skyline.NewWindow() })
 
-// blockKernel resolves the operator both jobs run over a block. band is
-// what every job constructor here calls its operator argument: 0 is the
-// skyline — the flat implementation of o.Kernel, or KernelOverride through
-// the Set↔Block adapter — and k ≥ 1 the k-skyband, skyline.Skyband(·, k)
+// blockKernel resolves the operator Job 1 runs over a block. band is what
+// every job constructor here calls its operator argument: 0 is the skyline
+// — the flat implementation of o.Kernel, or KernelOverride through the
+// Set↔Block adapter — and k ≥ 1 the k-skyband, skyline.Skyband(·, k)
 // through the same adapter.
 func (o Options) blockKernel(band int) skyline.BlockFunc {
 	switch {
@@ -45,23 +47,38 @@ func (o Options) blockKernel(band int) skyline.BlockFunc {
 	return skyline.BlockByAlgorithm(o.Kernel)
 }
 
-// frameJob assembles a job around mapper. Map side, the "middle process":
-// nothing under DisableCombiner, incremental windows for BNL, and for the
-// other operators — which need the whole block — staged rows plus a block
-// combiner. Reduce side: under a reducer budget the reducers fold frames
-// one at a time into a bounded skyline window instead of assembling whole
-// partitions; otherwise reduce runs over each assembled partition and its
-// survivors are the partition's output. The windows and the budgeted fold
-// are skyline folds — one dominator evicts a row — so a band job gets
-// neither.
-func (o Options) frameJob(dim, band int, mapper mapreduce.RowMapper, reduce skyline.BlockFunc) mapreduce.FrameJob {
-	job := mapreduce.FrameJob{Mapper: mapper}
+// PartitionJob is Job 1 (Algorithm 1, lines 2–10) over dim-dimensional
+// rows, without its Feed: assign each point — for MR-Angle, the angular
+// transform of Eq. (1) — and route it to its partition unless pruned marks
+// the cell provably dominated (MR-Grid pruning; nil prunes nothing); the
+// operator band selects (see blockKernel) reduces each partition to its
+// local skyline or band. Map side, the "middle process": nothing under
+// DisableCombiner, incremental windows for BNL, and for the other operators
+// — which need the whole block — staged rows plus a block combiner. Reduce
+// side: under a reducer budget the reducers fold frames one at a time into
+// a bounded skyline window instead of assembling whole partitions;
+// otherwise the kernel runs over each assembled partition and its survivors
+// are the partition's output. The windows and the budgeted fold are skyline
+// folds — one dominator evicts a row — so a band job gets neither. Of o it
+// reads Kernel, KernelOverride, DisableCombiner, ReducerBudgetBytes,
+// SpillDir and Codec.
+func PartitionJob(part partition.Partitioner, pruned []bool, dim, band int, o Options) mapreduce.FrameJob {
+	job := mapreduce.FrameJob{Mapper: func(row []float64, emit mapreduce.EmitPoint) error {
+		id, err := part.Assign(row)
+		if err != nil {
+			return err
+		}
+		if pruned == nil || !pruned[id] {
+			emit(id, row)
+		}
+		return nil
+	}}
+	kernel := o.blockKernel(band)
 	switch {
 	case o.DisableCombiner:
 	case band == 0 && o.KernelOverride == nil && o.Kernel == skyline.BNLAlgorithm:
 		job.Accumulators = bnlWindows
 	default:
-		kernel := o.blockKernel(band)
 		job.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
 	}
 	if budget := o.ReducerBudgetBytes; budget > 0 && band == 0 {
@@ -72,7 +89,7 @@ func (o Options) frameJob(dim, band int, mapper mapreduce.RowMapper, reduce skyl
 		return job
 	}
 	job.Reducer = mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-		sky := reduce(blk)
+		sky := kernel(blk)
 		for i := 0; i < sky.Len(); i++ {
 			emit(partition, sky.Row(i))
 		}
@@ -81,44 +98,59 @@ func (o Options) frameJob(dim, band int, mapper mapreduce.RowMapper, reduce skyl
 	return job
 }
 
-// PartitionJob is Job 1 (Algorithm 1, lines 2–10) over dim-dimensional
-// rows, without its Feed: assign each point — for MR-Angle, the angular
-// transform of Eq. (1) — and route it to its partition unless pruned marks
-// the cell provably dominated (MR-Grid pruning; nil prunes nothing); the
-// operator band selects (see blockKernel) reduces each partition to its
-// local skyline or band. Of o it reads Kernel, KernelOverride,
-// DisableCombiner, ReducerBudgetBytes, SpillDir and Codec.
-func PartitionJob(part partition.Partitioner, pruned []bool, dim, band int, o Options) mapreduce.FrameJob {
-	return o.frameJob(dim, band, func(row []float64, emit mapreduce.EmitPoint) error {
-		id, err := part.Assign(row)
-		if err != nil {
-			return err
-		}
-		if pruned == nil || !pruned[id] {
-			emit(id, row)
-		}
-		return nil
-	}, o.blockKernel(band))
+// mergeTaskRows is the fewest candidates worth a map task of their own:
+// below it the task's fixed costs — on a cluster, the whole candidate set
+// shipped and laid out once more — exceed what a second worker would save,
+// so a few hundred candidates are one task.
+const mergeTaskRows = 1024
+
+// MergeTasks is the number of map tasks the merging job is cut into: one per
+// worker (0 means GOMAXPROCS), as far as the rows candidates go round.
+func MergeTasks(workers, rows int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, (rows+mergeTaskRows-1)/mergeTaskRows)
 }
 
-// MergeJob is Job 2 (Algorithm 1, lines 11–15), without its Feed: every
-// local skyline point goes to the one global partition, each map task
-// pre-merging its share, and — unbudgeted — the single reduce runs the
-// parallel merge tree on the assembled candidate block (for a band, the
-// band operator: the tree is a skyline merge). ctx carries the run's tracer
-// so each merge level records a span; o.Workers sizes the tree (0 means
-// GOMAXPROCS) and band and o are otherwise read as by PartitionJob.
-func MergeJob(ctx context.Context, dim, band int, o Options) mapreduce.FrameJob {
-	reduce := func(blk *points.Block) *points.Block {
-		return skyline.ParallelBlock(ctx, blk, o.Workers)
+// MergeJob is Job 2 (Algorithm 1, lines 11–15), without its Feed — and
+// without the paper's single reducer. Its input is the candidate set, every
+// local skyline row of dim dimensions, and every one of its map tasks reads
+// all of it (mapreduce.WholeInput): the candidates are laid out as a
+// skyline.Filter — by the first task of a job value to get there, for all of
+// them; in process that is one layout a job, on a cluster, where a worker
+// instantiates the job per task, one a task, each the same because the
+// layout is a function of the rows — and task t tests rows t, t+T, … of the
+// layout against it, emitting the survivors to the one global partition
+// (paper line 13: output(null, si)). band is the operator: 0 keeps the rows
+// no candidate dominates, k ≥ 1 those fewer than k do. Nothing is combined
+// and the one reduce task only concatenates, so the job's work is its Map
+// time and only the global skyline crosses its shuffle.
+func MergeJob(dim, band int) mapreduce.FrameJob {
+	var (
+		once   sync.Once
+		filter *skyline.Filter
+		err    error
+	)
+	return mapreduce.FrameJob{
+		TaskMapper: func(candidates []*points.Block, task, tasks int, emit mapreduce.EmitPoint) (int, error) {
+			once.Do(func() {
+				if filter, err = skyline.NewFilter(candidates, band); err == nil && filter.Dim() != dim {
+					err = fmt.Errorf("%w: %d-dimensional rows in a %d-dimensional merge", skyline.ErrCandidates, filter.Dim(), dim)
+				}
+			})
+			if err != nil {
+				return 0, err
+			}
+			return filter.Share(task, tasks, func(row []float64) { emit(0, row) }), nil
+		},
+		Reducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
+			for i := 0; i < blk.Len(); i++ {
+				emit(partition, blk.Row(i))
+			}
+			return nil
+		}),
 	}
-	if band > 0 {
-		reduce = o.blockKernel(band)
-	}
-	return o.frameJob(dim, band, func(row []float64, emit mapreduce.EmitPoint) error {
-		emit(0, row) // paper line 13: output(null, si) — one global partition
-		return nil
-	}, reduce)
 }
 
 // Executor is where Algorithm 1's two jobs run. It decides where rows come
@@ -168,9 +200,13 @@ func (e inProcess) Partition(ctx context.Context) (*mapreduce.FrameResult, error
 }
 
 func (e inProcess) Merge(ctx context.Context, candidates []*points.Block) (*mapreduce.FrameResult, error) {
-	job := MergeJob(ctx, e.dim, e.band, e.opts)
-	job.Feed = mapreduce.BlockRows(candidates)
-	// All local skylines share one partition (paper lines 12–15).
+	job := MergeJob(e.dim, e.band)
+	rows := 0
+	for _, blk := range candidates {
+		rows += blk.Len()
+	}
+	job.Feed = mapreduce.WholeInput(candidates, MergeTasks(e.opts.Workers, rows))
+	// All survivors share one partition (paper lines 12–15).
 	return mapreduce.RunFrames(ctx, e.config(ctx, "merging", 1), job)
 }
 

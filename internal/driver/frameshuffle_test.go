@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/partition"
@@ -37,5 +38,46 @@ func TestFrameShuffleCounters(t *testing.T) {
 	max := int64(len(data)*4*8) * 2
 	if bytes <= 0 || bytes > max {
 		t.Errorf("shuffle bytes = %d, want in (0, %d]", bytes, max)
+	}
+}
+
+// TestMergeTasks: the merging job is one map task per worker as far as the
+// candidates go round at mergeTaskRows each — a few hundred are one task,
+// none are no task — from the two counts alone.
+func TestMergeTasks(t *testing.T) {
+	for _, c := range []struct{ workers, rows, want int }{
+		{2, 0, 0}, {2, 1, 1}, {2, mergeTaskRows, 1}, {2, mergeTaskRows + 1, 2}, {2, 1 << 20, 2},
+		{3, 2*mergeTaskRows + 1, 3}, {8, 3 * mergeTaskRows, 3}, {1, 1 << 20, 1},
+		{0, 1 << 20, runtime.GOMAXPROCS(0)}, {-1, 1 << 20, runtime.GOMAXPROCS(0)},
+	} {
+		if got := MergeTasks(c.workers, c.rows); got != c.want {
+			t.Errorf("MergeTasks(%d workers, %d rows) = %d, want %d", c.workers, c.rows, got, c.want)
+		}
+	}
+}
+
+// TestMergeJobShufflesTheResult: Job 2 lets through its map side only what
+// the global skyline keeps — its map output and its shuffle are the result,
+// row for row — and combines nothing, whatever the number of tasks.
+func TestMergeJobShufflesTheResult(t *testing.T) {
+	data := dupSet(23, 6000, 7)
+	for _, workers := range []int{1, 2, 5} {
+		sky, stats, err := Compute(context.Background(), data, Options{Scheme: partition.Angular, Nodes: 4, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tasks := MergeTasks(workers, stats.LocalSkylineTotal()); tasks != min(workers, 2) {
+			t.Fatalf("%d candidates are %d merge tasks for %d workers: the test wants one, two and two", stats.LocalSkylineTotal(), tasks, workers)
+		}
+		n, kept := int64(len(data)), int64(len(sky))
+		c := stats.Counters
+		if c["mr.map.records.out"] != n+kept || c["mr.combine.records.in"] != n ||
+			c["mr.reduce.records.out"] != int64(stats.LocalSkylineTotal())+kept {
+			t.Errorf("%d workers: counters %v; want map out %d + %d, combine in %d, reduce out %d + %d",
+				workers, c, n, kept, n, stats.LocalSkylineTotal(), kept)
+		}
+		if stats.MergeJob.Map <= 0 {
+			t.Errorf("%d workers: merging job timing %+v; want its work timed in Map", workers, stats.MergeJob)
+		}
 	}
 }

@@ -176,8 +176,8 @@ func TestAccumulatorJobsAgreeUnderRetry(t *testing.T) {
 	// failsOnce errors the first time it meets each task's 200th row.
 	var tripped [64]atomic.Bool
 	seen := make(map[*float64]int) // row identity → chunk, for the trip wire
-	for c, blk := range blocks {
-		seen[&blk.Row(per / 2)[0]] = c
+	for c := range blocks {
+		seen[&data[c*per+per/2][0]] = c
 	}
 	failsOnce := RowMapper(func(row []float64, emit EmitPoint) error {
 		if c, ok := seen[&row[0]]; ok && tripped[c].CompareAndSwap(false, true) {
@@ -207,8 +207,7 @@ func TestAccumulatorJobsAgreeUnderRetry(t *testing.T) {
 		retries int64
 	}{
 		{"windows over a set", FrameJob{Feed: SetRows(data), Mapper: mapper, Accumulators: windows}, 0},
-		{"windows over blocks", FrameJob{Feed: BlockRows(blocks), Mapper: mapper, Accumulators: windows}, 0},
-		{"windows, mapper fails mid-task", FrameJob{Feed: BlockRows(blocks), Mapper: failsOnce, Accumulators: windows}, int64(len(blocks))},
+		{"windows, mapper fails mid-task", FrameJob{Feed: SetRows(data), Mapper: failsOnce, Accumulators: windows}, int64(len(blocks))},
 		{"windows over flaky chunks", FrameJob{Feed: ChunkRows(&flakyChunks{blocks: blocks, reads: make([]atomic.Int32, len(blocks))}),
 			Mapper: mapper, Accumulators: windows}, int64(len(blocks))},
 		{"windows over chunks whose first read dies half-way", FrameJob{Feed: ChunkRows(&flakyChunks{blocks: blocks,

@@ -32,6 +32,15 @@ type EmitPoint func(partition int, coords []float64)
 // for the call. Must be safe for concurrent use.
 type RowMapper func(row []float64, emit EmitPoint) error
 
+// TaskMapper maps a whole map task at once, for a job whose every map task
+// reads the whole input (see WholeInput) and takes from it the share that
+// goes with its index: input is the job's input, block after block, the same
+// for each of the tasks tasks and only read; task is this one's index. It
+// returns the number of input rows that were this task's to map — summed
+// over the tasks, the job's mr.map.records.in. Must be safe for concurrent
+// use.
+type TaskMapper func(input []*points.Block, task, tasks int, emit EmitPoint) (rows int, err error)
+
 // FrameMapper maps one encoded input record, decoding it itself. Jobs take
 // rows (RowMapper) on every executor; this is BuildFrames' mapper only, kept
 // for the benchmark's staged replay, which compiles against it until
@@ -320,18 +329,35 @@ func buildFrames(feed func(emit EmitPoint) (rows int, err error), accs *Accumula
 	return streams, st, err
 }
 
-// MapFrames is one map task of job for an executor that ships a split as a
-// sealed frame stream (rpcmr): the rows are walked out of input straight
-// into job.Mapper and the task's accumulators — the body RunFrames gives a
-// Feed's rows — so nothing the size of the split exists on the way. job.Feed
-// is not read. An empty, malformed or mixed-dimension stream fails the task.
-func MapFrames(job FrameJob, input []byte, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
+// MapFrames is map task task, of tasks, of job for an executor that ships a
+// split as a sealed frame stream (rpcmr): the rows are walked out of input
+// straight into job.Mapper and the task's accumulators — the body RunFrames
+// gives a Feed's rows — so nothing the size of the split exists on the way;
+// a job with a TaskMapper has its split, the whole input, decoded into one
+// block first. job.Feed is not read. An empty, malformed or mixed-dimension
+// stream fails the task, as does a task index outside the job.
+func MapFrames(job FrameJob, input []byte, task, tasks, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
 	if len(input) == 0 {
 		return nil, FrameStats{}, fmt.Errorf("mapreduce: map task without an input frame")
 	}
-	return buildFrames(func(emit EmitPoint) (int, error) {
+	if task < 0 || task >= tasks {
+		return nil, FrameStats{}, fmt.Errorf("mapreduce: map task %d of %d", task, tasks)
+	}
+	feed := func(emit EmitPoint) (int, error) {
 		return points.WalkFrames(input, func(row []float64) error { return job.Mapper(row, emit) })
-	}, job.Accumulators, job.Combiner, max(reducers, 1), codec)
+	}
+	if job.TaskMapper != nil {
+		feed = func(emit EmitPoint) (rows int, err error) {
+			whole := points.NewBlock(0, 0)
+			for rest := input; len(rest) > 0; {
+				if _, rest, err = points.DecodeFrame(whole, rest); err != nil {
+					return 0, err
+				}
+			}
+			return job.TaskMapper([]*points.Block{whole}, task, tasks, emit)
+		}
+	}
+	return buildFrames(feed, job.Accumulators, job.Combiner, max(reducers, 1), codec)
 }
 
 // BuildFrames runs a frame mapper (and optional block combiner) over one
@@ -416,8 +442,8 @@ func ReduceFrames(streams [][]byte, reducer FrameReducer, codec points.FrameCode
 // drives the mapper itself — for every row of a task it calls
 // mapper(row, emit) — so nothing between the input's own storage and the
 // partition accumulators holds a copy of a point. Feeds are re-readable:
-// a retried task is fed the same rows again. Build one with SetRows,
-// BlockRows or ChunkRows.
+// a retried task is fed the same rows again. Build one with SetRows or
+// ChunkRows — or, for a job with a TaskMapper, WholeInput.
 type RowFeed struct {
 	// units is the input length in the feed's splitting unit and
 	// perUnit whether every unit is its own map task (chunks) or tasks
@@ -426,6 +452,21 @@ type RowFeed struct {
 	perUnit bool
 	// feed maps units [lo, hi) and returns the number of rows it fed.
 	feed func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error)
+	// whole, for WholeInput, is what every one of the wholeTasks map
+	// tasks hands its TaskMapper.
+	whole      []*points.Block
+	wholeTasks int
+}
+
+// WholeInput feeds every one of tasks map tasks the same blocks, whole and
+// as they are: the feed of a job with a TaskMapper, whose tasks divide the
+// work between them rather than the rows.
+func WholeInput(blocks []*points.Block, tasks int) RowFeed {
+	rows := 0
+	for _, blk := range blocks {
+		rows += blk.Len()
+	}
+	return RowFeed{units: rows, whole: blocks, wholeTasks: tasks}
 }
 
 // SetRows feeds an in-memory point set, in order; tasks are
@@ -436,30 +477,6 @@ func SetRows(data points.Set) RowFeed {
 			if err := mapper(p, emit); err != nil {
 				return 0, err
 			}
-		}
-		return hi - lo, nil
-	}}
-}
-
-// BlockRows feeds the rows of the given blocks as one sequence, block
-// after block — how one job's result blocks become the next job's input
-// without being re-encoded. Tasks are Config.SplitSize rows long and may
-// span blocks.
-func BlockRows(blocks []*points.Block) RowFeed {
-	total := 0
-	for _, blk := range blocks {
-		total += blk.Len()
-	}
-	return RowFeed{units: total, feed: func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error) {
-		off := 0 // index of the current block's first row in the sequence
-		for _, blk := range blocks {
-			n := blk.Len()
-			for i := max(lo-off, 0); i < min(hi-off, n); i++ {
-				if err := mapper(blk.Row(i), emit); err != nil {
-					return 0, err
-				}
-			}
-			off += n
 		}
 		return hi - lo, nil
 	}}
@@ -507,9 +524,10 @@ func ChunkRows(src ChunkSource) RowFeed {
 // In-process frame job execution
 
 // FrameJob is what a frame-shuffle job computes: rows from Feed are routed
-// by Mapper into per-partition Accumulators (nil means Staging), each
-// sealed block optionally passes through Combiner, and the shuffled frames
-// are reduced by exactly one of Reducer — which sees each partition's
+// by Mapper — or, where a task needs the whole input before it can judge a
+// row of it, each task's share of a WholeInput by TaskMapper — into
+// per-partition Accumulators (nil means Staging), each sealed block
+// optionally passes through Combiner, and the shuffled frames are reduced by exactly one of Reducer — which sees each partition's
 // fully assembled block — or Folder, whose per-partition folds absorb the
 // frames one at a time, from memory or spill, so that reduce-side memory
 // is bounded by the folds' budgets plus one frame of decode scratch and
@@ -517,6 +535,7 @@ func ChunkRows(src ChunkSource) RowFeed {
 type FrameJob struct {
 	Feed         RowFeed
 	Mapper       RowMapper
+	TaskMapper   TaskMapper
 	Accumulators *Accumulators
 	Combiner     FrameCombiner
 	Reducer      FrameReducer
@@ -538,8 +557,8 @@ type frameTaskOutput struct {
 // header + coordinates), narrated to cfg.Events and bridged into
 // cfg.Metrics.
 func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, error) {
-	if job.Mapper == nil || job.Feed.feed == nil {
-		return nil, fmt.Errorf("mapreduce: %s: feed and mapper must be non-nil", cfg.Name)
+	if (job.Mapper == nil) == (job.TaskMapper == nil) || (job.Mapper == nil) != (job.Feed.feed == nil) {
+		return nil, fmt.Errorf("mapreduce: %s: need a row feed and a mapper, or a whole-input feed and a task mapper", cfg.Name)
 	}
 	if (job.Reducer == nil) == (job.Folder == nil) {
 		return nil, fmt.Errorf("mapreduce: %s: need exactly one of reducer and folder", cfg.Name)
@@ -550,6 +569,9 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		cfg.SplitSize = 1
 	}
 	tasks := (units + cfg.SplitSize - 1) / cfg.SplitSize
+	if job.TaskMapper != nil {
+		tasks = job.Feed.wholeTasks
+	}
 	counters := NewCounters()
 	start := time.Now()
 	ctx, jobSpan := telemetry.StartSpan(ctx, "mr-job:"+cfg.Name,
@@ -682,6 +704,9 @@ func runFrameMapPhase(ctx context.Context, cfg Config, tasks int, job FrameJob, 
 				cfg.logRetry("map", task, attempt, lastErr)
 			}
 			streams, st, err := buildFrames(func(emit EmitPoint) (int, error) {
+				if job.TaskMapper != nil {
+					return job.TaskMapper(job.Feed.whole, task, tasks, emit)
+				}
 				return job.Feed.feed(lo, hi, job.Mapper, emit)
 			}, job.Accumulators, job.Combiner, cfg.Reducers, cfg.Codec)
 			outputs[task] = frameTaskOutput{streams: streams}

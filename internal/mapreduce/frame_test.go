@@ -288,3 +288,100 @@ func TestRunFramesEmptyInput(t *testing.T) {
 		t.Fatalf("blocks = %d, want 0", len(res.Blocks))
 	}
 }
+
+// TestWholeInputTaskMapper: a job with a TaskMapper runs exactly the tasks
+// its WholeInput names, each handed all the blocks and its own index; the
+// counters are the rows the tasks took between them, a failed task is run
+// again, and MapFrames — the same task on an executor that ships the input
+// as a frame stream — seals the bytes the in-process task does.
+func TestWholeInputTaskMapper(t *testing.T) {
+	data := frameTestData(500, 3, 5)
+	a, _ := points.BlockOf(data[:200])
+	b, _ := points.BlockOf(data[200:])
+	blocks := []*points.Block{a, points.NewBlock(0, 0), b}
+	const tasks = 4
+	var failed Counters
+	failed.m = map[string]int64{}
+	// Task t keeps rows t, t+4, … of the input taken as one sequence, and
+	// fails the first time it is tried.
+	strided := func(flaky bool) TaskMapper {
+		return func(input []*points.Block, task, n int, emit EmitPoint) (int, error) {
+			if flaky {
+				failed.mu.Lock()
+				first := failed.m[string(rune('a'+task))] == 0
+				failed.m[string(rune('a'+task))]++
+				failed.mu.Unlock()
+				if first {
+					return 0, errors.New("transient")
+				}
+			}
+			rows, i := 0, 0
+			for _, blk := range input {
+				for r := 0; r < blk.Len(); r, i = r+1, i+1 {
+					if i%n == task {
+						emit(int(blk.Row(r)[0])%3, blk.Row(r))
+						rows++
+					}
+				}
+			}
+			return rows, nil
+		}
+	}
+	_, reducer := identityFrameJob(3)
+	res, err := RunFrames(context.Background(), Config{Name: "whole", Workers: 3, Reducers: 2, MaxAttempts: 2},
+		FrameJob{Feed: WholeInput(blocks, tasks), TaskMapper: strided(true), Reducer: reducer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[int]points.Set)
+	for id, blk := range res.Blocks {
+		got[id] = blk.ToSet()
+	}
+	requireSameSets(t, routedDirectly(data, 3), got)
+	n := int64(len(data))
+	if c := res.Counters.Snapshot(); c[CounterMapIn] != n || c[CounterMapOut] != n || c[CounterShuffle] != n ||
+		c[CounterMapRetries] != tasks || c[CounterCombineIn] != 0 {
+		t.Errorf("counters %v; want %d rows in, out and shuffled, %d retries, nothing combined", c, n, tasks)
+	}
+
+	// The same tasks from a sealed stream.
+	var stream []byte
+	for _, blk := range blocks {
+		stream = points.AppendFrame(stream, 0, blk)
+	}
+	for task := 0; task < tasks; task++ {
+		want, wantStats, err := buildFrames(func(emit EmitPoint) (int, error) {
+			return strided(false)(blocks, task, tasks, emit)
+		}, nil, nil, 2, points.FrameDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, st, err := MapFrames(FrameJob{TaskMapper: strided(false)}, stream, task, tasks, 2, points.FrameDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parts) != len(want) || !bytes.Equal(parts[0], want[0]) || !bytes.Equal(parts[1], want[1]) || st.MapIn != wantStats.MapIn {
+			t.Errorf("task %d: MapFrames sealed other bytes than the in-process task (%d rows in, want %d)", task, st.MapIn, wantStats.MapIn)
+		}
+	}
+
+	// What is not a job, and what is not a task of one.
+	mapper, _ := identityFrameJob(3)
+	for name, job := range map[string]FrameJob{
+		"both mappers":              {Feed: WholeInput(blocks, tasks), Mapper: mapper, TaskMapper: strided(false), Reducer: reducer},
+		"task mapper over rows":     {Feed: SetRows(data), TaskMapper: strided(false), Reducer: reducer},
+		"row mapper over the whole": {Feed: WholeInput(blocks, tasks), Mapper: mapper, Reducer: reducer},
+	} {
+		if _, err := RunFrames(context.Background(), Config{Name: name}, job); err == nil {
+			t.Errorf("%s: RunFrames accepted it", name)
+		}
+	}
+	for _, at := range [][2]int{{-1, 4}, {4, 4}, {0, 0}} {
+		if _, _, err := MapFrames(FrameJob{TaskMapper: strided(false)}, stream, at[0], at[1], 2, points.FrameDefault); err == nil {
+			t.Errorf("MapFrames ran task %d of %d", at[0], at[1])
+		}
+	}
+	if _, _, err := MapFrames(FrameJob{TaskMapper: strided(false)}, stream[:len(stream)-3], 0, tasks, 2, points.FrameDefault); err == nil {
+		t.Error("MapFrames decoded a truncated whole input")
+	}
+}

@@ -164,18 +164,18 @@ func TestRunFramesChunkedOracle(t *testing.T) {
 	src := chunkSrc{chunks: chunks, per: per, d: d}
 
 	// Materialize the same rows for the oracle.
-	var input []*points.Block
+	var input points.Set
 	for i := 0; i < chunks; i++ {
 		blk := points.NewBlock(d, per)
 		if err := src.ReadChunk(i, blk); err != nil {
 			t.Fatal(err)
 		}
-		input = append(input, blk)
+		input = append(input, blk.ToSet()...)
 	}
 	mapper := streamSkyMapper(parts)
 	oracle, err := RunFrames(context.Background(),
 		Config{Name: "chunk-oracle", Workers: 4, Reducers: 2},
-		FrameJob{Feed: BlockRows(input), Mapper: mapper, Reducer: skylineReducer()})
+		FrameJob{Feed: SetRows(input), Mapper: mapper, Reducer: skylineReducer()})
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -302,7 +302,7 @@ func TestAbandonedFoldsLeaveNoOverflowFile(t *testing.T) {
 		// overflows its fold; partition 1's fold then refuses its frame.
 		dir := t.TempDir()
 		_, err := RunFrames(context.Background(), Config{Name: "abandoned", Workers: 2, Reducers: 1, MaxAttempts: 1}, FrameJob{
-			Feed: BlockRows([]*points.Block{blk}),
+			Feed: SetRows(blk.ToSet()),
 			Mapper: func(row []float64, emit EmitPoint) error {
 				if row[0] < 0.9 {
 					emit(0, row)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/driver"
 	"repro/internal/mapreduce"
 	"repro/internal/points"
 	"repro/internal/skyline"
@@ -43,6 +44,11 @@ func ensureFrameJobs() {
 			return Job{FrameJob: mapreduce.FrameJob{Mapper: mapper, Combiner: combiner,
 				Folder: func(int) mapreduce.FrameFold { return skyline.NewBudgetedFold(3, 1<<10, "", points.FrameDefault) },
 			}}, nil
+		})
+		// skyline-filter: the merging job as the pipeline runs it — every map
+		// task gets all the rows and filters its share of them.
+		RegisterJob("skyline-filter", func(params []byte) (Job, error) {
+			return Job{FrameJob: driver.MergeJob(3, 0)}, nil
 		})
 		RegisterJob("skyline-frame", func(params []byte) (Job, error) {
 			return Job{FrameJob: mapreduce.FrameJob{
@@ -86,6 +92,18 @@ func setFrames(data points.Set, built func(lo, hi int, frame []byte)) Input {
 		frame, err := points.AppendFrameRows(dst, 0, data[lo:hi])
 		if err == nil && built != nil {
 			built(lo, hi, frame)
+		}
+		return frame, err
+	})
+}
+
+// wholeFrames is a set as the input of a job whose tasks map tasks each get
+// all of it, as one v1 frame; built as setFrames'.
+func wholeFrames(data points.Set, tasks int, built func(lo, hi int, frame []byte)) Input {
+	return WholeFrames(len(data), tasks, func(dst []byte) ([]byte, error) {
+		frame, err := points.AppendFrameRows(dst, 0, data)
+		if err == nil && built != nil {
+			built(0, len(data), frame)
 		}
 		return frame, err
 	})
@@ -167,7 +185,7 @@ func TestFramedShuffleMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streams, _, err := mapreduce.MapFrames(job.FrameJob, frame, 2, job.Codec)
+		streams, _, err := mapreduce.MapFrames(job.FrameJob, frame, 0, 1, 2, job.Codec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,13 +253,20 @@ func sameJobRecord(t *testing.T, res, want *mapreduce.FrameResult, rows int) {
 // reassignment — a worker vanishing mid-job must not lose frames. The task
 // it took to the grave is re-issued with a byte-identical input frame, and
 // the job's result — blocks, counters, per-partition volumes, reducer peak
-// — equals a run's that lost no worker: an attempt is counted once.
+// — equals a run's that lost no worker: an attempt is counted once. So too
+// for the merging job's kind of map task, which holds the whole candidate
+// set and a share of the work: the share is done again, by another worker
+// from its own layout of the same rows, and no row is kept twice or lost.
 func TestFramedWorkerCrashRecovery(t *testing.T) {
 	ensureFrameJobs()
 	data := frameClusterData(1000, 3, 3)
-	for _, job := range []string{"skyline-frame", "skyline-fold"} {
+	for _, job := range []string{"skyline-frame", "skyline-fold", "skyline-filter"} {
+		input := func(built func(lo, hi int, frame []byte)) Input { return setFrames(data, built) }
+		if job == "skyline-filter" {
+			input = func(built func(lo, hi int, frame []byte)) Input { return wholeFrames(data, 5, built) }
+		}
 		calm, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
-		want, err := calm.Run(context.Background(), JobSpec{Name: job, Reducers: 2}, setFrames(data, nil))
+		want, err := calm.Run(context.Background(), JobSpec{Name: job, Reducers: 2}, input(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +293,7 @@ func TestFramedWorkerCrashRecovery(t *testing.T) {
 		first := map[int][]byte{} // split's first row → the first frame built for it
 		rebuilt := 0
 		res, err := master.Run(context.Background(),
-			JobSpec{Name: job, Reducers: 2}, setFrames(data, func(lo, hi int, frame []byte) {
+			JobSpec{Name: job, Reducers: 2}, input(func(lo, hi int, frame []byte) {
 				mu.Lock()
 				defer mu.Unlock()
 				if prev, ok := first[lo]; !ok {
@@ -342,13 +367,13 @@ func TestBadReportsNotCounted(t *testing.T) {
 			}
 			continue
 		case TaskMap:
-			parts, st, err := mapreduce.MapFrames(job.FrameJob, task.Frames, task.Reducers, job.Codec)
+			parts, st, err := mapreduce.MapFrames(job.FrameJob, task.Frames, task.TaskID, task.Tasks, task.Reducers, job.Codec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			report = func(errMsg string) bool {
 				var reply ResultReply
-				_ = svc.ReportMap(MapResultArgs{WorkerID: "hand", TaskID: task.TaskID, Attempt: task.Attempt,
+				_ = svc.ReportMap(MapResultArgs{WorkerID: "hand", Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt,
 					FrameParts: parts, Stats: st, Err: errMsg, Final: true}, &reply)
 				return reply.Accepted
 			}
@@ -359,7 +384,7 @@ func TestBadReportsNotCounted(t *testing.T) {
 			}
 			report = func(errMsg string) bool {
 				var reply ResultReply
-				_ = svc.ReportReduce(ReduceResultArgs{WorkerID: "hand", TaskID: task.TaskID, Attempt: task.Attempt,
+				_ = svc.ReportReduce(ReduceResultArgs{WorkerID: "hand", Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt,
 					Frames: frames, Stats: st, Err: errMsg, Final: true}, &reply)
 				return reply.Accepted
 			}
@@ -377,6 +402,68 @@ func TestBadReportsNotCounted(t *testing.T) {
 		if report("") {
 			t.Errorf("kind %d task %d: a second good report was accepted", task.Kind, task.TaskID)
 		}
+	}
+}
+
+// TestReportFromPastJobIgnored: a report that was still on its way when its
+// job ended — two tasks of a doomed job fail at once, the first ends the job,
+// the pipeline starts the next — carries that job's number and is dropped,
+// not counted against the next job's task of the same id.
+func TestReportFromPastJobIgnored(t *testing.T) {
+	ensureFrameJobs()
+	// The short lease is for the task the hand-driven worker takes from the
+	// second job and never runs.
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: 50 * time.Millisecond}, 0, WorkerConfig{})
+	data := frameClusterData(300, 3, 6)
+	spec := JobSpec{Name: "skyline-frame", Reducers: 1}
+	svc := &MasterService{m: master}
+	take := func() TaskReply {
+		for {
+			var task TaskReply
+			_ = svc.RequestTask(TaskArgs{WorkerID: "hand"}, &task)
+			if task.Kind == TaskMap {
+				return task
+			}
+			time.Sleep(time.Millisecond) // Run has not queued the tasks yet
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	past := make(chan error, 1)
+	go func() {
+		_, err := master.Run(ctx, spec, setFrames(data, nil))
+		past <- err
+	}()
+	old := take()
+	cancel()
+	if err := <-past; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job: %v", err)
+	}
+	done := make(chan error, 1)
+	var res *mapreduce.FrameResult
+	go func() {
+		var err error
+		res, err = master.Run(context.Background(), spec, setFrames(data, nil))
+		done <- err
+	}()
+	if next := take(); next.TaskID != old.TaskID || next.Job == old.Job {
+		t.Fatalf("next job's first task is %d of job %d, the past job's %d of job %d", next.TaskID, next.Job, old.TaskID, old.Job)
+	}
+	for i := 0; i < 10; i++ { // twice what would fail the task for good
+		var reply ResultReply
+		_ = svc.ReportMap(MapResultArgs{WorkerID: "hand", Job: old.Job, TaskID: old.TaskID, Err: "the past job's failure", Final: true}, &reply)
+	}
+	w, err := NewWorker(WorkerConfig{MasterAddr: master.Addr(), ID: "w", PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	go func() { _ = w.Run(context.Background()) }()
+	// The real worker runs every task, the held one once its lease is out.
+	if err := <-done; err != nil {
+		t.Fatalf("the job after the past job's reports: %v", err)
+	}
+	if res.Counters.Get(mapreduce.CounterMapIn) != int64(len(data)) {
+		t.Errorf("mr.map.records.in = %d, want %d", res.Counters.Get(mapreduce.CounterMapIn), len(data))
 	}
 }
 
@@ -442,8 +529,8 @@ func TestSplitBuiltOutsideMasterLock(t *testing.T) {
 
 // TestRunRejectsWrongInputForm: an input whose splits cannot be built — or
 // are too big to send — fails the job with an error naming the cause, and
-// an Input that FrameRows did not build is refused before any task exists.
-// (A job has one input form now; there is no second one to mistake it for.)
+// an Input that FrameRows did not build, or one of the wrong form for the
+// job's mapper, is refused before any task exists.
 func TestRunRejectsWrongInputForm(t *testing.T) {
 	ensureFrameJobs()
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
@@ -458,6 +545,14 @@ func TestRunRejectsWrongInputForm(t *testing.T) {
 	broken := FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) { return nil, errors.New("disk on fire") })
 	if err := run("skyline-frame", broken); err == nil || !strings.Contains(err.Error(), "disk on fire") {
 		t.Errorf("failing split source: %v", err)
+	}
+	// A task mapper needs the whole input in every task, a row mapper must
+	// not get it: tasks of the other kind would each compute something, wrongly.
+	if err := run("skyline-filter", setFrames(data, nil)); err == nil || !strings.Contains(err.Error(), "WholeFrames") {
+		t.Errorf("task mapper over row splits: %v", err)
+	}
+	if err := run("skyline-frame", wholeFrames(data, 2, nil)); err == nil || !strings.Contains(err.Error(), "WholeFrames") {
+		t.Errorf("row mapper over a whole input: %v", err)
 	}
 	if err := run("skyline-frame", setFrames(data, nil)); err != nil {
 		t.Errorf("good job after the refused ones: %v", err)

@@ -101,6 +101,7 @@ type Master struct {
 	mu       sync.Mutex
 	workers  map[string]*workerInfo // health state machine per worker
 	job      *jobState              // nil when idle
+	jobs     uint64                 // jobs started; the running one's number is its seq
 	shutdown bool
 	// wake is closed, and replaced, by whatever may change the answer to a
 	// held task request (see wakeHeld). held counts the requests that were
@@ -122,6 +123,7 @@ type Master struct {
 type jobState struct {
 	spec    JobSpec
 	phase   TaskKind // TaskMap or TaskReduce
+	seq     uint64   // which of the master's jobs this is: TaskReply.Job
 	input   Input
 	tasks   []*taskState
 	pending []int // indexes of queued tasks of the current phase
@@ -183,10 +185,12 @@ type JobSpec struct {
 }
 
 // Input is a job's input: a number of rows, which Run cuts into map tasks of
-// MasterConfig.SplitSize, and the means to produce any task's split when it
-// is assigned. Build one with FrameRows.
+// MasterConfig.SplitSize (FrameRows) or hands whole to each of a given
+// number of map tasks (WholeFrames), and the means to produce any task's
+// split when it is assigned.
 type Input struct {
 	rows  int
+	tasks int // > 0: this many map tasks, each of which gets every row
 	frame func(dst []byte, lo, hi int) ([]byte, error)
 }
 
@@ -199,6 +203,15 @@ type Input struct {
 // flight exist at any moment and a steady job allocates none.
 func FrameRows(rows int, frame func(dst []byte, lo, hi int) ([]byte, error)) Input {
 	return Input{rows: rows, frame: frame}
+}
+
+// WholeFrames is rows points of input that every one of tasks map tasks
+// receives whole — the input of a job with a TaskMapper, whose tasks divide
+// the work between them by index (TaskReply.TaskID of TaskReply.Tasks)
+// rather than the rows. frame(dst) seals all of it, under FrameRows' rules:
+// once per assignment, into a recycled buffer.
+func WholeFrames(rows, tasks int, frame func(dst []byte) ([]byte, error)) Input {
+	return Input{rows: rows, tasks: tasks, frame: func(dst []byte, _, _ int) ([]byte, error) { return frame(dst) }}
 }
 
 // maxSplitBytes caps one frame payload on the wire — a split's stream, a map
@@ -393,11 +406,16 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	}
 	// Validate the job is instantiable on the master side too, so typos
 	// fail fast rather than on a worker.
-	if _, err := lookupJob(spec.Name, spec.Params); err != nil {
+	job, err := lookupJob(spec.Name, spec.Params)
+	if err != nil {
 		return nil, err
 	}
 	if input.frame == nil {
 		return nil, fmt.Errorf("rpcmr: job %q: no input (build one with FrameRows)", spec.Name)
+	}
+	// A task mapper's tasks each need every row; a row mapper's must not get them.
+	if whole := input.tasks > 0; input.rows > 0 && whole != (job.FrameJob.TaskMapper != nil) {
+		return nil, fmt.Errorf("rpcmr: job %q: a task mapper and a whole input (WholeFrames) go together", spec.Name)
 	}
 	ctx, jobSpan := telemetry.StartSpan(ctx, "rpcmr-job:"+spec.Name,
 		telemetry.A("job", spec.Name), telemetry.A("reducers", spec.Reducers),
@@ -433,7 +451,9 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		endJob("rejected", err)
 		return nil, err
 	}
+	m.jobs++
 	js := &jobState{
+		seq:      m.jobs,
 		spec:     spec,
 		phase:    TaskMap,
 		input:    input,
@@ -450,8 +470,12 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		nextTrack:  1, // track 0 is the master's own timeline row
 		counters:   mapreduce.NewCounters(),
 	}
-	// One map task per SplitSize rows; assignTask cuts the split.
+	// One map task per SplitSize rows, or as many as a whole input says;
+	// assignTask cuts the split.
 	splits := (input.rows + m.cfg.SplitSize - 1) / m.cfg.SplitSize
+	if input.tasks > 0 {
+		splits = input.tasks
+	}
 	js.frameOut = make([][][]byte, splits)
 	for i := 0; i < splits; i++ {
 		js.tasks = append(js.tasks, &taskState{id: i})

@@ -85,8 +85,8 @@ func lookupJob(name string, params []byte) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("rpcmr: instantiating job %q: %w", name, err)
 	}
-	if f := job.FrameJob; f.Mapper == nil || (f.Reducer == nil) == (f.Folder == nil) {
-		return Job{}, fmt.Errorf("rpcmr: job %q must provide a mapper and exactly one of reducer and folder", name)
+	if f := job.FrameJob; (f.Mapper == nil) == (f.TaskMapper == nil) || (f.Reducer == nil) == (f.Folder == nil) {
+		return Job{}, fmt.Errorf("rpcmr: job %q must provide exactly one of mapper and task mapper, and of reducer and folder", name)
 	}
 	return job, nil
 }
@@ -142,12 +142,20 @@ type TaskArgs struct {
 
 // TaskReply carries an assignment.
 type TaskReply struct {
-	Kind     TaskKind
+	Kind TaskKind
+	// Job numbers the master's jobs. A task's report echoes it, so that a
+	// report still on its way when the job ended — two tasks of a doomed job
+	// failing at once — is not taken for the next job's task of the same id.
+	Job      uint64
 	TaskID   int
 	Attempt  int
 	JobName  string
 	Params   []byte
 	Reducers int
+	// Tasks, on a map task, is the number of map tasks in the job: with
+	// TaskID, what a job whose tasks all receive the whole input (see
+	// WholeFrames) divides its work by.
+	Tasks int
 	// Map payload: the split as one sealed frame stream. Like every frame
 	// payload it crosses outside gob, in the message's payload section (see
 	// wire), into the memory the receiver's TaskReply already has.
@@ -190,6 +198,7 @@ func (t TaskReply) emptied() TaskReply {
 // reducer index.
 type MapResultArgs struct {
 	WorkerID string
+	Job      uint64 // TaskReply.Job, echoed
 	TaskID   int
 	Attempt  int
 	// FrameParts[r] holds the sealed frame stream destined for reducer r:
@@ -215,6 +224,7 @@ type MapResultArgs struct {
 // ReduceResultArgs reports a finished reduce task.
 type ReduceResultArgs struct {
 	WorkerID string
+	Job      uint64 // TaskReply.Job, echoed
 	TaskID   int
 	Attempt  int
 	// Frames is the reduce output as one sealed frame stream.

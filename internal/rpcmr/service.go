@@ -129,6 +129,7 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	}
 
 	reply.Kind = js.phase
+	reply.Job = js.seq
 	reply.TaskID = id
 	reply.Attempt = t.attempt
 	reply.JobName = js.spec.Name
@@ -157,6 +158,7 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	// so mu is released meanwhile: heartbeats, reports and health sweeps
 	// must not wait on an encode.
 	lo, hi := id*m.cfg.SplitSize, min((id+1)*m.cfg.SplitSize, js.input.rows)
+	reply.Tasks = len(js.tasks)
 	var dst []byte
 	if n := len(js.spare); n > 0 {
 		dst, js.spare = js.spare[n-1], js.spare[:n-1]
@@ -201,7 +203,7 @@ func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error 
 	}()
 
 	js := m.job
-	if js == nil || js.phase != TaskMap || isClosed(js.finished) {
+	if js == nil || js.seq != args.Job || js.phase != TaskMap || isClosed(js.finished) {
 		return nil // stale report for a past job or phase
 	}
 	if args.TaskID < 0 || args.TaskID >= len(js.tasks) {
@@ -257,7 +259,7 @@ func (s *MasterService) ReportReduce(args ReduceResultArgs, reply *ResultReply) 
 	}()
 
 	js := m.job
-	if js == nil || js.phase != TaskReduce || isClosed(js.finished) {
+	if js == nil || js.seq != args.Job || js.phase != TaskReduce || isClosed(js.finished) {
 		return nil
 	}
 	if args.TaskID < 0 || args.TaskID >= len(js.tasks) {

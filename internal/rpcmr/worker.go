@@ -246,6 +246,7 @@ func (w *Worker) taskSpan(task *TaskReply, name string) (span *telemetry.Span, f
 func (w *Worker) runMap(task *TaskReply) error {
 	args := MapResultArgs{
 		WorkerID: w.cfg.ID,
+		Job:      task.Job,
 		TaskID:   task.TaskID,
 		Attempt:  task.Attempt,
 		Final:    w.willStop(),
@@ -256,7 +257,7 @@ func (w *Worker) runMap(task *TaskReply) error {
 	w.stall()
 	job, err := lookupJob(task.JobName, task.Params)
 	if err == nil {
-		args.FrameParts, args.Stats, err = mapreduce.MapFrames(job.FrameJob, task.Frames, task.Reducers, job.Codec)
+		args.FrameParts, args.Stats, err = mapreduce.MapFrames(job.FrameJob, task.Frames, task.TaskID, task.Tasks, task.Reducers, job.Codec)
 	}
 	// The span's record count is input rows: the task learns it from the
 	// frames it walked.
@@ -280,6 +281,7 @@ func (w *Worker) runMap(task *TaskReply) error {
 func (w *Worker) runReduce(task *TaskReply) error {
 	args := ReduceResultArgs{
 		WorkerID: w.cfg.ID,
+		Job:      task.Job,
 		TaskID:   task.TaskID,
 		Attempt:  task.Attempt,
 		Final:    w.willStop(),

@@ -65,14 +65,18 @@ func TestSpecBudgetTravels(t *testing.T) {
 	if back.ReducerBudgetBytes != spec.ReducerBudgetBytes || back.Codec != spec.Codec {
 		t.Fatalf("spec round-trip lost budget/codec: %+v", back)
 	}
+	// The budget makes Job 1's reducers folds. The merging job has no use for
+	// it — its filter needs the candidates resident, and a budgeted run merges
+	// in rounds on the master instead of running it — but still seals by codec.
 	for _, factory := range []rpcmr.JobFactory{newPartitionJob, newMergeJob} {
 		job, err := factory(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if job.FrameJob.Folder == nil || job.FrameJob.Reducer != nil || job.Codec != points.FrameAuto {
-			t.Fatalf("budgeted spec built folder=%v reducer=%v codec=%v",
-				job.FrameJob.Folder != nil, job.FrameJob.Reducer != nil, job.Codec)
+		folds := job.FrameJob.Folder != nil && job.FrameJob.Reducer == nil
+		if merge := job.FrameJob.TaskMapper != nil; folds == merge || job.Codec != points.FrameAuto {
+			t.Fatalf("budgeted spec built folder=%v reducer=%v task mapper=%v codec=%v",
+				job.FrameJob.Folder != nil, job.FrameJob.Reducer != nil, merge, job.Codec)
 		}
 	}
 	back.ReducerBudgetBytes = 0

@@ -50,9 +50,10 @@ func TestSpecForFitsLikePartitionNew(t *testing.T) {
 	}
 }
 
-// TestFramedMapSideMatchesBlockCombiner: a worker's map task walking its
-// input frame into incremental windows ships the bytes the staged block
-// combiner shipped over the same points as records, for both jobs.
+// TestFramedMapSideMatchesBlockCombiner: a worker's map task of the
+// partitioning job, walking its input frame into incremental windows, ships
+// the bytes the staged block combiner shipped over the same points as
+// records. (The merging job combines nothing: see TestExecutorsAgree.)
 func TestFramedMapSideMatchesBlockCombiner(t *testing.T) {
 	data := uniformSet(7, 3000, 4)
 	for i := 0; i < 200; i++ {
@@ -76,36 +77,34 @@ func TestFramedMapSideMatchesBlockCombiner(t *testing.T) {
 	for i, p := range data {
 		records[i] = points.Encode(p)
 	}
-	for name, factory := range map[string]rpcmr.JobFactory{PartitionJobName: newPartitionJob, MergeJobName: newMergeJob} {
-		job, err := factory(params)
-		if err != nil {
-			t.Fatal(err)
+	job, err := newPartitionJob(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.FrameJob.Accumulators == nil || job.FrameJob.Combiner != nil {
+		t.Fatal("the BNL partitioning job does not fold map-side windows")
+	}
+	got, gotStats, err := mapreduce.MapFrames(job.FrameJob, frame, 0, 1, 3, spec.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged := func(_ int, blk *points.Block) (*points.Block, error) { return skyline.BlockBNL(blk), nil }
+	var row points.Point
+	want, wantStats, err := mapreduce.BuildFrames(records, 3, mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
+		if row, err = points.DecodeInto(row, rec); err != nil {
+			return err
 		}
-		if job.FrameJob.Accumulators == nil || job.FrameJob.Combiner != nil {
-			t.Fatalf("%s: BNL job does not fold map-side windows", name)
-		}
-		got, gotStats, err := mapreduce.MapFrames(job.FrameJob, frame, 3, spec.Codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		staged := func(_ int, blk *points.Block) (*points.Block, error) { return skyline.BlockBNL(blk), nil }
-		var row points.Point
-		want, wantStats, err := mapreduce.BuildFrames(records, 3, mapreduce.FrameMapperFunc(func(rec []byte, emit mapreduce.EmitPoint) error {
-			if row, err = points.DecodeInto(row, rec); err != nil {
-				return err
-			}
-			return job.FrameJob.Mapper(row, emit)
-		}), staged, spec.Codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: window streams differ from staged block-combiner streams", name)
-		}
-		gotStats.CombineNanos, wantStats.CombineNanos = 0, 0
-		if !reflect.DeepEqual(gotStats, wantStats) {
-			t.Errorf("%s: stats %+v, staged %+v", name, gotStats, wantStats)
-		}
+		return job.FrameJob.Mapper(row, emit)
+	}), staged, spec.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("window streams differ from staged block-combiner streams")
+	}
+	gotStats.CombineNanos, wantStats.CombineNanos = 0, 0
+	if !reflect.DeepEqual(gotStats, wantStats) {
+		t.Errorf("stats %+v, staged %+v", gotStats, wantStats)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"log/slog"
@@ -140,22 +141,31 @@ func TestClusterMatchesOracle(t *testing.T) {
 // global skyline, the same local skyline per partition id and the same
 // record of the run — partition counts, counters, Eq. (5) evidence, flight
 // report — for the skyline, for a band (k = 3), and under a reducer budget,
-// where both fold the merge in rounds. Shuffle bytes depend on where the
-// splits fall, which the executors choose: only their presence is compared.
+// where both fold the merge in rounds; over a candidate set small enough to
+// be one merge task and over one cut into a task per worker. The merging
+// job is also run alone on both: it tests every candidate once, combines
+// nothing and shuffles exactly the global result. Job 1's shuffle bytes
+// depend on where the splits fall, which the executors choose: only their
+// presence is compared.
 func TestExecutorsAgree(t *testing.T) {
 	master := startCluster(t, 3)
-	data := uniformSet(77, 2500, 5)
+	small := uniformSet(77, 1200, 5)
 	for i := 0; i < 100; i++ {
-		data = append(data, data[i].Clone())
+		small = append(small, small[i].Clone())
 	}
-	n := int64(len(data))
+	// Enough candidates — a few thousand local-skyline rows — for the merging
+	// job to be cut into one task per worker; small's few hundred are one.
+	wide := uniformSet(78, 5000, 9)
 	rows := []struct {
-		k      int
-		budget int64
-	}{{0, 0}, {3, 0}, {0, 4 << 10}}
+		data       points.Set
+		k          int
+		budget     int64
+		mergeTasks int // 0: the merge is not a job
+	}{{small, 0, 0, 1}, {small, 3, 0, 1}, {small, 0, 4 << 10, 0}, {wide, 0, 0, 3}, {wide, 3, 0, 3}}
 	for _, scheme := range []partition.Scheme{partition.Angular, partition.Grid} {
 		for _, row := range rows {
-			name := fmt.Sprintf("%v, k=%d, budget=%d", scheme, row.k, row.budget)
+			data, n := row.data, int64(len(row.data))
+			name := fmt.Sprintf("%v, %d points, k=%d, budget=%d", scheme, n, row.k, row.budget)
 			spec, err := SpecFor(data, scheme, 8)
 			if err != nil {
 				t.Fatal(err)
@@ -171,7 +181,7 @@ func TestExecutorsAgree(t *testing.T) {
 			// the in-process run must not either for local skylines to be
 			// comparable partition by partition.
 			opts := driver.Options{Scheme: scheme, PartitionerOverride: part, DisableGridPruning: true,
-				ReducerBudgetBytes: spec.ReducerBudgetBytes, Codec: spec.Codec}
+				ReducerBudgetBytes: spec.ReducerBudgetBytes, Codec: spec.Codec, Workers: 3}
 			inRec, clRec := telemetry.NewRecorder(name), telemetry.NewRecorder(name)
 			inLog, clLog := telemetry.NewEventLog(256), master.Events()
 			inCtx := telemetry.WithEventLog(telemetry.WithRecorder(context.Background(), inRec), inLog)
@@ -256,13 +266,21 @@ func TestExecutorsAgree(t *testing.T) {
 				}
 			}
 			// Job 1 maps the input once on either executor; the merge's map
-			// side, when it is a job, maps the local skylines.
-			merged := int64(0)
+			// side, when it is a job, tests every local skyline row once, in
+			// as many tasks as MergeTasks cuts it into, and lets through —
+			// uncombined — the global result alone: its shuffle is the result.
+			merged, kept := int64(0), int64(0)
 			if row.budget == 0 {
-				merged = int64(stats.LocalSkylineTotal())
+				merged, kept = int64(stats.LocalSkylineTotal()), int64(len(sky))
 			}
-			if in, cl := stats.Counters[mapreduce.CounterMapIn], cl.Counters[mapreduce.CounterMapIn]; in != n+merged || cl != n+merged {
-				t.Errorf("%s: mr.map.records.in %d in-process, %d on the cluster, want %d + %d", name, in, cl, n, merged)
+			if got := driver.MergeTasks(3, int(merged)); got != row.mergeTasks {
+				t.Fatalf("%s: %d candidates are %d merge tasks, the row wants %d", name, merged, got, row.mergeTasks)
+			}
+			for _, st := range []*driver.Stats{stats, cl} {
+				if in, out, combined := st.Counters[mapreduce.CounterMapIn], st.Counters[mapreduce.CounterMapOut], st.Counters[mapreduce.CounterCombineIn]; in != n+merged || out != n+kept || combined != n {
+					t.Errorf("%s: mr.map.records.in %d, .out %d, mr.combine.records.in %d; want %d + %d, %d + %d and %d",
+						name, in, out, combined, n, merged, n, kept, n)
+				}
 			}
 			if stats.MergeRounds != cl.MergeRounds || !reflect.DeepEqual(stats.MergeRoundBytes, cl.MergeRoundBytes) {
 				t.Errorf("%s: merge rounds %d %v in-process, %d %v on the cluster",
@@ -271,8 +289,21 @@ func TestExecutorsAgree(t *testing.T) {
 			// One vocabulary: the engines narrate the same jobs and phases, in
 			// the same order, under the same messages and attribute keys (the
 			// values — job names, durations, trace ids — are each executor's).
-			if in, cl := narration(inLog.Events(0, slog.LevelInfo)), narration(clLog.Events(clSince, slog.LevelInfo)); !reflect.DeepEqual(in, cl) || len(in) < 6 {
+			inEvents, clEvents := inLog.Events(0, slog.LevelInfo), clLog.Events(clSince, slog.LevelInfo)
+			if in, cl := narration(inEvents), narration(clEvents); !reflect.DeepEqual(in, cl) || len(in) < 6 {
 				t.Errorf("%s: narrated in process as\n  %s\non the cluster as\n  %s", name, strings.Join(in, "\n  "), strings.Join(cl, "\n  "))
+			}
+			// The last map phase either log narrates is the merging job's.
+			for _, events := range [][]telemetry.LogEvent{inEvents, clEvents} {
+				tasks := 0
+				for _, ev := range events {
+					if ev.Msg == "phase start" && ev.Attrs["phase"] == "map" {
+						tasks = int(ev.Attrs["tasks"].(float64)) // attributes come back out of JSON
+					}
+				}
+				if row.mergeTasks > 0 && tasks != row.mergeTasks {
+					t.Errorf("%s: the merging job ran %d map tasks, want %d", name, tasks, row.mergeTasks)
+				}
 			}
 			inRep, clRep := inRec.Report(), clRec.Report()
 			if len(inRep.Partitions) != stats.Partitions || len(clRep.Partitions) != stats.Partitions {
@@ -291,6 +322,38 @@ func TestExecutorsAgree(t *testing.T) {
 				(inRep.ReducerPeakBytes > 0) != (clRep.ReducerPeakBytes > 0) {
 				t.Errorf("%s: report skyline %d, rounds %d, peak %d in-process; %d, %d, %d on the cluster", name,
 					inRep.GlobalSkyline, inRep.MergeRounds, inRep.ReducerPeakBytes, clRep.GlobalSkyline, clRep.MergeRounds, clRep.ReducerPeakBytes)
+			}
+			if row.budget == 0 {
+				// The merging job by itself, over this run's local skylines.
+				var candidates []*points.Block
+				for id := 0; id < stats.Partitions; id++ {
+					if blk, ok := points.BlockOf(stats.LocalSkylines[id]); ok && blk.Len() > 0 {
+						candidates = append(candidates, blk)
+					}
+				}
+				job := driver.MergeJob(spec.Dim, row.k)
+				job.Feed = mapreduce.WholeInput(candidates, row.mergeTasks)
+				in2, err := mapreduce.RunFrames(context.Background(), mapreduce.Config{Workers: 3, Reducers: 1}, job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				params, job2 := mustJSON(t, spec), MergeJobName
+				if row.k > 0 {
+					params, job2 = mustJSON(t, skybandSpec{Spec: spec, K: row.k}), SkybandMergeJobName
+				}
+				cl2, err := cluster{master: master, job2: job2, params: params, reducers: 3, codec: spec.Codec}.Merge(context.Background(), candidates)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, res2 := range []*mapreduce.FrameResult{in2, cl2} {
+					if got := res2.Blocks[0].ToSet(); !sameMultiset(got, sky) {
+						t.Errorf("%s: the merging job alone kept %d rows, the run %d", name, len(got), len(sky))
+					}
+					if c := res2.Counters.Snapshot(); c[mapreduce.CounterShuffle] != kept || c[mapreduce.CounterMapIn] != merged ||
+						c[mapreduce.CounterCombineIn] != 0 || c[mapreduce.CounterReduceOut] != kept {
+						t.Errorf("%s: merging job counters %v; want %d rows in, %d shuffled and out, none combined", name, c, merged, kept)
+					}
+				}
 			}
 		}
 	}
@@ -443,10 +506,12 @@ func oracleBand(t *testing.T, data points.Set, k int) points.Set {
 // TestHostileInputFrameRejected: a map task's input frame arrives over RPC,
 // so a frame no master could have sealed — or one for another job — must
 // come back from all four jobs as an error that says what is wrong with it,
-// never a worker that died in a decoder, a partitioner or a window — nor,
-// from a band merge, a band that kept every row of another dimension
-// because nothing dominates across dimensions. The cluster then runs a
-// good job on all of its workers.
+// never a worker that died in a decoder, a partitioner, a window or a
+// filter's layout — nor, from a band merge, a band that kept every row of
+// another dimension because nothing dominates across dimensions. For the
+// merging jobs the frame is the candidate set: empty, truncated, of mixed
+// dimension, or not of the spec's. The cluster then runs a good job on all
+// of its workers.
 func TestHostileInputFrameRejected(t *testing.T) {
 	data := uniformSet(6, 300, 3)
 	spec, err := SpecFor(data, partition.Angular, 8)
@@ -498,32 +563,39 @@ func TestHostileInputFrameRejected(t *testing.T) {
 		{"-Inf row", withRow(points.Point{1, 1, math.Inf(-1)}), "points: infinity", true},
 		{"empty stream", nil, "mapreduce: map task without an input frame", false},
 	}
+	// One task's split, in the form the job takes: rows cut off an input for
+	// Job 1, the whole candidate set — for two tasks — for the merge.
+	splitOf := func(job string, frame []byte) rpcmr.Input {
+		if job == MergeJobName || job == SkybandMergeJobName {
+			return rpcmr.WholeFrames(50, 2, func(dst []byte) ([]byte, error) { return append(dst, frame...), nil })
+		}
+		return rpcmr.FrameRows(50, func(dst []byte, lo, hi int) ([]byte, error) { return append(dst, frame...), nil })
+	}
 	master := startCluster(t, 3)
 	for _, h := range hostile {
 		for _, job := range allJobs {
 			if h.partition && job.name != PartitionJobName && job.name != SkybandPartitionJobName {
 				continue
 			}
-			input := rpcmr.FrameRows(50, func(dst []byte, lo, hi int) ([]byte, error) { return append(dst, h.frame...), nil })
-			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, input)
+			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, splitOf(job.name, h.frame))
 			if err == nil || !strings.Contains(err.Error(), h.want) {
 				t.Errorf("%s, %s: cluster run returned %v, want an error naming %q", h.name, job.name, err, h.want)
 			}
 		}
 	}
-	// The dimension rows again, for their wording: Job 1's is the
-	// partitioner's, the merge's this package's.
-	narrow := rpcmr.FrameRows(50, func(dst []byte, lo, hi int) ([]byte, error) {
-		return append(dst, frameOf(data.Project(2)[:50], points.FrameV1)...), nil
-	})
+	// The dimension rows again, for their wording — Job 1's is the
+	// partitioner's, the merge's the candidate error's — and their type: what
+	// a worker could not do comes back as the task's error, not a lost worker.
+	narrow := frameOf(data.Project(2)[:50], points.FrameV1)
 	for _, job := range allJobs {
 		want := "partition: point has dimension 2, want 3"
 		if job.name == MergeJobName || job.name == SkybandMergeJobName {
-			want = "skyjob: 2-dimensional row in a 3-dimensional merge"
+			want = "skyline: unusable candidate set: 2-dimensional rows in a 3-dimensional merge"
 		}
-		_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, narrow)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("2-dim frame, %s: %v, want %q", job.name, err, want)
+		_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, splitOf(job.name, narrow))
+		var taskErr *rpcmr.WorkerTaskError
+		if !errors.As(err, &taskErr) || !strings.Contains(err.Error(), want) {
+			t.Errorf("2-dim frame, %s: %v, want a WorkerTaskError saying %q", job.name, err, want)
 		}
 	}
 

@@ -1,6 +1,7 @@
 // Package skyjob runs the skyline pipeline on an rpcmr cluster. What the
-// partitioning job (assign → local skyline) and the merging job (one
-// partition → global skyline) compute, and the sequence they run in, are
+// partitioning job (assign → local skyline) and the merging job (every
+// candidate filtered against all of them → global skyline) compute, and the
+// sequence they run in, are
 // defined once, by package driver's PartitionJob, MergeJob and TwoJobs;
 // this package is the cluster executor of that sequence: a Spec that
 // travels to workers as JSON, and each job as a registered name run on a
@@ -227,17 +228,7 @@ func mergeFactory(band bool) rpcmr.JobFactory {
 		if err != nil {
 			return rpcmr.Job{}, err
 		}
-		job := driver.MergeJob(context.Background(), spec.Dim, spec.K, spec.options())
-		// Job 1's mapper checks each row against the partitioner; the merge
-		// mapper trusts its rows, and here they come off the wire.
-		merge := job.Mapper
-		job.Mapper = func(row []float64, emit mapreduce.EmitPoint) error {
-			if len(row) != spec.Dim {
-				return fmt.Errorf("skyjob: %d-dimensional row in a %d-dimensional merge", len(row), spec.Dim)
-			}
-			return merge(row, emit)
-		}
-		return rpcmr.Job{FrameJob: job, Codec: spec.Codec}, nil
+		return rpcmr.Job{FrameJob: driver.MergeJob(spec.Dim, spec.K), Codec: spec.Codec}, nil
 	}
 }
 
@@ -261,20 +252,19 @@ func setSplits(data points.Set) rpcmr.Input {
 	})
 }
 
-// blockSplits is one job's result blocks as the next job's input, block
-// after block: split [lo, hi) is sealed from the blocks' rows as they are.
-func blockSplits(blocks []*points.Block, codec points.FrameCodec) rpcmr.Input {
+// candidateSplits is Job 1's result blocks as the merging job's input: every
+// one of its tasks — driver.MergeTasks of them — gets all the rows, block
+// after block, sealed as they are. That is the filter every task tests its
+// share of the rows against: a map task's input, booked as input bytes, not
+// as shuffle.
+func candidateSplits(blocks []*points.Block, workers int, codec points.FrameCodec) rpcmr.Input {
 	rows := 0
 	for _, blk := range blocks {
 		rows += blk.Len()
 	}
-	return rpcmr.FrameRows(rows, func(frames []byte, lo, hi int) ([]byte, error) {
-		off := 0 // index of the current block's first row in the sequence
+	return rpcmr.WholeFrames(rows, driver.MergeTasks(workers, rows), func(frames []byte) ([]byte, error) {
 		for _, blk := range blocks {
-			for from, to := max(lo-off, 0), min(hi-off, blk.Len()); from < to; from += walkRows {
-				frames = points.AppendFrameCodec(frames, 0, blk.Slice(from, min(from+walkRows, to)), codec)
-			}
-			off += blk.Len()
+			frames = points.AppendFrameCodec(frames, 0, blk, codec)
 		}
 		return frames, nil
 	})
@@ -286,9 +276,10 @@ type Result struct {
 	// LocalSkylines maps partition id → local skyline (partition job
 	// output).
 	LocalSkylines map[int]points.Set
-	// MapTime / ReduceTime aggregate the two jobs' phases in the paper's
-	// Figure 6 sense: MapTime covers both jobs' map sides, ReduceTime
-	// both jobs' reduce sides.
+	// MapTime / ReduceTime are the two jobs' phases in the paper's Figure 6
+	// sense — with one difference from the paper's Job 2: the merge's work is
+	// its map side (every worker filters a share of the candidates), so
+	// MapTime.MergeJob carries it and ReduceTime.MergeJob is a concatenation.
 	MapTime, ReduceTime JobResultTiming
 	// Stats is the run's whole record — counters, per-partition counts,
 	// timing, merge rounds — as driver.Compute returns it in process.
@@ -354,7 +345,7 @@ func (c cluster) Partition(ctx context.Context) (*mapreduce.FrameResult, error) 
 }
 
 func (c cluster) Merge(ctx context.Context, candidates []*points.Block) (*mapreduce.FrameResult, error) {
-	return c.run(ctx, "merging-job", c.job2, 1, blockSplits(candidates, c.codec))
+	return c.run(ctx, "merging-job", c.job2, 1, candidateSplits(candidates, c.reducers, c.codec))
 }
 
 // compute is what ComputeSpec and ComputeSkyband are: driver.TwoJobs on the

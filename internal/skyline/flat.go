@@ -218,7 +218,7 @@ func RelationKernel(d int) func(a, b []float64) Relation {
 }
 
 // dominanceTests counts every pairwise coordinate test executed by the
-// flat kernels and the merge tree, process-wide. A pair the window's
+// flat kernels and the merge filter, process-wide. A pair the window's
 // signatures prove incomparable is skipped, not tested, and is not
 // counted. Kernels accumulate locally and publish once per call, so the
 // atomic stays off the inner loop; package driver bridges deltas into the

@@ -3,11 +3,9 @@ package skyline
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/points"
-	"repro/internal/telemetry"
 )
 
 // randSet draws n points of dimension d from a small integer grid so
@@ -58,7 +56,7 @@ func TestRelationKernelMatchesDominates(t *testing.T) {
 }
 
 // TestFlatKernelsMatchOracle asserts that every flat kernel — block BNL,
-// block SFS, the Func wrappers, the parallel path and the merge tree —
+// block SFS, the Func wrappers and the parallel path with its merge —
 // returns exactly the Naive oracle's skyline as a multiset, across the
 // specialized dimensions and the generic fallback, with duplicates in
 // play.
@@ -89,26 +87,8 @@ func TestFlatKernelsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestMergeBlocksMatchesOracle merges two chunk skylines and compares
-// with the skyline of the union, including cross-chunk duplicates.
-func TestMergeBlocksMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for trial := 0; trial < 40; trial++ {
-		d := 1 + rng.Intn(8)
-		sa := randSet(rng, rng.Intn(300), d)
-		sb := randSet(rng, rng.Intn(300), d)
-		a, _ := points.BlockOf(FlatBNL(sa))
-		b, _ := points.BlockOf(FlatBNL(sb))
-		got := MergeBlocks(a, b).ToSet()
-		want := Naive(append(sa.Clone(), sb.Clone()...))
-		if !sameMultiset(got, want) {
-			t.Fatalf("trial %d d=%d: merge gave %d points, oracle %d", trial, d, len(got), len(want))
-		}
-	}
-}
-
-// TestMergeSkylinesMatchesOracle folds many partials through the full
-// tree (odd counts exercise the bye path).
+// TestMergeSkylinesMatchesOracle merges one, a few and many partials
+// through the shared filter.
 func TestMergeSkylinesMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	for _, parts := range []int{1, 2, 3, 5, 8, 13} {
@@ -168,34 +148,7 @@ func TestDominanceTestsCounter(t *testing.T) {
 	before = DominanceTests()
 	MergeSkylines(context.Background(), []points.Set{FlatBNL(s[:150]), FlatBNL(s[150:])}, 2)
 	if DominanceTests() == before {
-		t.Fatal("merge tree recorded no dominance tests")
-	}
-}
-
-// TestMergeLevelSpans: a tracer in the context must receive one
-// merge-level span per tree level.
-func TestMergeLevelSpans(t *testing.T) {
-	rng := rand.New(rand.NewSource(86))
-	var partials []points.Set
-	for i := 0; i < 8; i++ {
-		partials = append(partials, FlatBNL(randSet(rng, 100, 3)))
-	}
-	// The tournament (and its per-level spans) only runs with real
-	// parallelism — normWorkers caps at GOMAXPROCS, and on one core the
-	// tree degenerates to a single-span fold. Pin GOMAXPROCS so the
-	// asserted tree shape is machine-independent.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	tr := telemetry.NewTracer()
-	ctx := telemetry.WithTracer(context.Background(), tr)
-	MergeSkylines(ctx, partials, 4)
-	levels := 0
-	for _, sp := range tr.Spans() {
-		if sp.Name == "merge-level" {
-			levels++
-		}
-	}
-	if levels != 3 { // 8 → 4 → 2 → 1
-		t.Fatalf("recorded %d merge-level spans, want 3", levels)
+		t.Fatal("the merge filter recorded no dominance tests")
 	}
 }
 

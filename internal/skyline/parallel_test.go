@@ -9,8 +9,8 @@ import (
 )
 
 func TestParallelMatchesOracle(t *testing.T) {
-	// normWorkers caps at GOMAXPROCS; pin it so the fan-out runs (and the
-	// tournament tree has more than one level) on any machine.
+	// normWorkers caps at GOMAXPROCS; pin it so the fan-out, and with it the
+	// merge of more than two partials, runs on any machine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 30; trial++ {

@@ -7,9 +7,10 @@ import (
 	"repro/internal/points"
 )
 
-// The BNL window. Every flat kernel in this package — BlockBNL, the
-// map-side Window, MergeBlocks, foldBlocks, the merge tree's cross-filter
-// and BudgetedFold — is a loop around the one scan step below.
+// The BNL window. Every flat kernel in this package that keeps a window —
+// BlockBNL, the map-side Window and BudgetedFold — is a loop around the one
+// scan step below; the merge Filter (filter.go) keeps none, and borrows the
+// signatures only.
 //
 // Almost every pair a skyline window compares is incomparable: its rows
 // trade off against each other by definition. The window therefore keeps
@@ -52,7 +53,7 @@ const (
 )
 
 // window is a BNL window over a flat block with one signature per row.
-// The zero value is not usable; build one with newWindow or windowOver.
+// The zero value is not usable; build one with newWindow.
 type window struct {
 	rows *points.Block
 	// sigs[j] is the signature of row j under thr; maintained (and as long
@@ -79,15 +80,6 @@ type window struct {
 
 func newWindow(dim, capPoints int) *window {
 	return &window{rows: points.NewBlock(dim, capPoints), fitAt: firstFit}
-}
-
-// windowOver wraps an existing block of mutually non-dominated rows as a
-// window, fitting it at once if it is large enough. add and scan mutate
-// the block; dominates only reads it.
-func windowOver(rows *points.Block) *window {
-	w := &window{rows: rows, fitAt: firstFit}
-	w.fitIfDue()
-	return w
 }
 
 // reset empties the window for reuse, keeping capacity but forgetting
@@ -149,19 +141,11 @@ func (w *window) fit(sample *points.Block) {
 		w.thr = make([]float64, d*L)
 	}
 	w.thr = w.thr[:d*L]
-	stride := max(1, n/fitSample)
-	m := n / stride
-	if cap(w.col) < m {
-		w.col = make([]float64, m)
-	}
-	col := w.col[:m]
 	for i := 0; i < d; i++ {
-		for j := range col {
-			col[j] = sample.Row(j * stride)[i]
-		}
-		sort.Float64s(col)
+		w.col = sampleColumn(sample, i, w.col)
+		m := len(w.col)
 		for k := 0; k < L; k++ {
-			w.thr[i*L+k] = col[(k+1)*m/(L+1)]
+			w.thr[i*L+k] = w.col[(k+1)*m/(L+1)]
 		}
 	}
 	rows := w.rows.Len()
@@ -240,8 +224,7 @@ func (w *window) scan(p []float64) bool {
 // promote swaps row j, which has just killed an arrival, with row j/2 —
 // signature and tick in lockstep, as evict. A skyline is order-free, so
 // any order is a correct window; this one lets rows that kill drift to the
-// front, where the next arrival meets them inside the plain prefix. Only
-// scan promotes: dominates shares its window between goroutines. Measured
+// front, where the next arrival meets them inside the plain prefix. Measured
 // on BenchmarkMapSideFold (1 M independent d=6 points into 8 windows) and
 // BlockBNL over 200k of them: no promotion 189 / 55 ms, to j/2 72 / 28 ms,
 // to j/4 79 / 29 ms, to 3j/4 77 / 27 ms, one step (j−1) 98 / 41 ms, to the
@@ -259,6 +242,22 @@ func (w *window) promote(j int) {
 	if w.timed {
 		w.ticks[i], w.ticks[j] = w.ticks[j], w.ticks[i]
 	}
+}
+
+// sampleColumn returns, sorted and in col's memory, dimension i of some
+// fitSample evenly strided rows of b (all of them while b is that short).
+func sampleColumn(b *points.Block, i int, col []float64) []float64 {
+	stride := max(1, b.Len()/fitSample)
+	m := b.Len() / stride
+	if cap(col) < m {
+		col = make([]float64, m)
+	}
+	col = col[:m]
+	for j := range col {
+		col[j] = b.Row(j * stride)[i]
+	}
+	sort.Float64s(col)
+	return col
 }
 
 // evict swap-deletes row j, with its signature and tick in lockstep.
@@ -297,36 +296,6 @@ func (w *window) add(p []float64) {
 	if w.scan(p) {
 		w.push(p, 0)
 	}
-}
-
-// dominates reports whether some window row strictly dominates p, and the
-// number of coordinate tests it took. It is the one-directional, read-only
-// step of the merge tree's cross-filter: it never touches the window, so
-// goroutines may share one.
-func (w *window) dominates(p []float64, rel relFunc) (bool, int64) {
-	n := w.rows.Len()
-	tests := int64(0)
-	var sp uint64
-	signed := false
-	for j := 0; j < n; j++ {
-		if j >= plainPrefix && w.levels > 0 {
-			if !signed {
-				sp, signed = w.sign(p), true
-			}
-			sigs := w.sigs[:n]
-			for j < n && sigs[j]&^sp != 0 {
-				j++ // row j exceeds a threshold p does not
-			}
-			if j == n {
-				break
-			}
-		}
-		tests++
-		if rel(w.rows.Row(j), p) == LeftDominates {
-			return true, tests
-		}
-	}
-	return false, tests
 }
 
 // Window is BlockBNL fed one row at a time: Add runs the same scan step,

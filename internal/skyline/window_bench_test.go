@@ -12,8 +12,8 @@ import (
 	"repro/internal/qws"
 )
 
-// The benchmarks behind the constants in window.go, parallel.go and
-// merge.go; their comments quote these rows.
+// The benchmarks behind the constants in window.go and parallel.go; their
+// comments quote these rows. The merge's own are in filter_bench_test.go.
 
 func benchInputs() map[string]*points.Block {
 	out := map[string]*points.Block{}
@@ -81,16 +81,15 @@ func BenchmarkMapSideFold(b *testing.B) {
 	b.ReportMetric(float64(DominanceTests()-t0)/float64(b.N)/float64(len(data)), "tests/pt")
 }
 
-// BenchmarkCutoffs measures both fan-out decisions at two workers: a
+// BenchmarkCutoffs measures the fan-out decision at two workers: a
 // sequential BlockBNL against two halves side by side plus their merge
-// (parallelCutoff), and a seeded merge of two half-skylines against their
-// two-worker cross-filter (parallelMergeCutoff).
+// (parallelCutoff).
 func BenchmarkCutoffs(b *testing.B) {
 	for name, all := range benchInputs() {
 		if name == "corr6" {
 			continue // skylines of a few rows: nothing to fan out or merge
 		}
-		for _, n := range []int{256, 1024, 4096, 16384, 50000} {
+		for _, n := range []int{256, 1024, 4096, 16384, 32768, 50000} {
 			blk := all.Slice(0, n)
 			b.Run(fmt.Sprintf("local/%s/n=%d/sequential", name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -109,21 +108,9 @@ func BenchmarkCutoffs(b *testing.B) {
 						}(k)
 					}
 					wg.Wait()
-					mergeTree(context.Background(), parts, 2)
-				}
-			})
-		}
-		for _, n := range []int{2000, 8000, 50000, all.Len()} {
-			a, c := BlockBNL(all.Slice(0, n/2)), BlockBNL(all.Slice(n/2, n))
-			size := fmt.Sprintf("%dx%d", a.Len(), c.Len())
-			b.Run(fmt.Sprintf("merge/%s/%s/seeded", name, size), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					MergeBlocks(a, c)
-				}
-			})
-			b.Run(fmt.Sprintf("merge/%s/%s/cross2", name, size), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					crossFilter(a, c, 2)
+					if _, err := mergeBlocks(context.Background(), parts, 2); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}

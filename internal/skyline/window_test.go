@@ -3,8 +3,6 @@ package skyline
 import (
 	"math/rand"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/points"
@@ -343,85 +341,6 @@ func TestPromotionKeepsLockstep(t *testing.T) {
 	}
 	if promotions < 100 || evictions < 10 || fits < 2 {
 		t.Fatalf("%d promotions, %d evictions, %d fits: the stream no longer covers all three", promotions, evictions, fits)
-	}
-}
-
-// TestDominatesDoesNotMutate: the cross-filter shares one window per side
-// among its goroutines, so the read-only step must leave it untouched —
-// no promotion there. Under -race a write would also be reported.
-func TestDominatesDoesNotMutate(t *testing.T) {
-	rng := rand.New(rand.NewSource(137))
-	const d = 5
-	side := func() *points.Block {
-		w := newWindow(d, 0)
-		for _, p := range windowStream(rng, 2, 3000, d, -1) {
-			w.add(p)
-		}
-		return w.rows
-	}
-	a, b := side(), side()
-	w := windowOver(a)
-	if w.levels == 0 {
-		t.Fatal("window not fitted")
-	}
-	rowsBefore, sigsBefore := a.Clone(), slices.Clone(w.sigs)
-	var wg sync.WaitGroup
-	var killed atomic.Int64
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < b.Len(); i += 4 {
-				if dead, _ := w.dominates(b.Row(i), RelationKernel(d)); dead {
-					killed.Add(1)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if killed.Load() == 0 {
-		t.Fatal("no row of the other side was dominated: nothing would have been promoted anyway")
-	}
-	bBefore := b.Clone()
-	crossFilter(a, b, 4)
-	if !slices.Equal(w.sigs, sigsBefore) {
-		t.Fatal("dominates changed the window's signatures")
-	}
-	for _, c := range []struct{ got, want *points.Block }{{a, rowsBefore}, {b, bBefore}} {
-		if c.got.Len() != c.want.Len() {
-			t.Fatalf("the cross-filter changed an input block: %d rows, was %d", c.got.Len(), c.want.Len())
-		}
-		for j := 0; j < c.want.Len(); j++ {
-			if !slices.Equal(c.got.Row(j), c.want.Row(j)) {
-				t.Fatalf("the cross-filter changed an input block at row %d", j)
-			}
-		}
-	}
-}
-
-// TestCrossFilterMatchesSeededMerge: the worker-rich pairwise merge and
-// the seeded BNL agree, on sides large enough to be signed. (The tree
-// reaches the cross-filter only past parallelMergeCutoff with spare
-// workers, which the small oracle tests never do.)
-func TestCrossFilterMatchesSeededMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(135))
-	for _, d := range []int{2, 5, 10, 65} {
-		for kind := 0; kind < 3; kind++ {
-			side := func() *points.Block {
-				w := newWindow(d, 0)
-				for _, p := range windowStream(rng, kind, 300, d, -1) {
-					w.add(p)
-				}
-				return w.rows
-			}
-			a, b := side(), side()
-			want := MergeBlocks(a, b).ToSet()
-			for _, workers := range []int{2, 3, 7} {
-				if got := crossFilter(a, b, workers).ToSet(); !sameMultiset(got, want) {
-					t.Fatalf("d=%d kind=%d workers=%d: cross-filter kept %d rows, seeded merge %d", d, kind, workers, len(got), len(want))
-				}
-			}
-		}
 	}
 }
 
