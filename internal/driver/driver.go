@@ -167,31 +167,29 @@ func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *S
 // skyline, or ComputeSkyband's k-skyband.
 func compute(ctx context.Context, data points.Set, band int, opts Options) (points.Set, *Stats, error) {
 	opts = opts.withDefaults()
-	// The input is validated exactly once: by partition.New, in the same
-	// pass that takes the bounds it fits to — or here, when a pre-built
-	// partitioner means New never sees the data.
-	if opts.PartitionerOverride != nil {
-		if err := data.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("driver: %w", err)
-		}
-	}
 	ctx, rootSpan := telemetry.StartSpan(ctx, fmt.Sprintf("skyline:%s", opts.Scheme),
 		telemetry.A("scheme", fmt.Sprint(opts.Scheme)),
 		telemetry.A("points", len(data)))
 	defer rootSpan.End()
 
+	// The input is validated exactly once, in the pass that takes the bounds
+	// the partitioner is fitted to — made on the job's workers, so that at
+	// two of them the job has no one-goroutine prologue (at Workers: 1 it is
+	// the serial pass) — or alone, when a pre-built partitioner needs no fit.
 	part := opts.PartitionerOverride
 	var err error
-	if part == nil {
-		part, err = partition.New(opts.Scheme, data, opts.Partitions)
-		if err != nil {
-			// Invalid input is reported as this package's error, worded by
-			// the reference check (error path only).
-			if verr := data.Validate(); verr != nil {
-				return nil, nil, fmt.Errorf("driver: %w", verr)
+	if part != nil {
+		err = data.Validate()
+	} else {
+		var min, max points.Point
+		if min, max, err = data.ValidateBoundsOn(opts.Workers); err == nil {
+			if part, err = partition.NewWithBounds(opts.Scheme, data, min, max, opts.Partitions); err != nil {
+				return nil, nil, err
 			}
-			return nil, nil, err
 		}
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("driver: %w", err)
 	}
 
 	// MR-Grid dominance pruning needs cell occupancy, which is known after

@@ -117,11 +117,13 @@ func MergeTasks(workers, rows int) int {
 // without the paper's single reducer. Its input is the candidate set, every
 // local skyline row of dim dimensions, and every one of its map tasks reads
 // all of it (mapreduce.WholeInput): the candidates are laid out as a
-// skyline.Filter — by the first task of a job value to get there, for all of
-// them; in process that is one layout a job, on a cluster, where a worker
-// instantiates the job per task, one a task, each the same because the
-// layout is a function of the rows — and task t tests rows t, t+T, … of the
-// layout against it, emitting the survivors to the one global partition
+// skyline.Filter — once per job value, on as many goroutines as the job has
+// tasks, started by the first task to get there while the others wait for
+// the layout, not for one builder; in process that is one layout a job, on a
+// cluster, where a worker instantiates the job per task, one a task, each
+// the same because the layout is a function of the rows — and task t tests
+// rows t, t+T, … of the layout against it, emitting the survivors to the one
+// global partition
 // (paper line 13: output(null, si)). band is the operator: 0 keeps the rows
 // no candidate dominates, k ≥ 1 those fewer than k do. Nothing is combined
 // and the one reduce task only concatenates, so the job's work is its Map
@@ -135,7 +137,7 @@ func MergeJob(dim, band int) mapreduce.FrameJob {
 	return mapreduce.FrameJob{
 		TaskMapper: func(candidates []*points.Block, task, tasks int, emit mapreduce.EmitPoint) (int, error) {
 			once.Do(func() {
-				if filter, err = skyline.NewFilter(candidates, band); err == nil && filter.Dim() != dim {
+				if filter, err = skyline.NewFilter(candidates, band, tasks); err == nil && filter.Dim() != dim {
 					err = fmt.Errorf("%w: %d-dimensional rows in a %d-dimensional merge", skyline.ErrCandidates, filter.Dim(), dim)
 				}
 			})

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/fan"
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
@@ -14,8 +15,9 @@ import (
 )
 
 // This file is the out-of-core entry point: datasets that never fit in
-// memory enter as chunk recipes (mapreduce.ChunkSource), the partitioning
-// job streams one chunk at a time through the framed engine, reducers
+// memory enter as chunk recipes (mapreduce.ChunkSource), each map task of
+// the partitioning job streams its chunks one at a time through the framed
+// engine, reducers
 // fold frames under a byte budget, and the merge runs as a multi-round
 // schedule in the MRC mold (Goodrich et al., "Sorting, Searching, and
 // Simulation in the MapReduce Framework"): each round's reducers touch at
@@ -28,9 +30,11 @@ import (
 const defaultReducerBudget = 1 << 30
 
 // ComputeStream runs the MapReduce skyline pipeline over a dataset that
-// exists only as a chunk recipe: src is read one chunk per map task (and
-// re-read on retry — ReadChunk must be pure), so a 10⁸-point input is
-// never materialized. Reducers fold shuffle frames under
+// exists only as a chunk recipe: a map task is a worker's share of src's
+// chunks, read one at a time into one recycled block (and re-read from the
+// task's first chunk on retry — ReadChunk must be pure), so a 10⁸-point
+// input is never materialized while the task's partition windows stay warm
+// across the whole share. Reducers fold shuffle frames under
 // opts.ReducerBudgetBytes (default 1 GiB) and the merge runs as the
 // multi-round budgeted schedule instead of one global reduce.
 //
@@ -144,27 +148,21 @@ func foldRound(ctx context.Context, groups [][]*points.Block, dim int, budget in
 	defer cancel()
 	next := make([]*points.Block, len(groups))
 	folds := make([]skyline.FoldStats, len(groups))
-	var wg sync.WaitGroup
 	var taken atomic.Int64
 	var failOnce sync.Once
 	var firstErr error
-	for w := 0; w < max(min(opts.Workers, len(groups)), 1); w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for g := int(taken.Add(1)) - 1; g < len(groups); g = int(taken.Add(1)) - 1 {
-				err := ctx.Err()
-				if err == nil {
-					next[g], folds[g], err = foldGroup(ctx, worker, g, groups[g], dim, budget, opts)
-				}
-				if err != nil {
-					failOnce.Do(func() { firstErr = err; cancel() })
-					return
-				}
+	fan.Out(min(opts.Workers, len(groups)), func(worker int) {
+		for g := int(taken.Add(1)) - 1; g < len(groups); g = int(taken.Add(1)) - 1 {
+			err := ctx.Err()
+			if err == nil {
+				next[g], folds[g], err = foldGroup(ctx, worker, g, groups[g], dim, budget, opts)
 			}
-		}(w)
-	}
-	wg.Wait()
+			if err != nil {
+				failOnce.Do(func() { firstErr = err; cancel() })
+				return
+			}
+		}
+	})
 	return next, folds, firstErr
 }
 

@@ -448,7 +448,9 @@ func TestComputeStreamAllocatesInputOnce(t *testing.T) {
 
 // BenchmarkComputeStream is one streamed job end to end — 200 k
 // independent d=6 rows as 16 chunks, 128 KiB reducer budget, FrameAuto,
-// spills on — so B/op is what a streamed job allocates. CI prints it.
+// spills on — so B/op is what a streamed job allocates. CI prints it, with
+// the bytes the job shuffled and the map tasks it was cut into (read off one
+// more, traced, job once the clock has stopped).
 func BenchmarkComputeStream(b *testing.B) {
 	const n, d = 200000, 6
 	src, err := dataset.NewSource(dataset.KindIndependent, 2012, n, d, n/16)
@@ -464,4 +466,18 @@ func BenchmarkComputeStream(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	tr := telemetry.NewTracer()
+	_, stats, err := ComputeStream(telemetry.WithTracer(context.Background(), tr), src, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tasks := 0
+	for _, span := range tr.Spans() {
+		if span.Name == "map-task" {
+			tasks++
+		}
+	}
+	b.ReportMetric(float64(stats.Counters[mapreduce.CounterShuffleBytes]), "shuffle-B/job")
+	b.ReportMetric(float64(tasks), "map-tasks/job")
 }

@@ -444,12 +444,20 @@ func ReduceFrames(streams [][]byte, reducer FrameReducer, codec points.FrameCode
 // partition accumulators holds a copy of a point. Feeds are re-readable:
 // a retried task is fed the same rows again. Build one with SetRows or
 // ChunkRows — or, for a job with a TaskMapper, WholeInput.
+//
+// A feed counts its input in its own unit, rows or chunks, and a map task is
+// Config.SplitSize consecutive units — by default a worker's share,
+// ceil(units / Workers), so a job has as many map tasks as workers. A task's
+// accumulators live exactly as long as the task, and a combining
+// accumulator (a skyline window) pays for every restart: it starts cold,
+// and it ships a skyline of its own that barely shrinks when the task does.
+// So tasks are as long as the worker count allows; what a job outputs is a
+// function of the input and Workers alone.
 type RowFeed struct {
-	// units is the input length in the feed's splitting unit and
-	// perUnit whether every unit is its own map task (chunks) or tasks
-	// are Config.SplitSize units long (rows).
-	units   int
-	perUnit bool
+	// units is the input length in the feed's unit, and unit that unit's
+	// name in the job's narration ("records", "chunks").
+	units int
+	unit  string
 	// feed maps units [lo, hi) and returns the number of rows it fed.
 	feed func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error)
 	// whole, for WholeInput, is what every one of the wholeTasks map
@@ -466,13 +474,12 @@ func WholeInput(blocks []*points.Block, tasks int) RowFeed {
 	for _, blk := range blocks {
 		rows += blk.Len()
 	}
-	return RowFeed{units: rows, whole: blocks, wholeTasks: tasks}
+	return RowFeed{units: rows, unit: "records", whole: blocks, wholeTasks: tasks}
 }
 
-// SetRows feeds an in-memory point set, in order; tasks are
-// Config.SplitSize points long.
+// SetRows feeds an in-memory point set, in order; its unit is the row.
 func SetRows(data points.Set) RowFeed {
-	return RowFeed{units: len(data), feed: func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error) {
+	return RowFeed{units: len(data), unit: "records", feed: func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error) {
 		for _, p := range data[lo:hi] {
 			if err := mapper(p, emit); err != nil {
 				return 0, err
@@ -482,16 +489,20 @@ func SetRows(data points.Set) RowFeed {
 	}}
 }
 
-// ChunkRows feeds an out-of-core input one chunk per map task, so the full
-// input never exists in memory. A task borrows its chunk block from the
-// feed's free list and returns it, emptied but with its capacity, once its
-// rows are routed (or the attempt failed): the feed holds at most one block
-// per engine worker for its life, each sized by the first chunk read into
-// it, and a steady-state task — a retry included — allocates no chunk memory.
+// ChunkRows feeds an out-of-core input; its unit is the chunk. A task walks
+// its chunks one at a time through the one block it borrows from the feed's
+// free list, emptied between chunks, so a worker never holds more than one
+// chunk and the full input never exists in memory, while the task's
+// accumulators see every row of its run. The block goes back with its
+// capacity once the rows are routed (or the attempt failed): the
+// feed holds at most one block per engine worker for its life, each sized by
+// the largest chunk read into it, and a steady-state task — a retry included
+// — allocates no chunk memory. A failed read or mapper fails the task, which
+// restarts from its first chunk.
 func ChunkRows(src ChunkSource) RowFeed {
 	var mu sync.Mutex
 	var free []*points.Block
-	return RowFeed{units: src.Chunks(), perUnit: true, feed: func(lo, _ int, mapper RowMapper, emit EmitPoint) (int, error) {
+	return RowFeed{units: src.Chunks(), unit: "chunks", feed: func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error) {
 		var blk *points.Block
 		mu.Lock()
 		if last := len(free) - 1; last >= 0 {
@@ -502,21 +513,25 @@ func ChunkRows(src ChunkSource) RowFeed {
 			blk = points.NewBlock(0, 0)
 		}
 		defer func() {
-			blk.Clear()
 			mu.Lock()
 			free = append(free, blk)
 			mu.Unlock()
 		}()
-		if err := src.ReadChunk(lo, blk); err != nil {
-			return 0, fmt.Errorf("reading chunk %d: %w", lo, err)
-		}
-		n := blk.Len()
-		for i := 0; i < n; i++ {
-			if err := mapper(blk.Row(i), emit); err != nil {
-				return 0, err
+		rows := 0
+		for c := lo; c < hi; c++ {
+			blk.Clear() // of the chunk before, or of whatever a failed attempt left
+			if err := src.ReadChunk(c, blk); err != nil {
+				return 0, fmt.Errorf("reading chunk %d: %w", c, err)
 			}
+			n := blk.Len()
+			for i := 0; i < n; i++ {
+				if err := mapper(blk.Row(i), emit); err != nil {
+					return 0, err
+				}
+			}
+			rows += n
 		}
-		return n, nil
+		return rows, nil
 	}}
 }
 
@@ -565,9 +580,6 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	}
 	units := job.Feed.units
 	cfg = cfg.withDefaults(units)
-	if job.Feed.perUnit {
-		cfg.SplitSize = 1
-	}
 	tasks := (units + cfg.SplitSize - 1) / cfg.SplitSize
 	if job.TaskMapper != nil {
 		tasks = job.Feed.wholeTasks
@@ -579,11 +591,8 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		telemetry.A("reducers", cfg.Reducers), telemetry.A("tasks", tasks),
 		telemetry.A("shuffle", "frames"))
 	ev, jobAttr := cfg.Events, telemetry.A("job", cfg.Name)
-	input := "records"
-	if job.Feed.perUnit {
-		input = "chunks" // a chunk feed does not know its row count up front
-	}
-	ev.Info("job start", jobAttr, telemetry.A(input, units),
+	// A chunk feed does not know its row count up front: it reports chunks.
+	ev.Info("job start", jobAttr, telemetry.A(job.Feed.unit, units),
 		telemetry.A("reducers", cfg.Reducers), telemetry.A("trace", jobSpan.ID()))
 	fail := func(err error) (*FrameResult, error) {
 		result := "error"

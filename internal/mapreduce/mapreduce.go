@@ -38,8 +38,10 @@ type Config struct {
 	Workers int
 	// Reducers is the number of reduce partitions. Defaults to Workers.
 	Reducers int
-	// SplitSize is the number of input rows per map task. Defaults to
-	// ceil(rows / (4*Workers)) so each worker sees a few tasks.
+	// SplitSize is the length of a map task in the feed's own unit — rows
+	// of a SetRows feed, chunks of a ChunkRows feed. Defaults to
+	// ceil(units / Workers): a task is a worker's share of the input (see
+	// RowFeed for why).
 	SplitSize int
 	// MaxAttempts is how many times a failed map or reduce task is retried
 	// before the job fails. Defaults to 1 (no retry).
@@ -72,7 +74,9 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-func (c Config) withDefaults(inputLen int) Config {
+// withDefaults fills the unset fields for a job over units units of input —
+// rows or chunks, as the feed counts them.
+func (c Config) withDefaults(units int) Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -80,10 +84,7 @@ func (c Config) withDefaults(inputLen int) Config {
 		c.Reducers = c.Workers
 	}
 	if c.SplitSize <= 0 {
-		c.SplitSize = (inputLen + 4*c.Workers - 1) / (4 * c.Workers)
-		if c.SplitSize < 1 {
-			c.SplitSize = 1
-		}
+		c.SplitSize = max((units+c.Workers-1)/c.Workers, 1)
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 1

@@ -21,6 +21,9 @@ func frameSpillFileName(cfg Config, task, reducer int) string {
 // one sequence file per non-empty reducer, one length-prefixed record
 // per frame (empty key, frame bytes as the value) — whole frames, not
 // per-point entries, so read-back is byte-identical to what was sealed.
+// When a file fails part-way, the files the call has written are removed
+// before the error is returned (writeFrameSpill removes the torn one):
+// nothing else knows their names.
 func spillFrameStreams(cfg Config, task int, streams [][]byte, counters *Counters) ([]string, error) {
 	files := make([]string, len(streams))
 	var spilled int64
@@ -29,41 +32,56 @@ func spillFrameStreams(cfg Config, task int, streams [][]byte, counters *Counter
 			continue
 		}
 		name := frameSpillFileName(cfg, task, r)
-		f, err := os.Create(name)
+		size, err := writeFrameSpill(name, stream)
 		if err != nil {
-			return nil, fmt.Errorf("mapreduce: %s: creating frame spill: %w", cfg.Name, err)
-		}
-		w := sequencefile.NewWriter(f)
-		for len(stream) > 0 {
-			n, err := points.FrameLen(stream)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("mapreduce: %s: splitting frame stream: %w", cfg.Name, err)
-			}
-			if err := w.Append(nil, stream[:n]); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("mapreduce: %s: writing frame spill: %w", cfg.Name, err)
-			}
-			stream = stream[n:]
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("mapreduce: %s: flushing frame spill: %w", cfg.Name, err)
-		}
-		if info, err := f.Stat(); err == nil {
-			counters.Add(CounterSpillBytes, info.Size())
-			spilled += info.Size()
-		}
-		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("mapreduce: %s: closing frame spill: %w", cfg.Name, err)
+			removeFrameSpills([]frameTaskOutput{{files: files}})
+			return nil, fmt.Errorf("mapreduce: %s: %w", cfg.Name, err)
 		}
 		files[r] = name
+		counters.Add(CounterSpillBytes, size)
+		spilled += size
 	}
 	if spilled > 0 {
 		cfg.Events.Info("spill", telemetry.A("job", cfg.Name), telemetry.A("phase", "map"),
 			telemetry.A("task", task), telemetry.A("bytes", spilled))
 	}
 	return files, nil
+}
+
+// writeFrameSpill writes one frame stream as the sequence file name and
+// returns the file's size. A file it created and could not finish is removed.
+func writeFrameSpill(name string, stream []byte) (size int64, err error) {
+	f, err := os.Create(name)
+	if err != nil {
+		return 0, fmt.Errorf("creating frame spill: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			_ = os.Remove(name) // best effort: the write error is the one to report
+		}
+	}()
+	w := sequencefile.NewWriter(f)
+	for len(stream) > 0 {
+		n, err := points.FrameLen(stream)
+		if err != nil {
+			return 0, fmt.Errorf("splitting frame stream: %w", err)
+		}
+		if err := w.Append(nil, stream[:n]); err != nil {
+			return 0, fmt.Errorf("writing frame spill: %w", err)
+		}
+		stream = stream[n:]
+	}
+	if err := w.Flush(); err != nil {
+		return 0, fmt.Errorf("flushing frame spill: %w", err)
+	}
+	if info, err := f.Stat(); err == nil {
+		size = info.Size()
+	}
+	if err := f.Close(); err != nil {
+		return 0, fmt.Errorf("closing frame spill: %w", err)
+	}
+	return size, nil
 }
 
 // ErrSpillTruncated is returned (wrapped) when a spill file ends

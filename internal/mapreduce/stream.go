@@ -204,13 +204,14 @@ func runFrameReduceTaskStream(cfg Config, r int, outputs []frameTaskOutput, fold
 // Chunked input: out-of-core map side
 
 // ChunkSource provides the input of an out-of-core job as random-access
-// chunks: one map task per chunk (see ChunkRows), each read directly into
-// a block, so the full input never exists in memory. The block ReadChunk
-// is handed is empty but may carry an earlier chunk's capacity — the
-// engine recycles chunk blocks across tasks — so a source reserves the
-// chunk's rows once (points.Block.Extend) and never append-grows row by
-// row: a task's chunk memory is then one chunk, and nothing once recycled.
-// ReadChunk must be safe for concurrent use and re-readable (task retry).
+// chunks: a map task is a run of consecutive chunks (see ChunkRows), each
+// read in turn directly into the task's one block, so the full input never
+// exists in memory. The block ReadChunk is handed is empty but may carry an
+// earlier chunk's capacity — the engine recycles chunk blocks across chunks
+// and tasks — so a source reserves the chunk's rows once
+// (points.Block.Extend) and never append-grows row by row: a task's chunk
+// memory is then one chunk, and nothing once recycled. ReadChunk must be
+// safe for concurrent use and re-readable (task retry).
 type ChunkSource interface {
 	Chunks() int
 	ReadChunk(i int, blk *points.Block) error

@@ -1,0 +1,199 @@
+package mapreduce
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/points"
+)
+
+// frameLog is a job's shuffle as its reducers were handed it: per partition,
+// the coordinates of every frame absorbed, in order. With Staging
+// accumulators a frame is what one map task routed to the partition, rows in
+// arrival order, and frames arrive in map-task order.
+type frameLog struct {
+	mu     sync.Mutex
+	frames map[int][][]float64
+}
+
+type loggingFold struct {
+	log       *frameLog
+	partition int
+}
+
+func (f loggingFold) Absorb(blk *points.Block) error {
+	f.log.mu.Lock()
+	f.log.frames[f.partition] = append(f.log.frames[f.partition], coordsOf(blk))
+	f.log.mu.Unlock()
+	return nil
+}
+
+// coordsOf copies a block's coordinates out, row after row.
+func coordsOf(blk *points.Block) []float64 {
+	var coords []float64
+	for i := 0; i < blk.Len(); i++ {
+		coords = append(coords, blk.Row(i)...)
+	}
+	return coords
+}
+
+func (f loggingFold) Finish() (*points.Block, error) { return points.NewBlock(0, 0), nil }
+
+// shuffleOf runs job with a logging folder and returns what crossed its
+// shuffle.
+func shuffleOf(t *testing.T, cfg Config, job FrameJob) map[int][][]float64 {
+	t.Helper()
+	log := &frameLog{frames: map[int][][]float64{}}
+	job.Folder = func(p int) FrameFold { return loggingFold{log, p} }
+	if _, err := RunFrames(context.Background(), cfg, job); err != nil {
+		t.Fatal(err)
+	}
+	return log.frames
+}
+
+// lengths is the row count of each one-dimensional frame.
+func lengths(frames [][]float64) []int {
+	out := make([]int, len(frames))
+	for i, f := range frames {
+		out[i] = len(f)
+	}
+	return out
+}
+
+// TestTaskRule pins what a map task is: by default a worker's share of the
+// input, ceil(units / Workers) consecutive units of the feed's own kind —
+// rows of a set, chunks of a chunk source, read one at a time into at most
+// Workers blocks — and Config.SplitSize units when that is set.
+func TestTaskRule(t *testing.T) {
+	toZero := RowMapper(func(row []float64, emit EmitPoint) error {
+		emit(0, row)
+		return nil
+	})
+	// runs cuts 0 … n−1 into consecutive runs of size.
+	runs := func(n, size int) [][]float64 {
+		var out [][]float64
+		for lo := 0; lo < n; lo += size {
+			var run []float64
+			for i := lo; i < min(lo+size, n); i++ {
+				run = append(run, float64(i))
+			}
+			out = append(out, run)
+		}
+		return out
+	}
+	const per = 5
+	for _, tc := range []struct {
+		chunked               bool
+		units, workers, split int // split 0: the default
+		task                  int // the task length the rule gives
+	}{
+		{false, 10, 4, 0, 3}, // ceil(10/3) = 4 tasks, the last one row
+		{false, 9, 4, 0, 3},  // 3 tasks: fewer than workers
+		{false, 3, 8, 0, 1},
+		{false, 1000, 2, 0, 500},
+		{false, 10, 4, 4, 4},
+		{true, 16, 2, 0, 8},
+		{true, 7, 3, 0, 3},
+		{true, 2, 4, 0, 1}, // chunks < Workers: one task per chunk
+		{true, 16, 2, 5, 5},
+		{true, 16, 4, 1, 1},
+	} {
+		name := fmt.Sprintf("chunked=%v/units=%d/workers=%d/split=%d", tc.chunked, tc.units, tc.workers, tc.split)
+		cfg := Config{Name: "rule", Workers: tc.workers, Reducers: 2, SplitSize: tc.split}
+		if !tc.chunked {
+			data := make(points.Set, tc.units)
+			for i := range data {
+				data[i] = points.Point{float64(i)}
+			}
+			got := shuffleOf(t, cfg, FrameJob{Feed: SetRows(data), Mapper: toZero})[0]
+			if want := runs(tc.units, tc.task); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: tasks of %v rows (or other rows), want %v", name, lengths(got), lengths(want))
+			}
+			continue
+		}
+		src := &blockCounter{chunkSrc: chunkSrc{chunks: tc.units, per: per, d: 1}, blocks: map[*points.Block]bool{}}
+		var want [][]float64
+		for lo := 0; lo < tc.units; lo += tc.task {
+			run := points.NewBlock(1, 0)
+			for c := lo; c < min(lo+tc.task, tc.units); c++ {
+				if err := src.chunkSrc.ReadChunk(c, run); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want = append(want, coordsOf(run))
+		}
+		if got := shuffleOf(t, cfg, FrameJob{Feed: ChunkRows(src), Mapper: toZero})[0]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: tasks of %v rows (or other rows), want %v", name, lengths(got), lengths(want))
+		}
+		if len(src.blocks) > tc.workers || src.nonEmpty > 0 {
+			t.Errorf("%s: %d chunk blocks live (want <= %d workers), %d reads into a block that was not empty",
+				name, len(src.blocks), tc.workers, src.nonEmpty)
+		}
+	}
+}
+
+// TestShuffleIsAFunctionOfInputAndWorkers: two runs of one job, combining
+// windows and all, put the same frames across the shuffle — rows, their order
+// inside a frame and the frames' order.
+func TestShuffleIsAFunctionOfInputAndWorkers(t *testing.T) {
+	data, route := diffInput(11, 6000, 5, false)
+	var blocks []*points.Block
+	for lo := 0; lo < len(data); lo += 500 {
+		blk, _ := points.BlockOf(data[lo:min(lo+500, len(data))])
+		blocks = append(blocks, blk)
+	}
+	mapper := RowMapper(func(row []float64, emit EmitPoint) error {
+		emit(route(row), row)
+		return nil
+	})
+	for _, workers := range []int{1, 3, 4} {
+		cfg := Config{Name: "same", Workers: workers, Reducers: 3}
+		for name, feed := range map[string]func() RowFeed{
+			"set":    func() RowFeed { return SetRows(data) },
+			"chunks": func() RowFeed { return ChunkRows(blockChunks(blocks)) },
+		} {
+			first := shuffleOf(t, cfg, FrameJob{Feed: feed(), Mapper: mapper, Accumulators: windows})
+			again := shuffleOf(t, cfg, FrameJob{Feed: feed(), Mapper: mapper, Accumulators: windows})
+			if len(first) == 0 || !reflect.DeepEqual(first, again) {
+				t.Errorf("%s, %d workers: two runs shuffled different frames", name, workers)
+			}
+		}
+	}
+}
+
+// blockChunks serves blocks as chunks.
+type blockChunks []*points.Block
+
+func (b blockChunks) Chunks() int { return len(b) }
+
+func (b blockChunks) ReadChunk(i int, blk *points.Block) error {
+	blk.AppendBlock(b[i])
+	return nil
+}
+
+// TestFailedSpillLeavesNoFile: a map task whose spill fails part-way — here
+// reducer 1's file name is taken by a directory — fails the job, and the
+// file it had already written for reducer 0 goes with it.
+func TestFailedSpillLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Name: "full", Workers: 1, Reducers: 2, SpillDir: dir}
+	if err := os.Mkdir(frameSpillFileName(cfg, 0, 1), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mapper, reducer := identityFrameJob(2)
+	_, err := RunFrames(context.Background(), cfg,
+		FrameJob{Feed: SetRows(points.Set{{0, 1}, {1, 1}, {2, 1}, {3, 1}}), Mapper: mapper, Reducer: reducer})
+	if err == nil || !strings.Contains(err.Error(), "creating frame spill") {
+		t.Fatalf("RunFrames returned %v; want the failed create", err)
+	}
+	left, _ := filepath.Glob(filepath.Join(dir, "*.fseq"))
+	if len(left) != 1 || left[0] != frameSpillFileName(cfg, 0, 1) {
+		t.Errorf("the failed job left %v; want only the directory that was there", left)
+	}
+}

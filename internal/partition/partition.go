@@ -122,10 +122,11 @@ type Pruner interface {
 // cannot express that many cells). The dataset must be non-empty and
 // uniform-dimensional.
 //
-// New is the pipeline's one pass over the raw input before the map phase:
-// it validates the set and takes its bounding box together
-// (points.Set.ValidateBounds), so a caller that goes on to use the
-// partitioner need not validate the data again.
+// New validates the set and takes its bounding box together, in one pass
+// on the calling goroutine (points.Set.ValidateBounds), so a caller that
+// goes on to use the partitioner need not validate the data again. A
+// pipeline with workers to hand makes that pass on them
+// (points.Set.ValidateBoundsOn) and calls NewWithBounds.
 func New(scheme Scheme, data points.Set, want int) (Partitioner, error) {
 	min, max, err := data.ValidateBounds()
 	if err != nil {
@@ -135,8 +136,8 @@ func New(scheme Scheme, data points.Set, want int) (Partitioner, error) {
 }
 
 // NewWithBounds is New for a caller that has already made the
-// validate-and-bounds pass (points.Set.ValidateBounds) and hands over its
-// result, so the input is not scanned twice. min and max must be that
+// validate-and-bounds pass (points.Set.ValidateBounds or ValidateBoundsOn)
+// and hands over its result, so the input is not scanned twice. min and max must be that
 // pass's — the fit trusts them as it trusts the data.
 func NewWithBounds(scheme Scheme, data points.Set, min, max points.Point, want int) (Partitioner, error) {
 	if want < 1 {

@@ -2,8 +2,10 @@ package points
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -224,6 +226,69 @@ func TestValidateBoundsMatchesValidateAndBounds(t *testing.T) {
 		min[0] = -99
 		if s[0][0] == -99 {
 			t.Errorf("%s: ValidateBounds aliases the input", name)
+		}
+	}
+}
+
+// TestValidateBoundsSharesMatchSerial: the pass over 1, 2, 3 and 8 contiguous
+// shares is the serial pass — the same box bit for bit, signed zeros and ties
+// between shares included, and on a hostile set the same error: the lowest
+// offending row's, however many shares hold an offender.
+func TestValidateBoundsSharesMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	random := func(n int) Set {
+		s := make(Set, n)
+		for i := range s {
+			// A coarse middle column: its extremes, and both zeros, recur in every share.
+			s[i] = Point{rng.NormFloat64(), math.Copysign(float64(rng.Intn(3)), rng.Float64()-0.5), rng.Float64() * 1e300}
+		}
+		return s
+	}
+	same := func(name string, s Set, shares int) error {
+		t.Helper()
+		wmin, wmax, werr := s.ValidateBounds()
+		min, max, err := s.validateBounds(shares)
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Errorf("%s, %d shares: error %v, serial pass %v", name, shares, err, werr)
+			return err
+		}
+		if len(min) != len(wmin) || len(max) != len(wmax) {
+			t.Fatalf("%s, %d shares: bounds (%v, %v), serial pass (%v, %v)", name, shares, min, max, wmin, wmax)
+		}
+		for j := range wmin {
+			if math.Float64bits(min[j]) != math.Float64bits(wmin[j]) || math.Float64bits(max[j]) != math.Float64bits(wmax[j]) {
+				t.Errorf("%s, %d shares: bounds (%v, %v), serial pass (%v, %v)", name, shares, min, max, wmin, wmax)
+			}
+		}
+		return err
+	}
+	bad := map[string]Point{"NaN": {1, math.NaN(), 3}, "+Inf": {math.Inf(1), 2, 3}, "-Inf": {1, 2, math.Inf(-1)},
+		"short": {1, 2}, "long": {1, 2, 3, 4}, "zero-dim": {}}
+	for _, shares := range []int{1, 2, 3, 8} {
+		for _, n := range []int{1, 2, 5, 7, 8, 9, 300, 1001} { // n < shares and n = 1 among them
+			same(fmt.Sprintf("random n=%d", n), random(n), shares)
+		}
+		same("empty", Set{}, shares)
+		for name, p := range bad {
+			// An offender closes every share, and one of another kind comes
+			// before them all: the pass reports that one.
+			s := random(240)
+			for k := 1; k <= shares; k++ {
+				s[k*len(s)/shares-1] = Point{math.NaN(), 0}
+			}
+			s[rng.Intn(len(s)/shares-1)] = p
+			if same(name+" in every share", s, shares) == nil || same(name+" first", append(Set{p}, random(50)...), shares) == nil {
+				t.Errorf("%s, %d shares: a hostile set passed", name, shares)
+			}
+		}
+	}
+	// The exported pass: workers beyond the row floor change nothing either.
+	big := random(3*boundsShareRows + 17)
+	wmin, wmax, _ := big.ValidateBounds()
+	for _, workers := range []int{0, 1, 2, 8} {
+		min, max, err := big.ValidateBoundsOn(workers)
+		if err != nil || !reflect.DeepEqual([]Point{min, max}, []Point{wmin, wmax}) {
+			t.Errorf("ValidateBoundsOn(%d) = %v, %v, %v; serial pass %v, %v", workers, min, max, err, wmin, wmax)
 		}
 	}
 }

@@ -66,10 +66,11 @@ type Spec struct {
 // angular cuts are those of partition.New — the deterministic sampled fit
 // the in-process driver uses, exact on small inputs — so the cluster and
 // driver.Compute partition a dataset alike. It is the cluster pipeline's
-// one pass over the raw input before the map phase: the fit reuses the
+// one pass over the raw input before the map phase, made on the master's
+// GOMAXPROCS goroutines (points.Set.ValidateBoundsOn): the fit reuses the
 // bounds taken here.
 func SpecFor(data points.Set, scheme partition.Scheme, partitions int) (Spec, error) {
-	min, max, err := data.ValidateBounds()
+	min, max, err := data.ValidateBoundsOn(0)
 	if err != nil {
 		return Spec{}, fmt.Errorf("skyjob: %w", err)
 	}

@@ -33,8 +33,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
+	"sort"
 
+	"repro/internal/fan"
 	"repro/internal/points"
 )
 
@@ -70,13 +71,14 @@ type rowKey struct {
 
 // NewFilter lays out the rows of blocks, taken as one sequence, block after
 // block. band is the operator: 0 filters to the skyline, k >= 1 to the
-// k-skyband (a row survives fewer than k dominators). The layout is a
-// function of that row sequence alone — two builds from the same rows agree
-// row for row, which is what lets the tasks of a cluster job, each building
-// its own, split the rows between them by index.
-func NewFilter(blocks []*points.Block, band int) (*Filter, error) {
+// k-skyband (a row survives fewer than k dominators). The layout is built on
+// builders goroutines (one builds on the caller's alone) and is a function
+// of that row sequence alone — two builds from the same rows, by however
+// many builders, agree row for row, which is what lets the tasks of a
+// cluster job, each building its own, split the rows between them by index.
+func NewFilter(blocks []*points.Block, band, builders int) (*Filter, error) {
+	src := rowSeq{ends: make([]int, 0, len(blocks))}
 	n, d := 0, 0
-	var u *points.Block // the rows in input order: the one block that has any, or a copy of all
 	for _, b := range blocks {
 		if b.Len() == 0 {
 			continue
@@ -84,37 +86,61 @@ func NewFilter(blocks []*points.Block, band int) (*Filter, error) {
 		if n > 0 && b.Dim() != d {
 			return nil, fmt.Errorf("%w: %d- and %d-dimensional rows", ErrCandidates, d, b.Dim())
 		}
-		u, d, n = b, b.Dim(), n+b.Len()
+		d, n = b.Dim(), n+b.Len()
+		src.blocks, src.ends = append(src.blocks, b), append(src.ends, n)
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("%w: no rows", ErrCandidates)
 	}
-	if u.Len() < n {
-		u = points.NewBlock(d, n)
-		for _, b := range blocks {
-			u.AppendBlock(b)
-		}
-	}
-	return layOut(u, band), nil
+	return layOut(src, n, d, band, max(1, min(builders, n))), nil
 }
 
-func layOut(u *points.Block, band int) *Filter {
-	n, d := u.Len(), u.Dim()
+// rowSeq is the non-empty blocks of a candidate set read as one row
+// sequence, where they lie: ends[b] rows lie in blocks[:b+1].
+type rowSeq struct {
+	blocks []*points.Block
+	ends   []int
+}
+
+// row returns row i of the sequence.
+func (s rowSeq) row(i int) []float64 {
+	b := sort.SearchInts(s.ends, i+1)
+	if b > 0 {
+		i -= s.ends[b-1]
+	}
+	return s.blocks[b].Row(i)
+}
+
+// layOut builds the filter over the n d-dimensional rows of src. Every
+// parallel step writes ranges that no other share touches, and none reads
+// what a share of the same step writes, so the layout does not depend on
+// the number of builders.
+func layOut(src rowSeq, n, d, band, builders int) *Filter {
 	bits := min(d, maxMaskBits)
 	for bits > 0 && n>>bits < groupRows {
 		bits--
 	}
 	f := &Filter{med: make([]float64, bits), keys: make([]rowKey, n), start: make([]int32, 1<<bits+1), kill: max(band, 1)}
-	col := make([]float64, 0, fitSample)
+	// The mask's thresholds: medians of fitSample evenly strided rows.
+	stride := max(1, n/fitSample)
+	col := make([]float64, n/stride)
 	for i := range f.med {
-		col = sampleColumn(u, i, col)
+		for j := range col {
+			col[j] = src.row(j * stride)[i]
+		}
+		sort.Float64s(col)
 		f.med[i] = col[len(col)/2]
 	}
-	// Counting sort by mask, then each group by sum; ties keep input order.
+	// Keys over row ranges, then a counting sort by mask.
 	masks, sums := make([]uint16, n), make([]float64, n)
-	for i := range masks {
-		masks[i], sums[i] = f.key(u.Row(i))
-		f.start[masks[i]+1]++
+	fan.Out(builders, func(share int) {
+		lo, hi := fan.Cut(n, builders, share)
+		for i := lo; i < hi; i++ {
+			masks[i], sums[i] = f.key(src.row(i))
+		}
+	})
+	for _, m := range masks {
+		f.start[m+1]++
 	}
 	for g := 1; g < len(f.start); g++ {
 		f.start[g] += f.start[g-1]
@@ -124,21 +150,36 @@ func layOut(u *points.Block, band int) *Filter {
 		order[next[m]] = int32(i)
 		next[m]++
 	}
+	// Each group by sum — ties keep input order — and its rows into place,
+	// over ranges of whole groups that hold about the same number of rows.
 	rows := points.NewBlock(d, n)
-	for g := 0; g+1 < len(f.start); g++ {
-		group := order[f.start[g]:f.start[g+1]]
-		slices.SortFunc(group, func(a, b int32) int { return cmp.Or(cmp.Compare(sums[a], sums[b]), cmp.Compare(a, b)) })
-		for k, i := range group {
-			rows.AppendRow(u.Row(int(i)))
-			f.keys[int(f.start[g])+k].sum = sums[i]
+	rows.Extend(d, n)
+	groups := len(f.start) - 1
+	bound := func(share int) int {
+		row, _ := fan.Cut(n, builders, share)
+		return sort.Search(groups, func(g int) bool { return int(f.start[g]) >= row })
+	}
+	fan.Out(builders, func(share int) {
+		for g, end := bound(share), bound(share+1); g < end; g++ {
+			group := order[f.start[g]:f.start[g+1]]
+			slices.SortFunc(group, func(a, b int32) int { return cmp.Or(cmp.Compare(sums[a], sums[b]), cmp.Compare(a, b)) })
+			for k, i := range group {
+				j := int(f.start[g]) + k
+				copy(rows.Row(j), src.row(int(i)))
+				f.keys[j].sum = sums[i]
+			}
 		}
-	}
+	})
+	// Signatures over row ranges, under thresholds fitted to the layout.
 	f.win.rows = rows
-	f.win.fit(rows)
-	for j, sig := range f.win.sigs {
-		f.keys[j].sig = sig
+	if f.win.fitThresholds(rows) {
+		fan.Out(builders, func(share int) {
+			lo, hi := fan.Cut(n, builders, share)
+			for j := lo; j < hi; j++ {
+				f.keys[j].sig = f.win.sign(rows.Row(j))
+			}
+		})
 	}
-	f.win.sigs = nil
 	return f
 }
 
@@ -234,16 +275,10 @@ func (f *Filter) Share(task, tasks int, keep func(row []float64)) int {
 // survivors in a fresh block.
 func (f *Filter) Survivors(workers int) *points.Block {
 	shares := make([]*points.Block, max(1, min(workers, f.Len())))
-	var wg sync.WaitGroup
-	for g := range shares {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			shares[g] = points.NewBlock(f.Dim(), 0)
-			f.Share(g, len(shares), shares[g].AppendRow)
-		}()
-	}
-	wg.Wait()
+	fan.Out(len(shares), func(g int) {
+		shares[g] = points.NewBlock(f.Dim(), 0)
+		f.Share(g, len(shares), shares[g].AppendRow)
+	})
 	out := shares[0]
 	for _, share := range shares[1:] {
 		out.AppendBlock(share)

@@ -37,25 +37,28 @@ func localSkylines(tb testing.TB, data points.Set) []*points.Block {
 
 // BenchmarkMergeFilter is the merging job's kernel on the benchmark's two
 // candidate sets — qws_d10's 13 k local-skyline rows and ind_d6's 8.9 k —
-// with the build and the filtering timed apart, on one and two goroutines.
+// with the build and the filtering timed apart, each on one and two
+// goroutines.
 func BenchmarkMergeFilter(b *testing.B) {
 	for name, data := range map[string]points.Set{
 		"qws10": qws.Extend(qws.Generate(2012, 10000, 10), 2012, 50000),
 		"ind6":  dataset.Independent(2012, 1000000, 6),
 	} {
 		blocks := localSkylines(b, data)
-		f, err := NewFilter(blocks, 0)
+		f, err := NewFilter(blocks, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name+"/build", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := NewFilter(blocks, 0); err != nil {
-					b.Fatal(err)
+		for _, builders := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/build/builders=%d", name, builders), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := NewFilter(blocks, 0, builders); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(f.Len()), "rows")
-		})
+				b.ReportMetric(float64(f.Len()), "rows")
+			})
+		}
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/filter/goroutines=%d", name, workers), func(b *testing.B) {
 				t0, kept := DominanceTests(), 0

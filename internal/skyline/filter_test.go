@@ -39,12 +39,13 @@ func cut(rows [][]float64, n int) []*points.Block {
 	return blocks
 }
 
-// checkFilter builds a filter over rows dealt into nBlocks blocks and
-// requires, against the oracle: the survivors of every goroutine count as a
-// multiset, Survives row by row, and Share's coverage of the rows.
-func checkFilter(t testing.TB, rows [][]float64, nBlocks, band int) {
+// checkFilter builds a filter over rows dealt into nBlocks blocks, on
+// builders goroutines, and requires, against the oracle: the survivors of
+// every goroutine count as a multiset, Survives row by row, and Share's
+// coverage of the rows.
+func checkFilter(t testing.TB, rows [][]float64, nBlocks, band, builders int) {
 	t.Helper()
-	f, err := NewFilter(cut(rows, nBlocks), band)
+	f, err := NewFilter(cut(rows, nBlocks), band, builders)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,8 @@ func checkFilter(t testing.TB, rows [][]float64, nBlocks, band int) {
 }
 
 // TestFilterMatchesOracle: the cases the layout could get wrong, each for
-// the skyline and bands 1–3, from one input block and from many.
+// the skyline and bands 1–3, from one input block by one builder and from
+// many by three.
 func TestFilterMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(241))
 	big := math.MaxFloat64 / 2
@@ -122,9 +124,8 @@ func TestFilterMatchesOracle(t *testing.T) {
 	for name, rows := range cases {
 		t.Run(name, func(t *testing.T) {
 			for band := 0; band <= 3; band++ {
-				for _, nBlocks := range []int{1, 8} {
-					checkFilter(t, rows, nBlocks, band)
-				}
+				checkFilter(t, rows, 1, band, 1)
+				checkFilter(t, rows, 8, band, 3)
 			}
 		})
 	}
@@ -139,7 +140,7 @@ func TestFilterRejects(t *testing.T) {
 		"only empty ones":  {points.NewBlock(0, 0), points.NewBlock(4, 0)},
 		"mixed dimensions": {two, points.NewBlock(0, 0), three},
 	} {
-		if f, err := NewFilter(blocks, 0); !errors.Is(err, ErrCandidates) || f != nil {
+		if f, err := NewFilter(blocks, 0, 2); !errors.Is(err, ErrCandidates) || f != nil {
 			t.Errorf("%s: NewFilter returned %v, %v; want ErrCandidates", name, f, err)
 		}
 	}
@@ -153,24 +154,27 @@ func layoutOf(f *Filter) []any {
 
 // TestFilterLayoutIsAFunctionOfRows: the tasks of a cluster merging job each
 // build their own filter and share the rows out by index, so two builds from
-// the same row sequence — however it is cut into blocks — must agree
-// exactly, duplicates and equal sums included.
+// the same row sequence — however it is cut into blocks, and on however many
+// goroutines each is made — must agree exactly, duplicates and equal sums
+// included.
 func TestFilterLayoutIsAFunctionOfRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(242))
 	for _, d := range []int{2, 6, 10, 65} {
 		rows := windowStream(rng, 0, 3000, d, -1) // the grid: thousands of equal sums
 		rows = append(rows, rows[:200]...)
-		ref, err := NewFilter(cut(rows, 1), 0)
+		ref, err := NewFilter(cut(rows, 1), 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, nBlocks := range []int{1, 2, 9} {
-			f, err := NewFilter(cut(rows, nBlocks), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(layoutOf(f), layoutOf(ref)) {
-				t.Fatalf("d=%d: a build from %d blocks differs from a build from one", d, nBlocks)
+			for _, builders := range []int{1, 2, 8} {
+				f, err := NewFilter(cut(rows, nBlocks), 0, builders)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(layoutOf(f), layoutOf(ref)) {
+					t.Fatalf("d=%d: a build from %d blocks by %d builders differs from one builder's from one block", d, nBlocks, builders)
+				}
 			}
 		}
 	}
@@ -182,7 +186,7 @@ func TestFilterLayoutIsAFunctionOfRows(t *testing.T) {
 func TestFilterSharedReadOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(243))
 	rows := windowStream(rng, 2, 4000, 5, -1)
-	f, err := NewFilter(cut(rows, 4), 0)
+	f, err := NewFilter(cut(rows, 4), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,18 +224,19 @@ func TestFilterSharedReadOnly(t *testing.T) {
 }
 
 // FuzzFilterMatchesReference drives the filter with fuzz-chosen geometry —
-// stream kind, size, dimension, a constant column, the band and the number
-// of input blocks — against the classic oracle.
+// stream kind, size, dimension, a constant column, the band, the number of
+// input blocks and the number of goroutines that build the layout — against
+// the classic oracle.
 func FuzzFilterMatchesReference(f *testing.F) {
-	f.Add(int64(1), 100, 2, 0, -1, 0, 1)
-	f.Add(int64(2), 400, 10, 2, 3, 1, 8)
-	f.Add(int64(3), 300, 22, 1, -1, 3, 3)
-	f.Add(int64(4), 200, 65, 2, 0, 2, 50)
-	f.Add(int64(5), 3, 6, 0, -1, 0, 5)
-	f.Fuzz(func(t *testing.T, seed int64, n, d, kind, constCol, band, nBlocks int) {
-		if n < 1 || n > 500 || d < 1 || d > 70 || kind < 0 || band < 0 || band > 4 || nBlocks < 1 || nBlocks > 64 {
+	f.Add(int64(1), 100, 2, 0, -1, 0, 1, 1)
+	f.Add(int64(2), 400, 10, 2, 3, 1, 8, 2)
+	f.Add(int64(3), 300, 22, 1, -1, 3, 3, 3)
+	f.Add(int64(4), 200, 65, 2, 0, 2, 50, 16)
+	f.Add(int64(5), 3, 6, 0, -1, 0, 5, 8)
+	f.Fuzz(func(t *testing.T, seed int64, n, d, kind, constCol, band, nBlocks, builders int) {
+		if n < 1 || n > 500 || d < 1 || d > 70 || kind < 0 || band < 0 || band > 4 || nBlocks < 1 || nBlocks > 64 || builders < 0 || builders > 16 {
 			t.Skip()
 		}
-		checkFilter(t, windowStream(rand.New(rand.NewSource(seed)), kind, n, d, constCol), nBlocks, band)
+		checkFilter(t, windowStream(rand.New(rand.NewSource(seed)), kind, n, d, constCol), nBlocks, band, builders)
 	})
 }

@@ -3,8 +3,8 @@ package skyline
 import (
 	"context"
 	"runtime"
-	"sync"
 
+	"repro/internal/fan"
 	"repro/internal/points"
 	"repro/internal/telemetry"
 )
@@ -78,15 +78,7 @@ func ParallelBlock(ctx context.Context, src *points.Block, workers int) *points.
 	for lo := 0; lo < n; lo += chunk {
 		partials = append(partials, src.Slice(lo, min(lo+chunk, n)))
 	}
-	var wg sync.WaitGroup
-	for i, part := range partials {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			partials[i] = BlockBNL(part)
-		}()
-	}
-	wg.Wait()
+	fan.Out(len(partials), func(i int) { partials[i] = BlockBNL(partials[i]) })
 	merged, _ := mergeBlocks(ctx, partials, workers) // chunks of one block: one dimension, and rows
 	return merged
 }
@@ -97,7 +89,7 @@ func ParallelBlock(ctx context.Context, src *points.Block, workers int) *points.
 func mergeBlocks(ctx context.Context, partials []*points.Block, workers int) (*points.Block, error) {
 	_, span := telemetry.StartSpan(ctx, "merge-filter", telemetry.A("blocks", len(partials)))
 	defer span.End()
-	f, err := NewFilter(partials, 0)
+	f, err := NewFilter(partials, 0, workers)
 	if err != nil {
 		return nil, err
 	}

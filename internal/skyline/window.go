@@ -128,12 +128,29 @@ func (w *window) fitIfDue() {
 // rows like the ones the window will hold make the signatures
 // discriminating.
 func (w *window) fit(sample *points.Block) {
+	if !w.fitThresholds(sample) {
+		return
+	}
+	rows := w.rows.Len()
+	if cap(w.sigs) < rows {
+		w.sigs = make([]uint64, rows, refitGrowth*rows)
+	}
+	w.sigs = w.sigs[:rows]
+	for j := range w.sigs {
+		w.sigs[j] = w.sign(w.rows.Row(j))
+	}
+}
+
+// fitThresholds is fit without the signing: thresholds, levels and the next
+// fit's trigger. It reports whether the dimension leaves a bit per
+// dimension to spend; when not, the window stays on the plain loop.
+func (w *window) fitThresholds(sample *points.Block) bool {
 	n := sample.Len()
 	d := sample.Dim()
 	L := min(64/d, maxLevels)
-	if L == 0 { // no bit per dimension to spend: stay on the plain loop
+	if L == 0 {
 		w.fitAt = math.MaxInt
-		return
+		return false
 	}
 	w.fitAt = refitGrowth * n
 	w.levels = L
@@ -148,14 +165,7 @@ func (w *window) fit(sample *points.Block) {
 			w.thr[i*L+k] = w.col[(k+1)*m/(L+1)]
 		}
 	}
-	rows := w.rows.Len()
-	if cap(w.sigs) < rows {
-		w.sigs = make([]uint64, rows, refitGrowth*rows)
-	}
-	w.sigs = w.sigs[:rows]
-	for j := range w.sigs {
-		w.sigs[j] = w.sign(w.rows.Row(j))
-	}
+	return true
 }
 
 // scan is the BNL step: test p against the window rows with the twin-flag
