@@ -291,19 +291,12 @@ func benchRows(seed int64, n, d int) []points.Point {
 	return rows
 }
 
-// BenchmarkDominance isolates the single pairwise test: the full classic
-// BNL window probe (dominated? strictly-dominates? — up to three generic
-// scans, exactly the sequence in skyline.BNL's inner loop) versus one
-// call of the dimension-specialized relation kernel over block rows.
-//
-// Read this one carefully: at 1024 rows everything sits in L1 either way,
-// so what remains is dispatch — the flat side pays an indirect call
-// through the relFunc pointer (~1ns/pair here) that direct calls to the
-// points predicates don't. That overhead is real but fixed; the flat
-// path's wins (contiguous layout at real working-set sizes, one pass for
-// the full four-way relation, swap-delete eviction) scale with n and d,
-// which is why BenchmarkLocalSkyline and BenchmarkMergeTree favour flat
-// while this micro slightly favours classic.
+// BenchmarkDominance isolates the single pairwise test of the classic
+// kernels: the full BNL window probe (dominated? strictly-dominates? — up to
+// three generic scans, exactly the sequence in skyline.BNL's inner loop) at
+// 1024 rows, where everything sits in L1. The flat kernels have no pairwise
+// function to time beside it — their relation is inlined in the window's
+// scan — so their side of the comparison is BenchmarkLocalSkyline.
 func BenchmarkDominance(b *testing.B) {
 	for _, d := range benchKernelDims {
 		rows := benchRows(2012, 1024, d)
@@ -312,18 +305,6 @@ func BenchmarkDominance(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p, q := rows[i%1024], rows[(i*7+1)%1024]
 				sink = (points.DominatesOrEqual(q, p) && !q.Equal(p)) || points.Dominates(p, q)
-			}
-			_ = sink
-		})
-		rel := skyline.RelationKernel(d)
-		blk, ok := points.BlockOf(points.Set(rows))
-		if !ok {
-			b.Fatal("mixed-dimension bench rows")
-		}
-		b.Run(fmt.Sprintf("d=%d/flat", d), func(b *testing.B) {
-			var sink skyline.Relation
-			for i := 0; i < b.N; i++ {
-				sink = rel(blk.Row(i%1024), blk.Row((i*7+1)%1024))
 			}
 			_ = sink
 		})

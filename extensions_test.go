@@ -1,6 +1,7 @@
 package skymr
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/partition"
 	"repro/internal/points"
-	"repro/internal/skyline"
 )
 
 func TestComputeSkybandPublic(t *testing.T) {
@@ -35,13 +35,12 @@ func TestComputeSkybandPublic(t *testing.T) {
 	}
 }
 
-// TestOptionsReachTheDriver: Compute and ComputeSkyband share one
-// conversion of Options, and it carries every field — so an option the band
-// cannot honour is the driver's error, not a silently different run.
+// TestOptionsReachTheDriver: every entry point shares one conversion of
+// Options, and it carries every field — so an option the band cannot honour
+// is the driver's error, not a silently different run.
 func TestOptionsReachTheDriver(t *testing.T) {
 	opts := Options{
-		Method: Angle, Nodes: 3, Partitions: 5, Workers: 7, Kernel: SFS,
-		DisableCombiner: true, DisableGridPruning: true, SpillDir: "/spill",
+		Method: Angle, Nodes: 3, Partitions: 5, Workers: 7, SpillDir: "/spill",
 		ReducerBudgetBytes: 4096,
 	}
 	for v, i := reflect.ValueOf(opts), 0; i < v.NumField(); i++ {
@@ -54,8 +53,7 @@ func TestOptionsReachTheDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := driver.Options{
-		Scheme: partition.Angular, Nodes: 3, Partitions: 5, Workers: 7, Kernel: skyline.SFSAlgorithm,
-		DisableCombiner: true, DisableGridPruning: true, SpillDir: "/spill",
+		Scheme: partition.Angular, Nodes: 3, Partitions: 5, Workers: 7, SpillDir: "/spill",
 		ReducerBudgetBytes: 4096, Codec: points.FrameAuto, // a budgeted run seals with the auto codec
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -73,8 +71,8 @@ func TestOptionsReachTheDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range []Options{
-		{Method: Grid, Kernel: SFS, DisableGridPruning: true},
-		{Method: Angle, DisableCombiner: true, Workers: 3},
+		{Method: Grid, Partitions: 6},
+		{Method: Angle, SpillDir: t.TempDir(), Workers: 3},
 	} {
 		band, err := ComputeSkyband(context.Background(), data, 2, o)
 		if err != nil {
@@ -82,6 +80,36 @@ func TestOptionsReachTheDriver(t *testing.T) {
 		}
 		if !sameMultiset(band, wantBand) {
 			t.Errorf("%+v: %d band points, sequential %d", o, len(band), len(wantBand))
+		}
+	}
+}
+
+// TestUnknownMethodEverywhere: the five entry points that take Options go
+// through driverOptions, so a Method this package does not know is refused
+// by this package, in the same words, before any of them touches the data.
+func TestUnknownMethodEverywhere(t *testing.T) {
+	data := uniform(75, 200, 3)
+	ix, err := BuildIndex(context.Background(), data, Options{Method: Angle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapshot bytes.Buffer
+	if err := ix.Save(&snapshot); err != nil {
+		t.Fatal(err)
+	}
+	bad := Options{Method: Method(99)}
+	for name, call := range map[string]func() error{
+		"Compute":        func() error { _, err := Compute(context.Background(), data, bad); return err },
+		"ComputeSkyband": func() error { _, err := ComputeSkyband(context.Background(), data, 2, bad); return err },
+		"ComputeConstrained": func() error {
+			_, err := ComputeConstrained(context.Background(), data, Constraint{Max: Unbounded(3, true)}, bad)
+			return err
+		},
+		"BuildIndex": func() error { _, err := BuildIndex(context.Background(), data, bad); return err },
+		"LoadIndex":  func() error { _, err := LoadIndex(context.Background(), &snapshot, bad); return err },
+	} {
+		if err := call(); err == nil || err.Error() != "skymr: unknown method 99" {
+			t.Errorf("%s: %v, want skymr: unknown method 99", name, err)
 		}
 	}
 }

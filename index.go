@@ -20,13 +20,11 @@ type Index struct {
 // initial data; later points outside its bounds remain correct (they are
 // clamped into boundary partitions).
 func BuildIndex(ctx context.Context, data Set, opts Options) (*Index, error) {
-	ix, err := driver.BuildIndex(ctx, data, driver.Options{
-		Scheme:     opts.Method.scheme(),
-		Nodes:      opts.Nodes,
-		Partitions: opts.Partitions,
-		Workers:    opts.Workers,
-		Kernel:     opts.Kernel.algorithm(),
-	})
+	dopts, err := opts.driverOptions()
+	if err != nil {
+		return nil, err
+	}
+	ix, err := driver.BuildIndex(ctx, data, dopts)
 	if err != nil {
 		return nil, err
 	}
@@ -73,13 +71,11 @@ func (x *Index) Save(w io.Writer) error { return x.ix.Save(w) }
 // partitioner for future additions (typically the options the index was
 // built with).
 func LoadIndex(ctx context.Context, r io.Reader, opts Options) (*Index, error) {
-	ix, err := driver.LoadIndex(ctx, r, driver.Options{
-		Scheme:     opts.Method.scheme(),
-		Nodes:      opts.Nodes,
-		Partitions: opts.Partitions,
-		Workers:    opts.Workers,
-		Kernel:     opts.Kernel.algorithm(),
-	})
+	dopts, err := opts.driverOptions()
+	if err != nil {
+		return nil, err
+	}
+	ix, err := driver.LoadIndex(ctx, r, dopts)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/points"
-	"repro/internal/skyline"
 	"repro/internal/telemetry"
 )
 
@@ -43,24 +42,10 @@ type Options struct {
 	Partitions int
 	// Workers is the engine's worker-goroutine count; defaults to Nodes.
 	Workers int
-	// Kernel is the sequential skyline algorithm used for local and global
-	// skylines. Defaults to BNL, the paper's choice.
-	Kernel skyline.Algorithm
-	// KernelOverride, when non-nil, replaces Kernel with an arbitrary
-	// skyline function (e.g. the R-tree BBS from package rtree, which has
-	// no Algorithm enum value because it carries index state). It runs over
-	// each block through skyline.BlockKernel's Set round-trip.
-	KernelOverride skyline.Func
 	// PartitionerOverride, when non-nil, replaces the Scheme-fitted
 	// partitioner with a pre-built one (experimental partitioners such as
 	// the angular+radial hybrid). Scheme is then only a label.
 	PartitionerOverride partition.Partitioner
-	// DisableCombiner turns off the in-map local-skyline combiner (the
-	// paper's "middle process"), shipping raw partition contents to the
-	// reducers — the ablation quantifying the paper's §II-B claim.
-	DisableCombiner bool
-	// DisableGridPruning turns off MR-Grid's dominated-cell pruning.
-	DisableGridPruning bool
 	// SpillDir, when set, spills intermediate data to sequence files.
 	SpillDir string
 	// Codec selects the wire codec for the framed shuffle: the zero value
@@ -96,15 +81,6 @@ func (o Options) withDefaults() Options {
 		o.Workers = o.Nodes
 	}
 	return o
-}
-
-// kernelFunc resolves the sequential Set-typed kernel: the override when
-// given, otherwise the flat implementation of o.Kernel.
-func (o Options) kernelFunc() skyline.Func {
-	if o.KernelOverride != nil {
-		return o.KernelOverride
-	}
-	return skyline.ByAlgorithmFlat(o.Kernel)
 }
 
 // Stats reports what happened inside one computation.
@@ -160,12 +136,14 @@ func (s *Stats) LocalSkylineTotal() int {
 // returns the global skyline plus execution statistics. The input set must
 // be non-empty, uniform-dimensional and finite.
 func Compute(ctx context.Context, data points.Set, opts Options) (points.Set, *Stats, error) {
-	return compute(ctx, data, 0, opts)
+	global, stats, _, err := compute(ctx, data, 0, opts)
+	return global, stats, err
 }
 
-// compute is Compute for the operator band selects (see blockKernel): the
-// skyline, or ComputeSkyband's k-skyband.
-func compute(ctx context.Context, data points.Set, band int, opts Options) (points.Set, *Stats, error) {
+// compute is Compute for the operator band selects (see PartitionJob): the
+// skyline, or ComputeSkyband's k-skyband. It also returns the partitioner
+// the job ran on, which BuildIndex keeps.
+func compute(ctx context.Context, data points.Set, band int, opts Options) (points.Set, *Stats, partition.Partitioner, error) {
 	opts = opts.withDefaults()
 	ctx, rootSpan := telemetry.StartSpan(ctx, fmt.Sprintf("skyline:%s", opts.Scheme),
 		telemetry.A("scheme", fmt.Sprint(opts.Scheme)),
@@ -184,12 +162,12 @@ func compute(ctx context.Context, data points.Set, band int, opts Options) (poin
 		var min, max points.Point
 		if min, max, err = data.ValidateBoundsOn(opts.Workers); err == nil {
 			if part, err = partition.NewWithBounds(opts.Scheme, data, min, max, opts.Partitions); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 		}
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("driver: %w", err)
+		return nil, nil, nil, fmt.Errorf("driver: %w", err)
 	}
 
 	// MR-Grid dominance pruning needs cell occupancy, which is known after
@@ -201,10 +179,10 @@ func compute(ctx context.Context, data points.Set, band int, opts Options) (poin
 	// proves one dominator of its points, and a band needs k of them.
 	var pruned []bool
 	var occupancy []int
-	if pruner, ok := part.(partition.Pruner); ok && !opts.DisableGridPruning && band == 0 {
+	if pruner, ok := part.(partition.Pruner); ok && band == 0 {
 		occupancy, err = partition.Histogram(part, data)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		occupied := make([]bool, len(occupancy))
 		for id, c := range occupancy {
@@ -212,8 +190,10 @@ func compute(ctx context.Context, data points.Set, band int, opts Options) (poin
 		}
 		pruned = pruner.Prunable(occupied)
 	}
-	exec := inProcess{feed: mapreduce.SetRows(data), part: part, pruned: pruned, dim: data.Dim(), band: band, opts: opts}
-	return TwoJobs(ctx, exec, data.Dim(), part, pruned, occupancy, opts)
+	dim := data.Dim()
+	exec := InProcess(mapreduce.SetRows(data), PartitionJob(part, pruned, dim, band, opts), dim, band, opts)
+	global, stats, err := TwoJobs(ctx, exec, dim, part, pruned, occupancy, opts)
+	return global, stats, part, err
 }
 
 // feedRecorder is the one writer of the run's flight record (no-op when the

@@ -66,16 +66,21 @@ func sameMultiset(a, b points.Set) bool {
 	return true
 }
 
+// TestAllKernelsMatch: a kernel is a job edit (see jobedit_test.go), and
+// Algorithm 1 over any of the ablation rows' kernels — the R-tree BBS, which
+// carries index state, among them — returns the oracle's skyline.
 func TestAllKernelsMatch(t *testing.T) {
 	data := uniformSet(5, 500, 3)
 	want := skyline.Naive(data)
-	for _, k := range []skyline.Algorithm{skyline.BNLAlgorithm, skyline.SFSAlgorithm, skyline.DCAlgorithm} {
-		got, _, err := Compute(context.Background(), data, Options{Scheme: partition.Angular, Kernel: k})
-		if err != nil {
-			t.Fatalf("kernel %v: %v", k, err)
-		}
-		if !sameMultiset(got, want) {
-			t.Errorf("kernel %v disagrees with oracle", k)
+	for name, k := range map[string]skyline.Func{"BNL": skyline.BNL, "SFS": skyline.SFS, "D&C": skyline.DivideConquer, "BBS": bbsKernel} {
+		for _, scheme := range []partition.Scheme{partition.Angular, partition.Grid} {
+			got, _, err := computeEdited(context.Background(), data, 0, Options{Scheme: scheme}, withKernel(k))
+			if err != nil {
+				t.Fatalf("kernel %s, %v: %v", name, scheme, err)
+			}
+			if !sameMultiset(got, want) {
+				t.Errorf("kernel %s, %v disagrees with oracle", name, scheme)
+			}
 		}
 	}
 }
@@ -86,7 +91,7 @@ func TestCombinerAblationSameResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, so, err := Compute(context.Background(), data, Options{Scheme: partition.Angular, DisableCombiner: true})
+	without, so, err := computeEdited(context.Background(), data, 0, Options{Scheme: partition.Angular}, noCombiner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +111,7 @@ func TestGridPruningSameResultAndPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpruned, su, err := Compute(context.Background(), data, Options{Scheme: partition.Grid, Nodes: 8, DisableGridPruning: true})
+	unpruned, su, err := computeEdited(context.Background(), data, 0, Options{Scheme: partition.Grid, Nodes: 8}, asIs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,51 +17,52 @@ import (
 
 // This file defines Algorithm 1 — once. PartitionJob and MergeJob are what
 // its two jobs compute, a mapreduce.FrameJob without its Feed; TwoJobs is
-// the sequence, run on an Executor: inProcess, behind Compute, ComputeStream
-// and ComputeSkyband, gives the jobs a feed and the in-process engine, and
-// package skyjob's hands the same values to rpcmr as registered jobs. An
-// executor decides where rows come from and where tasks run, never what a
-// task does nor what happens to its result.
+// the sequence, run on an Executor: InProcess, behind Compute, ComputeStream
+// and ComputeSkyband, is handed Job 1 and a feed and runs the in-process
+// engine, and package skyjob's hands the same values to rpcmr as registered
+// jobs. An executor decides where rows come from and where tasks run, never
+// what a task does nor what happens to its result.
+//
+// Ablations are job edits. A job is a value, so a study that wants Job 1
+// without its combiner, with another kernel, unpruned or over its own
+// partitioner (internal/experiments) edits the value PartitionJob returns
+// and runs TwoJobs over InProcess of it — the seam the cluster executor
+// already is. Nothing here branches on who is asking: no option, hook or
+// environment variable selects an operator.
 
-// bnlWindows recycles the default map-side combiner: one incremental BNL
-// window per partition, folded as points are routed (skyline.Window — the
-// same dominance tests in the same order as skyline.BlockBNL over the
-// staged partition, without staging it).
+// bnlWindows recycles the map-side combiner: one incremental BNL window per
+// partition, folded as points are routed (skyline.Window — the same
+// dominance tests in the same order as skyline.BlockBNL over the staged
+// partition, without staging it).
 var bnlWindows = mapreduce.NewAccumulators(func() mapreduce.Accumulator { return skyline.NewWindow() })
 
-// blockKernel resolves the operator Job 1 runs over a block. band is what
-// every job constructor here calls its operator argument: 0 is the skyline
-// — the flat implementation of o.Kernel, or KernelOverride through the
-// Set↔Block adapter — and k ≥ 1 the k-skyband, skyline.Skyband(·, k)
-// through the same adapter.
-func (o Options) blockKernel(band int) skyline.BlockFunc {
-	switch {
-	case band > 0:
-		return skyline.BlockKernel(func(s points.Set) points.Set {
-			kept, _ := skyline.Skyband(s, band) // errs only on band < 1
-			return kept
-		})
-	case o.KernelOverride != nil:
-		return skyline.BlockKernel(o.KernelOverride)
-	}
-	return skyline.BlockByAlgorithm(o.Kernel)
+// blockReducer is the reduce side of a whole-partition operator: kernel over
+// the assembled partition, its survivors the partition's output.
+func blockReducer(kernel skyline.BlockFunc) mapreduce.FrameReducer {
+	return mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
+		out := kernel(blk)
+		for i := 0; i < out.Len(); i++ {
+			emit(partition, out.Row(i))
+		}
+		return nil
+	})
 }
 
 // PartitionJob is Job 1 (Algorithm 1, lines 2–10) over dim-dimensional
 // rows, without its Feed: assign each point — for MR-Angle, the angular
 // transform of Eq. (1) — and route it to its partition unless pruned marks
-// the cell provably dominated (MR-Grid pruning; nil prunes nothing); the
-// operator band selects (see blockKernel) reduces each partition to its
-// local skyline or band. Map side, the "middle process": nothing under
-// DisableCombiner, incremental windows for BNL, and for the other operators
-// — which need the whole block — staged rows plus a block combiner. Reduce
-// side: under a reducer budget the reducers fold frames one at a time into
-// a bounded skyline window instead of assembling whole partitions;
-// otherwise the kernel runs over each assembled partition and its survivors
-// are the partition's output. The windows and the budgeted fold are skyline
-// folds — one dominator evicts a row — so a band job gets neither. Of o it
-// reads Kernel, KernelOverride, DisableCombiner, ReducerBudgetBytes,
-// SpillDir and Codec.
+// the cell provably dominated (MR-Grid pruning; nil prunes nothing), then
+// reduce each partition to its local result. band is what every job
+// constructor here calls its operator argument, and it alone picks the
+// job's shape. 0 is the skyline, and the kernel is BNL: map side — the
+// paper's "middle process" — every routed row folds into its partition's
+// incremental window; reduce side skyline.BlockBNL runs over each assembled
+// partition, or, under a reducer budget, the reducers fold frames one at a
+// time into a bounded skyline window instead of assembling whole
+// partitions. k ≥ 1 is the k-skyband: the windows and the budgeted fold are
+// skyline folds — one dominator evicts a row — so a band job stages its
+// rows and runs skyline.Skyband(·, k) over the block, as combiner and as
+// reducer. Of o it reads ReducerBudgetBytes, SpillDir and Codec.
 func PartitionJob(part partition.Partitioner, pruned []bool, dim, band int, o Options) mapreduce.FrameJob {
 	job := mapreduce.FrameJob{Mapper: func(row []float64, emit mapreduce.EmitPoint) error {
 		id, err := part.Assign(row)
@@ -73,28 +74,24 @@ func PartitionJob(part partition.Partitioner, pruned []bool, dim, band int, o Op
 		}
 		return nil
 	}}
-	kernel := o.blockKernel(band)
-	switch {
-	case o.DisableCombiner:
-	case band == 0 && o.KernelOverride == nil && o.Kernel == skyline.BNLAlgorithm:
-		job.Accumulators = bnlWindows
-	default:
-		job.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
+	if band > 0 {
+		skyband := skyline.BlockKernel(func(s points.Set) points.Set {
+			kept, _ := skyline.Skyband(s, band) // errs only on band < 1
+			return kept
+		})
+		job.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return skyband(blk), nil }
+		job.Reducer = blockReducer(skyband)
+		return job
 	}
-	if budget := o.ReducerBudgetBytes; budget > 0 && band == 0 {
+	job.Accumulators = bnlWindows
+	if budget := o.ReducerBudgetBytes; budget > 0 {
 		spillDir, codec := o.SpillDir, o.Codec
 		job.Folder = func(int) mapreduce.FrameFold {
 			return skyline.NewBudgetedFold(dim, budget, spillDir, codec)
 		}
 		return job
 	}
-	job.Reducer = mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-		sky := kernel(blk)
-		for i := 0; i < sky.Len(); i++ {
-			emit(partition, sky.Row(i))
-		}
-		return nil
-	})
+	job.Reducer = blockReducer(skyline.BlockBNL)
 	return job
 }
 
@@ -146,12 +143,7 @@ func MergeJob(dim, band int) mapreduce.FrameJob {
 			}
 			return filter.Share(task, tasks, func(row []float64) { emit(0, row) }), nil
 		},
-		Reducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-			for i := 0; i < blk.Len(); i++ {
-				emit(partition, blk.Row(i))
-			}
-			return nil
-		}),
+		Reducer: blockReducer(func(blk *points.Block) *points.Block { return blk }),
 	}
 }
 
@@ -160,23 +152,31 @@ func MergeJob(dim, band int) mapreduce.FrameJob {
 // input, Merge is Job 2 over the local skylines it is handed, in ascending
 // partition order — and reports each job the way mapreduce.RunFrames does.
 // Nothing after a job returns is an executor's: TwoJobs reads the results,
-// keeps the statistics and picks the merge. There are two: inProcess here,
+// keeps the statistics and picks the merge. There are two: InProcess here,
 // and package skyjob's cluster.
 type Executor interface {
 	Partition(ctx context.Context) (*mapreduce.FrameResult, error)
 	Merge(ctx context.Context, candidates []*points.Block) (*mapreduce.FrameResult, error)
 }
 
-// inProcess runs both jobs on mapreduce.RunFrames, Job 1 over feed: map
-// tasks fold each routed row into its partition's accumulator as it arrives
-// and seal packed frames keyed by integer partition id, reducers ingest
-// whole frames, and the merge is fed Job 1's result blocks as they are.
+// inProcess runs both jobs on mapreduce.RunFrames: the Job 1 it was handed,
+// whose map tasks fold each routed row into its partition's accumulator as
+// it arrives and seal packed frames keyed by integer partition id while
+// reducers ingest whole frames, and MergeJob, fed Job 1's result blocks as
+// they are.
 type inProcess struct {
-	feed      mapreduce.RowFeed
-	part      partition.Partitioner
-	pruned    []bool
+	job1      mapreduce.FrameJob
 	dim, band int
 	opts      Options
+}
+
+// InProcess is the in-process executor of TwoJobs: job1 — what PartitionJob
+// returned, or a study's edit of it — over feed, then MergeJob(dim, band).
+// Of opts it reads Scheme (the jobs' names), Workers, SpillDir, Codec,
+// ReducerBudgetBytes and Metrics.
+func InProcess(feed mapreduce.RowFeed, job1 mapreduce.FrameJob, dim, band int, opts Options) Executor {
+	job1.Feed = feed
+	return inProcess{job1: job1, dim: dim, band: band, opts: opts}
 }
 
 func (e inProcess) config(ctx context.Context, job string, reducers int) mapreduce.Config {
@@ -196,9 +196,7 @@ func (e inProcess) config(ctx context.Context, job string, reducers int) mapredu
 }
 
 func (e inProcess) Partition(ctx context.Context) (*mapreduce.FrameResult, error) {
-	job := PartitionJob(e.part, e.pruned, e.dim, e.band, e.opts)
-	job.Feed = e.feed
-	return mapreduce.RunFrames(ctx, e.config(ctx, "partitioning", e.opts.Workers), job)
+	return mapreduce.RunFrames(ctx, e.config(ctx, "partitioning", e.opts.Workers), e.job1)
 }
 
 func (e inProcess) Merge(ctx context.Context, candidates []*points.Block) (*mapreduce.FrameResult, error) {

@@ -111,16 +111,12 @@ func (v View) locals() map[int]points.Set {
 }
 
 // BuildIndex computes an initial index with the given options. The
-// partitioner is fitted once on the initial data; later additions outside
+// partitioner is fitted once on the initial data — the index keeps the one
+// its initial job ran on; later additions outside
 // the fitted bounds are clamped into boundary partitions (see package
 // partition), which keeps results correct, merely less balanced.
 func BuildIndex(ctx context.Context, data points.Set, opts Options) (*Index, error) {
-	opts = opts.withDefaults()
-	global, stats, err := Compute(ctx, data, opts)
-	if err != nil {
-		return nil, err
-	}
-	part, err := partition.New(opts.Scheme, data, opts.Partitions)
+	global, stats, part, err := compute(ctx, data, 0, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/partition"
@@ -18,13 +19,13 @@ import (
 // examples do not count) need different values, and the code cannot work
 // the value out from its inputs or a measurement it already takes.
 func TestOptionSurface(t *testing.T) {
-	if n := reflect.TypeOf(Options{}).NumField(); n != 13 {
-		t.Fatalf("driver.Options has %d fields, want 13", n)
+	if n := reflect.TypeOf(Options{}).NumField(); n != 9 {
+		t.Fatalf("driver.Options has %d fields, want 9", n)
 	}
 }
 
-// bbsKernel is the R-tree BBS as a KernelOverride: a kernel with no
-// Algorithm value, riding the framed path through skyline.BlockKernel.
+// bbsKernel is the R-tree BBS as a Set-typed kernel: it carries index
+// state, and rides the framed path through skyline.BlockKernel.
 func bbsKernel(s points.Set) points.Set {
 	if len(s) == 0 {
 		return nil
@@ -37,54 +38,72 @@ func bbsKernel(s points.Set) points.Set {
 }
 
 // TestComputeMatchesOracle is the pipeline's differential test: every
-// scheme × kernel × option combination must return exactly what the
-// classic sequential skyline.BNL returns over the whole input, with each
+// scheme × option combination must return exactly what the classic
+// sequential skyline.BNL returns over the whole input, with each
 // partition's local skyline exactly skyline.BNL of the points the
 // partitioner assigns to it, and every input point counted once — and
 // every scheme × k × option combination of ComputeSkyband the same of
-// skyline.Skyband(·, k).
+// skyline.Skyband(·, k). The BNL rows with no edit are the product,
+// Compute and ComputeSkyband; every other row is an ablation — a kernel, no
+// combiner, no pruning — and runs as one: an edit of PartitionJob's value
+// through the seam (computeEdited), held to the same oracle.
 func TestComputeMatchesOracle(t *testing.T) {
 	uniform, dups := uniformSet(31, 600, 4), dupSet(32, 600, 3)
 	kernels := []struct {
 		name string
-		set  func(*Options)
+		edit jobEdit
 	}{
-		{"BNL", func(o *Options) { o.Kernel = skyline.BNLAlgorithm }},
-		{"SFS", func(o *Options) { o.Kernel = skyline.SFSAlgorithm }},
-		{"D&C", func(o *Options) { o.Kernel = skyline.DCAlgorithm }},
-		{"BBS override", func(o *Options) { o.KernelOverride = bbsKernel }},
+		{"BNL", nil},
+		{"SFS", withKernel(skyline.SFS)},
+		{"D&C", withKernel(skyline.DivideConquer)},
+		{"BBS override", withKernel(bbsKernel)},
 	}
 	variants := []struct {
 		name string
 		data points.Set
 		set  func(*testing.T, *Options)
+		edit jobEdit
 		band bool // a row of the band table too
 	}{
-		{"default", uniform, func(*testing.T, *Options) {}, true},
-		{"no combiner", uniform, func(_ *testing.T, o *Options) { o.DisableCombiner = true }, true},
-		{"no grid pruning", uniform, func(_ *testing.T, o *Options) { o.DisableGridPruning = true }, false},
-		{"spill", uniform, func(t *testing.T, o *Options) { o.SpillDir = t.TempDir() }, true},
+		{"default", uniform, func(*testing.T, *Options) {}, nil, true},
+		{"no combiner", uniform, func(*testing.T, *Options) {}, noCombiner, true},
+		{"no grid pruning", uniform, func(*testing.T, *Options) {}, asIs, false},
+		{"spill", uniform, func(t *testing.T, o *Options) { o.SpillDir = t.TempDir() }, nil, true},
 		// 4 KiB is a 128-row window at d=4: the local skylines together
 		// outgrow it, so the merge schedule needs a second round.
 		{"budget 4 KiB", uniform, func(t *testing.T, o *Options) {
 			o.ReducerBudgetBytes, o.Codec, o.SpillDir = 4<<10, points.FrameAuto, t.TempDir()
-		}, false},
-		{"FrameAuto", uniform, func(_ *testing.T, o *Options) { o.Codec = points.FrameAuto }, true},
-		{"one partition", uniform, func(_ *testing.T, o *Options) { o.Partitions = 1 }, true},
-		{"duplicates", dups, func(*testing.T, *Options) {}, true},
+		}, nil, false},
+		{"FrameAuto", uniform, func(_ *testing.T, o *Options) { o.Codec = points.FrameAuto }, nil, true},
+		{"one partition", uniform, func(_ *testing.T, o *Options) { o.Partitions = 1 }, nil, true},
+		{"duplicates", dups, func(*testing.T, *Options) {}, nil, true},
+	}
+	// run is the product when no edit is asked for, the seam otherwise; it
+	// reports which, because only the product prunes.
+	run := func(data points.Set, band int, opts Options, edits ...jobEdit) (points.Set, *Stats, bool, error) {
+		edits = slices.DeleteFunc(edits, func(e jobEdit) bool { return e == nil })
+		if len(edits) > 0 {
+			got, stats, err := computeEdited(context.Background(), data, band, opts, edits...)
+			return got, stats, false, err
+		}
+		if band > 0 {
+			got, stats, err := ComputeSkyband(context.Background(), data, band, opts)
+			return got, stats, true, err
+		}
+		got, stats, err := Compute(context.Background(), data, opts)
+		return got, stats, true, err
 	}
 	for _, scheme := range allSchemes() {
 		for _, v := range variants {
 			for _, k := range kernels {
 				t.Run(fmt.Sprintf("%v/%s/%s", scheme, k.name, v.name), func(t *testing.T) {
 					opts := Options{Scheme: scheme, Nodes: 4}
-					k.set(&opts)
 					v.set(t, &opts)
-					got, stats, err := Compute(context.Background(), v.data, opts)
+					got, stats, product, err := run(v.data, 0, opts, k.edit, v.edit)
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkAgainstOracle(t, v.data, opts, 0, got, stats)
+					checkAgainstOracle(t, v.data, opts, 0, product, got, stats)
 				})
 			}
 			for _, k := range []int{1, 2, 5} {
@@ -94,11 +113,11 @@ func TestComputeMatchesOracle(t *testing.T) {
 				t.Run(fmt.Sprintf("%v/%d-skyband/%s", scheme, k, v.name), func(t *testing.T) {
 					opts := Options{Scheme: scheme, Nodes: 4}
 					v.set(t, &opts)
-					got, stats, err := ComputeSkyband(context.Background(), v.data, k, opts)
+					got, stats, product, err := run(v.data, k, opts, v.edit)
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkAgainstOracle(t, v.data, opts, k, got, stats)
+					checkAgainstOracle(t, v.data, opts, k, product, got, stats)
 				})
 			}
 		}
@@ -107,7 +126,9 @@ func TestComputeMatchesOracle(t *testing.T) {
 
 // checkAgainstOracle holds one finished run to the sequential operator:
 // the classic skyline.BNL, or for band = k > 0 skyline.Skyband(·, k).
-func checkAgainstOracle(t *testing.T, data points.Set, opts Options, band int, got points.Set, stats *Stats) {
+// product says the run was Compute or ComputeSkyband, which prune grid
+// cells for the skyline; a job run through the seam without a mask does not.
+func checkAgainstOracle(t *testing.T, data points.Set, opts Options, band int, product bool, got points.Set, stats *Stats) {
 	t.Helper()
 	oracle := skyline.BNL
 	if band > 0 {
@@ -142,7 +163,7 @@ func checkAgainstOracle(t *testing.T, data points.Set, opts Options, band int, g
 		}
 	}
 	_, prunes := part.(partition.Pruner)
-	prunes = prunes && !opts.DisableGridPruning && band == 0 // a band never prunes
+	prunes = prunes && product && band == 0 // a band never prunes
 	for id, m := range members {
 		local, ok := stats.LocalSkylines[id]
 		if !ok && prunes {

@@ -74,7 +74,7 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		}
 	}
 	sample = nil // the job must not pin chunk 0
-	exec := inProcess{feed: mapreduce.ChunkRows(src), part: part, dim: dim, opts: opts}
+	exec := InProcess(mapreduce.ChunkRows(src), PartitionJob(part, nil, dim, 0, opts), dim, 0, opts)
 	return TwoJobs(ctx, exec, dim, part, nil, nil, opts)
 }
 

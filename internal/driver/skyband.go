@@ -32,8 +32,8 @@ import (
 // so it holds for the per-map-task combiner as for the reducer.
 //
 // The skyline's shortcuts that one dominator justifies are off: no grid
-// cell is pruned whatever opts.DisableGridPruning says, and a reducer
-// budget — whose folds and merge schedule are skyline folds — is an error.
+// cell is pruned, and a reducer budget — whose folds and merge schedule are
+// skyline folds — is an error.
 func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (points.Set, *Stats, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("driver: skyband k = %d, need >= 1", k)
@@ -41,5 +41,6 @@ func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (
 	if opts.ReducerBudgetBytes > 0 {
 		return nil, nil, errors.New("driver: k-skyband does not run under a reducer budget")
 	}
-	return compute(ctx, data, k, opts)
+	band, stats, _, err := compute(ctx, data, k, opts)
+	return band, stats, err
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/sequencefile"
+	"repro/internal/skyline"
 )
 
 // Index snapshots let a long-running registry restart without recomputing
@@ -183,7 +184,7 @@ func LoadIndex(ctx context.Context, r io.Reader, opts Options) (*Index, error) {
 		part:   part,
 		dim:    meta.Dim,
 	}
-	ix.install(epoch, local, opts.kernelFunc()(union))
+	ix.install(epoch, local, skyline.FlatBNL(union))
 	return ix, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/driver"
+	"repro/internal/mapreduce"
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/points"
@@ -43,16 +44,46 @@ type AblationRow struct {
 	Optimality     float64
 }
 
-// Ablations measures, on one QWS-like dataset, the impact of: the
-// local-skyline combiner (the paper's "middle process"), grid cell
-// pruning, the sequential kernel choice, and the random-partitioning
-// baseline.
-func Ablations(ctx context.Context, sc Scale, n, d int) ([]AblationRow, error) {
-	data := qws.Dataset(sc.Seed, n, d)
-	type cfg struct {
-		name string
-		opts driver.Options
+// ablation is one row's configuration. The rows without an edit are the
+// product: driver.Compute over scheme. The others are ablations proper, and
+// no option reaches them — a job is a value, so each one edits the Job 1
+// driver.PartitionJob returns and runs Algorithm 1 over it (driver.InProcess,
+// driver.TwoJobs; see driver/frame.go, "Ablations are job edits"), over the
+// row's own partitioner when it has one. That run is handed no pruning
+// mask, which is all "pruning off" takes.
+type ablation struct {
+	name   string
+	scheme partition.Scheme
+	part   partition.Partitioner
+	edit   func(*mapreduce.FrameJob)
+}
+
+// asIs edits nothing: Job 1 as it is, over the row's partitioner, unpruned.
+func asIs(*mapreduce.FrameJob) {}
+
+// noCombiner ships raw partition contents to the reducers (the paper's
+// §II-B "middle process" turned off).
+func noCombiner(job *mapreduce.FrameJob) { job.Accumulators = nil }
+
+// withKernel swaps BNL for a Set-typed kernel: staged rows and a block
+// combiner map side, the kernel over each assembled partition reduce side.
+func withKernel(f skyline.Func) func(*mapreduce.FrameJob) {
+	kernel := skyline.BlockKernel(f)
+	return func(job *mapreduce.FrameJob) {
+		job.Accumulators = nil
+		job.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
+		job.Reducer = mapreduce.FrameReducerFunc(func(id int, blk *points.Block, emit mapreduce.EmitPoint) error {
+			sky := kernel(blk)
+			for i := 0; i < sky.Len(); i++ {
+				emit(id, sky.Row(i))
+			}
+			return nil
+		})
 	}
+}
+
+// ablations lists the rows.
+func ablations(data points.Set, sc Scale) ([]ablation, error) {
 	// The angular+radial hybrid: same sectors further cut into 4 radial
 	// shells — measures the cost of partitions that do NOT span the
 	// quality gradient (the paper's core argument for pure angles).
@@ -60,23 +91,52 @@ func Ablations(ctx context.Context, sc Scale, n, d int) ([]AblationRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ablation: fitting hybrid: %w", err)
 	}
-	cfgs := []cfg{
-		{"MR-Angle (BNL, combiner)", driver.Options{Scheme: partition.Angular}},
-		{"MR-Angle+RadialShells", driver.Options{Scheme: partition.Angular, PartitionerOverride: hybrid}},
-		{"MR-Angle no combiner", driver.Options{Scheme: partition.Angular, DisableCombiner: true}},
-		{"MR-Angle SFS kernel", driver.Options{Scheme: partition.Angular, Kernel: skyline.SFSAlgorithm}},
-		{"MR-Angle D&C kernel", driver.Options{Scheme: partition.Angular, Kernel: skyline.DCAlgorithm}},
-		{"MR-Angle BBS kernel", driver.Options{Scheme: partition.Angular, KernelOverride: bbsKernel}},
-		{"MR-Grid (pruning on)", driver.Options{Scheme: partition.Grid}},
-		{"MR-Grid pruning off", driver.Options{Scheme: partition.Grid, DisableGridPruning: true}},
-		{"MR-Random baseline", driver.Options{Scheme: partition.Random}},
-		{"MR-Dim", driver.Options{Scheme: partition.Dimensional}},
+	return []ablation{
+		{"MR-Angle (BNL, combiner)", partition.Angular, nil, nil},
+		{"MR-Angle+RadialShells", partition.Angular, hybrid, asIs},
+		{"MR-Angle no combiner", partition.Angular, nil, noCombiner},
+		{"MR-Angle SFS kernel", partition.Angular, nil, withKernel(skyline.SFS)},
+		{"MR-Angle D&C kernel", partition.Angular, nil, withKernel(skyline.DivideConquer)},
+		{"MR-Angle BBS kernel", partition.Angular, nil, withKernel(bbsKernel)},
+		{"MR-Grid (pruning on)", partition.Grid, nil, nil},
+		{"MR-Grid pruning off", partition.Grid, nil, asIs},
+		{"MR-Random baseline", partition.Random, nil, nil},
+		{"MR-Dim", partition.Dimensional, nil, nil},
+	}, nil
+}
+
+// run computes the row's skyline of data at scale sc.
+func (a ablation) run(ctx context.Context, data points.Set, sc Scale) (points.Set, *driver.Stats, error) {
+	opts := driver.Options{Scheme: a.scheme, Nodes: sc.Nodes, Partitions: 2 * sc.Nodes, Workers: sc.Workers}
+	if a.edit == nil {
+		return driver.Compute(ctx, data, opts)
+	}
+	part := a.part
+	if part == nil {
+		var err error
+		if part, err = partition.New(a.scheme, data, opts.Partitions); err != nil {
+			return nil, nil, err
+		}
+	}
+	dim := data.Dim()
+	job := driver.PartitionJob(part, nil, dim, 0, opts)
+	a.edit(&job)
+	return driver.TwoJobs(ctx, driver.InProcess(mapreduce.SetRows(data), job, dim, 0, opts), dim, part, nil, nil, opts)
+}
+
+// Ablations measures, on one QWS-like dataset, the impact of: the
+// local-skyline combiner (the paper's "middle process"), grid cell
+// pruning, the sequential kernel choice, the random-partitioning baseline
+// and the angular+radial hybrid.
+func Ablations(ctx context.Context, sc Scale, n, d int) ([]AblationRow, error) {
+	data := qws.Dataset(sc.Seed, n, d)
+	cfgs, err := ablations(data, sc)
+	if err != nil {
+		return nil, err
 	}
 	rows := make([]AblationRow, 0, len(cfgs))
 	for _, c := range cfgs {
-		c.opts.Nodes = sc.Nodes
-		c.opts.Workers = sc.Workers
-		global, stats, err := driver.Compute(ctx, data, c.opts)
+		global, stats, err := c.run(ctx, data, sc)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %q: %w", c.name, err)
 		}

@@ -3,11 +3,33 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/partition"
+	"repro/internal/points"
+	"repro/internal/qws"
+	"repro/internal/skyline"
 )
+
+// sameMultiset compares two point sets as multisets of coordinates.
+func sameMultiset(a, b points.Set) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	count := make(map[string]int, len(a))
+	for _, p := range a {
+		count[points.Key(p)]++
+	}
+	for _, p := range b {
+		if count[points.Key(p)]--; count[points.Key(p)] < 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // tinyScale keeps experiment tests fast.
 func tinyScale() Scale {
@@ -141,33 +163,60 @@ func TestTheoremTable(t *testing.T) {
 	}
 }
 
+// TestAblations holds every row of the ablation table to the oracle: each
+// row's global skyline is the sequential SFS skyline of the data as a
+// multiset; the rows that change only how Job 1 computes a partition's
+// skyline — no combiner, another kernel — reach the default row's local
+// skylines (their total, and Eq. (5)'s survivors per partition); and the
+// combiner is what cuts the shuffle.
 func TestAblations(t *testing.T) {
 	sc := tinyScale()
-	rows, err := Ablations(context.Background(), sc, 1500, 3)
+	const n, d = 1500, 3
+	data := qws.Dataset(sc.Seed, n, d)
+	want := skyline.SFS(data)
+	cfgs, err := ablations(data, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) < 6 {
-		t.Fatalf("only %d ablation rows", len(rows))
+	type outcome struct {
+		localTotal int
+		survivors  map[int]int
+		shuffled   int64
 	}
-	// All configurations must agree on the global skyline size.
-	for _, r := range rows[1:] {
-		if r.GlobalSkyline != rows[0].GlobalSkyline {
-			t.Errorf("%s: global skyline %d != %d", r.Name, r.GlobalSkyline, rows[0].GlobalSkyline)
+	got := make(map[string]outcome)
+	for _, c := range cfgs {
+		global, stats, err := c.run(context.Background(), data, sc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !sameMultiset(global, want) {
+			t.Errorf("%s: global skyline has %d points, sequential SFS %d", c.name, len(global), len(want))
+		}
+		got[c.name] = outcome{stats.LocalSkylineTotal(), metrics.GlobalSurvivors(stats.LocalSkylines, global), stats.Counters["mr.shuffle.records"]}
+	}
+	base := got["MR-Angle (BNL, combiner)"]
+	for _, name := range []string{"MR-Angle no combiner", "MR-Angle SFS kernel", "MR-Angle D&C kernel", "MR-Angle BBS kernel"} {
+		row, ok := got[name]
+		if !ok || row.localTotal != base.localTotal || !reflect.DeepEqual(row.survivors, base.survivors) {
+			t.Errorf("%s: %d local skyline points, Eq. (5) survivors %v; the default row has %d and %v",
+				name, row.localTotal, row.survivors, base.localTotal, base.survivors)
 		}
 	}
-	// The no-combiner run must shuffle more records than the default.
-	var withC, withoutC int64
-	for _, r := range rows {
-		switch r.Name {
-		case "MR-Angle (BNL, combiner)":
-			withC = r.ShuffleRecords
-		case "MR-Angle no combiner":
-			withoutC = r.ShuffleRecords
-		}
+	if without := got["MR-Angle no combiner"].shuffled; without <= base.shuffled {
+		t.Errorf("no combiner shuffled %d records, the default %d: want strictly more", without, base.shuffled)
 	}
-	if withC >= withoutC {
-		t.Errorf("combiner shuffle %d not below no-combiner %d", withC, withoutC)
+
+	rows, err := Ablations(context.Background(), sc, n, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 10 || len(rows) != len(cfgs) {
+		t.Fatalf("%d ablation rows of %d configurations, want 10", len(rows), len(cfgs))
+	}
+	for i, r := range rows {
+		if r.Name != cfgs[i].name || r.GlobalSkyline != len(want) {
+			t.Errorf("row %d is %q with a skyline of %d; want %q and %d", i, r.Name, r.GlobalSkyline, cfgs[i].name, len(want))
+		}
 	}
 	var buf bytes.Buffer
 	WriteAblations(&buf, rows, "Ablations")

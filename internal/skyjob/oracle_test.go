@@ -31,8 +31,8 @@ import (
 // and the code cannot work the value out from its inputs or a measurement
 // it already takes.
 func TestOptionSurface(t *testing.T) {
-	if n := reflect.TypeOf(Spec{}).NumField(); n != 10 {
-		t.Fatalf("skyjob.Spec has %d fields, want 10", n)
+	if n := reflect.TypeOf(Spec{}).NumField(); n != 9 {
+		t.Fatalf("skyjob.Spec has %d fields, want 9", n)
 	}
 }
 
@@ -75,12 +75,44 @@ func requireOracle(t *testing.T, res *Result, spec Spec, data points.Set, oracle
 	}
 }
 
+// kernelJobs is the cluster's form of the seam (see driver/frame.go,
+// "Ablations are job edits"): a job is a value and a name in the registry a
+// factory of one, so Job 1 under an ablation row's kernel is the registered
+// partitioning job with its value edited, under a name only this test
+// binary registers. No spec field selects it — "BNL" is the product's job.
+var kernelJobs = map[string]string{"BNL": PartitionJobName, "SFS": "test/partition-sfs", "D&C": "test/partition-dc"}
+
+func init() {
+	for name, f := range map[string]skyline.Func{"SFS": skyline.SFS, "D&C": skyline.DivideConquer} {
+		kernel := skyline.BlockKernel(f)
+		rpcmr.RegisterJob(kernelJobs[name], func(params []byte) (rpcmr.Job, error) {
+			job, err := newPartitionJob(params)
+			if err != nil {
+				return job, err
+			}
+			job.FrameJob.Accumulators = nil
+			job.FrameJob.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
+			if job.FrameJob.Reducer != nil { // a budgeted job keeps its fold
+				job.FrameJob.Reducer = mapreduce.FrameReducerFunc(func(id int, blk *points.Block, emit mapreduce.EmitPoint) error {
+					sky := kernel(blk)
+					for i := 0; i < sky.Len(); i++ {
+						emit(id, sky.Row(i))
+					}
+					return nil
+				})
+			}
+			return job, nil
+		})
+	}
+}
+
 // TestClusterMatchesOracle is driver.TestComputeMatchesOracle's cluster
 // twin: on a 3-worker loopback cluster, every scheme × kernel × spec
 // variant returns exactly the classic sequential skyline.BNL of the whole
 // input, and each partition's local skyline is exactly skyline.BNL of the
 // points the spec's partitioner assigns to it — and every scheme × k ×
-// spec variant of the band jobs the same of skyline.Skyband(·, k).
+// spec variant of the band jobs the same of skyline.Skyband(·, k). The BNL
+// rows are the product's job; the SFS and D&C rows are kernelJobs' edits.
 func TestClusterMatchesOracle(t *testing.T) {
 	master := startCluster(t, 3)
 	uniform := uniformSet(42, 600, 4)
@@ -99,7 +131,7 @@ func TestClusterMatchesOracle(t *testing.T) {
 		{"duplicates", dups, 8, func(*Spec) {}, true},
 	}
 	schemes := []partition.Scheme{partition.Dimensional, partition.Grid, partition.Angular, partition.Random}
-	kernels := []skyline.Algorithm{skyline.BNLAlgorithm, skyline.SFSAlgorithm, skyline.DCAlgorithm}
+	kernels := []string{"BNL", "SFS", "D&C"}
 	for _, scheme := range schemes {
 		for _, v := range variants {
 			spec, err := SpecFor(v.data, scheme, v.partitions)
@@ -109,9 +141,7 @@ func TestClusterMatchesOracle(t *testing.T) {
 			v.set(&spec)
 			for _, kernel := range kernels {
 				t.Run(fmt.Sprintf("%v/%v/%s", scheme, kernel, v.name), func(t *testing.T) {
-					spec := spec
-					spec.Kernel = kernel
-					res, err := ComputeSpec(context.Background(), master, v.data, spec, 3)
+					res, err := compute(context.Background(), master, v.data, spec, spec, kernelJobs[kernel], MergeJobName, 3)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -179,9 +209,9 @@ func TestExecutorsAgree(t *testing.T) {
 			}
 			// The cluster's partitioning job does not prune grid cells, so
 			// the in-process run must not either for local skylines to be
-			// comparable partition by partition.
-			opts := driver.Options{Scheme: scheme, PartitionerOverride: part, DisableGridPruning: true,
-				ReducerBudgetBytes: spec.ReducerBudgetBytes, Codec: spec.Codec, Workers: 3}
+			// comparable partition by partition: it is the same job value on
+			// the in-process executor, handed no mask.
+			opts := driver.Options{Scheme: scheme, ReducerBudgetBytes: spec.ReducerBudgetBytes, Codec: spec.Codec, Workers: 3}
 			inRec, clRec := telemetry.NewRecorder(name), telemetry.NewRecorder(name)
 			inLog, clLog := telemetry.NewEventLog(256), master.Events()
 			inCtx := telemetry.WithEventLog(telemetry.WithRecorder(context.Background(), inRec), inLog)
@@ -190,17 +220,12 @@ func TestExecutorsAgree(t *testing.T) {
 			if earlier := clLog.Events(0, slog.LevelDebug); len(earlier) > 0 {
 				clSince = earlier[len(earlier)-1].Seq
 			}
-			var sky points.Set
-			var stats *driver.Stats
-			var res *Result
-			if row.k == 0 {
-				sky, stats, err = driver.Compute(inCtx, data, opts)
-			} else {
-				sky, stats, err = driver.ComputeSkyband(inCtx, data, row.k, opts)
-			}
+			inProcess := driver.InProcess(mapreduce.SetRows(data), driver.PartitionJob(part, nil, spec.Dim, row.k, opts), spec.Dim, row.k, opts)
+			sky, stats, err := driver.TwoJobs(inCtx, inProcess, spec.Dim, part, nil, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			var res *Result
 			if row.k == 0 {
 				res, err = ComputeSpec(clCtx, master, data, spec, 3)
 			} else {
@@ -392,9 +417,11 @@ var allJobs = []struct {
 // TestHostileSpecRejected: job params arrive over the wire, so a spec no
 // SpecFor could have produced must come back as a skyjob error from all
 // four job factories — which is what a worker reports as a failed task —
-// rather than panic in a kernel lookup or size a table from a hostile
-// count. A cluster handed every such spec still runs the next good jobs,
-// skyline and band, on all of its workers.
+// rather than switch on a hostile enum member or size a table from a hostile
+// count; a spec that still names a kernel — a knob this build retired, one
+// of whose values was the O(n²) oracle — is refused as an unknown field. A
+// cluster handed every such spec still runs the next good jobs, skyline and
+// band, on all of its workers.
 func TestHostileSpecRejected(t *testing.T) {
 	data := uniformSet(5, 300, 3)
 	good, err := SpecFor(data, partition.Angular, 8)
@@ -403,8 +430,8 @@ func TestHostileSpecRejected(t *testing.T) {
 	}
 	type mutation func(m map[string]any)
 	hostile := map[string]mutation{
-		"unknown kernel":          func(m map[string]any) { m["kernel"] = 99 },
-		"negative kernel":         func(m map[string]any) { m["kernel"] = -1 },
+		"retired kernel":          func(m map[string]any) { m["kernel"] = 0 },
+		"retired naive kernel":    func(m map[string]any) { m["kernel"] = 3 }, // once the O(n²) oracle, on every worker
 		"unknown scheme":          func(m map[string]any) { m["scheme"] = "MR-Bogus" },
 		"unknown codec":           func(m map[string]any) { m["codec"] = 9 },
 		"zero dimension":          func(m map[string]any) { m["dim"] = 0 },

@@ -25,7 +25,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/rpcmr"
-	"repro/internal/skyline"
 	"repro/internal/telemetry"
 )
 
@@ -43,8 +42,6 @@ type Spec struct {
 	Min        []float64        `json:"min"`
 	Max        []float64        `json:"max"`
 	Partitions int              `json:"partitions"`
-	// Kernel selects the sequential skyline algorithm (default BNL).
-	Kernel skyline.Algorithm `json:"kernel"`
 	// AngularSplits and AngularCuts ship a fitted (equi-depth) angular
 	// partitioner to workers; empty for other schemes.
 	AngularSplits []int         `json:"angular_splits,omitempty"`
@@ -107,8 +104,6 @@ func (s Spec) validate() error {
 	switch {
 	case s.Scheme < partition.Dimensional || s.Scheme > partition.Random:
 		return fmt.Errorf("skyjob: unknown scheme %d", int(s.Scheme))
-	case s.Kernel < skyline.BNLAlgorithm || s.Kernel > skyline.NaiveAlgorithm:
-		return fmt.Errorf("skyjob: unknown kernel %d", int(s.Kernel))
 	case s.Codec < points.FrameDefault || s.Codec > points.FrameAuto:
 		return fmt.Errorf("skyjob: unknown codec %d", int(s.Codec))
 	case s.Dim < 1:
@@ -206,7 +201,7 @@ func decodeSpec(params []byte, band bool) (skybandSpec, error) {
 
 // options carries the spec's share of what the job definitions read.
 func (s Spec) options() driver.Options {
-	return driver.Options{Kernel: s.Kernel, Codec: s.Codec, ReducerBudgetBytes: s.ReducerBudgetBytes}
+	return driver.Options{Codec: s.Codec, ReducerBudgetBytes: s.ReducerBudgetBytes}
 }
 
 func partitionFactory(band bool) rpcmr.JobFactory {
@@ -311,7 +306,7 @@ func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme 
 }
 
 // ComputeSpec runs the pipeline with a caller-built Spec — the entry
-// point for a non-default kernel, codec or reducer budget. Under a budget
+// point for a non-default codec or reducer budget. Under a budget
 // the workers' reducers are budgeted folds and the merge runs on the
 // master, over the local skylines Job 1 returned to it, as rounds of
 // budget-sized folds (driver.TwoJobs picks it) instead of a second job.

@@ -23,43 +23,11 @@ func randSet(rng *rand.Rand, n, d int) points.Set {
 	return s
 }
 
-// TestRelationKernelMatchesDominates cross-checks every specialized
-// dimension (2..8) and the generic fallback (1, 9, 10) against the
-// points.Dominates / Equal reference semantics.
-func TestRelationKernelMatchesDominates(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
-		rel := RelationKernel(d)
-		for trial := 0; trial < 500; trial++ {
-			a := make(points.Point, d)
-			b := make(points.Point, d)
-			for j := 0; j < d; j++ {
-				a[j] = float64(rng.Intn(4))
-				b[j] = float64(rng.Intn(4))
-			}
-			var want Relation
-			switch {
-			case a.Equal(b):
-				want = Equal
-			case points.Dominates(a, b):
-				want = LeftDominates
-			case points.Dominates(b, a):
-				want = RightDominates
-			default:
-				want = Incomparable
-			}
-			if got := rel(a, b); got != want {
-				t.Fatalf("d=%d rel(%v, %v) = %d, want %d", d, a, b, got, want)
-			}
-		}
-	}
-}
-
-// TestFlatKernelsMatchOracle asserts that every flat kernel — block BNL,
-// block SFS, the Func wrappers and the parallel path with its merge —
-// returns exactly the Naive oracle's skyline as a multiset, across the
-// specialized dimensions and the generic fallback, with duplicates in
-// play.
+// TestFlatKernelsMatchOracle asserts that every flat kernel — block BNL
+// directly and through its Func wrapper, a classic kernel through the
+// BlockKernel adapter, and the parallel path with its merge — returns
+// exactly the Naive oracle's skyline as a multiset, across dimensions 1 to
+// 10, with duplicates in play.
 func TestFlatKernelsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	for trial := 0; trial < 40; trial++ {
@@ -74,12 +42,9 @@ func TestFlatKernelsMatchOracle(t *testing.T) {
 			}
 		}
 		check("FlatBNL", FlatBNL(s))
-		check("FlatSFS", FlatSFS(s))
-		for _, a := range []Algorithm{BNLAlgorithm, SFSAlgorithm, DCAlgorithm, NaiveAlgorithm} {
-			check("ByAlgorithmFlat/"+a.String(), ByAlgorithmFlat(a)(s))
-			if b, ok := points.BlockOf(s); ok {
-				check("BlockByAlgorithm/"+a.String(), BlockByAlgorithm(a)(b).ToSet())
-			}
+		if b, ok := points.BlockOf(s); ok {
+			check("BlockBNL", BlockBNL(b).ToSet())
+			check("BlockKernel(SFS)", BlockKernel(SFS)(b).ToSet())
 		}
 		for _, workers := range []int{0, 1, 3, 8} {
 			check("Parallel", Parallel(s, workers))
@@ -114,7 +79,7 @@ func TestMergeSkylinesMatchesOracle(t *testing.T) {
 // the flat path: coordinate-equal skyline members all survive.
 func TestFlatRetainsDuplicates(t *testing.T) {
 	s := points.Set{{1, 2}, {1, 2}, {2, 1}, {2, 2}, {1, 2}}
-	for name, f := range map[string]Func{"FlatBNL": FlatBNL, "FlatSFS": FlatSFS, "Parallel": func(s points.Set) points.Set { return Parallel(s, 4) }} {
+	for name, f := range map[string]Func{"FlatBNL": FlatBNL, "Parallel": func(s points.Set) points.Set { return Parallel(s, 4) }} {
 		got := f(s)
 		if len(got) != 4 {
 			t.Errorf("%s kept %d points, want 4 (three duplicates + (2,1)): %v", name, len(got), got)
@@ -167,9 +132,6 @@ func FuzzFlatBNL(f *testing.F) {
 		want := Naive(s)
 		if got := FlatBNL(s); !sameMultiset(got, want) {
 			t.Fatalf("FlatBNL diverged from oracle on n=%d d=%d", n, d)
-		}
-		if got := FlatSFS(s); !sameMultiset(got, want) {
-			t.Fatalf("FlatSFS diverged from oracle on n=%d d=%d", n, d)
 		}
 		if got := Parallel(s, 3); !sameMultiset(got, want) {
 			t.Fatalf("Parallel diverged from oracle on n=%d d=%d", n, d)

@@ -7,50 +7,6 @@ import (
 	"repro/internal/points"
 )
 
-func TestNearestNeighborMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for trial := 0; trial < 40; trial++ {
-		d := 1 + rng.Intn(5)
-		n := 1 + rng.Intn(400)
-		s := make(points.Set, n)
-		for i := range s {
-			p := make(points.Point, d)
-			for j := range p {
-				p[j] = float64(rng.Intn(9))
-			}
-			s[i] = p
-		}
-		want := Naive(s)
-		got := NearestNeighbor(s)
-		if !sameMultiset(got, want) {
-			t.Fatalf("trial %d d=%d n=%d: NN got %d, oracle %d", trial, d, n, len(got), len(want))
-		}
-	}
-}
-
-func TestNearestNeighborPaperExample(t *testing.T) {
-	all, want := paperExample()
-	got := NearestNeighbor(all)
-	if !sameMultiset(got, want) {
-		t.Errorf("NN on Figure 1: got %v", got)
-	}
-}
-
-func TestNearestNeighborEdges(t *testing.T) {
-	if got := NearestNeighbor(nil); len(got) != 0 {
-		t.Errorf("nil input gave %v", got)
-	}
-	got := NearestNeighbor(points.Set{{3, 3}})
-	if len(got) != 1 {
-		t.Errorf("singleton gave %v", got)
-	}
-	// All duplicates.
-	got = NearestNeighbor(points.Set{{1, 1}, {1, 1}, {1, 1}})
-	if len(got) != 3 {
-		t.Errorf("duplicates gave %d, want 3", len(got))
-	}
-}
-
 func TestNNPivotIsUndominated(t *testing.T) {
 	// §IV's claim: the nearest neighbor to the ideal corner is skyline.
 	rng := rand.New(rand.NewSource(53))

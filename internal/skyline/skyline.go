@@ -4,8 +4,9 @@
 // The paper's MapReduce methods use the Block-Nested-Loops algorithm (BNL,
 // Börzsönyi et al., ICDE 2001) as the local and global skyline kernel; this
 // package additionally provides Sort-Filter-Skyline (SFS) and a
-// divide-and-conquer algorithm, used both as ablation kernels and as
-// cross-checking oracles in tests.
+// divide-and-conquer algorithm. Those are test oracles and the operators of
+// the ablation rows (internal/experiments edits them into a job value); no
+// product path selects a kernel.
 package skyline
 
 import (
@@ -14,63 +15,13 @@ import (
 	"repro/internal/points"
 )
 
-// Algorithm identifies a sequential skyline kernel.
-type Algorithm int
-
-const (
-	// BNLAlgorithm is the block-nested-loops kernel (the paper's choice).
-	BNLAlgorithm Algorithm = iota
-	// SFSAlgorithm is sort-filter-skyline: presort by a monotone score,
-	// then a single filtering pass against the growing skyline window.
-	SFSAlgorithm
-	// DCAlgorithm is a divide-and-conquer kernel.
-	DCAlgorithm
-	// NaiveAlgorithm is the O(n²) all-pairs oracle, exported for testing
-	// and for tiny inputs.
-	NaiveAlgorithm
-)
-
-// String returns the conventional name of the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case BNLAlgorithm:
-		return "BNL"
-	case SFSAlgorithm:
-		return "SFS"
-	case DCAlgorithm:
-		return "D&C"
-	case NaiveAlgorithm:
-		return "Naive"
-	default:
-		return "Unknown"
-	}
-}
-
 // Func is the signature shared by all sequential skyline kernels: it
 // returns the subset of s not dominated by any other point of s. The
 // classic kernels return references to (not copies of) the input points;
-// the flat-memory kernels (FlatBNL, FlatSFS) return fresh coordinate-equal
-// points, and their result order is unspecified. Duplicate
-// coordinate-equal points are all retained if undominated, matching BNL's
-// classical behaviour.
+// the flat-memory kernel (FlatBNL) returns fresh coordinate-equal points,
+// and its result order is unspecified. Duplicate coordinate-equal points
+// are all retained if undominated, matching BNL's classical behaviour.
 type Func func(s points.Set) points.Set
-
-// ByAlgorithm returns the kernel implementing a. It panics on an unknown
-// algorithm value, which indicates programmer error.
-func ByAlgorithm(a Algorithm) Func {
-	switch a {
-	case BNLAlgorithm:
-		return BNL
-	case SFSAlgorithm:
-		return SFS
-	case DCAlgorithm:
-		return DivideConquer
-	case NaiveAlgorithm:
-		return Naive
-	default:
-		panic("skyline: unknown algorithm " + a.String())
-	}
-}
 
 // BNL computes the skyline with the block-nested-loops algorithm: maintain
 // a window of current skyline candidates; each incoming point is dropped if

@@ -25,14 +25,14 @@ func paperExample() (all, wantSky points.Set) {
 	return all, wantSky
 }
 
-func allKernels() []Algorithm {
-	return []Algorithm{BNLAlgorithm, SFSAlgorithm, DCAlgorithm, NaiveAlgorithm}
-}
+// kernels is every sequential kernel the package keeps: the four classic
+// Set kernels and the flat BNL the jobs run.
+var kernels = map[string]Func{"BNL": BNL, "SFS": SFS, "D&C": DivideConquer, "Naive": Naive, "FlatBNL": FlatBNL}
 
 func TestPaperFigure1(t *testing.T) {
 	all, want := paperExample()
-	for _, alg := range allKernels() {
-		got := ByAlgorithm(alg)(all)
+	for alg, kernel := range kernels {
+		got := kernel(all)
 		if len(got) != len(want) {
 			t.Errorf("%v: got %d skyline points, want %d: %v", alg, len(got), len(want), got)
 			continue
@@ -46,12 +46,12 @@ func TestPaperFigure1(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	for _, alg := range allKernels() {
-		if got := ByAlgorithm(alg)(nil); len(got) != 0 {
+	for alg, kernel := range kernels {
+		if got := kernel(nil); len(got) != 0 {
 			t.Errorf("%v on nil = %v", alg, got)
 		}
 		p := points.Point{1, 2}
-		got := ByAlgorithm(alg)(points.Set{p})
+		got := kernel(points.Set{p})
 		if len(got) != 1 || !got[0].Equal(p) {
 			t.Errorf("%v on singleton = %v", alg, got)
 		}
@@ -60,8 +60,8 @@ func TestEmptyAndSingleton(t *testing.T) {
 
 func TestAllDominatedByOne(t *testing.T) {
 	s := points.Set{{5, 5}, {0, 0}, {9, 1}, {1, 9}, {3, 3}}
-	for _, alg := range allKernels() {
-		got := ByAlgorithm(alg)(s)
+	for alg, kernel := range kernels {
+		got := kernel(s)
 		if len(got) != 1 || !got[0].Equal(points.Point{0, 0}) {
 			t.Errorf("%v = %v, want only (0,0)", alg, got)
 		}
@@ -72,8 +72,8 @@ func TestDuplicatesRetained(t *testing.T) {
 	// Two coordinate-equal undominated points: both must survive (neither
 	// strictly dominates the other).
 	s := points.Set{{1, 1}, {1, 1}, {2, 2}}
-	for _, alg := range allKernels() {
-		got := ByAlgorithm(alg)(s)
+	for alg, kernel := range kernels {
+		got := kernel(s)
 		if len(got) != 2 {
 			t.Errorf("%v kept %d copies of duplicate skyline point, want 2: %v", alg, len(got), got)
 		}
@@ -86,8 +86,8 @@ func TestAntiChainAllSurvive(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s = append(s, points.Point{float64(i), float64(50 - i)})
 	}
-	for _, alg := range allKernels() {
-		if got := ByAlgorithm(alg)(s); len(got) != 50 {
+	for alg, kernel := range kernels {
+		if got := kernel(s); len(got) != 50 {
 			t.Errorf("%v = %d points, want 50", alg, len(got))
 		}
 	}
@@ -98,8 +98,8 @@ func TestChainOnlyMinimumSurvives(t *testing.T) {
 	for i := 20; i >= 0; i-- {
 		s = append(s, points.Point{float64(i), float64(i), float64(i)})
 	}
-	for _, alg := range allKernels() {
-		got := ByAlgorithm(alg)(s)
+	for alg, kernel := range kernels {
+		got := kernel(s)
 		if len(got) != 1 || got[0][0] != 0 {
 			t.Errorf("%v = %v, want only the origin-most point", alg, got)
 		}
@@ -121,8 +121,8 @@ func TestKernelsAgreeRandom(t *testing.T) {
 			s[i] = p
 		}
 		want := Naive(s)
-		for _, alg := range []Algorithm{BNLAlgorithm, SFSAlgorithm, DCAlgorithm} {
-			got := ByAlgorithm(alg)(s)
+		for alg, kernel := range kernels {
+			got := kernel(s)
 			if !sameMultiset(got, want) {
 				t.Fatalf("trial %d d=%d n=%d: %v disagrees with oracle\n got: %v\nwant: %v",
 					trial, d, n, alg, got, want)
@@ -257,34 +257,14 @@ func TestDominated(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	if BNLAlgorithm.String() != "BNL" || SFSAlgorithm.String() != "SFS" ||
-		DCAlgorithm.String() != "D&C" || NaiveAlgorithm.String() != "Naive" {
-		t.Error("unexpected algorithm names")
-	}
-	if Algorithm(99).String() != "Unknown" {
-		t.Error("unknown algorithm name")
-	}
-}
-
-func TestByAlgorithmPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("ByAlgorithm(99) did not panic")
-		}
-	}()
-	ByAlgorithm(Algorithm(99))
-}
-
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s := make(points.Set, 5000)
 	for i := range s {
 		s[i] = points.Point{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
 	}
-	for _, alg := range []Algorithm{BNLAlgorithm, SFSAlgorithm, DCAlgorithm} {
-		b.Run(alg.String(), func(b *testing.B) {
-			f := ByAlgorithm(alg)
+	for alg, f := range kernels {
+		b.Run(alg, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				f(s)

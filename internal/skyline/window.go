@@ -173,8 +173,9 @@ func (w *window) fitThresholds(sample *points.Block) bool {
 // survives. It does not insert p; see push. When a window row dominates p,
 // p cannot have evicted anyone earlier (window rows are mutually
 // non-dominated), so the scan stops without repair. The relation is
-// inlined rather than dispatched through a relFunc so the compiler keeps
-// the flags in registers and pays no call per pair.
+// written here, in the loop, and nowhere else: the compiler keeps the two
+// flags in registers and pays no call per pair, which a relation dispatched
+// through a function value (once selected per dimension) cost ~1 ns each.
 func (w *window) scan(p []float64) bool {
 	d := len(p)
 	wn := w.rows.Len() // hoisted: Len divides, and the row count only changes on evictions we track

@@ -95,32 +95,13 @@ func ParseMethod(flag string) (Method, error) {
 // Methods lists the paper's three methods in presentation order.
 func Methods() []Method { return []Method{Dim, Grid, Angle} }
 
-// Kernel selects the sequential skyline algorithm used inside the
-// pipeline (local and global phases).
-type Kernel int
-
-const (
-	// BNL is block-nested-loops, the paper's kernel.
-	BNL Kernel = iota
-	// SFS is sort-filter-skyline.
-	SFS
-	// DC is divide-and-conquer.
-	DC
-)
-
-func (k Kernel) algorithm() skyline.Algorithm {
-	switch k {
-	case SFS:
-		return skyline.SFSAlgorithm
-	case DC:
-		return skyline.DCAlgorithm
-	default:
-		return skyline.BNLAlgorithm
-	}
-}
-
 // Options configures a Compute call. The zero value runs MR-Dim on 4
-// nodes with the BNL kernel; set Method for the other schemes.
+// nodes; set Method for the other schemes. What the options choose is how
+// the data is partitioned and how much memory and disk the job may use —
+// never the operator: both jobs run BNL, the paper's kernel, and the
+// ablations of the local-skyline combiner, grid pruning and the kernel are
+// studies in internal/experiments (cmd/skybench -figure ablation), not
+// settings.
 type Options struct {
 	// Method is the partitioning scheme (default Dim).
 	Method Method
@@ -132,14 +113,6 @@ type Options struct {
 	// Workers is the number of concurrent engine workers; defaults to
 	// Nodes.
 	Workers int
-	// Kernel selects the sequential skyline algorithm (default BNL).
-	Kernel Kernel
-	// DisableCombiner ships raw partitions to reducers instead of
-	// combining local skylines map-side (ablation).
-	DisableCombiner bool
-	// DisableGridPruning turns off MR-Grid's dominated-cell pruning
-	// (ablation; no effect on other methods).
-	DisableGridPruning bool
 	// SpillDir, when set, spills intermediate MapReduce data to sequence
 	// files under this existing directory instead of the heap.
 	SpillDir string
@@ -153,10 +126,11 @@ type Options struct {
 	ReducerBudgetBytes int64
 }
 
-// driverOptions is the one conversion to the driver's options, for Compute
-// and ComputeSkyband alike: every field crosses. Budgeted runs spill, so
-// they seal frames with the size-adaptive auto codec; unbudgeted runs keep
-// the default.
+// driverOptions is the one conversion to the driver's options, for Compute,
+// ComputeSkyband, BuildIndex and LoadIndex alike: every field crosses, and
+// an unknown Method is this package's error everywhere. Budgeted runs
+// spill, so they seal frames with the size-adaptive auto codec; unbudgeted
+// runs keep the default.
 func (o Options) driverOptions() (driver.Options, error) {
 	if o.Method.scheme() < 0 {
 		return driver.Options{}, fmt.Errorf("skymr: unknown method %d", int(o.Method))
@@ -166,9 +140,6 @@ func (o Options) driverOptions() (driver.Options, error) {
 		Nodes:              o.Nodes,
 		Partitions:         o.Partitions,
 		Workers:            o.Workers,
-		Kernel:             o.Kernel.algorithm(),
-		DisableCombiner:    o.DisableCombiner,
-		DisableGridPruning: o.DisableGridPruning,
 		SpillDir:           o.SpillDir,
 		ReducerBudgetBytes: o.ReducerBudgetBytes,
 	}
