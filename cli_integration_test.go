@@ -74,6 +74,22 @@ func TestCLIToolsEndToEnd(t *testing.T) {
 		}
 	}
 
+	// A budget the library refuses is refused by the binary, not dropped:
+	// the k-skyband does not run under one, and -method seq has no reducers.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-k", "3", "-reducer-budget", "4096"}, "k-skyband does not run under a reducer budget"},
+		{[]string{"-method", "seq", "-reducer-budget", "4096"}, "-method seq has none"},
+	} {
+		args := append(append([]string{"run", "./cmd/skyline", "-header"}, tc.args...), csv)
+		out, err := exec.CommandContext(ctx, "go", args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("skyline %v: err %v, output %q; want a failure saying %q", tc.args, err, out, tc.want)
+		}
+	}
+
 	repOut := goRun("./cmd/skyline", "-method", "angle", "-header", "-rep", "3", csv)
 	if got := strings.Count(strings.TrimSpace(repOut), "\n") + 1; got != 4 { // header + 3 rows
 		t.Errorf("representative output has %d lines, want 4", got)

@@ -45,7 +45,7 @@ func main() {
 	flight := flag.Bool("flight", false, "print the flight-recorder partition chart to stderr (MapReduce methods only)")
 	critPath := flag.Bool("critpath", false, "print the critical-path waterfall and what-if predictions to stderr (MapReduce methods, k=1)")
 	explain := flag.Bool("explain", false, "print the per-partition merge plan to stderr (MapReduce methods, k=1)")
-	budget := flag.Int64("reducer-budget", 0, "reducer memory budget in bytes; overflow spills and resolves in extra passes (0 = unbudgeted, MapReduce methods, k=1)")
+	budget := flag.Int64("reducer-budget", 0, "reducer memory bound in bytes; overflow spills and resolves in extra passes (0 = no bound; MapReduce methods, k=1)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -76,6 +76,9 @@ func run(path, method string, nodes int, header, stats bool, out string, k, rep 
 	if k < 1 {
 		return fmt.Errorf("-k must be >= 1, got %d", k)
 	}
+	if method == "seq" && budget != 0 {
+		return fmt.Errorf("-reducer-budget bounds MapReduce reducers; -method seq has none")
+	}
 	var sky skymr.Set
 	start := time.Now()
 	switch {
@@ -100,7 +103,8 @@ func run(path, method string, nodes int, header, stats bool, out string, k, rep 
 		if err != nil {
 			return err
 		}
-		sky, err = skymr.ComputeSkyband(context.Background(), data, k, skymr.Options{Method: m, Nodes: nodes})
+		sky, err = skymr.ComputeSkyband(context.Background(), data, k, skymr.Options{Method: m, Nodes: nodes,
+			ReducerBudgetBytes: budget})
 		if err != nil {
 			return err
 		}

@@ -52,16 +52,17 @@ type Options struct {
 	// keeps raw v1 frames, points.FrameAuto enables the bit-packed v2
 	// encoding wherever it is smaller.
 	Codec points.FrameCodec
-	// ReducerBudgetBytes, when > 0, switches the reducers to the
-	// memory-budgeted streaming fold: frames are folded one at a time into
-	// a bounded skyline window that spills and multi-passes when the local
-	// skyline outgrows it, so reduce memory stays near the budget instead
-	// of scaling with partition size — and the merge runs as the
+	// ReducerBudgetBytes bounds the reducers' skyline windows. Job 1's
+	// reducers always fold frames one at a time into a per-partition
+	// window; under a budget a full window spills and multi-passes when the
+	// local skyline outgrows it, so reduce memory stays near the budget
+	// instead of scaling with the local skyline — and the merge runs as the
 	// multi-round budgeted schedule (the paper's §II iterative merge)
-	// instead of one global reduce. The budget is per reducer: up to
+	// instead of the single merging job. The budget is per reducer: up to
 	// Workers run at once, in Job 1 and in each round of the schedule, so
-	// resident reduce memory is bounded by Workers × budget. 0 keeps the
-	// assemble-everything reducers and the single merge job.
+	// resident reduce memory is bounded by Workers × budget. 0 is no bound:
+	// the same fold with a window that never fills, and the single merge
+	// job.
 	ReducerBudgetBytes int64
 	// Metrics, when non-nil, receives skyline-level series (per-partition
 	// local skyline sizes, pruned-cell counts) and is passed through to
@@ -105,11 +106,11 @@ type Stats struct {
 	// combines nothing, so mr.combine.records.* are Job 1's alone.
 	Counters map[string]int64
 	// ReducerPeakBytes is the largest reducer-resident working set any
-	// reduce task or merge fold reached (0 when the budgeted streaming
-	// path was off).
+	// reduce task or merge fold reached: what a reducer budget is judged
+	// against, and what an unbudgeted run says a budget would have to be.
 	ReducerPeakBytes int64
-	// MergePasses is the largest BudgetedFold pass count any fold needed
-	// (>1 means a skyline overflowed its window and multi-passed).
+	// MergePasses is the largest pass count any reduce fold needed: 1 when
+	// every window held its skyline, >1 when one overflowed and multi-passed.
 	MergePasses int
 	// MergeRounds counts the rounds of the budgeted multi-round merge
 	// schedule; MergeRoundBytes[i] is the candidate volume entering round

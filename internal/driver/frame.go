@@ -36,18 +36,6 @@ import (
 // partition, without staging it).
 var bnlWindows = mapreduce.NewAccumulators(func() mapreduce.Accumulator { return skyline.NewWindow() })
 
-// blockReducer is the reduce side of a whole-partition operator: kernel over
-// the assembled partition, its survivors the partition's output.
-func blockReducer(kernel skyline.BlockFunc) mapreduce.FrameReducer {
-	return mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-		out := kernel(blk)
-		for i := 0; i < out.Len(); i++ {
-			emit(partition, out.Row(i))
-		}
-		return nil
-	})
-}
-
 // PartitionJob is Job 1 (Algorithm 1, lines 2–10) over dim-dimensional
 // rows, without its Feed: assign each point — for MR-Angle, the angular
 // transform of Eq. (1) — and route it to its partition unless pruned marks
@@ -56,13 +44,14 @@ func blockReducer(kernel skyline.BlockFunc) mapreduce.FrameReducer {
 // constructor here calls its operator argument, and it alone picks the
 // job's shape. 0 is the skyline, and the kernel is BNL: map side — the
 // paper's "middle process" — every routed row folds into its partition's
-// incremental window; reduce side skyline.BlockBNL runs over each assembled
-// partition, or, under a reducer budget, the reducers fold frames one at a
-// time into a bounded skyline window instead of assembling whole
-// partitions. k ≥ 1 is the k-skyband: the windows and the budgeted fold are
-// skyline folds — one dominator evicts a row — so a band job stages its
-// rows and runs skyline.Skyband(·, k) over the block, as combiner and as
-// reducer. Of o it reads ReducerBudgetBytes, SpillDir and Codec.
+// incremental window; reduce side every frame folds into its partition's
+// skyline.BudgetedFold, whose window o.ReducerBudgetBytes bounds (0: no
+// bound, and the fold is skyline.BlockBNL over the partition, a frame at a
+// time). k ≥ 1 is the k-skyband: the windows and the fold are skyline folds
+// — one dominator evicts a row — so a band job stages its rows and assembles
+// its frames and runs skyline.Skyband(·, k) over the block, the one value as
+// combiner and as reducer. Of o it reads ReducerBudgetBytes, SpillDir and
+// Codec.
 func PartitionJob(part partition.Partitioner, pruned []bool, dim, band int, o Options) mapreduce.FrameJob {
 	job := mapreduce.FrameJob{Mapper: func(row []float64, emit mapreduce.EmitPoint) error {
 		id, err := part.Assign(row)
@@ -75,23 +64,19 @@ func PartitionJob(part partition.Partitioner, pruned []bool, dim, band int, o Op
 		return nil
 	}}
 	if band > 0 {
-		skyband := skyline.BlockKernel(func(s points.Set) points.Set {
+		kernel := skyline.BlockKernel(func(s points.Set) points.Set {
 			kept, _ := skyline.Skyband(s, band) // errs only on band < 1
 			return kept
 		})
-		job.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return skyband(blk), nil }
-		job.Reducer = blockReducer(skyband)
+		skyband := func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
+		job.Combiner, job.Folder = skyband, mapreduce.Assembled(skyband)
 		return job
 	}
 	job.Accumulators = bnlWindows
-	if budget := o.ReducerBudgetBytes; budget > 0 {
-		spillDir, codec := o.SpillDir, o.Codec
-		job.Folder = func(int) mapreduce.FrameFold {
-			return skyline.NewBudgetedFold(dim, budget, spillDir, codec)
-		}
-		return job
+	budget, spillDir, codec := o.ReducerBudgetBytes, o.SpillDir, o.Codec
+	job.Folder = func(int) mapreduce.FrameFold {
+		return skyline.NewBudgetedFold(dim, budget, spillDir, codec)
 	}
-	job.Reducer = blockReducer(skyline.BlockBNL)
 	return job
 }
 
@@ -143,7 +128,7 @@ func MergeJob(dim, band int) mapreduce.FrameJob {
 			}
 			return filter.Share(task, tasks, func(row []float64) { emit(0, row) }), nil
 		},
-		Reducer: blockReducer(func(blk *points.Block) *points.Block { return blk }),
+		Folder: mapreduce.Assembled(nil),
 	}
 }
 
@@ -162,7 +147,7 @@ type Executor interface {
 // inProcess runs both jobs on mapreduce.RunFrames: the Job 1 it was handed,
 // whose map tasks fold each routed row into its partition's accumulator as
 // it arrives and seal packed frames keyed by integer partition id while
-// reducers ingest whole frames, and MergeJob, fed Job 1's result blocks as
+// reduce tasks fold whole frames, and MergeJob, fed Job 1's result blocks as
 // they are.
 type inProcess struct {
 	job1      mapreduce.FrameJob
@@ -172,8 +157,8 @@ type inProcess struct {
 
 // InProcess is the in-process executor of TwoJobs: job1 — what PartitionJob
 // returned, or a study's edit of it — over feed, then MergeJob(dim, band).
-// Of opts it reads Scheme (the jobs' names), Workers, SpillDir, Codec,
-// ReducerBudgetBytes and Metrics.
+// Of opts it reads Scheme (the jobs' names), Workers, SpillDir, Codec and
+// Metrics.
 func InProcess(feed mapreduce.RowFeed, job1 mapreduce.FrameJob, dim, band int, opts Options) Executor {
 	job1.Feed = feed
 	return inProcess{job1: job1, dim: dim, band: band, opts: opts}
@@ -184,14 +169,13 @@ func (e inProcess) config(ctx context.Context, job string, reducers int) mapredu
 		job = fmt.Sprintf("skyband%d-%s", e.band, job)
 	}
 	return mapreduce.Config{
-		Name:               fmt.Sprintf("%s-%s", e.opts.Scheme, job),
-		Workers:            e.opts.Workers,
-		Reducers:           reducers,
-		SpillDir:           e.opts.SpillDir,
-		Metrics:            e.opts.Metrics,
-		Events:             telemetry.EventLogFrom(ctx),
-		Codec:              e.opts.Codec,
-		ReducerBudgetBytes: e.opts.ReducerBudgetBytes,
+		Name:     fmt.Sprintf("%s-%s", e.opts.Scheme, job),
+		Workers:  e.opts.Workers,
+		Reducers: reducers,
+		SpillDir: e.opts.SpillDir,
+		Metrics:  e.opts.Metrics,
+		Events:   telemetry.EventLogFrom(ctx),
+		Codec:    e.opts.Codec,
 	}
 }
 

@@ -2,9 +2,12 @@ package driver
 
 import (
 	"context"
+	"math"
+	"os"
 	"reflect"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
@@ -25,15 +28,12 @@ func noCombiner(job *mapreduce.FrameJob) { job.Accumulators, job.Combiner = nil,
 
 // withKernel swaps Job 1's operator for a Set-typed kernel: staged rows and
 // a block combiner map side, the kernel over each assembled partition
-// reduce side (a budgeted job keeps its fold).
+// reduce side.
 func withKernel(f skyline.Func) jobEdit {
 	kernel := skyline.BlockKernel(f)
+	op := func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
 	return func(job *mapreduce.FrameJob) {
-		job.Accumulators = nil
-		job.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
-		if job.Reducer != nil {
-			job.Reducer = blockReducer(kernel)
-		}
+		job.Accumulators, job.Combiner, job.Folder = nil, op, mapreduce.Assembled(op)
 	}
 }
 
@@ -54,8 +54,9 @@ func computeEdited(ctx context.Context, data points.Set, band int, opts Options,
 }
 
 // TestPartitionJobShapes pins Job 1's routes: band picks between the
-// skyline's windows and the band's staged block kernel, the reducer budget
-// between a reducer and a fold, and nothing else picks anything.
+// skyline's windows and budgeted folds and the band's staged and assembled
+// block kernel, and nothing else picks anything — the reducer budget sizes
+// the skyline's fold, it does not choose it.
 func TestPartitionJobShapes(t *testing.T) {
 	part, err := partition.New(partition.Angular, uniformSet(1, 200, 3), 8)
 	if err != nil {
@@ -74,17 +75,26 @@ func TestPartitionJobShapes(t *testing.T) {
 			if job.Accumulators != bnlWindows || job.Combiner != nil {
 				t.Errorf("%+v: the skyline folds into bnlWindows and stages nothing; got %+v", o, job)
 			}
-			if budgeted := o.ReducerBudgetBytes > 0; (job.Folder != nil) != budgeted || (job.Reducer != nil) == budgeted {
-				t.Errorf("%+v: want a fold under a budget and a reducer without one; got %+v", o, job)
+			if job.Folder == nil || !isBudgetedFold(job.Folder(0)) {
+				t.Errorf("%+v: the skyline reduces through a BudgetedFold, whatever the budget; got %+v", o, job)
 			}
 			for _, k := range []int{1, 3} {
 				band := PartitionJob(part, pruned, 3, k, o)
-				if band.Accumulators != nil || band.Combiner == nil || band.Reducer == nil || band.Folder != nil {
-					t.Errorf("%+v, k=%d: a band stages rows for a block combiner and reducer; got %+v", o, k, band)
+				if band.Accumulators != nil || band.Combiner == nil || band.Folder == nil || isBudgetedFold(band.Folder(0)) {
+					t.Errorf("%+v, k=%d: a band stages rows and assembles frames for a block kernel; got %+v", o, k, band)
 				}
 			}
 		}
 	}
+}
+
+// isBudgetedFold reports whether fold is the skyline's, and closes it.
+func isBudgetedFold(fold mapreduce.FrameFold) bool {
+	bf, ok := fold.(*skyline.BudgetedFold)
+	if ok {
+		bf.Close()
+	}
+	return ok
 }
 
 // TestBuildIndexKeepsTheJobsPartitioner: the index is fitted once — its
@@ -134,4 +144,110 @@ func TestBuildIndexKeepsTheJobsPartitioner(t *testing.T) {
 	if ix.part != partition.Partitioner(hybrid) {
 		t.Errorf("index partitioner %v, want the job's %v", ix.part, hybrid)
 	}
+}
+
+// watchedFold is a Job 1 fold that looks into the directory its overflow
+// would go to after every frame it absorbs and when it finishes.
+type watchedFold struct {
+	*skyline.BudgetedFold
+	look func()
+}
+
+func (w watchedFold) Absorb(blk *points.Block) error {
+	defer w.look()
+	return w.BudgetedFold.Absorb(blk)
+}
+
+func (w watchedFold) Finish() (*points.Block, error) {
+	defer w.look()
+	return w.BudgetedFold.Finish()
+}
+
+// TestUnbudgetedReduceIsBlockBNL: a budget of 0 is no second route. Job 1's
+// unbounded folds give, partition by partition and row for row in order,
+// what the reducer this repository had before gave — skyline.BlockBNL over
+// the assembled partition, here an edit of the job — with exactly as many
+// dominance tests, in one pass, reporting what they held, and with no file
+// in the temp directory at any point; and where the partition reaches the
+// reducer from one map task, that is skyline.BlockBNL of the rows routed to
+// it.
+func TestUnbudgetedReduceIsBlockBNL(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // where a fold with no spill directory overflows to
+	look := func() {
+		if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+			t.Errorf("%d files in the temp directory (first: %v), err %v", len(left), left[:min(len(left), 1)], err)
+		}
+	}
+	watched := func(job *mapreduce.FrameJob) {
+		folder := job.Folder
+		job.Folder = func(p int) mapreduce.FrameFold {
+			return watchedFold{folder(p).(*skyline.BudgetedFold), look}
+		}
+	}
+	assembledBNL := func(job *mapreduce.FrameJob) {
+		job.Folder = mapreduce.Assembled(func(_ int, blk *points.Block) (*points.Block, error) {
+			return skyline.BlockBNL(blk), nil
+		})
+	}
+	// Duplicate-heavy: 3000 rows on a 10 × 10 × 10 grid, ties and equal rows
+	// everywhere a window can meet them.
+	coarse := uniformSet(62, 3000, 3)
+	for _, p := range coarse {
+		for i := range p {
+			p[i] = math.Floor(p[i] / 10)
+		}
+	}
+	for name, data := range map[string]points.Set{
+		"uniform":         uniformSet(61, 3000, 4),
+		"duplicates":      coarse,
+		"anti-correlated": dataset.Generate(dataset.KindAnticorrelated, 63, 3000, 4),
+	} {
+		for _, workers := range []int{1, 3} {
+			opts := Options{Scheme: partition.Angular, Nodes: 4, Workers: workers}
+			got, stats, err := computeEdited(context.Background(), data, 0, opts, watched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, parent, err := computeEdited(context.Background(), data, 0, opts, assembledBNL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(stats.LocalSkylines, parent.LocalSkylines) {
+				t.Errorf("%s, %d workers: the unbounded fold and BlockBNL over the assembled partition differ in a row or its place", name, workers)
+			}
+			if stats.DominanceTests != parent.DominanceTests || stats.DominanceTests == 0 {
+				t.Errorf("%s, %d workers: %d dominance tests, the assembled route's %d", name, workers, stats.DominanceTests, parent.DominanceTests)
+			}
+			if stats.MergePasses != 1 || stats.ReducerPeakBytes <= 0 || stats.MergeRounds != 0 {
+				t.Errorf("%s, %d workers: %d passes, a peak of %d bytes, %d merge rounds; want one pass, a peak, no round",
+					name, workers, stats.MergePasses, stats.ReducerPeakBytes, stats.MergeRounds)
+			}
+			if workers > 1 {
+				continue
+			}
+			// One map task: the reducer is handed each partition's window.
+			part, err := partition.New(opts.Scheme, data, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routed := make(map[int]*points.Block)
+			for _, p := range data {
+				id, err := part.Assign(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if routed[id] == nil {
+					routed[id] = points.NewBlock(len(p), 0)
+				}
+				routed[id].AppendRow(p)
+			}
+			for id, blk := range routed {
+				if want := skyline.BlockBNL(blk).ToSet(); !reflect.DeepEqual(stats.LocalSkylines[id], want) {
+					t.Errorf("%s: partition %d's local skyline is not BlockBNL of its %d routed rows, row for row", name, id, blk.Len())
+				}
+			}
+		}
+	}
+	look()
 }

@@ -69,16 +69,9 @@ func noCombiner(job *mapreduce.FrameJob) { job.Accumulators = nil }
 // combiner map side, the kernel over each assembled partition reduce side.
 func withKernel(f skyline.Func) func(*mapreduce.FrameJob) {
 	kernel := skyline.BlockKernel(f)
+	op := func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
 	return func(job *mapreduce.FrameJob) {
-		job.Accumulators = nil
-		job.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
-		job.Reducer = mapreduce.FrameReducerFunc(func(id int, blk *points.Block, emit mapreduce.EmitPoint) error {
-			sky := kernel(blk)
-			for i := 0; i < sky.Len(); i++ {
-				emit(id, sky.Row(i))
-			}
-			return nil
-		})
+		job.Accumulators, job.Combiner, job.Folder = nil, op, mapreduce.Assembled(op)
 	}
 }
 

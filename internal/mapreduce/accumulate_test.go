@@ -192,13 +192,12 @@ func TestAccumulatorJobsAgreeUnderRetry(t *testing.T) {
 		}
 		return mapper(row, emit)
 	})
-	reducer := skylineReducer()
 
 	// split is the task length in the feed's own unit: rows of a set, chunks
 	// of a chunk source.
 	run := func(name string, split int, job FrameJob) *FrameResult {
 		t.Helper()
-		job.Reducer = reducer
+		job.Folder = skylineFolder
 		cfg := Config{Name: "acc", Workers: 4, Reducers: 3, SplitSize: split, MaxAttempts: 2}
 		res, err := RunFrames(context.Background(), cfg, job)
 		if err != nil {

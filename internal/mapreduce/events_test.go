@@ -14,7 +14,7 @@ import (
 // tallyOf is the tally job over one row per word of docs.
 func tallyOf(docs ...string) FrameJob {
 	rows, _ := wordRows(docs)
-	return FrameJob{Feed: SetRows(rows), Mapper: tallyMapper, Reducer: tallyReducer}
+	return FrameJob{Feed: SetRows(rows), Mapper: tallyMapper, Folder: tallyFolder}
 }
 
 // TestTraceLifecycle: a job narrates itself into Config.Events in the

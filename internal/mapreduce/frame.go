@@ -17,8 +17,8 @@ import (
 // fed rows — from an in-memory set, a chunk source or a split's input
 // frame — routes each row to an integer partition and folds it straight
 // into that partition's accumulator; accumulators are sealed into
-// per-reducer frame streams, and reducers ingest whole frames into
-// contiguous blocks. No string keys, no per-point record or value
+// per-reducer frame streams, and reduce tasks decode whole frames into
+// their partitions' folds. No string keys, no per-point record or value
 // allocation anywhere on the way.
 
 // EmitPoint is the frame-path emit callback: it hands one point to the
@@ -41,40 +41,12 @@ type RowMapper func(row []float64, emit EmitPoint) error
 // use.
 type TaskMapper func(input []*points.Block, task, tasks int, emit EmitPoint) (rows int, err error)
 
-// FrameMapper maps one encoded input record, decoding it itself. Jobs take
-// rows (RowMapper) on every executor; this is BuildFrames' mapper only, kept
-// for the benchmark's staged replay, which compiles against it until
-// ROADMAP item 3a retires it. Must be safe for concurrent use.
-type FrameMapper interface {
-	MapFrame(record []byte, emit EmitPoint) error
-}
-
-// FrameMapperFunc adapts a function to the FrameMapper interface.
-type FrameMapperFunc func(record []byte, emit EmitPoint) error
-
-// MapFrame implements FrameMapper.
-func (f FrameMapperFunc) MapFrame(record []byte, emit EmitPoint) error { return f(record, emit) }
-
 // FrameCombiner folds the block one partition's accumulator sealed,
 // map-side, before the frame is encoded — a whole-block combiner for
 // kernels that are not incremental. It may return its argument (mutated
 // or not) or a fresh block; the result is encoded and dropped, the
 // argument goes back to the accumulator. Must be safe for concurrent use.
 type FrameCombiner func(partition int, block *points.Block) (*points.Block, error)
-
-// FrameReducer folds one partition's fully assembled block into zero or
-// more output points. Must be safe for concurrent use.
-type FrameReducer interface {
-	ReduceFrame(partition int, block *points.Block, emit EmitPoint) error
-}
-
-// FrameReducerFunc adapts a function to the FrameReducer interface.
-type FrameReducerFunc func(partition int, block *points.Block, emit EmitPoint) error
-
-// ReduceFrame implements FrameReducer.
-func (f FrameReducerFunc) ReduceFrame(partition int, block *points.Block, emit EmitPoint) error {
-	return f(partition, block, emit)
-}
 
 // PartStat tallies one partition's shuffle contribution: Records is the
 // map-output point count routed to the partition (pre-combine — the
@@ -103,9 +75,9 @@ type FrameStats struct {
 	Groups       int64
 	ReduceIn     int64
 	ReduceOut    int64
-	// PeakBytes is the task's streaming-reduce working-set high-water
-	// mark (folds + decode scratch); 0 on the assemble-everything path.
-	// Aggregation takes the max, not the sum — it is a per-task peak.
+	// PeakBytes is a reduce task's working-set high-water mark (its folds
+	// + one frame of decode scratch); 0 for a map task. Aggregation takes
+	// the max, not the sum — it is a per-task peak.
 	PeakBytes int64
 	// Passes counts multi-pass fold resolutions (max across folds); 1
 	// means everything fit the window.
@@ -160,9 +132,9 @@ type FrameResult struct {
 	// partition id, for the flight recorder's skew picture. Records is
 	// every point the mapper routed to the partition, before any combining.
 	Partitions map[int]PartStat
-	// ReducerPeakBytes is the largest streaming-reduce working set any
-	// reduce task reached (0 on the assemble-everything path) — the
-	// number the ReducerBudgetBytes budget is judged against.
+	// ReducerPeakBytes is the largest working set any reduce task reached
+	// — the number a reducer budget is judged against, and what tells an
+	// operator which budget a job needs.
 	ReducerPeakBytes int64
 	// MergePasses is the largest fold pass count any reduce task needed
 	// (1 = single pass; >1 means a local skyline overflowed its window).
@@ -308,8 +280,7 @@ func (fb *frameBuilder) seal(reducers int, combiner FrameCombiner, codec points.
 
 // buildFrames is the one map-task body, shared by every executor: feed
 // pushes the task's routed rows into a borrowed builder's accumulators,
-// which are then sealed into one frame stream per reducer. (Reduce tasks
-// seal their output through it too, as a one-reducer task.)
+// which are then sealed into one frame stream per reducer.
 func buildFrames(feed func(emit EmitPoint) (rows int, err error), accs *Accumulators, combiner FrameCombiner, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
 	if accs == nil {
 		accs = Staging
@@ -360,21 +331,6 @@ func MapFrames(job FrameJob, input []byte, task, tasks, reducers int, codec poin
 	return buildFrames(feed, job.Accumulators, job.Combiner, max(reducers, 1), codec)
 }
 
-// BuildFrames runs a frame mapper (and optional block combiner) over one
-// map task's records, staging each partition's rows, and returns one sealed
-// frame stream per reducer plus the task's tallies. No executor calls it:
-// it serves the benchmark's staged replay and the staged-combiner tests.
-func BuildFrames(records [][]byte, reducers int, mapper FrameMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
-	return buildFrames(func(emit EmitPoint) (int, error) {
-		for _, rec := range records {
-			if err := mapper.MapFrame(rec, emit); err != nil {
-				return 0, err
-			}
-		}
-		return len(records), nil
-	}, Staging, combiner, max(reducers, 1), codec)
-}
-
 // AssembleFrames decodes frame streams into per-partition blocks,
 // appending in stream order — zero allocation per point, one block per
 // distinct partition. Exported so frame consumers outside the engine
@@ -402,37 +358,6 @@ func AssembleFrames(streams [][]byte) (map[int]*points.Block, error) {
 		}
 	}
 	return parts, nil
-}
-
-// ReduceFrames assembles per-partition blocks from the given frame
-// streams, runs the reducer on each partition in ascending id order, and
-// seals the emitted points back into one output frame stream. Shared by
-// the in-process engine's reduce tasks and the rpcmr workers. codec
-// picks the output frames' wire codec.
-func ReduceFrames(streams [][]byte, reducer FrameReducer, codec points.FrameCodec) ([]byte, FrameStats, error) {
-	var st FrameStats
-	parts, err := AssembleFrames(streams)
-	if err != nil {
-		return nil, st, err
-	}
-	// One "reducer" so every output partition lands in one stream,
-	// ascending by partition id.
-	out, sealed, err := buildFrames(func(emit EmitPoint) (int, error) {
-		for _, p := range sortedInts(parts) {
-			blk := parts[p]
-			st.Groups++
-			st.ReduceIn += int64(blk.Len())
-			if err := reducer.ReduceFrame(p, blk, emit); err != nil {
-				return 0, err
-			}
-		}
-		return 0, nil
-	}, Staging, nil, 1, codec)
-	if err != nil {
-		return nil, st, err
-	}
-	st.ReduceOut = sealed.ShuffleRecs
-	return out[0], st, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -542,18 +467,20 @@ func ChunkRows(src ChunkSource) RowFeed {
 // by Mapper — or, where a task needs the whole input before it can judge a
 // row of it, each task's share of a WholeInput by TaskMapper — into
 // per-partition Accumulators (nil means Staging), each sealed block
-// optionally passes through Combiner, and the shuffled frames are reduced by exactly one of Reducer — which sees each partition's
-// fully assembled block — or Folder, whose per-partition folds absorb the
-// frames one at a time, from memory or spill, so that reduce-side memory
-// is bounded by the folds' budgets plus one frame of decode scratch and
-// never by partition size.
+// optionally passes through Combiner, and the shuffled frames are reduced
+// by Folder's per-partition folds, which absorb the frames one at a time,
+// from memory or spill. The two sides mirror each other: rows arrive one at
+// a time in an Accumulator, frames one at a time in a FrameFold, and where
+// the operator needs everything at once the rows are staged (Staging +
+// Combiner) and the frames assembled (Assembled). What a reduce task holds
+// is up to its folds — a budgeted one keeps it near its budget whatever the
+// partition's size — plus one frame of decode scratch.
 type FrameJob struct {
 	Feed         RowFeed
 	Mapper       RowMapper
 	TaskMapper   TaskMapper
 	Accumulators *Accumulators
 	Combiner     FrameCombiner
-	Reducer      FrameReducer
 	Folder       FrameFolder
 }
 
@@ -575,8 +502,8 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	if (job.Mapper == nil) == (job.TaskMapper == nil) || (job.Mapper == nil) != (job.Feed.feed == nil) {
 		return nil, fmt.Errorf("mapreduce: %s: need a row feed and a mapper, or a whole-input feed and a task mapper", cfg.Name)
 	}
-	if (job.Reducer == nil) == (job.Folder == nil) {
-		return nil, fmt.Errorf("mapreduce: %s: need exactly one of reducer and folder", cfg.Name)
+	if job.Folder == nil {
+		return nil, fmt.Errorf("mapreduce: %s: need a folder", cfg.Name)
 	}
 	units := job.Feed.units
 	cfg = cfg.withDefaults(units)
@@ -637,7 +564,7 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		telemetry.A("shuffle_seconds", shuffleDur.Seconds()))
 	redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
 	reduceStart := time.Now()
-	blocks, redStats, err := runFrameReducePhase(redCtx, cfg, outputs, job.Reducer, job.Folder, counters)
+	blocks, redStats, err := runFrameReducePhase(redCtx, cfg, outputs, job.Folder, counters)
 	reduceSpan.End()
 	if err != nil {
 		return fail(err)
@@ -742,7 +669,10 @@ func runFrameMapPhase(ctx context.Context, cfg Config, tasks int, job FrameJob, 
 	return outputs, agg, err
 }
 
-func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOutput, reducer FrameReducer, folder FrameFolder, counters *Counters) (map[int]*points.Block, FrameStats, error) {
+// runFrameReducePhase runs the job's reduce tasks — each one
+// ReduceFramesStream over reducer r's frames, from memory or spill, in
+// map-task order — and assembles their output streams into the result blocks.
+func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOutput, folder FrameFolder, counters *Counters) (map[int]*points.Block, FrameStats, error) {
 	outStreams := make([][]byte, cfg.Reducers)
 	var aggMu sync.Mutex
 	var agg FrameStats
@@ -755,14 +685,7 @@ func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOut
 				counters.Add(CounterRedRetries, 1)
 				cfg.logRetry("reduce", r, attempt, lastErr)
 			}
-			var out []byte
-			var st FrameStats
-			var err error
-			if folder != nil {
-				out, st, err = runFrameReduceTaskStream(cfg, r, outputs, folder)
-			} else {
-				out, st, err = runFrameReduceTask(cfg, r, outputs, reducer)
-			}
+			out, st, err := runReduceTask(cfg, r, outputs, folder)
 			if err == nil {
 				outStreams[r] = out
 				aggMu.Lock()
@@ -789,28 +712,6 @@ func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOut
 		return nil, agg, fmt.Errorf("mapreduce: %s: assembling reduce output: %w", cfg.Name, err)
 	}
 	return blocks, agg, nil
-}
-
-// runFrameReduceTask gathers reducer r's frame streams (memory or spill)
-// in map-task order and folds them.
-func runFrameReduceTask(cfg Config, r int, outputs []frameTaskOutput, reducer FrameReducer) ([]byte, FrameStats, error) {
-	var streams [][]byte
-	for _, out := range outputs {
-		if out.files != nil {
-			if r < len(out.files) && out.files[r] != "" {
-				frames, err := readFrameSpill(out.files[r])
-				if err != nil {
-					return nil, FrameStats{}, fmt.Errorf("mapreduce: %s: reading frame spill: %w", cfg.Name, err)
-				}
-				streams = append(streams, frames...)
-			}
-			continue
-		}
-		if r < len(out.streams) && len(out.streams[r]) > 0 {
-			streams = append(streams, out.streams[r])
-		}
-	}
-	return ReduceFrames(streams, reducer, cfg.Codec)
 }
 
 // removeFrameSpills deletes every spill file of a finished frame job.

@@ -32,19 +32,14 @@ func frameTestData(n, d int, seed int64) points.Set {
 }
 
 // identityFrameJob routes each point to partition coords[0] mod parts and
-// re-emits it unchanged in the reducer — shuffle machinery only.
-func identityFrameJob(parts int) (RowMapper, FrameReducer) {
+// concatenates each partition's frames in the reducer — shuffle machinery
+// only.
+func identityFrameJob(parts int) (RowMapper, FrameFolder) {
 	mapper := RowMapper(func(p []float64, emit EmitPoint) error {
 		emit(int(p[0])%parts, p)
 		return nil
 	})
-	reducer := FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
-		for i := 0; i < blk.Len(); i++ {
-			emit(partition, blk.Row(i))
-		}
-		return nil
-	})
-	return mapper, reducer
+	return mapper, Assembled(nil)
 }
 
 // routedDirectly is the identity job's result worked out without an
@@ -101,7 +96,7 @@ func requireSameSets(t *testing.T, want, got map[int]points.Set) {
 func TestRunFramesMatchesClassic(t *testing.T) {
 	data := frameTestData(2000, 4, 1)
 	const parts, reducers = 7, 3
-	mapper, reducer := identityFrameJob(parts)
+	mapper, folder := identityFrameJob(parts)
 
 	for _, spill := range []bool{false, true} {
 		name := map[bool]string{false: "memory", true: "spill"}[spill]
@@ -112,7 +107,7 @@ func TestRunFramesMatchesClassic(t *testing.T) {
 			}
 			res, err := RunFrames(context.Background(),
 				Config{Name: "frames", Workers: 4, Reducers: reducers, SpillDir: dir},
-				FrameJob{Feed: SetRows(data), Mapper: mapper, Reducer: reducer})
+				FrameJob{Feed: SetRows(data), Mapper: mapper, Folder: folder})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +134,7 @@ func TestRunFramesMatchesClassic(t *testing.T) {
 // map-side and shrinks what crosses the shuffle.
 func TestRunFramesCombiner(t *testing.T) {
 	data := frameTestData(1000, 3, 2)
-	mapper, reducer := identityFrameJob(4)
+	mapper, folder := identityFrameJob(4)
 	// Combiner keeps only the first point of each block.
 	combiner := func(partition int, blk *points.Block) (*points.Block, error) {
 		if blk.Len() > 1 {
@@ -149,7 +144,7 @@ func TestRunFramesCombiner(t *testing.T) {
 	}
 	res, err := RunFrames(context.Background(),
 		Config{Name: "comb", Workers: 2, Reducers: 2, SplitSize: 100},
-		FrameJob{Feed: SetRows(data), Mapper: mapper, Combiner: combiner, Reducer: reducer})
+		FrameJob{Feed: SetRows(data), Mapper: mapper, Combiner: combiner, Folder: folder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,10 +182,7 @@ func TestFrameSpillByteIdentical(t *testing.T) {
 	if files[1] != "" || files[2] != "" {
 		t.Fatal("empty streams produced files")
 	}
-	frames, err := readFrameSpill(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	frames := drainFrameSpill(t, files[0])
 	if len(frames) != 2 {
 		t.Fatalf("read %d frames, want 2", len(frames))
 	}
@@ -206,30 +198,27 @@ func TestFrameSpillByteIdentical(t *testing.T) {
 // the negative-partition guard: errors, never panics.
 func TestRunFramesErrors(t *testing.T) {
 	input := points.Set{{1, 2}}
-	okMapper, okReducer := identityFrameJob(2)
+	okMapper, okFolder := identityFrameJob(2)
 	boom := errors.New("boom")
 
 	cases := []struct {
 		name     string
 		mapper   RowMapper
 		combiner FrameCombiner
-		reducer  FrameReducer
+		folder   FrameFolder
 	}{
-		{"mapper", func(row []float64, emit EmitPoint) error { return boom }, nil, okReducer},
-		{"combiner", okMapper, func(int, *points.Block) (*points.Block, error) { return nil, boom }, okReducer},
-		{"reducer", okMapper, nil, FrameReducerFunc(func(int, *points.Block, EmitPoint) error { return boom })},
+		{"mapper", func(row []float64, emit EmitPoint) error { return boom }, nil, okFolder},
+		{"combiner", okMapper, func(int, *points.Block) (*points.Block, error) { return nil, boom }, okFolder},
+		{"reducer", okMapper, nil, Assembled(func(int, *points.Block) (*points.Block, error) { return nil, boom })},
 		{"negative-partition", func(row []float64, emit EmitPoint) error {
 			emit(-1, row)
 			return nil
-		}, nil, okReducer},
+		}, nil, okFolder},
 		{"no-reducer", okMapper, nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			job := FrameJob{Feed: SetRows(input), Mapper: tc.mapper, Combiner: tc.combiner}
-			if tc.reducer != nil { // a nil FrameReducerFunc in the interface would not be nil
-				job.Reducer = tc.reducer
-			}
+			job := FrameJob{Feed: SetRows(input), Mapper: tc.mapper, Combiner: tc.combiner, Folder: tc.folder}
 			_, err := RunFrames(context.Background(), Config{Name: tc.name}, job)
 			if err == nil {
 				t.Fatal("no error")
@@ -256,10 +245,10 @@ func TestRunFramesRetry(t *testing.T) {
 		emit(int(p[0])%3, p)
 		return nil
 	})
-	_, reducer := identityFrameJob(3)
+	_, folder := identityFrameJob(3)
 	res, err := RunFrames(context.Background(),
 		Config{Name: "retry", MaxAttempts: 3, SplitSize: 50},
-		FrameJob{Feed: SetRows(data), Mapper: mapper, Reducer: reducer})
+		FrameJob{Feed: SetRows(data), Mapper: mapper, Folder: folder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,9 +267,9 @@ func TestRunFramesRetry(t *testing.T) {
 
 // TestRunFramesEmptyInput degenerates gracefully.
 func TestRunFramesEmptyInput(t *testing.T) {
-	mapper, reducer := identityFrameJob(2)
+	mapper, folder := identityFrameJob(2)
 	res, err := RunFrames(context.Background(), Config{Name: "empty"},
-		FrameJob{Feed: SetRows(nil), Mapper: mapper, Reducer: reducer})
+		FrameJob{Feed: SetRows(nil), Mapper: mapper, Folder: folder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +316,9 @@ func TestWholeInputTaskMapper(t *testing.T) {
 			return rows, nil
 		}
 	}
-	_, reducer := identityFrameJob(3)
+	_, folder := identityFrameJob(3)
 	res, err := RunFrames(context.Background(), Config{Name: "whole", Workers: 3, Reducers: 2, MaxAttempts: 2},
-		FrameJob{Feed: WholeInput(blocks, tasks), TaskMapper: strided(true), Reducer: reducer})
+		FrameJob{Feed: WholeInput(blocks, tasks), TaskMapper: strided(true), Folder: folder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,9 +357,9 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	// What is not a job, and what is not a task of one.
 	mapper, _ := identityFrameJob(3)
 	for name, job := range map[string]FrameJob{
-		"both mappers":              {Feed: WholeInput(blocks, tasks), Mapper: mapper, TaskMapper: strided(false), Reducer: reducer},
-		"task mapper over rows":     {Feed: SetRows(data), TaskMapper: strided(false), Reducer: reducer},
-		"row mapper over the whole": {Feed: WholeInput(blocks, tasks), Mapper: mapper, Reducer: reducer},
+		"both mappers":              {Feed: WholeInput(blocks, tasks), Mapper: mapper, TaskMapper: strided(false), Folder: folder},
+		"task mapper over rows":     {Feed: SetRows(data), TaskMapper: strided(false), Folder: folder},
+		"row mapper over the whole": {Feed: WholeInput(blocks, tasks), Mapper: mapper, Folder: folder},
 	} {
 		if _, err := RunFrames(context.Background(), Config{Name: name}, job); err == nil {
 			t.Errorf("%s: RunFrames accepted it", name)

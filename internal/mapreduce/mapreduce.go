@@ -55,13 +55,6 @@ type Config struct {
 	// frames. The zero value is the raw v1 codec; points.FrameAuto enables
 	// the bit-packed v2 encoding wherever it is smaller.
 	Codec points.FrameCodec
-	// ReducerBudgetBytes is the working-memory target for one streaming
-	// reduce task (a FrameJob with a Folder): the budget handed to
-	// the task's frame folds, and the reference the reported peak is
-	// judged against. 0 means unbudgeted. The engine records the peak —
-	// FrameResult.ReducerPeakBytes — rather than killing tasks, so an
-	// over-budget fold is visible, not fatal.
-	ReducerBudgetBytes int64
 	// Events, when non-nil, receives the job's narration — "job start",
 	// "phase start", "phase end", "job end" or "job failed", "task retry",
 	// "spill" — under the message names and attribute keys rpcmr's master

@@ -18,8 +18,9 @@ import (
 
 // The tally job is word count — the canonical smoke test for any MapReduce
 // engine — on frames: a row is one word's id, the mapper routes a 1 to the
-// partition of that id, and combiner and reducer sum what a partition
-// holds, so a partition's one output row is its word's count.
+// partition of that id, and combiner and reducer — the one operator, staged
+// map side and assembled reduce side — sum what a partition holds, so a
+// partition's one output row is its word's count.
 
 func tallyMapper(row []float64, emit EmitPoint) error {
 	emit(int(row[0]), []float64{1})
@@ -34,16 +35,13 @@ func sumRows(blk *points.Block) float64 {
 	return total
 }
 
-var tallyReducer = FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
-	emit(partition, []float64{sumRows(blk)})
-	return nil
-})
-
 func tallyCombiner(_ int, blk *points.Block) (*points.Block, error) {
 	out := points.NewBlock(1, 1)
 	out.AppendRow([]float64{sumRows(blk)})
 	return out, nil
 }
+
+var tallyFolder = Assembled(tallyCombiner)
 
 // wordRows turns documents into the tally job's input, one row per word in
 // reading order, and returns the vocabulary (id → word).
@@ -87,7 +85,7 @@ func tally(t *testing.T, cfg Config, rows points.Set, job FrameJob) (map[int]int
 func wordCountJob(t *testing.T, cfg Config, docs []string, combiner FrameCombiner) map[string]int {
 	t.Helper()
 	rows, vocab := wordRows(docs)
-	counts, _ := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Combiner: combiner, Reducer: tallyReducer})
+	counts, _ := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Combiner: combiner, Folder: tallyFolder})
 	out := map[string]int{}
 	for id, n := range counts {
 		out[vocab[id]] = n
@@ -134,8 +132,8 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 		rows[i] = points.Point{7} // one word, a hundred times
 	}
 	cfg := Config{Workers: 2, SplitSize: 10}
-	_, noComb := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer})
-	counts, withComb := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Combiner: tallyCombiner, Reducer: tallyReducer})
+	_, noComb := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Folder: tallyFolder})
+	counts, withComb := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Combiner: tallyCombiner, Folder: tallyFolder})
 	if n, w := noComb.Counters.Get(CounterShuffle), withComb.Counters.Get(CounterShuffle); w >= n {
 		t.Errorf("combiner did not cut shuffle volume: %d -> %d", n, w)
 	}
@@ -149,7 +147,7 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 // reduce-task and map-task order, whatever order tasks finish in.
 func TestDeterministicOutputAcrossRuns(t *testing.T) {
 	data := frameTestData(600, 3, 9)
-	mapper, reducer := identityFrameJob(7)
+	mapper, folder := identityFrameJob(7)
 	seal := func(blocks map[int]*points.Block) []byte {
 		var out []byte
 		for _, id := range sortedInts(blocks) {
@@ -160,7 +158,7 @@ func TestDeterministicOutputAcrossRuns(t *testing.T) {
 	var ref []byte
 	for trial := 0; trial < 5; trial++ {
 		res, err := RunFrames(context.Background(), Config{Workers: 8, Reducers: 4, SplitSize: 3},
-			FrameJob{Feed: SetRows(data), Mapper: mapper, Reducer: reducer})
+			FrameJob{Feed: SetRows(data), Mapper: mapper, Folder: folder})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +173,7 @@ func TestDeterministicOutputAcrossRuns(t *testing.T) {
 func TestFrameworkCounters(t *testing.T) {
 	cfg := Config{Workers: 2, Reducers: 2, SplitSize: 2}
 	rows, _ := wordRows([]string{"a b", "a"})
-	_, res := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer})
+	_, res := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Folder: tallyFolder})
 	c := res.Counters
 	for name, want := range map[string]int64{
 		CounterMapIn: 3, CounterMapOut: 3, CounterShuffle: 3,
@@ -190,9 +188,9 @@ func TestFrameworkCounters(t *testing.T) {
 func TestMapErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	_, err := RunFrames(context.Background(), Config{Name: "failing"}, FrameJob{
-		Feed:    SetRows(points.Set{{1}}),
-		Mapper:  func([]float64, EmitPoint) error { return boom },
-		Reducer: tallyReducer,
+		Feed:   SetRows(points.Set{{1}}),
+		Mapper: func([]float64, EmitPoint) error { return boom },
+		Folder: tallyFolder,
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
@@ -205,9 +203,9 @@ func TestMapErrorPropagates(t *testing.T) {
 func TestReduceErrorPropagates(t *testing.T) {
 	boom := errors.New("reduce-boom")
 	_, err := RunFrames(context.Background(), Config{}, FrameJob{
-		Feed:    SetRows(points.Set{{1}}),
-		Mapper:  tallyMapper,
-		Reducer: FrameReducerFunc(func(int, *points.Block, EmitPoint) error { return boom }),
+		Feed:   SetRows(points.Set{{1}}),
+		Mapper: tallyMapper,
+		Folder: Assembled(func(int, *points.Block) (*points.Block, error) { return nil, boom }),
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
@@ -220,7 +218,7 @@ func TestCombinerErrorPropagates(t *testing.T) {
 		Feed:     SetRows(points.Set{{1}}),
 		Mapper:   tallyMapper,
 		Combiner: func(int, *points.Block) (*points.Block, error) { return nil, boom },
-		Reducer:  tallyReducer,
+		Folder:   tallyFolder,
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want wrapped boom", err)
@@ -237,7 +235,7 @@ func TestFlakyMapTaskRetried(t *testing.T) {
 		return tallyMapper(row, emit)
 	})
 	counts, res := tally(t, Config{Workers: 1, SplitSize: 1, MaxAttempts: 3},
-		points.Set{{4}}, FrameJob{Mapper: flaky, Reducer: tallyReducer})
+		points.Set{{4}}, FrameJob{Mapper: flaky, Folder: tallyFolder})
 	if got := res.Counters.Get(CounterMapRetries); got < 1 {
 		t.Errorf("retries = %d, want >= 1", got)
 	}
@@ -248,9 +246,9 @@ func TestFlakyMapTaskRetried(t *testing.T) {
 
 func TestPersistentFailureExhaustsAttempts(t *testing.T) {
 	_, err := RunFrames(context.Background(), Config{MaxAttempts: 3}, FrameJob{
-		Feed:    SetRows(points.Set{{1}}),
-		Mapper:  func([]float64, EmitPoint) error { return errors.New("always") },
-		Reducer: tallyReducer,
+		Feed:   SetRows(points.Set{{1}}),
+		Mapper: func([]float64, EmitPoint) error { return errors.New("always") },
+		Folder: tallyFolder,
 	})
 	if err == nil || !strings.Contains(err.Error(), "3 attempt(s)") {
 		t.Errorf("err = %v, want exhausted-attempts failure", err)
@@ -274,7 +272,7 @@ func TestContextCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := RunFrames(ctx, Config{Workers: 1, SplitSize: 1},
-			FrameJob{Feed: SetRows(rows), Mapper: mapper, Reducer: tallyReducer})
+			FrameJob{Feed: SetRows(rows), Mapper: mapper, Folder: tallyFolder})
 		done <- err
 	}()
 	<-started
@@ -286,19 +284,19 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestNilMapperRejected(t *testing.T) {
-	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Feed: SetRows(nil), Reducer: tallyReducer}); err == nil {
+	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Feed: SetRows(nil), Folder: tallyFolder}); err == nil {
 		t.Error("nil mapper accepted")
 	}
 	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Feed: SetRows(nil), Mapper: tallyMapper}); err == nil {
-		t.Error("nil reducer accepted")
+		t.Error("nil folder accepted")
 	}
-	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer}); err == nil {
+	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Mapper: tallyMapper, Folder: tallyFolder}); err == nil {
 		t.Error("job without a feed accepted")
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
-	counts, _ := tally(t, Config{}, nil, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer})
+	counts, _ := tally(t, Config{}, nil, FrameJob{Mapper: tallyMapper, Folder: tallyFolder})
 	if len(counts) != 0 {
 		t.Errorf("counts = %v, want none", counts)
 	}
@@ -320,7 +318,7 @@ func TestSpillMode(t *testing.T) {
 
 func TestSpillBytesCounter(t *testing.T) {
 	rows, _ := wordRows([]string{"hello world hello"})
-	_, res := tally(t, Config{SpillDir: t.TempDir()}, rows, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer})
+	_, res := tally(t, Config{SpillDir: t.TempDir()}, rows, FrameJob{Mapper: tallyMapper, Folder: tallyFolder})
 	if res.Counters.Get(CounterSpillBytes) <= 0 {
 		t.Error("spill bytes counter not incremented")
 	}
@@ -329,7 +327,7 @@ func TestSpillBytesCounter(t *testing.T) {
 func TestSpillDirMissing(t *testing.T) {
 	cfg := Config{SpillDir: filepath.Join(os.TempDir(), "definitely-missing-dir-xyz")}
 	_, err := RunFrames(context.Background(), cfg,
-		FrameJob{Feed: SetRows(points.Set{{1}}), Mapper: tallyMapper, Reducer: tallyReducer})
+		FrameJob{Feed: SetRows(points.Set{{1}}), Mapper: tallyMapper, Folder: tallyFolder})
 	if err == nil {
 		t.Error("missing spill dir accepted")
 	}
@@ -337,7 +335,7 @@ func TestSpillDirMissing(t *testing.T) {
 
 func TestTimingPopulated(t *testing.T) {
 	rows, _ := wordRows(wcDocs)
-	_, res := tally(t, Config{Workers: 2}, rows, FrameJob{Mapper: tallyMapper, Reducer: tallyReducer})
+	_, res := tally(t, Config{Workers: 2}, rows, FrameJob{Mapper: tallyMapper, Folder: tallyFolder})
 	tm := res.Timing
 	if tm.Total <= 0 {
 		t.Error("total timing not recorded")
@@ -381,8 +379,8 @@ func TestManyWorkersFewTasks(t *testing.T) {
 // (tests and examples do not count) need different values, and the engine
 // cannot work the value out from its inputs.
 func TestOptionSurface(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 10 {
-		t.Fatalf("mapreduce.Config has %d fields, want 10", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 9 {
+		t.Fatalf("mapreduce.Config has %d fields, want 9", n)
 	}
 }
 
@@ -392,7 +390,7 @@ func BenchmarkWordCount(b *testing.B) {
 		docs = append(docs, fmt.Sprintf("word%d common word%d common common", i%50, i%13))
 	}
 	rows, _ := wordRows(docs)
-	job := FrameJob{Feed: SetRows(rows), Mapper: tallyMapper, Reducer: tallyReducer}
+	job := FrameJob{Feed: SetRows(rows), Mapper: tallyMapper, Folder: tallyFolder}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunFrames(context.Background(), Config{Workers: 4}, job); err != nil {

@@ -129,25 +129,3 @@ func (r *frameSpillReader) Next() ([]byte, error) {
 }
 
 func (r *frameSpillReader) Close() error { return r.f.Close() }
-
-// readFrameSpill loads one frame spill file back as the frames it was
-// written from, in order. Retained for the gather-everything reduce
-// path; the budgeted path streams through frameSpillReader instead.
-func readFrameSpill(name string) ([][]byte, error) {
-	r, err := openFrameSpill(name)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	var frames [][]byte
-	for {
-		frame, err := r.Next()
-		if err == io.EOF {
-			return frames, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, frame)
-	}
-}

@@ -104,7 +104,37 @@ func TestFrameSpillTruncatedTyped(t *testing.T) {
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrameSpill(bad); !errors.Is(err, ErrSpillTruncated) {
+	rb, err := openFrameSpill(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	for err = nil; err == nil; {
+		_, err = rb.Next()
+	}
+	if !errors.Is(err, ErrSpillTruncated) {
 		t.Fatalf("corrupt spill: want ErrSpillTruncated, got %v", err)
+	}
+}
+
+// drainFrameSpill reads a spill file back as the frames it was written
+// from, in order, through the reader the reduce tasks use.
+func drainFrameSpill(t *testing.T, name string) [][]byte {
+	t.Helper()
+	r, err := openFrameSpill(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var frames [][]byte
+	for {
+		frame, err := r.Next()
+		if err == io.EOF {
+			return frames
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
 	}
 }

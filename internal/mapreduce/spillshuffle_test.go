@@ -17,11 +17,11 @@ import (
 
 func TestExternalShuffleMatchesInMemory(t *testing.T) {
 	data := frameTestData(300, 3, 4)
-	mapper, reducer := identityFrameJob(17)
+	mapper, folder := identityFrameJob(17)
 	runWith := func(spill string) *FrameResult {
 		res, err := RunFrames(context.Background(),
 			Config{Workers: 3, Reducers: 3, SplitSize: 20, SpillDir: spill},
-			FrameJob{Feed: SetRows(data), Mapper: mapper, Reducer: reducer})
+			FrameJob{Feed: SetRows(data), Mapper: mapper, Folder: folder})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,15 +45,15 @@ func TestExternalShuffleReduceRetry(t *testing.T) {
 	// from the spill runs, which go away with the job and not before.
 	dir := t.TempDir()
 	var failures int32
-	reducer := FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
+	folder := Assembled(func(partition int, blk *points.Block) (*points.Block, error) {
 		if atomic.AddInt32(&failures, 1) == 1 {
-			return errors.New("transient reduce failure")
+			return nil, errors.New("transient reduce failure")
 		}
-		return tallyReducer(partition, blk, emit)
+		return tallyCombiner(partition, blk)
 	})
 	rows := points.Set{{0}, {0}, {0}, {0}, {0}, {0}}
 	counts, res := tally(t, Config{Workers: 1, Reducers: 1, SplitSize: 5, SpillDir: dir, MaxAttempts: 3},
-		rows, FrameJob{Mapper: tallyMapper, Reducer: reducer})
+		rows, FrameJob{Mapper: tallyMapper, Folder: folder})
 	if len(counts) != 1 || counts[0] != 6 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -71,7 +71,7 @@ func TestExternalShuffleReduceRetry(t *testing.T) {
 
 func TestExternalShuffleCountsRecords(t *testing.T) {
 	rows := points.Set{{0}, {1}, {0}}
-	job := FrameJob{Mapper: tallyMapper, Reducer: tallyReducer}
+	job := FrameJob{Mapper: tallyMapper, Folder: tallyFolder}
 	_, mem := tally(t, Config{SplitSize: 1}, rows, job)
 	_, ext := tally(t, Config{SplitSize: 1, SpillDir: t.TempDir()}, rows, job)
 	if got := ext.Counters.Get(CounterShuffle); got != 3 {

@@ -7,14 +7,13 @@ import (
 	"repro/internal/points"
 )
 
-// Streaming reduce: the out-of-core half of the frame engine. The
-// assemble-everything path (ReduceFrames) materializes each partition's
-// full block before reducing it, which bounds a job by one reducer's
-// memory. The streaming path replaces the assembled block with a
-// FrameFold per partition: frames are decoded one at a time — straight
-// off the spill file via frameSpillReader — and absorbed incrementally,
-// so a reduce task's working set is the folds' bounded state plus one
-// frame of scratch, regardless of partition size.
+// The reduce side: one route. A reduce task's frames are decoded one at a
+// time — from memory, or straight off the spill file via frameSpillReader —
+// and absorbed into a FrameFold per partition, so the task's working set is
+// what its folds keep plus one frame of scratch. The fold is the only
+// pluggable part: a bounded one (skyline.BudgetedFold) keeps the task near
+// its budget regardless of partition size; Assembled is the fold of an
+// operator that needs the whole partition at once.
 
 // FrameFold is incremental per-partition reduce state: Absorb is called
 // once per arriving frame block (the block is scratch — copy what must
@@ -23,7 +22,8 @@ import (
 // concurrent use; the engine creates one fold per partition and drives it
 // from a single goroutine. A fold that holds resources until Finish also
 // implements io.Closer: the engine closes every fold it created when the
-// task returns, finished or not. *skyline.BudgetedFold is the one in use.
+// task returns, finished or not. The two in use are *skyline.BudgetedFold
+// and Assembled's.
 type FrameFold interface {
 	Absorb(blk *points.Block) error
 	Finish() (*points.Block, error)
@@ -42,9 +42,48 @@ type FoldPeaker interface {
 	Passes() int
 }
 
+// Assembled is the folder of an operator over the whole partition — the
+// reduce-side twin of Staging: a partition's frames are staged into one
+// block as they arrive and op, the same whole-block operator a job may run
+// map side as its Combiner, is applied to it at Finish; its result is the
+// partition's output. A nil op concatenates. Frames of differing dimension
+// for one partition are an error. The fold holds the partition, and reports
+// it as its peak.
+func Assembled(op FrameCombiner) FrameFolder {
+	return func(partition int) FrameFold {
+		return &assembled{partition: partition, op: op, blk: points.NewBlock(0, 0)}
+	}
+}
+
+type assembled struct {
+	partition int
+	op        FrameCombiner
+	blk       *points.Block
+	bytes     int64 // staged so far; op may shrink blk in place
+}
+
+func (a *assembled) Absorb(blk *points.Block) error {
+	if a.blk.Len() > 0 && blk.Len() > 0 && blk.Dim() != a.blk.Dim() {
+		return fmt.Errorf("mapreduce: partition %d: %d-dimensional frame after %d-dimensional ones", a.partition, blk.Dim(), a.blk.Dim())
+	}
+	a.blk.AppendBlock(blk)
+	a.bytes += int64(blk.Len()) * int64(blk.Dim()) * 8
+	return nil
+}
+
+func (a *assembled) Finish() (*points.Block, error) {
+	if a.op == nil {
+		return a.blk, nil
+	}
+	return a.op(a.partition, a.blk)
+}
+
+func (a *assembled) PeakBytes() int64 { return a.bytes }
+func (a *assembled) Passes() int      { return 1 }
+
 // FrameSource yields one shuffle frame at a time; io.EOF ends the
 // stream. It abstracts spilled runs (frameSpillReader) and in-memory
-// sealed streams so the streaming reduce path treats both identically.
+// sealed streams so a reduce task treats both identically.
 type FrameSource interface {
 	Next() ([]byte, error)
 }
@@ -74,11 +113,11 @@ func (m *memFrameSource) Next() ([]byte, error) {
 	return frame, nil
 }
 
-// ReduceFramesStream drains every source in order, folding each frame
-// into its partition's fold, then finishes the folds in ascending
-// partition order and seals the emissions into one output frame stream.
-// Shared by the in-process engine's streaming reduce tasks and the rpcmr
-// workers. Sources are closed by the caller.
+// ReduceFramesStream is the one reduce-task body, shared by every executor:
+// it drains every source in order, folding each frame into its partition's
+// fold, then finishes the folds in ascending partition order and seals each
+// one's result into one output frame stream. Malformed frames and fold
+// errors are returned, never panics. Sources are closed by the caller.
 func ReduceFramesStream(srcs []FrameSource, folder FrameFolder, codec points.FrameCodec) ([]byte, FrameStats, error) {
 	var st FrameStats
 	folds := make(map[int]FrameFold)
@@ -128,22 +167,17 @@ func ReduceFramesStream(srcs []FrameSource, folder FrameFolder, codec points.Fra
 			}
 		}
 	}
-	out, sealed, err := buildFrames(func(emit EmitPoint) (int, error) {
-		for _, p := range sortedInts(folds) {
-			blk, err := folds[p].Finish()
-			if err != nil {
-				return 0, err
-			}
-			for i := 0; i < blk.Len(); i++ {
-				emit(p, blk.Row(i))
-			}
+	var out []byte
+	for _, p := range sortedInts(folds) {
+		blk, err := folds[p].Finish()
+		if err != nil {
+			return nil, st, err
 		}
-		return 0, nil
-	}, Staging, nil, 1, codec)
-	if err != nil {
-		return nil, st, err
+		if blk.Len() > 0 {
+			out = points.AppendFrameCodec(out, p, blk, codec)
+			st.ReduceOut += int64(blk.Len())
+		}
 	}
-	st.ReduceOut = sealed.ShuffleRecs
 	st.Passes = 1
 	st.PeakBytes = maxFrame
 	for _, fold := range folds {
@@ -154,7 +188,7 @@ func ReduceFramesStream(srcs []FrameSource, folder FrameFolder, codec points.Fra
 			}
 		}
 	}
-	return out[0], st, nil
+	return out, st, nil
 }
 
 func sortedInts[V any](m map[int]V) []int {
@@ -170,10 +204,9 @@ func sortedInts[V any](m map[int]V) []int {
 	return ids
 }
 
-// runFrameReduceTaskStream is the streaming counterpart of
-// runFrameReduceTask: reducer r's frames are read from memory or spill
-// one frame at a time and folded, never assembled.
-func runFrameReduceTaskStream(cfg Config, r int, outputs []frameTaskOutput, folder FrameFolder) ([]byte, FrameStats, error) {
+// runReduceTask is reduce task r of an in-process job: its frames are read
+// from memory or spill, in map-task order, one frame at a time.
+func runReduceTask(cfg Config, r int, outputs []frameTaskOutput, folder FrameFolder) ([]byte, FrameStats, error) {
 	var srcs []FrameSource
 	var open []*frameSpillReader
 	defer func() {

@@ -57,17 +57,10 @@ func streamSkyMapper(parts int) RowMapper {
 	}
 }
 
-// skylineReducer computes each partition's skyline via the in-memory
-// flat kernel — the oracle the budgeted path must match.
-func skylineReducer() FrameReducer {
-	return FrameReducerFunc(func(partition int, blk *points.Block, emit EmitPoint) error {
-		out := skyline.BlockBNL(blk)
-		for i := 0; i < out.Len(); i++ {
-			emit(partition, out.Row(i))
-		}
-		return nil
-	})
-}
+// skylineFolder computes each partition's skyline via the in-memory flat
+// kernel over the assembled partition — the oracle the budgeted fold must
+// match.
+var skylineFolder = Assembled(blockBNLCombiner)
 
 // TestRunFramesFoldOracle: the streaming budgeted reduce must produce
 // exactly the in-memory reduce's skyline, partition by partition, under
@@ -81,7 +74,7 @@ func TestRunFramesFoldOracle(t *testing.T) {
 
 	oracle, err := RunFrames(context.Background(),
 		Config{Name: "oracle", Workers: 4, Reducers: 3},
-		FrameJob{Feed: SetRows(input), Mapper: mapper, Reducer: skylineReducer()})
+		FrameJob{Feed: SetRows(input), Mapper: mapper, Folder: skylineFolder})
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -101,7 +94,7 @@ func TestRunFramesFoldOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{Name: "fold-" + tc.name, Workers: 4, Reducers: 3,
-				Codec: tc.codec, ReducerBudgetBytes: tc.budget}
+				Codec: tc.codec}
 			if tc.spill {
 				cfg.SpillDir = dir
 			}
@@ -175,7 +168,7 @@ func TestRunFramesChunkedOracle(t *testing.T) {
 	mapper := streamSkyMapper(parts)
 	oracle, err := RunFrames(context.Background(),
 		Config{Name: "chunk-oracle", Workers: 4, Reducers: 2},
-		FrameJob{Feed: SetRows(input), Mapper: mapper, Reducer: skylineReducer()})
+		FrameJob{Feed: SetRows(input), Mapper: mapper, Folder: skylineFolder})
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
@@ -189,7 +182,7 @@ func TestRunFramesChunkedOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("budget-%d", budget), func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{Name: "chunked", Workers: 4, Reducers: 2,
-				SpillDir: dir, Codec: points.FrameAuto, ReducerBudgetBytes: budget}
+				SpillDir: dir, Codec: points.FrameAuto}
 			folder := func(int) FrameFold {
 				return skyline.NewBudgetedFold(d, budget, dir, points.FrameAuto)
 			}
@@ -242,7 +235,7 @@ func TestFrameCodecOnShuffle(t *testing.T) {
 	run := func(codec points.FrameCodec) *FrameResult {
 		res, err := RunFrames(context.Background(),
 			Config{Name: "codec", Workers: 2, Reducers: 2, Codec: codec},
-			FrameJob{Feed: SetRows(input), Mapper: mapper, Reducer: skylineReducer()})
+			FrameJob{Feed: SetRows(input), Mapper: mapper, Folder: skylineFolder})
 		if err != nil {
 			t.Fatalf("codec %v: %v", codec, err)
 		}
@@ -349,7 +342,7 @@ func TestChunkRowsRecyclesBlocks(t *testing.T) {
 	const chunks, workers = 16, 2
 	src := &blockCounter{chunkSrc: chunkSrc{chunks: chunks, per: 300, d: 5}, blocks: map[*points.Block]bool{}}
 	res, err := RunFrames(context.Background(), Config{Name: "recycle", Workers: workers, Reducers: 2},
-		FrameJob{Feed: ChunkRows(src), Mapper: streamSkyMapper(4), Reducer: skylineReducer()})
+		FrameJob{Feed: ChunkRows(src), Mapper: streamSkyMapper(4), Folder: skylineFolder})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,9 +186,9 @@ func TestFailedSpillLeavesNoFile(t *testing.T) {
 	if err := os.Mkdir(frameSpillFileName(cfg, 0, 1), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	mapper, reducer := identityFrameJob(2)
+	mapper, folder := identityFrameJob(2)
 	_, err := RunFrames(context.Background(), cfg,
-		FrameJob{Feed: SetRows(points.Set{{0, 1}, {1, 1}, {2, 1}, {3, 1}}), Mapper: mapper, Reducer: reducer})
+		FrameJob{Feed: SetRows(points.Set{{0, 1}, {1, 1}, {2, 1}, {3, 1}}), Mapper: mapper, Folder: folder})
 	if err == nil || !strings.Contains(err.Error(), "creating frame spill") {
 		t.Fatalf("RunFrames returned %v; want the failed create", err)
 	}

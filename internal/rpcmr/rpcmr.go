@@ -85,8 +85,8 @@ func lookupJob(name string, params []byte) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("rpcmr: instantiating job %q: %w", name, err)
 	}
-	if f := job.FrameJob; (f.Mapper == nil) == (f.TaskMapper == nil) || (f.Reducer == nil) == (f.Folder == nil) {
-		return Job{}, fmt.Errorf("rpcmr: job %q must provide exactly one of mapper and task mapper, and of reducer and folder", name)
+	if f := job.FrameJob; (f.Mapper == nil) == (f.TaskMapper == nil) || f.Folder == nil {
+		return Job{}, fmt.Errorf("rpcmr: job %q must provide exactly one of mapper and task mapper, and a folder", name)
 	}
 	return job, nil
 }

@@ -29,9 +29,10 @@ func tallyJob(before func(row []float64) error) Job {
 			emit(int(row[0]), row)
 			return nil
 		},
-		Reducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-			emit(partition, []float64{float64(blk.Len())})
-			return nil
+		Folder: mapreduce.Assembled(func(_ int, blk *points.Block) (*points.Block, error) {
+			count := points.NewBlock(1, 1)
+			count.AppendRow([]float64{float64(blk.Len())})
+			return count, nil
 		}),
 	}}
 }

@@ -408,9 +408,8 @@ func firstRowJob() Job {
 			}
 			return nil
 		},
-		Reducer: mapreduce.FrameReducerFunc(func(partition int, blk *points.Block, emit mapreduce.EmitPoint) error {
-			emit(partition, blk.Row(0))
-			return nil
+		Folder: mapreduce.Assembled(func(_ int, blk *points.Block) (*points.Block, error) {
+			return blk.Slice(0, 1), nil
 		}),
 	}}
 }

@@ -308,17 +308,12 @@ func (w *Worker) runReduce(task *TaskReply) error {
 	return w.bumpCompleted()
 }
 
-// executeReduce folds one reducer's frame streams into a single
-// output stream via the shared mapreduce.ReduceFrames — or, when the job
-// carries a FrameFolder, via the streaming mapreduce.ReduceFramesStream,
-// which never assembles a partition's full block.
+// executeReduce is one reduce task: the reducer's frame streams through the
+// job's folder, by the reduce-task body every executor shares.
 func executeReduce(job Job, task *TaskReply) ([]byte, mapreduce.FrameStats, error) {
-	if folder := job.FrameJob.Folder; folder != nil {
-		srcs := make([]mapreduce.FrameSource, 0, len(task.FrameStreams))
-		for _, stream := range task.FrameStreams {
-			srcs = append(srcs, mapreduce.StreamFrameSource(stream))
-		}
-		return mapreduce.ReduceFramesStream(srcs, folder, job.Codec)
+	srcs := make([]mapreduce.FrameSource, len(task.FrameStreams))
+	for i, stream := range task.FrameStreams {
+		srcs[i] = mapreduce.StreamFrameSource(stream)
 	}
-	return mapreduce.ReduceFrames(task.FrameStreams, job.FrameJob.Reducer, job.Codec)
+	return mapreduce.ReduceFramesStream(srcs, job.FrameJob.Folder, job.Codec)
 }

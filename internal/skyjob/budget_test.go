@@ -3,8 +3,13 @@ package skyjob
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"os"
+	"reflect"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/rpcmr"
@@ -65,18 +70,24 @@ func TestSpecBudgetTravels(t *testing.T) {
 	if back.ReducerBudgetBytes != spec.ReducerBudgetBytes || back.Codec != spec.Codec {
 		t.Fatalf("spec round-trip lost budget/codec: %+v", back)
 	}
-	// The budget makes Job 1's reducers folds. The merging job has no use for
-	// it — its filter needs the candidates resident, and a budgeted run merges
-	// in rounds on the master instead of running it — but still seals by codec.
+	// The budget bounds Job 1's folds, which are skyline folds with or
+	// without one. The merging job has no use for it — its filter needs the
+	// candidates resident, and a budgeted run merges in rounds on the master
+	// instead of running it — but still seals by codec.
+	budgeted := func(job rpcmr.Job) bool {
+		fold, ok := job.FrameJob.Folder(0).(*skyline.BudgetedFold)
+		if ok {
+			fold.Close()
+		}
+		return ok
+	}
 	for _, factory := range []rpcmr.JobFactory{newPartitionJob, newMergeJob} {
 		job, err := factory(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		folds := job.FrameJob.Folder != nil && job.FrameJob.Reducer == nil
-		if merge := job.FrameJob.TaskMapper != nil; folds == merge || job.Codec != points.FrameAuto {
-			t.Fatalf("budgeted spec built folder=%v reducer=%v task mapper=%v codec=%v",
-				job.FrameJob.Folder != nil, job.FrameJob.Reducer != nil, merge, job.Codec)
+		if merge := job.FrameJob.TaskMapper != nil; budgeted(job) == merge || job.Codec != points.FrameAuto {
+			t.Fatalf("budgeted spec built budgeted folds=%v task mapper=%v codec=%v", budgeted(job), merge, job.Codec)
 		}
 	}
 	back.ReducerBudgetBytes = 0
@@ -88,7 +99,67 @@ func TestSpecBudgetTravels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.FrameJob.Folder != nil || job.FrameJob.Reducer == nil {
-		t.Fatal("unbudgeted spec must reduce assembled blocks")
+	if !budgeted(job) {
+		t.Fatal("an unbudgeted spec reduces through the same fold, unbounded")
+	}
+}
+
+// assembledBNLJob is the partitioning job as it reduced before every reducer
+// was a fold: skyline.BlockBNL over each assembled partition.
+const assembledBNLJob = "test/partition-assembled-bnl"
+
+func init() {
+	rpcmr.RegisterJob(assembledBNLJob, func(params []byte) (rpcmr.Job, error) {
+		job, err := newPartitionJob(params)
+		job.FrameJob.Folder = mapreduce.Assembled(func(_ int, blk *points.Block) (*points.Block, error) {
+			return skyline.BlockBNL(blk), nil
+		})
+		return job, err
+	})
+}
+
+// TestUnbudgetedReduceIsBlockBNL is driver's test of the same name on a
+// two-worker cluster: without a budget the workers' folds return, partition
+// by partition and row for row in order, what BlockBNL over the assembled
+// partition does, for as many dominance tests, in one pass, reporting a peak
+// and leaving no file where a fold would overflow to.
+func TestUnbudgetedReduceIsBlockBNL(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	master := startCluster(t, 2)
+	coarse := uniformSet(72, 3000, 3)
+	for _, p := range coarse {
+		for i := range p {
+			p[i] = math.Floor(p[i] / 10)
+		}
+	}
+	for name, data := range map[string]points.Set{
+		"uniform":         uniformSet(71, 3000, 4),
+		"duplicates":      coarse,
+		"anti-correlated": dataset.Generate(dataset.KindAnticorrelated, 73, 3000, 4),
+	} {
+		spec, err := SpecFor(data, partition.Angular, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ComputeSpec(context.Background(), master, data, spec, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := compute(context.Background(), master, data, spec, spec, assembledBNLJob, MergeJobName, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Skyline, want.Skyline) || !reflect.DeepEqual(got.LocalSkylines, want.LocalSkylines) {
+			t.Errorf("%s: the unbounded fold and BlockBNL over the assembled partition differ in a row or its place", name)
+		}
+		if st, parent := got.Stats, want.Stats; st.DominanceTests != parent.DominanceTests || st.DominanceTests == 0 ||
+			st.MergePasses != 1 || st.ReducerPeakBytes <= 0 || st.MergeRounds != 0 {
+			t.Errorf("%s: %d dominance tests (the assembled route's %d), %d passes, a peak of %d bytes, %d merge rounds",
+				name, st.DominanceTests, parent.DominanceTests, st.MergePasses, st.ReducerPeakBytes, st.MergeRounds)
+		}
+		if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+			t.Errorf("%s: %d files in the temp directory, err %v", name, len(left), err)
+		}
 	}
 }

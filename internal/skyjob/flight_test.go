@@ -95,8 +95,10 @@ func testClusterFlightRecord(t *testing.T, budget int64) {
 			t.Errorf("reducer-budget rule over a peak of %d bytes (budget %d): findings %+v, want one",
 				rep.ReducerPeakBytes, budget, findings)
 		}
-	} else if rep.MergeRounds != 0 || rep.ReducerPeakBytes != 0 {
-		t.Errorf("unbudgeted report: merge_rounds %d, reducer_peak_bytes %d; want neither", rep.MergeRounds, rep.ReducerPeakBytes)
+	} else if rep.MergeRounds != 0 || rep.ReducerPeakBytes <= 0 {
+		// Every reduce task reports what it held: the peak is what tells an
+		// operator which budget the job would need.
+		t.Errorf("unbudgeted report: merge_rounds %d, reducer_peak_bytes %d; want no rounds and a peak", rep.MergeRounds, rep.ReducerPeakBytes)
 	}
 	// Both jobs' task completions are recorded (at least one map and one
 	// reduce task each) — under a budget, Job 1's: the merge ran here.

@@ -90,17 +90,8 @@ func init() {
 			if err != nil {
 				return job, err
 			}
-			job.FrameJob.Accumulators = nil
-			job.FrameJob.Combiner = func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
-			if job.FrameJob.Reducer != nil { // a budgeted job keeps its fold
-				job.FrameJob.Reducer = mapreduce.FrameReducerFunc(func(id int, blk *points.Block, emit mapreduce.EmitPoint) error {
-					sky := kernel(blk)
-					for i := 0; i < sky.Len(); i++ {
-						emit(id, sky.Row(i))
-					}
-					return nil
-				})
-			}
+			op := func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
+			job.FrameJob.Accumulators, job.FrameJob.Combiner, job.FrameJob.Folder = nil, op, mapreduce.Assembled(op)
 			return job, nil
 		})
 	}
@@ -285,7 +276,7 @@ func TestExecutorsAgree(t *testing.T) {
 				if st.Counters[mapreduce.CounterShuffleBytes] <= 0 {
 					t.Errorf("%s: counters %v; want shuffle bytes booked", name, st.Counters)
 				}
-				if budgeted := row.budget > 0; budgeted != (st.MergeRounds >= 1) || budgeted != (st.ReducerPeakBytes > 0) ||
+				if budgeted := row.budget > 0; budgeted != (st.MergeRounds >= 1) || st.ReducerPeakBytes <= 0 ||
 					len(st.MergeRoundBytes) != st.MergeRounds {
 					t.Errorf("%s: MergeRounds %d, MergeRoundBytes %v, ReducerPeakBytes %d", name, st.MergeRounds, st.MergeRoundBytes, st.ReducerPeakBytes)
 				}

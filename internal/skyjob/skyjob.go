@@ -50,11 +50,12 @@ type Spec struct {
 	// frames, points.FrameAuto enables the bit-packed v2 encoding wherever
 	// it is smaller.
 	Codec points.FrameCodec `json:"codec,omitempty"`
-	// ReducerBudgetBytes, when > 0, switches reduce tasks to the
-	// memory-budgeted streaming fold on every worker: frames fold one at a
-	// time into a bounded skyline window that spills and multi-passes when
-	// a local skyline outgrows it, so worker reduce memory stays near the
-	// budget instead of scaling with partition size.
+	// ReducerBudgetBytes bounds the skyline window of every reduce task's
+	// per-partition fold, on every worker: frames fold into it one at a
+	// time, and a window that is full spills and multi-passes, so worker
+	// reduce memory stays near the budget instead of scaling with a local
+	// skyline's size. 0 is no bound: the window grows with the local
+	// skyline and nothing spills. It sizes the fold; it selects nothing.
 	ReducerBudgetBytes int64 `json:"reducer_budget_bytes,omitempty"`
 }
 
@@ -306,8 +307,8 @@ func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme 
 }
 
 // ComputeSpec runs the pipeline with a caller-built Spec — the entry
-// point for a non-default codec or reducer budget. Under a budget
-// the workers' reducers are budgeted folds and the merge runs on the
+// point for a non-default codec or reducer budget. The budget bounds
+// the workers' reduce folds, and under one the merge runs on the
 // master, over the local skylines Job 1 returned to it, as rounds of
 // budget-sized folds (driver.TwoJobs picks it) instead of a second job.
 func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, reducers int) (*Result, error) {

@@ -3,6 +3,7 @@ package skyline
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/points"
@@ -66,24 +67,28 @@ type FoldStats struct {
 
 // NewBudgetedFold creates a fold over dim-dimensional rows holding at
 // most budgetBytes of working state. Overflow files go to spillDir (the
-// OS temp dir when empty). A budget too small for even one window row
-// still works — the window is clamped to one row and resolution degrades
-// toward quadratic passes, which the tiny-budget tests exercise on
-// purpose. Overflow frames are encoded with codec (FrameDefault → v1).
+// OS temp dir when empty). The budget is a bound on one algorithm, not a
+// choice between two: budgetBytes <= 0 is no bound — the window never
+// fills, so nothing overflows, no file is opened and Finish is the one
+// pass, i.e. the fold is BlockBNL fed a frame at a time (same survivors,
+// same order, same dominance tests). A positive budget too small for even
+// one window row still works — the window is clamped to one row and
+// resolution degrades toward quadratic passes, which the tiny-budget tests
+// exercise on purpose. Overflow frames are encoded with codec
+// (FrameDefault → v1).
 func NewBudgetedFold(dim int, budgetBytes int64, spillDir string, codec points.FrameCodec) *BudgetedFold {
 	if dim <= 0 {
 		panic(fmt.Sprintf("skyline: BudgetedFold dimension %d", dim))
 	}
-	rowBytes := int64(dim * 8)
-	winCap := int(budgetBytes / rowBytes)
-	if winCap < 1 {
-		winCap = 1
+	winCap := math.MaxInt
+	if budgetBytes > 0 {
+		winCap = int(max(budgetBytes/int64(dim*8), 1))
 	}
 	obufCap := winCap
 	if obufCap > 256 {
 		obufCap = 256
 	}
-	win := newWindow(dim, min(winCap, 1024))
+	win := newWindow(dim, min(winCap, 16)) // grows with the skyline, as BlockBNL's
 	win.timed = true
 	return &BudgetedFold{
 		dim:           dim,
@@ -237,9 +242,14 @@ func (f *BudgetedFold) Finish() (*points.Block, error) {
 			return nil, err
 		}
 	}
-	f.confirmed.AppendBlock(f.win.rows)
+	// When nothing overflowed the window is the result, as it is BlockBNL's.
+	out := f.win.rows
+	if f.confirmed.Len() > 0 {
+		f.confirmed.AppendBlock(out)
+		out = f.confirmed
+	}
 	f.notePeak(0)
-	return f.confirmed, nil
+	return out, nil
 }
 
 // Close abandons the fold: it releases the window and closes and removes

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -59,12 +60,19 @@ func TestBudgetedFoldOracle(t *testing.T) {
 		{"anti-tight", 1500, 5, true, 5 * 8 * 16, points.FrameAuto},
 		{"anti-ample", 1500, 5, true, 1 << 20, points.FrameV1},
 		{"d2-tiny", 800, 2, false, 2 * 8 * 4, points.FrameAuto},
+		// No budget is no bound: one pass, nothing overflows, BlockBNL's rows.
+		{"unbounded", 1500, 5, true, 0, points.FrameAuto},
+		{"unbounded-negative", 2000, 4, false, -1, points.FrameDefault},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blk := randBlock(rng, tc.n, tc.d, tc.anti)
-			want := canonical(BlockBNL(blk))
+			testsBefore := DominanceTests()
+			bnl := BlockBNL(blk)
+			bnlTests := DominanceTests() - testsBefore
+			want := canonical(bnl)
 
-			fold := NewBudgetedFold(tc.d, tc.budget, t.TempDir(), tc.codec)
+			dir := t.TempDir()
+			fold := NewBudgetedFold(tc.d, tc.budget, dir, tc.codec)
 			// Feed in uneven chunks to exercise the streaming path.
 			for lo := 0; lo < blk.Len(); {
 				hi := lo + 1 + rng.Intn(97)
@@ -92,6 +100,17 @@ func TestBudgetedFoldOracle(t *testing.T) {
 			st := fold.Stats()
 			if st.PeakBytes <= 0 {
 				t.Fatal("peak bytes not recorded")
+			}
+			if tc.budget <= 0 {
+				// The fold was BlockBNL, a chunk at a time: the same rows in
+				// the same order for the same coordinate tests, and no file.
+				if tests := DominanceTests() - testsBefore - bnlTests; !reflect.DeepEqual(got.ToSet(), bnl.ToSet()) || tests != bnlTests {
+					t.Errorf("unbounded fold differs from BlockBNL in a row, its place or the work: %d tests, BlockBNL %d", tests, bnlTests)
+				}
+				if left, _ := os.ReadDir(dir); st.Passes != 1 || st.OverflowPoints != 0 || len(left) != 0 {
+					t.Errorf("unbounded fold: %d passes, %d overflow points, %d files", st.Passes, st.OverflowPoints, len(left))
+				}
+				return
 			}
 			wantSkyline := len(want)
 			winRows := int(tc.budget / int64(tc.d*8))

@@ -94,8 +94,8 @@ type Report struct {
 	// the per-round communication the MRC model bounds.
 	MergeRoundBytes []int64 `json:"merge_round_bytes,omitempty"`
 	// ReducerPeakBytes is the largest reducer-resident working set any
-	// reduce task or merge fold reached, the number judged against
-	// Config.ReducerBudgetBytes.
+	// reduce task or merge fold reached: the number judged against the
+	// run's reducer budget, reported by every run, budgeted or not.
 	ReducerPeakBytes int64 `json:"reducer_peak_bytes,omitempty"`
 }
 

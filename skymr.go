@@ -116,13 +116,14 @@ type Options struct {
 	// SpillDir, when set, spills intermediate MapReduce data to sequence
 	// files under this existing directory instead of the heap.
 	SpillDir string
-	// ReducerBudgetBytes caps every reducer's resident candidate window
+	// ReducerBudgetBytes bounds every reducer's resident candidate window
 	// at this many payload bytes; overflow streams through spill frames
 	// and resolves in extra passes, and the merge runs in as many
 	// budget-sized rounds as the local skylines need — the paper's §II
 	// iterative extension for very large candidate sets (see DESIGN.md
-	// "Out-of-core engine"). 0 means unbudgeted: one global merge.
-	// Budgeted runs seal frames with the size-adaptive auto codec.
+	// "Out-of-core engine"). 0 is no bound — the same reducers with a
+	// window that never fills — and one global merge. Budgeted runs seal
+	// frames with the size-adaptive auto codec.
 	ReducerBudgetBytes int64
 }
 
