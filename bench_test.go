@@ -1,9 +1,8 @@
 // Benchmarks regenerating every figure of the paper's evaluation section.
-// Each BenchmarkFigure* measures the work behind one plotted series; the
-// printed rows themselves come from `go run ./cmd/skybench` (add -full for
-// the paper's 100,000-service scale — the benchmarks here default to a
-// 20,000-service "large" dataset to keep `go test -bench=.` minutes, not
-// hours; the shape of every comparison is unchanged).
+// Each BenchmarkFigure* / BenchmarkTable* times one entry of the
+// internal/experiments registry at quick scale; the printed rows come from
+// `go run ./cmd/skybench -run <name>` (-scale full for the paper's
+// 100,000-service scale).
 package skymr
 
 import (
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/driver"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -27,158 +25,73 @@ import (
 )
 
 const (
-	benchSmallN = 1000  // Figure 5(a)/7(a): the paper's small cardinality
-	benchLargeN = 20000 // Figure 5(b)/6/7(b): scaled-down large cardinality
+	benchSmallN = 1000  // the paper's small cardinality
+	benchLargeN = 20000 // scaled-down large cardinality
 	benchNodes  = 4
 )
 
-var benchDims = []int{2, 4, 6, 8, 10}
-
-// benchMethods maps public methods to their schemes for sub-bench names.
-var benchMethods = []Method{Dim, Grid, Angle}
-
-// figure5 measures one (method, dimension, cardinality) cell of Figure 5.
-func benchFigure5(b *testing.B, n int) {
-	for _, d := range benchDims {
-		data := GenerateQWS(2012, n, d)
-		for _, m := range benchMethods {
-			b.Run(fmt.Sprintf("%s/d=%d", m, d), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := Compute(context.Background(), data, Options{Method: m, Nodes: benchNodes})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.Skyline) == 0 {
-						b.Fatal("empty skyline")
-					}
-				}
-			})
-		}
+// benchExperiment runs one entry of the experiment registry at quick scale
+// per iteration; a row past its bound fails the benchmark.
+func benchExperiment(b *testing.B, name string) {
+	exps, err := experiments.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkFigure5a: processing time vs dimension, N = 1,000 (paper
-// Fig. 5(a): MR-Grid 6–16% and MR-Dim 18–45% slower than MR-Angle).
-func BenchmarkFigure5a(b *testing.B) { benchFigure5(b, benchSmallN) }
-
-// BenchmarkFigure5b: processing time vs dimension at large cardinality
-// (paper Fig. 5(b): MR-Angle up to 1.7× faster than MR-Grid and 2.3× than
-// MR-Dim at d = 10).
-func BenchmarkFigure5b(b *testing.B) { benchFigure5(b, benchLargeN) }
-
-// BenchmarkFigure6: Map/Reduce breakdown vs server count for MR-Angle on
-// the large dataset at d = 10 (paper Fig. 6: sub-linear speedup that
-// saturates past ~24 servers). The algorithmic workload is measured from
-// a real run; the per-server-count scheduling is the cluster simulator.
-func BenchmarkFigure6(b *testing.B) {
-	data := GenerateQWS(2012, benchLargeN, 10)
-	cm := cluster.DefaultCostModel()
-	for _, servers := range []int{4, 8, 16, 24, 32} {
-		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w, err := experiments.WorkloadFor(context.Background(), data, partition.Angular, servers, benchNodes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bd, err := cluster.Simulate(w, servers, cm)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(bd.MapTime.Seconds(), "simMap-s")
-				b.ReportMetric(bd.ReduceTime.Seconds(), "simReduce-s")
+	sc, err := experiments.ScaleFor("quick")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rows, err := exps[0].Run(context.Background(), sc)
+		if err != nil || len(rows) == 0 {
+			b.Fatalf("%s: %d rows, %v", name, len(rows), err)
+		}
+		for _, r := range rows {
+			if r.Failed() {
+				b.Errorf("%s: %s = %g is past its bound %g", name, r.Name, r.Value, *r.Bound)
 			}
-		})
-	}
-}
-
-// benchFigure7 measures the optimality computation for one cardinality.
-func benchFigure7(b *testing.B, n int) {
-	for _, d := range benchDims {
-		data := GenerateQWS(2012, n, d)
-		for _, m := range benchMethods {
-			b.Run(fmt.Sprintf("%s/d=%d", m, d), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := Compute(context.Background(), data, Options{Method: m, Nodes: benchNodes})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(res.Optimality(), "optimality")
-				}
-			})
 		}
 	}
 }
 
-// BenchmarkFigure7a: local skyline optimality vs dimension, N = 1,000
-// (paper Fig. 7(a): MR-Angle peaks at 0.61 and beats both baselines).
-func BenchmarkFigure7a(b *testing.B) { benchFigure7(b, benchSmallN) }
+// BenchmarkFigure5a: processing time vs dimension at the small N (paper
+// Fig. 5(a): MR-Grid 6–16% and MR-Dim 18–45% slower than MR-Angle).
+func BenchmarkFigure5a(b *testing.B) { benchExperiment(b, "5a") }
 
-// BenchmarkFigure7b: same at large cardinality (paper Fig. 7(b): the gap
-// widens).
-func BenchmarkFigure7b(b *testing.B) { benchFigure7(b, benchLargeN) }
+// BenchmarkFigure5b: processing time vs dimension at the large N (paper
+// Fig. 5(b): MR-Angle up to 1.7× faster than MR-Grid and 2.3× than MR-Dim
+// at d = 10).
+func BenchmarkFigure5b(b *testing.B) { benchExperiment(b, "5b") }
+
+// BenchmarkFigure6: Map/Reduce breakdown vs server count for MR-Angle (paper
+// Fig. 6: sub-linear speedup that saturates past ~24 servers). The workload
+// is measured from real runs; the per-server-count scheduling is the
+// cluster simulator.
+func BenchmarkFigure6(b *testing.B) { benchExperiment(b, "6") }
+
+// BenchmarkFigure7a: local skyline optimality vs dimension at the small N
+// (paper Fig. 7(a): MR-Angle peaks at 0.61 and beats both baselines).
+func BenchmarkFigure7a(b *testing.B) { benchExperiment(b, "7a") }
+
+// BenchmarkFigure7b: same at the large N (paper Fig. 7(b): the gap widens).
+func BenchmarkFigure7b(b *testing.B) { benchExperiment(b, "7b") }
 
 // BenchmarkTheorems12: the Section IV dominance-ability computation —
 // closed forms plus the Monte-Carlo verification sweep.
-func BenchmarkTheorems12(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows := experiments.TheoremTable(100000, 1)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkTheorems12(b *testing.B) { benchExperiment(b, "thm") }
 
-// BenchmarkTableAblations: the DESIGN.md ablation table (combiner,
-// pruning, kernels, random baseline) on a mid-size dataset.
-func BenchmarkTableAblations(b *testing.B) {
-	sc := experiments.QuickScale()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Ablations(context.Background(), sc, 4000, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) < 6 {
-			b.Fatal("missing ablation rows")
-		}
-	}
-}
+// BenchmarkTableAblations: the ablation table (combiner, pruning, kernels,
+// random baseline).
+func BenchmarkTableAblations(b *testing.B) { benchExperiment(b, "ablation") }
 
 // BenchmarkTableSensitivity: the distribution-sensitivity table
 // (independent / correlated / anticorrelated / clustered × methods).
-func BenchmarkTableSensitivity(b *testing.B) {
-	sc := experiments.QuickScale()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Sensitivity(context.Background(), sc, 4000, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkTableSensitivity(b *testing.B) { benchExperiment(b, "sensitivity") }
 
 // BenchmarkTablePartitionCount: the partitions-per-node study around the
 // paper's 2× rule.
-func BenchmarkTablePartitionCount(b *testing.B) {
-	sc := experiments.QuickScale()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PartitionCount(context.Background(), sc, 4000, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
+func BenchmarkTablePartitionCount(b *testing.B) { benchExperiment(b, "partitions") }
 
 // BenchmarkEq5Optimality isolates the metric itself (Eq. 5) at scale.
 func BenchmarkEq5Optimality(b *testing.B) {
@@ -249,7 +162,7 @@ func BenchmarkSkyline(b *testing.B) {
 	// gate: the debug plane's clock, sampling the registry and evaluating
 	// a watchdog rule every 10ms, must not slow the computation itself — the
 	// sample path reads atomics and writes ring slots, never touching the
-	// compute goroutines. cmd/benchgate's obs suite enforces ≤1.05×.
+	// compute goroutines. The obs experiment (cmd/skybench -run obs) gates ≤1.05×.
 	b.Run("sampling=off", func(b *testing.B) {
 		opts := base
 		opts.Metrics = telemetry.NewRegistry()
@@ -336,9 +249,11 @@ func BenchmarkLocalSkyline(b *testing.B) {
 }
 
 // BenchmarkMergeTree is the merging job's workload: merge 16 partial
-// skylines into the global one, sequential concat+BNL versus the shared
-// filter of skyline.MergeSkylines. (It keeps the name it had while that was
-// a tournament tree: BENCH_kernels.json is keyed by it.)
+// skylines into the global one, sequential concat+BNL versus
+// skyline.MergeSkylines, which lays the partials out as one skyline.Filter
+// and keeps the rows no other row dominates. (The name is from when the
+// merge was a tournament tree; the kernels experiment's merge_filter row
+// times the same pair.)
 func BenchmarkMergeTree(b *testing.B) {
 	const chunks = 16
 	for _, d := range benchKernelDims {

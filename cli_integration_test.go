@@ -12,8 +12,8 @@ import (
 
 // TestCLIToolsEndToEnd drives the single-machine CLI tools as real
 // processes: generate a dataset with qwsgen, describe it, compute its
-// skyline with skyline (MapReduce and sequential paths), and run a quick
-// skybench figure. Skipped with -short.
+// skyline with skyline (MapReduce and sequential paths), and run one
+// skybench experiment. Skipped with -short.
 func TestCLIToolsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration skipped in -short mode")
@@ -95,8 +95,31 @@ func TestCLIToolsEndToEnd(t *testing.T) {
 		t.Errorf("representative output has %d lines, want 4", got)
 	}
 
-	bench := goRun("./cmd/skybench", "-figure", "thm")
+	results := filepath.Join(dir, "results.json")
+	bench := goRun("./cmd/skybench", "-run", "thm", "-out", results)
 	if !strings.Contains(bench, "D_angle") || !strings.Contains(bench, "completed in") {
 		t.Errorf("skybench thm output unexpected:\n%s", bench)
+	}
+	if blob, err := os.ReadFile(results); err != nil || !strings.Contains(string(blob), `"pass": true`) {
+		t.Errorf("skybench -out wrote %q (%v); want a passing results file", blob, err)
+	}
+
+	// A typo or a stray argument is refused with exit status 2 — the
+	// unknown name with the valid ones listed — never a silent run of
+	// nothing.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-run", "5c"}, "critpath-chart"},
+		{[]string{"-scale", "huge"}, "quick, ci, full"},
+		{[]string{"-run", "thm", "extra"}, "unexpected arguments"},
+	} {
+		cmd := exec.CommandContext(ctx, "go", append([]string{"run", "./cmd/skybench"}, tc.args...)...)
+		out, err := cmd.CombinedOutput()
+		// go run reports the program's own status on its last line.
+		if err == nil || !strings.Contains(string(out), tc.want) || !strings.Contains(string(out), "exit status 2") {
+			t.Errorf("skybench %v: %v, output %q; want exit status 2 saying %q", tc.args, err, out, tc.want)
+		}
 	}
 }

@@ -102,7 +102,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 // its sampling and scrape cadence from -stall-window).
 func TestFlagSurface(t *testing.T) {
 	want := map[string]int{
-		"benchgate": 10, "qwsgen": 5, "skybench": 5, "skyline": 11, "skyload": 13,
+		"qwsgen": 5, "skybench": 5, "skyline": 11, "skyload": 13,
 		"skymaster": 17, "skyserve": 12, "skytop": 4, "skyworker": 4,
 	}
 	decl := regexp.MustCompile(`\bflag\.(String|Int|Int64|Bool|Duration|Float64)(Var)?\(`)
@@ -123,8 +123,8 @@ func TestFlagSurface(t *testing.T) {
 		}
 		total += n
 	}
-	if total != 81 {
-		t.Errorf("cmd/*/main.go declare %d flags in all, want 81", total)
+	if total != 71 {
+		t.Errorf("cmd/*/main.go declare %d flags in all, want 71", total)
 	}
 }
 

@@ -28,7 +28,7 @@ func main() {
 	// The default model is calibrated for the paper's 100,000-service
 	// workload; at this example's miniature 20,000 the fixed Hadoop-era
 	// job overhead would swamp the compute, so scale it down to keep the
-	// curve legible. Run `skybench -figure 6 -full` for the calibrated
+	// curve legible. Run `skybench -run 6 -scale full` for the calibrated
 	// full-scale figure.
 	cm.JobOverhead = 4 * time.Second
 	fmt.Printf("%-9s%12s%12s%12s%10s\n", "servers", "map", "reduce", "total", "speedup")

@@ -18,9 +18,9 @@
 package cluster
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -183,40 +183,19 @@ func LPT(tasks []time.Duration, servers int) time.Duration {
 	if len(tasks) == 0 || servers < 1 {
 		return 0
 	}
-	sorted := make([]time.Duration, len(tasks))
-	copy(sorted, tasks)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	if servers > len(sorted) {
-		return sorted[0]
-	}
-	h := make(loadHeap, servers)
-	heap.Init(&h)
+	sorted := slices.Clone(tasks)
+	slices.SortFunc(sorted, func(a, b time.Duration) int { return cmp.Compare(b, a) })
+	loads := make([]time.Duration, min(servers, len(sorted)))
 	for _, t := range sorted {
-		h[0] += t
-		heap.Fix(&h, 0)
-	}
-	max := time.Duration(0)
-	for _, l := range h {
-		if l > max {
-			max = l
+		least := 0
+		for i := range loads {
+			if loads[i] < loads[least] {
+				least = i
+			}
 		}
+		loads[least] += t
 	}
-	return max
-}
-
-// loadHeap is a min-heap of server loads.
-type loadHeap []time.Duration
-
-func (h loadHeap) Len() int            { return len(h) }
-func (h loadHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h loadHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *loadHeap) Push(x interface{}) { *h = append(*h, x.(time.Duration)) }
-func (h *loadHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return slices.Max(loads)
 }
 
 // Sweep simulates the workload-producing function over a range of server

@@ -1,312 +1,303 @@
-// Package experiments reproduces the paper's evaluation: one runner per
-// figure, each returning the table of numbers behind the plot, plus the
-// Section IV theorem check and ablation studies. The cmd/skybench binary
-// and the repository's benchmarks are thin wrappers over this package.
+// Package experiments is the one place an experiment is defined: the
+// paper's evaluation (Figs. 5–7, Theorems 1–2), the design studies beyond
+// it, and the repository's acceptance gates (kernels, spill, serve,
+// critpath, obs), as one registry of named experiments. Every experiment
+// returns the same rows — {experiment, name, value, unit, better, bound} —
+// and a gate is a row with a bound: Row.Failed is the one check that
+// decides pass or fail. cmd/skybench runs the registry through Main and
+// writes one results file; the repository's figure benchmarks call the
+// same entries.
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"os"
+	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/driver"
-	"repro/internal/metrics"
 	"repro/internal/partition"
-	"repro/internal/points"
-	"repro/internal/qws"
 )
 
-// Scale bundles the experiment sizes. FullScale matches the paper;
-// QuickScale is a minutes-not-hours variant for CI and tests that keeps
-// the qualitative shape.
-type Scale struct {
-	// SmallN and LargeN are the two dataset cardinalities of Figures 5
-	// and 7 (paper: 1,000 and 100,000).
-	SmallN, LargeN int
-	// Dims is the dimension sweep (paper: 2, 4, 6, 8, 10).
-	Dims []int
-	// Nodes is the modelled cluster size for Figures 5 and 7; the
-	// partition count is 2 × Nodes per the paper.
-	Nodes int
-	// Workers is the number of engine worker goroutines used when
-	// measuring processing time.
-	Workers int
-	// Servers is the server sweep of Figure 6 (paper: 4..32 step 4).
-	Servers []int
-	// Seed makes every dataset draw reproducible.
-	Seed int64
-	// Repeats is how many times timing runs are repeated (minimum taken)
-	// to suppress scheduling noise.
-	Repeats int
+// Row is one measured quantity. Its name is "/"-separated: the last
+// segment is the column it prints under, the rest the table line.
+type Row struct {
+	Experiment string  `json:"experiment"`
+	Name       string  `json:"name"`
+	Value      float64 `json:"value"`
+	Unit       string  `json:"unit"`
+	// Better is "lower" or "higher"; a gate compares Value to Bound in
+	// that direction (the bound itself passes).
+	Better string   `json:"better,omitempty"`
+	Bound  *float64 `json:"bound,omitempty"`
 }
 
-// FullScale reproduces the paper's configuration.
-func FullScale() Scale {
-	return Scale{
-		SmallN:  1000,
-		LargeN:  100000,
-		Dims:    []int{2, 4, 6, 8, 10},
-		Nodes:   4,
-		Workers: 4,
-		Servers: []int{4, 8, 12, 16, 20, 24, 28, 32},
-		Seed:    2012,
-		Repeats: 3,
+// Failed reports whether r is a gate past its bound. A NaN value fails.
+func (r Row) Failed() bool {
+	switch {
+	case r.Bound == nil:
+		return false
+	case r.Better == "lower":
+		return !(r.Value <= *r.Bound)
+	default:
+		return !(r.Value >= *r.Bound)
 	}
 }
 
-// QuickScale keeps the shape at a fraction of the cost.
-func QuickScale() Scale {
-	return Scale{
-		SmallN:  500,
-		LargeN:  8000,
-		Dims:    []int{2, 4, 6, 8, 10},
-		Nodes:   4,
-		Workers: 4,
-		Servers: []int{4, 8, 16, 32},
-		Seed:    2012,
-		Repeats: 1,
-	}
+// rows collects one experiment's rows.
+type rows []Row
+
+func (rs *rows) add(name string, v float64, unit string) {
+	*rs = append(*rs, Row{Name: name, Value: v, Unit: unit})
 }
 
-// Methods are the paper's three algorithms in presentation order.
-var Methods = partition.Schemes()
-
-// ---------------------------------------------------------------------------
-// Figure 5: processing time vs dimension, per method
-
-// Figure5Row is one dimension's timings.
-type Figure5Row struct {
-	Dim   int
-	Times map[partition.Scheme]time.Duration
+// gate adds a row bounded in the better direction when on; off, it is
+// reported only. Count rows pass true: they repeat exactly, so they are
+// checked at every scale. Timing rows pass Scale.Gate.
+func (rs *rows) gate(on bool, name string, v float64, unit, better string, bound float64) {
+	r := Row{Name: name, Value: v, Unit: unit, Better: better}
+	if on {
+		r.Bound = &bound
+	}
+	*rs = append(*rs, r)
 }
 
-// Figure5 measures the MapReduce skyline processing time for each method
-// over the dimension sweep at cardinality n (5(a): SmallN, 5(b): LargeN).
-func Figure5(ctx context.Context, sc Scale, n int) ([]Figure5Row, error) {
-	repeats := sc.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
-	rows := make([]Figure5Row, 0, len(sc.Dims))
-	for _, d := range sc.Dims {
-		data := qws.Dataset(sc.Seed, n, d)
-		row := Figure5Row{Dim: d, Times: make(map[partition.Scheme]time.Duration)}
-		for _, scheme := range Methods {
-			best := time.Duration(0)
-			for r := 0; r < repeats; r++ {
-				_, stats, err := driver.Compute(ctx, data, driver.Options{
-					Scheme:  scheme,
-					Nodes:   sc.Nodes,
-					Workers: sc.Workers,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("figure5 n=%d d=%d %v: %w", n, d, scheme, err)
-				}
-				if r == 0 || stats.Timing.Total < best {
-					best = stats.Timing.Total
-				}
-			}
-			row.Times[scheme] = best
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// WriteFigure5 renders the rows as a text table.
-func WriteFigure5(w io.Writer, rows []Figure5Row, title string) {
-	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-6s", "dim")
-	for _, m := range Methods {
-		fmt.Fprintf(w, "%14s", m)
-	}
-	fmt.Fprintf(w, "%16s%16s\n", "grid/angle", "dim/angle")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6d", r.Dim)
-		for _, m := range Methods {
-			fmt.Fprintf(w, "%14s", r.Times[m].Round(time.Microsecond))
-		}
-		angle := r.Times[partition.Angular]
-		fmt.Fprintf(w, "%15.2fx%15.2fx\n",
-			ratio(r.Times[partition.Grid], angle), ratio(r.Times[partition.Dimensional], angle))
-	}
-}
-
-func ratio(a, b time.Duration) float64 {
+// ratio is a/b, or 0 when b is 0.
+func ratio(a, b float64) float64 {
 	if b == 0 {
 		return 0
 	}
-	return float64(a) / float64(b)
+	return a / b
 }
 
-// ---------------------------------------------------------------------------
-// Figure 6: Map/Reduce breakdown vs servers (simulated cluster)
-
-// Figure6Row is one server count's simulated breakdown.
-type Figure6Row struct {
-	Servers    int
-	MapTime    time.Duration
-	ReduceTime time.Duration
-}
-
-// Total returns the stacked bar height.
-func (r Figure6Row) Total() time.Duration { return r.MapTime + r.ReduceTime }
-
-// Figure6 reproduces the scalability experiment: the MR-Angle pipeline on
-// the large dataset at 10 attributes, with partition count coupled to
-// cluster size (2 × servers). The algorithmic workload (partition sizes,
-// local skyline sizes, global size) is measured by really running the
-// driver; the wall-clock split is produced by the cluster simulator.
-func Figure6(ctx context.Context, sc Scale) ([]Figure6Row, error) {
-	d := sc.Dims[len(sc.Dims)-1]
-	data := qws.Dataset(sc.Seed, sc.LargeN, d)
-	cm := cluster.DefaultCostModel()
-	breakdowns, err := cluster.Sweep(sc.Servers, cm, func(servers int) (cluster.Workload, error) {
-		return WorkloadFor(ctx, data, partition.Angular, servers, sc.Workers)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Figure6Row, len(breakdowns))
-	for i, b := range breakdowns {
-		rows[i] = Figure6Row{Servers: b.Servers, MapTime: b.MapTime, ReduceTime: b.ReduceTime}
-	}
-	return rows, nil
-}
-
-// WorkloadFor runs the real pipeline once and extracts the cluster
-// simulator's workload for the given server count (partitions = 2 ×
-// servers, the paper's rule).
-func WorkloadFor(ctx context.Context, data points.Set, scheme partition.Scheme, servers, workers int) (cluster.Workload, error) {
-	global, stats, err := driver.Compute(ctx, data, driver.Options{
-		Scheme:  scheme,
-		Nodes:   servers,
-		Workers: workers,
-	})
-	if err != nil {
-		return cluster.Workload{}, err
-	}
-	sizes := make([]int, stats.Partitions)
-	skies := make([]int, stats.Partitions)
-	copy(sizes, stats.PartitionCounts)
-	for id, ls := range stats.LocalSkylines {
-		skies[id] = len(ls)
-	}
-	return cluster.Workload{
-		Records:           len(data),
-		Dim:               data.Dim(),
-		PartitionSizes:    sizes,
-		LocalSkylineSizes: skies,
-		GlobalSkylineSize: len(global),
-	}, nil
-}
-
-// WriteFigure6 renders the rows.
-func WriteFigure6(w io.Writer, rows []Figure6Row, title string) {
-	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-9s%14s%14s%14s\n", "servers", "map", "reduce", "total")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-9d%14s%14s%14s\n",
-			r.Servers, r.MapTime.Round(time.Millisecond),
-			r.ReduceTime.Round(time.Millisecond), r.Total().Round(time.Millisecond))
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Figure 7: local skyline optimality vs dimension, per method
-
-// Figure7Row is one dimension's optimality values.
-type Figure7Row struct {
-	Dim        int
-	Optimality map[partition.Scheme]float64
-}
-
-// Figure7 computes the Eq. (5) local skyline optimality for each method
-// over the dimension sweep at cardinality n.
-func Figure7(ctx context.Context, sc Scale, n int) ([]Figure7Row, error) {
-	rows := make([]Figure7Row, 0, len(sc.Dims))
-	for _, d := range sc.Dims {
-		data := qws.Dataset(sc.Seed, n, d)
-		row := Figure7Row{Dim: d, Optimality: make(map[partition.Scheme]float64)}
-		for _, scheme := range Methods {
-			global, stats, err := driver.Compute(ctx, data, driver.Options{
-				Scheme:  scheme,
-				Nodes:   sc.Nodes,
-				Workers: sc.Workers,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("figure7 n=%d d=%d %v: %w", n, d, scheme, err)
-			}
-			row.Optimality[scheme] = metrics.LocalSkylineOptimality(stats.LocalSkylines, global)
+// best returns the fastest of runs calls of f — the minimum, because
+// scheduling noise only ever adds time — or f's first error.
+func best(runs int, f func() error) (time.Duration, error) {
+	fastest := time.Duration(math.MaxInt64)
+	for r := 0; r < max(runs, 1); r++ {
+		start := time.Now()
+		if err := f(); err != nil {
+			return 0, err
 		}
-		rows = append(rows, row)
+		fastest = min(fastest, time.Since(start))
 	}
-	return rows, nil
+	return fastest, nil
 }
 
-// WriteFigure7 renders the rows.
-func WriteFigure7(w io.Writer, rows []Figure7Row, title string) {
-	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-6s", "dim")
-	for _, m := range Methods {
-		fmt.Fprintf(w, "%12s", m)
+// Scale is one preset of every experiment's sizes.
+type Scale struct {
+	Name string
+	// Gate bounds the timing rows too; count rows are bounded at every
+	// scale.
+	Gate bool
+	// SmallN and LargeN are the cardinalities of Figs. 5 and 7 (paper:
+	// 1 000 and 100 000); Dims is their dimension sweep (paper 2…10).
+	SmallN, LargeN int
+	Dims           []int
+	// Nodes is the modelled cluster size (partitions = 2 × Nodes, the
+	// paper's rule); Workers the engine's worker goroutines.
+	Nodes, Workers int
+	// Servers is Fig. 6's server sweep (paper 4…32).
+	Servers []int
+	Seed    int64
+	// Runs is how many times every timed row is measured (best kept).
+	Runs int
+	// Samples is the Monte-Carlo draw per theorem point.
+	Samples int
+	// TableN and TableD size the design studies (ablation, sensitivity,
+	// partitions, flight, critpath-chart) at a low and a high d.
+	TableN int
+	TableD [2]int
+	// The gates' sizes: the kernel rows' input; the spill gate's codec
+	// rows, its budgeted-throughput pair and its streamed run under
+	// Budget reducer bytes; the serve, critpath and obs inputs.
+	KernelN                      int
+	CodecN, ThroughputN, StreamN int
+	Budget                       int64
+	ServeN, CritpathN, ObsN      int
+	// Charts is where flight and critpath-chart draw their ASCII charts;
+	// nil draws none.
+	Charts io.Writer
+}
+
+// ScaleNames lists the presets, smallest first.
+var ScaleNames = []string{"quick", "ci", "full"}
+
+// ScaleFor returns the named preset. Quick is the CI smoke run and is
+// report only (no timing row is bounded); ci is the gated CI jobs; full is
+// the paper's scale and the EXPERIMENTS.md recipes.
+func ScaleFor(name string) (Scale, error) {
+	sc := Scale{
+		Name:        name,
+		SmallN:      500,
+		LargeN:      8000,
+		Dims:        []int{2, 4, 6, 8, 10},
+		Nodes:       4,
+		Workers:     4,
+		Servers:     []int{4, 8, 16, 32},
+		Seed:        2012,
+		Runs:        1,
+		Samples:     500000,
+		TableN:      4000,
+		TableD:      [2]int{4, 6},
+		KernelN:     20000,
+		CodecN:      20000,
+		ThroughputN: 40000,
+		StreamN:     100000,
+		Budget:      16 << 20,
+		ServeN:      2000,
+		CritpathN:   6000,
+		ObsN:        20000,
 	}
-	fmt.Fprintln(w)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6d", r.Dim)
-		for _, m := range Methods {
-			fmt.Fprintf(w, "%12.3f", r.Optimality[m])
+	switch name {
+	case "quick":
+	case "ci":
+		sc.Gate, sc.Runs = true, 2
+		sc.KernelN, sc.StreamN, sc.ServeN, sc.CritpathN, sc.ObsN = 100000, 1000000, 20000, 12000, 100000
+	case "full":
+		sc.Gate, sc.Runs = true, 3
+		sc.SmallN, sc.LargeN = 1000, 100000
+		sc.Servers = []int{4, 8, 12, 16, 20, 24, 28, 32}
+		sc.TableN, sc.TableD = 20000, [2]int{6, 8}
+		sc.KernelN, sc.CodecN, sc.ThroughputN = 100000, 100000, 200000
+		sc.StreamN, sc.Budget = 100000000, 1<<30
+		sc.ServeN, sc.CritpathN, sc.ObsN = 100000, 12000, 100000
+	default:
+		return Scale{}, fmt.Errorf("unknown scale %q (want %s)", name, strings.Join(ScaleNames, ", "))
+	}
+	return sc, nil
+}
+
+// options is a product run of scheme at this scale.
+func (sc Scale) options(scheme partition.Scheme) driver.Options {
+	return driver.Options{Scheme: scheme, Nodes: sc.Nodes, Workers: sc.Workers}
+}
+
+// Experiment is one named entry of the registry.
+type Experiment struct {
+	Name, Title string
+	// Plot names the column -plot draws (see Write).
+	Plot string
+	Run  func(ctx context.Context, sc Scale) ([]Row, error)
+}
+
+// Registry lists every experiment, in the order "all" runs them.
+var Registry = []Experiment{
+	{"5a", "Figure 5(a): processing time vs dimension, small N", "time", figure(smallN, false)},
+	{"5b", "Figure 5(b): processing time vs dimension, large N", "time", figure(largeN, false)},
+	{"6", "Figure 6: MR-Angle Map/Reduce breakdown vs servers, large N, top d (simulated cluster)", "map+reduce", figure6},
+	{"7a", "Figure 7(a): local skyline optimality vs dimension, small N", "opt", figure(smallN, true)},
+	{"7b", "Figure 7(b): local skyline optimality vs dimension, large N", "opt", figure(largeN, true)},
+	{"thm", "Theorems 1 & 2: dominance ability, analytic vs Monte-Carlo (L=1, y=x/4)", "gap", theorems},
+	{"ablation", "Ablations (high d): combiner, pruning, kernels, random baseline", "time", ablation},
+	{"sensitivity", "Distribution sensitivity (low d): methods across benchmark data shapes", "opt", sensitivity},
+	{"partitions", "Partition-count study (high d): the paper's 2x rule in context", "localsky", partitionCount},
+	{"flight", "Flight recorder (low d): per-partition load and local optimality", "opt", flight},
+	{"critpath-chart", "Critical path (low d): makespan attribution per method", "makespan_s", critpathChart},
+	{"kernels", "Kernels: flat vs classic local skyline and merge", "speedup", kernels},
+	{"spill", "Spill: codec bytes, budgeted throughput, streamed run under a reducer budget", "v2_ratio", spill},
+	{"serve", "Serve: HTTP reads, snapshot reads, publishes, cache", "ns_per_op", serve},
+	{"critpath", "Critpath: the no-straggler prediction against straggler-free re-runs", "makespan_s", critpathGate},
+	{"obs", "Obs: the pipeline beside a 10ms debug-plane clock", "wall_s", obs},
+}
+
+// Names lists the registry's names, then "all".
+func Names() []string {
+	names := make([]string, 0, len(Registry)+1)
+	for _, e := range Registry {
+		names = append(names, e.Name)
+	}
+	return append(names, "all")
+}
+
+// Lookup returns the named experiment, or the whole registry for "all".
+func Lookup(name string) ([]Experiment, error) {
+	if name == "all" {
+		return Registry, nil
+	}
+	for _, e := range Registry {
+		if e.Name == name {
+			return []Experiment{e}, nil
 		}
-		fmt.Fprintln(w)
+	}
+	return nil, fmt.Errorf("unknown experiment %q (want one of %s)", name, strings.Join(Names(), ", "))
+}
+
+// Results is what one invocation measured: the results file.
+type Results struct {
+	Scale string `json:"scale"`
+	Seed  int64  `json:"seed"`
+	Pass  bool   `json:"pass"`
+	Rows  []Row  `json:"rows"`
+}
+
+// Add files exp's rows, failing the run if any is past its bound.
+func (res *Results) Add(exp string, rs []Row) {
+	for _, r := range rs {
+		r.Experiment = exp
+		res.Pass = res.Pass && !r.Failed()
+		res.Rows = append(res.Rows, r)
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Theorems 1 & 2: dominance ability
-
-// TheoremRow is one x-position of the Section IV analysis (L = 1).
-type TheoremRow struct {
-	X, Y            float64
-	DAngle, DGrid   float64
-	Gap, Bound      float64
-	MCAngle, MCGrid float64
-}
-
-// TheoremTable sweeps service positions along y = x/4 (inside the bottom
-// sector) and reports analytic and Monte-Carlo dominance abilities. The
-// sweep stops below x = L because the grid closed form (L−x)(L−y)/L²
-// presumes the service sits in the bottom-left cell, exactly the paper's
-// "it belongs to the partition close to the axes as the most case".
-func TheoremTable(samples int, seed int64) []TheoremRow {
-	const l = 1.0
-	xs := []float64{0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95}
-	rows := make([]TheoremRow, 0, len(xs))
-	for _, x := range xs {
-		y := x / 4
-		row := TheoremRow{
-			X:       x,
-			Y:       y,
-			DAngle:  metrics.DominanceAbilityAngle(x, y, l),
-			DGrid:   metrics.DominanceAbilityGrid(x, y, l),
-			Bound:   metrics.DominanceGapLowerBound(x, l),
-			MCAngle: metrics.MonteCarloDominance(x, y, l, true, samples, seed),
-			MCGrid:  metrics.MonteCarloDominance(x, y, l, false, samples, seed+1),
+// Save writes the results file as JSON, one row per line.
+func (res Results) Save(path string) error {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "{\"scale\": %q, \"seed\": %d, \"pass\": %t, \"rows\": [", res.Scale, res.Seed, res.Pass)
+	for i, r := range res.Rows {
+		j, err := json.Marshal(r)
+		if err != nil {
+			return fmt.Errorf("row %s/%s: %w", r.Experiment, r.Name, err)
 		}
-		row.Gap = row.DAngle - row.DGrid
-		rows = append(rows, row)
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("\n  ")
+		b.Write(j)
 	}
-	return rows
+	b.WriteString("\n]}\n")
+	return os.WriteFile(path, b.Bytes(), 0o644)
 }
 
-// WriteTheoremTable renders the rows.
-func WriteTheoremTable(w io.Writer, rows []TheoremRow, title string) {
-	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-7s%-7s%10s%10s%10s%10s%12s%12s\n",
-		"x", "y", "D_angle", "D_grid", "gap", "bound", "MC_angle", "MC_grid")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-7.2f%-7.2f%10.4f%10.4f%10.4f%10.4f%12.4f%12.4f\n",
-			r.X, r.Y, r.DAngle, r.DGrid, r.Gap, r.Bound, r.MCAngle, r.MCGrid)
+// Main runs exps at sc, printing each one's table (and chart, with plot)
+// to w as it finishes, writes every row to the results file out when out
+// is set, and returns the exit status: 0 when every gate holds, 1 when a
+// row is past its bound, 2 on an error.
+func Main(ctx context.Context, w io.Writer, exps []Experiment, sc Scale, plot bool, out string) int {
+	fmt.Fprintf(w, "scale %s: small N=%d, large N=%d, dims %v, design studies N=%d, seed %d\n\n",
+		sc.Name, sc.SmallN, sc.LargeN, sc.Dims, sc.TableN, sc.Seed)
+	if plot {
+		sc.Charts = w
 	}
+	res := Results{Scale: sc.Name, Seed: sc.Seed, Pass: true}
+	for _, e := range exps {
+		start := time.Now()
+		rs, err := e.Run(ctx, sc)
+		if err == nil {
+			res.Add(e.Name, rs)
+			err = Write(w, e, rs, plot)
+		}
+		if err != nil {
+			fmt.Fprintf(w, "skybench: %s: %v\n", e.Name, err)
+			return 2
+		}
+		fmt.Fprintf(w, "  [%s completed in %s]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+	}
+	if out != "" {
+		if err := res.Save(out); err != nil {
+			fmt.Fprintf(w, "skybench: %v\n", err)
+			return 2
+		}
+		fmt.Fprintf(w, "rows written to %s\n", out)
+	}
+	if !res.Pass {
+		fmt.Fprintln(w, "skybench: FAIL — a gate row is past its bound")
+		return 1
+	}
+	return 0
 }

@@ -33,9 +33,9 @@ type WorkerConfig struct {
 	// lease-expiry reassignment. 0 disables.
 	VanishAfterTasks int
 	// TaskStall, when > 0, sleeps that long before executing every task —
-	// a controllable straggler for tests and the critical-path benchgate
-	// suite (the stall lands inside the task span, so the profiler sees
-	// it as task time on this worker). 0 disables.
+	// a controllable straggler for tests and the critpath experiment
+	// (cmd/skybench -run critpath; the stall lands inside the task span, so
+	// the profiler sees it as task time on this worker). 0 disables.
 	TaskStall time.Duration
 	// DebugAddr is the worker's debug HTTP server address (host:port),
 	// reported to the master at registration so it can federate this

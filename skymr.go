@@ -24,7 +24,8 @@
 //	fmt.Println(len(res.Skyline), res.Optimality(), res.Timing.Total)
 //
 // For distributed execution over TCP see cmd/skymaster and cmd/skyworker;
-// for the paper's full evaluation harness see cmd/skybench.
+// for the paper's evaluation and the repository's acceptance gates — one
+// registry of experiments in internal/experiments — see cmd/skybench.
 package skymr
 
 import (
@@ -100,7 +101,7 @@ func Methods() []Method { return []Method{Dim, Grid, Angle} }
 // the data is partitioned and how much memory and disk the job may use —
 // never the operator: both jobs run BNL, the paper's kernel, and the
 // ablations of the local-skyline combiner, grid pruning and the kernel are
-// studies in internal/experiments (cmd/skybench -figure ablation), not
+// studies in internal/experiments (cmd/skybench -run ablation), not
 // settings.
 type Options struct {
 	// Method is the partitioning scheme (default Dim).
