@@ -96,7 +96,7 @@ func main() {
 	flag.IntVar(&o.partitions, "partitions", 8, "number of data-space partitions")
 	flag.IntVar(&o.reducers, "reducers", 4, "number of reduce tasks for the partitioning job")
 	flag.IntVar(&o.minWorkers, "min-workers", 1, "wait for at least this many workers before starting")
-	flag.IntVar(&o.split, "split", 0, "records per map task (0 = default 1000)")
+	flag.IntVar(&o.split, "split", 0, "records per input message; a map task is a worker's share of them (0 = default 1000)")
 	flag.BoolVar(&o.header, "header", false, "input has a header row")
 	flag.DurationVar(&o.timeout, "timeout", 10*time.Minute, "overall job timeout")
 	flag.DurationVar(&o.liveness, "liveness", 10*time.Second,

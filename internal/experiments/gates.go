@@ -87,6 +87,9 @@ func critpathGate(ctx context.Context, sc Scale) ([]Row, error) {
 	// oneRun starts a master and three workers — the last stalling w2Stall
 	// — runs the pipeline and analyzes the stitched trace.
 	oneRun := func(w2Stall time.Duration) (*critpath.Analysis, error) {
+		// Six splits make Job 1 three map tasks, a worker's share of two
+		// each: too few for the straggler detector's median, so the
+		// straggler is flagged in the six-task reduce phase.
 		master, err := rpcmr.NewMaster(rpcmr.MasterConfig{
 			SplitSize:      (len(data) + partitions - 1) / partitions,
 			LivenessWindow: 2 * time.Second,

@@ -301,29 +301,59 @@ func buildFrames(feed func(emit EmitPoint) (rows int, err error), accs *Accumula
 }
 
 // MapFrames is map task task, of tasks, of job for an executor that ships a
-// split as a sealed frame stream (rpcmr): the rows are walked out of input
-// straight into job.Mapper and the task's accumulators — the body RunFrames
-// gives a Feed's rows — so nothing the size of the split exists on the way;
-// a job with a TaskMapper has its split, the whole input, decoded into one
-// block first. job.Feed is not read. An empty, malformed or mixed-dimension
-// stream fails the task, as does a task index outside the job.
-func MapFrames(job FrameJob, input []byte, task, tasks, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
-	if len(input) == 0 {
+// task's input as sealed frame streams (rpcmr), one split at a time:
+// split(i) returns split i of the task's splits, in order, and what it
+// returns need only last until the next call, so one buffer can carry them
+// all. The rows of every split are walked straight into job.Mapper and the
+// one set of accumulators the task borrowed — the body RunFrames gives a
+// Feed's rows — so the windows stay warm across the splits, the task seals
+// once, and nothing the size of a split is copied on the way; a job with a
+// TaskMapper has its input, the whole of the job's, decoded into one block
+// first. job.Feed is not read. A task without splits, an empty, malformed or
+// mixed-dimension split, or an error from split fails the task, as does a
+// task index outside the job.
+func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task, tasks, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
+	if splits < 1 {
 		return nil, FrameStats{}, fmt.Errorf("mapreduce: map task without an input frame")
 	}
 	if task < 0 || task >= tasks {
 		return nil, FrameStats{}, fmt.Errorf("mapreduce: map task %d of %d", task, tasks)
 	}
-	feed := func(emit EmitPoint) (int, error) {
-		return points.WalkFrames(input, func(row []float64) error { return job.Mapper(row, emit) })
+	// each hands the task's splits to read, in order.
+	each := func(read func(input []byte) error) error {
+		for i := 0; i < splits; i++ {
+			input, err := split(i)
+			if err == nil && len(input) == 0 {
+				err = fmt.Errorf("mapreduce: map task without an input frame: split %d of %d is empty", i, splits)
+			}
+			if err == nil {
+				err = read(input)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	feed := func(emit EmitPoint) (rows int, err error) {
+		err = each(func(input []byte) error {
+			n, err := points.WalkFrames(input, func(row []float64) error { return job.Mapper(row, emit) })
+			rows += n
+			return err
+		})
+		return rows, err
 	}
 	if job.TaskMapper != nil {
-		feed = func(emit EmitPoint) (rows int, err error) {
+		feed = func(emit EmitPoint) (int, error) {
 			whole := points.NewBlock(0, 0)
-			for rest := input; len(rest) > 0; {
-				if _, rest, err = points.DecodeFrame(whole, rest); err != nil {
-					return 0, err
+			err := each(func(input []byte) (err error) {
+				for rest := input; len(rest) > 0 && err == nil; {
+					_, rest, err = points.DecodeFrame(whole, rest)
 				}
+				return err
+			})
+			if err != nil {
+				return 0, err
 			}
 			return job.TaskMapper([]*points.Block{whole}, task, tasks, emit)
 		}

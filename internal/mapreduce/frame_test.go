@@ -345,7 +345,7 @@ func TestWholeInputTaskMapper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, st, err := MapFrames(FrameJob{TaskMapper: strided(false)}, stream, task, tasks, 2, points.FrameDefault)
+		parts, st, err := MapFrames(FrameJob{TaskMapper: strided(false)}, 1, oneSplit(stream), task, tasks, 2, points.FrameDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,11 +366,11 @@ func TestWholeInputTaskMapper(t *testing.T) {
 		}
 	}
 	for _, at := range [][2]int{{-1, 4}, {4, 4}, {0, 0}} {
-		if _, _, err := MapFrames(FrameJob{TaskMapper: strided(false)}, stream, at[0], at[1], 2, points.FrameDefault); err == nil {
+		if _, _, err := MapFrames(FrameJob{TaskMapper: strided(false)}, 1, oneSplit(stream), at[0], at[1], 2, points.FrameDefault); err == nil {
 			t.Errorf("MapFrames ran task %d of %d", at[0], at[1])
 		}
 	}
-	if _, _, err := MapFrames(FrameJob{TaskMapper: strided(false)}, stream[:len(stream)-3], 0, tasks, 2, points.FrameDefault); err == nil {
+	if _, _, err := MapFrames(FrameJob{TaskMapper: strided(false)}, 1, oneSplit(stream[:len(stream)-3]), 0, tasks, 2, points.FrameDefault); err == nil {
 		t.Error("MapFrames decoded a truncated whole input")
 	}
 }

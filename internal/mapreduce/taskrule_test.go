@@ -167,6 +167,86 @@ func TestShuffleIsAFunctionOfInputAndWorkers(t *testing.T) {
 	}
 }
 
+// oneSplit is a map task's input that is one split.
+func oneSplit(stream []byte) func(int) ([]byte, error) {
+	return func(int) ([]byte, error) { return stream, nil }
+}
+
+// TestMapFramesFoldsSplitsWarm: a map task whose input arrives as several
+// splits, each in the buffer the one before came in, folds them all through
+// the one set of windows it borrowed, and so seals what the same rows seal as
+// one task in process — the bytes and the tallies — where a task per split
+// ships a local skyline per split. An empty split, or a source that fails,
+// fails the task.
+func TestMapFramesFoldsSplitsWarm(t *testing.T) {
+	data, route := diffInput(17, 4000, 4, false)
+	mapper := RowMapper(func(row []float64, emit EmitPoint) error {
+		emit(route(row), row)
+		return nil
+	})
+	job := FrameJob{Mapper: mapper, Accumulators: windows}
+	want, wantStats, err := buildFrames(func(emit EmitPoint) (int, error) {
+		return SetRows(data).feed(0, len(data), mapper, emit)
+	}, windows, nil, 3, points.FrameDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var splits [][]byte
+	for lo := 0; lo < len(data); lo += 1000 {
+		frame, err := points.AppendFrameRows(nil, 0, data[lo:min(lo+1000, len(data))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		splits = append(splits, frame)
+	}
+	var buf []byte
+	inOneBuffer := func(i int) ([]byte, error) {
+		buf = append(buf[:0], splits[i]...)
+		return buf, nil
+	}
+	got, gotStats, err := MapFrames(job, len(splits), inOneBuffer, 0, 1, 3, points.FrameDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotStats.CombineNanos, wantStats.CombineNanos = 0, 0
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotStats, wantStats) {
+		t.Errorf("a task of %d splits sealed %d bytes (%+v); the same rows as one task in process, %d (%+v)",
+			len(splits), gotStats.ShuffleBytes, gotStats, wantStats.ShuffleBytes, wantStats)
+	}
+	var cold int64
+	for _, s := range splits {
+		_, st, err := MapFrames(job, 1, oneSplit(s), 0, 1, 3, points.FrameDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold += st.ShuffleBytes
+	}
+	if cold <= gotStats.ShuffleBytes {
+		t.Errorf("a task per split shipped %d bytes, the warm task %d: the windows' warmth is worth nothing here", cold, gotStats.ShuffleBytes)
+	}
+	for name, split := range map[string]func(int) ([]byte, error){
+		"an empty split": func(i int) ([]byte, error) {
+			if i == 2 {
+				return nil, nil
+			}
+			return splits[i], nil
+		},
+		"a failed fetch": func(i int) ([]byte, error) {
+			if i == 2 {
+				return nil, fmt.Errorf("connection lost")
+			}
+			return splits[i], nil
+		},
+	} {
+		if _, _, err := MapFrames(job, len(splits), split, 0, 1, 3, points.FrameDefault); err == nil {
+			t.Errorf("%s: the task did not fail", name)
+		}
+	}
+	if _, _, err := MapFrames(job, 0, inOneBuffer, 0, 1, 3, points.FrameDefault); err == nil {
+		t.Error("a task of no splits did not fail")
+	}
+}
+
 // blockChunks serves blocks as chunks.
 type blockChunks []*points.Block
 

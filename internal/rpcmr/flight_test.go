@@ -59,8 +59,8 @@ func attrOf(s telemetry.SpanData, key string) (interface{}, bool) {
 // TestStitchedTraceThreeWorkers: a 3-worker job with tracing on must
 // yield ONE trace holding the master's job span AND every worker's task
 // spans, each attached under the job span, with per-worker track rows.
-// The slowtail job (30 ms per map task) keeps all three workers busy so
-// the trace provably spans several processes.
+// The slowtail job (a share of two 30 ms rows per map task) keeps all three
+// workers busy so the trace provably spans several processes.
 func TestStitchedTraceThreeWorkers(t *testing.T) {
 	ensureFlightJobs()
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1}, 3,
@@ -79,8 +79,8 @@ func TestStitchedTraceThreeWorkers(t *testing.T) {
 		t.Fatalf("job spans = %d, want 1", len(jobs))
 	}
 	job := jobs[0]
-	if got := len(idx.byName["map-task"]); got != len(input) {
-		t.Errorf("map-task spans = %d, want %d", got, len(input))
+	if got := len(idx.byName["map-task"]); got != 3 {
+		t.Errorf("map-task spans = %d, want one per worker's share, 3", got)
 	}
 	if got := len(idx.byName["reduce-task"]); got != 2 {
 		t.Errorf("reduce-task spans = %d, want 2", got)
@@ -105,21 +105,23 @@ func TestStitchedTraceThreeWorkers(t *testing.T) {
 	}
 	// Every task completion also reached the flight recorder.
 	rep := rec.Report()
-	if len(rep.Tasks) != 6+2 {
-		t.Errorf("recorder tasks = %d, want %d", len(rep.Tasks), 6+2)
+	if len(rep.Tasks) != 3+2 {
+		t.Errorf("recorder tasks = %d, want %d", len(rep.Tasks), 3+2)
 	}
 }
 
 // TestRetriedTaskSpansOnce: when a worker vanishes holding a task and the
 // task is re-run elsewhere, the stitched trace must contain exactly one
-// span per task — the retried task must not appear twice. Map tasks
-// sleep 40 ms so the flaky worker reliably receives (and dies holding) a
-// second task while others are still pending.
+// span per task — the retried task must not appear twice. Four idle
+// workers make six one-row shares, and map tasks sleep 40 ms, so the flaky
+// worker reliably receives (and dies holding) a second task while others
+// are still pending.
 func TestRetriedTaskSpansOnce(t *testing.T) {
 	ensureFlightJobs()
 	mcfg := MasterConfig{SplitSize: 1, TaskLease: 200 * time.Millisecond}
 	master, _, _ := newCluster(t, mcfg, 1,
 		WorkerConfig{VanishAfterTasks: 1, PollInterval: time.Millisecond})
+	idleWorkers(t, master, 4)
 
 	healthy, err := NewWorker(WorkerConfig{
 		MasterAddr:   master.Addr(),
@@ -167,7 +169,8 @@ func TestRetriedTaskSpansOnce(t *testing.T) {
 
 // TestStragglerDetection: with three ~5 ms tasks establishing the phase
 // median, a 400 ms tail task must be flagged — counter, task record, and
-// span attribute.
+// span attribute. Three idle workers make the four rows four shares, which
+// the one working worker runs in turn.
 func TestStragglerDetection(t *testing.T) {
 	ensureFlightJobs()
 	reg := telemetry.NewRegistry()
@@ -185,6 +188,7 @@ func TestStragglerDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
+	idleWorkers(t, master, 3)
 	go func() { _ = w.Run(context.Background()) }()
 
 	tr := telemetry.NewTracer()

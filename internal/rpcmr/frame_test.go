@@ -133,62 +133,41 @@ func TestFramedJobMatchesClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := map[int]points.Set{}
-	for _, p := range data {
-		id := int(p[0]) % frameParts
-		groups[id] = append(groups[id], p)
-	}
-	if len(res.Blocks) != len(groups) {
-		t.Fatalf("partitions: cluster %d, reference %d", len(res.Blocks), len(groups))
-	}
-	for id, g := range groups {
-		blk := res.Blocks[id]
-		if blk == nil {
-			t.Fatalf("partition %d missing from the cluster's result", id)
-		}
-		ws, gs := distinctSorted(skyline.BNL(g)), distinctSorted(blk.ToSet())
-		if len(ws) != len(gs) {
-			t.Fatalf("partition %d: skyline sizes %d vs %d", id, len(gs), len(ws))
-		}
-		for i := range ws {
-			if !ws[i].Equal(gs[i]) {
-				t.Fatalf("partition %d point %d: %v vs %v", id, i, gs[i], ws[i])
-			}
-		}
-	}
+	requireFrameOracle(t, res, data)
 }
 
 // TestFramedShuffleMetrics checks the per-worker frame-byte series land in
 // the master's registry with payload semantics: rpcmr_shuffle_bytes_total is
 // exactly the map tasks' sealed output — the input frames the tasks were
 // sent are booked under rpcmr_input_bytes_total and nowhere else — and one
-// task is counted per split and per reducer.
+// task is counted per worker's share and per reducer.
 func TestFramedShuffleMetrics(t *testing.T) {
 	ensureFrameJobs()
 	reg := telemetry.NewRegistry()
 	master, workers, _ := newCluster(t, MasterConfig{SplitSize: 200, Metrics: reg}, 2, WorkerConfig{})
-	data := frameClusterData(800, 3, 7)
-	// What the map tasks must ship, from the same splits run here.
+	data := frameClusterData(800, 3, 7) // 960 rows: five splits, shared 3 + 2
+	// What the map tasks must ship, from the same shares run here.
 	job, err := lookupJob("skyline-frame", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantShuffle, wantInput, splits int64
+	var wantShuffle, wantInput int64
 	input := setFrames(data, nil)
-	for lo := 0; lo < len(data); lo += 200 {
-		frame, err := input.frame(nil, lo, min(lo+200, len(data)))
-		if err != nil {
-			t.Fatal(err)
+	shares := [][2]int{{0, 3}, {3, 5}}
+	for _, share := range shares {
+		split := func(i int) ([]byte, error) {
+			s := share[0] + i
+			frame, err := input.frame(nil, s*200, min((s+1)*200, len(data)))
+			wantInput += int64(len(frame))
+			return frame, err
 		}
-		streams, _, err := mapreduce.MapFrames(job.FrameJob, frame, 0, 1, 2, job.Codec)
+		streams, _, err := mapreduce.MapFrames(job.FrameJob, share[1]-share[0], split, 0, 1, 2, job.Codec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, stream := range streams {
 			wantShuffle += int64(len(stream))
 		}
-		wantInput += int64(len(frame))
-		splits++
 	}
 	if _, err := master.Run(context.Background(),
 		JobSpec{Name: "skyline-frame", Reducers: 2}, input); err != nil {
@@ -205,8 +184,8 @@ func TestFramedShuffleMetrics(t *testing.T) {
 	if in != wantInput {
 		t.Errorf("rpcmr_input_bytes_total = %d, want the split frames' %d bytes", in, wantInput)
 	}
-	if done := reg.Counter("rpcmr_tasks_done_total").Value(); done != splits+2 {
-		t.Errorf("rpcmr_tasks_done_total = %d, want %d map + 2 reduce tasks", done, splits)
+	if done := reg.Counter("rpcmr_tasks_done_total").Value(); done != int64(len(shares))+2 {
+		t.Errorf("rpcmr_tasks_done_total = %d, want %d map + 2 reduce tasks", done, len(shares))
 	}
 }
 
@@ -260,7 +239,7 @@ func TestFramedWorkerCrashRecovery(t *testing.T) {
 		if job == "skyline-filter" {
 			input = func(built func(lo, hi int, frame []byte)) Input { return wholeFrames(data, 5, built) }
 		}
-		calm, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
+		calm, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 3, WorkerConfig{})
 		want, err := calm.Run(context.Background(), JobSpec{Name: job, Reducers: 2}, input(nil))
 		if err != nil {
 			t.Fatal(err)
@@ -272,36 +251,17 @@ func TestFramedWorkerCrashRecovery(t *testing.T) {
 
 		mcfg := MasterConfig{SplitSize: 100, TaskLease: 200 * time.Millisecond}
 		master, _, doomed := newCluster(t, mcfg, 1, WorkerConfig{VanishAfterTasks: 2})
-		// The healthy worker joins once the doomed one has gone, holding its
-		// third task: that task must be re-issued.
-		go func() {
-			doomed.Wait()
-			healthy, err := NewWorker(WorkerConfig{MasterAddr: master.Addr(), ID: "healthy"})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			t.Cleanup(func() { healthy.Close() })
-			_ = healthy.Run(context.Background())
-		}()
-
-		var mu sync.Mutex
-		first := map[int][]byte{} // split's first row → the first frame built for it
-		rebuilt := 0
-		res, err := master.Run(context.Background(),
-			JobSpec{Name: job, Reducers: 2}, input(func(lo, hi int, frame []byte) {
-				mu.Lock()
-				defer mu.Unlock()
-				if prev, ok := first[lo]; !ok {
-					first[lo] = bytes.Clone(frame)
-				} else if rebuilt++; !bytes.Equal(prev, frame) {
-					t.Errorf("split [%d, %d): re-issued task got a different input frame", lo, hi)
-				}
-			}))
+		// Three workers' shares, as on the calm cluster: the doomed worker maps
+		// two and vanishes holding the third, and the healthy worker, which
+		// joins once it has gone, must be re-issued it.
+		idleWorkers(t, master, 2)
+		joinAfter(t, master, doomed)
+		log := newSplitLog(t)
+		res, err := master.Run(context.Background(), JobSpec{Name: job, Reducers: 2}, input(log.built))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rebuilt == 0 || master.Status().WorkerFailures == 0 {
+		if rebuilt := log.count(); rebuilt == 0 || master.Status().WorkerFailures == 0 {
 			t.Fatalf("no map task was re-issued (%d rebuilt frames): the crash did not trigger", rebuilt)
 		}
 		if res.Counters.Get(mapreduce.CounterMapRetries) == 0 || res.Counters.Get(mapreduce.CounterWorkerFailures) == 0 {
@@ -319,7 +279,8 @@ func TestBadReportsNotCounted(t *testing.T) {
 	ensureFrameJobs()
 	data := frameClusterData(600, 3, 4)
 	spec := JobSpec{Name: "skyline-fold", Reducers: 2}
-	calm, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
+	// One worker, as below: one share, so one map task.
+	calm, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 1, WorkerConfig{})
 	want, err := calm.Run(context.Background(), spec, setFrames(data, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -328,10 +289,6 @@ func TestBadReportsNotCounted(t *testing.T) {
 	// A request on an empty queue is held for half the liveness window: the
 	// hand-driven worker below sits out one such hold, once the job is done.
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: 20 * time.Millisecond}, 0, WorkerConfig{})
-	type outcome struct {
-		res *mapreduce.FrameResult
-		err error
-	}
 	done := make(chan outcome, 1)
 	go func() {
 		res, err := master.Run(context.Background(), spec, setFrames(data, nil))
@@ -354,8 +311,8 @@ func TestBadReportsNotCounted(t *testing.T) {
 				if out.err != nil {
 					t.Fatal(out.err)
 				}
-				if splits := int64(len(data)+99) / 100; out.res.Counters.Get(mapreduce.CounterMapRetries) != splits || out.res.Counters.Get(mapreduce.CounterRedRetries) != 2 {
-					t.Errorf("counters %v, want one retry per task: %d map, 2 reduce", out.res.Counters.Snapshot(), splits)
+				if out.res.Counters.Get(mapreduce.CounterMapRetries) != 1 || out.res.Counters.Get(mapreduce.CounterRedRetries) != 2 {
+					t.Errorf("counters %v, want one retry per task: 1 map, 2 reduce", out.res.Counters.Snapshot())
 				}
 				sameJobRecord(t, out.res, want, len(data))
 				return
@@ -363,15 +320,10 @@ func TestBadReportsNotCounted(t *testing.T) {
 			}
 			continue
 		case TaskMap:
-			parts, st, err := mapreduce.MapFrames(job.FrameJob, task.Frames, task.TaskID, task.Tasks, task.Reducers, job.Codec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			args := handMap(t, svc, "hand", &task)
 			report = func(errMsg string) bool {
-				var reply ResultReply
-				_ = svc.ReportMap(MapResultArgs{WorkerID: "hand", Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt,
-					FrameParts: parts, Stats: st, Err: errMsg, Final: true}, &reply)
-				return reply.Accepted
+				args.Err = errMsg
+				return reportMap(svc, args)
 			}
 		case TaskReduce:
 			frames, st, err := executeReduce(job, &task)
@@ -478,12 +430,16 @@ func TestSplitBuiltOutsideMasterLock(t *testing.T) {
 		}
 		return points.AppendFrameRows(dst, 0, data[lo:hi])
 	})
+	// Two workers: two shares, the first of splits 0 and 1, the second of 2.
+	svc := &MasterService{m: master}
+	for _, id := range []string{"slow", "other"} {
+		_ = svc.Register(RegisterArgs{WorkerID: id}, &RegisterReply{})
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := master.Run(context.Background(), JobSpec{Name: "skyline-frame", Reducers: 1}, input)
 		done <- err
 	}()
-	svc := &MasterService{m: master}
 	for master.Status().TasksTotal == 0 { // wait for Run to queue the map tasks
 		time.Sleep(time.Millisecond)
 	}
@@ -496,8 +452,7 @@ func TestSplitBuiltOutsideMasterLock(t *testing.T) {
 	<-entered // split 0's builder is now blocked, off the lock
 	answered := make(chan TaskReply, 1)
 	go func() {
-		var ok RegisterReply
-		_ = svc.Register(RegisterArgs{WorkerID: "other"}, &ok)
+		_ = svc.Register(RegisterArgs{WorkerID: "newcomer"}, &RegisterReply{})
 		var reply TaskReply
 		_ = svc.RequestTask(TaskArgs{WorkerID: "other"}, &reply)
 		_ = master.Health()
@@ -510,7 +465,7 @@ func TestSplitBuiltOutsideMasterLock(t *testing.T) {
 				reply.Kind, reply.TaskID, len(reply.Frames))
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Register/RequestTask blocked behind another worker's split build")
+		t.Fatal("RequestTask blocked behind another worker's split build")
 	}
 	close(release)
 	if reply := <-held; reply.TaskID != 0 || len(reply.Frames) == 0 {

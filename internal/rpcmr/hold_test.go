@@ -34,12 +34,16 @@ func TestSplitBufferBorrowedUntilSent(t *testing.T) {
 		lent[lo] = unsafe.SliceData(dst)
 		return points.AppendFrameRows(dst, 0, data[lo:hi])
 	})
+	// Three workers: three shares, one split each.
+	svc := &MasterService{m: master}
+	for _, id := range []string{"a", "b", "c"} {
+		_ = svc.Register(RegisterArgs{WorkerID: id}, &RegisterReply{})
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := master.Run(context.Background(), JobSpec{Name: "skyline-frame", Reducers: 1}, input)
 		done <- err
 	}()
-	svc := &MasterService{m: master}
 	request := func(worker string) *TaskReply {
 		reply := new(TaskReply)
 		if err := svc.RequestTask(TaskArgs{WorkerID: worker}, reply); err != nil {

@@ -21,7 +21,8 @@ type MasterConfig struct {
 	// TaskLease is how long a worker may hold a task before it is
 	// re-queued for another worker. Defaults to 30s.
 	TaskLease time.Duration
-	// SplitSize is input rows per map task. Defaults to 1000.
+	// SplitSize is rows per input message; a map task is a worker's share
+	// of them (see Run). Defaults to 1000.
 	SplitSize int
 	// MaxTaskAttempts bounds re-executions of one task before the job is
 	// failed. Defaults to 5.
@@ -140,11 +141,11 @@ type jobState struct {
 	redStart     time.Time
 	finished     chan struct{}
 	err          error
-	// spare is the job's free list of split buffers: assignTask seals a map
-	// task's input into one (or into a new one when the list is empty) and
-	// it comes back once the reply that carries it has been written, so as
-	// many exist as map tasks were ever in flight at once. It is dropped
-	// with the job: an idle master holds none.
+	// spare is the job's free list of split buffers: sealSplit seals a
+	// split into one (or into a new one when the list is empty) and it comes
+	// back once the reply that carries it has been written, so as many exist
+	// as splits were ever in flight at once. It is dropped with the job: an
+	// idle master holds none.
 	spare [][]byte
 	// Flight-recorder / stitched-trace state. tracer and recorder come
 	// from the Run context (nil when off); traceID doubles as the wire
@@ -175,6 +176,10 @@ type taskState struct {
 	// latency measurement.
 	startedAt time.Time
 	worker    string
+	// first and end bound a map task's splits, [first, end): the messages
+	// its input crosses the wire in, the first with the assignment and each
+	// later one on the worker's NextSplit. A whole input's task is one.
+	first, end int
 }
 
 // JobSpec identifies the job to run.
@@ -184,10 +189,10 @@ type JobSpec struct {
 	Reducers int
 }
 
-// Input is a job's input: a number of rows, which Run cuts into map tasks of
-// MasterConfig.SplitSize (FrameRows) or hands whole to each of a given
-// number of map tasks (WholeFrames), and the means to produce any task's
-// split when it is assigned.
+// Input is a job's input: a number of rows, which Run cuts into splits of
+// MasterConfig.SplitSize and deals out to map tasks a worker's share each
+// (FrameRows) or hands whole to each of a given number of map tasks
+// (WholeFrames), and the means to produce any split when it is sent.
 type Input struct {
 	rows  int
 	tasks int // > 0: this many map tasks, each of which gets every row
@@ -196,11 +201,12 @@ type Input struct {
 
 // FrameRows is rows points of input, of which frame(dst, lo, hi) seals rows
 // [lo, hi) into one frame stream appended to dst, as points.AppendFrame
-// does. The master calls it each time it assigns the task — again, and for
-// the same bytes, on a retry — from RPC handlers, concurrently and outside
-// its own lock. The result is the master's: once it has been sent it is the
-// dst of a later call, empty but with its capacity, so only the splits in
-// flight exist at any moment and a steady job allocates none.
+// does. The master calls it each time it sends the split — with its task's
+// assignment or for the worker's NextSplit, and again, for the same bytes,
+// on a retry — from RPC handlers, concurrently and outside its own lock.
+// The result is the master's: once it has been sent it is the dst of a
+// later call, empty but with its capacity, so only the splits in flight
+// exist at any moment and a steady job allocates none.
 func FrameRows(rows int, frame func(dst []byte, lo, hi int) ([]byte, error)) Input {
 	return Input{rows: rows, frame: frame}
 }
@@ -393,6 +399,18 @@ func (m *Master) WorkerCount() int {
 	return len(m.workers)
 }
 
+// workersUp (mu held) counts the registered workers the health sweep has
+// not declared dead: those Run cuts a job's input into shares for.
+func (m *Master) workersUp() int {
+	n := 0
+	for _, w := range m.workers {
+		if w.state != WorkerDead {
+			n++
+		}
+	}
+	return n
+}
+
 // Run executes one job across the connected workers and blocks until it
 // completes, fails, or ctx is cancelled. Only one job runs at a time;
 // concurrent Run calls return an error. The result is what
@@ -470,15 +488,25 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		nextTrack:  1, // track 0 is the master's own timeline row
 		counters:   mapreduce.NewCounters(),
 	}
-	// One map task per SplitSize rows, or as many as a whole input says;
-	// assignTask cuts the split.
-	splits := (input.rows + m.cfg.SplitSize - 1) / m.cfg.SplitSize
+	// A whole input is as many map tasks as it says, each one message. Rows
+	// are cut into S splits of SplitSize, and a map task is a worker's share
+	// of them, as in process: W tasks, W the workers not dead now clamped to
+	// [1, S], task i the splits ⌈i·S/W⌉ … ⌈(i+1)·S/W⌉ − 1. A task's windows
+	// fold its whole share warm, and what a job shuffles is a function of
+	// its input and W.
 	if input.tasks > 0 {
-		splits = input.tasks
+		for i := 0; i < input.tasks; i++ {
+			js.tasks = append(js.tasks, &taskState{id: i, end: 1})
+		}
+	} else if splits := (input.rows + m.cfg.SplitSize - 1) / m.cfg.SplitSize; splits > 0 {
+		w := min(max(m.workersUp(), 1), splits)
+		for i := 0; i < w; i++ {
+			js.tasks = append(js.tasks, &taskState{id: i, first: (i*splits + w - 1) / w, end: ((i+1)*splits + w - 1) / w})
+		}
 	}
-	js.frameOut = make([][][]byte, splits)
-	for i := 0; i < splits; i++ {
-		js.tasks = append(js.tasks, &taskState{id: i})
+	mapTasks := len(js.tasks)
+	js.frameOut = make([][][]byte, mapTasks)
+	for i := range js.tasks {
 		js.pending = append(js.pending, i)
 	}
 	m.job = js
@@ -488,9 +516,9 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		telemetry.A("records", input.rows), telemetry.A("reducers", spec.Reducers),
 		telemetry.A("trace", js.traceID))
 	m.cfg.Events.Info("phase start", telemetry.A("job", spec.Name),
-		telemetry.A("phase", "map"), telemetry.A("tasks", splits))
+		telemetry.A("phase", "map"), telemetry.A("tasks", mapTasks))
 
-	if splits == 0 {
+	if mapTasks == 0 {
 		// Degenerate empty input: go straight to reduce with no groups.
 		m.mu.Lock()
 		m.startReducePhase(js)
@@ -523,7 +551,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	// the job span.
 	redDur := time.Since(js.redStart)
 	telemetry.RecordSpan(ctx, "map", js.mapStart, js.mapDur,
-		telemetry.A("tasks", splits))
+		telemetry.A("tasks", mapTasks))
 	telemetry.RecordSpan(ctx, "shuffle", js.mapStart.Add(js.mapDur), js.shuffleDur)
 	telemetry.RecordSpan(ctx, "reduce", js.redStart, redDur,
 		telemetry.A("tasks", spec.Reducers))

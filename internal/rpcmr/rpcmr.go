@@ -110,7 +110,8 @@ const (
 	// is; as RequestTask's own answer it means a hold ran out, and the
 	// worker pauses WorkerConfig.PollInterval before asking again.
 	TaskWait TaskKind = iota
-	// TaskMap carries one input split, as a frame stream, to map and combine.
+	// TaskMap carries a map task — a worker's share of the input splits,
+	// the first of them as a frame stream — to map and combine.
 	TaskMap
 	// TaskReduce carries one reducer's frame streams to reduce.
 	TaskReduce
@@ -156,7 +157,12 @@ type TaskReply struct {
 	// TaskID, what a job whose tasks all receive the whole input (see
 	// WholeFrames) divides its work by.
 	Tasks int
-	// Map payload: the split as one sealed frame stream. Like every frame
+	// Splits, on a map task, is how many splits its share is. Frames
+	// carries the first; the worker fetches each of the others with
+	// Master.NextSplit, whose reply is a TaskReply too, once it has walked
+	// the one before.
+	Splits int
+	// Map payload: a split as one sealed frame stream. Like every frame
 	// payload it crosses outside gob, in the message's payload section (see
 	// wire), into the memory the receiver's TaskReply already has.
 	Frames []byte
@@ -192,6 +198,16 @@ func (t *TaskReply) sent() {
 // held must be dead.
 func (t TaskReply) emptied() TaskReply {
 	return TaskReply{Frames: t.Frames[:0], FrameStreams: t.FrameStreams[:0]}
+}
+
+// SplitArgs asks for split Split (1 … TaskReply.Splits − 1) of the map task
+// the worker holds, named by its job, id and attempt, echoed.
+type SplitArgs struct {
+	WorkerID string
+	Job      uint64
+	TaskID   int
+	Attempt  int
+	Split    int
 }
 
 // MapResultArgs reports a finished map task: its output, partitioned by

@@ -95,8 +95,8 @@ func (s *MasterService) RequestTask(args TaskArgs, reply *TaskReply) error {
 // assignTask (mu held) fills reply with the next assignment for worker:
 // a task, a wait directive, or a shutdown notice. Shared by RequestTask
 // and the piggybacked ResultReply.Next so both hand out identical
-// leases. It lets go of mu while it seals a map task's input: a handler
-// calls it last, or reads the master's state afresh after it.
+// leases. It lets go of mu while it seals a map task's first split: a
+// handler calls it last, or reads the master's state afresh after it.
 func (m *Master) assignTask(worker string, reply *TaskReply) {
 	if m.shutdown {
 		reply.Kind = TaskShutdown
@@ -152,13 +152,25 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 		reply.FrameStreams = js.frameStreams[id]
 		return
 	}
-	// A map task: input rows [lo, hi). The split is sealed now, from the
-	// job's rows, into a buffer that is this reply's alone until the reply
-	// has been sent — a retry seals it again, into another. It is megabytes,
-	// so mu is released meanwhile: heartbeats, reports and health sweeps
-	// must not wait on an encode.
-	lo, hi := id*m.cfg.SplitSize, min((id+1)*m.cfg.SplitSize, js.input.rows)
+	// A map task: its share's first split rides on the assignment, and the
+	// worker fetches each of the others (NextSplit).
 	reply.Tasks = len(js.tasks)
+	reply.Splits = t.end - t.first
+	if !m.sealSplit(js, worker, t.first, reply) {
+		*reply = TaskReply{Kind: TaskWait}
+	}
+}
+
+// sealSplit (mu held) seals split of js's input — rows [split·SplitSize, …)
+// of a FrameRows input, all of a whole one — into reply.Frames, and says
+// whether it could; when it could not, the job has failed. The split goes
+// into a buffer of the job's free list that is this reply's alone until the
+// reply has been sent; a retry seals it again, into another. It is
+// megabytes, so mu is released meanwhile: heartbeats, reports and health
+// sweeps must not wait on an encode. A handler calls it last, or reads the
+// master's state afresh after it.
+func (m *Master) sealSplit(js *jobState, worker string, split int, reply *TaskReply) bool {
+	lo, hi := split*m.cfg.SplitSize, min((split+1)*m.cfg.SplitSize, js.input.rows)
 	var dst []byte
 	if n := len(js.spare); n > 0 {
 		dst, js.spare = js.spare[n-1], js.spare[:n-1]
@@ -166,14 +178,13 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	m.mu.Unlock()
 	frame, err := js.input.frame(dst, lo, hi)
 	if err == nil && len(frame) > m.maxSplit {
-		err = fmt.Errorf("a %d-byte frame is more than the %d bytes one task message may carry: lower MasterConfig.SplitSize (%d rows)",
+		err = fmt.Errorf("a %d-byte frame is more than the %d bytes one message may carry: lower MasterConfig.SplitSize (%d rows)",
 			len(frame), m.maxSplit, m.cfg.SplitSize)
 	}
 	m.mu.Lock()
 	if err != nil {
-		m.finish(js, fmt.Errorf("rpcmr: sealing the input of map task %d: %w", id, err))
-		*reply = TaskReply{Kind: TaskWait}
-		return
+		m.finish(js, fmt.Errorf("rpcmr: sealing split %d of the input: %w", split, err))
+		return false
 	}
 	reply.Frames = frame
 	reply.onSent = func() {
@@ -184,6 +195,35 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	if reg := m.cfg.Metrics; reg != nil {
 		reg.Counter("rpcmr_input_bytes_total", telemetry.L("worker", worker)).Add(int64(len(frame)))
 	}
+	return true
+}
+
+// NextSplit hands the worker running a map task split args.Split of its
+// share, sealed as the first was, in a TaskReply of kind TaskMap, and renews
+// the task's lease. A fetch for a job, task or attempt that is no longer
+// current — the lease ran out and the share was queued again, a report of
+// the share was accepted, the job ended — or for a split outside the share
+// is refused: the reply is TaskWait, and the worker drops the task without
+// reporting it.
+func (s *MasterService) NextSplit(args SplitArgs, reply *TaskReply) error {
+	m := s.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.touchWorker(args.WorkerID)
+	js := m.job
+	if js == nil || js.seq != args.Job || js.phase != TaskMap || isClosed(js.finished) ||
+		args.TaskID < 0 || args.TaskID >= len(js.tasks) {
+		return nil
+	}
+	t := js.tasks[args.TaskID]
+	if !t.running || t.complete || t.attempt != args.Attempt || args.Split < 1 || args.Split >= t.end-t.first {
+		return nil
+	}
+	t.deadline = time.Now().Add(m.cfg.TaskLease)
+	if m.sealSplit(js, args.WorkerID, t.first+args.Split, reply) {
+		reply.Kind = TaskMap
+	}
+	return nil
 }
 
 // ReportMap receives a map task result.
@@ -214,6 +254,9 @@ func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error 
 		return nil // first writer won already
 	}
 	if args.Err != "" {
+		if args.Attempt != t.attempt {
+			return nil // a superseded attempt's: its share was queued again already
+		}
 		t.running = false
 		t.attempt++
 		t.failures++

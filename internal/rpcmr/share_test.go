@@ -1,0 +1,474 @@
+package rpcmr
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/mapreduce"
+	"repro/internal/points"
+	"repro/internal/skyline"
+)
+
+// noLeak fails t unless, once t's other cleanups have run, the process is
+// back to at most the goroutines it had when noLeak was called. Call it
+// before the test starts anything: cleanups run last-in first-out.
+func noLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines after the test, %d before it:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+				return
+			}
+		}
+	})
+}
+
+// idleWorkers registers n workers that never ask for a task. Each counts
+// toward the shares a job is cut into, and leaves its share to the workers
+// that run.
+func idleWorkers(t *testing.T, m *Master, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		w, err := NewWorker(WorkerConfig{MasterAddr: m.Addr(), ID: fmt.Sprintf("idle%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+	}
+}
+
+// joinAfter starts a worker named "healthy" once every worker of gone has
+// exited.
+func joinAfter(t *testing.T, m *Master, gone *sync.WaitGroup) {
+	go func() {
+		gone.Wait()
+		healthy, err := NewWorker(WorkerConfig{MasterAddr: m.Addr(), ID: "healthy"})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		t.Cleanup(func() { healthy.Close() })
+		_ = healthy.Run(context.Background())
+	}()
+}
+
+// splitLog remembers, by first row, the first frame sealed for every split
+// of a setFrames input, and fails t when a split is sealed again to other
+// bytes; resealed counts the splits sealed again.
+type splitLog struct {
+	t        *testing.T
+	mu       sync.Mutex
+	first    map[int][]byte
+	resealed int
+}
+
+func newSplitLog(t *testing.T) *splitLog { return &splitLog{t: t, first: map[int][]byte{}} }
+
+func (l *splitLog) built(lo, hi int, frame []byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if prev, ok := l.first[lo]; !ok {
+		l.first[lo] = bytes.Clone(frame)
+	} else if l.resealed++; !bytes.Equal(prev, frame) {
+		l.t.Errorf("split [%d, %d): sealed again to other bytes", lo, hi)
+	}
+}
+
+func (l *splitLog) count() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.resealed
+}
+
+// requireFrameOracle fails t unless res is the skyline-frame job's result
+// over data: per partition of the job's routing rule, classic skyline.BNL of
+// the rows routed to it, every row mapped once.
+func requireFrameOracle(t *testing.T, res *mapreduce.FrameResult, data points.Set) {
+	t.Helper()
+	groups := map[int]points.Set{}
+	for _, p := range data {
+		id := int(p[0]) % frameParts
+		groups[id] = append(groups[id], p)
+	}
+	if len(res.Blocks) != len(groups) {
+		t.Fatalf("partitions: cluster %d, reference %d", len(res.Blocks), len(groups))
+	}
+	for id, g := range groups {
+		blk := res.Blocks[id]
+		if blk == nil {
+			t.Fatalf("partition %d missing from the cluster's result", id)
+		}
+		if want, got := distinctSorted(skyline.BNL(g)), distinctSorted(blk.ToSet()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("partition %d: a skyline of %d points, the oracle's has %d", id, len(got), len(want))
+		}
+	}
+	if in := res.Counters.Get(mapreduce.CounterMapIn); in != int64(len(data)) {
+		t.Errorf("mr.map.records.in = %d, want the input's %d rows", in, len(data))
+	}
+}
+
+// requireOneFault fails t unless the master has counted exactly one task
+// retry and one lost worker.
+func requireOneFault(t *testing.T, m *Master) {
+	t.Helper()
+	if st := m.Status(); st.TaskRetries != 1 || st.WorkerFailures != 1 {
+		t.Errorf("%d task retries and %d worker failures; want one of each", st.TaskRetries, st.WorkerFailures)
+	}
+}
+
+// outcome is what one Run returned.
+type outcome struct {
+	res *mapreduce.FrameResult
+	err error
+}
+
+// runAsync starts the skyline-frame job over input on m.
+func runAsync(m *Master, input Input) <-chan outcome {
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := m.Run(context.Background(), JobSpec{Name: "skyline-frame", Reducers: 2}, input)
+		done <- outcome{res, err}
+	}()
+	return done
+}
+
+// take is a task request by hand, repeated until the answer is a task.
+func take(svc *MasterService, worker string) TaskReply {
+	for {
+		var task TaskReply
+		_ = svc.RequestTask(TaskArgs{WorkerID: worker}, &task)
+		if task.Kind != TaskWait {
+			return task
+		}
+	}
+}
+
+// fetch is one NextSplit by hand.
+func fetch(svc *MasterService, worker string, job uint64, task, attempt, split int) TaskReply {
+	var reply TaskReply
+	_ = svc.NextSplit(SplitArgs{WorkerID: worker, Job: job, TaskID: task, Attempt: attempt, Split: split}, &reply)
+	return reply
+}
+
+// handMap maps, as worker, a map task taken by hand — fetching the splits
+// after its first as a worker does — and returns its report, Final: nothing
+// is to ride back on it.
+func handMap(t *testing.T, svc *MasterService, worker string, task *TaskReply) MapResultArgs {
+	t.Helper()
+	job, err := lookupJob(task.JobName, task.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := func(i int) ([]byte, error) {
+		if i == 0 {
+			return task.Frames, nil
+		}
+		next := fetch(svc, worker, task.Job, task.TaskID, task.Attempt, i)
+		if next.Kind != TaskMap {
+			return nil, fmt.Errorf("split %d of map task %d refused", i, task.TaskID)
+		}
+		return next.Frames, nil
+	}
+	parts, st, err := mapreduce.MapFrames(job.FrameJob, task.Splits, split, task.TaskID, task.Tasks, task.Reducers, job.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return MapResultArgs{WorkerID: worker, Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt, FrameParts: parts, Stats: st, Final: true}
+}
+
+// reportMap sends a map report by hand and says whether it was accepted.
+func reportMap(svc *MasterService, args MapResultArgs) bool {
+	var reply ResultReply
+	_ = svc.ReportMap(args, &reply)
+	return reply.Accepted
+}
+
+// handFinish runs, as worker, every task svc hands out until the run ends,
+// and returns its result.
+func handFinish(t *testing.T, svc *MasterService, worker string, done <-chan outcome) *mapreduce.FrameResult {
+	t.Helper()
+	for {
+		select {
+		case out := <-done:
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			return out.res
+		default:
+		}
+		var task TaskReply
+		_ = svc.RequestTask(TaskArgs{WorkerID: worker}, &task)
+		switch task.Kind {
+		case TaskMap:
+			reportMap(svc, handMap(t, svc, worker, &task))
+		case TaskReduce:
+			job, err := lookupJob(task.JobName, task.Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames, st, err := executeReduce(job, &task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply ResultReply
+			_ = svc.ReportReduce(ReduceResultArgs{WorkerID: worker, Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt,
+				Frames: frames, Stats: st, Final: true}, &reply)
+		}
+	}
+}
+
+// expireLease runs out the lease of the running job's task, as its holder's
+// silence would.
+func expireLease(m *Master, task int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.job.tasks[task].deadline = time.Now()
+}
+
+// leaseOf is the deadline of the running job's task.
+func leaseOf(m *Master, task int) time.Time {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.job.tasks[task].deadline
+}
+
+// TestShareRule: a map task is a worker's share of the splits. With S splits
+// and W workers that are not dead when the job starts, a job has W map tasks,
+// W clamped to [1, S], and task i holds the splits ⌈i·S/W⌉ … ⌈(i+1)·S/W⌉ − 1:
+// the first rides on the assignment, each later one is sealed for its own
+// NextSplit, in order, and a fetch past the share is refused.
+func TestShareRule(t *testing.T) {
+	ensureFrameJobs()
+	const split = 10
+	for _, tc := range []struct {
+		splits, workers int
+		shares          [][2]int // each task's splits, [first, end)
+	}{
+		{8, 3, [][2]int{{0, 3}, {3, 6}, {6, 8}}},
+		{16, 3, [][2]int{{0, 6}, {6, 11}, {11, 16}}},
+		{16, 2, [][2]int{{0, 8}, {8, 16}}},
+		{5, 2, [][2]int{{0, 3}, {3, 5}}},
+		{2, 4, [][2]int{{0, 1}, {1, 2}}}, // more workers than splits
+		{3, 0, [][2]int{{0, 3}}},         // no worker yet: one task
+	} {
+		name := fmt.Sprintf("%d splits, %d workers", tc.splits, tc.workers)
+		master, _, _ := newCluster(t, MasterConfig{SplitSize: split, LivenessWindow: time.Minute}, 0, WorkerConfig{})
+		svc := &MasterService{m: master}
+		// A worker the health sweep has declared dead is not counted.
+		_ = svc.Register(RegisterArgs{WorkerID: "gone"}, &RegisterReply{})
+		master.sweepWorkerStates(time.Now().Add(time.Hour))
+		master.sweepWorkerStates(time.Now().Add(time.Hour))
+		for i := 0; i < tc.workers; i++ {
+			_ = svc.Register(RegisterArgs{WorkerID: fmt.Sprint("w", i)}, &RegisterReply{})
+		}
+		data := frameClusterData(tc.splits*split, 3, 1)[:tc.splits*split]
+		// The splits sealed, in order. Only this goroutine asks for them.
+		var sealed []int
+		done := runAsync(master, FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) {
+			sealed = append(sealed, lo/split)
+			return points.AppendFrameRows(dst, 0, data[lo:hi])
+		}))
+		for i, share := range tc.shares {
+			sealed = sealed[:0]
+			task := take(svc, "w0")
+			if task.Kind != TaskMap || task.TaskID != i || task.Tasks != len(tc.shares) || task.Splits != share[1]-share[0] {
+				t.Fatalf("%s: kind %d, task %d of %d with %d splits; want map task %d of %d with %d",
+					name, task.Kind, task.TaskID, task.Tasks, task.Splits, i, len(tc.shares), share[1]-share[0])
+			}
+			for s := 1; s < task.Splits; s++ {
+				if next := fetch(svc, "w0", task.Job, task.TaskID, task.Attempt, s); next.Kind != TaskMap || len(next.Frames) == 0 {
+					t.Fatalf("%s: split %d of task %d refused", name, s, i)
+				}
+			}
+			if past := fetch(svc, "w0", task.Job, task.TaskID, task.Attempt, task.Splits); past.Kind != TaskWait {
+				t.Errorf("%s: task %d: a fetch past its share was served", name, i)
+			}
+			var want []int
+			for s := share[0]; s < share[1]; s++ {
+				want = append(want, s)
+			}
+			if !reflect.DeepEqual(sealed, want) {
+				t.Errorf("%s: task %d was sealed splits %v, want %v", name, i, sealed, want)
+			}
+		}
+		if st := master.Status(); st.TasksTotal != len(tc.shares) || st.Pending != 0 {
+			t.Errorf("%s: %d map tasks, %d pending; want %d, none pending", name, st.TasksTotal, st.Pending, len(tc.shares))
+		}
+		master.Close()
+		if out := <-done; out.err == nil {
+			t.Errorf("%s: the job finished though no task was reported", name)
+		}
+	}
+}
+
+// TestShareLostWithItsWorker: a worker that vanishes holding a share
+// (WorkerConfig.VanishAfterTasks) loses all of it. Its lease runs out, the
+// share is queued again, and a worker that joins later maps the whole
+// share, its first split sealed again to the same bytes. The result is the
+// oracle's, and the master counts one retry and one lost worker.
+func TestShareLostWithItsWorker(t *testing.T) {
+	noLeak(t)
+	ensureFrameJobs()
+	master, _, doomed := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: 200 * time.Millisecond}, 1, WorkerConfig{VanishAfterTasks: 1})
+	idleWorkers(t, master, 1) // two shares: the doomed worker maps one and vanishes holding the other
+	joinAfter(t, master, doomed)
+	data := frameClusterData(1000, 3, 12) // 1 200 rows: two shares of six splits
+	log := newSplitLog(t)
+	out := <-runAsync(master, setFrames(data, log.built))
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	requireFrameOracle(t, out.res, data)
+	requireOneFault(t, master)
+	if n := log.count(); n != 1 {
+		t.Errorf("%d splits sealed again; want the lost share's first, which rode on its assignment", n)
+	}
+}
+
+// TestShareConnectionDropsMidShare: a worker whose connection drops after it
+// has fetched some of its share's splits takes the share with it. The lease,
+// which each fetch renewed, runs out, and a worker that joins later maps the
+// share from its first split, each split the lost worker had sealed again
+// to the same bytes. The result is the oracle's, with one retry and one
+// lost worker.
+func TestShareConnectionDropsMidShare(t *testing.T) {
+	noLeak(t)
+	ensureFrameJobs()
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: 200 * time.Millisecond}, 0, WorkerConfig{})
+	flaky, err := dial(master.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flaky.Close()
+	if err := flaky.Call("Master.Register", &RegisterArgs{WorkerID: "flaky"}, &RegisterReply{}); err != nil {
+		t.Fatal(err)
+	}
+	data := frameClusterData(1000, 3, 13) // 1 200 rows: one share of twelve splits
+	log := newSplitLog(t)
+	done := runAsync(master, setFrames(data, log.built))
+	var task TaskReply
+	if err := flaky.Call("Master.RequestTask", &TaskArgs{WorkerID: "flaky"}, &task); err != nil {
+		t.Fatal(err)
+	}
+	if task.Kind != TaskMap || task.Splits != 12 {
+		t.Fatalf("kind %d with %d splits, want the one map task of twelve", task.Kind, task.Splits)
+	}
+	const k = 3
+	for i := 1; i <= k; i++ {
+		var next TaskReply
+		args := SplitArgs{WorkerID: "flaky", Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt, Split: i}
+		if err := flaky.Call("Master.NextSplit", &args, &next); err != nil || next.Kind != TaskMap || len(next.Frames) == 0 {
+			t.Fatalf("split %d: kind %d, %d bytes, error %v", i, next.Kind, len(next.Frames), err)
+		}
+	}
+	flaky.Close()
+	healthy, err := NewWorker(WorkerConfig{MasterAddr: master.Addr(), ID: "healthy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { healthy.Close() })
+	go func() { _ = healthy.Run(context.Background()) }()
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	requireFrameOracle(t, out.res, data)
+	requireOneFault(t, master)
+	if n := log.count(); n != 1+k {
+		t.Errorf("%d splits sealed again; want the %d the lost worker had", n, 1+k)
+	}
+}
+
+// TestStaleFetchRefused: a split is served to the current attempt of a
+// running job's map task alone, and serving it renews the task's lease.
+// Once a share's lease has run out and another worker holds it, a fetch by
+// the superseded attempt is refused, as is one that names another job or a
+// split past the share; the new attempt's fetches are served. The result is
+// the oracle's, with one retry and one lost worker.
+func TestStaleFetchRefused(t *testing.T) {
+	noLeak(t)
+	ensureFrameJobs()
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: time.Minute, LivenessWindow: 200 * time.Millisecond}, 0, WorkerConfig{})
+	svc := &MasterService{m: master}
+	_ = svc.Register(RegisterArgs{WorkerID: "old"}, &RegisterReply{})
+	data := frameClusterData(500, 3, 14) // 600 rows: one share of six splits
+	done := runAsync(master, setFrames(data, nil))
+	old := take(svc, "old")
+	before := leaseOf(master, old.TaskID)
+	if next := fetch(svc, "old", old.Job, old.TaskID, old.Attempt, 1); next.Kind != TaskMap {
+		t.Fatal("the current attempt's fetch was refused")
+	}
+	if !leaseOf(master, old.TaskID).After(before) {
+		t.Error("a fetch did not renew the task's lease")
+	}
+	expireLease(master, old.TaskID)
+	fresh := take(svc, "fresh")
+	if fresh.Kind != TaskMap || fresh.TaskID != old.TaskID || fresh.Attempt != old.Attempt+1 {
+		t.Fatalf("kind %d, task %d attempt %d; want the expired share again", fresh.Kind, fresh.TaskID, fresh.Attempt)
+	}
+	for name, refused := range map[string]TaskReply{
+		"superseded attempt":   fetch(svc, "old", old.Job, old.TaskID, old.Attempt, 2),
+		"another job":          fetch(svc, "fresh", fresh.Job+1, fresh.TaskID, fresh.Attempt, 2),
+		"split past the share": fetch(svc, "fresh", fresh.Job, fresh.TaskID, fresh.Attempt, fresh.Splits),
+	} {
+		if refused.Kind != TaskWait || len(refused.Frames) != 0 {
+			t.Errorf("%s: kind %d with %d bytes, want refused", name, refused.Kind, len(refused.Frames))
+		}
+	}
+	if !reportMap(svc, handMap(t, svc, "fresh", &fresh)) {
+		t.Error("the current attempt's report was not accepted")
+	}
+	requireFrameOracle(t, handFinish(t, svc, "fresh", done), data)
+	requireOneFault(t, master)
+}
+
+// TestLateReportNotCounted: an attempt whose lease ran out may still finish
+// its share and report it, late. A failure it reports is not the share's —
+// the share was queued again when the attempt was superseded — and the
+// share's first accepted report wins: once the attempt that superseded it
+// has reported, the late report is not accepted, and neither its output nor
+// its tallies are counted.
+func TestLateReportNotCounted(t *testing.T) {
+	noLeak(t)
+	ensureFrameJobs()
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: time.Minute, LivenessWindow: 200 * time.Millisecond}, 0, WorkerConfig{})
+	svc := &MasterService{m: master}
+	for _, id := range []string{"late", "prompt"} {
+		_ = svc.Register(RegisterArgs{WorkerID: id}, &RegisterReply{})
+	}
+	data := frameClusterData(1000, 3, 15) // 1 200 rows: two shares of six splits
+	done := runAsync(master, setFrames(data, nil))
+	late := take(svc, "late")
+	lateReport := handMap(t, svc, "late", &late) // the whole share, reported below
+	other := take(svc, "prompt")
+	expireLease(master, late.TaskID)
+	again := take(svc, "prompt")
+	if again.TaskID != late.TaskID || again.Attempt != late.Attempt+1 {
+		t.Fatalf("task %d attempt %d; want the expired share again", again.TaskID, again.Attempt)
+	}
+	lateFailure := lateReport
+	lateFailure.Err = "the superseded attempt failed"
+	if reportMap(svc, lateFailure) {
+		t.Error("a superseded attempt's failure report was accepted")
+	}
+	if !reportMap(svc, handMap(t, svc, "prompt", &again)) {
+		t.Error("the superseding attempt's report was not accepted")
+	}
+	if reportMap(svc, lateReport) {
+		t.Error("a late report from a superseded attempt was accepted")
+	}
+	if !reportMap(svc, handMap(t, svc, "prompt", &other)) {
+		t.Error("the other share's report was not accepted")
+	}
+	requireFrameOracle(t, handFinish(t, svc, "prompt", done), data)
+	requireOneFault(t, master)
+}

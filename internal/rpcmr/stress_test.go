@@ -8,9 +8,11 @@ import (
 	"time"
 )
 
-// TestStressManyTasksWithChaos runs a 200-task job over 6 workers, two of
-// which crash while holding tasks partway through; lease reassignment must
-// carry the job to a correct result.
+// TestStressManyTasksWithChaos runs jobs of 200 one-row splits over 6
+// workers, two of which crash holding their second task: one job after
+// another, until both have gone and their tasks' leases have run out.
+// Lease reassignment — of a whole share, of a reduce task — must carry every
+// job to a correct result, whichever task a doomed worker held.
 func TestStressManyTasksWithChaos(t *testing.T) {
 	ensureJobs()
 	master, err := NewMaster(MasterConfig{
@@ -29,7 +31,7 @@ func TestStressManyTasksWithChaos(t *testing.T) {
 			PollInterval: 2 * time.Millisecond,
 		}
 		if i < 2 {
-			cfg.VanishAfterTasks = 5 // the first two die early, holding a task
+			cfg.VanishAfterTasks = 1 // the first two die early, holding a task
 		}
 		w, err := NewWorker(cfg)
 		if err != nil {
@@ -39,24 +41,29 @@ func TestStressManyTasksWithChaos(t *testing.T) {
 		go func() { _ = w.Run(context.Background()) }()
 	}
 
-	// 200 one-row tasks: word i%13, and after every one the common word 13.
+	// 200 one-row splits: word i%13, and after every one the common word 13.
 	var ids []int
 	for i := 0; i < 100; i++ {
 		ids = append(ids, i%13, 13)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 4}, setFrames(tallyRows(ids...), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tallies(t, res)
-	if got[13] != 100 {
-		t.Errorf("common = %d, want 100", got[13])
-	}
-	for i := 0; i < 13; i++ {
-		if n := got[i]; n < 7 || n > 8 {
-			t.Errorf("word%d = %d, want 7..8", i, n)
+	for job := 0; master.Status().WorkerFailures < 2; job++ {
+		if job == 10 {
+			t.Fatalf("%d lost workers after %d jobs, want the 2 doomed ones", master.Status().WorkerFailures, job)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		res, err := master.Run(ctx, JobSpec{Name: "wordcount", Reducers: 4}, setFrames(tallyRows(ids...), nil))
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tallies(t, res)
+		if got[13] != 100 {
+			t.Errorf("job %d: common = %d, want 100", job, got[13])
+		}
+		for i := 0; i < 13; i++ {
+			if n := got[i]; n < 7 || n > 8 {
+				t.Errorf("job %d: word%d = %d, want 7..8", job, i, n)
+			}
 		}
 	}
 }

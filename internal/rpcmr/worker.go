@@ -2,6 +2,7 @@ package rpcmr
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/rpc"
 	"sync"
@@ -240,9 +241,15 @@ func (w *Worker) taskSpan(task *TaskReply, name string) (span *telemetry.Span, f
 	}
 }
 
+// errSplitRefused ends a map task whose next split the master refused.
+var errSplitRefused = errors.New("rpcmr: split refused: the task is no longer this attempt's")
+
 // runMap executes the map task in *task and reports it; what rides back on
 // the report's reply — the next assignment, read into the task's own
-// memory — replaces it.
+// memory — replaces it. The share's splits after the first are fetched one
+// at a time into the memory the first came in, once the one before has
+// been walked. If the master refuses a fetch, the task is dropped
+// unreported and the worker asks for another.
 func (w *Worker) runMap(task *TaskReply) error {
 	args := MapResultArgs{
 		WorkerID: w.cfg.ID,
@@ -255,9 +262,32 @@ func (w *Worker) runMap(task *TaskReply) error {
 	span, finish := w.taskSpan(task, "map-task")
 	start := time.Now()
 	w.stall()
+	var lost error // the connection failed under a fetch
+	split := func(i int) ([]byte, error) {
+		if i > 0 {
+			next := TaskReply{Frames: task.Frames[:0]}
+			fetch := SplitArgs{WorkerID: w.cfg.ID, Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt, Split: i}
+			if lost = w.client.Call("Master.NextSplit", &fetch, &next); lost != nil {
+				return nil, lost
+			}
+			task.Frames = next.Frames
+			if next.Kind != TaskMap {
+				return nil, errSplitRefused
+			}
+		}
+		return task.Frames, nil
+	}
 	job, err := lookupJob(task.JobName, task.Params)
 	if err == nil {
-		args.FrameParts, args.Stats, err = mapreduce.MapFrames(job.FrameJob, task.Frames, task.TaskID, task.Tasks, task.Reducers, job.Codec)
+		args.FrameParts, args.Stats, err = mapreduce.MapFrames(job.FrameJob, task.Splits, split, task.TaskID, task.Tasks, task.Reducers, job.Codec)
+	}
+	switch {
+	case lost != nil:
+		return fmt.Errorf("rpcmr: worker %s: next split of map task %d: %w", w.cfg.ID, task.TaskID, lost)
+	case errors.Is(err, errSplitRefused):
+		finish(true)
+		*task = task.emptied()
+		return nil
 	}
 	// The span's record count is input rows: the task learns it from the
 	// frames it walked.

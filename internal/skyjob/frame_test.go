@@ -13,6 +13,7 @@ import (
 	"repro/internal/points"
 	"repro/internal/rpcmr"
 	"repro/internal/skyline"
+	"repro/internal/telemetry"
 )
 
 // TestSpecForFitsLikePartitionNew: the spec's angular cuts are those of
@@ -84,7 +85,7 @@ func TestFramedMapSideMatchesBlockCombiner(t *testing.T) {
 	if job.FrameJob.Accumulators == nil || job.FrameJob.Combiner != nil {
 		t.Fatal("the BNL partitioning job does not fold map-side windows")
 	}
-	got, gotStats, err := mapreduce.MapFrames(job.FrameJob, frame, 0, 1, 3, spec.Codec)
+	got, gotStats, err := mapreduce.MapFrames(job.FrameJob, 1, func(int) ([]byte, error) { return frame, nil }, 0, 1, 3, spec.Codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestFramedMapSideMatchesBlockCombiner(t *testing.T) {
 // which fits a spec to data and runs the whole pipeline on them — after one
 // run that has warmed the accumulator pools, the gob type tables and the
 // workers' reply buffers.
-func warmCluster(tb testing.TB, data points.Set, splitSize int) (run func()) {
+func warmCluster(tb testing.TB, data points.Set, splitSize int) (run func(ctx context.Context) *Result) {
 	tb.Helper()
 	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: splitSize})
 	if err != nil {
@@ -127,16 +128,18 @@ func warmCluster(tb testing.TB, data points.Set, splitSize int) (run func()) {
 		tb.Cleanup(func() { w.Close() })
 		go func() { _ = w.Run(context.Background()) }()
 	}
-	run = func() {
+	run = func(ctx context.Context) *Result {
 		spec, err := SpecFor(data, partition.Angular, 8)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := ComputeSpec(context.Background(), master, data, spec, 2); err != nil {
+		res, err := ComputeSpec(ctx, master, data, spec, 2)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		return res
 	}
-	run()
+	run(context.Background())
 	return run
 }
 
@@ -153,20 +156,20 @@ func warmCluster(tb testing.TB, data points.Set, splitSize int) (run func()) {
 // a GC has emptied the accumulator pools; the race detector, which drops
 // pool puts at random, triples it — hence the driver test's bound of 0.05.
 //
-// Bytes, at the benchmark's shape (1 000 000 points in sixteen splits): less
-// than the 48 of the point itself. With every split sealed, gob-encoded and
-// gob-decoded into fresh memory the input alone cost 145 bytes a point
-// (174 in all); sealed into a job's two or three recycled buffers and read
-// into the workers' own it costs 6–9, and the rest — some 25 MB a job,
-// whatever moves the input: sealed map output, the reducers' blocks, window
-// growth — is what is left (34–36 in all). At 200 000 points that rest is
-// 65 bytes a point by itself, which is why the bound is not asserted there.
+// Bytes, at the benchmark's shape (1 000 000 points in sixteen splits, a
+// share of eight for each of the two workers): less than the 48 of the
+// point itself. With every split sealed, gob-encoded and gob-decoded into
+// fresh memory the input alone cost 145 bytes a point (174 in all); sealed
+// into a job's two or three recycled buffers and read into the workers' own
+// it costs 6–9, and the rest — sealed map output, the reducers' blocks,
+// window growth — is what is left. At 200 000 points that rest is most of
+// the bytes a point, which is why the bound is not asserted there.
 func TestClusterMapAllocatesPerTaskNotPerPoint(t *testing.T) {
 	measure := func(n, splitSize int) (mallocs, bytes float64) {
 		run := warmCluster(t, uniformSet(42, n, 6), splitSize)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		run()
+		run(context.Background())
 		runtime.ReadMemStats(&after)
 		mallocs = float64(after.Mallocs-before.Mallocs) / float64(n)
 		bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
@@ -185,15 +188,28 @@ func TestClusterMapAllocatesPerTaskNotPerPoint(t *testing.T) {
 }
 
 // BenchmarkClusterJob is one whole cluster job — fit and both rpcmr jobs —
-// on 200 000 6-dimensional points over two loopback workers: CI prints its
-// ns/op and B/op beside the streamed job's.
+// on 200 000 6-dimensional points in four splits over two loopback workers:
+// CI prints its ns/op and B/op beside the streamed job's, and, as that one
+// does, the bytes a job shuffles and the partitioning job's map tasks — one
+// per worker, each a share of two splits.
 func BenchmarkClusterJob(b *testing.B) {
 	run := warmCluster(b, uniformSet(42, 200000, 6), 50000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run()
+		run(context.Background())
 	}
+	b.StopTimer()
+	rec := telemetry.NewRecorder("cluster")
+	res := run(telemetry.WithRecorder(context.Background(), rec))
+	tasks := 0
+	for _, task := range rec.Report().Tasks {
+		if task.Job == PartitionJobName && task.Kind == "map" {
+			tasks++
+		}
+	}
+	b.ReportMetric(float64(res.Stats.Counters[mapreduce.CounterShuffleBytes]), "shuffle-B/job")
+	b.ReportMetric(float64(tasks), "map-tasks/job")
 }
 
 // BenchmarkSpecFor is the cluster pipeline's prologue on the benchmark's

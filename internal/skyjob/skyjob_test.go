@@ -28,9 +28,12 @@ func uniformSet(seed int64, n, d int) points.Set {
 	return s
 }
 
+// clusterSplit is startCluster's MasterConfig.SplitSize.
+const clusterSplit = 200
+
 func startCluster(t *testing.T, workers int) *rpcmr.Master {
 	t.Helper()
-	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: 200, Events: telemetry.NewEventLog(4096)})
+	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: clusterSplit, Events: telemetry.NewEventLog(4096)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,23 +101,6 @@ func TestSkybandMonotoneInK(t *testing.T) {
 	}
 }
 
-func TestDominanceCounts(t *testing.T) {
-	s := points.Set{{0, 0}, {1, 1}, {2, 2}, {0, 3}}
-	got := DominanceCounts(s)
-	want := []int{0, 1, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("counts[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// Duplicates do not dominate each other.
-	s = points.Set{{1, 1}, {1, 1}}
-	got = DominanceCounts(s)
-	if got[0] != 0 || got[1] != 0 {
-		t.Errorf("duplicate counts = %v", got)
-	}
-}
-
 func TestTopKDominating(t *testing.T) {
 	// (0,0) dominates 3, (1,1) dominates 2, (2,2) dominates 1, (3,3) none.
 	s := points.Set{{3, 3}, {1, 1}, {0, 0}, {2, 2}}

@@ -41,24 +41,6 @@ func Skyband(s points.Set, k int) (points.Set, error) {
 	return out, nil
 }
 
-// DominanceCounts returns, for every point of s, how many other points
-// dominate it — the raw quantity behind the k-skyband and the paper's
-// point-count dominance-ability metric.
-func DominanceCounts(s points.Set) []int {
-	counts := make([]int, len(s))
-	for i, p := range s {
-		for j, q := range s {
-			if i == j {
-				continue
-			}
-			if points.DominatesOrEqual(q, p) && !q.Equal(p) {
-				counts[i]++
-			}
-		}
-	}
-	return counts
-}
-
 // TopKDominating returns the k points that dominate the most other points
 // — the "most influential services" query, the aggregate dual of the
 // skyline (the paper's §IV dominance-ability metric turned into an
