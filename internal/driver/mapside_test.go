@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -132,10 +133,14 @@ func TestPartitionCountsAreTheHistogram(t *testing.T) {
 	}
 }
 
-// TestHostileInputErrorParity: validating once, inside partition.New's
-// bounds pass, must not change what a caller sees — every hostile set is
-// rejected with the reference check's wording under this package's
-// prefix, whether the partitioner is fitted or supplied.
+// TestHostileInputErrorParity: the fit reads a sample and Job 1's map pass
+// validates every row, and neither may change what a caller sees — every
+// hostile set is rejected with the reference check's wording under this
+// package's prefix, naming its lowest offending row, whether the
+// partitioner is fitted or supplied. The large sets, 3× the fit's sample,
+// put a bad row where the sample does not reach it, so only the map pass
+// can find it — and one of them a second bad row, above it, that fails the
+// fit; no failed job leaves a spill file or a goroutine behind.
 func TestHostileInputErrorParity(t *testing.T) {
 	clean := uniformSet(3, 200, 3)
 	with := func(mutate func(points.Set) points.Set) points.Set { return mutate(clean.Clone()) }
@@ -147,6 +152,20 @@ func TestHostileInputErrorParity(t *testing.T) {
 		"zero-dim first point":  with(func(s points.Set) points.Set { s[0] = points.Point{}; return s }),
 		"empty set":             {},
 	}
+	big := uniformSet(4, 3*4096, 3)
+	unsampled := fitRow(t, big, len(big)/3, false)
+	sampled := fitRow(t, big, unsampled+1, true)
+	for name, bad := range map[string]points.Point{
+		"NaN":                {1, math.NaN(), 2},
+		"+Inf":               {math.Inf(1), 1, 2},
+		"-Inf":               {1, 2, math.Inf(-1)},
+		"dimension mismatch": {1, 2},
+	} {
+		hostile["unsampled "+name] = slices.Clone(big)
+		hostile["unsampled "+name][unsampled] = bad
+	}
+	hostile["unsampled NaN, sampled NaN"] = slices.Clone(hostile["unsampled NaN"])
+	hostile["unsampled NaN, sampled NaN"][sampled] = points.Point{math.NaN(), 1, 1}
 	for name, data := range hostile {
 		want := "driver: " + data.Validate().Error()
 		for _, scheme := range append(allSchemes(), partition.Random) {
@@ -155,15 +174,36 @@ func TestHostileInputErrorParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, opts := range []Options{
-				{Scheme: scheme},
-				{Scheme: scheme, PartitionerOverride: override},
+				{Scheme: scheme, SpillDir: t.TempDir()},
+				{Scheme: scheme, SpillDir: t.TempDir(), PartitionerOverride: override},
 			} {
+				goroutines := runtime.NumGoroutine()
 				sky, stats, err := Compute(context.Background(), data, opts)
 				if err == nil || err.Error() != want || sky != nil || stats != nil {
 					t.Errorf("%s, %v, override=%v: got (%v, %v, %v), want error %q",
 						name, scheme, opts.PartitionerOverride != nil, sky, stats, err, want)
 				}
+				assertNoLeak(t, opts.SpillDir, goroutines)
 			}
 		}
 	}
+}
+
+// fitRow is the first row of data from the given one on that
+// partition.New's angular fit at the default eight partitions reads, when
+// read is set, or does not read: the first where a NaN fails the fit, or
+// leaves it unharmed.
+func fitRow(t *testing.T, data points.Set, from int, read bool) int {
+	t.Helper()
+	for i := from; i < len(data); i++ {
+		keep := data[i]
+		data[i] = points.Point{math.NaN(), 0, 0}
+		_, err := partition.New(partition.Angular, data, 8)
+		data[i] = keep
+		if (err != nil) == read {
+			return i
+		}
+	}
+	t.Fatalf("no row from %d on where the fit's reading is %v", from, read)
+	return -1
 }

@@ -139,7 +139,13 @@ func LoadIndex(ctx context.Context, r io.Reader, opts Options) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("driver: snapshot partition key %q", rec.Key)
 		}
+		// Decode checks the encoding, not the values, and the partitioner
+		// below is fitted to a sample of the union: every row is validated
+		// here, as it is decoded.
 		p, err := points.Decode(rec.Value)
+		if err == nil {
+			err = p.Validate()
+		}
 		if err != nil {
 			return nil, err
 		}

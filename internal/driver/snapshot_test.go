@@ -3,11 +3,13 @@ package driver
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/partition"
 	"repro/internal/points"
+	"repro/internal/sequencefile"
 	"repro/internal/skyline"
 )
 
@@ -87,5 +89,31 @@ func TestSnapshotErrors(t *testing.T) {
 	corrupted[len(corrupted)/2] ^= 0xFF
 	if _, err := LoadIndex(context.Background(), bytes.NewReader(corrupted), Options{}); err == nil {
 		t.Error("corrupted snapshot accepted")
+	}
+}
+
+// TestLoadIndexValidatesEveryRow: the restored partitioner is fitted to a
+// sample of the snapshot's union, so a non-finite row the sample does not
+// draw must be refused as it is decoded, in package points' words.
+func TestLoadIndexValidatesEveryRow(t *testing.T) {
+	union := uniformSet(85, 3*4096, 3)
+	bad := fitRow(t, union, len(union)/2, false)
+	union[bad] = points.Point{1, math.NaN(), 2}
+	var buf bytes.Buffer
+	w := sequencefile.NewWriter(&buf)
+	if err := w.Append([]byte("meta"), []byte(`{"version":1,"dim":3,"partitions":8}`)); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range union {
+		if err := w.Append([]byte("0"), points.Encode(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := LoadIndex(context.Background(), &buf, Options{Scheme: partition.Angular})
+	if want := (points.Point{1, math.NaN(), 2}).Validate().Error(); err == nil || err.Error() != want {
+		t.Fatalf("LoadIndex = %v, %v; want error %q", ix, err, want)
 	}
 }

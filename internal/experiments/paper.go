@@ -202,7 +202,7 @@ func bbsKernel(s points.Set) points.Set {
 	tr, err := rtree.New(s, rtree.DefaultFanout)
 	if err != nil {
 		// Kernel signatures are infallible; an unbuildable tree means
-		// invalid points, which the driver validated already.
+		// invalid points, which Job 1's Assign rejected before routing.
 		panic("experiments: bbs kernel: " + err.Error())
 	}
 	return tr.Skyline(nil)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -424,10 +426,40 @@ func TestNewErrors(t *testing.T) {
 	}
 }
 
-// TestNewValidatesOnce: New's fused validate+bounds pass rejects what
-// points.Set.Validate rejects, in its words, under this package's prefix —
-// for every scheme, so no caller needs a validation pass of its own.
+// TestNewValidatesOnce: the fit validates the rows it reads, in one pass
+// with their bounds, and rejects what points.Set.Validate rejects, in its
+// words, under this package's prefix — for every scheme. A set no larger
+// than the sample is read, so rejected, whole; on a larger one the error
+// names the lowest bad row the sample drew, and MR-Grid's fit, which reads
+// every row, the lowest bad row.
 func TestNewValidatesOnce(t *testing.T) {
+	big := uniformSet(2, 3*fitSampleRows, 3)
+	drawn := sampleIndices(rand.New(rand.NewSource(1)), len(big), fitSampleRows)
+	isDrawn := make(map[int]bool, len(drawn))
+	for _, i := range drawn {
+		isDrawn[i] = true
+	}
+	slices.Sort(drawn)
+	first, second := drawn[10], drawn[11]
+	unsampled := first - 1
+	for isDrawn[unsampled] {
+		unsampled--
+	}
+	big[unsampled] = points.Point{math.NaN(), 1, 1}
+	big[first] = points.Point{1, 1}
+	big[second] = points.Point{1, math.Inf(1), 1}
+	sampled := fmt.Sprintf("partition: points: point %d has dimension 2, want 3", first)
+	for scheme, want := range map[Scheme]string{
+		Dimensional: sampled,
+		Angular:     sampled,
+		Random:      sampled,
+		Grid:        "partition: " + big.Validate().Error(),
+	} {
+		if _, err := New(scheme, big, 4); err == nil || err.Error() != want {
+			t.Errorf("%v, %d rows: error %v, want %q", scheme, len(big), err, want)
+		}
+	}
+
 	bad := uniformSet(2, 50, 3)
 	bad[49][1] = math.NaN()
 	ragged := uniformSet(2, 50, 3)
@@ -447,6 +479,53 @@ func TestNewValidatesOnce(t *testing.T) {
 				t.Errorf("%s: error %v, want %q", name, err, want)
 			}
 		}
+	}
+}
+
+// TestFitReadsOnlyItsSample: on 10⁵ rows the fit reads its sample and no
+// other row — a NaN outside it does not stop MR-Angle's, MR-Dim's or the
+// random fit, while MR-Grid's, which reads every row for its box, refuses
+// it — and it is a function of the input alone: two fits of one set are
+// deeply equal, and the box Fit returns is the sample's.
+func TestFitReadsOnlyItsSample(t *testing.T) {
+	data := uniformSet(5, 100000, 6)
+	drawn := sampleIndices(rand.New(rand.NewSource(1)), len(data), fitSampleRows)
+	isDrawn := make(map[int]bool, len(drawn))
+	for _, i := range drawn {
+		isDrawn[i] = true
+	}
+	bad := len(data) / 2
+	for isDrawn[bad] {
+		bad++
+	}
+	data[bad] = points.Point{1, 2, math.NaN(), 4, 5, 6}
+	sample := make(points.Set, len(drawn))
+	for i, j := range drawn {
+		sample[i] = data[j]
+	}
+	sampleMin, sampleMax := sample.Bounds()
+	for _, scheme := range []Scheme{Dimensional, Angular, Random} {
+		a, lo, hi, err := Fit(scheme, data, 8)
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		b, err := New(scheme, data, 8)
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: two fits of one input differ", scheme)
+		}
+		if !lo.Equal(sampleMin) || !hi.Equal(sampleMax) {
+			t.Errorf("%v: fitted box [%v, %v], the sample's is [%v, %v]", scheme, lo, hi, sampleMin, sampleMax)
+		}
+		if _, err := a.Assign(data[bad]); err == nil {
+			t.Errorf("%v: Assign accepted the NaN row the fit did not read", scheme)
+		}
+	}
+	want := "partition: " + data.Validate().Error()
+	if _, err := New(Grid, data, 8); err == nil || err.Error() != want {
+		t.Errorf("MR-Grid: error %v, want %q", err, want)
 	}
 }
 
@@ -557,9 +636,9 @@ func BenchmarkAssign(b *testing.B) {
 				name := fmt.Sprintf("angular/%s/p=%d", in.name, want)
 				if exact {
 					name += "/exact=all"
-					for _, level := range p.(*AngularPartitioner).tan2 {
-						for j := range level {
-							level[j] = math.NaN()
+					for _, level := range p.(*AngularPartitioner).levels {
+						for j := range level.tan2 {
+							level.tan2[j] = math.NaN()
 						}
 					}
 				}

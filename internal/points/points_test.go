@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -290,6 +291,46 @@ func TestValidateBoundsSharesMatchSerial(t *testing.T) {
 		if err != nil || !reflect.DeepEqual([]Point{min, max}, []Point{wmin, wmax}) {
 			t.Errorf("ValidateBoundsOn(%d) = %v, %v, %v; serial pass %v, %v", workers, min, max, err, wmin, wmax)
 		}
+	}
+}
+
+// TestValidateBoundsOfReadsOnlyItsRows: over the listed rows (in any
+// order) ValidateBoundsOf is ValidateBounds of those rows as a set, and a
+// bad row it is not given is not read; among the rows it reads — the listed
+// ones and row 0 — the error is Validate's for the lowest offending one.
+func TestValidateBoundsOfReadsOnlyItsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	s := make(Set, 500)
+	for i := range s {
+		s[i] = Point{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	rows := rng.Perm(len(s) - 1)[:100] // rows 1…499: row 0 is checked, not listed
+	sub := make(Set, len(rows))
+	for i := range rows {
+		rows[i]++
+		sub[i] = s[rows[i]]
+	}
+	wmin, wmax, _ := sub.ValidateBounds()
+	unlisted := 1
+	for slices.Contains(rows, unlisted) {
+		unlisted++
+	}
+	s[unlisted] = Point{math.NaN(), 0, 0}
+	min, max, err := s.ValidateBoundsOf(rows)
+	if err != nil || !reflect.DeepEqual([]Point{min, max}, []Point{wmin, wmax}) {
+		t.Fatalf("ValidateBoundsOf = %v, %v, %v; the rows' own pass %v, %v", min, max, err, wmin, wmax)
+	}
+	hi, lo := slices.Max(rows), slices.Min(rows)
+	s[hi], s[lo] = Point{1, math.Inf(1), 0}, Point{1, 2}
+	if _, _, err := s.ValidateBoundsOf(rows); err == nil || err.Error() != fmt.Sprintf("points: point %d has dimension 2, want 3", lo) {
+		t.Errorf("two bad rows listed: error %v, want the lower one's", err)
+	}
+	s[0] = Point{}
+	if _, _, err := s.ValidateBoundsOf(rows); err == nil || err.Error() != "point 0: points: zero-dimensional point" {
+		t.Errorf("a zero-dimensional row 0: error %v", err)
+	}
+	if _, _, err := (Set{}).ValidateBoundsOf(nil); err == nil {
+		t.Error("an empty set passed")
 	}
 }
 

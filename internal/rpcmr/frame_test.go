@@ -58,6 +58,11 @@ func ensureFrameJobs() {
 				Folder:   mapreduce.Assembled(combiner),
 			}}, nil
 		})
+		// no-folder: a job its factory builds without a reduce fold, which
+		// lookupJob must refuse to instantiate.
+		RegisterJob("no-folder", func([]byte) (Job, error) {
+			return Job{FrameJob: mapreduce.FrameJob{Mapper: func([]float64, mapreduce.EmitPoint) error { return nil }}}, nil
+		})
 	})
 }
 
@@ -557,9 +562,6 @@ func TestHostileReduceStreamsRejected(t *testing.T) {
 		}
 	}
 
-	RegisterJob("no-folder", func([]byte) (Job, error) {
-		return Job{FrameJob: mapreduce.FrameJob{Mapper: func([]float64, mapreduce.EmitPoint) error { return nil }}}, nil
-	})
 	if _, err := lookupJob("no-folder", nil); err == nil || !strings.Contains(err.Error(), "a folder") {
 		t.Errorf("a job without a folder was instantiated: %v", err)
 	}

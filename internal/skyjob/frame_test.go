@@ -3,8 +3,10 @@ package skyjob
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,30 +18,36 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestSpecForFitsLikePartitionNew: the spec's angular cuts are those of
-// partition.New — sampled on a large input, exact on a small one — so a
-// worker's rebuilt partitioner assigns every point as the in-process
-// driver's does, and invalid input keeps this package's error prefix.
+// TestSpecForFitsLikePartitionNew: the spec is partition.Fit's fit — its
+// box is Min and Max, its angular cuts the cuts; sampled on a large input,
+// exact on a small one — so a worker's rebuilt partitioner assigns every
+// point as the in-process driver's does, for every scheme, and invalid
+// input keeps this package's error prefix.
 func TestSpecForFitsLikePartitionNew(t *testing.T) {
 	for _, n := range []int{500, 20000} { // either side of New's fit sample
 		data := uniformSet(int64(n), n, 5)
-		spec, err := SpecFor(data, partition.Angular, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := spec.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := partition.New(partition.Angular, data, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range data {
-			g, _ := got.Assign(p)
-			w, _ := want.Assign(p)
-			if g != w {
-				t.Fatalf("n=%d point %d: spec assigns partition %d, partition.New %d", n, i, g, w)
+		for _, scheme := range []partition.Scheme{partition.Dimensional, partition.Grid, partition.Angular, partition.Random} {
+			spec, err := SpecFor(data, scheme, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, min, max, err := partition.Fit(scheme, data, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !points.Point(spec.Min).Equal(min) || !points.Point(spec.Max).Equal(max) {
+				t.Errorf("n=%d %v: spec box [%v, %v], the fit's [%v, %v]", n, scheme, spec.Min, spec.Max, min, max)
+			}
+			got, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range data {
+				g, _ := got.Assign(p)
+				w, _ := want.Assign(p)
+				if g != w {
+					t.Fatalf("n=%d %v point %d: spec assigns partition %d, partition.New %d", n, scheme, i, g, w)
+				}
 			}
 		}
 	}
@@ -48,6 +56,56 @@ func TestSpecForFitsLikePartitionNew(t *testing.T) {
 	_, err := SpecFor(bad, partition.Angular, 4)
 	if err == nil || !strings.HasPrefix(err.Error(), "skyjob: points: point 4 ") {
 		t.Fatalf("mixed-dimension input: error %q, want the skyjob: points: point 4 … wording", err)
+	}
+}
+
+// TestHostileInputErrorParity is driver's test of that name on a 2-worker
+// cluster: a set 3× the fit's sample with a bad row the sample does not
+// draw passes the master's fit for every scheme but MR-Grid's and fails the
+// job when the master seals that row's split — not on the workers, so no
+// task is retried. Either way, and when a second bad row the sample does
+// draw fails the fit, the error is points.Set.Validate's, naming the lowest
+// bad row, under this package's prefix.
+func TestHostileInputErrorParity(t *testing.T) {
+	master := startCluster(t, 2)
+	clean := uniformSet(4, 3*4096, 3)
+	fitReads := func(data points.Set, i int) bool {
+		keep := data[i]
+		defer func() { data[i] = keep }()
+		data[i] = points.Point{math.NaN(), 0, 0}
+		_, err := partition.New(partition.Angular, data, 8)
+		return err != nil
+	}
+	unsampled := len(clean) / 3
+	for fitReads(clean, unsampled) {
+		unsampled++
+	}
+	sampled := unsampled + 1
+	for !fitReads(clean, sampled) {
+		sampled++
+	}
+	hostile := map[string]points.Set{}
+	for name, bad := range map[string]points.Point{
+		"NaN":                {1, math.NaN(), 2},
+		"-Inf":               {1, 2, math.Inf(-1)},
+		"dimension mismatch": {1, 2},
+	} {
+		hostile[name] = slices.Clone(clean)
+		hostile[name][unsampled] = bad
+	}
+	hostile["and a sampled NaN"] = slices.Clone(hostile["NaN"])
+	hostile["and a sampled NaN"][sampled] = points.Point{math.NaN(), 1, 1}
+	for name, data := range hostile {
+		want := "skyjob: " + data.Validate().Error()
+		for _, scheme := range []partition.Scheme{partition.Dimensional, partition.Grid, partition.Angular, partition.Random} {
+			res, err := Compute(context.Background(), master, data, scheme, 8, 2)
+			if err == nil || err.Error() != want || res != nil {
+				t.Errorf("%s, %v: got (%v, %v), want error %q", name, scheme, res, err, want)
+			}
+		}
+	}
+	if st := master.Status(); st.TaskRetries != 0 {
+		t.Errorf("%d task retries: a bad row reached a worker", st.TaskRetries)
 	}
 }
 
