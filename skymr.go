@@ -112,7 +112,8 @@ type Options struct {
 	// Partitions overrides the partition count when > 0.
 	Partitions int
 	// Workers is the number of concurrent engine workers; defaults to
-	// Nodes.
+	// Nodes. It does not bound MR-Grid's fit, whose one pass over every
+	// row runs on GOMAXPROCS goroutines.
 	Workers int
 	// SpillDir, when set, spills intermediate MapReduce data to sequence
 	// files under this existing directory instead of the heap.
