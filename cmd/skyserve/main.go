@@ -120,7 +120,7 @@ func run(addr, method string, seedN, seedD int, seedFile string, header bool, sn
 			return err
 		}
 	}
-	reg.ConfigureQueryLog(256, 16, slowThreshold)
+	reg.ConfigureQueryLog(slowThreshold)
 	var slo *telemetry.SLOTracker
 	if sloP99 > 0 || sloAvail > 0 {
 		slo = reg.ConfigureSLO(registry.SLOOptions{

@@ -3,6 +3,8 @@ package skymr
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -142,6 +144,30 @@ func TestSkylineBoundedPublic(t *testing.T) {
 	}
 	if _, err := SkylineBounded(data, 0); err == nil {
 		t.Error("window 0 accepted")
+	}
+}
+
+// TestSkylineBoundedLeavesNoTempFile: a window too small for the skyline
+// overflows to a file under os.TempDir, and the file is gone when
+// SkylineBounded returns — after a run that needed it, and after one whose
+// overflow could not be written.
+func TestSkylineBoundedLeavesNoTempFile(t *testing.T) {
+	data := uniform(75, 700, 3)
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	got, err := SkylineBounded(data, 2)
+	if err != nil || !sameMultiset(got, Skyline(data)) {
+		t.Fatalf("window 2: %d points, err %v; want the %d of the skyline", len(got), err, len(Skyline(data)))
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) > 0 {
+		t.Errorf("%d files left in the temp directory (err %v)", len(left), err)
+	}
+	t.Setenv("TMPDIR", filepath.Join(dir, "missing"))
+	if _, err := SkylineBounded(data, 2); err == nil {
+		t.Fatal("an overflow that cannot be written was not an error")
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) > 0 {
+		t.Errorf("%d files left in the temp directory after the failure (err %v)", len(left), err)
 	}
 }
 

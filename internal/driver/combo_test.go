@@ -4,12 +4,16 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/skyline"
 )
 
 // Combination coverage: option interactions that individual tests miss.
 
+// TestPartitionerOverride: a partitioner fitted outside the driver — the
+// angular+radial hybrid — runs through the two jobs unchanged: Job 1 on
+// its partitions, the same skyline.
 func TestPartitionerOverride(t *testing.T) {
 	data := uniformSet(101, 1000, 3)
 	want := skyline.Naive(data)
@@ -17,10 +21,8 @@ func TestPartitionerOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Compute(context.Background(), data, Options{
-		Scheme:              partition.Angular,
-		PartitionerOverride: hybrid,
-	})
+	got, stats, err := computeOn(context.Background(), mapreduce.SetRows(data), data.Dim(), 0, hybrid,
+		Options{Scheme: partition.Angular})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,10 +44,6 @@ type Options struct {
 	// It does not bound MR-Grid's fit, whose one pass over every row runs
 	// on GOMAXPROCS goroutines (partition.Fit).
 	Workers int
-	// PartitionerOverride, when non-nil, replaces the Scheme-fitted
-	// partitioner with a pre-built one (experimental partitioners such as
-	// the angular+radial hybrid). Scheme is then only a label.
-	PartitionerOverride partition.Partitioner
 	// SpillDir, when set, spills intermediate data to sequence files.
 	SpillDir string
 	// Codec selects the wire codec for the framed shuffle: the zero value
@@ -160,12 +156,9 @@ func compute(ctx context.Context, data points.Set, band int, opts Options) (poin
 	if len(data) == 0 {
 		return nil, nil, nil, fmt.Errorf("driver: %w", data.Validate())
 	}
-	part := opts.PartitionerOverride
-	var err error
-	if part == nil {
-		if part, err = partition.New(opts.Scheme, data, opts.Partitions); err != nil {
-			return nil, nil, nil, InvalidInput("driver", data, err)
-		}
+	part, err := partition.New(opts.Scheme, data, opts.Partitions)
+	if err != nil {
+		return nil, nil, nil, InvalidInput("driver", data, err)
 	}
 
 	// MR-Grid dominance pruning needs cell occupancy, which is known after

@@ -45,12 +45,19 @@ func computeEdited(ctx context.Context, data points.Set, band int, opts Options,
 	if err != nil {
 		return nil, nil, err
 	}
-	dim := data.Dim()
+	return computeOn(ctx, mapreduce.SetRows(data), data.Dim(), band, part, opts, edits...)
+}
+
+// computeOn runs the two jobs over feed on a partitioner the caller fitted,
+// Job 1 edited and unpruned, through the exported seam alone — the route
+// the experiments' hybrid-partitioner rows take.
+func computeOn(ctx context.Context, feed mapreduce.RowFeed, dim, band int, part partition.Partitioner, opts Options, edits ...jobEdit) (points.Set, *Stats, error) {
+	opts = opts.withDefaults()
 	job := PartitionJob(part, nil, dim, band, opts)
 	for _, edit := range edits {
 		edit(&job)
 	}
-	return TwoJobs(ctx, InProcess(mapreduce.SetRows(data), job, dim, band, opts), dim, part, nil, nil, opts)
+	return TwoJobs(ctx, InProcess(feed, job, dim, band, opts), dim, part, nil, nil, opts)
 }
 
 // TestPartitionJobShapes pins Job 1's routes: band picks between the
@@ -65,7 +72,7 @@ func TestPartitionJobShapes(t *testing.T) {
 	for _, o := range []Options{
 		{},
 		{ReducerBudgetBytes: 4 << 10, SpillDir: t.TempDir(), Codec: points.FrameAuto},
-		{Scheme: partition.Grid, Nodes: 9, Partitions: 3, Workers: 5, PartitionerOverride: part},
+		{Scheme: partition.Grid, Nodes: 9, Partitions: 3, Workers: 5},
 	} {
 		for _, pruned := range [][]bool{nil, make([]bool, part.Partitions())} {
 			job := PartitionJob(part, pruned, 3, 0, o)
@@ -131,18 +138,6 @@ func TestBuildIndexKeepsTheJobsPartitioner(t *testing.T) {
 				}
 			}
 		}
-	}
-	// A supplied partitioner is the job's, so it is the index's.
-	hybrid, err := partition.FitAngularRadial(data, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := BuildIndex(context.Background(), data, Options{Scheme: partition.Angular, PartitionerOverride: hybrid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.part != partition.Partitioner(hybrid) {
-		t.Errorf("index partitioner %v, want the job's %v", ix.part, hybrid)
 	}
 }
 

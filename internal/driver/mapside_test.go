@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
 )
@@ -108,8 +109,8 @@ func TestPartitionCountsAreTheHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := ComputeStream(context.Background(), src,
-		Options{Scheme: partition.Angular, Nodes: 4, PartitionerOverride: part, SpillDir: t.TempDir()})
+	_, stats, err := computeOn(context.Background(), mapreduce.ChunkRows(src), 4, 0, part,
+		Options{Scheme: partition.Angular, Nodes: 4, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +137,11 @@ func TestPartitionCountsAreTheHistogram(t *testing.T) {
 // TestHostileInputErrorParity: the fit reads a sample and Job 1's map pass
 // validates every row, and neither may change what a caller sees — every
 // hostile set is rejected with the reference check's wording under this
-// package's prefix, naming its lowest offending row, whether the
-// partitioner is fitted or supplied. The large sets, 3× the fit's sample,
-// put a bad row where the sample does not reach it, so only the map pass
-// can find it — and one of them a second bad row, above it, that fails the
-// fit; no failed job leaves a spill file or a goroutine behind.
+// package's prefix, naming its lowest offending row. The large sets, 3× the
+// fit's sample, put a bad row where the sample does not reach it, so only
+// the map pass can find it — and one of them a second bad row, above it,
+// that fails the fit; no failed job leaves a spill file or a goroutine
+// behind.
 func TestHostileInputErrorParity(t *testing.T) {
 	clean := uniformSet(3, 200, 3)
 	with := func(mutate func(points.Set) points.Set) points.Set { return mutate(clean.Clone()) }
@@ -169,22 +170,13 @@ func TestHostileInputErrorParity(t *testing.T) {
 	for name, data := range hostile {
 		want := "driver: " + data.Validate().Error()
 		for _, scheme := range append(allSchemes(), partition.Random) {
-			override, err := partition.New(scheme, clean, 8)
-			if err != nil {
-				t.Fatal(err)
+			opts := Options{Scheme: scheme, SpillDir: t.TempDir()}
+			goroutines := runtime.NumGoroutine()
+			sky, stats, err := Compute(context.Background(), data, opts)
+			if err == nil || err.Error() != want || sky != nil || stats != nil {
+				t.Errorf("%s, %v: got (%v, %v, %v), want error %q", name, scheme, sky, stats, err, want)
 			}
-			for _, opts := range []Options{
-				{Scheme: scheme, SpillDir: t.TempDir()},
-				{Scheme: scheme, SpillDir: t.TempDir(), PartitionerOverride: override},
-			} {
-				goroutines := runtime.NumGoroutine()
-				sky, stats, err := Compute(context.Background(), data, opts)
-				if err == nil || err.Error() != want || sky != nil || stats != nil {
-					t.Errorf("%s, %v, override=%v: got (%v, %v, %v), want error %q",
-						name, scheme, opts.PartitionerOverride != nil, sky, stats, err, want)
-				}
-				assertNoLeak(t, opts.SpillDir, goroutines)
-			}
+			assertNoLeak(t, opts.SpillDir, goroutines)
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 // examples do not count) need different values, and the code cannot work
 // the value out from its inputs or a measurement it already takes.
 func TestOptionSurface(t *testing.T) {
-	if n := reflect.TypeOf(Options{}).NumField(); n != 9 {
-		t.Fatalf("driver.Options has %d fields, want 9", n)
+	if n := reflect.TypeOf(Options{}).NumField(); n != 8 {
+		t.Fatalf("driver.Options has %d fields, want 8", n)
 	}
 }
 

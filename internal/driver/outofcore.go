@@ -31,15 +31,13 @@ const defaultReducerBudget = 1 << 30
 
 // ComputeStream runs the MapReduce skyline pipeline over a dataset that
 // exists only as a chunk recipe: a map task is a worker's share of src's
-// chunks, read one at a time into one recycled block (and re-read from the
-// task's first chunk on retry — ReadChunk must be pure), so a 10⁸-point
+// chunks, read one at a time into one recycled block, so a 10⁸-point
 // input is never materialized while the task's partition windows stay warm
 // across the whole share. Reducers fold shuffle frames under
 // opts.ReducerBudgetBytes (default 1 GiB) and the merge runs as the
 // multi-round budgeted schedule instead of one global reduce.
 //
-// When opts.PartitionerOverride is nil the partitioner is fitted to the
-// first chunk — a sample fit: partition quality (not correctness) depends
+// The partitioner is fitted to the first chunk — a sample fit: partition quality (not correctness) depends
 // on the chunk being representative, which holds for the synthetic
 // generators whose chunks are i.i.d.
 func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options) (points.Set, *Stats, error) {
@@ -65,13 +63,9 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		telemetry.A("budget_bytes", opts.ReducerBudgetBytes))
 	defer rootSpan.End()
 
-	part := opts.PartitionerOverride
-	if part == nil {
-		var err error
-		part, err = partition.New(opts.Scheme, sample.ToSet(), opts.Partitions)
-		if err != nil {
-			return nil, nil, err
-		}
+	part, err := partition.New(opts.Scheme, sample.ToSet(), opts.Partitions)
+	if err != nil {
+		return nil, nil, err
 	}
 	sample = nil // the job must not pin chunk 0
 	exec := InProcess(mapreduce.ChunkRows(src), PartitionJob(part, nil, dim, 0, opts), dim, 0, opts)

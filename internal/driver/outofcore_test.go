@@ -375,8 +375,8 @@ func TestComputeStreamCancelledBeforeMerge(t *testing.T) {
 	tr := telemetry.NewTracer()
 	ctx, cancel := context.WithCancel(telemetry.WithTracer(context.Background(), tr))
 	defer cancel()
-	_, _, err = ComputeStream(ctx, src, Options{Scheme: partition.Angular, Nodes: 2, SpillDir: dir, ReducerBudgetBytes: 1024,
-		PartitionerOverride: &cancelAfterJob1{Partitioner: part, rows: n, cancel: cancel}})
+	_, _, err = computeOn(ctx, mapreduce.ChunkRows(src), d, 0, &cancelAfterJob1{Partitioner: part, rows: n, cancel: cancel},
+		Options{Scheme: partition.Angular, Nodes: 2, SpillDir: dir, ReducerBudgetBytes: 1024})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -2,12 +2,9 @@ package mapreduce
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/points"
@@ -128,125 +125,5 @@ func TestWindowAccumulatorsMatchBlockCombiner(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// flakyChunks serves a block set as chunks and fails the first read of
-// every chunk — of chunk only alone, when that is set — so each map task is
-// retried and re-reads its feed. With partial set the failing read first
-// leaves half of another chunk in the block it was handed — a read that died
-// mid-way — and since chunk blocks are recycled, only an emptied block keeps
-// those rows out of the retry.
-type flakyChunks struct {
-	blocks  []*points.Block
-	reads   []atomic.Int32
-	partial bool
-	only    int // -1: every chunk
-}
-
-func newFlakyChunks(blocks []*points.Block) *flakyChunks {
-	return &flakyChunks{blocks: blocks, reads: make([]atomic.Int32, len(blocks)), only: -1}
-}
-
-func (f *flakyChunks) Chunks() int { return len(f.blocks) }
-
-func (f *flakyChunks) ReadChunk(i int, blk *points.Block) error {
-	if f.reads[i].Add(1) == 1 && (f.only < 0 || f.only == i) {
-		if other := f.blocks[(i+1)%len(f.blocks)]; f.partial {
-			blk.AppendBlock(other.Slice(0, other.Len()/2))
-		}
-		return errors.New("transient read error")
-	}
-	blk.AppendBlock(f.blocks[i])
-	return nil
-}
-
-// TestAccumulatorJobsAgreeUnderRetry runs whole jobs: window accumulators
-// and the staged BlockBNL combiner must agree on counters and result
-// blocks whatever the feed, and a job whose every map task fails once —
-// a chunk read that errors, and a mapper that errors half-way through a
-// task, leaving half-filled windows behind — must after retry equal the
-// job that never failed. So must a task of several chunks whose last read
-// fails: it restarts from its first chunk, with fresh windows.
-func TestAccumulatorJobsAgreeUnderRetry(t *testing.T) {
-	const d, per = 6, 400
-	data, route := diffInput(7, 8*per, d, false)
-	var blocks []*points.Block
-	for lo := 0; lo < len(data); lo += per {
-		blk, _ := points.BlockOf(data[lo:min(lo+per, len(data))])
-		blocks = append(blocks, blk)
-	}
-	mapper := RowMapper(func(row []float64, emit EmitPoint) error {
-		emit(route(row), row)
-		return nil
-	})
-	// failsOnce errors the first time it meets each chunk's 200th row.
-	var tripped [64]atomic.Bool
-	seen := make(map[*float64]int) // row identity → chunk, for the trip wire
-	for c := range blocks {
-		seen[&data[c*per+per/2][0]] = c
-	}
-	failsOnce := RowMapper(func(row []float64, emit EmitPoint) error {
-		if c, ok := seen[&row[0]]; ok && tripped[c].CompareAndSwap(false, true) {
-			return errors.New("transient map error")
-		}
-		return mapper(row, emit)
-	})
-
-	// split is the task length in the feed's own unit: rows of a set, chunks
-	// of a chunk source.
-	run := func(name string, split int, job FrameJob) *FrameResult {
-		t.Helper()
-		job.Folder = skylineFolder
-		cfg := Config{Name: "acc", Workers: 4, Reducers: 3, SplitSize: split, MaxAttempts: 2}
-		res, err := RunFrames(context.Background(), cfg, job)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return res
-	}
-	// The job that never failed, at a task of chunks chunks of rows.
-	staged := func(chunks int) *FrameResult {
-		want := run("staged combiner", chunks*per, FrameJob{Feed: SetRows(data), Mapper: mapper, Combiner: blockBNLCombiner})
-		if want.Counters.Get(CounterCombineOut) >= want.Counters.Get(CounterCombineIn) {
-			t.Fatal("combiner did not shrink the input; the test would prove nothing")
-		}
-		return want
-	}
-	partial := newFlakyChunks(blocks)
-	partial.partial = true
-	lastOfThree := newFlakyChunks(blocks)
-	lastOfThree.only = 2
-	for _, tc := range []struct {
-		name    string
-		split   int // the task, in the feed's unit
-		chunks  int // the task, in chunks of rows
-		job     FrameJob
-		retries int64
-	}{
-		{"windows over a set", per, 1, FrameJob{Feed: SetRows(data), Mapper: mapper, Accumulators: windows}, 0},
-		{"windows, mapper fails mid-task", per, 1, FrameJob{Feed: SetRows(data), Mapper: failsOnce, Accumulators: windows}, int64(len(blocks))},
-		{"windows over flaky chunks", 1, 1, FrameJob{Feed: ChunkRows(newFlakyChunks(blocks)), Mapper: mapper, Accumulators: windows}, int64(len(blocks))},
-		{"windows over chunks whose first read dies half-way", 1, 1, FrameJob{Feed: ChunkRows(partial), Mapper: mapper, Accumulators: windows}, int64(len(blocks))},
-		{"a three-chunk task whose last read fails", 3, 3, FrameJob{Feed: ChunkRows(lastOfThree), Mapper: mapper, Accumulators: windows}, 1},
-	} {
-		want, got := staged(tc.chunks), run(tc.name, tc.split, tc.job)
-		if n := got.Counters.Get(CounterMapRetries); n != tc.retries {
-			t.Errorf("%s: %d map retries, want %d", tc.name, n, tc.retries)
-		}
-		wantC, gotC := want.Counters.Snapshot(), got.Counters.Snapshot()
-		delete(gotC, CounterMapRetries)
-		if !reflect.DeepEqual(wantC, gotC) {
-			t.Errorf("%s: counters differ:\n want %v\n got  %v", tc.name, wantC, gotC)
-		}
-		if !reflect.DeepEqual(want.Partitions, got.Partitions) {
-			t.Errorf("%s: per-partition shuffle stats differ", tc.name)
-		}
-		if !reflect.DeepEqual(canonicalBlocks(t, want.Blocks), canonicalBlocks(t, got.Blocks)) {
-			t.Errorf("%s: result blocks differ", tc.name)
-		}
-	}
-	if reads := lastOfThree.reads[0].Load(); reads != 2 {
-		t.Errorf("the retried three-chunk task read its first chunk %d times, want 2", reads)
 	}
 }

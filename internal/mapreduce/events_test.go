@@ -5,7 +5,6 @@ import (
 	"errors"
 	"log/slog"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -23,7 +22,7 @@ func tallyOf(docs ...string) FrameJob {
 // phase's start, not a phase), nothing per task.
 func TestTraceLifecycle(t *testing.T) {
 	log := telemetry.NewEventLog(64)
-	cfg := Config{Name: "traced", Workers: 2, Reducers: 2, SplitSize: 1, Events: log}
+	cfg := Config{Name: "traced", Workers: 2, Reducers: 2, Events: log}
 	if _, err := RunFrames(context.Background(), cfg, tallyOf("a", "c")); err != nil {
 		t.Fatal(err)
 	}
@@ -62,30 +61,6 @@ func TestTraceLifecycle(t *testing.T) {
 	}
 	if secs, _ := events[5].Attrs["seconds"].(float64); secs <= 0 {
 		t.Errorf("job end has no duration: %v", events[5].Attrs)
-	}
-}
-
-func TestTraceRetries(t *testing.T) {
-	log := telemetry.NewEventLog(64)
-	var calls int32
-	job := tallyOf("x")
-	job.Mapper = func(row []float64, emit EmitPoint) error {
-		if atomic.AddInt32(&calls, 1) == 1 {
-			return errors.New("transient")
-		}
-		return tallyMapper(row, emit)
-	}
-	cfg := Config{Workers: 1, MaxAttempts: 2, Events: log}
-	if _, err := RunFrames(context.Background(), cfg, job); err != nil {
-		t.Fatal(err)
-	}
-	warnings := log.Events(0, slog.LevelWarn)
-	if len(warnings) != 1 {
-		t.Fatalf("%d warnings, want the one retry: %+v", len(warnings), warnings)
-	}
-	if w := warnings[0]; w.Msg != "task retry" || w.Attrs["err"] != "transient" ||
-		w.Attrs["phase"] != "map" || w.Attrs["task"] != 0.0 || w.Attrs["attempt"] != 2.0 {
-		t.Errorf("retry warning = %+v", w)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestRunFramesCombiner(t *testing.T) {
 		return blk, nil
 	}
 	res, err := RunFrames(context.Background(),
-		Config{Name: "comb", Workers: 2, Reducers: 2, SplitSize: 100},
+		Config{Name: "comb", Workers: 2, Reducers: 2},
 		FrameJob{Feed: SetRows(data), Mapper: mapper, Combiner: combiner, Folder: folder})
 	if err != nil {
 		t.Fatal(err)
@@ -227,44 +227,6 @@ func TestRunFramesErrors(t *testing.T) {
 	}
 }
 
-// TestRunFramesRetry: a mapper that fails once per task succeeds under
-// MaxAttempts=2 and books the retry counter.
-func TestRunFramesRetry(t *testing.T) {
-	data := frameTestData(100, 2, 3)
-	var failed Counters
-	failed.m = map[string]int64{}
-	mapper := RowMapper(func(p []float64, emit EmitPoint) error {
-		// Fail the first time any mapper sees the zero-index sentinel.
-		failed.mu.Lock()
-		first := failed.m["n"] == 0
-		failed.m["n"]++
-		failed.mu.Unlock()
-		if first {
-			return errors.New("transient")
-		}
-		emit(int(p[0])%3, p)
-		return nil
-	})
-	_, folder := identityFrameJob(3)
-	res, err := RunFrames(context.Background(),
-		Config{Name: "retry", MaxAttempts: 3, SplitSize: 50},
-		FrameJob{Feed: SetRows(data), Mapper: mapper, Folder: folder})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters.Get(CounterMapRetries) == 0 {
-		t.Error("no retry counted")
-	}
-	total := 0
-	for _, blk := range res.Blocks {
-		total += blk.Len()
-	}
-	// The failed record was re-mapped on retry; every input survives exactly once.
-	if total != len(data) {
-		t.Errorf("output %d points, want %d", total, len(data))
-	}
-}
-
 // TestRunFramesEmptyInput degenerates gracefully.
 func TestRunFramesEmptyInput(t *testing.T) {
 	mapper, folder := identityFrameJob(2)
@@ -280,8 +242,7 @@ func TestRunFramesEmptyInput(t *testing.T) {
 
 // TestWholeInputTaskMapper: a job with a TaskMapper runs exactly the tasks
 // its WholeInput names, each handed all the blocks and its own index; the
-// counters are the rows the tasks took between them, a failed task is run
-// again, and MapFrames — the same task on an executor that ships the input
+// counters are the rows the tasks took between them, and MapFrames — the same task on an executor that ships the input
 // as a frame stream — seals the bytes the in-process task does.
 func TestWholeInputTaskMapper(t *testing.T) {
 	data := frameTestData(500, 3, 5)
@@ -289,36 +250,22 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	b, _ := points.BlockOf(data[200:])
 	blocks := []*points.Block{a, points.NewBlock(0, 0), b}
 	const tasks = 4
-	var failed Counters
-	failed.m = map[string]int64{}
-	// Task t keeps rows t, t+4, … of the input taken as one sequence, and
-	// fails the first time it is tried.
-	strided := func(flaky bool) TaskMapper {
-		return func(input []*points.Block, task, n int, emit EmitPoint) (int, error) {
-			if flaky {
-				failed.mu.Lock()
-				first := failed.m[string(rune('a'+task))] == 0
-				failed.m[string(rune('a'+task))]++
-				failed.mu.Unlock()
-				if first {
-					return 0, errors.New("transient")
+	// Task t keeps rows t, t+4, … of the input taken as one sequence.
+	strided := TaskMapper(func(input []*points.Block, task, n int, emit EmitPoint) (int, error) {
+		rows, i := 0, 0
+		for _, blk := range input {
+			for r := 0; r < blk.Len(); r, i = r+1, i+1 {
+				if i%n == task {
+					emit(int(blk.Row(r)[0])%3, blk.Row(r))
+					rows++
 				}
 			}
-			rows, i := 0, 0
-			for _, blk := range input {
-				for r := 0; r < blk.Len(); r, i = r+1, i+1 {
-					if i%n == task {
-						emit(int(blk.Row(r)[0])%3, blk.Row(r))
-						rows++
-					}
-				}
-			}
-			return rows, nil
 		}
-	}
+		return rows, nil
+	})
 	_, folder := identityFrameJob(3)
-	res, err := RunFrames(context.Background(), Config{Name: "whole", Workers: 3, Reducers: 2, MaxAttempts: 2},
-		FrameJob{Feed: WholeInput(blocks, tasks), TaskMapper: strided(true), Folder: folder})
+	res, err := RunFrames(context.Background(), Config{Name: "whole", Workers: 3, Reducers: 2},
+		FrameJob{Feed: WholeInput(blocks, tasks), TaskMapper: strided, Folder: folder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +276,8 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	requireSameSets(t, routedDirectly(data, 3), got)
 	n := int64(len(data))
 	if c := res.Counters.Snapshot(); c[CounterMapIn] != n || c[CounterMapOut] != n || c[CounterShuffle] != n ||
-		c[CounterMapRetries] != tasks || c[CounterCombineIn] != 0 {
-		t.Errorf("counters %v; want %d rows in, out and shuffled, %d retries, nothing combined", c, n, tasks)
+		c[CounterCombineIn] != 0 {
+		t.Errorf("counters %v; want %d rows in, out and shuffled, nothing combined", c, n)
 	}
 
 	// The same tasks from a sealed stream.
@@ -340,12 +287,12 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	}
 	for task := 0; task < tasks; task++ {
 		want, wantStats, err := buildFrames(func(emit EmitPoint) (int, error) {
-			return strided(false)(blocks, task, tasks, emit)
+			return strided(blocks, task, tasks, emit)
 		}, nil, nil, 2, points.FrameDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, st, err := MapFrames(FrameJob{TaskMapper: strided(false)}, 1, oneSplit(stream), task, tasks, 2, points.FrameDefault)
+		parts, st, err := MapFrames(FrameJob{TaskMapper: strided}, 1, oneSplit(stream), task, tasks, 2, points.FrameDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,8 +304,8 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	// What is not a job, and what is not a task of one.
 	mapper, _ := identityFrameJob(3)
 	for name, job := range map[string]FrameJob{
-		"both mappers":              {Feed: WholeInput(blocks, tasks), Mapper: mapper, TaskMapper: strided(false), Folder: folder},
-		"task mapper over rows":     {Feed: SetRows(data), TaskMapper: strided(false), Folder: folder},
+		"both mappers":              {Feed: WholeInput(blocks, tasks), Mapper: mapper, TaskMapper: strided, Folder: folder},
+		"task mapper over rows":     {Feed: SetRows(data), TaskMapper: strided, Folder: folder},
 		"row mapper over the whole": {Feed: WholeInput(blocks, tasks), Mapper: mapper, Folder: folder},
 	} {
 		if _, err := RunFrames(context.Background(), Config{Name: name}, job); err == nil {
@@ -366,11 +313,11 @@ func TestWholeInputTaskMapper(t *testing.T) {
 		}
 	}
 	for _, at := range [][2]int{{-1, 4}, {4, 4}, {0, 0}} {
-		if _, _, err := MapFrames(FrameJob{TaskMapper: strided(false)}, 1, oneSplit(stream), at[0], at[1], 2, points.FrameDefault); err == nil {
+		if _, _, err := MapFrames(FrameJob{TaskMapper: strided}, 1, oneSplit(stream), at[0], at[1], 2, points.FrameDefault); err == nil {
 			t.Errorf("MapFrames ran task %d of %d", at[0], at[1])
 		}
 	}
-	if _, _, err := MapFrames(FrameJob{TaskMapper: strided(false)}, 1, oneSplit(stream[:len(stream)-3]), 0, tasks, 2, points.FrameDefault); err == nil {
+	if _, _, err := MapFrames(FrameJob{TaskMapper: strided}, 1, oneSplit(stream[:len(stream)-3]), 0, tasks, 2, points.FrameDefault); err == nil {
 		t.Error("MapFrames decoded a truncated whole input")
 	}
 }

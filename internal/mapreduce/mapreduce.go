@@ -6,9 +6,10 @@
 //
 // over a pool of worker goroutines ("slave servers"), with per-phase
 // wall-clock timing (the paper's Figure 6 breakdown), user and framework
-// counters, task retry with configurable attempts, optional spill of
-// intermediate data to disk in the sequencefile format, and context
-// cancellation.
+// counters, optional spill of intermediate data to disk in the sequencefile
+// format, and context cancellation. A task runs once; retry is the cluster's
+// (package rpcmr), where a worker can vanish and a second attempt can
+// succeed.
 //
 // There is one engine, RunFrames (frame.go): a job's input is rows of
 // float64 coordinates, its keys are integer partition ids, and everything
@@ -38,14 +39,6 @@ type Config struct {
 	Workers int
 	// Reducers is the number of reduce partitions. Defaults to Workers.
 	Reducers int
-	// SplitSize is the length of a map task in the feed's own unit — rows
-	// of a SetRows feed, chunks of a ChunkRows feed. Defaults to
-	// ceil(units / Workers): a task is a worker's share of the input (see
-	// RowFeed for why).
-	SplitSize int
-	// MaxAttempts is how many times a failed map or reduce task is retried
-	// before the job fails. Defaults to 1 (no retry).
-	MaxAttempts int
 	// SpillDir, when non-empty, makes map tasks write their sealed frame
 	// streams to sequence files under this directory instead of keeping
 	// them on the heap; reduce tasks read the frames back in map-task
@@ -56,8 +49,7 @@ type Config struct {
 	// the bit-packed v2 encoding wherever it is smaller.
 	Codec points.FrameCodec
 	// Events, when non-nil, receives the job's narration — "job start",
-	// "phase start", "phase end", "job end" or "job failed", "task retry",
-	// "spill" — under the message names and attribute keys rpcmr's master
+	// "phase start", "phase end", "job end" or "job failed", "spill" — under the message names and attribute keys rpcmr's master
 	// uses for a cluster job, so one reader follows either executor.
 	// Per-record and per-task paths never log.
 	Events *telemetry.EventLog
@@ -67,20 +59,13 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// withDefaults fills the unset fields for a job over units units of input —
-// rows or chunks, as the feed counts them.
-func (c Config) withDefaults(units int) Config {
+// withDefaults fills the unset fields.
+func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Reducers <= 0 {
 		c.Reducers = c.Workers
-	}
-	if c.SplitSize <= 0 {
-		c.SplitSize = max((units+c.Workers-1)/c.Workers, 1)
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 1
 	}
 	if c.Name == "" {
 		c.Name = "job"
@@ -158,9 +143,11 @@ const (
 	CounterReduceIn     = "mr.reduce.records.in"
 	CounterReduceOut    = "mr.reduce.records.out"
 	CounterGroups       = "mr.reduce.groups"
-	CounterMapRetries   = "mr.map.task.retries"
-	CounterRedRetries   = "mr.reduce.task.retries"
-	CounterSpillBytes   = "mr.spill.bytes"
+	// CounterMapRetries and CounterRedRetries count re-queued tasks; only
+	// rpcmr's master books them — an in-process task runs once.
+	CounterMapRetries = "mr.map.task.retries"
+	CounterRedRetries = "mr.reduce.task.retries"
+	CounterSpillBytes = "mr.spill.bytes"
 	// CounterWorkerFailures counts task leases that ran out on a silent
 	// worker — each also a retry of that task. Only an executor whose
 	// workers can vanish (rpcmr) books it.

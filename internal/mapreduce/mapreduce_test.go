@@ -118,11 +118,11 @@ func checkWordCount(t *testing.T, got map[string]int) {
 }
 
 func TestWordCount(t *testing.T) {
-	checkWordCount(t, wordCountJob(t, Config{Name: "wc", Workers: 4, Reducers: 3, SplitSize: 1}, wcDocs, nil))
+	checkWordCount(t, wordCountJob(t, Config{Name: "wc", Workers: 4, Reducers: 3}, wcDocs, nil))
 }
 
 func TestWordCountWithCombiner(t *testing.T) {
-	cfg := Config{Name: "wc-comb", Workers: 2, Reducers: 2, SplitSize: 2}
+	cfg := Config{Name: "wc-comb", Workers: 2, Reducers: 2}
 	checkWordCount(t, wordCountJob(t, cfg, wcDocs, tallyCombiner))
 }
 
@@ -131,7 +131,7 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 	for i := range rows {
 		rows[i] = points.Point{7} // one word, a hundred times
 	}
-	cfg := Config{Workers: 2, SplitSize: 10}
+	cfg := Config{Workers: 10}
 	_, noComb := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Folder: tallyFolder})
 	counts, withComb := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Combiner: tallyCombiner, Folder: tallyFolder})
 	if n, w := noComb.Counters.Get(CounterShuffle), withComb.Counters.Get(CounterShuffle); w >= n {
@@ -157,7 +157,7 @@ func TestDeterministicOutputAcrossRuns(t *testing.T) {
 	}
 	var ref []byte
 	for trial := 0; trial < 5; trial++ {
-		res, err := RunFrames(context.Background(), Config{Workers: 8, Reducers: 4, SplitSize: 3},
+		res, err := RunFrames(context.Background(), Config{Workers: 8, Reducers: 4},
 			FrameJob{Feed: SetRows(data), Mapper: mapper, Folder: folder})
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +171,7 @@ func TestDeterministicOutputAcrossRuns(t *testing.T) {
 }
 
 func TestFrameworkCounters(t *testing.T) {
-	cfg := Config{Workers: 2, Reducers: 2, SplitSize: 2}
+	cfg := Config{Workers: 2, Reducers: 2}
 	rows, _ := wordRows([]string{"a b", "a"})
 	_, res := tally(t, cfg, rows, FrameJob{Mapper: tallyMapper, Folder: tallyFolder})
 	c := res.Counters
@@ -225,33 +225,23 @@ func TestCombinerErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestFlakyMapTaskRetried(t *testing.T) {
-	var calls int32
-	flaky := RowMapper(func(row []float64, emit EmitPoint) error {
-		// The first attempt fails; the retry succeeds.
-		if atomic.AddInt32(&calls, 1) == 1 {
-			return errors.New("transient")
-		}
-		return tallyMapper(row, emit)
-	})
-	counts, res := tally(t, Config{Workers: 1, SplitSize: 1, MaxAttempts: 3},
-		points.Set{{4}}, FrameJob{Mapper: flaky, Folder: tallyFolder})
-	if got := res.Counters.Get(CounterMapRetries); got < 1 {
-		t.Errorf("retries = %d, want >= 1", got)
-	}
-	if len(counts) != 1 || counts[4] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-}
-
+// TestPersistentFailureExhaustsAttempts: a task runs once, so a failing
+// mapper fails the job on its first error, and the error names the task.
 func TestPersistentFailureExhaustsAttempts(t *testing.T) {
-	_, err := RunFrames(context.Background(), Config{MaxAttempts: 3}, FrameJob{
-		Feed:   SetRows(points.Set{{1}}),
-		Mapper: func([]float64, EmitPoint) error { return errors.New("always") },
+	var calls atomic.Int32
+	_, err := RunFrames(context.Background(), Config{Name: "doomed", Workers: 1}, FrameJob{
+		Feed: SetRows(points.Set{{1}, {2}, {3}}),
+		Mapper: func([]float64, EmitPoint) error {
+			calls.Add(1)
+			return errors.New("always")
+		},
 		Folder: tallyFolder,
 	})
-	if err == nil || !strings.Contains(err.Error(), "3 attempt(s)") {
-		t.Errorf("err = %v, want exhausted-attempts failure", err)
+	if err == nil || err.Error() != "mapreduce: doomed: map task 0: always" {
+		t.Errorf("err = %v, want the first attempt's error, naming the task", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("mapper called %d times, want 1: nothing after the first error", n)
 	}
 }
 
@@ -271,7 +261,7 @@ func TestContextCancellation(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunFrames(ctx, Config{Workers: 1, SplitSize: 1},
+		_, err := RunFrames(ctx, Config{Workers: 1},
 			FrameJob{Feed: SetRows(rows), Mapper: mapper, Folder: tallyFolder})
 		done <- err
 	}()
@@ -304,7 +294,7 @@ func TestEmptyInput(t *testing.T) {
 
 func TestSpillMode(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Name: "spilled", Workers: 3, Reducers: 2, SplitSize: 1, SpillDir: dir}
+	cfg := Config{Name: "spilled", Workers: 3, Reducers: 2, SpillDir: dir}
 	checkWordCount(t, wordCountJob(t, cfg, wcDocs, nil))
 	// Spill files must not outlive the job.
 	left, err := filepath.Glob(filepath.Join(dir, "*"))
@@ -370,7 +360,7 @@ func TestCountersSnapshot(t *testing.T) {
 }
 
 func TestManyWorkersFewTasks(t *testing.T) {
-	checkWordCount(t, wordCountJob(t, Config{Workers: 64, SplitSize: 100}, wcDocs, nil))
+	checkWordCount(t, wordCountJob(t, Config{Workers: 64}, wcDocs, nil))
 }
 
 // TestOptionSurface pins the number of independently settable values of a
@@ -379,8 +369,8 @@ func TestManyWorkersFewTasks(t *testing.T) {
 // (tests and examples do not count) need different values, and the engine
 // cannot work the value out from its inputs.
 func TestOptionSurface(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 9 {
-		t.Fatalf("mapreduce.Config has %d fields, want 9", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 7 {
+		t.Fatalf("mapreduce.Config has %d fields, want 7", n)
 	}
 }
 

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/points"
 )
@@ -20,7 +22,7 @@ func TestExternalShuffleMatchesInMemory(t *testing.T) {
 	mapper, folder := identityFrameJob(17)
 	runWith := func(spill string) *FrameResult {
 		res, err := RunFrames(context.Background(),
-			Config{Workers: 3, Reducers: 3, SplitSize: 20, SpillDir: spill},
+			Config{Workers: 3, Reducers: 3, SpillDir: spill},
 			FrameJob{Feed: SetRows(data), Mapper: mapper, Folder: folder})
 		if err != nil {
 			t.Fatal(err)
@@ -40,44 +42,56 @@ func TestExternalShuffleMatchesInMemory(t *testing.T) {
 	}
 }
 
-func TestExternalShuffleReduceRetry(t *testing.T) {
-	// A reduce task that fails on its first attempt must be replayable
-	// from the spill runs, which go away with the job and not before.
+// TestExternalShuffleReduceFailure: a reduce task that fails fails its job
+// on that first error, naming the task, and the spill runs it was reading
+// go away with the job; no goroutine outlives it.
+func TestExternalShuffleReduceFailure(t *testing.T) {
 	dir := t.TempDir()
-	var failures int32
-	folder := Assembled(func(partition int, blk *points.Block) (*points.Block, error) {
-		if atomic.AddInt32(&failures, 1) == 1 {
-			return nil, errors.New("transient reduce failure")
-		}
-		return tallyCombiner(partition, blk)
+	goroutines := runtime.NumGoroutine()
+	var calls atomic.Int32
+	folder := Assembled(func(int, *points.Block) (*points.Block, error) {
+		calls.Add(1)
+		return nil, errors.New("reduce failure")
 	})
-	rows := points.Set{{0}, {0}, {0}, {0}, {0}, {0}}
-	counts, res := tally(t, Config{Workers: 1, Reducers: 1, SplitSize: 5, SpillDir: dir, MaxAttempts: 3},
-		rows, FrameJob{Mapper: tallyMapper, Folder: folder})
-	if len(counts) != 1 || counts[0] != 6 {
-		t.Fatalf("counts = %v", counts)
+	_, err := RunFrames(context.Background(), Config{Name: "spilled", Workers: 2, Reducers: 1, SpillDir: dir},
+		FrameJob{Feed: SetRows(points.Set{{0}, {0}, {0}, {0}, {0}, {0}}), Mapper: tallyMapper, Folder: folder})
+	if err == nil || err.Error() != "mapreduce: spilled: reduce task 0: reduce failure" {
+		t.Fatalf("err = %v, want reduce task 0's first error", err)
 	}
-	if res.Counters.Get(CounterRedRetries) == 0 {
-		t.Error("no reduce retry recorded")
+	if n := calls.Load(); n != 1 {
+		t.Errorf("reducer ran %d times, want 1", n)
 	}
 	left, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(left) != 0 {
-		t.Errorf("leftover spill runs after retry: %v", left)
+		t.Errorf("leftover spill runs after a failed job: %v", left)
 	}
+	waitForGoroutines(t, goroutines)
 }
 
 func TestExternalShuffleCountsRecords(t *testing.T) {
 	rows := points.Set{{0}, {1}, {0}}
 	job := FrameJob{Mapper: tallyMapper, Folder: tallyFolder}
-	_, mem := tally(t, Config{SplitSize: 1}, rows, job)
-	_, ext := tally(t, Config{SplitSize: 1, SpillDir: t.TempDir()}, rows, job)
+	_, mem := tally(t, Config{Workers: 3}, rows, job)
+	_, ext := tally(t, Config{Workers: 3, SpillDir: t.TempDir()}, rows, job)
 	if got := ext.Counters.Get(CounterShuffle); got != 3 {
 		t.Errorf("spilled shuffle counted %d records, want 3", got)
 	}
 	if m, e := mem.Counters.Get(CounterShuffleBytes), ext.Counters.Get(CounterShuffleBytes); m != e || e == 0 {
 		t.Errorf("shuffle bytes: %d in memory, %d spilled", m, e)
+	}
+}
+
+// waitForGoroutines fails the test unless the goroutine count falls back
+// to what it was before a job within two seconds.
+func waitForGoroutines(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines after the job, %d before", runtime.NumGoroutine(), before)
+			return
+		}
 	}
 }

@@ -244,7 +244,8 @@ func runReduceTask(cfg Config, r int, outputs []frameTaskOutput, folder FrameFol
 // and tasks — so a source reserves the chunk's rows once
 // (points.Block.Extend) and never append-grows row by row: a task's chunk
 // memory is then one chunk, and nothing once recycled. ReadChunk must be
-// safe for concurrent use and re-readable (task retry).
+// safe for concurrent use and re-readable: a driver may read a chunk (its
+// fit sample) before the map pass reads it again.
 type ChunkSource interface {
 	Chunks() int
 	ReadChunk(i int, blk *points.Block) error

@@ -294,7 +294,7 @@ func TestAbandonedFoldsLeaveNoOverflowFile(t *testing.T) {
 		// Partition 0's frame comes first in every sealed stream and
 		// overflows its fold; partition 1's fold then refuses its frame.
 		dir := t.TempDir()
-		_, err := RunFrames(context.Background(), Config{Name: "abandoned", Workers: 2, Reducers: 1, MaxAttempts: 1}, FrameJob{
+		_, err := RunFrames(context.Background(), Config{Name: "abandoned", Workers: 2, Reducers: 1}, FrameJob{
 			Feed: SetRows(blk.ToSet()),
 			Mapper: func(row []float64, emit EmitPoint) error {
 				if row[0] < 0.9 {

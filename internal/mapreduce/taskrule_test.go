@@ -66,10 +66,10 @@ func lengths(frames [][]float64) []int {
 	return out
 }
 
-// TestTaskRule pins what a map task is: by default a worker's share of the
-// input, ceil(units / Workers) consecutive units of the feed's own kind —
-// rows of a set, chunks of a chunk source, read one at a time into at most
-// Workers blocks — and Config.SplitSize units when that is set.
+// TestTaskRule pins what a map task is: a worker's share of the input,
+// ceil(units / Workers) consecutive units of the feed's own kind — rows of
+// a set, chunks of a chunk source, read one at a time into at most Workers
+// blocks.
 func TestTaskRule(t *testing.T) {
 	toZero := RowMapper(func(row []float64, emit EmitPoint) error {
 		emit(0, row)
@@ -89,23 +89,23 @@ func TestTaskRule(t *testing.T) {
 	}
 	const per = 5
 	for _, tc := range []struct {
-		chunked               bool
-		units, workers, split int // split 0: the default
-		task                  int // the task length the rule gives
+		chunked        bool
+		units, workers int
+		task           int // the task length the rule gives
 	}{
-		{false, 10, 4, 0, 3}, // ceil(10/3) = 4 tasks, the last one row
-		{false, 9, 4, 0, 3},  // 3 tasks: fewer than workers
-		{false, 3, 8, 0, 1},
-		{false, 1000, 2, 0, 500},
-		{false, 10, 4, 4, 4},
-		{true, 16, 2, 0, 8},
-		{true, 7, 3, 0, 3},
-		{true, 2, 4, 0, 1}, // chunks < Workers: one task per chunk
-		{true, 16, 2, 5, 5},
-		{true, 16, 4, 1, 1},
+		{false, 10, 4, 3}, // ceil(10/3) = 4 tasks, the last one row
+		{false, 9, 4, 3},  // 3 tasks: fewer than workers
+		{false, 3, 8, 1},
+		{false, 1000, 2, 500},
+		{false, 10, 3, 4},
+		{true, 16, 2, 8},
+		{true, 7, 3, 3},
+		{true, 2, 4, 1}, // chunks < Workers: one task per chunk
+		{true, 15, 3, 5},
+		{true, 16, 16, 1},
 	} {
-		name := fmt.Sprintf("chunked=%v/units=%d/workers=%d/split=%d", tc.chunked, tc.units, tc.workers, tc.split)
-		cfg := Config{Name: "rule", Workers: tc.workers, Reducers: 2, SplitSize: tc.split}
+		name := fmt.Sprintf("chunked=%v/units=%d/workers=%d", tc.chunked, tc.units, tc.workers)
+		cfg := Config{Name: "rule", Workers: tc.workers, Reducers: 2}
 		if !tc.chunked {
 			data := make(points.Set, tc.units)
 			for i := range data {

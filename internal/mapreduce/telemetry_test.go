@@ -14,7 +14,7 @@ import (
 func TestEngineSpans(t *testing.T) {
 	tr := telemetry.NewTracer()
 	ctx := telemetry.WithTracer(context.Background(), tr)
-	cfg := Config{Name: "spanned", Workers: 2, Reducers: 2, SplitSize: 1}
+	cfg := Config{Name: "spanned", Workers: 3, Reducers: 2}
 	if _, err := RunFrames(ctx, cfg, tallyOf("a", "c", "e")); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestEngineSpans(t *testing.T) {
 		if ts.Parent != byName["map"][0].ID {
 			t.Error("map-task span not a child of the map phase span")
 		}
-		if ts.Track < 1 || ts.Track > 2 {
+		if ts.Track < 1 || ts.Track > 3 {
 			t.Errorf("map-task track = %d, want a 1-based worker slot", ts.Track)
 		}
 	}
@@ -61,7 +61,7 @@ func TestEngineSpans(t *testing.T) {
 // counters and phase timings must land in mr_* series.
 func TestEngineMetricsBridge(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := Config{Name: "metered", Workers: 2, SplitSize: 1, Metrics: reg}
+	cfg := Config{Name: "metered", Workers: 2, Metrics: reg}
 	res, err := RunFrames(context.Background(), cfg, tallyOf("x", "z"))
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,8 @@ type Block struct {
 }
 
 // NewBlock returns an empty block of dimension dim with capacity for
-// capPoints points. dim may be 0, in which case the first AppendRow (or
-// AppendDecode) fixes the dimension.
+// capPoints points. dim may be 0, in which case the first AppendRow fixes
+// the dimension.
 func NewBlock(dim, capPoints int) *Block {
 	if capPoints < 0 {
 		capPoints = 0

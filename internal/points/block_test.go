@@ -1,7 +1,6 @@
 package points
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -136,66 +135,4 @@ func TestBlockSliceAndClone(t *testing.T) {
 	if s[0][0] == -5 {
 		t.Fatal("ToSet shares storage with block")
 	}
-}
-
-func TestAppendDecode(t *testing.T) {
-	b := NewBlock(0, 4)
-	for _, p := range []Point{{1, 2, 3}, {4, 5, 6}} {
-		if err := AppendDecode(b, Encode(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b.Len() != 2 || b.Dim() != 3 || b.Row(1)[2] != 6 {
-		t.Fatalf("decoded block %d×%d, row1=%v", b.Len(), b.Dim(), b.Row(1))
-	}
-	if err := AppendDecode(b, Encode(Point{7, 8})); err == nil {
-		t.Fatal("dimension mismatch not rejected")
-	}
-	if err := AppendDecode(b, Encode(Point{})); err == nil {
-		t.Fatal("zero-dim point not rejected")
-	}
-	if err := AppendDecode(b, []byte{0xff, 0xff}); err == nil {
-		t.Fatal("garbage framing not rejected")
-	}
-	if b.Len() != 2 {
-		t.Fatalf("failed appends mutated length to %d", b.Len())
-	}
-}
-
-// FuzzAppendDecode: any input Decode accepts must AppendDecode into a
-// fresh block with identical coordinates, and vice versa for rejects of
-// non-zero dimension.
-func FuzzAppendDecode(f *testing.F) {
-	f.Add(Encode(Point{1, 2, 3}))
-	f.Add([]byte{0xff, 0xff, 0xff})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Decode(data)
-		blk := NewBlock(0, 1)
-		berr := AppendDecode(blk, data)
-		if err != nil {
-			if berr == nil {
-				t.Fatalf("Decode rejected %x, AppendDecode accepted", data)
-			}
-			return
-		}
-		if len(p) == 0 {
-			// Blocks cannot represent zero-dim points; AppendDecode
-			// rejects what Decode tolerates.
-			if berr == nil {
-				t.Fatal("zero-dim accepted by AppendDecode")
-			}
-			return
-		}
-		if berr != nil {
-			t.Fatalf("Decode accepted %x, AppendDecode rejected: %v", data, berr)
-		}
-		for i, v := range blk.Row(0) {
-			// Bit comparison: NaN payloads survive decoding and must still
-			// match exactly.
-			if math.Float64bits(v) != math.Float64bits(p[i]) {
-				t.Fatalf("AppendDecode row %v, Decode %v", blk.Row(0), p)
-			}
-		}
-	})
 }

@@ -69,97 +69,6 @@ func DecodeInto(dst Point, b []byte) (Point, error) {
 	return dst, nil
 }
 
-// AppendDecode decodes an encoded point directly into blk, skipping the
-// intermediate Point allocation — the bulk-ingest path of the flat-memory
-// reducers. On a dimension-inferring block the first append fixes the
-// dimension; later mismatches (and all framing faults Decode rejects) are
-// errors.
-func AppendDecode(blk *Block, b []byte) error {
-	d, n := binary.Uvarint(b)
-	if n <= 0 || !canonicalUvarint(d, n) {
-		return fmt.Errorf("points: bad dimension header")
-	}
-	const maxDim = 1 << 20
-	if d == 0 || d > maxDim {
-		return fmt.Errorf("points: implausible dimension %d", d)
-	}
-	rest := b[n:]
-	if len(rest) != int(d)*8 {
-		return fmt.Errorf("points: encoded point has %d payload bytes, want %d", len(rest), d*8)
-	}
-	if blk.dim == 0 && len(blk.coords) == 0 {
-		blk.dim = int(d)
-	}
-	if int(d) != blk.dim {
-		return fmt.Errorf("points: decoding %d-dim point into %d-dim block", d, blk.dim)
-	}
-	// Grow once and decode with indexed stores: one capacity check per
-	// point instead of one per coordinate.
-	lo := len(blk.coords)
-	need := lo + int(d)
-	if cap(blk.coords) >= need {
-		blk.coords = blk.coords[:need]
-	} else {
-		grown := make([]float64, need, 2*need)
-		copy(grown, blk.coords)
-		blk.coords = grown
-	}
-	row := blk.coords[lo:need]
-	for i := range row {
-		row[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:]))
-	}
-	return nil
-}
-
-// EncodeSet serializes a whole set, each point length-prefixed, for bulk
-// transfer over RPC.
-func EncodeSet(s Set) []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	for _, p := range s {
-		e := Encode(p)
-		buf = binary.AppendUvarint(buf, uint64(len(e)))
-		buf = append(buf, e...)
-	}
-	return buf
-}
-
-// DecodeSet parses the output of EncodeSet.
-func DecodeSet(b []byte) (Set, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 || !canonicalUvarint(count, n) {
-		return nil, fmt.Errorf("points: bad set header")
-	}
-	b = b[n:]
-	// Every entry occupies at least two bytes (length prefix + dimension
-	// header), so an honest count can never exceed half the payload —
-	// reject before allocating attacker-controlled capacity.
-	if count > uint64(len(b)/2) {
-		return nil, fmt.Errorf("points: set count %d exceeds payload", count)
-	}
-	s := make(Set, 0, count)
-	for i := uint64(0); i < count; i++ {
-		l, n := binary.Uvarint(b)
-		if n <= 0 || !canonicalUvarint(l, n) {
-			return nil, fmt.Errorf("points: bad length prefix at point %d", i)
-		}
-		b = b[n:]
-		if uint64(len(b)) < l {
-			return nil, fmt.Errorf("points: truncated set at point %d", i)
-		}
-		p, err := Decode(b[:l])
-		if err != nil {
-			return nil, fmt.Errorf("points: point %d: %w", i, err)
-		}
-		s = append(s, p)
-		b = b[l:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("points: %d trailing bytes after set", len(b))
-	}
-	return s, nil
-}
-
 // canonicalUvarint reports whether value v would re-encode to exactly n
 // bytes — rejecting padded (non-minimal) varints so the wire format
 // round-trips byte-for-byte. The scratch array stays on the stack; this

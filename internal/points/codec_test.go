@@ -64,47 +64,3 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSetRoundTrip(t *testing.T) {
-	s := Set{{1, 2}, {3, 4, 5}, {}}
-	got, err := DecodeSet(EncodeSet(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(s) {
-		t.Fatalf("set length %d, want %d", len(got), len(s))
-	}
-	for i := range s {
-		if len(got[i]) != len(s[i]) {
-			t.Fatalf("point %d length mismatch", i)
-		}
-		for j := range s[i] {
-			if got[i][j] != s[i][j] {
-				t.Errorf("set[%d][%d] = %v, want %v", i, j, got[i][j], s[i][j])
-			}
-		}
-	}
-}
-
-func TestSetEmptyRoundTrip(t *testing.T) {
-	got, err := DecodeSet(EncodeSet(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("got %v", got)
-	}
-}
-
-func TestDecodeSetRejectsGarbage(t *testing.T) {
-	if _, err := DecodeSet(nil); err == nil {
-		t.Error("nil accepted")
-	}
-	e := EncodeSet(Set{{1}})
-	if _, err := DecodeSet(e[:len(e)-2]); err == nil {
-		t.Error("truncated set accepted")
-	}
-	if _, err := DecodeSet(append(e, 0x00)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}

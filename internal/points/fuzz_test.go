@@ -33,25 +33,6 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSet does the same for set framing.
-func FuzzDecodeSet(f *testing.F) {
-	f.Add(EncodeSet(Set{{1, 2}, {3}}))
-	f.Add(EncodeSet(nil))
-	f.Add([]byte{0xff})
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSet(data)
-		if err != nil {
-			return
-		}
-		back := EncodeSet(s)
-		if len(back) != len(data) {
-			t.Fatalf("re-encode length %d, original %d", len(back), len(data))
-		}
-	})
-}
-
 // FuzzDominates checks the dominance axioms on arbitrary coordinates.
 func FuzzDominates(f *testing.F) {
 	f.Add(1.0, 2.0, 2.0, 1.0)

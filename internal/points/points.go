@@ -94,12 +94,6 @@ func DominatesOrEqual(p, q Point) bool {
 	return true
 }
 
-// Incomparable reports whether neither point dominates the other and the
-// points are not coordinate-wise equal.
-func Incomparable(p, q Point) bool {
-	return !p.Equal(q) && !Dominates(p, q) && !Dominates(q, p)
-}
-
 // Sum returns the sum of the coordinates, a monotone scoring function used
 // by sort-based skyline algorithms (SFS).
 func (p Point) Sum() float64 {

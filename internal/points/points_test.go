@@ -54,18 +54,6 @@ func TestDominatesOrEqual(t *testing.T) {
 	}
 }
 
-func TestIncomparable(t *testing.T) {
-	if !Incomparable(Point{1, 3}, Point{3, 1}) {
-		t.Error("crossing points should be incomparable")
-	}
-	if Incomparable(Point{1, 1}, Point{2, 2}) {
-		t.Error("dominated pair is comparable")
-	}
-	if Incomparable(Point{1, 1}, Point{1, 1}) {
-		t.Error("equal points are not incomparable by definition")
-	}
-}
-
 // Property: dominance is irreflexive and asymmetric.
 func TestDominanceAsymmetryProperty(t *testing.T) {
 	f := func(a, b [4]float64) bool {

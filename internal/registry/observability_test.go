@@ -158,7 +158,7 @@ func TestExplainReconciliation(t *testing.T) {
 func TestDebugEndpoints(t *testing.T) {
 	r := newRegistry(t)
 	// A tiny threshold so every query lands in the slow log.
-	r.ConfigureQueryLog(32, 8, time.Nanosecond)
+	r.ConfigureQueryLog(time.Nanosecond)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
@@ -209,9 +209,6 @@ func TestDebugEndpoints(t *testing.T) {
 // skyline_dominance_tests_total counter movement.
 func TestSoakPublishQuery(t *testing.T) {
 	r := newRegistry(t)
-	// Big enough that nothing is evicted... is not needed: totals are
-	// cumulative across evictions, so a small ring still reconciles.
-	r.ConfigureQueryLog(64, 8, defaultSlowThreshold)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 	baseline := r.Metrics().Counter("skyline_dominance_tests_total").Value()

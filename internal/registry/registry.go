@@ -72,11 +72,13 @@ type Registry struct {
 	req5xx   atomic.Int64
 }
 
-// Defaults for the query log; ConfigureQueryLog overrides them.
+// The query log's shape: a ring of the last queryLogCapacity records and the
+// slowLogK slowest over the slow threshold (defaultSlowThreshold until
+// ConfigureQueryLog sets it).
 const (
-	defaultQueryLogCapacity = 256
-	defaultSlowLogK         = 16
-	defaultSlowThreshold    = 100 * time.Millisecond
+	queryLogCapacity     = 256
+	slowLogK             = 16
+	defaultSlowThreshold = 100 * time.Millisecond
 )
 
 // New builds a registry seeded with initial services (at least one is
@@ -117,7 +119,7 @@ func New(ctx context.Context, initial []Service, opts driver.Options) (*Registry
 		ix:          ix,
 		services:    services,
 		tele:        tele,
-		queries:     telemetry.NewQueryLog(defaultQueryLogCapacity, defaultSlowLogK, defaultSlowThreshold),
+		queries:     telemetry.NewQueryLog(queryLogCapacity, slowLogK, defaultSlowThreshold),
 		pathCached:  tele.Counter("registry_query_path_total", telemetry.L("path", "cached")),
 		pathMerge:   tele.Counter("registry_query_path_total", telemetry.L("path", "merge")),
 		pathUpdate:  tele.Counter("registry_query_path_total", telemetry.L("path", "update")),
@@ -170,13 +172,12 @@ func (r *Registry) Metrics() *telemetry.Registry { return r.tele }
 // QueryLog returns the per-query record log behind /debug/queries.
 func (r *Registry) QueryLog() *telemetry.QueryLog { return r.queries }
 
-// ConfigureQueryLog replaces the query log's ring capacity, slow-log K
-// and slow threshold. Records already filed are dropped; call before
-// serving traffic.
-func (r *Registry) ConfigureQueryLog(capacity, slowK int, threshold time.Duration) {
+// ConfigureQueryLog sets the query log's slow threshold. Records already
+// filed are dropped; call before serving traffic.
+func (r *Registry) ConfigureQueryLog(threshold time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.queries = telemetry.NewQueryLog(capacity, slowK, threshold)
+	r.queries = telemetry.NewQueryLog(queryLogCapacity, slowLogK, threshold)
 }
 
 // EnableQueryStats toggles per-query attribution. Disabled, requests
@@ -194,8 +195,6 @@ type SLOOptions struct {
 	Availability float64
 	// Events, when non-nil, receives budget-burn warnings.
 	Events *telemetry.EventLog
-	// Windows overrides the burn-rate windows (default 1m/5m/30m).
-	Windows []time.Duration
 }
 
 // ConfigureSLO installs an SLO tracker evaluating the configured
@@ -204,10 +203,7 @@ type SLOOptions struct {
 // returns the tracker so the caller can tick it (a debugserver plane's
 // clock does); its state is served at /debug/slo by Handler.
 func (r *Registry) ConfigureSLO(opts SLOOptions) *telemetry.SLOTracker {
-	tr := telemetry.NewSLOTracker(telemetry.SLOConfig{
-		Windows: opts.Windows,
-		Events:  opts.Events,
-	})
+	tr := telemetry.NewSLOTracker(telemetry.SLOConfig{Events: opts.Events})
 	if opts.P99Threshold > 0 {
 		h := r.tele.Histogram("registry_request_seconds", telemetry.DurationBuckets(),
 			telemetry.L("endpoint", "skyline"))

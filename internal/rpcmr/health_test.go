@@ -24,6 +24,30 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// silence ages worker id by d — its last heartbeat moves d into the past —
+// and sweeps the health state machine, as the background sweep would after
+// d of real silence. The tests age workers this way rather than wait out a
+// wall-clock window: a poll that samples Health every few milliseconds
+// misses a suspect state that lasts only two windows on a loaded machine.
+func silence(t *testing.T, m *Master, id string, d time.Duration) {
+	t.Helper()
+	m.mu.Lock()
+	w := m.workers[id]
+	if w != nil {
+		w.lastSeen = w.lastSeen.Add(-d)
+	}
+	m.mu.Unlock()
+	if w == nil {
+		t.Fatalf("no worker %s", id)
+	}
+	m.sweepWorkerStates(time.Now())
+}
+
+// healthWindow is the tests' LivenessWindow: long enough that no live
+// worker's real silence — a parked request is held for half of it — nor the
+// background sweep, every quarter of it, moves a state while a test runs.
+const healthWindow = time.Minute
+
 // TestWorkerHealthStateMachine kills one worker of three and asserts it
 // walks healthy → suspect → dead with exactly one transition event per
 // edge, while the surviving workers stay healthy.
@@ -31,10 +55,7 @@ func TestWorkerHealthStateMachine(t *testing.T) {
 	events := telemetry.NewEventLog(512)
 	reg := telemetry.NewRegistry()
 	master, workers, _ := newCluster(t, MasterConfig{
-		// Tight windows so the walk to dead fits a unit test: suspect
-		// after 80ms of silence, dead after 240ms, swept every 10ms.
-		LivenessWindow: 80 * time.Millisecond,
-		HealthInterval: 10 * time.Millisecond,
+		LivenessWindow: healthWindow,
 		Events:         events,
 		Metrics:        reg,
 	}, 3, WorkerConfig{PollInterval: 5 * time.Millisecond})
@@ -45,14 +66,19 @@ func TestWorkerHealthStateMachine(t *testing.T) {
 		return h.Healthy == 3 && h.Suspect == 0 && h.Dead == 0
 	}, "3 healthy workers")
 
-	// Kill w2: its polls stop, so its heartbeats age out.
+	// Kill w2: its polls stop, so its heartbeats age out — one window and
+	// it is suspect, three and it is dead.
 	if err := workers[2].Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool {
-		h := master.Health()
-		return h.Dead == 1 && h.Healthy == 2
-	}, "killed worker to be declared dead")
+	silence(t, master, "w2", healthWindow+time.Millisecond)
+	if h := master.Health(); h.Suspect != 1 || h.Healthy != 2 || h.Dead != 0 {
+		t.Fatalf("after one window of silence: %+v", h)
+	}
+	silence(t, master, "w2", 2*healthWindow)
+	if h := master.Health(); h.Dead != 1 || h.Healthy != 2 || h.Suspect != 0 {
+		t.Fatalf("after three windows of silence: %+v", h)
+	}
 
 	h := master.Health()
 	for _, w := range h.Workers {
@@ -122,8 +148,7 @@ func TestWorkerHealthStateMachine(t *testing.T) {
 func TestHealthRecovery(t *testing.T) {
 	events := telemetry.NewEventLog(128)
 	master, err := NewMaster(MasterConfig{
-		LivenessWindow: 30 * time.Millisecond,
-		HealthInterval: 5 * time.Millisecond,
+		LivenessWindow: healthWindow,
 		Events:         events,
 	})
 	if err != nil {
@@ -136,11 +161,14 @@ func TestHealthRecovery(t *testing.T) {
 	if err := svc.Register(RegisterArgs{WorkerID: "wx"}, &rr); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, func() bool { return master.Health().Suspect == 1 }, "worker to go suspect")
+	silence(t, master, "wx", healthWindow+time.Millisecond)
+	if h := master.Health(); h.Suspect != 1 {
+		t.Fatalf("after one window of silence: %+v", h)
+	}
 
-	// Heartbeat: a task request recovers it.
-	var tr TaskReply
-	if err := svc.RequestTask(TaskArgs{WorkerID: "wx"}, &tr); err != nil {
+	// Heartbeat: any call recovers it. A second Register is one the master
+	// answers at once; a task request would be held for half the window.
+	if err := svc.Register(RegisterArgs{WorkerID: "wx"}, &rr); err != nil {
 		t.Fatal(err)
 	}
 	h := master.Health()

@@ -24,32 +24,19 @@ type MasterConfig struct {
 	// SplitSize is rows per input message; a map task is a worker's share
 	// of them (see Run). Defaults to 1000.
 	SplitSize int
-	// MaxTaskAttempts bounds re-executions of one task before the job is
-	// failed. Defaults to 5.
-	MaxTaskAttempts int
 	// LivenessWindow is how recently a worker must have called in to
 	// count as live in Status and healthy in Health. Defaults to 10s. A
 	// worker silent for longer becomes suspect. It also sets how long the
 	// master holds a task request it cannot answer yet — half the window,
 	// the worker counted as heard from when the hold begins and when it
 	// ends — so an idle worker is never silent for longer than that plus
-	// its own PollInterval.
+	// its own PollInterval. A worker silent for three windows is dead (see
+	// health.go).
 	LivenessWindow time.Duration
-	// DeadWindow is how long a worker may stay silent before the health
-	// state machine declares it dead. Defaults to 3 × LivenessWindow.
-	DeadWindow time.Duration
-	// HealthInterval is how often the background sweep ages workers
-	// through the health state machine. Defaults to LivenessWindow / 4.
-	HealthInterval time.Duration
 	// Metrics, when non-nil, receives master-side series: per-worker
 	// task latency histograms (rpcmr_task_seconds), retry/liveness
 	// counters, and job counts. Nil (the default) records nothing.
 	Metrics *telemetry.Registry
-	// StragglerFactor flags a completed task as a straggler when its
-	// duration exceeds this multiple of the running median of completed
-	// task durations in the current phase (with at least minStragglerSamples
-	// medians in hand). Defaults to 2.0.
-	StragglerFactor float64
 	// Events, when non-nil, receives structured operational events:
 	// job/phase boundaries, dispatches, retries, lease expiries,
 	// stragglers, and worker health transitions. Nil records nothing
@@ -67,23 +54,8 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	if c.SplitSize <= 0 {
 		c.SplitSize = 1000
 	}
-	if c.MaxTaskAttempts <= 0 {
-		c.MaxTaskAttempts = 5
-	}
 	if c.LivenessWindow <= 0 {
 		c.LivenessWindow = 10 * time.Second
-	}
-	if c.DeadWindow <= 0 {
-		c.DeadWindow = 3 * c.LivenessWindow
-	}
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = c.LivenessWindow / 4
-		if c.HealthInterval < time.Millisecond {
-			c.HealthInterval = time.Millisecond
-		}
-	}
-	if c.StragglerFactor <= 0 {
-		c.StragglerFactor = 2.0
 	}
 	return c
 }
@@ -92,8 +64,11 @@ func (c MasterConfig) withDefaults() MasterConfig {
 type Master struct {
 	cfg      MasterConfig
 	maxSplit int // maxSplitBytes; a field so that its test can lower it
-	listener net.Listener
-	server   *rpc.Server
+	// maxAttempts is maxTaskAttempts; a field so that the tests of a task
+	// that runs out of attempts can lower it.
+	maxAttempts int
+	listener    net.Listener
+	server      *rpc.Server
 
 	// stopc ends the health sweep goroutine; closed once by Close.
 	stopc    chan struct{}
@@ -225,6 +200,11 @@ func WholeFrames(rows, tasks int, frame func(dst []byte) ([]byte, error)) Input 
 // it allocates anything.
 const maxSplitBytes = 1<<30 - 1<<20
 
+// maxTaskAttempts bounds the executions of one task — its first attempt and
+// every re-queue after a failure report or a lease expiry — before the job
+// fails.
+const maxTaskAttempts = 5
+
 // NewMaster starts a master listening on cfg.Addr.
 func NewMaster(cfg MasterConfig) (*Master, error) {
 	cfg = cfg.withDefaults()
@@ -233,13 +213,14 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		return nil, fmt.Errorf("rpcmr: master listen: %w", err)
 	}
 	m := &Master{
-		cfg:      cfg,
-		maxSplit: maxSplitBytes,
-		listener: ln,
-		server:   rpc.NewServer(),
-		workers:  make(map[string]*workerInfo),
-		stopc:    make(chan struct{}),
-		wake:     make(chan struct{}),
+		cfg:         cfg,
+		maxSplit:    maxSplitBytes,
+		maxAttempts: maxTaskAttempts,
+		listener:    ln,
+		server:      rpc.NewServer(),
+		workers:     make(map[string]*workerInfo),
+		stopc:       make(chan struct{}),
+		wake:        make(chan struct{}),
 	}
 	svc := &MasterService{m: m}
 	if err := m.server.RegisterName("Master", svc); err != nil {
@@ -648,9 +629,9 @@ func (m *Master) requeueExpired(js *jobState) {
 			if w := m.workers[t.worker]; w != nil {
 				w.lastError = fmt.Sprintf("lease expired on %s task %d", phaseName(js.phase), t.id)
 			}
-			if t.failures >= m.cfg.MaxTaskAttempts {
+			if t.failures >= m.maxAttempts {
 				m.finish(js, fmt.Errorf("rpcmr: task %d exceeded %d attempts (lease expiry)",
-					t.id, m.cfg.MaxTaskAttempts))
+					t.id, m.maxAttempts))
 				return
 			}
 			js.pending = append(js.pending, t.id)

@@ -220,8 +220,9 @@ type MapResultArgs struct {
 	// FrameParts[r] holds the sealed frame stream destined for reducer r:
 	// one batched payload per reducer.
 	FrameParts [][]byte
-	// Final tells the master not to piggyback another assignment: this
-	// worker is about to stop.
+	// Final tells the master not to piggyback another assignment: the
+	// sender is about to stop. Worker never sets it; a client that speaks
+	// the protocol itself may.
 	Final bool
 	// Err is a non-empty string if the task failed on the worker.
 	Err string

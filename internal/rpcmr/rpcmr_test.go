@@ -175,7 +175,8 @@ func TestUnknownJobRejectedFast(t *testing.T) {
 }
 
 func TestDeterministicTaskFailureFailsJob(t *testing.T) {
-	master, _, _ := newCluster(t, MasterConfig{MaxTaskAttempts: 2, SplitSize: 1}, 2, WorkerConfig{})
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1}, 2, WorkerConfig{})
+	master.maxAttempts = 2
 	_, err := master.Run(context.Background(), JobSpec{Name: "always-fails", Reducers: 1}, setFrames(wcInput, nil))
 	var wte *WorkerTaskError
 	if !errors.As(err, &wte) {
@@ -317,11 +318,21 @@ func TestRegisterJobPanics(t *testing.T) {
 }
 
 // TestOptionSurface pins the number of independently settable values of a
-// job. A new field has to edit this count, and the simplicity guide's rule
-// for one applies: two callers that exist today (tests and examples do not
-// count) need different values, and the code cannot work the value out.
+// job, a master and a worker. A new field has to edit this count, and the
+// simplicity guide's rule for one applies: two callers that exist today
+// (tests and examples do not count) need different values, and the code
+// cannot work the value out.
 func TestOptionSurface(t *testing.T) {
-	if n := reflect.TypeOf(Job{}).NumField(); n != 2 {
-		t.Fatalf("rpcmr.Job has %d fields, want 2", n)
+	for _, c := range []struct {
+		typ  reflect.Type
+		want int
+	}{
+		{reflect.TypeOf(Job{}), 2},
+		{reflect.TypeOf(MasterConfig{}), 6},
+		{reflect.TypeOf(WorkerConfig{}), 8},
+	} {
+		if n := c.typ.NumField(); n != c.want {
+			t.Errorf("rpcmr.%s has %d fields, want %d", c.typ.Name(), n, c.want)
+		}
 	}
 }

@@ -11,9 +11,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// minStragglerSamples is how many completed task durations the current
-// phase must have before the straggler detector trusts its median.
-const minStragglerSamples = 3
+// A completed task is a straggler when it took more than stragglerFactor
+// times the median of the current phase's completed tasks, once the phase
+// has minStragglerSamples of them to take the median of.
+const (
+	stragglerFactor     = 2.0
+	minStragglerSamples = 3
+)
 
 // MasterService is the net/rpc surface of a Master. All methods follow the
 // rpc contract: exported, two args, error return.
@@ -262,7 +266,7 @@ func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error 
 		t.failures++
 		m.countRetry(js, args.WorkerID, "report")
 		m.reportTaskFailure(js, w, "map", args.TaskID, t.failures, args.Err)
-		if t.failures >= m.cfg.MaxTaskAttempts {
+		if t.failures >= m.maxAttempts {
 			m.finish(js, &WorkerTaskError{Task: args.TaskID, Msg: args.Err})
 			return nil
 		}
@@ -318,7 +322,7 @@ func (s *MasterService) ReportReduce(args ReduceResultArgs, reply *ResultReply) 
 		t.failures++
 		m.countRetry(js, args.WorkerID, "report")
 		m.reportTaskFailure(js, w, "reduce", args.TaskID, t.failures, args.Err)
-		if t.failures >= m.cfg.MaxTaskAttempts {
+		if t.failures >= m.maxAttempts {
 			m.finish(js, &WorkerTaskError{Task: args.TaskID, Msg: args.Err})
 			return nil
 		}
@@ -353,7 +357,7 @@ func (m *Master) recordCompletion(js *jobState, t *taskState, kind, worker strin
 	straggler := false
 	if len(js.durs) >= minStragglerSamples {
 		med := median(js.durs)
-		if med > 0 && dur > m.cfg.StragglerFactor*med {
+		if med > 0 && dur > stragglerFactor*med {
 			straggler = true
 			if reg := m.cfg.Metrics; reg != nil {
 				reg.Counter("rpcmr_stragglers_total", telemetry.L("worker", worker)).Inc()

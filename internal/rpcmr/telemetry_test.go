@@ -35,8 +35,8 @@ func TestLivenessWindowConfigurable(t *testing.T) {
 // (the worker kept reporting in — flaky job, not a dead worker).
 func TestStatusCountsRetries(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	master, _, _ := newCluster(t, MasterConfig{MaxTaskAttempts: 2, Metrics: reg},
-		1, WorkerConfig{PollInterval: time.Millisecond})
+	master, _, _ := newCluster(t, MasterConfig{Metrics: reg}, 1, WorkerConfig{PollInterval: time.Millisecond})
+	master.maxAttempts = 2
 	if _, err := master.Run(context.Background(), JobSpec{Name: "always-fails", Reducers: 1}, setFrames(wcInput, nil)); err == nil {
 		t.Fatal("always-fails should fail the job")
 	}

@@ -24,10 +24,6 @@ type WorkerConfig struct {
 	// worker does waits on it: job starts, phase changes and re-queued
 	// tasks reach a worker parked on the master at once.
 	PollInterval time.Duration
-	// FailAfterTasks, when > 0, makes the worker exit with an error after
-	// completing that many tasks — fault-injection support for tests and
-	// chaos drills. 0 disables.
-	FailAfterTasks int
 	// VanishAfterTasks, when > 0, makes the worker crash while *holding*
 	// its next assigned task after completing that many: the task is
 	// accepted but never executed or reported, exercising the master's
@@ -198,24 +194,11 @@ func (w *Worker) shouldVanish() bool {
 	return w.cfg.VanishAfterTasks > 0 && w.completed >= w.cfg.VanishAfterTasks
 }
 
-// bumpCompleted counts a finished task and applies fault injection.
-func (w *Worker) bumpCompleted() error {
+// bumpCompleted counts a finished task.
+func (w *Worker) bumpCompleted() {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.completed++
-	if w.cfg.FailAfterTasks > 0 && w.completed >= w.cfg.FailAfterTasks {
-		return fmt.Errorf("rpcmr: worker %s: injected failure after %d tasks", w.cfg.ID, w.completed)
-	}
-	return nil
-}
-
-// willStop reports whether this worker will exit (fail injection) right
-// after its next completed task, so the report can decline the
-// piggybacked assignment instead of taking a task to the grave.
-func (w *Worker) willStop() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cfg.FailAfterTasks > 0 && w.completed+1 >= w.cfg.FailAfterTasks
+	w.mu.Unlock()
 }
 
 // taskSpan starts a worker-local span tree for one task when the master
@@ -256,7 +239,6 @@ func (w *Worker) runMap(task *TaskReply) error {
 		Job:      task.Job,
 		TaskID:   task.TaskID,
 		Attempt:  task.Attempt,
-		Final:    w.willStop(),
 		TraceID:  task.TraceID,
 	}
 	span, finish := w.taskSpan(task, "map-task")
@@ -304,7 +286,8 @@ func (w *Worker) runMap(task *TaskReply) error {
 		return fmt.Errorf("rpcmr: worker %s: report map: %w", w.cfg.ID, err)
 	}
 	*task = reply.Next
-	return w.bumpCompleted()
+	w.bumpCompleted()
+	return nil
 }
 
 // runReduce is runMap for a reduce task.
@@ -314,7 +297,6 @@ func (w *Worker) runReduce(task *TaskReply) error {
 		Job:      task.Job,
 		TaskID:   task.TaskID,
 		Attempt:  task.Attempt,
-		Final:    w.willStop(),
 		TraceID:  task.TraceID,
 	}
 	span, finish := w.taskSpan(task, "reduce-task")
@@ -335,7 +317,8 @@ func (w *Worker) runReduce(task *TaskReply) error {
 		return fmt.Errorf("rpcmr: worker %s: report reduce: %w", w.cfg.ID, err)
 	}
 	*task = reply.Next
-	return w.bumpCompleted()
+	w.bumpCompleted()
+	return nil
 }
 
 // executeReduce is one reduce task: the reducer's frame streams through the

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -74,10 +76,23 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
+// TestBadVersion: a header of any version but 1 is refused — among them 2,
+// the DEFLATE-compressed stream older writers produced.
 func TestBadVersion(t *testing.T) {
-	_, err := ReadAll(bytes.NewReader([]byte("SKSF\x07")))
-	if !errors.Is(err, ErrCorrupt) {
-		t.Errorf("err = %v, want ErrCorrupt", err)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.Append([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte("SKSF\x02"), buf.Bytes()[5:]...)
+	for _, file := range [][]byte{[]byte("SKSF\x07"), v2} {
+		_, err := ReadAll(bytes.NewReader(file))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("unsupported version %d", file[4])) {
+			t.Errorf("version %d: err = %v, want ErrCorrupt for an unsupported version", file[4], err)
+		}
 	}
 }
 
@@ -215,91 +230,6 @@ func BenchmarkWriteRead(b *testing.B) {
 		if _, err := ReadAll(&buf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestCompressedRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewCompressedWriter(&buf)
-	recs := []Record{
-		{[]byte("k1"), bytes.Repeat([]byte("abc"), 1000)},
-		{[]byte(""), []byte("empty key")},
-		{[]byte("k3"), []byte{}},
-	}
-	for _, rec := range recs {
-		if err := w.Append(rec.Key, rec.Value); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("read %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if !bytes.Equal(got[i].Key, recs[i].Key) || !bytes.Equal(got[i].Value, recs[i].Value) {
-			t.Errorf("record %d mismatch", i)
-		}
-	}
-}
-
-func TestCompressedActuallyCompresses(t *testing.T) {
-	payload := bytes.Repeat([]byte("repetitive payload "), 500)
-	var raw, comp bytes.Buffer
-	wr := NewWriter(&raw)
-	wc := NewCompressedWriter(&comp)
-	for i := 0; i < 20; i++ {
-		if err := wr.Append([]byte("k"), payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := wc.Append([]byte("k"), payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := wr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if comp.Len() >= raw.Len()/5 {
-		t.Errorf("compressed %d bytes vs raw %d — poor ratio on repetitive data", comp.Len(), raw.Len())
-	}
-}
-
-func TestCompressedEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewCompressedWriter(&buf)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("records from empty compressed file: %d", len(got))
-	}
-}
-
-func TestCompressedCorruptionDetected(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewCompressedWriter(&buf)
-	if err := w.Append([]byte("key"), bytes.Repeat([]byte("v"), 5000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(data)/2] ^= 0xFF
-	if _, err := ReadAll(bytes.NewReader(data)); err == nil {
-		t.Error("corrupted compressed stream read without error")
 	}
 }
 

@@ -157,35 +157,3 @@ func Naive(s points.Set) points.Set {
 	}
 	return out
 }
-
-// IsSkylineOf reports whether sky is exactly the skyline of s: every sky
-// member is undominated in s, and every undominated point of s appears in
-// sky (as a coordinate-equal member). It is an O(n·m) checker for tests.
-func IsSkylineOf(sky, s points.Set) bool {
-	want := Naive(s)
-	if len(want) != len(sky) {
-		return false
-	}
-	for _, p := range sky {
-		if !want.Contains(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// Dominated returns the points of s dominated by at least one member of
-// by. Points coordinate-equal to a member of by are not considered
-// dominated.
-func Dominated(s, by points.Set) points.Set {
-	out := make(points.Set, 0)
-	for _, p := range s {
-		for _, q := range by {
-			if points.DominatesOrEqual(q, p) && !q.Equal(p) {
-				out = append(out, p)
-				break
-			}
-		}
-	}
-	return out
-}

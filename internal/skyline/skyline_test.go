@@ -235,28 +235,6 @@ func TestSkylineOrderInsensitive(t *testing.T) {
 	}
 }
 
-func TestIsSkylineOf(t *testing.T) {
-	all, want := paperExample()
-	if !IsSkylineOf(want, all) {
-		t.Error("IsSkylineOf rejected the true skyline")
-	}
-	if IsSkylineOf(want[:3], all) {
-		t.Error("IsSkylineOf accepted a partial skyline")
-	}
-	if IsSkylineOf(all, all) {
-		t.Error("IsSkylineOf accepted a superset containing dominated points")
-	}
-}
-
-func TestDominated(t *testing.T) {
-	s := points.Set{{1, 1}, {2, 2}, {0, 5}}
-	by := points.Set{{1, 1}}
-	got := Dominated(s, by)
-	if len(got) != 1 || !got[0].Equal(points.Point{2, 2}) {
-		t.Errorf("Dominated = %v", got)
-	}
-}
-
 func BenchmarkKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s := make(points.Set, 5000)

@@ -108,7 +108,7 @@ func TestPlaneServesEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg.ConfigureQueryLog(64, 8, time.Nanosecond)
+	reg.ConfigureQueryLog(time.Nanosecond)
 	slo := reg.ConfigureSLO(registry.SLOOptions{P99Threshold: 250 * time.Millisecond, Availability: 0.99, Events: events})
 	history, err := telemetry.OpenRunHistory("", 0)
 	if err != nil {

@@ -49,8 +49,8 @@ type TaskRecord struct {
 	Worker  string `json:"worker,omitempty"`
 	// Seconds is the task's wall time on its successful attempt.
 	Seconds float64 `json:"seconds"`
-	// Straggler marks a task whose duration exceeded the straggler
-	// threshold (see rpcmr.MasterConfig.StragglerFactor).
+	// Straggler marks a task that took more than twice its phase's median
+	// task time (rpcmr's straggler rule).
 	Straggler bool `json:"straggler,omitempty"`
 }
 

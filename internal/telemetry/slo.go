@@ -107,7 +107,7 @@ type SLOStatus struct {
 	BudgetUsed float64 `json:"budget_used"`
 	// Violated reports Achieved below the objective over the whole run.
 	Violated bool `json:"violated"`
-	// Windows are the configured burn-rate windows, shortest first.
+	// Windows are the burn-rate windows (sloWindows), shortest first.
 	Windows []SLOWindow `json:"windows"`
 	// Burning reports every window burning above the alert rate — the
 	// multi-window condition that suppresses blips (short window) and
@@ -136,11 +136,12 @@ type sloPoint struct {
 // objective to be Burning: the budget being spent faster than sustainable.
 const alertBurn = 1.0
 
+// sloWindows are the burn-rate lookbacks, shortest first: a short window
+// that suppresses stale alerts and long ones that suppress blips.
+var sloWindows = [...]time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
+
 // SLOConfig configures an SLOTracker.
 type SLOConfig struct {
-	// Windows are the burn-rate lookbacks, shortest first (default
-	// 1m, 5m, 30m).
-	Windows []time.Duration
 	// Events, when non-nil, receives a warning each time an objective
 	// transitions into the burning state (and an info when it recovers).
 	Events *EventLog
@@ -158,9 +159,6 @@ type SLOTracker struct {
 
 // NewSLOTracker returns a tracker with no objectives yet.
 func NewSLOTracker(cfg SLOConfig) *SLOTracker {
-	if len(cfg.Windows) == 0 {
-		cfg.Windows = []time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
-	}
 	return &SLOTracker{cfg: cfg, burning: make(map[string]bool), now: time.Now}
 }
 
@@ -204,7 +202,7 @@ func (t *SLOTracker) Tick() {
 	}
 	t.mu.Lock()
 	now := t.now()
-	maxW := t.cfg.Windows[len(t.cfg.Windows)-1]
+	maxW := sloWindows[len(sloWindows)-1]
 	for _, o := range t.objectives {
 		o.history = append(o.history, sloPoint{at: now, sample: o.source()})
 		// Keep one point at or beyond the longest window so deltas always
@@ -276,7 +274,7 @@ func (t *SLOTracker) statusLocked(now time.Time) []SLOStatus {
 			st.Violated = st.Achieved < floor
 		}
 		st.Burning = true
-		for _, w := range t.cfg.Windows {
+		for _, w := range sloWindows {
 			win := burnWindow(o, cur, now, w)
 			st.Windows = append(st.Windows, win)
 			if win.BurnRate <= alertBurn {

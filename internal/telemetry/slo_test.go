@@ -14,31 +14,30 @@ import (
 // fakeClock advances an SLOTracker deterministically.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time            { return c.t }
-func (c *fakeClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                 { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+func (c *fakeClock) now() time.Time                     { return c.t }
+func (c *fakeClock) advance(d time.Duration)            { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock                          { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 func withClock(t *SLOTracker, c *fakeClock) *SLOTracker { t.now = c.now; return t }
 
 // TestSLOBurnRates: a latency objective's burn rate is the bad fraction
-// over the window divided by the budget, short windows react to recent
-// behaviour, and the overall achieved/violated figures cover everything.
+// over the window divided by the budget, the 1m window reacts to recent
+// behaviour while the 5m and 30m ones average it out, and the overall
+// achieved/violated figures cover everything.
 func TestSLOBurnRates(t *testing.T) {
 	clock := newFakeClock()
 	var good, bad atomic.Int64
-	tr := withClock(NewSLOTracker(SLOConfig{
-		Windows: []time.Duration{time.Minute, 10 * time.Minute},
-	}), clock)
+	tr := withClock(NewSLOTracker(SLOConfig{}), clock)
 	tr.AddLatency("query-p99", 0.99, 5*time.Millisecond,
 		CounterSLOSource(good.Load, bad.Load))
 
-	// 10 minutes of clean traffic: 1000 req/min, all good.
-	for i := 0; i < 10; i++ {
+	// 30 minutes of clean traffic: 1000 req/min, all good.
+	for i := 0; i < 30; i++ {
 		good.Add(1000)
 		clock.advance(time.Minute)
 		tr.Tick()
 	}
 	st := tr.Status()[0]
-	if st.Requests != 10000 || st.Bad != 0 || st.Achieved != 1.0 || st.Violated || st.Burning {
+	if st.Requests != 30000 || st.Bad != 0 || st.Achieved != 1.0 || st.Violated || st.Burning {
 		t.Fatalf("clean period status wrong: %+v", st)
 	}
 
@@ -49,25 +48,27 @@ func TestSLOBurnRates(t *testing.T) {
 	clock.advance(time.Minute)
 	tr.Tick()
 	st = tr.Status()[0]
+	if len(st.Windows) != 3 {
+		t.Fatalf("windows = %+v, want 1m, 5m and 30m", st.Windows)
+	}
 	w1 := st.Windows[0]
-	if w1.Requests != 1000 || w1.Bad != 100 {
+	if w1.WindowSeconds != 60 || w1.Requests != 1000 || w1.Bad != 100 {
 		t.Fatalf("1m window deltas wrong: %+v", w1)
 	}
-	if math.Abs(w1.BurnRate-10.0) > 1e-9 {
-		t.Errorf("1m burn = %v, want 10.0 (10%% bad over 1%% budget)", w1.BurnRate)
-	}
-	// 10m window: 100 bad of 10000 → bad rate 1% → burn 1.0, NOT above
-	// the alert rate, so the multi-window condition holds Burning back.
-	w10 := st.Windows[1]
-	if math.Abs(w10.BurnRate-1.0) > 1e-9 {
-		t.Errorf("10m burn = %v, want 1.0", w10.BurnRate)
+	// 5m: 100 bad of 5000 → 2% → burn 2; 30m: 100 bad of 30000 → burn 1/3,
+	// NOT above the alert rate, so the multi-window condition holds
+	// Burning back.
+	for i, want := range []float64{10, 2, 1.0 / 3} {
+		if got := st.Windows[i].BurnRate; math.Abs(got-want) > 1e-9 {
+			t.Errorf("%vs burn = %v, want %v", st.Windows[i].WindowSeconds, got, want)
+		}
 	}
 	if st.Burning {
-		t.Error("burning with only the short window above the alert rate")
+		t.Error("burning with the 30m window under the alert rate")
 	}
 
-	// Sustained badness: after ten more bad minutes both windows burn.
-	for i := 0; i < 10; i++ {
+	// Sustained badness: after thirty more bad minutes every window burns.
+	for i := 0; i < 30; i++ {
 		good.Add(900)
 		bad.Add(100)
 		clock.advance(time.Minute)
@@ -77,7 +78,7 @@ func TestSLOBurnRates(t *testing.T) {
 	if !st.Burning {
 		t.Errorf("not burning after sustained 10x burn: %+v", st.Windows)
 	}
-	// Overall: 1100 bad of 21000 ≈ 5.2% bad — the p99 objective is
+	// Overall: 3100 bad of 61000 ≈ 5.1% bad — the p99 objective is
 	// violated outright and more than the whole budget is consumed.
 	if !st.Violated || st.BudgetUsed <= 1 {
 		t.Errorf("overall violation not reported: achieved=%v budgetUsed=%v", st.Achieved, st.BudgetUsed)
@@ -90,10 +91,7 @@ func TestSLOBurnEvents(t *testing.T) {
 	clock := newFakeClock()
 	events := NewEventLog(64)
 	var good, bad atomic.Int64
-	tr := withClock(NewSLOTracker(SLOConfig{
-		Windows: []time.Duration{time.Minute},
-		Events:    events,
-	}), clock)
+	tr := withClock(NewSLOTracker(SLOConfig{Events: events}), clock)
 	tr.AddAvailability("availability", 0.99, CounterSLOSource(good.Load, bad.Load))
 
 	count := func(msg string) int {
@@ -105,7 +103,8 @@ func TestSLOBurnEvents(t *testing.T) {
 		}
 		return n
 	}
-	// Three burning ticks: one warning only.
+	// Three burning ticks — every window sees the same 20% bad share, a
+	// 20x burn: one warning only.
 	for i := 0; i < 3; i++ {
 		good.Add(80)
 		bad.Add(20)
@@ -177,7 +176,7 @@ func TestSLOEndpoint(t *testing.T) {
 		t.Errorf("objective wrong: %+v", o)
 	}
 	if len(o.Windows) != 3 {
-		t.Errorf("default windows = %d, want 3", len(o.Windows))
+		t.Errorf("windows = %d, want 3", len(o.Windows))
 	}
 
 	mux2 := http.NewServeMux()

@@ -264,10 +264,30 @@ func SkylineParallel(data Set, workers int) Set {
 
 // SkylineBounded computes the skyline with the memory-bounded multi-pass
 // BNL of Börzsönyi et al.: the candidate window holds at most window
-// points, overflow is re-processed in later passes. Exact for any window
-// ≥ 1.
+// points, overflow goes to a temporary file under os.TempDir and is
+// re-processed in later passes. The file is gone when SkylineBounded
+// returns, whatever it returns. Exact for any window ≥ 1.
 func SkylineBounded(data Set, window int) (Set, error) {
-	return skyline.BNLExternal(data, window)
+	if window < 1 {
+		return nil, fmt.Errorf("skymr: window size %d, need >= 1", window)
+	}
+	blk, ok := points.BlockOf(data)
+	if !ok {
+		return nil, fmt.Errorf("skymr: %w", data.Validate())
+	}
+	if blk.Len() == 0 {
+		return nil, nil
+	}
+	fold := skyline.NewBudgetedFold(blk.Dim(), int64(window)*int64(blk.Dim())*8, "", points.FrameDefault)
+	defer fold.Close()
+	if err := fold.Absorb(blk); err != nil {
+		return nil, err
+	}
+	sky, err := fold.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return sky.ToSet(), nil
 }
 
 // RepresentativeSkyline picks k spread-out members of a skyline (greedy
