@@ -308,12 +308,7 @@ func run(o options) error {
 	// or de-straggling would have bought. The summary joins the bounded
 	// run history, which flags regressions against prior same-shape runs.
 	if analysis, aerr := critpath.Analyze(tracer.Spans(), recorder.Report()); aerr == nil {
-		var top critpath.PhaseBlame
-		for _, p := range analysis.Phases {
-			if p.Seconds > top.Seconds {
-				top = p
-			}
-		}
+		top := analysis.Bottleneck()
 		fmt.Fprintf(os.Stderr, "skymaster: critical path %.2fs, bottleneck %s (%.0f%%)",
 			analysis.MakespanSeconds, top.Phase, top.Share*100)
 		for _, sc := range analysis.WhatIf {

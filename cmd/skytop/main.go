@@ -450,28 +450,17 @@ func labeled(metrics map[string]float64, name, key, value string) float64 {
 }
 
 // renderFlight shows the partition-load sparkline and the skew /
-// optimality rollups from the flight record.
+// optimality rollups from the flight record (partitions arrive sorted by
+// id). Nothing until a run has routed a point.
 func renderFlight(w io.Writer, r *telemetry.Report) {
-	if len(r.Partitions) == 0 {
+	if r.Skew.MaxLoad == 0 {
 		return
 	}
-	parts := append([]telemetry.PartitionRecord(nil), r.Partitions...)
-	sort.Slice(parts, func(i, j int) bool { return parts[i].Partition < parts[j].Partition })
-	loads := make([]float64, len(parts))
-	anyLoad := false
-	for i, p := range parts {
+	loads := make([]float64, len(r.Partitions))
+	for i, p := range r.Partitions {
 		loads[i] = float64(p.InputRecords)
-		if p.InputRecords == 0 {
-			loads[i] = float64(p.LocalSkyline)
-		}
-		if loads[i] > 0 {
-			anyLoad = true
-		}
 	}
-	if !anyLoad {
-		return
-	}
-	fmt.Fprintf(w, "\npartition load (%d partitions)  %s\n", len(parts), asciiplot.Spark(loads))
+	fmt.Fprintf(w, "\npartition load (%d partitions)  %s\n", len(loads), asciiplot.Spark(loads))
 	fmt.Fprintf(w, "skew: imbalance %.2f, gini %.2f   optimality (Eq.5): %.3f   stragglers: %d\n",
 		r.Skew.Imbalance, r.Skew.Gini, r.Optimality, r.Stragglers)
 }
@@ -485,12 +474,8 @@ func renderCritPath(w io.Writer, a *critpath.Analysis) {
 		fmt.Fprintf(w, "\nbottleneck: n/a\n")
 		return
 	}
-	var top critpath.PhaseBlame
 	fmt.Fprintf(w, "\nbottleneck: makespan %.2fs  ", a.MakespanSeconds)
 	for _, p := range a.Phases {
-		if p.Seconds > top.Seconds {
-			top = p
-		}
 		fmt.Fprintf(w, " %s %.2fs (%.0f%%)", p.Phase, p.Seconds, p.Share*100)
 	}
 	fmt.Fprintln(w)

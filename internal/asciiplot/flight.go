@@ -9,28 +9,18 @@ import (
 
 // FlightChart renders a flight-recorder report as the per-partition
 // load/optimality bar chart the paper's Figures 7 and 8 tabulate: one bar
-// per partition scaled by its load (input records when known, local
-// skyline size otherwise), annotated with the local skyline size and the
-// Eq. (5) optimality ratio, followed by the skew/straggler rollups.
+// per partition scaled by its load (input records), annotated with the
+// local skyline size and the Eq. (5) optimality ratio, followed by the
+// skew/straggler rollups.
 func FlightChart(w io.Writer, rep *telemetry.Report) error {
 	if rep == nil {
 		return fmt.Errorf("asciiplot: nil flight report")
 	}
 	labels := make([]string, len(rep.Partitions))
 	loads := make([]float64, len(rep.Partitions))
-	haveInput := false
-	for _, p := range rep.Partitions {
-		if p.InputRecords > 0 {
-			haveInput = true
-		}
-	}
 	for i, p := range rep.Partitions {
 		labels[i] = fmt.Sprintf("p%d", p.Partition)
-		if haveInput {
-			loads[i] = float64(p.InputRecords)
-		} else {
-			loads[i] = float64(p.LocalSkyline)
-		}
+		loads[i] = float64(p.InputRecords)
 	}
 	title := fmt.Sprintf("flight %s: partition load / local optimality", rep.Job)
 	err := Bars(w, title, labels, loads, func(i int) string {

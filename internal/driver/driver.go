@@ -208,16 +208,18 @@ func InvalidInput(prefix string, data points.Set, err error) error {
 // context carries no recorder): per planned partition its occupancy as
 // input load, shuffle bytes, local skyline size and Eq. (5) survivor count
 // — computed here, where local and global skylines are both in hand — and
-// the run's retries, merge rounds and reducer peak. The rollups are then
-// bridged into the run's metrics registry.
+// the run's stragglers, retries and failures (job counters), merge rounds
+// and reducer peak. The rollups are then bridged into the run's metrics
+// registry.
 func feedRecorder(ctx context.Context, opts Options, stats *Stats, global points.Set, shuffle map[int]mapreduce.PartStat) {
 	rec := telemetry.RecorderFrom(ctx)
 	if rec == nil {
 		return
 	}
-	run := telemetry.RunRecord{
+	run := telemetry.Report{
 		Partitions:       make([]telemetry.PartitionRecord, stats.Partitions),
 		GlobalSkyline:    len(global),
+		Stragglers:       stats.Counters[mapreduce.CounterStragglers],
 		TaskRetries:      stats.Counters[mapreduce.CounterMapRetries] + stats.Counters[mapreduce.CounterRedRetries],
 		WorkerFailures:   stats.Counters[mapreduce.CounterWorkerFailures],
 		MergeRoundBytes:  stats.MergeRoundBytes,

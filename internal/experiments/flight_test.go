@@ -30,7 +30,7 @@ func TestFlightRecorderMatchesFigure7(t *testing.T) {
 
 		// Offline, exactly as Figure7 computes it.
 		offline := metrics.LocalSkylineOptimality(stats.LocalSkylines, global)
-		perPart := metrics.PerPartitionOptimality(stats.LocalSkylines, global)
+		survivors := metrics.GlobalSurvivors(stats.LocalSkylines, global)
 
 		rep := rec.Report()
 		if math.Abs(rep.Optimality-offline) > 1e-9 {
@@ -42,17 +42,17 @@ func TestFlightRecorderMatchesFigure7(t *testing.T) {
 				scheme, rep.GlobalSkyline, len(global))
 		}
 		for _, p := range rep.Partitions {
-			want, tracked := perPart[p.Partition]
-			if !tracked {
-				// Partitions with an empty local skyline are absent from the
-				// offline map and must read 0 in the recorder too.
+			local := len(stats.LocalSkylines[p.Partition])
+			if local == 0 {
+				// Partitions with an empty local skyline have no ratio
+				// offline and must read 0 in the recorder too.
 				if p.Optimality != 0 || p.LocalSkyline != 0 {
-					t.Errorf("%v p%d: recorder has opt %.12f sky %d, offline has no entry",
+					t.Errorf("%v p%d: recorder has opt %.12f sky %d, offline has an empty local skyline",
 						scheme, p.Partition, p.Optimality, p.LocalSkyline)
 				}
 				continue
 			}
-			if math.Abs(p.Optimality-want) > 1e-9 {
+			if want := float64(survivors[p.Partition]) / float64(local); math.Abs(p.Optimality-want) > 1e-9 {
 				t.Errorf("%v p%d: recorder optimality %.12f, offline %.12f",
 					scheme, p.Partition, p.Optimality, want)
 			}

@@ -405,7 +405,7 @@ func critpathChart(ctx context.Context, sc Scale) ([]Row, error) {
 		}
 		r.add(m.String()+"/makespan_s", a.MakespanSeconds, "s")
 		r.add(m.String()+"/segments", float64(len(a.CriticalPath)), "count")
-		r.add(m.String()+"/bottleneck_share", topPhase(a).Share, "ratio")
+		r.add(m.String()+"/bottleneck_share", a.Bottleneck().Share, "ratio")
 		if sc.Charts != nil {
 			if err := asciiplot.CritPathChart(sc.Charts, a); err != nil {
 				return nil, err
@@ -413,15 +413,4 @@ func critpathChart(ctx context.Context, sc Scale) ([]Row, error) {
 		}
 	}
 	return r, nil
-}
-
-// topPhase is the phase holding the most critical-path seconds.
-func topPhase(a *critpath.Analysis) critpath.PhaseBlame {
-	var top critpath.PhaseBlame
-	for _, p := range a.Phases {
-		if p.Seconds > top.Seconds {
-			top = p
-		}
-	}
-	return top
 }

@@ -152,6 +152,11 @@ const (
 	// worker — each also a retry of that task. Only an executor whose
 	// workers can vanish (rpcmr) books it.
 	CounterWorkerFailures = "mr.worker.failures"
+	// CounterStragglers counts accepted task completions that took more
+	// than twice their phase's median — rpcmr's straggler rule. Only
+	// rpcmr's master books it, and it is timing, not data: two runs of
+	// one job may differ in it.
+	CounterStragglers = "mr.task.stragglers"
 )
 
 // bridgeCounters folds one finished job's counters and phase timings

@@ -21,23 +21,13 @@ import (
 // Partitions with empty local skylines do not contribute. Returns 0 when
 // no partition has a local skyline.
 func LocalSkylineOptimality(local map[int]points.Set, global points.Set) float64 {
-	globalKeys := make(map[string]struct{}, len(global))
-	for _, p := range global {
-		globalKeys[points.Key(p)] = struct{}{}
-	}
+	survivors := GlobalSurvivors(local, global)
 	sum, n := 0.0, 0
-	for _, sky := range local {
-		if len(sky) == 0 {
-			continue
+	for id, sky := range local {
+		if len(sky) > 0 {
+			sum += float64(survivors[id]) / float64(len(sky))
+			n++
 		}
-		hits := 0
-		for _, p := range sky {
-			if _, ok := globalKeys[points.Key(p)]; ok {
-				hits++
-			}
-		}
-		sum += float64(hits) / float64(len(sky))
-		n++
 	}
 	if n == 0 {
 		return 0
@@ -47,8 +37,8 @@ func LocalSkylineOptimality(local map[int]points.Set, global points.Set) float64
 
 // GlobalSurvivors counts, per partition, the local skyline points that
 // also appear in the global skyline — the numerator of the Eq. (5)
-// ratio, exposed separately so the flight recorder can report raw counts
-// alongside the ratios. Partitions with empty local skylines get 0.
+// ratio, and the raw count the flight recorder reports beside it.
+// Partitions with empty local skylines get 0.
 func GlobalSurvivors(local map[int]points.Set, global points.Set) map[int]int {
 	globalKeys := make(map[string]struct{}, len(global))
 	for _, p := range global {
@@ -63,29 +53,6 @@ func GlobalSurvivors(local map[int]points.Set, global points.Set) map[int]int {
 			}
 		}
 		out[id] = hits
-	}
-	return out
-}
-
-// PerPartitionOptimality returns each partition's |sky_i ∩ sky_global| /
-// |sky_i| fraction, for distribution plots and diagnostics.
-func PerPartitionOptimality(local map[int]points.Set, global points.Set) map[int]float64 {
-	globalKeys := make(map[string]struct{}, len(global))
-	for _, p := range global {
-		globalKeys[points.Key(p)] = struct{}{}
-	}
-	out := make(map[int]float64, len(local))
-	for id, sky := range local {
-		if len(sky) == 0 {
-			continue
-		}
-		hits := 0
-		for _, p := range sky {
-			if _, ok := globalKeys[points.Key(p)]; ok {
-				hits++
-			}
-		}
-		out[id] = float64(hits) / float64(len(sky))
 	}
 	return out
 }

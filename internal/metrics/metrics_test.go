@@ -38,19 +38,16 @@ func TestLocalSkylineOptimalityEdge(t *testing.T) {
 	}
 }
 
-func TestPerPartitionOptimality(t *testing.T) {
+func TestGlobalSurvivors(t *testing.T) {
 	global := points.Set{{1, 1}}
 	local := map[int]points.Set{
 		0: {{1, 1}, {3, 3}},
 		1: {{2, 2}},
 		2: {},
 	}
-	got := PerPartitionOptimality(local, global)
-	if math.Abs(got[0]-0.5) > 1e-12 || got[1] != 0 {
-		t.Errorf("per-partition = %v", got)
-	}
-	if _, ok := got[2]; ok {
-		t.Error("empty partition reported")
+	got := GlobalSurvivors(local, global)
+	if len(got) != 3 || got[0] != 1 || got[1] != 0 || got[2] != 0 {
+		t.Errorf("survivors = %v, want map[0:1 1:0 2:0]", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mapreduce"
 	"repro/internal/telemetry"
 )
 
@@ -66,8 +67,7 @@ func TestStitchedTraceThreeWorkers(t *testing.T) {
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 1}, 3,
 		WorkerConfig{PollInterval: time.Millisecond})
 	tr := telemetry.NewTracer()
-	rec := telemetry.NewRecorder("stitch")
-	ctx := telemetry.WithRecorder(telemetry.WithTracer(context.Background(), tr), rec)
+	ctx := telemetry.WithTracer(context.Background(), tr)
 	input := tallyRows(30, 30, 30, 30, 30, 30)
 	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 2}, setFrames(input, nil)); err != nil {
 		t.Fatal(err)
@@ -102,11 +102,6 @@ func TestStitchedTraceThreeWorkers(t *testing.T) {
 	}
 	if len(workers) < 2 {
 		t.Errorf("task spans from %d worker(s), want >= 2 of the 3", len(workers))
-	}
-	// Every task completion also reached the flight recorder.
-	rep := rec.Report()
-	if len(rep.Tasks) != 3+2 {
-		t.Errorf("recorder tasks = %d, want %d", len(rep.Tasks), 3+2)
 	}
 }
 
@@ -168,9 +163,9 @@ func TestRetriedTaskSpansOnce(t *testing.T) {
 }
 
 // TestStragglerDetection: with three ~5 ms tasks establishing the phase
-// median, a 400 ms tail task must be flagged — counter, task record, and
-// span attribute. Three idle workers make the four rows four shares, which
-// the one working worker runs in turn.
+// median, a 400 ms tail task must be flagged — job counter, per-worker
+// counter, and span attribute. Three idle workers make the four rows four
+// shares, which the one working worker runs in turn.
 func TestStragglerDetection(t *testing.T) {
 	ensureFlightJobs()
 	reg := telemetry.NewRegistry()
@@ -192,29 +187,14 @@ func TestStragglerDetection(t *testing.T) {
 	go func() { _ = w.Run(context.Background()) }()
 
 	tr := telemetry.NewTracer()
-	rec := telemetry.NewRecorder("slowtail")
-	ctx := telemetry.WithRecorder(telemetry.WithTracer(context.Background(), tr), rec)
 	input := tallyRows(5, 5, 5, 400)
-	if _, err := master.Run(ctx, JobSpec{Name: "slowtail", Reducers: 1}, setFrames(input, nil)); err != nil {
+	res, err := master.Run(telemetry.WithTracer(context.Background(), tr), JobSpec{Name: "slowtail", Reducers: 1}, setFrames(input, nil))
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	rep := rec.Report()
-	if rep.Stragglers != 1 {
-		t.Fatalf("stragglers = %d, want exactly 1 (the 400ms tail); tasks = %+v",
-			rep.Stragglers, rep.Tasks)
-	}
-	found := false
-	for _, task := range rep.Tasks {
-		if task.Straggler {
-			found = true
-			if task.Kind != "map" || task.Seconds < 0.35 {
-				t.Errorf("straggler record = %+v, want the slow map task", task)
-			}
-		}
-	}
-	if !found {
-		t.Error("no task record flagged as straggler")
+	if got := res.Counters.Snapshot()[mapreduce.CounterStragglers]; got != 1 {
+		t.Fatalf("%s = %d, want exactly 1 (the 400ms tail)", mapreduce.CounterStragglers, got)
 	}
 
 	samples, err := telemetry.ParsePrometheus(promText(t, reg))
@@ -227,11 +207,11 @@ func TestStragglerDetection(t *testing.T) {
 
 	marked := 0
 	for _, s := range tr.Spans() {
-		if s.Name != "map-task" {
-			continue
-		}
 		if v, ok := attrOf(s, "straggler"); ok && v == true {
 			marked++
+			if s.Name != "map-task" || s.Duration < 350*time.Millisecond {
+				t.Errorf("straggler-marked span %s of %v, want the slow map task", s.Name, s.Duration)
+			}
 		}
 	}
 	if marked != 1 {

@@ -122,19 +122,18 @@ type jobState struct {
 	// as splits were ever in flight at once. It is dropped with the job: an
 	// idle master holds none.
 	spare [][]byte
-	// Flight-recorder / stitched-trace state. tracer and recorder come
-	// from the Run context (nil when off); traceID doubles as the wire
-	// trace id and the parent span for imported worker spans.
+	// Stitched-trace state. tracer comes from the Run context (nil when
+	// off); traceID doubles as the wire trace id and the parent span for
+	// imported worker spans.
 	tracer     *telemetry.Tracer
-	recorder   *telemetry.Recorder
 	traceID    uint64
 	parentSpan uint64
 	tracks     map[string]int // worker id → Chrome-trace row
 	nextTrack  int
 	durs       []float64 // completed task durations, current phase
 	// stats sums the tallies of every task's one accepted report; counters
-	// holds what the master counts as it happens (retries, expired leases).
-	// Run turns both into the job's result.
+	// holds what the master counts as it happens (retries, expired leases,
+	// stragglers). Run turns both into the job's result.
 	stats    mapreduce.FrameStats
 	counters *mapreduce.Counters
 }
@@ -462,7 +461,6 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		// span; the job span's id doubles as the wire trace id so stale
 		// reports from another job are rejected on import.
 		tracer:     telemetry.TracerFrom(ctx),
-		recorder:   telemetry.RecorderFrom(ctx),
 		traceID:    jobSpan.ID(),
 		parentSpan: jobSpan.ID(),
 		tracks:     make(map[string]int),

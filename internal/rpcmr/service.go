@@ -345,13 +345,14 @@ func (s *MasterService) ReportReduce(args ReduceResultArgs, reply *ResultReply) 
 	return nil
 }
 
-// recordCompletion (mu held) runs the flight-recorder side of one
+// recordCompletion (mu held) runs the observability side of one
 // *accepted* task completion: straggler detection against the running
-// phase median, the TaskRecord, and the import of the worker's span tree
-// into the master's tracer. Because only the first accepted report of a
-// task reaches here (first-writer-wins) and error reports carry no
-// spans, a retried task contributes exactly one span tree to the
-// stitched trace.
+// phase median — booked once as the job counter CounterStragglers and
+// reported on the per-worker counter, the event log and the task span —
+// and the import of the worker's span tree into the master's tracer.
+// Because only the first accepted report of a task reaches here
+// (first-writer-wins) and error reports carry no spans, a retried task
+// contributes exactly one span tree to the stitched trace.
 func (m *Master) recordCompletion(js *jobState, t *taskState, kind, worker string, spans []telemetry.SpanData, traceID uint64) {
 	dur := time.Since(t.startedAt).Seconds()
 	straggler := false
@@ -359,6 +360,7 @@ func (m *Master) recordCompletion(js *jobState, t *taskState, kind, worker strin
 		med := median(js.durs)
 		if med > 0 && dur > stragglerFactor*med {
 			straggler = true
+			js.counters.Add(mapreduce.CounterStragglers, 1)
 			if reg := m.cfg.Metrics; reg != nil {
 				reg.Counter("rpcmr_stragglers_total", telemetry.L("worker", worker)).Inc()
 			}
@@ -369,16 +371,6 @@ func (m *Master) recordCompletion(js *jobState, t *taskState, kind, worker strin
 		}
 	}
 	js.durs = append(js.durs, dur)
-
-	js.recorder.RecordTask(telemetry.TaskRecord{
-		Job:       js.spec.Name,
-		Kind:      kind,
-		Task:      t.id,
-		Attempt:   t.attempt,
-		Worker:    worker,
-		Seconds:   dur,
-		Straggler: straggler,
-	})
 
 	if js.tracer != nil && traceID == js.traceID && len(spans) > 0 {
 		if straggler {

@@ -7,30 +7,36 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/timeseries"
 )
 
-// TestClusterFlightRecord: a recorded cluster run must produce a flight
-// report that covers every planned partition, reproduces the pipeline's
-// own Eq. (5) optimality, carries per-task records, and publishes the
-// skew rollups into the master's /metrics exposition — and, under a reducer
-// budget, what the workers' folds and the master's merge rounds cost, in
-// the report and on the gauge skymaster's reducer-budget rule watches.
+// TestClusterFlightRecord: a recorded, traced cluster run must produce a
+// flight report that covers every planned partition, reproduces the
+// pipeline's own Eq. (5) optimality, and publishes the skew rollups into
+// the master's /metrics exposition, beside task spans of both kinds — and,
+// under a reducer budget, what the workers' folds and the master's merge
+// rounds cost, in the report and on the gauge skymaster's reducer-budget
+// rule watches. With one worker stalling every task, the stragglers it
+// makes count the same on every surface that reports them.
 func TestClusterFlightRecord(t *testing.T) {
-	t.Run("unbudgeted", func(t *testing.T) { testClusterFlightRecord(t, 0) })
-	t.Run("budget 4 KiB", func(t *testing.T) { testClusterFlightRecord(t, 4<<10) })
+	t.Run("unbudgeted", func(t *testing.T) { testClusterFlightRecord(t, 0, 0) })
+	t.Run("budget 4 KiB", func(t *testing.T) { testClusterFlightRecord(t, 4<<10, 0) })
+	t.Run("one stalled worker", func(t *testing.T) { testClusterFlightRecord(t, 0, 300*time.Millisecond) })
 }
 
-func testClusterFlightRecord(t *testing.T, budget int64) {
+func testClusterFlightRecord(t *testing.T, budget int64, stall time.Duration) {
 	reg := telemetry.NewRegistry()
-	master := startMeteredCluster(t, 3, reg)
-	rec := telemetry.NewRecorder("skyline:MR-Angle")
-	ctx := telemetry.WithRecorder(context.Background(), rec)
+	master := startMeteredCluster(t, 3, reg, stall)
+	rec, tr := telemetry.NewRecorder("skyline:MR-Angle"), telemetry.NewTracer()
+	ctx := telemetry.WithTracer(telemetry.WithRecorder(context.Background(), rec), tr)
 	data := uniformSet(11, 900, 3)
 	if budget > 0 {
 		data = uniformSet(11, 6000, 5) // local skylines that outgrow the budget
@@ -44,7 +50,13 @@ func testClusterFlightRecord(t *testing.T, budget int64) {
 	if budget > 0 {
 		spec.ReducerBudgetBytes, spec.Codec = budget, points.FrameAuto
 	}
-	res, err := ComputeSpec(ctx, master, data, spec, 2)
+	// Job 1's reduce phase is the one with tasks enough for the straggler
+	// detector's median: give it six, and the stalled worker takes one.
+	reducers := 2
+	if stall > 0 {
+		reducers = 6
+	}
+	res, err := ComputeSpec(ctx, master, data, spec, reducers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +112,23 @@ func testClusterFlightRecord(t *testing.T, budget int64) {
 		// operator which budget the job would need.
 		t.Errorf("unbudgeted report: merge_rounds %d, reducer_peak_bytes %d; want no rounds and a peak", rep.MergeRounds, rep.ReducerPeakBytes)
 	}
-	// Both jobs' task completions are recorded (at least one map and one
-	// reduce task each) — under a budget, Job 1's: the merge ran here.
-	kinds := map[string]int{}
-	for _, task := range rep.Tasks {
-		kinds[task.Kind]++
+	// Task completions are task spans in the stitched trace (at least one
+	// map and one reduce task) — under a budget, Job 1's: the merge ran
+	// here. A straggler is one marked span.
+	kinds, marked := map[string]int{}, int64(0)
+	for _, s := range tr.Spans() {
+		if s.Name != "map-task" && s.Name != "reduce-task" {
+			continue
+		}
+		kinds[s.Name]++
+		for _, a := range s.Attrs {
+			if a.Key == "straggler" && a.Value == true {
+				marked++
+			}
+		}
 	}
-	if kinds["map"] == 0 || kinds["reduce"] == 0 {
-		t.Errorf("task records by kind = %v, want both map and reduce", kinds)
+	if kinds["map-task"] == 0 || kinds["reduce-task"] == 0 {
+		t.Errorf("task spans by kind = %v, want both map and reduce", kinds)
 	}
 	// A clean run surfaces zero retries/failures — the fields exist and
 	// mirror rpcmr.Status rather than being dropped.
@@ -134,6 +155,19 @@ func testClusterFlightRecord(t *testing.T, budget int64) {
 	samples, err := telemetry.ParsePrometheus(string(body))
 	if err != nil {
 		t.Fatalf("metrics exposition does not parse: %v", err)
+	}
+	// The straggler count reconciles: the flight record, the job counter,
+	// the master's per-worker counters and the marked task spans.
+	perWorker := 0.0
+	for series, v := range samples {
+		if strings.HasPrefix(series, "rpcmr_stragglers_total{") {
+			perWorker += v
+		}
+	}
+	if counter := res.Stats.Counters[mapreduce.CounterStragglers]; rep.Stragglers != counter ||
+		float64(counter) != perWorker || counter != marked || (stall > 0 && counter == 0) {
+		t.Errorf("stragglers: flight record %d, %s %d, rpcmr_stragglers_total %v, marked spans %d; want one count (> 0 with a stalled worker)",
+			rep.Stragglers, mapreduce.CounterStragglers, counter, perWorker, marked)
 	}
 	for _, name := range []string{
 		"skyline_load_max", "skyline_load_mean", "skyline_load_imbalance",

@@ -258,16 +258,10 @@ func BenchmarkClusterJob(b *testing.B) {
 		run(context.Background())
 	}
 	b.StopTimer()
-	rec := telemetry.NewRecorder("cluster")
-	res := run(telemetry.WithRecorder(context.Background(), rec))
-	tasks := 0
-	for _, task := range rec.Report().Tasks {
-		if task.Job == PartitionJobName && task.Kind == "map" {
-			tasks++
-		}
-	}
+	tr := telemetry.NewTracer()
+	res := run(telemetry.WithTracer(context.Background(), tr))
 	b.ReportMetric(float64(res.Stats.Counters[mapreduce.CounterShuffleBytes]), "shuffle-B/job")
-	b.ReportMetric(float64(tasks), "map-tasks/job")
+	b.ReportMetric(float64(len(partitionMapTasks(tr))), "map-tasks/job")
 }
 
 // BenchmarkSpecFor is the cluster pipeline's prologue on the benchmark's

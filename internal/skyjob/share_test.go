@@ -56,35 +56,21 @@ func TestClusterShipsWhatInProcessShips(t *testing.T) {
 			shipped = append(shipped, got.Counters[mapreduce.CounterShuffleBytes])
 
 			// Job 1's map tasks: one per worker, task i its i-th share of rows.
-			maps := 0
-			for _, task := range rec.Report().Tasks {
-				if task.Job == PartitionJobName && task.Kind == "map" {
-					maps++
-					if task.Attempt != 0 {
-						t.Errorf("%d workers: map task %d ran %d times", workers, task.Task, task.Attempt+1)
-					}
-				}
-			}
-			if maps != workers {
-				t.Errorf("%d workers: %d map tasks completed, want one per worker", workers, maps)
-			}
-			var job1 uint64
-			for _, s := range tr.Spans() {
-				if s.Name == "rpcmr-job:"+PartitionJobName {
-					job1 = s.ID
-				}
+			maps := partitionMapTasks(tr)
+			if len(maps) != workers {
+				t.Errorf("%d workers: %d map tasks completed, want one per worker", workers, len(maps))
 			}
 			rows := map[int]int{}
-			for _, s := range tr.Spans() {
-				if s.Name != "map-task" || s.Parent != job1 {
-					continue
-				}
+			for _, s := range maps {
 				attrs := map[string]any{}
 				for _, a := range s.Attrs {
 					attrs[a.Key] = a.Value
 				}
 				task, _ := attrs["task"].(int)
 				rows[task], _ = attrs["records"].(int)
+				if attempt, _ := attrs["attempt"].(int); attempt != 0 {
+					t.Errorf("%d workers: map task %d ran %d times", workers, task, attempt+1)
+				}
 			}
 			for task := 0; task < workers; task++ {
 				if rows[task] != k*clusterSplit {

@@ -53,6 +53,23 @@ func startCluster(t *testing.T, workers int) *rpcmr.Master {
 	return master
 }
 
+// partitionMapTasks returns the traced map-task spans of Job 1's rpcmr job.
+func partitionMapTasks(tr *telemetry.Tracer) []telemetry.SpanData {
+	var job1 uint64
+	for _, s := range tr.Spans() {
+		if s.Name == "rpcmr-job:"+PartitionJobName {
+			job1 = s.ID
+		}
+	}
+	var out []telemetry.SpanData
+	for _, s := range tr.Spans() {
+		if s.Name == "map-task" && s.Parent == job1 {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func sameMultiset(a, b points.Set) bool {
 	if len(a) != len(b) {
 		return false

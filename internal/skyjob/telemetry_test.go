@@ -14,7 +14,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-func startMeteredCluster(t *testing.T, workers int, reg *telemetry.Registry) *rpcmr.Master {
+// startMeteredCluster starts a master booking into reg and its workers;
+// the last worker sleeps stall before every task (0: none does).
+func startMeteredCluster(t *testing.T, workers int, reg *telemetry.Registry, stall time.Duration) *rpcmr.Master {
 	t.Helper()
 	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: 200, Metrics: reg})
 	if err != nil {
@@ -22,11 +24,15 @@ func startMeteredCluster(t *testing.T, workers int, reg *telemetry.Registry) *rp
 	}
 	t.Cleanup(func() { master.Close() })
 	for i := 0; i < workers; i++ {
-		w, err := rpcmr.NewWorker(rpcmr.WorkerConfig{
+		cfg := rpcmr.WorkerConfig{
 			MasterAddr:   master.Addr(),
 			ID:           "mw" + strconv.Itoa(i),
 			PollInterval: 5 * time.Millisecond,
-		})
+		}
+		if i == workers-1 {
+			cfg.TaskStall = stall
+		}
+		w, err := rpcmr.NewWorker(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +49,7 @@ func startMeteredCluster(t *testing.T, workers int, reg *telemetry.Registry) *rp
 // as valid Chrome trace_event JSON.
 func TestComputeTrace(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	master := startMeteredCluster(t, 2, reg)
+	master := startMeteredCluster(t, 2, reg, 0)
 	tr := telemetry.NewTracer()
 	ctx := telemetry.WithTracer(context.Background(), tr)
 	data := uniformSet(7, 600, 2)

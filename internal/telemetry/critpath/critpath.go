@@ -399,6 +399,18 @@ func phaseBlame(segs []Segment, makespan float64) []PhaseBlame {
 	return out
 }
 
+// Bottleneck is the phase holding the most critical-path seconds (the
+// zero PhaseBlame when no phase holds any).
+func (a *Analysis) Bottleneck() PhaseBlame {
+	var top PhaseBlame
+	for _, p := range a.Phases {
+		if p.Seconds > top.Seconds {
+			top = p
+		}
+	}
+	return top
+}
+
 func workerBlame(segs []Segment, makespan float64, raw []segment) []WorkerBlame {
 	secs := map[string]float64{}
 	strag := map[string]bool{}
@@ -434,22 +446,16 @@ func partitionBlame(phases []PhaseBlame, rep *telemetry.Report) []PartitionBlame
 		}
 	}
 	var total float64
-	loads := make([]int64, len(rep.Partitions))
-	for i, p := range rep.Partitions {
-		l := p.InputRecords
-		if l == 0 {
-			l = int64(p.LocalSkyline)
-		}
-		loads[i] = l
-		total += float64(l)
+	for _, p := range rep.Partitions {
+		total += float64(p.InputRecords)
 	}
 	if total == 0 || reduceSec == 0 {
 		return nil
 	}
 	out := make([]PartitionBlame, len(rep.Partitions))
 	for i, p := range rep.Partitions {
-		sec := reduceSec * float64(loads[i]) / total
-		out[i] = PartitionBlame{Partition: p.Partition, Load: loads[i], Seconds: sec, Share: share(sec, reduceSec)}
+		sec := reduceSec * float64(p.InputRecords) / total
+		out[i] = PartitionBlame{Partition: p.Partition, Load: p.InputRecords, Seconds: sec, Share: share(sec, reduceSec)}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seconds > out[j].Seconds })
 	return out

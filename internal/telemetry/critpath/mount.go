@@ -35,14 +35,10 @@ func Summarize(a *Analysis, rep *telemetry.Report, label string) telemetry.RunSu
 		MakespanSeconds: a.MakespanSeconds,
 		PhaseSeconds:    map[string]float64{},
 	}
-	var top PhaseBlame
 	for _, p := range a.Phases {
 		s.PhaseSeconds[p.Phase] = p.Seconds
-		if p.Seconds > top.Seconds {
-			top = p
-		}
 	}
-	s.BottleneckPhase = top.Phase
+	s.BottleneckPhase = a.Bottleneck().Phase
 	if len(a.Workers) > 0 {
 		s.BottleneckWorker = a.Workers[0].Worker
 	}

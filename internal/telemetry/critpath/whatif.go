@@ -5,7 +5,9 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/telemetry"
 )
 
@@ -36,34 +38,6 @@ func collectTasks(root *node) []taskInfo {
 	}
 	visit(root)
 	return out
-}
-
-// lpt is the longest-processing-time list scheduler: sort descending,
-// place each task on the least-loaded slot, report the max slot load —
-// the standard 4/3-approximation of the optimal phase makespan.
-func lpt(durs []float64, slots int) float64 {
-	if len(durs) == 0 || slots <= 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), durs...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
-	load := make([]float64, slots)
-	for _, d := range sorted {
-		min := 0
-		for i := 1; i < slots; i++ {
-			if load[i] < load[min] {
-				min = i
-			}
-		}
-		load[min] += d
-	}
-	var max float64
-	for _, l := range load {
-		if l > max {
-			max = l
-		}
-	}
-	return max
 }
 
 // whatIf predicts the makespan under alternative schedules. The model:
@@ -112,17 +86,18 @@ func whatIf(a *Analysis, tasks []taskInfo) []Scenario {
 		speedup := slots >= w
 		total := base - obsTotal
 		for key, group := range groups {
-			durs := make([]float64, len(group))
+			durs := make([]time.Duration, len(group))
 			var sum float64
 			for i, t := range group {
-				durs[i] = dur(t, group)
-				sum += durs[i]
+				d := dur(t, group)
+				durs[i] = time.Duration(d * float64(time.Second))
+				sum += d
 			}
 			var pred float64
 			if divisible {
 				pred = sum / float64(slots)
 			} else {
-				pred = lpt(durs, slots)
+				pred = cluster.LPT(durs, slots).Seconds()
 			}
 			o := obs[key]
 			if speedup && pred > o {

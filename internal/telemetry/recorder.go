@@ -2,21 +2,24 @@ package telemetry
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 )
 
-// The flight recorder assembles, for one skyline job, the per-partition
-// and per-task evidence the paper's evaluation reads off-line — partition
-// load (Figure 8's skew picture), local skyline sizes, shuffle volume,
-// task wall times, and the Eq. (5) local-optimality ratio (Figure 7) —
-// and rolls them up into skew and straggler signals a live cluster can
-// alert on. Like the rest of the package it is off by default: a nil
-// *Recorder no-ops on every method, and producers find the recorder via
-// the context (WithRecorder / RecorderFrom), so library code pays one
-// context lookup when recording is off.
+// The flight recorder holds, for one skyline job, the per-partition
+// evidence the paper's evaluation reads off-line — partition load
+// (Figure 8's skew picture), local skyline sizes, shuffle volume and the
+// Eq. (5) local-optimality ratio (Figure 7) — with the skew rollup and
+// the run's straggler, retry and failure counts a live cluster can alert
+// on. Per-task times are not here: they are the task spans of the
+// stitched trace, which the critical-path analysis reads. Like the rest
+// of the package the recorder is off by default: a nil *Recorder no-ops
+// on every method, and the pipeline finds it via the context
+// (WithRecorder / RecorderFrom), so library code pays one context lookup
+// when recording is off.
 
 // PartitionRecord is one partition's flight-record entry.
 type PartitionRecord struct {
@@ -39,27 +42,11 @@ type PartitionRecord struct {
 	Optimality float64 `json:"optimality"`
 }
 
-// TaskRecord is one completed cluster task, as observed by the rpcmr
-// master (or any other engine that reports task completions).
-type TaskRecord struct {
-	Job     string `json:"job"`
-	Kind    string `json:"kind"` // "map" or "reduce"
-	Task    int    `json:"task"`
-	Attempt int    `json:"attempt"`
-	Worker  string `json:"worker,omitempty"`
-	// Seconds is the task's wall time on its successful attempt.
-	Seconds float64 `json:"seconds"`
-	// Straggler marks a task that took more than twice its phase's median
-	// task time (rpcmr's straggler rule).
-	Straggler bool `json:"straggler,omitempty"`
-}
-
 // Skew summarizes partition load imbalance — the operational signal
 // behind the paper's claim that angular partitioning balances load where
 // grid and dimensional partitioning skew badly.
 type Skew struct {
-	// MaxLoad and MeanLoad are over per-partition loads (InputRecords
-	// when known, falling back to local skyline sizes).
+	// MaxLoad and MeanLoad are over per-partition loads (InputRecords).
 	MaxLoad  int64   `json:"max_load"`
 	MeanLoad float64 `json:"mean_load"`
 	// Imbalance is MaxLoad / MeanLoad; 1.0 is perfectly balanced.
@@ -75,13 +62,13 @@ type Report struct {
 	Start           time.Time         `json:"start"`
 	DurationSeconds float64           `json:"duration_seconds"`
 	Partitions      []PartitionRecord `json:"partitions"`
-	Tasks           []TaskRecord      `json:"tasks,omitempty"`
 	Skew            Skew              `json:"skew"`
 	// Optimality is the paper's Eq. (5): the mean, over partitions with a
 	// non-empty local skyline, of the per-partition optimality ratio.
 	Optimality    float64 `json:"optimality"`
 	GlobalSkyline int     `json:"global_skyline"`
-	// Stragglers counts tasks flagged by the master's straggler detector.
+	// Stragglers counts tasks flagged by the master's straggler detector
+	// (the job counter mapreduce.CounterStragglers).
 	Stragglers int64 `json:"stragglers"`
 	// TaskRetries and WorkerFailures mirror rpcmr.Status so the recorder
 	// JSON carries the retry/failure picture without a Prometheus scrape.
@@ -99,36 +86,18 @@ type Report struct {
 	ReducerPeakBytes int64 `json:"reducer_peak_bytes,omitempty"`
 }
 
-// RunRecord is what one finished skyline run hands the recorder, all at
-// once (Recorder.RecordRun): a record per planned partition — its id,
-// input records, shuffle bytes, local skyline size and global survivors;
-// Report works out the optimality ratio — and the run-wide numbers Report
-// carries under the same names.
-type RunRecord struct {
-	Partitions       []PartitionRecord
-	GlobalSkyline    int
-	TaskRetries      int64
-	WorkerFailures   int64
-	MergeRoundBytes  []int64
-	ReducerPeakBytes int64
-}
-
-// Recorder accumulates one job's flight record: task completions as the
-// engine reports them (RecordTask), and the run's own numbers once it has
-// finished (RecordRun). Safe for concurrent use; all methods no-op on a
-// nil receiver.
+// Recorder holds one job's flight record: a Report whose run numbers
+// arrive all at once when the run has finished (RecordRun). Safe for
+// concurrent use; all methods no-op on a nil receiver.
 type Recorder struct {
-	mu         sync.Mutex
-	job        string
-	start      time.Time
-	tasks      []TaskRecord
-	stragglers int64
-	run        RunRecord
+	mu   sync.Mutex
+	rep  Report
+	done bool
 }
 
 // NewRecorder returns an empty recorder for the named job.
 func NewRecorder(job string) *Recorder {
-	return &Recorder{job: job, start: time.Now()}
+	return &Recorder{rep: Report{Job: job, Start: time.Now()}}
 }
 
 type recorderKey struct{}
@@ -145,85 +114,60 @@ func RecorderFrom(ctx context.Context) *Recorder {
 	return rec
 }
 
-// RecordRun sets the finished run's numbers, replacing an earlier run's.
-// The recorder keeps run's slices: the caller must not change them after.
-func (r *Recorder) RecordRun(run RunRecord) {
+// RecordRun finishes the record, replacing an earlier run's. run carries
+// the finished run's own numbers: a record per planned partition (id,
+// input records, shuffle bytes, local skyline size, global survivors),
+// GlobalSkyline, Stragglers, TaskRetries, WorkerFailures, MergeRoundBytes
+// and ReducerPeakBytes. The recorder fills in the rest once, here: the
+// job and start it was made with, the duration up to now, partitions
+// sorted by id with their optimality ratios, and the Eq. (5) and skew
+// rollups. It keeps run's slices: the caller must not change them after.
+func (r *Recorder) RecordRun(run Report) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.run = run
-}
-
-// RecordTask appends one completed task; straggler tasks also bump the
-// straggler tally.
-func (r *Recorder) RecordTask(t TaskRecord) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tasks = append(r.tasks, t)
-	if t.Straggler {
-		r.stragglers++
-	}
-}
-
-// Report assembles the current flight record: partitions sorted by id,
-// per-partition optimality ratios, and the skew/optimality rollups.
-// It may be called while the job is still running (the /debug handler
-// does) — it snapshots whatever has been recorded so far.
-func (r *Recorder) Report() *Report {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rep := &Report{
-		Job:              r.job,
-		Start:            r.start,
-		DurationSeconds:  time.Since(r.start).Seconds(),
-		Partitions:       append(make([]PartitionRecord, 0, len(r.run.Partitions)), r.run.Partitions...),
-		Tasks:            append([]TaskRecord(nil), r.tasks...),
-		GlobalSkyline:    r.run.GlobalSkyline,
-		Stragglers:       r.stragglers,
-		TaskRetries:      r.run.TaskRetries,
-		WorkerFailures:   r.run.WorkerFailures,
-		MergeRounds:      len(r.run.MergeRoundBytes),
-		MergeRoundBytes:  append([]int64(nil), r.run.MergeRoundBytes...),
-		ReducerPeakBytes: r.run.ReducerPeakBytes,
-	}
-	sort.Slice(rep.Partitions, func(i, j int) bool { return rep.Partitions[i].Partition < rep.Partitions[j].Partition })
+	run.Job, run.Start = r.rep.Job, r.rep.Start
+	run.DurationSeconds = time.Since(run.Start).Seconds()
+	run.MergeRounds = len(run.MergeRoundBytes)
+	sort.Slice(run.Partitions, func(i, j int) bool { return run.Partitions[i].Partition < run.Partitions[j].Partition })
 	sum, n := 0.0, 0
-	loads := make([]float64, 0, len(rep.Partitions))
-	haveInput := false
-	for i := range rep.Partitions {
-		p := &rep.Partitions[i]
+	loads := make([]float64, len(run.Partitions))
+	for i := range run.Partitions {
+		p := &run.Partitions[i]
 		p.Optimality = 0
 		if p.LocalSkyline > 0 {
 			p.Optimality = float64(p.GlobalSurvivors) / float64(p.LocalSkyline)
 			sum += p.Optimality
 			n++
 		}
-		if p.InputRecords > 0 {
-			haveInput = true
-		}
+		loads[i] = float64(p.InputRecords)
 	}
+	run.Optimality = 0
 	if n > 0 {
-		rep.Optimality = sum / float64(n)
+		run.Optimality = sum / float64(n)
 	}
-	// Load defaults to input records; classic rpcmr transports report no
-	// per-partition volume, so fall back to local skyline sizes there.
-	for _, p := range rep.Partitions {
-		if haveInput {
-			loads = append(loads, float64(p.InputRecords))
-		} else {
-			loads = append(loads, float64(p.LocalSkyline))
-		}
+	run.Skew = skewOf(loads)
+	r.rep, r.done = run, true
+}
+
+// Report returns a copy of the flight record. Before RecordRun — the
+// /debug handler may ask while the job runs — it holds only the job and
+// its elapsed time; after, the duration stays what RecordRun fixed.
+func (r *Recorder) Report() *Report {
+	if r == nil {
+		return nil
 	}
-	rep.Skew = skewOf(loads)
-	return rep
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rep := r.rep
+	if !r.done {
+		rep.DurationSeconds = time.Since(rep.Start).Seconds()
+	}
+	rep.Partitions = append(make([]PartitionRecord, 0, len(rep.Partitions)), rep.Partitions...)
+	rep.MergeRoundBytes = slices.Clone(rep.MergeRoundBytes)
+	return &rep
 }
 
 // skewOf computes max/mean/imbalance/Gini over per-partition loads.

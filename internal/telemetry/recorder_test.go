@@ -8,15 +8,15 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRecorderNilSafety(t *testing.T) {
 	var r *Recorder
-	r.RecordRun(RunRecord{
+	r.RecordRun(Report{
 		Partitions:    []PartitionRecord{{Partition: 0, InputRecords: 10, ShuffleBytes: 100, LocalSkyline: 3, GlobalSurvivors: 2}},
 		GlobalSkyline: 7, TaskRetries: 1, WorkerFailures: 2,
 	})
-	r.RecordTask(TaskRecord{Kind: "map"})
 	r.Publish(NewRegistry())
 	if rep := r.Report(); rep != nil {
 		t.Errorf("nil recorder Report = %+v, want nil", rep)
@@ -28,7 +28,7 @@ func TestRecorderOptimality(t *testing.T) {
 	// p0: 4 local, 2 survive → 0.5. p1: 2 local, 2 survive → 1.0.
 	// p2: empty local skyline → excluded from the mean. p3: untouched.
 	// Handed over out of order: the report sorts by id.
-	r.RecordRun(RunRecord{
+	r.RecordRun(Report{
 		Partitions: []PartitionRecord{
 			{Partition: 3},
 			{Partition: 1, LocalSkyline: 2, GlobalSurvivors: 2},
@@ -67,7 +67,7 @@ func TestRecorderOptimality(t *testing.T) {
 
 func TestRecorderSkew(t *testing.T) {
 	r := NewRecorder("skew")
-	var run RunRecord
+	var run Report
 	for id, load := range []int64{1, 2, 3, 4} {
 		run.Partitions = append(run.Partitions, PartitionRecord{Partition: id, InputRecords: load, ShuffleBytes: load * 10})
 	}
@@ -94,7 +94,7 @@ func TestRecorderSkew(t *testing.T) {
 
 func TestRecorderSkewUniformAndEmpty(t *testing.T) {
 	r := NewRecorder("uniform")
-	r.RecordRun(RunRecord{Partitions: []PartitionRecord{
+	r.RecordRun(Report{Partitions: []PartitionRecord{
 		{Partition: 0, InputRecords: 5}, {Partition: 1, InputRecords: 5}, {Partition: 2, InputRecords: 5}}})
 	rep := r.Report()
 	if rep.Skew.Gini != 0 {
@@ -108,45 +108,47 @@ func TestRecorderSkewUniformAndEmpty(t *testing.T) {
 	}
 }
 
-// TestRecorderSkewFallback: with no input-record counts, skew must be
-// computed over local skyline sizes.
-func TestRecorderSkewFallback(t *testing.T) {
-	r := NewRecorder("fallback")
-	r.RecordRun(RunRecord{Partitions: []PartitionRecord{
-		{Partition: 0, LocalSkyline: 10}, {Partition: 1, LocalSkyline: 30}}})
+// TestRecorderStragglersAndRetries: the run's counts are what RecordRun
+// is handed; the rollups are the recorder's own, whatever the caller put
+// in those fields.
+func TestRecorderStragglersAndRetries(t *testing.T) {
+	r := NewRecorder("counts")
+	r.RecordRun(Report{Job: "not this one", Stragglers: 2, TaskRetries: 3, WorkerFailures: 1,
+		Optimality: 7, MergeRounds: 9, Skew: Skew{Gini: 5}})
 	rep := r.Report()
-	if rep.Skew.MaxLoad != 30 {
-		t.Errorf("fallback max load = %d, want 30 (local skyline)", rep.Skew.MaxLoad)
+	if rep.Stragglers != 2 || rep.TaskRetries != 3 || rep.WorkerFailures != 1 {
+		t.Errorf("stragglers/retries/failures = %d/%d/%d, want 2/3/1", rep.Stragglers, rep.TaskRetries, rep.WorkerFailures)
 	}
-	if math.Abs(rep.Skew.MeanLoad-20) > 1e-12 {
-		t.Errorf("fallback mean load = %v, want 20", rep.Skew.MeanLoad)
+	if rep.Job != "counts" || rep.Optimality != 0 || rep.MergeRounds != 0 || rep.Skew != (Skew{}) {
+		t.Errorf("job %q, optimality %v, merge rounds %d, skew %+v; want the recorder's own", rep.Job, rep.Optimality, rep.MergeRounds, rep.Skew)
 	}
 }
 
-func TestRecorderTasksAndRetries(t *testing.T) {
-	r := NewRecorder("tasks")
-	r.RecordTask(TaskRecord{Job: "j", Kind: "map", Task: 0, Seconds: 0.1})
-	r.RecordTask(TaskRecord{Job: "j", Kind: "map", Task: 1, Seconds: 2.5, Straggler: true})
-	r.RecordRun(RunRecord{TaskRetries: 3, WorkerFailures: 1})
-	rep := r.Report()
-	if len(rep.Tasks) != 2 {
-		t.Fatalf("tasks = %d, want 2", len(rep.Tasks))
+// TestRecorderDurationFixedAtRecordRun: a finished run's duration is the
+// run's, not the time since it started — a lingering master serves the
+// same record on every request.
+func TestRecorderDurationFixedAtRecordRun(t *testing.T) {
+	r := NewRecorder("fixed")
+	time.Sleep(5 * time.Millisecond)
+	if d := r.Report().DurationSeconds; d < 0.005 {
+		t.Errorf("running job's duration %v s, want the elapsed time", d)
 	}
-	if rep.Stragglers != 1 {
-		t.Errorf("stragglers = %d, want 1", rep.Stragglers)
-	}
-	if rep.TaskRetries != 3 || rep.WorkerFailures != 1 {
-		t.Errorf("retries/failures = %d/%d, want 3/1", rep.TaskRetries, rep.WorkerFailures)
+	r.RecordRun(Report{})
+	first := r.Report().DurationSeconds
+	time.Sleep(20 * time.Millisecond)
+	if second := r.Report().DurationSeconds; second != first {
+		t.Errorf("duration moved from %v to %v s after the run ended", first, second)
 	}
 }
 
 func TestRecorderPublish(t *testing.T) {
 	r := NewRecorder("pub")
-	r.RecordRun(RunRecord{
+	r.RecordRun(Report{
 		Partitions: []PartitionRecord{
 			{Partition: 0, InputRecords: 10, LocalSkyline: 4, GlobalSurvivors: 1},
 			{Partition: 1, InputRecords: 30},
 		},
+		Stragglers:       1,
 		MergeRoundBytes:  []int64{640, 320},
 		ReducerPeakBytes: 4096,
 	})
@@ -161,6 +163,9 @@ func TestRecorderPublish(t *testing.T) {
 	}
 	if snap.Gauges[`skyline_partition_optimality{partition="0"}`] != 0.25 {
 		t.Errorf("per-partition gauge missing: %v", snap.Gauges)
+	}
+	if snap.Gauges["skyline_stragglers"] != 1 {
+		t.Errorf("skyline_stragglers = %v, want 1", snap.Gauges["skyline_stragglers"])
 	}
 	if snap.Gauges["skyline_merge_rounds"] != 2 || snap.Gauges["skyline_reducer_peak_bytes"] != 4096 {
 		t.Errorf("merge rounds / reducer peak gauges = %v / %v, want 2 / 4096",
@@ -190,7 +195,7 @@ func TestMountFlightRecorder(t *testing.T) {
 	}
 
 	rec = NewRecorder("http-job")
-	rec.RecordRun(RunRecord{Partitions: []PartitionRecord{
+	rec.RecordRun(Report{Partitions: []PartitionRecord{
 		{Partition: 0, LocalSkyline: 3, GlobalSurvivors: 3}, {Partition: 1}}})
 	resp, err = http.Get(srv.URL + FlightRecorderPath)
 	if err != nil {
