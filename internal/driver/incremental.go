@@ -326,9 +326,8 @@ func (ix *Index) foldBatch(batch []*pending) {
 		var tests int64
 		var candidates int64
 		if wl, touched := working[id]; touched {
-			tmp := shard{local: wl}
 			candidates = int64(len(wl))
-			newLocal, ok, tests = tmp.addLinear(p)
+			newLocal, ok, tests = addLinear(wl, p)
 		} else {
 			candidates = int64(len(shards[id].local))
 			newLocal, ok, tests = shards[id].add(p)
@@ -336,7 +335,7 @@ func (ix *Index) foldBatch(batch []*pending) {
 		res := addResult{partition: id, tests: tests, candidates: candidates}
 		if ok {
 			working[id] = newLocal
-			g2, in, gtests := globalAdd(global, p)
+			g2, in, gtests := addLinear(global, p)
 			res.tests += gtests
 			res.candidates += int64(len(global))
 			global = g2

@@ -51,40 +51,41 @@ func dominatesStrict(q, p points.Point) bool {
 }
 
 // add attempts to insert p into the shard's local skyline. It returns
-// the replacement local skyline (nil when p is dominated and the shard
-// is unchanged), whether p survived, and the number of dominance tests
-// spent deciding — the per-query attribution currency.
+// the replacement local skyline (the unchanged one when p is dominated),
+// whether p survived, and the number of dominance tests spent deciding —
+// the per-query attribution currency.
 func (s *shard) add(p points.Point) (newLocal points.Set, ok bool, tests int64) {
 	if s.tree != nil {
 		return s.addTree(p)
 	}
-	return s.addLinear(p)
+	return addLinear(s.local, p)
 }
 
-// addLinear is the small-shard path: one pass, testing both directions
-// per incumbent. The classic BNL argument applies — incumbents are
-// mutually non-dominated, so once p evicts someone nothing later can
-// dominate p, and once p dies it cannot have evicted anyone.
-func (s *shard) addLinear(p points.Point) (points.Set, bool, int64) {
-	var tests int64
+// addLinear inserts p into the skyline set in one pass, testing both
+// directions per incumbent, copy-on-write: set is never mutated, and it is
+// returned unchanged when p is dominated. The classic BNL argument applies —
+// incumbents are mutually non-dominated, so once p evicts someone nothing
+// later can dominate p, and once p dies it cannot have evicted anyone. It is
+// the small-shard path, and how a shard survivor enters the global skyline.
+func addLinear(set points.Set, p points.Point) (out points.Set, entered bool, tests int64) {
 	evict := -1 // index of first eviction, -1 while none
-	for i, q := range s.local {
+	for i, q := range set {
 		tests++
 		if evict < 0 && dominatesStrict(q, p) {
-			return nil, false, tests
+			return set, false, tests
 		}
 		if dominatesStrict(p, q) && evict < 0 {
 			evict = i
 		}
 	}
 	if evict < 0 {
-		out := make(points.Set, 0, len(s.local)+1)
-		out = append(out, s.local...)
+		out = make(points.Set, 0, len(set)+1)
+		out = append(out, set...)
 		return append(out, p), true, tests
 	}
-	out := make(points.Set, 0, len(s.local))
-	out = append(out, s.local[:evict]...)
-	for _, q := range s.local[evict+1:] {
+	out = make(points.Set, 0, len(set))
+	out = append(out, set[:evict]...)
+	for _, q := range set[evict+1:] {
 		if !dominatesStrict(p, q) {
 			out = append(out, q)
 		}
@@ -107,7 +108,7 @@ func (s *shard) addTree(p points.Point) (points.Set, bool, int64) {
 	dominators, tests := s.tree.SearchCounted(lo, p)
 	for _, q := range dominators {
 		if !q.Equal(p) {
-			return nil, false, tests
+			return s.local, false, tests
 		}
 	}
 	victims, t2 := s.tree.SearchCounted(p, hi)
@@ -126,35 +127,6 @@ func (s *shard) addTree(p points.Point) (points.Set, bool, int64) {
 			if _, dead := evict[points.Key(q)]; !dead {
 				out = append(out, q)
 			}
-		}
-	}
-	return append(out, p), true, tests
-}
-
-// globalAdd folds one shard-surviving point into the global skyline with
-// the same one-pass logic as addLinear, copy-on-write: the input set is
-// never mutated, and it is returned unchanged when p is dominated.
-func globalAdd(global points.Set, p points.Point) (out points.Set, entered bool, tests int64) {
-	evict := -1
-	for i, q := range global {
-		tests++
-		if evict < 0 && dominatesStrict(q, p) {
-			return global, false, tests
-		}
-		if dominatesStrict(p, q) && evict < 0 {
-			evict = i
-		}
-	}
-	if evict < 0 {
-		out = make(points.Set, 0, len(global)+1)
-		out = append(out, global...)
-		return append(out, p), true, tests
-	}
-	out = make(points.Set, 0, len(global))
-	out = append(out, global[:evict]...)
-	for _, q := range global[evict+1:] {
-		if !dominatesStrict(p, q) {
-			out = append(out, q)
 		}
 	}
 	return append(out, p), true, tests

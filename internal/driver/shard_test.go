@@ -40,13 +40,13 @@ func TestShardAddPathsAgree(t *testing.T) {
 			tree.tree = tr
 		}
 
-		nl1, ok1, _ := linear.addLinear(p)
+		nl1, ok1, _ := addLinear(linear.local, p)
 		var nl2 points.Set
 		var ok2 bool
 		if tree.tree != nil {
 			nl2, ok2, _ = tree.addTree(p)
 		} else {
-			nl2, ok2, _ = tree.addLinear(p)
+			nl2, ok2, _ = addLinear(tree.local, p)
 		}
 		if ok1 != ok2 {
 			t.Fatalf("paths disagree on %v: linear=%v tree=%v", p, ok1, ok2)
@@ -64,7 +64,7 @@ func TestShardAddPathsAgree(t *testing.T) {
 	}
 }
 
-// TestGlobalAddOracle: folding a stream point-by-point through globalAdd
+// TestGlobalAddOracle: folding a stream point-by-point through addLinear
 // equals the batch BNL, duplicates preserved, and the input set is never
 // mutated (copy-on-write).
 func TestGlobalAddOracle(t *testing.T) {
@@ -78,14 +78,14 @@ func TestGlobalAddOracle(t *testing.T) {
 		if prevLen > 0 {
 			snapshot = prev.Clone()
 		}
-		next, entered, tests := globalAdd(global, p)
+		next, entered, tests := addLinear(global, p)
 		// One pass: at most one test per incumbent, exactly one each when
 		// the point survives (no early exit on the accept path).
 		if tests > int64(prevLen) || (entered && tests != int64(prevLen)) {
-			t.Fatalf("globalAdd spent %d tests over %d incumbents (entered=%v)", tests, prevLen, entered)
+			t.Fatalf("addLinear spent %d tests over %d incumbents (entered=%v)", tests, prevLen, entered)
 		}
 		if prevLen > 0 && !sameMultiset(prev[:prevLen], snapshot) {
-			t.Fatal("globalAdd mutated its input set")
+			t.Fatal("addLinear mutated its input set")
 		}
 		global = next
 	}
@@ -157,7 +157,7 @@ func BenchmarkShardAdd(b *testing.B) {
 		}{{"enter", enter}, {"dom", dominated}} {
 			b.Run(fmt.Sprintf("linear/%s/n=%d", class.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					linear.addLinear(class.probes[i%len(class.probes)])
+					addLinear(linear.local, class.probes[i%len(class.probes)])
 				}
 			})
 			b.Run(fmt.Sprintf("rtree/%s/n=%d", class.name, n), func(b *testing.B) {

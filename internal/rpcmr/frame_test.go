@@ -303,15 +303,10 @@ func TestBadReportsNotCounted(t *testing.T) {
 		done <- outcome{res, err}
 	}()
 	svc := &MasterService{m: master}
-	job, err := lookupJob(spec.Name, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	failed := map[[2]int]bool{} // (kind, task) already reported failed once
 	for {
 		var task TaskReply
 		_ = svc.RequestTask(TaskArgs{WorkerID: "hand"}, &task)
-		var report func(errMsg string) bool // reports the task, Final so that no next one rides back
 		switch task.Kind {
 		case TaskWait:
 			select {
@@ -327,25 +322,14 @@ func TestBadReportsNotCounted(t *testing.T) {
 			case <-time.After(time.Millisecond): // Run has not queued the tasks yet
 			}
 			continue
-		case TaskMap:
-			args := handMap(t, svc, "hand", &task)
-			report = func(errMsg string) bool {
-				args.Err = errMsg
-				return reportMap(svc, args)
-			}
-		case TaskReduce:
-			frames, st, err := executeReduce(job, &task)
-			if err != nil {
-				t.Fatal(err)
-			}
-			report = func(errMsg string) bool {
-				var reply ResultReply
-				_ = svc.ReportReduce(ReduceResultArgs{WorkerID: "hand", Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt,
-					Frames: frames, Stats: st, Err: errMsg, Final: true}, &reply)
-				return reply.Accepted
-			}
+		case TaskMap, TaskReduce:
 		default:
 			t.Fatalf("task kind %d", task.Kind)
+		}
+		args := handTask(t, svc, "hand", &task)
+		report := func(errMsg string) bool { // reports the task, Final so that no next one rides back
+			args.Err = errMsg
+			return reportTask(svc, args)
 		}
 		if key := [2]int{int(task.Kind), task.TaskID}; !failed[key] {
 			failed[key] = true
@@ -405,8 +389,7 @@ func TestReportFromPastJobIgnored(t *testing.T) {
 		t.Fatalf("next job's first task is %d of job %d, the past job's %d of job %d", next.TaskID, next.Job, old.TaskID, old.Job)
 	}
 	for i := 0; i < 10; i++ { // twice what would fail the task for good
-		var reply ResultReply
-		_ = svc.ReportMap(MapResultArgs{WorkerID: "hand", Job: old.Job, TaskID: old.TaskID, Err: "the past job's failure", Final: true}, &reply)
+		reportTask(svc, ResultArgs{Kind: TaskMap, WorkerID: "hand", Job: old.Job, TaskID: old.TaskID, Err: "the past job's failure", Final: true})
 	}
 	w, err := NewWorker(WorkerConfig{MasterAddr: master.Addr(), ID: "w", PollInterval: time.Millisecond})
 	if err != nil {
@@ -560,7 +543,7 @@ func TestHostileReduceStreamsRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 			if out, _, err := executeReduce(job, &TaskReply{FrameStreams: streams}); err == nil {
-				t.Errorf("%s, %s: reduce task returned %d bytes and no error", jobName, name, len(out))
+				t.Errorf("%s, %s: reduce task returned %d bytes and no error", jobName, name, len(out[0]))
 			}
 		}
 	}

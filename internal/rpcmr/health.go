@@ -88,17 +88,19 @@ type Health struct {
 	Dead    int `json:"dead"`
 	// Workers lists every registered worker, sorted by id.
 	Workers []WorkerHealth `json:"workers"`
-	// JobRunning/Job/Phase describe the in-flight job ("" when idle).
+	// JobRunning/Job/Phase describe the in-flight job ("" when idle);
+	// phase is Phase as a TaskKind, for Status.
 	JobRunning bool   `json:"job_running"`
 	Job        string `json:"job,omitempty"`
 	Phase      string `json:"phase,omitempty"`
+	phase      TaskKind
 	// TasksTotal/TasksDone/QueueDepth/InFlight break the current phase
 	// down: done + queued + in-flight = total.
 	TasksTotal int `json:"tasks_total"`
 	TasksDone  int `json:"tasks_done"`
 	QueueDepth int `json:"queue_depth"`
 	InFlight   int `json:"in_flight"`
-	// TaskRetries/WorkerFailures mirror Status.
+	// TaskRetries/WorkerFailures count across all jobs, as on Status.
 	TaskRetries    int64 `json:"task_retries"`
 	WorkerFailures int64 `json:"worker_failures"`
 	// LastJobError is the most recent job-level failure, empty when every
@@ -123,6 +125,7 @@ func (m *Master) Health() Health {
 	if js := m.job; js != nil && !isClosed(js.finished) {
 		h.JobRunning = true
 		h.Job = js.spec.Name
+		h.phase = js.phase
 		h.Phase = phaseName(js.phase)
 		h.TasksTotal = len(js.tasks)
 		h.TasksDone = js.done

@@ -104,12 +104,11 @@ type jobState struct {
 	tasks   []*taskState
 	pending []int // indexes of queued tasks of the current phase
 	done    int   // completed tasks of the current phase
-	// frameOut[task][r] is map task's sealed stream for reducer r;
-	// frameStreams[r] gathers reducer r's streams in map-task order;
-	// outFrames[r] is reduce task r's output stream.
-	frameOut     [][][]byte
+	// out[task] is the current phase's accepted output of task: a map
+	// task's sealed stream per reducer, a reduce task's output stream.
+	// frameStreams[r] gathers reducer r's streams in map-task order.
+	out          [][][]byte
 	frameStreams [][][]byte
-	outFrames    [][]byte
 	mapStart     time.Time
 	mapDur       time.Duration
 	shuffleDur   time.Duration // master-side gathering in startReducePhase
@@ -484,7 +483,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		}
 	}
 	mapTasks := len(js.tasks)
-	js.frameOut = make([][][]byte, mapTasks)
+	js.out = make([][][]byte, mapTasks)
 	for i := range js.tasks {
 		js.pending = append(js.pending, i)
 	}
@@ -537,7 +536,11 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	endJob("ok", nil)
 	// Assemble reduce-output frames in reduce-task order — the per-task
 	// slots make completion order irrelevant, so output is deterministic.
-	blocks, err := mapreduce.AssembleFrames(js.outFrames)
+	var streams [][]byte
+	for _, out := range js.out {
+		streams = append(streams, out...)
+	}
+	blocks, err := mapreduce.AssembleFrames(streams)
 	if err != nil {
 		return nil, fmt.Errorf("rpcmr: assembling reduce output frames: %w", err)
 	}
@@ -562,14 +565,13 @@ func (m *Master) startReducePhase(js *jobState) {
 	// grouping, no string sort, no per-point copying.
 	js.frameStreams = make([][][]byte, js.spec.Reducers)
 	for r := 0; r < js.spec.Reducers; r++ {
-		for _, taskParts := range js.frameOut {
+		for _, taskParts := range js.out {
 			if r < len(taskParts) && len(taskParts[r]) > 0 {
 				js.frameStreams[r] = append(js.frameStreams[r], taskParts[r])
 			}
 		}
 	}
-	js.frameOut = nil
-	js.outFrames = make([][]byte, js.spec.Reducers)
+	js.out = make([][][]byte, js.spec.Reducers)
 	js.shuffleDur = time.Since(shuffleStart)
 	js.redStart = time.Now()
 	js.tasks = js.tasks[:0]

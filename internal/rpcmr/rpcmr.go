@@ -210,16 +210,18 @@ type SplitArgs struct {
 	Split    int
 }
 
-// MapResultArgs reports a finished map task: its output, partitioned by
-// reducer index.
-type MapResultArgs struct {
+// ResultArgs reports a finished task of either kind: its output, or why
+// it failed.
+type ResultArgs struct {
+	Kind     TaskKind // TaskReply.Kind, echoed
 	WorkerID string
 	Job      uint64 // TaskReply.Job, echoed
 	TaskID   int
 	Attempt  int
-	// FrameParts[r] holds the sealed frame stream destined for reducer r:
-	// one batched payload per reducer.
-	FrameParts [][]byte
+	// Frames is the task's output as sealed frame streams: a map task's one
+	// batched payload per reducer, Frames[r] destined for reducer r, or a
+	// reduce task's one output stream.
+	Frames [][]byte
 	// Final tells the master not to piggyback another assignment: the
 	// sender is about to stop. Worker never sets it; a client that speaks
 	// the protocol itself may.
@@ -233,27 +235,9 @@ type MapResultArgs struct {
 	// from a previous job cannot pollute the current trace.
 	Spans   []telemetry.SpanData
 	TraceID uint64
-	// Stats is the task's tallies, as mapreduce.MapFrames returned them;
+	// Stats is the task's tallies, as mapreduce.MapFrames or the reduce
+	// returned them (reducer peak and fold passes among a reduce task's);
 	// the master sums the accepted reports' into the job's result.
-	Stats mapreduce.FrameStats
-}
-
-// ReduceResultArgs reports a finished reduce task.
-type ReduceResultArgs struct {
-	WorkerID string
-	Job      uint64 // TaskReply.Job, echoed
-	TaskID   int
-	Attempt  int
-	// Frames is the reduce output as one sealed frame stream.
-	Frames []byte
-	// Final tells the master not to piggyback another assignment.
-	Final bool
-	Err   string
-	// Spans/TraceID: worker-side task spans, as on MapResultArgs.
-	Spans   []telemetry.SpanData
-	TraceID uint64
-	// Stats is the task's tallies — reducer peak and fold passes among
-	// them — summed by the master as a map task's are.
 	Stats mapreduce.FrameStats
 }
 

@@ -202,6 +202,24 @@ func (m *Master) sealSplit(js *jobState, worker string, split int, reply *TaskRe
 	return true
 }
 
+// task (mu held) is task id of the running job's current phase, when the
+// job is number seq and the phase is kind; else nil. A call that names a
+// past job, another phase or a task out of range is about no task.
+func (m *Master) task(seq uint64, kind TaskKind, id int) (*jobState, *taskState) {
+	js := m.job
+	if js == nil || js.seq != seq || js.phase != kind || isClosed(js.finished) || id < 0 || id >= len(js.tasks) {
+		return nil, nil
+	}
+	return js, js.tasks[id]
+}
+
+// heldBy (mu held) says whether attempt is the one that holds t now: t is
+// running, not complete, and was last handed out as that attempt. Only the
+// holder may fetch the task's input or fail it.
+func (t *taskState) heldBy(attempt int) bool {
+	return t.running && !t.complete && t.attempt == attempt
+}
+
 // NextSplit hands the worker running a map task split args.Split of its
 // share, sealed as the first was, in a TaskReply of kind TaskMap, and renews
 // the task's lease. A fetch for a job, task or attempt that is no longer
@@ -214,13 +232,8 @@ func (s *MasterService) NextSplit(args SplitArgs, reply *TaskReply) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.touchWorker(args.WorkerID)
-	js := m.job
-	if js == nil || js.seq != args.Job || js.phase != TaskMap || isClosed(js.finished) ||
-		args.TaskID < 0 || args.TaskID >= len(js.tasks) {
-		return nil
-	}
-	t := js.tasks[args.TaskID]
-	if !t.running || t.complete || t.attempt != args.Attempt || args.Split < 1 || args.Split >= t.end-t.first {
+	js, t := m.task(args.Job, TaskMap, args.TaskID)
+	if t == nil || !t.heldBy(args.Attempt) || args.Split < 1 || args.Split >= t.end-t.first {
 		return nil
 	}
 	t.deadline = time.Now().Add(m.cfg.TaskLease)
@@ -230,8 +243,12 @@ func (s *MasterService) NextSplit(args SplitArgs, reply *TaskReply) error {
 	return nil
 }
 
-// ReportMap receives a map task result.
-func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error {
+// Report receives a task's result, map or reduce, under one rule: a report
+// for another job or phase, for a task out of range or for one already
+// complete changes nothing; a failure counts only from the attempt that
+// holds the task; the first success wins — tasks are deterministic, so any
+// attempt's output is the task's.
+func (s *MasterService) Report(args ResultArgs, reply *ResultReply) error {
 	m := s.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -246,26 +263,24 @@ func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error 
 		}
 	}()
 
-	js := m.job
-	if js == nil || js.seq != args.Job || js.phase != TaskMap || isClosed(js.finished) {
-		return nil // stale report for a past job or phase
+	js, t := m.task(args.Job, args.Kind, args.TaskID)
+	if t == nil || t.complete {
+		return nil // stale, or the first writer won already
 	}
-	if args.TaskID < 0 || args.TaskID >= len(js.tasks) {
-		return nil
-	}
-	t := js.tasks[args.TaskID]
-	if t.complete {
-		return nil // first writer won already
-	}
+	kind := phaseName(js.phase)
 	if args.Err != "" {
-		if args.Attempt != t.attempt {
-			return nil // a superseded attempt's: its share was queued again already
+		if !t.heldBy(args.Attempt) {
+			return nil // a superseded attempt's: the task was queued again already
 		}
 		t.running = false
 		t.attempt++
 		t.failures++
 		m.countRetry(js, args.WorkerID, "report")
-		m.reportTaskFailure(js, w, "map", args.TaskID, t.failures, args.Err)
+		w.lastError = fmt.Sprintf("%s task %d: %s", kind, args.TaskID, args.Err)
+		m.cfg.Events.Warn("task failed", telemetry.A("job", js.spec.Name),
+			telemetry.A("phase", kind), telemetry.A("task", args.TaskID),
+			telemetry.A("worker", w.id), telemetry.A("failures", t.failures),
+			telemetry.A("err", args.Err))
 		if t.failures >= m.maxAttempts {
 			m.finish(js, &WorkerTaskError{Task: args.TaskID, Msg: args.Err})
 			return nil
@@ -277,69 +292,20 @@ func (s *MasterService) ReportMap(args MapResultArgs, reply *ResultReply) error 
 	t.complete = true
 	t.running = false
 	w.tasksDone++
-	m.observeTask(t, "map", args.WorkerID)
-	m.recordCompletion(js, t, "map", args.WorkerID, args.Spans, args.TraceID)
-	js.frameOut[args.TaskID] = args.FrameParts
-	m.observeFrameBytes(args.WorkerID, args.FrameParts)
+	m.observeTask(t, kind, args.WorkerID)
+	m.recordCompletion(js, t, kind, args.WorkerID, args.Spans, args.TraceID)
+	js.out[args.TaskID] = args.Frames
+	if js.phase == TaskMap {
+		m.observeFrameBytes(args.WorkerID, args.Frames)
+	}
 	js.stats.Add(args.Stats)
 	js.done++
 	reply.Accepted = true
-	if js.done == len(js.tasks) {
+	switch {
+	case js.done < len(js.tasks):
+	case js.phase == TaskMap:
 		m.startReducePhase(js)
-		if len(js.tasks) == 0 {
-			m.finish(js, nil)
-		}
-	}
-	return nil
-}
-
-// ReportReduce receives a reduce task result.
-func (s *MasterService) ReportReduce(args ReduceResultArgs, reply *ResultReply) error {
-	m := s.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w := m.touchWorker(args.WorkerID)
-	defer func() {
-		if !args.Final {
-			m.assignTask(args.WorkerID, &reply.Next)
-		}
-	}()
-
-	js := m.job
-	if js == nil || js.seq != args.Job || js.phase != TaskReduce || isClosed(js.finished) {
-		return nil
-	}
-	if args.TaskID < 0 || args.TaskID >= len(js.tasks) {
-		return nil
-	}
-	t := js.tasks[args.TaskID]
-	if t.complete {
-		return nil
-	}
-	if args.Err != "" {
-		t.running = false
-		t.attempt++
-		t.failures++
-		m.countRetry(js, args.WorkerID, "report")
-		m.reportTaskFailure(js, w, "reduce", args.TaskID, t.failures, args.Err)
-		if t.failures >= m.maxAttempts {
-			m.finish(js, &WorkerTaskError{Task: args.TaskID, Msg: args.Err})
-			return nil
-		}
-		js.pending = append(js.pending, args.TaskID)
-		m.wakeHeld()
-		return nil
-	}
-	t.complete = true
-	t.running = false
-	w.tasksDone++
-	m.observeTask(t, "reduce", args.WorkerID)
-	m.recordCompletion(js, t, "reduce", args.WorkerID, args.Spans, args.TraceID)
-	js.outFrames[args.TaskID] = args.Frames
-	js.stats.Add(args.Stats)
-	js.done++
-	reply.Accepted = true
-	if js.done == len(js.tasks) {
+	default:
 		m.finish(js, nil)
 	}
 	return nil
@@ -403,16 +369,6 @@ func median(xs []float64) float64 {
 		return tmp[n/2]
 	}
 	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// reportTaskFailure (mu held) books the event-log and per-worker side of
-// a worker-reported task error; failures is the task's updated count.
-func (m *Master) reportTaskFailure(js *jobState, w *workerInfo, kind string, task, failures int, msg string) {
-	w.lastError = fmt.Sprintf("%s task %d: %s", kind, task, msg)
-	m.cfg.Events.Warn("task failed", telemetry.A("job", js.spec.Name),
-		telemetry.A("phase", kind), telemetry.A("task", task),
-		telemetry.A("worker", w.id), telemetry.A("failures", failures),
-		telemetry.A("err", msg))
 }
 
 // countRetry (mu held) books one re-execution of a task of js's current

@@ -159,10 +159,10 @@ func fetch(svc *MasterService, worker string, job uint64, task, attempt, split i
 	return reply
 }
 
-// handMap maps, as worker, a map task taken by hand — fetching the splits
-// after its first as a worker does — and returns its report, Final: nothing
-// is to ride back on it.
-func handMap(t *testing.T, svc *MasterService, worker string, task *TaskReply) MapResultArgs {
+// handTask runs, as worker, a task taken by hand — fetching a map task's
+// splits after its first as a worker does — and returns its report, Final:
+// nothing is to ride back on it.
+func handTask(t *testing.T, svc *MasterService, worker string, task *TaskReply) ResultArgs {
 	t.Helper()
 	job, err := lookupJob(task.JobName, task.Params)
 	if err != nil {
@@ -178,17 +178,23 @@ func handMap(t *testing.T, svc *MasterService, worker string, task *TaskReply) M
 		}
 		return next.Frames, nil
 	}
-	parts, st, err := mapreduce.MapFrames(job.FrameJob, task.Splits, split, task.TaskID, task.Tasks, task.Reducers, job.Codec)
+	var frames [][]byte
+	var st mapreduce.FrameStats
+	if task.Kind == TaskMap {
+		frames, st, err = mapreduce.MapFrames(job.FrameJob, task.Splits, split, task.TaskID, task.Tasks, task.Reducers, job.Codec)
+	} else {
+		frames, st, err = executeReduce(job, task)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return MapResultArgs{WorkerID: worker, Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt, FrameParts: parts, Stats: st, Final: true}
+	return ResultArgs{Kind: task.Kind, WorkerID: worker, Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt, Frames: frames, Stats: st, Final: true}
 }
 
-// reportMap sends a map report by hand and says whether it was accepted.
-func reportMap(svc *MasterService, args MapResultArgs) bool {
+// reportTask sends a report by hand and says whether it was accepted.
+func reportTask(svc *MasterService, args ResultArgs) bool {
 	var reply ResultReply
-	_ = svc.ReportMap(args, &reply)
+	_ = svc.Report(args, &reply)
 	return reply.Accepted
 }
 
@@ -207,21 +213,8 @@ func handFinish(t *testing.T, svc *MasterService, worker string, done <-chan out
 		}
 		var task TaskReply
 		_ = svc.RequestTask(TaskArgs{WorkerID: worker}, &task)
-		switch task.Kind {
-		case TaskMap:
-			reportMap(svc, handMap(t, svc, worker, &task))
-		case TaskReduce:
-			job, err := lookupJob(task.JobName, task.Params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			frames, st, err := executeReduce(job, &task)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var reply ResultReply
-			_ = svc.ReportReduce(ReduceResultArgs{WorkerID: worker, Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt,
-				Frames: frames, Stats: st, Final: true}, &reply)
+		if task.Kind == TaskMap || task.Kind == TaskReduce {
+			reportTask(svc, handTask(t, svc, worker, &task))
 		}
 	}
 }
@@ -424,7 +417,7 @@ func TestStaleFetchRefused(t *testing.T) {
 			t.Errorf("%s: kind %d with %d bytes, want refused", name, refused.Kind, len(refused.Frames))
 		}
 	}
-	if !reportMap(svc, handMap(t, svc, "fresh", &fresh)) {
+	if !reportTask(svc, handTask(t, svc, "fresh", &fresh)) {
 		t.Error("the current attempt's report was not accepted")
 	}
 	requireFrameOracle(t, handFinish(t, svc, "fresh", done), data)
@@ -432,43 +425,60 @@ func TestStaleFetchRefused(t *testing.T) {
 }
 
 // TestLateReportNotCounted: an attempt whose lease ran out may still finish
-// its share and report it, late. A failure it reports is not the share's —
-// the share was queued again when the attempt was superseded — and the
-// share's first accepted report wins: once the attempt that superseded it
-// has reported, the late report is not accepted, and neither its output nor
-// its tallies are counted.
+// its task and report it, late, in either phase. A failure it reports is not
+// the task's — the task was queued again when the attempt was superseded, and
+// the attempt that superseded it is running it — and the task's first
+// accepted report wins: once the superseding attempt has reported, the late
+// report is not accepted, and neither its output nor its tallies are counted.
+// The reduce row drives the map phase by hand first.
 func TestLateReportNotCounted(t *testing.T) {
-	noLeak(t)
-	ensureFrameJobs()
-	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: time.Minute, LivenessWindow: 200 * time.Millisecond}, 0, WorkerConfig{})
-	svc := &MasterService{m: master}
-	for _, id := range []string{"late", "prompt"} {
-		_ = svc.Register(RegisterArgs{WorkerID: id}, &RegisterReply{})
+	for _, phase := range []TaskKind{TaskMap, TaskReduce} {
+		t.Run(phaseName(phase), func(t *testing.T) {
+			noLeak(t)
+			ensureFrameJobs()
+			master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: time.Minute, LivenessWindow: 200 * time.Millisecond}, 0, WorkerConfig{})
+			svc := &MasterService{m: master}
+			for _, id := range []string{"late", "prompt"} {
+				_ = svc.Register(RegisterArgs{WorkerID: id}, &RegisterReply{})
+			}
+			data := frameClusterData(1000, 3, 15) // 1 200 rows: two shares of six splits, two reducers
+			done := runAsync(master, setFrames(data, nil))
+			for phase == TaskReduce && master.Status().Phase != TaskReduce {
+				task := take(svc, "prompt")
+				if !reportTask(svc, handTask(t, svc, "prompt", &task)) {
+					t.Fatalf("map task %d's report was not accepted", task.TaskID)
+				}
+			}
+			late := take(svc, "late")
+			lateReport := handTask(t, svc, "late", &late) // the whole task, reported below
+			other := take(svc, "prompt")
+			if late.Kind != phase || other.Kind != phase {
+				t.Fatalf("kinds %d and %d, want two tasks of kind %d", late.Kind, other.Kind, phase)
+			}
+			expireLease(master, late.TaskID)
+			again := take(svc, "prompt")
+			if again.Kind != phase || again.TaskID != late.TaskID || again.Attempt != late.Attempt+1 {
+				t.Fatalf("kind %d task %d attempt %d; want the expired task again", again.Kind, again.TaskID, again.Attempt)
+			}
+			lateFailure := lateReport
+			lateFailure.Err = "the superseded attempt failed"
+			if reportTask(svc, lateFailure) {
+				t.Error("a superseded attempt's failure report was accepted")
+			}
+			if st := master.Status(); st.TaskRetries != 1 || st.Pending != 0 {
+				t.Errorf("after the superseded attempt's failure: %d task retries, %d pending; want 1 and 0", st.TaskRetries, st.Pending)
+			}
+			if !reportTask(svc, handTask(t, svc, "prompt", &again)) {
+				t.Error("the superseding attempt's report was not accepted")
+			}
+			if reportTask(svc, lateReport) {
+				t.Error("a late report from a superseded attempt was accepted")
+			}
+			if !reportTask(svc, handTask(t, svc, "prompt", &other)) {
+				t.Error("the other task's report was not accepted")
+			}
+			requireFrameOracle(t, handFinish(t, svc, "prompt", done), data)
+			requireOneFault(t, master)
+		})
 	}
-	data := frameClusterData(1000, 3, 15) // 1 200 rows: two shares of six splits
-	done := runAsync(master, setFrames(data, nil))
-	late := take(svc, "late")
-	lateReport := handMap(t, svc, "late", &late) // the whole share, reported below
-	other := take(svc, "prompt")
-	expireLease(master, late.TaskID)
-	again := take(svc, "prompt")
-	if again.TaskID != late.TaskID || again.Attempt != late.Attempt+1 {
-		t.Fatalf("task %d attempt %d; want the expired share again", again.TaskID, again.Attempt)
-	}
-	lateFailure := lateReport
-	lateFailure.Err = "the superseded attempt failed"
-	if reportMap(svc, lateFailure) {
-		t.Error("a superseded attempt's failure report was accepted")
-	}
-	if !reportMap(svc, handMap(t, svc, "prompt", &again)) {
-		t.Error("the superseding attempt's report was not accepted")
-	}
-	if reportMap(svc, lateReport) {
-		t.Error("a late report from a superseded attempt was accepted")
-	}
-	if !reportMap(svc, handMap(t, svc, "prompt", &other)) {
-		t.Error("the other share's report was not accepted")
-	}
-	requireFrameOracle(t, handFinish(t, svc, "prompt", done), data)
-	requireOneFault(t, master)
 }

@@ -1,7 +1,5 @@
 package rpcmr
 
-import "time"
-
 // Status is a snapshot of the master's state, served both locally
 // (Master.Status) and over RPC (Master.Status service method) so
 // operators and tests can watch job progress.
@@ -33,28 +31,25 @@ type Status struct {
 	WorkerFailures int64
 }
 
-// Status returns a snapshot of master state.
+// Status returns a snapshot of master state: Health's, projected. A worker
+// is live when it last called in within the liveness window.
 func (m *Master) Status() Status {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	h := m.Health()
 	st := Status{
-		Workers:        len(m.workers),
-		TaskRetries:    m.taskRetries,
-		WorkerFailures: m.workerFailures,
+		Workers:        len(h.Workers),
+		JobRunning:     h.JobRunning,
+		JobName:        h.Job,
+		Phase:          h.phase,
+		TasksTotal:     h.TasksTotal,
+		TasksDone:      h.TasksDone,
+		Pending:        h.QueueDepth,
+		TaskRetries:    h.TaskRetries,
+		WorkerFailures: h.WorkerFailures,
 	}
-	now := time.Now()
-	for _, w := range m.workers {
-		if now.Sub(w.lastSeen) <= m.cfg.LivenessWindow {
+	for _, w := range h.Workers {
+		if w.LastSeenAgeSeconds <= m.cfg.LivenessWindow.Seconds() {
 			st.LiveWorkers++
 		}
-	}
-	if js := m.job; js != nil && !isClosed(js.finished) {
-		st.JobRunning = true
-		st.JobName = js.spec.Name
-		st.Phase = js.phase
-		st.TasksTotal = len(js.tasks)
-		st.TasksDone = js.done
-		st.Pending = len(js.pending)
 	}
 	return st
 }

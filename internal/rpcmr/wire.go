@@ -88,12 +88,10 @@ func payloadSlots(dst []*[]byte, body any) []*[]byte {
 		}
 	case *ResultReply:
 		return payloadSlots(dst, &b.Next)
-	case *MapResultArgs:
-		for i := range b.FrameParts {
-			dst = append(dst, &b.FrameParts[i])
+	case *ResultArgs:
+		for i := range b.Frames {
+			dst = append(dst, &b.Frames[i])
 		}
-	case *ReduceResultArgs:
-		dst = append(dst, &b.Frames)
 	}
 	return dst
 }
@@ -112,12 +110,9 @@ func (w *wire) detach(body any) any {
 		c := *b
 		c.Next.FrameStreams = w.copyOuter(b.Next.FrameStreams)
 		body = &c
-	case *MapResultArgs:
+	case *ResultArgs:
 		c := *b
-		c.FrameParts = w.copyOuter(b.FrameParts)
-		body = &c
-	case *ReduceResultArgs:
-		c := *b
+		c.Frames = w.copyOuter(b.Frames)
 		body = &c
 	}
 	w.slots, w.out = payloadSlots(w.slots[:0], body), w.out[:0]

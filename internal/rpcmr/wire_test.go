@@ -108,8 +108,8 @@ func TestWireRoundTrip(t *testing.T) {
 		{&TaskReply{Kind: TaskReduce, TaskID: 1, FrameStreams: streams}, &TaskReply{}},
 		{&TaskReply{}, &TaskReply{}},
 		{&ResultReply{Accepted: true, Next: TaskReply{Kind: TaskReduce, FrameStreams: streams}}, &ResultReply{}},
-		{&MapResultArgs{WorkerID: "w", TaskID: 2, FrameParts: streams, Stats: mapreduce.FrameStats{MapIn: 9}}, &MapResultArgs{}},
-		{&ReduceResultArgs{WorkerID: "w", Frames: noise(4, 999)}, &ReduceResultArgs{}},
+		{&ResultArgs{Kind: TaskMap, WorkerID: "w", TaskID: 2, Frames: streams, Stats: mapreduce.FrameStats{MapIn: 9}}, &ResultArgs{}},
+		{&ResultArgs{Kind: TaskReduce, WorkerID: "w", Frames: [][]byte{noise(4, 999)}}, &ResultArgs{}},
 		{&RegisterArgs{WorkerID: "w"}, &RegisterArgs{}},
 	}
 	for _, b := range bodies {
@@ -268,7 +268,7 @@ func TestSkippedBodyKeepsStreamInStep(t *testing.T) {
 	}
 	defer client.Close()
 	for i := 0; i < 3; i++ {
-		args := &MapResultArgs{WorkerID: "w", FrameParts: [][]byte{noise(1, 70000), nil, noise(2, 10)}}
+		args := &ResultArgs{Kind: TaskMap, WorkerID: "w", Frames: [][]byte{noise(1, 70000), nil, noise(2, 10)}}
 		err := client.Call("Master.NoSuchMethod", args, &ResultReply{})
 		if err == nil || !strings.Contains(err.Error(), "can't find method") {
 			t.Fatalf("unknown method: %v", err)
@@ -291,8 +291,8 @@ func TestTruncatedPayloadClosesConnection(t *testing.T) {
 	}
 	defer conn.Close()
 	w := newWire(conn)
-	stripped := w.detach(&MapResultArgs{WorkerID: "liar", FrameParts: [][]byte{make([]byte, 1000)}})
-	if err := w.enc.Encode(&rpc.Request{ServiceMethod: "Master.ReportMap", Seq: 1}); err != nil {
+	stripped := w.detach(&ResultArgs{Kind: TaskMap, WorkerID: "liar", Frames: [][]byte{make([]byte, 1000)}})
+	if err := w.enc.Encode(&rpc.Request{ServiceMethod: "Master.Report", Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.enc.Encode(stripped); err != nil {
@@ -326,18 +326,19 @@ func fuzzSeeds() []any {
 	return []any{
 		&TaskReply{Kind: TaskMap, TaskID: 3, Attempt: 1, JobName: "skyline/partition", Params: []byte(`{"dim":3}`), Reducers: 2, Frames: noise(3, 600)},
 		&ResultReply{Accepted: true, Next: TaskReply{Kind: TaskReduce, TaskID: 1, JobName: "skyline/merge", FrameStreams: streams}},
-		&MapResultArgs{WorkerID: "w1", TaskID: 2, FrameParts: streams, Stats: mapreduce.FrameStats{MapIn: 50}},
+		&ResultArgs{Kind: TaskMap, WorkerID: "w1", TaskID: 2, Frames: streams, Stats: mapreduce.FrameStats{MapIn: 50}},
+		&ResultArgs{Kind: TaskReduce, WorkerID: "w1", TaskID: 1, Attempt: 2, Frames: [][]byte{noise(4, 500)}, Stats: mapreduce.FrameStats{ReduceIn: 40, PeakBytes: 4096}},
 	}
 }
 
 func fuzzDestination(kind uint8) any {
-	switch kind % 3 {
+	switch kind % 4 {
 	case 0:
 		return &TaskReply{}
 	case 1:
 		return &ResultReply{}
 	default:
-		return &MapResultArgs{}
+		return &ResultArgs{}
 	}
 }
 

@@ -140,18 +140,11 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			case <-time.After(w.cfg.PollInterval):
 			}
-		case TaskMap:
+		case TaskMap, TaskReduce:
 			if w.shouldVanish() {
-				return fmt.Errorf("rpcmr: worker %s: injected crash holding map task %d", w.cfg.ID, task.TaskID)
+				return fmt.Errorf("rpcmr: worker %s: injected crash holding %s task %d", w.cfg.ID, phaseName(task.Kind), task.TaskID)
 			}
-			if err := w.runMap(&task); err != nil {
-				return err
-			}
-		case TaskReduce:
-			if w.shouldVanish() {
-				return fmt.Errorf("rpcmr: worker %s: injected crash holding reduce task %d", w.cfg.ID, task.TaskID)
-			}
-			if err := w.runReduce(&task); err != nil {
+			if err := w.runTask(&task); err != nil {
 				return err
 			}
 		default:
@@ -227,21 +220,23 @@ func (w *Worker) taskSpan(task *TaskReply, name string) (span *telemetry.Span, f
 // errSplitRefused ends a map task whose next split the master refused.
 var errSplitRefused = errors.New("rpcmr: split refused: the task is no longer this attempt's")
 
-// runMap executes the map task in *task and reports it; what rides back on
-// the report's reply — the next assignment, read into the task's own
-// memory — replaces it. The share's splits after the first are fetched one
-// at a time into the memory the first came in, once the one before has
-// been walked. If the master refuses a fetch, the task is dropped
-// unreported and the worker asks for another.
-func (w *Worker) runMap(task *TaskReply) error {
-	args := MapResultArgs{
+// runTask executes the task in *task and reports it; what rides back on the
+// report's reply — the next assignment, read into the task's own memory —
+// replaces it. A map task's splits after the first are fetched one at a
+// time into the memory the first came in, once the one before has been
+// walked. If the master refuses a fetch, the task is dropped unreported and
+// the worker asks for another.
+func (w *Worker) runTask(task *TaskReply) error {
+	kind := phaseName(task.Kind)
+	args := ResultArgs{
+		Kind:     task.Kind,
 		WorkerID: w.cfg.ID,
 		Job:      task.Job,
 		TaskID:   task.TaskID,
 		Attempt:  task.Attempt,
 		TraceID:  task.TraceID,
 	}
-	span, finish := w.taskSpan(task, "map-task")
+	span, finish := w.taskSpan(task, kind+"-task")
 	start := time.Now()
 	w.stall()
 	var lost error // the connection failed under a fetch
@@ -260,8 +255,12 @@ func (w *Worker) runMap(task *TaskReply) error {
 		return task.Frames, nil
 	}
 	job, err := lookupJob(task.JobName, task.Params)
-	if err == nil {
-		args.FrameParts, args.Stats, err = mapreduce.MapFrames(job.FrameJob, task.Splits, split, task.TaskID, task.Tasks, task.Reducers, job.Codec)
+	switch {
+	case err != nil:
+	case task.Kind == TaskMap:
+		args.Frames, args.Stats, err = mapreduce.MapFrames(job.FrameJob, task.Splits, split, task.TaskID, task.Tasks, task.Reducers, job.Codec)
+	default:
+		args.Frames, args.Stats, err = executeReduce(job, task)
 	}
 	switch {
 	case lost != nil:
@@ -271,50 +270,20 @@ func (w *Worker) runMap(task *TaskReply) error {
 		*task = task.emptied()
 		return nil
 	}
-	// The span's record count is input rows: the task learns it from the
-	// frames it walked.
-	span.SetAttr("records", int(args.Stats.MapIn))
-	if err != nil {
-		args.Err = err.Error()
-		args.FrameParts, args.Stats = nil, mapreduce.FrameStats{}
-		span.SetAttr("error", err.Error())
-	}
-	args.Spans = finish(err != nil)
-	w.observeTask("map", start, err)
-	reply := ResultReply{Next: task.emptied()}
-	if err := w.client.Call("Master.ReportMap", &args, &reply); err != nil {
-		return fmt.Errorf("rpcmr: worker %s: report map: %w", w.cfg.ID, err)
-	}
-	*task = reply.Next
-	w.bumpCompleted()
-	return nil
-}
-
-// runReduce is runMap for a reduce task.
-func (w *Worker) runReduce(task *TaskReply) error {
-	args := ReduceResultArgs{
-		WorkerID: w.cfg.ID,
-		Job:      task.Job,
-		TaskID:   task.TaskID,
-		Attempt:  task.Attempt,
-		TraceID:  task.TraceID,
-	}
-	span, finish := w.taskSpan(task, "reduce-task")
-	start := time.Now()
-	w.stall()
-	job, err := lookupJob(task.JobName, task.Params)
-	if err == nil {
-		args.Frames, args.Stats, err = executeReduce(job, task)
+	if task.Kind == TaskMap {
+		// The span's record count is input rows: the task learns it from
+		// the frames it walked.
+		span.SetAttr("records", int(args.Stats.MapIn))
 	}
 	if err != nil {
 		args.Err, args.Frames, args.Stats = err.Error(), nil, mapreduce.FrameStats{}
 		span.SetAttr("error", err.Error())
 	}
 	args.Spans = finish(err != nil)
-	w.observeTask("reduce", start, err)
+	w.observeTask(kind, start, err)
 	reply := ResultReply{Next: task.emptied()}
-	if err := w.client.Call("Master.ReportReduce", &args, &reply); err != nil {
-		return fmt.Errorf("rpcmr: worker %s: report reduce: %w", w.cfg.ID, err)
+	if err := w.client.Call("Master.Report", &args, &reply); err != nil {
+		return fmt.Errorf("rpcmr: worker %s: report %s: %w", w.cfg.ID, kind, err)
 	}
 	*task = reply.Next
 	w.bumpCompleted()
@@ -322,11 +291,13 @@ func (w *Worker) runReduce(task *TaskReply) error {
 }
 
 // executeReduce is one reduce task: the reducer's frame streams through the
-// job's folder, by the reduce-task body every executor shares.
-func executeReduce(job Job, task *TaskReply) ([]byte, mapreduce.FrameStats, error) {
+// job's folder, by the reduce-task body every executor shares. Its output is
+// one stream, as ResultArgs.Frames carries it.
+func executeReduce(job Job, task *TaskReply) ([][]byte, mapreduce.FrameStats, error) {
 	srcs := make([]mapreduce.FrameSource, len(task.FrameStreams))
 	for i, stream := range task.FrameStreams {
 		srcs[i] = mapreduce.StreamFrameSource(stream)
 	}
-	return mapreduce.ReduceFramesStream(srcs, job.FrameJob.Folder, job.Codec)
+	out, st, err := mapreduce.ReduceFramesStream(srcs, job.FrameJob.Folder, job.Codec)
+	return [][]byte{out}, st, err
 }
