@@ -32,9 +32,9 @@
 // file. With -linger, the master keeps the debug endpoints up for that
 // long after the job finishes (or until SIGINT/SIGTERM) so dashboards
 // and CI can inspect the completed run. With -reducer-budget, the
-// workers' reducers fold under that many bytes and the merge runs as
-// rounds of budget-sized folds on the master, over the local skylines the
-// partitioning job returned to it, instead of as a second cluster job.
+// workers' reducers fold under that many bytes, and when the local
+// skylines exceed it the merge runs as rounds of budget-sized folds — one
+// map-only cluster job a round, on the workers — instead of the filter job.
 //
 // On SIGINT/SIGTERM the master drains workers, takes one final
 // time-series sample, shuts the debug server down gracefully, and
@@ -109,7 +109,7 @@ func main() {
 	flag.StringVar(&o.historyFile, "runhistory", "",
 		"append this run's flight+critpath summary to a bounded JSONL history file and compare against the baseline (empty = in-memory only)")
 	flag.Int64Var(&o.budget, "reducer-budget", 0,
-		"per-reducer memory budget in bytes: overflow spills to frames and resolves in extra passes, and the merge runs as budget-sized rounds on the master (0 = unbudgeted, one merging job)")
+		"per-reducer memory budget in bytes: overflow spills to frames and resolves in extra passes, and local skylines that exceed it merge in budget-sized rounds on the workers (0 = unbudgeted, one merging job)")
 	flag.DurationVar(&o.stallWindow, "stall-window", 5*time.Second,
 		"a worker holding work with zero completions for this long is a throughput stall; metrics are sampled every min(1s, a third of this)")
 	flag.StringVar(&o.captureDir, "capture-dir", "",
@@ -294,12 +294,13 @@ func run(o options) error {
 	}
 	st := res.Stats
 	fmt.Fprintf(os.Stderr,
-		"skymaster: skyline %d of %d points in %s (partition job map %.2fs/reduce %.2fs, merge job map %.2fs/reduce %.2fs)\n",
+		"skymaster: skyline %d of %d points in %s (partition job map %.2fs/reduce %.2fs, merge map %.2fs)\n",
 		len(res.Skyline), len(data), time.Since(start).Round(time.Millisecond),
-		st.PartitionJob.Map.Seconds(), st.PartitionJob.Reduce.Seconds(),
-		st.MergeJob.Map.Seconds(), st.MergeJob.Reduce.Seconds())
-	fmt.Fprintf(os.Stderr, "skymaster: %d partitions, %d local skyline points, %d shuffle bytes, %d dominance tests on the master",
-		st.Partitions, st.LocalSkylineTotal(), st.Counters[mapreduce.CounterShuffleBytes], st.DominanceTests)
+		st.PartitionJob.Map.Seconds(), st.PartitionJob.Reduce.Seconds(), st.MergeJob.Map.Seconds())
+	// The merge is map-only: its rows are output, not shuffle.
+	fmt.Fprintf(os.Stderr, "skymaster: %d partitions, %d local skyline points, %d shuffle bytes, %d output bytes, %d dominance tests on the master",
+		st.Partitions, st.LocalSkylineTotal(), st.Counters[mapreduce.CounterShuffleBytes],
+		st.Counters[mapreduce.CounterOutputBytes], st.DominanceTests)
 	if st.MergeRounds > 0 {
 		fmt.Fprintf(os.Stderr, ", %d merge rounds (reducer peak %d bytes)", st.MergeRounds, st.ReducerPeakBytes)
 	}

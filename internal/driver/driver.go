@@ -6,9 +6,9 @@
 //	combiner and the reducer run the BNL kernel per partition, producing
 //	local skylines.
 //
-//	Job 2 (Merging Job): map every local skyline point to one shared
-//	partition; a single reduce merges them into the global skyline — or,
-//	under a reducer budget, a multi-round schedule of budgeted folds does.
+//	Job 2 (Merging Job): a map-only job whose tasks filter the local
+//	skyline points against all of them into the global skyline — or, when
+//	they exceed a reducer budget, map-only rounds of budgeted folds.
 //
 // There is one data path: points travel as rows into per-partition
 // accumulators and between phases as packed frames (see frame.go, which
@@ -50,17 +50,13 @@ type Options struct {
 	// keeps raw v1 frames, points.FrameAuto enables the bit-packed v2
 	// encoding wherever it is smaller.
 	Codec points.FrameCodec
-	// ReducerBudgetBytes bounds the reducers' skyline windows. Job 1's
-	// reducers always fold frames one at a time into a per-partition
-	// window; under a budget a full window spills and multi-passes when the
-	// local skyline outgrows it, so reduce memory stays near the budget
-	// instead of scaling with the local skyline — and the merge runs as the
-	// multi-round budgeted schedule (the paper's §II iterative merge)
-	// instead of the single merging job. The budget is per reducer: up to
-	// Workers run at once, in Job 1 and in each round of the schedule, so
-	// resident reduce memory is bounded by Workers × budget. 0 is no bound:
-	// the same fold with a window that never fills, and the single merge
-	// job.
+	// ReducerBudgetBytes bounds every skyline fold's window: a full window
+	// spills and multi-passes, so a fold stays near the budget instead of
+	// scaling with its skyline. Job 1's reducers fold under it, and when the
+	// local skylines exceed it the merge runs as map-only rounds of folds
+	// over budget-sized groups (the paper's §II iterative merge) instead of
+	// the filter job. Up to Workers folds run at once, so resident fold
+	// memory is bounded by Workers × budget. 0 is no bound.
 	ReducerBudgetBytes int64
 	// Metrics, when non-nil, receives skyline-level series (per-partition
 	// local skyline sizes, pruned-cell counts) and is passed through to
@@ -95,24 +91,23 @@ type Stats struct {
 	// LocalSkylines maps partition id → local skyline (Job 1 output).
 	LocalSkylines map[int]points.Set
 	// PartitionJob and MergeJob are the per-job phase timings; Timing is
-	// their sum. The merging job's work — every worker filtering its share
-	// of the candidates — is MergeJob's Map; its Reduce only concatenates
-	// the survivors. A budgeted merge schedule, which folds, books its wall
-	// clock as MergeJob's Reduce and Total.
+	// their sum. The merge is map-only — the filter job, or every fold
+	// round — so MergeJob is all Map.
 	PartitionJob, MergeJob, Timing mapreduce.Timing
-	// Counters merges both jobs' framework counters. The merging job
-	// combines nothing, so mr.combine.records.* are Job 1's alone.
+	// Counters merges every job's framework counters. The merging jobs
+	// combine, shuffle and reduce nothing: mr.combine.*, mr.shuffle.* and
+	// mr.reduce.* are Job 1's alone, and mr.output.bytes the merge's.
 	Counters map[string]int64
-	// ReducerPeakBytes is the largest reducer-resident working set any
-	// reduce task or merge fold reached: what a reducer budget is judged
-	// against, and what an unbudgeted run says a budget would have to be.
+	// ReducerPeakBytes is the largest working set any reduce task or fold
+	// round's fold reached: what a reducer budget is judged against, and
+	// what an unbudgeted run says a budget would have to be.
 	ReducerPeakBytes int64
 	// MergePasses is the largest pass count any reduce fold needed: 1 when
 	// every window held its skyline, >1 when one overflowed and multi-passed.
 	MergePasses int
-	// MergeRounds counts the rounds of the budgeted multi-round merge
-	// schedule; MergeRoundBytes[i] is the candidate volume entering round
-	// i. Zero/nil when the merge ran as a single job.
+	// MergeRounds counts the fold rounds the merge ran; MergeRoundBytes[i]
+	// is the candidate volume entering round i. Zero/nil when the local
+	// skylines fit the budget and the filter job merged them.
 	MergeRounds     int
 	MergeRoundBytes []int64
 	// DominanceTests is how far the process-wide flat-kernel dominance-test

@@ -65,20 +65,18 @@ func ExplainMerge(scheme string, local map[int]points.Set) (points.Set, *Explain
 		PartitionsProbed: len(ids),
 		Partitions:       make([]PartitionExplain, 0, len(ids)),
 	}
-	byID := make(map[int]*PartitionExplain, len(ids))
 	for _, id := range ids {
 		ex.Partitions = append(ex.Partitions, PartitionExplain{
 			Partition:  id,
 			Candidates: len(local[id]),
 		})
-		byID[id] = &ex.Partitions[len(ex.Partitions)-1]
 		ex.Candidates += int64(len(local[id]))
 	}
 
 	var window points.Set
-	var owners []int // owners[j] is the partition of window[j]
-	for _, id := range ids {
-		pe := byID[id]
+	var owners []int // owners[j] indexes ex.Partitions: the partition of window[j]
+	for i, id := range ids {
+		pe := &ex.Partitions[i]
 		for _, p := range local[id] {
 			dominated := false
 			for j := 0; j < len(window); {
@@ -101,15 +99,13 @@ func ExplainMerge(scheme string, local map[int]points.Set) (points.Set, *Explain
 			}
 			if !dominated {
 				window = append(window, p)
-				owners = append(owners, id)
+				owners = append(owners, i)
 			}
 		}
+		ex.DominanceTests += pe.DominanceTests
 	}
-	for _, id := range owners {
-		byID[id].Survivors++
-	}
-	for i := range ex.Partitions {
-		ex.DominanceTests += ex.Partitions[i].DominanceTests
+	for _, i := range owners {
+		ex.Partitions[i].Survivors++
 	}
 	ex.ResultSize = len(window)
 	return window, ex

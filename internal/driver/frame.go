@@ -2,11 +2,11 @@ package driver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
@@ -88,6 +88,7 @@ const mergeTaskRows = 1024
 
 // MergeTasks is the number of map tasks the merging job is cut into: one per
 // worker (0 means GOMAXPROCS), as far as the rows candidates go round.
+// TwoJobs hands each of them the whole candidate set.
 func MergeTasks(workers, rows int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -96,9 +97,10 @@ func MergeTasks(workers, rows int) int {
 }
 
 // MergeJob is Job 2 (Algorithm 1, lines 11–15), without its Feed — and
-// without the paper's single reducer. Its input is the candidate set, every
-// local skyline row of dim dimensions, and every one of its map tasks reads
-// all of it (mapreduce.WholeInput): the candidates are laid out as a
+// without the paper's single reducer: it is map-only. Its input is the
+// candidate set, every local skyline row of dim dimensions, and every one of
+// its map tasks reads all of it (mapreduce.WholeInput, the same list for
+// each task): the candidates are laid out as a
 // skyline.Filter — once per job value, on as many goroutines as the job has
 // tasks, started by the first task to get there while the others wait for
 // the layout, not for one builder; in process that is one layout a job, on a
@@ -108,47 +110,77 @@ func MergeTasks(workers, rows int) int {
 // global partition
 // (paper line 13: output(null, si)). band is the operator: 0 keeps the rows
 // no candidate dominates, k ≥ 1 those fewer than k do. Nothing is combined
-// and the one reduce task only concatenates, so the job's work is its Map
-// time and only the global skyline crosses its shuffle.
+// and nothing is reduced: the paper's one reducer would only concatenate the
+// survivors, so the job's output — its map tasks' survivors in task order —
+// is the global skyline, and no row of it crosses a shuffle.
 func MergeJob(dim, band int) mapreduce.FrameJob {
 	var (
 		once   sync.Once
 		filter *skyline.Filter
 		err    error
 	)
-	return mapreduce.FrameJob{
-		TaskMapper: func(candidates []*points.Block, task, tasks int, emit mapreduce.EmitPoint) (int, error) {
-			once.Do(func() {
-				if filter, err = skyline.NewFilter(candidates, band, tasks); err == nil && filter.Dim() != dim {
-					err = fmt.Errorf("%w: %d-dimensional rows in a %d-dimensional merge", skyline.ErrCandidates, filter.Dim(), dim)
-				}
-			})
-			if err != nil {
-				return 0, err
+	return mapreduce.FrameJob{TaskMapper: func(candidates []*points.Block, task, tasks int, emit mapreduce.EmitPoint) (mapreduce.FrameStats, error) {
+		once.Do(func() {
+			if filter, err = skyline.NewFilter(candidates, band, tasks); err == nil && filter.Dim() != dim {
+				err = fmt.Errorf("%w: %d-dimensional rows in a %d-dimensional merge", skyline.ErrCandidates, filter.Dim(), dim)
 			}
-			return filter.Share(task, tasks, func(row []float64) { emit(0, row) }), nil
-		},
-		Folder: mapreduce.Assembled(nil),
-	}
+		})
+		if err != nil {
+			return mapreduce.FrameStats{}, err
+		}
+		rows := filter.Share(task, tasks, func(row []float64) { emit(0, row) })
+		return mapreduce.FrameStats{MapIn: int64(rows)}, nil
+	}}
 }
 
-// Executor is where Algorithm 1's two jobs run. It decides where rows come
-// from and where tasks run — Partition is Job 1 over the executor's own
-// input, Merge is Job 2 over the local skylines it is handed, in ascending
-// partition order — and reports each job the way mapreduce.RunFrames does.
-// Nothing after a job returns is an executor's: TwoJobs reads the results,
-// keeps the statistics and picks the merge. There are two: InProcess here,
-// and package skyjob's cluster.
+// RoundJob is one round of the merge under a reducer budget, without its
+// Feed: a map-only job whose task g folds group g of the round — candidate
+// blocks TwoJobs packed to at most o.ReducerBudgetBytes — through the fold
+// Job 1's reducers run, skyline.NewBudgetedFold, and emits the survivors, in
+// the fold's order, to partition g. The task reports the fold's peak and
+// pass count in its tallies, so a round's result carries them as a reduce
+// phase's would. Of o it reads ReducerBudgetBytes, SpillDir and Codec.
+func RoundJob(dim int, o Options) mapreduce.FrameJob {
+	return mapreduce.FrameJob{TaskMapper: func(group []*points.Block, g, _ int, emit mapreduce.EmitPoint) (mapreduce.FrameStats, error) {
+		var st mapreduce.FrameStats
+		fold := skyline.NewBudgetedFold(dim, o.ReducerBudgetBytes, o.SpillDir, o.Codec)
+		defer fold.Close() // on every path, so a failed absorb leaves no file
+		for _, blk := range group {
+			if err := fold.Absorb(blk); err != nil {
+				return st, err
+			}
+			st.MapIn += int64(blk.Len())
+		}
+		out, err := fold.Finish()
+		if err != nil {
+			return st, err
+		}
+		for i := 0; i < out.Len(); i++ {
+			emit(g, out.Row(i))
+		}
+		fs := fold.Stats()
+		st.PeakBytes, st.Passes = fs.PeakBytes, fs.Passes
+		return st, nil
+	}}
+}
+
+// Executor is where Algorithm 1's jobs run. It decides where rows come from
+// and where tasks run — Partition is Job 1 over the executor's own input,
+// Merge a map-only merging job whose task t reads inputs[t]: MergeJob for
+// round 0, RoundJob for fold round r ≥ 1 — and reports each job the way
+// mapreduce.RunFrames does. Nothing after a job returns is an executor's:
+// TwoJobs reads the results, keeps the statistics and picks the merge. There
+// are two: InProcess here, and package skyjob's cluster.
 type Executor interface {
 	Partition(ctx context.Context) (*mapreduce.FrameResult, error)
-	Merge(ctx context.Context, candidates []*points.Block) (*mapreduce.FrameResult, error)
+	Merge(ctx context.Context, round int, inputs [][]*points.Block) (*mapreduce.FrameResult, error)
 }
 
-// inProcess runs both jobs on mapreduce.RunFrames: the Job 1 it was handed,
+// inProcess runs every job on mapreduce.RunFrames: the Job 1 it was handed,
 // whose map tasks fold each routed row into its partition's accumulator as
 // it arrives and seal packed frames keyed by integer partition id while
-// reduce tasks fold whole frames, and MergeJob, fed Job 1's result blocks as
-// they are.
+// reduce tasks fold whole frames, and the merging jobs, fed blocks as they
+// are.
 type inProcess struct {
 	job1      mapreduce.FrameJob
 	dim, band int
@@ -156,22 +188,21 @@ type inProcess struct {
 }
 
 // InProcess is the in-process executor of TwoJobs: job1 — what PartitionJob
-// returned, or a study's edit of it — over feed, then MergeJob(dim, band).
-// Of opts it reads Scheme (the jobs' names), Workers, SpillDir, Codec and
-// Metrics.
+// returned, or a study's edit of it — over feed, then MergeJob(dim, band) or
+// the rounds of RoundJob(dim, opts). Of opts it reads Scheme (the jobs'
+// names), Workers, SpillDir, Codec, ReducerBudgetBytes and Metrics.
 func InProcess(feed mapreduce.RowFeed, job1 mapreduce.FrameJob, dim, band int, opts Options) Executor {
 	job1.Feed = feed
 	return inProcess{job1: job1, dim: dim, band: band, opts: opts}
 }
 
-func (e inProcess) config(ctx context.Context, job string, reducers int) mapreduce.Config {
+func (e inProcess) config(ctx context.Context, job string) mapreduce.Config {
 	if e.band > 0 {
 		job = fmt.Sprintf("skyband%d-%s", e.band, job)
 	}
 	return mapreduce.Config{
 		Name:     fmt.Sprintf("%s-%s", e.opts.Scheme, job),
 		Workers:  e.opts.Workers,
-		Reducers: reducers,
 		SpillDir: e.opts.SpillDir,
 		Metrics:  e.opts.Metrics,
 		Events:   telemetry.EventLogFrom(ctx),
@@ -180,35 +211,46 @@ func (e inProcess) config(ctx context.Context, job string, reducers int) mapredu
 }
 
 func (e inProcess) Partition(ctx context.Context) (*mapreduce.FrameResult, error) {
-	return mapreduce.RunFrames(ctx, e.config(ctx, "partitioning", e.opts.Workers), e.job1)
+	return mapreduce.RunFrames(ctx, e.config(ctx, "partitioning"), e.job1)
 }
 
-func (e inProcess) Merge(ctx context.Context, candidates []*points.Block) (*mapreduce.FrameResult, error) {
-	job := MergeJob(e.dim, e.band)
-	rows := 0
-	for _, blk := range candidates {
-		rows += blk.Len()
+func (e inProcess) Merge(ctx context.Context, round int, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
+	job, name := MergeJob(e.dim, e.band), "merging"
+	if round > 0 {
+		job, name = RoundJob(e.dim, e.opts), "merge-round"
 	}
-	job.Feed = mapreduce.WholeInput(candidates, MergeTasks(e.opts.Workers, rows))
-	// All survivors share one partition (paper lines 12–15).
-	return mapreduce.RunFrames(ctx, e.config(ctx, "merging", 1), job)
+	job.Feed = mapreduce.WholeInput(inputs)
+	return mapreduce.RunFrames(ctx, e.config(ctx, name), job)
+}
+
+// book adds a finished job's result to s: its timing to timing, its
+// counters to the run's, its folds' peak and passes to the run's maxima.
+func (s *Stats) book(res *mapreduce.FrameResult, timing *mapreduce.Timing) {
+	timing.Add(res.Timing)
+	for k, v := range res.Counters.Snapshot() {
+		s.Counters[k] += v
+	}
+	s.ReducerPeakBytes = max(s.ReducerPeakBytes, res.ReducerPeakBytes)
+	s.MergePasses = max(s.MergePasses, res.MergePasses)
 }
 
 // TwoJobs is Algorithm 1, once, for every entry point and both executors:
-// Job 1 on exec, the local skylines out of its result, then the merge.
-// part is the fitted partitioner exec's Job 1 routes by and dim its rows'
-// dimension; pruned and occupancy are the grid pruning mask and its
-// pre-pass histogram, or nil. opts.ReducerBudgetBytes is the one value that
-// picks the merge: 0 runs exec's single merging job, > 0 the multi-round
-// schedule of mergeSchedule, here, over the local skylines already in hand.
-// Of opts it also reads Scheme, Workers, SpillDir and Codec (the schedule's
-// folds) and Metrics. The statistics, the gauges, the context's event log
-// and flight record are fed here and nowhere else.
+// Job 1 on exec, the local skylines out of its result, then the merge, as
+// map-only jobs on exec. part is the fitted partitioner exec's Job 1 routes
+// by and dim its rows' dimension; pruned and occupancy are the grid pruning
+// mask and its pre-pass histogram, or nil. The candidates' size picks the
+// merge, here and nowhere else: when they fit opts.ReducerBudgetBytes, or
+// there is no budget, the filter job (MergeJob) on MergeTasks tasks; when
+// they do not, fold rounds (RoundJob over roundGroups) until one block — the
+// global skyline — is left. Of opts it also reads Scheme, Workers and
+// Metrics. The statistics, the gauges, the context's event log and flight
+// record are fed here and nowhere else.
 func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partitioner, pruned []bool, occupancy []int, opts Options) (points.Set, *Stats, error) {
 	stats := &Stats{
 		Scheme:        opts.Scheme,
 		Partitions:    part.Partitions(),
 		LocalSkylines: make(map[int]points.Set),
+		Counters:      make(map[string]int64),
 	}
 	for _, p := range pruned {
 		if p {
@@ -234,10 +276,7 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.PartitionJob = res1.Timing
-	stats.Counters = res1.Counters.Snapshot()
-	stats.ReducerPeakBytes = res1.ReducerPeakBytes
-	stats.MergePasses = res1.MergePasses
+	stats.book(res1, &stats.PartitionJob)
 
 	// The local skylines enter the merge as the blocks Job 1 produced, in
 	// ascending partition order.
@@ -273,28 +312,46 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 		telemetry.A("partitions_hit", len(ids)))
 
 	// ---- Job 2: Merging Job -----------------------------------------
+	rows, rowBytes := stats.LocalSkylineTotal(), int64(dim)*8
 	var globalBlk *points.Block
-	if budget := opts.ReducerBudgetBytes; budget > 0 {
-		mergeCtx, mergeSpan := telemetry.StartSpan(ctx, "merge-schedule")
-		start := time.Now()
-		globalBlk, err = mergeSchedule(mergeCtx, candidates, dim, budget, opts, stats)
-		mergeSpan.End()
+	if budget := opts.ReducerBudgetBytes; budget <= 0 || int64(rows)*rowBytes <= budget {
+		inputs := make([][]*points.Block, MergeTasks(opts.Workers, rows))
+		for t := range inputs {
+			inputs[t] = candidates
+		}
+		res2, err := exec.Merge(ctx, 0, inputs)
 		if err != nil {
 			return nil, nil, err
 		}
-		// The schedule is all reduce work: folds over candidate blocks.
-		wall := time.Since(start)
-		stats.MergeJob = mapreduce.Timing{Reduce: wall, Total: wall}
-	} else {
-		res2, err := exec.Merge(ctx, candidates)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.MergeJob = res2.Timing
-		for k, v := range res2.Counters.Snapshot() {
-			stats.Counters[k] += v
-		}
+		stats.book(res2, &stats.MergeJob)
 		globalBlk = res2.Blocks[0]
+	} else {
+		// Rounds repeat until one block is left; the first runs even on
+		// one block (see roundGroups for why they end).
+		for round := 1; round == 1 || len(candidates) > 1; round++ {
+			groups, bytes := roundGroups(candidates, rowBytes, budget)
+			roundCtx, span := telemetry.StartSpan(ctx, "merge-round", telemetry.A("round", round),
+				telemetry.A("groups", len(groups)), telemetry.A("bytes", bytes))
+			res, err := exec.Merge(roundCtx, round, groups)
+			span.End()
+			if err != nil {
+				return nil, nil, err
+			}
+			stats.book(res, &stats.MergeJob)
+			stats.MergeRounds++
+			stats.MergeRoundBytes = append(stats.MergeRoundBytes, bytes)
+			// The next round's blocks are this one's survivors, in group order.
+			candidates = make([]*points.Block, 0, len(groups))
+			for g := range groups {
+				if blk := res.Blocks[g]; blk != nil {
+					candidates = append(candidates, blk)
+				}
+			}
+		}
+		if len(candidates) == 0 { // a cluster round answered with no rows
+			return nil, nil, errors.New("driver: the merge rounds kept no row")
+		}
+		globalBlk = candidates[0]
 	}
 	stats.Timing = stats.PartitionJob
 	stats.Timing.Add(stats.MergeJob)

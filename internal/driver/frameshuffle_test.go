@@ -56,10 +56,12 @@ func TestMergeTasks(t *testing.T) {
 	}
 }
 
-// TestMergeJobShufflesTheResult: Job 2 lets through its map side only what
-// the global skyline keeps — its map output and its shuffle are the result,
-// row for row — and combines nothing, whatever the number of tasks.
-func TestMergeJobShufflesTheResult(t *testing.T) {
+// TestMergeJobOutputsTheResult: Job 2 lets through its map side only what
+// the global skyline keeps — its map output is the result, row for row, and
+// is the job's output, booked as mr.output.bytes — and combines, shuffles
+// and reduces nothing, whatever the number of tasks: Job 1's shuffle and
+// reduce counters are the run's.
+func TestMergeJobOutputsTheResult(t *testing.T) {
 	data := dupSet(23, 6000, 7)
 	for _, workers := range []int{1, 2, 5} {
 		sky, stats, err := Compute(context.Background(), data, Options{Scheme: partition.Angular, Nodes: 4, Workers: workers})
@@ -69,15 +71,16 @@ func TestMergeJobShufflesTheResult(t *testing.T) {
 		if tasks := MergeTasks(workers, stats.LocalSkylineTotal()); tasks != min(workers, 2) {
 			t.Fatalf("%d candidates are %d merge tasks for %d workers: the test wants one, two and two", stats.LocalSkylineTotal(), tasks, workers)
 		}
-		n, kept := int64(len(data)), int64(len(sky))
+		n, kept, local := int64(len(data)), int64(len(sky)), int64(stats.LocalSkylineTotal())
 		c := stats.Counters
 		if c["mr.map.records.out"] != n+kept || c["mr.combine.records.in"] != n ||
-			c["mr.reduce.records.out"] != int64(stats.LocalSkylineTotal())+kept {
-			t.Errorf("%d workers: counters %v; want map out %d + %d, combine in %d, reduce out %d + %d",
-				workers, c, n, kept, n, stats.LocalSkylineTotal(), kept)
+			c["mr.reduce.records.out"] != local || c["mr.shuffle.records"] != c["mr.combine.records.out"] ||
+			c["mr.output.bytes"] < kept*7*8 {
+			t.Errorf("%d workers: counters %v; want map out %d + %d, combine in %d, reduce out %d, nothing shuffled but Job 1's, %d rows output",
+				workers, c, n, kept, n, local, kept)
 		}
-		if stats.MergeJob.Map <= 0 {
-			t.Errorf("%d workers: merging job timing %+v; want its work timed in Map", workers, stats.MergeJob)
+		if stats.MergeJob.Map <= 0 || stats.MergeJob.Shuffle != 0 || stats.MergeJob.Reduce != 0 {
+			t.Errorf("%d workers: merging job timing %+v; want its work timed in Map, and nothing else", workers, stats.MergeJob)
 		}
 	}
 }

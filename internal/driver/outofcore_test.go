@@ -2,8 +2,11 @@ package driver
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -35,7 +38,8 @@ func canonicalSet(s points.Set) []string {
 // TestComputeStreamOracle: the out-of-core pipeline over a chunk source
 // must produce exactly the in-memory pipeline's skyline over the
 // materialized equivalent, under both a generous and a tiny reducer
-// budget (the latter forcing multi-pass folds and multi-round merges).
+// budget (the latter forcing multi-pass folds and, where the local
+// skylines outgrow it, multi-round merges; the former the filter job).
 func TestComputeStreamOracle(t *testing.T) {
 	const n, d = 6000, 4
 	for _, kind := range []dataset.Kind{dataset.KindAnticorrelated, dataset.KindCorrelated} {
@@ -89,8 +93,9 @@ func TestComputeStreamOracle(t *testing.T) {
 				if stats.ReducerPeakBytes <= 0 {
 					t.Fatal("ReducerPeakBytes not recorded")
 				}
-				if stats.MergeRounds < 1 {
-					t.Fatalf("MergeRounds = %d, want >= 1", stats.MergeRounds)
+				size := int64(stats.LocalSkylineTotal()) * d * 8
+				if over := size > tc.budget; over != (stats.MergeRounds >= 1) {
+					t.Fatalf("%d candidate bytes under a %d-byte budget ran %d merge rounds", size, tc.budget, stats.MergeRounds)
 				}
 				if len(stats.MergeRoundBytes) != stats.MergeRounds {
 					t.Fatalf("MergeRoundBytes len %d != rounds %d",
@@ -152,6 +157,56 @@ func TestComputeBudgetedOracle(t *testing.T) {
 	}
 }
 
+// given is TwoJobs' in-process executor with Job 1 replaced by its result:
+// blocks, as partitions 0, 1, …, are the local skylines the merge is handed.
+type given struct {
+	Executor
+	blocks []*points.Block
+}
+
+func (g given) Partition(context.Context) (*mapreduce.FrameResult, error) {
+	res := &mapreduce.FrameResult{Blocks: map[int]*points.Block{}, Counters: mapreduce.NewCounters()}
+	for id, blk := range g.blocks {
+		res.Blocks[id] = blk
+	}
+	return res, nil
+}
+
+// mergeGiven is TwoJobs' merge of candidates on InProcess: the filter job,
+// or the fold rounds when the candidates exceed opts.ReducerBudgetBytes.
+func mergeGiven(ctx context.Context, candidates []*points.Block, dim int, opts Options) (points.Set, *Stats, error) {
+	opts = opts.withDefaults()
+	part, err := partition.NewRandom(dim, max(len(candidates), 1))
+	if err != nil {
+		return nil, nil, err
+	}
+	exec := given{Executor: InProcess(mapreduce.RowFeed{}, mapreduce.FrameJob{}, dim, 0, opts), blocks: candidates}
+	return TwoJobs(ctx, exec, dim, part, nil, nil, opts)
+}
+
+// roundTasks counts the finished map-task spans of the merge's fold rounds:
+// those under a merge-round span.
+func roundTasks(tr *telemetry.Tracer) int {
+	spans := tr.Spans()
+	byID := make(map[uint64]telemetry.SpanData, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	n := 0
+	for _, s := range spans {
+		if s.Name != "map-task" {
+			continue
+		}
+		for up, ok := byID[s.Parent]; ok; up, ok = byID[up.Parent] {
+			if up.Name == "merge-round" {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 // TestMergeScheduleRounds: a budget smaller than the candidate volume
 // must force more than one merge round, and the round-bytes trail must
 // shrink monotonically toward the final round.
@@ -168,14 +223,13 @@ func TestMergeScheduleRounds(t *testing.T) {
 		}
 		candidates[i] = blk
 	}
-	stats := &Stats{}
 	budget := int64(2*32*d*8 + 1)
-	out, err := mergeSchedule(context.Background(), candidates, d, budget,
-		Options{SpillDir: t.TempDir(), Codec: points.FrameAuto}, stats)
+	opts := Options{SpillDir: t.TempDir(), Codec: points.FrameAuto, ReducerBudgetBytes: budget}
+	out, stats, err := mergeGiven(context.Background(), candidates, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out == nil || out.Len() == 0 {
+	if len(out) == 0 {
 		t.Fatal("empty merge output")
 	}
 	if stats.MergeRounds < 2 {
@@ -186,9 +240,9 @@ func TestMergeScheduleRounds(t *testing.T) {
 			t.Fatalf("round bytes grew: %v", stats.MergeRoundBytes)
 		}
 	}
-	// Single empty-candidate edge.
-	if blk, err := mergeSchedule(context.Background(), nil, d, budget, Options{}, &Stats{}); err != nil || blk != nil {
-		t.Fatalf("nil candidates: blk=%v err=%v", blk, err)
+	// Single empty-candidate edge: nothing to fold, so no round.
+	if out, stats, err := mergeGiven(context.Background(), nil, d, opts); err != nil || len(out) != 0 || stats.MergeRounds != 0 {
+		t.Fatalf("nil candidates: %d rows, %d rounds, err %v", len(out), stats.MergeRounds, err)
 	}
 }
 
@@ -226,12 +280,14 @@ func assertNoLeak(t *testing.T, dir string, goroutines int) {
 	}
 }
 
-// TestMergeScheduleSameForAnyWorkers: folding a round's groups
-// concurrently changes nothing one can observe in the result — rows and
-// their order, rounds, per-round bytes, passes and the peak (the max over
-// folds) equal the one-worker schedule's — under budgets that force the
-// pair-wise fallback with multi-pass folds, greedy packing, and a single
-// group, on input where every third candidate duplicates its predecessor.
+// TestMergeScheduleSameForAnyWorkers: running a round's groups as
+// concurrent map tasks changes nothing one can observe in the result — rows
+// and their order, rounds, per-round bytes, passes and the peak (the max
+// over folds) equal the one-worker run's — under budgets that force the
+// pair-wise fallback with multi-pass folds and greedy packing, on input
+// where every third candidate duplicates its predecessor. Under a budget
+// the candidates fit, the filter runs instead, in no round; its rows are
+// the same for any workers, in the order of its tasks.
 func TestMergeScheduleSameForAnyWorkers(t *testing.T) {
 	const d, rows = 4, 600
 	candidates := make([]*points.Block, 9)
@@ -241,48 +297,107 @@ func TestMergeScheduleSameForAnyWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		budget    int64
-		rounds    int // 0: not pinned
+		rounds    int // -1: not pinned
 		multiPass bool
 	}{
 		{"pairwise", rows * d * 8 / 4, 4, true},
-		{"packed", 2*rows*d*8 + 1, 0, false},
-		{"one-group", 1 << 24, 1, false},
+		{"packed", 2*rows*d*8 + 1, -1, false},
+		{"one-group", 1 << 24, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want points.Set
-			var wantStats Stats
+			var wantStats *Stats
 			for _, workers := range []int{1, 2, 8} {
 				tr := telemetry.NewTracer()
-				stats := &Stats{}
-				out, err := mergeSchedule(telemetry.WithTracer(context.Background(), tr), candidates, d, tc.budget,
-					Options{Workers: workers, SpillDir: t.TempDir(), Codec: points.FrameAuto}, stats)
+				out, stats, err := mergeGiven(telemetry.WithTracer(context.Background(), tr), candidates, d,
+					Options{Workers: workers, SpillDir: t.TempDir(), Codec: points.FrameAuto, ReducerBudgetBytes: tc.budget})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
+				if got := countSpans(tr, "merge-round"); got != stats.MergeRounds {
+					t.Errorf("workers=%d: %d merge-round spans for %d rounds", workers, got, stats.MergeRounds)
+				}
 				if workers == 1 {
-					want, wantStats = out.ToSet(), *stats
-					if tc.rounds > 0 && stats.MergeRounds != tc.rounds {
+					want, wantStats = out, stats
+					if tc.rounds >= 0 && stats.MergeRounds != tc.rounds {
 						t.Errorf("MergeRounds = %d, want %d", stats.MergeRounds, tc.rounds)
 					}
 					if (stats.MergePasses > 1) != tc.multiPass {
 						t.Errorf("MergePasses = %d, multi-pass wanted: %v", stats.MergePasses, tc.multiPass)
 					}
-					if stats.ReducerPeakBytes <= 0 {
+					if tc.rounds != 0 && stats.ReducerPeakBytes <= 0 {
 						t.Error("ReducerPeakBytes not recorded")
 					}
 					continue
 				}
-				if !reflect.DeepEqual(out.ToSet(), want) {
-					t.Errorf("workers=%d: rows or their order differ from the one-worker schedule", workers)
+				if tc.rounds == 0 {
+					if !reflect.DeepEqual(canonicalSet(out), canonicalSet(want)) {
+						t.Errorf("workers=%d: the filter kept other rows than with one worker", workers)
+					}
+					continue
 				}
-				if !reflect.DeepEqual(*stats, wantStats) {
-					t.Errorf("workers=%d: stats %+v, one worker %+v", workers, *stats, wantStats)
+				if !reflect.DeepEqual(out, want) {
+					t.Errorf("workers=%d: rows or their order differ from the one-worker run", workers)
 				}
-				if got := countSpans(tr, "merge-round"); got != stats.MergeRounds {
-					t.Errorf("workers=%d: %d merge-round spans for %d rounds", workers, got, stats.MergeRounds)
+				if stats.MergeRounds != wantStats.MergeRounds || !reflect.DeepEqual(stats.MergeRoundBytes, wantStats.MergeRoundBytes) ||
+					stats.MergePasses != wantStats.MergePasses || stats.ReducerPeakBytes != wantStats.ReducerPeakBytes {
+					t.Errorf("workers=%d: rounds %d %v, passes %d, peak %d; one worker %d %v, %d, %d", workers,
+						stats.MergeRounds, stats.MergeRoundBytes, stats.MergePasses, stats.ReducerPeakBytes,
+						wantStats.MergeRounds, wantStats.MergeRoundBytes, wantStats.MergePasses, wantStats.ReducerPeakBytes)
 				}
 			}
 		})
+	}
+}
+
+// rowsDigest is a short hash of a point set's rows in their order.
+func rowsDigest(s points.Set) string {
+	h := sha256.New()
+	for _, p := range s {
+		for _, v := range p {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+}
+
+// TestMergeRoundsMatchTheSchedule: under a budget below the candidate
+// volume, the map-only rounds on the in-process executor give what the
+// master-side schedule they replaced (mergeSchedule, whose foldRound ran
+// the groups on goroutines) gave on the same run: the global skyline's rows
+// and their order, the rounds and their bytes, the peak and the passes.
+// The values were taken from that schedule.
+func TestMergeRoundsMatchTheSchedule(t *testing.T) {
+	data := dataset.Anticorrelated(5, 3000, 4)
+	for _, pin := range []struct {
+		budget     int64
+		rows       int
+		digest     string
+		roundBytes []int64
+		peak       int64
+		passes     int
+	}{
+		{4 * 8 * 16, 254, "5c7d40c66b2b7052", []int64{9120, 8576}, 10304, 17},
+		{4096, 254, "c17b181428ba34fc", []int64{9120, 8864, 8544}, 16125, 3},
+	} {
+		dir := t.TempDir()
+		got, stats, err := Compute(context.Background(), data, Options{Scheme: partition.Angular, Nodes: 2, Workers: 2,
+			SpillDir: dir, Codec: points.FrameAuto, ReducerBudgetBytes: pin.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != pin.rows || rowsDigest(got) != pin.digest {
+			t.Errorf("budget %d: %d rows, digest %s; the schedule gave %d, %s", pin.budget, len(got), rowsDigest(got), pin.rows, pin.digest)
+		}
+		if stats.MergeRounds != len(pin.roundBytes) || !reflect.DeepEqual(stats.MergeRoundBytes, pin.roundBytes) ||
+			stats.ReducerPeakBytes != pin.peak || stats.MergePasses != pin.passes {
+			t.Errorf("budget %d: rounds %d %v, peak %d, passes %d; the schedule gave %d %v, %d, %d", pin.budget,
+				stats.MergeRounds, stats.MergeRoundBytes, stats.ReducerPeakBytes, stats.MergePasses,
+				len(pin.roundBytes), pin.roundBytes, pin.peak, pin.passes)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("budget %d: %d files left in the spill directory", pin.budget, len(left))
+		}
 	}
 }
 
@@ -303,19 +418,19 @@ func TestMergeScheduleFailedGroupLeavesNothing(t *testing.T) {
 		dir := t.TempDir()
 		goroutines := runtime.NumGoroutine()
 		tr := telemetry.NewTracer()
-		_, err := mergeSchedule(telemetry.WithTracer(context.Background(), tr), candidates, d, 1024,
-			Options{Workers: workers, SpillDir: dir}, &Stats{})
+		_, _, err := mergeGiven(telemetry.WithTracer(context.Background(), tr), candidates, d,
+			Options{Workers: workers, SpillDir: dir, ReducerBudgetBytes: 1024})
 		if err == nil || !strings.Contains(err.Error(), "5-dim block into 4-dim fold") {
 			t.Fatalf("workers=%d: err = %v, want the second group's absorb error", workers, err)
 		}
 		assertNoLeak(t, dir, goroutines)
-		if folds := countSpans(tr, "merge-fold"); workers == 1 && folds != 2 {
+		if folds := roundTasks(tr); workers == 1 && folds != 2 {
 			t.Errorf("one worker started %d folds, want 2: the first error stops the groups after it", folds)
 		}
 	}
 }
 
-// TestMergeScheduleHonoursContext: a cancelled context stops the schedule
+// TestMergeScheduleHonoursContext: a cancelled context stops the rounds
 // before the next group — here before the first — with the context's error.
 func TestMergeScheduleHonoursContext(t *testing.T) {
 	const d = 4
@@ -325,11 +440,11 @@ func TestMergeScheduleHonoursContext(t *testing.T) {
 	tr := telemetry.NewTracer()
 	ctx, cancel := context.WithCancel(telemetry.WithTracer(context.Background(), tr))
 	cancel()
-	out, err := mergeSchedule(ctx, candidates, d, 1024, Options{Workers: 2, SpillDir: dir}, &Stats{})
+	out, _, err := mergeGiven(ctx, candidates, d, Options{Workers: 2, SpillDir: dir, ReducerBudgetBytes: 1024})
 	if !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("cancelled schedule returned a block: %v, err %v; want context.Canceled", out != nil, err)
+		t.Fatalf("cancelled merge returned rows: %v, err %v; want context.Canceled", out != nil, err)
 	}
-	if folds := countSpans(tr, "merge-fold"); folds != 0 {
+	if folds := roundTasks(tr); folds != 0 {
 		t.Errorf("%d folds ran under a cancelled context", folds)
 	}
 	assertNoLeak(t, dir, goroutines)
@@ -337,7 +452,7 @@ func TestMergeScheduleHonoursContext(t *testing.T) {
 
 // cancelAfterJob1 is a partitioner that cancels the run the first time the
 // driver asks for its partition count after every row has been assigned —
-// which TwoJobs does between Job 1's return and the merge schedule.
+// which TwoJobs does between Job 1's return and the merge.
 type cancelAfterJob1 struct {
 	partition.Partitioner
 	rows     int64
@@ -358,8 +473,9 @@ func (c *cancelAfterJob1) Partitions() int {
 }
 
 // TestComputeStreamCancelledBeforeMerge: a run cancelled once Job 1 has
-// finished does not fold a single merge group; it fails with the context's
-// error and leaves the spill directory empty.
+// finished does not fold a single merge group — the first round is entered
+// and none of its map tasks starts; it fails with the context's error and
+// leaves the spill directory empty.
 func TestComputeStreamCancelledBeforeMerge(t *testing.T) {
 	const n, d = 8000, 4
 	src, err := dataset.NewSource(dataset.KindAnticorrelated, 5, n, d, 1000)
@@ -380,9 +496,9 @@ func TestComputeStreamCancelledBeforeMerge(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if countSpans(tr, "merge-schedule") != 1 || countSpans(tr, "merge-fold") != 0 {
-		t.Errorf("spans: %d merge-schedule, %d merge-fold; want the schedule entered and no group folded",
-			countSpans(tr, "merge-schedule"), countSpans(tr, "merge-fold"))
+	if countSpans(tr, "merge-round") != 1 || roundTasks(tr) != 0 {
+		t.Errorf("spans: %d merge-round, %d round map tasks; want the first round entered and no group folded",
+			countSpans(tr, "merge-round"), roundTasks(tr))
 	}
 	assertNoLeak(t, dir, goroutines)
 }
@@ -449,8 +565,9 @@ func TestComputeStreamAllocatesInputOnce(t *testing.T) {
 // BenchmarkComputeStream is one streamed job end to end — 200 k
 // independent d=6 rows as 16 chunks, 128 KiB reducer budget, FrameAuto,
 // spills on — so B/op is what a streamed job allocates. CI prints it, with
-// the bytes the job shuffled and the map tasks it was cut into (read off one
-// more, traced, job once the clock has stopped).
+// the bytes Job 1 shuffled, the bytes the map-only merge rounds output and
+// the map tasks Job 1 was cut into (read off one more, traced, job once the
+// clock has stopped).
 func BenchmarkComputeStream(b *testing.B) {
 	const n, d = 200000, 6
 	src, err := dataset.NewSource(dataset.KindIndependent, 2012, n, d, n/16)
@@ -472,12 +589,7 @@ func BenchmarkComputeStream(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tasks := 0
-	for _, span := range tr.Spans() {
-		if span.Name == "map-task" {
-			tasks++
-		}
-	}
 	b.ReportMetric(float64(stats.Counters[mapreduce.CounterShuffleBytes]), "shuffle-B/job")
-	b.ReportMetric(float64(tasks), "map-tasks/job")
+	b.ReportMetric(float64(stats.Counters[mapreduce.CounterOutputBytes]), "output-B/job")
+	b.ReportMetric(float64(countSpans(tr, "map-task")-roundTasks(tr)), "map-tasks/job")
 }

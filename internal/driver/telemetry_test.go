@@ -84,11 +84,12 @@ func TestComputeTelemetry(t *testing.T) {
 }
 
 // TestMergeScheduleSpans: the budgeted merge is traced round by round —
-// one merge-round span per round under merge-schedule, carrying the
-// round's number, group count and candidate bytes, with one merge-fold
-// child per group on its worker's track. The rounds account for the
-// schedule's wall time, and with two workers the folds of a two-group
-// round run at the same time.
+// one merge-round span per round under the run's root span, carrying the
+// round's number, group count and candidate bytes, around the round's
+// map-only job, whose map tasks — one per group — run on the workers'
+// tracks. The rounds account for the merge's wall time, and with two
+// workers the tasks of a two-group round run at the same time. Nothing of
+// the master-side schedule is left: no merge-schedule, no merge-fold span.
 func TestMergeScheduleSpans(t *testing.T) {
 	const workers = 2
 	tr := telemetry.NewTracer()
@@ -99,19 +100,33 @@ func TestMergeScheduleSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var schedule telemetry.SpanData
+	spans := tr.Spans()
+	byID := map[uint64]telemetry.SpanData{}
+	var root telemetry.SpanData
 	rounds := map[uint64]telemetry.SpanData{}
-	folds := map[uint64][]telemetry.SpanData{} // by round span
-	for _, s := range tr.Spans() {
+	for _, s := range spans {
+		byID[s.ID] = s
 		switch s.Name {
-		case "merge-schedule":
-			schedule = s
+		case "skyline:MR-Angle":
+			root = s
 		case "merge-round":
 			rounds[s.ID] = s
-		case "merge-fold":
-			folds[s.Parent] = append(folds[s.Parent], s)
-			if s.Track < 1 || s.Track > workers {
-				t.Errorf("merge-fold on track %d, want a worker's (1..%d)", s.Track, workers)
+		case "merge-schedule", "merge-fold":
+			t.Errorf("a %s span: the merge runs on the executor now", s.Name)
+		}
+	}
+	tasks := map[uint64][]telemetry.SpanData{} // by round span
+	for _, s := range spans {
+		if s.Name != "map-task" {
+			continue
+		}
+		for up, ok := byID[s.Parent]; ok; up, ok = byID[up.Parent] {
+			if up.Name == "merge-round" {
+				tasks[up.ID] = append(tasks[up.ID], s)
+				if s.Track < 1 || s.Track > workers {
+					t.Errorf("round map task on track %d, want a worker's (1..%d)", s.Track, workers)
+				}
+				break
 			}
 		}
 	}
@@ -135,17 +150,17 @@ func TestMergeScheduleSpans(t *testing.T) {
 	var inRounds time.Duration
 	overlapped := false
 	for id, r := range rounds {
-		if r.Parent != schedule.ID {
-			t.Errorf("merge-round %d not nested under merge-schedule", attr(r, "round"))
+		if r.Parent != root.ID {
+			t.Errorf("merge-round %d not nested under the skyline span", attr(r, "round"))
 		}
 		inRounds += r.Duration
 		n := attr(r, "round")
 		if got := attr(r, "bytes"); n < 1 || int(n) > stats.MergeRounds || got != stats.MergeRoundBytes[n-1] {
 			t.Errorf("merge-round %d carries %d bytes, Stats.MergeRoundBytes = %v", n, got, stats.MergeRoundBytes)
 		}
-		fs := folds[id]
+		fs := tasks[id]
 		if int64(len(fs)) != attr(r, "groups") {
-			t.Errorf("merge-round %d: %d merge-fold spans for %d groups", n, len(fs), attr(r, "groups"))
+			t.Errorf("merge-round %d: %d map tasks for %d groups", n, len(fs), attr(r, "groups"))
 		}
 		for i := range fs {
 			for j := range fs[:i] {
@@ -156,13 +171,13 @@ func TestMergeScheduleSpans(t *testing.T) {
 			}
 		}
 	}
-	// On one processor the second fold may only start when the first is done.
+	// On one processor the second task may only start when the first is done.
 	if !overlapped && runtime.GOMAXPROCS(0) >= workers {
-		t.Errorf("no two folds of a round overlap with %d workers", workers)
+		t.Errorf("no two map tasks of a round overlap with %d workers", workers)
 	}
-	// What is outside the rounds is packing a handful of blocks into groups.
-	if gap := schedule.Duration - inRounds; gap < 0 || gap > max(schedule.Duration/10, 2*time.Millisecond) {
-		t.Errorf("rounds sum to %v of a %v schedule", inRounds, schedule.Duration)
+	// What is outside the rounds' jobs is packing a handful of blocks into groups.
+	if gap := inRounds - stats.MergeJob.Total; gap < 0 || gap > max(inRounds/10, 2*time.Millisecond) {
+		t.Errorf("the rounds' jobs take %v of %v in rounds", stats.MergeJob.Total, inRounds)
 	}
-	t.Logf("schedule %v, rounds %v, round bytes %v", schedule.Duration, inRounds, stats.MergeRoundBytes)
+	t.Logf("rounds %v, their jobs %v, round bytes %v", inRounds, stats.MergeJob.Total, stats.MergeRoundBytes)
 }

@@ -217,12 +217,15 @@ func TestPartitionCount(t *testing.T) {
 
 // TestSpillGates: at reduced N the spill experiment's count rows hold —
 // codec v2/v1 at most 0.7 on correlated and clustered data, auto at most
-// v1 everywhere, the streamed run certified exact, its reducer peak under
-// the budget and its merge in rounds.
+// v1 everywhere, both streamed runs certified exact with their reducer peaks
+// under their budgets, the one whose local skylines fit merged by the
+// filter in no round and the other in rounds.
 func TestSpillGates(t *testing.T) {
 	got := bounded(run(t, "spill", tinyScale()))
 	want := "correlated/v2_ratio correlated/auto_ratio clustered/v2_ratio clustered/auto_ratio " +
-		"independent/auto_ratio anticorrelated/auto_ratio stream/reducer_peak_bytes stream/oracle_exact stream/merge_rounds"
+		"independent/auto_ratio anticorrelated/auto_ratio " +
+		"stream_fits/reducer_peak_bytes stream_fits/oracle_exact stream_fits/merge_rounds " +
+		"stream/reducer_peak_bytes stream/oracle_exact stream/merge_rounds"
 	if strings.Join(got, " ") != want {
 		t.Errorf("spill gates are %v, want %s", got, want)
 	}

@@ -81,11 +81,12 @@ func TestWindowAccumulatorsMatchBlockCombiner(t *testing.T) {
 
 					before := skyline.DominanceTests()
 					feed := SetRows(data)
-					rowStreams, rowStats, err := buildFrames(func(emit EmitPoint) (int, error) {
-						return feed.feed(0, len(data), func(row []float64, emit EmitPoint) error {
+					rowStreams, rowStats, err := buildFrames(func(emit EmitPoint) (FrameStats, error) {
+						rows, err := feed.feed(0, len(data), func(row []float64, emit EmitPoint) error {
 							emit(route(row), row)
 							return nil
 						}, emit)
+						return FrameStats{MapIn: int64(rows)}, err
 					}, windows, nil, reducers, codec)
 					if err != nil {
 						t.Fatal(err)

@@ -32,14 +32,15 @@ type EmitPoint func(partition int, coords []float64)
 // for the call. Must be safe for concurrent use.
 type RowMapper func(row []float64, emit EmitPoint) error
 
-// TaskMapper maps a whole map task at once, for a job whose every map task
-// reads the whole input (see WholeInput) and takes from it the share that
-// goes with its index: input is the job's input, block after block, the same
-// for each of the tasks tasks and only read; task is this one's index. It
-// returns the number of input rows that were this task's to map — summed
-// over the tasks, the job's mr.map.records.in. Must be safe for concurrent
-// use.
-type TaskMapper func(input []*points.Block, task, tasks int, emit EmitPoint) (rows int, err error)
+// TaskMapper maps a whole map task at once, for a job whose map tasks are
+// each handed a list of blocks (see WholeInput): input is task's list, block
+// after block, only read, and task is its index of tasks. The filter gives
+// every task the same list and takes from it the share that goes with the
+// index; a fold round gives each task its own group. It returns the task's
+// own tallies: MapIn, the input rows that were this task's to map — summed
+// over the tasks, the job's mr.map.records.in — and, for a task that folds,
+// the fold's PeakBytes and Passes. Must be safe for concurrent use.
+type TaskMapper func(input []*points.Block, task, tasks int, emit EmitPoint) (FrameStats, error)
 
 // FrameCombiner folds the block one partition's accumulator sealed,
 // map-side, before the frame is encoded — a whole-block combiner for
@@ -72,12 +73,15 @@ type FrameStats struct {
 	CombineNanos int64
 	ShuffleRecs  int64
 	ShuffleBytes int64
-	Groups       int64
-	ReduceIn     int64
-	ReduceOut    int64
-	// PeakBytes is a reduce task's working-set high-water mark (its folds
-	// + one frame of decode scratch); 0 for a map task. Aggregation takes
-	// the max, not the sum — it is a per-task peak.
+	// OutputBytes is a map-only job's sealed output: mr.output.bytes.
+	OutputBytes int64
+	Groups      int64
+	ReduceIn    int64
+	ReduceOut   int64
+	// PeakBytes is a task's fold working-set high-water mark: a reduce
+	// task's folds + one frame of decode scratch, or a folding map task's
+	// (TaskMapper) fold; 0 for any other map task. Aggregation takes the
+	// max, not the sum — it is a per-task peak.
 	PeakBytes int64
 	// Passes counts multi-pass fold resolutions (max across folds); 1
 	// means everything fit the window.
@@ -98,6 +102,7 @@ func (s *FrameStats) Add(o FrameStats) {
 	s.CombineNanos += o.CombineNanos
 	s.ShuffleRecs += o.ShuffleRecs
 	s.ShuffleBytes += o.ShuffleBytes
+	s.OutputBytes += o.OutputBytes
 	s.Groups += o.Groups
 	s.ReduceIn += o.ReduceIn
 	s.ReduceOut += o.ReduceOut
@@ -279,9 +284,11 @@ func (fb *frameBuilder) seal(reducers int, combiner FrameCombiner, codec points.
 }
 
 // buildFrames is the one map-task body, shared by every executor: feed
-// pushes the task's routed rows into a borrowed builder's accumulators,
-// which are then sealed into one frame stream per reducer.
-func buildFrames(feed func(emit EmitPoint) (rows int, err error), accs *Accumulators, combiner FrameCombiner, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
+// pushes the task's routed rows into a borrowed builder's accumulators and
+// returns the task's own tallies (see TaskMapper), and the accumulators are
+// then sealed into one frame stream per reducer — or, with no reducers (a
+// map-only job's task), into the one stream that is the task's output.
+func buildFrames(feed func(emit EmitPoint) (FrameStats, error), accs *Accumulators, combiner FrameCombiner, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
 	if accs == nil {
 		accs = Staging
 	}
@@ -290,13 +297,14 @@ func buildFrames(feed func(emit EmitPoint) (rows int, err error), accs *Accumula
 		fb.reset()
 		accs.pool.Put(fb)
 	}()
-	var st FrameStats
-	rows, err := feed(fb.add)
+	st, err := feed(fb.add)
 	if err != nil {
-		return nil, st, err
+		return nil, FrameStats{}, err
 	}
-	st.MapIn = int64(rows)
-	streams, err := fb.seal(reducers, combiner, codec, &st)
+	streams, err := fb.seal(max(reducers, 1), combiner, codec, &st)
+	if reducers == 0 {
+		st.OutputBytes, st.ShuffleBytes, st.ShuffleRecs = st.ShuffleBytes, 0, 0
+	}
 	return streams, st, err
 }
 
@@ -308,10 +316,10 @@ func buildFrames(feed func(emit EmitPoint) (rows int, err error), accs *Accumula
 // one set of accumulators the task borrowed — the body RunFrames gives a
 // Feed's rows — so the windows stay warm across the splits, the task seals
 // once, and nothing the size of a split is copied on the way; a job with a
-// TaskMapper has its input, the whole of the job's, decoded into one block
-// first. job.Feed is not read. A task without splits, an empty, malformed or
-// mixed-dimension split, or an error from split fails the task, as does a
-// task index outside the job.
+// TaskMapper has its input decoded first, a block per frame, into the list
+// of blocks the task was handed in process. job.Feed is not read. A task
+// without splits, an empty, malformed or mixed-dimension split, or an error
+// from split fails the task, as does a task index outside the job.
 func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task, tasks, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
 	if splits < 1 {
 		return nil, FrameStats{}, fmt.Errorf("mapreduce: map task without an input frame")
@@ -335,30 +343,39 @@ func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task
 		}
 		return nil
 	}
-	feed := func(emit EmitPoint) (rows int, err error) {
+	feed := func(emit EmitPoint) (st FrameStats, err error) {
 		err = each(func(input []byte) error {
 			n, err := points.WalkFrames(input, func(row []float64) error { return job.Mapper(row, emit) })
-			rows += n
+			st.MapIn += int64(n)
 			return err
 		})
-		return rows, err
+		return st, err
 	}
 	if job.TaskMapper != nil {
-		feed = func(emit EmitPoint) (int, error) {
-			whole := points.NewBlock(0, 0)
+		feed = func(emit EmitPoint) (FrameStats, error) {
+			// Each frame's block takes the dimension of the one before, so a
+			// mixed-dimension input fails here, as a split does.
+			var blocks []*points.Block
+			dim := 0
 			err := each(func(input []byte) (err error) {
 				for rest := input; len(rest) > 0 && err == nil; {
-					_, rest, err = points.DecodeFrame(whole, rest)
+					blk := points.NewBlock(dim, 0)
+					_, rest, err = points.DecodeFrame(blk, rest)
+					blocks, dim = append(blocks, blk), blk.Dim()
 				}
 				return err
 			})
 			if err != nil {
-				return 0, err
+				return FrameStats{}, err
 			}
-			return job.TaskMapper([]*points.Block{whole}, task, tasks, emit)
+			return job.TaskMapper(blocks, task, tasks, emit)
 		}
 	}
-	return buildFrames(feed, job.Accumulators, job.Combiner, max(reducers, 1), codec)
+	reducers = max(reducers, 1)
+	if job.Folder == nil {
+		reducers = 0 // map-only: the task's one stream is its output
+	}
+	return buildFrames(feed, job.Accumulators, job.Combiner, reducers, codec)
 }
 
 // AssembleFrames decodes frame streams into per-partition blocks,
@@ -414,21 +431,23 @@ type RowFeed struct {
 	unit  string
 	// feed maps units [lo, hi) and returns the number of rows it fed.
 	feed func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error)
-	// whole, for WholeInput, is what every one of the wholeTasks map
-	// tasks hands its TaskMapper.
-	whole      []*points.Block
-	wholeTasks int
+	// whole, for WholeInput, is what each map task hands its TaskMapper:
+	// task t, whole[t].
+	whole [][]*points.Block
 }
 
-// WholeInput feeds every one of tasks map tasks the same blocks, whole and
-// as they are: the feed of a job with a TaskMapper, whose tasks divide the
-// work between them rather than the rows.
-func WholeInput(blocks []*points.Block, tasks int) RowFeed {
+// WholeInput feeds map task t the blocks inputs[t], whole and as they are —
+// len(inputs) tasks: the feed of a job with a TaskMapper. The filter hands
+// every task the same list, and its tasks divide the work between them by
+// index; a fold round hands each task its own group.
+func WholeInput(inputs [][]*points.Block) RowFeed {
 	rows := 0
-	for _, blk := range blocks {
-		rows += blk.Len()
+	for _, blocks := range inputs {
+		for _, blk := range blocks {
+			rows += blk.Len()
+		}
 	}
-	return RowFeed{units: rows, unit: "records", whole: blocks, wholeTasks: tasks}
+	return RowFeed{units: rows, unit: "records", whole: inputs}
 }
 
 // SetRows feeds an in-memory point set, in order; its unit is the row.
@@ -492,8 +511,8 @@ func ChunkRows(src ChunkSource) RowFeed {
 // In-process frame job execution
 
 // FrameJob is what a frame-shuffle job computes: rows from Feed are routed
-// by Mapper — or, where a task needs the whole input before it can judge a
-// row of it, each task's share of a WholeInput by TaskMapper — into
+// by Mapper — or, where a task maps a list of blocks at once, each task's
+// list of a WholeInput by TaskMapper — into
 // per-partition Accumulators (nil means Staging), each sealed block
 // optionally passes through Combiner, and the shuffled frames are reduced
 // by Folder's per-partition folds, which absorb the frames one at a time,
@@ -502,7 +521,9 @@ func ChunkRows(src ChunkSource) RowFeed {
 // the operator needs everything at once the rows are staged (Staging +
 // Combiner) and the frames assembled (Assembled). What a reduce task holds
 // is up to its folds — a budgeted one keeps it near its budget whatever the
-// partition's size — plus one frame of decode scratch.
+// partition's size — plus one frame of decode scratch. A job without a
+// Folder is map-only: its sealed map output, in task order, is its result,
+// and nothing is shuffled or reduced.
 type FrameJob struct {
 	Feed         RowFeed
 	Mapper       RowMapper
@@ -525,13 +546,13 @@ type frameTaskOutput struct {
 // frames spill to cfg.SpillDir when set. Each phase is timed, counted
 // (mr.* counters; the shuffle-byte counter reports frame payload bytes,
 // header + coordinates), narrated to cfg.Events and bridged into
-// cfg.Metrics.
+// cfg.Metrics. A map-only job (no Folder) stops after its map phase: its
+// map tasks' sealed streams, assembled in task order, are its result — they
+// cross no disk and no wire, so they are never spilled and always sealed as
+// raw v1 frames — and their bytes are mr.output.bytes, not shuffle.
 func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, error) {
 	if (job.Mapper == nil) == (job.TaskMapper == nil) || (job.Mapper == nil) != (job.Feed.feed == nil) {
 		return nil, fmt.Errorf("mapreduce: %s: need a row feed and a mapper, or a whole-input feed and a task mapper", cfg.Name)
-	}
-	if job.Folder == nil {
-		return nil, fmt.Errorf("mapreduce: %s: need a folder", cfg.Name)
 	}
 	units := job.Feed.units
 	cfg = cfg.withDefaults()
@@ -539,7 +560,11 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	share := max((units+cfg.Workers-1)/cfg.Workers, 1)
 	tasks := (units + share - 1) / share
 	if job.TaskMapper != nil {
-		tasks = job.Feed.wholeTasks
+		tasks = len(job.Feed.whole)
+	}
+	mapOnly := job.Folder == nil
+	if mapOnly {
+		cfg.Reducers, cfg.SpillDir, cfg.Codec = 0, "", points.FrameDefault
 	}
 	counters := NewCounters()
 	start := time.Now()
@@ -566,51 +591,81 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	ev.Info("phase start", jobAttr, telemetry.A("phase", "map"), telemetry.A("tasks", tasks))
 	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", tasks))
 	mapStart := time.Now()
-	outputs, mapStats, err := runFrameMapPhase(mapCtx, cfg, share, tasks, job, counters)
-	mapSpan.End()
-	// Spill files must not outlive the job, whatever happens after this
-	// point.
+	outputs := make([]frameTaskOutput, tasks)
+	// Spill files must not outlive the job, whatever happens.
 	defer removeFrameSpills(outputs)
+	st, err := runPhase(mapCtx, cfg, "map", tasks, func(task int) (FrameStats, error) {
+		streams, st, err := buildFrames(func(emit EmitPoint) (FrameStats, error) {
+			if job.TaskMapper != nil {
+				return job.TaskMapper(job.Feed.whole[task], task, tasks, emit)
+			}
+			lo := task * share
+			rows, err := job.Feed.feed(lo, min(lo+share, job.Feed.units), job.Mapper, emit)
+			return FrameStats{MapIn: int64(rows)}, err
+		}, job.Accumulators, job.Combiner, cfg.Reducers, cfg.Codec)
+		outputs[task].streams = streams
+		if err == nil && cfg.SpillDir != "" {
+			outputs[task].streams = nil
+			outputs[task].files, err = spillFrameStreams(cfg, task, streams, counters)
+		}
+		return st, err
+	})
+	mapSpan.End()
 	if err != nil {
 		return fail(err)
 	}
-	mapDur := time.Since(mapStart)
-	ev.Info("phase end", jobAttr, telemetry.A("phase", "map"), telemetry.A("seconds", mapDur.Seconds()))
+	timing := Timing{Map: time.Since(mapStart)}
+	ev.Info("phase end", jobAttr, telemetry.A("phase", "map"), telemetry.A("seconds", timing.Map.Seconds()))
 
-	// --- Shuffle ---------------------------------------------------------
-	// Frames are already partitioned per reducer when map tasks seal them,
-	// so the in-memory shuffle is zero-copy and this phase is a boundary
-	// only: a span, and — as on the cluster — an attribute of the reduce
-	// phase's start rather than a narrated phase. (Spilled frames are read
-	// back inside the reduce tasks, landing in Reduce time, as on a real
-	// cluster where reducers pull map outputs.)
-	_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
-	shuffleStart := time.Now()
-	shuffleSpan.End()
-	shuffleDur := time.Since(shuffleStart)
+	// A map-only job's output is its map tasks' streams, in task order; any
+	// other job's is its reduce tasks', in reduce-task order.
+	var streams [][]byte
+	if mapOnly {
+		for _, out := range outputs {
+			streams = append(streams, out.streams...)
+		}
+	} else {
+		// --- Shuffle -----------------------------------------------------
+		// Frames are already partitioned per reducer when map tasks seal
+		// them, so the in-memory shuffle is zero-copy and this phase is a
+		// boundary only: a span, and — as on the cluster — an attribute of
+		// the reduce phase's start rather than a narrated phase. (Spilled
+		// frames are read back inside the reduce tasks, landing in Reduce
+		// time, as on a real cluster where reducers pull map outputs.)
+		_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
+		shuffleStart := time.Now()
+		shuffleSpan.End()
+		timing.Shuffle = time.Since(shuffleStart)
 
-	// --- Reduce ----------------------------------------------------------
-	ev.Info("phase start", jobAttr, telemetry.A("phase", "reduce"), telemetry.A("tasks", cfg.Reducers),
-		telemetry.A("shuffle_seconds", shuffleDur.Seconds()))
-	redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
-	reduceStart := time.Now()
-	blocks, redStats, err := runFrameReducePhase(redCtx, cfg, outputs, job.Folder)
-	reduceSpan.End()
-	if err != nil {
-		return fail(err)
+		// --- Reduce ------------------------------------------------------
+		// Each task is ReduceFramesStream over reducer r's frames, from
+		// memory or spill, in map-task order.
+		ev.Info("phase start", jobAttr, telemetry.A("phase", "reduce"), telemetry.A("tasks", cfg.Reducers),
+			telemetry.A("shuffle_seconds", timing.Shuffle.Seconds()))
+		redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
+		reduceStart := time.Now()
+		streams = make([][]byte, cfg.Reducers)
+		redStats, err := runPhase(redCtx, cfg, "reduce", cfg.Reducers, func(r int) (st FrameStats, err error) {
+			streams[r], st, err = runReduceTask(cfg, r, outputs, job.Folder)
+			return st, err
+		})
+		reduceSpan.End()
+		if err != nil {
+			return fail(err)
+		}
+		timing.Reduce = time.Since(reduceStart)
+		ev.Info("phase end", jobAttr, telemetry.A("phase", "reduce"), telemetry.A("seconds", timing.Reduce.Seconds()))
+		st.Add(redStats)
 	}
-	reduceDur := time.Since(reduceStart)
-	ev.Info("phase end", jobAttr, telemetry.A("phase", "reduce"), telemetry.A("seconds", reduceDur.Seconds()))
-	ev.Info("job end", jobAttr, telemetry.A("seconds", time.Since(start).Seconds()))
+	blocks, err := AssembleFrames(streams)
+	if err != nil {
+		return fail(fmt.Errorf("mapreduce: %s: assembling the output: %w", cfg.Name, err))
+	}
+	timing.Total = time.Since(start)
+	ev.Info("job end", jobAttr, telemetry.A("seconds", timing.Total.Seconds()))
 	jobSpan.End()
 
-	mapStats.Add(redStats)
-	res := NewFrameResult(blocks, counters, mapStats, Timing{
-		Map:     mapDur,
-		Shuffle: shuffleDur,
-		Reduce:  reduceDur,
-		Total:   time.Since(start),
-	})
+	res := NewFrameResult(blocks, counters, st, timing)
 	bridgeCounters(cfg, counters, res.Timing)
 	return res, nil
 }
@@ -630,6 +685,7 @@ func NewFrameResult(blocks map[int]*points.Block, counters *Counters, st FrameSt
 	}
 	counters.Add(CounterShuffle, st.ShuffleRecs)
 	counters.Add(CounterShuffleBytes, st.ShuffleBytes)
+	counters.Add(CounterOutputBytes, st.OutputBytes)
 	counters.Add(CounterGroups, st.Groups)
 	counters.Add(CounterReduceIn, st.ReduceIn)
 	counters.Add(CounterReduceOut, st.ReduceOut)
@@ -644,79 +700,31 @@ func NewFrameResult(blocks map[int]*points.Block, counters *Counters, st FrameSt
 	}
 }
 
-// runFrameMapPhase runs the job's map tasks — each one buildFrames over
-// its slice of the feed — and returns their sealed outputs in task order
-// plus their summed tallies. A task runs once: in process a failure repeats
-// on a second attempt (a bad row, a full spill disk), so the first error
-// fails the job.
-func runFrameMapPhase(ctx context.Context, cfg Config, share, tasks int, job FrameJob, counters *Counters) ([]frameTaskOutput, FrameStats, error) {
-	outputs := make([]frameTaskOutput, tasks)
-	var aggMu sync.Mutex
+// runPhase runs a phase's n tasks on cfg.Workers goroutines, each under a
+// "<kind>-task" span on its worker's track, and returns their summed
+// tallies. A task runs once: in process a failure repeats on a second
+// attempt (a bad row, a full spill disk), so the first error fails the job.
+func runPhase(ctx context.Context, cfg Config, kind string, n int, task func(i int) (FrameStats, error)) (FrameStats, error) {
+	var mu sync.Mutex
 	var agg FrameStats
-	err := runTasks(ctx, cfg.Workers, tasks, func(worker, task int) error {
-		_, span := telemetry.StartSpan(ctx, "map-task", telemetry.A("task", task))
+	err := runTasks(ctx, cfg.Workers, n, func(worker, i int) error {
+		_, span := telemetry.StartSpan(ctx, kind+"-task", telemetry.A("task", i))
 		span.SetTrack(worker + 1)
 		defer span.End()
-		streams, st, err := buildFrames(func(emit EmitPoint) (int, error) {
-			if job.TaskMapper != nil {
-				return job.TaskMapper(job.Feed.whole, task, tasks, emit)
-			}
-			lo := task * share
-			return job.Feed.feed(lo, min(lo+share, job.Feed.units), job.Mapper, emit)
-		}, job.Accumulators, job.Combiner, cfg.Reducers, cfg.Codec)
-		outputs[task] = frameTaskOutput{streams: streams}
-		if err == nil && cfg.SpillDir != "" {
-			var files []string
-			files, err = spillFrameStreams(cfg, task, streams, counters)
-			outputs[task] = frameTaskOutput{files: files}
-		}
+		st, err := task(i)
 		if err != nil {
 			span.SetAttr("error", err.Error())
-			return fmt.Errorf("mapreduce: %s: map task %d: %w", cfg.Name, task, err)
+			return fmt.Errorf("mapreduce: %s: %s task %d: %w", cfg.Name, kind, i, err)
 		}
-		aggMu.Lock()
+		// A map task's records are the rows it read, a reduce task's the
+		// rows it wrote; each leaves the other count 0.
+		span.SetAttr("records", int(st.MapIn+st.ReduceOut))
+		mu.Lock()
 		agg.Add(st)
-		aggMu.Unlock()
-		span.SetAttr("records", int(st.MapIn))
+		mu.Unlock()
 		return nil
 	})
-	return outputs, agg, err
-}
-
-// runFrameReducePhase runs the job's reduce tasks — each one
-// ReduceFramesStream over reducer r's frames, from memory or spill, in
-// map-task order, once — and assembles their output streams into the result
-// blocks.
-func runFrameReducePhase(ctx context.Context, cfg Config, outputs []frameTaskOutput, folder FrameFolder) (map[int]*points.Block, FrameStats, error) {
-	outStreams := make([][]byte, cfg.Reducers)
-	var aggMu sync.Mutex
-	var agg FrameStats
-	err := runTasks(ctx, cfg.Workers, cfg.Reducers, func(worker, r int) error {
-		_, span := telemetry.StartSpan(ctx, "reduce-task", telemetry.A("task", r))
-		span.SetTrack(worker + 1)
-		defer span.End()
-		out, st, err := runReduceTask(cfg, r, outputs, folder)
-		if err != nil {
-			span.SetAttr("error", err.Error())
-			return fmt.Errorf("mapreduce: %s: reduce task %d: %w", cfg.Name, r, err)
-		}
-		outStreams[r] = out
-		aggMu.Lock()
-		agg.Add(st)
-		aggMu.Unlock()
-		span.SetAttr("records", int(st.ReduceOut))
-		return nil
-	})
-	if err != nil {
-		return nil, agg, err
-	}
-	// Decode the per-task output streams into the result blocks, in
-	// reduce-task order for determinism.
-	blocks, err := AssembleFrames(outStreams)
-	if err != nil {
-		return nil, agg, fmt.Errorf("mapreduce: %s: assembling reduce output: %w", cfg.Name, err)
-	}
-	return blocks, agg, nil
+	return agg, err
 }
 
 // removeFrameSpills deletes every spill file of a finished frame job.

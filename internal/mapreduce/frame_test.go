@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/points"
+	"repro/internal/telemetry"
 )
 
 // frameTestData builds a deterministic point set with duplicates.
@@ -214,7 +217,6 @@ func TestRunFramesErrors(t *testing.T) {
 			emit(-1, row)
 			return nil
 		}, nil, okFolder},
-		{"no-reducer", okMapper, nil, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -241,9 +243,10 @@ func TestRunFramesEmptyInput(t *testing.T) {
 }
 
 // TestWholeInputTaskMapper: a job with a TaskMapper runs exactly the tasks
-// its WholeInput names, each handed all the blocks and its own index; the
-// counters are the rows the tasks took between them, and MapFrames — the same task on an executor that ships the input
-// as a frame stream — seals the bytes the in-process task does.
+// its WholeInput names, each handed its list — here all the blocks, every
+// time — and its own index; the counters are the rows the tasks took between
+// them, and MapFrames — the same task on an executor that ships the input as
+// a frame stream — seals the bytes the in-process task does.
 func TestWholeInputTaskMapper(t *testing.T) {
 	data := frameTestData(500, 3, 5)
 	a, _ := points.BlockOf(data[:200])
@@ -251,21 +254,23 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	blocks := []*points.Block{a, points.NewBlock(0, 0), b}
 	const tasks = 4
 	// Task t keeps rows t, t+4, … of the input taken as one sequence.
-	strided := TaskMapper(func(input []*points.Block, task, n int, emit EmitPoint) (int, error) {
-		rows, i := 0, 0
+	strided := TaskMapper(func(input []*points.Block, task, n int, emit EmitPoint) (FrameStats, error) {
+		var st FrameStats
+		i := 0
 		for _, blk := range input {
 			for r := 0; r < blk.Len(); r, i = r+1, i+1 {
 				if i%n == task {
 					emit(int(blk.Row(r)[0])%3, blk.Row(r))
-					rows++
+					st.MapIn++
 				}
 			}
 		}
-		return rows, nil
+		return st, nil
 	})
 	_, folder := identityFrameJob(3)
+	whole := WholeInput([][]*points.Block{blocks, blocks, blocks, blocks})
 	res, err := RunFrames(context.Background(), Config{Name: "whole", Workers: 3, Reducers: 2},
-		FrameJob{Feed: WholeInput(blocks, tasks), TaskMapper: strided, Folder: folder})
+		FrameJob{Feed: whole, TaskMapper: strided, Folder: folder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,13 +291,13 @@ func TestWholeInputTaskMapper(t *testing.T) {
 		stream = points.AppendFrame(stream, 0, blk)
 	}
 	for task := 0; task < tasks; task++ {
-		want, wantStats, err := buildFrames(func(emit EmitPoint) (int, error) {
+		want, wantStats, err := buildFrames(func(emit EmitPoint) (FrameStats, error) {
 			return strided(blocks, task, tasks, emit)
 		}, nil, nil, 2, points.FrameDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, st, err := MapFrames(FrameJob{TaskMapper: strided}, 1, oneSplit(stream), task, tasks, 2, points.FrameDefault)
+		parts, st, err := MapFrames(FrameJob{TaskMapper: strided, Folder: folder}, 1, oneSplit(stream), task, tasks, 2, points.FrameDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,9 +309,9 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	// What is not a job, and what is not a task of one.
 	mapper, _ := identityFrameJob(3)
 	for name, job := range map[string]FrameJob{
-		"both mappers":              {Feed: WholeInput(blocks, tasks), Mapper: mapper, TaskMapper: strided, Folder: folder},
+		"both mappers":              {Feed: whole, Mapper: mapper, TaskMapper: strided, Folder: folder},
 		"task mapper over rows":     {Feed: SetRows(data), TaskMapper: strided, Folder: folder},
-		"row mapper over the whole": {Feed: WholeInput(blocks, tasks), Mapper: mapper, Folder: folder},
+		"row mapper over the whole": {Feed: whole, Mapper: mapper, Folder: folder},
 	} {
 		if _, err := RunFrames(context.Background(), Config{Name: name}, job); err == nil {
 			t.Errorf("%s: RunFrames accepted it", name)
@@ -319,5 +324,72 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	}
 	if _, _, err := MapFrames(FrameJob{TaskMapper: strided}, 1, oneSplit(stream[:len(stream)-3]), 0, tasks, 2, points.FrameDefault); err == nil {
 		t.Error("MapFrames decoded a truncated whole input")
+	}
+}
+
+// TestMapOnlyJob: a job without a Folder stops after its map phase. Its
+// result is its map tasks' sealed streams assembled in task order, whatever
+// order the tasks finished in; no reduce task runs; its bytes are
+// mr.output.bytes and never shuffle; and with SpillDir set nothing is
+// spilled, because the output is the result. MapFrames seals the same
+// bytes for such a job on a worker, as one stream.
+func TestMapOnlyJob(t *testing.T) {
+	data := frameTestData(900, 3, 11)
+	var groups [][]*points.Block
+	for lo := 0; lo < len(data); lo += 200 {
+		blk, _ := points.BlockOf(data[lo:min(lo+200, len(data))])
+		groups = append(groups, []*points.Block{blk})
+	}
+	// Task g sends its group, in order, to one shared partition.
+	concat := TaskMapper(func(input []*points.Block, task, tasks int, emit EmitPoint) (FrameStats, error) {
+		var st FrameStats
+		for _, blk := range input {
+			for r := 0; r < blk.Len(); r++ {
+				emit(0, blk.Row(r))
+			}
+			st.MapIn += int64(blk.Len())
+		}
+		return st, nil
+	})
+	spill := t.TempDir()
+	tr := telemetry.NewTracer()
+	res, err := RunFrames(telemetry.WithTracer(context.Background(), tr),
+		Config{Name: "map-only", Workers: 3, Reducers: 2, SpillDir: spill},
+		FrameJob{Feed: WholeInput(groups), TaskMapper: concat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Blocks) != 1 || !slices.EqualFunc(res.Blocks[0].ToSet(), data, slices.Equal[points.Point]) {
+		t.Fatalf("map-only output is not the tasks' rows in task order")
+	}
+	var sealed int64
+	for _, g := range groups {
+		sealed += int64(len(points.AppendFrame(nil, 0, g[0])))
+	}
+	c := res.Counters.Snapshot()
+	if c[CounterShuffleBytes] != 0 || c[CounterShuffle] != 0 || c[CounterOutputBytes] != sealed || c[CounterMapIn] != int64(len(data)) {
+		t.Errorf("counters %v; want %d output bytes, nothing shuffled", c, sealed)
+	}
+	for _, s := range tr.Spans() {
+		if s.Name == "reduce" || s.Name == "reduce-task" || s.Name == "shuffle" {
+			t.Errorf("a map-only job ran a %s span", s.Name)
+		}
+	}
+	if res.Timing.Reduce != 0 || res.Timing.Shuffle != 0 {
+		t.Errorf("timing %+v: a map-only job has no shuffle or reduce time", res.Timing)
+	}
+	if left, _ := os.ReadDir(spill); len(left) != 0 {
+		t.Errorf("a map-only job left %d files in SpillDir", len(left))
+	}
+
+	// On a worker: one stream, the task's output.
+	stream := points.AppendFrame(nil, 0, groups[1][0])
+	parts, st, err := MapFrames(FrameJob{TaskMapper: concat}, 1, oneSplit(stream), 1, len(groups), 2, points.FrameDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 1 || !bytes.Equal(parts[0], stream) || st.OutputBytes != int64(len(stream)) || st.ShuffleBytes != 0 {
+		t.Errorf("MapFrames of a map-only task: %d streams, %d output bytes, %d shuffle bytes; want one stream of %d output bytes",
+			len(parts), st.OutputBytes, st.ShuffleBytes, len(stream))
 	}
 }

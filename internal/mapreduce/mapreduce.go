@@ -23,8 +23,10 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/fan"
 	"repro/internal/points"
 	"repro/internal/telemetry"
 )
@@ -140,9 +142,13 @@ const (
 	// (gob framing, RPC headers), so in-process and rpcmr runs, and the
 	// paper's Fig. 6 shuffle volumes, compare like-for-like.
 	CounterShuffleBytes = "mr.shuffle.bytes"
-	CounterReduceIn     = "mr.reduce.records.in"
-	CounterReduceOut    = "mr.reduce.records.out"
-	CounterGroups       = "mr.reduce.groups"
+	// CounterOutputBytes counts the payload bytes a map-only job's tasks
+	// sealed: its output, in the same units, which crosses no shuffle and so
+	// is never booked as mr.shuffle.bytes.
+	CounterOutputBytes = "mr.output.bytes"
+	CounterReduceIn    = "mr.reduce.records.in"
+	CounterReduceOut   = "mr.reduce.records.out"
+	CounterGroups      = "mr.reduce.groups"
 	// CounterMapRetries and CounterRedRetries count re-queued tasks; only
 	// rpcmr's master books them — an in-process task runs once.
 	CounterMapRetries = "mr.map.task.retries"
@@ -189,56 +195,30 @@ func bridgeCounters(cfg Config, counters *Counters, timing Timing) {
 	reg.Counter("mr_jobs_total", job).Inc()
 }
 
-// runTasks executes fn(worker, 0..n-1) on a pool of `workers`
-// goroutines, stopping at the first error or context cancellation. The
-// worker index identifies the executing pool slot, so callers can
+// runTasks executes fn(worker, 0..n-1) on `workers` goroutines (fan.Out),
+// each taking the next task in order until none is left, and returns the
+// first error, or ctx's: no task starts once one has failed or ctx is done.
+// The worker index identifies the executing pool slot, so callers can
 // build per-worker timelines.
 func runTasks(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	if workers > n {
-		workers = n
-	}
-	tasks := make(chan int)
-	errc := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := range tasks {
-				if err := fn(worker, i); err != nil {
-					errc <- err
-					return
-				}
+	var next atomic.Int64
+	var failOnce sync.Once
+	var first error
+	fan.Out(min(workers, n), func(worker int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			err := ctx.Err()
+			if err == nil {
+				err = fn(worker, i)
 			}
-		}(w)
-	}
-	var firstErr error
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case tasks <- i:
-		case err := <-errc:
-			firstErr = err
-			break feed
-		case <-ctx.Done():
-			firstErr = ctx.Err()
-			break feed
+			if err != nil {
+				failOnce.Do(func() { first = err })
+				next.Store(int64(n))
+				return
+			}
 		}
+	})
+	if first == nil {
+		first = ctx.Err()
 	}
-	close(tasks)
-	wg.Wait()
-	if firstErr == nil {
-		select {
-		case err := <-errc:
-			firstErr = err
-		default:
-		}
-	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
+	return first
 }

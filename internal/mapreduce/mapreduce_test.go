@@ -277,9 +277,6 @@ func TestNilMapperRejected(t *testing.T) {
 	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Feed: SetRows(nil), Folder: tallyFolder}); err == nil {
 		t.Error("nil mapper accepted")
 	}
-	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Feed: SetRows(nil), Mapper: tallyMapper}); err == nil {
-		t.Error("nil folder accepted")
-	}
 	if _, err := RunFrames(context.Background(), Config{}, FrameJob{Mapper: tallyMapper, Folder: tallyFolder}); err == nil {
 		t.Error("job without a feed accepted")
 	}

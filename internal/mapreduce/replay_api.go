@@ -43,13 +43,13 @@ func (f FrameReducerFunc) ReduceFrame(partition int, block *points.Block, emit E
 // map task's records, staging each partition's rows, and returns one sealed
 // frame stream per reducer plus the task's tallies.
 func BuildFrames(records [][]byte, reducers int, mapper FrameMapper, combiner FrameCombiner, codec points.FrameCodec) ([][]byte, FrameStats, error) {
-	return buildFrames(func(emit EmitPoint) (int, error) {
+	return buildFrames(func(emit EmitPoint) (FrameStats, error) {
 		for _, rec := range records {
 			if err := mapper.MapFrame(rec, emit); err != nil {
-				return 0, err
+				return FrameStats{}, err
 			}
 		}
-		return len(records), nil
+		return FrameStats{MapIn: int64(len(records))}, nil
 	}, Staging, combiner, max(reducers, 1), codec)
 }
 
@@ -65,16 +65,16 @@ func ReduceFrames(streams [][]byte, reducer FrameReducer, codec points.FrameCode
 	}
 	// One "reducer" so every output partition lands in one stream,
 	// ascending by partition id.
-	out, sealed, err := buildFrames(func(emit EmitPoint) (int, error) {
+	out, sealed, err := buildFrames(func(emit EmitPoint) (FrameStats, error) {
 		for _, p := range sortedInts(parts) {
 			blk := parts[p]
 			st.Groups++
 			st.ReduceIn += int64(blk.Len())
 			if err := reducer.ReduceFrame(p, blk, emit); err != nil {
-				return 0, err
+				return FrameStats{}, err
 			}
 		}
-		return 0, nil
+		return FrameStats{}, nil
 	}, Staging, nil, 1, codec)
 	if err != nil {
 		return nil, st, err

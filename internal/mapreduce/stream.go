@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/points"
 )
@@ -196,11 +197,7 @@ func sortedInts[V any](m map[int]V) []int {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ { // insertion sort; partition counts are small
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	sort.Ints(ids)
 	return ids
 }
 

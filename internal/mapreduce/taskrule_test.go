@@ -184,9 +184,10 @@ func TestMapFramesFoldsSplitsWarm(t *testing.T) {
 		emit(route(row), row)
 		return nil
 	})
-	job := FrameJob{Mapper: mapper, Accumulators: windows}
-	want, wantStats, err := buildFrames(func(emit EmitPoint) (int, error) {
-		return SetRows(data).feed(0, len(data), mapper, emit)
+	job := FrameJob{Mapper: mapper, Accumulators: windows, Folder: Assembled(nil)}
+	want, wantStats, err := buildFrames(func(emit EmitPoint) (FrameStats, error) {
+		rows, err := SetRows(data).feed(0, len(data), mapper, emit)
+		return FrameStats{MapIn: int64(rows)}, err
 	}, windows, nil, 3, points.FrameDefault)
 	if err != nil {
 		t.Fatal(err)

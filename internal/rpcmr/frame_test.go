@@ -46,8 +46,8 @@ func ensureFrameJobs() {
 				Folder: func(int) mapreduce.FrameFold { return skyline.NewBudgetedFold(3, 1<<10, "", points.FrameDefault) },
 			}}, nil
 		})
-		// skyline-filter: the merging job as the pipeline runs it — every map
-		// task gets all the rows and filters its share of them.
+		// skyline-filter: the merging job as the pipeline runs it — map-only,
+		// every map task gets all the rows and filters its share of them.
 		RegisterJob("skyline-filter", func(params []byte) (Job, error) {
 			return Job{FrameJob: driver.MergeJob(3, 0)}, nil
 		})
@@ -58,10 +58,10 @@ func ensureFrameJobs() {
 				Folder:   mapreduce.Assembled(combiner),
 			}}, nil
 		})
-		// no-folder: a job its factory builds without a reduce fold, which
-		// lookupJob must refuse to instantiate.
-		RegisterJob("no-folder", func([]byte) (Job, error) {
-			return Job{FrameJob: mapreduce.FrameJob{Mapper: func([]float64, mapreduce.EmitPoint) error { return nil }}}, nil
+		// no-mapper: a job its factory builds with a reduce fold and nothing
+		// to map with, which lookupJob must refuse to instantiate.
+		RegisterJob("no-mapper", func([]byte) (Job, error) {
+			return Job{FrameJob: mapreduce.FrameJob{Folder: mapreduce.Assembled(nil)}}, nil
 		})
 	})
 }
@@ -100,7 +100,7 @@ func setFrames(data points.Set, built func(lo, hi int, frame []byte)) Input {
 // wholeFrames is a set as the input of a job whose tasks map tasks each get
 // all of it, as one v1 frame; built as setFrames'.
 func wholeFrames(data points.Set, tasks int, built func(lo, hi int, frame []byte)) Input {
-	return WholeFrames(len(data), tasks, func(dst []byte) ([]byte, error) {
+	return WholeFrames(len(data), tasks, func(dst []byte, _ int) ([]byte, error) {
 		frame, err := points.AppendFrameRows(dst, 0, data)
 		if err == nil && built != nil {
 			built(0, len(data), frame)
@@ -162,7 +162,7 @@ func TestFramedShuffleMetrics(t *testing.T) {
 	for _, share := range shares {
 		split := func(i int) ([]byte, error) {
 			s := share[0] + i
-			frame, err := input.frame(nil, s*200, min((s+1)*200, len(data)))
+			frame, err := input.frame(nil, s, 200)
 			wantInput += int64(len(frame))
 			return frame, err
 		}
@@ -252,8 +252,9 @@ func TestFramedWorkerCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every reduce task reports what it held, whatever its folds are.
-		if want.ReducerPeakBytes <= 0 || want.MergePasses < 1 {
+		// Every reduce task reports what it held, whatever its folds are;
+		// the map-only filter has none.
+		if reduces := job != "skyline-filter"; reduces != (want.ReducerPeakBytes > 0) || reduces != (want.MergePasses >= 1) {
 			t.Fatalf("%s: no-fault run reports a reducer peak of %d bytes in %d passes", job, want.ReducerPeakBytes, want.MergePasses)
 		}
 
@@ -522,7 +523,7 @@ func TestRunRejectsWrongInputForm(t *testing.T) {
 // wire, so what a worker does with bad ones is fail the task — a returned
 // error from the one reduce body (mapreduce's FuzzReduceFramesStream holds it
 // to more), under an assembling folder and a budgeted fold alike — and a job
-// without a folder is no job.
+// with neither mapper is no job (one without a folder is map-only).
 func TestHostileReduceStreamsRejected(t *testing.T) {
 	ensureFrameJobs()
 	rows := func(d int) *points.Block {
@@ -537,7 +538,7 @@ func TestHostileReduceStreamsRejected(t *testing.T) {
 		"unknown version": {flipped},
 		"mixed dimension": {good, points.AppendFrame(nil, 2, rows(4))},
 	} {
-		for _, jobName := range []string{"skyline-frame", "skyline-fold", "skyline-filter"} {
+		for _, jobName := range []string{"skyline-frame", "skyline-fold"} {
 			job, err := lookupJob(jobName, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -548,7 +549,7 @@ func TestHostileReduceStreamsRejected(t *testing.T) {
 		}
 	}
 
-	if _, err := lookupJob("no-folder", nil); err == nil || !strings.Contains(err.Error(), "a folder") {
-		t.Errorf("a job without a folder was instantiated: %v", err)
+	if _, err := lookupJob("no-mapper", nil); err == nil || !strings.Contains(err.Error(), "exactly one of mapper and task mapper") {
+		t.Errorf("a job without a mapper was instantiated: %v", err)
 	}
 }

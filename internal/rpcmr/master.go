@@ -99,6 +99,7 @@ type Master struct {
 type jobState struct {
 	spec    JobSpec
 	phase   TaskKind // TaskMap or TaskReduce
+	mapOnly bool     // the job has no Folder: its map output is its result
 	seq     uint64   // which of the master's jobs this is: TaskReply.Job
 	input   Input
 	tasks   []*taskState
@@ -111,7 +112,7 @@ type jobState struct {
 	frameStreams [][][]byte
 	mapStart     time.Time
 	mapDur       time.Duration
-	shuffleDur   time.Duration // master-side gathering in startReducePhase
+	shuffleDur   time.Duration // master-side gathering in endMapPhase
 	redStart     time.Time
 	finished     chan struct{}
 	err          error
@@ -151,7 +152,7 @@ type taskState struct {
 	worker    string
 	// first and end bound a map task's splits, [first, end): the messages
 	// its input crosses the wire in, the first with the assignment and each
-	// later one on the worker's NextSplit. A whole input's task is one.
+	// later one on the worker's NextSplit. A whole input's task i is split i.
 	first, end int
 }
 
@@ -164,12 +165,13 @@ type JobSpec struct {
 
 // Input is a job's input: a number of rows, which Run cuts into splits of
 // MasterConfig.SplitSize and deals out to map tasks a worker's share each
-// (FrameRows) or hands whole to each of a given number of map tasks
-// (WholeFrames), and the means to produce any split when it is sent.
+// (FrameRows) or hands a given number of map tasks one whole input each
+// (WholeFrames), and frame, which seals split number split, of size rows a
+// split, onto dst when it is sent.
 type Input struct {
 	rows  int
-	tasks int // > 0: this many map tasks, each of which gets every row
-	frame func(dst []byte, lo, hi int) ([]byte, error)
+	tasks int // > 0: this many map tasks, task i's input split i
+	frame func(dst []byte, split, size int) ([]byte, error)
 }
 
 // FrameRows is rows points of input, of which frame(dst, lo, hi) seals rows
@@ -181,16 +183,19 @@ type Input struct {
 // later call, empty but with its capacity, so only the splits in flight
 // exist at any moment and a steady job allocates none.
 func FrameRows(rows int, frame func(dst []byte, lo, hi int) ([]byte, error)) Input {
-	return Input{rows: rows, frame: frame}
+	return Input{rows: rows, frame: func(dst []byte, split, size int) ([]byte, error) {
+		lo := split * size
+		return frame(dst, lo, min(lo+size, rows))
+	}}
 }
 
-// WholeFrames is rows points of input that every one of tasks map tasks
-// receives whole — the input of a job with a TaskMapper, whose tasks divide
-// the work between them by index (TaskReply.TaskID of TaskReply.Tasks)
-// rather than the rows. frame(dst) seals all of it, under FrameRows' rules:
-// once per assignment, into a recycled buffer.
-func WholeFrames(rows, tasks int, frame func(dst []byte) ([]byte, error)) Input {
-	return Input{rows: rows, tasks: tasks, frame: func(dst []byte, _, _ int) ([]byte, error) { return frame(dst) }}
+// WholeFrames is rows points of input dealt to tasks map tasks, one whole
+// input each — the input of a job with a TaskMapper: frame(dst, task) seals
+// task's under FrameRows' rules. The filter seals every task the same rows
+// and its tasks divide the work by index (TaskReply.TaskID of
+// TaskReply.Tasks); a fold round seals each task its own group.
+func WholeFrames(rows, tasks int, frame func(dst []byte, task int) ([]byte, error)) Input {
+	return Input{rows: rows, tasks: tasks, frame: func(dst []byte, task, _ int) ([]byte, error) { return frame(dst, task) }}
 }
 
 // maxSplitBytes caps one frame payload on the wire — a split's stream, a map
@@ -394,18 +399,23 @@ func (m *Master) workersUp() int {
 // completes, fails, or ctx is cancelled. Only one job runs at a time;
 // concurrent Run calls return an error. The result is what
 // mapreduce.RunFrames returns for the job in process: blocks assembled from
-// the workers' output frames in reduce-task order, the counters and
-// per-partition volumes of the accepted task reports, and the phase timing
-// as the master saw it.
+// the workers' output frames in reduce-task order — or, for a map-only job
+// (no Folder), which finishes on its last map report with no reduce phase,
+// in map-task order — the counters and per-partition volumes of the
+// accepted task reports, and the phase timing as the master saw it.
 func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce.FrameResult, error) {
-	if spec.Reducers <= 0 {
-		spec.Reducers = 1
-	}
 	// Validate the job is instantiable on the master side too, so typos
 	// fail fast rather than on a worker.
 	job, err := lookupJob(spec.Name, spec.Params)
 	if err != nil {
 		return nil, err
+	}
+	mapOnly := job.FrameJob.Folder == nil
+	switch {
+	case mapOnly:
+		spec.Reducers = 0
+	case spec.Reducers <= 0:
+		spec.Reducers = 1
 	}
 	if input.frame == nil {
 		return nil, fmt.Errorf("rpcmr: job %q: no input (build one with FrameRows)", spec.Name)
@@ -453,6 +463,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		seq:      m.jobs,
 		spec:     spec,
 		phase:    TaskMap,
+		mapOnly:  mapOnly,
 		input:    input,
 		finished: make(chan struct{}),
 		mapStart: time.Now(),
@@ -474,7 +485,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	// its input and W.
 	if input.tasks > 0 {
 		for i := 0; i < input.tasks; i++ {
-			js.tasks = append(js.tasks, &taskState{id: i, end: 1})
+			js.tasks = append(js.tasks, &taskState{id: i, first: i, end: i + 1})
 		}
 	} else if splits := (input.rows + m.cfg.SplitSize - 1) / m.cfg.SplitSize; splits > 0 {
 		w := min(max(m.workersUp(), 1), splits)
@@ -487,21 +498,20 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	for i := range js.tasks {
 		js.pending = append(js.pending, i)
 	}
-	m.job = js
-	m.wakeHeld()
-	m.mu.Unlock()
+	// Narrated before any task can be taken, so that no report's phase end
+	// — a one-task job's may come at once — precedes the job's start.
 	m.cfg.Events.Info("job start", telemetry.A("job", spec.Name),
 		telemetry.A("records", input.rows), telemetry.A("reducers", spec.Reducers),
 		telemetry.A("trace", js.traceID))
 	m.cfg.Events.Info("phase start", telemetry.A("job", spec.Name),
 		telemetry.A("phase", "map"), telemetry.A("tasks", mapTasks))
-
+	m.job = js
 	if mapTasks == 0 {
 		// Degenerate empty input: go straight to reduce with no groups.
-		m.mu.Lock()
-		m.startReducePhase(js)
-		m.mu.Unlock()
+		m.endMapPhase(js)
 	}
+	m.wakeHeld()
+	m.mu.Unlock()
 
 	select {
 	case <-ctx.Done():
@@ -527,14 +537,17 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	// Scheduling spans: the map/shuffle/reduce boundaries are observed
 	// inside RPC handlers, so record them after the fact as children of
 	// the job span.
-	redDur := time.Since(js.redStart)
 	telemetry.RecordSpan(ctx, "map", js.mapStart, js.mapDur,
 		telemetry.A("tasks", mapTasks))
-	telemetry.RecordSpan(ctx, "shuffle", js.mapStart.Add(js.mapDur), js.shuffleDur)
-	telemetry.RecordSpan(ctx, "reduce", js.redStart, redDur,
-		telemetry.A("tasks", spec.Reducers))
+	var redDur time.Duration
+	if !mapOnly {
+		redDur = time.Since(js.redStart)
+		telemetry.RecordSpan(ctx, "shuffle", js.mapStart.Add(js.mapDur), js.shuffleDur)
+		telemetry.RecordSpan(ctx, "reduce", js.redStart, redDur,
+			telemetry.A("tasks", spec.Reducers))
+	}
 	endJob("ok", nil)
-	// Assemble reduce-output frames in reduce-task order — the per-task
+	// Assemble the last phase's output frames in task order — the per-task
 	// slots make completion order irrelevant, so output is deterministic.
 	var streams [][]byte
 	for _, out := range js.out {
@@ -542,7 +555,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	}
 	blocks, err := mapreduce.AssembleFrames(streams)
 	if err != nil {
-		return nil, fmt.Errorf("rpcmr: assembling reduce output frames: %w", err)
+		return nil, fmt.Errorf("rpcmr: assembling output frames: %w", err)
 	}
 	return mapreduce.NewFrameResult(blocks, js.counters, js.stats, mapreduce.Timing{
 		Map:     js.mapDur,
@@ -552,13 +565,18 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	}), nil
 }
 
-// startReducePhase (mu held) transitions from map to reduce: gather each
-// reducer's streams, then queue reduce tasks.
-func (m *Master) startReducePhase(js *jobState) {
+// endMapPhase (mu held) ends js's map phase, all of its map tasks
+// accepted: a map-only job is finished; any other goes on to reduce — each
+// reducer's streams gathered, then reduce tasks queued.
+func (m *Master) endMapPhase(js *jobState) {
 	js.mapDur = time.Since(js.mapStart)
-	js.phase = TaskReduce
 	m.cfg.Events.Info("phase end", telemetry.A("job", js.spec.Name),
 		telemetry.A("phase", "map"), telemetry.A("seconds", js.mapDur.Seconds()))
+	if js.mapOnly {
+		m.finish(js, nil)
+		return
+	}
+	js.phase = TaskReduce
 	shuffleStart := time.Now()
 	// Frame shuffle: map tasks already sealed per-reducer streams, so
 	// the master only gathers slices in map-task order — no per-key

@@ -85,8 +85,8 @@ func lookupJob(name string, params []byte) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("rpcmr: instantiating job %q: %w", name, err)
 	}
-	if f := job.FrameJob; (f.Mapper == nil) == (f.TaskMapper == nil) || f.Folder == nil {
-		return Job{}, fmt.Errorf("rpcmr: job %q must provide exactly one of mapper and task mapper, and a folder", name)
+	if f := job.FrameJob; (f.Mapper == nil) == (f.TaskMapper == nil) {
+		return Job{}, fmt.Errorf("rpcmr: job %q must provide exactly one of mapper and task mapper", name)
 	}
 	return job, nil
 }
@@ -154,8 +154,8 @@ type TaskReply struct {
 	Params   []byte
 	Reducers int
 	// Tasks, on a map task, is the number of map tasks in the job: with
-	// TaskID, what a job whose tasks all receive the whole input (see
-	// WholeFrames) divides its work by.
+	// TaskID, what a job whose tasks each receive a whole input of their own
+	// (see WholeFrames) divides its work by.
 	Tasks int
 	// Splits, on a map task, is how many splits its share is. Frames
 	// carries the first; the worker fetches each of the others with
@@ -219,8 +219,8 @@ type ResultArgs struct {
 	TaskID   int
 	Attempt  int
 	// Frames is the task's output as sealed frame streams: a map task's one
-	// batched payload per reducer, Frames[r] destined for reducer r, or a
-	// reduce task's one output stream.
+	// batched payload per reducer, Frames[r] destined for reducer r, or the
+	// one output stream of a reduce task or of a map-only job's map task.
 	Frames [][]byte
 	// Final tells the master not to piggyback another assignment: the
 	// sender is about to stop. Worker never sets it; a client that speaks

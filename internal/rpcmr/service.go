@@ -166,7 +166,7 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 }
 
 // sealSplit (mu held) seals split of js's input — rows [split·SplitSize, …)
-// of a FrameRows input, all of a whole one — into reply.Frames, and says
+// of a FrameRows input, task split's of a whole one — into reply.Frames, and says
 // whether it could; when it could not, the job has failed. The split goes
 // into a buffer of the job's free list that is this reply's alone until the
 // reply has been sent; a retry seals it again, into another. It is
@@ -174,13 +174,12 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 // sweeps must not wait on an encode. A handler calls it last, or reads the
 // master's state afresh after it.
 func (m *Master) sealSplit(js *jobState, worker string, split int, reply *TaskReply) bool {
-	lo, hi := split*m.cfg.SplitSize, min((split+1)*m.cfg.SplitSize, js.input.rows)
 	var dst []byte
 	if n := len(js.spare); n > 0 {
 		dst, js.spare = js.spare[n-1], js.spare[:n-1]
 	}
 	m.mu.Unlock()
-	frame, err := js.input.frame(dst, lo, hi)
+	frame, err := js.input.frame(dst, split, m.cfg.SplitSize)
 	if err == nil && len(frame) > m.maxSplit {
 		err = fmt.Errorf("a %d-byte frame is more than the %d bytes one message may carry: lower MasterConfig.SplitSize (%d rows)",
 			len(frame), m.maxSplit, m.cfg.SplitSize)
@@ -295,7 +294,7 @@ func (s *MasterService) Report(args ResultArgs, reply *ResultReply) error {
 	m.observeTask(t, kind, args.WorkerID)
 	m.recordCompletion(js, t, kind, args.WorkerID, args.Spans, args.TraceID)
 	js.out[args.TaskID] = args.Frames
-	if js.phase == TaskMap {
+	if js.phase == TaskMap && !js.mapOnly {
 		m.observeFrameBytes(args.WorkerID, args.Frames)
 	}
 	js.stats.Add(args.Stats)
@@ -304,7 +303,7 @@ func (s *MasterService) Report(args ResultArgs, reply *ResultReply) error {
 	switch {
 	case js.done < len(js.tasks):
 	case js.phase == TaskMap:
-		m.startReducePhase(js)
+		m.endMapPhase(js)
 	default:
 		m.finish(js, nil)
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/points"
 	"repro/internal/skyline"
+	"repro/internal/telemetry"
 )
 
 // noLeak fails t unless, once t's other cleanups have run, the process is
@@ -480,5 +481,83 @@ func TestLateReportNotCounted(t *testing.T) {
 			requireFrameOracle(t, handFinish(t, svc, "prompt", done), data)
 			requireOneFault(t, master)
 		})
+	}
+}
+
+// TestMapOnlyJobFinishesOnItsLastMapReport: a job without a Folder is
+// map-only on the cluster too. Its last accepted map report finishes it —
+// no reduce task is ever handed out — and its result is its map tasks'
+// output in task order, booked as output, never as shuffle. A superseded
+// attempt's report and a late duplicate, after the finish, change nothing.
+func TestMapOnlyJobFinishesOnItsLastMapReport(t *testing.T) {
+	noLeak(t)
+	ensureFrameJobs()
+	reg := telemetry.NewRegistry()
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: time.Minute, LivenessWindow: 200 * time.Millisecond, Metrics: reg}, 0, WorkerConfig{})
+	svc := &MasterService{m: master}
+	for _, id := range []string{"late", "prompt"} {
+		_ = svc.Register(RegisterArgs{WorkerID: id}, &RegisterReply{})
+	}
+	data := frameClusterData(1000, 3, 15)
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := master.Run(context.Background(), JobSpec{Name: "skyline-filter", Reducers: 2}, wholeFrames(data, 2, nil))
+		done <- outcome{res, err}
+	}()
+	late := take(svc, "late")
+	lateReport := handTask(t, svc, "late", &late)
+	other := take(svc, "prompt")
+	expireLease(master, late.TaskID)
+	again := take(svc, "prompt")
+	if late.Kind != TaskMap || other.Kind != TaskMap || again.TaskID != late.TaskID || again.Attempt != late.Attempt+1 {
+		t.Fatalf("tasks %+v, %+v, %+v; want two map tasks, the first again", late, other, again)
+	}
+	outputs := make([][][]byte, 2)
+	for _, task := range []*TaskReply{&other, &again} {
+		report := handTask(t, svc, "prompt", task)
+		outputs[task.TaskID] = report.Frames
+		if !reportTask(svc, report) {
+			t.Fatalf("map task %d's report was not accepted", task.TaskID)
+		}
+	}
+	out := <-done // the last map report finished the job
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if reportTask(svc, lateReport) {
+		t.Error("a superseded attempt's report after the finish was accepted")
+	}
+	if reportTask(svc, handTask(t, svc, "prompt", &again)) {
+		t.Error("a late duplicate report after the finish was accepted")
+	}
+	var task TaskReply
+	_ = svc.RequestTask(TaskArgs{WorkerID: "prompt"}, &task)
+	if task.Kind != TaskWait {
+		t.Errorf("after the map-only job a %d task was handed out", task.Kind)
+	}
+
+	want, err := mapreduce.AssembleFrames(append(outputs[0], outputs[1]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.res.Blocks) != 1 || !reflect.DeepEqual(out.res.Blocks[0].ToSet(), want[0].ToSet()) {
+		t.Error("the result is not the map tasks' output in task order")
+	}
+	if got, oracle := distinctSorted(out.res.Blocks[0].ToSet()), distinctSorted(skyline.BNL(data)); !reflect.DeepEqual(got, oracle) {
+		t.Errorf("a skyline of %d points, the oracle's has %d", len(got), len(oracle))
+	}
+	c := out.res.Counters.Snapshot()
+	var sealed int64
+	for _, stream := range append(outputs[0], outputs[1]...) {
+		sealed += int64(len(stream))
+	}
+	if c[mapreduce.CounterShuffleBytes] != 0 || c[mapreduce.CounterShuffle] != 0 || c[mapreduce.CounterOutputBytes] != sealed ||
+		c[mapreduce.CounterMapIn] != int64(len(data)) || out.res.Timing.Reduce != 0 {
+		t.Errorf("counters %v, timing %+v; want %d output bytes, nothing shuffled or reduced", c, out.res.Timing, sealed)
+	}
+	for _, w := range []string{"late", "prompt"} {
+		if v := reg.Counter("rpcmr_shuffle_bytes_total", telemetry.L("worker", w)).Value(); v != 0 {
+			t.Errorf("rpcmr_shuffle_bytes_total{worker=%q} = %d, want 0", w, v)
+		}
 	}
 }

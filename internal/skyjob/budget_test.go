@@ -71,17 +71,20 @@ func TestSpecBudgetTravels(t *testing.T) {
 		t.Fatalf("spec round-trip lost budget/codec: %+v", back)
 	}
 	// The budget bounds Job 1's folds, which are skyline folds with or
-	// without one. The merging job has no use for it — its filter needs the
-	// candidates resident, and a budgeted run merges in rounds on the master
-	// instead of running it — but still seals by codec.
+	// without one. The merging jobs are map-only, with no reduce fold: the
+	// filter has no use for the budget — it needs the candidates resident —
+	// and a fold round folds in its map tasks; both still seal by codec.
 	budgeted := func(job rpcmr.Job) bool {
+		if job.FrameJob.Folder == nil {
+			return false
+		}
 		fold, ok := job.FrameJob.Folder(0).(*skyline.BudgetedFold)
 		if ok {
 			fold.Close()
 		}
 		return ok
 	}
-	for _, factory := range []rpcmr.JobFactory{newPartitionJob, newMergeJob} {
+	for _, factory := range []rpcmr.JobFactory{newPartitionJob, newMergeJob, newRoundJob} {
 		job, err := factory(raw)
 		if err != nil {
 			t.Fatal(err)

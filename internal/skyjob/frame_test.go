@@ -248,8 +248,9 @@ func TestClusterMapAllocatesPerTaskNotPerPoint(t *testing.T) {
 // BenchmarkClusterJob is one whole cluster job — fit and both rpcmr jobs —
 // on 200 000 6-dimensional points in four splits over two loopback workers:
 // CI prints its ns/op and B/op beside the streamed job's, and, as that one
-// does, the bytes a job shuffles and the partitioning job's map tasks — one
-// per worker, each a share of two splits.
+// does, the bytes a job shuffles (Job 1's), the bytes its map-only merge
+// outputs and the partitioning job's map tasks — one per worker, each a
+// share of two splits.
 func BenchmarkClusterJob(b *testing.B) {
 	run := warmCluster(b, uniformSet(42, 200000, 6), 50000)
 	b.ReportAllocs()
@@ -261,6 +262,7 @@ func BenchmarkClusterJob(b *testing.B) {
 	tr := telemetry.NewTracer()
 	res := run(telemetry.WithTracer(context.Background(), tr))
 	b.ReportMetric(float64(res.Stats.Counters[mapreduce.CounterShuffleBytes]), "shuffle-B/job")
+	b.ReportMetric(float64(res.Stats.Counters[mapreduce.CounterOutputBytes]), "output-B/job")
 	b.ReportMetric(float64(len(partitionMapTasks(tr))), "map-tasks/job")
 }
 

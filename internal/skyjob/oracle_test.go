@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"log/slog"
 	"math"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -104,7 +105,12 @@ func init() {
 // points the spec's partitioner assigns to it — and every scheme × k ×
 // spec variant of the band jobs the same of skyline.Skyband(·, k). The BNL
 // rows are the product's job; the SFS and D&C rows are kernelJobs' edits.
+// Where the budget rows' local skylines exceed the budget, the merge runs
+// as fold rounds on the workers — one skyline/merge-round job a round, a
+// map task per group — and leaves no overflow file behind.
 func TestClusterMatchesOracle(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // where the workers' folds overflow
 	master := startCluster(t, 3)
 	uniform := uniformSet(42, 600, 4)
 	dups := append(uniformSet(43, 600, 3), uniformSet(43, 60, 3)...)
@@ -132,11 +138,16 @@ func TestClusterMatchesOracle(t *testing.T) {
 			v.set(&spec)
 			for _, kernel := range kernels {
 				t.Run(fmt.Sprintf("%v/%v/%s", scheme, kernel, v.name), func(t *testing.T) {
-					res, err := compute(context.Background(), master, v.data, spec, spec, kernelJobs[kernel], MergeJobName, 3)
+					tr := telemetry.NewTracer()
+					res, err := compute(telemetry.WithTracer(context.Background(), tr), master, v.data, spec, spec, kernelJobs[kernel], MergeJobName, 3)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireOracle(t, res, spec, v.data, skyline.BNL)
+					requireRounds(t, tr, res.Stats, spec)
+					if left, _ := os.ReadDir(tmp); len(left) > 0 {
+						t.Errorf("%d files left in TMPDIR", len(left))
+					}
 				})
 			}
 			for _, k := range []int{1, 3} {
@@ -153,6 +164,49 @@ func TestClusterMatchesOracle(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// requireRounds checks that a run's merge rounds ran exactly when its local
+// skylines exceeded spec's budget, each as one skyline/merge-round job on
+// the workers whose map tasks are the round's groups.
+func requireRounds(t *testing.T, tr *telemetry.Tracer, st *driver.Stats, spec Spec) {
+	t.Helper()
+	size := int64(st.LocalSkylineTotal() * spec.Dim * 8)
+	if over := spec.ReducerBudgetBytes > 0 && size > spec.ReducerBudgetBytes; over != (st.MergeRounds > 0) {
+		t.Errorf("%d candidate bytes under a %d-byte budget ran %d rounds", size, spec.ReducerBudgetBytes, st.MergeRounds)
+	}
+	spans := tr.Spans()
+	byID := make(map[uint64]telemetry.SpanData, len(spans))
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	jobs, groups, tasks := 0, int64(0), map[uint64]int{}
+	for _, s := range spans {
+		switch s.Name {
+		case "rpcmr-job:" + RoundJobName:
+			jobs++
+		case "merge-round":
+			for _, a := range s.Attrs {
+				if a.Key == "groups" {
+					groups += int64(a.Value.(int))
+				}
+			}
+		case "map-task":
+			for up, ok := byID[s.Parent]; ok; up, ok = byID[up.Parent] {
+				if up.Name == "rpcmr-job:"+RoundJobName {
+					tasks[up.ID]++
+					break
+				}
+			}
+		}
+	}
+	n := 0
+	for _, c := range tasks {
+		n += c
+	}
+	if jobs != st.MergeRounds || int64(n) != groups {
+		t.Errorf("%d merge rounds ran as %d %s jobs of %d worker map tasks, for %d groups", st.MergeRounds, jobs, RoundJobName, n, groups)
 	}
 }
 
@@ -261,10 +315,14 @@ func TestExecutorsAgree(t *testing.T) {
 			if int64(routed) != n {
 				t.Errorf("%s: cluster partition counts sum to %d, input has %d rows", name, routed, n)
 			}
+			// Stragglers are timing, not data: a fold round of four or more
+			// tasks may flag one on a busy machine.
 			names := func(counters map[string]int64) []string {
 				var out []string
 				for key := range counters {
-					out = append(out, key)
+					if key != mapreduce.CounterStragglers {
+						out = append(out, key)
+					}
 				}
 				sort.Strings(out)
 				return out
@@ -281,16 +339,24 @@ func TestExecutorsAgree(t *testing.T) {
 					t.Errorf("%s: MergeRounds %d, MergeRoundBytes %v, ReducerPeakBytes %d", name, st.MergeRounds, st.MergeRoundBytes, st.ReducerPeakBytes)
 				}
 			}
-			// Job 1 maps the input once on either executor; the merge's map
-			// side, when it is a job, tests every local skyline row once, in
-			// as many tasks as MergeTasks cuts it into, and lets through —
-			// uncombined — the global result alone: its shuffle is the result.
-			merged, kept := int64(0), int64(0)
-			if row.budget == 0 {
-				merged, kept = int64(stats.LocalSkylineTotal()), int64(len(sky))
-			}
-			if got := driver.MergeTasks(3, int(merged)); got != row.mergeTasks {
+			// Job 1 maps the input once on either executor; the filter tests
+			// every local skyline row once, in as many tasks as MergeTasks
+			// cuts it into, and lets through — uncombined — the global result
+			// alone: its output is the result. Under a budget the candidates
+			// do not fit, each fold round maps its candidates once and lets
+			// through the next round's, the last the global result.
+			merged, kept := int64(stats.LocalSkylineTotal()), int64(len(sky))
+			if got := driver.MergeTasks(3, int(merged)); row.budget == 0 && got != row.mergeTasks {
 				t.Fatalf("%s: %d candidates are %d merge tasks, the row wants %d", name, merged, got, row.mergeTasks)
+			}
+			if row.budget > 0 {
+				merged = 0
+				for i, b := range stats.MergeRoundBytes {
+					merged += b / int64(spec.Dim*8)
+					if i > 0 {
+						kept += b / int64(spec.Dim*8)
+					}
+				}
 			}
 			for _, st := range []*driver.Stats{stats, cl} {
 				if in, out, combined := st.Counters[mapreduce.CounterMapIn], st.Counters[mapreduce.CounterMapOut], st.Counters[mapreduce.CounterCombineIn]; in != n+merged || out != n+kept || combined != n {
@@ -347,9 +413,13 @@ func TestExecutorsAgree(t *testing.T) {
 						candidates = append(candidates, blk)
 					}
 				}
+				inputs := make([][]*points.Block, row.mergeTasks)
+				for i := range inputs {
+					inputs[i] = candidates
+				}
 				job := driver.MergeJob(spec.Dim, row.k)
-				job.Feed = mapreduce.WholeInput(candidates, row.mergeTasks)
-				in2, err := mapreduce.RunFrames(context.Background(), mapreduce.Config{Workers: 3, Reducers: 1}, job)
+				job.Feed = mapreduce.WholeInput(inputs)
+				in2, err := mapreduce.RunFrames(context.Background(), mapreduce.Config{Workers: 3, Codec: spec.Codec}, job)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -357,17 +427,22 @@ func TestExecutorsAgree(t *testing.T) {
 				if row.k > 0 {
 					params, job2 = mustJSON(t, skybandSpec{Spec: spec, K: row.k}), SkybandMergeJobName
 				}
-				cl2, err := cluster{master: master, job2: job2, params: params, reducers: 3, codec: spec.Codec}.Merge(context.Background(), candidates)
+				cl2, err := cluster{master: master, job2: job2, params: params, reducers: 3, codec: spec.Codec}.Merge(context.Background(), 0, inputs)
 				if err != nil {
 					t.Fatal(err)
 				}
+				// Map-only: the survivors are the output, booked as such on
+				// both executors, the same bytes; nothing crosses a shuffle.
+				inC := in2.Counters.Snapshot()
 				for _, res2 := range []*mapreduce.FrameResult{in2, cl2} {
 					if got := res2.Blocks[0].ToSet(); !sameMultiset(got, sky) {
 						t.Errorf("%s: the merging job alone kept %d rows, the run %d", name, len(got), len(sky))
 					}
-					if c := res2.Counters.Snapshot(); c[mapreduce.CounterShuffle] != kept || c[mapreduce.CounterMapIn] != merged ||
-						c[mapreduce.CounterCombineIn] != 0 || c[mapreduce.CounterReduceOut] != kept {
-						t.Errorf("%s: merging job counters %v; want %d rows in, %d shuffled and out, none combined", name, c, merged, kept)
+					if c := res2.Counters.Snapshot(); c[mapreduce.CounterShuffle] != 0 || c[mapreduce.CounterShuffleBytes] != 0 ||
+						c[mapreduce.CounterMapIn] != merged || c[mapreduce.CounterMapOut] != kept || c[mapreduce.CounterCombineIn] != 0 ||
+						c[mapreduce.CounterReduceOut] != 0 || c[mapreduce.CounterOutputBytes] <= 0 || c[mapreduce.CounterOutputBytes] != inC[mapreduce.CounterOutputBytes] {
+						t.Errorf("%s: merging job counters %v; want %d rows in, %d out as %d output bytes, nothing shuffled, combined or reduced",
+							name, c, merged, kept, inC[mapreduce.CounterOutputBytes])
 					}
 				}
 			}
@@ -393,7 +468,7 @@ func narration(events []telemetry.LogEvent) []string {
 	return out
 }
 
-// allJobs is the four registered jobs; the band jobs' params carry a k.
+// allJobs is the five registered jobs; the band jobs' params carry a k.
 var allJobs = []struct {
 	name    string
 	factory rpcmr.JobFactory
@@ -401,8 +476,15 @@ var allJobs = []struct {
 }{
 	{PartitionJobName, newPartitionJob, false},
 	{MergeJobName, newMergeJob, false},
+	{RoundJobName, newRoundJob, false},
 	{SkybandPartitionJobName, newSkybandPartitionJob, true},
 	{SkybandMergeJobName, newSkybandMergeJob, true},
+}
+
+// wholeInput says whether a job's tasks each take a whole input
+// (rpcmr.WholeFrames) rather than a share of the rows.
+func wholeInput(job string) bool {
+	return job == MergeJobName || job == SkybandMergeJobName || job == RoundJobName
 }
 
 // TestHostileSpecRejected: job params arrive over the wire, so a spec no
@@ -584,8 +666,8 @@ func TestHostileInputFrameRejected(t *testing.T) {
 	// One task's split, in the form the job takes: rows cut off an input for
 	// Job 1, the whole candidate set — for two tasks — for the merge.
 	splitOf := func(job string, frame []byte) rpcmr.Input {
-		if job == MergeJobName || job == SkybandMergeJobName {
-			return rpcmr.WholeFrames(50, 2, func(dst []byte) ([]byte, error) { return append(dst, frame...), nil })
+		if wholeInput(job) {
+			return rpcmr.WholeFrames(50, 2, func(dst []byte, _ int) ([]byte, error) { return append(dst, frame...), nil })
 		}
 		return rpcmr.FrameRows(50, func(dst []byte, lo, hi int) ([]byte, error) { return append(dst, frame...), nil })
 	}
@@ -595,9 +677,13 @@ func TestHostileInputFrameRejected(t *testing.T) {
 			if h.partition && job.name != PartitionJobName && job.name != SkybandPartitionJobName {
 				continue
 			}
+			want := h.want
+			if job.name == RoundJobName && want == "imension" {
+				want = "-dim block into 3-dim fold" // the fold's wording
+			}
 			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, splitOf(job.name, h.frame))
-			if err == nil || !strings.Contains(err.Error(), h.want) {
-				t.Errorf("%s, %s: cluster run returned %v, want an error naming %q", h.name, job.name, err, h.want)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, %s: cluster run returned %v, want an error naming %q", h.name, job.name, err, want)
 			}
 		}
 	}
@@ -607,8 +693,11 @@ func TestHostileInputFrameRejected(t *testing.T) {
 	narrow := frameOf(data.Project(2)[:50], points.FrameV1)
 	for _, job := range allJobs {
 		want := "partition: point has dimension 2, want 3"
-		if job.name == MergeJobName || job.name == SkybandMergeJobName {
+		switch job.name {
+		case MergeJobName, SkybandMergeJobName:
 			want = "skyline: unusable candidate set: 2-dimensional rows in a 3-dimensional merge"
+		case RoundJobName:
+			want = "skyline: absorbing 2-dim block into 3-dim fold"
 		}
 		_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, splitOf(job.name, narrow))
 		var taskErr *rpcmr.WorkerTaskError

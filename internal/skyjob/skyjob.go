@@ -1,13 +1,13 @@
 // Package skyjob runs the skyline pipeline on an rpcmr cluster. What the
-// partitioning job (assign → local skyline) and the merging job (every
-// candidate filtered against all of them → global skyline) compute, and the
-// sequence they run in, are
-// defined once, by package driver's PartitionJob, MergeJob and TwoJobs;
-// this package is the cluster executor of that sequence: a Spec that
-// travels to workers as JSON, and each job as a registered name run on a
-// master over splits sealed into point frames on demand. Any process that
-// links this package (master or worker) has both jobs registered and can
-// participate in a cluster.
+// partitioning job (assign → local skyline) and the merging jobs (every
+// candidate filtered against all of them → global skyline, or under a
+// reducer budget rounds of budget-sized folds) compute, and the sequence
+// they run in, are defined once, by package driver's PartitionJob,
+// MergeJob, RoundJob and TwoJobs; this package is the cluster executor of
+// that sequence: a Spec that travels to workers as JSON, and each job as a
+// registered name run on a master over splits sealed into point frames on
+// demand. Any process that links this package (master or worker) has every
+// job registered and can participate in a cluster.
 package skyjob
 
 import (
@@ -32,6 +32,7 @@ import (
 const (
 	PartitionJobName = "skyline/partition"
 	MergeJobName     = "skyline/merge"
+	RoundJobName     = "skyline/merge-round"
 )
 
 // Spec parameterizes the partitioning job; it travels to workers as JSON
@@ -153,18 +154,54 @@ func (s Spec) Build() (partition.Partitioner, error) {
 func init() {
 	rpcmr.RegisterJob(PartitionJobName, newPartitionJob)
 	rpcmr.RegisterJob(MergeJobName, newMergeJob)
+	rpcmr.RegisterJob(RoundJobName, newRoundJob)
 	rpcmr.RegisterJob(SkybandPartitionJobName, newSkybandPartitionJob)
 	rpcmr.RegisterJob(SkybandMergeJobName, newSkybandMergeJob)
 }
 
-// The four job factories: driver's two job definitions, for the skyline
-// (params are a Spec) and for the k-skyband (a skybandSpec).
+// The job factories: driver's job definitions, Job 1 and the filter for the
+// skyline (params are a Spec) and for the k-skyband (a skybandSpec), and the
+// skyline's fold round (a Spec: the band refuses a budget, so it never folds
+// in rounds).
 var (
-	newPartitionJob        = partitionFactory(false)
-	newMergeJob            = mergeFactory(false)
-	newSkybandPartitionJob = partitionFactory(true)
-	newSkybandMergeJob     = mergeFactory(true)
+	newPartitionJob        = factory(false, partitionJob)
+	newMergeJob            = factory(false, mergeJob)
+	newRoundJob            = factory(false, roundJob)
+	newSkybandPartitionJob = factory(true, partitionJob)
+	newSkybandMergeJob     = factory(true, mergeJob)
 )
+
+func partitionJob(spec skybandSpec) (mapreduce.FrameJob, error) {
+	part, err := spec.Build()
+	if err != nil {
+		return mapreduce.FrameJob{}, err
+	}
+	return driver.PartitionJob(part, nil, spec.Dim, spec.K, spec.options()), nil
+}
+
+func mergeJob(spec skybandSpec) (mapreduce.FrameJob, error) {
+	return driver.MergeJob(spec.Dim, spec.K), nil
+}
+
+func roundJob(spec skybandSpec) (mapreduce.FrameJob, error) {
+	return driver.RoundJob(spec.Dim, spec.options()), nil
+}
+
+// factory is the rpcmr factory of the job build makes of decodeSpec's spec,
+// sealing its frames by the spec's codec.
+func factory(band bool, build func(skybandSpec) (mapreduce.FrameJob, error)) rpcmr.JobFactory {
+	return func(params []byte) (rpcmr.Job, error) {
+		spec, err := decodeSpec(params, band)
+		if err != nil {
+			return rpcmr.Job{}, err
+		}
+		job, err := build(spec)
+		if err != nil {
+			return rpcmr.Job{}, err
+		}
+		return rpcmr.Job{FrameJob: job, Codec: spec.Codec}, nil
+	}
+}
 
 // decodeSpec parses and validates job params: a Spec, or with band a
 // skybandSpec — K stays 0, the skyline, otherwise. Unknown fields are an
@@ -200,30 +237,6 @@ func (s Spec) options() driver.Options {
 	return driver.Options{Codec: s.Codec, ReducerBudgetBytes: s.ReducerBudgetBytes}
 }
 
-func partitionFactory(band bool) rpcmr.JobFactory {
-	return func(params []byte) (rpcmr.Job, error) {
-		spec, err := decodeSpec(params, band)
-		if err != nil {
-			return rpcmr.Job{}, err
-		}
-		part, err := spec.Build()
-		if err != nil {
-			return rpcmr.Job{}, err
-		}
-		return rpcmr.Job{FrameJob: driver.PartitionJob(part, nil, spec.Dim, spec.K, spec.options()), Codec: spec.Codec}, nil
-	}
-}
-
-func mergeFactory(band bool) rpcmr.JobFactory {
-	return func(params []byte) (rpcmr.Job, error) {
-		spec, err := decodeSpec(params, band)
-		if err != nil {
-			return rpcmr.Job{}, err
-		}
-		return rpcmr.Job{FrameJob: driver.MergeJob(spec.Dim, spec.K), Codec: spec.Codec}, nil
-	}
-}
-
 // walkRows bounds the frames of an input split: a worker walks them through
 // a scratch block the size of the longest, which this keeps in cache.
 const walkRows = 512
@@ -251,18 +264,20 @@ func setSplits(data points.Set) rpcmr.Input {
 	})
 }
 
-// candidateSplits is Job 1's result blocks as the merging job's input: every
-// one of its tasks — driver.MergeTasks of them — gets all the rows, block
-// after block, sealed as they are. That is the filter every task tests its
-// share of the rows against: a map task's input, booked as input bytes, not
-// as shuffle.
-func candidateSplits(blocks []*points.Block, workers int, codec points.FrameCodec) rpcmr.Input {
+// blockSplits is a merging job's input: task t gets inputs[t], block after
+// block, sealed as they are, a frame a block — for the filter the whole
+// candidate set each task tests its share of the rows against, for a fold
+// round the group it folds. It is a map task's input, booked as input
+// bytes, not as shuffle.
+func blockSplits(inputs [][]*points.Block, codec points.FrameCodec) rpcmr.Input {
 	rows := 0
-	for _, blk := range blocks {
-		rows += blk.Len()
-	}
-	return rpcmr.WholeFrames(rows, driver.MergeTasks(workers, rows), func(frames []byte) ([]byte, error) {
+	for _, blocks := range inputs {
 		for _, blk := range blocks {
+			rows += blk.Len()
+		}
+	}
+	return rpcmr.WholeFrames(rows, len(inputs), func(frames []byte, task int) ([]byte, error) {
+		for _, blk := range inputs[task] {
 			frames = points.AppendFrameCodec(frames, 0, blk, codec)
 		}
 		return frames, nil
@@ -276,9 +291,10 @@ type Result struct {
 	// output).
 	LocalSkylines map[int]points.Set
 	// MapTime / ReduceTime are the two jobs' phases in the paper's Figure 6
-	// sense — with one difference from the paper's Job 2: the merge's work is
-	// its map side (every worker filters a share of the candidates), so
-	// MapTime.MergeJob carries it and ReduceTime.MergeJob is a concatenation.
+	// sense — with one difference from the paper's Job 2: the merge is
+	// map-only (every worker filters a share of the candidates, or folds a
+	// group of them in a round), so MapTime.MergeJob carries all of it and
+	// ReduceTime.MergeJob is 0.
 	MapTime, ReduceTime JobResultTiming
 	// Stats is the run's whole record — counters, per-partition counts,
 	// timing, merge rounds — as driver.Compute returns it in process.
@@ -310,16 +326,17 @@ func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme 
 
 // ComputeSpec runs the pipeline with a caller-built Spec — the entry
 // point for a non-default codec or reducer budget. The budget bounds
-// the workers' reduce folds, and under one the merge runs on the
-// master, over the local skylines Job 1 returned to it, as rounds of
-// budget-sized folds (driver.TwoJobs picks it) instead of a second job.
+// the workers' reduce folds, and when the local skylines do not fit it
+// the merge runs on the workers as rounds of budget-sized folds — the
+// registered RoundJobName, a map-only job per round (driver.TwoJobs
+// picks it) — instead of the filter job; the master folds nothing.
 func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, reducers int) (*Result, error) {
 	return compute(ctx, master, data, spec, spec, PartitionJobName, MergeJobName, reducers)
 }
 
 // cluster is the cluster executor of driver.TwoJobs: the registered jobs
-// job1 over data and job2 over the candidates, both instantiated by the
-// workers from params.
+// job1 over data, and job2 or RoundJobName over the blocks it is handed,
+// all instantiated by the workers from params.
 type cluster struct {
 	master     *rpcmr.Master
 	data       points.Set
@@ -343,8 +360,12 @@ func (c cluster) Partition(ctx context.Context) (*mapreduce.FrameResult, error) 
 	return c.run(ctx, "partitioning-job", c.job1, c.reducers, setSplits(c.data))
 }
 
-func (c cluster) Merge(ctx context.Context, candidates []*points.Block) (*mapreduce.FrameResult, error) {
-	return c.run(ctx, "merging-job", c.job2, 1, candidateSplits(candidates, c.reducers, c.codec))
+func (c cluster) Merge(ctx context.Context, round int, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
+	job := c.job2
+	if round > 0 {
+		job = RoundJobName
+	}
+	return c.run(ctx, "merging-job", job, 0, blockSplits(inputs, c.codec))
 }
 
 // compute is what ComputeSpec and ComputeSkyband are: driver.TwoJobs on the

@@ -105,8 +105,8 @@ func TestComputeTrace(t *testing.T) {
 			}
 		}
 	}
-	if phases != 6 { // 3 phases × 2 jobs
-		t.Errorf("phase spans = %d, want 6", phases)
+	if phases != 4 { // Job 1's 3 phases + the map-only merging job's map
+		t.Errorf("phase spans = %d, want 4", phases)
 	}
 
 	var buf bytes.Buffer
