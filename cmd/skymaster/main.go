@@ -33,8 +33,9 @@
 // long after the job finishes (or until SIGINT/SIGTERM) so dashboards
 // and CI can inspect the completed run. With -reducer-budget, the
 // workers' reducers fold under that many bytes, and when the local
-// skylines exceed it the merge runs as rounds of budget-sized folds — one
-// map-only cluster job a round, on the workers — instead of the filter job.
+// skylines exceed it the merge runs as one blocked round — one map-only
+// cluster job whose tasks each lay out a budget-sized group and have every
+// candidate streamed past it, on the workers — instead of the filter job.
 //
 // On SIGINT/SIGTERM the master drains workers, takes one final
 // time-series sample, shuts the debug server down gracefully, and
@@ -109,7 +110,7 @@ func main() {
 	flag.StringVar(&o.historyFile, "runhistory", "",
 		"append this run's flight+critpath summary to a bounded JSONL history file and compare against the baseline (empty = in-memory only)")
 	flag.Int64Var(&o.budget, "reducer-budget", 0,
-		"per-reducer memory budget in bytes: overflow spills to frames and resolves in extra passes, and local skylines that exceed it merge in budget-sized rounds on the workers (0 = unbudgeted, one merging job)")
+		"per-reducer memory budget in bytes: overflow spills to frames and resolves in extra passes, and local skylines that exceed it merge in one round of budget-sized groups on the workers (0 = unbudgeted, the filter over all of them)")
 	flag.DurationVar(&o.stallWindow, "stall-window", 5*time.Second,
 		"a worker holding work with zero completions for this long is a throughput stall; metrics are sampled every min(1s, a third of this)")
 	flag.StringVar(&o.captureDir, "capture-dir", "",
@@ -302,7 +303,7 @@ func run(o options) error {
 		st.Partitions, st.LocalSkylineTotal(), st.Counters[mapreduce.CounterShuffleBytes],
 		st.Counters[mapreduce.CounterOutputBytes], st.DominanceTests)
 	if st.MergeRounds > 0 {
-		fmt.Fprintf(os.Stderr, ", %d merge rounds (reducer peak %d bytes)", st.MergeRounds, st.ReducerPeakBytes)
+		fmt.Fprintf(os.Stderr, ", %d merge round of %d groups (reducer peak %d bytes)", st.MergeRounds, st.MergeGroups, st.ReducerPeakBytes)
 	}
 	fmt.Fprintln(os.Stderr)
 	// Critical-path profile: where the makespan went, and what balance

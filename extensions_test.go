@@ -220,7 +220,7 @@ func TestIterativeMergePublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sameMultiset(res.Skyline, Skyline(data)) {
-		t.Error("budgeted multi-round merge changed the skyline")
+		t.Error("budgeted blocked merge changed the skyline")
 	}
 }
 

@@ -8,7 +8,8 @@
 //
 //	Job 2 (Merging Job): a map-only job whose tasks filter the local
 //	skyline points against all of them into the global skyline — or, when
-//	they exceed a reducer budget, map-only rounds of budgeted folds.
+//	they exceed a reducer budget, one map-only round whose task g lays out
+//	a budget-sized group and has every candidate streamed past it.
 //
 // There is one data path: points travel as rows into per-partition
 // accumulators and between phases as packed frames (see frame.go, which
@@ -53,10 +54,12 @@ type Options struct {
 	// ReducerBudgetBytes bounds every skyline fold's window: a full window
 	// spills and multi-passes, so a fold stays near the budget instead of
 	// scaling with its skyline. Job 1's reducers fold under it, and when the
-	// local skylines exceed it the merge runs as map-only rounds of folds
-	// over budget-sized groups (the paper's §II iterative merge) instead of
-	// the filter job. Up to Workers folds run at once, so resident fold
-	// memory is bounded by Workers × budget. 0 is no bound.
+	// local skylines exceed it the merge runs as one blocked map-only round
+	// instead of the filter job: the candidates are cut into groups each
+	// task can lay out and mark within the budget, with a candidate block
+	// streamed past it at a time. Up to Workers tasks run at once, so
+	// resident reduce and merge memory is bounded by Workers × budget. 0 is
+	// no bound.
 	ReducerBudgetBytes int64
 	// Metrics, when non-nil, receives skyline-level series (per-partition
 	// local skyline sizes, pruned-cell counts) and is passed through to
@@ -91,24 +94,26 @@ type Stats struct {
 	// LocalSkylines maps partition id → local skyline (Job 1 output).
 	LocalSkylines map[int]points.Set
 	// PartitionJob and MergeJob are the per-job phase timings; Timing is
-	// their sum. The merge is map-only — the filter job, or every fold
+	// their sum. The merge is map-only — the filter job, or the blocked
 	// round — so MergeJob is all Map.
 	PartitionJob, MergeJob, Timing mapreduce.Timing
 	// Counters merges every job's framework counters. The merging jobs
 	// combine, shuffle and reduce nothing: mr.combine.*, mr.shuffle.* and
 	// mr.reduce.* are Job 1's alone, and mr.output.bytes the merge's.
 	Counters map[string]int64
-	// ReducerPeakBytes is the largest working set any reduce task or fold
-	// round's fold reached: what a reducer budget is judged against, and
-	// what an unbudgeted run says a budget would have to be.
+	// ReducerPeakBytes is the largest working set any reduce task reached,
+	// or any blocked merge task counted: what a reducer budget is judged
+	// against, and what an unbudgeted run says a budget would have to be.
 	ReducerPeakBytes int64
 	// MergePasses is the largest pass count any reduce fold needed: 1 when
 	// every window held its skyline, >1 when one overflowed and multi-passed.
 	MergePasses int
-	// MergeRounds counts the fold rounds the merge ran; MergeRoundBytes[i]
-	// is the candidate volume entering round i. Zero/nil when the local
-	// skylines fit the budget and the filter job merged them.
+	// MergeRounds counts the blocked rounds the merge ran — 1 when the local
+	// skylines exceeded the budget, 0 when they fit it and the filter job
+	// merged them — MergeGroups the groups the round was cut into, and
+	// MergeRoundBytes[i] the candidate volume entering round i.
 	MergeRounds     int
+	MergeGroups     int
 	MergeRoundBytes []int64
 	// DominanceTests is how far the process-wide flat-kernel dominance-test
 	// counter moved during the computation. Workers in other processes
@@ -203,8 +208,8 @@ func InvalidInput(prefix string, data points.Set, err error) error {
 // context carries no recorder): per planned partition its occupancy as
 // input load, shuffle bytes, local skyline size and Eq. (5) survivor count
 // — computed here, where local and global skylines are both in hand — and
-// the run's stragglers, retries and failures (job counters), merge rounds
-// and reducer peak. The rollups are then bridged into the run's metrics
+// the run's stragglers, retries and failures (job counters), merge round
+// bytes and reducer peak. The rollups are then bridged into the run's metrics
 // registry.
 func feedRecorder(ctx context.Context, opts Options, stats *Stats, global points.Set, shuffle map[int]mapreduce.PartStat) {
 	rec := telemetry.RecorderFrom(ctx)

@@ -119,12 +119,15 @@ func MergeJob(dim, band int) mapreduce.FrameJob {
 		filter *skyline.Filter
 		err    error
 	)
-	return mapreduce.FrameJob{TaskMapper: func(candidates []*points.Block, task, tasks int, emit mapreduce.EmitPoint) (mapreduce.FrameStats, error) {
-		once.Do(func() {
-			if filter, err = skyline.NewFilter(candidates, band, tasks); err == nil && filter.Dim() != dim {
-				err = fmt.Errorf("%w: %d-dimensional rows in a %d-dimensional merge", skyline.ErrCandidates, filter.Dim(), dim)
-			}
-		})
+	return mapreduce.FrameJob{TaskMapper: func(input mapreduce.Blocks, task, tasks int, emit mapreduce.EmitPoint) (mapreduce.FrameStats, error) {
+		var candidates []*points.Block
+		if err := input(func(blk *points.Block) error {
+			candidates = append(candidates, blk)
+			return nil
+		}); err != nil {
+			return mapreduce.FrameStats{}, err
+		}
+		once.Do(func() { filter, err = layOut(candidates, dim, band, tasks) })
 		if err != nil {
 			return mapreduce.FrameStats{}, err
 		}
@@ -133,47 +136,78 @@ func MergeJob(dim, band int) mapreduce.FrameJob {
 	}}
 }
 
-// RoundJob is one round of the merge under a reducer budget, without its
-// Feed: a map-only job whose task g folds group g of the round — candidate
-// blocks TwoJobs packed to at most o.ReducerBudgetBytes — through the fold
-// Job 1's reducers run, skyline.NewBudgetedFold, and emits the survivors, in
-// the fold's order, to partition g. The task reports the fold's peak and
-// pass count in its tallies, so a round's result carries them as a reduce
-// phase's would. Of o it reads ReducerBudgetBytes, SpillDir and Codec.
-func RoundJob(dim int, o Options) mapreduce.FrameJob {
-	return mapreduce.FrameJob{TaskMapper: func(group []*points.Block, g, _ int, emit mapreduce.EmitPoint) (mapreduce.FrameStats, error) {
-		var st mapreduce.FrameStats
-		fold := skyline.NewBudgetedFold(dim, o.ReducerBudgetBytes, o.SpillDir, o.Codec)
-		defer fold.Close() // on every path, so a failed absorb leaves no file
-		for _, blk := range group {
-			if err := fold.Absorb(blk); err != nil {
-				return st, err
+// layOut lays blocks out as a filter for a merge of dim-dimensional rows
+// on builders goroutines; rows of another dimension are an error wrapping
+// skyline.ErrCandidates.
+func layOut(blocks []*points.Block, dim, band, builders int) (*skyline.Filter, error) {
+	f, err := skyline.NewFilter(blocks, band, builders)
+	if err == nil && f.Dim() != dim {
+		err = otherDimension(f.Dim(), dim)
+	}
+	return f, err
+}
+
+// otherDimension is the error of candidate rows of dimension got in a merge
+// of dim.
+func otherDimension(got, dim int) error {
+	return fmt.Errorf("%w: %d-dimensional rows in a %d-dimensional merge", skyline.ErrCandidates, got, dim)
+}
+
+// BlockedJob is the merge under a reducer budget, without its Feed: one
+// map-only job whose task g is handed group g of the candidates — a range
+// of rows TwoJobs sized to the budget (blockedInput) — as its first block,
+// and then every candidate block. It lays the group out as a
+// skyline.Filter, streams each block after it past the layout
+// (skyline.Filter.Kill), keeping none of them, and emits the group's rows
+// that no candidate strictly dominates (k ≥ 1: fewer than band do) to the
+// one global partition, so the job's output — the groups' survivors in
+// group order — is the global skyline, in one round. The task reports the
+// peak it counts: the layout, a dominator count per row, the largest block
+// streamed past it and the survivors it emitted.
+func BlockedJob(dim, band int) mapreduce.FrameJob {
+	return mapreduce.FrameJob{TaskMapper: func(input mapreduce.Blocks, _, _ int, emit mapreduce.EmitPoint) (mapreduce.FrameStats, error) {
+		var (
+			group      *skyline.Filter
+			dominators []int32
+			streamed   int
+		)
+		err := input(func(blk *points.Block) (err error) {
+			if group == nil {
+				group, err = layOut([]*points.Block{blk}, dim, band, 1)
+				if err == nil {
+					dominators = make([]int32, group.Len())
+				}
+				return err
 			}
-			st.MapIn += int64(blk.Len())
+			streamed = max(streamed, blk.Len())
+			return group.Kill(blk, dominators)
+		})
+		if err == nil && group == nil {
+			err = errors.New("driver: a merge task without a group")
 		}
-		out, err := fold.Finish()
 		if err != nil {
-			return st, err
+			return mapreduce.FrameStats{}, err
 		}
-		for i := 0; i < out.Len(); i++ {
-			emit(g, out.Row(i))
-		}
-		fs := fold.Stats()
-		st.PeakBytes, st.Passes = fs.PeakBytes, fs.Passes
-		return st, nil
+		kept := group.Alive(dominators, func(row []float64) { emit(0, row) })
+		rowBytes := int64(dim) * 8
+		return mapreduce.FrameStats{
+			MapIn:     int64(group.Len()),
+			PeakBytes: group.Bytes() + int64(group.Len())*dominatorBytes + int64(streamed+kept)*rowBytes,
+			Passes:    1,
+		}, nil
 	}}
 }
 
 // Executor is where Algorithm 1's jobs run. It decides where rows come from
 // and where tasks run — Partition is Job 1 over the executor's own input,
-// Merge a map-only merging job whose task t reads inputs[t]: MergeJob for
-// round 0, RoundJob for fold round r ≥ 1 — and reports each job the way
-// mapreduce.RunFrames does. Nothing after a job returns is an executor's:
-// TwoJobs reads the results, keeps the statistics and picks the merge. There
-// are two: InProcess here, and package skyjob's cluster.
+// Merge a map-only merging job whose task t reads inputs[t]: MergeJob, or
+// BlockedJob when blocked — and reports each job the way mapreduce.RunFrames
+// does. Nothing after a job returns is an executor's: TwoJobs reads the
+// results, keeps the statistics and picks the merge. There are two:
+// InProcess here, and package skyjob's cluster.
 type Executor interface {
 	Partition(ctx context.Context) (*mapreduce.FrameResult, error)
-	Merge(ctx context.Context, round int, inputs [][]*points.Block) (*mapreduce.FrameResult, error)
+	Merge(ctx context.Context, blocked bool, inputs [][]*points.Block) (*mapreduce.FrameResult, error)
 }
 
 // inProcess runs every job on mapreduce.RunFrames: the Job 1 it was handed,
@@ -189,8 +223,8 @@ type inProcess struct {
 
 // InProcess is the in-process executor of TwoJobs: job1 — what PartitionJob
 // returned, or a study's edit of it — over feed, then MergeJob(dim, band) or
-// the rounds of RoundJob(dim, opts). Of opts it reads Scheme (the jobs'
-// names), Workers, SpillDir, Codec, ReducerBudgetBytes and Metrics.
+// BlockedJob(dim, band). Of opts it reads Scheme (the jobs' names), Workers,
+// SpillDir, Codec and Metrics.
 func InProcess(feed mapreduce.RowFeed, job1 mapreduce.FrameJob, dim, band int, opts Options) Executor {
 	job1.Feed = feed
 	return inProcess{job1: job1, dim: dim, band: band, opts: opts}
@@ -214,10 +248,10 @@ func (e inProcess) Partition(ctx context.Context) (*mapreduce.FrameResult, error
 	return mapreduce.RunFrames(ctx, e.config(ctx, "partitioning"), e.job1)
 }
 
-func (e inProcess) Merge(ctx context.Context, round int, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
+func (e inProcess) Merge(ctx context.Context, blocked bool, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
 	job, name := MergeJob(e.dim, e.band), "merging"
-	if round > 0 {
-		job, name = RoundJob(e.dim, e.opts), "merge-round"
+	if blocked {
+		job, name = BlockedJob(e.dim, e.band), "merge-round"
 	}
 	job.Feed = mapreduce.WholeInput(inputs)
 	return mapreduce.RunFrames(ctx, e.config(ctx, name), job)
@@ -236,15 +270,15 @@ func (s *Stats) book(res *mapreduce.FrameResult, timing *mapreduce.Timing) {
 
 // TwoJobs is Algorithm 1, once, for every entry point and both executors:
 // Job 1 on exec, the local skylines out of its result, then the merge, as
-// map-only jobs on exec. part is the fitted partitioner exec's Job 1 routes
+// a map-only job on exec. part is the fitted partitioner exec's Job 1 routes
 // by and dim its rows' dimension; pruned and occupancy are the grid pruning
 // mask and its pre-pass histogram, or nil. The candidates' size picks the
 // merge, here and nowhere else: when they fit opts.ReducerBudgetBytes, or
 // there is no budget, the filter job (MergeJob) on MergeTasks tasks; when
-// they do not, fold rounds (RoundJob over roundGroups) until one block — the
-// global skyline — is left. Of opts it also reads Scheme, Workers and
-// Metrics. The statistics, the gauges, the context's event log and flight
-// record are fed here and nowhere else.
+// they do not, one blocked round (BlockedJob over blockedInput's groups).
+// Of opts it also reads Scheme, Workers and Metrics. The statistics, the
+// gauges, the context's event log and flight record are fed here and
+// nowhere else.
 func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partitioner, pruned []bool, occupancy []int, opts Options) (points.Set, *Stats, error) {
 	stats := &Stats{
 		Scheme:        opts.Scheme,
@@ -319,39 +353,32 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 		for t := range inputs {
 			inputs[t] = candidates
 		}
-		res2, err := exec.Merge(ctx, 0, inputs)
+		res2, err := exec.Merge(ctx, false, inputs)
 		if err != nil {
 			return nil, nil, err
 		}
 		stats.book(res2, &stats.MergeJob)
 		globalBlk = res2.Blocks[0]
 	} else {
-		// Rounds repeat until one block is left; the first runs even on
-		// one block (see roundGroups for why they end).
-		for round := 1; round == 1 || len(candidates) > 1; round++ {
-			groups, bytes := roundGroups(candidates, rowBytes, budget)
-			roundCtx, span := telemetry.StartSpan(ctx, "merge-round", telemetry.A("round", round),
-				telemetry.A("groups", len(groups)), telemetry.A("bytes", bytes))
-			res, err := exec.Merge(roundCtx, round, groups)
-			span.End()
-			if err != nil {
-				return nil, nil, err
-			}
-			stats.book(res, &stats.MergeJob)
-			stats.MergeRounds++
-			stats.MergeRoundBytes = append(stats.MergeRoundBytes, bytes)
-			// The next round's blocks are this one's survivors, in group order.
-			candidates = make([]*points.Block, 0, len(groups))
-			for g := range groups {
-				if blk := res.Blocks[g]; blk != nil {
-					candidates = append(candidates, blk)
-				}
-			}
+		groups, stream, err := blockedInput(candidates, dim, budget)
+		if err != nil {
+			return nil, nil, err
 		}
-		if len(candidates) == 0 { // a cluster round answered with no rows
-			return nil, nil, errors.New("driver: the merge rounds kept no row")
+		inputs := make([][]*points.Block, len(groups))
+		for g, group := range groups {
+			inputs[g] = append([]*points.Block{group}, stream...)
 		}
-		globalBlk = candidates[0]
+		bytes := int64(rows) * rowBytes
+		roundCtx, span := telemetry.StartSpan(ctx, "merge-round", telemetry.A("round", 1),
+			telemetry.A("groups", len(groups)), telemetry.A("bytes", bytes))
+		res, err := exec.Merge(roundCtx, true, inputs)
+		span.End()
+		if err != nil {
+			return nil, nil, err
+		}
+		stats.book(res, &stats.MergeJob)
+		stats.MergeRounds, stats.MergeGroups, stats.MergeRoundBytes = 1, len(groups), []int64{bytes}
+		globalBlk = res.Blocks[0]
 	}
 	stats.Timing = stats.PartitionJob
 	stats.Timing.Add(stats.MergeJob)

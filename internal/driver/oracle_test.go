@@ -70,8 +70,8 @@ func TestComputeMatchesOracle(t *testing.T) {
 		{"no grid pruning", uniform, func(*testing.T, *Options) {}, asIs, false},
 		{"spill", uniform, func(t *testing.T, o *Options) { o.SpillDir = t.TempDir() }, nil, true},
 		// 4 KiB is a 128-row window at d=4: where the local skylines
-		// together outgrow it the merge runs as fold rounds, where they fit
-		// (MR-Angle's) as the filter job.
+		// together outgrow it the merge runs as the blocked round, where they
+		// fit (MR-Angle's) as the filter job.
 		{"budget 4 KiB", uniform, func(t *testing.T, o *Options) {
 			o.ReducerBudgetBytes, o.Codec, o.SpillDir = 4<<10, points.FrameAuto, t.TempDir()
 		}, nil, false},
@@ -177,8 +177,8 @@ func checkAgainstOracle(t *testing.T, data points.Set, opts Options, band int, p
 	if stats.PrunedPartitions > 0 && !prunes {
 		t.Errorf("%d partitions pruned with pruning off", stats.PrunedPartitions)
 	}
-	// The candidates' size picks the merge: fold rounds run exactly when
-	// the local skylines exceed a budget; otherwise the filter job does.
+	// The candidates' size picks the merge: the blocked round runs exactly
+	// when the local skylines exceed a budget; otherwise the filter job does.
 	size := int64(stats.LocalSkylineTotal()) * int64(data.Dim()) * 8
 	if over := opts.ReducerBudgetBytes > 0 && size > opts.ReducerBudgetBytes; over != (stats.MergeRounds > 0) {
 		t.Errorf("budget %d, %d candidate bytes: ran %d merge rounds", opts.ReducerBudgetBytes, size, stats.MergeRounds)

@@ -3,10 +3,12 @@ package driver
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
+	"repro/internal/skyline"
 	"repro/internal/telemetry"
 )
 
@@ -14,14 +16,16 @@ import (
 // memory enter as chunk recipes (mapreduce.ChunkSource), each map task of
 // the partitioning job streams its chunks one at a time through the framed
 // engine, reducers fold frames under a byte budget, and — when the local
-// skylines do not fit that budget — TwoJobs merges them in rounds in the
-// MRC mold (Goodrich et al., "Sorting, Searching, and Simulation in the
-// MapReduce Framework"): a round is a map-only job whose tasks each fold one
-// budget-sized group (roundGroups, here), so no task touches more than the
-// budget, and rounds repeat until one block holds the global skyline. A
-// round whose reduce would be the identity has no shuffle in that model,
-// and has none here. Round count and per-round candidate bytes land in the
-// flight recorder, matching the model's round-complexity accounting.
+// skylines do not fit that budget — TwoJobs merges them in one blocked round
+// in the MRC mold (Goodrich et al., "Sorting, Searching, and Simulation in
+// the MapReduce Framework": a round in which no task holds more than the
+// budget M). The candidates are cut into groups of rows sized to the budget
+// (blockedInput, here); task g lays out group g and streams every candidate
+// past it (BlockedJob), so no task holds more than the budget, and the
+// groups' survivors are the global skyline — a test against rows that are
+// only read, Ciaccia & Martinenghi's remedy for the sequential merge. The
+// round and its candidate bytes land in the flight recorder, matching the
+// model's round-complexity accounting.
 
 // defaultReducerBudget caps reducer memory at 1 GiB when the caller gave
 // no budget — the paper-scale "commodity reducer" setting.
@@ -33,8 +37,8 @@ const defaultReducerBudget = 1 << 30
 // input is never materialized while the task's partition windows stay warm
 // across the whole share. Reducers fold shuffle frames under
 // opts.ReducerBudgetBytes (default 1 GiB), and the merge is TwoJobs': the
-// filter job when the local skylines fit the budget, else map-only rounds
-// of budget-sized folds, on the same in-process engine.
+// filter job when the local skylines fit the budget, else one blocked
+// round of budget-sized groups, on the same in-process engine.
 //
 // The partitioner is fitted to the first chunk — a sample fit: partition quality (not correctness) depends
 // on the chunk being representative, which holds for the synthetic
@@ -71,36 +75,63 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 	return TwoJobs(ctx, exec, dim, part, nil, nil, opts)
 }
 
-// roundGroups packs one merge round: consecutive candidate blocks, greedily,
-// into groups of at most budget bytes (rows·rowBytes), and returns them with
-// the round's candidate volume. Each group is one map task of the round,
-// folded by RoundJob, so no task holds more than ~budget bytes resident —
-// the MRC memory constraint. When every candidate alone exceeds the budget
-// the greedy packing makes no progress, so the round falls back to pairwise
-// grouping; the folds then multi-pass internally, and the group count still
-// halves. So a round of more than one block always leaves fewer, and the
-// rounds end with one.
-func roundGroups(candidates []*points.Block, rowBytes, budget int64) (groups [][]*points.Block, bytes int64) {
-	var cur []*points.Block
-	var curBytes int64
+// dominatorBytes is what a blocked merge task counts per row of its group
+// besides the layout: the row's dominator count.
+const dominatorBytes = 4
+
+// streamShare is the share of the budget a blocked merge task's input block
+// in flight may take: candidate blocks larger than it are streamed in
+// pieces, and the rest of the budget holds the group.
+const streamShare = 8
+
+// blockedInput cuts the dim-dimensional rows of candidates, taken as one
+// sequence, for BlockedJob under budget. stream is every
+// candidate block, cut into pieces of at most budget/streamShare bytes
+// (views, not copies). groups are consecutive row ranges, as even as their
+// count allows, each as large as keeps a task's counted peak within budget:
+// the group's layout and dominator counts (skyline.LayoutBytes), the
+// largest piece in flight, and the group's rows again, were every one to
+// survive. A group has at least one row, and is a view of its block unless
+// it spans two, when it is a copy. A candidate block of another dimension is
+// the layout's error: no group can hold it.
+func blockedInput(candidates []*points.Block, dim int, budget int64) (groups, stream []*points.Block, err error) {
+	rowBytes := int64(dim) * 8
+	piece := int(max(1, budget/streamShare/rowBytes))
+	n, inFlight := 0, 0
 	for _, blk := range candidates {
-		b := int64(blk.Len()) * rowBytes
-		if len(cur) > 0 && curBytes+b > budget {
-			groups = append(groups, cur)
-			cur, curBytes = nil, 0
+		if blk.Len() > 0 && blk.Dim() != dim {
+			return nil, nil, otherDimension(blk.Dim(), dim)
 		}
-		cur = append(cur, blk)
-		curBytes += b
-		bytes += b
-	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
-	if len(groups) >= len(candidates) && len(candidates) > 1 {
-		groups = groups[:0]
-		for i := 0; i < len(candidates); i += 2 {
-			groups = append(groups, candidates[i:min(i+2, len(candidates))])
+		n += blk.Len()
+		for lo := 0; lo < blk.Len(); lo += piece {
+			hi := min(lo+piece, blk.Len())
+			stream = append(stream, blk.Slice(lo, hi))
+			inFlight = max(inFlight, hi-lo)
 		}
 	}
-	return groups, bytes
+	peak := func(rows int) int64 {
+		return skyline.LayoutBytes(rows, dim) + int64(rows)*dominatorBytes + int64(inFlight+rows)*rowBytes
+	}
+	fits := max(1, sort.Search(n, func(i int) bool { return peak(i+1) > budget }))
+	k := (n + fits - 1) / fits
+	groups = make([]*points.Block, k)
+	for g := range groups {
+		lo, hi := g*n/k, (g+1)*n/k
+		var parts []*points.Block // the group's rows in each block they lie in
+		off := 0
+		for _, blk := range candidates {
+			if a, z := max(lo, off), min(hi, off+blk.Len()); a < z {
+				parts = append(parts, blk.Slice(a-off, z-off))
+			}
+			off += blk.Len()
+		}
+		groups[g] = parts[0]
+		if len(parts) > 1 {
+			groups[g] = points.NewBlock(dim, hi-lo)
+			for _, part := range parts {
+				groups[g].AppendBlock(part)
+			}
+		}
+	}
+	return groups, stream, nil
 }

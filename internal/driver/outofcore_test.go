@@ -21,6 +21,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
+	"repro/internal/skyline"
 	"repro/internal/telemetry"
 )
 
@@ -39,7 +40,7 @@ func canonicalSet(s points.Set) []string {
 // must produce exactly the in-memory pipeline's skyline over the
 // materialized equivalent, under both a generous and a tiny reducer
 // budget (the latter forcing multi-pass folds and, where the local
-// skylines outgrow it, multi-round merges; the former the filter job).
+// skylines outgrow it, the blocked merge; the former the filter job).
 func TestComputeStreamOracle(t *testing.T) {
 	const n, d = 6000, 4
 	for _, kind := range []dataset.Kind{dataset.KindAnticorrelated, dataset.KindCorrelated} {
@@ -94,8 +95,8 @@ func TestComputeStreamOracle(t *testing.T) {
 					t.Fatal("ReducerPeakBytes not recorded")
 				}
 				size := int64(stats.LocalSkylineTotal()) * d * 8
-				if over := size > tc.budget; over != (stats.MergeRounds >= 1) {
-					t.Fatalf("%d candidate bytes under a %d-byte budget ran %d merge rounds", size, tc.budget, stats.MergeRounds)
+				if over := size > tc.budget; over != (stats.MergeRounds == 1) || over != (stats.MergeGroups >= 2) || stats.MergeRounds > 1 {
+					t.Fatalf("%d candidate bytes under a %d-byte budget ran %d merge rounds of %d groups", size, tc.budget, stats.MergeRounds, stats.MergeGroups)
 				}
 				if len(stats.MergeRoundBytes) != stats.MergeRounds {
 					t.Fatalf("MergeRoundBytes len %d != rounds %d",
@@ -173,7 +174,8 @@ func (g given) Partition(context.Context) (*mapreduce.FrameResult, error) {
 }
 
 // mergeGiven is TwoJobs' merge of candidates on InProcess: the filter job,
-// or the fold rounds when the candidates exceed opts.ReducerBudgetBytes.
+// or the blocked round when the candidates exceed opts.ReducerBudgetBytes.
+// Nothing but the merge reports a peak.
 func mergeGiven(ctx context.Context, candidates []*points.Block, dim int, opts Options) (points.Set, *Stats, error) {
 	opts = opts.withDefaults()
 	part, err := partition.NewRandom(dim, max(len(candidates), 1))
@@ -184,8 +186,8 @@ func mergeGiven(ctx context.Context, candidates []*points.Block, dim int, opts O
 	return TwoJobs(ctx, exec, dim, part, nil, nil, opts)
 }
 
-// roundTasks counts the finished map-task spans of the merge's fold rounds:
-// those under a merge-round span.
+// roundTasks counts the finished map-task spans of the merge's blocked
+// round: those under a merge-round span.
 func roundTasks(tr *telemetry.Tracer) int {
 	spans := tr.Spans()
 	byID := make(map[uint64]telemetry.SpanData, len(spans))
@@ -208,12 +210,14 @@ func roundTasks(tr *telemetry.Tracer) int {
 }
 
 // TestMergeScheduleRounds: a budget smaller than the candidate volume
-// must force more than one merge round, and the round-bytes trail must
-// shrink monotonically toward the final round.
+// merges in one round of at least two groups, whose bytes are the
+// candidates', and keeps the oracle's rows; the merge's peak stays within
+// the budget. With no candidates there is nothing to merge, and no round.
 func TestMergeScheduleRounds(t *testing.T) {
 	const d = 3
 	// 16 candidate "local skylines" of 32 rows each; budget fits ~2 blocks.
 	candidates := make([]*points.Block, 16)
+	var union points.Set
 	for i := range candidates {
 		blk := points.NewBlock(d, 32)
 		for r := 0; r < 32; r++ {
@@ -222,6 +226,7 @@ func TestMergeScheduleRounds(t *testing.T) {
 			blk.AppendRow([]float64{v, 1 - v, float64(i) / 16})
 		}
 		candidates[i] = blk
+		union = append(union, blk.ToSet()...)
 	}
 	budget := int64(2*32*d*8 + 1)
 	opts := Options{SpillDir: t.TempDir(), Codec: points.FrameAuto, ReducerBudgetBytes: budget}
@@ -229,18 +234,17 @@ func TestMergeScheduleRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) == 0 {
-		t.Fatal("empty merge output")
+	if want := skyline.BNL(union); !reflect.DeepEqual(canonicalSet(out), canonicalSet(want)) {
+		t.Fatalf("the blocked round kept %d rows, the oracle %d", len(out), len(want))
 	}
-	if stats.MergeRounds < 2 {
-		t.Fatalf("MergeRounds = %d, want >= 2 under tight budget", stats.MergeRounds)
+	if stats.MergeRounds != 1 || stats.MergeGroups < 2 || !reflect.DeepEqual(stats.MergeRoundBytes, []int64{int64(len(union) * d * 8)}) {
+		t.Fatalf("rounds %d of %d groups, bytes %v; want one round of >= 2 groups over all %d candidate bytes",
+			stats.MergeRounds, stats.MergeGroups, stats.MergeRoundBytes, len(union)*d*8)
 	}
-	for i := 1; i < len(stats.MergeRoundBytes); i++ {
-		if stats.MergeRoundBytes[i] > stats.MergeRoundBytes[i-1] {
-			t.Fatalf("round bytes grew: %v", stats.MergeRoundBytes)
-		}
+	if stats.ReducerPeakBytes <= 0 || stats.ReducerPeakBytes > budget || stats.MergePasses != 1 {
+		t.Fatalf("peak %d in %d passes; want within the %d-byte budget, in one", stats.ReducerPeakBytes, stats.MergePasses, budget)
 	}
-	// Single empty-candidate edge: nothing to fold, so no round.
+	// Single empty-candidate edge: nothing to merge, so no round.
 	if out, stats, err := mergeGiven(context.Background(), nil, d, opts); err != nil || len(out) != 0 || stats.MergeRounds != 0 {
 		t.Fatalf("nil candidates: %d rows, %d rounds, err %v", len(out), stats.MergeRounds, err)
 	}
@@ -280,11 +284,12 @@ func assertNoLeak(t *testing.T, dir string, goroutines int) {
 	}
 }
 
-// TestMergeScheduleSameForAnyWorkers: running a round's groups as
-// concurrent map tasks changes nothing one can observe in the result — rows
-// and their order, rounds, per-round bytes, passes and the peak (the max
-// over folds) equal the one-worker run's — under budgets that force the
-// pair-wise fallback with multi-pass folds and greedy packing, on input
+// TestMergeScheduleSameForAnyWorkers: running the blocked round's groups
+// as concurrent map tasks changes nothing one can observe in the result —
+// rows and their order, the round, its groups and bytes, passes and the
+// peak (the max over tasks) equal the one-worker run's — under budgets a
+// quarter of a candidate block and two blocks (the rows are named for how
+// the retired fold rounds packed them: pairwise, and greedily), on input
 // where every third candidate duplicates its predecessor. Under a budget
 // the candidates fit, the filter runs instead, in no round; its rows are
 // the same for any workers, in the order of its tasks.
@@ -300,8 +305,8 @@ func TestMergeScheduleSameForAnyWorkers(t *testing.T) {
 		rounds    int // -1: not pinned
 		multiPass bool
 	}{
-		{"pairwise", rows * d * 8 / 4, 4, true},
-		{"packed", 2*rows*d*8 + 1, -1, false},
+		{"pairwise", rows * d * 8 / 4, 1, false},
+		{"packed", 2*rows*d*8 + 1, 1, false},
 		{"one-group", 1 << 24, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -325,8 +330,8 @@ func TestMergeScheduleSameForAnyWorkers(t *testing.T) {
 					if (stats.MergePasses > 1) != tc.multiPass {
 						t.Errorf("MergePasses = %d, multi-pass wanted: %v", stats.MergePasses, tc.multiPass)
 					}
-					if tc.rounds != 0 && stats.ReducerPeakBytes <= 0 {
-						t.Error("ReducerPeakBytes not recorded")
+					if tc.rounds != 0 && (stats.ReducerPeakBytes <= 0 || stats.ReducerPeakBytes > tc.budget) {
+						t.Errorf("ReducerPeakBytes %d, want within the %d-byte budget", stats.ReducerPeakBytes, tc.budget)
 					}
 					continue
 				}
@@ -339,7 +344,7 @@ func TestMergeScheduleSameForAnyWorkers(t *testing.T) {
 				if !reflect.DeepEqual(out, want) {
 					t.Errorf("workers=%d: rows or their order differ from the one-worker run", workers)
 				}
-				if stats.MergeRounds != wantStats.MergeRounds || !reflect.DeepEqual(stats.MergeRoundBytes, wantStats.MergeRoundBytes) ||
+				if stats.MergeRounds != wantStats.MergeRounds || stats.MergeGroups != wantStats.MergeGroups || !reflect.DeepEqual(stats.MergeRoundBytes, wantStats.MergeRoundBytes) ||
 					stats.MergePasses != wantStats.MergePasses || stats.ReducerPeakBytes != wantStats.ReducerPeakBytes {
 					t.Errorf("workers=%d: rounds %d %v, passes %d, peak %d; one worker %d %v, %d, %d", workers,
 						stats.MergeRounds, stats.MergeRoundBytes, stats.MergePasses, stats.ReducerPeakBytes,
@@ -361,39 +366,52 @@ func rowsDigest(s points.Set) string {
 	return fmt.Sprintf("%x", h.Sum(nil))[:16]
 }
 
-// TestMergeRoundsMatchTheSchedule: under a budget below the candidate
-// volume, the map-only rounds on the in-process executor give what the
-// master-side schedule they replaced (mergeSchedule, whose foldRound ran
-// the groups on goroutines) gave on the same run: the global skyline's rows
-// and their order, the rounds and their bytes, the peak and the passes.
-// The values were taken from that schedule.
-func TestMergeRoundsMatchTheSchedule(t *testing.T) {
+// TestBlockedMergeIsPinned: under a budget below the candidate volume the
+// merge is one blocked round, pinned here at 512 B and 4 KiB on the
+// in-process executor: the global skyline — the oracle's rows as a multiset,
+// and their order, group after group, as a digest — the round's groups and
+// candidate bytes, and the merge's peak within the budget (the round alone,
+// over the run's local skylines: Job 1's reducers fold under their own
+// window and frame scratch). The digests and groups are this merge's; a
+// change to the group cut, the layout's order or the kill walk moves them.
+func TestBlockedMergeIsPinned(t *testing.T) {
 	data := dataset.Anticorrelated(5, 3000, 4)
+	oracle := canonicalSet(skyline.BNL(data))
 	for _, pin := range []struct {
-		budget     int64
-		rows       int
-		digest     string
-		roundBytes []int64
-		peak       int64
-		passes     int
+		budget int64
+		digest string
+		groups int
 	}{
-		{4 * 8 * 16, 254, "5c7d40c66b2b7052", []int64{9120, 8576}, 10304, 17},
-		{4096, 254, "c17b181428ba34fc", []int64{9120, 8864, 8544}, 16125, 3},
+		{512, "2665363c6d20b4af", 57},
+		{4096, "7a1c73e20df28762", 7},
 	} {
 		dir := t.TempDir()
-		got, stats, err := Compute(context.Background(), data, Options{Scheme: partition.Angular, Nodes: 2, Workers: 2,
-			SpillDir: dir, Codec: points.FrameAuto, ReducerBudgetBytes: pin.budget})
+		opts := Options{Scheme: partition.Angular, Nodes: 2, Workers: 2, SpillDir: dir, Codec: points.FrameAuto, ReducerBudgetBytes: pin.budget}
+		got, stats, err := Compute(context.Background(), data, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != pin.rows || rowsDigest(got) != pin.digest {
-			t.Errorf("budget %d: %d rows, digest %s; the schedule gave %d, %s", pin.budget, len(got), rowsDigest(got), pin.rows, pin.digest)
+		if !reflect.DeepEqual(canonicalSet(got), oracle) || rowsDigest(got) != pin.digest {
+			t.Errorf("budget %d: %d rows (oracle %d), digest %s; pinned %s", pin.budget, len(got), len(oracle), rowsDigest(got), pin.digest)
 		}
-		if stats.MergeRounds != len(pin.roundBytes) || !reflect.DeepEqual(stats.MergeRoundBytes, pin.roundBytes) ||
-			stats.ReducerPeakBytes != pin.peak || stats.MergePasses != pin.passes {
-			t.Errorf("budget %d: rounds %d %v, peak %d, passes %d; the schedule gave %d %v, %d, %d", pin.budget,
-				stats.MergeRounds, stats.MergeRoundBytes, stats.ReducerPeakBytes, stats.MergePasses,
-				len(pin.roundBytes), pin.roundBytes, pin.peak, pin.passes)
+		candidateBytes := int64(stats.LocalSkylineTotal() * 4 * 8)
+		if stats.MergeRounds != 1 || stats.MergeGroups != pin.groups || !reflect.DeepEqual(stats.MergeRoundBytes, []int64{candidateBytes}) {
+			t.Errorf("budget %d: %d rounds of %d groups, bytes %v; pinned one round of %d groups over %d bytes", pin.budget,
+				stats.MergeRounds, stats.MergeGroups, stats.MergeRoundBytes, pin.groups, candidateBytes)
+		}
+		var candidates []*points.Block
+		for id := 0; id < stats.Partitions; id++ {
+			if blk, ok := points.BlockOf(stats.LocalSkylines[id]); ok && blk.Len() > 0 {
+				candidates = append(candidates, blk)
+			}
+		}
+		alone, round, err := mergeGiven(context.Background(), candidates, 4, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rowsDigest(alone) != pin.digest || round.ReducerPeakBytes <= 0 || round.ReducerPeakBytes > pin.budget || round.MergePasses != 1 {
+			t.Errorf("budget %d: the round alone gave digest %s, a peak of %d bytes in %d passes; want %s within the budget in one",
+				pin.budget, rowsDigest(alone), round.ReducerPeakBytes, round.MergePasses, pin.digest)
 		}
 		if left, _ := os.ReadDir(dir); len(left) != 0 {
 			t.Errorf("budget %d: %d files left in the spill directory", pin.budget, len(left))
@@ -401,17 +419,16 @@ func TestMergeRoundsMatchTheSchedule(t *testing.T) {
 	}
 }
 
-// TestMergeScheduleFailedGroupLeavesNothing: the second group of a round
-// fails after its fold has already overflowed to disk. The error comes
-// back, no overflow file and no goroutine is left behind — the failing
-// fold's own file, and its siblings' — and with one worker the third group
-// is never started.
+// TestMergeScheduleFailedGroupLeavesNothing: a candidate block of another
+// dimension than the merge's fails the blocked round with the layout's
+// dimension check, before any group is laid out — no group can hold it —
+// and one streamed past a group by a task fails that task with the kill
+// walk's; with one worker the tasks after it never start. Nothing is left
+// behind: no file, no goroutine.
 func TestMergeScheduleFailedGroupLeavesNothing(t *testing.T) {
 	const d = 4
 	wrongDim := points.NewBlock(d+1, 1)
 	wrongDim.AppendRow(make([]float64, d+1))
-	// Every candidate alone exceeds the 1 KiB budget, so the round pairs
-	// them: (0,1) (2,wrongDim) (3,4).
 	candidates := []*points.Block{antiBlock(1, 2000, d), antiBlock(2, 2000, d), antiBlock(3, 2000, d),
 		wrongDim, antiBlock(4, 2000, d), antiBlock(5, 2000, d)}
 	for _, workers := range []int{1, 2} {
@@ -420,18 +437,33 @@ func TestMergeScheduleFailedGroupLeavesNothing(t *testing.T) {
 		tr := telemetry.NewTracer()
 		_, _, err := mergeGiven(telemetry.WithTracer(context.Background(), tr), candidates, d,
 			Options{Workers: workers, SpillDir: dir, ReducerBudgetBytes: 1024})
-		if err == nil || !strings.Contains(err.Error(), "5-dim block into 4-dim fold") {
-			t.Fatalf("workers=%d: err = %v, want the second group's absorb error", workers, err)
+		if !errors.Is(err, skyline.ErrCandidates) || !strings.Contains(err.Error(), "5-dimensional rows in a 4-dimensional merge") {
+			t.Fatalf("workers=%d: err = %v, want the layout's dimension check", workers, err)
+		}
+		if folds := roundTasks(tr); folds != 0 {
+			t.Errorf("workers=%d: %d groups ran", workers, folds)
 		}
 		assertNoLeak(t, dir, goroutines)
-		if folds := roundTasks(tr); workers == 1 && folds != 2 {
-			t.Errorf("one worker started %d folds, want 2: the first error stops the groups after it", folds)
+
+		// Three tasks, each a good group and then the wrong block.
+		group := antiBlock(6, 50, d)
+		inputs := [][]*points.Block{{group, candidates[0], wrongDim}, {group, wrongDim}, {group, wrongDim}}
+		job := BlockedJob(d, 0)
+		job.Feed = mapreduce.WholeInput(inputs)
+		tr = telemetry.NewTracer()
+		_, err = mapreduce.RunFrames(telemetry.WithTracer(context.Background(), tr), mapreduce.Config{Name: "blocked", Workers: workers}, job)
+		if !errors.Is(err, skyline.ErrCandidates) || !strings.Contains(err.Error(), "5-dimensional rows streamed past a 4-dimensional layout") {
+			t.Fatalf("workers=%d: err = %v, want the kill walk's dimension check", workers, err)
 		}
+		if tasks := countSpans(tr, "map-task"); workers == 1 && tasks != 1 {
+			t.Errorf("one worker started %d tasks, want 1: the first error stops the tasks after it", tasks)
+		}
+		assertNoLeak(t, dir, goroutines)
 	}
 }
 
-// TestMergeScheduleHonoursContext: a cancelled context stops the rounds
-// before the next group — here before the first — with the context's error.
+// TestMergeScheduleHonoursContext: a cancelled context stops the blocked
+// round before its first group, with the context's error.
 func TestMergeScheduleHonoursContext(t *testing.T) {
 	const d = 4
 	candidates := []*points.Block{antiBlock(1, 2000, d), antiBlock(2, 2000, d), antiBlock(3, 2000, d)}
@@ -473,7 +505,7 @@ func (c *cancelAfterJob1) Partitions() int {
 }
 
 // TestComputeStreamCancelledBeforeMerge: a run cancelled once Job 1 has
-// finished does not fold a single merge group — the first round is entered
+// finished does not lay out a single merge group — the round is entered
 // and none of its map tasks starts; it fails with the context's error and
 // leaves the spill directory empty.
 func TestComputeStreamCancelledBeforeMerge(t *testing.T) {
@@ -565,9 +597,9 @@ func TestComputeStreamAllocatesInputOnce(t *testing.T) {
 // BenchmarkComputeStream is one streamed job end to end — 200 k
 // independent d=6 rows as 16 chunks, 128 KiB reducer budget, FrameAuto,
 // spills on — so B/op is what a streamed job allocates. CI prints it, with
-// the bytes Job 1 shuffled, the bytes the map-only merge rounds output and
-// the map tasks Job 1 was cut into (read off one more, traced, job once the
-// clock has stopped).
+// the bytes Job 1 shuffled, the bytes the map-only blocked merge round
+// output (the global skyline, once) and the map tasks Job 1 was cut into
+// (read off one more, traced, job once the clock has stopped).
 func BenchmarkComputeStream(b *testing.B) {
 	const n, d = 200000, 6
 	src, err := dataset.NewSource(dataset.KindIndependent, 2012, n, d, n/16)

@@ -32,8 +32,8 @@ import (
 // so it holds for the per-map-task combiner as for the reducer.
 //
 // The skyline's shortcuts that one dominator justifies are off: no grid
-// cell is pruned, and a reducer budget — whose folds and merge rounds are
-// skyline folds — is an error.
+// cell is pruned, and a reducer budget — whose folds are skyline folds — is
+// an error.
 func ComputeSkyband(ctx context.Context, data points.Set, k int, opts Options) (points.Set, *Stats, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("driver: skyband k = %d, need >= 1", k)

@@ -83,13 +83,13 @@ func TestComputeTelemetry(t *testing.T) {
 	}
 }
 
-// TestMergeScheduleSpans: the budgeted merge is traced round by round —
-// one merge-round span per round under the run's root span, carrying the
+// TestMergeScheduleSpans: the budgeted merge is traced as its one blocked
+// round — one merge-round span under the run's root span, carrying the
 // round's number, group count and candidate bytes, around the round's
-// map-only job, whose map tasks — one per group — run on the workers'
-// tracks. The rounds account for the merge's wall time, and with two
-// workers the tasks of a two-group round run at the same time. Nothing of
-// the master-side schedule is left: no merge-schedule, no merge-fold span.
+// map-only job, whose map tasks — one per group, at least two — run on the
+// workers' tracks. The round accounts for the merge's wall time, and with
+// two workers two of its tasks run at the same time. Nothing of the
+// master-side schedule is left: no merge-schedule, no merge-fold span.
 func TestMergeScheduleSpans(t *testing.T) {
 	const workers = 2
 	tr := telemetry.NewTracer()
@@ -130,8 +130,8 @@ func TestMergeScheduleSpans(t *testing.T) {
 			}
 		}
 	}
-	if len(rounds) != stats.MergeRounds || stats.MergeRounds < 2 {
-		t.Fatalf("%d merge-round spans, Stats.MergeRounds = %d, want equal and >= 2", len(rounds), stats.MergeRounds)
+	if len(rounds) != 1 || stats.MergeRounds != 1 || stats.MergeGroups < 2 {
+		t.Fatalf("%d merge-round spans, Stats.MergeRounds = %d of %d groups, want one round of >= 2", len(rounds), stats.MergeRounds, stats.MergeGroups)
 	}
 	attr := func(s telemetry.SpanData, key string) int64 {
 		for _, a := range s.Attrs {
@@ -159,7 +159,7 @@ func TestMergeScheduleSpans(t *testing.T) {
 			t.Errorf("merge-round %d carries %d bytes, Stats.MergeRoundBytes = %v", n, got, stats.MergeRoundBytes)
 		}
 		fs := tasks[id]
-		if int64(len(fs)) != attr(r, "groups") {
+		if int64(len(fs)) != attr(r, "groups") || int(attr(r, "groups")) != stats.MergeGroups {
 			t.Errorf("merge-round %d: %d map tasks for %d groups", n, len(fs), attr(r, "groups"))
 		}
 		for i := range fs {
@@ -175,7 +175,7 @@ func TestMergeScheduleSpans(t *testing.T) {
 	if !overlapped && runtime.GOMAXPROCS(0) >= workers {
 		t.Errorf("no two map tasks of a round overlap with %d workers", workers)
 	}
-	// What is outside the rounds' jobs is packing a handful of blocks into groups.
+	// What is outside the round's job is handing it the groups and the stream.
 	if gap := inRounds - stats.MergeJob.Total; gap < 0 || gap > max(inRounds/10, 2*time.Millisecond) {
 		t.Errorf("the rounds' jobs take %v of %v in rounds", stats.MergeJob.Total, inRounds)
 	}

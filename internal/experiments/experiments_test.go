@@ -219,9 +219,14 @@ func TestPartitionCount(t *testing.T) {
 // codec v2/v1 at most 0.7 on correlated and clustered data, auto at most
 // v1 everywhere, both streamed runs certified exact with their reducer peaks
 // under their budgets, the one whose local skylines fit merged by the
-// filter in no round and the other in rounds.
+// filter in no round and the other in one blocked round of several groups
+// (an ungated row).
 func TestSpillGates(t *testing.T) {
-	got := bounded(run(t, "spill", tinyScale()))
+	rs := run(t, "spill", tinyScale())
+	if byName := byName(rs); byName["stream/merge_rounds"].Value != 1 || byName["stream/merge_groups"].Value < 2 {
+		t.Errorf("stream merged in %g rounds of %g groups, want one of >= 2", byName["stream/merge_rounds"].Value, byName["stream/merge_groups"].Value)
+	}
+	got := bounded(rs)
 	want := "correlated/v2_ratio correlated/auto_ratio clustered/v2_ratio clustered/auto_ratio " +
 		"independent/auto_ratio anticorrelated/auto_ratio " +
 		"stream_fits/reducer_peak_bytes stream_fits/oracle_exact stream_fits/merge_rounds " +

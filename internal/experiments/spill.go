@@ -48,8 +48,9 @@ func codecBytes(blk *points.Block, codec points.FrameCodec) float64 {
 // (see certify), each with its reducer peak gated at its budget: stream_fits
 // under the Budget reducer byte budget, which its local skylines fit, so
 // the merge is the filter job and no round runs; stream under a budget
-// below its local skylines, so the merge runs in map-only fold rounds. The
-// rounds' communication is reported against the Zhang & Zhang
+// below its local skylines, so the merge runs as one blocked round of K
+// budget-sized groups, each with every candidate streamed past it. The
+// round's candidate volume is reported against the Zhang & Zhang
 // output-sensitive lower bound (Computing Skylines on Distributed Data:
 // Ω(k) points must move), skyline size × d × 8 bytes.
 func spill(ctx context.Context, sc Scale) ([]Row, error) {
@@ -141,11 +142,11 @@ func spill(ctx context.Context, sc Scale) ([]Row, error) {
 	}
 	r.gate(true, "stream_fits/merge_rounds", float64(fits.MergeRounds), "rounds", "lower", 0)
 
-	// The merge in rounds: 64 sectors (32 nodes) leave local skylines well
+	// The blocked merge: 64 sectors (32 nodes) leave local skylines well
 	// above the global one, and a budget of four fifths of them — measured
 	// by a run under the scale's budget — is below the candidates, so the
-	// merge folds them in map-only rounds, while the last fold, which holds
-	// the global skyline, stays inside it.
+	// merge is one blocked round of K groups, each laid out within the budget
+	// with every candidate streamed past it.
 	opts.Partitions = 64
 	_, probe, err := driver.ComputeStream(ctx, src, opts)
 	if err != nil {
@@ -157,6 +158,7 @@ func spill(ctx context.Context, sc Scale) ([]Row, error) {
 		return nil, err
 	}
 	r.add("stream/budget_bytes", float64(opts.ReducerBudgetBytes), "B")
+	r.add("stream/merge_groups", float64(rounds.MergeGroups), "groups")
 	r.gate(true, "stream/merge_rounds", float64(rounds.MergeRounds), "rounds", "higher", 1)
 	return r, nil
 }

@@ -32,15 +32,23 @@ type EmitPoint func(partition int, coords []float64)
 // for the call. Must be safe for concurrent use.
 type RowMapper func(row []float64, emit EmitPoint) error
 
+// Blocks is a map task's input read a block at a time: it calls each with
+// the task's blocks in order and returns the first error, each's or its own
+// (a split that could not be fetched or decoded). A block is only read, and
+// the task may keep it: in process it is the resident block itself, on a
+// cluster a block decoded afresh from its split.
+type Blocks func(each func(blk *points.Block) error) error
+
 // TaskMapper maps a whole map task at once, for a job whose map tasks are
-// each handed a list of blocks (see WholeInput): input is task's list, block
-// after block, only read, and task is its index of tasks. The filter gives
-// every task the same list and takes from it the share that goes with the
-// index; a fold round gives each task its own group. It returns the task's
-// own tallies: MapIn, the input rows that were this task's to map — summed
-// over the tasks, the job's mr.map.records.in — and, for a task that folds,
-// the fold's PeakBytes and Passes. Must be safe for concurrent use.
-type TaskMapper func(input []*points.Block, task, tasks int, emit EmitPoint) (FrameStats, error)
+// each handed a list of blocks (see WholeInput): input streams task's list,
+// and task is its index of tasks. The filter gives every task the same list,
+// keeps all of it and takes from it the share that goes with the index; the
+// blocked merge gives each task its own group first, keeps that, and streams
+// the rest past it. It returns the task's own tallies: MapIn, the input rows
+// that were this task's to map — summed over the tasks, the job's
+// mr.map.records.in — and, for a task that holds state under a budget, its
+// PeakBytes and Passes. Must be safe for concurrent use.
+type TaskMapper func(input Blocks, task, tasks int, emit EmitPoint) (FrameStats, error)
 
 // FrameCombiner folds the block one partition's accumulator sealed,
 // map-side, before the frame is encoded — a whole-block combiner for
@@ -78,10 +86,10 @@ type FrameStats struct {
 	Groups      int64
 	ReduceIn    int64
 	ReduceOut   int64
-	// PeakBytes is a task's fold working-set high-water mark: a reduce
-	// task's folds + one frame of decode scratch, or a folding map task's
-	// (TaskMapper) fold; 0 for any other map task. Aggregation takes the
-	// max, not the sum — it is a per-task peak.
+	// PeakBytes is a task's working-set high-water mark: a reduce task's
+	// folds + one frame of decode scratch, or what a blocked merge task
+	// (TaskMapper) counts it holds; 0 for any other map task. Aggregation
+	// takes the max, not the sum — it is a per-task peak.
 	PeakBytes int64
 	// Passes counts multi-pass fold resolutions (max across folds); 1
 	// means everything fit the window.
@@ -316,10 +324,11 @@ func buildFrames(feed func(emit EmitPoint) (FrameStats, error), accs *Accumulato
 // one set of accumulators the task borrowed — the body RunFrames gives a
 // Feed's rows — so the windows stay warm across the splits, the task seals
 // once, and nothing the size of a split is copied on the way; a job with a
-// TaskMapper has its input decoded first, a block per frame, into the list
-// of blocks the task was handed in process. job.Feed is not read. A task
-// without splits, an empty, malformed or mixed-dimension split, or an error
-// from split fails the task, as does a task index outside the job.
+// TaskMapper reads its input as the stream of blocks it is handed in
+// process, each split decoded into a fresh block as the stream reaches it.
+// job.Feed is not read. A task without splits, an empty, malformed or
+// mixed-dimension split, or an error from split fails the task, as does a
+// task index outside the job.
 func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task, tasks, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
 	if splits < 1 {
 		return nil, FrameStats{}, fmt.Errorf("mapreduce: map task without an input frame")
@@ -352,23 +361,23 @@ func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task
 		return st, err
 	}
 	if job.TaskMapper != nil {
-		feed = func(emit EmitPoint) (FrameStats, error) {
-			// Each frame's block takes the dimension of the one before, so a
-			// mixed-dimension input fails here, as a split does.
-			var blocks []*points.Block
-			dim := 0
-			err := each(func(input []byte) (err error) {
+		// A split is one block: its frames decode into it, so a split whose
+		// dimension changes fails here; whether the blocks agree is the
+		// task's to check.
+		input := func(block func(*points.Block) error) error {
+			return each(func(input []byte) (err error) {
+				blk := points.NewBlock(0, 0)
 				for rest := input; len(rest) > 0 && err == nil; {
-					blk := points.NewBlock(dim, 0)
 					_, rest, err = points.DecodeFrame(blk, rest)
-					blocks, dim = append(blocks, blk), blk.Dim()
 				}
-				return err
+				if err != nil {
+					return err
+				}
+				return block(blk)
 			})
-			if err != nil {
-				return FrameStats{}, err
-			}
-			return job.TaskMapper(blocks, task, tasks, emit)
+		}
+		feed = func(emit EmitPoint) (FrameStats, error) {
+			return job.TaskMapper(input, task, tasks, emit)
 		}
 	}
 	reducers = max(reducers, 1)
@@ -436,10 +445,11 @@ type RowFeed struct {
 	whole [][]*points.Block
 }
 
-// WholeInput feeds map task t the blocks inputs[t], whole and as they are —
-// len(inputs) tasks: the feed of a job with a TaskMapper. The filter hands
-// every task the same list, and its tasks divide the work between them by
-// index; a fold round hands each task its own group.
+// WholeInput feeds map task t the blocks inputs[t], whole and as they are,
+// one at a time — len(inputs) tasks: the feed of a job with a TaskMapper.
+// The filter hands every task the same list, and its tasks divide the work
+// between them by index; the blocked merge hands task g its group and then
+// every candidate block.
 func WholeInput(inputs [][]*points.Block) RowFeed {
 	rows := 0
 	for _, blocks := range inputs {
@@ -597,7 +607,14 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	st, err := runPhase(mapCtx, cfg, "map", tasks, func(task int) (FrameStats, error) {
 		streams, st, err := buildFrames(func(emit EmitPoint) (FrameStats, error) {
 			if job.TaskMapper != nil {
-				return job.TaskMapper(job.Feed.whole[task], task, tasks, emit)
+				return job.TaskMapper(func(each func(*points.Block) error) error {
+					for _, blk := range job.Feed.whole[task] {
+						if err := each(blk); err != nil {
+							return err
+						}
+					}
+					return nil
+				}, task, tasks, emit)
 			}
 			lo := task * share
 			rows, err := job.Feed.feed(lo, min(lo+share, job.Feed.units), job.Mapper, emit)

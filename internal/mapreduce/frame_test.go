@@ -254,18 +254,19 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	blocks := []*points.Block{a, points.NewBlock(0, 0), b}
 	const tasks = 4
 	// Task t keeps rows t, t+4, … of the input taken as one sequence.
-	strided := TaskMapper(func(input []*points.Block, task, n int, emit EmitPoint) (FrameStats, error) {
+	strided := TaskMapper(func(input Blocks, task, n int, emit EmitPoint) (FrameStats, error) {
 		var st FrameStats
 		i := 0
-		for _, blk := range input {
+		err := input(func(blk *points.Block) error {
 			for r := 0; r < blk.Len(); r, i = r+1, i+1 {
 				if i%n == task {
 					emit(int(blk.Row(r)[0])%3, blk.Row(r))
 					st.MapIn++
 				}
 			}
-		}
-		return st, nil
+			return nil
+		})
+		return st, err
 	})
 	_, folder := identityFrameJob(3)
 	whole := WholeInput([][]*points.Block{blocks, blocks, blocks, blocks})
@@ -285,19 +286,19 @@ func TestWholeInputTaskMapper(t *testing.T) {
 		t.Errorf("counters %v; want %d rows in, out and shuffled, nothing combined", c, n)
 	}
 
-	// The same tasks from a sealed stream.
+	// The same tasks from sealed splits, a split a block.
 	var stream []byte
 	for _, blk := range blocks {
 		stream = points.AppendFrame(stream, 0, blk)
 	}
 	for task := 0; task < tasks; task++ {
 		want, wantStats, err := buildFrames(func(emit EmitPoint) (FrameStats, error) {
-			return strided(blocks, task, tasks, emit)
+			return strided(blocksOf(blocks), task, tasks, emit)
 		}, nil, nil, 2, points.FrameDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, st, err := MapFrames(FrameJob{TaskMapper: strided, Folder: folder}, 1, oneSplit(stream), task, tasks, 2, points.FrameDefault)
+		parts, st, err := MapFrames(FrameJob{TaskMapper: strided, Folder: folder}, len(blocks), splitPerBlock(blocks), task, tasks, 2, points.FrameDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,6 +328,73 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	}
 }
 
+// blocksOf is blocks as a task's input stream, the way WholeInput hands it.
+func blocksOf(blocks []*points.Block) Blocks {
+	return func(each func(*points.Block) error) error {
+		for _, blk := range blocks {
+			if err := each(blk); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// splitPerBlock seals block i of blocks as split i, into one buffer reused
+// from split to split, the way a worker fetches them.
+func splitPerBlock(blocks []*points.Block) func(int) ([]byte, error) {
+	var buf []byte
+	return func(i int) ([]byte, error) {
+		buf = points.AppendFrame(buf[:0], 0, blocks[i])
+		return buf, nil
+	}
+}
+
+// TestTaskMapperKeepsItsBlocks: on an executor that ships a whole input as
+// splits, each split arrives as a block of its own, decoded as the task's
+// stream reaches it, which the task may keep although the split's buffer
+// carries the next one; a stream the task stops early fetches no split
+// after it, and its error is the task's.
+func TestTaskMapperKeepsItsBlocks(t *testing.T) {
+	data := frameTestData(300, 4, 7)
+	var blocks []*points.Block
+	for lo := 0; lo < len(data); lo += 70 {
+		blk, _ := points.BlockOf(data[lo:min(lo+70, len(data))])
+		blocks = append(blocks, blk)
+	}
+	var kept []*points.Block
+	keep := TaskMapper(func(input Blocks, _, _ int, emit EmitPoint) (FrameStats, error) {
+		err := input(func(blk *points.Block) error {
+			kept = append(kept, blk)
+			return nil
+		})
+		return FrameStats{}, err
+	})
+	if _, _, err := MapFrames(FrameJob{TaskMapper: keep}, len(blocks), splitPerBlock(blocks), 0, 1, 0, points.FrameDefault); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != len(blocks) {
+		t.Fatalf("the task was handed %d blocks for %d splits", len(kept), len(blocks))
+	}
+	for i, blk := range kept {
+		if !slices.EqualFunc(blk.ToSet(), blocks[i].ToSet(), slices.Equal[points.Point]) {
+			t.Errorf("kept block %d no longer holds split %d's rows", i, i)
+		}
+	}
+	stop := errors.New("enough")
+	fetched := 0
+	first := TaskMapper(func(input Blocks, _, _ int, emit EmitPoint) (FrameStats, error) {
+		return FrameStats{}, input(func(*points.Block) error { return stop })
+	})
+	_, _, err := MapFrames(FrameJob{TaskMapper: first}, len(blocks), func(i int) ([]byte, error) {
+		fetched++
+		return points.AppendFrame(nil, 0, blocks[i]), nil
+	}, 0, 1, 0, points.FrameDefault)
+	if !errors.Is(err, stop) || fetched != 1 {
+		t.Errorf("a task that stopped at its first block: err %v after %d fetches, want its own error after one", err, fetched)
+	}
+}
+
 // TestMapOnlyJob: a job without a Folder stops after its map phase. Its
 // result is its map tasks' sealed streams assembled in task order, whatever
 // order the tasks finished in; no reduce task runs; its bytes are
@@ -341,15 +409,16 @@ func TestMapOnlyJob(t *testing.T) {
 		groups = append(groups, []*points.Block{blk})
 	}
 	// Task g sends its group, in order, to one shared partition.
-	concat := TaskMapper(func(input []*points.Block, task, tasks int, emit EmitPoint) (FrameStats, error) {
+	concat := TaskMapper(func(input Blocks, task, tasks int, emit EmitPoint) (FrameStats, error) {
 		var st FrameStats
-		for _, blk := range input {
+		err := input(func(blk *points.Block) error {
 			for r := 0; r < blk.Len(); r++ {
 				emit(0, blk.Row(r))
 			}
 			st.MapIn += int64(blk.Len())
-		}
-		return st, nil
+			return nil
+		})
+		return st, err
 	})
 	spill := t.TempDir()
 	tr := telemetry.NewTracer()

@@ -97,13 +97,23 @@ func setFrames(data points.Set, built func(lo, hi int, frame []byte)) Input {
 	})
 }
 
+// wholeBlockRows is the rows of a block of wholeFrames' input.
+const wholeBlockRows = 256
+
 // wholeFrames is a set as the input of a job whose tasks map tasks each get
-// all of it, as one v1 frame; built as setFrames'.
+// all of it, as blocks of wholeBlockRows rows, a v1 frame each; built as
+// setFrames'.
 func wholeFrames(data points.Set, tasks int, built func(lo, hi int, frame []byte)) Input {
-	return WholeFrames(len(data), tasks, func(dst []byte, _ int) ([]byte, error) {
-		frame, err := points.AppendFrameRows(dst, 0, data)
+	blocks := make([]int, tasks)
+	for t := range blocks {
+		blocks[t] = (len(data) + wholeBlockRows - 1) / wholeBlockRows
+	}
+	return WholeFrames(len(data), blocks, func(dst []byte, _, block int) ([]byte, error) {
+		lo := block * wholeBlockRows
+		hi := min(lo+wholeBlockRows, len(data))
+		frame, err := points.AppendFrameRows(dst, 0, data[lo:hi])
 		if err == nil && built != nil {
-			built(0, len(data), frame)
+			built(lo, hi, frame)
 		}
 		return frame, err
 	})

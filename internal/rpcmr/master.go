@@ -152,7 +152,8 @@ type taskState struct {
 	worker    string
 	// first and end bound a map task's splits, [first, end): the messages
 	// its input crosses the wire in, the first with the assignment and each
-	// later one on the worker's NextSplit. A whole input's task i is split i.
+	// later one on the worker's NextSplit. A whole input's task i is its
+	// blocks, a split each.
 	first, end int
 }
 
@@ -169,8 +170,10 @@ type JobSpec struct {
 // (WholeFrames), and frame, which seals split number split, of size rows a
 // split, onto dst when it is sent.
 type Input struct {
-	rows  int
-	tasks int // > 0: this many map tasks, task i's input split i
+	rows int
+	// ends, for a whole input, is one entry per map task: task i's splits
+	// are [ends[i-1], ends[i]).
+	ends  []int
 	frame func(dst []byte, split, size int) ([]byte, error)
 }
 
@@ -189,13 +192,28 @@ func FrameRows(rows int, frame func(dst []byte, lo, hi int) ([]byte, error)) Inp
 	}}
 }
 
-// WholeFrames is rows points of input dealt to tasks map tasks, one whole
-// input each — the input of a job with a TaskMapper: frame(dst, task) seals
-// task's under FrameRows' rules. The filter seals every task the same rows
-// and its tasks divide the work by index (TaskReply.TaskID of
-// TaskReply.Tasks); a fold round seals each task its own group.
-func WholeFrames(rows, tasks int, frame func(dst []byte, task int) ([]byte, error)) Input {
-	return Input{rows: rows, tasks: tasks, frame: func(dst []byte, task, _ int) ([]byte, error) { return frame(dst, task) }}
+// WholeFrames is rows points of input dealt to len(blocks) map tasks, one
+// whole input each — the input of a job with a TaskMapper. Task t's input is
+// blocks[t] blocks, a split each, which its worker fetches one at a time as
+// a FrameRows share's, and frame(dst, t, b) seals block b of task t under
+// FrameRows' rules. The filter seals every task the same blocks and its
+// tasks divide the work by index (TaskReply.TaskID of TaskReply.Tasks); the
+// blocked merge seals task g its group and then every candidate block.
+func WholeFrames(rows int, blocks []int, frame func(dst []byte, task, block int) ([]byte, error)) Input {
+	ends := make([]int, len(blocks))
+	for t, n := range blocks {
+		ends[t] = n
+		if t > 0 {
+			ends[t] += ends[t-1]
+		}
+	}
+	return Input{rows: rows, ends: ends, frame: func(dst []byte, split, _ int) ([]byte, error) {
+		t := sort.SearchInts(ends, split+1)
+		if t > 0 {
+			split -= ends[t-1]
+		}
+		return frame(dst, t, split)
+	}}
 }
 
 // maxSplitBytes caps one frame payload on the wire — a split's stream, a map
@@ -421,7 +439,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		return nil, fmt.Errorf("rpcmr: job %q: no input (build one with FrameRows)", spec.Name)
 	}
 	// A task mapper's tasks each need every row; a row mapper's must not get them.
-	if whole := input.tasks > 0; input.rows > 0 && whole != (job.FrameJob.TaskMapper != nil) {
+	if whole := input.ends != nil; input.rows > 0 && whole != (job.FrameJob.TaskMapper != nil) {
 		return nil, fmt.Errorf("rpcmr: job %q: a task mapper and a whole input (WholeFrames) go together", spec.Name)
 	}
 	ctx, jobSpan := telemetry.StartSpan(ctx, "rpcmr-job:"+spec.Name,
@@ -477,15 +495,17 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		nextTrack:  1, // track 0 is the master's own timeline row
 		counters:   mapreduce.NewCounters(),
 	}
-	// A whole input is as many map tasks as it says, each one message. Rows
-	// are cut into S splits of SplitSize, and a map task is a worker's share
-	// of them, as in process: W tasks, W the workers not dead now clamped to
-	// [1, S], task i the splits ⌈i·S/W⌉ … ⌈(i+1)·S/W⌉ − 1. A task's windows
-	// fold its whole share warm, and what a job shuffles is a function of
-	// its input and W.
-	if input.tasks > 0 {
-		for i := 0; i < input.tasks; i++ {
-			js.tasks = append(js.tasks, &taskState{id: i, first: i, end: i + 1})
+	// A whole input is as many map tasks as it says, each a message a block.
+	// Rows are cut into S splits of SplitSize, and a map task is a worker's
+	// share of them, as in process: W tasks, W the workers not dead now
+	// clamped to [1, S], task i the splits ⌈i·S/W⌉ … ⌈(i+1)·S/W⌉ − 1. A
+	// task's windows fold its whole share warm, and what a job shuffles is a
+	// function of its input and W.
+	if input.ends != nil {
+		first := 0
+		for i, end := range input.ends {
+			js.tasks = append(js.tasks, &taskState{id: i, first: first, end: end})
+			first = end
 		}
 	} else if splits := (input.rows + m.cfg.SplitSize - 1) / m.cfg.SplitSize; splits > 0 {
 		w := min(max(m.workersUp(), 1), splits)

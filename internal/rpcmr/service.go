@@ -160,13 +160,13 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	// worker fetches each of the others (NextSplit).
 	reply.Tasks = len(js.tasks)
 	reply.Splits = t.end - t.first
-	if !m.sealSplit(js, worker, t.first, reply) {
+	if reply.Splits > 0 && !m.sealSplit(js, worker, t.first, reply) {
 		*reply = TaskReply{Kind: TaskWait}
 	}
 }
 
 // sealSplit (mu held) seals split of js's input — rows [split·SplitSize, …)
-// of a FrameRows input, task split's of a whole one — into reply.Frames, and says
+// of a FrameRows input, a block of a whole one — into reply.Frames, and says
 // whether it could; when it could not, the job has failed. The split goes
 // into a buffer of the job's free list that is this reply's alone until the
 // reply has been sent; a retry seals it again, into another. It is

@@ -53,6 +53,42 @@ func TestClusterBudgetedMatchesUnbudgeted(t *testing.T) {
 	}
 }
 
+// TestClusterBlockedPeakWithinBudget: with a budget below the candidates
+// but above what Job 1's reducers hold, the whole run's reported peak — the
+// max over Job 1's reduce tasks and the blocked round's map tasks, shipped
+// by the workers — stays within the budget while the candidates exceed it,
+// and the merge is one round of several groups that keeps the oracle's rows.
+func TestClusterBlockedPeakWithinBudget(t *testing.T) {
+	master := startCluster(t, 3)
+	data := dataset.Generate(dataset.KindAnticorrelated, 9, 4000, 4)
+	spec, err := SpecFor(data, partition.Angular, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := ComputeSpec(context.Background(), master, data, spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := int64(probe.Stats.LocalSkylineTotal() * spec.Dim * 8)
+	spec.ReducerBudgetBytes, spec.Codec = candidates*3/4, points.FrameAuto
+	res, err := ComputeSpec(context.Background(), master, data, spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if !sameMultiset(res.Skyline, skyline.BNL(data)) {
+		t.Errorf("%d skyline rows, the oracle's %d", len(res.Skyline), len(skyline.BNL(data)))
+	}
+	if st.MergeRounds != 1 || st.MergeGroups < 2 || !reflect.DeepEqual(st.MergeRoundBytes, []int64{candidates}) {
+		t.Errorf("%d rounds of %d groups over %v bytes; want one round of >= 2 groups over %d", st.MergeRounds, st.MergeGroups, st.MergeRoundBytes, candidates)
+	}
+	if st.ReducerPeakBytes <= 0 || st.ReducerPeakBytes > spec.ReducerBudgetBytes || candidates <= spec.ReducerBudgetBytes {
+		t.Errorf("a peak of %d bytes under a %d-byte budget, %d candidate bytes; want the peak within the budget and the candidates over it",
+			st.ReducerPeakBytes, spec.ReducerBudgetBytes, candidates)
+	}
+	t.Logf("a peak of %d bytes under a %d-byte budget, %d candidate bytes in %d groups", st.ReducerPeakBytes, spec.ReducerBudgetBytes, candidates, st.MergeGroups)
+}
+
 // TestSpecBudgetTravels: budget and codec must survive the JSON trip to
 // workers and materialize as a streaming folder.
 func TestSpecBudgetTravels(t *testing.T) {
@@ -73,7 +109,8 @@ func TestSpecBudgetTravels(t *testing.T) {
 	// The budget bounds Job 1's folds, which are skyline folds with or
 	// without one. The merging jobs are map-only, with no reduce fold: the
 	// filter has no use for the budget — it needs the candidates resident —
-	// and a fold round folds in its map tasks; both still seal by codec.
+	// and the blocked round's groups were sized to it by the master; both
+	// still seal by codec.
 	budgeted := func(job rpcmr.Job) bool {
 		if job.FrameJob.Folder == nil {
 			return false

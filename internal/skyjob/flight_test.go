@@ -86,8 +86,8 @@ func testClusterFlightRecord(t *testing.T, budget int64, stall time.Duration) {
 		}
 	}
 	if budget > 0 {
-		// The reduce tasks' and the round tasks' tallies cross the wire: the
-		// merge ran as rounds on the workers.
+		// The reduce tasks' and the blocked round's tasks' tallies cross the
+		// wire: the merge ran on the workers.
 		if rep.ReducerPeakBytes <= 0 || rep.MergeRounds < 1 || len(rep.MergeRoundBytes) != rep.MergeRounds {
 			t.Errorf("budgeted report: reducer_peak_bytes %d, merge_rounds %d, merge_round_bytes %v; want all reported",
 				rep.ReducerPeakBytes, rep.MergeRounds, rep.MergeRoundBytes)

@@ -15,7 +15,7 @@ import (
 )
 
 // TestNoWorkerWaitsOnATimer: workers whose PollInterval is an hour run two
-// whole pipelines — two jobs, then one job and the master's merge rounds —
+// whole pipelines — unbudgeted, then under a 4 KiB reducer budget —
 // beside a worker that dies holding a task under a 50 ms lease, in under
 // two seconds and to the oracle's skyline: every job start, phase change
 // and re-queued task reaches them parked on the master. Cancelling a parked

@@ -106,8 +106,8 @@ func init() {
 // spec variant of the band jobs the same of skyline.Skyband(·, k). The BNL
 // rows are the product's job; the SFS and D&C rows are kernelJobs' edits.
 // Where the budget rows' local skylines exceed the budget, the merge runs
-// as fold rounds on the workers — one skyline/merge-round job a round, a
-// map task per group — and leaves no overflow file behind.
+// as one blocked round on the workers — one skyline/merge-round job, a map
+// task per group — and leaves no overflow file behind.
 func TestClusterMatchesOracle(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp) // where the workers' folds overflow
@@ -167,14 +167,14 @@ func TestClusterMatchesOracle(t *testing.T) {
 	}
 }
 
-// requireRounds checks that a run's merge rounds ran exactly when its local
-// skylines exceeded spec's budget, each as one skyline/merge-round job on
+// requireRounds checks that a run's blocked round ran exactly when its
+// local skylines exceeded spec's budget, as one skyline/merge-round job on
 // the workers whose map tasks are the round's groups.
 func requireRounds(t *testing.T, tr *telemetry.Tracer, st *driver.Stats, spec Spec) {
 	t.Helper()
 	size := int64(st.LocalSkylineTotal() * spec.Dim * 8)
-	if over := spec.ReducerBudgetBytes > 0 && size > spec.ReducerBudgetBytes; over != (st.MergeRounds > 0) {
-		t.Errorf("%d candidate bytes under a %d-byte budget ran %d rounds", size, spec.ReducerBudgetBytes, st.MergeRounds)
+	if over := spec.ReducerBudgetBytes > 0 && size > spec.ReducerBudgetBytes; over != (st.MergeRounds == 1) || over != (st.MergeGroups >= 2) || st.MergeRounds > 1 {
+		t.Errorf("%d candidate bytes under a %d-byte budget ran %d rounds of %d groups", size, spec.ReducerBudgetBytes, st.MergeRounds, st.MergeGroups)
 	}
 	spans := tr.Spans()
 	byID := make(map[uint64]telemetry.SpanData, len(spans))
@@ -205,7 +205,7 @@ func requireRounds(t *testing.T, tr *telemetry.Tracer, st *driver.Stats, spec Sp
 	for _, c := range tasks {
 		n += c
 	}
-	if jobs != st.MergeRounds || int64(n) != groups {
+	if jobs != st.MergeRounds || int64(n) != groups || groups != int64(st.MergeGroups) {
 		t.Errorf("%d merge rounds ran as %d %s jobs of %d worker map tasks, for %d groups", st.MergeRounds, jobs, RoundJobName, n, groups)
 	}
 }
@@ -216,7 +216,7 @@ func requireRounds(t *testing.T, tr *telemetry.Tracer, st *driver.Stats, spec Sp
 // global skyline, the same local skyline per partition id and the same
 // record of the run — partition counts, counters, Eq. (5) evidence, flight
 // report — for the skyline, for a band (k = 3), and under a reducer budget,
-// where both fold the merge in rounds; over a candidate set small enough to
+// where both merge in one blocked round; over a candidate set small enough to
 // be one merge task and over one cut into a task per worker. The merging
 // job is also run alone on both: it tests every candidate once, combines
 // nothing and shuffles exactly the global result. Job 1's shuffle bytes
@@ -315,7 +315,7 @@ func TestExecutorsAgree(t *testing.T) {
 			if int64(routed) != n {
 				t.Errorf("%s: cluster partition counts sum to %d, input has %d rows", name, routed, n)
 			}
-			// Stragglers are timing, not data: a fold round of four or more
+			// Stragglers are timing, not data: a blocked round of four or more
 			// tasks may flag one on a busy machine.
 			names := func(counters map[string]int64) []string {
 				var out []string
@@ -343,8 +343,8 @@ func TestExecutorsAgree(t *testing.T) {
 			// every local skyline row once, in as many tasks as MergeTasks
 			// cuts it into, and lets through — uncombined — the global result
 			// alone: its output is the result. Under a budget the candidates
-			// do not fit, each fold round maps its candidates once and lets
-			// through the next round's, the last the global result.
+			// do not fit, the blocked round maps each candidate once, in its
+			// group, and lets through the global result.
 			merged, kept := int64(stats.LocalSkylineTotal()), int64(len(sky))
 			if got := driver.MergeTasks(3, int(merged)); row.budget == 0 && got != row.mergeTasks {
 				t.Fatalf("%s: %d candidates are %d merge tasks, the row wants %d", name, merged, got, row.mergeTasks)
@@ -364,9 +364,9 @@ func TestExecutorsAgree(t *testing.T) {
 						name, in, out, combined, n, merged, n, kept, n)
 				}
 			}
-			if stats.MergeRounds != cl.MergeRounds || !reflect.DeepEqual(stats.MergeRoundBytes, cl.MergeRoundBytes) {
-				t.Errorf("%s: merge rounds %d %v in-process, %d %v on the cluster",
-					name, stats.MergeRounds, stats.MergeRoundBytes, cl.MergeRounds, cl.MergeRoundBytes)
+			if stats.MergeRounds != cl.MergeRounds || stats.MergeGroups != cl.MergeGroups || !reflect.DeepEqual(stats.MergeRoundBytes, cl.MergeRoundBytes) {
+				t.Errorf("%s: merge rounds %d of %d groups %v in-process, %d of %d %v on the cluster",
+					name, stats.MergeRounds, stats.MergeGroups, stats.MergeRoundBytes, cl.MergeRounds, cl.MergeGroups, cl.MergeRoundBytes)
 			}
 			// One vocabulary: the engines narrate the same jobs and phases, in
 			// the same order, under the same messages and attribute keys (the
@@ -427,7 +427,7 @@ func TestExecutorsAgree(t *testing.T) {
 				if row.k > 0 {
 					params, job2 = mustJSON(t, skybandSpec{Spec: spec, K: row.k}), SkybandMergeJobName
 				}
-				cl2, err := cluster{master: master, job2: job2, params: params, reducers: 3, codec: spec.Codec}.Merge(context.Background(), 0, inputs)
+				cl2, err := cluster{master: master, job2: job2, params: params, reducers: 3, codec: spec.Codec}.Merge(context.Background(), false, inputs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -667,7 +667,7 @@ func TestHostileInputFrameRejected(t *testing.T) {
 	// Job 1, the whole candidate set — for two tasks — for the merge.
 	splitOf := func(job string, frame []byte) rpcmr.Input {
 		if wholeInput(job) {
-			return rpcmr.WholeFrames(50, 2, func(dst []byte, _ int) ([]byte, error) { return append(dst, frame...), nil })
+			return rpcmr.WholeFrames(50, []int{1, 1}, func(dst []byte, _, _ int) ([]byte, error) { return append(dst, frame...), nil })
 		}
 		return rpcmr.FrameRows(50, func(dst []byte, lo, hi int) ([]byte, error) { return append(dst, frame...), nil })
 	}
@@ -677,33 +677,39 @@ func TestHostileInputFrameRejected(t *testing.T) {
 			if h.partition && job.name != PartitionJobName && job.name != SkybandPartitionJobName {
 				continue
 			}
-			want := h.want
-			if job.name == RoundJobName && want == "imension" {
-				want = "-dim block into 3-dim fold" // the fold's wording
-			}
 			_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, splitOf(job.name, h.frame))
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s, %s: cluster run returned %v, want an error naming %q", h.name, job.name, err, want)
+			if err == nil || !strings.Contains(err.Error(), h.want) {
+				t.Errorf("%s, %s: cluster run returned %v, want an error naming %q", h.name, job.name, err, h.want)
 			}
 		}
 	}
 	// The dimension rows again, for their wording — Job 1's is the
-	// partitioner's, the merge's the candidate error's — and their type: what
-	// a worker could not do comes back as the task's error, not a lost worker.
+	// partitioner's, the merges' the layout's dimension check — and their
+	// type: what a worker could not do comes back as the task's error, not a
+	// lost worker.
 	narrow := frameOf(data.Project(2)[:50], points.FrameV1)
 	for _, job := range allJobs {
 		want := "partition: point has dimension 2, want 3"
-		switch job.name {
-		case MergeJobName, SkybandMergeJobName:
+		if wholeInput(job.name) {
 			want = "skyline: unusable candidate set: 2-dimensional rows in a 3-dimensional merge"
-		case RoundJobName:
-			want = "skyline: absorbing 2-dim block into 3-dim fold"
 		}
 		_, err := master.Run(context.Background(), rpcmr.JobSpec{Name: job.name, Params: params[job.band], Reducers: 2}, splitOf(job.name, narrow))
 		var taskErr *rpcmr.WorkerTaskError
 		if !errors.As(err, &taskErr) || !strings.Contains(err.Error(), want) {
 			t.Errorf("2-dim frame, %s: %v, want a WorkerTaskError saying %q", job.name, err, want)
 		}
+	}
+
+	// A blocked task's group is its first split; a later split of another
+	// dimension is streamed past the group's layout, and the kill walk's
+	// dimension check refuses it.
+	wide := frameOf(uniformSet(2, 5, 4), points.FrameV1)
+	groupThenWide := rpcmr.WholeFrames(55, []int{2}, func(dst []byte, _, block int) ([]byte, error) {
+		return append(dst, [][]byte{good, wide}[block]...), nil
+	})
+	_, err = master.Run(context.Background(), rpcmr.JobSpec{Name: RoundJobName, Params: params[false]}, groupThenWide)
+	if want := "skyline: unusable candidate set: 4-dimensional rows streamed past a 3-dimensional layout"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a 4-dim block streamed past a 3-dim group: %v, want an error saying %q", err, want)
 	}
 
 	res, err := ComputeSpec(context.Background(), master, data, spec, 3)

@@ -1,9 +1,10 @@
 // Package skyjob runs the skyline pipeline on an rpcmr cluster. What the
 // partitioning job (assign → local skyline) and the merging jobs (every
 // candidate filtered against all of them → global skyline, or under a
-// reducer budget rounds of budget-sized folds) compute, and the sequence
-// they run in, are defined once, by package driver's PartitionJob,
-// MergeJob, RoundJob and TwoJobs; this package is the cluster executor of
+// reducer budget one round in which every budget-sized group has every
+// candidate streamed past it) compute, and the sequence they run in, are
+// defined once, by package driver's PartitionJob, MergeJob, BlockedJob and
+// TwoJobs; this package is the cluster executor of
 // that sequence: a Spec that travels to workers as JSON, and each job as a
 // registered name run on a master over splits sealed into point frames on
 // demand. Any process that links this package (master or worker) has every
@@ -161,8 +162,8 @@ func init() {
 
 // The job factories: driver's job definitions, Job 1 and the filter for the
 // skyline (params are a Spec) and for the k-skyband (a skybandSpec), and the
-// skyline's fold round (a Spec: the band refuses a budget, so it never folds
-// in rounds).
+// skyline's blocked round (a Spec: the band refuses a budget, so it never
+// merges in a blocked round).
 var (
 	newPartitionJob        = factory(false, partitionJob)
 	newMergeJob            = factory(false, mergeJob)
@@ -184,7 +185,7 @@ func mergeJob(spec skybandSpec) (mapreduce.FrameJob, error) {
 }
 
 func roundJob(spec skybandSpec) (mapreduce.FrameJob, error) {
-	return driver.RoundJob(spec.Dim, spec.options()), nil
+	return driver.BlockedJob(spec.Dim, spec.K), nil
 }
 
 // factory is the rpcmr factory of the job build makes of decodeSpec's spec,
@@ -265,22 +266,21 @@ func setSplits(data points.Set) rpcmr.Input {
 }
 
 // blockSplits is a merging job's input: task t gets inputs[t], block after
-// block, sealed as they are, a frame a block — for the filter the whole
-// candidate set each task tests its share of the rows against, for a fold
-// round the group it folds. It is a map task's input, booked as input
-// bytes, not as shuffle.
+// block, sealed as they are, a split a block — for the filter the whole
+// candidate set each task tests its share of the rows against, for the
+// blocked round its group and then every candidate. It is a map task's
+// input, booked as input bytes, not as shuffle: on the blocked round the
+// candidates cross the wire once per group.
 func blockSplits(inputs [][]*points.Block, codec points.FrameCodec) rpcmr.Input {
-	rows := 0
-	for _, blocks := range inputs {
-		for _, blk := range blocks {
+	rows, blocks := 0, make([]int, len(inputs))
+	for t, list := range inputs {
+		blocks[t] = len(list)
+		for _, blk := range list {
 			rows += blk.Len()
 		}
 	}
-	return rpcmr.WholeFrames(rows, len(inputs), func(frames []byte, task int) ([]byte, error) {
-		for _, blk := range inputs[task] {
-			frames = points.AppendFrameCodec(frames, 0, blk, codec)
-		}
-		return frames, nil
+	return rpcmr.WholeFrames(rows, blocks, func(frames []byte, task, block int) ([]byte, error) {
+		return points.AppendFrameCodec(frames, 0, inputs[task][block], codec), nil
 	})
 }
 
@@ -292,12 +292,13 @@ type Result struct {
 	LocalSkylines map[int]points.Set
 	// MapTime / ReduceTime are the two jobs' phases in the paper's Figure 6
 	// sense — with one difference from the paper's Job 2: the merge is
-	// map-only (every worker filters a share of the candidates, or folds a
-	// group of them in a round), so MapTime.MergeJob carries all of it and
+	// map-only (every worker filters a share of the candidates, or a group of
+	// them against all of them), so MapTime.MergeJob carries all of it and
 	// ReduceTime.MergeJob is 0.
 	MapTime, ReduceTime JobResultTiming
 	// Stats is the run's whole record — counters, per-partition counts,
-	// timing, merge rounds — as driver.Compute returns it in process.
+	// timing, the merge's round and groups — as driver.Compute returns it in
+	// process.
 	Stats *driver.Stats
 }
 
@@ -327,9 +328,10 @@ func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme 
 // ComputeSpec runs the pipeline with a caller-built Spec — the entry
 // point for a non-default codec or reducer budget. The budget bounds
 // the workers' reduce folds, and when the local skylines do not fit it
-// the merge runs on the workers as rounds of budget-sized folds — the
-// registered RoundJobName, a map-only job per round (driver.TwoJobs
-// picks it) — instead of the filter job; the master folds nothing.
+// the merge runs on the workers as one blocked round — the registered
+// RoundJobName, one map-only job whose task g lays out a budget-sized group
+// and has every candidate streamed past it (driver.TwoJobs picks it) —
+// instead of the filter job; the master tests nothing.
 func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, reducers int) (*Result, error) {
 	return compute(ctx, master, data, spec, spec, PartitionJobName, MergeJobName, reducers)
 }
@@ -360,9 +362,9 @@ func (c cluster) Partition(ctx context.Context) (*mapreduce.FrameResult, error) 
 	return c.run(ctx, "partitioning-job", c.job1, c.reducers, setSplits(c.data))
 }
 
-func (c cluster) Merge(ctx context.Context, round int, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
+func (c cluster) Merge(ctx context.Context, blocked bool, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
 	job := c.job2
-	if round > 0 {
+	if blocked {
 		job = RoundJobName
 	}
 	return c.run(ctx, "merging-job", job, 0, blockSplits(inputs, c.codec))

@@ -27,6 +27,13 @@ package skyline
 // Both orders earn their keep (BenchmarkMergeFilter, 13 k QWS d=10
 // candidates, 2 goroutines): one sum-ordered group filters in 69 ms, the
 // mask groups in 31–36 plus a 7–8 ms build; DESIGN.md has the rest.
+//
+// Under a memory budget the same layout is read the other way round. A
+// merge task lays out only a group of the candidates and streams every
+// candidate past it (Kill): a candidate q can dominate only rows in the
+// groups whose mask is a superset of q's, whose sum is at least q's and
+// whose signature covers q's, and each layout row counts its dominators
+// until it dies.
 
 import (
 	"cmp"
@@ -116,10 +123,7 @@ func (s rowSeq) row(i int) []float64 {
 // what a share of the same step writes, so the layout does not depend on
 // the number of builders.
 func layOut(src rowSeq, n, d, band, builders int) *Filter {
-	bits := min(d, maxMaskBits)
-	for bits > 0 && n>>bits < groupRows {
-		bits--
-	}
+	bits := maskBits(n, d)
 	f := &Filter{med: make([]float64, bits), keys: make([]rowKey, n), start: make([]int32, 1<<bits+1), kill: max(band, 1)}
 	// The mask's thresholds: medians of fitSample evenly strided rows.
 	stride := max(1, n/fitSample)
@@ -182,6 +186,29 @@ func layOut(src rowSeq, n, d, band, builders int) *Filter {
 	}
 	return f
 }
+
+// maskBits is the number of mask bits a layout of n d-dimensional rows
+// spends: one per leading dimension, while the groups average groupRows.
+func maskBits(n, d int) int {
+	bits := min(d, maxMaskBits)
+	for bits > 0 && n>>bits < groupRows {
+		bits--
+	}
+	return bits
+}
+
+// rowKeyBytes is the size of a rowKey.
+const rowKeyBytes = 16
+
+// LayoutBytes is what a filter over n d-dimensional rows holds: every row's
+// coordinates and key, and the group table. A budget sizes a layout by it
+// before there is one to ask (Filter.Bytes).
+func LayoutBytes(n, d int) int64 {
+	return int64(n)*int64(d*8+rowKeyBytes) + int64(1<<maskBits(n, d)+1)*4
+}
+
+// Bytes is LayoutBytes of the filter's rows.
+func (f *Filter) Bytes() int64 { return LayoutBytes(f.Len(), f.Dim()) }
 
 // key is a row's group mask and coordinate sum.
 func (f *Filter) key(p []float64) (mask uint16, sum float64) {
@@ -250,6 +277,80 @@ func (f *Filter) survives(p []float64) (bool, int64) {
 			return true, tests
 		}
 	}
+}
+
+// Kill is Survives turned round, for a merge that holds only a group of
+// the candidates: the rows of blk are streamed past the filter's own, and
+// every layout row a row of blk strictly dominates counts one more dominator
+// in dominators (one counter per layout row, Len of them; a row dies at the
+// band's count, and a dead row is not tested again). It only reads the
+// filter. Rows of blk of another dimension are an error wrapping
+// ErrCandidates.
+func (f *Filter) Kill(blk *points.Block, dominators []int32) error {
+	if blk.Len() == 0 {
+		return nil
+	}
+	if blk.Dim() != f.Dim() {
+		return fmt.Errorf("%w: %d-dimensional rows streamed past a %d-dimensional layout", ErrCandidates, blk.Dim(), f.Dim())
+	}
+	tests := int64(0)
+	for i := 0; i < blk.Len(); i++ {
+		tests += f.kills(blk.Row(i), dominators)
+	}
+	dominanceTests.Add(tests)
+	return nil
+}
+
+// kills is Kill for one row q, returning the coordinate tests it ran. If q
+// dominates p then every mask bit of q's is set in p's, sum(q) <= sum(p),
+// and — the thresholds are a thermometer, whichever rows they were fitted
+// to — every signature bit of q's is set in p's. So it visits the groups
+// whose mask is a superset of q's and walks each from its largest sum down
+// to q's: the ascending group read backwards needs no search for where q's
+// sum falls.
+func (f *Filter) kills(q []float64, dominators []int32) int64 {
+	d := f.win.rows.Dim()
+	q = q[:d]
+	qm, qsum := f.key(q)
+	var qsig uint64
+	if f.win.levels > 0 {
+		qsig = f.win.sign(q)
+	}
+	keys, start, kill := f.keys, f.start, int32(f.kill)
+	last := uint16(len(start) - 2) // the mask with every bit set
+	tests := int64(0)
+	for g := qm; ; g = (g + 1) | qm { // the next superset of qm
+		for j, lo := int(start[g+1])-1, int(start[g]); j >= lo && keys[j].sum >= qsum; j-- {
+			if qsig&^keys[j].sig != 0 || dominators[j] >= kill {
+				continue // q exceeds a threshold p does not, or p is dead
+			}
+			tests++
+			p := f.win.rows.Row(j)[:d]
+			strict, k := false, 0
+			for ; k < d && q[k] <= p[k]; k++ {
+				strict = strict || q[k] < p[k]
+			}
+			if k == d && strict {
+				dominators[j]++
+			}
+		}
+		if g == last {
+			return tests
+		}
+	}
+}
+
+// Alive hands keep every layout row with fewer dominators than kill it, in
+// layout order, each valid for the call only, and returns how many it kept.
+func (f *Filter) Alive(dominators []int32, keep func(row []float64)) int {
+	kept := 0
+	for j, n := range dominators[:f.Len()] {
+		if n < int32(f.kill) {
+			keep(f.win.rows.Row(j))
+			kept++
+		}
+	}
+	return kept
 }
 
 // Share tests the filter's own rows task, task+tasks, task+2·tasks, … and

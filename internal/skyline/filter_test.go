@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,11 +40,46 @@ func cut(rows [][]float64, n int) []*points.Block {
 	return blocks
 }
 
+// killed is the blocked merge over rows dealt into nBlocks blocks: the rows
+// cut into groups consecutive ranges (as even as their count allows), each
+// laid out on its own and killed by every block of the stream, and the
+// survivors of the groups in group order.
+func killed(t testing.TB, rows [][]float64, nBlocks, groups, band int) points.Set {
+	t.Helper()
+	stream := cut(rows, nBlocks)
+	var out points.Set
+	for g := 0; g < groups; g++ {
+		lo, hi := g*len(rows)/groups, (g+1)*len(rows)/groups
+		if lo == hi {
+			continue
+		}
+		f, err := NewFilter(cut(rows[lo:hi], 1), band, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Bytes() != LayoutBytes(hi-lo, len(rows[0])) || f.Bytes() <= int64(hi-lo)*int64(len(rows[0]))*8 {
+			t.Fatalf("a %d-row layout counts %d bytes, LayoutBytes says %d", hi-lo, f.Bytes(), LayoutBytes(hi-lo, len(rows[0])))
+		}
+		dominators := make([]int32, f.Len())
+		for _, blk := range stream {
+			if err := f.Kill(blk, dominators); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kept := f.Alive(dominators, func(row []float64) { out = append(out, slices.Clone(row)) })
+		if kept > hi-lo {
+			t.Fatalf("group %d kept %d of its %d rows", g, kept, hi-lo)
+		}
+	}
+	return out
+}
+
 // checkFilter builds a filter over rows dealt into nBlocks blocks, on
 // builders goroutines, and requires, against the oracle: the survivors of
 // every goroutine count as a multiset, Survives row by row, and Share's
-// coverage of the rows.
-func checkFilter(t testing.TB, rows [][]float64, nBlocks, band, builders int) {
+// coverage of the rows — and the same survivors from the rows cut into
+// groups, each killed by the whole stream.
+func checkFilter(t testing.TB, rows [][]float64, nBlocks, groups, band, builders int) {
 	t.Helper()
 	f, err := NewFilter(cut(rows, nBlocks), band, builders)
 	if err != nil {
@@ -54,6 +90,9 @@ func checkFilter(t testing.TB, rows [][]float64, nBlocks, band, builders int) {
 		set[i] = row
 	}
 	want := filterOracle(t, set, band)
+	if got := killed(t, rows, nBlocks, groups, band); !sameMultiset(got, want) {
+		t.Fatalf("band %d, %d blocks, %d groups: %d rows survive the kill walk, oracle %d", band, nBlocks, groups, len(got), len(want))
+	}
 	for _, workers := range []int{1, 2, 3, len(rows) + 5} {
 		if got := f.Survivors(workers).ToSet(); !sameMultiset(got, want) {
 			t.Fatalf("band %d, %d blocks, %d goroutines: %d survivors, oracle %d", band, nBlocks, workers, len(got), len(want))
@@ -124,8 +163,9 @@ func TestFilterMatchesOracle(t *testing.T) {
 	for name, rows := range cases {
 		t.Run(name, func(t *testing.T) {
 			for band := 0; band <= 3; band++ {
-				checkFilter(t, rows, 1, band, 1)
-				checkFilter(t, rows, 8, band, 3)
+				checkFilter(t, rows, 1, 1, band, 1)
+				checkFilter(t, rows, 8, 3, band, 3)
+				checkFilter(t, rows, 3, len(rows), band, 2) // a group a row
 			}
 		})
 	}
@@ -143,6 +183,27 @@ func TestFilterRejects(t *testing.T) {
 		if f, err := NewFilter(blocks, 0, 2); !errors.Is(err, ErrCandidates) || f != nil {
 			t.Errorf("%s: NewFilter returned %v, %v; want ErrCandidates", name, f, err)
 		}
+	}
+}
+
+// TestKillRejectsOtherDimensions: a block streamed past a layout of another
+// dimension is ErrCandidates, and counts nothing.
+func TestKillRejectsOtherDimensions(t *testing.T) {
+	two, _ := points.BlockOf(points.Set{{2, 2}, {3, 1}})
+	three, _ := points.BlockOf(points.Set{{1, 1, 1}})
+	f, err := NewFilter([]*points.Block{two}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dominators := make([]int32, f.Len())
+	if err := f.Kill(three, dominators); !errors.Is(err, ErrCandidates) || !strings.Contains(err.Error(), "3-dimensional rows streamed past a 2-dimensional layout") {
+		t.Errorf("Kill of 3-dimensional rows: %v, want ErrCandidates naming both dimensions", err)
+	}
+	if err := f.Kill(points.NewBlock(5, 0), dominators); err != nil {
+		t.Errorf("Kill of an empty block: %v", err)
+	}
+	if !slices.Equal(dominators, []int32{0, 0}) {
+		t.Errorf("dominators %v after refused blocks, want none counted", dominators)
 	}
 }
 
@@ -208,6 +269,18 @@ func TestFilterSharedReadOnly(t *testing.T) {
 			}
 			f.Share(g, len(kept), func([]float64) {})
 			f.Survivors(2)
+			if err := f.Kill(points.NewBlock(5, 0), nil); err != nil {
+				t.Error(err)
+			}
+			dominators := make([]int32, f.Len())
+			for _, blk := range cut(rows, 3) {
+				if err := f.Kill(blk, dominators); err != nil {
+					t.Error(err)
+				}
+			}
+			if alive := f.Alive(dominators, func([]float64) {}); alive != want {
+				t.Errorf("the kill walk kept %d rows, the filter %d", alive, want)
+			}
 		}()
 	}
 	wg.Wait()
@@ -225,18 +298,19 @@ func TestFilterSharedReadOnly(t *testing.T) {
 
 // FuzzFilterMatchesReference drives the filter with fuzz-chosen geometry —
 // stream kind, size, dimension, a constant column, the band, the number of
-// input blocks and the number of goroutines that build the layout — against
-// the classic oracle.
+// input blocks, the number of goroutines that build the layout and the
+// number of groups the kill walk cuts the rows into — against the classic
+// oracle.
 func FuzzFilterMatchesReference(f *testing.F) {
-	f.Add(int64(1), 100, 2, 0, -1, 0, 1, 1)
-	f.Add(int64(2), 400, 10, 2, 3, 1, 8, 2)
-	f.Add(int64(3), 300, 22, 1, -1, 3, 3, 3)
-	f.Add(int64(4), 200, 65, 2, 0, 2, 50, 16)
-	f.Add(int64(5), 3, 6, 0, -1, 0, 5, 8)
-	f.Fuzz(func(t *testing.T, seed int64, n, d, kind, constCol, band, nBlocks, builders int) {
-		if n < 1 || n > 500 || d < 1 || d > 70 || kind < 0 || band < 0 || band > 4 || nBlocks < 1 || nBlocks > 64 || builders < 0 || builders > 16 {
+	f.Add(int64(1), 100, 2, 0, -1, 0, 1, 1, 1)
+	f.Add(int64(2), 400, 10, 2, 3, 1, 8, 2, 5)
+	f.Add(int64(3), 300, 22, 1, -1, 3, 3, 3, 2)
+	f.Add(int64(4), 200, 65, 2, 0, 2, 50, 16, 7)
+	f.Add(int64(5), 3, 6, 0, -1, 0, 5, 8, 3)
+	f.Fuzz(func(t *testing.T, seed int64, n, d, kind, constCol, band, nBlocks, builders, groups int) {
+		if n < 1 || n > 500 || d < 1 || d > 70 || kind < 0 || band < 0 || band > 4 || nBlocks < 1 || nBlocks > 64 || builders < 0 || builders > 16 || groups < 1 || groups > 64 {
 			t.Skip()
 		}
-		checkFilter(t, windowStream(rand.New(rand.NewSource(seed)), kind, n, d, constCol), nBlocks, band, builders)
+		checkFilter(t, windowStream(rand.New(rand.NewSource(seed)), kind, n, d, constCol), nBlocks, groups, band, builders)
 	})
 }

@@ -120,11 +120,12 @@ type Options struct {
 	SpillDir string
 	// ReducerBudgetBytes bounds every reducer's resident candidate window
 	// at this many payload bytes; overflow streams through spill frames
-	// and resolves in extra passes, and the merge runs in as many
-	// budget-sized rounds as the local skylines need — the paper's §II
-	// iterative extension for very large candidate sets (see DESIGN.md
-	// "Out-of-core engine"). 0 is no bound — the same reducers with a
-	// window that never fills — and one global merge. Budgeted runs seal
+	// and resolves in extra passes, and when the local skylines exceed it
+	// the merge runs as one round of budget-sized groups, every candidate
+	// streamed past each — in place of the paper's §II iterative merge for
+	// very large candidate sets (see DESIGN.md "Blocked merge"). 0 is no
+	// bound — the same reducers with a window that never fills — and the
+	// merge is the filter over all the candidates. Budgeted runs seal
 	// frames with the size-adaptive auto codec.
 	ReducerBudgetBytes int64
 }
