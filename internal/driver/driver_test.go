@@ -74,7 +74,7 @@ func TestAllKernelsMatch(t *testing.T) {
 	want := skyline.Naive(data)
 	for name, k := range map[string]skyline.Func{"BNL": skyline.BNL, "SFS": skyline.SFS, "D&C": skyline.DivideConquer, "BBS": bbsKernel} {
 		for _, scheme := range []partition.Scheme{partition.Angular, partition.Grid} {
-			got, _, err := computeEdited(context.Background(), data, 0, Options{Scheme: scheme}, withKernel(k))
+			got, _, err := computeEdited(context.Background(), data, 0, Options{Scheme: scheme}, WithKernel(k))
 			if err != nil {
 				t.Fatalf("kernel %s, %v: %v", name, scheme, err)
 			}

@@ -64,12 +64,10 @@ func PartitionJob(part partition.Partitioner, pruned []bool, dim, band int, o Op
 		return nil
 	}}
 	if band > 0 {
-		kernel := skyline.BlockKernel(func(s points.Set) points.Set {
+		WithKernel(func(s points.Set) points.Set {
 			kept, _ := skyline.Skyband(s, band) // errs only on band < 1
 			return kept
-		})
-		skyband := func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
-		job.Combiner, job.Folder = skyband, mapreduce.Assembled(skyband)
+		})(&job)
 		return job
 	}
 	job.Accumulators = bnlWindows
@@ -78,6 +76,19 @@ func PartitionJob(part partition.Partitioner, pruned []bool, dim, band int, o Op
 		return skyline.NewBudgetedFold(dim, budget, spillDir, codec)
 	}
 	return job
+}
+
+// WithKernel is the edit that runs Job 1 under a Set-typed kernel f: rows
+// staged and f's block form as the combiner map side, f over each assembled
+// partition reduce side. The k-skyband's job is the skyline job under this
+// edit, and so is every kernel row of the ablations (internal/experiments)
+// and of the oracle tests.
+func WithKernel(f skyline.Func) func(*mapreduce.FrameJob) {
+	kernel := skyline.BlockKernel(f)
+	op := func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
+	return func(job *mapreduce.FrameJob) {
+		job.Accumulators, job.Combiner, job.Folder = nil, op, mapreduce.Assembled(op)
+	}
 }
 
 // mergeTaskRows is the fewest candidates worth a map task of their own:

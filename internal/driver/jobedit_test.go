@@ -26,17 +26,6 @@ func asIs(*mapreduce.FrameJob) {}
 // noCombiner ships raw partition contents to the reducers.
 func noCombiner(job *mapreduce.FrameJob) { job.Accumulators, job.Combiner = nil, nil }
 
-// withKernel swaps Job 1's operator for a Set-typed kernel: staged rows and
-// a block combiner map side, the kernel over each assembled partition
-// reduce side.
-func withKernel(f skyline.Func) jobEdit {
-	kernel := skyline.BlockKernel(f)
-	op := func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
-	return func(job *mapreduce.FrameJob) {
-		job.Accumulators, job.Combiner, job.Folder = nil, op, mapreduce.Assembled(op)
-	}
-}
-
 // computeEdited is Compute (band 0) or ComputeSkyband over an edited Job 1,
 // unpruned, through the exported seam alone.
 func computeEdited(ctx context.Context, data points.Set, band int, opts Options, edits ...jobEdit) (points.Set, *Stats, error) {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
+	"repro/internal/skyline"
 )
 
 // TestMapSideAllocatesNothingPerPoint pins the record-free map side: a
@@ -198,4 +199,47 @@ func fitRow(t *testing.T, data points.Set, from int, read bool) int {
 	}
 	t.Fatalf("no row from %d on where the fit's reading is %v", from, read)
 	return -1
+}
+
+// BenchmarkRouteFold is one map task's per-row work, job-shaped: the
+// corr_d6 (2 M rows) and ind_d6 (1 M rows) inputs of the benchmark harness
+// at seed 2012, in input order on one goroutine, each row through the
+// fitted MR-Angle partitioner's Assign (8 partitions, the harness's 2 ×
+// 4 nodes) and into its partition's skyline.Window, as Job 1's mapper and
+// map-side combiner take it. The isolated loops do not see this:
+// partition's BenchmarkAssign cycles 1 024 cache-resident rows, and the
+// harness's traced assign probe is a bare loop with no window beside it.
+func BenchmarkRouteFold(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		gen  func() points.Set
+	}{
+		{"corr6", func() points.Set { return dataset.Correlated(2012, 2000000, 6) }},
+		{"ind6", func() points.Set { return dataset.Independent(2012, 1000000, 6) }},
+	} {
+		data := in.gen()
+		part, err := partition.New(partition.Angular, data, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		windows := make([]*skyline.Window, part.Partitions())
+		for i := range windows {
+			windows[i] = skyline.NewWindow()
+		}
+		b.Run(in.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, w := range windows {
+					w.Reset()
+				}
+				for _, row := range data {
+					id, err := part.Assign(row)
+					if err != nil {
+						b.Fatal(err)
+					}
+					windows[id].Add(row)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(data)), "ns/row")
+		})
+	}
 }

@@ -54,9 +54,9 @@ func TestComputeMatchesOracle(t *testing.T) {
 		edit jobEdit
 	}{
 		{"BNL", nil},
-		{"SFS", withKernel(skyline.SFS)},
-		{"D&C", withKernel(skyline.DivideConquer)},
-		{"BBS override", withKernel(bbsKernel)},
+		{"SFS", WithKernel(skyline.SFS)},
+		{"D&C", WithKernel(skyline.DivideConquer)},
+		{"BBS override", WithKernel(bbsKernel)},
 	}
 	variants := []struct {
 		name string

@@ -208,16 +208,6 @@ func bbsKernel(s points.Set) points.Set {
 	return tr.Skyline(nil)
 }
 
-// withKernel swaps BNL for a Set-typed kernel: staged rows and a block
-// combiner map side, the kernel over each assembled partition reduce side.
-func withKernel(f skyline.Func) func(*mapreduce.FrameJob) {
-	kernel := skyline.BlockKernel(f)
-	op := func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
-	return func(job *mapreduce.FrameJob) {
-		job.Accumulators, job.Combiner, job.Folder = nil, op, mapreduce.Assembled(op)
-	}
-}
-
 // ablationRow is one configuration of the design-choice studies beyond
 // the paper's figures. A nil edit is the product, driver.Compute over
 // scheme; the others edit Job 1, over part when it is set.
@@ -246,9 +236,9 @@ func ablationRows(data points.Set, sc Scale) ([]ablationRow, error) {
 		// The paper's §II-B "middle process" turned off: raw partition
 		// contents cross the shuffle.
 		{"MR-Angle no combiner", partition.Angular, nil, func(job *mapreduce.FrameJob) { job.Accumulators = nil }},
-		{"MR-Angle SFS kernel", partition.Angular, nil, withKernel(skyline.SFS)},
-		{"MR-Angle D&C kernel", partition.Angular, nil, withKernel(skyline.DivideConquer)},
-		{"MR-Angle BBS kernel", partition.Angular, nil, withKernel(bbsKernel)},
+		{"MR-Angle SFS kernel", partition.Angular, nil, driver.WithKernel(skyline.SFS)},
+		{"MR-Angle D&C kernel", partition.Angular, nil, driver.WithKernel(skyline.DivideConquer)},
+		{"MR-Angle BBS kernel", partition.Angular, nil, driver.WithKernel(bbsKernel)},
 		{"MR-Grid (pruning on)", partition.Grid, nil, nil},
 		{"MR-Grid pruning off", partition.Grid, nil, asIs},
 		{"MR-Random baseline", partition.Random, nil, nil},

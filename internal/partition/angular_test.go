@@ -145,6 +145,25 @@ func TestNewAngularWithCutsValidation(t *testing.T) {
 	if _, err := NewAngularWithCuts(offset, []int{3, 1}, [][][]float64{{{0, math.Pi / 2}}, nil}); err != nil {
 		t.Errorf("cuts at 0 and π/2 rejected: %v", err)
 	}
+	// Assign keeps a stack pair per split angle: maxLevels of them, at any
+	// dimension, and no more.
+	for _, levels := range []int{maxLevels, maxLevels + 1} {
+		d := maxLevels + 3
+		splits := make([]int, d-1)
+		for i := range splits {
+			splits[i] = 1
+			if i < levels {
+				splits[i] = 2
+			}
+		}
+		_, err := NewAngularWithCuts(make(points.Point, d), splits, nil)
+		_, errNew := NewAngular(make(points.Point, d), d, 1<<levels)
+		for _, err := range []error{err, errNew} {
+			if (err == nil) != (levels <= maxLevels) {
+				t.Errorf("%d split angles: error %v", levels, err)
+			}
+		}
+	}
 	p, err := NewAngularWithCuts(offset, []int{4, 2}, [][][]float64{
 		{{0.3, 0.6, 0.9}},
 		{{0.7}, {0.6}, {0.5}, {0.4}},

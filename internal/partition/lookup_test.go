@@ -112,6 +112,13 @@ func hostilePoints(rng *rand.Rand, offset points.Point) []points.Point {
 		p := at(1)
 		p[rng.Intn(d)] = v
 		out = append(out, p)
+		// The same with a clamped coordinate in the row, on either side of
+		// the bad one in the back-to-front walk.
+		for _, ends := range [][2]int{{0, d - 1}, {d - 1, 0}} {
+			p := at(1)
+			p[ends[0]], p[ends[1]] = offset[ends[0]]-5, v
+			out = append(out, p)
+		}
 	}
 	return append(out, at(1)[:d-1], append(at(1), 1))
 }
@@ -119,11 +126,15 @@ func hostilePoints(rng *rand.Rand, offset points.Point) []points.Point {
 // TestAssignMatchesAngleReference: the tangent-space lookup returns the id
 // of the angle lookup for every point of the fitted data (so for every
 // sample point that defines a cut), for exact duplicates of them, for the
-// hostile coordinates above, across the stack and heap paths, few and many
-// cuts per cell, and partitioners rebuilt from their cuts.
+// hostile coordinates above, in every dimension up to 20, for one-cut cells,
+// many cuts per cell (d = 2 at 256 partitions: one 255-cut cell, halved
+// before it is counted) and both in one partitioner (d = 6 at 64: a 3-cut
+// level, then four one-cut levels), and for partitioners rebuilt from their
+// cuts.
 func TestAssignMatchesAngleReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
-	for _, d := range []int{2, 6, 10, 17} {
+	shapes := map[[2]int][]int{{2, 256}: {256}, {6, 64}: {4, 2, 2, 2, 2}}
+	for _, d := range []int{2, 6, 10, 17, 18, 19, 20} {
 		for _, want := range []int{8, 64, 256} {
 			inputs := map[string]points.Set{
 				"independent": dataset.Independent(int64(d), 3000, d),
@@ -137,6 +148,9 @@ func TestAssignMatchesAngleReference(t *testing.T) {
 				exact, err := FitAngular(data, want)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if shape, ok := shapes[[2]int{d, want}]; ok && !slices.Equal(exact.Splits(), shape) {
+					t.Fatalf("d=%d want=%d: splits %v, want %v", d, want, exact.Splits(), shape)
 				}
 				rebuilt, err := NewAngularWithCuts(exact.offset, exact.Splits(), exact.Cuts())
 				if err != nil {
@@ -162,6 +176,113 @@ func TestAssignMatchesAngleReference(t *testing.T) {
 				if exact.exactLookups.Load() == 0 {
 					t.Fatalf("d=%d want=%d %s: no lookup took the exact path, yet every cut is a data point's angle", d, want, name)
 				}
+			}
+		}
+	}
+}
+
+// cutHits reports, per split level of a, whether pt's angle at that level
+// lies exactly on one of its cell's cuts: the comparisons no guard band can
+// decide. It walks the cells as referenceAssign does.
+func cutHits(a *AngularPartitioner, pt points.Point) []bool {
+	shifted := make(points.Point, len(pt))
+	for i := range pt {
+		shifted[i] = max(pt[i]-a.offset[i], 0)
+	}
+	angles, err := hyper.AnglesOf(shifted)
+	if err != nil {
+		panic(err)
+	}
+	var hits []bool
+	id := 0
+	for i, k := range a.splits {
+		if k <= 1 {
+			continue
+		}
+		cell := a.cuts[i][id]
+		hits = append(hits, slices.Contains(cell, angles[i]))
+		id = id*k + cutBucket(cell, angles[i])
+	}
+	return hits
+}
+
+// TestAssignOneUndecidedLevel: a row whose middle level is undecided and
+// whose levels before and after it are decided takes the exact angle at that
+// level alone and keeps the ids the walk decided around it. Two ways to get
+// such a row: a sample point that defines a cut of level 2 only, and a NaN
+// tan² entry at a single level (every entry of the level, or just its first
+// cell's first).
+func TestAssignOneUndecidedLevel(t *testing.T) {
+	rng := rand.New(rand.NewSource(144))
+	data := dataset.Independent(144, 3000, 6)
+	a, err := FitAngular(data, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	middle := 0
+	for _, pt := range data {
+		hits := cutHits(a, pt)
+		if !slices.Equal(hits, []bool{false, false, true, false, false}) {
+			continue
+		}
+		before := a.exactLookups.Load()
+		requireParity(t, a, pt)
+		if took := a.exactLookups.Load() - before; took != 1 {
+			t.Fatalf("%v defines a cut of level 2 only, yet took the exact path %d times", pt, took)
+		}
+		middle++
+	}
+	if middle == 0 {
+		t.Fatal("no sample point defines a cut of level 2 alone")
+	}
+	for j := range a.levels {
+		for _, whole := range []bool{true, false} {
+			b, err := NewAngularWithCuts(a.offset, a.Splits(), a.Cuts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tan2 := b.levels[j].tan2; whole {
+				for c := range tan2 {
+					tan2[c] = math.NaN()
+				}
+			} else {
+				tan2[0] = math.NaN()
+			}
+			for _, pt := range data {
+				requireParity(t, b, pt)
+			}
+			for _, pt := range hostilePoints(rng, b.offset) {
+				requireParity(t, b, pt)
+			}
+			if whole && b.exactLookups.Load() < int64(len(data)) {
+				t.Fatalf("level %d all NaN: %d exact lookups over %d rows", j, b.exactLookups.Load(), len(data))
+			}
+		}
+	}
+}
+
+// TestAssignAllocatesNothing: the walk keeps what it needs of a row on the
+// stack, in every dimension, including rows that take the exact angle.
+func TestAssignAllocatesNothing(t *testing.T) {
+	for _, d := range []int{2, 6, 16, 17, 20} {
+		for _, want := range []int{8, 64} {
+			data := dataset.Independent(int64(d), 2000, d) // fitted whole: its cut points take the exact path
+			a, err := New(Angular, data, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				for _, pt := range data {
+					if _, err := a.Assign(pt); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("d=%d want=%d: %v allocations per %d rows, want 0", d, want, allocs, len(data))
+			}
+			if a.(*AngularPartitioner).exactLookups.Load() == 0 {
+				t.Errorf("d=%d want=%d: no row took the exact path", d, want)
 			}
 		}
 	}

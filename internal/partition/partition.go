@@ -474,7 +474,9 @@ func NewAngular(min points.Point, d, want int) (*AngularPartitioner, error) {
 		n:      product(splits),
 		d:      d,
 	}
-	a.setCuts(nil)
+	if err := a.setCuts(nil); err != nil {
+		return nil, err
+	}
 	return a, nil
 }
 
@@ -491,52 +493,63 @@ func (a *AngularPartitioner) Splits() []int {
 	return out
 }
 
-// assignStackDim bounds the dimension for which Assign works entirely on
-// stack buffers; higher dimensions fall back to heap slices.
-const assignStackDim = 16
+// maxLevels bounds the angles a partitioner splits on, since Assign keeps a
+// fixed stack array of one (x, S²) pair per split angle. More split angles
+// mean at least 2^21 sectors: past the 2^20 a cluster job spec may ask for,
+// where the paper's plans use 2 × nodes.
+const maxLevels = 20
+
+// levelPair is what Assign keeps of a row for one split angle φi: the
+// shifted coordinate x = shifted[i] and S² = shifted[i+1]² + … + shifted[d−1]²,
+// so that φi = atan2(S, x).
+type levelPair struct{ x, s2 float64 }
 
 // Assign implements Partitioner. This is the pipeline's per-point hot
-// path (the mapper calls it for every input point), so it works on stack
-// buffers, validates through the transform instead of up front, walks only
-// the angles the partitioner splits on (splitCounts leaves most axes at one
-// split once want ≪ 2^(d−1); an unsplit angle contributes id·1+0 regardless
-// of its value), and finds a fitted sector in tangent space without forming
-// the angle at all (tanBucket). The ids are those of
-// hyper.ToHyperspherical's angles searched among the cuts, bit for bit.
+// path (the mapper calls it for every input point), so it is one walk. A
+// back-to-front pass over the row shifts and clamps it, validates it through
+// the transform instead of up front, and keeps the (x, S²) pair of each
+// split angle, nothing else (splitCounts leaves most axes at one split once
+// want ≪ 2^(d−1); an unsplit angle contributes id·1+0 regardless of its
+// value). Then the split angles are decided front to back in tangent space,
+// without forming the angle: a one-cut cell is one comparison (tanCut),
+// a longer cell tanBucket's, and only a comparison inside the guard band
+// takes the exact angle. The ids are those of hyper.ToHyperspherical's
+// angles searched among the cuts, bit for bit: x and S² are the very values
+// the transform's running sum passes through, a decided comparison agrees
+// with the exact one, and the exact one is Atan2(Sqrt(S²), x), as there.
 func (a *AngularPartitioner) Assign(pt points.Point) (int, error) {
 	if len(pt) != a.d {
 		return 0, checkPoint(pt, a.d)
 	}
-	var sbuf [assignStackDim]float64
-	var nbuf [assignStackDim + 1]float64
-	shifted, sumsq := sbuf[:], nbuf[:]
-	if a.d > assignStackDim {
-		shifted, sumsq = make([]float64, a.d), make([]float64, a.d+1)
+	off := a.offset[:len(pt)]
+	// The pass sums squares back to front: the running sum whose square
+	// root hyper.ToHyperspherical takes, so the fitted cuts and this lookup
+	// agree bit for bit on the boundary tie rule. NaN and +Inf coordinates
+	// survive the shift and poison the sum, and −Inf (which the clamp would
+	// otherwise erase) is flagged where it appears; only a poisoned row pays
+	// for Validate's error message.
+	var at [maxLevels]levelPair
+	j := len(a.levels) - 1
+	next := -1 // level j's axis: where the pass keeps its pair
+	if j >= 0 {
+		next = a.levels[j].axis
 	}
-	shifted, sumsq = shifted[:a.d], sumsq[:a.d+1]
-	// One back-to-front pass shifts the point and sums its squares:
-	// sumsq[i] = shifted[i]² + ... + shifted[d−1]², the running sum whose
-	// square root hyper.ToHyperspherical takes — the fitted cuts and this
-	// lookup must agree bit-for-bit on the boundary tie rule. Input validity
-	// is checked through the transform itself rather than a per-coordinate
-	// Validate pass up front: NaN and +Inf coordinates survive the shift and
-	// poison the sum, and −Inf (which the clamp would otherwise erase) is
-	// flagged where it appears. Only the poisoned slow path pays for
-	// Validate's error message.
-	bad := false
-	sumsq[a.d] = 0
-	s := 0.0
-	for i := a.d - 1; i >= 0; i-- {
-		v := pt[i] - a.offset[i]
+	bad, s := false, 0.0
+	for i := len(pt) - 1; i >= 0; i-- {
+		v := pt[i] - off[i]
 		if v < 0 {
 			if math.IsInf(v, -1) {
 				bad = true
 			}
 			v = 0 // clamp unseen below-range values; preserves sector order
 		}
-		shifted[i] = v
+		if i == next {
+			at[j] = levelPair{v, s}
+			if j--; j >= 0 {
+				next = a.levels[j].axis
+			}
+		}
 		s += v * v
-		sumsq[i] = s
 	}
 	if bad || !(s <= math.MaxFloat64) { // NaN or +Inf radius
 		if err := pt.Validate(); err != nil {
@@ -546,13 +559,18 @@ func (a *AngularPartitioner) Assign(pt points.Point) (int, error) {
 		// yields π/2 angles, still clamped into boundary sectors.
 	}
 	id := 0
-	for _, l := range a.levels {
-		x, s2 := shifted[l.axis], sumsq[l.axis+1]
+	for j := range a.levels {
+		l := &a.levels[j]
+		x, s2 := at[j].x, at[j].s2
 		var b int
-		if l.tan2 == nil {
+		switch {
+		case l.tan2 == nil:
 			b = bucket(math.Atan2(math.Sqrt(s2), x), 0, hyper.MaxAngle, l.k)
-		} else {
-			b = tanBucket(l.tan2[id*(l.k-1):(id+1)*(l.k-1)], s2, x*x)
+		case l.k == 2:
+			b = tanCut(s2, x*x*l.tan2[id])
+		default:
+			n := l.k - 1
+			b = tanBucket(l.tan2[id*n:id*n+n], s2, x*x)
 		}
 		if b < 0 {
 			a.exactLookups.Add(1)
@@ -599,13 +617,32 @@ const (
 	// tanLinear is the run of cuts tanBucket counts through without
 	// branching on the outcome; a longer cell is first halved down to it.
 	// The bucket branches are coin flips by construction (equi-depth cuts),
-	// and mispredicting them was most of what remained of a lookup:
-	// BenchmarkAssign's cache-resident d=6 rows, 8 / 64 partitions, cost
-	// 56 / 93 ns per point with a pure binary search, 34 / 54 ns counting
-	// runs of up to 3, 7 or 15; 255 cuts in one cell (d=2, 256 partitions)
-	// 67 ns pure, 54 ns at 7, 56 ns at 15.
+	// so a counted run mispredicts nothing. BenchmarkAssign on a shared
+	// 2-vCPU Xeon: ind6 at 8 / 64 partitions, 44–64 / 84–120 ns per point
+	// (86–104 / 124–139 ns before Assign became one walk; at 8 partitions
+	// every level is a one-cut cell, which never reaches tanBucket); ind2 at
+	// 256 partitions, one 255-cut cell, 95–125 ns at a run of 0 (pure
+	// halving), 7 or 15 alike.
 	tanLinear = 7
 )
+
+// tanCut is tanBucket for a one-cut cell, with rhs = x²·tan²(cut): 1 when
+// the angle is decided at or above the cut, 0 below it, −1 undecided. Both
+// outcomes are selects, not branches.
+func tanCut(s2, rhs float64) int {
+	diff, band := s2-rhs, tanBand*(s2+rhs)+tanFloor
+	ge, lt := 0, 0
+	if diff > band {
+		ge = 1
+	}
+	if diff < -band {
+		lt = 1
+	}
+	if ge+lt == 0 { // inside the band, or NaN
+		return -1
+	}
+	return ge
+}
 
 // tanBucket is cutBucket for the angle whose squared tangent is s2/x2,
 // over the cell's tan²(cut) table; −1 when some comparison it needed was
@@ -646,8 +683,9 @@ func tanBucket(tan2 []float64, s2, x2 float64) int {
 // setCuts installs fitted cuts (nil: equal-width sectors) and builds the
 // table Assign walks: one splitLevel per angle split more than once, with
 // its tan² table. It runs at construction, so the hot path never computes a
-// tangent nor looks at an unsplit angle.
-func (a *AngularPartitioner) setCuts(cuts [][][]float64) {
+// tangent nor looks at an unsplit angle. It refuses more than maxLevels
+// split angles.
+func (a *AngularPartitioner) setCuts(cuts [][][]float64) error {
 	a.cuts, a.levels = cuts, nil
 	for i, k := range a.splits {
 		if k <= 1 {
@@ -670,6 +708,10 @@ func (a *AngularPartitioner) setCuts(cuts [][][]float64) {
 		}
 		a.levels = append(a.levels, l)
 	}
+	if len(a.levels) > maxLevels {
+		return fmt.Errorf("partition: %d split angles, at most %d", len(a.levels), maxLevels)
+	}
+	return nil
 }
 
 // Cuts returns a deep copy of the recursive quantile boundaries (nil for
@@ -775,7 +817,9 @@ func fitAngular(data points.Set, min points.Point, want int) (*AngularPartitione
 		cuts[i] = level
 		cells = next
 	}
-	a.setCuts(cuts)
+	if err := a.setCuts(cuts); err != nil {
+		return nil, err
+	}
 	return a, nil
 }
 
@@ -873,7 +917,9 @@ func NewAngularWithCuts(offset points.Point, splits []int, cuts [][][]float64) (
 		n:      n,
 		d:      d,
 	}
-	a.setCuts(cuts)
+	if err := a.setCuts(cuts); err != nil {
+		return nil, err
+	}
 	return a, nil
 }
 

@@ -618,16 +618,20 @@ func BenchmarkAssign(b *testing.B) {
 	// The angular lookup over cache-resident rows of the benchmark's
 	// inputs, cycling through 1024 rows so the bucket branches see real
 	// data; exact=all forces every lookup onto the Atan2 fallback (the
-	// cost before the tangent-space lookup, plus the failed attempt).
+	// cost before the tangent-space lookup, plus the failed attempt). At 8
+	// partitions every level is a one-cut cell; at 64, d = 6 adds a 3-cut
+	// level; ind2 at 256 is one 255-cut cell, halved down to tanLinear.
 	for _, in := range []struct {
-		name string
-		data points.Set
+		name  string
+		data  points.Set
+		wants []int
 	}{
-		{"corr6", dataset.Correlated(11, 100000, 6)},
-		{"ind6", dataset.Independent(11, 100000, 6)},
-		{"qws10", qws.Extend(qws.Generate(2012, 10000, 10), 11, 50000)},
+		{"corr6", dataset.Correlated(11, 100000, 6), []int{8, 64}},
+		{"ind6", dataset.Independent(11, 100000, 6), []int{8, 64}},
+		{"qws10", qws.Extend(qws.Generate(2012, 10000, 10), 11, 50000), []int{8, 64}},
+		{"ind2", dataset.Independent(11, 100000, 2), []int{256}},
 	} {
-		for _, want := range []int{8, 64} {
+		for _, want := range in.wants {
 			for _, exact := range []bool{false, true} {
 				p, err := New(Angular, in.data, want)
 				if err != nil {

@@ -85,14 +85,13 @@ var kernelJobs = map[string]string{"BNL": PartitionJobName, "SFS": "test/partiti
 
 func init() {
 	for name, f := range map[string]skyline.Func{"SFS": skyline.SFS, "D&C": skyline.DivideConquer} {
-		kernel := skyline.BlockKernel(f)
+		edit := driver.WithKernel(f)
 		rpcmr.RegisterJob(kernelJobs[name], func(params []byte) (rpcmr.Job, error) {
 			job, err := newPartitionJob(params)
 			if err != nil {
 				return job, err
 			}
-			op := func(_ int, blk *points.Block) (*points.Block, error) { return kernel(blk), nil }
-			job.FrameJob.Accumulators, job.FrameJob.Combiner, job.FrameJob.Folder = nil, op, mapreduce.Assembled(op)
+			edit(&job.FrameJob)
 			return job, nil
 		})
 	}
