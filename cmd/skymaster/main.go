@@ -101,7 +101,7 @@ func main() {
 	flag.BoolVar(&o.header, "header", false, "input has a header row")
 	flag.DurationVar(&o.timeout, "timeout", 10*time.Minute, "overall job timeout")
 	flag.DurationVar(&o.liveness, "liveness", 10*time.Second,
-		"heartbeat window: a worker silent this long is suspect, 3x this long is dead")
+		"heartbeat window: a worker silent this long is suspect, 3x this long is dead, and the task it held runs again")
 	flag.DurationVar(&o.linger, "linger", 0,
 		"keep serving debug endpoints this long after the job (0 = exit immediately)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /debug/* on this address (empty = off)")
@@ -182,15 +182,7 @@ func run(o options) error {
 	// of a window; the other rules are not window-bound.
 	var plane *debugserver.Plane
 	if o.metricsAddr != "" {
-		rules := []timeseries.Rule{
-			timeseries.PairedStallRule("throughput-stall",
-				"rpcmr_worker_tasks_done", "rpcmr_worker_inflight", "worker", o.stallWindow, 1),
-			// Worker state >= 1 is suspect or dead: the heartbeat gap the
-			// health machine already flagged, surfaced as an anomaly too.
-			timeseries.GaugeAboveRule("heartbeat-gap", "rpcmr_worker_state", 1, "worker"),
-			// GC pause rate above 5% of wall time is a collector in trouble.
-			timeseries.RateAboveRule("gc-pause-spike", "process_gc_pause_seconds_total", 0.05, o.stallWindow),
-		}
+		rules := timeseries.ClusterRules(o.stallWindow)
 		if o.budget > 0 {
 			rules = append(rules, timeseries.GaugeAboveRule("reducer-budget",
 				"skyline_reducer_peak_bytes", 0.8*float64(o.budget), ""))

@@ -172,17 +172,6 @@ func critpathGate(ctx context.Context, sc Scale) ([]Row, error) {
 	return r, nil
 }
 
-// obsRules is the production rule set skymaster installs, minus the
-// cluster-fed ones that need federated series to exist.
-func obsRules(window time.Duration) []timeseries.Rule {
-	return []timeseries.Rule{
-		timeseries.PairedStallRule("throughput-stall", "rpcmr_worker_tasks_done",
-			"rpcmr_worker_inflight", "worker", window, 1),
-		timeseries.GaugeAboveRule("heartbeat-gap", "rpcmr_worker_state", 1, "worker"),
-		timeseries.RateAboveRule("gc-pause-spike", "process_gc_pause_seconds_total", 0.05, window),
-	}
-}
-
 // obs prices the observability plane: the same MR-Angle computation with a
 // metrics registry alone versus with the debug plane's clock sampling that
 // registry and evaluating the rules every 10ms (production: 1s), gated at
@@ -203,7 +192,7 @@ func obs(ctx context.Context, sc Scale) ([]Row, error) {
 	series := 0
 	sampledReg.VisitSamples(func(string, float64) { series++ })
 	sampler := timeseries.NewSampler(sampledReg, timeseries.Config{Retention: 1024})
-	wd := timeseries.NewWatchdog(sampler, timeseries.WatchdogConfig{Metrics: sampledReg}, obsRules(time.Second)...)
+	wd := timeseries.NewWatchdog(sampler, timeseries.WatchdogConfig{Metrics: sampledReg}, timeseries.ClusterRules(time.Second)...)
 	const micro = 1000 // calls per timing; neither call can fail
 	tick, _ := best(3, func() error {
 		for i := 0; i < micro; i++ {
@@ -232,7 +221,7 @@ func obs(ctx context.Context, sc Scale) ([]Row, error) {
 // the arms interleave so clock drift and box contention fall on both alike.
 func obsArms(ctx context.Context, data points.Set, sc Scale, plainReg, sampledReg *telemetry.Registry) (plain, sampled time.Duration, err error) {
 	plane, err := debugserver.Start("", debugserver.Sources{
-		Metrics: sampledReg, Rules: obsRules(time.Second), Interval: 10 * time.Millisecond,
+		Metrics: sampledReg, Rules: timeseries.ClusterRules(time.Second), Interval: 10 * time.Millisecond,
 	})
 	if err != nil {
 		return 0, 0, err

@@ -154,8 +154,9 @@ const (
 	CounterMapRetries = "mr.map.task.retries"
 	CounterRedRetries = "mr.reduce.task.retries"
 	CounterSpillBytes = "mr.spill.bytes"
-	// CounterWorkerFailures counts task leases that ran out on a silent
-	// worker — each also a retry of that task. Only an executor whose
+	// CounterWorkerFailures counts tasks lost with their worker — it went
+	// dead, or asked for work again, while holding them — each also a retry
+	// of that task. Only an executor whose
 	// workers can vanish (rpcmr) books it.
 	CounterWorkerFailures = "mr.worker.failures"
 	// CounterStragglers counts accepted task completions that took more

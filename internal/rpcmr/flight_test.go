@@ -113,7 +113,7 @@ func TestStitchedTraceThreeWorkers(t *testing.T) {
 // are still pending.
 func TestRetriedTaskSpansOnce(t *testing.T) {
 	ensureFlightJobs()
-	mcfg := MasterConfig{SplitSize: 1, TaskLease: 200 * time.Millisecond}
+	mcfg := MasterConfig{SplitSize: 1, LivenessWindow: 70 * time.Millisecond}
 	master, _, _ := newCluster(t, mcfg, 1,
 		WorkerConfig{VanishAfterTasks: 1, PollInterval: time.Millisecond})
 	idleWorkers(t, master, 4)

@@ -208,7 +208,7 @@ func TestFramedShuffleMetrics(t *testing.T) {
 // over the same splits that lost no worker and saw no bad report — does:
 // the same result blocks, every input row mapped once, and the counters,
 // per-partition volumes and reducer peak of one accepted attempt per task.
-// Retries and expired leases are the counters a faulty run may add, and
+// Retries and lost workers are the counters a faulty run may add, and
 // stragglers are timing, which either run may book.
 func sameJobRecord(t *testing.T, res, want *mapreduce.FrameResult, rows int) {
 	t.Helper()
@@ -241,10 +241,10 @@ func sameJobRecord(t *testing.T, res, want *mapreduce.FrameResult, rows int) {
 	}
 }
 
-// TestFramedWorkerCrashRecovery: the frame path inherits lease-expiry
-// reassignment — a worker vanishing mid-job must not lose frames. The task
-// it took to the grave is re-issued with a byte-identical input frame, and
-// the job's result — blocks, counters, per-partition volumes, reducer peak
+// TestFramedWorkerCrashRecovery: the frame path inherits the re-queue of a
+// dead worker's task — a worker vanishing mid-job must not lose frames. The
+// task it took to the grave is re-issued with a byte-identical input frame,
+// and the job's result — blocks, counters, per-partition volumes, reducer peak
 // — equals a run's that lost no worker: an attempt is counted once. So too
 // for the merging job's kind of map task, which holds the whole candidate
 // set and a share of the work: the share is done again, by another worker
@@ -268,7 +268,7 @@ func TestFramedWorkerCrashRecovery(t *testing.T) {
 			t.Fatalf("%s: no-fault run reports a reducer peak of %d bytes in %d passes", job, want.ReducerPeakBytes, want.MergePasses)
 		}
 
-		mcfg := MasterConfig{SplitSize: 100, TaskLease: 200 * time.Millisecond}
+		mcfg := MasterConfig{SplitSize: 100, LivenessWindow: 70 * time.Millisecond}
 		master, _, doomed := newCluster(t, mcfg, 1, WorkerConfig{VanishAfterTasks: 2})
 		// Three workers' shares, as on the calm cluster: the doomed worker maps
 		// two and vanishes holding the third, and the healthy worker, which
@@ -307,7 +307,9 @@ func TestBadReportsNotCounted(t *testing.T) {
 
 	// A request on an empty queue is held for half the liveness window: the
 	// hand-driven worker below sits out one such hold, once the job is done.
-	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: 20 * time.Millisecond}, 0, WorkerConfig{})
+	// Three windows are far more than any of its tasks takes, so it is never
+	// found dead holding one.
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: 100 * time.Millisecond}, 0, WorkerConfig{})
 	done := make(chan outcome, 1)
 	go func() {
 		res, err := master.Run(context.Background(), spec, setFrames(data, nil))
@@ -362,9 +364,10 @@ func TestBadReportsNotCounted(t *testing.T) {
 // not counted against the next job's task of the same id.
 func TestReportFromPastJobIgnored(t *testing.T) {
 	ensureFrameJobs()
-	// The short lease is for the task the hand-driven worker takes from the
-	// second job and never runs.
-	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: 50 * time.Millisecond}, 0, WorkerConfig{})
+	// The short window is for the task the hand-driven worker takes from
+	// the second job and never runs: it falls silent, the health sweep finds
+	// it dead, and the task is queued again.
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: 20 * time.Millisecond}, 0, WorkerConfig{})
 	data := frameClusterData(300, 3, 6)
 	spec := JobSpec{Name: "skyline-frame", Reducers: 1}
 	svc := &MasterService{m: master}
@@ -408,7 +411,7 @@ func TestReportFromPastJobIgnored(t *testing.T) {
 	}
 	t.Cleanup(func() { w.Close() })
 	go func() { _ = w.Run(context.Background()) }()
-	// The real worker runs every task, the held one once its lease is out.
+	// The real worker runs every task, the held one once its holder is dead.
 	if err := <-done; err != nil {
 		t.Fatalf("the job after the past job's reports: %v", err)
 	}

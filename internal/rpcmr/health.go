@@ -15,6 +15,10 @@ import (
 //	suspect ──(silent > 3 × LivenessWindow)──▶ dead
 //	suspect/dead ──(any heartbeat)───────────▶ healthy
 //
+// It is the master's only failure detector: the edge to dead puts the task
+// the worker held back on the queue (loseTask), as does the worker's own
+// Register or RequestTask — a worker that asks for work holds none.
+//
 // Transitions are detected by a background sweep, four times a
 // LivenessWindow (at most once a millisecond), so a dying worker is noticed
 // even when nobody polls Status, and each transition fires exactly one event
@@ -28,11 +32,11 @@ type WorkerState int
 const (
 	// WorkerHealthy: heartbeat within LivenessWindow.
 	WorkerHealthy WorkerState = iota
-	// WorkerSuspect: silent for more than LivenessWindow — tasks it holds
-	// will be re-queued when their lease expires.
+	// WorkerSuspect: silent for more than LivenessWindow — it keeps the
+	// task it holds until it is dead.
 	WorkerSuspect
 	// WorkerDead: silent for more than 3 × LivenessWindow — presumed gone
-	// until it calls in again.
+	// until it calls in again; the task it held is queued again.
 	WorkerDead
 )
 
@@ -73,7 +77,7 @@ type WorkerHealth struct {
 	// InFlight counts tasks of the current phase assigned to this worker
 	// and not yet complete.
 	InFlight int `json:"in_flight"`
-	// LastError is the worker's most recent task error or lease expiry,
+	// LastError is the worker's most recent task error or lost task,
 	// empty when it has never failed.
 	LastError string `json:"last_error,omitempty"`
 }
@@ -246,10 +250,11 @@ func (m *Master) healthLoop() {
 	}
 }
 
-// sweepWorkerStates applies heartbeat-age transitions. The two steps are
-// sequential on purpose: a worker that out-silences both windows between
-// sweeps still passes through suspect before dead, so consumers always
-// see the full healthy → suspect → dead sequence, one event per edge.
+// sweepWorkerStates applies heartbeat-age transitions, and queues again
+// the task of every worker it finds dead. The two steps are sequential on
+// purpose: a worker that out-silences both windows between sweeps still
+// passes through suspect before dead, so consumers always see the full
+// healthy → suspect → dead sequence, one event per edge.
 func (m *Master) sweepWorkerStates(now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -260,6 +265,7 @@ func (m *Master) sweepWorkerStates(now time.Time) {
 		}
 		if w.state == WorkerSuspect && age > 3*m.cfg.LivenessWindow {
 			m.transitionWorker(w, WorkerDead, age)
+			m.loseTask(w.id, "dead")
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package rpcmr
 
 import (
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -219,5 +221,135 @@ func TestDebugHealthEndpoint(t *testing.T) {
 	}
 	if h.JobRunning {
 		t.Fatalf("idle cluster reports a running job: %+v", h)
+	}
+}
+
+// TestDeadHolderTaskRunsAgain: the health machine is the master's only
+// failure detector. With nothing set but a 50 ms window, a worker that
+// vanishes holding a task is found dead after three windows of silence, and
+// the sweep that finds it puts its task back on the queue: the job returns
+// the oracle's skyline well inside two seconds, with one retry and one lost
+// worker, and no Health snapshot shows the dead worker holding a task.
+func TestDeadHolderTaskRunsAgain(t *testing.T) {
+	noLeak(t)
+	ensureFrameJobs()
+	const window = 50 * time.Millisecond
+	// Idle workers call in at least every half window: a hold, then a poll.
+	master, _, _ := newCluster(t, MasterConfig{LivenessWindow: window}, 1,
+		WorkerConfig{VanishAfterTasks: 1, PollInterval: window / 2})
+	// The healthy worker's stall keeps tasks on the queue for the doomed one
+	// to take its second from, and makes the re-run last long enough to be
+	// seen; it is shorter than a window, so the healthy worker never goes
+	// suspect.
+	healthy, err := NewWorker(WorkerConfig{MasterAddr: master.Addr(), ID: "healthy",
+		PollInterval: window / 2, TaskStall: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { healthy.Close() })
+	go func() { _ = healthy.Run(context.Background()) }()
+
+	data := frameClusterData(1000, 3, 17) // 1 200 rows: two shares
+	start := time.Now()
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := master.Run(context.Background(), JobSpec{Name: "skyline-frame", Reducers: frameParts}, setFrames(data, nil))
+		done <- outcome{res, err}
+	}()
+	var out outcome
+	sawDead, heldByDead := false, 0
+	for running := true; running; {
+		select {
+		case out = <-done:
+			running = false
+		case <-time.After(time.Millisecond):
+		}
+		h := master.Health()
+		for _, w := range h.Workers {
+			if w.ID == "w0" && w.State == "dead" && h.JobRunning {
+				sawDead = true
+				heldByDead = max(heldByDead, w.InFlight)
+			}
+		}
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if took := time.Since(start); took >= 2*time.Second {
+		t.Errorf("the job took %v, want < 2 s", took)
+	}
+	requireFrameOracle(t, out.res, data)
+	requireOneFault(t, master)
+	if !sawDead {
+		t.Error("no Health snapshot of the running job showed the vanished worker dead")
+	}
+	if heldByDead != 0 {
+		t.Errorf("a Health snapshot shows the dead worker holding %d tasks", heldByDead)
+	}
+	for _, w := range master.Health().Workers {
+		if w.ID == "w0" && (w.State != "dead" || !strings.Contains(w.LastError, "lost (dead)")) {
+			t.Errorf("vanished worker: state %s, last error %q; want dead, its task lost (dead)", w.State, w.LastError)
+		}
+	}
+}
+
+// TestRestartedWorkerGivesUpItsTask: a worker runs one task at a time, so
+// one that asks for work — RequestTask, or Register once restarted under the
+// same ID — has given up the task the master thinks it holds. The task is
+// queued again at once, booked as one retry and one lost worker, with no
+// silence to wait out.
+func TestRestartedWorkerGivesUpItsTask(t *testing.T) {
+	ensureFrameJobs()
+	for _, call := range []string{"RequestTask", "Register"} {
+		t.Run(call, func(t *testing.T) {
+			events := telemetry.NewEventLog(256)
+			reg := telemetry.NewRegistry()
+			master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: healthWindow, Events: events, Metrics: reg}, 0, WorkerConfig{})
+			svc := &MasterService{m: master}
+			_ = svc.Register(RegisterArgs{WorkerID: "w"}, &RegisterReply{})
+			done := runAsync(master, setFrames(frameClusterData(250, 3, 16), nil)) // one share of three splits
+			task := take(svc, "w")
+			if task.Kind != TaskMap {
+				t.Fatalf("kind %d, want the map task", task.Kind)
+			}
+			switch call {
+			case "RequestTask":
+				// Were the task not queued again, the request would be held.
+				asked := time.Now()
+				var again TaskReply
+				_ = svc.RequestTask(TaskArgs{WorkerID: "w"}, &again)
+				if again.Kind != TaskMap || again.TaskID != task.TaskID || again.Attempt != task.Attempt+1 {
+					t.Fatalf("kind %d, task %d attempt %d; want the task it held again", again.Kind, again.TaskID, again.Attempt)
+				}
+				if took := time.Since(asked); took > time.Second {
+					t.Errorf("the task came back after %v", took)
+				}
+			case "Register":
+				_ = svc.Register(RegisterArgs{WorkerID: "w"}, &RegisterReply{})
+				if st := master.Status(); st.Pending != 1 {
+					t.Errorf("%d tasks queued after the holder registered again, want its task", st.Pending)
+				}
+			}
+			requireOneFault(t, master)
+			lost := 0
+			for _, ev := range events.Events(0, slog.LevelDebug) {
+				if ev.Msg == "task lost" {
+					lost++
+					if ev.Attrs["worker"] != "w" || ev.Attrs["reason"] != "asked-again" {
+						t.Errorf("task lost event %v, want worker w, reason asked-again", ev.Attrs)
+					}
+				}
+			}
+			if lost != 1 {
+				t.Errorf("%d task lost events, want 1", lost)
+			}
+			if n := reg.Counter("rpcmr_task_retries_total", telemetry.L("cause", "worker-lost"), telemetry.L("worker", "w")).Value(); n != 1 {
+				t.Errorf(`rpcmr_task_retries_total{cause="worker-lost"} = %d, want 1`, n)
+			}
+			master.Close()
+			if out := <-done; out.err == nil {
+				t.Error("the job finished though its task was never reported")
+			}
+		})
 	}
 }

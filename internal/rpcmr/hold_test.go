@@ -21,11 +21,11 @@ func heldRequests(m *Master) int {
 // carries it until that reply has been sent, and only then to the next
 // split. Replies that cross no wire are never sent, so here the test says
 // when: two tasks in flight are two buffers; the one that is sent is the
-// next task's; and a task whose lease ran out is sealed again — the same
+// next task's; and a task whose worker died is sealed again — the same
 // bytes — into memory that is none of the unsent replies'.
 func TestSplitBufferBorrowedUntilSent(t *testing.T) {
 	ensureFrameJobs()
-	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: 30 * time.Millisecond}, 0, WorkerConfig{})
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: healthWindow}, 0, WorkerConfig{})
 	data := frameClusterData(250, 3, 8) // 300 rows: three splits
 	// split's first row → the memory it was last asked to seal into. Splits
 	// are sealed by whoever asks for a task: here, this goroutine alone.
@@ -68,10 +68,12 @@ func TestSplitBufferBorrowedUntilSent(t *testing.T) {
 	if c.TaskID != 2 || lent[200] != sentMemory {
 		t.Errorf("task %d was not sealed into the buffer the sent reply gave back", c.TaskID)
 	}
-	time.Sleep(40 * time.Millisecond) // all three leases run out
+	for _, id := range []string{"a", "b", "c"} { // all three holders die, a's task first
+		silenceToDeath(t, master, id)
+	}
 	again := request("d")
 	if again.TaskID != 0 || again.Attempt != 1 {
-		t.Fatalf("task %d attempt %d after the leases ran out, want task 0 again", again.TaskID, again.Attempt)
+		t.Fatalf("task %d attempt %d after the holders died, want task 0 again", again.TaskID, again.Attempt)
 	}
 	for name, unsent := range map[string]*TaskReply{"b": b, "c": c} {
 		if lent[0] == unsafe.SliceData(unsent.Frames) {
@@ -90,7 +92,7 @@ func TestSplitBufferBorrowedUntilSent(t *testing.T) {
 // TestHeldRequestGivesUpWithItsConnection: a worker that dies parked on the
 // master takes no task with it. Its held request notices the connection go
 // and ends; the job that comes next runs on the worker that is left without
-// waiting out a lease.
+// waiting for the dead one to be found dead.
 func TestHeldRequestGivesUpWithItsConnection(t *testing.T) {
 	master, workers, _ := newCluster(t, MasterConfig{SplitSize: 4, LivenessWindow: time.Minute}, 1, WorkerConfig{PollInterval: time.Hour})
 	waitFor(t, 5*time.Second, func() bool { return heldRequests(master) == 1 }, "the worker to park")
@@ -111,7 +113,7 @@ func TestHeldRequestGivesUpWithItsConnection(t *testing.T) {
 	}
 	checkWordCount(t, res)
 	if st := master.Status(); st.WorkerFailures != 0 || st.TaskRetries != 0 {
-		t.Errorf("%d lease expiries, %d retries: a task went to the dead worker", st.WorkerFailures, st.TaskRetries)
+		t.Errorf("%d lost workers, %d retries: a task went to the dead worker", st.WorkerFailures, st.TaskRetries)
 	}
 	if workers[0].Completed() != 0 {
 		t.Error("the dead worker completed a task")

@@ -18,9 +18,6 @@ import (
 type MasterConfig struct {
 	// Addr is the TCP listen address, e.g. "127.0.0.1:0".
 	Addr string
-	// TaskLease is how long a worker may hold a task before it is
-	// re-queued for another worker. Defaults to 30s.
-	TaskLease time.Duration
 	// SplitSize is rows per input message; a map task is a worker's share
 	// of them (see Run). Defaults to 1000.
 	SplitSize int
@@ -30,26 +27,23 @@ type MasterConfig struct {
 	// master holds a task request it cannot answer yet — half the window,
 	// the worker counted as heard from when the hold begins and when it
 	// ends — so an idle worker is never silent for longer than that plus
-	// its own PollInterval. A worker silent for three windows is dead (see
-	// health.go).
+	// its own PollInterval. A worker silent for three windows is dead, and
+	// the task it held runs again (see health.go).
 	LivenessWindow time.Duration
 	// Metrics, when non-nil, receives master-side series: per-worker
 	// task latency histograms (rpcmr_task_seconds), retry/liveness
 	// counters, and job counts. Nil (the default) records nothing.
 	Metrics *telemetry.Registry
 	// Events, when non-nil, receives structured operational events:
-	// job/phase boundaries, dispatches, retries, lease expiries,
-	// stragglers, and worker health transitions. Nil records nothing
-	// (every EventLog method is nil-safe).
+	// job/phase boundaries, dispatches, retries, lost tasks, stragglers,
+	// and worker health transitions. Nil records nothing (every EventLog
+	// method is nil-safe).
 	Events *telemetry.EventLog
 }
 
 func (c MasterConfig) withDefaults() MasterConfig {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
-	}
-	if c.TaskLease <= 0 {
-		c.TaskLease = 30 * time.Second
 	}
 	if c.SplitSize <= 0 {
 		c.SplitSize = 1000
@@ -87,9 +81,9 @@ type Master struct {
 	held     int
 	answered chan struct{}
 	// Cumulative counters across all jobs (mu held): task re-executions
-	// from failure reports, and lease expiries (a worker presumed dead
-	// or stalled while holding a task). lastJobErr remembers the most
-	// recent job-level failure for /debug/health.
+	// from failure reports and lost workers, and the tasks lost with their
+	// worker (see loseTask). lastJobErr remembers the most recent job-level
+	// failure for /debug/health.
 	taskRetries    int64
 	workerFailures int64
 	lastJobErr     string
@@ -132,7 +126,7 @@ type jobState struct {
 	nextTrack  int
 	durs       []float64 // completed task durations, current phase
 	// stats sums the tallies of every task's one accepted report; counters
-	// holds what the master counts as it happens (retries, expired leases,
+	// holds what the master counts as it happens (retries, lost workers,
 	// stragglers). Run turns both into the job's result.
 	stats    mapreduce.FrameStats
 	counters *mapreduce.Counters
@@ -143,7 +137,6 @@ type taskState struct {
 	id       int
 	attempt  int
 	running  bool
-	deadline time.Time
 	complete bool
 	failures int
 	// startedAt and worker describe the current assignment, for task
@@ -222,7 +215,7 @@ func WholeFrames(rows int, blocks []int, frame func(dst []byte, task, block int)
 const maxSplitBytes = 1<<30 - 1<<20
 
 // maxTaskAttempts bounds the executions of one task — its first attempt and
-// every re-queue after a failure report or a lease expiry — before the job
+// every re-queue after a failure report or a lost worker — before the job
 // fails.
 const maxTaskAttempts = 5
 
@@ -643,53 +636,45 @@ func (m *Master) finish(js *jobState, err error) {
 	close(js.finished)
 }
 
-// requeueExpired (mu held) returns lease-expired running tasks to the
-// pending queue. A lease expiry is counted both as a task retry and as
-// a worker failure: the holder is presumed dead or stalled.
-func (m *Master) requeueExpired(js *jobState) {
-	now := time.Now()
+// loseTask (mu held) puts the task worker holds in the running job, if it
+// holds one, back on the queue: the health sweep has declared worker dead
+// (reason "dead"), or it asked for work again (reason "asked-again") — a
+// worker runs one task at a time, so one that asks has given up whatever
+// the master thinks it holds. A lost task is counted both as a task retry
+// and as a worker failure, and as an attempt toward maxAttempts.
+func (m *Master) loseTask(worker, reason string) {
+	js := m.job
+	if js == nil || isClosed(js.finished) {
+		return
+	}
 	for _, t := range js.tasks {
-		// At the deadline, not after it: a held request's timer set for a
-		// deadline must find the task expired when it fires.
-		if t.running && !t.complete && !now.Before(t.deadline) {
-			t.running = false
-			t.attempt++
-			t.failures++
-			m.countRetry(js, t.worker, "lease-expiry")
-			js.counters.Add(mapreduce.CounterWorkerFailures, 1)
-			m.workerFailures++
-			if reg := m.cfg.Metrics; reg != nil {
-				reg.Counter("rpcmr_worker_failures_total", telemetry.L("worker", t.worker)).Inc()
-			}
-			m.cfg.Events.Warn("task lease expired", telemetry.A("job", js.spec.Name),
-				telemetry.A("phase", phaseName(js.phase)), telemetry.A("task", t.id),
-				telemetry.A("worker", t.worker), telemetry.A("attempt", t.attempt))
-			if w := m.workers[t.worker]; w != nil {
-				w.lastError = fmt.Sprintf("lease expired on %s task %d", phaseName(js.phase), t.id)
-			}
-			if t.failures >= m.maxAttempts {
-				m.finish(js, fmt.Errorf("rpcmr: task %d exceeded %d attempts (lease expiry)",
-					t.id, m.maxAttempts))
-				return
-			}
-			js.pending = append(js.pending, t.id)
-			m.wakeHeld()
+		if !t.running || t.complete || t.worker != worker {
+			continue
 		}
-	}
-}
-
-// nextLease (mu held) is the earliest deadline among the running job's
-// outstanding leases, zero when there is none.
-func (m *Master) nextLease() time.Time {
-	var next time.Time
-	if js := m.job; js != nil && !isClosed(js.finished) {
-		for _, t := range js.tasks {
-			if t.running && !t.complete && (next.IsZero() || t.deadline.Before(next)) {
-				next = t.deadline
-			}
+		t.running = false
+		t.attempt++
+		t.failures++
+		m.countRetry(js, worker, "worker-lost")
+		js.counters.Add(mapreduce.CounterWorkerFailures, 1)
+		m.workerFailures++
+		if reg := m.cfg.Metrics; reg != nil {
+			reg.Counter("rpcmr_worker_failures_total", telemetry.L("worker", worker)).Inc()
 		}
+		m.cfg.Events.Warn("task lost", telemetry.A("job", js.spec.Name),
+			telemetry.A("phase", phaseName(js.phase)), telemetry.A("task", t.id),
+			telemetry.A("worker", worker), telemetry.A("attempt", t.attempt),
+			telemetry.A("reason", reason))
+		if w := m.workers[worker]; w != nil {
+			w.lastError = fmt.Sprintf("%s task %d lost (%s)", phaseName(js.phase), t.id, reason)
+		}
+		if t.failures >= m.maxAttempts {
+			m.finish(js, fmt.Errorf("rpcmr: task %d exceeded %d attempts (worker lost)",
+				t.id, m.maxAttempts))
+			return
+		}
+		js.pending = append(js.pending, t.id)
+		m.wakeHeld()
 	}
-	return next
 }
 
 // Metrics returns the registry configured on the master (nil when

@@ -9,10 +9,11 @@
 // job registry) and refer to jobs by registered name; per-job parameters
 // travel as an opaque byte blob.
 //
-// Fault tolerance: every assigned task carries a lease. If a worker dies
-// or stalls past the lease, the master re-queues the task for another
-// worker; duplicate completions are resolved first-writer-wins, which is
-// safe because tasks are deterministic and side-effect free.
+// Fault tolerance: every call from a worker is a heartbeat, and a worker
+// silent for three liveness windows is dead. The master re-queues the task
+// a worker held once it is dead or asks for work again; duplicate
+// completions are resolved first-writer-wins, which is safe because tasks
+// are deterministic and side-effect free.
 package rpcmr
 
 import (

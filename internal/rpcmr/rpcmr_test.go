@@ -188,9 +188,9 @@ func TestDeterministicTaskFailureFailsJob(t *testing.T) {
 }
 
 func TestWorkerCrashRecovery(t *testing.T) {
-	// One worker vanishes while holding a task; the lease expires and the
-	// survivor finishes the job.
-	mcfg := MasterConfig{SplitSize: 1, TaskLease: 200 * time.Millisecond}
+	// One worker vanishes while holding a task; the health sweep finds it
+	// dead, its task is queued again, and the survivor finishes the job.
+	mcfg := MasterConfig{SplitSize: 1, LivenessWindow: 70 * time.Millisecond}
 	master, workers, _ := newCluster(t, mcfg, 1, WorkerConfig{VanishAfterTasks: 1})
 	_ = workers
 
@@ -328,7 +328,7 @@ func TestOptionSurface(t *testing.T) {
 		want int
 	}{
 		{reflect.TypeOf(Job{}), 2},
-		{reflect.TypeOf(MasterConfig{}), 6},
+		{reflect.TypeOf(MasterConfig{}), 5},
 		{reflect.TypeOf(WorkerConfig{}), 8},
 	} {
 		if n := c.typ.NumField(); n != c.want {

@@ -25,11 +25,14 @@ type MasterService struct {
 	m *Master
 }
 
-// Register announces a worker to the master.
+// Register announces a worker to the master. A worker that registers
+// again — restarted under the same ID — has lost the task it held, which
+// goes back on the queue (loseTask).
 func (s *MasterService) Register(args RegisterArgs, reply *RegisterReply) error {
 	s.m.mu.Lock()
 	defer s.m.mu.Unlock()
 	w := s.m.touchWorker(args.WorkerID)
+	s.m.loseTask(args.WorkerID, "asked-again")
 	if args.DebugAddr != "" {
 		w.debugAddr = args.DebugAddr
 	}
@@ -37,19 +40,21 @@ func (s *MasterService) Register(args RegisterArgs, reply *RegisterReply) error 
 	return nil
 }
 
-// RequestTask hands the calling worker a task or a shutdown notice. With
-// neither to give it holds the request, and asks again at every event that
-// may change the answer (wakeHeld) and at the earliest outstanding lease
-// deadline — held requests are what re-queue an expired lease. No worker is
-// held for more than half the liveness window, and it is counted as heard
-// from when the hold begins and each time it wakes, so a parked worker
-// never turns suspect; past that the answer is TaskWait. A request whose
-// connection is lost gives up its hold without taking a task.
+// RequestTask hands the calling worker a task or a shutdown notice. A
+// worker that asks for work holds none: the task the master thinks it holds
+// goes back on the queue first (loseTask). With nothing to give it holds the
+// request, and asks again at every event that may change the answer
+// (wakeHeld). No worker is held for more than half the liveness window, and
+// it is counted as heard from when the hold begins and each time it wakes,
+// so a parked worker never turns suspect; past that the answer is TaskWait.
+// A request whose connection is lost gives up its hold without taking a
+// task.
 func (s *MasterService) RequestTask(args TaskArgs, reply *TaskReply) error {
 	m := s.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.touchWorker(args.WorkerID)
+	m.loseTask(args.WorkerID, "asked-again")
 	holdUntil := time.Now().Add(m.cfg.LivenessWindow / 2)
 	held := false
 	for {
@@ -57,9 +62,6 @@ func (s *MasterService) RequestTask(args TaskArgs, reply *TaskReply) error {
 		wait := time.Until(holdUntil)
 		if reply.Kind != TaskWait || wait <= 0 {
 			break
-		}
-		if lease := m.nextLease(); !lease.IsZero() {
-			wait = min(wait, time.Until(lease))
 		}
 		if !held {
 			held = true
@@ -99,7 +101,7 @@ func (s *MasterService) RequestTask(args TaskArgs, reply *TaskReply) error {
 // assignTask (mu held) fills reply with the next assignment for worker:
 // a task, a wait directive, or a shutdown notice. Shared by RequestTask
 // and the piggybacked ResultReply.Next so both hand out identical
-// leases. It lets go of mu while it seals a map task's first split: a
+// assignments. It lets go of mu while it seals a map task's first split: a
 // handler calls it last, or reads the master's state afresh after it.
 func (m *Master) assignTask(worker string, reply *TaskReply) {
 	if m.shutdown {
@@ -112,9 +114,6 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 		return
 	}
 	if len(js.pending) == 0 {
-		m.requeueExpired(js)
-	}
-	if len(js.pending) == 0 {
 		reply.Kind = TaskWait
 		return
 	}
@@ -122,7 +121,6 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	js.pending = js.pending[1:]
 	t := js.tasks[id]
 	t.running = true
-	t.deadline = time.Now().Add(m.cfg.TaskLease)
 	t.startedAt = time.Now()
 	t.worker = worker
 
@@ -220,11 +218,11 @@ func (t *taskState) heldBy(attempt int) bool {
 }
 
 // NextSplit hands the worker running a map task split args.Split of its
-// share, sealed as the first was, in a TaskReply of kind TaskMap, and renews
-// the task's lease. A fetch for a job, task or attempt that is no longer
-// current — the lease ran out and the share was queued again, a report of
-// the share was accepted, the job ended — or for a split outside the share
-// is refused: the reply is TaskWait, and the worker drops the task without
+// share, sealed as the first was, in a TaskReply of kind TaskMap; like any
+// call, it is a heartbeat from the worker. A fetch for a job, task or
+// attempt that is no longer current — the task was lost with its worker and
+// queued again, a report of the share was accepted, the job ended — or for
+// a split outside the share is refused: the reply is TaskWait, and the worker drops the task without
 // reporting it.
 func (s *MasterService) NextSplit(args SplitArgs, reply *TaskReply) error {
 	m := s.m
@@ -235,7 +233,6 @@ func (s *MasterService) NextSplit(args SplitArgs, reply *TaskReply) error {
 	if t == nil || !t.heldBy(args.Attempt) || args.Split < 1 || args.Split >= t.end-t.first {
 		return nil
 	}
-	t.deadline = time.Now().Add(m.cfg.TaskLease)
 	if m.sealSplit(js, args.WorkerID, t.first+args.Split, reply) {
 		reply.Kind = TaskMap
 	}
@@ -371,8 +368,8 @@ func median(xs []float64) float64 {
 }
 
 // countRetry (mu held) books one re-execution of a task of js's current
-// phase. cause is "report" (the worker returned an error) or "lease-expiry"
-// (the worker went silent holding the task).
+// phase. cause is "report" (the worker returned an error) or "worker-lost"
+// (the worker holding the task died or asked for work again).
 func (m *Master) countRetry(js *jobState, worker, cause string) {
 	m.taskRetries++
 	if js.phase == TaskMap {

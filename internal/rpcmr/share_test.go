@@ -220,26 +220,19 @@ func handFinish(t *testing.T, svc *MasterService, worker string, done <-chan out
 	}
 }
 
-// expireLease runs out the lease of the running job's task, as its holder's
-// silence would.
-func expireLease(m *Master, task int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.job.tasks[task].deadline = time.Now()
-}
-
-// leaseOf is the deadline of the running job's task.
-func leaseOf(m *Master, task int) time.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.job.tasks[task].deadline
+// silenceToDeath ages worker id past three liveness windows and sweeps: the
+// health machine declares it dead, and the task it held is queued again.
+func silenceToDeath(t *testing.T, m *Master, id string) {
+	t.Helper()
+	silence(t, m, id, 3*m.cfg.LivenessWindow+time.Millisecond)
 }
 
 // TestShareRule: a map task is a worker's share of the splits. With S splits
 // and W workers that are not dead when the job starts, a job has W map tasks,
 // W clamped to [1, S], and task i holds the splits ⌈i·S/W⌉ … ⌈(i+1)·S/W⌉ − 1:
 // the first rides on the assignment, each later one is sealed for its own
-// NextSplit, in order, and a fetch past the share is refused.
+// NextSplit, in order, and a fetch past the share is refused. A worker holds
+// one task, so task i is taken by worker i.
 func TestShareRule(t *testing.T) {
 	ensureFrameJobs()
 	const split = 10
@@ -273,17 +266,18 @@ func TestShareRule(t *testing.T) {
 		}))
 		for i, share := range tc.shares {
 			sealed = sealed[:0]
-			task := take(svc, "w0")
+			taker := fmt.Sprint("w", i)
+			task := take(svc, taker)
 			if task.Kind != TaskMap || task.TaskID != i || task.Tasks != len(tc.shares) || task.Splits != share[1]-share[0] {
 				t.Fatalf("%s: kind %d, task %d of %d with %d splits; want map task %d of %d with %d",
 					name, task.Kind, task.TaskID, task.Tasks, task.Splits, i, len(tc.shares), share[1]-share[0])
 			}
 			for s := 1; s < task.Splits; s++ {
-				if next := fetch(svc, "w0", task.Job, task.TaskID, task.Attempt, s); next.Kind != TaskMap || len(next.Frames) == 0 {
+				if next := fetch(svc, taker, task.Job, task.TaskID, task.Attempt, s); next.Kind != TaskMap || len(next.Frames) == 0 {
 					t.Fatalf("%s: split %d of task %d refused", name, s, i)
 				}
 			}
-			if past := fetch(svc, "w0", task.Job, task.TaskID, task.Attempt, task.Splits); past.Kind != TaskWait {
+			if past := fetch(svc, taker, task.Job, task.TaskID, task.Attempt, task.Splits); past.Kind != TaskWait {
 				t.Errorf("%s: task %d: a fetch past its share was served", name, i)
 			}
 			var want []int
@@ -305,14 +299,14 @@ func TestShareRule(t *testing.T) {
 }
 
 // TestShareLostWithItsWorker: a worker that vanishes holding a share
-// (WorkerConfig.VanishAfterTasks) loses all of it. Its lease runs out, the
-// share is queued again, and a worker that joins later maps the whole
+// (WorkerConfig.VanishAfterTasks) loses all of it. The health sweep finds it
+// dead, the share is queued again, and a worker that joins later maps the whole
 // share, its first split sealed again to the same bytes. The result is the
 // oracle's, and the master counts one retry and one lost worker.
 func TestShareLostWithItsWorker(t *testing.T) {
 	noLeak(t)
 	ensureFrameJobs()
-	master, _, doomed := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: 200 * time.Millisecond}, 1, WorkerConfig{VanishAfterTasks: 1})
+	master, _, doomed := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: 70 * time.Millisecond}, 1, WorkerConfig{VanishAfterTasks: 1})
 	idleWorkers(t, master, 1) // two shares: the doomed worker maps one and vanishes holding the other
 	joinAfter(t, master, doomed)
 	data := frameClusterData(1000, 3, 12) // 1 200 rows: two shares of six splits
@@ -329,15 +323,16 @@ func TestShareLostWithItsWorker(t *testing.T) {
 }
 
 // TestShareConnectionDropsMidShare: a worker whose connection drops after it
-// has fetched some of its share's splits takes the share with it. The lease,
-// which each fetch renewed, runs out, and a worker that joins later maps the
+// has fetched some of its share's splits takes the share with it. The worker,
+// whose every fetch was a heartbeat, falls silent and is found dead, and a
+// worker that joins later maps the
 // share from its first split, each split the lost worker had sealed again
 // to the same bytes. The result is the oracle's, with one retry and one
 // lost worker.
 func TestShareConnectionDropsMidShare(t *testing.T) {
 	noLeak(t)
 	ensureFrameJobs()
-	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: 200 * time.Millisecond}, 0, WorkerConfig{})
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: 70 * time.Millisecond}, 0, WorkerConfig{})
 	flaky, err := dial(master.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -383,31 +378,31 @@ func TestShareConnectionDropsMidShare(t *testing.T) {
 }
 
 // TestStaleFetchRefused: a split is served to the current attempt of a
-// running job's map task alone, and serving it renews the task's lease.
-// Once a share's lease has run out and another worker holds it, a fetch by
+// running job's map task alone, and a fetch is a heartbeat from its worker.
+// Once a share's worker has died and another worker holds it, a fetch by
 // the superseded attempt is refused, as is one that names another job or a
 // split past the share; the new attempt's fetches are served. The result is
 // the oracle's, with one retry and one lost worker.
 func TestStaleFetchRefused(t *testing.T) {
 	noLeak(t)
 	ensureFrameJobs()
-	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: time.Minute, LivenessWindow: 200 * time.Millisecond}, 0, WorkerConfig{})
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: 200 * time.Millisecond}, 0, WorkerConfig{})
 	svc := &MasterService{m: master}
 	_ = svc.Register(RegisterArgs{WorkerID: "old"}, &RegisterReply{})
 	data := frameClusterData(500, 3, 14) // 600 rows: one share of six splits
 	done := runAsync(master, setFrames(data, nil))
 	old := take(svc, "old")
-	before := leaseOf(master, old.TaskID)
+	silence(t, master, "old", 2*master.cfg.LivenessWindow) // suspect
 	if next := fetch(svc, "old", old.Job, old.TaskID, old.Attempt, 1); next.Kind != TaskMap {
 		t.Fatal("the current attempt's fetch was refused")
 	}
-	if !leaseOf(master, old.TaskID).After(before) {
-		t.Error("a fetch did not renew the task's lease")
+	if h := master.Health(); h.Healthy != 1 || h.Suspect != 0 {
+		t.Error("a fetch was not a heartbeat: its suspect worker did not recover")
 	}
-	expireLease(master, old.TaskID)
+	silenceToDeath(t, master, "old")
 	fresh := take(svc, "fresh")
 	if fresh.Kind != TaskMap || fresh.TaskID != old.TaskID || fresh.Attempt != old.Attempt+1 {
-		t.Fatalf("kind %d, task %d attempt %d; want the expired share again", fresh.Kind, fresh.TaskID, fresh.Attempt)
+		t.Fatalf("kind %d, task %d attempt %d; want the dead worker's share again", fresh.Kind, fresh.TaskID, fresh.Attempt)
 	}
 	for name, refused := range map[string]TaskReply{
 		"superseded attempt":   fetch(svc, "old", old.Job, old.TaskID, old.Attempt, 2),
@@ -425,19 +420,20 @@ func TestStaleFetchRefused(t *testing.T) {
 	requireOneFault(t, master)
 }
 
-// TestLateReportNotCounted: an attempt whose lease ran out may still finish
-// its task and report it, late, in either phase. A failure it reports is not
+// TestLateReportNotCounted: an attempt whose worker was found dead may still
+// finish its task and report it, late, in either phase. A failure it reports is not
 // the task's — the task was queued again when the attempt was superseded, and
 // the attempt that superseded it is running it — and the task's first
 // accepted report wins: once the superseding attempt has reported, the late
 // report is not accepted, and neither its output nor its tallies are counted.
-// The reduce row drives the map phase by hand first.
+// The reduce row drives the map phase by hand first. A worker holds one
+// task, so the superseding attempt is another worker's.
 func TestLateReportNotCounted(t *testing.T) {
 	for _, phase := range []TaskKind{TaskMap, TaskReduce} {
 		t.Run(phaseName(phase), func(t *testing.T) {
 			noLeak(t)
 			ensureFrameJobs()
-			master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: time.Minute, LivenessWindow: 200 * time.Millisecond}, 0, WorkerConfig{})
+			master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: 200 * time.Millisecond}, 0, WorkerConfig{})
 			svc := &MasterService{m: master}
 			for _, id := range []string{"late", "prompt"} {
 				_ = svc.Register(RegisterArgs{WorkerID: id}, &RegisterReply{})
@@ -456,10 +452,10 @@ func TestLateReportNotCounted(t *testing.T) {
 			if late.Kind != phase || other.Kind != phase {
 				t.Fatalf("kinds %d and %d, want two tasks of kind %d", late.Kind, other.Kind, phase)
 			}
-			expireLease(master, late.TaskID)
-			again := take(svc, "prompt")
+			silenceToDeath(t, master, "late")
+			again := take(svc, "rerun")
 			if again.Kind != phase || again.TaskID != late.TaskID || again.Attempt != late.Attempt+1 {
-				t.Fatalf("kind %d task %d attempt %d; want the expired task again", again.Kind, again.TaskID, again.Attempt)
+				t.Fatalf("kind %d task %d attempt %d; want the dead worker's task again", again.Kind, again.TaskID, again.Attempt)
 			}
 			lateFailure := lateReport
 			lateFailure.Err = "the superseded attempt failed"
@@ -469,7 +465,7 @@ func TestLateReportNotCounted(t *testing.T) {
 			if st := master.Status(); st.TaskRetries != 1 || st.Pending != 0 {
 				t.Errorf("after the superseded attempt's failure: %d task retries, %d pending; want 1 and 0", st.TaskRetries, st.Pending)
 			}
-			if !reportTask(svc, handTask(t, svc, "prompt", &again)) {
+			if !reportTask(svc, handTask(t, svc, "rerun", &again)) {
 				t.Error("the superseding attempt's report was not accepted")
 			}
 			if reportTask(svc, lateReport) {
@@ -489,11 +485,12 @@ func TestLateReportNotCounted(t *testing.T) {
 // no reduce task is ever handed out — and its result is its map tasks'
 // output in task order, booked as output, never as shuffle. A superseded
 // attempt's report and a late duplicate, after the finish, change nothing.
+// A worker holds one task, so the superseding attempt is another worker's.
 func TestMapOnlyJobFinishesOnItsLastMapReport(t *testing.T) {
 	noLeak(t)
 	ensureFrameJobs()
 	reg := telemetry.NewRegistry()
-	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, TaskLease: time.Minute, LivenessWindow: 200 * time.Millisecond, Metrics: reg}, 0, WorkerConfig{})
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: 200 * time.Millisecond, Metrics: reg}, 0, WorkerConfig{})
 	svc := &MasterService{m: master}
 	for _, id := range []string{"late", "prompt"} {
 		_ = svc.Register(RegisterArgs{WorkerID: id}, &RegisterReply{})
@@ -507,15 +504,16 @@ func TestMapOnlyJobFinishesOnItsLastMapReport(t *testing.T) {
 	late := take(svc, "late")
 	lateReport := handTask(t, svc, "late", &late)
 	other := take(svc, "prompt")
-	expireLease(master, late.TaskID)
-	again := take(svc, "prompt")
+	silenceToDeath(t, master, "late")
+	again := take(svc, "rerun")
 	if late.Kind != TaskMap || other.Kind != TaskMap || again.TaskID != late.TaskID || again.Attempt != late.Attempt+1 {
 		t.Fatalf("tasks %+v, %+v, %+v; want two map tasks, the first again", late, other, again)
 	}
 	outputs := make([][][]byte, 2)
 	var againReport ResultArgs
-	for _, task := range []*TaskReply{&other, &again} {
-		report := handTask(t, svc, "prompt", task)
+	holders := []string{"prompt", "rerun"}
+	for i, task := range []*TaskReply{&other, &again} {
+		report := handTask(t, svc, holders[i], task)
 		outputs[task.TaskID] = report.Frames
 		if !reportTask(svc, report) {
 			t.Fatalf("map task %d's report was not accepted", task.TaskID)

@@ -20,11 +20,12 @@ type Status struct {
 	// Pending is the current phase's queue length (excludes running).
 	Pending int
 	// TaskRetries is the cumulative count of task re-executions across
-	// all jobs, whatever the cause (worker error reports and lease
-	// expiries alike).
+	// all jobs, whatever the cause (worker error reports and lost workers
+	// alike).
 	TaskRetries int64
-	// WorkerFailures is the cumulative count of lease expiries — tasks
-	// whose worker went silent while holding them. A climbing
+	// WorkerFailures is the cumulative count of tasks lost with their
+	// worker — it went dead, or asked for work again, while holding them.
+	// A climbing
 	// TaskRetries with flat WorkerFailures means a flaky job or worker
 	// that still reports in; both climbing together means workers are
 	// dying or stalling.

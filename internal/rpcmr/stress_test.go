@@ -10,14 +10,14 @@ import (
 
 // TestStressManyTasksWithChaos runs jobs of 200 one-row splits over 6
 // workers, two of which crash holding their second task: one job after
-// another, until both have gone and their tasks' leases have run out.
-// Lease reassignment — of a whole share, of a reduce task — must carry every
-// job to a correct result, whichever task a doomed worker held.
+// another, until both have gone and the health sweep has found them dead.
+// Re-queueing a dead worker's task — a whole share, a reduce task — must
+// carry every job to a correct result, whichever task a doomed worker held.
 func TestStressManyTasksWithChaos(t *testing.T) {
 	ensureJobs()
 	master, err := NewMaster(MasterConfig{
-		SplitSize: 1,
-		TaskLease: 300 * time.Millisecond,
+		SplitSize:      1,
+		LivenessWindow: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestStressManyTasksWithChaos(t *testing.T) {
 // TestStressSequentialJobsAfterChaos verifies the master stays usable for
 // later jobs after a chaotic one.
 func TestStressSequentialJobsAfterChaos(t *testing.T) {
-	master, _, _ := newCluster(t, MasterConfig{SplitSize: 2, TaskLease: 300 * time.Millisecond}, 3,
+	master, _, _ := newCluster(t, MasterConfig{SplitSize: 2, LivenessWindow: 100 * time.Millisecond}, 3,
 		WorkerConfig{PollInterval: 2 * time.Millisecond})
 	healthyInput := tallyRows(0, 1, 1, 2, 2, 0) // "x y", "y z", "z x"
 	for round := 0; round < 5; round++ {

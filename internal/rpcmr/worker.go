@@ -26,8 +26,9 @@ type WorkerConfig struct {
 	PollInterval time.Duration
 	// VanishAfterTasks, when > 0, makes the worker crash while *holding*
 	// its next assigned task after completing that many: the task is
-	// accepted but never executed or reported, exercising the master's
-	// lease-expiry reassignment. 0 disables.
+	// accepted but never executed or reported, and the worker falls silent
+	// until the master's health sweep declares it dead and queues the task
+	// again. 0 disables.
 	VanishAfterTasks int
 	// TaskStall, when > 0, sleeps that long before executing every task —
 	// a controllable straggler for tests and the critpath experiment

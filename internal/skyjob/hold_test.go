@@ -16,15 +16,15 @@ import (
 
 // TestNoWorkerWaitsOnATimer: workers whose PollInterval is an hour run two
 // whole pipelines — unbudgeted, then under a 4 KiB reducer budget —
-// beside a worker that dies holding a task under a 50 ms lease, in under
-// two seconds and to the oracle's skyline: every job start, phase change
-// and re-queued task reaches them parked on the master. Cancelling a parked
+// beside a worker that dies holding a task and is restarted under its name,
+// in under two seconds and to the oracle's skyline: every job start, phase
+// change and re-queued task — the restarted worker's registration gives up
+// the task it held — reaches them parked on the master. Cancelling a parked
 // worker's Run returns at once, and after Drain and Close the master holds
 // no request.
 func TestNoWorkerWaitsOnATimer(t *testing.T) {
 	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{
 		SplitSize:      200,
-		TaskLease:      50 * time.Millisecond,
 		LivenessWindow: time.Minute, // no hold runs out while this test lasts
 	})
 	if err != nil {
@@ -35,22 +35,41 @@ func TestNoWorkerWaitsOnATimer(t *testing.T) {
 		cancel context.CancelFunc
 		exit   chan error
 	}
-	start := func(cfg rpcmr.WorkerConfig) worker {
+	launch := func(cfg rpcmr.WorkerConfig) (worker, error) {
 		cfg.MasterAddr, cfg.PollInterval = master.Addr(), time.Hour
 		w, err := rpcmr.NewWorker(cfg)
 		if err != nil {
-			t.Fatal(err)
+			return worker{}, err
 		}
 		t.Cleanup(func() { w.Close() })
 		ctx, cancel := context.WithCancel(context.Background())
 		t.Cleanup(cancel)
 		exit := make(chan error, 1)
 		go func() { exit <- w.Run(ctx) }()
-		return worker{cancel, exit}
+		return worker{cancel, exit}, nil
+	}
+	start := func(cfg rpcmr.WorkerConfig) worker {
+		w, err := launch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
 	}
 	began := time.Now()
 	a, b := start(rpcmr.WorkerConfig{ID: "a"}), start(rpcmr.WorkerConfig{ID: "b"})
 	doomed := start(rpcmr.WorkerConfig{ID: "doomed", VanishAfterTasks: 1})
+	// The doomed worker's supervisor restarts it under the same ID once it
+	// has crashed; the crash is passed on for the check below.
+	crashed := make(chan error, 1)
+	restarted := make(chan worker, 1)
+	go func() {
+		crashed <- <-doomed.exit
+		w, err := launch(rpcmr.WorkerConfig{ID: "doomed"})
+		if err != nil {
+			t.Errorf("restarting the doomed worker: %v", err)
+		}
+		restarted <- w
+	}()
 
 	data := uniformSet(9, 3000, 4)
 	want := skyline.BNL(data)
@@ -75,7 +94,7 @@ func TestNoWorkerWaitsOnATimer(t *testing.T) {
 		t.Errorf("two pipelines took %v with no worker able to poll, want < 2 s", took)
 	}
 	select {
-	case err := <-doomed.exit:
+	case err := <-crashed:
 		if err == nil || !strings.Contains(err.Error(), "injected crash") {
 			t.Errorf("the doomed worker exited with %v", err)
 		}
@@ -83,10 +102,10 @@ func TestNoWorkerWaitsOnATimer(t *testing.T) {
 		t.Error("the doomed worker is still running")
 	}
 	if st := master.Status(); st.WorkerFailures == 0 {
-		t.Error("no lease ran out: the crash did not trigger")
+		t.Error("no task was lost: the crash did not trigger")
 	}
 
-	// Both healthy workers are parked now. Cancel one.
+	// The healthy workers are parked now. Cancel one.
 	cancelled := time.Now()
 	a.cancel()
 	select {
@@ -98,13 +117,22 @@ func TestNoWorkerWaitsOnATimer(t *testing.T) {
 		t.Fatal("a parked worker's Run did not return when its context was cancelled")
 	}
 	master.Drain()
+	parked := []worker{b}
 	select {
-	case err := <-b.exit:
-		if err != nil {
-			t.Errorf("the other worker exited with %v on Drain, want nil", err)
-		}
+	case w := <-restarted:
+		parked = append(parked, w)
 	case <-time.After(5 * time.Second):
-		t.Fatal("a parked worker did not exit on Drain")
+		t.Fatal("the doomed worker was not restarted")
+	}
+	for _, w := range parked {
+		select {
+		case err := <-w.exit:
+			if err != nil {
+				t.Errorf("a parked worker exited with %v on Drain, want nil", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a parked worker did not exit on Drain")
+		}
 	}
 	master.Close()
 	deadline := time.Now().Add(5 * time.Second)

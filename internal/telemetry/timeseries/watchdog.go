@@ -242,6 +242,23 @@ func labelOf(id, key string) string {
 	return ""
 }
 
+// ClusterRules is the rule set over a cluster master's own series:
+// throughput-stall (a worker holding work whose completions stand still for
+// window), heartbeat-gap (a worker the health machine has marked suspect or
+// dead) and gc-pause-spike (stop-the-world pauses above 5% of wall time over
+// window). skymaster installs it, and the observability gate prices it.
+func ClusterRules(window time.Duration) []Rule {
+	return []Rule{
+		PairedStallRule("throughput-stall",
+			"rpcmr_worker_tasks_done", "rpcmr_worker_inflight", "worker", window, 1),
+		// Worker state >= 1 is suspect or dead: the heartbeat gap the
+		// health machine already flagged, surfaced as an anomaly too.
+		GaugeAboveRule("heartbeat-gap", "rpcmr_worker_state", 1, "worker"),
+		// GC pause rate above 5% of wall time is a collector in trouble.
+		RateAboveRule("gc-pause-spike", "process_gc_pause_seconds_total", 0.05, window),
+	}
+}
+
 // PairedStallRule detects a stalled producer: for every series of the
 // progress family (a cumulative count, e.g. per-worker tasks done)
 // whose paired active series (same label set under activeName, e.g.

@@ -4,6 +4,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +86,23 @@ func TestGaugeAboveAndRateAboveRules(t *testing.T) {
 	rQuiet := RateAboveRule("gc", "gc_total", 0.5, 10*time.Second)
 	if f := rQuiet.Eval(s); len(f) != 0 {
 		t.Fatalf("rate findings above threshold 0.5 = %+v, want none", f)
+	}
+}
+
+// TestClusterRules: the cluster rule set is its three rules, in order, and
+// its heartbeat-gap rule reads the health machine's state gauge.
+func TestClusterRules(t *testing.T) {
+	rules := ClusterRules(10 * time.Second)
+	var names []string
+	for _, r := range rules {
+		names = append(names, r.Name)
+	}
+	if want := []string{"throughput-stall", "heartbeat-gap", "gc-pause-spike"}; strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("cluster rules %v, want %v", names, want)
+	}
+	s := sampleSeries(t, map[string][]float64{`rpcmr_worker_state{worker="w1"}`: {0, 1, 2}}, 3)
+	if f := rules[1].Eval(s); len(f) != 1 {
+		t.Errorf("heartbeat-gap findings = %+v, want one for w1", f)
 	}
 }
 
