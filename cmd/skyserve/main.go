@@ -7,7 +7,7 @@
 //
 //	skyserve [-addr :8080] [-method angle] [-seed-n 1000] [-seed-d 4]
 //	         [-seed-file data.csv] [-header] [-snapshot registry.jsonl]
-//	         [-slo-p99 250ms] [-slo-avail 0.999] [-slow-threshold 100ms]
+//	         [-slo-p99 250ms] [-slo-avail 0.999]
 //	         [-publish-queue 1024] [-publish-batch 256]
 //
 // Publishes ride a batching pipeline (group commit: one index epoch per
@@ -23,8 +23,7 @@
 //	GET  /stats
 //	GET  /metrics       Prometheus text exposition
 //	GET  /debug/queries recent per-query cost records + cumulative totals
-//	GET  /debug/slowlog top-K slowest queries (threshold via -slow-threshold)
-//	GET  /debug/slo     SLO burn state (objectives via -slo-p99 / -slo-avail)
+//	GET  /debug/slowlog top-K slowest queries; Slow marks those over -slo-p99
 //
 // and, on the same listener, the debug plane every binary starts
 // (internal/telemetry/debugserver):
@@ -34,10 +33,13 @@
 //	GET  /debug/events  structured event stream (JSON lines; ?level= ?since= ?limit=)
 //	GET  /debug/health  service health summary (JSON)
 //	GET  /debug/timeseries  metric history, sampled every second
+//	GET  /debug/slo     SLO burn state (objectives via -slo-p99 / -slo-avail)
 //
-// The plane's clock ticks the SLO tracker after each sample: it evaluates
-// its objectives against the registry's own metrics and emits "slo budget
-// burning" events while the multi-window burn rate exceeds 1; set a flag
+// The objectives are read from the plane's rings, which keep the 30-minute
+// burn window: a read slower than -slo-p99 counts bad, exactly, and so
+// does a 5xx against -slo-avail. While every burn window (1m, 5m, 30m)
+// spends its error budget faster than sustainable, the plane's watchdog
+// reports an "anomaly detected" event for rule slo:<objective>; set a flag
 // to zero to disable the corresponding objective.
 //
 // With -snapshot, the catalogue is loaded from the file at boot (when it
@@ -87,19 +89,18 @@ func main() {
 	snapshot := flag.String("snapshot", "", "catalogue file: loaded at boot, saved on shutdown")
 	sloP99 := flag.Duration("slo-p99", 250*time.Millisecond, "p99 latency objective for skyline reads (0 disables)")
 	sloAvail := flag.Float64("slo-avail", 0.999, "availability objective: target non-5xx request fraction (0 disables)")
-	slowThreshold := flag.Duration("slow-threshold", 100*time.Millisecond, "queries at least this slow are flagged into /debug/slowlog")
 	publishQueue := flag.Int("publish-queue", 0, "publish pipeline queue depth (0 = default)")
 	publishBatch := flag.Int("publish-batch", 0, "publish pipeline max group-commit batch (0 = default)")
 	flag.Parse()
 
-	if err := run(*addr, *method, *seedN, *seedD, *seedFile, *header, *snapshot, *sloP99, *sloAvail, *slowThreshold, *publishQueue, *publishBatch); err != nil {
+	if err := run(*addr, *method, *seedN, *seedD, *seedFile, *header, *snapshot, *sloP99, *sloAvail, *publishQueue, *publishBatch); err != nil {
 		fmt.Fprintf(os.Stderr, "skyserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, method string, seedN, seedD int, seedFile string, header bool, snapshot string,
-	sloP99 time.Duration, sloAvail float64, slowThreshold time.Duration, publishQueue, publishBatch int) error {
+	sloP99 time.Duration, sloAvail float64, publishQueue, publishBatch int) error {
 	scheme, err := partition.ParseScheme(method)
 	if err != nil {
 		return err
@@ -120,29 +121,21 @@ func run(addr, method string, seedN, seedD int, seedFile string, header bool, sn
 			return err
 		}
 	}
-	reg.ConfigureQueryLog(slowThreshold)
-	var slo *telemetry.SLOTracker
-	if sloP99 > 0 || sloAvail > 0 {
-		slo = reg.ConfigureSLO(registry.SLOOptions{
-			P99Threshold: sloP99,
-			Availability: sloAvail,
-			Events:       events,
-		})
-	}
+	objectives := reg.ConfigureSLO(registry.SLOOptions{P99Threshold: sloP99, Availability: sloAvail})
 	events.Info("registry ready", telemetry.A("services", reg.Len()),
 		telemetry.A("dim", reg.Dim()), telemetry.A("scheme", fmt.Sprint(scheme)))
 
 	// One listener: the registry's API under "/", the debug plane beside
 	// it on the same mux. The plane's clock feeds /debug/timeseries from
 	// the registry's own metrics, so operators read QPS and latency trends
-	// off the service itself, and ticks the SLO tracker.
+	// off the service itself, and evaluates the objectives over it.
 	mux := http.NewServeMux()
 	mux.Handle("/", reg.Handler())
 	plane, err := debugserver.Start(addr, debugserver.Sources{
-		Metrics:  reg.Metrics(),
-		Events:   events,
-		Recorder: recorder,
-		SLO:      slo,
+		Metrics:    reg.Metrics(),
+		Events:     events,
+		Recorder:   recorder,
+		Objectives: objectives,
 		Health: func() any {
 			return serveHealth{
 				Status:        "ok",

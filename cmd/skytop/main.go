@@ -75,7 +75,7 @@ type sample struct {
 	series  *timeseries.Doc
 	events  []telemetry.LogEvent
 	slowlog *telemetry.QueryLogDoc
-	slo     *telemetry.SLODoc
+	slo     *timeseries.SLODoc
 	err     error // metrics fetch error; partial samples still render
 }
 
@@ -115,7 +115,7 @@ func (c *client) poll() *sample {
 	if err := c.getJSON(telemetry.SlowLogPath, &s.slowlog); err != nil {
 		s.slowlog = nil
 	}
-	if err := c.getJSON(telemetry.SLOPath, &s.slo); err != nil {
+	if err := c.getJSON(timeseries.SLOPath, &s.slo); err != nil {
 		s.slo = nil
 	}
 	if text, err := c.getText(telemetry.EventsPath); err == nil {
@@ -174,8 +174,8 @@ func render(w io.Writer, addr string, s, prev *sample, maxEvents int) {
 }
 
 // renderSLO shows each objective's achieved level, budget consumption
-// and multi-window burn state; "n/a" when the target serves no tracker.
-func renderSLO(w io.Writer, doc *telemetry.SLODoc) {
+// and multi-window burn state; "n/a" when the target has no objectives.
+func renderSLO(w io.Writer, doc *timeseries.SLODoc) {
 	if doc == nil {
 		fmt.Fprintf(w, "\nslo: n/a\n")
 		return

@@ -16,6 +16,7 @@ import (
 	"repro/internal/points"
 	"repro/internal/skyline"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/timeseries"
 
 	"context"
 )
@@ -153,12 +154,12 @@ func TestExplainReconciliation(t *testing.T) {
 }
 
 // TestDebugEndpoints: /debug/queries and /debug/slowlog serve the
-// registry's query log, and /debug/slo is 404 until ConfigureSLO and
-// live after.
+// registry's query log, which flags Slow what the latency objective counts
+// bad.
 func TestDebugEndpoints(t *testing.T) {
 	r := newRegistry(t)
-	// A tiny threshold so every query lands in the slow log.
-	r.ConfigureQueryLog(time.Nanosecond)
+	// A tiny threshold so every query is slow.
+	r.ConfigureSLO(SLOOptions{P99Threshold: time.Nanosecond})
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()
 
@@ -175,30 +176,37 @@ func TestDebugEndpoints(t *testing.T) {
 	if doc.Totals.Queries != 1 || doc.Totals.SlowQueries != 1 {
 		t.Errorf("totals = %+v", doc.Totals)
 	}
+	if got := r.Metrics().Counter("registry_slow_requests_total", telemetry.L("endpoint", "skyline")).Value(); got != 1 {
+		t.Errorf("registry_slow_requests_total{skyline} = %d, want 1", got)
+	}
+}
 
-	var slo struct{}
-	if code := getJSON(t, srv.URL+telemetry.SLOPath, &slo); code != http.StatusNotFound {
-		t.Errorf("unconfigured %s = %d, want 404", telemetry.SLOPath, code)
+// TestLatencyObjectiveCountsExactly: a skyline read is bad exactly when it
+// runs longer than the latency objective's threshold. A 30ms read under a
+// 50ms threshold falls in the (24.4, 61.0] ms histogram bucket, whose
+// bound is over the threshold, and is still good.
+func TestLatencyObjectiveCountsExactly(t *testing.T) {
+	r := newRegistry(t)
+	objectives := r.ConfigureSLO(SLOOptions{P99Threshold: 50 * time.Millisecond})
+	if len(objectives) != 1 || objectives[0].Name != "skyline-p99" {
+		t.Fatalf("objectives = %+v, want the latency objective alone", objectives)
 	}
-	r.ConfigureSLO(SLOOptions{P99Threshold: 50 * time.Millisecond, Availability: 0.999})
-	var sloDoc struct {
-		Objectives []telemetry.SLOStatus `json:"objectives"`
+	s := timeseries.NewSampler(r.Metrics(), timeseries.Config{})
+	s.Sample()
+	for _, d := range []time.Duration{30 * time.Millisecond, 70 * time.Millisecond} {
+		h := r.instrument("skyline", true, func(http.ResponseWriter, *http.Request) { time.Sleep(d) })
+		h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/skyline", nil))
 	}
-	if code := getJSON(t, srv.URL+telemetry.SLOPath, &sloDoc); code != http.StatusOK {
-		t.Fatalf("configured %s = %d", telemetry.SLOPath, code)
+	s.Sample()
+	st := objectives[0].Status(s)
+	if st.Requests != 2 || st.Bad != 1 {
+		t.Errorf("latency objective = %d requests, %d bad; want 2 and 1", st.Requests, st.Bad)
 	}
-	if len(sloDoc.Objectives) != 2 {
-		t.Fatalf("objectives = %+v", sloDoc.Objectives)
+	if w := st.Windows[0]; w.Requests != 2 || w.Bad != 1 {
+		t.Errorf("1m window = %+v, want 2 requests, 1 bad", w)
 	}
-	byName := map[string]telemetry.SLOStatus{}
-	for _, o := range sloDoc.Objectives {
-		byName[o.Name] = o
-	}
-	if o, ok := byName["availability"]; !ok || o.Requests < 1 || o.Bad != 0 || o.Violated {
-		t.Errorf("availability objective wrong: %+v", o)
-	}
-	if o, ok := byName["skyline-p99"]; !ok || o.Requests < 1 {
-		t.Errorf("latency objective wrong: %+v", o)
+	if tot := r.QueryLog().Totals(); tot.Queries != 2 || tot.SlowQueries != 1 {
+		t.Errorf("query log totals = %+v, want the 70ms read alone flagged slow", tot)
 	}
 }
 

@@ -8,8 +8,10 @@
 // Every tracked request (publishes and skyline reads) carries a
 // telemetry.QueryStats record through the index, so the registry can
 // answer "which query was slow and why" from /debug/queries and
-// /debug/slowlog, serve per-query EXPLAIN plans from /skyline?explain=1,
-// and evaluate latency/availability SLOs at /debug/slo.
+// /debug/slowlog and serve per-query EXPLAIN plans from
+// /skyline?explain=1. ConfigureSLO returns its latency and availability
+// objectives over its own request counters, for the debug plane to
+// evaluate at /debug/slo.
 package registry
 
 import (
@@ -28,6 +30,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/points"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/timeseries"
 )
 
 // Service is one published web service.
@@ -56,7 +59,6 @@ type Registry struct {
 	cache    *queryCache
 	tele     *telemetry.Registry
 	queries  *telemetry.QueryLog
-	slo      *telemetry.SLOTracker
 	// Pre-resolved hot-path counters: resolving a labelled counter takes
 	// a registry lookup, too expensive per request at serving rates.
 	pathCached, pathMerge, pathUpdate *telemetry.Counter
@@ -66,19 +68,18 @@ type Registry struct {
 	// latency histograms untouched — the control arm of the serve
 	// benchmark's overhead split.
 	statsOff atomic.Bool
-	// reqTotal / req5xx feed the availability SLO source: requests whose
-	// status class is 5xx count against the error budget.
-	reqTotal atomic.Int64
-	req5xx   atomic.Int64
+	// slowAfter is the latency objective's threshold in nanoseconds (0
+	// without one): a request running longer counts into
+	// registry_slow_requests_total{endpoint}, and the query log flags it
+	// Slow.
+	slowAfter atomic.Int64
 }
 
 // The query log's shape: a ring of the last queryLogCapacity records and the
-// slowLogK slowest over the slow threshold (defaultSlowThreshold until
-// ConfigureQueryLog sets it).
+// slowLogK slowest.
 const (
-	queryLogCapacity     = 256
-	slowLogK             = 16
-	defaultSlowThreshold = 100 * time.Millisecond
+	queryLogCapacity = 256
+	slowLogK         = 16
 )
 
 // New builds a registry seeded with initial services (at least one is
@@ -119,7 +120,7 @@ func New(ctx context.Context, initial []Service, opts driver.Options) (*Registry
 		ix:          ix,
 		services:    services,
 		tele:        tele,
-		queries:     telemetry.NewQueryLog(queryLogCapacity, slowLogK, defaultSlowThreshold),
+		queries:     telemetry.NewQueryLog(queryLogCapacity, slowLogK, 0),
 		pathCached:  tele.Counter("registry_query_path_total", telemetry.L("path", "cached")),
 		pathMerge:   tele.Counter("registry_query_path_total", telemetry.L("path", "merge")),
 		pathUpdate:  tele.Counter("registry_query_path_total", telemetry.L("path", "update")),
@@ -172,14 +173,6 @@ func (r *Registry) Metrics() *telemetry.Registry { return r.tele }
 // QueryLog returns the per-query record log behind /debug/queries.
 func (r *Registry) QueryLog() *telemetry.QueryLog { return r.queries }
 
-// ConfigureQueryLog sets the query log's slow threshold. Records already
-// filed are dropped; call before serving traffic.
-func (r *Registry) ConfigureQueryLog(threshold time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.queries = telemetry.NewQueryLog(queryLogCapacity, slowLogK, threshold)
-}
-
 // EnableQueryStats toggles per-query attribution. Disabled, requests
 // still hit the endpoint counters and latency histograms but no
 // QueryStats record is created or filed — the measured-overhead control.
@@ -193,40 +186,39 @@ type SLOOptions struct {
 	// Availability is the target fraction of requests answered without a
 	// 5xx, e.g. 0.999. Zero disables the availability objective.
 	Availability float64
-	// Events, when non-nil, receives budget-burn warnings.
-	Events *telemetry.EventLog
 }
 
-// ConfigureSLO installs an SLO tracker evaluating the configured
-// objectives against the registry's own metrics: the skyline endpoint's
-// latency histogram and the 5xx share of all instrumented requests. It
-// returns the tracker so the caller can tick it (a debugserver plane's
-// clock does); its state is served at /debug/slo by Handler.
-func (r *Registry) ConfigureSLO(opts SLOOptions) *telemetry.SLOTracker {
-	tr := telemetry.NewSLOTracker(telemetry.SLOConfig{Events: opts.Events})
+// ConfigureSLO sets the registry's objectives over its own request
+// counters and returns them for a debug plane to evaluate: the latency
+// objective counts a skyline read bad when it runs longer than
+// P99Threshold (exactly, into registry_slow_requests_total), and the
+// availability objective counts a 5xx bad among all requests. The query
+// log is rebuilt to flag the same reads Slow, dropping the records already
+// filed; call before serving traffic.
+func (r *Registry) ConfigureSLO(opts SLOOptions) []timeseries.Objective {
+	var objectives []timeseries.Objective
 	if opts.P99Threshold > 0 {
-		h := r.tele.Histogram("registry_request_seconds", telemetry.DurationBuckets(),
-			telemetry.L("endpoint", "skyline"))
-		tr.AddLatency("skyline-p99", 0.99, opts.P99Threshold, telemetry.LatencySLOSource(h, opts.P99Threshold))
+		skyline := []telemetry.Label{telemetry.L("endpoint", "skyline")}
+		// The bad counter exists from here on, so its ring starts at zero.
+		r.tele.Counter("registry_slow_requests_total", skyline...)
+		objectives = append(objectives, timeseries.Objective{
+			Name: "skyline-p99", Kind: "latency", Quantile: 0.99, Threshold: opts.P99Threshold,
+			Bad:   timeseries.Selector{Name: "registry_slow_requests_total", Labels: skyline},
+			Total: timeseries.Selector{Name: "registry_requests_total", Labels: skyline},
+		})
 	}
-	if opts.Availability > 0 {
-		tr.AddAvailability("availability", opts.Availability, telemetry.CounterSLOSource(
-			func() int64 { return r.reqTotal.Load() - r.req5xx.Load() },
-			r.req5xx.Load,
-		))
+	if opts.Availability > 0 && opts.Availability < 1 {
+		objectives = append(objectives, timeseries.Objective{
+			Name: "availability", Kind: "availability", Target: opts.Availability,
+			Bad:   timeseries.Selector{Name: "registry_requests_total", Labels: []telemetry.Label{telemetry.L("status", "5xx")}},
+			Total: timeseries.Selector{Name: "registry_requests_total"},
+		})
 	}
+	r.slowAfter.Store(int64(opts.P99Threshold))
 	r.mu.Lock()
-	r.slo = tr
+	r.queries = telemetry.NewQueryLog(queryLogCapacity, slowLogK, opts.P99Threshold)
 	r.mu.Unlock()
-	return tr
-}
-
-// SLO returns the configured SLO tracker, or nil when ConfigureSLO has
-// not been called (in which case /debug/slo serves 404).
-func (r *Registry) SLO() *telemetry.SLOTracker {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.slo
+	return objectives
 }
 
 // Dim returns the registry's attribute dimensionality.
@@ -422,7 +414,6 @@ type ExplainResponse struct {
 //	GET  /dashboard         → HTML status page for operators
 //	GET  /debug/queries     → recent per-query cost records + totals
 //	GET  /debug/slowlog     → top-K slowest queries
-//	GET  /debug/slo         → SLO burn state (404 until ConfigureSLO)
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.tele.Handler())
@@ -431,7 +422,6 @@ func (r *Registry) Handler() http.Handler {
 		defer r.mu.RUnlock()
 		return r.queries
 	})
-	telemetry.MountSLO(mux, r.SLO)
 	mux.HandleFunc("/dashboard", r.instrument("dashboard", false, r.serveDashboard))
 	mux.HandleFunc("/services", r.instrument("services", true, func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
@@ -552,9 +542,11 @@ func statusClass(code int) string {
 }
 
 // instrument wraps an endpoint with a request counter labelled by
-// endpoint and status class, and a latency histogram labelled by
-// endpoint. Both are recorded after the handler runs, so error responses
-// are counted under their real status and their latency is observed too.
+// endpoint and status class, a latency histogram labelled by endpoint and,
+// for a request running longer than the latency objective's threshold,
+// registry_slow_requests_total{endpoint}. All are recorded after the
+// handler runs, so error responses are counted under their real status
+// and their latency is observed too.
 // When track is set (the query-shaped endpoints: skyline reads and
 // publishes), the request additionally carries a telemetry.QueryStats
 // record through its context; the index annotates it with path and cost,
@@ -578,10 +570,10 @@ func (r *Registry) instrument(endpoint string, track bool, h http.HandlerFunc) h
 		}
 		r.tele.Counter("registry_requests_total",
 			telemetry.L("endpoint", endpoint), telemetry.L("status", statusClass(sw.status))).Inc()
-		seconds.Observe(time.Since(start).Seconds())
-		r.reqTotal.Add(1)
-		if sw.status >= 500 {
-			r.req5xx.Add(1)
+		elapsed := time.Since(start)
+		seconds.Observe(elapsed.Seconds())
+		if after := r.slowAfter.Load(); after > 0 && int64(elapsed) > after {
+			r.tele.Counter("registry_slow_requests_total", telemetry.L("endpoint", endpoint)).Inc()
 		}
 		if qs != nil {
 			qs.SetStatus(sw.status)

@@ -44,9 +44,9 @@ type Sources struct {
 	// CaptureDir, an anomaly also writes a CPU+heap profile pair there.
 	Rules      []timeseries.Rule
 	CaptureDir string
-	// SLO is ticked after the rules; its state is served by whoever owns
-	// it (the registry's handler).
-	SLO *telemetry.SLOTracker
+	// Objectives are served at /debug/slo and each evaluated as the rule
+	// slo:<name> beside Rules; they size the rings to their longest window.
+	Objectives []timeseries.Objective
 	// Interval is the period of the plane's clock (default 1s). A caller
 	// whose rules look at a window derives it from that window, so the
 	// window always spans several samples.
@@ -79,8 +79,8 @@ type Plane struct {
 // that serves src.Mux itself) — listens on addr and serves.
 //
 // The clock is one goroutine that every Interval samples Metrics, then
-// evaluates Rules over the fresh sample, then ticks SLO, in that order,
-// so a rule never sees a stale ring and nothing else needs a ticker. The
+// evaluates Rules and the Objectives' rules over the fresh sample, in that
+// order, so a rule never sees a stale ring and nothing else needs a ticker. The
 // federation scrape alone runs beside it, every 2×Interval on a second
 // goroutine, because it waits on other processes: a worker that accepts
 // the connection and then hangs would otherwise hold back a sample, and
@@ -97,10 +97,16 @@ func Start(addr string, src Sources) (*Plane, error) {
 	}
 	src.Events.BindMetrics(src.Metrics)
 	p := &Plane{src: src}
-	p.sampler = timeseries.NewSampler(src.Metrics, timeseries.Config{Interval: src.Interval})
+	p.sampler = timeseries.NewSampler(src.Metrics, timeseries.Config{
+		Interval: src.Interval, Retention: timeseries.RetentionFor(src.Interval, src.Objectives),
+	})
+	rules := append([]timeseries.Rule(nil), src.Rules...)
+	for _, o := range src.Objectives {
+		rules = append(rules, o.Rule())
+	}
 	p.watchdog = timeseries.NewWatchdog(p.sampler, timeseries.WatchdogConfig{
 		Events: src.Events, Metrics: src.Metrics, CaptureDir: src.CaptureDir,
-	}, src.Rules...)
+	}, rules...)
 	if src.Targets != nil {
 		p.federator = telemetry.NewFederator(telemetry.FederatorConfig{
 			Self: src.Metrics, Targets: src.Targets, Events: src.Events,
@@ -129,7 +135,6 @@ func Start(addr string, src Sources) (*Plane, error) {
 	p.every(ctx, src.Interval, func() {
 		p.sampler.Sample()
 		p.watchdog.Evaluate()
-		src.SLO.Tick()
 	})
 	if p.federator != nil {
 		p.every(ctx, 2*src.Interval, func() { p.federator.ScrapeOnce(ctx) })
@@ -167,6 +172,7 @@ func (p *Plane) mount(mux *http.ServeMux) {
 	telemetry.MountRunHistory(mux, src.History)
 	telemetry.MountCluster(mux, p.federator)
 	timeseries.Mount(mux, p.sampler)
+	timeseries.MountSLO(mux, p.sampler, src.Objectives)
 	critpath.Mount(mux, func() *critpath.Analysis {
 		if src.Tracer == nil {
 			return nil

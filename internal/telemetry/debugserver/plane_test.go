@@ -27,9 +27,9 @@ import (
 var (
 	planePaths = []string{
 		telemetry.FlightRecorderPath, telemetry.EventsPath, telemetry.HealthPath, telemetry.ClusterPath,
-		timeseries.Path, critpath.Path, telemetry.RunHistoryPath,
+		timeseries.Path, timeseries.SLOPath, critpath.Path, telemetry.RunHistoryPath,
 	}
-	jsonPaths = append([]string{telemetry.QueriesPath, telemetry.SlowLogPath, telemetry.SLOPath}, planePaths...)
+	jsonPaths = append([]string{telemetry.QueriesPath, telemetry.SlowLogPath}, planePaths...)
 )
 
 // settleGoroutines fails the test unless the goroutine count returns to
@@ -108,8 +108,7 @@ func TestPlaneServesEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg.ConfigureQueryLog(time.Nanosecond)
-	slo := reg.ConfigureSLO(registry.SLOOptions{P99Threshold: 250 * time.Millisecond, Availability: 0.99, Events: events})
+	objectives := reg.ConfigureSLO(registry.SLOOptions{P99Threshold: 250 * time.Millisecond, Availability: 0.99})
 	history, err := telemetry.OpenRunHistory("", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -132,10 +131,10 @@ func TestPlaneServesEveryPath(t *testing.T) {
 		Targets: func() []telemetry.FederationTarget {
 			return []telemetry.FederationTarget{{ID: "w0", Addr: worker.Addr()}}
 		},
-		Rules:    []timeseries.Rule{timeseries.GaugeAboveRule("always", "process_never_registered", 1, "")},
-		SLO:      slo,
-		Interval: 10 * time.Millisecond,
-		Mux:      mux,
+		Rules:      []timeseries.Rule{timeseries.GaugeAboveRule("always", "process_never_registered", 1, "")},
+		Objectives: objectives,
+		Interval:   250 * time.Millisecond,
+		Mux:        mux,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,10 +188,10 @@ func TestPlaneServesEveryPath(t *testing.T) {
 		t.Errorf("query log = %+v, want the /skyline read", queries)
 	}
 	if fetch(telemetry.SlowLogPath, &slow); len(slow.Queries) < 1 || slow.ThresholdSeconds <= 0 {
-		t.Errorf("slow log = %+v, want the /skyline read over a 1ns threshold", slow)
+		t.Errorf("slow log = %+v, want the /skyline read and the 250ms threshold", slow)
 	}
-	var slos telemetry.SLODoc
-	if fetch(telemetry.SLOPath, &slos); len(slos.Objectives) != 2 {
+	var slos timeseries.SLODoc
+	if fetch(timeseries.SLOPath, &slos); len(slos.Objectives) != 2 {
 		t.Errorf("slo = %+v, want two objectives", slos)
 	}
 	// The clock's products: wait for a second sample and the first scrape.
@@ -211,7 +210,8 @@ func TestPlaneServesEveryPath(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if series.IntervalSeconds != 0.01 || series.Retention != 300 {
+	// The rings keep the 30-minute burn window: 30m / 250ms + 1 samples.
+	if series.IntervalSeconds != 0.25 || series.Retention != 7201 {
 		t.Errorf("timeseries doc = interval %v, retention %d", series.IntervalSeconds, series.Retention)
 	}
 	for id := range series.Series {
@@ -325,6 +325,54 @@ func TestCloseTakesFinalSample(t *testing.T) {
 	}
 }
 
+// TestSLOServedFromObjectives: /debug/slo is the plane's, served from the
+// objectives in Sources: 404 with none, and with the registry's two, their
+// state over the rings once a sample has seen the traffic.
+func TestSLOServedFromObjectives(t *testing.T) {
+	reg, err := registry.New(context.Background(), []registry.Service{{Name: "a", QoS: []float64{1, 2}}},
+		driver.Options{Scheme: partition.Angular})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	objectives := reg.ConfigureSLO(registry.SLOOptions{P99Threshold: 50 * time.Millisecond, Availability: 0.999})
+	for _, objs := range [][]timeseries.Objective{nil, objectives} {
+		mux := http.NewServeMux()
+		mux.Handle("/", reg.Handler())
+		plane, err := Start("", Sources{Metrics: reg.Metrics(), Objectives: objs, Interval: time.Hour, Mux: mux})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/skyline", nil))
+		if err := plane.Close(nil); err != nil { // Close takes the sample
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, timeseries.SLOPath, nil))
+		if objs == nil {
+			if rr.Code != http.StatusNotFound {
+				t.Errorf("%s without objectives = %d, want 404", timeseries.SLOPath, rr.Code)
+			}
+			continue
+		}
+		var doc timeseries.SLODoc
+		decode(t, timeseries.SLOPath, rr.Body.Bytes(), &doc)
+		if len(doc.Objectives) != 2 {
+			t.Fatalf("objectives = %+v", doc.Objectives)
+		}
+		byName := map[string]timeseries.SLOStatus{}
+		for _, o := range doc.Objectives {
+			byName[o.Name] = o
+		}
+		if o, ok := byName["availability"]; !ok || o.Requests < 1 || o.Bad != 0 || o.Violated {
+			t.Errorf("availability objective wrong: %+v", o)
+		}
+		if o, ok := byName["skyline-p99"]; !ok || o.Requests < 1 {
+			t.Errorf("latency objective wrong: %+v", o)
+		}
+	}
+}
+
 // TestCloseBoundedWithHeldRequest: a request still being served when the
 // process is told to stop (skyserve under load) delays Close by the grace
 // period and no longer; its connection is then dropped, the dump is
@@ -338,9 +386,13 @@ func TestCloseBoundedWithHeldRequest(t *testing.T) {
 		<-req.Context().Done()
 	})
 	events := telemetry.NewEventLog(16)
-	slo := telemetry.NewSLOTracker(telemetry.SLOConfig{Events: events})
+	objectives := []timeseries.Objective{{
+		Name: "availability", Kind: "availability", Target: 0.99,
+		Bad:   timeseries.Selector{Name: "requests_total", Labels: []telemetry.Label{telemetry.L("status", "5xx")}},
+		Total: timeseries.Selector{Name: "requests_total"},
+	}}
 	plane, err := Start("127.0.0.1:0", Sources{
-		Metrics: telemetry.NewRegistry(), Events: events, SLO: slo, Interval: 5 * time.Millisecond, Mux: mux,
+		Metrics: telemetry.NewRegistry(), Events: events, Objectives: objectives, Interval: 100 * time.Millisecond, Mux: mux,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -177,7 +177,7 @@ func (l *QueryLog) Record(q *QueryStats) {
 	defer l.mu.Unlock()
 	l.seq++
 	q.ID = l.seq
-	q.Slow = l.threshold > 0 && q.DurationSeconds >= l.threshold
+	q.Slow = l.threshold > 0 && q.DurationSeconds > l.threshold
 	l.totals.Queries++
 	l.totals.CandidatesScanned += q.CandidatesScanned
 	l.totals.DominanceTests += q.DominanceTests

@@ -28,9 +28,13 @@ type Config struct {
 	// sampler only reports it, in the /debug/timeseries document.
 	Interval time.Duration
 	// Retention is how many samples each series ring keeps. Defaults to
-	// 300 (5 minutes at a 1s cadence).
+	// 300 (5 minutes at a 1s cadence); RetentionFor derives it when
+	// objectives need a longer memory.
 	Retention int
 }
+
+// defaultRetention is the ring size without objectives: 5 minutes at 1s.
+const defaultRetention = 300
 
 // Point is one recorded sample of one series.
 type Point struct {
@@ -40,9 +44,13 @@ type Point struct {
 
 // ring is one series' bounded value history, aligned with the sampler's
 // shared timestamp ring: slot i holds the value recorded at tick t where
-// t % retention == i. Slots from before the series existed hold NaN.
+// t % retention == i. Slots from before the series existed hold NaN. The
+// series id is parsed once, on first sight, so selecting rings by family
+// and labels (Objective) never parses or allocates.
 type ring struct {
-	vals []float64
+	vals   []float64
+	name   string
+	labels []telemetry.Label
 }
 
 // Sampler owns the rings. It has no loop of its own: its owner (the
@@ -68,7 +76,7 @@ type Sampler struct {
 // NewSampler builds a sampler over reg.
 func NewSampler(reg *telemetry.Registry, cfg Config) *Sampler {
 	if cfg.Retention < 2 {
-		cfg.Retention = 300
+		cfg.Retention = defaultRetention
 	}
 	s := &Sampler{
 		reg:    reg,
@@ -81,6 +89,7 @@ func NewSampler(reg *telemetry.Registry, cfg Config) *Sampler {
 		r := s.series[id]
 		if r == nil {
 			r = &ring{vals: make([]float64, cfg.Retention)}
+			r.name, r.labels, _ = telemetry.ParseSeriesID(id)
 			for i := range r.vals {
 				r.vals[i] = math.NaN()
 			}
