@@ -382,8 +382,8 @@ func TestBlockedMergeIsPinned(t *testing.T) {
 		digest string
 		groups int
 	}{
-		{512, "2665363c6d20b4af", 57},
-		{4096, "7a1c73e20df28762", 7},
+		{512, "a764b07f36344976", 95},
+		{4096, "1b371d3d0cf2cb99", 7},
 	} {
 		dir := t.TempDir()
 		opts := Options{Scheme: partition.Angular, Nodes: 2, Workers: 2, SpillDir: dir, Codec: points.FrameAuto, ReducerBudgetBytes: pin.budget}

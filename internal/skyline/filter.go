@@ -9,36 +9,38 @@ package skyline
 // came from — so the merge needs no window, no eviction and no order of
 // arrival, only a fast answer to "does anything here dominate p?".
 //
-// A Filter answers it from a layout built once and never written again:
+// A Filter answers it from a layout built once and never written again,
+// Tan, Eng & Ooi's Bitmap test (VLDB 2001) on a sum order:
 //
-//   - rows are grouped by a mask with one bit per dimension (the first
-//     maskBits of them), set when the coordinate is above the candidates'
-//     median. If q dominates p then q[i] <= p[i] everywhere, so every bit
-//     set in q's mask is set in p's: p's dominators live only in the groups
-//     whose mask is a subset of p's, and the rest are never visited;
-//   - inside a group rows ascend by coordinate sum. q dominates p implies
-//     sum(q) <= sum(p) — floating-point addition is monotone, though not
-//     strictly: (1e16, 0) and (1e16, 1) share a sum — so the walk through a
-//     group stops at the first sum above p's, and meets the group's
-//     strongest dominators first;
-//   - every row carries a window signature (window.go) fitted to the whole
-//     set, so most of the pairs that are left are dismissed by one AND-NOT.
+//   - rows ascend by coordinate sum, ties in input order. q dominates p
+//     implies sum(q) <= sum(p) — floating-point addition is monotone, though
+//     not strictly: (1e16, 0) and (1e16, 1) share a sum — so p's dominators
+//     all lie before a cut one binary search finds, and the strongest come
+//     first;
+//   - each dimension is cut into levels by the window's thermometer
+//     thresholds (window.go) fitted to the layout, and for every (dimension
+//     i, level k) one bitmap marks the rows whose level in i exceeds k. If q
+//     dominates p, q's level is at most p's in every dimension, so p's
+//     dominators are among the rows before the cut that lie in no bitmap
+//     (i, level_i(p)): d AND-NOTs rule out 64 rows at a time, and only the
+//     rows left — exactly those a signature test would let through — are
+//     tested coordinate by coordinate.
 //
-// Both orders earn their keep (BenchmarkMergeFilter, 13 k QWS d=10
-// candidates, 2 goroutines): one sum-ordered group filters in 69 ms, the
-// mask groups in 31–36 plus a 7–8 ms build; DESIGN.md has the rest.
+// BenchmarkMergeFilter, 13 k QWS d=10 candidates on one goroutine of a
+// 2-vCPU Xeon: median-mask groups walked row by row with a signature each
+// filtered in 64–83 ms, the bitmaps in 31–37; DESIGN.md has the rest.
 //
 // Under a memory budget the same layout is read the other way round. A
 // merge task lays out only a group of the candidates and streams every
-// candidate past it (Kill): a candidate q can dominate only rows in the
-// groups whose mask is a superset of q's, whose sum is at least q's and
-// whose signature covers q's, and each layout row counts its dominators
-// until it dies.
+// candidate past it (Kill): a candidate q can dominate only rows at or past
+// its own sum that lie in every bitmap (i, level_i(q) − 1), and each layout
+// row counts its dominators until it dies.
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -50,31 +52,26 @@ import (
 // set is empty or mixes dimensions.
 var ErrCandidates = errors.New("skyline: unusable candidate set")
 
-const (
-	// maxMaskBits caps the mask: a row whose every bit is set visits all
-	// 2^bits groups, and past twelve the table outgrows what it prunes.
-	maxMaskBits = 12
-	// groupRows is the average group size below which another mask bit
-	// stops paying: a few hundred candidates stay in one sum-ordered group.
-	groupRows = 4
-)
-
 // Filter is a candidate set laid out to answer Survives. It is read-only
 // once built: any number of goroutines may share one.
 type Filter struct {
-	win   window    // the layout and its thresholds; never scanned, never added to
-	keys  []rowKey  // one per row of the layout
-	med   []float64 // the mask's thresholds, one per leading dimension
-	start []int32   // rows [start[g], start[g+1]) carry mask g
-	kill  int       // dominators a row dies of
+	rows   *points.Block // the candidates, ascending by (sum, input index)
+	sums   []float64     // sums[j] is row j's coordinate sum
+	thr    []float64     // levels ascending thresholds per dimension, dimension-major
+	levels int           // thresholds per dimension
+	words  int           // 64-row words per bitmap
+	// ge holds bitmap (i, k), the rows whose level in dimension i exceeds
+	// k, at ge[(i*levels+k)*words:]: bit j%64 of its word j/64 is row j.
+	// Three words of padding follow the last bitmap, so that four words
+	// can be read from any word of any bitmap.
+	ge   []uint64
+	kill int // dominators a row dies of
 }
 
-// rowKey is what the walk reads of a row before it reads the row: side by
-// side, so that a group is one stream of memory.
-type rowKey struct {
-	sum float64 // coordinate sum
-	sig uint64  // window signature; 0 when the dimension leaves no bit to spend
-}
+// filterLevels is the thresholds per dimension a layout of d-dimensional
+// rows keeps: the window's, and at least the median where the window's
+// uint64 signature leaves none.
+func filterLevels(d int) int { return max(1, min(64/d, maxLevels)) }
 
 // NewFilter lays out the rows of blocks, taken as one sequence, block after
 // block. band is the operator: 0 filters to the skyline, k >= 1 to the
@@ -118,165 +115,247 @@ func (s rowSeq) row(i int) []float64 {
 	return s.blocks[b].Row(i)
 }
 
+// sumKey is a row's place in the layout's order.
+type sumKey struct {
+	sum float64
+	i   int32 // the row's index in the input sequence
+}
+
 // layOut builds the filter over the n d-dimensional rows of src. Every
-// parallel step writes ranges that no other share touches, and none reads
-// what a share of the same step writes, so the layout does not depend on
-// the number of builders.
+// parallel step writes ranges that no other share touches — the bitmaps
+// are cut on whole words — and none reads what a share of the same step
+// writes, so the layout does not depend on the number of builders.
 func layOut(src rowSeq, n, d, band, builders int) *Filter {
-	bits := maskBits(n, d)
-	f := &Filter{med: make([]float64, bits), keys: make([]rowKey, n), start: make([]int32, 1<<bits+1), kill: max(band, 1)}
-	// The mask's thresholds: medians of fitSample evenly strided rows.
-	stride := max(1, n/fitSample)
-	col := make([]float64, n/stride)
-	for i := range f.med {
-		for j := range col {
-			col[j] = src.row(j * stride)[i]
-		}
-		sort.Float64s(col)
-		f.med[i] = col[len(col)/2]
-	}
-	// Keys over row ranges, then a counting sort by mask.
-	masks, sums := make([]uint16, n), make([]float64, n)
+	L, words := filterLevels(d), (n+63)/64
+	f := &Filter{rows: points.NewBlock(d, n), sums: make([]float64, n), levels: L, words: words, ge: make([]uint64, d*L*words+3), kill: max(band, 1)}
+	keys := sortedKeys(src, n, builders)
+	f.rows.Extend(d, n)
 	fan.Out(builders, func(share int) {
 		lo, hi := fan.Cut(n, builders, share)
-		for i := lo; i < hi; i++ {
-			masks[i], sums[i] = f.key(src.row(i))
+		for j := lo; j < hi; j++ {
+			copy(f.rows.Row(j), src.row(int(keys[j].i)))
+			f.sums[j] = keys[j].sum
 		}
 	})
-	for _, m := range masks {
-		f.start[m+1]++
-	}
-	for g := 1; g < len(f.start); g++ {
-		f.start[g] += f.start[g-1]
-	}
-	order, next := make([]int32, n), slices.Clone(f.start)
-	for i, m := range masks {
-		order[next[m]] = int32(i)
-		next[m]++
-	}
-	// Each group by sum — ties keep input order — and its rows into place,
-	// over ranges of whole groups that hold about the same number of rows.
-	rows := points.NewBlock(d, n)
-	rows.Extend(d, n)
-	groups := len(f.start) - 1
-	bound := func(share int) int {
-		row, _ := fan.Cut(n, builders, share)
-		return sort.Search(groups, func(g int) bool { return int(f.start[g]) >= row })
-	}
+	f.thr, _ = fitLevels(f.rows, L, nil, nil)
 	fan.Out(builders, func(share int) {
-		for g, end := bound(share), bound(share+1); g < end; g++ {
-			group := order[f.start[g]:f.start[g+1]]
-			slices.SortFunc(group, func(a, b int32) int { return cmp.Or(cmp.Compare(sums[a], sums[b]), cmp.Compare(a, b)) })
-			for k, i := range group {
-				j := int(f.start[g]) + k
-				copy(rows.Row(j), src.row(int(i)))
-				f.keys[j].sum = sums[i]
+		lo, hi := fan.Cut(words, builders, share)
+		for j := lo * 64; j < min(hi*64, n); j++ {
+			bit := uint64(1) << (j % 64)
+			for i, v := range f.rows.Row(j) {
+				bm, t := f.ge[i*L*words+j/64:], f.thr[i*L:i*L+L]
+				for k := 0; k < L && v > t[k]; k++ {
+					bm[k*words] |= bit
+				}
 			}
 		}
 	})
-	// Signatures over row ranges, under thresholds fitted to the layout.
-	f.win.rows = rows
-	if f.win.fitThresholds(rows) {
-		fan.Out(builders, func(share int) {
-			lo, hi := fan.Cut(n, builders, share)
-			for j := lo; j < hi; j++ {
-				f.keys[j].sig = f.win.sign(rows.Row(j))
-			}
-		})
-	}
 	return f
 }
 
-// maskBits is the number of mask bits a layout of n d-dimensional rows
-// spends: one per leading dimension, while the groups average groupRows.
-func maskBits(n, d int) int {
-	bits := min(d, maxMaskBits)
-	for bits > 0 && n>>bits < groupRows {
-		bits--
+// sortedKeys returns the n rows of src in the layout's order, on builders
+// goroutines: each keys and sorts a share of the rows, and neighbouring
+// sorted runs are merged, in parallel, until one is left.
+func sortedKeys(src rowSeq, n, builders int) []sumKey {
+	keys, buf := make([]sumKey, n), make([]sumKey, n)
+	runs := make([]int, builders+1) // run r is keys[runs[r]:runs[r+1]]
+	for r := range runs {
+		runs[r], _ = fan.Cut(n, builders, r)
 	}
-	return bits
+	fan.Out(builders, func(r int) {
+		run := keys[runs[r]:runs[r+1]]
+		for k := range run {
+			i := runs[r] + k
+			run[k] = sumKey{rowSum(src.row(i)), int32(i)}
+		}
+		slices.SortFunc(run, compareKeys)
+	})
+	for len(runs) > 2 {
+		fan.Out(len(runs)/2, func(p int) {
+			lo, mid, hi := runs[2*p], runs[min(2*p+1, len(runs)-1)], runs[min(2*p+2, len(runs)-1)]
+			mergeKeys(buf[lo:hi], keys[lo:mid], keys[mid:hi])
+		})
+		keys, buf = buf, keys
+		for r := 1; 2*r < len(runs); r++ {
+			runs[r] = runs[2*r]
+		}
+		runs = append(runs[:len(runs)/2], runs[len(runs)-1])
+	}
+	return keys
 }
 
-// rowKeyBytes is the size of a rowKey.
-const rowKeyBytes = 16
+// compareKeys orders keys by sum, NaN first as cmp.Compare has it, then by
+// input index. The two comparisons decide almost every pair on their own.
+func compareKeys(a, b sumKey) int {
+	switch {
+	case a.sum < b.sum:
+		return -1
+	case a.sum > b.sum:
+		return 1
+	}
+	return cmp.Or(cmp.Compare(a.sum, b.sum), int(a.i)-int(b.i))
+}
+
+// mergeKeys merges the sorted runs a and b into out, len(a)+len(b) long.
+func mergeKeys(out, a, b []sumKey) {
+	i, j := 0, 0
+	for k := range out {
+		if j == len(b) || i < len(a) && compareKeys(a[i], b[j]) < 0 {
+			out[k], i = a[i], i+1
+		} else {
+			out[k], j = b[j], j+1
+		}
+	}
+}
+
+// rowSum is a row's coordinate sum, added in dimension order.
+func rowSum(p []float64) (sum float64) {
+	for _, v := range p {
+		sum += v
+	}
+	return sum
+}
 
 // LayoutBytes is what a filter over n d-dimensional rows holds: every row's
-// coordinates and key, and the group table. A budget sizes a layout by it
-// before there is one to ask (Filter.Bytes).
+// coordinates and sum, and its bitmaps, each rounded up to whole 64-row
+// words, with their padding. A budget sizes a layout by it before there is
+// one to ask (Filter.Bytes).
 func LayoutBytes(n, d int) int64 {
-	return int64(n)*int64(d*8+rowKeyBytes) + int64(1<<maskBits(n, d)+1)*4
+	return int64(n)*int64(d*8+8) + (int64(d*filterLevels(d))*int64((n+63)/64)+3)*8
 }
 
 // Bytes is LayoutBytes of the filter's rows.
 func (f *Filter) Bytes() int64 { return LayoutBytes(f.Len(), f.Dim()) }
 
-// key is a row's group mask and coordinate sum.
-func (f *Filter) key(p []float64) (mask uint16, sum float64) {
-	for i, m := range f.med {
-		if p[i] > m {
-			mask |= 1 << i
-		}
-	}
-	for _, v := range p {
-		sum += v
-	}
-	return mask, sum
-}
-
 // Len returns the number of candidate rows.
-func (f *Filter) Len() int { return len(f.keys) }
+func (f *Filter) Len() int { return f.rows.Len() }
 
 // Dim returns the candidates' dimension.
-func (f *Filter) Dim() int { return f.win.rows.Dim() }
+func (f *Filter) Dim() int { return f.rows.Dim() }
+
+// level is the number of dimension i's thresholds v exceeds, counted
+// without a branch on each: a row's level is as likely one value as another.
+func (f *Filter) level(i int, v float64) (k int) {
+	for _, t := range f.thr[i*f.levels : (i+1)*f.levels] {
+		if v > t {
+			k++
+		}
+	}
+	return k
+}
+
+// A probe is one row's bitmap test: the layout rows in [lo, hi) set in
+// every bitmap at offs, each read XOR flip.
+type probe struct {
+	lo, hi int
+	offs   []int
+	flip   uint64
+}
+
+// dominators is the probe for the rows that may dominate p, whose sum is
+// psum: those before p's sum cut with no level above p's — outside bitmap
+// (i, level_i(p)) for every dimension below its top level. offs is
+// scratch, reused.
+func (f *Filter) dominators(p []float64, psum float64, offs []int) probe {
+	offs = offs[:0]
+	for i, v := range p {
+		if k := f.level(i, v); k < f.levels {
+			offs = append(offs, (i*f.levels+k)*f.words)
+		}
+	}
+	hi := sort.Search(len(f.sums), func(j int) bool { return f.sums[j] > psum })
+	return probe{hi: hi, offs: offs, flip: ^uint64(0)}
+}
+
+// dominated is the probe for the rows q may dominate, whose sum is qsum:
+// those from q's sum on with no level below q's — inside bitmap (i,
+// level_i(q) − 1) for every dimension above its bottom level. offs is
+// scratch, reused.
+func (f *Filter) dominated(q []float64, qsum float64, offs []int) probe {
+	offs = offs[:0]
+	for i, v := range q {
+		if k := f.level(i, v); k > 0 {
+			offs = append(offs, (i*f.levels+k-1)*f.words)
+		}
+	}
+	lo := sort.Search(len(f.sums), func(j int) bool { return f.sums[j] >= qsum })
+	return probe{lo: lo, hi: len(f.sums), offs: offs}
+}
+
+// block returns the rows of words w … w+3 that pr keeps, a word each: four
+// words per pass over the probe's bitmaps. Words past a bitmap's last are
+// the next bitmap's, or padding, and hold rows past hi: they are masked.
+func (f *Filter) block(pr *probe, w int) (a0, a1, a2, a3 uint64) {
+	base := w * 64
+	a0 = below(pr.hi-base) &^ below(pr.lo-base)
+	a1 = below(pr.hi-base-64) &^ below(pr.lo-base-64)
+	a2 = below(pr.hi-base-128) &^ below(pr.lo-base-128)
+	a3 = below(pr.hi-base-192) &^ below(pr.lo-base-192)
+	ge, flip := f.ge, pr.flip
+	for _, o := range pr.offs {
+		if a0|a1|a2|a3 == 0 {
+			break // no row left to rule out
+		}
+		b := ge[o+w : o+w+4 : o+w+4]
+		a0 &= b[0] ^ flip
+		a1 &= b[1] ^ flip
+		a2 &= b[2] ^ flip
+		a3 &= b[3] ^ flip
+	}
+	return a0, a1, a2, a3
+}
+
+// below is the word whose bits 0 … x−1 are set.
+func below(x int) uint64 {
+	switch {
+	case x >= 64:
+		return ^uint64(0)
+	case x <= 0:
+		return 0
+	}
+	return 1<<uint(x) - 1
+}
+
+// dominates reports whether q strictly dominates p, both d long.
+func dominates(q, p []float64) bool {
+	strict, k := false, 0
+	for ; k < len(q) && q[k] <= p[k]; k++ {
+		strict = strict || q[k] < p[k]
+	}
+	return k == len(q) && strict
+}
 
 // Survives reports whether row — of the filter's dimension; one of its own
 // rows or any other — is dominated by fewer candidates than kill it.
 // Coordinate-equal rows do not dominate each other: duplicates all survive.
 func (f *Filter) Survives(row []float64) bool {
-	ok, tests := f.survives(row)
+	ok, tests := f.survives(row, make([]int, 0, f.Dim()))
 	dominanceTests.Add(tests)
 	return ok
 }
 
 // survives is Survives with the coordinate tests it ran left to the caller
-// to publish. It visits the groups whose mask is a subset of p's in
-// ascending order — the all-low group, which holds the strongest
-// dominators, first — and in each the rows whose sum does not exceed p's.
-func (f *Filter) survives(p []float64) (bool, int64) {
-	d := f.win.rows.Dim()
+// to publish; offs is the probe's scratch. It tests the rows the bitmaps
+// leave in ascending sum, the strongest dominators first.
+func (f *Filter) survives(p []float64, offs []int) (bool, int64) {
+	d := f.rows.Dim()
 	p = p[:d]
-	pm, psum := f.key(p)
-	var psig uint64
-	if f.win.levels > 0 {
-		psig = f.win.sign(p)
-	}
-	keys, start := f.keys, f.start
+	pr := f.dominators(p, rowSum(p), offs)
 	tests, found := int64(0), 0
-	for g := uint16(0); ; g = (g - pm) & pm { // the next sub-mask of pm
-		group := keys[start[g]:start[g+1]]
-		for j := range group {
-			if group[j].sum > psum {
-				break
-			}
-			if group[j].sig&^psig != 0 {
-				continue // the row exceeds a threshold p does not
-			}
-			tests++
-			q := f.win.rows.Row(int(start[g]) + j)[:d]
-			strict, k := false, 0
-			for ; k < d && q[k] <= p[k]; k++ {
-				strict = strict || q[k] < p[k]
-			}
-			if k == d && strict {
-				if found++; found == f.kill {
-					return false, tests
+	for w := 0; w*64 < pr.hi; w += 4 {
+		a0, a1, a2, a3 := f.block(&pr, w)
+		for k, word := range [4]uint64{a0, a1, a2, a3} {
+			for ; word != 0; word &= word - 1 {
+				tests++
+				if dominates(f.rows.Row((w+k)*64 + bits.TrailingZeros64(word))[:d], p) {
+					if found++; found == f.kill {
+						return false, tests
+					}
 				}
 			}
 		}
-		if g == pm {
-			return true, tests
-		}
 	}
+	return true, tests
 }
 
 // Kill is Survives turned round, for a merge that holds only a group of
@@ -293,51 +372,37 @@ func (f *Filter) Kill(blk *points.Block, dominators []int32) error {
 	if blk.Dim() != f.Dim() {
 		return fmt.Errorf("%w: %d-dimensional rows streamed past a %d-dimensional layout", ErrCandidates, blk.Dim(), f.Dim())
 	}
-	tests := int64(0)
+	tests, offs := int64(0), make([]int, 0, f.Dim())
 	for i := 0; i < blk.Len(); i++ {
-		tests += f.kills(blk.Row(i), dominators)
+		tests += f.kills(blk.Row(i), dominators, offs)
 	}
 	dominanceTests.Add(tests)
 	return nil
 }
 
-// kills is Kill for one row q, returning the coordinate tests it ran. If q
-// dominates p then every mask bit of q's is set in p's, sum(q) <= sum(p),
-// and — the thresholds are a thermometer, whichever rows they were fitted
-// to — every signature bit of q's is set in p's. So it visits the groups
-// whose mask is a superset of q's and walks each from its largest sum down
-// to q's: the ascending group read backwards needs no search for where q's
-// sum falls.
-func (f *Filter) kills(q []float64, dominators []int32) int64 {
-	d := f.win.rows.Dim()
+// kills is Kill for one row q, returning the coordinate tests it ran; offs
+// is the probe's scratch.
+func (f *Filter) kills(q []float64, dominators []int32, offs []int) int64 {
+	d := f.rows.Dim()
 	q = q[:d]
-	qm, qsum := f.key(q)
-	var qsig uint64
-	if f.win.levels > 0 {
-		qsig = f.win.sign(q)
-	}
-	keys, start, kill := f.keys, f.start, int32(f.kill)
-	last := uint16(len(start) - 2) // the mask with every bit set
-	tests := int64(0)
-	for g := qm; ; g = (g + 1) | qm { // the next superset of qm
-		for j, lo := int(start[g+1])-1, int(start[g]); j >= lo && keys[j].sum >= qsum; j-- {
-			if qsig&^keys[j].sig != 0 || dominators[j] >= kill {
-				continue // q exceeds a threshold p does not, or p is dead
-			}
-			tests++
-			p := f.win.rows.Row(j)[:d]
-			strict, k := false, 0
-			for ; k < d && q[k] <= p[k]; k++ {
-				strict = strict || q[k] < p[k]
-			}
-			if k == d && strict {
-				dominators[j]++
+	pr := f.dominated(q, rowSum(q), offs)
+	kill, tests := int32(f.kill), int64(0)
+	for w := pr.lo / 64; w*64 < pr.hi; w += 4 {
+		a0, a1, a2, a3 := f.block(&pr, w)
+		for k, word := range [4]uint64{a0, a1, a2, a3} {
+			for ; word != 0; word &= word - 1 {
+				j := (w+k)*64 + bits.TrailingZeros64(word)
+				if dominators[j] >= kill {
+					continue // dead already
+				}
+				tests++
+				if dominates(q, f.rows.Row(j)[:d]) {
+					dominators[j]++
+				}
 			}
 		}
-		if g == last {
-			return tests
-		}
 	}
+	return tests
 }
 
 // Alive hands keep every layout row with fewer dominators than kill it, in
@@ -346,7 +411,7 @@ func (f *Filter) Alive(dominators []int32, keep func(row []float64)) int {
 	kept := 0
 	for j, n := range dominators[:f.Len()] {
 		if n < int32(f.kill) {
-			keep(f.win.rows.Row(j))
+			keep(f.rows.Row(j))
 			kept++
 		}
 	}
@@ -356,12 +421,12 @@ func (f *Filter) Alive(dominators []int32, keep func(row []float64)) int {
 // Share tests the filter's own rows task, task+tasks, task+2·tasks, … and
 // hands keep each survivor, valid for the call only. It returns the number
 // of rows tested. Shares 0 … tasks−1 cover every row once; the stride
-// spreads every group, cheap and dear, over all of them.
+// spreads every sum, cheap and dear, over all of them.
 func (f *Filter) Share(task, tasks int, keep func(row []float64)) int {
-	tested, tests := 0, int64(0)
+	tested, tests, offs := 0, int64(0), make([]int, 0, f.Dim())
 	for i := task; i < f.Len(); i += tasks {
-		row := f.win.rows.Row(i)
-		ok, n := f.survives(row)
+		row := f.rows.Row(i)
+		ok, n := f.survives(row, offs)
 		if ok {
 			keep(row)
 		}

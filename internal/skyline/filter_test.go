@@ -133,17 +133,17 @@ func TestFilterMatchesOracle(t *testing.T) {
 		"integer grid, ties everywhere": windowStream(rng, 0, 600, 4, -1),
 		"anti-diagonal":                 windowStream(rng, 2, 500, 2, -1),
 	}
-	// Every row in one mask group: the rows agree on every dimension the
-	// mask looks at and differ only past it.
-	oneGroup := make([][]float64, 300)
-	for i := range oneGroup {
-		oneGroup[i] = make([]float64, maxMaskBits+2)
-		oneGroup[i][maxMaskBits], oneGroup[i][maxMaskBits+1] = float64(rng.Intn(9)), float64(rng.Intn(9))
+	// Rows that agree on twelve leading dimensions and differ only past
+	// them: every leading bitmap is empty, and sums tie by the hundred.
+	constLead := make([][]float64, 300)
+	for i := range constLead {
+		constLead[i] = make([]float64, 14)
+		constLead[i][12], constLead[i][13] = float64(rng.Intn(9)), float64(rng.Intn(9))
 	}
-	cases["one mask group of many"] = oneGroup
-	// A group per mask: the corners of the 6-cube, four rows each so that
-	// six mask bits are spent, and a few more at the origin so that every
-	// median is 0.
+	cases["twelve constant leading columns"] = constLead
+	// The corners of the 6-cube, four rows each, and a few more at the
+	// origin: every threshold is 0 or 1, so each dimension has two levels
+	// and every level pattern occurs.
 	corners := make([][]float64, 8, 8+4*64)
 	for i := range corners {
 		corners[i] = make([]float64, 6)
@@ -155,7 +155,7 @@ func TestFilterMatchesOracle(t *testing.T) {
 		}
 		corners = append(corners, row, row, row, row)
 	}
-	cases["a group per cube corner"] = corners
+	cases["every corner of the 6-cube"] = corners
 	for _, d := range []int{1, 2, 3, 7, 12, 13, 16, 33, 64, 65} {
 		cases[fmt.Sprintf("uniform d=%d", d)] = windowStream(rng, 1, 300, d, -1)
 		cases[fmt.Sprintf("grid d=%d", d)] = windowStream(rng, 0, 300, d, -1)
@@ -169,6 +169,117 @@ func TestFilterMatchesOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFilterBitmapsAreTheSignatureTest: the rows a probe leaves for the
+// coordinate test are exactly those a row-by-row scan of levels and sums
+// leaves — for Survives, no level above the probe's and a sum no larger;
+// for Kill, no level below it and a sum no smaller — at dimensions either
+// side of one signature word and row counts either side of one bitmap
+// word, and the walks test exactly those rows.
+func TestFilterBitmapsAreTheSignatureTest(t *testing.T) {
+	rng := rand.New(rand.NewSource(244))
+	for _, d := range []int{2, 6, 10, 64, 65} {
+		for _, n := range []int{1, 63, 64, 65, 129, 3000} {
+			rows := windowStream(rng, n%3, n, d, -1)
+			f, err := NewFilter(cut(rows, 3), n+1, 2) // no row dies: every walk runs to its end
+			if err != nil {
+				t.Fatal(err)
+			}
+			levels := func(p []float64) []int {
+				lv := make([]int, d)
+				for i, v := range p {
+					for _, thr := range f.thr[i*f.levels : (i+1)*f.levels] {
+						if v > thr {
+							lv[i]++
+						}
+					}
+				}
+				return lv
+			}
+			layout := make([][]int, f.Len())
+			for j := range layout {
+				layout[j] = levels(f.rows.Row(j))
+			}
+			probes := append(slices.Clone(rows[:min(n, 40)]), windowStream(rng, 1, 10, d, -1)...)
+			for _, p := range probes {
+				lp, sp := levels(p), rowSum(p)
+				var under, over []int
+				for j, lq := range layout {
+					below, above := true, true
+					for i := range lq {
+						below = below && lq[i] <= lp[i]
+						above = above && lq[i] >= lp[i]
+					}
+					if below && f.sums[j] <= sp {
+						under = append(under, j)
+					}
+					if above && f.sums[j] >= sp {
+						over = append(over, j)
+					}
+				}
+				if got := probed(f, f.dominators(p, sp, nil)); !slices.Equal(got, under) {
+					t.Fatalf("d=%d n=%d: Survives's probe keeps rows %v, the scan %v", d, n, got, under)
+				}
+				if got := probed(f, f.dominated(p, sp, nil)); !slices.Equal(got, over) {
+					t.Fatalf("d=%d n=%d: Kill's probe keeps rows %v, the scan %v", d, n, got, over)
+				}
+				if _, tests := f.survives(p, nil); tests != int64(len(under)) {
+					t.Fatalf("d=%d n=%d: Survives tested %d rows, its probe keeps %d", d, n, tests, len(under))
+				}
+				if tests := f.kills(p, make([]int32, f.Len()), nil); tests != int64(len(over)) {
+					t.Fatalf("d=%d n=%d: Kill tested %d rows, its probe keeps %d", d, n, tests, len(over))
+				}
+			}
+		}
+	}
+}
+
+// probed lists the layout rows a probe keeps, in ascending order.
+func probed(f *Filter, pr probe) []int {
+	var rows []int
+	for w := pr.lo / 64; w*64 < pr.hi; w += 4 {
+		a0, a1, a2, a3 := f.block(&pr, w)
+		for k, word := range [4]uint64{a0, a1, a2, a3} {
+			for j := 0; j < 64; j++ {
+				if word>>j&1 == 1 {
+					rows = append(rows, (w+k)*64+j)
+				}
+			}
+		}
+	}
+	return rows
+}
+
+// TestFilterPrunesPastSixtyFourDimensions: at d=65, where the window keeps
+// no signature, every dimension keeps its median level, so rows that tie on
+// their twelve leading columns are still told apart by the other 53, and a
+// probe tests a handful of rows, not the half of the set whose sum is
+// below its own.
+func TestFilterPrunesPastSixtyFourDimensions(t *testing.T) {
+	const n, d = 2000, 65
+	rows := windowStream(rand.New(rand.NewSource(245)), 1, n, d, -1)
+	set := make(points.Set, n)
+	for j, p := range rows {
+		for i := 0; i < 12; i++ {
+			p[i] = 1
+		}
+		set[j] = p
+	}
+	f, err := NewFilter(cut(rows, 1), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := DominanceTests()
+	kept := f.Survivors(1).Len()
+	perRow := float64(DominanceTests()-t0) / n
+	if perRow > n/16 {
+		t.Fatalf("d=%d: %.1f coordinate tests a row, want well below n/2 = %d", d, perRow, n/2)
+	}
+	if want := len(BNL(set)); kept != want {
+		t.Fatalf("d=%d: %d survivors, oracle %d", d, kept, want)
+	}
+	t.Logf("d=%d: %.2f tests a row, %d survivors of %d", d, perRow, kept, n)
 }
 
 // TestFilterRejects: a set no filter can be laid out from is ErrCandidates.
@@ -209,8 +320,7 @@ func TestKillRejectsOtherDimensions(t *testing.T) {
 
 // layoutOf copies everything Survives reads.
 func layoutOf(f *Filter) []any {
-	return []any{f.win.rows.Clone(), slices.Clone(f.win.thr), f.win.levels,
-		slices.Clone(f.keys), slices.Clone(f.med), slices.Clone(f.start), f.kill}
+	return []any{f.rows.Clone(), slices.Clone(f.sums), slices.Clone(f.thr), f.levels, f.words, slices.Clone(f.ge), f.kill}
 }
 
 // TestFilterLayoutIsAFunctionOfRows: the tasks of a cluster merging job each
@@ -307,10 +417,46 @@ func FuzzFilterMatchesReference(f *testing.F) {
 	f.Add(int64(3), 300, 22, 1, -1, 3, 3, 3, 2)
 	f.Add(int64(4), 200, 65, 2, 0, 2, 50, 16, 7)
 	f.Add(int64(5), 3, 6, 0, -1, 0, 5, 8, 3)
+	f.Add(int64(6), 65, 3, 3, -1, 0, 2, 2, 2)   // all rows equal
+	f.Add(int64(7), 200, 4, 5, -1, 1, 3, 2, 3)  // sums tie at every probe's cut, and dominate there
+	f.Add(int64(8), 150, 5, 4, -1, 0, 4, 3, 4)  // ±0 coordinates
+	f.Add(int64(9), 64, 64, 1, -1, 0, 2, 2, 1)  // d=64, one bitmap word exactly
+	f.Add(int64(10), 65, 65, 0, -1, 2, 3, 4, 2) // d=65, a row into the second word
 	f.Fuzz(func(t *testing.T, seed int64, n, d, kind, constCol, band, nBlocks, builders, groups int) {
 		if n < 1 || n > 500 || d < 1 || d > 70 || kind < 0 || band < 0 || band > 4 || nBlocks < 1 || nBlocks > 64 || builders < 0 || builders > 16 || groups < 1 || groups > 64 {
 			t.Skip()
 		}
-		checkFilter(t, windowStream(rand.New(rand.NewSource(seed)), kind, n, d, constCol), nBlocks, groups, band, builders)
+		checkFilter(t, filterStream(rand.New(rand.NewSource(seed)), kind, n, d, constCol), nBlocks, groups, band, builders)
 	})
+}
+
+// filterStream is windowStream for kinds 0–2 (mod 6), and three streams
+// that aim at the layout's edges: 3, every row equal; 4, coordinates drawn
+// from −1, −0, +0 and 1; 5, a first coordinate so large that the rest is
+// lost in every sum, so that rows dominate at a sum tie.
+func filterStream(rng *rand.Rand, kind, n, d, constCol int) [][]float64 {
+	if kind%6 < 3 {
+		return windowStream(rng, kind%6, n, d, constCol)
+	}
+	rows := make([][]float64, n)
+	first := windowStream(rng, 1, 1, d, constCol)[0]
+	for i := range rows {
+		p := slices.Clone(first)
+		for j := range p {
+			switch kind % 6 {
+			case 4:
+				p[j] = []float64{-1, math.Copysign(0, -1), 0, 1}[rng.Intn(4)]
+			case 5:
+				p[j] = float64(rng.Intn(2))
+				if j == 0 {
+					p[j] += 1e16
+				}
+			}
+		}
+		if constCol >= 0 && constCol < d {
+			p[constCol] = 3
+		}
+		rows[i] = p
+	}
+	return rows
 }

@@ -154,18 +154,27 @@ func (w *window) fitThresholds(sample *points.Block) bool {
 	}
 	w.fitAt = refitGrowth * n
 	w.levels = L
-	if cap(w.thr) < d*L {
-		w.thr = make([]float64, d*L)
+	w.thr, w.col = fitLevels(sample, L, w.thr, w.col)
+	return true
+}
+
+// fitLevels returns, in thr's memory, L ascending thresholds per dimension,
+// dimension-major: the L+1-quantiles of sample's columns. col is the
+// columns' scratch, returned for reuse.
+func fitLevels(sample *points.Block, L int, thr, col []float64) ([]float64, []float64) {
+	d := sample.Dim()
+	if cap(thr) < d*L {
+		thr = make([]float64, d*L)
 	}
-	w.thr = w.thr[:d*L]
+	thr = thr[:d*L]
 	for i := 0; i < d; i++ {
-		w.col = sampleColumn(sample, i, w.col)
-		m := len(w.col)
+		col = sampleColumn(sample, i, col)
+		m := len(col)
 		for k := 0; k < L; k++ {
-			w.thr[i*L+k] = w.col[(k+1)*m/(L+1)]
+			thr[i*L+k] = col[(k+1)*m/(L+1)]
 		}
 	}
-	return true
+	return thr, col
 }
 
 // scan is the BNL step: test p against the window rows with the twin-flag
