@@ -113,18 +113,21 @@ func (s *shard) addTree(p points.Point) (points.Set, bool, int64) {
 	}
 	victims, t2 := s.tree.SearchCounted(p, hi)
 	tests += t2
-	evict := make(map[string]struct{}, len(victims))
+	// The victims not equal to p are exactly the local rows p dominates
+	// strictly, so the filter re-runs that test on each row rather than
+	// matching rows against the victims.
+	evicted := 0
 	for _, q := range victims {
 		if !q.Equal(p) {
-			evict[points.Key(q)] = struct{}{}
+			evicted++
 		}
 	}
-	out := make(points.Set, 0, len(s.local)+1-len(evict))
-	if len(evict) == 0 {
+	out := make(points.Set, 0, len(s.local)+1-evicted)
+	if evicted == 0 {
 		out = append(out, s.local...)
 	} else {
 		for _, q := range s.local {
-			if _, dead := evict[points.Key(q)]; !dead {
+			if !dominatesStrict(p, q) {
 				out = append(out, q)
 			}
 		}

@@ -3,6 +3,7 @@ package registry
 import (
 	"context"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"repro/internal/driver"
@@ -49,6 +50,28 @@ func BenchmarkServeExplain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkServeMiss measures a skyline read the cache cannot answer — a
+// ceiling no read has asked — through the handler, over catalogues of 2 000
+// and 20 000 services with the same 200-service skyline: its ns/op and
+// allocs/op should not grow with the catalogue.
+func BenchmarkServeMiss(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		total int
+	}{{"2k", 2000}, {"20k", 20000}} {
+		r := dominatedCatalogue(b, 200, size.total)
+		h := r.Handler()
+		b.Run("catalogue="+size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				url := "/skyline?max=" + strconv.Itoa(1e9+i) + "," + strconv.Itoa(1e9+b.N)
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", url, nil))
+			}
+		})
+		r.Close()
 	}
 }
 

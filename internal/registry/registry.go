@@ -19,7 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,9 +56,12 @@ type Registry struct {
 	dim      int
 	ix       *driver.Index
 	services map[string]Service
-	cache    *queryCache
-	tele     *telemetry.Registry
-	queries  *telemetry.QueryLog
+	// coords indexes services by coordinates, written with services
+	// under mu: a read maps its skyline rows back to names through it.
+	coords  coordIndex
+	cache   *queryCache
+	tele    *telemetry.Registry
+	queries *telemetry.QueryLog
 	// Pre-resolved hot-path counters: resolving a labelled counter takes
 	// a registry lookup, too expensive per request at serving rates.
 	pathCached, pathMerge, pathUpdate *telemetry.Counter
@@ -93,6 +96,7 @@ func New(ctx context.Context, initial []Service, opts driver.Options) (*Registry
 	}
 	data := make(points.Set, len(initial))
 	services := make(map[string]Service, len(initial))
+	coords := newCoordIndex(len(initial))
 	dim := len(initial[0].QoS)
 	for i, s := range initial {
 		if s.Name == "" {
@@ -106,6 +110,7 @@ func New(ctx context.Context, initial []Service, opts driver.Options) (*Registry
 		}
 		data[i] = points.Point(s.QoS)
 		services[s.Name] = s
+		coords.add(s)
 	}
 	tele := telemetry.NewRegistry()
 	if opts.Metrics == nil {
@@ -119,6 +124,7 @@ func New(ctx context.Context, initial []Service, opts driver.Options) (*Registry
 		dim:         dim,
 		ix:          ix,
 		services:    services,
+		coords:      coords,
 		tele:        tele,
 		queries:     telemetry.NewQueryLog(queryLogCapacity, slowLogK, 0),
 		pathCached:  tele.Counter("registry_query_path_total", telemetry.L("path", "cached")),
@@ -259,12 +265,14 @@ func (r *Registry) PublishContext(ctx context.Context, s Service) (inSkyline boo
 		return false, fmt.Errorf("registry: service %q already published", s.Name)
 	}
 	r.services[s.Name] = s
+	r.coords.add(s)
 	r.mu.Unlock()
 
 	_, in, err := r.ix.AddContext(ctx, points.Point(s.QoS))
 	if err != nil {
 		r.mu.Lock()
 		delete(r.services, s.Name)
+		r.coords.remove(s)
 		r.mu.Unlock()
 		return false, err
 	}
@@ -342,9 +350,7 @@ func (r *Registry) skylineCached(ctx context.Context, sig string, max points.Poi
 	snapshot := time.Since(start)
 
 	start = time.Now()
-	r.mu.RLock()
 	services = r.matchServices(sky)
-	r.mu.RUnlock()
 	body, err := json.Marshal(services)
 	if err == nil {
 		body = append(body, '\n')
@@ -366,28 +372,28 @@ func (r *Registry) skylineCached(ctx context.Context, sig string, max points.Poi
 func (r *Registry) ExplainContext(ctx context.Context) ([]Service, *driver.Explain) {
 	r.pathMerge.Inc()
 	sky, ex := r.ix.Explain(ctx)
-	r.mu.RLock()
 	out := r.matchServices(sky)
-	r.mu.RUnlock()
 	telemetry.QueryStatsFrom(ctx).SetResult(len(out))
 	return out, ex
 }
 
 // matchServices maps skyline points back to the published services that
-// carry those coordinates. Callers hold r.mu.
+// carry those coordinates, sorted by name, through the coordinate index:
+// it costs the answer, not the catalogue, and holds r.mu only for the
+// lookups. Coordinate-equal rows find the same services, so each name is
+// kept once.
 func (r *Registry) matchServices(sky points.Set) []Service {
-	keys := make(map[string]struct{}, len(sky))
+	out := make([]Service, 0, len(sky))
+	r.mu.RLock()
 	for _, p := range sky {
-		keys[points.Key(p)] = struct{}{}
+		out = r.coords.appendAt(out, p)
 	}
-	var out []Service
-	for _, s := range r.services {
-		if _, ok := keys[points.Key(points.Point(s.QoS))]; ok {
-			out = append(out, s)
-		}
+	r.mu.RUnlock()
+	if len(out) == 0 {
+		return nil // rendered "null", as an empty answer always was
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	slices.SortFunc(out, func(a, b Service) int { return strings.Compare(a.Name, b.Name) })
+	return slices.CompactFunc(out, func(a, b Service) bool { return a.Name == b.Name })
 }
 
 // statsResponse is the /stats JSON shape.
@@ -526,18 +532,22 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// statusClass buckets a status code for the requests counter: "2xx",
-// "3xx", "4xx", "5xx".
-func statusClass(code int) string {
+// statusClasses are the requests counter's status labels, indexed by
+// statusClass.
+var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
+
+// statusClass buckets a status code for the requests counter: the index
+// into statusClasses.
+func statusClass(code int) int {
 	switch {
 	case code >= 500:
-		return "5xx"
+		return 3
 	case code >= 400:
-		return "4xx"
+		return 2
 	case code >= 300:
-		return "3xx"
+		return 1
 	default:
-		return "2xx"
+		return 0
 	}
 }
 
@@ -556,6 +566,9 @@ func statusClass(code int) string {
 func (r *Registry) instrument(endpoint string, track bool, h http.HandlerFunc) http.HandlerFunc {
 	seconds := r.tele.Histogram("registry_request_seconds", telemetry.DurationBuckets(),
 		telemetry.L("endpoint", endpoint))
+	// The request counters are resolved on a class's first request, so the
+	// exposition shows only the classes that occurred.
+	var requests [len(statusClasses)]atomic.Pointer[telemetry.Counter]
 	return func(w http.ResponseWriter, req *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
@@ -568,8 +581,14 @@ func (r *Registry) instrument(endpoint string, track bool, h http.HandlerFunc) h
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		r.tele.Counter("registry_requests_total",
-			telemetry.L("endpoint", endpoint), telemetry.L("status", statusClass(sw.status))).Inc()
+		class := statusClass(sw.status)
+		c := requests[class].Load()
+		if c == nil {
+			c = r.tele.Counter("registry_requests_total",
+				telemetry.L("endpoint", endpoint), telemetry.L("status", statusClasses[class]))
+			requests[class].Store(c)
+		}
+		c.Inc()
 		elapsed := time.Since(start)
 		seconds.Observe(elapsed.Seconds())
 		if after := r.slowAfter.Load(); after > 0 && int64(elapsed) > after {

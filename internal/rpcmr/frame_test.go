@@ -340,7 +340,7 @@ func TestBadReportsNotCounted(t *testing.T) {
 			t.Fatalf("task kind %d", task.Kind)
 		}
 		args := handTask(t, svc, "hand", &task)
-		report := func(errMsg string) bool { // reports the task, Final so that no next one rides back
+		report := func(errMsg string) bool { // reports the task; no next one rides back
 			args.Err = errMsg
 			return reportTask(svc, args)
 		}
@@ -403,7 +403,7 @@ func TestReportFromPastJobIgnored(t *testing.T) {
 		t.Fatalf("next job's first task is %d of job %d, the past job's %d of job %d", next.TaskID, next.Job, old.TaskID, old.Job)
 	}
 	for i := 0; i < 10; i++ { // twice what would fail the task for good
-		reportTask(svc, ResultArgs{Kind: TaskMap, WorkerID: "hand", Job: old.Job, TaskID: old.TaskID, Err: "the past job's failure", Final: true})
+		reportTask(svc, ResultArgs{Kind: TaskMap, WorkerID: "hand", Job: old.Job, TaskID: old.TaskID, Err: "the past job's failure"})
 	}
 	w, err := NewWorker(WorkerConfig{MasterAddr: master.Addr(), ID: "w", PollInterval: time.Millisecond})
 	if err != nil {

@@ -223,10 +223,6 @@ type ResultArgs struct {
 	// batched payload per reducer, Frames[r] destined for reducer r, or the
 	// one output stream of a reduce task or of a map-only job's map task.
 	Frames [][]byte
-	// Final tells the master not to piggyback another assignment: the
-	// sender is about to stop. Worker never sets it; a client that speaks
-	// the protocol itself may.
-	Final bool
 	// Err is a non-empty string if the task failed on the worker.
 	Err string
 	// Spans is the worker-side span tree of this task (worker-local IDs;

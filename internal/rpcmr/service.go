@@ -248,25 +248,26 @@ func (s *MasterService) Report(args ResultArgs, reply *ResultReply) error {
 	m := s.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w := m.touchWorker(args.WorkerID)
+	reply.Accepted = m.report(args)
 	// Piggyback the worker's next assignment on every outcome — stale
-	// reports included. Runs after the body (LIFO, mu still held) so a
-	// phase transition triggered by this report is visible to the
-	// assignment.
-	defer func() {
-		if !args.Final {
-			m.assignTask(args.WorkerID, &reply.Next)
-		}
-	}()
+	// reports included — after the report, so a phase transition it
+	// triggered is visible to the assignment.
+	m.assignTask(args.WorkerID, &reply.Next)
+	return nil
+}
 
+// report (mu held) applies one task report under Report's rule and says
+// whether it was accepted.
+func (m *Master) report(args ResultArgs) bool {
+	w := m.touchWorker(args.WorkerID)
 	js, t := m.task(args.Job, args.Kind, args.TaskID)
 	if t == nil || t.complete {
-		return nil // stale, or the first writer won already
+		return false // stale, or the first writer won already
 	}
 	kind := phaseName(js.phase)
 	if args.Err != "" {
 		if !t.heldBy(args.Attempt) {
-			return nil // a superseded attempt's: the task was queued again already
+			return false // a superseded attempt's: the task was queued again already
 		}
 		t.running = false
 		t.attempt++
@@ -279,11 +280,11 @@ func (s *MasterService) Report(args ResultArgs, reply *ResultReply) error {
 			telemetry.A("err", args.Err))
 		if t.failures >= m.maxAttempts {
 			m.finish(js, &WorkerTaskError{Task: args.TaskID, Msg: args.Err})
-			return nil
+			return false
 		}
 		js.pending = append(js.pending, args.TaskID)
 		m.wakeHeld()
-		return nil
+		return false
 	}
 	t.complete = true
 	t.running = false
@@ -296,7 +297,6 @@ func (s *MasterService) Report(args ResultArgs, reply *ResultReply) error {
 	}
 	js.stats.Add(args.Stats)
 	js.done++
-	reply.Accepted = true
 	switch {
 	case js.done < len(js.tasks):
 	case js.phase == TaskMap:
@@ -304,7 +304,7 @@ func (s *MasterService) Report(args ResultArgs, reply *ResultReply) error {
 	default:
 		m.finish(js, nil)
 	}
-	return nil
+	return true
 }
 
 // recordCompletion (mu held) runs the observability side of one

@@ -161,8 +161,7 @@ func fetch(svc *MasterService, worker string, job uint64, task, attempt, split i
 }
 
 // handTask runs, as worker, a task taken by hand — fetching a map task's
-// splits after its first as a worker does — and returns its report, Final:
-// nothing is to ride back on it.
+// splits after its first as a worker does — and returns its report.
 func handTask(t *testing.T, svc *MasterService, worker string, task *TaskReply) ResultArgs {
 	t.Helper()
 	job, err := lookupJob(task.JobName, task.Params)
@@ -189,14 +188,16 @@ func handTask(t *testing.T, svc *MasterService, worker string, task *TaskReply) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ResultArgs{Kind: task.Kind, WorkerID: worker, Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt, Frames: frames, Stats: st, Final: true}
+	return ResultArgs{Kind: task.Kind, WorkerID: worker, Job: task.Job, TaskID: task.TaskID, Attempt: task.Attempt, Frames: frames, Stats: st}
 }
 
-// reportTask sends a report by hand and says whether it was accepted.
+// reportTask applies a report by hand, with no next assignment riding back
+// on it, and says whether it was accepted.
 func reportTask(svc *MasterService, args ResultArgs) bool {
-	var reply ResultReply
-	_ = svc.Report(args, &reply)
-	return reply.Accepted
+	m := svc.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.report(args)
 }
 
 // handFinish runs, as worker, every task svc hands out until the run ends,
