@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/mapreduce"
 	"repro/internal/points"
 )
 
@@ -21,8 +22,9 @@ const chunkSeedMix = 0x9E3779B97F4A7C15
 // produced by an independent RNG derived from the base seed and the
 // chunk index, so chunks can be read in any order, re-read on task
 // retry, and generated concurrently — the properties the out-of-core
-// engine's ChunkSource contract needs. Source structurally satisfies
-// mapreduce.ChunkSource.
+// engine's ChunkSource contract needs. Source is the mapreduce.ChunkSource
+// of the out-of-core jobs: a map task walks a chunk in pieces (WalkChunk),
+// and ReadChunk materialises one whole, for oracles and replays.
 //
 // Because each chunk owns its own RNG stream, a Source's dataset is a
 // deterministic function of (kind, seed, n, d, chunkSize) but is NOT
@@ -74,8 +76,8 @@ func (s *Source) Chunks() int {
 	return (s.n + s.chunkSize - 1) / s.chunkSize
 }
 
-// chunkLen returns the number of points in chunk i.
-func (s *Source) chunkLen(i int) int {
+// ChunkLen returns the number of points in chunk i.
+func (s *Source) ChunkLen(i int) int {
 	lo := i * s.chunkSize
 	hi := lo + s.chunkSize
 	if hi > s.n {
@@ -84,17 +86,18 @@ func (s *Source) chunkLen(i int) int {
 	return hi - lo
 }
 
-// ReadChunk appends chunk i's points to blk. It is pure in (s, i): any
-// number of calls, in any order, from any goroutine (each call builds
-// its own RNG), append the same rows. The rows are reserved once
-// (points.Block.Extend) and generated in place: a block that carries a
-// chunk's capacity is filled without allocating, a fresh one allocates it.
-func (s *Source) ReadChunk(i int, blk *points.Block) error {
+// chunkRNG returns chunk i's own RNG, which draws the chunk's rows in order,
+// whether they are generated at once or piece by piece.
+func (s *Source) chunkRNG(i int) (*rand.Rand, error) {
 	if i < 0 || i >= s.Chunks() {
-		return fmt.Errorf("dataset: chunk %d out of range [0,%d)", i, s.Chunks())
+		return nil, fmt.Errorf("dataset: chunk %d out of range [0,%d)", i, s.Chunks())
 	}
-	rng := rand.New(rand.NewSource(s.seed ^ int64(uint64(i+1)*chunkSeedMix)))
-	for rows := blk.Extend(s.d, s.chunkLen(i)); len(rows) > 0; rows = rows[s.d:] {
+	return rand.New(rand.NewSource(s.seed ^ int64(uint64(i+1)*chunkSeedMix))), nil
+}
+
+// fill generates the next len(rows)/d rows of a chunk from its RNG, in place.
+func (s *Source) fill(rng *rand.Rand, rows []float64) {
+	for ; len(rows) > 0; rows = rows[s.d:] {
 		row := rows[:s.d]
 		switch s.kind {
 		case KindCorrelated:
@@ -105,6 +108,40 @@ func (s *Source) ReadChunk(i int, blk *points.Block) error {
 			fillClustered(rng, s.centres, row)
 		default:
 			fillIndependent(rng, row)
+		}
+	}
+}
+
+// ReadChunk appends chunk i's points to blk. It is pure in (s, i): any
+// number of calls, in any order, from any goroutine (each call builds
+// its own RNG), append the same rows. The rows are reserved once
+// (points.Block.Extend) and generated in place: a block that carries a
+// chunk's capacity is filled without allocating, a fresh one allocates it.
+func (s *Source) ReadChunk(i int, blk *points.Block) error {
+	rng, err := s.chunkRNG(i)
+	if err != nil {
+		return err
+	}
+	s.fill(rng, blk.Extend(s.d, s.ChunkLen(i)))
+	return nil
+}
+
+// WalkChunk generates chunk i's points into blk a piece of at most
+// mapreduce.WalkRows rows at a time, emptying blk before each piece, and
+// calls fn with every piece: the mapreduce.ChunkSource walk. One RNG runs
+// across the chunk's pieces, so they are ReadChunk's rows in ReadChunk's
+// order, and like ReadChunk a walk is pure in (s, i). A block that carries
+// a piece's capacity is filled without allocating.
+func (s *Source) WalkChunk(i int, blk *points.Block, fn func(*points.Block) error) error {
+	rng, err := s.chunkRNG(i)
+	if err != nil {
+		return err
+	}
+	for left := s.ChunkLen(i); left > 0; left -= mapreduce.WalkRows {
+		blk.Clear()
+		s.fill(rng, blk.Extend(s.d, min(left, mapreduce.WalkRows)))
+		if err := fn(blk); err != nil {
+			return err
 		}
 	}
 	return nil

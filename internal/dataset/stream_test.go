@@ -2,11 +2,14 @@ package dataset
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 
+	"repro/internal/mapreduce"
 	"repro/internal/points"
 )
 
@@ -212,5 +215,70 @@ func TestReadChunkGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWalkChunkIsReadChunk: a walk fills the one block it is handed with
+// pieces of at most mapreduce.WalkRows rows that, taken in order, are
+// ReadChunk's rows bit for bit, for every Kind — two full pieces and a short
+// one, or one short piece — whether the block arrives fresh or recycled, and
+// from several goroutines at once. An error from fn ends the walk with it.
+func TestWalkChunkIsReadChunk(t *testing.T) {
+	const d = 5
+	lens := []int{2*mapreduce.WalkRows + 276, 188} // chunk 0, then the short last one
+	for _, kind := range []Kind{KindIndependent, KindCorrelated, KindAnticorrelated, KindClustered} {
+		src, err := NewSource(kind, 2012, lens[0]+lens[1], d, lens[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				blk := points.NewBlock(0, 0)
+				for i, n := range lens {
+					if src.ChunkLen(i) != n {
+						t.Errorf("%v: ChunkLen(%d) = %d, want %d", kind, i, src.ChunkLen(i), n)
+					}
+					want := points.NewBlock(d, n)
+					if err := src.ReadChunk(i, want); err != nil {
+						t.Error(err)
+						return
+					}
+					got := points.NewBlock(d, n)
+					pieces := 0
+					blk.Clear() // recycled from the chunk before
+					err := src.WalkChunk(i, blk, func(piece *points.Block) error {
+						if piece != blk || piece.Len() == 0 || piece.Len() > mapreduce.WalkRows {
+							t.Errorf("%v chunk %d: a piece of %d rows in another block (%v), want <= %d rows in blk",
+								kind, i, piece.Len(), piece != blk, mapreduce.WalkRows)
+						}
+						pieces++
+						got.AppendBlock(piece)
+						return nil
+					})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if wantPieces := (n + mapreduce.WalkRows - 1) / mapreduce.WalkRows; pieces != wantPieces {
+						t.Errorf("%v chunk %d: %d pieces, want %d", kind, i, pieces, wantPieces)
+					}
+					if got.Len() != n || hashRows(got, 0) != hashRows(want, 0) {
+						t.Errorf("%v chunk %d: the walk's %d rows are not ReadChunk's %d", kind, i, got.Len(), n)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		stop := errors.New("stop")
+		calls := 0
+		if err := src.WalkChunk(0, points.NewBlock(0, 0), func(*points.Block) error { calls++; return stop }); err != stop || calls != 1 {
+			t.Errorf("%v: a failing fn: err %v after %d calls, want %v after 1", kind, err, calls, stop)
+		}
+		if err := src.WalkChunk(2, points.NewBlock(0, 0), func(*points.Block) error { return nil }); err == nil {
+			t.Errorf("%v: chunk 2 of 2 walked", kind)
+		}
 	}
 }

@@ -33,16 +33,17 @@ const defaultReducerBudget = 1 << 30
 
 // ComputeStream runs the MapReduce skyline pipeline over a dataset that
 // exists only as a chunk recipe: a map task is a worker's share of src's
-// chunks, read one at a time into one recycled block, so a 10⁸-point
-// input is never materialized while the task's partition windows stay warm
-// across the whole share. Reducers fold shuffle frames under
-// opts.ReducerBudgetBytes (default 1 GiB), and the merge is TwoJobs': the
-// filter job when the local skylines fit the budget, else one blocked
-// round of budget-sized groups, on the same in-process engine.
+// chunks, each walked in pieces through one recycled block, so neither a
+// 10⁸-point input nor one chunk of it is ever materialized while the task's
+// partition windows stay warm across the whole share. Reducers fold shuffle
+// frames under opts.ReducerBudgetBytes (default 1 GiB), and the merge is
+// TwoJobs': the filter job when the local skylines fit the budget, else one
+// blocked round of budget-sized groups, on the same in-process engine.
 //
-// The partitioner is fitted to the first chunk — a sample fit: partition quality (not correctness) depends
-// on the chunk being representative, which holds for the synthetic
-// generators whose chunks are i.i.d.
+// The partitioner is fitted to its sample of the first chunk (fitSample) —
+// partition quality (not correctness) depends on the chunk being
+// representative, which holds for the synthetic generators whose chunks are
+// i.i.d.
 func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options) (points.Set, *Stats, error) {
 	opts = opts.withDefaults()
 	if opts.ReducerBudgetBytes <= 0 {
@@ -51,12 +52,9 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 	if src.Chunks() == 0 {
 		return nil, nil, fmt.Errorf("driver: empty chunk source")
 	}
-	sample := points.NewBlock(0, 0)
-	if err := src.ReadChunk(0, sample); err != nil {
-		return nil, nil, fmt.Errorf("driver: sampling chunk 0: %w", err)
-	}
-	if sample.Len() == 0 {
-		return nil, nil, fmt.Errorf("driver: chunk 0 is empty")
+	sample, err := fitSample(src, opts.Scheme, opts.Partitions)
+	if err != nil {
+		return nil, nil, err
 	}
 	dim := sample.Dim()
 
@@ -66,13 +64,62 @@ func ComputeStream(ctx context.Context, src mapreduce.ChunkSource, opts Options)
 		telemetry.A("budget_bytes", opts.ReducerBudgetBytes))
 	defer rootSpan.End()
 
-	part, err := partition.New(opts.Scheme, sample.ToSet(), opts.Partitions)
+	part, err := partition.New(opts.Scheme, sample, opts.Partitions)
 	if err != nil {
 		return nil, nil, err
 	}
-	sample = nil // the job must not pin chunk 0
+	sample = nil // the job must not pin the sample
 	exec := InProcess(mapreduce.ChunkRows(src), PartitionJob(part, nil, dim, 0, opts), dim, 0, opts)
 	return TwoJobs(ctx, exec, dim, part, nil, nil, opts)
+}
+
+// fitSample walks chunk 0 of src once and keeps the rows a fit of scheme
+// reads of it (partition.FitRows), in the order it reads them, so that
+// partition.New over the sample is New over the whole chunk while no more of
+// the chunk than the sample and one piece is held. Under MR-Grid, whose fit
+// bounds every row, the sample is the chunk.
+func fitSample(src mapreduce.ChunkSource, scheme partition.Scheme, want int) (points.Set, error) {
+	n := src.ChunkLen(0)
+	if n <= 0 {
+		return nil, fmt.Errorf("driver: chunk 0 is empty")
+	}
+	rows := partition.FitRows(scheme, n, want)
+	// byRow lists the sample's positions in the order of their rows, the
+	// order the walk meets them.
+	byRow := make([]int, len(rows))
+	for k := range byRow {
+		byRow[k] = k
+	}
+	sort.Slice(byRow, func(a, b int) bool { return rows[byRow[a]] < rows[byRow[b]] })
+	sample := make(points.Set, len(rows))
+	var coords []float64
+	d, off, next := 0, 0, 0
+	err := src.WalkChunk(0, points.NewBlock(0, 0), func(piece *points.Block) error {
+		switch {
+		case piece.Len() == 0:
+			return nil
+		case coords == nil:
+			d = piece.Dim()
+			coords = make([]float64, len(rows)*d)
+		case piece.Dim() != d:
+			return fmt.Errorf("a piece of %d-dimensional rows after %d-dimensional ones", piece.Dim(), d)
+		}
+		for ; next < len(byRow) && rows[byRow[next]] < off+piece.Len(); next++ {
+			k := byRow[next]
+			p := coords[k*d : (k+1)*d : (k+1)*d]
+			copy(p, piece.Row(rows[k]-off))
+			sample[k] = p
+		}
+		off += piece.Len()
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("driver: sampling chunk 0: %w", err)
+	}
+	if off != n || d == 0 {
+		return nil, fmt.Errorf("driver: chunk 0 walked %d rows of %d dimensions, its length says %d", off, d, n)
+	}
+	return sample, nil
 }
 
 // dominatorBytes is what a blocked merge task counts per row of its group

@@ -536,31 +536,39 @@ func TestComputeStreamCancelledBeforeMerge(t *testing.T) {
 }
 
 // countingChunks wraps a chunk source and remembers every distinct block
-// ReadChunk was handed, and whether each arrived empty.
+// WalkChunk was handed, whether each arrived empty, and the longest piece
+// the source filled into one.
 type countingChunks struct {
 	mapreduce.ChunkSource
 	mu       sync.Mutex
 	blocks   map[*points.Block]int
 	nonEmpty int
+	longest  int
 }
 
-func (c *countingChunks) ReadChunk(i int, blk *points.Block) error {
+func (c *countingChunks) WalkChunk(i int, blk *points.Block, fn func(*points.Block) error) error {
 	c.mu.Lock()
 	c.blocks[blk]++
 	if blk.Len() != 0 || blk.Dim() != 0 {
 		c.nonEmpty++
 	}
 	c.mu.Unlock()
-	return c.ChunkSource.ReadChunk(i, blk)
+	return c.ChunkSource.WalkChunk(i, blk, func(piece *points.Block) error {
+		c.mu.Lock()
+		c.longest = max(c.longest, piece.Len())
+		c.mu.Unlock()
+		return fn(piece)
+	})
 }
 
-// TestComputeStreamAllocatesInputOnce: a streamed job's chunk memory is
-// Workers recycled blocks, not a block per map task grown by appending.
-// Over bench's stream_ind_d6 shape (16 chunks of 62 500 d=6 rows, two
-// workers) the source sees at most Workers+1 distinct blocks — the extra
-// one is the sampling read — and a steady-state job allocates less than
-// twice the input's bytes in total (6.8× when every task append-grew a
-// fresh block; ~1.03× now). The byte bound means nothing under -race.
+// TestComputeStreamAllocatesInputOnce: a streamed job holds a piece of a
+// chunk, not the chunk. Over bench's stream_ind_d6 shape (16 chunks of
+// 62 500 d=6 rows, two workers) no piece the source fills exceeds WalkRows
+// rows, the walks use at most Workers+1 distinct blocks — the extra one is
+// the fit's walk of chunk 0 — and a steady-state job allocates at most 0.4×
+// the input's bytes in total (6.8× when every task append-grew a fresh
+// chunk block, ~0.6× while a task held a whole chunk and the fit read
+// chunk 0 whole; ~0.33× now). The byte bound means nothing under -race.
 func TestComputeStreamAllocatesInputOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row job")
@@ -584,13 +592,66 @@ func TestComputeStreamAllocatesInputOnce(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		allocated = ms.TotalAlloc - before
 		if len(src.blocks) > workers+1 || src.nonEmpty > 0 {
-			t.Errorf("job %d: %d chunk reads went to %d distinct blocks (want <= %d), %d not empty on arrival",
+			t.Errorf("job %d: %d chunk walks went through %d distinct blocks (want <= %d), %d not empty on arrival",
 				job, chunks+1, len(src.blocks), workers+1, src.nonEmpty)
 		}
+		if src.longest > mapreduce.WalkRows {
+			t.Errorf("job %d: a piece of %d rows, want <= WalkRows (%d)", job, src.longest, mapreduce.WalkRows)
+		}
 	}
-	t.Logf("steady-state job allocated %d bytes", allocated)
-	if input := uint64(n * d * 8); !raceEnabled && allocated > 2*input {
-		t.Errorf("steady-state job allocated %d bytes, %.2fx its %d-byte input; want <= 2x", allocated, float64(allocated)/float64(input), input)
+	input := uint64(n * d * 8)
+	t.Logf("steady-state job allocated %d bytes, %.2fx its input", allocated, float64(allocated)/float64(input))
+	if !raceEnabled && float64(allocated) > 0.4*float64(input) {
+		t.Errorf("steady-state job allocated %d bytes, %.2fx its %d-byte input; want <= 0.4x", allocated, float64(allocated)/float64(input), input)
+	}
+}
+
+// TestStreamFitIsTheSetFit: the partitioner ComputeStream fits from its
+// sample of chunk 0 is the one partition.New fits to chunk 0 materialised —
+// the same offset, cuts and bounds, and the same partition for every row of
+// the chunk — for every scheme, whether chunk 0 is shorter than the fit's
+// sample, as long, or longer (when the sample is a draw, in draw order).
+func TestStreamFitIsTheSetFit(t *testing.T) {
+	const d, want = 4, 16
+	size := max(4096, 64*want)
+	for _, scheme := range []partition.Scheme{partition.Angular, partition.Dimensional, partition.Random, partition.Grid} {
+		for _, rows := range []int{size/3 + 7, size, 3*size + 5} {
+			src, err := dataset.NewSource(dataset.KindAnticorrelated, 13, 2*rows, d, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunk := points.NewBlock(d, rows)
+			if err := src.ReadChunk(0, chunk); err != nil {
+				t.Fatal(err)
+			}
+			set := chunk.ToSet()
+			wantPart, err := partition.New(scheme, set, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sample, err := fitSample(src, scheme, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantRows := len(partition.FitRows(scheme, rows, want)); len(sample) != wantRows {
+				t.Errorf("%v, %d rows: a sample of %d rows, want %d", scheme, rows, len(sample), wantRows)
+			}
+			got, err := partition.New(scheme, sample, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, wantPart) {
+				t.Errorf("%v, %d rows: the streamed fit is %+v, the set's %+v", scheme, rows, got, wantPart)
+				continue
+			}
+			for i, p := range set {
+				a, errA := got.Assign(p)
+				b, errB := wantPart.Assign(p)
+				if a != b || errA != nil || errB != nil {
+					t.Fatalf("%v, %d rows: row %d goes to %d (%v), want %d (%v)", scheme, rows, i, a, errA, b, errB)
+				}
+			}
+		}
 	}
 }
 

@@ -29,15 +29,29 @@ const shardTreeCrossover = 256
 type shard struct {
 	local points.Set  // this partition's local skyline; treat as immutable
 	tree  *rtree.Tree // non-nil iff len(local) >= shardTreeCrossover
+	// floor and ceiling are the all -inf and all +inf corners of the tree's
+	// dimension: the open sides of addTree's corner boxes.
+	floor, ceiling points.Point
 }
 
 // newShard wraps a local skyline, building the R-tree accelerator when
 // the shard is large enough to repay it. The set is adopted, not copied.
 func newShard(local points.Set) *shard {
-	s := &shard{local: local}
 	if len(local) >= shardTreeCrossover {
-		if t, err := rtree.New(local, rtree.DefaultFanout); err == nil {
-			s.tree = t
+		return treeShard(local)
+	}
+	return &shard{local: local}
+}
+
+// treeShard wraps a local skyline with its R-tree accelerator, whatever its
+// size; a set the tree refuses (an empty one) gets none.
+func treeShard(local points.Set) *shard {
+	s := &shard{local: local}
+	if t, err := rtree.New(local, rtree.DefaultFanout); err == nil {
+		d := local.Dim()
+		s.tree, s.floor, s.ceiling = t, make(points.Point, d), make(points.Point, d)
+		for j := 0; j < d; j++ {
+			s.floor[j], s.ceiling[j] = math.Inf(-1), math.Inf(1)
 		}
 	}
 	return s
@@ -93,35 +107,31 @@ func addLinear(set points.Set, p points.Point) (out points.Set, entered bool, te
 	return append(out, p), true, tests
 }
 
-// addTree is the large-shard path: two corner-box searches against the
-// R-tree. Dominators of p live in [-inf, p]; victims of p live in
-// [p, +inf]. Leaf-entry box checks are counted as dominance tests — each
-// is exactly one "is q ≤ p componentwise" comparison.
+// addTree is the large-shard path: two corner-box visits of the R-tree.
+// Dominators of p live in [-inf, p]; victims of p live in [p, +inf].
+// Leaf-entry box checks are counted as dominance tests — each is exactly
+// one "is q ≤ p componentwise" comparison. A visit reads every leaf its box
+// reaches and keeps only a flag or a count, so a dominated probe allocates
+// nothing and an entering one only its new local skyline.
 func (s *shard) addTree(p points.Point) (points.Set, bool, int64) {
-	d := p.Dim()
-	lo := make(points.Point, d)
-	hi := make(points.Point, d)
-	for j := 0; j < d; j++ {
-		lo[j] = math.Inf(-1)
-		hi[j] = math.Inf(1)
-	}
-	dominators, tests := s.tree.SearchCounted(lo, p)
-	for _, q := range dominators {
+	dominated := false
+	tests := s.tree.Visit(s.floor, p, func(q points.Point) {
 		if !q.Equal(p) {
-			return s.local, false, tests
+			dominated = true
 		}
+	})
+	if dominated {
+		return s.local, false, tests
 	}
-	victims, t2 := s.tree.SearchCounted(p, hi)
-	tests += t2
 	// The victims not equal to p are exactly the local rows p dominates
 	// strictly, so the filter re-runs that test on each row rather than
 	// matching rows against the victims.
 	evicted := 0
-	for _, q := range victims {
+	tests += s.tree.Visit(p, s.ceiling, func(q points.Point) {
 		if !q.Equal(p) {
 			evicted++
 		}
-	}
+	})
 	out := make(points.Set, 0, len(s.local)+1-evicted)
 	if evicted == 0 {
 		out = append(out, s.local...)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/points"
 	"repro/internal/qws"
-	"repro/internal/rtree"
 	"repro/internal/skyline"
 )
 
@@ -31,13 +30,9 @@ func TestShardAddPathsAgree(t *testing.T) {
 		// Force-tree variant: rebuild a tree over the current local each
 		// step so addTree is exercised at every size (fanout pressure at
 		// small n is the edge case), regardless of the crossover.
-		tree := &shard{local: accepted}
-		if len(accepted) > 0 {
-			tr, err := rtree.New(accepted, rtree.DefaultFanout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tree.tree = tr
+		tree := treeShard(accepted)
+		if len(accepted) > 0 && tree.tree == nil {
+			t.Fatalf("no tree over %d accepted points", len(accepted))
 		}
 
 		nl1, ok1, _ := addLinear(linear.local, p)
@@ -94,6 +89,35 @@ func TestGlobalAddOracle(t *testing.T) {
 	}
 }
 
+// TestShardAddTreeAllocates: a large shard's add keeps nothing of its
+// corner-box visits but a flag and a count, so a dominated probe allocates
+// nothing and an entering one only its new local skyline.
+func TestShardAddTreeAllocates(t *testing.T) {
+	const n, d = 4096, 5
+	base := simplexSet(60, n, d)
+	s := newShard(base)
+	if s.tree == nil {
+		t.Fatalf("a %d-point shard has no tree", n)
+	}
+	enter := simplexSet(61, 1, d)[0]
+	dominated := base[7].Clone()
+	for j := range dominated {
+		dominated[j] *= 1.05
+	}
+	if _, ok, _ := s.add(dominated); ok {
+		t.Fatal("the dominated probe entered")
+	}
+	if _, ok, _ := s.add(enter); !ok {
+		t.Fatal("the entering probe was dominated")
+	}
+	if a := testing.AllocsPerRun(100, func() { s.add(dominated) }); a != 0 {
+		t.Errorf("a dominated add allocates %.1f times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { s.add(enter) }); a != 1 {
+		t.Errorf("an entering add allocates %.1f times, want 1 (its new local skyline)", a)
+	}
+}
+
 // simplexSet generates mutually non-dominated points (normalized onto
 // the unit simplex: q ≤ p componentwise with equal coordinate sums
 // forces q == p) — the anti-correlated shape every shard's local skyline
@@ -146,11 +170,7 @@ func BenchmarkShardAdd(b *testing.B) {
 			dominated[i] = q
 		}
 		linear := &shard{local: base}
-		tr, err := rtree.New(base, rtree.DefaultFanout)
-		if err != nil {
-			b.Fatal(err)
-		}
-		withTree := &shard{local: base, tree: tr}
+		withTree := treeShard(base)
 		for _, class := range []struct {
 			name   string
 			probes points.Set

@@ -473,14 +473,14 @@ func SetRows(data points.Set) RowFeed {
 }
 
 // ChunkRows feeds an out-of-core input; its unit is the chunk. A task walks
-// its chunks one at a time through the one block it borrows from the feed's
-// free list, emptied between chunks, so a worker never holds more than one
-// chunk and the full input never exists in memory, while the task's
-// accumulators see every row of its run. The block goes back with its
-// capacity once the rows are routed (or the task failed): the feed holds at
-// most one block per engine worker for its life, each sized by the largest
-// chunk read into it, and a steady-state task allocates no chunk memory. A
-// failed read or mapper fails the task.
+// its chunks one at a time, each in pieces through the one block it borrows
+// from the feed's free list, emptied before every chunk, so a worker never
+// holds more than one piece of WalkRows rows and the input never exists in
+// memory, while the task's accumulators see every row of its run. The block
+// goes back with its capacity once the rows are routed (or the task failed):
+// the feed holds at most one block per engine worker for its life, and a
+// steady-state task allocates no chunk memory. A failed walk or mapper fails
+// the task.
 func ChunkRows(src ChunkSource) RowFeed {
 	var mu sync.Mutex
 	var free []*points.Block
@@ -500,18 +500,24 @@ func ChunkRows(src ChunkSource) RowFeed {
 			mu.Unlock()
 		}()
 		rows := 0
-		for c := lo; c < hi; c++ {
-			blk.Clear() // of the chunk before, or of whatever a failed task left
-			if err := src.ReadChunk(c, blk); err != nil {
-				return 0, fmt.Errorf("reading chunk %d: %w", c, err)
-			}
-			n := blk.Len()
+		var mapErr error
+		route := func(piece *points.Block) error {
+			n := piece.Len()
 			for i := 0; i < n; i++ {
-				if err := mapper(blk.Row(i), emit); err != nil {
-					return 0, err
+				if mapErr = mapper(piece.Row(i), emit); mapErr != nil {
+					return mapErr
 				}
 			}
 			rows += n
+			return nil
+		}
+		for c := lo; c < hi; c++ {
+			blk.Clear() // of the chunk before, or of whatever a failed task left
+			if err := src.WalkChunk(c, blk, route); mapErr != nil {
+				return 0, mapErr
+			} else if err != nil {
+				return 0, fmt.Errorf("reading chunk %d: %w", c, err)
+			}
 		}
 		return rows, nil
 	}}

@@ -233,17 +233,29 @@ func runReduceTask(cfg Config, r int, outputs []frameTaskOutput, folder FrameFol
 // ---------------------------------------------------------------------------
 // Chunked input: out-of-core map side
 
+// WalkRows is the most rows a piece of a walk holds: a chunk source hands a
+// map task its chunk in pieces of at most this many rows, and a cluster
+// worker walks an input split's frames through scratch of as many. At d=6 a
+// piece is 24 KiB, which stays in cache while its rows are routed.
+const WalkRows = 512
+
 // ChunkSource provides the input of an out-of-core job as random-access
 // chunks: a map task is a run of consecutive chunks (see ChunkRows), each
-// read in turn directly into the task's one block, so the full input never
-// exists in memory. The block ReadChunk is handed is empty but may carry an
-// earlier chunk's capacity — the engine recycles chunk blocks across chunks
-// and tasks — so a source reserves the chunk's rows once
-// (points.Block.Extend) and never append-grows row by row: a task's chunk
-// memory is then one chunk, and nothing once recycled. ReadChunk must be
-// safe for concurrent use and re-readable: a driver may read a chunk (its
-// fit sample) before the map pass reads it again.
+// walked in turn through the task's one piece block, so neither the input
+// nor a whole chunk of it exists in memory. ChunkLen(i) is chunk i's row
+// count, known before its rows. WalkChunk(i, blk, fn) fills blk with
+// successive pieces of chunk i, each of at most WalkRows rows, and calls fn
+// once per piece; the pieces, taken in order, are the chunk's rows. blk
+// arrives empty but may carry an earlier piece's capacity — the engine
+// recycles piece blocks across chunks and tasks — so a source empties it
+// between pieces and reserves each piece's rows at once (points.Block.Extend),
+// never append-growing row by row: a task's chunk memory is then one piece,
+// and nothing once recycled. fn must not keep blk or its rows, and an error
+// from fn ends the walk with that error. WalkChunk must be safe for
+// concurrent use and re-readable: a driver may walk a chunk (for its fit
+// sample) before the map pass walks it again.
 type ChunkSource interface {
 	Chunks() int
-	ReadChunk(i int, blk *points.Block) error
+	ChunkLen(i int) int
+	WalkChunk(i int, blk *points.Block, fn func(piece *points.Block) error) error
 }

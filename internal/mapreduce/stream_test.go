@@ -2,16 +2,12 @@ package mapreduce
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/points"
 	"repro/internal/skyline"
 )
@@ -138,16 +134,29 @@ type chunkSrc struct {
 
 func (c chunkSrc) Chunks() int { return c.chunks }
 
-func (c chunkSrc) ReadChunk(i int, blk *points.Block) error {
+func (c chunkSrc) ChunkLen(int) int { return c.per }
+
+func (c chunkSrc) WalkChunk(i int, blk *points.Block, fn func(*points.Block) error) error {
 	rng := rand.New(rand.NewSource(int64(i) * 7919))
-	row := make([]float64, c.d)
-	for p := 0; p < c.per; p++ {
-		for j := range row {
-			row[j] = rng.Float64()
+	for left := c.per; left > 0; left -= WalkRows {
+		blk.Clear()
+		for rows, j := blk.Extend(c.d, min(left, WalkRows)), 0; j < len(rows); j++ {
+			rows[j] = rng.Float64()
 		}
-		blk.AppendRow(row)
+		if err := fn(blk); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// appendChunk walks chunk i of src and appends its rows to blk: the whole
+// chunk, for an oracle.
+func appendChunk(src ChunkSource, i int, blk *points.Block) error {
+	return src.WalkChunk(i, points.NewBlock(0, 0), func(piece *points.Block) error {
+		blk.AppendBlock(piece)
+		return nil
+	})
 }
 
 // TestRunFramesChunkedOracle: a chunk-fed, combined, budget-folded job
@@ -160,7 +169,7 @@ func TestRunFramesChunkedOracle(t *testing.T) {
 	var input points.Set
 	for i := 0; i < chunks; i++ {
 		blk := points.NewBlock(d, per)
-		if err := src.ReadChunk(i, blk); err != nil {
+		if err := appendChunk(src, i, blk); err != nil {
 			t.Fatal(err)
 		}
 		input = append(input, blk.ToSet()...)
@@ -260,97 +269,51 @@ func TestFrameCodecOnShuffle(t *testing.T) {
 	}
 }
 
-// refusingFold fails its first Absorb.
-type refusingFold struct{}
-
-func (refusingFold) Absorb(*points.Block) error     { return errors.New("fold refuses") }
-func (refusingFold) Finish() (*points.Block, error) { return nil, nil }
-
-// TestAbandonedFoldsLeaveNoOverflowFile: a streaming reduce that returns
-// early — a bad frame, another partition's fold failing — has folds it
-// never finishes, and a budgeted fold that has overflowed holds a temp
-// file until it is finished or closed. The engine closes what it created.
-func TestAbandonedFoldsLeaveNoOverflowFile(t *testing.T) {
-	const d = 4
-	blk, _ := points.BlockOf(dataset.Generate(dataset.KindAnticorrelated, 3, 5000, d))
-	assertEmpty := func(t *testing.T, dir string) {
-		t.Helper()
-		if left, err := os.ReadDir(dir); err != nil || len(left) > 0 {
-			t.Errorf("%d files left in the folds' spill directory (first: %v), err %v", len(left), left[:min(len(left), 1)], err)
-		}
-	}
-	t.Run("bad frame into ReduceFramesStream", func(t *testing.T) {
-		dir := t.TempDir()
-		stream := append(points.AppendFrame(nil, 0, blk), 0xff, 0xff, 0xff)
-		_, _, err := ReduceFramesStream([]FrameSource{StreamFrameSource(stream)}, func(int) FrameFold {
-			return skyline.NewBudgetedFold(d, 1024, dir, points.FrameDefault)
-		}, points.FrameDefault)
-		if err == nil || !strings.Contains(err.Error(), "unsupported frame version 255") {
-			t.Fatalf("err = %v, want the bad frame's", err)
-		}
-		assertEmpty(t, dir)
-	})
-	t.Run("another fold fails in RunFrames", func(t *testing.T) {
-		// Partition 0's frame comes first in every sealed stream and
-		// overflows its fold; partition 1's fold then refuses its frame.
-		dir := t.TempDir()
-		_, err := RunFrames(context.Background(), Config{Name: "abandoned", Workers: 2, Reducers: 1}, FrameJob{
-			Feed: SetRows(blk.ToSet()),
-			Mapper: func(row []float64, emit EmitPoint) error {
-				if row[0] < 0.9 {
-					emit(0, row)
-				} else {
-					emit(1, row)
-				}
-				return nil
-			},
-			Folder: func(p int) FrameFold {
-				if p == 1 {
-					return refusingFold{}
-				}
-				return skyline.NewBudgetedFold(d, 1024, dir, points.FrameDefault)
-			},
-		})
-		if err == nil || !strings.Contains(err.Error(), "fold refuses") {
-			t.Fatalf("err = %v, want the refusing fold's", err)
-		}
-		assertEmpty(t, dir)
-	})
-}
-
-// blockCounter is a chunk source that remembers which blocks it was handed.
+// blockCounter is a chunk source that remembers which blocks it was handed,
+// and the longest piece it filled.
 type blockCounter struct {
 	chunkSrc
 	mu       sync.Mutex
 	blocks   map[*points.Block]bool
 	nonEmpty int
+	longest  int
 }
 
-func (c *blockCounter) ReadChunk(i int, blk *points.Block) error {
+func (c *blockCounter) WalkChunk(i int, blk *points.Block, fn func(*points.Block) error) error {
 	c.mu.Lock()
 	c.blocks[blk] = true
 	if blk.Len() != 0 || blk.Dim() != 0 {
 		c.nonEmpty++
 	}
 	c.mu.Unlock()
-	return c.chunkSrc.ReadChunk(i, blk)
+	return c.chunkSrc.WalkChunk(i, blk, func(piece *points.Block) error {
+		c.mu.Lock()
+		c.longest = max(c.longest, piece.Len())
+		c.mu.Unlock()
+		return fn(piece)
+	})
 }
 
 // TestChunkRowsRecyclesBlocks: a chunk feed hands its source at most one
-// block per engine worker over a whole job, each empty on arrival.
+// block per engine worker over a whole job, each empty on arrival, and the
+// source fills it a piece of at most WalkRows rows at a time — here each
+// chunk is two full pieces and a short one.
 func TestChunkRowsRecyclesBlocks(t *testing.T) {
-	const chunks, workers = 16, 2
-	src := &blockCounter{chunkSrc: chunkSrc{chunks: chunks, per: 300, d: 5}, blocks: map[*points.Block]bool{}}
+	const chunks, workers, per = 16, 2, 2*WalkRows + 300
+	src := &blockCounter{chunkSrc: chunkSrc{chunks: chunks, per: per, d: 5}, blocks: map[*points.Block]bool{}}
 	res, err := RunFrames(context.Background(), Config{Name: "recycle", Workers: workers, Reducers: 2},
 		FrameJob{Feed: ChunkRows(src), Mapper: streamSkyMapper(4), Folder: skylineFolder})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in := res.Counters.Get(CounterMapIn); in != chunks*300 {
-		t.Errorf("map-in %d, want %d", in, chunks*300)
+	if in := res.Counters.Get(CounterMapIn); in != chunks*per {
+		t.Errorf("map-in %d, want %d", in, chunks*per)
 	}
 	if len(src.blocks) > workers || src.nonEmpty > 0 {
-		t.Errorf("%d chunks were read into %d distinct blocks (want <= %d workers), %d of them not empty on arrival",
+		t.Errorf("%d chunks were walked through %d distinct blocks (want <= %d workers), %d of them not empty on arrival",
 			chunks, len(src.blocks), workers, src.nonEmpty)
+	}
+	if src.longest != WalkRows {
+		t.Errorf("longest piece %d rows, want WalkRows (%d)", src.longest, WalkRows)
 	}
 }

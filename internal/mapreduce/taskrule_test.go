@@ -122,7 +122,7 @@ func TestTaskRule(t *testing.T) {
 		for lo := 0; lo < tc.units; lo += tc.task {
 			run := points.NewBlock(1, 0)
 			for c := lo; c < min(lo+tc.task, tc.units); c++ {
-				if err := src.chunkSrc.ReadChunk(c, run); err != nil {
+				if err := appendChunk(src.chunkSrc, c, run); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -253,8 +253,16 @@ type blockChunks []*points.Block
 
 func (b blockChunks) Chunks() int { return len(b) }
 
-func (b blockChunks) ReadChunk(i int, blk *points.Block) error {
-	blk.AppendBlock(b[i])
+func (b blockChunks) ChunkLen(i int) int { return b[i].Len() }
+
+func (b blockChunks) WalkChunk(i int, blk *points.Block, fn func(*points.Block) error) error {
+	for lo := 0; lo < b[i].Len(); lo += WalkRows {
+		blk.Clear()
+		blk.AppendBlock(b[i].Slice(lo, min(lo+WalkRows, b[i].Len())))
+		if err := fn(blk); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

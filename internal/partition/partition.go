@@ -147,7 +147,7 @@ func Fit(scheme Scheme, data points.Set, want int) (part Partitioner, min, max p
 	if scheme == Grid {
 		min, max, err = data.ValidateBoundsOn(0)
 	} else {
-		sample, min, max, err = drawSample(data, fitSampleRows, want, 1)
+		sample, min, max, err = drawSample(data, fitSampleRows, want, fitSeed)
 	}
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("partition: %w", err)
@@ -174,8 +174,29 @@ func Fit(scheme Scheme, data points.Set, want int) (part Partitioner, min, max p
 }
 
 // fitSampleRows is the fewest rows Fit reads: sets at or below
-// max(fitSampleRows, 64·want) rows are fitted exactly.
-const fitSampleRows = 4096
+// max(fitSampleRows, 64·want) rows are fitted exactly. fitSeed seeds the
+// draw of a larger set's sample.
+const (
+	fitSampleRows = 4096
+	fitSeed       = 1
+)
+
+// FitRows returns the rows of an n-row set that Fit reads, in the order it
+// reads them: every row, in order, under MR-Grid, whose fit bounds every
+// row, or of a set of at most max(fitSampleRows, 64·want) rows; else that
+// many rows drawn by sampleIndices from fitSeed. New over just these rows,
+// in this order, is New over the set — the same box, offset, cuts and
+// assignments — so a caller that streams its data keeps these rows alone.
+func FitRows(scheme Scheme, n, want int) []int {
+	if size := max(fitSampleRows, 64*want); scheme != Grid && n > size {
+		return sampleIndices(rand.New(rand.NewSource(fitSeed)), n, size)
+	}
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
 
 // drawSample returns the rows a fit reads and their bounding box: every row
 // of data when there are at most max(size, 64·want), else that many drawn by

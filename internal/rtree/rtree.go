@@ -136,56 +136,38 @@ func boundsOf(s points.Set) (lo, hi points.Point) {
 // [lo, hi] (inclusive).
 func (t *Tree) Search(lo, hi points.Point) points.Set {
 	var out points.Set
-	var walk func(n *node)
-	walk = func(n *node) {
-		if !boxesIntersect(n.lo, n.hi, lo, hi) {
-			return
-		}
-		if n.children == nil {
-			for _, p := range n.entries {
-				if inBox(p, lo, hi) {
-					out = append(out, p)
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
+	t.Visit(lo, hi, func(p points.Point) { out = append(out, p) })
 	return out
 }
 
-// SearchCounted is Search plus a cost: the number of leaf-entry box
-// checks performed. Each check is one componentwise comparison of a
-// candidate against the box corner — the same unit the skyline kernels
-// count as a dominance test — so callers using corner boxes for
-// dominator/victim queries can attribute index probes in the same
-// currency as linear scans.
-func (t *Tree) SearchCounted(lo, hi points.Point) (points.Set, int64) {
-	var out points.Set
-	var checks int64
-	var walk func(n *node)
-	walk = func(n *node) {
-		if !boxesIntersect(n.lo, n.hi, lo, hi) {
-			return
-		}
-		if n.children == nil {
-			checks += int64(len(n.entries))
-			for _, p := range n.entries {
-				if inBox(p, lo, hi) {
-					out = append(out, p)
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
+// Visit calls fn with every indexed point inside the box [lo, hi]
+// (inclusive), in tree order, and returns the number of leaf-entry box
+// checks it made. Each check is one componentwise comparison of a candidate
+// against the box corner — the same unit the skyline kernels count as a
+// dominance test — so callers using corner boxes for dominator/victim
+// queries can attribute index probes in the same currency as linear scans.
+// It builds nothing: what a caller keeps of the points is up to fn.
+func (t *Tree) Visit(lo, hi points.Point, fn func(points.Point)) int64 {
+	return t.root.visit(lo, hi, fn)
+}
+
+func (n *node) visit(lo, hi points.Point, fn func(points.Point)) int64 {
+	if !boxesIntersect(n.lo, n.hi, lo, hi) {
+		return 0
 	}
-	walk(t.root)
-	return out, checks
+	if n.children == nil {
+		for _, p := range n.entries {
+			if inBox(p, lo, hi) {
+				fn(p)
+			}
+		}
+		return int64(len(n.entries))
+	}
+	var checks int64
+	for _, c := range n.children {
+		checks += c.visit(lo, hi, fn)
+	}
+	return checks
 }
 
 func boxesIntersect(alo, ahi, blo, bhi points.Point) bool {

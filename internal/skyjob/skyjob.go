@@ -238,10 +238,6 @@ func (s Spec) options() driver.Options {
 	return driver.Options{Codec: s.Codec, ReducerBudgetBytes: s.ReducerBudgetBytes}
 }
 
-// walkRows bounds the frames of an input split: a worker walks them through
-// a scratch block the size of the longest, which this keeps in cache.
-const walkRows = 512
-
 // setSplits is an in-memory set as job input: split [lo, hi) is those rows
 // as v1 frames, encoded from the set when the master asks for them, into the
 // buffer it lends. The seal is the one pass on the master that reads every
@@ -255,8 +251,8 @@ func setSplits(data points.Set) rpcmr.Input {
 		// doubling, and its later ones find the room already there.
 		frames = slices.Grow(frames, (hi-lo)*(d*8+1)+16)
 		var err error
-		for ; lo < hi && err == nil; lo += walkRows {
-			end := min(lo+walkRows, hi)
+		for ; lo < hi && err == nil; lo += mapreduce.WalkRows {
+			end := min(lo+mapreduce.WalkRows, hi)
 			if err = data.ValidateRows(lo, end, d); err == nil {
 				frames, err = points.AppendFrameRows(frames, 0, data[lo:end])
 			}

@@ -56,11 +56,11 @@ func TestNilSafety(t *testing.T) {
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", []float64{0.1, 1, 10})
-	h.Observe(0.05) // bucket 0 (≤0.1)
-	h.Observe(0.1)  // bucket 0 (le is inclusive)
-	h.Observe(0.5)  // bucket 1
+	h.Observe(0.05)  // bucket 0 (≤0.1)
+	h.Observe(0.1)   // bucket 0 (le is inclusive)
+	h.Observe(0.5)   // bucket 1
 	h.ObserveN(5, 3) // bucket 2 ×3
-	h.Observe(100)  // overflow
+	h.Observe(100)   // overflow
 	s := h.Snapshot()
 	want := []int64{2, 1, 3, 1}
 	for i, w := range want {
