@@ -3,6 +3,7 @@ package driver
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +24,8 @@ import (
 // then work on frozen data; they never block, never take a lock, and can
 // never observe a half-installed update, because an epoch is built in
 // full before the pointer swings. Writers serialize on ix.mu, fold a
-// batch of publishes copy-on-write (touched shards and the global are
-// replaced, untouched shards are shared with the previous epoch), and
+// batch of publishes copy-on-write (touched local skylines and the global
+// are replaced, untouched ones are shared with the previous epoch), and
 // install exactly one new epoch per batch.
 //
 // An Index is safe for concurrent use.
@@ -46,7 +47,7 @@ type Index struct {
 // from an installed epochState is ever mutated.
 type epochState struct {
 	epoch  uint64
-	shards []*shard // indexed by partition id
+	locals []points.Set // local skyline by partition id
 	global points.Set
 }
 
@@ -79,21 +80,21 @@ func (v View) Global() points.Set { return v.st.global }
 // Local returns one partition's local skyline without copying (nil for
 // an unknown or empty partition). Immutable; Clone before mutating.
 func (v View) Local(id int) points.Set {
-	if id < 0 || id >= len(v.st.shards) {
+	if id < 0 || id >= len(v.st.locals) {
 		return nil
 	}
-	return v.st.shards[id].local
+	return v.st.locals[id]
 }
 
 // Partitions returns the number of shard slots in the snapshot.
-func (v View) Partitions() int { return len(v.st.shards) }
+func (v View) Partitions() int { return len(v.st.locals) }
 
 // Size returns the total points retained across local skylines — the
 // working-set size of the incremental index at this epoch.
 func (v View) Size() int {
 	n := 0
-	for _, sh := range v.st.shards {
-		n += len(sh.local)
+	for _, ls := range v.st.locals {
+		n += len(ls)
 	}
 	return n
 }
@@ -101,10 +102,10 @@ func (v View) Size() int {
 // locals returns the non-empty local skylines as a partition-id map —
 // the shape ExplainMerge and the snapshot writer consume.
 func (v View) locals() map[int]points.Set {
-	out := make(map[int]points.Set, len(v.st.shards))
-	for id, sh := range v.st.shards {
-		if len(sh.local) > 0 {
-			out[id] = sh.local
+	out := make(map[int]points.Set, len(v.st.locals))
+	for id, ls := range v.st.locals {
+		if len(ls) > 0 {
+			out[id] = ls
 		}
 	}
 	return out
@@ -135,7 +136,9 @@ func BuildIndex(ctx context.Context, data points.Set, opts Options) (*Index, err
 
 // install builds and publishes an epochState from a partition-id → local
 // skyline map. Used at construction and restore time only; live updates
-// go through foldBatch.
+// go through foldBatch. The table holds at least Partitions() slots, so
+// every id Assign returns has one, and more when a restored snapshot
+// carries more partitions than the options; ids must not be negative.
 func (ix *Index) install(epoch uint64, local map[int]points.Set, global points.Set) {
 	n := ix.part.Partitions()
 	for id := range local {
@@ -143,11 +146,11 @@ func (ix *Index) install(epoch uint64, local map[int]points.Set, global points.S
 			n = id + 1
 		}
 	}
-	shards := make([]*shard, n)
-	for id := range shards {
-		shards[id] = newShard(local[id])
+	locals := make([]points.Set, n)
+	for id, ls := range local {
+		locals[id] = ls
 	}
-	ix.state.Store(&epochState{epoch: epoch, shards: shards, global: global})
+	ix.state.Store(&epochState{epoch: epoch, locals: locals, global: global})
 }
 
 // View returns the current epoch snapshot: one atomic load, no locks, no
@@ -255,18 +258,10 @@ func (ix *Index) AddContext(ctx context.Context, p points.Point) (partitionID in
 	return res.partition, res.inGlobal, nil
 }
 
-// submit routes one point to the batching pipeline when running, else
-// folds it synchronously as a batch of one.
+// submit publishes one point and waits for its batch to commit.
 func (ix *Index) submit(p points.Point) addResult {
-	if pipe := ix.pipe.Load(); pipe != nil {
-		if res, ok := pipe.submit(p); ok {
-			return res
-		}
-		// Pipeline closed while we held the point: fall through to the
-		// synchronous path so late publishes are never lost.
-	}
 	pd := &pending{p: p, done: make(chan addResult, 1)}
-	ix.foldBatch([]*pending{pd})
+	ix.enqueue(pd)
 	return <-pd.done
 }
 
@@ -287,23 +282,21 @@ type addResult struct {
 
 // foldBatch is the single write path: it folds a batch of publishes into
 // the current epoch copy-on-write and installs exactly one new epoch.
-// Each point updates only its own shard (batch-local follow-ups to an
-// already-touched shard scan the working set linearly; the shard's
-// R-tree, when present, prunes the first touch) and then folds into the
-// global skyline with a one-pass incremental update — checking the old
-// global suffices, because any dominator of p outside it would itself be
-// dominated by a global member. Results are delivered after the epoch is
-// installed and the commit observer has run, so an acknowledged publish
-// is visible to every subsequent View and its cache entries are already
-// invalidated.
+// Each point updates only its own partition's local skyline — the batch's
+// working copy once the batch has touched that partition, the stored one
+// before — and then folds into the global skyline, both with addLinear's
+// one pass; checking the old global suffices, because any dominator of p
+// outside it would itself be dominated by a global member. Results are
+// delivered after the epoch is installed and the commit observer has run,
+// so an acknowledged publish is visible to every subsequent View and its
+// cache entries are already invalidated.
 func (ix *Index) foldBatch(batch []*pending) {
 	results := make([]addResult, len(batch))
 
 	ix.mu.Lock()
 	cur := ix.state.Load()
-	shards := cur.shards
 	global := cur.global
-	working := make(map[int]points.Set) // shard id → batch-local skyline
+	working := make(map[int]points.Set) // partition id → batch-local skyline
 	var entered points.Set
 
 	for i, pd := range batch {
@@ -312,27 +305,13 @@ func (ix *Index) foldBatch(batch []*pending) {
 			results[i] = addResult{err: fmt.Errorf("driver: incremental add: %w", err)}
 			continue
 		}
-		if id >= len(shards) {
-			grown := make([]*shard, id+1)
-			copy(grown, shards)
-			for j := len(shards); j <= id; j++ {
-				grown[j] = newShard(nil)
-			}
-			shards = grown
-		}
 		p := pd.p.Clone()
-		var newLocal points.Set
-		var ok bool
-		var tests int64
-		var candidates int64
-		if wl, touched := working[id]; touched {
-			candidates = int64(len(wl))
-			newLocal, ok, tests = addLinear(wl, p)
-		} else {
-			candidates = int64(len(shards[id].local))
-			newLocal, ok, tests = shards[id].add(p)
+		local, touched := working[id]
+		if !touched {
+			local = cur.locals[id]
 		}
-		res := addResult{partition: id, tests: tests, candidates: candidates}
+		newLocal, ok, tests := addLinear(local, p)
+		res := addResult{partition: id, tests: tests, candidates: int64(len(local))}
 		if ok {
 			working[id] = newLocal
 			g2, in, gtests := addLinear(global, p)
@@ -347,17 +326,14 @@ func (ix *Index) foldBatch(batch []*pending) {
 		results[i] = res
 	}
 
-	if len(working) > 0 || len(shards) != len(cur.shards) {
-		if len(shards) == len(cur.shards) {
-			grown := make([]*shard, len(shards))
-			copy(grown, shards)
-			shards = grown
-		}
+	locals := cur.locals
+	if len(working) > 0 {
+		locals = slices.Clone(locals)
 		for id, wl := range working {
-			shards[id] = newShard(wl)
+			locals[id] = wl
 		}
 	}
-	next := &epochState{epoch: cur.epoch + 1, shards: shards, global: global}
+	next := &epochState{epoch: cur.epoch + 1, locals: locals, global: global}
 	ix.state.Store(next)
 	if ix.onCommit != nil {
 		ix.onCommit(Commit{Epoch: next.epoch, Entered: entered})

@@ -11,10 +11,10 @@ import (
 // bounded queue feeds one coalescing worker that drains whatever is
 // waiting (up to maxBatch), folds the whole batch copy-on-write, and
 // installs a single new epoch. Under concurrent publish load this
-// amortizes the global re-merge and the shard/tree rebuild across the
-// batch — one epoch per batch instead of one per point — while keeping
-// Add's synchronous contract: each caller blocks on its own result
-// channel until its batch's epoch is installed, so an acknowledged
+// amortizes the epoch install and the copy of each touched local skyline
+// across the batch — one epoch per batch instead of one per point —
+// while keeping Add's synchronous contract: each caller blocks on its own
+// result channel until its batch's epoch is installed, so an acknowledged
 // publish is always visible (group commit, exactly as in a WAL'd
 // database). AddAsync is the fire-and-forget variant; Barrier flushes.
 
@@ -30,10 +30,9 @@ type pipeline struct {
 	ch       chan *pending
 	maxBatch int
 
-	// closing guards the channel against send-after-close: submitters
-	// hold the read side around their send, Close takes the write side
-	// before closing the channel. A closed pipeline turns submit into a
-	// no-op (callers fall back to the synchronous fold).
+	// closing guards the channel against send-after-close: senders hold
+	// the read side around their send, Close takes the write side before
+	// closing the channel. A closed pipeline refuses every send.
 	closing sync.RWMutex
 	closed  bool
 	done    chan struct{}
@@ -86,18 +85,29 @@ func (ix *Index) Close() {
 	ix.pipe.Store(nil)
 }
 
-// submit enqueues one point and waits for its batch to commit. ok is
-// false when the pipeline is closed (the caller should fold directly).
-func (p *pipeline) submit(pt points.Point) (addResult, bool) {
-	pd := &pending{p: pt, done: make(chan addResult, 1)}
+// send queues pd on the running pipeline. It reports false when no
+// pipeline is running or it has closed, and then pd was not queued.
+func (ix *Index) send(pd *pending) bool {
+	p := ix.pipe.Load()
+	if p == nil {
+		return false
+	}
 	p.closing.RLock()
+	defer p.closing.RUnlock()
 	if p.closed {
-		p.closing.RUnlock()
-		return addResult{}, false
+		return false
 	}
 	p.ch <- pd
-	p.closing.RUnlock()
-	return <-pd.done, true
+	return true
+}
+
+// enqueue hands a publish to the pipeline, or folds it synchronously as a
+// batch of one when none takes it, so a publish that races Close is never
+// lost. Either way its result arrives on pd.done.
+func (ix *Index) enqueue(pd *pending) {
+	if !ix.send(pd) {
+		ix.foldBatch([]*pending{pd})
+	}
 }
 
 // AddAsync enqueues a publish without waiting for its commit; the result
@@ -105,18 +115,7 @@ func (p *pipeline) submit(pt points.Point) (addResult, bool) {
 // on an absent receiver). Callers needing a visibility point use
 // Barrier. Without a running pipeline it degrades to a synchronous Add.
 func (ix *Index) AddAsync(p points.Point) {
-	pd := &pending{p: p, done: make(chan addResult, 1)}
-	if pipe := ix.pipe.Load(); pipe != nil {
-		pipe.closing.RLock()
-		if !pipe.closed {
-			pipe.ch <- pd
-			pipe.closing.RUnlock()
-			return
-		}
-		pipe.closing.RUnlock()
-	}
-	ix.foldBatch([]*pending{pd})
-	<-pd.done
+	ix.enqueue(&pending{p: p, done: make(chan addResult, 1)})
 }
 
 // Barrier blocks until every publish enqueued before the call has
@@ -126,19 +125,10 @@ func (ix *Index) AddAsync(p points.Point) {
 // implies all earlier queue entries committed first (single worker,
 // FIFO drain).
 func (ix *Index) Barrier() {
-	pipe := ix.pipe.Load()
-	if pipe == nil {
-		return
-	}
 	pd := &pending{done: make(chan addResult, 1)}
-	pipe.closing.RLock()
-	if pipe.closed {
-		pipe.closing.RUnlock()
-		return
+	if ix.send(pd) {
+		<-pd.done
 	}
-	pipe.ch <- pd
-	pipe.closing.RUnlock()
-	<-pd.done
 }
 
 // run is the coalescing worker: block for one pending, drain whatever

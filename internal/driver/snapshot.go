@@ -35,7 +35,9 @@ import (
 // LoadIndex accepts both: the record stream is identical, v1 files simply
 // restart the epoch clock at 1.
 
-// snapshotMeta is the JSON header of a snapshot.
+// snapshotMeta is the JSON header of a snapshot. Partitions is the
+// length of the saved shard table: every partition key is in
+// [0, Partitions).
 type snapshotMeta struct {
 	Version    int    `json:"version"`
 	Dim        int    `json:"dim"`
@@ -87,7 +89,7 @@ func (ix *Index) Save(w io.Writer) error {
 	meta := snapshotMeta{
 		Version:    snapshotVersion,
 		Dim:        dim,
-		Partitions: ix.part.Partitions(),
+		Partitions: v.Partitions(),
 		Epoch:      v.Epoch(),
 		Scheme:     ix.scheme.String(),
 		Shards:     shardSizes,
@@ -138,6 +140,11 @@ func LoadIndex(ctx context.Context, r io.Reader, opts Options) (*Index, error) {
 		id, err := strconv.Atoi(string(rec.Key))
 		if err != nil {
 			return nil, fmt.Errorf("driver: snapshot partition key %q", rec.Key)
+		}
+		// The restored shard table is indexed by id: a key outside the
+		// declared table would be dropped from it, or would size it.
+		if id < 0 || id >= meta.Partitions {
+			return nil, fmt.Errorf("driver: snapshot partition key %q outside [0, %d)", rec.Key, meta.Partitions)
 		}
 		// Decode checks the encoding, not the values, and the partitioner
 		// below is fitted to a sample of the union: every row is validated

@@ -117,3 +117,52 @@ func TestLoadIndexValidatesEveryRow(t *testing.T) {
 		t.Fatalf("LoadIndex = %v, %v; want error %q", ix, err, want)
 	}
 }
+
+// TestLoadIndexRejectsKeysOutsideTheTable: a partition key is an index
+// into the restored shard table, so a negative one (whose rows no local
+// skyline would hold) and one at or past the header's partition count
+// (which would size the table) are refused by name. Save declares the
+// table it holds, so a table wider than the options' partitioner still
+// survives a second round trip.
+func TestLoadIndexRejectsKeysOutsideTheTable(t *testing.T) {
+	snapshot := func(keys ...string) *bytes.Buffer {
+		t.Helper()
+		var buf bytes.Buffer
+		w := sequencefile.NewWriter(&buf)
+		if err := w.Append([]byte("meta"), []byte(`{"version":1,"dim":2,"partitions":8}`)); err != nil {
+			t.Fatal(err)
+		}
+		for i, key := range keys {
+			if err := w.Append([]byte(key), points.Encode(points.Point{float64(1 + i), float64(9 - i)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	opts := Options{Scheme: partition.Angular, Partitions: 2}
+	for _, bad := range []string{"-1", "8", "1000000000"} {
+		ix, err := LoadIndex(context.Background(), snapshot("0", bad), opts)
+		if want := `driver: snapshot partition key "` + bad + `" outside [0, 8)`; err == nil || err.Error() != want {
+			t.Errorf("key %s: LoadIndex = %v, %v; want error %q", bad, ix, err, want)
+		}
+	}
+
+	ix, err := LoadIndex(context.Background(), snapshot("0", "7"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ix.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := LoadIndex(context.Background(), bytes.NewReader(blob), opts)
+	if err != nil {
+		t.Fatalf("a snapshot of a restored 8-slot table: %v", err)
+	}
+	if got := again.LocalSkyline(7); !sameMultiset(got, points.Set{{2, 8}}) {
+		t.Errorf("partition 7 after two round trips holds %v, want [[2 8]]", got)
+	}
+}

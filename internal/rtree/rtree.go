@@ -132,62 +132,6 @@ func boundsOf(s points.Set) (lo, hi points.Point) {
 	return lo, hi
 }
 
-// Search returns all indexed points inside the axis-aligned box
-// [lo, hi] (inclusive).
-func (t *Tree) Search(lo, hi points.Point) points.Set {
-	var out points.Set
-	t.Visit(lo, hi, func(p points.Point) { out = append(out, p) })
-	return out
-}
-
-// Visit calls fn with every indexed point inside the box [lo, hi]
-// (inclusive), in tree order, and returns the number of leaf-entry box
-// checks it made. Each check is one componentwise comparison of a candidate
-// against the box corner — the same unit the skyline kernels count as a
-// dominance test — so callers using corner boxes for dominator/victim
-// queries can attribute index probes in the same currency as linear scans.
-// It builds nothing: what a caller keeps of the points is up to fn.
-func (t *Tree) Visit(lo, hi points.Point, fn func(points.Point)) int64 {
-	return t.root.visit(lo, hi, fn)
-}
-
-func (n *node) visit(lo, hi points.Point, fn func(points.Point)) int64 {
-	if !boxesIntersect(n.lo, n.hi, lo, hi) {
-		return 0
-	}
-	if n.children == nil {
-		for _, p := range n.entries {
-			if inBox(p, lo, hi) {
-				fn(p)
-			}
-		}
-		return int64(len(n.entries))
-	}
-	var checks int64
-	for _, c := range n.children {
-		checks += c.visit(lo, hi, fn)
-	}
-	return checks
-}
-
-func boxesIntersect(alo, ahi, blo, bhi points.Point) bool {
-	for i := range alo {
-		if ahi[i] < blo[i] || bhi[i] < alo[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func inBox(p, lo, hi points.Point) bool {
-	for i := range p {
-		if p[i] < lo[i] || p[i] > hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ---------------------------------------------------------------------------
 // BBS
 

@@ -46,11 +46,18 @@ func TestStructure(t *testing.T) {
 	if h := tr.Height(); h < 2 || h > 5 {
 		t.Errorf("Height = %d, implausible for 1000 points at fanout 16", h)
 	}
-	// All points findable via a full-space search.
-	lo, hi := s.Bounds()
-	got := tr.Search(lo, hi)
-	if len(got) != len(s) {
-		t.Errorf("full search returned %d of %d", len(got), len(s))
+	// Every point sits in exactly one leaf.
+	var leaves points.Set
+	var walk func(n *node)
+	walk = func(n *node) {
+		leaves = append(leaves, n.entries...)
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	if !sameMultiset(leaves, s) {
+		t.Errorf("the leaves hold %d points, not the %d indexed", len(leaves), len(s))
 	}
 }
 
@@ -64,7 +71,7 @@ func TestMBRsContainChildren(t *testing.T) {
 	walk = func(n *node) {
 		if n.children == nil {
 			for _, p := range n.entries {
-				if !inBox(p, n.lo, n.hi) {
+				if !points.DominatesOrEqual(n.lo, p) || !points.DominatesOrEqual(p, n.hi) {
 					t.Fatalf("point %v outside leaf MBR [%v, %v]", p, n.lo, n.hi)
 				}
 			}
@@ -80,41 +87,6 @@ func TestMBRsContainChildren(t *testing.T) {
 		}
 	}
 	walk(tr.root)
-}
-
-func TestSearchMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := randomSet(3, 800, 3)
-	tr, err := New(s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		lo := points.Point{rng.Float64() * 80, rng.Float64() * 80, rng.Float64() * 80}
-		hi := points.Point{lo[0] + 25, lo[1] + 25, lo[2] + 25}
-		got := tr.Search(lo, hi)
-		var want points.Set
-		for _, p := range s {
-			if inBox(p, lo, hi) {
-				want = append(want, p)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: search %d, brute force %d", trial, len(got), len(want))
-		}
-	}
-}
-
-func TestSearchEmptyBox(t *testing.T) {
-	s := randomSet(4, 100, 2)
-	tr, err := New(s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tr.Search(points.Point{-10, -10}, points.Point{-5, -5})
-	if len(got) != 0 {
-		t.Errorf("out-of-range search returned %d points", len(got))
-	}
 }
 
 func TestBBSMatchesOracle(t *testing.T) {
