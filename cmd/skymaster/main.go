@@ -33,9 +33,10 @@
 // long after the job finishes (or until SIGINT/SIGTERM) so dashboards
 // and CI can inspect the completed run. With -reducer-budget, the
 // workers' reducers fold under that many bytes, and when the local
-// skylines exceed it the merge runs as one blocked round — one map-only
-// cluster job whose tasks each lay out a budget-sized group and have every
-// candidate streamed past it, on the workers — instead of the filter job.
+// skylines exceed it the merging job — one map-only cluster job whose
+// tasks each lay out a group of the candidates, cut at coordinate-sum
+// splitters, and have the rows at or below its sums streamed past it —
+// cuts its groups to the budget, so no worker task holds more.
 //
 // On SIGINT/SIGTERM the master drains workers, takes one final
 // time-series sample, shuts the debug server down gracefully, and
@@ -110,7 +111,7 @@ func main() {
 	flag.StringVar(&o.historyFile, "runhistory", "",
 		"append this run's flight+critpath summary to a bounded JSONL history file and compare against the baseline (empty = in-memory only)")
 	flag.Int64Var(&o.budget, "reducer-budget", 0,
-		"per-reducer memory budget in bytes: overflow spills to frames and resolves in extra passes, and local skylines that exceed it merge in one round of budget-sized groups on the workers (0 = unbudgeted, the filter over all of them)")
+		"per-reducer memory budget in bytes: overflow spills to frames and resolves in extra passes, and local skylines that exceed it merge in one round of budget-sized groups on the workers (0 = unbudgeted, a group a worker)")
 	flag.DurationVar(&o.stallWindow, "stall-window", 5*time.Second,
 		"a worker holding work with zero completions for this long is a throughput stall; metrics are sampled every min(1s, a third of this)")
 	flag.StringVar(&o.captureDir, "capture-dir", "",

@@ -54,10 +54,10 @@ type Options struct {
 	// ReducerBudgetBytes bounds every skyline fold's window: a full window
 	// spills and multi-passes, so a fold stays near the budget instead of
 	// scaling with its skyline. Job 1's reducers fold under it, and when the
-	// local skylines exceed it the merge runs as one blocked map-only round
-	// instead of the filter job: the candidates are cut into groups each
-	// task can lay out and mark within the budget, with a candidate block
-	// streamed past it at a time. Up to Workers tasks run at once, so
+	// local skylines exceed it the merging job's groups are cut to it: each
+	// task can lay out and kill its group within the budget, with one piece
+	// of the rows at or below its sums streamed past it at a time. Up to
+	// Workers tasks run at once, so
 	// resident reduce and merge memory is bounded by Workers × budget. 0 is
 	// no bound.
 	ReducerBudgetBytes int64
@@ -94,24 +94,23 @@ type Stats struct {
 	// LocalSkylines maps partition id → local skyline (Job 1 output).
 	LocalSkylines map[int]points.Set
 	// PartitionJob and MergeJob are the per-job phase timings; Timing is
-	// their sum. The merge is map-only — the filter job, or the blocked
-	// round — so MergeJob is all Map.
+	// their sum. The merge is map-only, so MergeJob is all Map.
 	PartitionJob, MergeJob, Timing mapreduce.Timing
-	// Counters merges every job's framework counters. The merging jobs
-	// combine, shuffle and reduce nothing: mr.combine.*, mr.shuffle.* and
+	// Counters merges every job's framework counters. The merging job
+	// combines, shuffles and reduces nothing: mr.combine.*, mr.shuffle.* and
 	// mr.reduce.* are Job 1's alone, and mr.output.bytes the merge's.
 	Counters map[string]int64
 	// ReducerPeakBytes is the largest working set any reduce task reached,
-	// or any blocked merge task counted: what a reducer budget is judged
+	// or any merge task counted: what a reducer budget is judged
 	// against, and what an unbudgeted run says a budget would have to be.
 	ReducerPeakBytes int64
 	// MergePasses is the largest pass count any reduce fold needed: 1 when
 	// every window held its skyline, >1 when one overflowed and multi-passed.
 	MergePasses int
-	// MergeRounds counts the blocked rounds the merge ran — 1 when the local
-	// skylines exceeded the budget, 0 when they fit it and the filter job
-	// merged them — MergeGroups the groups the round was cut into, and
-	// MergeRoundBytes[i] the candidate volume entering round i.
+	// MergeRounds counts the merge rounds a budget bound — 1 when the local
+	// skylines exceeded the budget and the merge's groups were cut to it,
+	// 0 when they fit it — MergeGroups the groups the round was cut into,
+	// and MergeRoundBytes[i] the candidate volume entering round i.
 	MergeRounds     int
 	MergeGroups     int
 	MergeRoundBytes []int64

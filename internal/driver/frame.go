@@ -2,11 +2,10 @@ package driver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
+	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
@@ -92,14 +91,13 @@ func WithKernel(f skyline.Func) func(*mapreduce.FrameJob) {
 }
 
 // mergeTaskRows is the fewest candidates worth a map task of their own:
-// below it the task's fixed costs — on a cluster, the whole candidate set
-// shipped and laid out once more — exceed what a second worker would save,
-// so a few hundred candidates are one task.
+// below it the task's fixed costs — on a cluster, its group and the rows
+// below it shipped and laid out once more — exceed what a second worker
+// would save, so a few hundred candidates are one task.
 const mergeTaskRows = 1024
 
-// MergeTasks is the number of map tasks the merging job is cut into: one per
+// MergeTasks is the fewest map tasks the merging job is cut into: one per
 // worker (0 means GOMAXPROCS), as far as the rows candidates go round.
-// TwoJobs hands each of them the whole candidate set.
 func MergeTasks(workers, rows int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -107,124 +105,104 @@ func MergeTasks(workers, rows int) int {
 	return min(workers, (rows+mergeTaskRows-1)/mergeTaskRows)
 }
 
-// MergeJob is Job 2 (Algorithm 1, lines 11–15), without its Feed — and
-// without the paper's single reducer: it is map-only. Its input is the
-// candidate set, every local skyline row of dim dimensions, and every one of
-// its map tasks reads all of it (mapreduce.WholeInput, the same list for
-// each task): the candidates are laid out as a
-// skyline.Filter — once per job value, on as many goroutines as the job has
-// tasks, started by the first task to get there while the others wait for
-// the layout, not for one builder; in process that is one layout a job, on a
-// cluster, where a worker instantiates the job per task, one a task, each
-// the same because the layout is a function of the rows — and task t tests
-// rows t, t+T, … of the layout against it, emitting the survivors to the one
-// global partition
-// (paper line 13: output(null, si)). band is the operator: 0 keeps the rows
-// no candidate dominates, k ≥ 1 those fewer than k do. Nothing is combined
-// and nothing is reduced: the paper's one reducer would only concatenate the
-// survivors, so the job's output — its map tasks' survivors in task order —
-// is the global skyline, and no row of it crosses a shuffle.
-func MergeJob(dim, band int) mapreduce.FrameJob {
-	var (
-		once   sync.Once
-		filter *skyline.Filter
-		err    error
-	)
-	return mapreduce.FrameJob{TaskMapper: func(input mapreduce.Blocks, task, tasks int, emit mapreduce.EmitPoint) (mapreduce.FrameStats, error) {
-		var candidates []*points.Block
-		if err := input(func(blk *points.Block) error {
-			candidates = append(candidates, blk)
-			return nil
-		}); err != nil {
-			return mapreduce.FrameStats{}, err
-		}
-		once.Do(func() { filter, err = layOut(candidates, dim, band, tasks) })
-		if err != nil {
-			return mapreduce.FrameStats{}, err
-		}
-		rows := filter.Share(task, tasks, func(row []float64) { emit(0, row) })
-		return mapreduce.FrameStats{MapIn: int64(rows)}, nil
-	}}
-}
+// streamShare is the share of a reducer budget a merge task's streamed
+// block may take: under a budget the rows streamed past a group come in
+// pieces of at most budget/streamShare bytes, and the rest of the budget
+// holds the group.
+const streamShare = 8
 
-// layOut lays blocks out as a filter for a merge of dim-dimensional rows
-// on builders goroutines; rows of another dimension are an error wrapping
-// skyline.ErrCandidates.
-func layOut(blocks []*points.Block, dim, band, builders int) (*skyline.Filter, error) {
-	f, err := skyline.NewFilter(blocks, band, builders)
-	if err == nil && f.Dim() != dim {
-		err = otherDimension(f.Dim(), dim)
+// MergeInput cuts candidates, dim-dimensional local skylines taken as one
+// row sequence, into the merging job's input: the rows sorted by (sum,
+// index) (skyline.Sort, on tasks goroutines) and cut into groups, task g's
+// list its group's input (skyline.Sorted.Input). There are K = max(tasks,
+// the groups budget needs) groups. With no budget, or candidates that fit
+// it, they are tasks groups of equal pair work (skyline.Sorted.Cut). Under a
+// budget the candidates exceed, a task's counted peak — its group's layout
+// (skyline.LayoutBytes), the largest piece streamed past it and its rows
+// again, were every one to survive — must fit it: the streamed rows come in
+// pieces of budget/streamShare bytes, and the groups are the fewest of
+// equal counts that fit, or the tasks groups of equal pair work with any
+// that overfills cut again. No candidates is no input; a candidate block of
+// another dimension is an error wrapping skyline.ErrCandidates.
+func MergeInput(candidates []*points.Block, dim, tasks int, budget int64) ([][]*points.Block, error) {
+	n, rowBytes := 0, int64(dim)*8
+	for _, blk := range candidates {
+		n += blk.Len()
 	}
-	return f, err
-}
-
-// otherDimension is the error of candidate rows of dimension got in a merge
-// of dim.
-func otherDimension(got, dim int) error {
-	return fmt.Errorf("%w: %d-dimensional rows in a %d-dimensional merge", skyline.ErrCandidates, got, dim)
-}
-
-// BlockedJob is the merge under a reducer budget, without its Feed: one
-// map-only job whose task g is handed group g of the candidates — a range
-// of rows TwoJobs sized to the budget (blockedInput) — as its first block,
-// and then every candidate block. It lays the group out as a
-// skyline.Filter, streams each block after it past the layout
-// (skyline.Filter.Kill), keeping none of them, and emits the group's rows
-// that no candidate strictly dominates (k ≥ 1: fewer than band do) to the
-// one global partition, so the job's output — the groups' survivors in
-// group order — is the global skyline, in one round. The task reports the
-// peak it counts: the layout, a dominator count per row, the largest block
-// streamed past it and the survivors it emitted.
-func BlockedJob(dim, band int) mapreduce.FrameJob {
-	return mapreduce.FrameJob{TaskMapper: func(input mapreduce.Blocks, _, _ int, emit mapreduce.EmitPoint) (mapreduce.FrameStats, error) {
-		var (
-			group      *skyline.Filter
-			dominators []int32
-			streamed   int
-		)
-		err := input(func(blk *points.Block) (err error) {
-			if group == nil {
-				group, err = layOut([]*points.Block{blk}, dim, band, 1)
-				if err == nil {
-					dominators = make([]int32, group.Len())
-				}
-				return err
-			}
-			streamed = max(streamed, blk.Len())
-			return group.Kill(blk, dominators)
-		})
-		if err == nil && group == nil {
-			err = errors.New("driver: a merge task without a group")
+	if n == 0 {
+		return nil, nil
+	}
+	s, err := skyline.Sort(candidates, dim, tasks)
+	if err != nil {
+		return nil, err
+	}
+	ends, piece := s.Cut(tasks), 0
+	if budget > 0 && int64(n)*rowBytes > budget {
+		piece = int(max(1, budget/streamShare/rowBytes))
+		peak := func(rows int) int64 { return skyline.LayoutBytes(rows, dim) + int64(min(piece, n)+rows)*rowBytes }
+		fits := max(1, sort.Search(n, func(i int) bool { return peak(i+1) > budget }))
+		if need := (n + fits - 1) / fits; need > len(ends) {
+			ends = []int{n} // cut into need groups of equal counts below
 		}
+		var cut []int
+		for g, hi := range ends {
+			lo := 0
+			if g > 0 {
+				lo = ends[g-1]
+			}
+			for i, k := 1, (hi-lo+fits-1)/fits; i <= k; i++ {
+				cut = append(cut, lo+i*(hi-lo)/k)
+			}
+		}
+		ends = cut
+	}
+	inputs := make([][]*points.Block, len(ends))
+	for g := range ends {
+		inputs[g] = s.Input(ends, g, piece)
+	}
+	return inputs, nil
+}
+
+// MergeJob is Job 2 (Algorithm 1, lines 11–15), without its Feed — and
+// without the paper's single reducer: it is map-only. Task g's input is
+// what MergeInput cut for it: the level thresholds the candidates were
+// fitted to, group g of the candidates, sorted by (sum, index), and the
+// rows that can dominate one of the group's, which it streams past the
+// group's layout before the group's own (skyline.MergeTask). It emits the
+// group's rows no candidate strictly dominates (band k >= 1: fewer than k
+// do) to the one global partition (paper line 13: output(null, si)).
+// Nothing is combined and nothing is reduced: the job's output — its tasks'
+// survivors in task order — is the global skyline, in (sum, index) order
+// for any number of groups, and no row of it crosses a shuffle. A task
+// reports its group's rows as its input and the peak it counts: the layout
+// with its dominator counts, the largest block streamed past it and the
+// rows it kept.
+func MergeJob(dim, band int) mapreduce.FrameJob {
+	return mapreduce.FrameJob{TaskMapper: func(input mapreduce.Blocks, _, _ int, emit mapreduce.EmitPoint) (mapreduce.FrameStats, error) {
+		rows, peak, err := skyline.MergeTask(input, dim, band, func(row []float64) { emit(0, row) })
 		if err != nil {
 			return mapreduce.FrameStats{}, err
 		}
-		kept := group.Alive(dominators, func(row []float64) { emit(0, row) })
-		rowBytes := int64(dim) * 8
-		return mapreduce.FrameStats{
-			MapIn:     int64(group.Len()),
-			PeakBytes: group.Bytes() + int64(group.Len())*dominatorBytes + int64(streamed+kept)*rowBytes,
-			Passes:    1,
-		}, nil
+		return mapreduce.FrameStats{MapIn: int64(rows), PeakBytes: peak, Passes: 1}, nil
 	}}
 }
 
 // Executor is where Algorithm 1's jobs run. It decides where rows come from
 // and where tasks run — Partition is Job 1 over the executor's own input,
-// Merge a map-only merging job whose task t reads inputs[t]: MergeJob, or
-// BlockedJob when blocked — and reports each job the way mapreduce.RunFrames
-// does. Nothing after a job returns is an executor's: TwoJobs reads the
-// results, keeps the statistics and picks the merge. There are two:
-// InProcess here, and package skyjob's cluster.
+// Merge the merging job (MergeJob) whose task t reads inputs[t] — and
+// reports each job the way mapreduce.RunFrames does. Nothing after a job
+// returns is an executor's: TwoJobs reads the results, keeps the statistics
+// and cuts the merge. There are two: InProcess here, and package skyjob's
+// cluster.
 type Executor interface {
 	Partition(ctx context.Context) (*mapreduce.FrameResult, error)
-	Merge(ctx context.Context, blocked bool, inputs [][]*points.Block) (*mapreduce.FrameResult, error)
+	Merge(ctx context.Context, inputs [][]*points.Block) (*mapreduce.FrameResult, error)
 }
 
 // inProcess runs every job on mapreduce.RunFrames: the Job 1 it was handed,
 // whose map tasks fold each routed row into its partition's accumulator as
 // it arrives and seal packed frames keyed by integer partition id while
-// reduce tasks fold whole frames, and the merging jobs, fed blocks as they
+// reduce tasks fold whole frames, and the merging job, fed blocks as they
 // are.
 type inProcess struct {
 	job1      mapreduce.FrameJob
@@ -233,9 +211,9 @@ type inProcess struct {
 }
 
 // InProcess is the in-process executor of TwoJobs: job1 — what PartitionJob
-// returned, or a study's edit of it — over feed, then MergeJob(dim, band) or
-// BlockedJob(dim, band). Of opts it reads Scheme (the jobs' names), Workers,
-// SpillDir, Codec and Metrics.
+// returned, or a study's edit of it — over feed, then MergeJob(dim, band).
+// Of opts it reads Scheme (the jobs' names), Workers, SpillDir, Codec and
+// Metrics.
 func InProcess(feed mapreduce.RowFeed, job1 mapreduce.FrameJob, dim, band int, opts Options) Executor {
 	job1.Feed = feed
 	return inProcess{job1: job1, dim: dim, band: band, opts: opts}
@@ -259,13 +237,10 @@ func (e inProcess) Partition(ctx context.Context) (*mapreduce.FrameResult, error
 	return mapreduce.RunFrames(ctx, e.config(ctx, "partitioning"), e.job1)
 }
 
-func (e inProcess) Merge(ctx context.Context, blocked bool, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
-	job, name := MergeJob(e.dim, e.band), "merging"
-	if blocked {
-		job, name = BlockedJob(e.dim, e.band), "merge-round"
-	}
+func (e inProcess) Merge(ctx context.Context, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
+	job := MergeJob(e.dim, e.band)
 	job.Feed = mapreduce.WholeInput(inputs)
-	return mapreduce.RunFrames(ctx, e.config(ctx, name), job)
+	return mapreduce.RunFrames(ctx, e.config(ctx, "merging"), job)
 }
 
 // book adds a finished job's result to s: its timing to timing, its
@@ -283,11 +258,11 @@ func (s *Stats) book(res *mapreduce.FrameResult, timing *mapreduce.Timing) {
 // Job 1 on exec, the local skylines out of its result, then the merge, as
 // a map-only job on exec. part is the fitted partitioner exec's Job 1 routes
 // by and dim its rows' dimension; pruned and occupancy are the grid pruning
-// mask and its pre-pass histogram, or nil. The candidates' size picks the
-// merge, here and nowhere else: when they fit opts.ReducerBudgetBytes, or
-// there is no budget, the filter job (MergeJob) on MergeTasks tasks; when
-// they do not, one blocked round (BlockedJob over blockedInput's groups).
-// Of opts it also reads Scheme, Workers and Metrics. The statistics, the
+// mask and its pre-pass histogram, or nil. The merge is MergeJob over
+// MergeInput's groups, at least MergeTasks of them; when the candidates
+// exceed opts.ReducerBudgetBytes it is booked as one merge round of budget-
+// sized groups (Stats.MergeRounds, MergeGroups, MergeRoundBytes and a
+// merge-round span). Of opts it also reads Scheme, Workers and Metrics. The statistics, the
 // gauges, the context's event log and flight record are fed here and
 // nowhere else.
 func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partitioner, pruned []bool, occupancy []int, opts Options) (points.Set, *Stats, error) {
@@ -357,40 +332,33 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 		telemetry.A("partitions_hit", len(ids)))
 
 	// ---- Job 2: Merging Job -----------------------------------------
-	rows, rowBytes := stats.LocalSkylineTotal(), int64(dim)*8
-	var globalBlk *points.Block
-	if budget := opts.ReducerBudgetBytes; budget <= 0 || int64(rows)*rowBytes <= budget {
-		inputs := make([][]*points.Block, MergeTasks(opts.Workers, rows))
-		for t := range inputs {
-			inputs[t] = candidates
-		}
-		res2, err := exec.Merge(ctx, false, inputs)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.book(res2, &stats.MergeJob)
-		globalBlk = res2.Blocks[0]
-	} else {
-		groups, stream, err := blockedInput(candidates, dim, budget)
-		if err != nil {
-			return nil, nil, err
-		}
-		inputs := make([][]*points.Block, len(groups))
-		for g, group := range groups {
-			inputs[g] = append([]*points.Block{group}, stream...)
-		}
-		bytes := int64(rows) * rowBytes
-		roundCtx, span := telemetry.StartSpan(ctx, "merge-round", telemetry.A("round", 1),
-			telemetry.A("groups", len(groups)), telemetry.A("bytes", bytes))
-		res, err := exec.Merge(roundCtx, true, inputs)
-		span.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.book(res, &stats.MergeJob)
-		stats.MergeRounds, stats.MergeGroups, stats.MergeRoundBytes = 1, len(groups), []int64{bytes}
-		globalBlk = res.Blocks[0]
+	rows := stats.LocalSkylineTotal()
+	bytes := int64(rows) * int64(dim) * 8
+	budgeted := opts.ReducerBudgetBytes > 0 && bytes > opts.ReducerBudgetBytes
+	mergeCtx, round := ctx, (*telemetry.Span)(nil)
+	if budgeted {
+		mergeCtx, round = telemetry.StartSpan(ctx, "merge-round", telemetry.A("round", 1), telemetry.A("bytes", bytes))
 	}
+	// The sort and the cut are the merge's work, timed with its job.
+	start := time.Now()
+	inputs, err := MergeInput(candidates, dim, MergeTasks(opts.Workers, rows), opts.ReducerBudgetBytes)
+	cut := time.Since(start)
+	var res2 *mapreduce.FrameResult
+	if err == nil {
+		if budgeted {
+			stats.MergeRounds, stats.MergeGroups, stats.MergeRoundBytes = 1, len(inputs), []int64{bytes}
+			round.SetAttr("groups", len(inputs))
+		}
+		res2, err = exec.Merge(mergeCtx, inputs)
+	}
+	round.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.book(res2, &stats.MergeJob)
+	stats.MergeJob.Map += cut
+	stats.MergeJob.Total += cut
+	globalBlk := res2.Blocks[0]
 	stats.Timing = stats.PartitionJob
 	stats.Timing.Add(stats.MergeJob)
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
-	"repro/internal/skyline"
 	"repro/internal/telemetry"
 )
 
@@ -16,14 +15,13 @@ import (
 // memory enter as chunk recipes (mapreduce.ChunkSource), each map task of
 // the partitioning job streams its chunks one at a time through the framed
 // engine, reducers fold frames under a byte budget, and — when the local
-// skylines do not fit that budget — TwoJobs merges them in one blocked round
-// in the MRC mold (Goodrich et al., "Sorting, Searching, and Simulation in
-// the MapReduce Framework": a round in which no task holds more than the
-// budget M). The candidates are cut into groups of rows sized to the budget
-// (blockedInput, here); task g lays out group g and streams every candidate
-// past it (BlockedJob), so no task holds more than the budget, and the
-// groups' survivors are the global skyline — a test against rows that are
-// only read, Ciaccia & Martinenghi's remedy for the sequential merge. The
+// skylines do not fit that budget — TwoJobs' merge is one round in the MRC
+// mold (Goodrich et al., "Sorting, Searching, and Simulation in the
+// MapReduce Framework": a round in which no task holds more than the budget
+// M). MergeInput cuts the sorted candidates into groups sized to the
+// budget; task g lays out group g and streams past it, in budget-sized
+// pieces, the rows at or below its sums (MergeJob), so no task holds more
+// than the budget, and the groups' survivors are the global skyline. The
 // round and its candidate bytes land in the flight recorder, matching the
 // model's round-complexity accounting.
 
@@ -37,8 +35,8 @@ const defaultReducerBudget = 1 << 30
 // 10⁸-point input nor one chunk of it is ever materialized while the task's
 // partition windows stay warm across the whole share. Reducers fold shuffle
 // frames under opts.ReducerBudgetBytes (default 1 GiB), and the merge is
-// TwoJobs': the filter job when the local skylines fit the budget, else one
-// blocked round of budget-sized groups, on the same in-process engine.
+// TwoJobs', its groups budget-sized when the local skylines exceed the
+// budget, on the same in-process engine.
 //
 // The partitioner is fitted to its sample of the first chunk (fitSample) —
 // partition quality (not correctness) depends on the chunk being
@@ -120,65 +118,4 @@ func fitSample(src mapreduce.ChunkSource, scheme partition.Scheme, want int) (po
 		return nil, fmt.Errorf("driver: chunk 0 walked %d rows of %d dimensions, its length says %d", off, d, n)
 	}
 	return sample, nil
-}
-
-// dominatorBytes is what a blocked merge task counts per row of its group
-// besides the layout: the row's dominator count.
-const dominatorBytes = 4
-
-// streamShare is the share of the budget a blocked merge task's input block
-// in flight may take: candidate blocks larger than it are streamed in
-// pieces, and the rest of the budget holds the group.
-const streamShare = 8
-
-// blockedInput cuts the dim-dimensional rows of candidates, taken as one
-// sequence, for BlockedJob under budget. stream is every
-// candidate block, cut into pieces of at most budget/streamShare bytes
-// (views, not copies). groups are consecutive row ranges, as even as their
-// count allows, each as large as keeps a task's counted peak within budget:
-// the group's layout and dominator counts (skyline.LayoutBytes), the
-// largest piece in flight, and the group's rows again, were every one to
-// survive. A group has at least one row, and is a view of its block unless
-// it spans two, when it is a copy. A candidate block of another dimension is
-// the layout's error: no group can hold it.
-func blockedInput(candidates []*points.Block, dim int, budget int64) (groups, stream []*points.Block, err error) {
-	rowBytes := int64(dim) * 8
-	piece := int(max(1, budget/streamShare/rowBytes))
-	n, inFlight := 0, 0
-	for _, blk := range candidates {
-		if blk.Len() > 0 && blk.Dim() != dim {
-			return nil, nil, otherDimension(blk.Dim(), dim)
-		}
-		n += blk.Len()
-		for lo := 0; lo < blk.Len(); lo += piece {
-			hi := min(lo+piece, blk.Len())
-			stream = append(stream, blk.Slice(lo, hi))
-			inFlight = max(inFlight, hi-lo)
-		}
-	}
-	peak := func(rows int) int64 {
-		return skyline.LayoutBytes(rows, dim) + int64(rows)*dominatorBytes + int64(inFlight+rows)*rowBytes
-	}
-	fits := max(1, sort.Search(n, func(i int) bool { return peak(i+1) > budget }))
-	k := (n + fits - 1) / fits
-	groups = make([]*points.Block, k)
-	for g := range groups {
-		lo, hi := g*n/k, (g+1)*n/k
-		var parts []*points.Block // the group's rows in each block they lie in
-		off := 0
-		for _, blk := range candidates {
-			if a, z := max(lo, off), min(hi, off+blk.Len()); a < z {
-				parts = append(parts, blk.Slice(a-off, z-off))
-			}
-			off += blk.Len()
-		}
-		groups[g] = parts[0]
-		if len(parts) > 1 {
-			groups[g] = points.NewBlock(dim, hi-lo)
-			for _, part := range parts {
-				groups[g].AppendBlock(part)
-			}
-		}
-	}
-	return groups, stream, nil
 }

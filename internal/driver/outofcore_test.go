@@ -40,7 +40,7 @@ func canonicalSet(s points.Set) []string {
 // must produce exactly the in-memory pipeline's skyline over the
 // materialized equivalent, under both a generous and a tiny reducer
 // budget (the latter forcing multi-pass folds and, where the local
-// skylines outgrow it, the blocked merge; the former the filter job).
+// skylines outgrow it, a merge round of budget-sized groups).
 func TestComputeStreamOracle(t *testing.T) {
 	const n, d = 6000, 4
 	for _, kind := range []dataset.Kind{dataset.KindAnticorrelated, dataset.KindCorrelated} {
@@ -173,8 +173,8 @@ func (g given) Partition(context.Context) (*mapreduce.FrameResult, error) {
 	return res, nil
 }
 
-// mergeGiven is TwoJobs' merge of candidates on InProcess: the filter job,
-// or the blocked round when the candidates exceed opts.ReducerBudgetBytes.
+// mergeGiven is TwoJobs' merge of candidates on InProcess: one merge round
+// of budget-sized groups when the candidates exceed opts.ReducerBudgetBytes.
 // Nothing but the merge reports a peak.
 func mergeGiven(ctx context.Context, candidates []*points.Block, dim int, opts Options) (points.Set, *Stats, error) {
 	opts = opts.withDefaults()
@@ -186,8 +186,8 @@ func mergeGiven(ctx context.Context, candidates []*points.Block, dim int, opts O
 	return TwoJobs(ctx, exec, dim, part, nil, nil, opts)
 }
 
-// roundTasks counts the finished map-task spans of the merge's blocked
-// round: those under a merge-round span.
+// roundTasks counts the finished map-task spans of the merge's round: those
+// under a merge-round span.
 func roundTasks(tr *telemetry.Tracer) int {
 	spans := tr.Spans()
 	byID := make(map[uint64]telemetry.SpanData, len(spans))
@@ -291,8 +291,8 @@ func assertNoLeak(t *testing.T, dir string, goroutines int) {
 // quarter of a candidate block and two blocks (the rows are named for how
 // the retired fold rounds packed them: pairwise, and greedily), on input
 // where every third candidate duplicates its predecessor. Under a budget
-// the candidates fit, the filter runs instead, in no round; its rows are
-// the same for any workers, in the order of its tasks.
+// the candidates fit there is no round, and the groups are one a worker;
+// the rows and their order are still the same for any workers.
 func TestMergeScheduleSameForAnyWorkers(t *testing.T) {
 	const d, rows = 4, 600
 	candidates := make([]*points.Block, 9)
@@ -335,14 +335,11 @@ func TestMergeScheduleSameForAnyWorkers(t *testing.T) {
 					}
 					continue
 				}
-				if tc.rounds == 0 {
-					if !reflect.DeepEqual(canonicalSet(out), canonicalSet(want)) {
-						t.Errorf("workers=%d: the filter kept other rows than with one worker", workers)
-					}
-					continue
-				}
 				if !reflect.DeepEqual(out, want) {
 					t.Errorf("workers=%d: rows or their order differ from the one-worker run", workers)
+				}
+				if tc.rounds == 0 {
+					continue
 				}
 				if stats.MergeRounds != wantStats.MergeRounds || stats.MergeGroups != wantStats.MergeGroups || !reflect.DeepEqual(stats.MergeRoundBytes, wantStats.MergeRoundBytes) ||
 					stats.MergePasses != wantStats.MergePasses || stats.ReducerPeakBytes != wantStats.ReducerPeakBytes {
@@ -372,8 +369,9 @@ func rowsDigest(s points.Set) string {
 // and their order, group after group, as a digest — the round's groups and
 // candidate bytes, and the merge's peak within the budget (the round alone,
 // over the run's local skylines: Job 1's reducers fold under their own
-// window and frame scratch). The digests and groups are this merge's; a
-// change to the group cut, the layout's order or the kill walk moves them.
+// window and frame scratch). The groups are this merge's cut, and a change to
+// it moves them; the digest is the merge's order, (sum, index), the same for
+// every cut, and only a change to that order moves it.
 func TestBlockedMergeIsPinned(t *testing.T) {
 	data := dataset.Anticorrelated(5, 3000, 4)
 	oracle := canonicalSet(skyline.BNL(data))
@@ -382,8 +380,8 @@ func TestBlockedMergeIsPinned(t *testing.T) {
 		digest string
 		groups int
 	}{
-		{512, "a764b07f36344976", 95},
-		{4096, "1b371d3d0cf2cb99", 7},
+		{512, "fca7105b609d7887", 95},
+		{4096, "fca7105b609d7887", 7},
 	} {
 		dir := t.TempDir()
 		opts := Options{Scheme: partition.Angular, Nodes: 2, Workers: 2, SpillDir: dir, Codec: points.FrameAuto, ReducerBudgetBytes: pin.budget}
@@ -445,10 +443,15 @@ func TestMergeScheduleFailedGroupLeavesNothing(t *testing.T) {
 		}
 		assertNoLeak(t, dir, goroutines)
 
-		// Three tasks, each a good group and then the wrong block.
-		group := antiBlock(6, 50, d)
-		inputs := [][]*points.Block{{group, candidates[0], wrongDim}, {group, wrongDim}, {group, wrongDim}}
-		job := BlockedJob(d, 0)
+		// Three tasks, each its group's good input and then the wrong block.
+		inputs, err := MergeInput([]*points.Block{antiBlock(6, 50, d)}, d, 3, 0)
+		if err != nil || len(inputs) != 3 {
+			t.Fatalf("%d inputs, err %v", len(inputs), err)
+		}
+		for task := range inputs {
+			inputs[task] = append(inputs[task], wrongDim)
+		}
+		job := MergeJob(d, 0)
 		job.Feed = mapreduce.WholeInput(inputs)
 		tr = telemetry.NewTracer()
 		_, err = mapreduce.RunFrames(telemetry.WithTracer(context.Background(), tr), mapreduce.Config{Name: "blocked", Workers: workers}, job)

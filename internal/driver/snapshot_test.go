@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -121,15 +122,19 @@ func TestLoadIndexValidatesEveryRow(t *testing.T) {
 // TestLoadIndexRejectsKeysOutsideTheTable: a partition key is an index
 // into the restored shard table, so a negative one (whose rows no local
 // skyline would hold) and one at or past the header's partition count
-// (which would size the table) are refused by name. Save declares the
-// table it holds, so a table wider than the options' partitioner still
-// survives a second round trip.
+// (which would size the table) are refused by name, and so is a header
+// whose count is past MaxPartitions — a ~100-byte snapshot declaring four
+// million partitions, with one row under the last key, would size a 96 MB
+// table — before anything is sized from it. Save declares the table it
+// holds, so a table wider than the options' partitioner still survives a
+// second round trip.
 func TestLoadIndexRejectsKeysOutsideTheTable(t *testing.T) {
+	header := `{"version":1,"dim":2,"partitions":8}`
 	snapshot := func(keys ...string) *bytes.Buffer {
 		t.Helper()
 		var buf bytes.Buffer
 		w := sequencefile.NewWriter(&buf)
-		if err := w.Append([]byte("meta"), []byte(`{"version":1,"dim":2,"partitions":8}`)); err != nil {
+		if err := w.Append([]byte("meta"), []byte(header)); err != nil {
 			t.Fatal(err)
 		}
 		for i, key := range keys {
@@ -150,7 +155,22 @@ func TestLoadIndexRejectsKeysOutsideTheTable(t *testing.T) {
 		}
 	}
 
-	ix, err := LoadIndex(context.Background(), snapshot("0", "7"), opts)
+	header = `{"version":1,"dim":2,"partitions":4000000}`
+	huge := snapshot("3999999")
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	ix, err := LoadIndex(context.Background(), huge, opts)
+	runtime.ReadMemStats(&ms)
+	if want := "driver: snapshot partitions 4000000 outside [1, 1048576]"; err == nil || err.Error() != want {
+		t.Errorf("4 M partitions: LoadIndex = %v, %v; want error %q", ix, err, want)
+	}
+	if allocated := ms.TotalAlloc - before; allocated > 1<<20 {
+		t.Errorf("refusing a 4 M-partition header allocated %d bytes, want under 1 MiB", allocated)
+	}
+
+	header = `{"version":1,"dim":2,"partitions":8}`
+	ix, err = LoadIndex(context.Background(), snapshot("0", "7"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

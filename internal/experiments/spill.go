@@ -47,9 +47,9 @@ func codecBytes(blk *points.Block, codec points.FrameCodec) float64 {
 // that exists only as a chunk recipe and then certify the result exactly
 // (see certify), each with its reducer peak gated at its budget: stream_fits
 // under the Budget reducer byte budget, which its local skylines fit, so
-// the merge is the filter job and no round runs; stream under a budget
-// below its local skylines, so the merge runs as one blocked round of K
-// budget-sized groups, each with every candidate streamed past it. The
+// no merge round is booked; stream under a budget below its local
+// skylines, so the merge runs as one round of K budget-sized groups, each
+// with the rows at or below its sums streamed past it. The
 // round's candidate volume is reported against the Zhang & Zhang
 // output-sensitive lower bound (Computing Skylines on Distributed Data:
 // Ω(k) points must move), skyline size × d × 8 bytes.
@@ -133,8 +133,8 @@ func spill(ctx context.Context, sc Scale) ([]Row, error) {
 		}
 		return stats, nil
 	}
-	// Under the scale's budget the local skylines fit, and the merge is the
-	// filter job: no round runs.
+	// Under the scale's budget the local skylines fit: no merge round is
+	// booked.
 	opts.ReducerBudgetBytes = sc.Budget
 	fits, err := streamed("stream_fits", opts)
 	if err != nil {
@@ -142,11 +142,11 @@ func spill(ctx context.Context, sc Scale) ([]Row, error) {
 	}
 	r.gate(true, "stream_fits/merge_rounds", float64(fits.MergeRounds), "rounds", "lower", 0)
 
-	// The blocked merge: 64 sectors (32 nodes) leave local skylines well
+	// The merge round: 64 sectors (32 nodes) leave local skylines well
 	// above the global one, and a budget of four fifths of them — measured
 	// by a run under the scale's budget — is below the candidates, so the
-	// merge is one blocked round of K groups, each laid out within the budget
-	// with every candidate streamed past it.
+	// merge is one round of K groups, each laid out within the budget with
+	// the rows at or below its sums streamed past it.
 	opts.Partitions = 64
 	_, probe, err := driver.ComputeStream(ctx, src, opts)
 	if err != nil {

@@ -41,13 +41,12 @@ type Blocks func(each func(blk *points.Block) error) error
 
 // TaskMapper maps a whole map task at once, for a job whose map tasks are
 // each handed a list of blocks (see WholeInput): input streams task's list,
-// and task is its index of tasks. The filter gives every task the same list,
-// keeps all of it and takes from it the share that goes with the index; the
-// blocked merge gives each task its own group first, keeps that, and streams
-// the rest past it. It returns the task's own tallies: MapIn, the input rows
-// that were this task's to map — summed over the tasks, the job's
-// mr.map.records.in — and, for a task that holds state under a budget, its
-// PeakBytes and Passes. Must be safe for concurrent use.
+// and task is its index of tasks. The merge gives each task the levels and
+// its own group first, keeps them, and streams the rest past the group. It
+// returns the task's own tallies: MapIn, the input rows that were this
+// task's to map — summed over the tasks, the job's mr.map.records.in — and,
+// for a task that holds state, its PeakBytes and Passes. Must be safe for
+// concurrent use.
 type TaskMapper func(input Blocks, task, tasks int, emit EmitPoint) (FrameStats, error)
 
 // FrameCombiner folds the block one partition's accumulator sealed,
@@ -87,7 +86,7 @@ type FrameStats struct {
 	ReduceIn    int64
 	ReduceOut   int64
 	// PeakBytes is a task's working-set high-water mark: a reduce task's
-	// folds + one frame of decode scratch, or what a blocked merge task
+	// folds + one frame of decode scratch, or what a merge task
 	// (TaskMapper) counts it holds; 0 for any other map task. Aggregation
 	// takes the max, not the sum — it is a per-task peak.
 	PeakBytes int64
@@ -447,9 +446,8 @@ type RowFeed struct {
 
 // WholeInput feeds map task t the blocks inputs[t], whole and as they are,
 // one at a time — len(inputs) tasks: the feed of a job with a TaskMapper.
-// The filter hands every task the same list, and its tasks divide the work
-// between them by index; the blocked merge hands task g its group and then
-// every candidate block.
+// The merge hands task g the levels, its group and then the rows at or
+// below the group's sums.
 func WholeInput(inputs [][]*points.Block) RowFeed {
 	rows := 0
 	for _, blocks := range inputs {

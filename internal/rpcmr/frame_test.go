@@ -46,9 +46,9 @@ func ensureFrameJobs() {
 				Folder: func(int) mapreduce.FrameFold { return skyline.NewBudgetedFold(3, 1<<10, "", points.FrameDefault) },
 			}}, nil
 		})
-		// skyline-filter: the merging job as the pipeline runs it — map-only,
-		// every map task gets all the rows and filters its share of them.
-		RegisterJob("skyline-filter", func(params []byte) (Job, error) {
+		// skyline-merge: the merging job as the pipeline runs it — map-only,
+		// every map task gets its group and the rows at or below its sums.
+		RegisterJob("skyline-merge", func(params []byte) (Job, error) {
 			return Job{FrameJob: driver.MergeJob(3, 0)}, nil
 		})
 		RegisterJob("skyline-frame", func(params []byte) (Job, error) {
@@ -97,25 +97,36 @@ func setFrames(data points.Set, built func(lo, hi int, frame []byte)) Input {
 	})
 }
 
-// wholeBlockRows is the rows of a block of wholeFrames' input.
+// wholeBlockRows is the rows of a block of wholeFrames' candidates.
 const wholeBlockRows = 256
 
-// wholeFrames is a set as the input of a job whose tasks map tasks each get
-// all of it, as blocks of wholeBlockRows rows, a v1 frame each; built as
-// setFrames'.
+// wholeFrames is a set, as blocks of wholeBlockRows rows, cut into the
+// merging job's input over tasks groups (driver.MergeInput): each task's
+// blocks a v1 frame and a split each. built, when not nil, sees every split
+// sealed, keyed by its index in the job.
 func wholeFrames(data points.Set, tasks int, built func(lo, hi int, frame []byte)) Input {
-	blocks := make([]int, tasks)
-	for t := range blocks {
-		blocks[t] = (len(data) + wholeBlockRows - 1) / wholeBlockRows
+	var candidates []*points.Block
+	for lo := 0; lo < len(data); lo += wholeBlockRows {
+		blk, _ := points.BlockOf(data[lo:min(lo+wholeBlockRows, len(data))])
+		candidates = append(candidates, blk)
 	}
-	return WholeFrames(len(data), blocks, func(dst []byte, _, block int) ([]byte, error) {
-		lo := block * wholeBlockRows
-		hi := min(lo+wholeBlockRows, len(data))
-		frame, err := points.AppendFrameRows(dst, 0, data[lo:hi])
-		if err == nil && built != nil {
-			built(lo, hi, frame)
+	inputs, err := driver.MergeInput(candidates, data.Dim(), tasks, 0)
+	if err != nil {
+		panic(err)
+	}
+	blocks, first := make([]int, len(inputs)), make([]int, len(inputs))
+	for t, in := range inputs {
+		blocks[t] = len(in)
+		if t > 0 {
+			first[t] = first[t-1] + blocks[t-1]
 		}
-		return frame, err
+	}
+	return WholeFrames(len(data), blocks, func(dst []byte, t, b int) ([]byte, error) {
+		frame := points.AppendFrame(dst, 0, inputs[t][b])
+		if built != nil {
+			built(first[t]+b, first[t]+b+1, frame)
+		}
+		return frame, nil
 	})
 }
 
@@ -246,15 +257,16 @@ func sameJobRecord(t *testing.T, res, want *mapreduce.FrameResult, rows int) {
 // task it took to the grave is re-issued with a byte-identical input frame,
 // and the job's result — blocks, counters, per-partition volumes, reducer peak
 // — equals a run's that lost no worker: an attempt is counted once. So too
-// for the merging job's kind of map task, which holds the whole candidate
-// set and a share of the work: the share is done again, by another worker
-// from its own layout of the same rows, and no row is kept twice or lost.
+// for the merging job's kind of map task, which holds a group of the
+// candidates and has the rows at or below its sums streamed past it: the
+// group is killed again, by another worker from the same splits, and no row
+// is kept twice or lost.
 func TestFramedWorkerCrashRecovery(t *testing.T) {
 	ensureFrameJobs()
 	data := frameClusterData(1000, 3, 3)
-	for _, job := range []string{"skyline-frame", "skyline-fold", "skyline-filter"} {
+	for _, job := range []string{"skyline-frame", "skyline-fold", "skyline-merge"} {
 		input := func(built func(lo, hi int, frame []byte)) Input { return setFrames(data, built) }
-		if job == "skyline-filter" {
+		if job == "skyline-merge" {
 			input = func(built func(lo, hi int, frame []byte)) Input { return wholeFrames(data, 5, built) }
 		}
 		calm, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 3, WorkerConfig{})
@@ -262,9 +274,9 @@ func TestFramedWorkerCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every reduce task reports what it held, whatever its folds are;
-		// the map-only filter has none.
-		if reduces := job != "skyline-filter"; reduces != (want.ReducerPeakBytes > 0) || reduces != (want.MergePasses >= 1) {
+		// Every reduce task reports what it held, whatever its folds are,
+		// and every merge task its group's layout.
+		if want.ReducerPeakBytes <= 0 || want.MergePasses < 1 {
 			t.Fatalf("%s: no-fault run reports a reducer peak of %d bytes in %d passes", job, want.ReducerPeakBytes, want.MergePasses)
 		}
 
@@ -504,7 +516,7 @@ func TestRunRejectsWrongInputForm(t *testing.T) {
 	}
 	// A task mapper needs the whole input in every task, a row mapper must
 	// not get it: tasks of the other kind would each compute something, wrongly.
-	if err := run("skyline-filter", setFrames(data, nil)); err == nil || !strings.Contains(err.Error(), "WholeFrames") {
+	if err := run("skyline-merge", setFrames(data, nil)); err == nil || !strings.Contains(err.Error(), "WholeFrames") {
 		t.Errorf("task mapper over row splits: %v", err)
 	}
 	if err := run("skyline-frame", wholeFrames(data, 2, nil)); err == nil || !strings.Contains(err.Error(), "WholeFrames") {

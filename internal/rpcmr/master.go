@@ -189,9 +189,8 @@ func FrameRows(rows int, frame func(dst []byte, lo, hi int) ([]byte, error)) Inp
 // whole input each — the input of a job with a TaskMapper. Task t's input is
 // blocks[t] blocks, a split each, which its worker fetches one at a time as
 // a FrameRows share's, and frame(dst, t, b) seals block b of task t under
-// FrameRows' rules. The filter seals every task the same blocks and its
-// tasks divide the work by index (TaskReply.TaskID of TaskReply.Tasks); the
-// blocked merge seals task g its group and then every candidate block.
+// FrameRows' rules. The merging job seals task g the candidates' levels,
+// its group and then the rows at or below the group's sums.
 func WholeFrames(rows int, blocks []int, frame func(dst []byte, task, block int) ([]byte, error)) Input {
 	ends := make([]int, len(blocks))
 	for t, n := range blocks {

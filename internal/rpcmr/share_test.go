@@ -499,7 +499,7 @@ func TestMapOnlyJobFinishesOnItsLastMapReport(t *testing.T) {
 	data := frameClusterData(1000, 3, 15)
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := master.Run(context.Background(), JobSpec{Name: "skyline-filter", Reducers: 2}, wholeFrames(data, 2, nil))
+		res, err := master.Run(context.Background(), JobSpec{Name: "skyline-merge", Reducers: 2}, wholeFrames(data, 2, nil))
 		done <- outcome{res, err}
 	}()
 	late := take(svc, "late")

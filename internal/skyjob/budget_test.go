@@ -107,10 +107,9 @@ func TestSpecBudgetTravels(t *testing.T) {
 		t.Fatalf("spec round-trip lost budget/codec: %+v", back)
 	}
 	// The budget bounds Job 1's folds, which are skyline folds with or
-	// without one. The merging jobs are map-only, with no reduce fold: the
-	// filter has no use for the budget — it needs the candidates resident —
-	// and the blocked round's groups were sized to it by the master; both
-	// still seal by codec.
+	// without one. The merging job is map-only, with no reduce fold: its
+	// groups were sized to the budget by the master; it still seals by
+	// codec.
 	budgeted := func(job rpcmr.Job) bool {
 		if job.FrameJob.Folder == nil {
 			return false
@@ -121,7 +120,7 @@ func TestSpecBudgetTravels(t *testing.T) {
 		}
 		return ok
 	}
-	for _, factory := range []rpcmr.JobFactory{newPartitionJob, newMergeJob, newRoundJob} {
+	for _, factory := range []rpcmr.JobFactory{newPartitionJob, newMergeJob} {
 		job, err := factory(raw)
 		if err != nil {
 			t.Fatal(err)

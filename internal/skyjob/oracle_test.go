@@ -105,8 +105,8 @@ func init() {
 // spec variant of the band jobs the same of skyline.Skyband(·, k). The BNL
 // rows are the product's job; the SFS and D&C rows are kernelJobs' edits.
 // Where the budget rows' local skylines exceed the budget, the merge runs
-// as one blocked round on the workers — one skyline/merge-round job, a map
-// task per group — and leaves no overflow file behind.
+// as one round on the workers — one skyline/merge job, a map task per
+// budget-sized group — and leaves no overflow file behind.
 func TestClusterMatchesOracle(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp) // where the workers' folds overflow
@@ -166,9 +166,9 @@ func TestClusterMatchesOracle(t *testing.T) {
 	}
 }
 
-// requireRounds checks that a run's blocked round ran exactly when its
-// local skylines exceeded spec's budget, as one skyline/merge-round job on
-// the workers whose map tasks are the round's groups.
+// requireRounds checks that a run's merge round was booked exactly when its
+// local skylines exceeded spec's budget, around one skyline/merge job on the
+// workers whose map tasks are the round's groups.
 func requireRounds(t *testing.T, tr *telemetry.Tracer, st *driver.Stats, spec Spec) {
 	t.Helper()
 	size := int64(st.LocalSkylineTotal() * spec.Dim * 8)
@@ -183,8 +183,13 @@ func requireRounds(t *testing.T, tr *telemetry.Tracer, st *driver.Stats, spec Sp
 	jobs, groups, tasks := 0, int64(0), map[uint64]int{}
 	for _, s := range spans {
 		switch s.Name {
-		case "rpcmr-job:" + RoundJobName:
-			jobs++
+		case "rpcmr-job:" + MergeJobName:
+			for up, ok := byID[s.Parent]; ok; up, ok = byID[up.Parent] {
+				if up.Name == "merge-round" {
+					jobs++
+					break
+				}
+			}
 		case "merge-round":
 			for _, a := range s.Attrs {
 				if a.Key == "groups" {
@@ -193,7 +198,7 @@ func requireRounds(t *testing.T, tr *telemetry.Tracer, st *driver.Stats, spec Sp
 			}
 		case "map-task":
 			for up, ok := byID[s.Parent]; ok; up, ok = byID[up.Parent] {
-				if up.Name == "rpcmr-job:"+RoundJobName {
+				if up.Name == "merge-round" {
 					tasks[up.ID]++
 					break
 				}
@@ -205,7 +210,7 @@ func requireRounds(t *testing.T, tr *telemetry.Tracer, st *driver.Stats, spec Sp
 		n += c
 	}
 	if jobs != st.MergeRounds || int64(n) != groups || groups != int64(st.MergeGroups) {
-		t.Errorf("%d merge rounds ran as %d %s jobs of %d worker map tasks, for %d groups", st.MergeRounds, jobs, RoundJobName, n, groups)
+		t.Errorf("%d merge rounds ran as %d %s jobs of %d worker map tasks, for %d groups", st.MergeRounds, jobs, MergeJobName, n, groups)
 	}
 }
 
@@ -215,10 +220,11 @@ func requireRounds(t *testing.T, tr *telemetry.Tracer, st *driver.Stats, spec Sp
 // global skyline, the same local skyline per partition id and the same
 // record of the run — partition counts, counters, Eq. (5) evidence, flight
 // report — for the skyline, for a band (k = 3), and under a reducer budget,
-// where both merge in one blocked round; over a candidate set small enough to
-// be one merge task and over one cut into a task per worker. The merging
-// job is also run alone on both: it tests every candidate once, combines
-// nothing and shuffles exactly the global result. Job 1's shuffle bytes
+// where both merge in one round of budget-sized groups; over a candidate set
+// small enough to be one merge task and over one cut into a task per worker.
+// The merging job is also run alone on both, over MergeInput's groups: it
+// maps every candidate once, in its group, combines nothing and shuffles
+// exactly the global result, in the run's order. Job 1's shuffle bytes
 // depend on where the splits fall, which the executors choose: only their
 // presence is compared.
 func TestExecutorsAgree(t *testing.T) {
@@ -338,12 +344,10 @@ func TestExecutorsAgree(t *testing.T) {
 					t.Errorf("%s: MergeRounds %d, MergeRoundBytes %v, ReducerPeakBytes %d", name, st.MergeRounds, st.MergeRoundBytes, st.ReducerPeakBytes)
 				}
 			}
-			// Job 1 maps the input once on either executor; the filter tests
-			// every local skyline row once, in as many tasks as MergeTasks
-			// cuts it into, and lets through — uncombined — the global result
-			// alone: its output is the result. Under a budget the candidates
-			// do not fit, the blocked round maps each candidate once, in its
-			// group, and lets through the global result.
+			// Job 1 maps the input once on either executor; the merge maps
+			// every local skyline row once, in its group — as many groups as
+			// MergeTasks asks, or as the budget needs — and lets through,
+			// uncombined, the global result alone: its output is the result.
 			merged, kept := int64(stats.LocalSkylineTotal()), int64(len(sky))
 			if got := driver.MergeTasks(3, int(merged)); row.budget == 0 && got != row.mergeTasks {
 				t.Fatalf("%s: %d candidates are %d merge tasks, the row wants %d", name, merged, got, row.mergeTasks)
@@ -412,9 +416,9 @@ func TestExecutorsAgree(t *testing.T) {
 						candidates = append(candidates, blk)
 					}
 				}
-				inputs := make([][]*points.Block, row.mergeTasks)
-				for i := range inputs {
-					inputs[i] = candidates
+				inputs, err := driver.MergeInput(candidates, spec.Dim, row.mergeTasks, 0)
+				if err != nil || len(inputs) != row.mergeTasks {
+					t.Fatalf("%s: %d merge inputs, err %v", name, len(inputs), err)
 				}
 				job := driver.MergeJob(spec.Dim, row.k)
 				job.Feed = mapreduce.WholeInput(inputs)
@@ -426,7 +430,7 @@ func TestExecutorsAgree(t *testing.T) {
 				if row.k > 0 {
 					params, job2 = mustJSON(t, skybandSpec{Spec: spec, K: row.k}), SkybandMergeJobName
 				}
-				cl2, err := cluster{master: master, job2: job2, params: params, reducers: 3, codec: spec.Codec}.Merge(context.Background(), false, inputs)
+				cl2, err := cluster{master: master, job2: job2, params: params, reducers: 3, codec: spec.Codec}.Merge(context.Background(), inputs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -434,7 +438,7 @@ func TestExecutorsAgree(t *testing.T) {
 				// both executors, the same bytes; nothing crosses a shuffle.
 				inC := in2.Counters.Snapshot()
 				for _, res2 := range []*mapreduce.FrameResult{in2, cl2} {
-					if got := res2.Blocks[0].ToSet(); !sameMultiset(got, sky) {
+					if got := res2.Blocks[0].ToSet(); !reflect.DeepEqual(got, sky) {
 						t.Errorf("%s: the merging job alone kept %d rows, the run %d", name, len(got), len(sky))
 					}
 					if c := res2.Counters.Snapshot(); c[mapreduce.CounterShuffle] != 0 || c[mapreduce.CounterShuffleBytes] != 0 ||
@@ -467,7 +471,7 @@ func narration(events []telemetry.LogEvent) []string {
 	return out
 }
 
-// allJobs is the five registered jobs; the band jobs' params carry a k.
+// allJobs is the four registered jobs; the band jobs' params carry a k.
 var allJobs = []struct {
 	name    string
 	factory rpcmr.JobFactory
@@ -475,7 +479,6 @@ var allJobs = []struct {
 }{
 	{PartitionJobName, newPartitionJob, false},
 	{MergeJobName, newMergeJob, false},
-	{RoundJobName, newRoundJob, false},
 	{SkybandPartitionJobName, newSkybandPartitionJob, true},
 	{SkybandMergeJobName, newSkybandMergeJob, true},
 }
@@ -483,7 +486,7 @@ var allJobs = []struct {
 // wholeInput says whether a job's tasks each take a whole input
 // (rpcmr.WholeFrames) rather than a share of the rows.
 func wholeInput(job string) bool {
-	return job == MergeJobName || job == SkybandMergeJobName || job == RoundJobName
+	return job == MergeJobName || job == SkybandMergeJobName
 }
 
 // TestHostileSpecRejected: job params arrive over the wire, so a spec no
@@ -699,14 +702,20 @@ func TestHostileInputFrameRejected(t *testing.T) {
 		}
 	}
 
-	// A blocked task's group is its first split; a later split of another
-	// dimension is streamed past the group's layout, and the kill walk's
-	// dimension check refuses it.
+	// A merge task's levels and group are its first two splits; a later
+	// split of another dimension is streamed past the group's layout, and the
+	// kill walk's dimension check refuses it.
+	blk, _ := points.BlockOf(data[:50])
+	sorted, err := skyline.Sort([]*points.Block{blk}, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := points.AppendFrameCodec(nil, 0, sorted.Levels, points.FrameV1)
 	wide := frameOf(uniformSet(2, 5, 4), points.FrameV1)
-	groupThenWide := rpcmr.WholeFrames(55, []int{2}, func(dst []byte, _, block int) ([]byte, error) {
-		return append(dst, [][]byte{good, wide}[block]...), nil
+	groupThenWide := rpcmr.WholeFrames(60, []int{3}, func(dst []byte, _, block int) ([]byte, error) {
+		return append(dst, [][]byte{levels, good, wide}[block]...), nil
 	})
-	_, err = master.Run(context.Background(), rpcmr.JobSpec{Name: RoundJobName, Params: params[false]}, groupThenWide)
+	_, err = master.Run(context.Background(), rpcmr.JobSpec{Name: MergeJobName, Params: params[false]}, groupThenWide)
 	if want := "skyline: unusable candidate set: 4-dimensional rows streamed past a 3-dimensional layout"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("a 4-dim block streamed past a 3-dim group: %v, want an error saying %q", err, want)
 	}

@@ -1,11 +1,10 @@
 // Package skyjob runs the skyline pipeline on an rpcmr cluster. What the
-// partitioning job (assign → local skyline) and the merging jobs (every
-// candidate filtered against all of them → global skyline, or under a
-// reducer budget one round in which every budget-sized group has every
-// candidate streamed past it) compute, and the sequence they run in, are
-// defined once, by package driver's PartitionJob, MergeJob, BlockedJob and
-// TwoJobs; this package is the cluster executor of
-// that sequence: a Spec that travels to workers as JSON, and each job as a
+// partitioning job (assign → local skyline) and the merging job (the
+// candidates sorted by coordinate sum and cut into groups, each killed by
+// the rows at or below its sums → global skyline) compute, how the merge is
+// cut, and the sequence they run in, are defined once, by package driver's
+// PartitionJob, MergeJob, MergeInput and TwoJobs; this package is the
+// cluster executor of that sequence: a Spec that travels to workers as JSON, and each job as a
 // registered name run on a master over splits sealed into point frames on
 // demand. Any process that links this package (master or worker) has every
 // job registered and can participate in a cluster.
@@ -33,7 +32,6 @@ import (
 const (
 	PartitionJobName = "skyline/partition"
 	MergeJobName     = "skyline/merge"
-	RoundJobName     = "skyline/merge-round"
 )
 
 // Spec parameterizes the partitioning job; it travels to workers as JSON
@@ -88,11 +86,6 @@ func SpecFor(data points.Set, scheme partition.Scheme, partitions int) (Spec, er
 	return spec, nil
 }
 
-// maxPartitions caps the partition count a spec may ask for: far above any
-// real plan (the paper's rule is 2 × nodes) and small enough that the
-// per-partition tables a job sizes from it stay harmless.
-const maxPartitions = 1 << 20
-
 // validate rejects a spec no honest SpecFor could have produced. A spec
 // arrives over the wire, so every value a job would otherwise trust — enum
 // members it switches on, counts it allocates by, bounds it divides by —
@@ -106,8 +99,8 @@ func (s Spec) validate() error {
 		return fmt.Errorf("skyjob: unknown codec %d", int(s.Codec))
 	case s.Dim < 1:
 		return fmt.Errorf("skyjob: spec dimension %d, need >= 1", s.Dim)
-	case s.Partitions < 1 || s.Partitions > maxPartitions:
-		return fmt.Errorf("skyjob: %d partitions, need 1..%d", s.Partitions, maxPartitions)
+	case s.Partitions < 1 || s.Partitions > driver.MaxPartitions:
+		return fmt.Errorf("skyjob: %d partitions, need 1..%d", s.Partitions, driver.MaxPartitions)
 	case s.ReducerBudgetBytes < 0:
 		return fmt.Errorf("skyjob: negative reducer budget %d", s.ReducerBudgetBytes)
 	case len(s.Min) != s.Dim || len(s.Max) != s.Dim:
@@ -121,8 +114,8 @@ func (s Spec) validate() error {
 	}
 	cells := 1
 	for _, n := range s.AngularSplits {
-		if n < 1 || n > maxPartitions/cells {
-			return fmt.Errorf("skyjob: angular splits %v exceed %d partitions", s.AngularSplits, maxPartitions)
+		if n < 1 || n > driver.MaxPartitions/cells {
+			return fmt.Errorf("skyjob: angular splits %v exceed %d partitions", s.AngularSplits, driver.MaxPartitions)
 		}
 		cells *= n
 	}
@@ -155,19 +148,15 @@ func (s Spec) Build() (partition.Partitioner, error) {
 func init() {
 	rpcmr.RegisterJob(PartitionJobName, newPartitionJob)
 	rpcmr.RegisterJob(MergeJobName, newMergeJob)
-	rpcmr.RegisterJob(RoundJobName, newRoundJob)
 	rpcmr.RegisterJob(SkybandPartitionJobName, newSkybandPartitionJob)
 	rpcmr.RegisterJob(SkybandMergeJobName, newSkybandMergeJob)
 }
 
-// The job factories: driver's job definitions, Job 1 and the filter for the
-// skyline (params are a Spec) and for the k-skyband (a skybandSpec), and the
-// skyline's blocked round (a Spec: the band refuses a budget, so it never
-// merges in a blocked round).
+// The job factories: driver's job definitions, Job 1 and the merge, for the
+// skyline (params are a Spec) and for the k-skyband (a skybandSpec).
 var (
 	newPartitionJob        = factory(false, partitionJob)
 	newMergeJob            = factory(false, mergeJob)
-	newRoundJob            = factory(false, roundJob)
 	newSkybandPartitionJob = factory(true, partitionJob)
 	newSkybandMergeJob     = factory(true, mergeJob)
 )
@@ -182,10 +171,6 @@ func partitionJob(spec skybandSpec) (mapreduce.FrameJob, error) {
 
 func mergeJob(spec skybandSpec) (mapreduce.FrameJob, error) {
 	return driver.MergeJob(spec.Dim, spec.K), nil
-}
-
-func roundJob(spec skybandSpec) (mapreduce.FrameJob, error) {
-	return driver.BlockedJob(spec.Dim, spec.K), nil
 }
 
 // factory is the rpcmr factory of the job build makes of decodeSpec's spec,
@@ -262,11 +247,10 @@ func setSplits(data points.Set) rpcmr.Input {
 }
 
 // blockSplits is a merging job's input: task t gets inputs[t], block after
-// block, sealed as they are, a split a block — for the filter the whole
-// candidate set each task tests its share of the rows against, for the
-// blocked round its group and then every candidate. It is a map task's
-// input, booked as input bytes, not as shuffle: on the blocked round the
-// candidates cross the wire once per group.
+// block, sealed as they are, a split a block — the levels, its group, and
+// the rows at or below the group's sums. It is a map task's input, booked as
+// input bytes, not as shuffle: over K groups the candidates cross the wire
+// about (K+1)/2 times.
 func blockSplits(inputs [][]*points.Block, codec points.FrameCodec) rpcmr.Input {
 	rows, blocks := 0, make([]int, len(inputs))
 	for t, list := range inputs {
@@ -288,8 +272,8 @@ type Result struct {
 	LocalSkylines map[int]points.Set
 	// MapTime / ReduceTime are the two jobs' phases in the paper's Figure 6
 	// sense — with one difference from the paper's Job 2: the merge is
-	// map-only (every worker filters a share of the candidates, or a group of
-	// them against all of them), so MapTime.MergeJob carries all of it and
+	// map-only (every worker kills a group of the candidates with the rows
+	// at or below its sums), so MapTime.MergeJob carries all of it and
 	// ReduceTime.MergeJob is 0.
 	MapTime, ReduceTime JobResultTiming
 	// Stats is the run's whole record — counters, per-partition counts,
@@ -324,17 +308,16 @@ func Compute(ctx context.Context, master *rpcmr.Master, data points.Set, scheme 
 // ComputeSpec runs the pipeline with a caller-built Spec — the entry
 // point for a non-default codec or reducer budget. The budget bounds
 // the workers' reduce folds, and when the local skylines do not fit it
-// the merge runs on the workers as one blocked round — the registered
-// RoundJobName, one map-only job whose task g lays out a budget-sized group
-// and has every candidate streamed past it (driver.TwoJobs picks it) —
-// instead of the filter job; the master tests nothing.
+// the merging job's groups are budget-sized (driver.MergeInput): each
+// worker task holds one group and a piece of the rows streamed past it;
+// the master tests nothing.
 func ComputeSpec(ctx context.Context, master *rpcmr.Master, data points.Set, spec Spec, reducers int) (*Result, error) {
 	return compute(ctx, master, data, spec, spec, PartitionJobName, MergeJobName, reducers)
 }
 
 // cluster is the cluster executor of driver.TwoJobs: the registered jobs
-// job1 over data, and job2 or RoundJobName over the blocks it is handed,
-// all instantiated by the workers from params.
+// job1 over data, and job2 over the blocks it is handed, both instantiated
+// by the workers from params.
 type cluster struct {
 	master     *rpcmr.Master
 	data       points.Set
@@ -358,12 +341,8 @@ func (c cluster) Partition(ctx context.Context) (*mapreduce.FrameResult, error) 
 	return c.run(ctx, "partitioning-job", c.job1, c.reducers, setSplits(c.data))
 }
 
-func (c cluster) Merge(ctx context.Context, blocked bool, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
-	job := c.job2
-	if blocked {
-		job = RoundJobName
-	}
-	return c.run(ctx, "merging-job", job, 0, blockSplits(inputs, c.codec))
+func (c cluster) Merge(ctx context.Context, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
+	return c.run(ctx, "merging-job", c.job2, 0, blockSplits(inputs, c.codec))
 }
 
 // compute is what ComputeSpec and ComputeSkyband are: driver.TwoJobs on the

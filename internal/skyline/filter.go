@@ -1,45 +1,49 @@
 package skyline
 
-// The merge is a filter. The paper funnels every local skyline through one
-// reducer, a sequential BNL over their union; Ciaccia & Martinenghi name
-// that last phase the limit of every partitioned scheme and give the remedy
-// this file implements: test every candidate, in parallel, against a set
-// that is only read. A row of the union belongs to the global skyline iff
-// no row of the union strictly dominates it, whichever local skyline either
-// came from — so the merge needs no window, no eviction and no order of
-// arrival, only a fast answer to "does anything here dominate p?".
+// The merge. The paper funnels every local skyline through one reducer, a
+// sequential BNL over their union; Ciaccia & Martinenghi name that last
+// phase the limit of every partitioned scheme and parallelise it by cutting
+// the union into groups that are only killed, never compared in a window.
+// A row of the union belongs to the global skyline iff no row of the union
+// strictly dominates it, whichever local skyline either came from — so the
+// merge needs no window, no eviction and no order of arrival, only a fast
+// answer to "which of these rows does q dominate?".
 //
-// A Filter answers it from a layout built once and never written again,
-// Tan, Eng & Ooi's Bitmap test (VLDB 2001) on a sum order:
+// q dominates p implies sum(q) <= sum(p): floating-point addition is
+// monotone, though not strictly — (1e16, 0) and (1e16, 1) share a sum. So
+// the candidates are sorted once by (sum, input index) (Sort) and cut into
+// groups at sum splitters (Sorted.Cut, or a budget's equal counts): a row
+// of group g can be dominated only by the rows before the group, by the
+// rows after it whose sum ties with the group's largest, and by its own
+// (Sorted.Input). A merge task lays its group out, streams those rows past
+// it and then the group's own (MergeTask), and the groups' survivors, in
+// group order, are the global skyline in (sum, index) order, whatever the
+// number of groups.
 //
-//   - rows ascend by coordinate sum, ties in input order. q dominates p
-//     implies sum(q) <= sum(p) — floating-point addition is monotone, though
-//     not strictly: (1e16, 0) and (1e16, 1) share a sum — so p's dominators
-//     all lie before a cut one binary search finds, and the strongest come
-//     first;
-//   - each dimension is cut into levels by the window's thermometer
-//     thresholds (window.go) fitted to the layout, and for every (dimension
-//     i, level k) one bitmap marks the rows whose level in i exceeds k. If q
-//     dominates p, q's level is at most p's in every dimension, so p's
-//     dominators are among the rows before the cut that lie in no bitmap
-//     (i, level_i(p)): d AND-NOTs rule out 64 rows at a time, and only the
-//     rows left — exactly those a signature test would let through — are
-//     tested coordinate by coordinate.
+// A group's layout is Tan, Eng & Ooi's Bitmap test (VLDB 2001) on the sum
+// order. Each dimension is cut into levels by the window's thermometer
+// thresholds (window.go), fitted once to all the candidates and shared by
+// every group, and for every (dimension i, level k) one bitmap marks the
+// group's rows whose level in i exceeds k. If q dominates p, p's level is
+// at least q's in every dimension, so the rows q may dominate are those at
+// or past q's sum in every bitmap (i, level_i(q) − 1): d ANDs rule out 64
+// rows at a time, and only the rows left — exactly those a signature test
+// would let through — are tested coordinate by coordinate. Each row counts
+// its dominators until it dies, and a dead row is not tested again. A row
+// of the group that is dead when its own turn to be streamed comes is not
+// walked at all: each of the dominators that killed it was streamed before
+// it and dominates every row it does, so those rows are dead already —
+// under the k-skyband too, where k such dominators killed it.
 //
-// BenchmarkMergeFilter, 13 k QWS d=10 candidates on one goroutine of a
-// 2-vCPU Xeon: median-mask groups walked row by row with a signature each
-// filtered in 64–83 ms, the bitmaps in 31–37; DESIGN.md has the rest.
-//
-// Under a memory budget the same layout is read the other way round. A
-// merge task lays out only a group of the candidates and streams every
-// candidate past it (Kill): a candidate q can dominate only rows at or past
-// its own sum that lie in every bitmap (i, level_i(q) − 1), and each layout
-// row counts its dominators until it dies.
+// BenchmarkMergeFilter, 13 k QWS d=10 candidates on a 2-vCPU Xeon: the
+// merge on two goroutines (sort, layouts and kill walks) takes 19–22 ms,
+// at 29.7 coordinate tests a row; EXPERIMENTS.md "One merge" has the rest.
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -48,14 +52,163 @@ import (
 	"repro/internal/points"
 )
 
-// ErrCandidates is wrapped by every error NewFilter returns: the candidate
-// set is empty or mixes dimensions.
+// ErrCandidates is wrapped by every error of the merge over an unusable
+// candidate set: empty, of another dimension than the merge's, or cut into
+// a task input that is not one.
 var ErrCandidates = errors.New("skyline: unusable candidate set")
 
-// Filter is a candidate set laid out to answer Survives. It is read-only
-// once built: any number of goroutines may share one.
-type Filter struct {
-	rows   *points.Block // the candidates, ascending by (sum, input index)
+// otherDimension is the error of candidate rows of dimension got in a
+// merge of dim.
+func otherDimension(got, dim int) error {
+	return fmt.Errorf("%w: %d-dimensional rows in a %d-dimensional merge", ErrCandidates, got, dim)
+}
+
+// Sorted is a merge's candidates in the merge's order, with the level
+// thresholds every group's layout shares.
+type Sorted struct {
+	// Rows holds the candidates ascending by (sum, input index).
+	Rows *points.Block
+	// Levels holds the thresholds fitted to all of Rows: row k is every
+	// dimension's k-th threshold, ascending in k.
+	Levels *points.Block
+	sums   []float64 // sums[j] is row j's coordinate sum
+}
+
+// filterLevels is the thresholds per dimension a layout of d-dimensional
+// rows keeps: the window's, and at least the median where the window's
+// uint64 signature leaves none.
+func filterLevels(d int) int { return max(1, min(64/d, maxLevels)) }
+
+// Sort lays the rows of blocks, taken as one sequence, block after block,
+// out in the merge's order, and fits the levels to them, on builders
+// goroutines. It is a function of that row sequence alone: two sorts of the
+// same rows, however they are cut into blocks and by however many builders,
+// agree row for row. Empty blocks are skipped; no rows, or a block of
+// another dimension than dim, is an error wrapping ErrCandidates.
+func Sort(blocks []*points.Block, dim, builders int) (*Sorted, error) {
+	src := rowSeq{ends: make([]int, 0, len(blocks))}
+	n := 0
+	for _, b := range blocks {
+		if b.Len() == 0 {
+			continue
+		}
+		if b.Dim() != dim {
+			return nil, otherDimension(b.Dim(), dim)
+		}
+		n += b.Len()
+		src.blocks, src.ends = append(src.blocks, b), append(src.ends, n)
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("%w: no rows", ErrCandidates)
+	}
+	builders = max(1, min(builders, n))
+	rows, sums := sortRows(src, n, dim, builders)
+	// The window's fit (fitLevels), a share of the dimensions a builder.
+	L := filterLevels(dim)
+	levels := points.NewBlock(dim, L)
+	levels.Extend(dim, L)
+	fan.Out(min(builders, dim), func(share int) {
+		lo, hi := fan.Cut(dim, min(builders, dim), share)
+		var col []float64
+		for i := lo; i < hi; i++ {
+			col = sampleColumn(rows, i, col)
+			for k := 0; k < L; k++ {
+				levels.Row(k)[i] = col[(k+1)*len(col)/(L+1)]
+			}
+		}
+	})
+	return &Sorted{Rows: rows, Levels: levels, sums: sums}, nil
+}
+
+// Cut cuts the rows into k groups (at most one a row) of about equal pair
+// work and returns their ends: group g is Rows[ends[g−1]:ends[g]]. A
+// group's task meets the rows before it and its own, each against the
+// group's rows at or past its sum, so its work grows with hi² − lo²: the
+// ends fall near n·√(g/k), and the groups shrink as the sums rise.
+func (s *Sorted) Cut(k int) []int {
+	n := s.Rows.Len()
+	k = max(1, min(k, n))
+	ends := make([]int, k)
+	for g := range ends {
+		end := int(math.Round(float64(n) * math.Sqrt(float64(g+1)/float64(k))))
+		lo := 1
+		if g > 0 {
+			lo = ends[g-1] + 1
+		}
+		ends[g] = min(max(end, lo), n-(k-1-g))
+	}
+	return ends
+}
+
+// Input is merge task g's input over groups cut at ends (ascending, the
+// last n): the levels, group g, and every row outside the group that can
+// dominate one of its rows — the rows before it, then those after it whose
+// sum ties with its largest — in blocks of at most piece rows (piece < 1:
+// a block a range). The blocks are views of s.
+func (s *Sorted) Input(ends []int, g, piece int) []*points.Block {
+	lo, hi := 0, ends[g]
+	if g > 0 {
+		lo = ends[g-1]
+	}
+	top := s.sums[hi-1]
+	reach := hi + sort.Search(len(s.sums)-hi, func(j int) bool { return s.sums[hi+j] > top })
+	in := []*points.Block{s.Levels, s.Rows.Slice(lo, hi)}
+	for _, r := range [2][2]int{{0, lo}, {hi, reach}} {
+		step := r[1] - r[0]
+		if piece > 0 {
+			step = piece
+		}
+		for a := r[0]; a < r[1]; a += step {
+			in = append(in, s.Rows.Slice(a, min(a+step, r[1])))
+		}
+	}
+	return in
+}
+
+// MergeTask is one task of the merge over dim-dimensional rows, reading its
+// input as Sorted.Input cuts it: the levels, the task's group, then the
+// rows to stream past the group. It lays the group out, kills it with every
+// streamed block and then with the group's own rows, and hands keep every
+// row of the group with fewer dominators than band (band 0: than one), in
+// the group's order, each valid for the call only. It returns the group's
+// rows and the peak it counts: the layout (LayoutBytes), the largest block
+// streamed and the rows kept. Input of another dimension, levels that are
+// not the merge's, and an input without a group are errors wrapping
+// ErrCandidates.
+func MergeTask(input func(each func(*points.Block) error) error, dim, band int, keep func(row []float64)) (rows int, peak int64, err error) {
+	var (
+		levels   *points.Block
+		g        *group
+		streamed int
+	)
+	err = input(func(blk *points.Block) (err error) {
+		if g != nil {
+			streamed = max(streamed, blk.Len())
+			return g.kill(blk)
+		}
+		if blk.Dim() != dim {
+			return otherDimension(blk.Dim(), dim)
+		}
+		if levels == nil {
+			levels = blk
+			return nil
+		}
+		g, err = newGroup(levels, blk, band)
+		return err
+	})
+	if err == nil && g == nil {
+		err = fmt.Errorf("%w: a merge task without a group", ErrCandidates)
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	kept := g.alive(keep)
+	return g.rows.Len(), LayoutBytes(g.rows.Len(), dim) + int64(streamed+kept)*int64(dim)*8, nil
+}
+
+// group is one group of the candidates laid out to be killed.
+type group struct {
+	rows   *points.Block // the group, ascending by (sum, input index)
 	sums   []float64     // sums[j] is row j's coordinate sum
 	thr    []float64     // levels ascending thresholds per dimension, dimension-major
 	levels int           // thresholds per dimension
@@ -64,39 +217,54 @@ type Filter struct {
 	// k, at ge[(i*levels+k)*words:]: bit j%64 of its word j/64 is row j.
 	// Three words of padding follow the last bitmap, so that four words
 	// can be read from any word of any bitmap.
-	ge   []uint64
-	kill int // dominators a row dies of
+	ge         []uint64
+	dead       []uint64 // bit j%64 of word j/64 is set once row j has died, with the same padding
+	dies       int32    // dominators a row dies of
+	dominators []int32  // dominators[j] counts row j's, up to dies
 }
 
-// filterLevels is the thresholds per dimension a layout of d-dimensional
-// rows keeps: the window's, and at least the median where the window's
-// uint64 signature leaves none.
-func filterLevels(d int) int { return max(1, min(64/d, maxLevels)) }
-
-// NewFilter lays out the rows of blocks, taken as one sequence, block after
-// block. band is the operator: 0 filters to the skyline, k >= 1 to the
-// k-skyband (a row survives fewer than k dominators). The layout is built on
-// builders goroutines (one builds on the caller's alone) and is a function
-// of that row sequence alone — two builds from the same rows, by however
-// many builders, agree row for row, which is what lets the tasks of a
-// cluster job, each building its own, split the rows between them by index.
-func NewFilter(blocks []*points.Block, band, builders int) (*Filter, error) {
-	src := rowSeq{ends: make([]int, 0, len(blocks))}
-	n, d := 0, 0
-	for _, b := range blocks {
-		if b.Len() == 0 {
-			continue
-		}
-		if n > 0 && b.Dim() != d {
-			return nil, fmt.Errorf("%w: %d- and %d-dimensional rows", ErrCandidates, d, b.Dim())
-		}
-		d, n = b.Dim(), n+b.Len()
-		src.blocks, src.ends = append(src.blocks, b), append(src.ends, n)
-	}
+// newGroup lays out the rows of blk under levels (Sorted.Levels of blk's
+// dimension) for band: 0 kills a row at its first dominator, k >= 1 at its
+// k-th. Rows already in the merge's order stay in blk, which must not
+// change while the group is in use.
+func newGroup(levels, blk *points.Block, band int) (*group, error) {
+	n, d := blk.Len(), blk.Dim()
+	L, words := filterLevels(d), (n+63)/64
 	if n == 0 {
-		return nil, fmt.Errorf("%w: no rows", ErrCandidates)
+		return nil, fmt.Errorf("%w: an empty group", ErrCandidates)
 	}
-	return layOut(src, n, d, band, max(1, min(builders, n))), nil
+	if levels.Len() != L {
+		return nil, fmt.Errorf("%w: %d levels for %d-dimensional rows, want %d", ErrCandidates, levels.Len(), d, L)
+	}
+	g := &group{thr: make([]float64, d*L), levels: L, words: words, ge: make([]uint64, d*L*words+3),
+		dead: make([]uint64, words+3), dies: int32(max(band, 1)), dominators: make([]int32, n)}
+	for k := 0; k < L; k++ {
+		for i, v := range levels.Row(k) {
+			if k > 0 && !(v >= g.thr[i*L+k-1]) {
+				return nil, fmt.Errorf("%w: levels of dimension %d not ascending", ErrCandidates, i)
+			}
+			g.thr[i*L+k] = v
+		}
+	}
+	// A group cut from a sort arrives in the merge's order, and a layout
+	// only reads its rows: they are laid out where they lie.
+	g.rows, g.sums = blk, make([]float64, n)
+	for j := range g.sums {
+		g.sums[j] = rowSum(blk.Row(j))
+	}
+	if !slices.IsSortedFunc(g.sums, cmp.Compare[float64]) {
+		g.rows, g.sums = sortRows(rowSeq{blocks: []*points.Block{blk}, ends: []int{n}}, n, d, 1)
+	}
+	for j := 0; j < n; j++ {
+		bit := uint64(1) << (j % 64)
+		for i, v := range g.rows.Row(j) {
+			bm, t := g.ge[i*L*words+j/64:], g.thr[i*L:i*L+L]
+			for k := 0; k < L && v > t[k]; k++ {
+				bm[k*words] |= bit
+			}
+		}
+	}
+	return g, nil
 }
 
 // rowSeq is the non-empty blocks of a candidate set read as one row
@@ -115,97 +283,71 @@ func (s rowSeq) row(i int) []float64 {
 	return s.blocks[b].Row(i)
 }
 
-// sumKey is a row's place in the layout's order.
-type sumKey struct {
-	sum float64
-	i   int32 // the row's index in the input sequence
-}
-
-// layOut builds the filter over the n d-dimensional rows of src. Every
-// parallel step writes ranges that no other share touches — the bitmaps
-// are cut on whole words — and none reads what a share of the same step
-// writes, so the layout does not depend on the number of builders.
-func layOut(src rowSeq, n, d, band, builders int) *Filter {
-	L, words := filterLevels(d), (n+63)/64
-	f := &Filter{rows: points.NewBlock(d, n), sums: make([]float64, n), levels: L, words: words, ge: make([]uint64, d*L*words+3), kill: max(band, 1)}
-	keys := sortedKeys(src, n, builders)
-	f.rows.Extend(d, n)
+// sortRows copies the n d-dimensional rows of src in the merge's order,
+// with their sums, on builders goroutines.
+func sortRows(src rowSeq, n, d, builders int) (*points.Block, []float64) {
+	sums := make([]float64, n)
+	fan.Out(builders, func(share int) {
+		lo, hi := fan.Cut(n, builders, share)
+		for i := lo; i < hi; i++ {
+			sums[i] = rowSum(src.row(i))
+		}
+	})
+	order := sumOrder(sums)
+	rows, sorted := points.NewBlock(d, n), make([]float64, n)
+	rows.Extend(d, n)
 	fan.Out(builders, func(share int) {
 		lo, hi := fan.Cut(n, builders, share)
 		for j := lo; j < hi; j++ {
-			copy(f.rows.Row(j), src.row(int(keys[j].i)))
-			f.sums[j] = keys[j].sum
+			copy(rows.Row(j), src.row(int(order[j])))
+			sorted[j] = sums[order[j]]
 		}
 	})
-	f.thr, _ = fitLevels(f.rows, L, nil, nil)
-	fan.Out(builders, func(share int) {
-		lo, hi := fan.Cut(words, builders, share)
-		for j := lo * 64; j < min(hi*64, n); j++ {
-			bit := uint64(1) << (j % 64)
-			for i, v := range f.rows.Row(j) {
-				bm, t := f.ge[i*L*words+j/64:], f.thr[i*L:i*L+L]
-				for k := 0; k < L && v > t[k]; k++ {
-					bm[k*words] |= bit
-				}
-			}
-		}
-	})
-	return f
+	return rows, sorted
 }
 
-// sortedKeys returns the n rows of src in the layout's order, on builders
-// goroutines: each keys and sorts a share of the rows, and neighbouring
-// sorted runs are merged, in parallel, until one is left.
-func sortedKeys(src rowSeq, n, builders int) []sumKey {
-	keys, buf := make([]sumKey, n), make([]sumKey, n)
-	runs := make([]int, builders+1) // run r is keys[runs[r]:runs[r+1]]
-	for r := range runs {
-		runs[r], _ = fan.Cut(n, builders, r)
-	}
-	fan.Out(builders, func(r int) {
-		run := keys[runs[r]:runs[r+1]]
-		for k := range run {
-			i := runs[r] + k
-			run[k] = sumKey{rowSum(src.row(i)), int32(i)}
+// sumOrder returns the indices of sums in the merge's order: ascending by
+// sum — NaN first, as cmp.Compare has it, and −0 before +0 — then by
+// index. It is a stable radix sort of the sums' bits, mapped to integers
+// that order as the sums do, a byte a pass, skipping the bytes every key
+// shares.
+func sumOrder(sums []float64) []int32 {
+	n := len(sums)
+	key, idx := make([]uint64, n), make([]int32, n)
+	var counts [8][256]int
+	for i, s := range sums {
+		k := math.Float64bits(s)
+		switch {
+		case s != s:
+			k = 0
+		case k>>63 == 1:
+			k = ^k
+		default:
+			k |= 1 << 63
 		}
-		slices.SortFunc(run, compareKeys)
-	})
-	for len(runs) > 2 {
-		fan.Out(len(runs)/2, func(p int) {
-			lo, mid, hi := runs[2*p], runs[min(2*p+1, len(runs)-1)], runs[min(2*p+2, len(runs)-1)]
-			mergeKeys(buf[lo:hi], keys[lo:mid], keys[mid:hi])
-		})
-		keys, buf = buf, keys
-		for r := 1; 2*r < len(runs); r++ {
-			runs[r] = runs[2*r]
-		}
-		runs = append(runs[:len(runs)/2], runs[len(runs)-1])
-	}
-	return keys
-}
-
-// compareKeys orders keys by sum, NaN first as cmp.Compare has it, then by
-// input index. The two comparisons decide almost every pair on their own.
-func compareKeys(a, b sumKey) int {
-	switch {
-	case a.sum < b.sum:
-		return -1
-	case a.sum > b.sum:
-		return 1
-	}
-	return cmp.Or(cmp.Compare(a.sum, b.sum), int(a.i)-int(b.i))
-}
-
-// mergeKeys merges the sorted runs a and b into out, len(a)+len(b) long.
-func mergeKeys(out, a, b []sumKey) {
-	i, j := 0, 0
-	for k := range out {
-		if j == len(b) || i < len(a) && compareKeys(a[i], b[j]) < 0 {
-			out[k], i = a[i], i+1
-		} else {
-			out[k], j = b[j], j+1
+		key[i], idx[i] = k, int32(i)
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
 		}
 	}
+	key2, idx2 := make([]uint64, n), make([]int32, n)
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(key[0]>>(8*b))] == n {
+			continue
+		}
+		at := 0
+		for v, m := range c {
+			c[v], at = at, at+m
+		}
+		for i, k := range key {
+			v := byte(k >> (8 * b))
+			key2[c[v]], idx2[c[v]] = k, idx[i]
+			c[v]++
+		}
+		key, key2, idx, idx2 = key2, key, idx2, idx
+	}
+	return idx
 }
 
 // rowSum is a row's coordinate sum, added in dimension order.
@@ -216,27 +358,18 @@ func rowSum(p []float64) (sum float64) {
 	return sum
 }
 
-// LayoutBytes is what a filter over n d-dimensional rows holds: every row's
-// coordinates and sum, and its bitmaps, each rounded up to whole 64-row
-// words, with their padding. A budget sizes a layout by it before there is
-// one to ask (Filter.Bytes).
+// LayoutBytes is what a group of n d-dimensional rows holds once laid out:
+// every row's coordinates, sum and dominator count, and its bitmaps, each
+// rounded up to whole 64-row words, with their padding. A budget sizes a
+// group by it before there is one.
 func LayoutBytes(n, d int) int64 {
-	return int64(n)*int64(d*8+8) + (int64(d*filterLevels(d))*int64((n+63)/64)+3)*8
+	return int64(n)*int64(d*8+12) + (int64(d*filterLevels(d))*int64((n+63)/64)+3)*8
 }
-
-// Bytes is LayoutBytes of the filter's rows.
-func (f *Filter) Bytes() int64 { return LayoutBytes(f.Len(), f.Dim()) }
-
-// Len returns the number of candidate rows.
-func (f *Filter) Len() int { return f.rows.Len() }
-
-// Dim returns the candidates' dimension.
-func (f *Filter) Dim() int { return f.rows.Dim() }
 
 // level is the number of dimension i's thresholds v exceeds, counted
 // without a branch on each: a row's level is as likely one value as another.
-func (f *Filter) level(i int, v float64) (k int) {
-	for _, t := range f.thr[i*f.levels : (i+1)*f.levels] {
+func (g *group) level(i int, v float64) (k int) {
+	for _, t := range g.thr[i*g.levels : (i+1)*g.levels] {
 		if v > t {
 			k++
 		}
@@ -244,63 +377,40 @@ func (f *Filter) level(i int, v float64) (k int) {
 	return k
 }
 
-// A probe is one row's bitmap test: the layout rows in [lo, hi) set in
-// every bitmap at offs, each read XOR flip.
-type probe struct {
-	lo, hi int
-	offs   []int
-	flip   uint64
-}
-
-// dominators is the probe for the rows that may dominate p, whose sum is
-// psum: those before p's sum cut with no level above p's — outside bitmap
-// (i, level_i(p)) for every dimension below its top level. offs is
-// scratch, reused.
-func (f *Filter) dominators(p []float64, psum float64, offs []int) probe {
-	offs = offs[:0]
-	for i, v := range p {
-		if k := f.level(i, v); k < f.levels {
-			offs = append(offs, (i*f.levels+k)*f.words)
-		}
-	}
-	hi := sort.Search(len(f.sums), func(j int) bool { return f.sums[j] > psum })
-	return probe{hi: hi, offs: offs, flip: ^uint64(0)}
-}
-
 // dominated is the probe for the rows q may dominate, whose sum is qsum:
-// those from q's sum on with no level below q's — inside bitmap (i,
-// level_i(q) − 1) for every dimension above its bottom level. offs is
-// scratch, reused.
-func (f *Filter) dominated(q []float64, qsum float64, offs []int) probe {
+// those from row lo on — the first whose sum is q's or more — with no level
+// below q's, inside bitmap (i, level_i(q) − 1), at offs, for every
+// dimension above its bottom level. offs is scratch, reused.
+func (g *group) dominated(q []float64, qsum float64, offs []int) (lo int, _ []int) {
 	offs = offs[:0]
 	for i, v := range q {
-		if k := f.level(i, v); k > 0 {
-			offs = append(offs, (i*f.levels+k-1)*f.words)
+		if k := g.level(i, v); k > 0 {
+			offs = append(offs, (i*g.levels+k-1)*g.words)
 		}
 	}
-	lo := sort.Search(len(f.sums), func(j int) bool { return f.sums[j] >= qsum })
-	return probe{lo: lo, hi: len(f.sums), offs: offs}
+	return sort.Search(len(g.sums), func(j int) bool { return g.sums[j] >= qsum }), offs
 }
 
-// block returns the rows of words w … w+3 that pr keeps, a word each: four
-// words per pass over the probe's bitmaps. Words past a bitmap's last are
-// the next bitmap's, or padding, and hold rows past hi: they are masked.
-func (f *Filter) block(pr *probe, w int) (a0, a1, a2, a3 uint64) {
-	base := w * 64
-	a0 = below(pr.hi-base) &^ below(pr.lo-base)
-	a1 = below(pr.hi-base-64) &^ below(pr.lo-base-64)
-	a2 = below(pr.hi-base-128) &^ below(pr.lo-base-128)
-	a3 = below(pr.hi-base-192) &^ below(pr.lo-base-192)
-	ge, flip := f.ge, pr.flip
-	for _, o := range pr.offs {
+// block returns the live rows of words w … w+3 that the probe (lo, offs)
+// keeps, a word each: four words per pass over its bitmaps. Words past a
+// bitmap's last are the next bitmap's, or padding, and hold rows past the
+// group's last: they are masked.
+func (g *group) block(lo int, offs []int, w int) (a0, a1, a2, a3 uint64) {
+	hi, base, dead := len(g.sums)-w*64, lo-w*64, g.dead[w:w+4:w+4]
+	a0 = below(hi) &^ below(base) &^ dead[0]
+	a1 = below(hi-64) &^ below(base-64) &^ dead[1]
+	a2 = below(hi-128) &^ below(base-128) &^ dead[2]
+	a3 = below(hi-192) &^ below(base-192) &^ dead[3]
+	ge := g.ge
+	for _, o := range offs {
 		if a0|a1|a2|a3 == 0 {
 			break // no row left to rule out
 		}
 		b := ge[o+w : o+w+4 : o+w+4]
-		a0 &= b[0] ^ flip
-		a1 &= b[1] ^ flip
-		a2 &= b[2] ^ flip
-		a3 &= b[3] ^ flip
+		a0 &= b[0]
+		a1 &= b[1]
+		a2 &= b[2]
+		a3 &= b[3]
 	}
 	return a0, a1, a2, a3
 }
@@ -325,79 +435,43 @@ func dominates(q, p []float64) bool {
 	return k == len(q) && strict
 }
 
-// Survives reports whether row — of the filter's dimension; one of its own
-// rows or any other — is dominated by fewer candidates than kill it.
-// Coordinate-equal rows do not dominate each other: duplicates all survive.
-func (f *Filter) Survives(row []float64) bool {
-	ok, tests := f.survives(row, make([]int, 0, f.Dim()))
-	dominanceTests.Add(tests)
-	return ok
-}
-
-// survives is Survives with the coordinate tests it ran left to the caller
-// to publish; offs is the probe's scratch. It tests the rows the bitmaps
-// leave in ascending sum, the strongest dominators first.
-func (f *Filter) survives(p []float64, offs []int) (bool, int64) {
-	d := f.rows.Dim()
-	p = p[:d]
-	pr := f.dominators(p, rowSum(p), offs)
-	tests, found := int64(0), 0
-	for w := 0; w*64 < pr.hi; w += 4 {
-		a0, a1, a2, a3 := f.block(&pr, w)
-		for k, word := range [4]uint64{a0, a1, a2, a3} {
-			for ; word != 0; word &= word - 1 {
-				tests++
-				if dominates(f.rows.Row((w+k)*64 + bits.TrailingZeros64(word))[:d], p) {
-					if found++; found == f.kill {
-						return false, tests
-					}
-				}
-			}
-		}
-	}
-	return true, tests
-}
-
-// Kill is Survives turned round, for a merge that holds only a group of
-// the candidates: the rows of blk are streamed past the filter's own, and
-// every layout row a row of blk strictly dominates counts one more dominator
-// in dominators (one counter per layout row, Len of them; a row dies at the
-// band's count, and a dead row is not tested again). It only reads the
-// filter. Rows of blk of another dimension are an error wrapping
+// kill streams the rows of blk past the group: every live row a row of blk
+// strictly dominates counts one more dominator, and dies at the band's
+// count. Coordinate-equal rows do
+// not dominate each other. Rows of another dimension are an error wrapping
 // ErrCandidates.
-func (f *Filter) Kill(blk *points.Block, dominators []int32) error {
+func (g *group) kill(blk *points.Block) error {
 	if blk.Len() == 0 {
 		return nil
 	}
-	if blk.Dim() != f.Dim() {
-		return fmt.Errorf("%w: %d-dimensional rows streamed past a %d-dimensional layout", ErrCandidates, blk.Dim(), f.Dim())
+	if blk.Dim() != g.rows.Dim() {
+		return fmt.Errorf("%w: %d-dimensional rows streamed past a %d-dimensional layout", ErrCandidates, blk.Dim(), g.rows.Dim())
 	}
-	tests, offs := int64(0), make([]int, 0, f.Dim())
+	tests, offs := int64(0), make([]int, 0, blk.Dim())
 	for i := 0; i < blk.Len(); i++ {
-		tests += f.kills(blk.Row(i), dominators, offs)
+		tests += g.kills(blk.Row(i), offs)
 	}
 	dominanceTests.Add(tests)
 	return nil
 }
 
-// kills is Kill for one row q, returning the coordinate tests it ran; offs
+// kills is kill for one row q, returning the coordinate tests it ran; offs
 // is the probe's scratch.
-func (f *Filter) kills(q []float64, dominators []int32, offs []int) int64 {
-	d := f.rows.Dim()
+func (g *group) kills(q []float64, offs []int) int64 {
+	d := g.rows.Dim()
 	q = q[:d]
-	pr := f.dominated(q, rowSum(q), offs)
-	kill, tests := int32(f.kill), int64(0)
-	for w := pr.lo / 64; w*64 < pr.hi; w += 4 {
-		a0, a1, a2, a3 := f.block(&pr, w)
+	lo, offs := g.dominated(q, rowSum(q), offs)
+	tests := int64(0)
+	for w := lo / 64; w*64 < len(g.sums); w += 4 {
+		a0, a1, a2, a3 := g.block(lo, offs, w)
 		for k, word := range [4]uint64{a0, a1, a2, a3} {
 			for ; word != 0; word &= word - 1 {
 				j := (w+k)*64 + bits.TrailingZeros64(word)
-				if dominators[j] >= kill {
-					continue // dead already
-				}
 				tests++
-				if dominates(q, f.rows.Row(j)[:d]) {
-					dominators[j]++
+				if dominates(q, g.rows.Row(j)[:d]) {
+					if g.dominators[j]++; g.dominators[j] == g.dies {
+						g.dead[j/64] |= 1 << (j % 64)
+					}
 				}
 			}
 		}
@@ -405,49 +479,25 @@ func (f *Filter) kills(q []float64, dominators []int32, offs []int) int64 {
 	return tests
 }
 
-// Alive hands keep every layout row with fewer dominators than kill it, in
-// layout order, each valid for the call only, and returns how many it kept.
-func (f *Filter) Alive(dominators []int32, keep func(row []float64)) int {
+// alive streams the group's own rows past it, in its order — skipping the
+// dead, whose killers came before them and have killed every row they
+// would — then hands keep every row with fewer dominators than it dies of,
+// in the group's order, each valid for the call only, and returns how many
+// it kept. It is called once, after the last kill.
+func (g *group) alive(keep func(row []float64)) int {
+	tests, offs := int64(0), make([]int, 0, g.rows.Dim())
+	for j := range g.dominators {
+		if g.dead[j/64]>>(j%64)&1 == 0 {
+			tests += g.kills(g.rows.Row(j), offs)
+		}
+	}
+	dominanceTests.Add(tests)
 	kept := 0
-	for j, n := range dominators[:f.Len()] {
-		if n < int32(f.kill) {
-			keep(f.rows.Row(j))
+	for j, n := range g.dominators {
+		if n < g.dies {
+			keep(g.rows.Row(j))
 			kept++
 		}
 	}
 	return kept
-}
-
-// Share tests the filter's own rows task, task+tasks, task+2·tasks, … and
-// hands keep each survivor, valid for the call only. It returns the number
-// of rows tested. Shares 0 … tasks−1 cover every row once; the stride
-// spreads every sum, cheap and dear, over all of them.
-func (f *Filter) Share(task, tasks int, keep func(row []float64)) int {
-	tested, tests, offs := 0, int64(0), make([]int, 0, f.Dim())
-	for i := task; i < f.Len(); i += tasks {
-		row := f.rows.Row(i)
-		ok, n := f.survives(row, offs)
-		if ok {
-			keep(row)
-		}
-		tests += n
-		tested++
-	}
-	dominanceTests.Add(tests)
-	return tested
-}
-
-// Survivors filters every row, one share per goroutine, and returns the
-// survivors in a fresh block.
-func (f *Filter) Survivors(workers int) *points.Block {
-	shares := make([]*points.Block, max(1, min(workers, f.Len())))
-	fan.Out(len(shares), func(g int) {
-		shares[g] = points.NewBlock(f.Dim(), 0)
-		f.Share(g, len(shares), shares[g].AppendRow)
-	})
-	out := shares[0]
-	for _, share := range shares[1:] {
-		out.AppendBlock(share)
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -40,98 +41,90 @@ func cut(rows [][]float64, n int) []*points.Block {
 	return blocks
 }
 
-// killed is the blocked merge over rows dealt into nBlocks blocks: the rows
-// cut into groups consecutive ranges (as even as their count allows), each
-// laid out on its own and killed by every block of the stream, and the
-// survivors of the groups in group order.
-func killed(t testing.TB, rows [][]float64, nBlocks, groups, band int) points.Set {
+// merged is the merge of rows dealt into nBlocks blocks, sorted on builders
+// goroutines and cut into groups at ends(sorted), each group's task fed the
+// rows streamed past it in blocks of piece rows: the groups' survivors in
+// group order, and the sort they were cut from.
+func merged(t testing.TB, rows [][]float64, nBlocks, builders, piece, band int, ends func(*Sorted) []int) (points.Set, *Sorted) {
 	t.Helper()
-	stream := cut(rows, nBlocks)
-	var out points.Set
-	for g := 0; g < groups; g++ {
-		lo, hi := g*len(rows)/groups, (g+1)*len(rows)/groups
-		if lo == hi {
-			continue
-		}
-		f, err := NewFilter(cut(rows[lo:hi], 1), band, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Bytes() != LayoutBytes(hi-lo, len(rows[0])) || f.Bytes() <= int64(hi-lo)*int64(len(rows[0]))*8 {
-			t.Fatalf("a %d-row layout counts %d bytes, LayoutBytes says %d", hi-lo, f.Bytes(), LayoutBytes(hi-lo, len(rows[0])))
-		}
-		dominators := make([]int32, f.Len())
-		for _, blk := range stream {
-			if err := f.Kill(blk, dominators); err != nil {
-				t.Fatal(err)
-			}
-		}
-		kept := f.Alive(dominators, func(row []float64) { out = append(out, slices.Clone(row)) })
-		if kept > hi-lo {
-			t.Fatalf("group %d kept %d of its %d rows", g, kept, hi-lo)
-		}
-	}
-	return out
-}
-
-// checkFilter builds a filter over rows dealt into nBlocks blocks, on
-// builders goroutines, and requires, against the oracle: the survivors of
-// every goroutine count as a multiset, Survives row by row, and Share's
-// coverage of the rows — and the same survivors from the rows cut into
-// groups, each killed by the whole stream.
-func checkFilter(t testing.TB, rows [][]float64, nBlocks, groups, band, builders int) {
-	t.Helper()
-	f, err := NewFilter(cut(rows, nBlocks), band, builders)
+	d := len(rows[0])
+	s, err := Sort(cut(rows, nBlocks), d, builders)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out points.Set
+	at := ends(s)
+	for g, hi := range at {
+		lo := 0
+		if g > 0 {
+			lo = at[g-1]
+		}
+		n, peak, err := MergeTask(stream(s.Input(at, g, piece)), d, band, func(row []float64) { out = append(out, slices.Clone(row)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != hi-lo || peak < LayoutBytes(n, d) || LayoutBytes(n, d) <= int64(n)*int64(d)*8 {
+			t.Fatalf("group %d of %d rows: a task of %d rows, a peak of %d bytes (LayoutBytes %d)", g, hi-lo, n, peak, LayoutBytes(n, d))
+		}
+	}
+	return out, s
+}
+
+// aGroupEach cuts every row into a group of its own.
+func aGroupEach(s *Sorted) []int {
+	ends := make([]int, s.Rows.Len())
+	for j := range ends {
+		ends[j] = j + 1
+	}
+	return ends
+}
+
+// cutInto is Sorted.Cut(k).
+func cutInto(k int) func(*Sorted) []int { return func(s *Sorted) []int { return s.Cut(k) } }
+
+// checkFilter merges rows (see merged) and requires the oracle's rows, in
+// the merge's order: the sorted rows the oracle keeps, as they come.
+func checkFilter(t testing.TB, rows [][]float64, nBlocks, builders, piece, band int, ends func(*Sorted) []int) {
+	t.Helper()
 	set := make(points.Set, len(rows))
 	for i, row := range rows {
 		set[i] = row
 	}
 	want := filterOracle(t, set, band)
-	if got := killed(t, rows, nBlocks, groups, band); !sameMultiset(got, want) {
-		t.Fatalf("band %d, %d blocks, %d groups: %d rows survive the kill walk, oracle %d", band, nBlocks, groups, len(got), len(want))
-	}
-	for _, workers := range []int{1, 2, 3, len(rows) + 5} {
-		if got := f.Survivors(workers).ToSet(); !sameMultiset(got, want) {
-			t.Fatalf("band %d, %d blocks, %d goroutines: %d survivors, oracle %d", band, nBlocks, workers, len(got), len(want))
-		}
-	}
 	kept := make(map[string]bool, len(want))
 	for _, p := range want {
 		kept[points.Key(p)] = true
 	}
-	for _, row := range rows {
-		if got := f.Survives(row); got != kept[points.Key(row)] {
-			t.Fatalf("band %d: Survives(%v) = %v, oracle %v", band, row, got, !got)
+	got, s := merged(t, rows, nBlocks, builders, piece, band, ends)
+	var inOrder points.Set
+	for j := 0; j < s.Rows.Len(); j++ {
+		if kept[points.Key(s.Rows.Row(j))] {
+			inOrder = append(inOrder, s.Rows.Row(j))
 		}
 	}
-	tested := 0
-	for task := 0; task < 3; task++ {
-		tested += f.Share(task, 3, func([]float64) {})
-	}
-	if tested != len(rows) || f.Len() != len(rows) {
-		t.Fatalf("three shares tested %d rows of %d (Len %d)", tested, len(rows), f.Len())
+	if !sameMultiset(got, want) || !slices.EqualFunc(got, inOrder, func(a, b points.Point) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("band %d, %d blocks, %d groups: %d rows survive, oracle %d, or not in the merge's order", band, nBlocks, len(ends(s)), len(got), len(want))
 	}
 }
 
-// TestFilterMatchesOracle: the cases the layout could get wrong, each for
-// the skyline and bands 1–3, from one input block by one builder and from
-// many by three.
+// TestFilterMatchesOracle: the cases the merge could get wrong, each for
+// the skyline and bands 1–3: one group from one input block sorted by one
+// builder, three groups of equal pair work from eight blocks sorted by
+// three, fed in pieces of two rows, and a group a row.
 func TestFilterMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(241))
 	big := math.MaxFloat64 / 2
 	cases := map[string][][]float64{
-		"duplicates, all retained":      {{1, 2}, {1, 2}, {2, 1}, {2, 2}, {1, 2}, {2, 2}},
-		"equal sums, one dominates":     {{1e16, 0}, {1e16, 1}, {1e16, 1}, {0, 1e16}, {1, 1e16}},
-		"one row":                       {{3, 1, 4}},
-		"sums overflow to +Inf":         {{big, big, big}, {big, big, 1}, {big, big, big}, {1, big, big}, {big, 1, big}, {big, big / 2, big}},
-		"negative and positive, wide":   {{-big, big}, {big, -big}, {-big, -big}, {0, 0}, {-big, 0}},
-		"constant column":               windowStream(rng, 1, 400, 5, 2),
-		"every column constant":         windowStream(rng, 0, 50, 1, 0),
-		"integer grid, ties everywhere": windowStream(rng, 0, 600, 4, -1),
-		"anti-diagonal":                 windowStream(rng, 2, 500, 2, -1),
+		"duplicates, all retained":       {{1, 2}, {1, 2}, {2, 1}, {2, 2}, {1, 2}, {2, 2}},
+		"equal sums, one dominates":      {{1e16, 0}, {1e16, 1}, {1e16, 1}, {0, 1e16}, {1, 1e16}},
+		"equal sums, the dominator last": {{1e16, 1}, {0, 1e16}, {1e16, 1}, {1e16, 0}},
+		"one row":                        {{3, 1, 4}},
+		"sums overflow to +Inf":          {{big, big, big}, {big, big, 1}, {big, big, big}, {1, big, big}, {big, 1, big}, {big, big / 2, big}},
+		"negative and positive, wide":    {{-big, big}, {big, -big}, {-big, -big}, {0, 0}, {-big, 0}},
+		"constant column":                windowStream(rng, 1, 400, 5, 2),
+		"every column constant":          windowStream(rng, 0, 50, 1, 0),
+		"integer grid, ties everywhere":  windowStream(rng, 0, 600, 4, -1),
+		"anti-diagonal":                  windowStream(rng, 2, 500, 2, -1),
 	}
 	// Rows that agree on twelve leading dimensions and differ only past
 	// them: every leading bitmap is empty, and sums tie by the hundred.
@@ -163,33 +156,36 @@ func TestFilterMatchesOracle(t *testing.T) {
 	for name, rows := range cases {
 		t.Run(name, func(t *testing.T) {
 			for band := 0; band <= 3; band++ {
-				checkFilter(t, rows, 1, 1, band, 1)
-				checkFilter(t, rows, 8, 3, band, 3)
-				checkFilter(t, rows, 3, len(rows), band, 2) // a group a row
+				checkFilter(t, rows, 1, 1, 0, band, cutInto(1))
+				checkFilter(t, rows, 8, 3, 2, band, cutInto(3))
+				checkFilter(t, rows, 3, 2, 1, band, aGroupEach)
 			}
 		})
 	}
 }
 
-// TestFilterBitmapsAreTheSignatureTest: the rows a probe leaves for the
-// coordinate test are exactly those a row-by-row scan of levels and sums
-// leaves — for Survives, no level above the probe's and a sum no larger;
-// for Kill, no level below it and a sum no smaller — at dimensions either
-// side of one signature word and row counts either side of one bitmap
-// word, and the walks test exactly those rows.
+// TestFilterBitmapsAreTheSignatureTest: the rows a kill probe leaves for
+// the coordinate test are exactly those a row-by-row scan of levels and
+// sums leaves — no level below the probe's and a sum no smaller — at
+// dimensions either side of one signature word and row counts either side
+// of one bitmap word, and the kill walk tests exactly those rows.
 func TestFilterBitmapsAreTheSignatureTest(t *testing.T) {
 	rng := rand.New(rand.NewSource(244))
 	for _, d := range []int{2, 6, 10, 64, 65} {
 		for _, n := range []int{1, 63, 64, 65, 129, 3000} {
 			rows := windowStream(rng, n%3, n, d, -1)
-			f, err := NewFilter(cut(rows, 3), n+1, 2) // no row dies: every walk runs to its end
+			s, err := Sort(cut(rows, 3), d, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := newGroup(s.Levels, s.Rows, math.MaxInt32) // no row dies: every walk runs to its end
 			if err != nil {
 				t.Fatal(err)
 			}
 			levels := func(p []float64) []int {
 				lv := make([]int, d)
 				for i, v := range p {
-					for _, thr := range f.thr[i*f.levels : (i+1)*f.levels] {
+					for _, thr := range g.thr[i*g.levels : (i+1)*g.levels] {
 						if v > thr {
 							lv[i]++
 						}
@@ -197,49 +193,41 @@ func TestFilterBitmapsAreTheSignatureTest(t *testing.T) {
 				}
 				return lv
 			}
-			layout := make([][]int, f.Len())
+			layout := make([][]int, g.rows.Len())
 			for j := range layout {
-				layout[j] = levels(f.rows.Row(j))
+				layout[j] = levels(g.rows.Row(j))
 			}
 			probes := append(slices.Clone(rows[:min(n, 40)]), windowStream(rng, 1, 10, d, -1)...)
 			for _, p := range probes {
 				lp, sp := levels(p), rowSum(p)
-				var under, over []int
+				var over []int
 				for j, lq := range layout {
-					below, above := true, true
+					above := true
 					for i := range lq {
-						below = below && lq[i] <= lp[i]
 						above = above && lq[i] >= lp[i]
 					}
-					if below && f.sums[j] <= sp {
-						under = append(under, j)
-					}
-					if above && f.sums[j] >= sp {
+					if above && g.sums[j] >= sp {
 						over = append(over, j)
 					}
 				}
-				if got := probed(f, f.dominators(p, sp, nil)); !slices.Equal(got, under) {
-					t.Fatalf("d=%d n=%d: Survives's probe keeps rows %v, the scan %v", d, n, got, under)
+				if got := probed(g, sp, p); !slices.Equal(got, over) {
+					t.Fatalf("d=%d n=%d: the kill probe keeps rows %v, the scan %v", d, n, got, over)
 				}
-				if got := probed(f, f.dominated(p, sp, nil)); !slices.Equal(got, over) {
-					t.Fatalf("d=%d n=%d: Kill's probe keeps rows %v, the scan %v", d, n, got, over)
-				}
-				if _, tests := f.survives(p, nil); tests != int64(len(under)) {
-					t.Fatalf("d=%d n=%d: Survives tested %d rows, its probe keeps %d", d, n, tests, len(under))
-				}
-				if tests := f.kills(p, make([]int32, f.Len()), nil); tests != int64(len(over)) {
-					t.Fatalf("d=%d n=%d: Kill tested %d rows, its probe keeps %d", d, n, tests, len(over))
+				if tests := g.kills(p, nil); tests != int64(len(over)) {
+					t.Fatalf("d=%d n=%d: the kill walk tested %d rows, its probe keeps %d", d, n, tests, len(over))
 				}
 			}
 		}
 	}
 }
 
-// probed lists the layout rows a probe keeps, in ascending order.
-func probed(f *Filter, pr probe) []int {
+// probed lists the layout rows of g the kill probe of p, whose sum is sp,
+// keeps, in ascending order.
+func probed(g *group, sp float64, p []float64) []int {
 	var rows []int
-	for w := pr.lo / 64; w*64 < pr.hi; w += 4 {
-		a0, a1, a2, a3 := f.block(&pr, w)
+	lo, offs := g.dominated(p, sp, nil)
+	for w := lo / 64; w*64 < len(g.sums); w += 4 {
+		a0, a1, a2, a3 := g.block(lo, offs, w)
 		for k, word := range [4]uint64{a0, a1, a2, a3} {
 			for j := 0; j < 64; j++ {
 				if word>>j&1 == 1 {
@@ -254,8 +242,8 @@ func probed(f *Filter, pr probe) []int {
 // TestFilterPrunesPastSixtyFourDimensions: at d=65, where the window keeps
 // no signature, every dimension keeps its median level, so rows that tie on
 // their twelve leading columns are still told apart by the other 53, and a
-// probe tests a handful of rows, not the half of the set whose sum is
-// below its own.
+// row streamed past the group tests a handful of rows, not the half of the
+// set whose sum is above its own.
 func TestFilterPrunesPastSixtyFourDimensions(t *testing.T) {
 	const n, d = 2000, 65
 	rows := windowStream(rand.New(rand.NewSource(245)), 1, n, d, -1)
@@ -266,23 +254,20 @@ func TestFilterPrunesPastSixtyFourDimensions(t *testing.T) {
 		}
 		set[j] = p
 	}
-	f, err := NewFilter(cut(rows, 1), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	t0 := DominanceTests()
-	kept := f.Survivors(1).Len()
+	kept, _ := merged(t, rows, 1, 1, 0, 0, cutInto(1))
 	perRow := float64(DominanceTests()-t0) / n
 	if perRow > n/16 {
 		t.Fatalf("d=%d: %.1f coordinate tests a row, want well below n/2 = %d", d, perRow, n/2)
 	}
-	if want := len(BNL(set)); kept != want {
-		t.Fatalf("d=%d: %d survivors, oracle %d", d, kept, want)
+	if want := len(BNL(set)); len(kept) != want {
+		t.Fatalf("d=%d: %d survivors, oracle %d", d, len(kept), want)
 	}
-	t.Logf("d=%d: %.2f tests a row, %d survivors of %d", d, perRow, kept, n)
+	t.Logf("d=%d: %.2f tests a row, %d survivors of %d", d, perRow, len(kept), n)
 }
 
-// TestFilterRejects: a set no filter can be laid out from is ErrCandidates.
+// TestFilterRejects: a set no merge can sort, and a task input no sort
+// could have cut, are ErrCandidates.
 func TestFilterRejects(t *testing.T) {
 	two, _ := points.BlockOf(points.Set{{1, 2}, {2, 1}})
 	three, _ := points.BlockOf(points.Set{{1, 2, 3}})
@@ -291,8 +276,25 @@ func TestFilterRejects(t *testing.T) {
 		"only empty ones":  {points.NewBlock(0, 0), points.NewBlock(4, 0)},
 		"mixed dimensions": {two, points.NewBlock(0, 0), three},
 	} {
-		if f, err := NewFilter(blocks, 0, 2); !errors.Is(err, ErrCandidates) || f != nil {
-			t.Errorf("%s: NewFilter returned %v, %v; want ErrCandidates", name, f, err)
+		if s, err := Sort(blocks, 2, 1); !errors.Is(err, ErrCandidates) || s != nil {
+			t.Errorf("%s: Sort returned %v, %v; want ErrCandidates", name, s, err)
+		}
+	}
+	s, err := Sort([]*points.Block{two}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	descending, _ := points.BlockOf(points.Set{{5, 5}, {4, 4}, {3, 3}, {2, 2}, {1, 1}})
+	for name, in := range map[string][]*points.Block{
+		"nothing":                {},
+		"no group":               {s.Levels},
+		"levels of other counts": {s.Rows, s.Rows},
+		"levels descending":      {descending, s.Rows},
+		"a group of 3 dims":      {s.Levels, three},
+		"an empty group":         {s.Levels, points.NewBlock(2, 0)},
+	} {
+		if _, _, err := MergeTask(stream(in), 2, 0, func([]float64) {}); !errors.Is(err, ErrCandidates) {
+			t.Errorf("%s: MergeTask returned %v; want ErrCandidates", name, err)
 		}
 	}
 }
@@ -302,115 +304,128 @@ func TestFilterRejects(t *testing.T) {
 func TestKillRejectsOtherDimensions(t *testing.T) {
 	two, _ := points.BlockOf(points.Set{{2, 2}, {3, 1}})
 	three, _ := points.BlockOf(points.Set{{1, 1, 1}})
-	f, err := NewFilter([]*points.Block{two}, 0, 1)
+	s, err := Sort([]*points.Block{two}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dominators := make([]int32, f.Len())
-	if err := f.Kill(three, dominators); !errors.Is(err, ErrCandidates) || !strings.Contains(err.Error(), "3-dimensional rows streamed past a 2-dimensional layout") {
-		t.Errorf("Kill of 3-dimensional rows: %v, want ErrCandidates naming both dimensions", err)
+	g, err := newGroup(s.Levels, s.Rows, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := f.Kill(points.NewBlock(5, 0), dominators); err != nil {
-		t.Errorf("Kill of an empty block: %v", err)
+	if err := g.kill(three); !errors.Is(err, ErrCandidates) || !strings.Contains(err.Error(), "3-dimensional rows streamed past a 2-dimensional layout") {
+		t.Errorf("kill of 3-dimensional rows: %v, want ErrCandidates naming both dimensions", err)
 	}
-	if !slices.Equal(dominators, []int32{0, 0}) {
-		t.Errorf("dominators %v after refused blocks, want none counted", dominators)
+	if err := g.kill(points.NewBlock(5, 0)); err != nil {
+		t.Errorf("kill of an empty block: %v", err)
+	}
+	if !slices.Equal(g.dominators, []int32{0, 0}) {
+		t.Errorf("dominators %v after refused blocks, want none counted", g.dominators)
 	}
 }
 
-// layoutOf copies everything Survives reads.
-func layoutOf(f *Filter) []any {
-	return []any{f.rows.Clone(), slices.Clone(f.sums), slices.Clone(f.thr), f.levels, f.words, slices.Clone(f.ge), f.kill}
+// sortOf copies everything a sort holds; layoutOf everything a group does.
+func sortOf(s *Sorted) []any { return []any{s.Rows.Clone(), s.Levels.Clone(), slices.Clone(s.sums)} }
+
+func layoutOf(g *group) []any {
+	return []any{g.rows.Clone(), slices.Clone(g.sums), slices.Clone(g.thr), g.levels, g.words, slices.Clone(g.ge), g.dies, slices.Clone(g.dominators)}
 }
 
-// TestFilterLayoutIsAFunctionOfRows: the tasks of a cluster merging job each
-// build their own filter and share the rows out by index, so two builds from
-// the same row sequence — however it is cut into blocks, and on however many
-// goroutines each is made — must agree exactly, duplicates and equal sums
-// included.
+// TestFilterLayoutIsAFunctionOfRows: the merge's order and levels are a
+// function of the row sequence alone — however it is cut into blocks, and
+// on however many goroutines it is sorted — duplicates and equal sums
+// included, so every executor cuts the same groups; and a group laid out
+// from rows in another order sorts them into the same layout.
 func TestFilterLayoutIsAFunctionOfRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(242))
 	for _, d := range []int{2, 6, 10, 65} {
 		rows := windowStream(rng, 0, 3000, d, -1) // the grid: thousands of equal sums
 		rows = append(rows, rows[:200]...)
-		ref, err := NewFilter(cut(rows, 1), 0, 1)
+		ref, err := Sort(cut(rows, 1), d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refGroup, err := newGroup(ref.Levels, ref.Rows, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, nBlocks := range []int{1, 2, 9} {
 			for _, builders := range []int{1, 2, 8} {
-				f, err := NewFilter(cut(rows, nBlocks), 0, builders)
+				s, err := Sort(cut(rows, nBlocks), d, builders)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(layoutOf(f), layoutOf(ref)) {
-					t.Fatalf("d=%d: a build from %d blocks by %d builders differs from one builder's from one block", d, nBlocks, builders)
+				if !reflect.DeepEqual(sortOf(s), sortOf(ref)) {
+					t.Fatalf("d=%d: a sort of %d blocks by %d builders differs from one builder's of one block", d, nBlocks, builders)
 				}
 			}
+		}
+		unsorted, err := newGroup(ref.Levels, cut(rows, 1)[0], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(layoutOf(unsorted), layoutOf(refGroup)) {
+			t.Fatalf("d=%d: a group laid out from the input order differs from one laid out from the merge's", d)
 		}
 	}
 }
 
-// TestFilterSharedReadOnly: one filter serves every goroutine of a merge,
-// so Survives, Share and Survivors must only read it. Under -race a write
-// is reported; without it the layout is compared before and after.
+// TestFilterSharedReadOnly: every task of an in-process merge reads one
+// sort — its group, the rows it streams and the levels are views of it —
+// so the tasks must only read it. Eight goroutines each run every group's
+// task, from a different first group, and keep the rows one goroutine
+// kept; under -race a write is reported, and without it the sort is
+// compared before and after.
 func TestFilterSharedReadOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(243))
 	rows := windowStream(rng, 2, 4000, 5, -1)
-	f, err := NewFilter(cut(rows, 4), 0, 2)
+	s, err := Sort(cut(rows, 4), 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := layoutOf(f)
-	want := f.Survivors(1).Len()
-	if want == 0 || want == len(rows) {
-		t.Fatalf("%d of %d rows survive: the stream no longer has both kinds", want, len(rows))
+	before := sortOf(s)
+	ends := s.Cut(8)
+	task := func(g int) int {
+		kept := 0
+		if _, _, err := MergeTask(stream(s.Input(ends, g, 100)), 5, 0, func([]float64) { kept++ }); err != nil {
+			t.Error(err)
+		}
+		return kept
+	}
+	want := make([]int, len(ends))
+	total := 0
+	for g := range ends {
+		want[g] = task(g)
+		total += want[g]
+	}
+	if total == 0 || total == len(rows) {
+		t.Fatalf("%d of %d rows survive: the stream no longer has both kinds", total, len(rows))
 	}
 	var wg sync.WaitGroup
-	kept := make([]int, 8)
-	for g := range kept {
+	for first := 0; first < 8; first++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := g; i < len(rows); i += len(kept) {
-				if f.Survives(rows[i]) {
-					kept[g]++
+			for k := range ends {
+				g := (first + k) % len(ends)
+				if got := task(g); got != want[g] {
+					t.Errorf("group %d kept %d rows beside the other tasks, %d alone", g, got, want[g])
 				}
-			}
-			f.Share(g, len(kept), func([]float64) {})
-			f.Survivors(2)
-			if err := f.Kill(points.NewBlock(5, 0), nil); err != nil {
-				t.Error(err)
-			}
-			dominators := make([]int32, f.Len())
-			for _, blk := range cut(rows, 3) {
-				if err := f.Kill(blk, dominators); err != nil {
-					t.Error(err)
-				}
-			}
-			if alive := f.Alive(dominators, func([]float64) {}); alive != want {
-				t.Errorf("the kill walk kept %d rows, the filter %d", alive, want)
 			}
 		}()
 	}
 	wg.Wait()
-	total := 0
-	for _, n := range kept {
-		total += n
-	}
-	if total != want {
-		t.Fatalf("8 goroutines kept %d rows, one kept %d", total, want)
-	}
-	if !reflect.DeepEqual(layoutOf(f), before) {
-		t.Fatal("filtering changed the layout")
+	if !reflect.DeepEqual(sortOf(s), before) {
+		t.Fatal("merging changed the sort")
 	}
 }
 
-// FuzzFilterMatchesReference drives the filter with fuzz-chosen geometry —
+// FuzzFilterMatchesReference drives the merge with fuzz-chosen geometry —
 // stream kind, size, dimension, a constant column, the band, the number of
-// input blocks, the number of goroutines that build the layout and the
-// number of groups the kill walk cuts the rows into — against the classic
-// oracle.
+// input blocks, the number of goroutines that sort them and the number of
+// groups, cut at sum splitters drawn from the seed, each killed only by the
+// rows at or below its largest sum, in pieces of up to three rows — against
+// the classic oracle, rows and order; and, for the skyline, the merge on
+// that many goroutines as ParallelBlock runs it.
 func FuzzFilterMatchesReference(f *testing.F) {
 	f.Add(int64(1), 100, 2, 0, -1, 0, 1, 1, 1)
 	f.Add(int64(2), 400, 10, 2, 3, 1, 8, 2, 5)
@@ -422,34 +437,64 @@ func FuzzFilterMatchesReference(f *testing.F) {
 	f.Add(int64(8), 150, 5, 4, -1, 0, 4, 3, 4)  // ±0 coordinates
 	f.Add(int64(9), 64, 64, 1, -1, 0, 2, 2, 1)  // d=64, one bitmap word exactly
 	f.Add(int64(10), 65, 65, 0, -1, 2, 3, 4, 2) // d=65, a row into the second word
+	f.Add(int64(11), 200, 4, 6, -1, 0, 3, 2, 8) // every sum equal: every group reaches the last row
+	f.Add(int64(12), 120, 3, 3, -1, 0, 2, 2, 9) // every splitter between two copies of one row
+	f.Add(int64(13), 40, 2, 5, -1, 0, 3, 2, 40) // (1e16, 0) and (1e16, 1) in groups of their own
+	f.Add(int64(14), 300, 4, 1, -1, 2, 4, 2, 6) // band 2: a row skipped dead had 2 dominators
+	f.Add(int64(15), 60, 3, 5, -1, 1, 2, 1, 9)  // band 1 across the rounding ties
 	f.Fuzz(func(t *testing.T, seed int64, n, d, kind, constCol, band, nBlocks, builders, groups int) {
 		if n < 1 || n > 500 || d < 1 || d > 70 || kind < 0 || band < 0 || band > 4 || nBlocks < 1 || nBlocks > 64 || builders < 0 || builders > 16 || groups < 1 || groups > 64 {
 			t.Skip()
 		}
-		checkFilter(t, filterStream(rand.New(rand.NewSource(seed)), kind, n, d, constCol), nBlocks, groups, band, builders)
+		rng := rand.New(rand.NewSource(seed))
+		rows := filterStream(rng, kind, n, d, constCol)
+		ends := rng.Perm(n - 1)[:min(groups, n)-1]
+		for i := range ends {
+			ends[i]++ // a splitter in [1, n)
+		}
+		slices.Sort(ends)
+		ends = append(ends, n)
+		checkFilter(t, rows, nBlocks, builders, rng.Intn(4), band, func(*Sorted) []int { return ends })
+		if band == 0 {
+			want, _ := merged(t, rows, nBlocks, 1, 0, 0, cutInto(1))
+			got, err := mergeBlocks(context.Background(), cut(rows, nBlocks), d, max(builders, 1))
+			if err != nil || !slices.EqualFunc(got.ToSet(), want, func(a, b points.Point) bool { return slices.Equal(a, b) }) {
+				t.Fatalf("%d goroutines: %v, or other rows than one group's", builders, err)
+			}
+		}
 	})
 }
 
-// filterStream is windowStream for kinds 0–2 (mod 6), and three streams
-// that aim at the layout's edges: 3, every row equal; 4, coordinates drawn
+// filterStream is windowStream for kinds 0–2 (mod 7), and four streams
+// that aim at the merge's edges: 3, every row equal; 4, coordinates drawn
 // from −1, −0, +0 and 1; 5, a first coordinate so large that the rest is
-// lost in every sum, so that rows dominate at a sum tie.
+// lost in every sum, so that rows dominate at a sum tie; 6, integer rows
+// whose last coordinate makes every sum 2(d−1), so that no row dominates
+// another and every sum ties.
 func filterStream(rng *rand.Rand, kind, n, d, constCol int) [][]float64 {
-	if kind%6 < 3 {
-		return windowStream(rng, kind%6, n, d, constCol)
+	if kind%7 < 3 {
+		return windowStream(rng, kind%7, n, d, constCol)
 	}
 	rows := make([][]float64, n)
 	first := windowStream(rng, 1, 1, d, constCol)[0]
 	for i := range rows {
 		p := slices.Clone(first)
 		for j := range p {
-			switch kind % 6 {
+			switch kind % 7 {
 			case 4:
 				p[j] = []float64{-1, math.Copysign(0, -1), 0, 1}[rng.Intn(4)]
 			case 5:
 				p[j] = float64(rng.Intn(2))
 				if j == 0 {
 					p[j] += 1e16
+				}
+			case 6:
+				p[j] = float64(rng.Intn(3))
+				if j == d-1 {
+					p[j] = float64(2 * (d - 1))
+					for _, v := range p[:j] {
+						p[j] -= v
+					}
 				}
 			}
 		}

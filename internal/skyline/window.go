@@ -9,7 +9,7 @@ import (
 
 // The BNL window. Every flat kernel in this package that keeps a window —
 // BlockBNL, the map-side Window and BudgetedFold — is a loop around the one
-// scan step below; the merge Filter (filter.go) keeps none, and borrows the
+// scan step below; the merge (filter.go) keeps none, and borrows the
 // signatures only.
 //
 // Almost every pair a skyline window compares is incomparable: its rows

@@ -108,7 +108,7 @@ func BenchmarkCutoffs(b *testing.B) {
 						}(k)
 					}
 					wg.Wait()
-					if _, err := mergeBlocks(context.Background(), parts, 2); err != nil {
+					if _, err := mergeBlocks(context.Background(), parts, blk.Dim(), 2); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -74,15 +74,15 @@ type Report struct {
 	// JSON carries the retry/failure picture without a Prometheus scrape.
 	TaskRetries    int64 `json:"task_retries"`
 	WorkerFailures int64 `json:"worker_failures"`
-	// MergeRounds counts the rounds of the out-of-core blocked merge: 1
-	// when the local skylines exceeded the reducer budget, 0 when the
-	// filter job merged them.
+	// MergeRounds counts the merge rounds a reducer budget bound: 1 when
+	// the local skylines exceeded it and the merge's groups were cut to
+	// it, 0 when they fit.
 	MergeRounds int `json:"merge_rounds,omitempty"`
 	// MergeRoundBytes[i] is the candidate volume entering merge round i —
 	// the per-round communication the MRC model bounds.
 	MergeRoundBytes []int64 `json:"merge_round_bytes,omitempty"`
 	// ReducerPeakBytes is the largest reducer-resident working set any
-	// reduce task or blocked merge task reached: the number judged against the
+	// reduce task or merge task reached: the number judged against the
 	// run's reducer budget, reported by every run, budgeted or not.
 	ReducerPeakBytes int64 `json:"reducer_peak_bytes,omitempty"`
 }

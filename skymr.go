@@ -121,11 +121,11 @@ type Options struct {
 	// ReducerBudgetBytes bounds every reducer's resident candidate window
 	// at this many payload bytes; overflow streams through spill frames
 	// and resolves in extra passes, and when the local skylines exceed it
-	// the merge runs as one round of budget-sized groups, every candidate
-	// streamed past each — in place of the paper's §II iterative merge for
-	// very large candidate sets (see DESIGN.md "Blocked merge"). 0 is no
+	// the merge's groups are cut to it, each with the rows at or below its
+	// sums streamed past it — in place of the paper's §II iterative merge
+	// for very large candidate sets (see DESIGN.md "The merge"). 0 is no
 	// bound — the same reducers with a window that never fills — and the
-	// merge is the filter over all the candidates. Budgeted runs seal
+	// merge's groups are one a worker. Budgeted runs seal
 	// frames with the size-adaptive auto codec.
 	ReducerBudgetBytes int64
 }
