@@ -6,10 +6,10 @@
 //	combiner and the reducer run the BNL kernel per partition, producing
 //	local skylines.
 //
-//	Job 2 (Merging Job): a map-only job whose tasks filter the local
-//	skyline points against all of them into the global skyline — or, when
-//	they exceed a reducer budget, one map-only round whose task g lays out
-//	a budget-sized group and has every candidate streamed past it.
+//	Job 2 (Merging Job): a map-only job over the local skyline points,
+//	sorted by coordinate sum and cut into groups; task g kills its group
+//	with the rows at or below the group's sums, and the survivors are the
+//	global skyline. A reducer budget only sizes the groups.
 //
 // There is one data path: points travel as rows into per-partition
 // accumulators and between phases as packed frames (see frame.go, which

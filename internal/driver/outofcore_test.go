@@ -178,7 +178,8 @@ func (g given) Partition(context.Context) (*mapreduce.FrameResult, error) {
 // Nothing but the merge reports a peak.
 func mergeGiven(ctx context.Context, candidates []*points.Block, dim int, opts Options) (points.Set, *Stats, error) {
 	opts = opts.withDefaults()
-	part, err := partition.NewRandom(dim, max(len(candidates), 1))
+	box := make(points.Point, dim)
+	part, err := partition.Plan{Scheme: partition.Random, Min: box, Max: box, Partitions: max(len(candidates), 1)}.Build()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -52,12 +52,6 @@ type snapshotMeta struct {
 
 const snapshotVersion = 2
 
-// MaxPartitions caps the partition count a plan read off the wire or a
-// file may declare — a cluster spec, a snapshot header: far above any real
-// plan (the paper's rule is 2 × nodes) and small enough that the
-// per-partition tables sized from it stay harmless.
-const MaxPartitions = 1 << 20
-
 // Save writes the index's state: options header plus all local skyline
 // points tagged with their partition. The write runs entirely on an
 // epoch snapshot (one atomic load), so it never blocks publishes — a
@@ -142,8 +136,8 @@ func LoadIndex(ctx context.Context, r io.Reader, opts Options) (*Index, error) {
 	}
 	// The header sizes the restored shard table, which every later publish
 	// batch that touches a partition copies.
-	if meta.Partitions < 1 || meta.Partitions > MaxPartitions {
-		return nil, fmt.Errorf("driver: snapshot partitions %d outside [1, %d]", meta.Partitions, MaxPartitions)
+	if meta.Partitions < 1 || meta.Partitions > partition.MaxPartitions {
+		return nil, fmt.Errorf("driver: snapshot partitions %d outside [1, %d]", meta.Partitions, partition.MaxPartitions)
 	}
 	local := make(map[int]points.Set)
 	var union points.Set

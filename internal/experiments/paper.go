@@ -223,9 +223,10 @@ func asIs(*mapreduce.FrameJob) {}
 
 // ablationRows lists the configurations; the first is the product default.
 func ablationRows(data points.Set, sc Scale) ([]ablationRow, error) {
-	// The angular+radial hybrid: same sectors further cut into 4 radial
-	// shells — measures the cost of partitions that do NOT span the
-	// quality gradient (the paper's core argument for pure angles).
+	// The angular+radial hybrid: MR-Angle's sectors (the same sampled
+	// fit) further cut into 4 radial shells — measures the cost of
+	// partitions that do NOT span the quality gradient (the paper's core
+	// argument for pure angles).
 	hybrid, err := partition.FitAngularRadial(data, 2*sc.Nodes, 4)
 	if err != nil {
 		return nil, fmt.Errorf("fitting hybrid: %w", err)

@@ -49,15 +49,10 @@ func referenceAssign(a *AngularPartitioner, pt points.Point) (int, error) {
 			continue
 		}
 		ang := math.Atan2(suffix[i+1], shifted[i])
-		var b int
-		if a.cuts != nil && a.cuts[i] != nil {
-			cell := a.cuts[i][id]
-			b = sort.SearchFloat64s(cell, ang)
-			for b < len(cell) && cell[b] == ang {
-				b++
-			}
-		} else {
-			b = bucket(ang, 0, hyper.MaxAngle, k)
+		cell := a.cuts[i][id]
+		b := sort.SearchFloat64s(cell, ang)
+		for b < len(cell) && cell[b] == ang {
+			b++
 		}
 		id = id*k + b
 	}
@@ -130,7 +125,7 @@ func hostilePoints(rng *rand.Rand, offset points.Point) []points.Point {
 // many cuts per cell (d = 2 at 256 partitions: one 255-cut cell, halved
 // before it is counted) and both in one partitioner (d = 6 at 64: a 3-cut
 // level, then four one-cut levels), and for partitioners rebuilt from their
-// cuts.
+// plans.
 func TestAssignMatchesAngleReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	shapes := map[[2]int][]int{{2, 256}: {256}, {6, 64}: {4, 2, 2, 2, 2}}
@@ -145,22 +140,19 @@ func TestAssignMatchesAngleReference(t *testing.T) {
 				inputs["qws"] = qws.Dataset(int64(d), 3000, d)
 			}
 			for name, data := range inputs {
-				exact, err := FitAngular(data, want)
+				exact, plan, err := fitExact(data, want)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if shape, ok := shapes[[2]int{d, want}]; ok && !slices.Equal(exact.Splits(), shape) {
-					t.Fatalf("d=%d want=%d: splits %v, want %v", d, want, exact.Splits(), shape)
+				if shape, ok := shapes[[2]int{d, want}]; ok && !slices.Equal(plan.AngularSplits, shape) {
+					t.Fatalf("d=%d want=%d: splits %v, want %v", d, want, plan.AngularSplits, shape)
 				}
-				rebuilt, err := NewAngularWithCuts(exact.offset, exact.Splits(), exact.Cuts())
-				if err != nil {
-					t.Fatal(err)
-				}
+				rebuilt := mustBuild(t, plan).(*AngularPartitioner)
 				radial, err := FitAngularRadial(data, want, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sampled, err := FitAngularSampled(data, want, 64*want, 3)
+				sampled, err := fitSampled(data, want, 64*want, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -215,7 +207,7 @@ func cutHits(a *AngularPartitioner, pt points.Point) []bool {
 func TestAssignOneUndecidedLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(144))
 	data := dataset.Independent(144, 3000, 6)
-	a, err := FitAngular(data, 64)
+	a, plan, err := fitExact(data, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +229,7 @@ func TestAssignOneUndecidedLevel(t *testing.T) {
 	}
 	for j := range a.levels {
 		for _, whole := range []bool{true, false} {
-			b, err := NewAngularWithCuts(a.offset, a.Splits(), a.Cuts())
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := mustBuild(t, plan).(*AngularPartitioner)
 			if tan2 := b.levels[j].tan2; whole {
 				for c := range tan2 {
 					tan2[c] = math.NaN()
@@ -319,10 +308,7 @@ func TestAssignHandMadeCuts(t *testing.T) {
 			}
 			cells *= splits[i]
 		}
-		a, err := NewAngularWithCuts(make(points.Point, d), splits, level)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := mustBuild(t, angularPlan(d, splits, level)).(*AngularPartitioner)
 		for _, pt := range hostilePoints(rng, a.offset) {
 			requireParity(t, a, pt)
 		}
@@ -419,7 +405,7 @@ func FuzzAssignMatchesAngleReference(f *testing.F) {
 				}
 			}
 		}
-		a, err := FitAngularSampled(data, want, 64+rng.Intn(400), seed)
+		a, err := fitSampled(data, want, 64+rng.Intn(400), seed)
 		if err != nil {
 			t.Fatal(err)
 		}

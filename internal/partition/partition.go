@@ -6,7 +6,6 @@
 package partition
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -120,57 +119,146 @@ type Pruner interface {
 // targeting at least want partitions (the actual count may be slightly
 // larger for grid-structured schemes, never smaller unless the scheme
 // cannot express that many cells). The dataset must be non-empty and
-// uniform-dimensional.
+// uniform-dimensional, and want at most MaxPartitions. It is Fit, then the
+// plan's Build.
 //
 // New reads a sample of the data, not all of it (see Fit): it rejects an
 // invalid row only if it draws it. The partitioners' Assign rejects every
 // invalid row, so the job that routes the data by the partitioner is what
 // validates it.
 func New(scheme Scheme, data points.Set, want int) (Partitioner, error) {
-	part, _, _, err := Fit(scheme, data, want)
-	return part, err
+	plan, err := Fit(scheme, data, want)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Build()
 }
 
-// Fit is New, also returning the box the partitioner was fitted to — what a
-// caller shipping the partitioner by its parameters needs. The fit reads
-// max(fitSampleRows, 64·want) rows drawn deterministically (sampleIndices,
-// seed 1), or every row of a set no larger than that: it validates those
-// rows, takes their bounding box, and fits to it. Quantile cuts from a few
-// thousand points match the full-data cuts to well under a sector width, and
-// a row outside the sample's box is clamped into a boundary partition, as an
-// unseen point is. MR-Grid is the one scheme that reads every row: its cell
-// pruning proves dominance from cell corners, which must bound every point,
-// so its fit is one validate-and-bounds pass over the set on GOMAXPROCS
-// goroutines (points.Set.ValidateBoundsOn).
-func Fit(scheme Scheme, data points.Set, want int) (part Partitioner, min, max points.Point, err error) {
-	var sample points.Set
+// MaxPartitions caps the partitions a plan may describe — its requested
+// count, and the product of its angular splits — and the partition count a
+// snapshot header may declare: far above any real plan (the paper's rule is
+// 2 × nodes) and small enough that the per-partition tables sized from it
+// stay harmless.
+const MaxPartitions = 1 << 20
+
+// Plan is a fitted partitioner's whole description, and the one thing the
+// in-process and cluster executors share of it: Fit writes it, a cluster
+// ships it to its workers as JSON, and Build — the only code that checks a
+// plan and constructs a partitioner — turns it into the same partitioner
+// wherever it runs.
+type Plan struct {
+	Scheme Scheme `json:"scheme"`
+	// Min and Max are the box the plan was fitted to: the fit sample's, or
+	// every row's under MR-Grid. MR-Angle's origin is Min. Their length is
+	// the points' dimension.
+	Min points.Point `json:"min"`
+	Max points.Point `json:"max"`
+	// Partitions is the requested count; MR-Grid and MR-Angle round it up
+	// to their split product.
+	Partitions int `json:"partitions"`
+	// AngularSplits and AngularCuts are MR-Angle's sectors, nil for the
+	// other schemes: the split count of each of the d−1 angles, and for
+	// angle i one sorted list of AngularSplits[i]−1 cuts in [0, π/2] per
+	// partial cell alive after splitting angles 0..i−1 (nil where
+	// AngularSplits[i] is 1).
+	AngularSplits []int         `json:"angular_splits,omitempty"`
+	AngularCuts   [][][]float64 `json:"angular_cuts,omitempty"`
+}
+
+// Fit writes the plan New builds, for the scheme over the dataset. The fit
+// reads max(fitSampleRows, 64·want) rows drawn deterministically
+// (sampleIndices, seed 1), or every row of a set no larger than that: it
+// validates those rows, takes their bounding box, and fits to it. Quantile
+// cuts from a few thousand points match the full-data cuts to well under a
+// sector width, and a row outside the sample's box is clamped into a
+// boundary partition, as an unseen point is. MR-Grid is the one scheme that
+// reads every row: its cell pruning proves dominance from cell corners,
+// which must bound every point, so its fit is one validate-and-bounds pass
+// over the set on GOMAXPROCS goroutines (points.Set.ValidateBoundsOn).
+func Fit(scheme Scheme, data points.Set, want int) (Plan, error) {
+	var (
+		sample   points.Set
+		min, max points.Point
+		err      error
+	)
 	if scheme == Grid {
 		min, max, err = data.ValidateBoundsOn(0)
 	} else {
 		sample, min, max, err = drawSample(data, fitSampleRows, want, fitSeed)
 	}
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("partition: %w", err)
+		return Plan{}, fmt.Errorf("partition: %w", err)
 	}
-	if want < 1 {
-		return nil, nil, nil, fmt.Errorf("partition: want %d partitions, need >= 1", want)
+	return fitPlan(scheme, sample, min, max, want)
+}
+
+// fitPlan is the plan of scheme fitted to sample, validated rows whose box
+// is [min, max]: MR-Angle's sectors are recursive equi-depth cuts of the
+// sample's angles (fitCuts), and the other schemes need nothing but the box.
+// The plan is checked before the cuts are fitted, so a plan no Build takes
+// is never fitted.
+func fitPlan(scheme Scheme, sample points.Set, min, max points.Point, want int) (Plan, error) {
+	plan := Plan{Scheme: scheme, Min: min, Max: max, Partitions: want}
+	if err := plan.check(); err != nil {
+		return Plan{}, err
 	}
-	switch scheme {
+	if scheme == Angular {
+		plan.AngularSplits = splitCounts(len(min)-1, want)
+		cuts, err := fitCuts(sample, min, plan.AngularSplits)
+		if err != nil {
+			return Plan{}, err
+		}
+		plan.AngularCuts = cuts
+	}
+	return plan, nil
+}
+
+// Build checks the plan and constructs its partitioner. A plan arrives over
+// the wire on a cluster's workers, so every value a partitioner would trust —
+// the scheme it switches on, the counts it sizes tables by, the bounds it
+// divides by, the cuts it searches — is checked here, and a bad plan is an
+// error, never a panic. The partitioner shares the plan's cuts.
+func (p Plan) Build() (Partitioner, error) {
+	if err := p.check(); err != nil {
+		return nil, err
+	}
+	d := len(p.Min)
+	switch p.Scheme {
 	case Dimensional:
-		part, err = NewDimensional(0, min[0], max[0], want, len(min))
+		return &DimensionalPartitioner{lo: p.Min[0], hi: p.Max[0], n: p.Partitions, d: d}, nil
 	case Grid:
-		part, err = NewGrid(min, max, want)
+		splits := splitCounts(d, p.Partitions)
+		return &GridPartitioner{min: p.Min.Clone(), max: p.Max.Clone(), splits: splits, n: product(splits)}, nil
 	case Angular:
-		part, err = fitAngular(sample, min, want)
-	case Random:
-		part, err = NewRandom(len(min), want)
+		return newAngular(p.Min, p.AngularSplits, p.AngularCuts)
 	default:
-		err = fmt.Errorf("partition: unknown scheme %d", int(scheme))
+		return &RandomPartitioner{n: p.Partitions, d: d}, nil
 	}
-	if err != nil {
-		return nil, nil, nil, err
+}
+
+// check is Build's check of everything but MR-Angle's sectors, which
+// newAngular checks: a known scheme, a finite non-empty box, a partition
+// count in [1, MaxPartitions], and sectors only on an angular plan.
+func (p Plan) check() error {
+	d := len(p.Min)
+	switch {
+	case p.Scheme < Dimensional || p.Scheme > Random:
+		return fmt.Errorf("partition: unknown scheme %d", int(p.Scheme))
+	case d < 1 || len(p.Max) != d:
+		return fmt.Errorf("partition: plan box has %d-dim min and %d-dim max, want one dimension >= 1", d, len(p.Max))
+	case p.Partitions < 1 || p.Partitions > MaxPartitions:
+		return fmt.Errorf("partition: %d partitions, need 1..%d", p.Partitions, MaxPartitions)
+	case p.Scheme == Angular && d < 2:
+		return fmt.Errorf("partition: angular scheme needs dimension >= 2, got %d", d)
+	case p.Scheme != Angular && (p.AngularSplits != nil || p.AngularCuts != nil):
+		return fmt.Errorf("partition: %v plan with angular sectors", p.Scheme)
 	}
-	return part, min, max, nil
+	for i, lo := range p.Min {
+		if hi := p.Max[i]; math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) || lo > hi {
+			return fmt.Errorf("partition: plan bounds [%g, %g] in dimension %d", lo, hi, i)
+		}
+	}
+	return nil
 }
 
 // fitSampleRows is the fewest rows Fit reads: sets at or below
@@ -274,29 +362,13 @@ func bucket(v, lo, hi float64, n int) int {
 // ---------------------------------------------------------------------------
 // Dimensional (MR-Dim)
 
-// DimensionalPartitioner splits one chosen dimension into equal-width
-// ranges: partition i covers [i·Vmax/Np, (i+1)·Vmax/Np) of that dimension
-// (paper §III-A).
+// DimensionalPartitioner splits the first dimension into equal-width
+// ranges: partition i covers [i·Vmax/Np, (i+1)·Vmax/Np) of it (paper
+// §III-A).
 type DimensionalPartitioner struct {
-	dim    int     // the dimension partitioned on
-	lo, hi float64 // fitted value range in that dimension
+	lo, hi float64 // fitted value range in the first dimension
 	n      int     // number of partitions
 	d      int     // expected point dimensionality
-}
-
-// NewDimensional builds a dimensional partitioner over value range
-// [lo, hi] of dimension dim, with n partitions, for d-dimensional points.
-func NewDimensional(dim int, lo, hi float64, n, d int) (*DimensionalPartitioner, error) {
-	if dim < 0 || dim >= d {
-		return nil, fmt.Errorf("partition: dimension %d out of range for %d-dim points", dim, d)
-	}
-	if n < 1 {
-		return nil, errors.New("partition: need >= 1 partition")
-	}
-	if hi < lo {
-		return nil, fmt.Errorf("partition: invalid range [%g, %g]", lo, hi)
-	}
-	return &DimensionalPartitioner{dim: dim, lo: lo, hi: hi, n: n, d: d}, nil
 }
 
 // Name implements Partitioner.
@@ -310,7 +382,7 @@ func (p *DimensionalPartitioner) Assign(pt points.Point) (int, error) {
 	if err := checkPoint(pt, p.d); err != nil {
 		return 0, err
 	}
-	return bucket(pt[p.dim], p.lo, p.hi, p.n), nil
+	return bucket(pt[0], p.lo, p.hi, p.n), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -326,38 +398,11 @@ type GridPartitioner struct {
 	n        int
 }
 
-// NewGrid builds a grid partitioner over the bounding box [min, max] with
-// at least want cells.
-func NewGrid(min, max points.Point, want int) (*GridPartitioner, error) {
-	if len(min) != len(max) || len(min) == 0 {
-		return nil, errors.New("partition: grid bounds must be non-empty and same dimension")
-	}
-	for i := range min {
-		if max[i] < min[i] {
-			return nil, fmt.Errorf("partition: grid bound %d inverted: [%g, %g]", i, min[i], max[i])
-		}
-	}
-	splits := splitCounts(len(min), want)
-	return &GridPartitioner{
-		min:    min.Clone(),
-		max:    max.Clone(),
-		splits: splits,
-		n:      product(splits),
-	}, nil
-}
-
 // Name implements Partitioner.
 func (g *GridPartitioner) Name() string { return Grid.String() }
 
 // Partitions implements Partitioner.
 func (g *GridPartitioner) Partitions() int { return g.n }
-
-// Splits returns the per-dimension split counts (for tests and logs).
-func (g *GridPartitioner) Splits() []int {
-	out := make([]int, len(g.splits))
-	copy(out, g.splits)
-	return out
-}
 
 // Assign implements Partitioner.
 func (g *GridPartitioner) Assign(pt points.Point) (int, error) {
@@ -434,16 +479,15 @@ func (g *GridPartitioner) Prunable(occupied []bool) []bool {
 // from near-origin (high quality) to far (low quality) services, which is
 // what balances local skyline sizes across partitions.
 //
-// Sector boundaries come in two flavours: equal-width over [0, π/2]
-// (NewAngular — the textbook reading of the paper) and recursive
-// equi-depth cuts at data quantiles (FitAngular — used by New). Real QoS
-// data concentrates in a narrow angular band in high dimensions, leaving
-// most equal-width sectors empty; the fitted variant splits angle φ1 at
-// data quantiles, then splits each resulting slab on φ2 at that slab's own
-// conditional quantiles, and so on (a kd-tree over the angle vector), so
-// every sector holds an equal share of the data. In 2-D this degenerates
-// to plain quantile sectors on the single angle, matching the paper's
-// figure. Either way a sector is a union of rays from the origin — the
+// Sector boundaries are recursive equi-depth cuts at data quantiles
+// (fitCuts), not the equal-width sectors over [0, π/2] of the textbook
+// reading of the paper: real QoS data concentrates in a narrow angular band
+// in high dimensions, leaving most equal-width sectors empty. The fit splits
+// angle φ1 at data quantiles, then splits each resulting slab on φ2 at that
+// slab's own conditional quantiles, and so on (a kd-tree over the angle
+// vector), so every sector holds an equal share of the data. In 2-D this
+// degenerates to plain quantile sectors on the single angle, matching the
+// paper's figure. A sector is a union of rays from the origin — the
 // scheme's defining property.
 //
 // The transform requires non-negative coordinates; the partitioner is
@@ -456,10 +500,10 @@ type AngularPartitioner struct {
 	// cuts[i] holds, for every cell alive after splitting angles 0..i−1
 	// (there are splits[0]·...·splits[i−1] of them, indexed by the partial
 	// cell id), the splits[i]−1 increasing interior boundaries of angle i
-	// within that cell. nil means equal-width buckets over [0, π/2].
+	// within that cell; nil for an unsplit angle.
 	cuts [][][]float64
 	// levels are the angles Assign looks at: those split more than once, in
-	// angle order. See setCuts.
+	// angle order. See setLevels.
 	levels []splitLevel
 	n      int
 	d      int
@@ -473,32 +517,9 @@ type splitLevel struct {
 	k    int // its split count, > 1
 	// tan2 holds tan²(cut) for every cut of the level, cell-major (cell id's
 	// cuts are tan2[id·(k−1):][:k−1]); NaN for a cut Assign must decide on
-	// the exact angle. nil means equal-width buckets over [0, π/2].
+	// the exact angle.
 	tan2 []float64
 	cuts [][]float64 // the level's cuts per partial cell, for the exact angle
-}
-
-// NewAngular builds an angular partitioner for d-dimensional points with
-// at least want sectors, translating by -min so data becomes non-negative.
-// Points need dimension ≥ 2 (a 1-D space has no angles).
-func NewAngular(min points.Point, d, want int) (*AngularPartitioner, error) {
-	if d < 2 {
-		return nil, fmt.Errorf("partition: angular scheme needs dimension >= 2, got %d", d)
-	}
-	if len(min) != d {
-		return nil, fmt.Errorf("partition: offset has dimension %d, want %d", len(min), d)
-	}
-	splits := splitCounts(d-1, want)
-	a := &AngularPartitioner{
-		offset: min.Clone(),
-		splits: splits,
-		n:      product(splits),
-		d:      d,
-	}
-	if err := a.setCuts(nil); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // Name implements Partitioner.
@@ -507,17 +528,9 @@ func (a *AngularPartitioner) Name() string { return Angular.String() }
 // Partitions implements Partitioner.
 func (a *AngularPartitioner) Partitions() int { return a.n }
 
-// Splits returns the per-angle split counts (for tests and logs).
-func (a *AngularPartitioner) Splits() []int {
-	out := make([]int, len(a.splits))
-	copy(out, a.splits)
-	return out
-}
-
 // maxLevels bounds the angles a partitioner splits on, since Assign keeps a
 // fixed stack array of one (x, S²) pair per split angle. More split angles
-// mean at least 2^21 sectors: past the 2^20 a cluster job spec may ask for,
-// where the paper's plans use 2 × nodes.
+// mean at least 2^21 sectors, past MaxPartitions, which Build refuses.
 const maxLevels = 20
 
 // levelPair is what Assign keeps of a row for one split angle φi: the
@@ -584,12 +597,9 @@ func (a *AngularPartitioner) Assign(pt points.Point) (int, error) {
 		l := &a.levels[j]
 		x, s2 := at[j].x, at[j].s2
 		var b int
-		switch {
-		case l.tan2 == nil:
-			b = bucket(math.Atan2(math.Sqrt(s2), x), 0, hyper.MaxAngle, l.k)
-		case l.k == 2:
+		if l.k == 2 {
 			b = tanCut(s2, x*x*l.tan2[id])
-		default:
+		} else {
 			n := l.k - 1
 			b = tanBucket(l.tan2[id*n:id*n+n], s2, x*x)
 		}
@@ -701,91 +711,82 @@ func tanBucket(tan2 []float64, s2, x2 float64) int {
 	return lo + ge
 }
 
-// setCuts installs fitted cuts (nil: equal-width sectors) and builds the
-// table Assign walks: one splitLevel per angle split more than once, with
-// its tan² table. It runs at construction, so the hot path never computes a
-// tangent nor looks at an unsplit angle. It refuses more than maxLevels
-// split angles.
-func (a *AngularPartitioner) setCuts(cuts [][][]float64) error {
-	a.cuts, a.levels = cuts, nil
+// newAngular is Build's MR-Angle partitioner: the origin offset, the split
+// count of each of the d−1 angles, and the cuts of every partial cell of
+// every split angle, checked here since they may have crossed a wire.
+func newAngular(offset points.Point, splits []int, cuts [][][]float64) (*AngularPartitioner, error) {
+	d := len(offset)
+	if len(splits) != d-1 || len(cuts) != d-1 {
+		return nil, fmt.Errorf("partition: %d angular splits and %d cut levels for %d-dim points, want %d of each", len(splits), len(cuts), d, d-1)
+	}
+	cells := 1 // partial cells alive before angle i
+	for i, k := range splits {
+		if k < 1 || k > MaxPartitions/cells {
+			return nil, fmt.Errorf("partition: angular splits %v, want each >= 1 and at most %d partitions", splits, MaxPartitions)
+		}
+		if k == 1 && cuts[i] == nil {
+			continue
+		}
+		if len(cuts[i]) != cells {
+			return nil, fmt.Errorf("partition: angle %d has cuts for %d cells, want %d", i, len(cuts[i]), cells)
+		}
+		for j, c := range cuts[i] {
+			if len(c) != k-1 {
+				return nil, fmt.Errorf("partition: angle %d cell %d has %d cuts, want %d", i, j, len(c), k-1)
+			}
+			for q, v := range c {
+				if !(v >= 0 && v <= hyper.MaxAngle) { // NaN included
+					return nil, fmt.Errorf("partition: angle %d cell %d cut %g outside [0, π/2]", i, j, v)
+				}
+				if q > 0 && v < c[q-1] {
+					return nil, fmt.Errorf("partition: angle %d cell %d cuts not sorted", i, j)
+				}
+			}
+		}
+		cells *= k
+	}
+	a := &AngularPartitioner{offset: offset.Clone(), splits: splits, cuts: cuts, n: cells, d: d}
+	a.setLevels()
+	return a, nil
+}
+
+// setLevels builds the table Assign walks: one splitLevel per angle split
+// more than once, with its tan² table. It runs at construction, so the hot
+// path never computes a tangent nor looks at an unsplit angle.
+func (a *AngularPartitioner) setLevels() {
 	for i, k := range a.splits {
 		if k <= 1 {
 			continue
 		}
-		l := splitLevel{axis: i, k: k}
-		if cuts != nil {
-			l.cuts = cuts[i]
-			l.tan2 = make([]float64, 0, len(l.cuts)*(k-1))
-			for _, cell := range l.cuts {
-				for _, c := range cell {
-					t := math.NaN()
-					if c >= tanEdge && c <= hyper.MaxAngle-tanEdge {
-						t = math.Tan(c)
-						t *= t
-					}
-					l.tan2 = append(l.tan2, t)
+		l := splitLevel{axis: i, k: k, cuts: a.cuts[i], tan2: make([]float64, 0, len(a.cuts[i])*(k-1))}
+		for _, cell := range l.cuts {
+			for _, c := range cell {
+				t := math.NaN()
+				if c >= tanEdge && c <= hyper.MaxAngle-tanEdge {
+					t = math.Tan(c)
+					t *= t
 				}
+				l.tan2 = append(l.tan2, t)
 			}
 		}
 		a.levels = append(a.levels, l)
 	}
-	if len(a.levels) > maxLevels {
-		return fmt.Errorf("partition: %d split angles, at most %d", len(a.levels), maxLevels)
-	}
-	return nil
 }
 
-// Cuts returns a deep copy of the recursive quantile boundaries (nil for
-// an equal-width partitioner). Used to ship a fitted partitioner to
-// remote workers.
-func (a *AngularPartitioner) Cuts() [][][]float64 {
-	if a.cuts == nil {
-		return nil
-	}
-	out := make([][][]float64, len(a.cuts))
-	for i, level := range a.cuts {
-		if level == nil {
-			continue
-		}
-		out[i] = make([][]float64, len(level))
-		for j, c := range level {
-			out[i][j] = append([]float64(nil), c...)
-		}
-	}
-	return out
-}
-
-// FitAngular builds an angular partitioner with recursive equi-depth
-// sector boundaries: angle φ1 is cut at the data's quantiles, then each
-// resulting slab is cut on φ2 at the slab's own conditional quantiles, and
-// so on, so every final sector carries (up to ties) the same number of
-// points. Heavily-tied data may still leave some sectors light — correct,
-// merely less balanced.
-func FitAngular(data points.Set, want int) (*AngularPartitioner, error) {
-	min, _, err := data.ValidateBounds()
-	if err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
-	}
-	return fitAngular(data, min, want)
-}
-
-// fitAngular is FitAngular over data already validated, with min its
-// coordinate-wise minimum.
-func fitAngular(data points.Set, min points.Point, want int) (*AngularPartitioner, error) {
-	d := data.Dim()
-	if d < 2 {
-		return nil, fmt.Errorf("partition: angular scheme needs dimension >= 2, got %d", d)
-	}
-	a, err := NewAngular(min, d, want)
-	if err != nil {
-		return nil, err
-	}
-	// Compute every point's angle vector once, into one slab: point k's
-	// angle i is angles[k*na+i].
+// fitCuts fits MR-Angle's recursive equi-depth cuts to sample, validated
+// rows shifted by min, their coordinate-wise minimum, for the given split
+// counts: angle φ1 is cut at the rows' quantiles, then each resulting slab is
+// cut on φ2 at the slab's own conditional quantiles, and so on, so every
+// final sector carries (up to ties) the same number of rows. Heavily-tied
+// data may still leave some sectors light — correct, merely less balanced.
+func fitCuts(sample points.Set, min points.Point, splits []int) ([][][]float64, error) {
+	d := len(min)
+	// Compute every row's angle vector once, into one slab: row k's angle i
+	// is angles[k*na+i].
 	na := d - 1
-	angles := make([]float64, len(data)*na)
+	angles := make([]float64, len(sample)*na)
 	shifted := make(points.Point, d)
-	for k, pt := range data {
+	for k, pt := range sample {
 		for i := range pt {
 			shifted[i] = pt[i] - min[i]
 		}
@@ -793,15 +794,14 @@ func fitAngular(data points.Set, min points.Point, want int) (*AngularPartitione
 			return nil, err
 		}
 	}
-	// Recursively split: cells[j] holds the indices of points currently in
+	// Recursively split: cells[j] holds the indices of rows currently in
 	// partial cell j; each level refines every cell on the next angle.
-	cells := [][]int{make([]int, len(data))}
-	for k := range data {
+	cells := [][]int{make([]int, len(sample))}
+	for k := range sample {
 		cells[0][k] = k
 	}
-	cuts := make([][][]float64, d-1)
-	for i := 0; i < d-1; i++ {
-		k := a.splits[i]
+	cuts := make([][][]float64, na)
+	for i, k := range splits {
 		if k <= 1 {
 			// No split on this angle: cells carry over unchanged.
 			continue
@@ -838,26 +838,7 @@ func fitAngular(data points.Set, min points.Point, want int) (*AngularPartitione
 		cuts[i] = level
 		cells = next
 	}
-	if err := a.setCuts(cuts); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// FitAngularSampled fits the equi-depth angular partitioner on a uniform
-// random sample of the data — the practical choice for very large
-// datasets, where exact quantiles cost a full sort per tree level. The
-// sample is drawn deterministically from seed, and only its rows are read:
-// they are validated, and the offset is their minimum corner (a row below it
-// is clamped, as an unseen point is). sampleSize is clamped to the dataset
-// size; values below 64×want are raised to it for stable cuts. New's angular
-// fit is this at 4096 rows and seed 1.
-func FitAngularSampled(data points.Set, want, sampleSize int, seed int64) (*AngularPartitioner, error) {
-	sample, min, _, err := drawSample(data, sampleSize, want, seed)
-	if err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
-	}
-	return fitAngular(sample, min, want)
+	return cuts, nil
 }
 
 // sampleIndices draws k distinct indices of [0, n) uniformly: the first k
@@ -881,69 +862,6 @@ func sampleIndices(rng *rand.Rand, n, k int) []int {
 	return out
 }
 
-// NewAngularWithCuts reconstructs a fitted angular partitioner from its
-// offset, split counts and recursive quantile cuts (as shipped in a
-// distributed job spec). cuts may be nil for equal-width behaviour; when
-// non-nil, cuts[i] must either be nil (splits[i] == 1) or hold one sorted
-// list of splits[i]−1 boundaries in [0, π/2] per partial cell of level i.
-func NewAngularWithCuts(offset points.Point, splits []int, cuts [][][]float64) (*AngularPartitioner, error) {
-	d := len(offset)
-	if d < 2 {
-		return nil, fmt.Errorf("partition: angular scheme needs dimension >= 2, got %d", d)
-	}
-	if len(splits) != d-1 {
-		return nil, fmt.Errorf("partition: %d splits for %d-dim points, want %d", len(splits), d, d-1)
-	}
-	n := 1
-	for i, s := range splits {
-		if s < 1 {
-			return nil, fmt.Errorf("partition: split %d is %d, want >= 1", i, s)
-		}
-		n *= s
-	}
-	if cuts != nil {
-		if len(cuts) != d-1 {
-			return nil, fmt.Errorf("partition: %d cut levels, want %d", len(cuts), d-1)
-		}
-		cellsAtLevel := 1
-		for i, level := range cuts {
-			if level == nil {
-				if splits[i] > 1 {
-					return nil, fmt.Errorf("partition: missing cuts for angle %d with %d splits", i, splits[i])
-				}
-				continue
-			}
-			if len(level) != cellsAtLevel {
-				return nil, fmt.Errorf("partition: level %d has %d cells, want %d", i, len(level), cellsAtLevel)
-			}
-			for j, c := range level {
-				if len(c) != splits[i]-1 {
-					return nil, fmt.Errorf("partition: level %d cell %d has %d cuts, want %d", i, j, len(c), splits[i]-1)
-				}
-				for q, v := range c {
-					if !(v >= 0 && v <= hyper.MaxAngle) { // NaN included
-						return nil, fmt.Errorf("partition: level %d cell %d cut %g outside [0, π/2]", i, j, v)
-					}
-					if q > 0 && v < c[q-1] {
-						return nil, fmt.Errorf("partition: level %d cell %d cuts not sorted", i, j)
-					}
-				}
-			}
-			cellsAtLevel *= splits[i]
-		}
-	}
-	a := &AngularPartitioner{
-		offset: offset.Clone(),
-		splits: append([]int(nil), splits...),
-		n:      n,
-		d:      d,
-	}
-	if err := a.setCuts(cuts); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // ---------------------------------------------------------------------------
 // Random baseline
 
@@ -953,17 +871,6 @@ func NewAngularWithCuts(offset points.Point, splits []int, cuts [][][]float64) (
 type RandomPartitioner struct {
 	n int
 	d int
-}
-
-// NewRandom builds a hash partitioner with exactly n partitions.
-func NewRandom(d, n int) (*RandomPartitioner, error) {
-	if n < 1 {
-		return nil, errors.New("partition: need >= 1 partition")
-	}
-	if d < 1 {
-		return nil, errors.New("partition: need dimension >= 1")
-	}
-	return &RandomPartitioner{n: n, d: d}, nil
 }
 
 // Name implements Partitioner.

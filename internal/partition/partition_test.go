@@ -131,10 +131,7 @@ func TestBucketClamps(t *testing.T) {
 }
 
 func TestDimensionalAssign(t *testing.T) {
-	p, err := NewDimensional(0, 0, 100, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustBuild(t, Plan{Scheme: Dimensional, Min: points.Point{0, 0}, Max: points.Point{100, 100}, Partitions: 4})
 	cases := []struct {
 		pt   points.Point
 		want int
@@ -157,16 +154,7 @@ func TestDimensionalAssign(t *testing.T) {
 }
 
 func TestDimensionalErrors(t *testing.T) {
-	if _, err := NewDimensional(2, 0, 1, 4, 2); err == nil {
-		t.Error("out-of-range dim accepted")
-	}
-	if _, err := NewDimensional(0, 5, 1, 4, 2); err == nil {
-		t.Error("inverted range accepted")
-	}
-	if _, err := NewDimensional(0, 0, 1, 0, 2); err == nil {
-		t.Error("zero partitions accepted")
-	}
-	p, _ := NewDimensional(0, 0, 1, 4, 2)
+	p := mustBuild(t, Plan{Scheme: Dimensional, Min: points.Point{0, 0}, Max: points.Point{1, 1}, Partitions: 4})
 	if _, err := p.Assign(points.Point{0.5}); err == nil {
 		t.Error("wrong-dimension point accepted")
 	}
@@ -176,10 +164,7 @@ func TestDimensionalErrors(t *testing.T) {
 }
 
 func TestGridAssignAndCorners(t *testing.T) {
-	g, err := NewGrid(points.Point{0, 0}, points.Point{100, 100}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustBuild(t, Plan{Scheme: Grid, Min: points.Point{0, 0}, Max: points.Point{100, 100}, Partitions: 4}).(*GridPartitioner)
 	if g.Partitions() != 4 {
 		t.Fatalf("partitions = %d, want 4", g.Partitions())
 	}
@@ -211,10 +196,7 @@ func TestGridAssignAndCorners(t *testing.T) {
 }
 
 func TestGridPrunable(t *testing.T) {
-	g, err := NewGrid(points.Point{0, 0}, points.Point{100, 100}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustBuild(t, Plan{Scheme: Grid, Min: points.Point{0, 0}, Max: points.Point{100, 100}, Partitions: 4}).(*GridPartitioner)
 	bl, _ := g.Assign(points.Point{10, 10})
 	tr, _ := g.Assign(points.Point{90, 90})
 	br, _ := g.Assign(points.Point{90, 10})
@@ -243,10 +225,7 @@ func TestGridPrunableIsSound(t *testing.T) {
 	// point in another cell.
 	rng := rand.New(rand.NewSource(77))
 	s := uniformSet(77, 500, 3)
-	g, err := NewGrid(points.Point{0, 0, 0}, points.Point{100, 100, 100}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustBuild(t, Plan{Scheme: Grid, Min: points.Point{0, 0, 0}, Max: points.Point{100, 100, 100}, Partitions: 8}).(*GridPartitioner)
 	assign := make([]int, len(s))
 	occupied := make([]bool, g.Partitions())
 	for i, pt := range s {
@@ -278,10 +257,7 @@ func TestGridPrunableIsSound(t *testing.T) {
 
 func TestAngular2DSectors(t *testing.T) {
 	// 4 sectors over [0, π/2]: the sector index must grow with y/x.
-	a, err := NewAngular(points.Point{0, 0}, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustBuild(t, evenPlan(points.Point{0, 0}, 4))
 	if a.Partitions() != 4 {
 		t.Fatalf("partitions = %d, want 4", a.Partitions())
 	}
@@ -302,10 +278,7 @@ func TestAngularSectorContainsQualityGradient(t *testing.T) {
 	// Points on the same ray (same trade-off profile, different quality)
 	// must share a sector — the property the paper credits for MR-Angle's
 	// balanced local skylines.
-	a, err := NewAngular(points.Point{0, 0, 0}, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustBuild(t, evenPlan(points.Point{0, 0, 0}, 8))
 	base := points.Point{3, 5, 2}
 	want, err := a.Assign(base)
 	if err != nil {
@@ -327,10 +300,7 @@ func TestAngularOffsetTranslation(t *testing.T) {
 	// Negative data is translated; assignment must succeed and cover
 	// multiple sectors.
 	s := points.Set{{-10, -10}, {-10, 10}, {10, -10}, {5, 5}}
-	a, err := NewAngular(points.Point{-10, -10}, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustBuild(t, evenPlan(points.Point{-10, -10}, 4))
 	seen := map[int]bool{}
 	for _, pt := range s {
 		id, err := a.Assign(pt)
@@ -348,23 +318,19 @@ func TestAngularOffsetTranslation(t *testing.T) {
 }
 
 func TestAngularErrors(t *testing.T) {
-	if _, err := NewAngular(points.Point{0}, 1, 4); err == nil {
-		t.Error("1-dim angular accepted")
+	plan := evenPlan(points.Point{0, 0}, 4)
+	plan.Min, plan.Max = points.Point{0, 0, 0}, points.Point{0, 0, 0}
+	if _, err := plan.Build(); err == nil {
+		t.Error("2-dim sectors on a 3-dim box accepted")
 	}
-	if _, err := NewAngular(points.Point{0, 0, 0}, 2, 4); err == nil {
-		t.Error("mismatched offset accepted")
-	}
-	a, _ := NewAngular(points.Point{0, 0}, 2, 4)
+	a := mustBuild(t, evenPlan(points.Point{0, 0}, 4))
 	if _, err := a.Assign(points.Point{1, 2, 3}); err == nil {
 		t.Error("wrong-dimension point accepted")
 	}
 }
 
 func TestRandomDeterministicAndInRange(t *testing.T) {
-	r, err := NewRandom(3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustBuild(t, Plan{Scheme: Random, Min: points.Point{0, 0, 0}, Max: points.Point{0, 0, 0}, Partitions: 7})
 	pt := points.Point{1, 2, 3}
 	id1, err := r.Assign(pt)
 	if err != nil {
@@ -424,6 +390,11 @@ func TestNewErrors(t *testing.T) {
 	if _, err := New(Grid, s, 0); err == nil {
 		t.Error("zero partitions accepted")
 	}
+	for _, scheme := range []Scheme{Dimensional, Grid, Angular, Random} {
+		if _, err := New(scheme, s, MaxPartitions+1); err == nil {
+			t.Errorf("%v: %d partitions accepted", scheme, MaxPartitions+1)
+		}
+	}
 }
 
 // TestNewValidatesOnce: the fit validates the rows it reads, in one pass
@@ -471,14 +442,6 @@ func TestNewValidatesOnce(t *testing.T) {
 				t.Errorf("%v: error %v, want %q", scheme, err, want)
 			}
 		}
-		for name, fit := range map[string]func() (*AngularPartitioner, error){
-			"FitAngular":        func() (*AngularPartitioner, error) { return FitAngular(data, 4) },
-			"FitAngularSampled": func() (*AngularPartitioner, error) { return FitAngularSampled(data, 4, 10, 1) },
-		} {
-			if _, err := fit(); err == nil || err.Error() != want {
-				t.Errorf("%s: error %v, want %q", name, err, want)
-			}
-		}
 	}
 }
 
@@ -486,7 +449,8 @@ func TestNewValidatesOnce(t *testing.T) {
 // other row — a NaN outside it does not stop MR-Angle's, MR-Dim's or the
 // random fit, while MR-Grid's, which reads every row for its box, refuses
 // it — and it is a function of the input alone: two fits of one set are
-// deeply equal, and the box Fit returns is the sample's.
+// deeply equal, build deeply equal partitioners, and the box is the
+// sample's.
 func TestFitReadsOnlyItsSample(t *testing.T) {
 	data := uniformSet(5, 100000, 6)
 	drawn := sampleIndices(rand.New(rand.NewSource(1)), len(data), fitSampleRows)
@@ -505,19 +469,24 @@ func TestFitReadsOnlyItsSample(t *testing.T) {
 	}
 	sampleMin, sampleMax := sample.Bounds()
 	for _, scheme := range []Scheme{Dimensional, Angular, Random} {
-		a, lo, hi, err := Fit(scheme, data, 8)
+		plan, err := Fit(scheme, data, 8)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
+		again, err := Fit(scheme, data, 8)
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		a := mustBuild(t, plan)
 		b, err := New(scheme, data, 8)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
-		if !reflect.DeepEqual(a, b) {
+		if !reflect.DeepEqual(plan, again) || !reflect.DeepEqual(a, b) {
 			t.Errorf("%v: two fits of one input differ", scheme)
 		}
-		if !lo.Equal(sampleMin) || !hi.Equal(sampleMax) {
-			t.Errorf("%v: fitted box [%v, %v], the sample's is [%v, %v]", scheme, lo, hi, sampleMin, sampleMax)
+		if !plan.Min.Equal(sampleMin) || !plan.Max.Equal(sampleMax) {
+			t.Errorf("%v: fitted box [%v, %v], the sample's is [%v, %v]", scheme, plan.Min, plan.Max, sampleMin, sampleMax)
 		}
 		if _, err := a.Assign(data[bad]); err == nil {
 			t.Errorf("%v: Assign accepted the NaN row the fit did not read", scheme)

@@ -24,17 +24,18 @@ type AngularRadialPartitioner struct {
 	shells    int
 }
 
-// FitAngularRadial fits sectors×shells partitions: `sectors` angular
-// sectors (recursive equi-depth, as FitAngular) each split into `shells`
-// equi-depth radial shells.
+// FitAngularRadial fits sectors×shells partitions: MR-Angle's sectors, as
+// New fits them, each split into `shells` equi-depth radial shells fitted
+// over every row.
 func FitAngularRadial(data points.Set, sectors, shells int) (*AngularRadialPartitioner, error) {
 	if shells < 1 {
 		return nil, fmt.Errorf("partition: shells %d, need >= 1", shells)
 	}
-	ang, err := FitAngular(data, sectors)
+	part, err := New(Angular, data, sectors)
 	if err != nil {
 		return nil, err
 	}
+	ang := part.(*AngularPartitioner)
 	// Collect radii per sector.
 	radii := make([][]float64, ang.Partitions())
 	for _, p := range data {
@@ -42,11 +43,7 @@ func FitAngularRadial(data points.Set, sectors, shells int) (*AngularRadialParti
 		if err != nil {
 			return nil, err
 		}
-		shifted := make(points.Point, len(p))
-		for i := range p {
-			shifted[i] = p[i] - ang.offset[i]
-		}
-		radii[id] = append(radii[id], shifted.Norm())
+		radii[id] = append(radii[id], ang.radius(p))
 	}
 	cuts := make([][]float64, ang.Partitions())
 	for sector, rs := range radii {
@@ -82,20 +79,20 @@ func (a *AngularRadialPartitioner) Assign(p points.Point) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return sector*a.shells + cutBucket(a.shellCuts[sector], a.angular.radius(p)), nil
+}
+
+// radius is p's distance from the fitted origin, with the coordinates below
+// it clamped as Assign clamps them: the hyperspherical r of Eq. (1).
+func (a *AngularPartitioner) radius(p points.Point) float64 {
 	shifted := make(points.Point, len(p))
 	for i := range p {
-		v := p[i] - a.angular.offset[i]
-		if v < 0 {
-			v = 0
-		}
-		shifted[i] = v
+		shifted[i] = max(p[i]-a.offset[i], 0)
 	}
-	return sector*a.shells + cutBucket(a.shellCuts[sector], shifted.Norm()), nil
+	return shifted.Norm()
 }
 
 // Sectors returns the underlying angular partition count.
 func (a *AngularRadialPartitioner) Sectors() int { return a.angular.Partitions() }
 
-// The shell radius is the hyperspherical r of the paper's Eq. (1),
-// measured from the fitted origin.
 var _ Partitioner = (*AngularRadialPartitioner)(nil)

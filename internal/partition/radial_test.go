@@ -95,7 +95,7 @@ func TestShellsOneEqualsAngular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pure, err := FitAngular(data, 8)
+	pure, err := New(Angular, data, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

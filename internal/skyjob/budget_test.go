@@ -69,7 +69,7 @@ func TestClusterBlockedPeakWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates := int64(probe.Stats.LocalSkylineTotal() * spec.Dim * 8)
+	candidates := int64(probe.Stats.LocalSkylineTotal() * len(spec.Min) * 8)
 	spec.ReducerBudgetBytes, spec.Codec = candidates*3/4, points.FrameAuto
 	res, err := ComputeSpec(context.Background(), master, data, spec, 3)
 	if err != nil {
@@ -92,8 +92,8 @@ func TestClusterBlockedPeakWithinBudget(t *testing.T) {
 // TestSpecBudgetTravels: budget and codec must survive the JSON trip to
 // workers and materialize as a streaming folder.
 func TestSpecBudgetTravels(t *testing.T) {
-	spec := Spec{Scheme: partition.Grid, Dim: 3, Min: []float64{0, 0, 0},
-		Max: []float64{1, 1, 1}, Partitions: 4,
+	spec := Spec{Plan: partition.Plan{Scheme: partition.Grid, Min: points.Point{0, 0, 0},
+		Max: points.Point{1, 1, 1}, Partitions: 4},
 		Codec: points.FrameAuto, ReducerBudgetBytes: 1 << 20}
 	raw, err := json.Marshal(spec)
 	if err != nil {

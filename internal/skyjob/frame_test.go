@@ -31,10 +31,15 @@ func TestSpecForFitsLikePartitionNew(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, min, max, err := partition.Fit(scheme, data, 8)
+			plan, err := partition.Fit(scheme, data, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
+			want, err := partition.New(scheme, data, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			min, max := plan.Min, plan.Max
 			if !points.Point(spec.Min).Equal(min) || !points.Point(spec.Max).Equal(max) {
 				t.Errorf("n=%d %v: spec box [%v, %v], the fit's [%v, %v]", n, scheme, spec.Min, spec.Max, min, max)
 			}

@@ -32,8 +32,9 @@ import (
 // and the code cannot work the value out from its inputs or a measurement
 // it already takes.
 func TestOptionSurface(t *testing.T) {
-	if n := reflect.TypeOf(Spec{}).NumField(); n != 9 {
-		t.Fatalf("skyjob.Spec has %d fields, want 9", n)
+	// The plan is one embedded field whose own fields travel flattened.
+	if n := reflect.TypeOf(partition.Plan{}).NumField() + reflect.TypeOf(Spec{}).NumField() - 1; n != 8 {
+		t.Fatalf("skyjob.Spec has %d settable values, want 8", n)
 	}
 }
 
@@ -171,7 +172,7 @@ func TestClusterMatchesOracle(t *testing.T) {
 // workers whose map tasks are the round's groups.
 func requireRounds(t *testing.T, tr *telemetry.Tracer, st *driver.Stats, spec Spec) {
 	t.Helper()
-	size := int64(st.LocalSkylineTotal() * spec.Dim * 8)
+	size := int64(st.LocalSkylineTotal() * len(spec.Min) * 8)
 	if over := spec.ReducerBudgetBytes > 0 && size > spec.ReducerBudgetBytes; over != (st.MergeRounds == 1) || over != (st.MergeGroups >= 2) || st.MergeRounds > 1 {
 		t.Errorf("%d candidate bytes under a %d-byte budget ran %d rounds of %d groups", size, spec.ReducerBudgetBytes, st.MergeRounds, st.MergeGroups)
 	}
@@ -270,8 +271,8 @@ func TestExecutorsAgree(t *testing.T) {
 			if earlier := clLog.Events(0, slog.LevelDebug); len(earlier) > 0 {
 				clSince = earlier[len(earlier)-1].Seq
 			}
-			inProcess := driver.InProcess(mapreduce.SetRows(data), driver.PartitionJob(part, nil, spec.Dim, row.k, opts), spec.Dim, row.k, opts)
-			sky, stats, err := driver.TwoJobs(inCtx, inProcess, spec.Dim, part, nil, nil, opts)
+			inProcess := driver.InProcess(mapreduce.SetRows(data), driver.PartitionJob(part, nil, len(spec.Min), row.k, opts), len(spec.Min), row.k, opts)
+			sky, stats, err := driver.TwoJobs(inCtx, inProcess, len(spec.Min), part, nil, nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,9 +356,9 @@ func TestExecutorsAgree(t *testing.T) {
 			if row.budget > 0 {
 				merged = 0
 				for i, b := range stats.MergeRoundBytes {
-					merged += b / int64(spec.Dim*8)
+					merged += b / int64(len(spec.Min)*8)
 					if i > 0 {
-						kept += b / int64(spec.Dim*8)
+						kept += b / int64(len(spec.Min)*8)
 					}
 				}
 			}
@@ -416,11 +417,11 @@ func TestExecutorsAgree(t *testing.T) {
 						candidates = append(candidates, blk)
 					}
 				}
-				inputs, err := driver.MergeInput(candidates, spec.Dim, row.mergeTasks, 0)
+				inputs, err := driver.MergeInput(candidates, len(spec.Min), row.mergeTasks, 0)
 				if err != nil || len(inputs) != row.mergeTasks {
 					t.Fatalf("%s: %d merge inputs, err %v", name, len(inputs), err)
 				}
-				job := driver.MergeJob(spec.Dim, row.k)
+				job := driver.MergeJob(len(spec.Min), row.k)
 				job.Feed = mapreduce.WholeInput(inputs)
 				in2, err := mapreduce.RunFrames(context.Background(), mapreduce.Config{Workers: 3, Codec: spec.Codec}, job)
 				if err != nil {
@@ -509,7 +510,9 @@ func TestHostileSpecRejected(t *testing.T) {
 		"retired naive kernel":    func(m map[string]any) { m["kernel"] = 3 }, // once the O(n²) oracle, on every worker
 		"unknown scheme":          func(m map[string]any) { m["scheme"] = "MR-Bogus" },
 		"unknown codec":           func(m map[string]any) { m["codec"] = 9 },
-		"zero dimension":          func(m map[string]any) { m["dim"] = 0 },
+		"zero dimension":          func(m map[string]any) { m["dim"] = 0 }, // dim is the box's: an unknown field
+		"angular without cuts":    func(m map[string]any) { delete(m, "angular_cuts") },
+		"angular without splits":  func(m map[string]any) { delete(m, "angular_splits") },
 		"zero partitions":         func(m map[string]any) { m["partitions"] = 0 },
 		"negative partitions":     func(m map[string]any) { m["partitions"] = -4 },
 		"2^40 partitions":         func(m map[string]any) { m["partitions"] = 1 << 40 },

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/driver"
@@ -34,18 +33,12 @@ const (
 	MergeJobName     = "skyline/merge"
 )
 
-// Spec parameterizes the partitioning job; it travels to workers as JSON
-// so every worker reconstructs an identical partitioner.
+// Spec is a job's params on the wire: the partition plan partition.Fit
+// wrote — every worker builds it with the same partition.Plan.Build, so the
+// cluster partitions a dataset as the in-process driver does — and what
+// sizes the jobs' frames and folds.
 type Spec struct {
-	Scheme     partition.Scheme `json:"scheme"`
-	Dim        int              `json:"dim"`
-	Min        []float64        `json:"min"`
-	Max        []float64        `json:"max"`
-	Partitions int              `json:"partitions"`
-	// AngularSplits and AngularCuts ship a fitted (equi-depth) angular
-	// partitioner to workers; empty for other schemes.
-	AngularSplits []int         `json:"angular_splits,omitempty"`
-	AngularCuts   [][][]float64 `json:"angular_cuts,omitempty"`
+	partition.Plan
 	// Codec selects the frame wire codec on every worker: 0 keeps raw v1
 	// frames, points.FrameAuto enables the bit-packed v2 encoding wherever
 	// it is smaller.
@@ -60,89 +53,36 @@ type Spec struct {
 }
 
 // SpecFor fits a Spec to a dataset, following the paper's partition-count
-// rule (2 × nodes) when partitions is given directly by the caller. The fit
-// is partition.Fit's — the one the in-process driver makes, sampled on a
-// large input, exact on a small one — and Min and Max are its box, so the
-// cluster and driver.Compute partition a dataset alike. It reads the fit's
-// sample only (MR-Grid's fit reads every row): the rows are validated as the
-// master seals them into splits (setSplits). An invalid input is reported
-// with points.Set.Validate's wording, which names its lowest offending row.
+// rule (2 × nodes) when partitions is given directly by the caller. Its plan
+// is partition.Fit's — the one the in-process driver builds, sampled on a
+// large input, exact on a small one. It reads the fit's sample only
+// (MR-Grid's fit reads every row): the rows are validated as the master
+// seals them into splits (setSplits). An invalid input is reported with
+// points.Set.Validate's wording, which names its lowest offending row.
 func SpecFor(data points.Set, scheme partition.Scheme, partitions int) (Spec, error) {
-	part, min, max, err := partition.Fit(scheme, data, partitions)
+	plan, err := partition.Fit(scheme, data, partitions)
 	if err != nil {
 		return Spec{}, driver.InvalidInput("skyjob", data, err)
 	}
-	spec := Spec{
-		Scheme:     scheme,
-		Dim:        data.Dim(),
-		Min:        min,
-		Max:        max,
-		Partitions: partitions,
-	}
-	if ap, ok := part.(*partition.AngularPartitioner); ok {
-		spec.AngularSplits = ap.Splits()
-		spec.AngularCuts = ap.Cuts()
-	}
-	return spec, nil
+	return Spec{Plan: plan}, nil
 }
 
-// validate rejects a spec no honest SpecFor could have produced. A spec
-// arrives over the wire, so every value a job would otherwise trust — enum
-// members it switches on, counts it allocates by, bounds it divides by —
-// is checked here, once, before Build or either job factory uses it: a
-// worker must report a bad spec as a failed task, not die on it.
-func (s Spec) validate() error {
+// build checks the spec and builds its plan's partitioner. A spec arrives
+// over the wire, so a worker builds every spec it is handed before either
+// job factory uses it: a bad one is a failed task, not a dead worker. The
+// master builds it too, before it sends it.
+func (s Spec) build() (partition.Partitioner, error) {
 	switch {
-	case s.Scheme < partition.Dimensional || s.Scheme > partition.Random:
-		return fmt.Errorf("skyjob: unknown scheme %d", int(s.Scheme))
 	case s.Codec < points.FrameDefault || s.Codec > points.FrameAuto:
-		return fmt.Errorf("skyjob: unknown codec %d", int(s.Codec))
-	case s.Dim < 1:
-		return fmt.Errorf("skyjob: spec dimension %d, need >= 1", s.Dim)
-	case s.Partitions < 1 || s.Partitions > driver.MaxPartitions:
-		return fmt.Errorf("skyjob: %d partitions, need 1..%d", s.Partitions, driver.MaxPartitions)
+		return nil, fmt.Errorf("skyjob: unknown codec %d", int(s.Codec))
 	case s.ReducerBudgetBytes < 0:
-		return fmt.Errorf("skyjob: negative reducer budget %d", s.ReducerBudgetBytes)
-	case len(s.Min) != s.Dim || len(s.Max) != s.Dim:
-		return fmt.Errorf("skyjob: spec bounds dimension mismatch")
+		return nil, fmt.Errorf("skyjob: negative reducer budget %d", s.ReducerBudgetBytes)
 	}
-	for i := range s.Min {
-		lo, hi := s.Min[i], s.Max[i]
-		if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) || lo > hi {
-			return fmt.Errorf("skyjob: spec bounds [%g, %g] in dimension %d", lo, hi, i)
-		}
+	part, err := s.Build()
+	if err != nil {
+		return nil, fmt.Errorf("skyjob: %w", err)
 	}
-	cells := 1
-	for _, n := range s.AngularSplits {
-		if n < 1 || n > driver.MaxPartitions/cells {
-			return fmt.Errorf("skyjob: angular splits %v exceed %d partitions", s.AngularSplits, driver.MaxPartitions)
-		}
-		cells *= n
-	}
-	return nil
-}
-
-// Build reconstructs the partitioner described by the spec.
-func (s Spec) Build() (partition.Partitioner, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	min, max := points.Point(s.Min), points.Point(s.Max)
-	switch s.Scheme {
-	case partition.Dimensional:
-		return partition.NewDimensional(0, min[0], max[0], s.Partitions, s.Dim)
-	case partition.Grid:
-		return partition.NewGrid(min, max, s.Partitions)
-	case partition.Angular:
-		if s.AngularSplits != nil {
-			return partition.NewAngularWithCuts(min, s.AngularSplits, s.AngularCuts)
-		}
-		return partition.NewAngular(min, s.Dim, s.Partitions)
-	case partition.Random:
-		return partition.NewRandom(s.Dim, s.Partitions)
-	default:
-		return nil, fmt.Errorf("skyjob: unknown scheme %d", int(s.Scheme))
-	}
+	return part, nil
 }
 
 func init() {
@@ -161,40 +101,32 @@ var (
 	newSkybandMergeJob     = factory(true, mergeJob)
 )
 
-func partitionJob(spec skybandSpec) (mapreduce.FrameJob, error) {
-	part, err := spec.Build()
-	if err != nil {
-		return mapreduce.FrameJob{}, err
-	}
-	return driver.PartitionJob(part, nil, spec.Dim, spec.K, spec.options()), nil
+func partitionJob(spec skybandSpec, part partition.Partitioner) mapreduce.FrameJob {
+	return driver.PartitionJob(part, nil, len(spec.Min), spec.K, spec.options())
 }
 
-func mergeJob(spec skybandSpec) (mapreduce.FrameJob, error) {
-	return driver.MergeJob(spec.Dim, spec.K), nil
+func mergeJob(spec skybandSpec, _ partition.Partitioner) mapreduce.FrameJob {
+	return driver.MergeJob(len(spec.Min), spec.K)
 }
 
-// factory is the rpcmr factory of the job build makes of decodeSpec's spec,
-// sealing its frames by the spec's codec.
-func factory(band bool, build func(skybandSpec) (mapreduce.FrameJob, error)) rpcmr.JobFactory {
+// factory is the rpcmr factory of the job build makes of decodeSpec's spec
+// and its partitioner, sealing its frames by the spec's codec.
+func factory(band bool, build func(skybandSpec, partition.Partitioner) mapreduce.FrameJob) rpcmr.JobFactory {
 	return func(params []byte) (rpcmr.Job, error) {
-		spec, err := decodeSpec(params, band)
+		spec, part, err := decodeSpec(params, band)
 		if err != nil {
 			return rpcmr.Job{}, err
 		}
-		job, err := build(spec)
-		if err != nil {
-			return rpcmr.Job{}, err
-		}
-		return rpcmr.Job{FrameJob: job, Codec: spec.Codec}, nil
+		return rpcmr.Job{FrameJob: build(spec, part), Codec: spec.Codec}, nil
 	}
 }
 
-// decodeSpec parses and validates job params: a Spec, or with band a
-// skybandSpec — K stays 0, the skyline, otherwise. Unknown fields are an
-// error: a spec that still carries a retired knob (version skew between
-// master and worker) or a misspelt field must fail the task, not run a job
-// other than the one its sender meant.
-func decodeSpec(params []byte, band bool) (skybandSpec, error) {
+// decodeSpec parses job params — a Spec, or with band a skybandSpec (K
+// stays 0, the skyline, otherwise) — and builds the spec's partitioner.
+// Unknown fields are an error: a spec that still carries a retired knob
+// (version skew between master and worker) or a misspelt field must fail the
+// task, not run a job other than the one its sender meant.
+func decodeSpec(params []byte, band bool) (skybandSpec, partition.Partitioner, error) {
 	var spec skybandSpec
 	into := any(&spec.Spec)
 	if band {
@@ -203,19 +135,20 @@ func decodeSpec(params []byte, band bool) (skybandSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(params))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		return spec, fmt.Errorf("skyjob: bad params: %w", err)
+		return spec, nil, fmt.Errorf("skyjob: bad params: %w", err)
 	}
-	if err := spec.validate(); err != nil {
-		return spec, err
+	part, err := spec.build()
+	if err != nil {
+		return spec, nil, err
 	}
 	if band && spec.K < 1 {
-		return spec, fmt.Errorf("skyjob: skyband k = %d, need >= 1", spec.K)
+		return spec, nil, fmt.Errorf("skyjob: skyband k = %d, need >= 1", spec.K)
 	}
 	if band && spec.ReducerBudgetBytes > 0 {
 		// The budgeted fold is a skyline fold: one dominator evicts a row.
-		return spec, errors.New("skyjob: k-skyband does not run under a reducer budget")
+		return spec, nil, errors.New("skyjob: k-skyband does not run under a reducer budget")
 	}
-	return spec, nil
+	return spec, part, nil
 }
 
 // options carries the spec's share of what the job definitions read.
@@ -352,7 +285,7 @@ func compute(ctx context.Context, master *rpcmr.Master, data points.Set, spec Sp
 	// The partitioners may round the requested count up to a regular shape
 	// (e.g. angular split products): the run is accounted by the count the
 	// built partitioner actually uses.
-	part, err := spec.Build()
+	part, err := spec.build()
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +305,7 @@ func compute(ctx context.Context, master *rpcmr.Master, data points.Set, spec Sp
 	opts := spec.options()
 	opts.Scheme, opts.Workers, opts.Metrics = spec.Scheme, reducers, master.Metrics()
 	exec := cluster{master: master, data: data, job1: job1, job2: job2, params: params, reducers: reducers, codec: spec.Codec}
-	sky, stats, err := driver.TwoJobs(ctx, exec, spec.Dim, part, nil, nil, opts)
+	sky, stats, err := driver.TwoJobs(ctx, exec, len(spec.Min), part, nil, nil, opts)
 	if err != nil {
 		return nil, driver.InvalidInput("skyjob", data, err)
 	}

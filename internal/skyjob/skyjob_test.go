@@ -156,10 +156,10 @@ func TestSpecBuildAllSchemes(t *testing.T) {
 	if _, err := SpecFor(nil, partition.Grid, 4); err == nil {
 		t.Error("empty data accepted")
 	}
-	if _, err := (Spec{Scheme: partition.Scheme(99), Dim: 2, Min: []float64{0, 0}, Max: []float64{1, 1}}).Build(); err == nil {
+	if _, err := (Spec{Plan: partition.Plan{Scheme: partition.Scheme(99), Min: points.Point{0, 0}, Max: points.Point{1, 1}, Partitions: 4}}).build(); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	if _, err := (Spec{Scheme: partition.Grid, Dim: 3, Min: []float64{0, 0}, Max: []float64{1, 1}}).Build(); err == nil {
+	if _, err := (Spec{Plan: partition.Plan{Scheme: partition.Grid, Min: points.Point{0, 0}, Max: points.Point{1, 1, 1}, Partitions: 4}}).build(); err == nil {
 		t.Error("mismatched bounds accepted")
 	}
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // dominanceTests counts every pairwise coordinate test executed by the
-// flat kernels and the merge filter, process-wide. A pair the window's
+// flat kernels and the merge's tasks, process-wide. A pair the window's
 // signatures prove incomparable is skipped, not tested, and is not
 // counted. Kernels accumulate locally and publish once per call, so the
 // atomic stays off the inner loop; package driver bridges deltas into the
