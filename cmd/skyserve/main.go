@@ -8,13 +8,12 @@
 //	skyserve [-addr :8080] [-method angle] [-seed-n 1000] [-seed-d 4]
 //	         [-seed-file data.csv] [-header] [-snapshot registry.jsonl]
 //	         [-slo-p99 250ms] [-slo-avail 0.999]
-//	         [-publish-queue 1024] [-publish-batch 256]
 //
 // Publishes ride a batching pipeline (group commit: one index epoch per
-// coalesced batch; an acknowledged publish is always visible) whose
-// queue depth and maximum batch size -publish-queue/-publish-batch
-// resize. On shutdown the pipeline is drained before the snapshot is
-// written, so every accepted publish lands in the saved catalogue.
+// coalesced batch; an acknowledged publish is always visible) of the
+// driver's default queue depth and maximum batch size. On shutdown the
+// pipeline is drained before the snapshot is written, so every accepted
+// publish lands in the saved catalogue.
 //
 // API:
 //
@@ -89,18 +88,16 @@ func main() {
 	snapshot := flag.String("snapshot", "", "catalogue file: loaded at boot, saved on shutdown")
 	sloP99 := flag.Duration("slo-p99", 250*time.Millisecond, "p99 latency objective for skyline reads (0 disables)")
 	sloAvail := flag.Float64("slo-avail", 0.999, "availability objective: target non-5xx request fraction (0 disables)")
-	publishQueue := flag.Int("publish-queue", 0, "publish pipeline queue depth (0 = default)")
-	publishBatch := flag.Int("publish-batch", 0, "publish pipeline max group-commit batch (0 = default)")
 	flag.Parse()
 
-	if err := run(*addr, *method, *seedN, *seedD, *seedFile, *header, *snapshot, *sloP99, *sloAvail, *publishQueue, *publishBatch); err != nil {
+	if err := run(*addr, *method, *seedN, *seedD, *seedFile, *header, *snapshot, *sloP99, *sloAvail); err != nil {
 		fmt.Fprintf(os.Stderr, "skyserve: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(addr, method string, seedN, seedD int, seedFile string, header bool, snapshot string,
-	sloP99 time.Duration, sloAvail float64, publishQueue, publishBatch int) error {
+	sloP99 time.Duration, sloAvail float64) error {
 	scheme, err := partition.ParseScheme(method)
 	if err != nil {
 		return err
@@ -115,11 +112,6 @@ func run(addr, method string, seedN, seedD int, seedFile string, header bool, sn
 	reg, err := bootRegistry(bootCtx, scheme, seedN, seedD, seedFile, header, snapshot)
 	if err != nil {
 		return err
-	}
-	if publishQueue > 0 || publishBatch > 0 {
-		if err := reg.ConfigurePublish(publishQueue, publishBatch); err != nil {
-			return err
-		}
 	}
 	objectives := reg.ConfigureSLO(registry.SLOOptions{P99Threshold: sloP99, Availability: sloAvail})
 	events.Info("registry ready", telemetry.A("services", reg.Len()),

@@ -45,7 +45,10 @@ type Options struct {
 	// It does not bound MR-Grid's fit, whose one pass over every row runs
 	// on GOMAXPROCS goroutines (partition.Fit).
 	Workers int
-	// SpillDir, when set, spills intermediate data to sequence files.
+	// SpillDir names the existing directory where budgeted folds (see
+	// ReducerBudgetBytes) write their overflow files; empty is the OS temp
+	// directory. It is the only disk a job touches: the shuffle stays in
+	// memory, and an unbudgeted job never creates a file.
 	SpillDir string
 	// Codec selects the wire codec for the framed shuffle: the zero value
 	// keeps raw v1 frames, points.FrameAuto enables the bit-packed v2

@@ -212,8 +212,7 @@ type inProcess struct {
 
 // InProcess is the in-process executor of TwoJobs: job1 — what PartitionJob
 // returned, or a study's edit of it — over feed, then MergeJob(dim, band).
-// Of opts it reads Scheme (the jobs' names), Workers, SpillDir, Codec and
-// Metrics.
+// Of opts it reads Scheme (the jobs' names), Workers, Codec and Metrics.
 func InProcess(feed mapreduce.RowFeed, job1 mapreduce.FrameJob, dim, band int, opts Options) Executor {
 	job1.Feed = feed
 	return inProcess{job1: job1, dim: dim, band: band, opts: opts}
@@ -224,12 +223,11 @@ func (e inProcess) config(ctx context.Context, job string) mapreduce.Config {
 		job = fmt.Sprintf("skyband%d-%s", e.band, job)
 	}
 	return mapreduce.Config{
-		Name:     fmt.Sprintf("%s-%s", e.opts.Scheme, job),
-		Workers:  e.opts.Workers,
-		SpillDir: e.opts.SpillDir,
-		Metrics:  e.opts.Metrics,
-		Events:   telemetry.EventLogFrom(ctx),
-		Codec:    e.opts.Codec,
+		Name:    fmt.Sprintf("%s-%s", e.opts.Scheme, job),
+		Workers: e.opts.Workers,
+		Metrics: e.opts.Metrics,
+		Events:  telemetry.EventLogFrom(ctx),
+		Codec:   e.opts.Codec,
 	}
 }
 

@@ -258,11 +258,11 @@ func TestSnapshotV2CarriesEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blob, err := ix.SnapshotBytes()
-	if err != nil {
+	var blob bytes.Buffer
+	if err := ix.Save(&blob); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := sequencefile.ReadAll(bytes.NewReader(blob))
+	recs, err := sequencefile.ReadAll(bytes.NewReader(blob.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestSnapshotV2CarriesEpoch(t *testing.T) {
 	if meta.Version != 2 || meta.Epoch != ix.Epoch() || meta.Scheme == "" || len(meta.Shards) == 0 {
 		t.Fatalf("v2 header incomplete: %+v (index epoch %d)", meta, ix.Epoch())
 	}
-	restored, err := LoadIndex(context.Background(), bytes.NewReader(blob), Options{Scheme: partition.Angular})
+	restored, err := LoadIndex(context.Background(), bytes.NewReader(blob.Bytes()), Options{Scheme: partition.Angular})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -283,6 +284,49 @@ func assertNoLeak(t *testing.T, dir string, goroutines int) {
 			return
 		}
 	}
+}
+
+// TestSpillDirIsTheFoldsOverflowOnly: SpillDir names where budgeted folds
+// put their overflow files, and nothing else. Unbudgeted, Compute and
+// ComputeStream (whose default budget the input never fills) touch no disk,
+// so a SpillDir that does not exist changes nothing; a budgeted Compute whose
+// folds overflow fails on the first overflow file it cannot create, leaving
+// no file and no goroutine behind.
+func TestSpillDirIsTheFoldsOverflowOnly(t *testing.T) {
+	const n, d = 3000, 4
+	parent := t.TempDir()
+	missing := filepath.Join(parent, "missing")
+	data := dataset.Generate(dataset.KindAnticorrelated, 7, n, d)
+	want := skyline.Naive(data)
+
+	got, _, err := Compute(context.Background(), data, Options{Scheme: partition.Angular, Nodes: 2, SpillDir: missing})
+	if err != nil || !sameMultiset(got, want) {
+		t.Errorf("unbudgeted Compute: %d rows, err %v; want the oracle's %d", len(got), err, len(want))
+	}
+
+	src, err := dataset.NewSource(dataset.KindAnticorrelated, 7, n, d, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var streamed points.Set
+	if err := src.Stream(func(blk *points.Block) error {
+		streamed = append(streamed, blk.ToSet()...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err = ComputeStream(context.Background(), src, Options{Scheme: partition.Angular, Nodes: 2, SpillDir: missing})
+	if err != nil || !sameMultiset(got, skyline.Naive(streamed)) {
+		t.Errorf("unbudgeted ComputeStream: %d rows, err %v; want the oracle's", len(got), err)
+	}
+
+	goroutines := runtime.NumGoroutine()
+	_, _, err = Compute(context.Background(), data,
+		Options{Scheme: partition.Angular, Nodes: 2, SpillDir: missing, ReducerBudgetBytes: d * 8 * 16})
+	if err == nil || !strings.Contains(err.Error(), "creating overflow file") {
+		t.Fatalf("budgeted Compute into a missing SpillDir: err = %v, want the fold's failed create", err)
+	}
+	assertNoLeak(t, parent, goroutines)
 }
 
 // TestMergeScheduleSameForAnyWorkers: running the blocked round's groups

@@ -1,7 +1,6 @@
 package driver
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -204,13 +203,4 @@ func LoadIndex(ctx context.Context, r io.Reader, opts Options) (*Index, error) {
 	}
 	ix.install(epoch, local, skyline.FlatBNL(union))
 	return ix, nil
-}
-
-// SnapshotBytes is a convenience wrapper returning the serialized index.
-func (ix *Index) SnapshotBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -20,11 +20,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := ix.SnapshotBytes()
-	if err != nil {
+	var blob bytes.Buffer
+	if err := ix.Save(&blob); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadIndex(context.Background(), bytes.NewReader(blob), Options{Scheme: partition.Angular})
+	restored, err := LoadIndex(context.Background(), bytes.NewReader(blob.Bytes()), Options{Scheme: partition.Angular})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +42,11 @@ func TestSnapshotRestoreSupportsAdds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := ix.SnapshotBytes()
-	if err != nil {
+	var blob bytes.Buffer
+	if err := ix.Save(&blob); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadIndex(context.Background(), bytes.NewReader(blob), Options{Scheme: partition.Grid})
+	restored, err := LoadIndex(context.Background(), bytes.NewReader(blob.Bytes()), Options{Scheme: partition.Grid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestLoadIndexRejectsKeysOutsideTheTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := ix.SnapshotBytes()
-	if err != nil {
+	var blob bytes.Buffer
+	if err := ix.Save(&blob); err != nil {
 		t.Fatal(err)
 	}
-	again, err := LoadIndex(context.Background(), bytes.NewReader(blob), opts)
+	again, err := LoadIndex(context.Background(), bytes.NewReader(blob.Bytes()), opts)
 	if err != nil {
 		t.Fatalf("a snapshot of a restored 8-slot table: %v", err)
 	}

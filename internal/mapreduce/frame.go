@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -529,11 +528,11 @@ func ChunkRows(src ChunkSource) RowFeed {
 // list of a WholeInput by TaskMapper — into
 // per-partition Accumulators (nil means Staging), each sealed block
 // optionally passes through Combiner, and the shuffled frames are reduced
-// by Folder's per-partition folds, which absorb the frames one at a time,
-// from memory or spill. The two sides mirror each other: rows arrive one at
-// a time in an Accumulator, frames one at a time in a FrameFold, and where
-// the operator needs everything at once the rows are staged (Staging +
-// Combiner) and the frames assembled (Assembled). What a reduce task holds
+// by Folder's per-partition folds, which absorb the frames one at a time.
+// The two sides mirror each other: rows arrive one at a time in an
+// Accumulator, frames one at a time in a FrameFold, and where the operator
+// needs everything at once the rows are staged (Staging + Combiner) and the
+// frames assembled (Assembled). What a reduce task holds
 // is up to its folds — a budgeted one keeps it near its budget whatever the
 // partition's size — plus one frame of decode scratch. A job without a
 // Folder is map-only: its sealed map output, in task order, is its result,
@@ -547,23 +546,17 @@ type FrameJob struct {
 	Folder       FrameFolder
 }
 
-// frameTaskOutput is one map task's sealed output.
-type frameTaskOutput struct {
-	streams [][]byte // per reducer; nil when spilled
-	files   []string // spill file per reducer; nil when in memory
-}
-
 // RunFrames executes a MapReduce job in process — the
 // split → map → (combine) → shuffle → reduce pipeline, with the input
 // arriving as rows and the intermediate data moving as packed frames — and
-// blocks until the job completes, fails, or ctx is cancelled. Intermediate
-// frames spill to cfg.SpillDir when set. Each phase is timed, counted
-// (mr.* counters; the shuffle-byte counter reports frame payload bytes,
-// header + coordinates), narrated to cfg.Events and bridged into
-// cfg.Metrics. A map-only job (no Folder) stops after its map phase: its
+// blocks until the job completes, fails, or ctx is cancelled. A map task's
+// sealed per-reducer streams stay in memory until the reduce tasks have
+// folded them. Each phase is timed, counted (mr.* counters; the
+// shuffle-byte counter reports frame payload bytes, header + coordinates),
+// narrated to cfg.Events and bridged into cfg.Metrics. A map-only job (no Folder) stops after its map phase: its
 // map tasks' sealed streams, assembled in task order, are its result — they
-// cross no disk and no wire, so they are never spilled and always sealed as
-// raw v1 frames — and their bytes are mr.output.bytes, not shuffle.
+// cross no wire, so they are always sealed as raw v1 frames — and their
+// bytes are mr.output.bytes, not shuffle.
 func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, error) {
 	if (job.Mapper == nil) == (job.TaskMapper == nil) || (job.Mapper == nil) != (job.Feed.feed == nil) {
 		return nil, fmt.Errorf("mapreduce: %s: need a row feed and a mapper, or a whole-input feed and a task mapper", cfg.Name)
@@ -578,7 +571,7 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	}
 	mapOnly := job.Folder == nil
 	if mapOnly {
-		cfg.Reducers, cfg.SpillDir, cfg.Codec = 0, "", points.FrameDefault
+		cfg.Reducers, cfg.Codec = 0, points.FrameDefault
 	}
 	counters := NewCounters()
 	start := time.Now()
@@ -605,11 +598,10 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	ev.Info("phase start", jobAttr, telemetry.A("phase", "map"), telemetry.A("tasks", tasks))
 	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", tasks))
 	mapStart := time.Now()
-	outputs := make([]frameTaskOutput, tasks)
-	// Spill files must not outlive the job, whatever happens.
-	defer removeFrameSpills(outputs)
-	st, err := runPhase(mapCtx, cfg, "map", tasks, func(task int) (FrameStats, error) {
-		streams, st, err := buildFrames(func(emit EmitPoint) (FrameStats, error) {
+	// outputs[task][r] is map task task's sealed stream for reducer r.
+	outputs := make([][][]byte, tasks)
+	st, err := runPhase(mapCtx, cfg, "map", tasks, func(task int) (st FrameStats, err error) {
+		outputs[task], st, err = buildFrames(func(emit EmitPoint) (FrameStats, error) {
 			if job.TaskMapper != nil {
 				return job.TaskMapper(func(each func(*points.Block) error) error {
 					for _, blk := range job.Feed.whole[task] {
@@ -624,11 +616,6 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 			rows, err := job.Feed.feed(lo, min(lo+share, job.Feed.units), job.Mapper, emit)
 			return FrameStats{MapIn: int64(rows)}, err
 		}, job.Accumulators, job.Combiner, cfg.Reducers, cfg.Codec)
-		outputs[task].streams = streams
-		if err == nil && cfg.SpillDir != "" {
-			outputs[task].streams = nil
-			outputs[task].files, err = spillFrameStreams(cfg, task, streams, counters)
-		}
 		return st, err
 	})
 	mapSpan.End()
@@ -643,31 +630,33 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	var streams [][]byte
 	if mapOnly {
 		for _, out := range outputs {
-			streams = append(streams, out.streams...)
+			streams = append(streams, out...)
 		}
 	} else {
 		// --- Shuffle -----------------------------------------------------
 		// Frames are already partitioned per reducer when map tasks seal
 		// them, so the in-memory shuffle is zero-copy and this phase is a
 		// boundary only: a span, and — as on the cluster — an attribute of
-		// the reduce phase's start rather than a narrated phase. (Spilled
-		// frames are read back inside the reduce tasks, landing in Reduce
-		// time, as on a real cluster where reducers pull map outputs.)
+		// the reduce phase's start rather than a narrated phase.
 		_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
 		shuffleStart := time.Now()
 		shuffleSpan.End()
 		timing.Shuffle = time.Since(shuffleStart)
 
 		// --- Reduce ------------------------------------------------------
-		// Each task is ReduceFramesStream over reducer r's frames, from
-		// memory or spill, in map-task order.
+		// Each task is ReduceFramesStream over reducer r's streams, in
+		// map-task order.
 		ev.Info("phase start", jobAttr, telemetry.A("phase", "reduce"), telemetry.A("tasks", cfg.Reducers),
 			telemetry.A("shuffle_seconds", timing.Shuffle.Seconds()))
 		redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
 		reduceStart := time.Now()
 		streams = make([][]byte, cfg.Reducers)
 		redStats, err := runPhase(redCtx, cfg, "reduce", cfg.Reducers, func(r int) (st FrameStats, err error) {
-			streams[r], st, err = runReduceTask(cfg, r, outputs, job.Folder)
+			in := make([][]byte, tasks)
+			for task, out := range outputs {
+				in[task] = out[r]
+			}
+			streams[r], st, err = ReduceFramesStream(in, job.Folder, cfg.Codec)
 			return st, err
 		})
 		reduceSpan.End()
@@ -696,7 +685,7 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 // one accepted attempt, map and reduce — becomes the mr.* counters, the
 // per-partition volumes, the reducer peak and pass count, and timing's
 // Combine share. counters already holds what an executor counts as it
-// happens: the cluster's task retries, spill bytes.
+// happens: the cluster's task retries.
 func NewFrameResult(blocks map[int]*points.Block, counters *Counters, st FrameStats, timing Timing) *FrameResult {
 	counters.Add(CounterMapIn, st.MapIn)
 	counters.Add(CounterMapOut, st.MapOut)
@@ -724,7 +713,8 @@ func NewFrameResult(blocks map[int]*points.Block, counters *Counters, st FrameSt
 // runPhase runs a phase's n tasks on cfg.Workers goroutines, each under a
 // "<kind>-task" span on its worker's track, and returns their summed
 // tallies. A task runs once: in process a failure repeats on a second
-// attempt (a bad row, a full spill disk), so the first error fails the job.
+// attempt (a bad row, a fold's full overflow disk), so the first error fails
+// the job.
 func runPhase(ctx context.Context, cfg Config, kind string, n int, task func(i int) (FrameStats, error)) (FrameStats, error) {
 	var mu sync.Mutex
 	var agg FrameStats
@@ -746,15 +736,4 @@ func runPhase(ctx context.Context, cfg Config, kind string, n int, task func(i i
 		return nil
 	})
 	return agg, err
-}
-
-// removeFrameSpills deletes every spill file of a finished frame job.
-func removeFrameSpills(outputs []frameTaskOutput) {
-	for _, out := range outputs {
-		for _, f := range out.files {
-			if f != "" {
-				_ = os.Remove(f)
-			}
-		}
-	}
 }

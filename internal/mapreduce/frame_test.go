@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"os"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/points"
 	"repro/internal/telemetry"
@@ -95,42 +97,35 @@ func requireSameSets(t *testing.T, want, got map[int]points.Set) {
 
 // TestRunFramesMatchesClassic shuffles a dataset (duplicates included)
 // through the engine and requires, per partition, exactly the multiset a
-// direct grouping of the rows gives, in memory and in spill mode.
+// direct grouping of the rows gives.
 func TestRunFramesMatchesClassic(t *testing.T) {
 	data := frameTestData(2000, 4, 1)
 	const parts, reducers = 7, 3
 	mapper, folder := identityFrameJob(parts)
 
-	for _, spill := range []bool{false, true} {
-		name := map[bool]string{false: "memory", true: "spill"}[spill]
-		t.Run(name, func(t *testing.T) {
-			dir := ""
-			if spill {
-				dir = t.TempDir()
-			}
-			res, err := RunFrames(context.Background(),
-				Config{Name: "frames", Workers: 4, Reducers: reducers, SpillDir: dir},
-				FrameJob{Feed: SetRows(data), Mapper: mapper, Folder: folder})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make(map[int]points.Set)
-			for id, blk := range res.Blocks {
-				got[id] = blk.ToSet()
-			}
-			requireSameSets(t, routedDirectly(data, parts), got)
+	t.Run("memory", func(t *testing.T) {
+		res, err := RunFrames(context.Background(),
+			Config{Name: "frames", Workers: 4, Reducers: reducers},
+			FrameJob{Feed: SetRows(data), Mapper: mapper, Folder: folder})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[int]points.Set)
+		for id, blk := range res.Blocks {
+			got[id] = blk.ToSet()
+		}
+		requireSameSets(t, routedDirectly(data, parts), got)
 
-			if res.Counters.Get(CounterShuffle) != int64(len(data)) {
-				t.Errorf("shuffle records = %d, want %d", res.Counters.Get(CounterShuffle), len(data))
-			}
-			// Frame payload bytes: strictly more than raw coords (headers),
-			// far less than 2× coords.
-			coords := int64(len(data) * 4 * 8)
-			if b := res.Counters.Get(CounterShuffleBytes); b <= coords || b > coords*2 {
-				t.Errorf("shuffle bytes = %d, want in (%d, %d]", b, coords, coords*2)
-			}
-		})
-	}
+		if res.Counters.Get(CounterShuffle) != int64(len(data)) {
+			t.Errorf("shuffle records = %d, want %d", res.Counters.Get(CounterShuffle), len(data))
+		}
+		// Frame payload bytes: strictly more than raw coords (headers),
+		// far less than 2× coords.
+		coords := int64(len(data) * 4 * 8)
+		if b := res.Counters.Get(CounterShuffleBytes); b <= coords || b > coords*2 {
+			t.Errorf("shuffle bytes = %d, want in (%d, %d]", b, coords, coords*2)
+		}
+	})
 }
 
 // TestRunFramesCombiner checks the combiner runs on assembled blocks
@@ -163,40 +158,6 @@ func TestRunFramesCombiner(t *testing.T) {
 	}
 }
 
-// TestFrameSpillByteIdentical seals streams, spills them, and requires
-// read-back to reproduce the exact frame bytes.
-func TestFrameSpillByteIdentical(t *testing.T) {
-	cfg := Config{Name: "spillrt", SpillDir: t.TempDir(), Reducers: 3}
-	blk1 := points.NewBlock(0, 0)
-	blk1.AppendRow([]float64{1, 2})
-	blk1.AppendRow([]float64{3, 4})
-	blk2 := points.NewBlock(0, 0)
-	blk2.AppendRow([]float64{5, 6})
-	var stream []byte
-	stream = points.AppendFrame(stream, 0, blk1)
-	stream = points.AppendFrame(stream, 3, blk2)
-	streams := [][]byte{stream, nil, nil}
-
-	counters := NewCounters()
-	files, err := spillFrameStreams(cfg, 0, streams, counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files[1] != "" || files[2] != "" {
-		t.Fatal("empty streams produced files")
-	}
-	frames := drainFrameSpill(t, files[0])
-	if len(frames) != 2 {
-		t.Fatalf("read %d frames, want 2", len(frames))
-	}
-	if !bytes.Equal(bytes.Join(frames, nil), stream) {
-		t.Fatal("spill round trip not byte-identical")
-	}
-	if counters.Get(CounterSpillBytes) == 0 {
-		t.Error("no spill bytes counted")
-	}
-}
-
 // TestRunFramesErrors covers mapper, combiner and reducer failures plus
 // the negative-partition guard: errors, never panics.
 func TestRunFramesErrors(t *testing.T) {
@@ -226,6 +187,32 @@ func TestRunFramesErrors(t *testing.T) {
 				t.Fatal("no error")
 			}
 		})
+	}
+}
+
+// TestReduceFailureNamesItsTask: a reduce task that fails fails its job on
+// that first error, naming the task; the operator ran once, and no goroutine
+// outlives the job.
+func TestReduceFailureNamesItsTask(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	var calls atomic.Int32
+	folder := Assembled(func(int, *points.Block) (*points.Block, error) {
+		calls.Add(1)
+		return nil, errors.New("reduce failure")
+	})
+	_, err := RunFrames(context.Background(), Config{Name: "failing", Workers: 2, Reducers: 1},
+		FrameJob{Feed: SetRows(points.Set{{0}, {0}, {0}, {0}, {0}, {0}}), Mapper: tallyMapper, Folder: folder})
+	if err == nil || err.Error() != "mapreduce: failing: reduce task 0: reduce failure" {
+		t.Fatalf("err = %v, want reduce task 0's first error", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("reducer ran %d times, want 1", n)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines after the job, %d before", runtime.NumGoroutine(), goroutines)
+			break
+		}
 	}
 }
 
@@ -398,8 +385,7 @@ func TestTaskMapperKeepsItsBlocks(t *testing.T) {
 // TestMapOnlyJob: a job without a Folder stops after its map phase. Its
 // result is its map tasks' sealed streams assembled in task order, whatever
 // order the tasks finished in; no reduce task runs; its bytes are
-// mr.output.bytes and never shuffle; and with SpillDir set nothing is
-// spilled, because the output is the result. MapFrames seals the same
+// mr.output.bytes and never shuffle. MapFrames seals the same
 // bytes for such a job on a worker, as one stream.
 func TestMapOnlyJob(t *testing.T) {
 	data := frameTestData(900, 3, 11)
@@ -420,10 +406,9 @@ func TestMapOnlyJob(t *testing.T) {
 		})
 		return st, err
 	})
-	spill := t.TempDir()
 	tr := telemetry.NewTracer()
 	res, err := RunFrames(telemetry.WithTracer(context.Background(), tr),
-		Config{Name: "map-only", Workers: 3, Reducers: 2, SpillDir: spill},
+		Config{Name: "map-only", Workers: 3, Reducers: 2},
 		FrameJob{Feed: WholeInput(groups), TaskMapper: concat})
 	if err != nil {
 		t.Fatal(err)
@@ -446,9 +431,6 @@ func TestMapOnlyJob(t *testing.T) {
 	}
 	if res.Timing.Reduce != 0 || res.Timing.Shuffle != 0 {
 		t.Errorf("timing %+v: a map-only job has no shuffle or reduce time", res.Timing)
-	}
-	if left, _ := os.ReadDir(spill); len(left) != 0 {
-		t.Errorf("a map-only job left %d files in SpillDir", len(left))
 	}
 
 	// On a worker: one stream, the task's output.

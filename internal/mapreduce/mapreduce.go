@@ -6,10 +6,12 @@
 //
 // over a pool of worker goroutines ("slave servers"), with per-phase
 // wall-clock timing (the paper's Figure 6 breakdown), user and framework
-// counters, optional spill of intermediate data to disk in the sequencefile
-// format, and context cancellation. A task runs once; retry is the cluster's
-// (package rpcmr), where a worker can vanish and a second attempt can
-// succeed.
+// counters, and context cancellation. Intermediate data has one route: a map
+// task's sealed frames stay in memory until the reduce tasks fold them, as
+// they do on a cluster worker. What bounds a reduce task's memory is its
+// fold (skyline.BudgetedFold, which overflows to disk itself), never the
+// shuffle. A task runs once; retry is the cluster's (package rpcmr), where a
+// worker can vanish and a second attempt can succeed.
 //
 // There is one engine, RunFrames (frame.go): a job's input is rows of
 // float64 coordinates, its keys are integer partition ids, and everything
@@ -33,7 +35,7 @@ import (
 
 // Config controls job execution.
 type Config struct {
-	// Name labels the job in errors and spill file names.
+	// Name labels the job in errors, events and metrics.
 	Name string
 	// Workers is the number of concurrent map (and reduce) worker
 	// goroutines — the cluster size of the simulated deployment.
@@ -41,19 +43,16 @@ type Config struct {
 	Workers int
 	// Reducers is the number of reduce partitions. Defaults to Workers.
 	Reducers int
-	// SpillDir, when non-empty, makes map tasks write their sealed frame
-	// streams to sequence files under this directory instead of keeping
-	// them on the heap; reduce tasks read the frames back in map-task
-	// order. The directory must exist.
-	SpillDir string
-	// Codec selects the wire codec of sealed shuffle, spill and output
-	// frames. The zero value is the raw v1 codec; points.FrameAuto enables
-	// the bit-packed v2 encoding wherever it is smaller.
+	// Codec selects the wire codec of the sealed shuffle frames and of the
+	// reduce tasks' output frames, in memory as on a cluster's wire. The
+	// zero value is the raw v1 codec; points.FrameAuto enables the
+	// bit-packed v2 encoding wherever it is smaller.
 	Codec points.FrameCodec
 	// Events, when non-nil, receives the job's narration — "job start",
-	// "phase start", "phase end", "job end" or "job failed", "spill" — under the message names and attribute keys rpcmr's master
-	// uses for a cluster job, so one reader follows either executor.
-	// Per-record and per-task paths never log.
+	// "phase start", "phase end", "job end" or "job failed" — under the
+	// message names and attribute keys rpcmr's master uses for a cluster
+	// job, so one reader follows either executor. Per-record and per-task
+	// paths never log.
 	Events *telemetry.EventLog
 	// Metrics, when non-nil, receives the job's framework counters and
 	// per-phase latency histograms under the mr_* namespace after each
@@ -153,7 +152,6 @@ const (
 	// rpcmr's master books them — an in-process task runs once.
 	CounterMapRetries = "mr.map.task.retries"
 	CounterRedRetries = "mr.reduce.task.retries"
-	CounterSpillBytes = "mr.spill.bytes"
 	// CounterWorkerFailures counts tasks lost with their worker — it went
 	// dead, or asked for work again, while holding them — each also a retry
 	// of that task. Only an executor whose

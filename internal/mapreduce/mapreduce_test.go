@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -289,37 +287,6 @@ func TestEmptyInput(t *testing.T) {
 	}
 }
 
-func TestSpillMode(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Name: "spilled", Workers: 3, Reducers: 2, SpillDir: dir}
-	checkWordCount(t, wordCountJob(t, cfg, wcDocs, nil))
-	// Spill files must not outlive the job.
-	left, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("leftover spill files: %v", left)
-	}
-}
-
-func TestSpillBytesCounter(t *testing.T) {
-	rows, _ := wordRows([]string{"hello world hello"})
-	_, res := tally(t, Config{SpillDir: t.TempDir()}, rows, FrameJob{Mapper: tallyMapper, Folder: tallyFolder})
-	if res.Counters.Get(CounterSpillBytes) <= 0 {
-		t.Error("spill bytes counter not incremented")
-	}
-}
-
-func TestSpillDirMissing(t *testing.T) {
-	cfg := Config{SpillDir: filepath.Join(os.TempDir(), "definitely-missing-dir-xyz")}
-	_, err := RunFrames(context.Background(), cfg,
-		FrameJob{Feed: SetRows(points.Set{{1}}), Mapper: tallyMapper, Folder: tallyFolder})
-	if err == nil {
-		t.Error("missing spill dir accepted")
-	}
-}
-
 func TestTimingPopulated(t *testing.T) {
 	rows, _ := wordRows(wcDocs)
 	_, res := tally(t, Config{Workers: 2}, rows, FrameJob{Mapper: tallyMapper, Folder: tallyFolder})
@@ -366,8 +333,8 @@ func TestManyWorkersFewTasks(t *testing.T) {
 // (tests and examples do not count) need different values, and the engine
 // cannot work the value out from its inputs.
 func TestOptionSurface(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 7 {
-		t.Fatalf("mapreduce.Config has %d fields, want 7", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 6 {
+		t.Fatalf("mapreduce.Config has %d fields, want 6", n)
 	}
 }
 

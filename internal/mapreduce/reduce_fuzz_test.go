@@ -55,7 +55,6 @@ func FuzzReduceFramesStream(f *testing.F) {
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		streams := [][]byte{a, b}
-		srcs := func() []FrameSource { return []FrameSource{StreamFrameSource(a), StreamFrameSource(b)} }
 		// The oracle: every partition assembled, then the whole-block kernel,
 		// sealed in ascending partition order.
 		var want map[int]*points.Block
@@ -77,7 +76,7 @@ func FuzzReduceFramesStream(f *testing.F) {
 			}
 		}
 
-		out, st, err := ReduceFramesStream(srcs(), skylineFolder, points.FrameDefault)
+		out, st, err := ReduceFramesStream(streams, skylineFolder, points.FrameDefault)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("assembled: err %v, AssembleFrames' %v", err, wantErr)
 		}
@@ -90,7 +89,7 @@ func FuzzReduceFramesStream(f *testing.F) {
 			}
 		}
 
-		out, _, err = ReduceFramesStream(srcs(), func(int) FrameFold {
+		out, _, err = ReduceFramesStream(streams, func(int) FrameFold {
 			return skyline.NewBudgetedFold(d, 1024, dir, points.FrameDefault)
 		}, points.FrameAuto)
 		if err == nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // The reduce side: one route. A reduce task's frames are decoded one at a
-// time — from memory, or straight off the spill file via frameSpillReader —
-// and absorbed into a FrameFold per partition, so the task's working set is
+// time out of the sealed in-memory streams the map tasks left it, and
+// absorbed into a FrameFold per partition, so the task's working set is
 // what its folds keep plus one frame of scratch. The fold is the only
 // pluggable part: a bounded one (skyline.BudgetedFold) keeps the task near
 // its budget regardless of partition size; Assembled is the fold of an
@@ -82,44 +82,12 @@ func (a *assembled) Finish() (*points.Block, error) {
 func (a *assembled) PeakBytes() int64 { return a.bytes }
 func (a *assembled) Passes() int      { return 1 }
 
-// FrameSource yields one shuffle frame at a time; io.EOF ends the
-// stream. It abstracts spilled runs (frameSpillReader) and in-memory
-// sealed streams so a reduce task treats both identically.
-type FrameSource interface {
-	Next() ([]byte, error)
-}
-
-// StreamFrameSource adapts one sealed in-memory frame stream to a
-// FrameSource — for callers outside the engine (rpcmr workers) feeding
-// ReduceFramesStream from transport buffers.
-func StreamFrameSource(stream []byte) FrameSource {
-	return &memFrameSource{rest: stream}
-}
-
-// memFrameSource slices one sealed in-memory stream back into frames.
-type memFrameSource struct {
-	rest []byte
-}
-
-func (m *memFrameSource) Next() ([]byte, error) {
-	if len(m.rest) == 0 {
-		return nil, io.EOF
-	}
-	n, err := points.FrameLen(m.rest)
-	if err != nil {
-		return nil, err
-	}
-	frame := m.rest[:n]
-	m.rest = m.rest[n:]
-	return frame, nil
-}
-
 // ReduceFramesStream is the one reduce-task body, shared by every executor:
-// it drains every source in order, folding each frame into its partition's
-// fold, then finishes the folds in ascending partition order and seals each
-// one's result into one output frame stream. Malformed frames and fold
-// errors are returned, never panics. Sources are closed by the caller.
-func ReduceFramesStream(srcs []FrameSource, folder FrameFolder, codec points.FrameCodec) ([]byte, FrameStats, error) {
+// it walks every sealed stream in order, frame by frame, folding each frame
+// into its partition's fold, then finishes the folds in ascending partition
+// order and seals each one's result into one output frame stream. Malformed
+// frames and fold errors are returned, never panics.
+func ReduceFramesStream(streams [][]byte, folder FrameFolder, codec points.FrameCodec) ([]byte, FrameStats, error) {
 	var st FrameStats
 	folds := make(map[int]FrameFold)
 	// On an error return some folds are never finished, and an unfinished
@@ -133,15 +101,14 @@ func ReduceFramesStream(srcs []FrameSource, folder FrameFolder, codec points.Fra
 	}()
 	scratch := points.NewBlock(0, 0)
 	var maxFrame int64
-	for _, src := range srcs {
-		for {
-			frame, err := src.Next()
-			if err == io.EOF {
-				break
-			}
+	for _, rest := range streams {
+		for len(rest) > 0 {
+			n, err := points.FrameLen(rest)
 			if err != nil {
-				return nil, st, err
+				return nil, st, fmt.Errorf("mapreduce: bad frame: %w", err)
 			}
+			frame := rest[:n]
+			rest = rest[n:]
 			p, count, err := points.FrameCount(frame)
 			if err != nil {
 				return nil, st, fmt.Errorf("mapreduce: bad frame: %w", err)
@@ -199,35 +166,6 @@ func sortedInts[V any](m map[int]V) []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// runReduceTask is reduce task r of an in-process job: its frames are read
-// from memory or spill, in map-task order, one frame at a time.
-func runReduceTask(cfg Config, r int, outputs []frameTaskOutput, folder FrameFolder) ([]byte, FrameStats, error) {
-	var srcs []FrameSource
-	var open []*frameSpillReader
-	defer func() {
-		for _, sr := range open {
-			sr.Close()
-		}
-	}()
-	for _, out := range outputs {
-		if out.files != nil {
-			if r < len(out.files) && out.files[r] != "" {
-				sr, err := openFrameSpill(out.files[r])
-				if err != nil {
-					return nil, FrameStats{}, fmt.Errorf("mapreduce: %s: opening frame spill: %w", cfg.Name, err)
-				}
-				open = append(open, sr)
-				srcs = append(srcs, sr)
-			}
-			continue
-		}
-		if r < len(out.streams) && len(out.streams[r]) > 0 {
-			srcs = append(srcs, &memFrameSource{rest: out.streams[r]})
-		}
-	}
-	return ReduceFramesStream(srcs, folder, cfg.Codec)
 }
 
 // ---------------------------------------------------------------------------

@@ -60,8 +60,8 @@ var skylineFolder = Assembled(blockBNLCombiner)
 
 // TestRunFramesFoldOracle: the streaming budgeted reduce must produce
 // exactly the in-memory reduce's skyline, partition by partition, under
-// generous and tiny budgets (the latter forcing multi-pass folds),
-// in-memory and spilled shuffles.
+// generous and tiny budgets (the latter forcing multi-pass folds), with raw
+// and v2-coded shuffle frames.
 func TestRunFramesFoldOracle(t *testing.T) {
 	const n, d, parts = 4000, 4, 6
 	rng := rand.New(rand.NewSource(21))
@@ -79,21 +79,17 @@ func TestRunFramesFoldOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		budget int64
-		spill  bool
 		codec  points.FrameCodec
 	}{
-		{"ample-mem", 1 << 20, false, points.FrameDefault},
-		{"ample-spill-v2", 1 << 20, true, points.FrameAuto},
-		{"tiny-mem", int64(d) * 8 * 8, false, points.FrameDefault}, // 8-row windows
-		{"tiny-spill-v2", int64(d) * 8 * 8, true, points.FrameAuto},
+		{"ample-mem", 1 << 20, points.FrameDefault},
+		{"ample-v2", 1 << 20, points.FrameAuto},
+		{"tiny-mem", int64(d) * 8 * 8, points.FrameDefault}, // 8-row windows
+		{"tiny-v2", int64(d) * 8 * 8, points.FrameAuto},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{Name: "fold-" + tc.name, Workers: 4, Reducers: 3,
 				Codec: tc.codec}
-			if tc.spill {
-				cfg.SpillDir = dir
-			}
 			folder := func(int) FrameFold {
 				return skyline.NewBudgetedFold(d, tc.budget, dir, points.FrameAuto)
 			}
@@ -190,8 +186,7 @@ func TestRunFramesChunkedOracle(t *testing.T) {
 	for _, budget := range []int64{1 << 20, int64(d) * 8 * 4} {
 		t.Run(fmt.Sprintf("budget-%d", budget), func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{Name: "chunked", Workers: 4, Reducers: 2,
-				SpillDir: dir, Codec: points.FrameAuto}
+			cfg := Config{Name: "chunked", Workers: 4, Reducers: 2, Codec: points.FrameAuto}
 			folder := func(int) FrameFold {
 				return skyline.NewBudgetedFold(d, budget, dir, points.FrameAuto)
 			}

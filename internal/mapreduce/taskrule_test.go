@@ -3,10 +3,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -264,25 +261,4 @@ func (b blockChunks) WalkChunk(i int, blk *points.Block, fn func(*points.Block) 
 		}
 	}
 	return nil
-}
-
-// TestFailedSpillLeavesNoFile: a map task whose spill fails part-way — here
-// reducer 1's file name is taken by a directory — fails the job, and the
-// file it had already written for reducer 0 goes with it.
-func TestFailedSpillLeavesNoFile(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Name: "full", Workers: 1, Reducers: 2, SpillDir: dir}
-	if err := os.Mkdir(frameSpillFileName(cfg, 0, 1), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	mapper, folder := identityFrameJob(2)
-	_, err := RunFrames(context.Background(), cfg,
-		FrameJob{Feed: SetRows(points.Set{{0, 1}, {1, 1}, {2, 1}, {3, 1}}), Mapper: mapper, Folder: folder})
-	if err == nil || !strings.Contains(err.Error(), "creating frame spill") {
-		t.Fatalf("RunFrames returned %v; want the failed create", err)
-	}
-	left, _ := filepath.Glob(filepath.Join(dir, "*.fseq"))
-	if len(left) != 1 || left[0] != frameSpillFileName(cfg, 0, 1) {
-		t.Errorf("the failed job left %v; want only the directory that was there", left)
-	}
 }

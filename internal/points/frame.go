@@ -108,8 +108,8 @@ func frameHeader(b []byte) (partition int, count, dim uint64, hdrLen int, err er
 }
 
 // FrameLen returns the total encoded length of the first frame in b
-// without decoding its coordinates — the spill writer uses it to split a
-// sealed stream back into length-prefixed records.
+// without decoding its coordinates — the reduce body uses it to walk a
+// sealed stream frame by frame.
 func FrameLen(b []byte) (int, error) {
 	if len(b) > 0 && b[0] == FrameVersion2 {
 		_, _, _, packed, hdr, err := frameHeaderV2(b)

@@ -164,14 +164,6 @@ func (r *Registry) Close() {
 	r.ix.Close()
 }
 
-// ConfigurePublish resizes the publish pipeline's queue depth and
-// maximum batch size (non-positive values keep the defaults). Call
-// before serving traffic.
-func (r *Registry) ConfigurePublish(queue, maxBatch int) error {
-	r.ix.Close()
-	return r.ix.StartPipeline(queue, maxBatch)
-}
-
 // Metrics returns the registry's telemetry surface, for embedding into a
 // larger exposition or asserting on in tests.
 func (r *Registry) Metrics() *telemetry.Registry { return r.tele }

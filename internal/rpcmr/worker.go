@@ -295,10 +295,6 @@ func (w *Worker) runTask(task *TaskReply) error {
 // job's folder, by the reduce-task body every executor shares. Its output is
 // one stream, as ResultArgs.Frames carries it.
 func executeReduce(job Job, task *TaskReply) ([][]byte, mapreduce.FrameStats, error) {
-	srcs := make([]mapreduce.FrameSource, len(task.FrameStreams))
-	for i, stream := range task.FrameStreams {
-		srcs[i] = mapreduce.StreamFrameSource(stream)
-	}
-	out, st, err := mapreduce.ReduceFramesStream(srcs, job.FrameJob.Folder, job.Codec)
+	out, st, err := mapreduce.ReduceFramesStream(task.FrameStreams, job.FrameJob.Folder, job.Codec)
 	return [][]byte{out}, st, err
 }

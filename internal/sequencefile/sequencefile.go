@@ -1,6 +1,6 @@
 // Package sequencefile implements a minimal binary key-value record format
-// in the spirit of Hadoop's SequenceFile, used by the MapReduce engine to
-// spill intermediate (key, value) pairs to disk between phases.
+// in the spirit of Hadoop's SequenceFile, used for the budgeted skyline
+// fold's overflow files and the index's snapshots.
 //
 // File layout:
 //

@@ -20,7 +20,7 @@ import (
 
 // The event log is the cluster's structured operational journal: every
 // load-bearing transition — job and phase boundaries, task dispatch,
-// retries, stragglers, spills, worker state changes — lands here as one
+// retries, stragglers, worker state changes — lands here as one
 // leveled, attributed event. Storage is a bounded ring of per-slot
 // locked cells: writers claim a slot with one atomic increment and touch
 // only that slot's mutex, so concurrent producers never serialize on a

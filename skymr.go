@@ -115,8 +115,10 @@ type Options struct {
 	// Nodes. It does not bound MR-Grid's fit, whose one pass over every
 	// row runs on GOMAXPROCS goroutines.
 	Workers int
-	// SpillDir, when set, spills intermediate MapReduce data to sequence
-	// files under this existing directory instead of the heap.
+	// SpillDir names the existing directory where budgeted reducers (see
+	// ReducerBudgetBytes) write their overflow files; empty is the OS temp
+	// directory. It is the only disk a job touches: the shuffle stays in
+	// memory, and an unbudgeted job never creates a file.
 	SpillDir string
 	// ReducerBudgetBytes bounds every reducer's resident candidate window
 	// at this many payload bytes; overflow streams through spill frames
