@@ -38,9 +38,9 @@ func TestAbandonedFoldsLeaveNoOverflowFile(t *testing.T) {
 	t.Run("bad frame into ReduceFramesStream", func(t *testing.T) {
 		dir := t.TempDir()
 		stream := append(points.AppendFrame(nil, 0, blk), 0xff, 0xff, 0xff)
-		_, _, err := mapreduce.ReduceFramesStream([][]byte{stream}, func(int) mapreduce.FrameFold {
+		_, _, err := mapreduce.ReduceFramesStream([][]byte{stream}, mapreduce.FrameJob{Folder: func(int) mapreduce.FrameFold {
 			return skyline.NewBudgetedFold(d, 1024, dir, points.FrameDefault)
-		}, points.FrameDefault)
+		}}, points.FrameDefault)
 		if err == nil || !strings.Contains(err.Error(), "unsupported frame version 255") {
 			t.Fatalf("err = %v, want the bad frame's", err)
 		}

@@ -76,7 +76,7 @@ func FuzzReduceFramesStream(f *testing.F) {
 			}
 		}
 
-		out, st, err := ReduceFramesStream(streams, skylineFolder, points.FrameDefault)
+		out, st, err := ReduceFramesStream(streams, FrameJob{Folder: skylineFolder}, points.FrameDefault)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("assembled: err %v, AssembleFrames' %v", err, wantErr)
 		}
@@ -89,9 +89,9 @@ func FuzzReduceFramesStream(f *testing.F) {
 			}
 		}
 
-		out, _, err = ReduceFramesStream(streams, func(int) FrameFold {
+		out, _, err = ReduceFramesStream(streams, FrameJob{Folder: func(int) FrameFold {
 			return skyline.NewBudgetedFold(d, 1024, dir, points.FrameDefault)
-		}, points.FrameAuto)
+		}}, points.FrameAuto)
 		if err == nil {
 			// The fold takes d-dimensional rows only, so it may refuse what
 			// the oracle accepts, never the other way round.

@@ -295,6 +295,6 @@ func (w *Worker) runTask(task *TaskReply) error {
 // job's folder, by the reduce-task body every executor shares. Its output is
 // one stream, as ResultArgs.Frames carries it.
 func executeReduce(job Job, task *TaskReply) ([][]byte, mapreduce.FrameStats, error) {
-	out, st, err := mapreduce.ReduceFramesStream(task.FrameStreams, job.FrameJob.Folder, job.Codec)
+	out, st, err := mapreduce.ReduceFramesStream(task.FrameStreams, job.FrameJob, job.Codec)
 	return [][]byte{out}, st, err
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -144,8 +145,25 @@ func TestSpecBudgetTravels(t *testing.T) {
 }
 
 // assembledBNLJob is the partitioning job as it reduced before every reducer
-// was a fold: skyline.BlockBNL over each assembled partition.
-const assembledBNLJob = "test/partition-assembled-bnl"
+// was a fold: skyline.BlockBNL over each assembled partition. watchedJob is
+// the partitioning job whose folds add the dominance tests they run to
+// watchedTests.
+const (
+	assembledBNLJob = "test/partition-assembled-bnl"
+	watchedJob      = "test/partition-watched"
+)
+
+var watchedTests atomic.Int64
+
+// watchedFold adds the dominance tests its Finish publishes — all the fold
+// ran — to watchedTests.
+type watchedFold struct{ *skyline.BudgetedFold }
+
+func (w watchedFold) Finish() (*points.Block, error) {
+	before := skyline.DominanceTests()
+	defer func() { watchedTests.Add(skyline.DominanceTests() - before) }()
+	return w.BudgetedFold.Finish()
+}
 
 func init() {
 	rpcmr.RegisterJob(assembledBNLJob, func(params []byte) (rpcmr.Job, error) {
@@ -155,50 +173,74 @@ func init() {
 		})
 		return job, err
 	})
+	rpcmr.RegisterJob(watchedJob, func(params []byte) (rpcmr.Job, error) {
+		job, err := newPartitionJob(params)
+		if folder := job.FrameJob.Folder; folder != nil {
+			job.FrameJob.Folder = func(p int) mapreduce.FrameFold {
+				return watchedFold{folder(p).(*skyline.BudgetedFold)}
+			}
+		}
+		return job, err
+	})
 }
 
 // TestUnbudgetedReduceIsBlockBNL is driver's test of the same name on a
-// two-worker cluster: without a budget the workers' folds return, partition
-// by partition and row for row in order, what BlockBNL over the assembled
-// partition does, for as many dominance tests, in one pass, reporting a peak
-// and leaving no file where a fold would overflow to.
+// cluster: without a budget the workers' folds return, partition by
+// partition, the rows BlockBNL over the assembled partition does, as a
+// multiset, and the same global skyline row for row, in one pass, reporting
+// a peak and leaving no file where a fold would overflow to. They take each
+// map task's window in as a skyline, so a two-worker run makes strictly
+// fewer dominance tests than the assembled route, and on one worker — one
+// map task — the reduce makes none.
 func TestUnbudgetedReduceIsBlockBNL(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
-	master := startCluster(t, 2)
 	coarse := uniformSet(72, 3000, 3)
 	for _, p := range coarse {
 		for i := range p {
 			p[i] = math.Floor(p[i] / 10)
 		}
 	}
-	for name, data := range map[string]points.Set{
-		"uniform":         uniformSet(71, 3000, 4),
-		"duplicates":      coarse,
-		"anti-correlated": dataset.Generate(dataset.KindAnticorrelated, 73, 3000, 4),
-	} {
-		spec, err := SpecFor(data, partition.Angular, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ComputeSpec(context.Background(), master, data, spec, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := compute(context.Background(), master, data, spec, spec, assembledBNLJob, MergeJobName, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Skyline, want.Skyline) || !reflect.DeepEqual(got.LocalSkylines, want.LocalSkylines) {
-			t.Errorf("%s: the unbounded fold and BlockBNL over the assembled partition differ in a row or its place", name)
-		}
-		if st, parent := got.Stats, want.Stats; st.DominanceTests != parent.DominanceTests || st.DominanceTests == 0 ||
-			st.MergePasses != 1 || st.ReducerPeakBytes <= 0 || st.MergeRounds != 0 {
-			t.Errorf("%s: %d dominance tests (the assembled route's %d), %d passes, a peak of %d bytes, %d merge rounds",
-				name, st.DominanceTests, parent.DominanceTests, st.MergePasses, st.ReducerPeakBytes, st.MergeRounds)
-		}
-		if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
-			t.Errorf("%s: %d files in the temp directory, err %v", name, len(left), err)
+	for _, workers := range []int{1, 2} {
+		master := startCluster(t, workers)
+		for name, data := range map[string]points.Set{
+			"uniform":         uniformSet(71, 3000, 4),
+			"duplicates":      coarse,
+			"anti-correlated": dataset.Generate(dataset.KindAnticorrelated, 73, 3000, 4),
+		} {
+			spec, err := SpecFor(data, partition.Angular, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			watchedTests.Store(0)
+			got, err := compute(context.Background(), master, data, spec, spec, watchedJob, MergeJobName, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reduceTests := watchedTests.Load()
+			want, err := compute(context.Background(), master, data, spec, spec, assembledBNLJob, MergeJobName, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Skyline, want.Skyline) || len(got.LocalSkylines) != len(want.LocalSkylines) {
+				t.Errorf("%s, %d workers: the global skylines differ in a row or its place, or the partitions hit", name, workers)
+			}
+			for id, local := range want.LocalSkylines {
+				if !sameMultiset(got.LocalSkylines[id], local) {
+					t.Errorf("%s, %d workers: partition %d's local skyline is not BlockBNL over the assembled partition", name, workers, id)
+				}
+			}
+			if st, parent := got.Stats, want.Stats; st.DominanceTests >= parent.DominanceTests || st.DominanceTests == 0 ||
+				st.MergePasses != 1 || st.ReducerPeakBytes <= 0 || st.MergeRounds != 0 {
+				t.Errorf("%s, %d workers: %d dominance tests (the assembled route's %d), %d passes, a peak of %d bytes, %d merge rounds",
+					name, workers, st.DominanceTests, parent.DominanceTests, st.MergePasses, st.ReducerPeakBytes, st.MergeRounds)
+			}
+			if workers == 1 && reduceTests != 0 {
+				t.Errorf("%s: one map task's windows took %d dominance tests to reduce", name, reduceTests)
+			}
+			if left, err := os.ReadDir(tmp); err != nil || len(left) > 0 {
+				t.Errorf("%s, %d workers: %d files in the temp directory, err %v", name, workers, len(left), err)
+			}
 		}
 	}
 }

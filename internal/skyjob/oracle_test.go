@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/driver"
 	"repro/internal/mapreduce"
 	"repro/internal/metrics"
@@ -95,6 +96,78 @@ func init() {
 			edit(&job.FrameJob)
 			return job, nil
 		})
+	}
+}
+
+// editJobs are the partitioning job under the edits that ship frames that
+// are no skyline: no combiner (staged rows), and a combiner that ships each
+// sealed window with a copy of every row one unit worse in every coordinate
+// — rows the window's own dominate, so no local skyline changes.
+var editJobs = map[string]string{"no combiner": "test/partition-no-combiner", "dominated copies": "test/partition-dominated-copies"}
+
+func init() {
+	for name, edit := range map[string]func(*mapreduce.FrameJob){
+		"no combiner": func(job *mapreduce.FrameJob) { job.Accumulators, job.Combiner = nil, nil },
+		"dominated copies": func(job *mapreduce.FrameJob) {
+			job.Combiner = func(_ int, blk *points.Block) (*points.Block, error) {
+				out := blk.Clone()
+				for i := 0; i < blk.Len(); i++ {
+					worse := append([]float64(nil), blk.Row(i)...)
+					for k := range worse {
+						worse[k]++
+					}
+					out.AppendRow(worse)
+				}
+				return out, nil
+			}
+		},
+	} {
+		rpcmr.RegisterJob(editJobs[name], func(params []byte) (rpcmr.Job, error) {
+			job, err := newPartitionJob(params)
+			if err != nil {
+				return job, err
+			}
+			edit(&job.FrameJob)
+			return job, nil
+		})
+	}
+}
+
+// TestEditedJobsKeepExactLocalSkylines is driver's test of the same name on
+// a two-worker cluster: the workers' reduce tasks take a frame in as a
+// skyline only for the partitioning job as it is, never for an edit whose
+// frames are not skylines (no combiner, a combiner over the seal) or whose
+// reduce is another fold (WithKernel), and every run gives each partition
+// exactly BNL of the rows routed to it — unbudgeted, and under a 16-row
+// budget that sends the folds round several passes.
+func TestEditedJobsKeepExactLocalSkylines(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // where the workers' folds overflow
+	master := startCluster(t, 2)
+	data := dataset.Generate(dataset.KindAnticorrelated, 64, 3000, 4)
+	spec, err := SpecFor(data, partition.Angular, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := map[string]string{"as is": PartitionJobName, "SFS kernel": kernelJobs["SFS"]}
+	for name, job := range editJobs {
+		jobs[name] = job
+	}
+	for name, job := range jobs {
+		for _, budget := range []int64{0, 16 * 4 * 8} {
+			spec.ReducerBudgetBytes = budget
+			res, err := compute(context.Background(), master, data, spec, spec, job, MergeJobName, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("%s/budget %d", name, budget), func(t *testing.T) { requireOracle(t, res, spec, data, skyline.BNL) })
+			if budget > 0 && name != "SFS kernel" && res.Stats.MergePasses < 2 {
+				t.Errorf("%s: the budgeted folds resolved in %d pass(es)", name, res.Stats.MergePasses)
+			}
+		}
+	}
+	if left, _ := os.ReadDir(tmp); len(left) > 0 {
+		t.Errorf("%d files left in TMPDIR", len(left))
 	}
 }
 

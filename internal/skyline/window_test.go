@@ -104,6 +104,21 @@ func checkWindow(t *testing.T, w *window) {
 	}
 }
 
+// checkLockstep asserts that every window row sits beside the tick of the
+// row it was absorbed as (byTick) and beside its own signature.
+func checkLockstep(t *testing.T, w *window, byTick map[int64][]float64) {
+	t.Helper()
+	if len(w.ticks) != w.rows.Len() {
+		t.Fatalf("%d ticks for %d rows", len(w.ticks), w.rows.Len())
+	}
+	for j, tick := range w.ticks {
+		if !slices.Equal(w.rows.Row(j), byTick[tick]) {
+			t.Fatalf("row %d is %v but carries the tick of %v", j, w.rows.Row(j), byTick[tick])
+		}
+	}
+	checkWindow(t, w)
+}
+
 // matchReference feeds rows to a Window and to the plain loop and requires
 // the same rows in the same order after every Add.
 func matchReference(t *testing.T, w *Window, rows [][]float64) (pruned, plain int64) {
@@ -266,15 +281,7 @@ func TestBudgetedFoldLockstep(t *testing.T) {
 					evictions++
 				}
 			}
-			if len(f.win.ticks) != f.win.rows.Len() {
-				t.Fatalf("%d ticks for %d rows", len(f.win.ticks), f.win.rows.Len())
-			}
-			for j, tick := range f.win.ticks {
-				if !slices.Equal(f.win.rows.Row(j), byTick[tick]) {
-					t.Fatalf("window=%d: row %d is %v but carries the tick of %v", winRows, j, f.win.rows.Row(j), byTick[tick])
-				}
-			}
-			checkWindow(t, f.win)
+			checkLockstep(t, f.win, byTick)
 		}
 		if evictions == 0 {
 			t.Fatalf("window=%d: stream caused no evictions", winRows)
@@ -329,15 +336,7 @@ func TestPromotionKeepsLockstep(t *testing.T) {
 		if w.fitAt != fitAt {
 			fits++
 		}
-		if len(w.ticks) != w.rows.Len() {
-			t.Fatalf("%d ticks for %d rows", len(w.ticks), w.rows.Len())
-		}
-		for j, tick := range w.ticks {
-			if !slices.Equal(w.rows.Row(j), byTick[tick]) {
-				t.Fatalf("after row %d: row %d is %v but carries the tick of %v", i, j, w.rows.Row(j), byTick[tick])
-			}
-		}
-		checkWindow(t, w)
+		checkLockstep(t, w, byTick)
 	}
 	if promotions < 100 || evictions < 10 || fits < 2 {
 		t.Fatalf("%d promotions, %d evictions, %d fits: the stream no longer covers all three", promotions, evictions, fits)
