@@ -145,19 +145,6 @@ func BenchmarkSkyline(b *testing.B) {
 		tr := telemetry.NewTracer()
 		run(b, opts, telemetry.WithTracer(context.Background(), tr))
 	})
-	// events=off vs events=on is the live-operations regression gate:
-	// the event log hears only job/phase/task/spill boundaries — never
-	// per-record work — so the instrumented run must stay within noise
-	// (< 2%) of the uninstrumented one.
-	b.Run("events=off", func(b *testing.B) {
-		run(b, base, context.Background())
-	})
-	// The ring wraps during the run (as any long-lived process's does),
-	// so the split measures steady-state recycling, not cold fill.
-	b.Run("events=on", func(b *testing.B) {
-		log := telemetry.NewEventLog(256)
-		run(b, base, telemetry.WithEventLog(context.Background(), log))
-	})
 	// sampling=off vs sampling=on is the observability-plane regression
 	// gate: the debug plane's clock, sampling the registry and evaluating
 	// a watchdog rule every 10ms, must not slow the computation itself — the

@@ -12,24 +12,20 @@
 //
 // With -metrics-addr, the master starts the debug plane
 // (internal/telemetry/debugserver) on a second listener: /metrics
-// (Prometheus text), /debug/pprof/, /debug/flightrecorder (the job's
-// flight record), /debug/events (the structured event stream as JSON
-// lines), /debug/health (worker states, queue depth, phase progress),
-// /debug/timeseries (sampled metric history), /debug/critpath,
-// /debug/runhistory and /debug/cluster (the federated view: every
-// worker's /metrics scraped, re-labeled with its worker id, and merged
-// with the master's own registry) — the surface `skytop` renders. The
-// plane's clock samples the registry every min(1s, -stall-window/3) and
-// scrapes the workers every second tick; after each sample an anomaly
-// watchdog checks the history for throughput stalls, heartbeat gaps,
-// reducer budget pressure and GC-pause spikes; each anomaly lands in
-// the event log and bumps telemetry_anomalies_total{rule}, and with
-// -capture-dir the first anomaly per five minutes also writes a CPU+heap
-// profile pair there. With -trace, the two-job run — including the
-// workers' task spans, shipped back over RPC and stitched under one
-// trace — is recorded as Chrome trace_event JSON, loadable in
-// chrome://tracing or Perfetto. With -flight-out, the flight record is also written to a
-// file. With -linger, the master keeps the debug endpoints up for that
+// (Prometheus text: per-worker retries, lost tasks, stragglers and state
+// transitions included), /debug/pprof/, /debug/flightrecorder (the job's
+// flight record), /debug/health (worker states, queue depth, phase
+// progress), /debug/timeseries (sampled metric history) and
+// /debug/critpath — the surface `skytop` renders. The plane's clock
+// samples the registry every min(1s, -stall-window/3); after each sample
+// an anomaly watchdog checks the history for throughput stalls, heartbeat
+// gaps, reducer budget pressure and GC-pause spikes; each anomaly bumps
+// telemetry_anomalies_total{rule}, and with -capture-dir the first
+// anomaly per five minutes also writes a CPU+heap profile pair there.
+// With -trace, the two-job run — including the workers' task spans,
+// shipped back over RPC and stitched under one trace — is recorded as
+// Chrome trace_event JSON, loadable in chrome://tracing or Perfetto. With
+// -flight-out, the flight record is also written to a file. With -linger, the master keeps the debug endpoints up for that
 // long after the job finishes (or until SIGINT/SIGTERM) so dashboards
 // and CI can inspect the completed run. With -reducer-budget, the
 // workers' reducers fold under that many bytes, and when the local
@@ -40,8 +36,7 @@
 //
 // On SIGINT/SIGTERM the master drains workers, takes one final
 // time-series sample, shuts the debug server down gracefully, and
-// flushes the event log plus a last metrics snapshot to stderr before
-// exiting.
+// writes a last metrics snapshot to stderr before exiting.
 //
 // Start workers with: skyworker -master <addr>.
 package main
@@ -85,7 +80,6 @@ type options struct {
 	metricsAddr string
 	traceFile   string
 	flightFile  string
-	historyFile string
 	budget      int64
 	stallWindow time.Duration
 	captureDir  string
@@ -108,8 +102,6 @@ func main() {
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /debug/* on this address (empty = off)")
 	flag.StringVar(&o.traceFile, "trace", "", "write a Chrome trace_event JSON of the run to this file (empty = off)")
 	flag.StringVar(&o.flightFile, "flight-out", "", "write the flight-recorder JSON report to this file (empty = off)")
-	flag.StringVar(&o.historyFile, "runhistory", "",
-		"append this run's flight+critpath summary to a bounded JSONL history file and compare against the baseline (empty = in-memory only)")
 	flag.Int64Var(&o.budget, "reducer-budget", 0,
 		"per-reducer memory budget in bytes: overflow spills to frames and resolves in extra passes, and local skylines that exceed it merge in one round of budget-sized groups on the workers (0 = unbudgeted, a group a worker)")
 	flag.DurationVar(&o.stallWindow, "stall-window", 5*time.Second,
@@ -148,17 +140,11 @@ func run(o options) error {
 		return fmt.Errorf("no data rows in %s", o.path)
 	}
 
-	// The flight recorder, event log, tracer and run history are always
-	// on: all are small bounded structures, and /debug/flightrecorder,
-	// /debug/events, /debug/critpath and /debug/runhistory read from
-	// them. (-trace additionally writes the Chrome trace file.)
+	// The flight recorder and the tracer are always on: both are small
+	// bounded structures, and /debug/flightrecorder and /debug/critpath
+	// read from them. (-trace additionally writes the Chrome trace file.)
 	recorder := telemetry.NewRecorder(fmt.Sprintf("skyline:%s", scheme))
-	events := telemetry.NewEventLog(2048)
 	tracer := telemetry.NewTracer()
-	history, err := telemetry.OpenRunHistory(o.historyFile, 200)
-	if err != nil {
-		return err
-	}
 
 	var metrics *telemetry.Registry
 	if o.metricsAddr != "" {
@@ -171,7 +157,6 @@ func run(o options) error {
 		SplitSize:      o.split,
 		LivenessWindow: o.liveness,
 		Metrics:        metrics,
-		Events:         events,
 	})
 	if err != nil {
 		return err
@@ -186,16 +171,13 @@ func run(o options) error {
 		rules := timeseries.ClusterRules(o.stallWindow)
 		if o.budget > 0 {
 			rules = append(rules, timeseries.GaugeAboveRule("reducer-budget",
-				"skyline_reducer_peak_bytes", 0.8*float64(o.budget), ""))
+				"skyline_reducer_peak_bytes", 0.8*float64(o.budget)))
 		}
 		plane, err = debugserver.Start(o.metricsAddr, debugserver.Sources{
 			Metrics:    metrics,
-			Events:     events,
 			Recorder:   recorder,
 			Tracer:     tracer,
-			History:    history,
 			Health:     func() any { return master.Health() },
-			Targets:    master.DebugTargets,
 			Rules:      rules,
 			CaptureDir: o.captureDir,
 			Interval:   min(time.Second, o.stallWindow/3),
@@ -203,12 +185,12 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "skymaster: metrics on http://%s/metrics, cluster on /debug/cluster, history on /debug/timeseries\n",
+		fmt.Fprintf(os.Stderr, "skymaster: metrics on http://%s/metrics, health on /debug/health, history on /debug/timeseries\n",
 			plane.Addr())
 	}
 
 	// Signal handling: first SIGINT/SIGTERM drains the cluster and aborts
-	// the run; the deferred dump below flushes the operational record.
+	// the run; the deferred dump below writes the last metrics snapshot.
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	signalled := func() bool { return sigCtx.Err() != nil }
@@ -216,19 +198,17 @@ func run(o options) error {
 		// Drain returns once the workers parked on the master have their
 		// TaskShutdown notice.
 		master.Drain()
-		events.Info("shutdown", telemetry.A("signalled", signalled()))
-		// An interrupted run still leaves its operational record behind:
-		// the event log and a last metrics snapshot, once the plane is down.
+		if plane == nil {
+			return
+		}
+		// An interrupted run still leaves its last metrics snapshot behind,
+		// once the plane is down.
 		var dump io.Writer
 		if signalled() {
-			fmt.Fprintln(os.Stderr, "skymaster: interrupted — dumping event log and metrics")
+			fmt.Fprintln(os.Stderr, "skymaster: interrupted — dumping metrics")
 			dump = os.Stderr
 		}
-		if plane != nil {
-			_ = plane.Close(dump)
-		} else if dump != nil {
-			_ = telemetry.DumpOps(dump, events, nil)
-		}
+		_ = plane.Close(dump)
 	}()
 
 	fmt.Fprintf(os.Stderr, "skymaster: listening on %s, waiting for %d worker(s)...\n",
@@ -246,7 +226,6 @@ func run(o options) error {
 
 	ctx = telemetry.WithTracer(ctx, tracer)
 	ctx = telemetry.WithRecorder(ctx, recorder)
-	ctx = telemetry.WithEventLog(ctx, events)
 
 	// Progress reporter: one line per second while a job phase runs.
 	progressDone := make(chan struct{})
@@ -300,8 +279,7 @@ func run(o options) error {
 	}
 	fmt.Fprintln(os.Stderr)
 	// Critical-path profile: where the makespan went, and what balance
-	// or de-straggling would have bought. The summary joins the bounded
-	// run history, which flags regressions against prior same-shape runs.
+	// or de-straggling would have bought.
 	if analysis, aerr := critpath.Analyze(tracer.Spans(), recorder.Report()); aerr == nil {
 		top := analysis.Bottleneck()
 		fmt.Fprintf(os.Stderr, "skymaster: critical path %.2fs, bottleneck %s (%.0f%%)",
@@ -312,14 +290,6 @@ func run(o options) error {
 			}
 		}
 		fmt.Fprintln(os.Stderr)
-		label := fmt.Sprintf("method=%s n=%d p=%d workers=%d", o.method, len(data), o.partitions, master.WorkerCount())
-		if err := history.Append(critpath.Summarize(analysis, recorder.Report(), label)); err != nil {
-			fmt.Fprintf(os.Stderr, "skymaster: run history: %v\n", err)
-		}
-		for _, reg := range history.CompareLatest() {
-			fmt.Fprintf(os.Stderr, "skymaster: REGRESSION %s: %.3f vs baseline %.3f (%.2fx)\n",
-				reg.Metric, reg.Current, reg.Baseline, reg.Ratio)
-		}
 	}
 	if o.traceFile != "" {
 		f, err := os.Create(o.traceFile)
@@ -352,7 +322,6 @@ func run(o options) error {
 	if o.linger > 0 && !signalled() {
 		// Keep /metrics and /debug/* up for dashboards (skytop) and CI
 		// probes; workers stay parked on the master until drained on exit.
-		events.Info("lingering", telemetry.A("seconds", o.linger.Seconds()))
 		fmt.Fprintf(os.Stderr, "skymaster: job done, serving debug endpoints for %s (SIGTERM to exit now)\n", o.linger)
 		select {
 		case <-sigCtx.Done():

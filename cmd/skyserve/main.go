@@ -29,7 +29,6 @@
 //
 //	GET  /debug/pprof/  Go runtime profiles
 //	GET  /debug/flightrecorder  boot computation's flight record (JSON)
-//	GET  /debug/events  structured event stream (JSON lines; ?level= ?since= ?limit=)
 //	GET  /debug/health  service health summary (JSON)
 //	GET  /debug/timeseries  metric history, sampled every second
 //	GET  /debug/slo     SLO burn state (objectives via -slo-p99 / -slo-avail)
@@ -38,14 +37,14 @@
 // burn window: a read slower than -slo-p99 counts bad, exactly, and so
 // does a 5xx against -slo-avail. While every burn window (1m, 5m, 30m)
 // spends its error budget faster than sustainable, the plane's watchdog
-// reports an "anomaly detected" event for rule slo:<objective>; set a flag
-// to zero to disable the corresponding objective.
+// counts an anomaly, telemetry_anomalies_total{rule="slo:<objective>"};
+// set a flag to zero to disable the corresponding objective.
 //
 // With -snapshot, the catalogue is loaded from the file at boot (when it
 // exists) and written back on SIGINT/SIGTERM, so a restarted registry
-// resumes where it left off. On shutdown the service emits a final
-// shutdown event, stops serving (in-flight requests get two seconds) and
-// flushes the event log plus a last metrics snapshot to stderr.
+// resumes where it left off. On shutdown the service stops serving
+// (in-flight requests get two seconds) and writes a last metrics snapshot
+// to stderr.
 package main
 
 import (
@@ -67,15 +66,13 @@ import (
 )
 
 // serveHealth is skyserve's /debug/health document: a long-running
-// registry has no task queue, so health is uptime plus catalogue shape
-// and the event-level counters.
+// registry has no task queue, so health is uptime plus catalogue shape.
 type serveHealth struct {
-	Status        string           `json:"status"`
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	Services      int              `json:"services"`
-	Dim           int              `json:"dim"`
-	SkylineSize   int              `json:"skyline_size"`
-	EventCounts   map[string]int64 `json:"event_counts"`
+	Status        string  `json:"status"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Services      int     `json:"services"`
+	Dim           int     `json:"dim"`
+	SkylineSize   int     `json:"skyline_size"`
 }
 
 func main() {
@@ -102,20 +99,16 @@ func run(addr, method string, seedN, seedD int, seedFile string, header bool, sn
 	if err != nil {
 		return err
 	}
-	// The boot computation runs under a flight recorder and the event
-	// log, so the partition shape of the seeded catalogue is inspectable
-	// at /debug/flightrecorder and its job narration at /debug/events.
+	// The boot computation runs under a flight recorder, so the partition
+	// shape of the seeded catalogue is inspectable at /debug/flightrecorder.
 	recorder := telemetry.NewRecorder(fmt.Sprintf("skyserve-boot:%s", scheme))
-	events := telemetry.NewEventLog(1024)
 	start := time.Now()
-	bootCtx := telemetry.WithEventLog(telemetry.WithRecorder(context.Background(), recorder), events)
+	bootCtx := telemetry.WithRecorder(context.Background(), recorder)
 	reg, err := bootRegistry(bootCtx, scheme, seedN, seedD, seedFile, header, snapshot)
 	if err != nil {
 		return err
 	}
 	objectives := reg.ConfigureSLO(registry.SLOOptions{P99Threshold: sloP99, Availability: sloAvail})
-	events.Info("registry ready", telemetry.A("services", reg.Len()),
-		telemetry.A("dim", reg.Dim()), telemetry.A("scheme", fmt.Sprint(scheme)))
 
 	// One listener: the registry's API under "/", the debug plane beside
 	// it on the same mux. The plane's clock feeds /debug/timeseries from
@@ -125,7 +118,6 @@ func run(addr, method string, seedN, seedD int, seedFile string, header bool, sn
 	mux.Handle("/", reg.Handler())
 	plane, err := debugserver.Start(addr, debugserver.Sources{
 		Metrics:    reg.Metrics(),
-		Events:     events,
 		Recorder:   recorder,
 		Objectives: objectives,
 		Health: func() any {
@@ -135,7 +127,6 @@ func run(addr, method string, seedN, seedD int, seedFile string, header bool, sn
 				Services:      reg.Len(),
 				Dim:           reg.Dim(),
 				SkylineSize:   len(reg.Skyline()),
-				EventCounts:   events.LevelCounts(),
 			}
 		},
 		Mux: mux,
@@ -150,8 +141,6 @@ func run(addr, method string, seedN, seedD int, seedFile string, header bool, sn
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Fprintf(os.Stderr, "skyserve: %v, shutting down\n", s)
-	events.Info("shutdown", telemetry.A("signal", s.String()),
-		telemetry.A("services", reg.Len()))
 	// The listener goes first, so no publish is accepted after the drain
 	// below; the dump is written once nothing is ticking or serving.
 	_ = plane.Close(os.Stderr)

@@ -1,6 +1,6 @@
 // Command skytop is a terminal dashboard for a live skyline cluster: it
 // polls the target's /metrics, /debug/health, /debug/flightrecorder,
-// /debug/critpath, /debug/events, /debug/slowlog and /debug/slo
+// /debug/critpath, /debug/timeseries, /debug/slowlog and /debug/slo
 // endpoints and renders phase progress, per-worker state and
 // throughput, straggler/retry flags, partition-load sparklines, the
 // critical-path bottleneck panel, the slow-query tail and SLO burn
@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"os"
 	"regexp"
-	"sort"
 	"strings"
 	"time"
 
@@ -39,7 +38,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9090", "master debug address (its -metrics-addr)")
 	interval := flag.Duration("interval", time.Second, "refresh interval in live mode")
 	once := flag.Bool("once", false, "render one snapshot and exit (for scripts and CI)")
-	events := flag.Int("events", 8, "recent events to show")
 	flag.Parse()
 
 	c := &client{base: "http://" + *addr, http: &http.Client{Timeout: 5 * time.Second}}
@@ -47,7 +45,7 @@ func main() {
 	for {
 		s := c.poll()
 		var b strings.Builder
-		render(&b, *addr, s, prev, *events)
+		render(&b, *addr, s, prev)
 		if *once {
 			io.WriteString(os.Stdout, b.String())
 			if s.err != nil {
@@ -71,9 +69,7 @@ type sample struct {
 	metrics map[string]float64
 	flight  *telemetry.Report
 	crit    *critpath.Analysis
-	cluster *telemetry.ClusterSnapshot
 	series  *timeseries.Doc
-	events  []telemetry.LogEvent
 	slowlog *telemetry.QueryLogDoc
 	slo     *timeseries.SLODoc
 	err     error // metrics fetch error; partial samples still render
@@ -106,9 +102,6 @@ func (c *client) poll() *sample {
 	if err := c.getJSON(critpath.Path, &s.crit); err != nil {
 		s.crit = nil
 	}
-	if err := c.getJSON(telemetry.ClusterPath, &s.cluster); err != nil {
-		s.cluster = nil
-	}
 	if err := c.getJSON(timeseries.Path+"?series=rpcmr_tasks_done_total&window=64s", &s.series); err != nil {
 		s.series = nil
 	}
@@ -117,14 +110,6 @@ func (c *client) poll() *sample {
 	}
 	if err := c.getJSON(timeseries.SLOPath, &s.slo); err != nil {
 		s.slo = nil
-	}
-	if text, err := c.getText(telemetry.EventsPath); err == nil {
-		for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
-			var ev telemetry.LogEvent
-			if json.Unmarshal([]byte(line), &ev) == nil {
-				s.events = append(s.events, ev)
-			}
-		}
 	}
 	return s
 }
@@ -151,7 +136,7 @@ func (c *client) getJSON(path string, v any) error {
 }
 
 // render writes one dashboard frame.
-func render(w io.Writer, addr string, s, prev *sample, maxEvents int) {
+func render(w io.Writer, addr string, s, prev *sample) {
 	fmt.Fprintf(w, "skytop — %s — %s\n", addr, s.at.Format("15:04:05"))
 	if s.err != nil {
 		fmt.Fprintf(w, "  [poll error: %v]\n", s.err)
@@ -163,14 +148,12 @@ func render(w io.Writer, addr string, s, prev *sample, maxEvents int) {
 		fmt.Fprintf(w, "\nhealth: n/a\n")
 	}
 	renderThroughput(w, s, prev)
-	renderCluster(w, s, prev)
 	if s.flight != nil {
 		renderFlight(w, s.flight)
 	}
 	renderCritPath(w, s.crit)
 	renderSLO(w, s.slo)
 	renderSlowlog(w, s.slowlog, 5)
-	renderEvents(w, s.events, maxEvents)
 }
 
 // renderSLO shows each objective's achieved level, budget consumption
@@ -341,92 +324,6 @@ func renderThroughput(w io.Writer, s, prev *sample) {
 	}
 }
 
-// clusterValue reads one worker's sample of an unlabeled-at-source
-// series from a cluster snapshot member (the federation injected the
-// worker label, rendering canonically).
-func clusterValue(ws telemetry.WorkerSnapshot, name, labelKey string) (float64, bool) {
-	id := telemetry.RenderSeriesID(name, []telemetry.Label{{Key: labelKey, Value: ws.ID}})
-	v, ok := ws.Samples[id]
-	return v, ok
-}
-
-// clusterSum sums every sample of a series family in one member's
-// snapshot — covers source series that carry extra labels (kind,
-// result) beyond the injected worker label.
-func clusterSum(ws telemetry.WorkerSnapshot, name string) float64 {
-	var total float64
-	for id, v := range ws.Samples {
-		if id == name || strings.HasPrefix(id, name+"{") {
-			total += v
-		}
-	}
-	return total
-}
-
-// renderCluster shows the federated per-worker panel from
-// /debug/cluster: CPU, RSS, GC and task throughput per member, rates
-// computed against the previous poll and clamped at counter resets.
-// Stale members (unreachable or declared dead) keep their last-good
-// numbers, flagged STALE.
-func renderCluster(w io.Writer, s, prev *sample) {
-	if s.cluster == nil || len(s.cluster.Workers) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\ncluster (%d members)\n", len(s.cluster.Workers))
-	fmt.Fprintf(w, "  %-14s %6s %8s %6s %8s %8s  %s\n",
-		"MEMBER", "CPU%", "RSS", "GC", "TASKS", "TASKS/S", "STATUS")
-	for _, ws := range s.cluster.Workers {
-		var pws *telemetry.WorkerSnapshot
-		if prev != nil && prev.cluster != nil {
-			for i := range prev.cluster.Workers {
-				if prev.cluster.Workers[i].ID == ws.ID {
-					pws = &prev.cluster.Workers[i]
-					break
-				}
-			}
-		}
-		dt := 0.0
-		if pws != nil && prev != nil {
-			dt = s.at.Sub(prev.at).Seconds()
-		}
-		cpu := "-"
-		if cur, ok := clusterValue(ws, "process_cpu_seconds_total", "worker"); ok && pws != nil && dt > 0 {
-			if old, ok := clusterValue(*pws, "process_cpu_seconds_total", "worker"); ok {
-				cpu = fmt.Sprintf("%.0f", clampRate((cur-old)/dt)*100)
-			}
-		}
-		rss := "-"
-		if v, ok := clusterValue(ws, "process_rss_bytes", "worker"); ok {
-			rss = fmt.Sprintf("%.0fM", v/(1<<20))
-		}
-		gc := "-"
-		if v, ok := clusterValue(ws, "process_gc_runs_total", "worker"); ok {
-			gc = fmt.Sprintf("%.0f", v)
-		}
-		tasks := clusterSum(ws, "rpcmr_worker_tasks_total")
-		if ws.ID == "master" {
-			tasks = clusterSum(ws, "rpcmr_tasks_done_total")
-		}
-		rate := "-"
-		if pws != nil && dt > 0 {
-			old := clusterSum(*pws, "rpcmr_worker_tasks_total")
-			if ws.ID == "master" {
-				old = clusterSum(*pws, "rpcmr_tasks_done_total")
-			}
-			rate = fmt.Sprintf("%.1f", clampRate((tasks-old)/dt))
-		}
-		status := "ok"
-		if ws.Stale {
-			status = "STALE"
-		}
-		if ws.Err != "" {
-			status += " (" + clip(ws.Err, 30) + ")"
-		}
-		fmt.Fprintf(w, "  %-14s %6s %8s %6s %8.0f %8s  %s\n",
-			clip(ws.ID, 14), cpu, rss, gc, tasks, rate, status)
-	}
-}
-
 // labelRe pulls one k="v" pair out of a Prometheus series key.
 var labelRe = regexp.MustCompile(`(\w+)="((?:[^"\\]|\\.)*)"`)
 
@@ -492,39 +389,6 @@ func renderCritPath(w io.Writer, a *critpath.Analysis) {
 			fmt.Fprintf(w, "  what-if %-15s %.2fs (%.2fx)\n", sc.Name, sc.PredictedSeconds, sc.SpeedupX)
 		}
 	}
-}
-
-// renderEvents shows the tail of the event stream.
-func renderEvents(w io.Writer, events []telemetry.LogEvent, max int) {
-	if len(events) == 0 || max <= 0 {
-		return
-	}
-	if len(events) > max {
-		events = events[len(events)-max:]
-	}
-	fmt.Fprintf(w, "\nrecent events\n")
-	for _, ev := range events {
-		attrs := formatAttrs(ev.Attrs)
-		fmt.Fprintf(w, "  %s %-5s %-20s %s\n",
-			ev.Time.Format("15:04:05.000"), ev.Level, clip(ev.Msg, 20), clip(attrs, 70))
-	}
-}
-
-// formatAttrs renders event attributes deterministically (sorted keys).
-func formatAttrs(attrs map[string]any) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%v", k, attrs[k])
-	}
-	return strings.Join(parts, " ")
 }
 
 // clip bounds s to n runes.

@@ -3,15 +3,15 @@
 // executes them until the master shuts down.
 //
 // With -metrics-addr the worker starts the same debug plane as the
-// master (internal/telemetry/debugserver) — /metrics (Prometheus text),
-// /debug/pprof/, /debug/events and /debug/timeseries (metric history,
-// sampled every second); the paths it has no source for answer 404 —
-// and reports the address to the master at registration, so the master's
-// /debug/cluster view federates this worker's metrics automatically.
+// master (internal/telemetry/debugserver) — /metrics (Prometheus text,
+// the worker's own task counters), /debug/pprof/ and /debug/timeseries
+// (metric history, sampled every second); the paths it has no source for
+// answer 404. A Prometheus server scrapes each worker's /metrics beside
+// the master's.
 //
 // On SIGINT/SIGTERM the worker stops pulling tasks, takes one final
 // time-series sample, shuts the debug server down gracefully, and
-// flushes its event log to stderr before exiting.
+// writes a last metrics snapshot to stderr before exiting.
 //
 // Usage:
 //
@@ -38,40 +38,32 @@ func main() {
 	master := flag.String("master", "127.0.0.1:7077", "master address")
 	id := flag.String("id", "", "worker id (default: generated)")
 	metricsAddr := flag.String("metrics-addr", "",
-		"serve /metrics and /debug/* on this address and report it to the master (empty = off)")
+		"serve /metrics and /debug/* on this address (empty = off)")
 	stall := flag.Duration("stall", 0,
 		"sleep this long before every task — straggler fault injection (0 = off)")
 	flag.Parse()
 
-	events := telemetry.NewEventLog(256)
-
-	// Debug plane first: its resolved address travels with the
-	// registration, so the master can scrape this worker from the start.
 	var (
 		metrics *telemetry.Registry
 		plane   *debugserver.Plane
 	)
-	debugAddr := ""
 	if *metricsAddr != "" {
 		metrics = telemetry.NewRegistry()
 		telemetry.RegisterProcessMetrics(metrics)
 		var err error
-		plane, err = debugserver.Start(*metricsAddr, debugserver.Sources{Metrics: metrics, Events: events})
+		plane, err = debugserver.Start(*metricsAddr, debugserver.Sources{Metrics: metrics})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skyworker: %v\n", err)
 			os.Exit(1)
 		}
-		debugAddr = plane.Addr()
-		fmt.Fprintf(os.Stderr, "skyworker: metrics on http://%s/metrics, history on /debug/timeseries\n", debugAddr)
+		fmt.Fprintf(os.Stderr, "skyworker: metrics on http://%s/metrics, history on /debug/timeseries\n", plane.Addr())
 	}
 
 	w, err := rpcmr.NewWorker(rpcmr.WorkerConfig{
 		MasterAddr: *master,
 		ID:         *id,
 		TaskStall:  *stall,
-		DebugAddr:  debugAddr,
 		Metrics:    metrics,
-		Events:     events,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skyworker: %v\n", err)
@@ -82,26 +74,22 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Fprintf(os.Stderr, "skyworker: connected to %s\n", *master)
-	events.Info("worker started", telemetry.A("master", *master), telemetry.A("id", *id),
-		telemetry.A("debug_addr", debugAddr))
 	err = w.Run(ctx)
 
-	// Interrupted: leave the operational record behind on the way out,
+	// Interrupted: leave the last metrics snapshot behind on the way out,
 	// once the plane is down.
 	var dump io.Writer
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "skyworker: interrupted — dumping event log")
-		dump = os.Stderr
+		if plane != nil {
+			fmt.Fprintln(os.Stderr, "skyworker: interrupted — dumping metrics")
+			dump = os.Stderr
+		}
 	} else if err != nil {
 		fmt.Fprintf(os.Stderr, "skyworker: %v\n", err)
 		os.Exit(1)
 	}
-	events.Info("shutdown", telemetry.A("signalled", dump != nil),
-		telemetry.A("tasks_completed", w.Completed()))
 	if plane != nil {
 		_ = plane.Close(dump)
-	} else if dump != nil {
-		_ = telemetry.DumpOps(dump, events, nil)
 	}
 	fmt.Fprintf(os.Stderr, "skyworker: done (%d tasks completed)\n", w.Completed())
 }

@@ -103,7 +103,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 func TestFlagSurface(t *testing.T) {
 	want := map[string]int{
 		"qwsgen": 5, "skybench": 5, "skyline": 11, "skyload": 13,
-		"skymaster": 17, "skyserve": 9, "skytop": 4, "skyworker": 4,
+		"skymaster": 16, "skyserve": 9, "skytop": 3, "skyworker": 4,
 	}
 	decl := regexp.MustCompile(`\bflag\.(String|Int|Int64|Bool|Duration|Float64)(Var)?\(`)
 	mains, err := filepath.Glob("cmd/*/main.go")
@@ -123,8 +123,8 @@ func TestFlagSurface(t *testing.T) {
 		}
 		total += n
 	}
-	if total != 68 {
-		t.Errorf("cmd/*/main.go declare %d flags in all, want 68", total)
+	if total != 66 {
+		t.Errorf("cmd/*/main.go declare %d flags in all, want 66", total)
 	}
 }
 

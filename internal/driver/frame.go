@@ -220,7 +220,7 @@ func InProcess(feed mapreduce.RowFeed, job1 mapreduce.FrameJob, dim, band int, o
 	return inProcess{job1: job1, dim: dim, band: band, opts: opts}
 }
 
-func (e inProcess) config(ctx context.Context, job string) mapreduce.Config {
+func (e inProcess) config(job string) mapreduce.Config {
 	if e.band > 0 {
 		job = fmt.Sprintf("skyband%d-%s", e.band, job)
 	}
@@ -228,19 +228,18 @@ func (e inProcess) config(ctx context.Context, job string) mapreduce.Config {
 		Name:    fmt.Sprintf("%s-%s", e.opts.Scheme, job),
 		Workers: e.opts.Workers,
 		Metrics: e.opts.Metrics,
-		Events:  telemetry.EventLogFrom(ctx),
 		Codec:   e.opts.Codec,
 	}
 }
 
 func (e inProcess) Partition(ctx context.Context) (*mapreduce.FrameResult, error) {
-	return mapreduce.RunFrames(ctx, e.config(ctx, "partitioning"), e.job1)
+	return mapreduce.RunFrames(ctx, e.config("partitioning"), e.job1)
 }
 
 func (e inProcess) Merge(ctx context.Context, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
 	job := MergeJob(e.dim, e.band)
 	job.Feed = mapreduce.WholeInput(inputs)
-	return mapreduce.RunFrames(ctx, e.config(ctx, "merging"), job)
+	return mapreduce.RunFrames(ctx, e.config("merging"), job)
 }
 
 // book adds a finished job's result to s: its timing to timing, its
@@ -263,8 +262,7 @@ func (s *Stats) book(res *mapreduce.FrameResult, timing *mapreduce.Timing) {
 // exceed opts.ReducerBudgetBytes it is booked as one merge round of budget-
 // sized groups (Stats.MergeRounds, MergeGroups, MergeRoundBytes and a
 // merge-round span). Of opts it also reads Scheme, Workers and Metrics. The statistics, the
-// gauges, the context's event log and flight record are fed here and
-// nowhere else.
+// gauges and the context's flight record are fed here and nowhere else.
 func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partitioner, pruned []bool, occupancy []int, opts Options) (points.Set, *Stats, error) {
 	stats := &Stats{
 		Scheme:        opts.Scheme,
@@ -286,11 +284,6 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 			reg.Counter("skyline_dominance_tests_total").Add(stats.DominanceTests)
 		}
 	}()
-	// Every EventLog method is nil-safe, so no log means no cost.
-	ev := telemetry.EventLogFrom(ctx)
-	ev.Info("pipeline start", telemetry.A("scheme", fmt.Sprint(opts.Scheme)),
-		telemetry.A("partitions", stats.Partitions))
-
 	// ---- Job 1: Partitioning Job ------------------------------------
 	res1, err := exec.Partition(ctx)
 	if err != nil {
@@ -326,10 +319,6 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 		}
 	}
 	publishPartitionGauges(opts.Metrics, stats)
-	ev.Info("partitioning job done",
-		telemetry.A("points", stats.Counters[mapreduce.CounterMapIn]),
-		telemetry.A("local_skyline_points", stats.LocalSkylineTotal()),
-		telemetry.A("partitions_hit", len(ids)))
 
 	// ---- Job 2: Merging Job -----------------------------------------
 	rows := stats.LocalSkylineTotal()
@@ -370,6 +359,5 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 		reg.Gauge("skyline_global_size").Set(float64(len(global)))
 	}
 	feedRecorder(ctx, opts, stats, global, res1.Partitions)
-	ev.Info("pipeline end", telemetry.A("skyline_size", len(global)))
 	return global, stats, nil
 }

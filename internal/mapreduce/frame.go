@@ -435,10 +435,8 @@ func AssembleFrames(streams [][]byte) (map[int]*points.Block, error) {
 // count allows; what a job outputs is a function of the input and Workers
 // alone.
 type RowFeed struct {
-	// units is the input length in the feed's unit, and unit that unit's
-	// name in the job's narration ("records", "chunks").
+	// units is the input length in the feed's unit (0 for WholeInput).
 	units int
-	unit  string
 	// feed maps units [lo, hi) and returns the number of rows it fed.
 	feed func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error)
 	// whole, for WholeInput, is what each map task hands its TaskMapper:
@@ -451,18 +449,12 @@ type RowFeed struct {
 // The merge hands task g the levels, its group and then the rows at or
 // below the group's sums.
 func WholeInput(inputs [][]*points.Block) RowFeed {
-	rows := 0
-	for _, blocks := range inputs {
-		for _, blk := range blocks {
-			rows += blk.Len()
-		}
-	}
-	return RowFeed{units: rows, unit: "records", whole: inputs}
+	return RowFeed{whole: inputs}
 }
 
 // SetRows feeds an in-memory point set, in order; its unit is the row.
 func SetRows(data points.Set) RowFeed {
-	return RowFeed{units: len(data), unit: "records", feed: func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error) {
+	return RowFeed{units: len(data), feed: func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error) {
 		for _, p := range data[lo:hi] {
 			if err := mapper(p, emit); err != nil {
 				return 0, err
@@ -484,7 +476,7 @@ func SetRows(data points.Set) RowFeed {
 func ChunkRows(src ChunkSource) RowFeed {
 	var mu sync.Mutex
 	var free []*points.Block
-	return RowFeed{units: src.Chunks(), unit: "chunks", feed: func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error) {
+	return RowFeed{units: src.Chunks(), feed: func(lo, hi int, mapper RowMapper, emit EmitPoint) (int, error) {
 		var blk *points.Block
 		mu.Lock()
 		if last := len(free) - 1; last >= 0 {
@@ -563,10 +555,10 @@ func (job FrameJob) sealsSkylines() bool {
 // sealed per-reducer streams stay in memory until the reduce tasks have
 // folded them. Each phase is timed, counted (mr.* counters; the
 // shuffle-byte counter reports frame payload bytes, header + coordinates),
-// narrated to cfg.Events and bridged into cfg.Metrics. A map-only job (no Folder) stops after its map phase: its
-// map tasks' sealed streams, assembled in task order, are its result — they
-// cross no wire, so they are always sealed as raw v1 frames — and their
-// bytes are mr.output.bytes, not shuffle.
+// traced and bridged into cfg.Metrics. A map-only job (no Folder) stops
+// after its map phase: its map tasks' sealed streams, assembled in task
+// order, are its result — they cross no wire, so they are always sealed as
+// raw v1 frames — and their bytes are mr.output.bytes, not shuffle.
 func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, error) {
 	if (job.Mapper == nil) == (job.TaskMapper == nil) || (job.Mapper == nil) != (job.Feed.feed == nil) {
 		return nil, fmt.Errorf("mapreduce: %s: need a row feed and a mapper, or a whole-input feed and a task mapper", cfg.Name)
@@ -589,23 +581,13 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		telemetry.A("job", cfg.Name), telemetry.A("workers", cfg.Workers),
 		telemetry.A("reducers", cfg.Reducers), telemetry.A("tasks", tasks),
 		telemetry.A("shuffle", "frames"))
-	ev, jobAttr := cfg.Events, telemetry.A("job", cfg.Name)
-	// A chunk feed does not know its row count up front: it reports chunks.
-	ev.Info("job start", jobAttr, telemetry.A(job.Feed.unit, units),
-		telemetry.A("reducers", cfg.Reducers), telemetry.A("trace", jobSpan.ID()))
 	fail := func(err error) (*FrameResult, error) {
-		result := "error"
-		if ctx.Err() != nil {
-			result = "cancelled"
-		}
-		ev.Error("job failed", jobAttr, telemetry.A("result", result), telemetry.A("err", err.Error()))
 		jobSpan.SetAttr("error", err.Error())
 		jobSpan.End()
 		return nil, err
 	}
 
 	// --- Map (+ combine) -----------------------------------------------
-	ev.Info("phase start", jobAttr, telemetry.A("phase", "map"), telemetry.A("tasks", tasks))
 	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", tasks))
 	mapStart := time.Now()
 	// outputs[task][r] is map task task's sealed stream for reducer r.
@@ -633,7 +615,6 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		return fail(err)
 	}
 	timing := Timing{Map: time.Since(mapStart)}
-	ev.Info("phase end", jobAttr, telemetry.A("phase", "map"), telemetry.A("seconds", timing.Map.Seconds()))
 
 	// A map-only job's output is its map tasks' streams, in task order; any
 	// other job's is its reduce tasks', in reduce-task order.
@@ -646,8 +627,7 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		// --- Shuffle -----------------------------------------------------
 		// Frames are already partitioned per reducer when map tasks seal
 		// them, so the in-memory shuffle is zero-copy and this phase is a
-		// boundary only: a span, and — as on the cluster — an attribute of
-		// the reduce phase's start rather than a narrated phase.
+		// boundary only: a span.
 		_, shuffleSpan := telemetry.StartSpan(ctx, "shuffle")
 		shuffleStart := time.Now()
 		shuffleSpan.End()
@@ -656,8 +636,6 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		// --- Reduce ------------------------------------------------------
 		// Each task is ReduceFramesStream over reducer r's streams, in
 		// map-task order.
-		ev.Info("phase start", jobAttr, telemetry.A("phase", "reduce"), telemetry.A("tasks", cfg.Reducers),
-			telemetry.A("shuffle_seconds", timing.Shuffle.Seconds()))
 		redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
 		reduceStart := time.Now()
 		streams = make([][]byte, cfg.Reducers)
@@ -674,7 +652,6 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 			return fail(err)
 		}
 		timing.Reduce = time.Since(reduceStart)
-		ev.Info("phase end", jobAttr, telemetry.A("phase", "reduce"), telemetry.A("seconds", timing.Reduce.Seconds()))
 		st.Add(redStats)
 	}
 	blocks, err := AssembleFrames(streams)
@@ -682,7 +659,6 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		return fail(fmt.Errorf("mapreduce: %s: assembling the output: %w", cfg.Name, err))
 	}
 	timing.Total = time.Since(start)
-	ev.Info("job end", jobAttr, telemetry.A("seconds", timing.Total.Seconds()))
 	jobSpan.End()
 
 	res := NewFrameResult(blocks, counters, st, timing)

@@ -35,7 +35,7 @@ import (
 
 // Config controls job execution.
 type Config struct {
-	// Name labels the job in errors, events and metrics.
+	// Name labels the job in errors, spans and metrics.
 	Name string
 	// Workers is the number of concurrent map (and reduce) worker
 	// goroutines — the cluster size of the simulated deployment.
@@ -48,12 +48,6 @@ type Config struct {
 	// zero value is the raw v1 codec; points.FrameAuto enables the
 	// bit-packed v2 encoding wherever it is smaller.
 	Codec points.FrameCodec
-	// Events, when non-nil, receives the job's narration — "job start",
-	// "phase start", "phase end", "job end" or "job failed" — under the
-	// message names and attribute keys rpcmr's master uses for a cluster
-	// job, so one reader follows either executor. Per-record and per-task
-	// paths never log.
-	Events *telemetry.EventLog
 	// Metrics, when non-nil, receives the job's framework counters and
 	// per-phase latency histograms under the mr_* namespace after each
 	// run. Nil (the default) costs nothing on the hot path.

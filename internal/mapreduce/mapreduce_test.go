@@ -61,6 +61,12 @@ func wordRows(docs []string) (points.Set, []string) {
 	return rows, vocab
 }
 
+// tallyOf is the tally job over one row per word of docs.
+func tallyOf(docs ...string) FrameJob {
+	rows, _ := wordRows(docs)
+	return FrameJob{Feed: SetRows(rows), Mapper: tallyMapper, Folder: tallyFolder}
+}
+
 // tally runs job over rows and returns partition id → count.
 func tally(t *testing.T, cfg Config, rows points.Set, job FrameJob) (map[int]int, *FrameResult) {
 	t.Helper()
@@ -333,8 +339,8 @@ func TestManyWorkersFewTasks(t *testing.T) {
 // (tests and examples do not count) need different values, and the engine
 // cannot work the value out from its inputs.
 func TestOptionSurface(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 6 {
-		t.Fatalf("mapreduce.Config has %d fields, want 6", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 5 {
+		t.Fatalf("mapreduce.Config has %d fields, want 5", n)
 	}
 }
 

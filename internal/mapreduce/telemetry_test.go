@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -54,6 +56,37 @@ func TestEngineSpans(t *testing.T) {
 	}
 	if len(byName["reduce-task"]) != 2 {
 		t.Errorf("reduce-task spans = %d, want 2", len(byName["reduce-task"]))
+	}
+}
+
+// TestTraceFailureEndsJob: a job whose map task fails still ends its job
+// span, and the span carries the error.
+func TestTraceFailureEndsJob(t *testing.T) {
+	tr := telemetry.NewTracer()
+	ctx := telemetry.WithTracer(context.Background(), tr)
+	job := tallyOf("x")
+	job.Mapper = func([]float64, EmitPoint) error { return errors.New("fatal") }
+	if _, err := RunFrames(ctx, Config{Name: "failing"}, job); err == nil {
+		t.Fatal("job should fail")
+	}
+	var ended bool
+	for _, s := range tr.Spans() {
+		if s.Name != "mr-job:failing" {
+			continue
+		}
+		ended = true
+		var msg any
+		for _, a := range s.Attrs {
+			if a.Key == "error" {
+				msg = a.Value
+			}
+		}
+		if msg == nil || !strings.Contains(fmt.Sprint(msg), "fatal") {
+			t.Errorf("job span attrs %v, want the task's error", s.Attrs)
+		}
+	}
+	if !ended {
+		t.Errorf("no ended job span in %+v", tr.Spans())
 	}
 }
 

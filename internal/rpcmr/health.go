@@ -1,7 +1,6 @@
 package rpcmr
 
 import (
-	"log/slog"
 	"sort"
 	"time"
 
@@ -21,10 +20,11 @@ import (
 //
 // Transitions are detected by a background sweep, four times a
 // LivenessWindow (at most once a millisecond), so a dying worker is noticed
-// even when nobody polls Status, and each transition fires exactly one event
-// into the master's event log plus a rpcmr_worker_state gauge update. The
-// aggregate picture is served at /debug/health by binaries that mount
-// telemetry.MountHealth around Master.Health.
+// even when nobody polls Status, and each transition counts one
+// rpcmr_worker_transitions_total{to,worker} and updates the
+// rpcmr_worker_state gauge. The aggregate picture is served at
+// /debug/health by binaries that mount telemetry.MountHealth around
+// Master.Health.
 
 // WorkerState is one worker's position in the health state machine.
 type WorkerState int
@@ -55,7 +55,6 @@ func (s WorkerState) String() string {
 // workerInfo is the master's per-worker book-keeping (mu held).
 type workerInfo struct {
 	id        string
-	debugAddr string // worker's debug HTTP server, "" when it has none
 	lastSeen  time.Time
 	state     WorkerState
 	tasksDone int64
@@ -66,9 +65,6 @@ type workerInfo struct {
 type WorkerHealth struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
-	// DebugAddr is the worker's debug HTTP server (scraped into
-	// /debug/cluster), empty when the worker runs without one.
-	DebugAddr string `json:"debug_addr,omitempty"`
 	// LastSeenAgeSeconds is how long ago the worker last called in.
 	LastSeenAgeSeconds float64 `json:"last_seen_age_seconds"`
 	// TasksDone counts this worker's accepted task completions across all
@@ -153,7 +149,6 @@ func (m *Master) Health() Health {
 		h.Workers = append(h.Workers, WorkerHealth{
 			ID:                 w.id,
 			State:              w.state.String(),
-			DebugAddr:          w.debugAddr,
 			LastSeenAgeSeconds: now.Sub(w.lastSeen).Seconds(),
 			TasksDone:          w.tasksDone,
 			InFlight:           inFlight[w.id],
@@ -184,46 +179,27 @@ func (m *Master) touchWorker(id string) *workerInfo {
 	if w == nil {
 		w = &workerInfo{id: id, state: WorkerHealthy}
 		m.workers[id] = w
-		m.cfg.Events.Info("worker registered", telemetry.A("worker", id))
 		m.setStateGauge(id, WorkerHealthy)
 	}
 	w.lastSeen = time.Now()
 	if w.state != WorkerHealthy {
-		m.transitionWorker(w, WorkerHealthy, 0)
+		m.transitionWorker(w, WorkerHealthy)
 	}
 	return w
 }
 
 // transitionWorker (mu held) applies one state-machine edge: record,
-// gauge, and exactly one leveled transition event.
-func (m *Master) transitionWorker(w *workerInfo, to WorkerState, age time.Duration) {
+// gauge, and exactly one transition count.
+func (m *Master) transitionWorker(w *workerInfo, to WorkerState) {
 	if w.state == to {
 		return
 	}
-	from := w.state
 	w.state = to
 	m.setStateGauge(w.id, to)
 	if reg := m.cfg.Metrics; reg != nil {
 		reg.Counter("rpcmr_worker_transitions_total",
 			telemetry.L("worker", w.id), telemetry.L("to", to.String())).Inc()
 	}
-	level := slog.LevelInfo
-	msg := "worker recovered"
-	switch to {
-	case WorkerSuspect:
-		level, msg = slog.LevelWarn, "worker suspect"
-	case WorkerDead:
-		level, msg = slog.LevelError, "worker dead"
-	}
-	attrs := []telemetry.Attr{
-		telemetry.A("worker", w.id),
-		telemetry.A("from", from.String()),
-		telemetry.A("to", to.String()),
-	}
-	if age > 0 {
-		attrs = append(attrs, telemetry.A("silent_seconds", age.Seconds()))
-	}
-	m.cfg.Events.Log(level, msg, attrs...)
 }
 
 // setStateGauge (mu held) publishes the coded worker state
@@ -254,17 +230,17 @@ func (m *Master) healthLoop() {
 // the task of every worker it finds dead. The two steps are sequential on
 // purpose: a worker that out-silences both windows between sweeps still
 // passes through suspect before dead, so consumers always see the full
-// healthy → suspect → dead sequence, one event per edge.
+// healthy → suspect → dead sequence, one count per edge.
 func (m *Master) sweepWorkerStates(now time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, w := range m.workers {
 		age := now.Sub(w.lastSeen)
 		if w.state == WorkerHealthy && age > m.cfg.LivenessWindow {
-			m.transitionWorker(w, WorkerSuspect, age)
+			m.transitionWorker(w, WorkerSuspect)
 		}
 		if w.state == WorkerSuspect && age > 3*m.cfg.LivenessWindow {
-			m.transitionWorker(w, WorkerDead, age)
+			m.transitionWorker(w, WorkerDead)
 			m.loseTask(w.id, "dead")
 		}
 	}

@@ -3,9 +3,10 @@ package rpcmr
 import (
 	"context"
 	"encoding/json"
-	"log/slog"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -50,15 +51,25 @@ func silence(t *testing.T, m *Master, id string, d time.Duration) {
 // background sweep, every quarter of it, moves a state while a test runs.
 const healthWindow = time.Minute
 
+// transitions returns every rpcmr_worker_transitions_total{to,worker}
+// series reg holds, by rendered id.
+func transitions(reg *telemetry.Registry) map[string]int64 {
+	out := map[string]int64{}
+	for id, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(id, "rpcmr_worker_transitions_total{") {
+			out[id] = v
+		}
+	}
+	return out
+}
+
 // TestWorkerHealthStateMachine kills one worker of three and asserts it
-// walks healthy → suspect → dead with exactly one transition event per
+// walks healthy → suspect → dead with exactly one transition counted per
 // edge, while the surviving workers stay healthy.
 func TestWorkerHealthStateMachine(t *testing.T) {
-	events := telemetry.NewEventLog(512)
 	reg := telemetry.NewRegistry()
 	master, workers, _ := newCluster(t, MasterConfig{
 		LivenessWindow: healthWindow,
-		Events:         events,
 		Metrics:        reg,
 	}, 3, WorkerConfig{PollInterval: 5 * time.Millisecond})
 
@@ -93,32 +104,14 @@ func TestWorkerHealthStateMachine(t *testing.T) {
 		}
 	}
 
-	// Exactly one transition event per edge, and only for the dead worker.
-	var suspects, deads int
-	for _, ev := range events.Events(0, slog.LevelDebug) {
-		switch ev.Msg {
-		case "worker suspect":
-			if ev.Attrs["worker"] != "w2" {
-				t.Errorf("live worker went suspect: %v", ev.Attrs)
-			}
-			suspects++
-			if ev.Level != "warn" {
-				t.Errorf("suspect event level = %s, want warn", ev.Level)
-			}
-		case "worker dead":
-			if ev.Attrs["worker"] != "w2" {
-				t.Errorf("live worker died: %v", ev.Attrs)
-			}
-			deads++
-			if ev.Level != "error" {
-				t.Errorf("dead event level = %s, want error", ev.Level)
-			}
-		case "worker recovered":
-			t.Errorf("unexpected recovery event: %v", ev.Attrs)
-		}
+	// Exactly one transition per edge, and only for the dead worker: no
+	// live worker went suspect or died, and nobody recovered.
+	want := map[string]int64{
+		`rpcmr_worker_transitions_total{to="suspect",worker="w2"}`: 1,
+		`rpcmr_worker_transitions_total{to="dead",worker="w2"}`:    1,
 	}
-	if suspects != 1 || deads != 1 {
-		t.Fatalf("transition events: %d suspect, %d dead; want exactly 1 each", suspects, deads)
+	if got := transitions(reg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("transitions = %v, want %v", got, want)
 	}
 
 	// The state gauge mirrors the machine: w2 pinned at 2 (dead).
@@ -129,29 +122,30 @@ func TestWorkerHealthStateMachine(t *testing.T) {
 	if got := snap.Gauges[`rpcmr_worker_state{worker="w0"}`]; got != 0 {
 		t.Errorf("rpcmr_worker_state{worker=w0} = %v, want 0", got)
 	}
-	if got := snap.Counters[`rpcmr_worker_transitions_total{to="dead",worker="w2"}`]; got != 1 {
-		t.Errorf("dead transition counter = %d, want 1", got)
-	}
 
-	// A registration event per worker.
-	var registered int
-	for _, ev := range events.Events(0, slog.LevelDebug) {
-		if ev.Msg == "worker registered" {
-			registered++
+	// Every worker registered once: one Health entry and one state gauge
+	// each.
+	if len(h.Workers) != 3 || h.Workers[0].ID != "w0" || h.Workers[1].ID != "w1" || h.Workers[2].ID != "w2" {
+		t.Errorf("registered workers = %+v, want w0, w1, w2", h.Workers)
+	}
+	gauges := 0
+	for id := range snap.Gauges {
+		if strings.HasPrefix(id, "rpcmr_worker_state{") {
+			gauges++
 		}
 	}
-	if registered != 3 {
-		t.Errorf("%d registration events, want 3", registered)
+	if gauges != 3 {
+		t.Errorf("%d rpcmr_worker_state series, want 3", gauges)
 	}
 }
 
 // TestHealthRecovery brings a suspect worker back with a heartbeat and
 // expects a single recovery transition.
 func TestHealthRecovery(t *testing.T) {
-	events := telemetry.NewEventLog(128)
+	reg := telemetry.NewRegistry()
 	master, err := NewMaster(MasterConfig{
 		LivenessWindow: healthWindow,
-		Events:         events,
+		Metrics:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,17 +171,12 @@ func TestHealthRecovery(t *testing.T) {
 	if h.Healthy != 1 || h.Suspect != 0 {
 		t.Fatalf("after heartbeat: %+v", h)
 	}
-	var recoveries int
-	for _, ev := range events.Events(0, slog.LevelDebug) {
-		if ev.Msg == "worker recovered" {
-			recoveries++
-			if ev.Attrs["from"] != "suspect" || ev.Attrs["to"] != "healthy" {
-				t.Errorf("recovery edge = %v", ev.Attrs)
-			}
-		}
+	want := map[string]int64{
+		`rpcmr_worker_transitions_total{to="suspect",worker="wx"}`: 1,
+		`rpcmr_worker_transitions_total{to="healthy",worker="wx"}`: 1,
 	}
-	if recoveries != 1 {
-		t.Fatalf("%d recovery events, want 1", recoveries)
+	if got := transitions(reg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("transitions = %v, want %v", got, want)
 	}
 }
 
@@ -302,9 +291,8 @@ func TestRestartedWorkerGivesUpItsTask(t *testing.T) {
 	ensureFrameJobs()
 	for _, call := range []string{"RequestTask", "Register"} {
 		t.Run(call, func(t *testing.T) {
-			events := telemetry.NewEventLog(256)
 			reg := telemetry.NewRegistry()
-			master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: healthWindow, Events: events, Metrics: reg}, 0, WorkerConfig{})
+			master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: healthWindow, Metrics: reg}, 0, WorkerConfig{})
 			svc := &MasterService{m: master}
 			_ = svc.Register(RegisterArgs{WorkerID: "w"}, &RegisterReply{})
 			done := runAsync(master, setFrames(frameClusterData(250, 3, 16), nil)) // one share of three splits
@@ -331,17 +319,8 @@ func TestRestartedWorkerGivesUpItsTask(t *testing.T) {
 				}
 			}
 			requireOneFault(t, master)
-			lost := 0
-			for _, ev := range events.Events(0, slog.LevelDebug) {
-				if ev.Msg == "task lost" {
-					lost++
-					if ev.Attrs["worker"] != "w" || ev.Attrs["reason"] != "asked-again" {
-						t.Errorf("task lost event %v, want worker w, reason asked-again", ev.Attrs)
-					}
-				}
-			}
-			if lost != 1 {
-				t.Errorf("%d task lost events, want 1", lost)
+			if h := master.Health(); len(h.Workers) != 1 || h.Workers[0].LastError != fmt.Sprintf("map task %d lost (asked-again)", task.TaskID) {
+				t.Errorf("workers %+v, want w's last error: its map task lost (asked-again)", h.Workers)
 			}
 			if n := reg.Counter("rpcmr_task_retries_total", telemetry.L("cause", "worker-lost"), telemetry.L("worker", "w")).Value(); n != 1 {
 				t.Errorf(`rpcmr_task_retries_total{cause="worker-lost"} = %d, want 1`, n)

@@ -34,11 +34,6 @@ type MasterConfig struct {
 	// task latency histograms (rpcmr_task_seconds), retry/liveness
 	// counters, and job counts. Nil (the default) records nothing.
 	Metrics *telemetry.Registry
-	// Events, when non-nil, receives structured operational events:
-	// job/phase boundaries, dispatches, retries, lost tasks, stragglers,
-	// and worker health transitions. Nil records nothing (every EventLog
-	// method is nil-safe).
-	Events *telemetry.EventLog
 }
 
 func (c MasterConfig) withDefaults() MasterConfig {
@@ -240,7 +235,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		ln.Close()
 		return nil, fmt.Errorf("rpcmr: register service: %w", err)
 	}
-	cfg.Events.Info("master listening", telemetry.A("addr", ln.Addr().String()))
 	m.registerClusterGauges()
 	go m.acceptLoop()
 	go m.healthLoop()
@@ -284,27 +278,6 @@ func (m *Master) registerClusterGauges() {
 	})
 }
 
-// DebugTargets enumerates the registered workers as federation scrape
-// targets: workers without a debug server contribute an empty Addr
-// (present in the snapshot, never scraped) and dead workers are marked
-// stale so the federator keeps their last-good series instead of
-// hammering a gone endpoint — the same "remembered, not erased"
-// semantics as the health state machine.
-func (m *Master) DebugTargets() []telemetry.FederationTarget {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]telemetry.FederationTarget, 0, len(m.workers))
-	for id, w := range m.workers {
-		out = append(out, telemetry.FederationTarget{
-			ID:    id,
-			Addr:  w.debugAddr,
-			Stale: w.state == WorkerDead,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // Addr returns the listen address (with the resolved port).
 func (m *Master) Addr() string { return m.listener.Addr().String() }
 
@@ -318,10 +291,7 @@ func (m *Master) Close() error {
 		close(m.job.finished)
 	}
 	m.mu.Unlock()
-	m.stopOnce.Do(func() {
-		close(m.stopc)
-		m.cfg.Events.Info("master closed")
-	})
+	m.stopOnce.Do(func() { close(m.stopc) })
 	return m.listener.Close()
 }
 
@@ -337,7 +307,6 @@ const drainGrace = 200 * time.Millisecond
 // teardown.
 func (m *Master) Drain() {
 	m.mu.Lock()
-	already := m.shutdown
 	m.shutdown = true
 	m.wakeHeld()
 	var answered chan struct{}
@@ -348,9 +317,6 @@ func (m *Master) Drain() {
 		answered = m.answered
 	}
 	m.mu.Unlock()
-	if !already {
-		m.cfg.Events.Info("master draining", telemetry.A("addr", m.Addr()))
-	}
 	if answered != nil {
 		select {
 		case <-answered:
@@ -441,11 +407,6 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	endJob := func(result string, err error) {
 		if err != nil {
 			jobSpan.SetAttr("error", err.Error())
-			m.cfg.Events.Error("job failed", telemetry.A("job", spec.Name),
-				telemetry.A("result", result), telemetry.A("err", err.Error()))
-		} else {
-			m.cfg.Events.Info("job end", telemetry.A("job", spec.Name),
-				telemetry.A("seconds", time.Since(jobStart).Seconds()))
 		}
 		jobSpan.End()
 		if reg := m.cfg.Metrics; reg != nil {
@@ -510,13 +471,6 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	for i := range js.tasks {
 		js.pending = append(js.pending, i)
 	}
-	// Narrated before any task can be taken, so that no report's phase end
-	// — a one-task job's may come at once — precedes the job's start.
-	m.cfg.Events.Info("job start", telemetry.A("job", spec.Name),
-		telemetry.A("records", input.rows), telemetry.A("reducers", spec.Reducers),
-		telemetry.A("trace", js.traceID))
-	m.cfg.Events.Info("phase start", telemetry.A("job", spec.Name),
-		telemetry.A("phase", "map"), telemetry.A("tasks", mapTasks))
 	m.job = js
 	if mapTasks == 0 {
 		// Degenerate empty input: go straight to reduce with no groups.
@@ -582,8 +536,6 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 // reducer's streams gathered, then reduce tasks queued.
 func (m *Master) endMapPhase(js *jobState) {
 	js.mapDur = time.Since(js.mapStart)
-	m.cfg.Events.Info("phase end", telemetry.A("job", js.spec.Name),
-		telemetry.A("phase", "map"), telemetry.A("seconds", js.mapDur.Seconds()))
 	if js.mapOnly {
 		m.finish(js, nil)
 		return
@@ -613,9 +565,6 @@ func (m *Master) endMapPhase(js *jobState) {
 		js.pending = append(js.pending, r)
 	}
 	m.wakeHeld()
-	m.cfg.Events.Info("phase start", telemetry.A("job", js.spec.Name),
-		telemetry.A("phase", "reduce"), telemetry.A("tasks", js.spec.Reducers),
-		telemetry.A("shuffle_seconds", js.shuffleDur.Seconds()))
 }
 
 // finish (mu held) completes the job.
@@ -626,11 +575,6 @@ func (m *Master) finish(js *jobState, err error) {
 	js.err = err
 	if err != nil {
 		m.lastJobErr = err.Error()
-	}
-	if js.phase == TaskReduce {
-		m.cfg.Events.Info("phase end", telemetry.A("job", js.spec.Name),
-			telemetry.A("phase", "reduce"),
-			telemetry.A("seconds", time.Since(js.redStart).Seconds()))
 	}
 	close(js.finished)
 }
@@ -659,10 +603,6 @@ func (m *Master) loseTask(worker, reason string) {
 		if reg := m.cfg.Metrics; reg != nil {
 			reg.Counter("rpcmr_worker_failures_total", telemetry.L("worker", worker)).Inc()
 		}
-		m.cfg.Events.Warn("task lost", telemetry.A("job", js.spec.Name),
-			telemetry.A("phase", phaseName(js.phase)), telemetry.A("task", t.id),
-			telemetry.A("worker", worker), telemetry.A("attempt", t.attempt),
-			telemetry.A("reason", reason))
 		if w := m.workers[worker]; w != nil {
 			w.lastError = fmt.Sprintf("%s task %d lost (%s)", phaseName(js.phase), t.id, reason)
 		}
@@ -680,8 +620,3 @@ func (m *Master) loseTask(worker, reason string) {
 // telemetry is off) so pipelines built on the cluster — e.g.
 // skyjob.Compute — can publish into the same exposition surface.
 func (m *Master) Metrics() *telemetry.Registry { return m.cfg.Metrics }
-
-// Events returns the event log configured on the master (nil when event
-// logging is off) so pipelines and servers can log into the same stream
-// that /debug/events exposes.
-func (m *Master) Events() *telemetry.EventLog { return m.cfg.Events }

@@ -9,66 +9,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestDebugAddrPropagation: a worker registering with a debug address
-// must surface it in the master's health summary and in the federation
-// target list, and a dead worker's target must turn stale.
-func TestDebugAddrPropagation(t *testing.T) {
-	master, _, _ := newCluster(t, MasterConfig{},
-		1, WorkerConfig{DebugAddr: "127.0.0.1:7777", PollInterval: time.Millisecond})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		h := master.Health()
-		if len(h.Workers) == 1 && h.Workers[0].DebugAddr == "127.0.0.1:7777" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("debug addr never reached Health: %+v", h.Workers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	targets := master.DebugTargets()
-	if len(targets) != 1 {
-		t.Fatalf("targets = %+v, want one", targets)
-	}
-	if targets[0].ID != "w0" || targets[0].Addr != "127.0.0.1:7777" || targets[0].Stale {
-		t.Fatalf("target = %+v, want live w0 at 127.0.0.1:7777", targets[0])
-	}
-
-	// Force the health machine through suspect → dead (two sequential
-	// sweeps, as the background loop would): the federation target must
-	// flip stale while keeping the address.
-	future := time.Now().Add(1000 * time.Hour)
-	master.sweepWorkerStates(future)
-	master.sweepWorkerStates(future)
-	targets = master.DebugTargets()
-	if len(targets) != 1 || !targets[0].Stale {
-		t.Fatalf("dead worker target = %+v, want stale", targets)
-	}
-	if targets[0].Addr != "127.0.0.1:7777" {
-		t.Errorf("stale target lost its address: %+v", targets[0])
-	}
-}
-
-// TestWorkerWithoutDebugAddr: registration without a debug server is
-// legal; the target appears with an empty Addr so the federator lists
-// the member without scraping it.
-func TestWorkerWithoutDebugAddr(t *testing.T) {
-	master, _, _ := newCluster(t, MasterConfig{}, 1, WorkerConfig{PollInterval: time.Millisecond})
-	deadline := time.Now().Add(5 * time.Second)
-	for master.WorkerCount() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	targets := master.DebugTargets()
-	if len(targets) != 1 || targets[0].Addr != "" {
-		t.Fatalf("targets = %+v, want one with empty addr", targets)
-	}
-}
-
 // TestWorkerSideTaskMetrics: a worker given its own registry must count
 // and time the tasks it executes, labeled by kind.
 func TestWorkerSideTaskMetrics(t *testing.T) {
@@ -137,20 +77,17 @@ func TestMasterClusterGauges(t *testing.T) {
 	}
 }
 
-// TestWorkerRegistrationEvent: a worker with an event log narrates its
-// registration, carrying the master address.
+// TestWorkerRegistrationEvent: a worker's registration is on the master's
+// Health as soon as NewWorker returns — a healthy worker under its own id,
+// with nothing done and no error.
 func TestWorkerRegistrationEvent(t *testing.T) {
-	events := telemetry.NewEventLog(16)
 	master, _, _ := newCluster(t, MasterConfig{},
-		1, WorkerConfig{Events: events, PollInterval: time.Millisecond})
-	_ = master
-	found := false
-	for _, ev := range events.Events(0, 0) {
-		if ev.Msg == "registered with master" {
-			found = true
-		}
+		1, WorkerConfig{PollInterval: time.Millisecond})
+	h := master.Health()
+	if len(h.Workers) != 1 || h.Healthy != 1 {
+		t.Fatalf("health = %+v, want one healthy worker", h)
 	}
-	if !found {
-		t.Errorf("no registration event in %+v", events.Events(0, 0))
+	if w := h.Workers[0]; w.ID != "w0" || w.State != "healthy" || w.TasksDone != 0 || w.LastError != "" {
+		t.Errorf("registered worker = %+v, want a healthy w0 with nothing done", w)
 	}
 }

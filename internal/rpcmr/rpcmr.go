@@ -123,10 +123,6 @@ const (
 // RegisterArgs announces a worker.
 type RegisterArgs struct {
 	WorkerID string
-	// DebugAddr is the host:port of the worker's debug HTTP server
-	// (/metrics, /debug/pprof, ...), empty when the worker runs without
-	// one. The master scrapes it into the federated cluster view.
-	DebugAddr string
 }
 
 // RegisterReply acknowledges registration.

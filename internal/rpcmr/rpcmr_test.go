@@ -328,8 +328,8 @@ func TestOptionSurface(t *testing.T) {
 		want int
 	}{
 		{reflect.TypeOf(Job{}), 2},
-		{reflect.TypeOf(MasterConfig{}), 5},
-		{reflect.TypeOf(WorkerConfig{}), 8},
+		{reflect.TypeOf(MasterConfig{}), 4},
+		{reflect.TypeOf(WorkerConfig{}), 6},
 	} {
 		if n := c.typ.NumField(); n != c.want {
 			t.Errorf("rpcmr.%s has %d fields, want %d", c.typ.Name(), n, c.want)

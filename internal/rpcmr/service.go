@@ -2,7 +2,6 @@ package rpcmr
 
 import (
 	"fmt"
-	"log/slog"
 	"sort"
 	"strconv"
 	"time"
@@ -31,11 +30,8 @@ type MasterService struct {
 func (s *MasterService) Register(args RegisterArgs, reply *RegisterReply) error {
 	s.m.mu.Lock()
 	defer s.m.mu.Unlock()
-	w := s.m.touchWorker(args.WorkerID)
+	s.m.touchWorker(args.WorkerID)
 	s.m.loseTask(args.WorkerID, "asked-again")
-	if args.DebugAddr != "" {
-		w.debugAddr = args.DebugAddr
-	}
 	reply.OK = true
 	return nil
 }
@@ -123,12 +119,6 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	t.running = true
 	t.startedAt = time.Now()
 	t.worker = worker
-
-	if m.cfg.Events.Enabled(slog.LevelDebug) {
-		m.cfg.Events.Debug("task dispatch", telemetry.A("job", js.spec.Name),
-			telemetry.A("phase", phaseName(js.phase)), telemetry.A("task", id),
-			telemetry.A("worker", worker), telemetry.A("attempt", t.attempt))
-	}
 
 	reply.Kind = js.phase
 	reply.Job = js.seq
@@ -274,10 +264,6 @@ func (m *Master) report(args ResultArgs) bool {
 		t.failures++
 		m.countRetry(js, args.WorkerID, "report")
 		w.lastError = fmt.Sprintf("%s task %d: %s", kind, args.TaskID, args.Err)
-		m.cfg.Events.Warn("task failed", telemetry.A("job", js.spec.Name),
-			telemetry.A("phase", kind), telemetry.A("task", args.TaskID),
-			telemetry.A("worker", w.id), telemetry.A("failures", t.failures),
-			telemetry.A("err", args.Err))
 		if t.failures >= m.maxAttempts {
 			m.finish(js, &WorkerTaskError{Task: args.TaskID, Msg: args.Err})
 			return false
@@ -310,7 +296,7 @@ func (m *Master) report(args ResultArgs) bool {
 // recordCompletion (mu held) runs the observability side of one
 // *accepted* task completion: straggler detection against the running
 // phase median — booked once as the job counter CounterStragglers and
-// reported on the per-worker counter, the event log and the task span —
+// reported on the per-worker counter and the task span —
 // and the import of the worker's span tree into the master's tracer.
 // Because only the first accepted report of a task reaches here
 // (first-writer-wins) and error reports carry no spans, a retried task
@@ -326,10 +312,6 @@ func (m *Master) recordCompletion(js *jobState, t *taskState, kind, worker strin
 			if reg := m.cfg.Metrics; reg != nil {
 				reg.Counter("rpcmr_stragglers_total", telemetry.L("worker", worker)).Inc()
 			}
-			m.cfg.Events.Warn("straggler flagged", telemetry.A("job", js.spec.Name),
-				telemetry.A("phase", kind), telemetry.A("task", t.id),
-				telemetry.A("worker", worker), telemetry.A("seconds", dur),
-				telemetry.A("phase_median_seconds", med))
 		}
 	}
 	js.durs = append(js.durs, dur)

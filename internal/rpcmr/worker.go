@@ -35,18 +35,10 @@ type WorkerConfig struct {
 	// (cmd/skybench -run critpath; the stall lands inside the task span, so
 	// the profiler sees it as task time on this worker). 0 disables.
 	TaskStall time.Duration
-	// DebugAddr is the worker's debug HTTP server address (host:port),
-	// reported to the master at registration so it can federate this
-	// worker's /metrics into the cluster view. Empty when the worker
-	// serves no debug endpoints.
-	DebugAddr string
 	// Metrics, when non-nil, receives worker-side series: per-kind task
 	// counts (rpcmr_worker_tasks_total) and execution latency
 	// (rpcmr_worker_task_seconds). Nil records nothing.
 	Metrics *telemetry.Registry
-	// Events, when non-nil, receives worker-side operational events.
-	// Nil records nothing.
-	Events *telemetry.EventLog
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
@@ -77,13 +69,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	w := &Worker{cfg: cfg, client: client}
 	var reply RegisterReply
-	args := RegisterArgs{WorkerID: cfg.ID, DebugAddr: cfg.DebugAddr}
+	args := RegisterArgs{WorkerID: cfg.ID}
 	if err := client.Call("Master.Register", &args, &reply); err != nil {
 		client.Close()
 		return nil, fmt.Errorf("rpcmr: registering: %w", err)
 	}
-	cfg.Events.Info("registered with master",
-		telemetry.A("master", cfg.MasterAddr), telemetry.A("debug_addr", cfg.DebugAddr))
 	return w, nil
 }
 
@@ -157,7 +147,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // observeTask books one executed task into the worker-side registry:
 // rpcmr_worker_tasks_total{kind,result} and the execution-latency
 // histogram (stall injection included — a stalled worker's own metrics
-// show the slowdown the master's federated view attributes to it).
+// show the slowdown the master attributes to it).
 func (w *Worker) observeTask(kind string, start time.Time, err error) {
 	reg := w.cfg.Metrics
 	if reg == nil {

@@ -102,7 +102,7 @@ func testClusterFlightRecord(t *testing.T, budget int64, stall time.Duration) {
 		// The rule as cmd/skymaster builds it, over a sampler of this registry.
 		sampler := timeseries.NewSampler(reg, timeseries.Config{})
 		sampler.Sample()
-		rule := timeseries.GaugeAboveRule("reducer-budget", "skyline_reducer_peak_bytes", 0.8*float64(budget), "")
+		rule := timeseries.GaugeAboveRule("reducer-budget", "skyline_reducer_peak_bytes", 0.8*float64(budget))
 		if findings := rule.Eval(sampler); len(findings) != 1 || findings[0].Series != "skyline_reducer_peak_bytes" {
 			t.Errorf("reducer-budget rule over a peak of %d bytes (budget %d): findings %+v, want one",
 				rep.ReducerPeakBytes, budget, findings)

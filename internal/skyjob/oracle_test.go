@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"log/slog"
 	"math"
 	"os"
 	"reflect"
@@ -337,13 +336,9 @@ func TestExecutorsAgree(t *testing.T) {
 			// the in-process executor, handed no mask.
 			opts := driver.Options{Scheme: scheme, ReducerBudgetBytes: spec.ReducerBudgetBytes, Codec: spec.Codec, Workers: 3}
 			inRec, clRec := telemetry.NewRecorder(name), telemetry.NewRecorder(name)
-			inLog, clLog := telemetry.NewEventLog(256), master.Events()
-			inCtx := telemetry.WithEventLog(telemetry.WithRecorder(context.Background(), inRec), inLog)
-			clCtx := telemetry.WithRecorder(context.Background(), clRec)
-			clSince := uint64(0)
-			if earlier := clLog.Events(0, slog.LevelDebug); len(earlier) > 0 {
-				clSince = earlier[len(earlier)-1].Seq
-			}
+			inTr, clTr := telemetry.NewTracer(), telemetry.NewTracer()
+			inCtx := telemetry.WithTracer(telemetry.WithRecorder(context.Background(), inRec), inTr)
+			clCtx := telemetry.WithTracer(telemetry.WithRecorder(context.Background(), clRec), clTr)
 			inProcess := driver.InProcess(mapreduce.SetRows(data), driver.PartitionJob(part, nil, len(spec.Min), row.k, opts), len(spec.Min), row.k, opts)
 			sky, stats, err := driver.TwoJobs(inCtx, inProcess, len(spec.Min), part, nil, nil, opts)
 			if err != nil {
@@ -445,22 +440,9 @@ func TestExecutorsAgree(t *testing.T) {
 				t.Errorf("%s: merge rounds %d of %d groups %v in-process, %d of %d %v on the cluster",
 					name, stats.MergeRounds, stats.MergeGroups, stats.MergeRoundBytes, cl.MergeRounds, cl.MergeGroups, cl.MergeRoundBytes)
 			}
-			// One vocabulary: the engines narrate the same jobs and phases, in
-			// the same order, under the same messages and attribute keys (the
-			// values — job names, durations, trace ids — are each executor's).
-			inEvents, clEvents := inLog.Events(0, slog.LevelInfo), clLog.Events(clSince, slog.LevelInfo)
-			if in, cl := narration(inEvents), narration(clEvents); !reflect.DeepEqual(in, cl) || len(in) < 6 {
-				t.Errorf("%s: narrated in process as\n  %s\non the cluster as\n  %s", name, strings.Join(in, "\n  "), strings.Join(cl, "\n  "))
-			}
-			// The last map phase either log narrates is the merging job's.
-			for _, events := range [][]telemetry.LogEvent{inEvents, clEvents} {
-				tasks := 0
-				for _, ev := range events {
-					if ev.Msg == "phase start" && ev.Attrs["phase"] == "map" {
-						tasks = int(ev.Attrs["tasks"].(float64)) // attributes come back out of JSON
-					}
-				}
-				if row.mergeTasks > 0 && tasks != row.mergeTasks {
+			// The last job either trace records is the merging job.
+			for _, tr := range []*telemetry.Tracer{inTr, clTr} {
+				if tasks := lastJobMapTasks(tr.Spans()); row.mergeTasks > 0 && tasks != row.mergeTasks {
 					t.Errorf("%s: the merging job ran %d map tasks, want %d", name, tasks, row.mergeTasks)
 				}
 			}
@@ -527,22 +509,28 @@ func TestExecutorsAgree(t *testing.T) {
 	}
 }
 
-// narration reduces an event stream to its job and phase boundaries:
-// "message [sorted attribute keys]" per event, in order.
-func narration(events []telemetry.LogEvent) []string {
-	var out []string
-	for _, ev := range events {
-		switch ev.Msg {
-		case "job start", "phase start", "phase end", "job end":
-			keys := make([]string, 0, len(ev.Attrs))
-			for k := range ev.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			out = append(out, fmt.Sprintf("%s %v", ev.Msg, keys))
+// lastJobMapTasks reads a trace's last-ended job span — "mr-job:…" in
+// process, "rpcmr-job:…" on a cluster — and returns the "tasks" attribute
+// of its map span (0 when there is none).
+func lastJobMapTasks(spans []telemetry.SpanData) int {
+	var job uint64
+	for _, s := range spans {
+		if strings.HasPrefix(s.Name, "mr-job:") || strings.HasPrefix(s.Name, "rpcmr-job:") {
+			job = s.ID
 		}
 	}
-	return out
+	for _, s := range spans {
+		if s.Name != "map" || s.Parent != job {
+			continue
+		}
+		for _, a := range s.Attrs {
+			if a.Key == "tasks" {
+				n, _ := a.Value.(int)
+				return n
+			}
+		}
+	}
+	return 0
 }
 
 // allJobs is the four registered jobs; the band jobs' params carry a k.

@@ -298,10 +298,7 @@ func compute(ctx context.Context, master *rpcmr.Master, data points.Set, spec Sp
 		telemetry.A("points", len(data)),
 		telemetry.A("partitions", spec.Partitions))
 	defer rootSpan.End()
-	// The run is narrated to, and its gauges land on, what the master serves.
-	if ev := master.Events(); ev != nil {
-		ctx = telemetry.WithEventLog(ctx, ev)
-	}
+	// The run's gauges land on what the master serves.
 	opts := spec.options()
 	opts.Scheme, opts.Workers, opts.Metrics = spec.Scheme, reducers, master.Metrics()
 	exec := cluster{master: master, data: data, job1: job1, job2: job2, params: params, reducers: reducers, codec: spec.Codec}

@@ -33,7 +33,7 @@ const clusterSplit = 200
 
 func startCluster(t *testing.T, workers int) *rpcmr.Master {
 	t.Helper()
-	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: clusterSplit, Events: telemetry.NewEventLog(4096)})
+	master, err := rpcmr.NewMaster(rpcmr.MasterConfig{SplitSize: clusterSplit})
 	if err != nil {
 		t.Fatal(err)
 	}

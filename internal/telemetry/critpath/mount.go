@@ -3,7 +3,6 @@ package critpath
 import (
 	"errors"
 	"net/http"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -21,38 +20,4 @@ func Mount(mux *http.ServeMux, source func() *Analysis) {
 		}
 		return nil, http.StatusNotFound, errors.New("critical-path analysis not available")
 	})
-}
-
-// Summarize flattens an analysis (and the flight record it was checked
-// against) into the telemetry.RunSummary shape the run history stores —
-// flat fields only, so the history file stays greppable and the
-// telemetry package needs no knowledge of this one.
-func Summarize(a *Analysis, rep *telemetry.Report, label string) telemetry.RunSummary {
-	s := telemetry.RunSummary{
-		Time:            time.Now(),
-		Job:             a.Job,
-		Label:           label,
-		MakespanSeconds: a.MakespanSeconds,
-		PhaseSeconds:    map[string]float64{},
-	}
-	for _, p := range a.Phases {
-		s.PhaseSeconds[p.Phase] = p.Seconds
-	}
-	s.BottleneckPhase = a.Bottleneck().Phase
-	if len(a.Workers) > 0 {
-		s.BottleneckWorker = a.Workers[0].Worker
-	}
-	for _, w := range a.WhatIf {
-		if w.Name == "perfect-balance" {
-			s.PredictedBalancedSeconds = w.PredictedSeconds
-		}
-	}
-	if rep != nil {
-		s.Imbalance = rep.Skew.Imbalance
-		s.Gini = rep.Skew.Gini
-		s.Optimality = rep.Optimality
-		s.Stragglers = rep.Stragglers
-		s.GlobalSkyline = rep.GlobalSkyline
-	}
-	return s
 }

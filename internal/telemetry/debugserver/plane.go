@@ -25,21 +25,12 @@ import (
 type Sources struct {
 	// Metrics is served at /metrics and sampled into /debug/timeseries.
 	Metrics *telemetry.Registry
-	// Events is served at /debug/events, counted into Metrics as
-	// events_total{level}, receives the plane's own anomaly and federation
-	// events, and is what Close dumps.
-	Events *telemetry.EventLog
 	// Recorder is served at /debug/flightrecorder and, analyzed together
 	// with Tracer's spans, at /debug/critpath.
 	Recorder *telemetry.Recorder
 	Tracer   *telemetry.Tracer
-	// History is served at /debug/runhistory.
-	History *telemetry.RunHistory
 	// Health is called per request for /debug/health.
 	Health func() any
-	// Targets lists the debug servers to federate into /debug/cluster
-	// beside Metrics (the master's workers).
-	Targets func() []telemetry.FederationTarget
 	// Rules are the anomaly rules evaluated after every sample; with
 	// CaptureDir, an anomaly also writes a CPU+heap profile pair there.
 	Rules      []timeseries.Rule
@@ -61,17 +52,16 @@ const shutdownGrace = 2 * time.Second
 
 // Plane is a started debug plane.
 type Plane struct {
-	src       Sources
-	sampler   *timeseries.Sampler
-	watchdog  *timeseries.Watchdog
-	federator *telemetry.Federator
+	src      Sources
+	sampler  *timeseries.Sampler
+	watchdog *timeseries.Watchdog
 
 	srv    *http.Server
 	addr   string
 	served chan struct{} // closed when srv.Serve has returned
 
-	cancel context.CancelFunc // stops the loops and a scrape in flight
-	loops  sync.WaitGroup
+	stop  chan struct{} // closed by Close: ends the clock
+	clock sync.WaitGroup
 }
 
 // Start mounts every endpoint, starts the clock and — unless addr is
@@ -80,11 +70,7 @@ type Plane struct {
 //
 // The clock is one goroutine that every Interval samples Metrics, then
 // evaluates Rules and the Objectives' rules over the fresh sample, in that
-// order, so a rule never sees a stale ring and nothing else needs a ticker. The
-// federation scrape alone runs beside it, every 2×Interval on a second
-// goroutine, because it waits on other processes: a worker that accepts
-// the connection and then hangs would otherwise hold back a sample, and
-// with it the stall rule, for a whole scrape timeout.
+// order, so a rule never sees a stale ring and nothing else needs a ticker.
 func Start(addr string, src Sources) (*Plane, error) {
 	if src.Metrics == nil {
 		return nil, errors.New("debugserver: no metrics registry")
@@ -95,8 +81,7 @@ func Start(addr string, src Sources) (*Plane, error) {
 	if src.Mux == nil {
 		src.Mux = http.NewServeMux()
 	}
-	src.Events.BindMetrics(src.Metrics)
-	p := &Plane{src: src}
+	p := &Plane{src: src, stop: make(chan struct{})}
 	p.sampler = timeseries.NewSampler(src.Metrics, timeseries.Config{
 		Interval: src.Interval, Retention: timeseries.RetentionFor(src.Interval, src.Objectives),
 	})
@@ -105,13 +90,8 @@ func Start(addr string, src Sources) (*Plane, error) {
 		rules = append(rules, o.Rule())
 	}
 	p.watchdog = timeseries.NewWatchdog(p.sampler, timeseries.WatchdogConfig{
-		Events: src.Events, Metrics: src.Metrics, CaptureDir: src.CaptureDir,
+		Metrics: src.Metrics, CaptureDir: src.CaptureDir,
 	}, rules...)
-	if src.Targets != nil {
-		p.federator = telemetry.NewFederator(telemetry.FederatorConfig{
-			Self: src.Metrics, Targets: src.Targets, Events: src.Events,
-		})
-	}
 	p.mount(src.Mux)
 
 	if addr != "" {
@@ -124,40 +104,26 @@ func Start(addr string, src Sources) (*Plane, error) {
 		p.served = make(chan struct{})
 		go func() {
 			defer close(p.served)
-			if err := p.srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-				src.Events.Error("debug server failed", telemetry.A("addr", p.addr), telemetry.A("err", err.Error()))
-			}
+			_ = p.srv.Serve(ln)
 		}()
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	p.cancel = cancel
-	p.every(ctx, src.Interval, func() {
-		p.sampler.Sample()
-		p.watchdog.Evaluate()
-	})
-	if p.federator != nil {
-		p.every(ctx, 2*src.Interval, func() { p.federator.ScrapeOnce(ctx) })
-	}
-	return p, nil
-}
-
-// every runs fn each period until ctx is cancelled.
-func (p *Plane) every(ctx context.Context, period time.Duration, fn func()) {
-	p.loops.Add(1)
+	p.clock.Add(1)
 	go func() {
-		defer p.loops.Done()
-		ticker := time.NewTicker(period)
+		defer p.clock.Done()
+		ticker := time.NewTicker(src.Interval)
 		defer ticker.Stop()
 		for {
 			select {
-			case <-ctx.Done():
+			case <-p.stop:
 				return
 			case <-ticker.C:
-				fn()
+				p.sampler.Sample()
+				p.watchdog.Evaluate()
 			}
 		}
 	}()
+	return p, nil
 }
 
 // mount registers /metrics and every /debug/* path on mux. The mounts
@@ -166,11 +132,8 @@ func (p *Plane) mount(mux *http.ServeMux) {
 	src := p.src
 	mux.Handle("/metrics", src.Metrics.Handler())
 	telemetry.MountPprof(mux)
-	telemetry.MountEvents(mux, src.Events)
 	telemetry.MountHealth(mux, src.Health)
 	telemetry.MountFlightRecorder(mux, func() *telemetry.Recorder { return src.Recorder })
-	telemetry.MountRunHistory(mux, src.History)
-	telemetry.MountCluster(mux, p.federator)
 	timeseries.Mount(mux, p.sampler)
 	timeseries.MountSLO(mux, p.sampler, src.Objectives)
 	critpath.Mount(mux, func() *critpath.Analysis {
@@ -190,15 +153,14 @@ func (p *Plane) mount(mux *http.ServeMux) {
 func (p *Plane) Addr() string { return p.addr }
 
 // Close stops the plane, in the order its parts depend on each other:
-// the loops end (a scrape in flight is cancelled), a capture in flight
-// finishes, one last sample records the state the process is leaving in,
-// the server shuts down — in-flight requests get shutdownGrace, then
-// their connections are closed — and, when dump is non-nil, the event log
-// and a final metrics snapshot are written to it. Nothing the plane
-// started is running when Close returns.
+// the clock ends, a capture in flight finishes, one last sample records
+// the state the process is leaving in, the server shuts down — in-flight
+// requests get shutdownGrace, then their connections are closed — and,
+// when dump is non-nil, a final metrics snapshot is written to it.
+// Nothing the plane started is running when Close returns.
 func (p *Plane) Close(dump io.Writer) error {
-	p.cancel()
-	p.loops.Wait()
+	close(p.stop)
+	p.clock.Wait()
 	p.watchdog.Close()
 	p.sampler.Sample()
 	if p.srv != nil {
@@ -212,5 +174,5 @@ func (p *Plane) Close(dump io.Writer) error {
 	if dump == nil {
 		return nil
 	}
-	return telemetry.DumpOps(dump, p.src.Events, p.src.Metrics)
+	return p.src.Metrics.WritePrometheus(dump)
 }

@@ -26,8 +26,8 @@ import (
 // the plane's own, the rest the registry's handler mounts beside it.
 var (
 	planePaths = []string{
-		telemetry.FlightRecorderPath, telemetry.EventsPath, telemetry.HealthPath, telemetry.ClusterPath,
-		timeseries.Path, timeseries.SLOPath, critpath.Path, telemetry.RunHistoryPath,
+		telemetry.FlightRecorderPath, telemetry.HealthPath,
+		timeseries.Path, timeseries.SLOPath, critpath.Path,
 	}
 	jsonPaths = append([]string{telemetry.QueriesPath, telemetry.SlowLogPath}, planePaths...)
 )
@@ -79,15 +79,14 @@ func decode(t *testing.T, path string, body []byte, doc any) {
 }
 
 // TestPlaneServesEveryPath starts a skyserve-shaped plane with every
-// source (the registry's API under "/", a worker-shaped plane as its one
-// federation target) and reads every path CI curls into the document
-// type its endpoint declares; then checks the one method and parameter
-// rule on each, the 404s of the worker-shaped plane, and that Close leaves
-// nothing running.
+// source (the registry's API under "/") beside a worker-shaped plane (its
+// metrics alone) and reads every path CI curls into the document type its
+// endpoint declares; then checks the one method and parameter rule on
+// each, the 404s of the worker-shaped plane, the metrics snapshot Close
+// dumps, and that Close leaves nothing running.
 func TestPlaneServesEveryPath(t *testing.T) {
-	events := telemetry.NewEventLog(256)
 	recorder, tracer := telemetry.NewRecorder("boot"), telemetry.NewTracer()
-	ctx := telemetry.WithEventLog(telemetry.WithTracer(telemetry.WithRecorder(context.Background(), recorder), tracer), events)
+	ctx := telemetry.WithTracer(telemetry.WithRecorder(context.Background(), recorder), tracer)
 	data := qws.Dataset(7, 400, 3)
 	seeds := make([]registry.Service, len(data))
 	for i, p := range data {
@@ -100,38 +99,25 @@ func TestPlaneServesEveryPath(t *testing.T) {
 	defer reg.Close()
 	baseline := runtime.NumGoroutine() // the registry's publish pipeline is not the plane's
 
-	workerEvents := telemetry.NewEventLog(16)
 	workerMetrics := telemetry.NewRegistry()
 	workerMetrics.Counter("rpcmr_worker_tasks_total").Add(4)
-	worker, err := Start("127.0.0.1:0", Sources{Metrics: workerMetrics, Events: workerEvents})
+	worker, err := Start("127.0.0.1:0", Sources{Metrics: workerMetrics})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	objectives := reg.ConfigureSLO(registry.SLOOptions{P99Threshold: 250 * time.Millisecond, Availability: 0.99})
-	history, err := telemetry.OpenRunHistory("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := history.Append(telemetry.RunSummary{Time: time.Now(), Job: "boot", MakespanSeconds: 1}); err != nil {
-		t.Fatal(err)
-	}
 	type health struct {
 		Status string `json:"status"`
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", reg.Handler())
 	plane, err := Start("127.0.0.1:0", Sources{
-		Metrics:  reg.Metrics(),
-		Events:   events,
-		Recorder: recorder,
-		Tracer:   tracer,
-		History:  history,
-		Health:   func() any { return health{"ok"} },
-		Targets: func() []telemetry.FederationTarget {
-			return []telemetry.FederationTarget{{ID: "w0", Addr: worker.Addr()}}
-		},
-		Rules:      []timeseries.Rule{timeseries.GaugeAboveRule("always", "process_never_registered", 1, "")},
+		Metrics:    reg.Metrics(),
+		Recorder:   recorder,
+		Tracer:     tracer,
+		Health:     func() any { return health{"ok"} },
+		Rules:      []timeseries.Rule{timeseries.GaugeAboveRule("always", "process_never_registered", 1)},
 		Objectives: objectives,
 		Interval:   250 * time.Millisecond,
 		Mux:        mux,
@@ -179,10 +165,6 @@ func TestPlaneServesEveryPath(t *testing.T) {
 	if fetch(critpath.Path, &crit); crit.MakespanSeconds <= 0 || len(crit.CriticalPath) == 0 {
 		t.Errorf("critical path of the boot computation = %+v", crit)
 	}
-	var runs telemetry.RunHistoryDoc
-	if fetch(telemetry.RunHistoryPath, &runs); len(runs.Runs) != 1 || runs.Runs[0].Job != "boot" {
-		t.Errorf("run history = %+v", runs)
-	}
 	var queries, slow telemetry.QueryLogDoc
 	if fetch(telemetry.QueriesPath, &queries); queries.Totals.Queries < 1 || len(queries.Queries) < 1 {
 		t.Errorf("query log = %+v, want the /skyline read", queries)
@@ -194,19 +176,17 @@ func TestPlaneServesEveryPath(t *testing.T) {
 	if fetch(timeseries.SLOPath, &slos); len(slos.Objectives) != 2 {
 		t.Errorf("slo = %+v, want two objectives", slos)
 	}
-	// The clock's products: wait for a second sample and the first scrape.
+	// The clock's product: wait for a second sample.
 	var series timeseries.Doc
-	var cluster telemetry.ClusterSnapshot
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		series, cluster = timeseries.Doc{}, telemetry.ClusterSnapshot{}
+		series = timeseries.Doc{}
 		fetch(timeseries.Path+"?series=process_uptime_seconds,registry_requests&window=1m", &series)
-		fetch(telemetry.ClusterPath+"?series=rpcmr_worker", &cluster)
-		if series.Samples >= 2 && len(cluster.Workers) == 2 && len(cluster.Workers[1].Samples) > 0 {
+		if series.Samples >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no second sample or no scrape after 5s: %+v, %+v", series, cluster)
+			t.Fatalf("no second sample after 5s: %+v", series)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -219,31 +199,13 @@ func TestPlaneServesEveryPath(t *testing.T) {
 			t.Errorf("series filter let %q through", id)
 		}
 	}
-	if w := cluster.Workers[1]; w.ID != "w0" || w.Stale || w.Samples[`rpcmr_worker_tasks_total{worker="w0"}`] != 4 ||
-		cluster.Merged[`rpcmr_worker_tasks_total{worker="w0"}`] != 4 {
-		t.Errorf("federated member = %+v, merged %v", w, cluster.Merged)
-	}
-	code, body := get(t, http.MethodGet, base+telemetry.EventsPath+"?level=info")
-	if code != http.StatusOK {
-		t.Fatalf("%s = %d", telemetry.EventsPath, code)
-	}
-	var msgs []string
-	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
-		var ev telemetry.LogEvent
-		decode(t, telemetry.EventsPath, []byte(line), &ev)
-		msgs = append(msgs, ev.Msg)
-	}
-	if joined := strings.Join(msgs, "|"); !strings.Contains(joined, "job start") || !strings.Contains(joined, "pipeline end") {
-		t.Errorf("event stream %q does not narrate the boot computation", msgs)
-	}
 
 	// One rule on every path: GET and HEAD, limit=0 is no cap, a negative
 	// or garbage parameter is a 400.
 	for _, path := range jsonPaths {
 		for query, want := range map[string]int{
 			"": http.StatusOK, "?limit=0": http.StatusOK, "?limit=-1": http.StatusBadRequest,
-			"?limit=ten": http.StatusBadRequest, "?window=soon": http.StatusBadRequest, "?since=-3": http.StatusBadRequest,
-			"?level=loud": http.StatusBadRequest,
+			"?limit=ten": http.StatusBadRequest, "?window=soon": http.StatusBadRequest,
 		} {
 			if code, _ := get(t, http.MethodHead, base+path+query); code != want {
 				t.Errorf("HEAD %s%s = %d, want %d", path, query, code, want)
@@ -253,17 +215,11 @@ func TestPlaneServesEveryPath(t *testing.T) {
 			t.Errorf("POST %s = %d, want 405", path, code)
 		}
 	}
-	_, capped := get(t, http.MethodGet, base+telemetry.EventsPath+"?limit=1")
-	_, all := get(t, http.MethodGet, base+telemetry.EventsPath+"?limit=0")
-	if bytes.Count(capped, []byte("\n")) != 1 || bytes.Count(all, []byte("\n")) < len(msgs) {
-		t.Errorf("events ?limit=1 returned %d lines, ?limit=0 %d of at least %d",
-			bytes.Count(capped, []byte("\n")), bytes.Count(all, []byte("\n")), len(msgs))
-	}
 
 	// A plane with only the required sources: every other path is a 404.
 	for _, path := range jsonPaths {
 		want := http.StatusNotFound
-		if path == telemetry.EventsPath || path == timeseries.Path {
+		if path == timeseries.Path {
 			want = http.StatusOK
 		}
 		if code, _ := get(t, http.MethodGet, "http://"+worker.Addr()+path); code != want {
@@ -275,9 +231,8 @@ func TestPlaneServesEveryPath(t *testing.T) {
 	if err := plane.Close(&dump); err != nil {
 		t.Fatal(err)
 	}
-	if out := dump.String(); !strings.Contains(out, "# event log") || !strings.Contains(out, `"msg":"job start"`) ||
-		!strings.Contains(out, "# final metrics snapshot") || !strings.Contains(out, "registry_requests_total") {
-		t.Errorf("dump lacks the event log or the metrics snapshot:\n%s", out)
+	if samples, err := telemetry.ParsePrometheus(dump.String()); err != nil || samples[`registry_requests_total{endpoint="skyline",status="2xx"}`] < 1 {
+		t.Errorf("dump is not the metrics snapshot (%v):\n%s", err, dump.String())
 	}
 	if err := worker.Close(nil); err != nil {
 		t.Fatal(err)
@@ -375,8 +330,9 @@ func TestSLOServedFromObjectives(t *testing.T) {
 
 // TestCloseBoundedWithHeldRequest: a request still being served when the
 // process is told to stop (skyserve under load) delays Close by the grace
-// period and no longer; its connection is then dropped, the dump is
-// written after everything has stopped, and nothing is left running.
+// period and no longer; its connection is then dropped, the metrics
+// snapshot is dumped after everything has stopped, and nothing is left
+// running.
 func TestCloseBoundedWithHeldRequest(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	entered := make(chan struct{})
@@ -385,14 +341,14 @@ func TestCloseBoundedWithHeldRequest(t *testing.T) {
 		close(entered)
 		<-req.Context().Done()
 	})
-	events := telemetry.NewEventLog(16)
+	metrics := telemetry.NewRegistry()
 	objectives := []timeseries.Objective{{
 		Name: "availability", Kind: "availability", Target: 0.99,
 		Bad:   timeseries.Selector{Name: "requests_total", Labels: []telemetry.Label{telemetry.L("status", "5xx")}},
 		Total: timeseries.Selector{Name: "requests_total"},
 	}}
 	plane, err := Start("127.0.0.1:0", Sources{
-		Metrics: telemetry.NewRegistry(), Events: events, Objectives: objectives, Interval: 100 * time.Millisecond, Mux: mux,
+		Metrics: metrics, Objectives: objectives, Interval: 100 * time.Millisecond, Mux: mux,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +362,7 @@ func TestCloseBoundedWithHeldRequest(t *testing.T) {
 		held <- err
 	}()
 	<-entered
-	events.Info("shutdown")
+	metrics.Counter("requests_total", telemetry.L("status", "2xx")).Inc()
 
 	var dump bytes.Buffer
 	start := time.Now()
@@ -419,8 +375,8 @@ func TestCloseBoundedWithHeldRequest(t *testing.T) {
 	if err := <-held; err == nil {
 		t.Error("the held request completed; its connection should have been dropped")
 	}
-	if !strings.Contains(dump.String(), `"msg":"shutdown"`) {
-		t.Errorf("dump lacks the shutdown event:\n%s", dump.String())
+	if !strings.Contains(dump.String(), `requests_total{status="2xx"} 1`) {
+		t.Errorf("dump lacks the metrics snapshot:\n%s", dump.String())
 	}
 	settleGoroutines(t, baseline)
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -110,10 +109,6 @@ type Params struct {
 	// Window bounds returned history to the trailing duration
 	// (?window=30s; 0 is everything retained).
 	Window time.Duration
-	// Since and Level filter the event stream: events with Seq > Since
-	// (?since=N) at Level or above (?level=warn).
-	Since uint64
-	Level slog.Level
 }
 
 // ParseParams reads the shared parameters from q. A negative or
@@ -136,14 +131,6 @@ func ParseParams(q url.Values) (Params, error) {
 			return p, fmt.Errorf("bad window %q", s)
 		}
 	}
-	if s := q.Get("since"); s != "" {
-		if p.Since, err = strconv.ParseUint(s, 10, 64); err != nil {
-			return p, fmt.Errorf("bad since cursor %q", s)
-		}
-	}
-	if p.Level, err = ParseLevel(q.Get("level")); err != nil {
-		return p, err
-	}
 	return p, nil
 }
 
@@ -159,14 +146,10 @@ func (p Params) MatchSeries(id string) bool {
 	return len(p.Series) == 0
 }
 
-// JSONLines is a document that renders itself as one JSON object per
-// line instead of as one indented JSON value (the event stream).
-type JSONLines func(w io.Writer) error
-
 // HandleJSON registers the one handler every /debug/* endpoint is: GET
 // and HEAD only, the shared parameters parsed up front (a bad one is a
-// 400 on every path), then source's document written as indented JSON —
-// or, for a JSONLines document, as JSON lines. A non-nil err is answered
+// 400 on every path), then source's document written as indented JSON.
+// A non-nil err is answered
 // with status and err's text; the convention is 404 for a source that is
 // switched off or has nothing to show yet.
 func HandleJSON(mux *http.ServeMux, path string, source func(Params) (doc any, status int, err error)) {
@@ -183,11 +166,6 @@ func HandleJSON(mux *http.ServeMux, path string, source func(Params) (doc any, s
 		doc, status, err := source(p)
 		if err != nil {
 			http.Error(w, err.Error(), status)
-			return
-		}
-		if lines, ok := doc.(JSONLines); ok {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			_ = lines(w)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -210,6 +188,25 @@ func MountFlightRecorder(mux *http.ServeMux, source func() *Recorder) {
 			return nil, http.StatusNotFound, errors.New("no flight record")
 		}
 		return rec.Report(), 0, nil
+	})
+}
+
+// HealthPath is where MountHealth serves the health summary.
+const HealthPath = "/debug/health"
+
+// MountHealth serves source() at /debug/health. The source is called
+// per request (so the summary is always current). A nil source is a 404;
+// a source that returns nil is a 503 — a server that cannot assemble its
+// health picture is not healthy.
+func MountHealth(mux *http.ServeMux, source func() any) {
+	HandleJSON(mux, HealthPath, func(Params) (any, int, error) {
+		if source == nil {
+			return nil, http.StatusNotFound, errors.New("no health source")
+		}
+		if h := source(); h != nil {
+			return h, 0, nil
+		}
+		return nil, http.StatusServiceUnavailable, errors.New("health unavailable")
 	})
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
@@ -116,5 +117,34 @@ func TestLabelEscaping(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `weird{path="a\"b\\c"} 1`) {
 		t.Errorf("escaping wrong:\n%s", sb.String())
+	}
+}
+
+func TestMountHealthHTTP(t *testing.T) {
+	mux := http.NewServeMux()
+	type health struct {
+		Status string `json:"status"`
+	}
+	var src func() any = func() any { return health{Status: "ok"} }
+	MountHealth(mux, func() any { return src() })
+
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, HealthPath, nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status %d", rr.Code)
+	}
+	if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	var h health
+	if err := json.Unmarshal(rr.Body.Bytes(), &h); err != nil || h.Status != "ok" {
+		t.Fatalf("body %q, err %v", rr.Body.String(), err)
+	}
+
+	src = func() any { return nil }
+	rr = httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, HealthPath, nil))
+	if rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("nil health: status %d, want 503", rr.Code)
 	}
 }

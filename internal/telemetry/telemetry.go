@@ -406,7 +406,7 @@ func (r *Registry) VisitSamples(f func(id string, v float64)) {
 // ParseSeriesID splits a rendered series id — exactly the keys
 // WritePrometheus emits and ParsePrometheus returns — back into its
 // metric name and label set, unescaping label values. The inverse of
-// seriesID, so inject-relabel-rerender round-trips are exact.
+// seriesID, so parse-rerender round-trips are exact.
 func ParseSeriesID(id string) (name string, labels []Label, err error) {
 	brace := strings.IndexByte(id, '{')
 	if brace < 0 {
@@ -472,24 +472,6 @@ func ParseSeriesID(id string) (name string, labels []Label, err error) {
 // values escaped).
 func RenderSeriesID(name string, labels []Label) string {
 	return seriesID(name, sortedLabels(labels))
-}
-
-// InjectLabel returns id with key="value" added to its label set,
-// keeping labels in canonical sorted order. When the series already
-// carries the key, the id is returned unchanged — federation must not
-// overwrite a source's own identity labels (a master's per-worker
-// series keep their original worker attribution).
-func InjectLabel(id, key, value string) (string, error) {
-	name, labels, err := ParseSeriesID(id)
-	if err != nil {
-		return "", err
-	}
-	for _, l := range labels {
-		if l.Key == key {
-			return id, nil
-		}
-	}
-	return seriesID(name, sortedLabels(append(labels, Label{Key: key, Value: value}))), nil
 }
 
 // Snapshot runs the scrape hooks and copies every series.

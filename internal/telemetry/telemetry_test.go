@@ -145,3 +145,34 @@ func TestExpBuckets(t *testing.T) {
 		t.Errorf("DurationBuckets len = %d", len(DurationBuckets()))
 	}
 }
+
+func TestParseSeriesIDRoundTrip(t *testing.T) {
+	cases := []struct {
+		name   string
+		labels []Label
+	}{
+		{"plain", nil},
+		{"one", []Label{L("k", "v")}},
+		{"sorted", []Label{L("a", "1"), L("z", "2")}},
+		{"escaped", []Label{L("k", `va"l\ue`+"\nnewline")}},
+		{"empty_value", []Label{L("k", "")}},
+	}
+	for _, tc := range cases {
+		id := RenderSeriesID(tc.name, tc.labels)
+		name, labels, err := ParseSeriesID(id)
+		if err != nil {
+			t.Fatalf("%s: ParseSeriesID(%q): %v", tc.name, id, err)
+		}
+		if name != tc.name {
+			t.Errorf("%s: name = %q, want %q", tc.name, name, tc.name)
+		}
+		if RenderSeriesID(name, labels) != id {
+			t.Errorf("%s: round-trip %q → %q", tc.name, id, RenderSeriesID(name, labels))
+		}
+	}
+	for _, bad := range []string{`m{`, `m{k=v}`, `m{k="v}`, `m{k="v"x="y"}`, `m{k="\q"}`} {
+		if _, _, err := ParseSeriesID(bad); err == nil {
+			t.Errorf("ParseSeriesID(%q): want error", bad)
+		}
+	}
+}

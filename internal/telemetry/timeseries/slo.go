@@ -2,7 +2,6 @@ package timeseries
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"slices"
@@ -17,8 +16,8 @@ import (
 // families that count its bad and its total requests. The Sampler already
 // keeps their history, so the objective's state over each burn window is
 // the rise of those families across the window, and its Rule fires while
-// every window burns: the watchdog's rising edge is the one alert, an
-// "anomaly detected" event and telemetry_anomalies_total{rule="slo:<name>"}.
+// every window burns: the watchdog's rising edge is the one alert, one
+// count of telemetry_anomalies_total{rule="slo:<name>"}.
 //
 // Burn rate is the bad fraction over the error budget (1-quantile or
 // 1-target): 1.0 spends exactly the budget over the objective's life, 10
@@ -159,15 +158,7 @@ func (o Objective) Rule() Rule {
 		if !st.Burning {
 			return nil
 		}
-		return []Finding{{
-			Series: series,
-			Detail: fmt.Sprintf("burn rate above %g over every window", alertBurn),
-			Attrs: []telemetry.Attr{
-				telemetry.A("objective", o.Name), telemetry.A("kind", o.Kind),
-				telemetry.A("burn", fmt.Sprintf("%.2f", st.Windows[0].BurnRate)),
-				telemetry.A("budget_used", fmt.Sprintf("%.3f", st.BudgetUsed)),
-			},
-		}}
+		return []Finding{{Series: series}}
 	}}
 }
 

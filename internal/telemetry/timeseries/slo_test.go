@@ -2,7 +2,6 @@ package timeseries
 
 import (
 	"encoding/json"
-	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -132,23 +131,14 @@ func getSLO(t *testing.T, s *Sampler, objectives ...Objective) (int, SLODoc) {
 }
 
 // TestSLOBurnIsAnAnomaly: a burn across every window is the watchdog's
-// rising edge on the rule slo:<name> — one "anomaly detected" event and
-// one telemetry_anomalies_total count per incident, not per tick. Recovery
+// rising edge on the rule slo:<name> — one telemetry_anomalies_total
+// count per incident, not per tick, its finding the bad counter. Recovery
 // reads burning: false at /debug/slo, and a second burn is a second
 // incident.
 func TestSLOBurnIsAnAnomaly(t *testing.T) {
 	o := availabilityObjective(0.99)
 	rig := newSLORig(time.Minute, o)
-	events := telemetry.NewEventLog(64)
-	w := NewWatchdog(rig.s, WatchdogConfig{Events: events, Metrics: rig.reg}, o.Rule())
-	anomalies := func() (n int) {
-		for _, ev := range events.Events(0, slog.LevelDebug) {
-			if ev.Msg == "anomaly detected" && ev.Attrs["rule"] == "slo:availability" {
-				n++
-			}
-		}
-		return n
-	}
+	w := NewWatchdog(rig.s, WatchdogConfig{Metrics: rig.reg}, o.Rule())
 	counted := func() int64 {
 		return rig.reg.Counter("telemetry_anomalies_total", telemetry.L("rule", "slo:availability")).Value()
 	}
@@ -159,8 +149,11 @@ func TestSLOBurnIsAnAnomaly(t *testing.T) {
 		rig.step(80, 20)
 		w.Evaluate()
 	}
-	if n, c := anomalies(), counted(); n != 1 || c != 1 {
-		t.Fatalf("after a 3-minute burn: %d anomaly events, counter %d; want 1 and 1", n, c)
+	if c := counted(); c != 1 {
+		t.Fatalf("after a 3-minute burn: counter %d, want 1", c)
+	}
+	if f := o.Rule().Eval(rig.s); len(f) != 1 || f[0].Series != telemetry.RenderSeriesID(o.Bad.Name, o.Bad.Labels) {
+		t.Errorf("findings during the burn = %+v, want the bad counter's series", f)
 	}
 	if _, doc := getSLO(t, rig.s, o); !doc.Burning || !doc.Objectives[0].Burning {
 		t.Errorf("/debug/slo during the burn = %+v", doc)
@@ -176,8 +169,8 @@ func TestSLOBurnIsAnAnomaly(t *testing.T) {
 	// Burning again is a second incident.
 	rig.step(80, 20)
 	w.Evaluate()
-	if n, c := anomalies(), counted(); n != 2 || c != 2 {
-		t.Errorf("after a second burn: %d anomaly events, counter %d; want 2 and 2", n, c)
+	if c := counted(); c != 2 {
+		t.Errorf("after a second burn: counter %d, want 2", c)
 	}
 }
 

@@ -2,7 +2,6 @@ package timeseries
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -16,20 +15,16 @@ import (
 // The anomaly watchdog closes the observe→notice loop: a small rule
 // engine its owner evaluates after each sample of the sampler's rings. A
 // rule that starts firing (the rising edge — a firing rule stays quiet
-// until it clears and fires again) emits one EventLog warning, increments
-// telemetry_anomalies_total{rule}, and can trigger capture-on-anomaly:
-// an on-disk CPU+heap pprof pair taken while the anomaly is still live,
-// rate-limited by a cooldown so a flapping rule cannot fill the disk.
+// until it clears and fires again) increments
+// telemetry_anomalies_total{rule} once per finding, and can trigger
+// capture-on-anomaly: an on-disk CPU+heap pprof pair taken while the
+// anomaly is still live, rate-limited by a cooldown so a flapping rule
+// cannot fill the disk.
 
-// Finding is one firing rule evaluation: which series tripped and why.
+// Finding is one firing rule evaluation: the ring that tripped the rule
+// (one finding per series).
 type Finding struct {
-	// Series is the ring that tripped the rule (one finding per series).
 	Series string
-	// Detail is a short human explanation ("rate 0.0/s over 300ms").
-	Detail string
-	// Attrs are structured key/values for the anomaly event (e.g. the
-	// worker id extracted from the series labels).
-	Attrs []telemetry.Attr
 }
 
 // Rule is one anomaly detector. Eval inspects the sampler's rings and
@@ -41,8 +36,6 @@ type Rule struct {
 
 // WatchdogConfig tunes a Watchdog.
 type WatchdogConfig struct {
-	// Events receives one warning per anomaly rising edge (nil drops).
-	Events *telemetry.EventLog
 	// Metrics receives telemetry_anomalies_total{rule} and
 	// telemetry_anomaly_captures_total (nil drops).
 	Metrics *telemetry.Registry
@@ -112,16 +105,8 @@ func (w *Watchdog) Evaluate() {
 		if len(findings) == 0 || was {
 			continue // healthy, or still the same incident
 		}
-		// Rising edge: one event + counter per finding, one capture per
-		// incident (the cooldown arbitrates across rules).
-		for _, f := range findings {
-			attrs := append([]telemetry.Attr{
-				telemetry.A("rule", rule.Name),
-				telemetry.A("series", f.Series),
-				telemetry.A("detail", f.Detail),
-			}, f.Attrs...)
-			w.cfg.Events.Warn("anomaly detected", attrs...)
-		}
+		// Rising edge: one count per finding, one capture per incident
+		// (the cooldown arbitrates across rules).
 		if reg := w.cfg.Metrics; reg != nil {
 			reg.Counter("telemetry_anomalies_total", telemetry.L("rule", rule.Name)).
 				Add(int64(len(findings)))
@@ -149,31 +134,22 @@ func (w *Watchdog) maybeCapture(rule string) {
 	w.captures.Add(1)
 	go func() {
 		defer w.captures.Done()
-		cpuFile, heapFile, err := w.capture(rule, now)
-		if err != nil {
-			w.cfg.Events.Warn("anomaly capture failed",
-				telemetry.A("rule", rule), telemetry.A("err", err.Error()))
-			return
+		// A capture that fails is not counted.
+		if err := w.capture(rule, now); err == nil && w.cfg.Metrics != nil {
+			w.cfg.Metrics.Counter("telemetry_anomaly_captures_total").Inc()
 		}
-		if reg := w.cfg.Metrics; reg != nil {
-			reg.Counter("telemetry_anomaly_captures_total").Inc()
-		}
-		w.cfg.Events.Info("anomaly profile captured", telemetry.A("rule", rule),
-			telemetry.A("cpu_file", cpuFile), telemetry.A("heap_file", heapFile))
 	}()
 }
 
 // capture writes the CPU and heap profile pair into CaptureDir.
-func (w *Watchdog) capture(rule string, at time.Time) (cpuFile, heapFile string, err error) {
+func (w *Watchdog) capture(rule string, at time.Time) error {
 	if err := os.MkdirAll(w.cfg.CaptureDir, 0o755); err != nil {
-		return "", "", err
+		return err
 	}
 	base := filepath.Join(w.cfg.CaptureDir, "anomaly-"+sanitizeRule(rule)+"-"+at.Format("20060102T150405"))
-	cpuFile, heapFile = base+".cpu.pprof", base+".heap.pprof"
-
-	cf, err := os.Create(cpuFile)
+	cf, err := os.Create(base + ".cpu.pprof")
 	if err != nil {
-		return "", "", err
+		return err
 	}
 	// StartCPUProfile fails when another CPU profile is already running
 	// (e.g. a /debug/pprof/profile scrape) — record and move on, the
@@ -189,15 +165,15 @@ func (w *Watchdog) capture(rule string, at time.Time) (cpuFile, heapFile string,
 	if err := cf.Close(); err != nil && cpuErr == nil {
 		cpuErr = err
 	}
-	hf, err := os.Create(heapFile)
+	hf, err := os.Create(base + ".heap.pprof")
 	if err != nil {
-		return "", "", errors.Join(cpuErr, err)
+		return errors.Join(cpuErr, err)
 	}
 	heapErr := pprof.WriteHeapProfile(hf)
 	if err := hf.Close(); err != nil && heapErr == nil {
 		heapErr = err
 	}
-	return cpuFile, heapFile, errors.Join(cpuErr, heapErr)
+	return errors.Join(cpuErr, heapErr)
 }
 
 // sanitizeRule makes a rule name filesystem-safe.
@@ -227,21 +203,6 @@ func familySeries(s *Sampler, name string) []string {
 	return out
 }
 
-// labelOf extracts one label value from a rendered series id ("" when
-// absent).
-func labelOf(id, key string) string {
-	_, labels, err := telemetry.ParseSeriesID(id)
-	if err != nil {
-		return ""
-	}
-	for _, l := range labels {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
-}
-
 // ClusterRules is the rule set over a cluster master's own series:
 // throughput-stall (a worker holding work whose completions stand still for
 // window), heartbeat-gap (a worker the health machine has marked suspect or
@@ -250,10 +211,10 @@ func labelOf(id, key string) string {
 func ClusterRules(window time.Duration) []Rule {
 	return []Rule{
 		PairedStallRule("throughput-stall",
-			"rpcmr_worker_tasks_done", "rpcmr_worker_inflight", "worker", window, 1),
+			"rpcmr_worker_tasks_done", "rpcmr_worker_inflight", window, 1),
 		// Worker state >= 1 is suspect or dead: the heartbeat gap the
 		// health machine already flagged, surfaced as an anomaly too.
-		GaugeAboveRule("heartbeat-gap", "rpcmr_worker_state", 1, "worker"),
+		GaugeAboveRule("heartbeat-gap", "rpcmr_worker_state", 1),
 		// GC pause rate above 5% of wall time is a collector in trouble.
 		RateAboveRule("gc-pause-spike", "process_gc_pause_seconds_total", 0.05, window),
 	}
@@ -263,14 +224,13 @@ func ClusterRules(window time.Duration) []Rule {
 // progress family (a cumulative count, e.g. per-worker tasks done)
 // whose paired active series (same label set under activeName, e.g.
 // in-flight tasks) stayed >= minActive across the whole window, fire
-// when the progress series made no progress over that window. The
-// label key (e.g. "worker") names the stalled party in the finding.
+// when the progress series made no progress over that window.
 //
 // This is the throughput-stall detector the acceptance run exercises: a
 // worker holding an in-flight task for the whole window while its
-// tasks-done count stands still is stalled, and the finding attributes
-// the stall to exactly that worker.
-func PairedStallRule(name, progressName, activeName, labelKey string, window time.Duration, minActive float64) Rule {
+// tasks-done count stands still is stalled, and the finding is exactly
+// that worker's progress series.
+func PairedStallRule(name, progressName, activeName string, window time.Duration, minActive float64) Rule {
 	return Rule{Name: name, Eval: func(s *Sampler) []Finding {
 		var findings []Finding
 		for _, id := range familySeries(s, progressName) {
@@ -297,14 +257,7 @@ func PairedStallRule(name, progressName, activeName, labelKey string, window tim
 			if !ok || rate > 0 {
 				continue
 			}
-			f := Finding{
-				Series: id,
-				Detail: fmt.Sprintf("active >= %g for %s with zero progress", minActive, window),
-			}
-			if who := labelOf(id, labelKey); who != "" {
-				f.Attrs = append(f.Attrs, telemetry.A(labelKey, who))
-			}
-			findings = append(findings, f)
+			findings = append(findings, Finding{Series: id})
 		}
 		return findings
 	}}
@@ -314,7 +267,7 @@ func PairedStallRule(name, progressName, activeName, labelKey string, window tim
 // sample is >= threshold — heartbeat gaps (worker state >= suspect) and
 // budget pressure (reducer peak >= fraction of the budget) are both
 // this shape.
-func GaugeAboveRule(name, family string, threshold float64, labelKey string) Rule {
+func GaugeAboveRule(name, family string, threshold float64) Rule {
 	return Rule{Name: name, Eval: func(s *Sampler) []Finding {
 		var findings []Finding
 		for _, id := range familySeries(s, family) {
@@ -322,14 +275,7 @@ func GaugeAboveRule(name, family string, threshold float64, labelKey string) Rul
 			if !ok || last.Value < threshold {
 				continue
 			}
-			f := Finding{
-				Series: id,
-				Detail: fmt.Sprintf("value %g >= threshold %g", last.Value, threshold),
-			}
-			if who := labelOf(id, labelKey); who != "" {
-				f.Attrs = append(f.Attrs, telemetry.A(labelKey, who))
-			}
-			findings = append(findings, f)
+			findings = append(findings, Finding{Series: id})
 		}
 		return findings
 	}}
@@ -347,10 +293,7 @@ func RateAboveRule(name, family string, perSecond float64, window time.Duration)
 			if !ok || rate <= perSecond {
 				continue
 			}
-			findings = append(findings, Finding{
-				Series: id,
-				Detail: fmt.Sprintf("rate %.4g/s > %.4g/s over %s", rate, perSecond, window),
-			})
+			findings = append(findings, Finding{Series: id})
 		}
 		return findings
 	}}

@@ -1,7 +1,6 @@
 package timeseries
 
 import (
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,22 +46,13 @@ func TestPairedStallRuleFiresOnlyForStalledWorker(t *testing.T) {
 		`rpcmr_worker_tasks_done{worker="w2"}`: {7, 7, 7, 7, 7},
 		`rpcmr_worker_inflight{worker="w2"}`:   {0, 0, 0, 0, 0},
 	}, 5)
-	rule := PairedStallRule("stall", "rpcmr_worker_tasks_done", "rpcmr_worker_inflight", "worker", 10*time.Second, 1)
+	rule := PairedStallRule("stall", "rpcmr_worker_tasks_done", "rpcmr_worker_inflight", 10*time.Second, 1)
 	findings := rule.Eval(s)
 	if len(findings) != 1 {
 		t.Fatalf("findings = %+v, want exactly one (w1)", findings)
 	}
 	if findings[0].Series != `rpcmr_worker_tasks_done{worker="w1"}` {
 		t.Errorf("stalled series = %q, want w1", findings[0].Series)
-	}
-	var worker string
-	for _, a := range findings[0].Attrs {
-		if a.Key == "worker" {
-			worker, _ = a.Value.(string)
-		}
-	}
-	if worker != "w1" {
-		t.Errorf("finding attributes worker=%q, want w1", worker)
 	}
 }
 
@@ -73,7 +63,7 @@ func TestGaugeAboveAndRateAboveRules(t *testing.T) {
 		`gc_total`:                        {0, 0.2, 0.4}, // 0.2/s pause rate
 	}, 3)
 
-	g := GaugeAboveRule("heartbeat", "rpcmr_worker_state", 1, "worker")
+	g := GaugeAboveRule("heartbeat", "rpcmr_worker_state", 1)
 	findings := g.Eval(s)
 	if len(findings) != 1 || findings[0].Series != `rpcmr_worker_state{worker="w1"}` {
 		t.Fatalf("gauge findings = %+v, want only w1", findings)
@@ -108,33 +98,23 @@ func TestClusterRules(t *testing.T) {
 
 func TestWatchdogEdgeDetectionAndCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	events := telemetry.NewEventLog(64)
 	s := NewSampler(reg, Config{Retention: 4})
 	firing := true
 	rule := Rule{Name: "test-rule", Eval: func(*Sampler) []Finding {
 		if firing {
-			return []Finding{{Series: "x", Detail: "on"}}
+			return []Finding{{Series: "x"}}
 		}
 		return nil
 	}}
-	w := NewWatchdog(s, WatchdogConfig{Events: events, Metrics: reg}, rule)
+	w := NewWatchdog(s, WatchdogConfig{Metrics: reg}, rule)
 
-	// Three firing evaluations = one rising edge = one event, one count.
+	// Three firing evaluations = one rising edge = one count.
 	w.Evaluate()
 	w.Evaluate()
 	w.Evaluate()
 	count := reg.Counter("telemetry_anomalies_total", telemetry.L("rule", "test-rule")).Value()
 	if count != 1 {
 		t.Fatalf("anomalies counter = %d after 3 firing evals, want 1", count)
-	}
-	warns := 0
-	for _, ev := range events.Events(0, 0) {
-		if ev.Msg == "anomaly detected" {
-			warns++
-		}
-	}
-	if warns != 1 {
-		t.Fatalf("anomaly events = %d, want 1", warns)
 	}
 
 	// Clear, then fire again: a second incident, a second count.
@@ -150,17 +130,15 @@ func TestWatchdogEdgeDetectionAndCounter(t *testing.T) {
 func TestWatchdogCaptureWritesProfilesOnceWithinCooldown(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
-	events := telemetry.NewEventLog(64)
 	s := NewSampler(reg, Config{Retention: 4})
 	firing := true
 	rule := Rule{Name: "cap-rule", Eval: func(*Sampler) []Finding {
 		if firing {
-			return []Finding{{Series: "x", Detail: "on"}}
+			return []Finding{{Series: "x"}}
 		}
 		return nil
 	}}
 	w := NewWatchdog(s, WatchdogConfig{
-		Events:     events,
 		Metrics:    reg,
 		CaptureDir: dir,
 	}, rule)
@@ -183,9 +161,10 @@ func TestWatchdogCaptureWritesProfilesOnceWithinCooldown(t *testing.T) {
 			t.Errorf("profile %s: %v, want a non-empty file", files[0], err)
 		}
 	}
-	if warned := events.Events(0, slog.LevelWarn); len(warned) != 2 { // the two rising edges; no capture failure
-		t.Errorf("warnings = %+v, want only the two anomalies", warned)
+	if got := reg.Counter("telemetry_anomalies_total", telemetry.L("rule", "cap-rule")).Value(); got != 2 {
+		t.Errorf("anomalies counter = %d, want the two rising edges", got)
 	}
+	// A failed capture is not counted: one count is the one pair, written.
 	if got := reg.Counter("telemetry_anomaly_captures_total").Value(); got != 1 {
 		t.Errorf("captures counter = %d, want 1", got)
 	}
