@@ -124,7 +124,6 @@ func runClosedLoop(baseURL string, workers int, duration time.Duration, minQPS f
 		if err != nil {
 			return err
 		}
-		defer reg.Close()
 		handler = reg.Handler()
 		fmt.Fprintf(os.Stderr, "skyload: closed loop against in-process registry (%d seed services, handler-direct)\n", reg.Len())
 	}

@@ -141,12 +141,13 @@ func run(addr, method string, seedN, seedD int, seedFile string, header bool, sn
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
 	fmt.Fprintf(os.Stderr, "skyserve: %v, shutting down\n", s)
-	// The listener goes first, so no publish is accepted after the drain
-	// below; the dump is written once nothing is ticking or serving.
+	// The listener goes first, so no publish is accepted after it; the
+	// dump is written once nothing is ticking or serving. The snapshot
+	// then holds every publish acknowledged before Save began, since a
+	// publish is acknowledged only after its epoch is installed. A publish
+	// still running when the shutdown grace ran out may miss it, as a
+	// publish that had not yet been queued could before.
 	_ = plane.Close(os.Stderr)
-	// Drain the publish pipeline before snapshotting: every queued publish
-	// is folded and acknowledged, so the saved catalogue includes them.
-	reg.Close()
 	if snapshot != "" {
 		f, err := os.Create(snapshot)
 		if err != nil {

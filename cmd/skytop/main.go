@@ -371,9 +371,9 @@ func renderCritPath(w io.Writer, a *critpath.Analysis) {
 		fmt.Fprintf(w, "\nbottleneck: n/a\n")
 		return
 	}
-	fmt.Fprintf(w, "\nbottleneck: makespan %.2fs  ", a.MakespanSeconds)
+	fmt.Fprintf(w, "\nbottleneck: makespan %s  ", seconds(a.MakespanSeconds))
 	for _, p := range a.Phases {
-		fmt.Fprintf(w, " %s %.2fs (%.0f%%)", p.Phase, p.Seconds, p.Share*100)
+		fmt.Fprintf(w, " %s %s (%.0f%%)", p.Phase, seconds(p.Seconds), p.Share*100)
 	}
 	fmt.Fprintln(w)
 	if len(a.Workers) > 0 {
@@ -382,13 +382,22 @@ func renderCritPath(w io.Writer, a *critpath.Analysis) {
 		if wk.Straggler {
 			mark = "  STRAGGLER"
 		}
-		fmt.Fprintf(w, "  worst worker: %s %.2fs (%.0f%%)%s\n", wk.Worker, wk.Seconds, wk.Share*100, mark)
+		fmt.Fprintf(w, "  worst worker: %s %s (%.0f%%)%s\n", wk.Worker, seconds(wk.Seconds), wk.Share*100, mark)
 	}
 	for _, sc := range a.WhatIf {
 		if sc.Name == "perfect-balance" || sc.Name == "no-straggler" {
-			fmt.Fprintf(w, "  what-if %-15s %.2fs (%.2fx)\n", sc.Name, sc.PredictedSeconds, sc.SpeedupX)
+			fmt.Fprintf(w, "  what-if %-15s %s (%.2fx)\n", sc.Name, seconds(sc.PredictedSeconds), sc.SpeedupX)
 		}
 	}
+}
+
+// seconds prints a duration in seconds, in milliseconds below one second
+// so that a job of a few milliseconds does not read 0.00s.
+func seconds(s float64) string {
+	if s < 1 {
+		return fmt.Sprintf("%.2fms", s*1e3)
+	}
+	return fmt.Sprintf("%.2fs", s)
 }
 
 // clip bounds s to n runes.

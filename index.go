@@ -37,18 +37,6 @@ func (x *Index) Add(p Point) (partitionID int, inGlobal bool, err error) {
 	return x.ix.Add(p)
 }
 
-// StartPipeline switches the index into batched publish mode: concurrent
-// Adds are coalesced by a single worker into group commits — one epoch
-// per batch — while each Add still blocks until its batch is installed
-// (an acknowledged publish is always visible). Non-positive sizes select
-// the defaults.
-func (x *Index) StartPipeline(queue, maxBatch int) error { return x.ix.StartPipeline(queue, maxBatch) }
-
-// Close drains and stops the publish pipeline, if one is running. Every
-// accepted publish is folded and acknowledged before Close returns;
-// later Adds fall back to the synchronous path.
-func (x *Index) Close() { x.ix.Close() }
-
 // Global returns a copy of the current global skyline.
 func (x *Index) Global() Set { return x.ix.Global() }
 

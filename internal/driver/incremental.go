@@ -26,7 +26,8 @@ import (
 // full before the pointer swings. Writers serialize on ix.mu, fold a
 // batch of publishes copy-on-write (touched local skylines and the global
 // are replaced, untouched ones are shared with the previous epoch), and
-// install exactly one new epoch per batch.
+// install exactly one new epoch per batch. A batch is whatever publishes
+// queued while the fold before it ran (group commit, see submit).
 //
 // An Index is safe for concurrent use.
 type Index struct {
@@ -36,11 +37,15 @@ type Index struct {
 
 	state atomic.Pointer[epochState]
 
-	// mu is the write domain: it serializes batch folds (and pipeline
-	// reconfiguration) but is never taken by readers.
+	// mu is the write domain: it serializes batch folds but is never
+	// taken by readers.
 	mu       sync.Mutex
 	onCommit func(Commit)
-	pipe     atomic.Pointer[pipeline]
+
+	// wmu guards waiting, the publishes queued for the next batch. It is
+	// held only to append or to swap the list out, never across a fold.
+	wmu     sync.Mutex
+	waiting []*pending
 }
 
 // epochState is one immutable version of the index. Nothing reachable
@@ -234,9 +239,9 @@ func (ix *Index) LocalSkyline(id int) points.Set {
 // local skyline of only that partition is updated, and the point is
 // folded into the global skyline. It returns the partition the point was
 // assigned to and whether the point survived into the new global skyline.
-// When a pipeline is running (StartPipeline), the point rides a coalesced
-// batch and Add returns once that batch's epoch is installed — group
-// commit: the acknowledgement still implies visibility.
+// Concurrent Adds share batches (group commit, see submit); Add returns
+// once its batch's epoch is installed, so an acknowledged publish is
+// visible to every later View.
 func (ix *Index) Add(p points.Point) (partitionID int, inGlobal bool, err error) {
 	return ix.AddContext(context.Background(), p)
 }
@@ -258,18 +263,49 @@ func (ix *Index) AddContext(ctx context.Context, p points.Point) (partitionID in
 	return res.partition, res.inGlobal, nil
 }
 
-// submit publishes one point and waits for its batch to commit.
+// submit publishes one point and waits for its batch to commit. It is
+// leader/follower group commit on the callers' own goroutines: a publish
+// appends itself to ix.waiting, and the one that finds the list empty
+// leads the next batch — it waits out the fold before it on ix.mu, swaps
+// out everything that queued meanwhile (itself included), folds it as one
+// epoch and wakes each publish of the batch. Followers only wait on their
+// own channel. No caller folds more than one batch, and the list is empty
+// again once a leader has swapped it, so the next publish leads the batch
+// after.
 func (ix *Index) submit(p points.Point) addResult {
-	pd := &pending{p: p, done: make(chan addResult, 1)}
-	ix.enqueue(pd)
-	return <-pd.done
+	pd := &pending{p: p, done: make(chan struct{})}
+	ix.wmu.Lock()
+	ix.waiting = append(ix.waiting, pd)
+	lead := len(ix.waiting) == 1
+	ix.wmu.Unlock()
+	if lead {
+		ix.commitWaiting()
+	}
+	<-pd.done
+	return pd.res
 }
 
-// pending is one queued publish: the point plus the channel its result
-// is delivered on after the batch's epoch commits.
+// commitWaiting folds every queued publish as one batch and wakes them
+// after its epoch is installed and the commit observer has run.
+func (ix *Index) commitWaiting() {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	ix.wmu.Lock()
+	batch := ix.waiting
+	ix.waiting = nil
+	ix.wmu.Unlock()
+	ix.foldBatch(batch)
+	for _, pd := range batch {
+		close(pd.done)
+	}
+}
+
+// pending is one queued publish: the point, its result once the batch is
+// folded, and the channel closed when that batch's epoch is installed.
 type pending struct {
 	p    points.Point
-	done chan addResult
+	res  addResult
+	done chan struct{}
 }
 
 type addResult struct {
@@ -286,23 +322,21 @@ type addResult struct {
 // working copy once the batch has touched that partition, the stored one
 // before — and then folds into the global skyline, both with addLinear's
 // one pass; checking the old global suffices, because any dominator of p
-// outside it would itself be dominated by a global member. Results are
-// delivered after the epoch is installed and the commit observer has run,
-// so an acknowledged publish is visible to every subsequent View and its
-// cache entries are already invalidated.
+// outside it would itself be dominated by a global member. Each pending's
+// result is set before the epoch is installed and the commit observer
+// runs, so by the time a publish is woken it is visible to every
+// subsequent View and its cache entries are already invalidated. The
+// caller holds ix.mu.
 func (ix *Index) foldBatch(batch []*pending) {
-	results := make([]addResult, len(batch))
-
-	ix.mu.Lock()
 	cur := ix.state.Load()
 	global := cur.global
 	working := make(map[int]points.Set) // partition id → batch-local skyline
 	var entered points.Set
 
-	for i, pd := range batch {
+	for _, pd := range batch {
 		id, err := ix.part.Assign(pd.p)
 		if err != nil {
-			results[i] = addResult{err: fmt.Errorf("driver: incremental add: %w", err)}
+			pd.res = addResult{err: fmt.Errorf("driver: incremental add: %w", err)}
 			continue
 		}
 		p := pd.p.Clone()
@@ -323,7 +357,7 @@ func (ix *Index) foldBatch(batch []*pending) {
 				entered = append(entered, p)
 			}
 		}
-		results[i] = res
+		pd.res = res
 	}
 
 	locals := cur.locals
@@ -338,12 +372,15 @@ func (ix *Index) foldBatch(batch []*pending) {
 	if ix.onCommit != nil {
 		ix.onCommit(Commit{Epoch: next.epoch, Entered: entered})
 	}
-	ix.mu.Unlock()
-
-	for i, pd := range batch {
-		pd.done <- results[i]
-	}
 }
+
+// StartPipeline is a no-op: concurrent Adds group-commit on their own
+// goroutines (see submit), so there is nothing to start or drain. It and
+// Close stay because the bench harness calls them.
+func (ix *Index) StartPipeline(queue, maxBatch int) error { return nil }
+
+// Close is a no-op; see StartPipeline.
+func (ix *Index) Close() {}
 
 // Size returns the total number of points retained across local skylines —
 // the working-set size of the incremental index.

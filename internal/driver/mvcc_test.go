@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,7 +32,7 @@ func isSkyline(s points.Set) bool {
 }
 
 // TestFoldBatchOneEpoch: a batch of K publishes installs exactly one new
-// epoch, and every pending is answered after that epoch is visible.
+// epoch, and every pending carries its result once that epoch is visible.
 func TestFoldBatchOneEpoch(t *testing.T) {
 	ix, err := BuildIndex(context.Background(), qws.Dataset(31, 500, 4), Options{Scheme: partition.Angular})
 	if err != nil {
@@ -41,16 +42,17 @@ func TestFoldBatchOneEpoch(t *testing.T) {
 	adds := qws.Dataset(32, 64, 4)
 	batch := make([]*pending, len(adds))
 	for i, p := range adds {
-		batch[i] = &pending{p: p, done: make(chan addResult, 1)}
+		batch[i] = &pending{p: p}
 	}
+	ix.mu.Lock()
 	ix.foldBatch(batch)
+	ix.mu.Unlock()
 	for i, pd := range batch {
-		res := <-pd.done
-		if res.err != nil {
-			t.Fatalf("pending %d: %v", i, res.err)
+		if pd.res.err != nil {
+			t.Fatalf("pending %d: %v", i, pd.res.err)
 		}
-		if res.tests <= 0 || res.candidates <= 0 {
-			t.Errorf("pending %d: no attributed cost: %+v", i, res)
+		if pd.res.tests <= 0 || pd.res.candidates <= 0 {
+			t.Errorf("pending %d: no attributed cost: %+v", i, pd.res)
 		}
 	}
 	if got := ix.Epoch(); got != before+1 {
@@ -64,33 +66,103 @@ func TestFoldBatchOneEpoch(t *testing.T) {
 	}
 }
 
-// TestPipelineGroupCommit: with the pipeline running, an acknowledged
-// Add is immediately visible in the next View, and the final state
-// matches the BNL oracle. Also exercises Barrier and Close draining.
-func TestPipelineGroupCommit(t *testing.T) {
+// TestGroupCommitOneEpochPerBatch: publishes that queue while a fold runs
+// are folded together by one of them as one epoch. The test holds the
+// write lock as a running fold would, waits until eight concurrent Adds
+// are all queued, and releases it: exactly one new epoch follows, every
+// Add returns its own point's result, and every point is visible.
+func TestGroupCommitOneEpochPerBatch(t *testing.T) {
+	seed := qws.Dataset(37, 300, 3)
+	ix, err := BuildIndex(context.Background(), seed, Options{Scheme: partition.Angular})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Mutually non-dominated, and each dominates every seed: all eight
+	// enter, and together they are the whole global skyline.
+	const n = 8
+	adds := make(points.Set, n)
+	for i := range adds {
+		adds[i] = points.Point{-1 - float64(i), -float64(n - i), -1}
+	}
+	before := ix.Epoch()
+
+	type result struct {
+		id  int
+		in  bool
+		err error
+	}
+	results := make([]result, n)
+	var wg sync.WaitGroup
+	ix.mu.Lock()
+	for i := range adds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			id, in, err := ix.Add(adds[i])
+			results[i] = result{id, in, err}
+		}(i)
+	}
+	for queued := 0; queued < n; {
+		runtime.Gosched()
+		ix.wmu.Lock()
+		queued = len(ix.waiting)
+		ix.wmu.Unlock()
+	}
+	ix.mu.Unlock()
+	wg.Wait()
+
+	if got := ix.Epoch(); got != before+1 {
+		t.Errorf("epoch %d after %d queued Adds, want %d (one batch)", got, n, before+1)
+	}
+	for i, r := range results {
+		want, err := ix.part.Assign(adds[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.err != nil || r.id != want || !r.in {
+			t.Errorf("add %d: partition %d, in %v, err %v; want partition %d, in", i, r.id, r.in, r.err, want)
+		}
+	}
+	if !sameMultiset(ix.Global(), adds) {
+		t.Errorf("global holds %d points, want the %d publishes", len(ix.Global()), n)
+	}
+	if !sameMultiset(ix.Global(), skyline.BNL(append(seed.Clone(), adds...))) {
+		t.Error("group commit diverged from BNL oracle")
+	}
+}
+
+// TestGroupCommitVisibility: with four publishers racing, an
+// acknowledged Add is immediately visible in the next View, and the
+// final state matches the BNL oracle.
+func TestGroupCommitVisibility(t *testing.T) {
 	seed := qws.Dataset(33, 300, 3)
 	ix, err := BuildIndex(context.Background(), seed, Options{Scheme: partition.Angular})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.StartPipeline(64, 16); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.StartPipeline(64, 16); err == nil {
-		t.Error("second StartPipeline accepted")
-	}
-	defer ix.Close()
 
-	// Group commit: the hero point strictly dominates everything, so once
-	// its Add returns it must be the entire global skyline in any
-	// subsequent view — no "acknowledged but not yet folded" window.
+	// The hero point strictly dominates everything, so once its Add
+	// returns it must be the entire global skyline in any subsequent
+	// view — no "acknowledged but not yet folded" window — even while the
+	// other publishers are still folding.
 	var wg sync.WaitGroup
 	adds := qws.Dataset(34, 200, 3)
+	hero := points.Point{-1, -1, -1}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(adds); i += 4 {
+				if w == 0 && i == 100 {
+					_, in, err := ix.Add(hero)
+					if err != nil || !in {
+						t.Errorf("hero add: in=%v err=%v", in, err)
+						return
+					}
+					if g := ix.View().Global(); len(g) != 1 || !g[0].Equal(hero) {
+						t.Errorf("after acked hero publish, global = %d points", len(g))
+					}
+				}
 				if _, _, err := ix.Add(adds[i]); err != nil {
 					t.Error(err)
 					return
@@ -99,40 +171,16 @@ func TestPipelineGroupCommit(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	hero := points.Point{-1, -1, -1}
-	_, in, err := ix.Add(hero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !in {
-		t.Fatal("hero not in skyline")
-	}
-	v := ix.View()
-	if len(v.Global()) != 1 || !v.Global()[0].Equal(hero) {
-		t.Errorf("after acked hero publish, global = %d points", len(v.Global()))
-	}
-
-	// Async adds are flushed by Barrier.
-	late := points.Point{-2, -2, -2}
-	ix.AddAsync(late)
-	ix.Barrier()
-	if g := ix.View().Global(); len(g) != 1 || !g[0].Equal(late) {
-		t.Errorf("after AddAsync+Barrier, global = %v", g)
-	}
-
-	ix.Close()
-	ix.Close() // idempotent
-	// Post-close adds fall back to the synchronous path.
-	later := points.Point{-3, -3, -3}
-	if _, in, err := ix.Add(later); err != nil || !in {
-		t.Fatalf("post-close add: in=%v err=%v", in, err)
-	}
-	if g := ix.View().Global(); len(g) != 1 || !g[0].Equal(later) {
-		t.Errorf("post-close global = %v", g)
+	var all points.Set
+	all = append(all, seed...)
+	all = append(all, adds...)
+	all = append(all, hero)
+	if !sameMultiset(ix.Global(), skyline.BNL(all)) {
+		t.Error("end state diverged from BNL oracle")
 	}
 }
 
-// TestMVCCSoak is the -race soak: concurrent batched publishes, snapshot
+// TestMVCCSoak is the -race soak: concurrent group-committed publishes, snapshot
 // reads and explain queries. Readers assert that epochs only move
 // forward and that no view is ever half-installed — every observed
 // global is mutually non-dominated AND exactly the merge of the same
@@ -150,15 +198,10 @@ func TestMVCCSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.StartPipeline(128, 32); err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-
 	var stop atomic.Bool
 	var writerWG, readerWG sync.WaitGroup
 
-	// Writers: a mix of synchronous group-committed Adds and async ones.
+	// Writers: blocking Adds, which group-commit with each other.
 	published := make([]points.Set, writers)
 	for w := 0; w < writers; w++ {
 		writerWG.Add(1)
@@ -166,10 +209,8 @@ func TestMVCCSoak(t *testing.T) {
 			defer writerWG.Done()
 			pts := qws.Dataset(int64(36+w), perWriter, 3)
 			published[w] = pts
-			for i, p := range pts {
-				if i%3 == 0 {
-					ix.AddAsync(p)
-				} else if _, _, err := ix.Add(p); err != nil {
+			for _, p := range pts {
+				if _, _, err := ix.Add(p); err != nil {
 					t.Error(err)
 					return
 				}
@@ -222,7 +263,6 @@ func TestMVCCSoak(t *testing.T) {
 	}
 
 	writerWG.Wait()
-	ix.Barrier() // flush the async tail before the oracle comparison
 	stop.Store(true)
 	readerWG.Wait()
 

@@ -161,11 +161,13 @@ func FuzzIndexFoldMatchesOracle(f *testing.F) {
 			from = to
 			pds := make([]*pending, len(batch))
 			for i, p := range batch {
-				pds[i] = &pending{p: p, done: make(chan addResult, 1)}
+				pds[i] = &pending{p: p}
 			}
+			ix.mu.Lock()
 			ix.foldBatch(pds)
+			ix.mu.Unlock()
 			for i, pd := range pds {
-				res := <-pd.done
+				res := pd.res
 				if res.err != nil {
 					t.Fatalf("row %v: %v", batch[i], res.err)
 				}

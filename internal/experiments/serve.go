@@ -34,8 +34,8 @@ func missPath(d, key int) string {
 // attribution on versus off is gated at 1.05× (the explain row, the
 // deliberately expensive re-merge, is reported only); concurrent MVCC
 // snapshot reads against the RWMutex baseline at 16 goroutines are gated
-// at a 5× speedup; batched group-commit publishes against one epoch per
-// point, and the cache's hit path against a forced miss, are reported.
+// at a 5× speedup; concurrent group-committed publishes, and the cache's
+// hit path against a forced miss, are reported.
 func serve(ctx context.Context, sc Scale) ([]Row, error) {
 	const d, goroutines = 6, 16
 	requests, readOps, lockOps, publishes := 2000, 1<<20, 1<<16, 4000
@@ -107,7 +107,6 @@ func serve(ctx context.Context, sc Scale) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer ix.Close()
 	var mu sync.RWMutex
 	locked := ix.View().Global().Clone()
 	conc := func(name string, ops int, op func() int) float64 {
@@ -137,12 +136,11 @@ func serve(ctx context.Context, sc Scale) ([]Row, error) {
 		return len(locked.Clone())
 	})
 
-	// The same concurrent publish stream, synchronous (every Add installs
-	// its own epoch and waits for it) and batched (AddAsync, one Barrier at
-	// the end: the coalescing worker commits whole queue drains). The
-	// stream improves — each point a QWS sample scaled progressively below
-	// the incumbents — so many points enter the skyline and force a shard
-	// rebuild and an epoch: the work group commit amortizes. Each run
+	// The registry's own publish traffic: concurrent publishers, each
+	// calling the blocking Add, which group-commits whatever queued while
+	// the fold before it ran. The stream improves — each point a QWS
+	// sample scaled progressively below the incumbents — so many points
+	// enter the skyline and force a shard rebuild and an epoch. Each run
 	// publishes into a fresh index, built untimed.
 	pub := qws.Dataset(sc.Seed+1, publishes, d)
 	for i, p := range pub {
@@ -150,59 +148,34 @@ func serve(ctx context.Context, sc Scale) ([]Row, error) {
 			p[j] *= 0.9 - 0.5*float64(i)/float64(len(pub))
 		}
 	}
-	publish := func(name string, batched bool) (float64, error) {
-		fastest := time.Duration(1<<63 - 1)
-		for run := 0; run < max(sc.Runs, 1); run++ {
-			ix, err := driver.BuildIndex(ctx, data, opts)
+	fastest := time.Duration(1<<63 - 1)
+	for run := 0; run < max(sc.Runs, 1); run++ {
+		ix, err := driver.BuildIndex(ctx, data, opts)
+		if err != nil {
+			return nil, err
+		}
+		errs := make([]error, goroutines)
+		start := time.Now()
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < len(pub) && errs[g] == nil; i += goroutines {
+					_, _, errs[g] = ix.Add(pub[i])
+				}
+			}(g)
+		}
+		wg.Wait()
+		fastest = min(fastest, time.Since(start))
+		for _, err := range errs {
 			if err != nil {
-				return 0, err
-			}
-			if batched {
-				if err := ix.StartPipeline(0, 0); err != nil {
-					ix.Close()
-					return 0, err
-				}
-			}
-			errs := make([]error, goroutines)
-			start := time.Now()
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := g; i < len(pub) && errs[g] == nil; i += goroutines {
-						if batched {
-							ix.AddAsync(pub[i])
-						} else {
-							_, _, errs[g] = ix.Add(pub[i])
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			if batched {
-				ix.Barrier()
-			}
-			fastest = min(fastest, time.Since(start))
-			ix.Close()
-			for _, err := range errs {
-				if err != nil {
-					return 0, err
-				}
+				return nil, err
 			}
 		}
-		return perOp(name, len(pub), fastest), nil
 	}
-	batched, err := publish("publish_batch", true)
-	if err != nil {
-		return nil, err
-	}
-	synced, err := publish("publish_sync", false)
-	if err != nil {
-		return nil, err
-	}
+	perOp("publish", len(pub), fastest)
 	r.gate(sc.Gate, "ratio/attribution_overhead", ratio(on, off), "x", "lower", 1.05)
 	r.gate(sc.Gate, "ratio/snapshot_speedup", ratio(rwmutex, snapshot), "x", "higher", 5)
-	r.add("ratio/publish_speedup", ratio(synced, batched), "x")
 	return r, nil
 }

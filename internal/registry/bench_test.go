@@ -71,7 +71,6 @@ func BenchmarkServeMiss(b *testing.B) {
 				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", url, nil))
 			}
 		})
-		r.Close()
 	}
 }
 

@@ -27,7 +27,6 @@ func getBody(t *testing.T, h http.Handler, path string) (int, string) {
 // counters record exactly that.
 func TestCacheHitMiss(t *testing.T) {
 	r := newRegistry(t)
-	defer r.Close()
 	h := r.Handler()
 
 	hits0, misses0 := r.cacheHits.Value(), r.cacheMisses.Value()
@@ -69,7 +68,6 @@ func TestCacheHitMiss(t *testing.T) {
 // any answer — must NOT evict it. This is the dominance-aware rule.
 func TestCacheInvalidationMinimality(t *testing.T) {
 	r := newRegistry(t)
-	defer r.Close()
 	h := r.Handler()
 
 	_, before := getBody(t, h, "/skyline")
@@ -115,7 +113,6 @@ func TestConstrainedSkyline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	h := r.Handler()
 
 	// Ceiling that excludes a and c: only b competes (d is dominated).
@@ -198,7 +195,6 @@ func TestConstrainedMatchesBatchOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 
 	all := append([]Service(nil), seeds...)
 	max := []float64{40, 40}

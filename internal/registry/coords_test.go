@@ -154,7 +154,6 @@ func TestMatchServicesAgreesWithCatalogueScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
 			if table == "one-bucket" {
 				oneBucket(r)
 			}
@@ -265,9 +264,7 @@ func dominatedCatalogue(tb testing.TB, seeds, total int) *Registry {
 // replaced allocated some 80 000 times more.
 func TestMissCostIsTheAnswer(t *testing.T) {
 	small := dominatedCatalogue(t, 200, 200)
-	defer small.Close()
 	large := dominatedCatalogue(t, 200, 20200)
-	defer large.Close()
 	if len(small.Skyline()) != len(large.Skyline()) {
 		t.Fatal("the dominated publishes changed the skyline")
 	}

@@ -138,9 +138,6 @@ func New(ctx context.Context, initial []Service, opts driver.Options) (*Registry
 	// is acknowledged: once a Publish returns, every cached answer it
 	// could have changed is gone.
 	ix.SetOnCommit(r.cache.invalidate)
-	if err := ix.StartPipeline(0, 0); err != nil {
-		return nil, err
-	}
 	telemetry.RegisterProcessMetrics(r.tele)
 	// The registry's shape is sampled at scrape time rather than tracked
 	// on every publish, so gauges never drift from the index. The index
@@ -157,12 +154,10 @@ func New(ctx context.Context, initial []Service, opts driver.Options) (*Registry
 	return r, nil
 }
 
-// Close drains and stops the publish pipeline. Publishes accepted before
-// Close are folded and acknowledged; later ones fall back to the
-// synchronous path, so a closed registry still works, just unbatched.
-func (r *Registry) Close() {
-	r.ix.Close()
-}
+// Close is a no-op: concurrent publishes group-commit on their own
+// goroutines, so there is nothing to drain. It stays because the bench
+// harness calls it.
+func (r *Registry) Close() {}
 
 // Metrics returns the registry's telemetry surface, for embedding into a
 // larger exposition or asserting on in tests.
