@@ -292,7 +292,9 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 	stats.book(res1, &stats.PartitionJob)
 
 	// The local skylines enter the merge as the blocks Job 1 produced, in
-	// ascending partition order.
+	// ascending partition order, and the statistics keep them as views of
+	// those blocks: the result owns them, the merge only reads them, and
+	// nothing pools them.
 	ids := make([]int, 0, len(res1.Blocks))
 	for id := range res1.Blocks {
 		if id < 0 || id >= part.Partitions() {
@@ -304,7 +306,7 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 	candidates := make([]*points.Block, len(ids))
 	for i, id := range ids {
 		candidates[i] = res1.Blocks[id]
-		stats.LocalSkylines[id] = candidates[i].ToSet()
+		stats.LocalSkylines[id] = candidates[i].Rows()
 	}
 	// Occupancy is what the mapper routed, which the engine already counts
 	// per partition; pruned cells route nothing, but then the pruning
@@ -351,9 +353,9 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 	stats.Timing = stats.PartitionJob
 	stats.Timing.Add(stats.MergeJob)
 
-	var global points.Set
+	var global points.Set // a view of the merge's output block, as the local skylines are
 	if globalBlk != nil {
-		global = globalBlk.ToSet()
+		global = globalBlk.Rows()
 	}
 	if reg := opts.Metrics; reg != nil {
 		reg.Gauge("skyline_global_size").Set(float64(len(global)))

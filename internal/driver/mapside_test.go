@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/partition"
 	"repro/internal/points"
+	"repro/internal/qws"
 	"repro/internal/skyline"
 )
 
@@ -51,6 +53,128 @@ func TestMapSideAllocatesNothingPerPoint(t *testing.T) {
 			t.Errorf("%s allocated %.3f times per point, want < 0.05", name, perPoint)
 		}
 	}
+}
+
+// computeShape is one of the in-process benchmark's batch shapes, run as it
+// runs them: MR-Angle over 4 nodes' 8 partitions on 2 engine workers.
+type computeShape struct {
+	name string
+	data points.Set
+	// maxBytes bounds what one warm job allocates (see
+	// TestComputeAllocatesWhatItReturns).
+	maxBytes uint64
+}
+
+// computeShapes are qws_d10's QWS input — a 10 000-service base extended to
+// 50 000 at d = 10, whose skyline is a sixth of it — and an independent
+// d = 6 set of ind_d6's kind at a fifth of its size.
+func computeShapes() []computeShape {
+	return []computeShape{
+		{"qws_d10", qws.Extend(qws.Generate(2012, 10000, 10), 2012, 50000), 12 << 20},
+		{"ind_d6", dataset.Independent(2012, 200000, 6), 4 << 20},
+	}
+}
+
+var shapeOpts = Options{Scheme: partition.Angular, Nodes: 4, Workers: 2}
+
+// TestComputeAllocatesWhatItReturns pins what a warm in-process Compute
+// allocates, the collector off while it runs so that every byte it asks for
+// is counted and the accumulator pools stay warm. With every frame stream,
+// reduce fold and result block sized once from counts the engine holds,
+// Job 1's reduce output handed to the merge as the folds' blocks and the
+// result's sets views of its blocks, a job read 8.0–9.6 MB on the QWS shape
+// and 3.0 MB on the independent one (2 vCPUs, Xeon); grown by doubling and
+// copied at every hand-off it read 20.1 and 5.8.
+func TestComputeAllocatesWhatItReturns(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pool puts at random: the pools are not warm")
+	}
+	for _, s := range computeShapes() {
+		if _, _, err := Compute(context.Background(), s.data, shapeOpts); err != nil { // warm the pools
+			t.Fatal(err)
+		}
+		gc := debug.SetGCPercent(-1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := Compute(context.Background(), s.data, shapeOpts)
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %.2f MB a job", s.name, float64(got)/(1<<20))
+		if got > s.maxBytes {
+			t.Errorf("%s: a warm job allocated %.2f MB, want at most %.0f", s.name, float64(got)/(1<<20), float64(s.maxBytes)/(1<<20))
+		}
+	}
+}
+
+// BenchmarkCompute is one whole in-process Compute — validation, fit and
+// both jobs — on each of computeShapes: CI prints its B/op beside the
+// streamed and cluster jobs'.
+func BenchmarkCompute(b *testing.B) {
+	for _, s := range computeShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Compute(context.Background(), s.data, shapeOpts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestResultSetsOwnTheirRows: a job's global skyline and local skylines are
+// views of blocks its result owns, and nothing else holds those blocks —
+// not the input, not a pool, not the next job. Writing over every row of
+// one job's result leaves the next job's result, its oracle check and the
+// input intact, and no row of one result shares memory with the other's.
+func TestResultSetsOwnTheirRows(t *testing.T) {
+	data := uniformSet(8, 20000, 4)
+	input := data.Clone()
+	rows := func(global points.Set, stats *Stats) []points.Point {
+		all := slices.Clone(global)
+		for _, ls := range stats.LocalSkylines {
+			all = append(all, ls...)
+		}
+		return all
+	}
+	global1, stats1, err := Compute(context.Background(), data, shapeOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	global2, stats2, err := Compute(context.Background(), data, shapeOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[*float64]bool)
+	for _, p := range rows(global2, stats2) {
+		seen[&p[0]] = true
+	}
+	kept := make(map[int]points.Set)
+	for id, ls := range stats2.LocalSkylines {
+		kept[id] = ls.Clone()
+	}
+	keptGlobal := global2.Clone()
+	for _, p := range rows(global1, stats1) {
+		if seen[&p[0]] {
+			t.Fatal("a row of one job's result lies in the other's memory")
+		}
+		for i := range p {
+			p[i] = -1
+		}
+	}
+	if !reflect.DeepEqual(global2, keptGlobal) || !reflect.DeepEqual(input, data) {
+		t.Fatal("writing into one job's result changed the next job's result or the input")
+	}
+	for id, ls := range stats2.LocalSkylines {
+		if !reflect.DeepEqual(ls, kept[id]) {
+			t.Fatalf("writing into one job's result changed partition %d of the next job's", id)
+		}
+	}
+	checkAgainstOracle(t, data, shapeOpts, 0, true, global2, stats2)
 }
 
 // TestFitAllocatesPerSample pins the other per-point cost the prologue

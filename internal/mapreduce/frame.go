@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -133,9 +134,10 @@ func (s *FrameStats) Add(o FrameStats) {
 
 // FrameResult is the outcome of a successful frame job.
 type FrameResult struct {
-	// Blocks maps partition id → that partition's reduce output. Contents
-	// are deterministic: frames are assembled in reduce-task (and within a
-	// task, map-task) order.
+	// Blocks maps partition id → that partition's reduce output: the block
+	// its fold finished (frames folded in map-task order), or a map-only
+	// job's frames assembled in task order. Contents are deterministic. The
+	// result owns the blocks: no pool or later job shares their memory.
 	Blocks   map[int]*points.Block
 	Counters *Counters
 	Timing   Timing
@@ -208,11 +210,12 @@ func (s stagedRows) Reset()              { s.blk.Clear() }
 // frameBuilder holds one task's accumulators, indexed by partition id.
 type frameBuilder struct {
 	newAcc   func() Accumulator
-	combines bool          // the accumulators combine as they accumulate
-	accs     []Accumulator // nil until the partition is first touched
-	routed   []int64       // rows added per partition by the current task
-	touched  []int         // partition ids with at least one row this task
-	err      error         // sticky emit-side error (negative partition)
+	combines bool            // the accumulators combine as they accumulate
+	accs     []Accumulator   // nil until the partition is first touched
+	routed   []int64         // rows added per partition by the current task
+	touched  []int           // partition ids with at least one row this task
+	sealed   []*points.Block // seal's scratch: touched[i]'s sealed block
+	err      error           // sticky emit-side error (negative partition)
 }
 
 func (fb *frameBuilder) add(partition int, coords []float64) {
@@ -254,14 +257,16 @@ func (fb *frameBuilder) reset() {
 // frame streams (partition p goes to reducer p mod reducers), in
 // ascending partition order for determinism, adding the task's tallies
 // to st. codec selects the frame wire codec (FrameDefault → v1, the
-// historical bytes).
+// historical bytes). Every accumulator is sealed once, before any frame is
+// written, so that each stream is allocated once, at the v1 length of its
+// frames (points.FrameV1Len, FrameAuto's bound).
 func (fb *frameBuilder) seal(reducers int, combiner FrameCombiner, codec points.FrameCodec, st *FrameStats) ([][]byte, error) {
 	if fb.err != nil {
 		return nil, fb.err
 	}
+	defer func() { clear(fb.sealed); fb.sealed = fb.sealed[:0] }()
 	combining := combiner != nil || fb.combines
-	streams := make([][]byte, reducers)
-	st.Partitions = make(map[int]PartStat, len(fb.touched))
+	sizes := make([]int, reducers)
 	sort.Ints(fb.touched)
 	for _, p := range fb.touched {
 		st.MapOut += fb.routed[p]
@@ -278,6 +283,20 @@ func (fb *frameBuilder) seal(reducers int, combiner FrameCombiner, codec points.
 			st.CombineIn += fb.routed[p]
 			st.CombineOut += int64(blk.Len())
 		}
+		if blk.Len() > 0 {
+			sizes[p%reducers] += points.FrameV1Len(p, blk)
+		}
+		fb.sealed = append(fb.sealed, blk)
+	}
+	streams := make([][]byte, reducers)
+	for r, size := range sizes {
+		if size > 0 {
+			streams[r] = make([]byte, 0, size)
+		}
+	}
+	st.Partitions = make(map[int]PartStat, len(fb.touched))
+	for i, p := range fb.touched {
+		blk := fb.sealed[i]
 		ps := PartStat{Records: fb.routed[p]}
 		if blk.Len() > 0 {
 			r := p % reducers
@@ -354,23 +373,21 @@ func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task
 		return nil
 	}
 	feed := func(emit EmitPoint) (st FrameStats, err error) {
+		scratch := new(points.Block) // every split's frames decode into it
 		err = each(func(input []byte) error {
-			n, err := points.WalkFrames(input, func(row []float64) error { return job.Mapper(row, emit) })
+			n, err := points.WalkFrames(input, scratch, func(row []float64) error { return job.Mapper(row, emit) })
 			st.MapIn += int64(n)
 			return err
 		})
 		return st, err
 	}
 	if job.TaskMapper != nil {
-		// A split is one block: its frames decode into it, so a split whose
-		// dimension changes fails here; whether the blocks agree is the
-		// task's to check.
+		// A split is one block, which the task may keep: its frames decode
+		// into it, so a split whose dimension changes fails here; whether
+		// the blocks agree is the task's to check.
 		input := func(block func(*points.Block) error) error {
-			return each(func(input []byte) (err error) {
-				blk := points.NewBlock(0, 0)
-				for rest := input; len(rest) > 0 && err == nil; {
-					_, rest, err = points.DecodeFrame(blk, rest)
-				}
+			return each(func(input []byte) error {
+				blk, err := decodeBlock(input)
 				if err != nil {
 					return err
 				}
@@ -390,31 +407,68 @@ func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task
 
 // AssembleFrames decodes frame streams into per-partition blocks,
 // appending in stream order — zero allocation per point, one block per
-// distinct partition. Exported so frame consumers outside the engine
-// (the rpcmr master, pipeline drivers) decode output streams the same
-// way reduce tasks do.
+// distinct partition, each allocated once, at the rows the frames' headers
+// count for it. Exported so frame consumers outside the engine (the rpcmr
+// master, pipeline drivers) decode output streams the same way reduce tasks
+// do.
 func AssembleFrames(streams [][]byte) (map[int]*points.Block, error) {
-	parts := make(map[int]*points.Block)
+	type size struct{ rows, dim int }
+	sizes := make(map[int]size)
 	for _, stream := range streams {
-		for len(stream) > 0 {
-			// Peek the owning partition, then decode straight into its block.
-			p, _, err := points.FrameCount(stream)
+		for rest := stream; len(rest) > 0; {
+			p, count, dim, n, err := points.FrameHeader(rest)
 			if err != nil {
 				return nil, fmt.Errorf("mapreduce: bad frame: %w", err)
 			}
-			blk := parts[p]
-			if blk == nil {
-				blk = points.NewBlock(0, 0)
-				parts[p] = blk
+			rest = rest[n:]
+			sz := sizes[p]
+			if sz.rows == 0 {
+				sz.dim = dim
 			}
-			if _, rest, err := points.DecodeFrame(blk, stream); err != nil {
+			sz.rows += count
+			sizes[p] = sz
+		}
+	}
+	parts := make(map[int]*points.Block, len(sizes))
+	for p, sz := range sizes {
+		parts[p] = points.NewBlock(sz.dim, sz.rows)
+	}
+	for _, stream := range streams {
+		for rest := stream; len(rest) > 0; {
+			// Peek the owning partition, then decode straight into its block.
+			p, _, _, _, _ := points.FrameHeader(rest)
+			var err error
+			if _, rest, err = points.DecodeFrame(parts[p], rest); err != nil {
 				return nil, fmt.Errorf("mapreduce: bad frame: %w", err)
-			} else {
-				stream = rest
 			}
 		}
 	}
 	return parts, nil
+}
+
+// decodeBlock decodes every frame of stream, whatever partition it names,
+// into one block, allocated once at the rows the frames' headers count.
+func decodeBlock(stream []byte) (*points.Block, error) {
+	rows, dim := 0, 0
+	for rest := stream; len(rest) > 0; {
+		_, count, d, n, err := points.FrameHeader(rest)
+		if err != nil {
+			return nil, err
+		}
+		if rows == 0 {
+			dim = d
+		}
+		rows += count
+		rest = rest[n:]
+	}
+	blk := points.NewBlock(dim, rows)
+	for rest := stream; len(rest) > 0; {
+		var err error
+		if _, rest, err = points.DecodeFrame(blk, rest); err != nil {
+			return nil, err
+		}
+	}
+	return blk, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -553,7 +607,9 @@ func (job FrameJob) sealsSkylines() bool {
 // arriving as rows and the intermediate data moving as packed frames — and
 // blocks until the job completes, fails, or ctx is cancelled. A map task's
 // sealed per-reducer streams stay in memory until the reduce tasks have
-// folded them. Each phase is timed, counted (mr.* counters; the
+// folded them, and the blocks the reduce folds finish are the job's result
+// as they are: in process nothing seals them only to decode them again.
+// Each phase is timed, counted (mr.* counters; the
 // shuffle-byte counter reports frame payload bytes, header + coordinates),
 // traced and bridged into cfg.Metrics. A map-only job (no Folder) stops
 // after its map phase: its map tasks' sealed streams, assembled in task
@@ -616,12 +672,17 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	}
 	timing := Timing{Map: time.Since(mapStart)}
 
-	// A map-only job's output is its map tasks' streams, in task order; any
-	// other job's is its reduce tasks', in reduce-task order.
-	var streams [][]byte
+	// A map-only job's output is its map tasks' streams, assembled in task
+	// order; any other job's is the blocks its reduce tasks' folds finished,
+	// handed over as they are.
+	var blocks map[int]*points.Block
 	if mapOnly {
+		var streams [][]byte
 		for _, out := range outputs {
 			streams = append(streams, out...)
+		}
+		if blocks, err = AssembleFrames(streams); err != nil {
+			return fail(fmt.Errorf("mapreduce: %s: assembling the output: %w", cfg.Name, err))
 		}
 	} else {
 		// --- Shuffle -----------------------------------------------------
@@ -634,17 +695,18 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		timing.Shuffle = time.Since(shuffleStart)
 
 		// --- Reduce ------------------------------------------------------
-		// Each task is ReduceFramesStream over reducer r's streams, in
-		// map-task order.
+		// Each task is reduceFrames over reducer r's streams, in map-task
+		// order. Partition p is reducer p mod Reducers' alone, so the
+		// tasks' outputs are disjoint.
 		redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
 		reduceStart := time.Now()
-		streams = make([][]byte, cfg.Reducers)
+		reduced := make([]map[int]*points.Block, cfg.Reducers)
 		redStats, err := runPhase(redCtx, cfg, "reduce", cfg.Reducers, func(r int) (st FrameStats, err error) {
 			in := make([][]byte, tasks)
 			for task, out := range outputs {
 				in[task] = out[r]
 			}
-			streams[r], st, err = ReduceFramesStream(in, job, cfg.Codec)
+			reduced[r], st, err = reduceFrames(in, job)
 			return st, err
 		})
 		reduceSpan.End()
@@ -653,10 +715,10 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		}
 		timing.Reduce = time.Since(reduceStart)
 		st.Add(redStats)
-	}
-	blocks, err := AssembleFrames(streams)
-	if err != nil {
-		return fail(fmt.Errorf("mapreduce: %s: assembling the output: %w", cfg.Name, err))
+		blocks = make(map[int]*points.Block)
+		for _, out := range reduced {
+			maps.Copy(blocks, out)
+		}
 	}
 	timing.Total = time.Since(start)
 	jobSpan.End()

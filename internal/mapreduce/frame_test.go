@@ -444,3 +444,57 @@ func TestMapOnlyJob(t *testing.T) {
 			len(parts), st.OutputBytes, st.ShuffleBytes, len(stream))
 	}
 }
+
+// full reports whether blk's backing array has no room past its rows —
+// capacity equal to length — by whether one more row moves them. It
+// appends that row.
+func full(blk *points.Block) bool {
+	if blk.Len() == 0 {
+		return true
+	}
+	first := &blk.Row(0)[0]
+	blk.AppendRow(blk.Row(0))
+	return &blk.Row(0)[0] != first
+}
+
+// TestStreamsAndBlocksAreSizedOnce: a map task's sealed streams, the
+// blocks AssembleFrames decodes and the rows a reduce fold was told of each
+// come out with capacity equal to length — allocated once, from counts the
+// engine held, not grown by doubling.
+func TestStreamsAndBlocksAreSizedOnce(t *testing.T) {
+	data := frameTestData(3000, 4, 11)
+	streams, _, err := buildFrames(func(emit EmitPoint) (FrameStats, error) {
+		for i, p := range data {
+			emit(i%7, p)
+		}
+		return FrameStats{MapIn: int64(len(data))}, nil
+	}, Staging, nil, 3, points.FrameV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, s := range streams {
+		if len(s) == 0 || cap(s) != len(s) {
+			t.Errorf("stream %d: len %d cap %d", r, len(s), cap(s))
+		}
+	}
+	// Every partition's rows arrive in frames from every stream.
+	parts, err := AssembleFrames(append(slices.Clone(streams), streams...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, blk := range parts {
+		if blk.Len() != 2*((len(data)-p+6)/7) || !full(blk) {
+			t.Errorf("assembled partition %d: %d rows, full %v", p, blk.Len(), full(blk))
+		}
+	}
+	job := FrameJob{Folder: Assembled(nil)}
+	out, _, err := reduceFrames(streams[:1], job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, blk := range out {
+		if !full(blk) {
+			t.Errorf("assembled fold of partition %d has room past its %d rows", p, blk.Len())
+		}
+	}
+}

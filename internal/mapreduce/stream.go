@@ -39,9 +39,20 @@ type SealedFold interface {
 	AbsorbSealed(blk *points.Block) error
 }
 
-// FrameFolder creates the fold for one partition — called lazily the
-// first time a reduce task sees a frame for that partition. Must be safe
-// for concurrent use (reduce tasks run in parallel).
+// SizedFold is a FrameFold that can be told, before its first frame, how
+// many rows its frames hold in all, so that it sizes what it keeps once
+// instead of growing it as frames arrive. The reduce body reads every
+// frame header before it folds a frame, and tells each fold that is one.
+// *skyline.BudgetedFold and Assembled's folds are.
+type SizedFold interface {
+	FrameFold
+	Expect(rows int)
+}
+
+// FrameFolder creates the fold for one partition — called once for each
+// partition a reduce task's frames hold rows of, in ascending order, before
+// the task folds its first frame. Must be safe for concurrent use (reduce
+// tasks run in parallel).
 type FrameFolder func(partition int) FrameFold
 
 // FoldPeaker is optionally implemented by folds that track their
@@ -69,12 +80,18 @@ type assembled struct {
 	partition int
 	op        FrameCombiner
 	blk       *points.Block
+	expect    int   // rows Expect announced, reserved at the first frame
 	bytes     int64 // staged so far; op may shrink blk in place
 }
+
+func (a *assembled) Expect(rows int) { a.expect = rows }
 
 func (a *assembled) Absorb(blk *points.Block) error {
 	if a.blk.Len() > 0 && blk.Len() > 0 && blk.Dim() != a.blk.Dim() {
 		return fmt.Errorf("mapreduce: partition %d: %d-dimensional frame after %d-dimensional ones", a.partition, blk.Dim(), a.blk.Dim())
+	}
+	if a.blk.Len() == 0 && blk.Len() > 0 && a.expect > 0 {
+		a.blk, a.expect = points.NewBlock(blk.Dim(), a.expect), 0
 	}
 	a.blk.AppendBlock(blk)
 	a.bytes += int64(blk.Len()) * int64(blk.Dim()) * 8
@@ -91,18 +108,60 @@ func (a *assembled) Finish() (*points.Block, error) {
 func (a *assembled) PeakBytes() int64 { return a.bytes }
 func (a *assembled) Passes() int      { return 1 }
 
-// ReduceFramesStream is the one reduce-task body, shared by every executor:
-// it walks every sealed stream in order, frame by frame, folding each frame
-// into its partition's fold — job.Folder's — then finishes the folds in
-// ascending partition order and seals each one's result into one output
-// frame stream. Where every frame is a skyline (job's accumulators seal
-// skylines and no Combiner rewrites them) a SealedFold takes each frame in
-// by AbsorbSealed, any other fold by Absorb. Malformed frames and fold
-// errors are returned, never panics.
+// ReduceFramesStream is the reduce task of an executor that ships a task's
+// output (rpcmr): the one reduce-task body, reduceFrames, with its
+// partitions' results sealed in ascending partition order into one output
+// frame stream, allocated once at their v1 length.
 func ReduceFramesStream(streams [][]byte, job FrameJob, codec points.FrameCodec) ([]byte, FrameStats, error) {
+	blocks, st, err := reduceFrames(streams, job)
+	if err != nil {
+		return nil, st, err
+	}
+	ids, size := sortedInts(blocks), 0
+	for _, p := range ids {
+		size += points.FrameV1Len(p, blocks[p])
+	}
+	out := make([]byte, 0, size)
+	for _, p := range ids {
+		out = points.AppendFrameCodec(out, p, blocks[p], codec)
+	}
+	return out, st, nil
+}
+
+// reduceFrames is the one reduce-task body, shared by every executor. It
+// reads the header of every frame of the sealed streams first, creates each
+// partition's fold — job.Folder's — and tells every SizedFold the rows
+// coming to it; then it walks the streams in order, frame by frame, through
+// one block of decode scratch the size of the largest frame, folding each
+// frame into its partition's fold, and finishes the folds in ascending
+// partition order. It returns every non-empty result, by partition: blocks
+// the folds produced, which the task's caller owns. Where every frame is a
+// skyline (job's accumulators seal skylines and no Combiner rewrites them)
+// a SealedFold takes each frame in by AbsorbSealed, any other fold by
+// Absorb. Malformed frames and fold errors are returned, never panics.
+func reduceFrames(streams [][]byte, job FrameJob) (map[int]*points.Block, FrameStats, error) {
 	var st FrameStats
+	rows := make(map[int]int)
+	var maxFrame int64
+	maxCoords := 0
+	for _, rest := range streams {
+		for len(rest) > 0 {
+			p, count, dim, n, err := points.FrameHeader(rest)
+			if err != nil {
+				return nil, st, fmt.Errorf("mapreduce: bad frame: %w", err)
+			}
+			rest = rest[n:]
+			if count == 0 {
+				continue
+			}
+			rows[p] += count
+			st.ReduceIn += int64(count)
+			maxFrame = max(maxFrame, int64(n))
+			maxCoords = max(maxCoords, count*dim)
+		}
+	}
 	sealed := job.sealsSkylines()
-	folds := make(map[int]FrameFold)
+	folds := make(map[int]FrameFold, len(rows))
 	// On an error return some folds are never finished, and an unfinished
 	// fold may hold an overflow file: close them all (a no-op once finished).
 	defer func() {
@@ -112,55 +171,45 @@ func ReduceFramesStream(streams [][]byte, job FrameJob, codec points.FrameCodec)
 			}
 		}
 	}()
-	scratch := points.NewBlock(0, 0)
-	var maxFrame int64
+	ids := sortedInts(rows)
+	for _, p := range ids {
+		fold := job.Folder(p)
+		folds[p] = fold
+		st.Groups++
+		if sf, ok := fold.(SizedFold); ok {
+			sf.Expect(rows[p])
+		}
+	}
+	scratch := points.NewBlock(1, maxCoords) // room for the largest frame's coordinates
 	for _, rest := range streams {
 		for len(rest) > 0 {
-			n, err := points.FrameLen(rest)
-			if err != nil {
+			scratch.Clear()
+			var p int
+			var err error
+			if p, rest, err = points.DecodeFrame(scratch, rest); err != nil {
 				return nil, st, fmt.Errorf("mapreduce: bad frame: %w", err)
 			}
-			frame := rest[:n]
-			rest = rest[n:]
-			p, count, err := points.FrameCount(frame)
-			if err != nil {
-				return nil, st, fmt.Errorf("mapreduce: bad frame: %w", err)
-			}
-			if count == 0 {
+			if scratch.Len() == 0 {
 				continue
 			}
-			scratch.Clear()
-			if _, _, err := points.DecodeFrame(scratch, frame); err != nil {
-				return nil, st, fmt.Errorf("mapreduce: bad frame: %w", err)
-			}
-			fold := folds[p]
-			if fold == nil {
-				fold = job.Folder(p)
-				folds[p] = fold
-				st.Groups++
-			}
-			st.ReduceIn += int64(count)
-			if sf, ok := fold.(SealedFold); ok && sealed {
+			if sf, ok := folds[p].(SealedFold); ok && sealed {
 				err = sf.AbsorbSealed(scratch)
 			} else {
-				err = fold.Absorb(scratch)
+				err = folds[p].Absorb(scratch)
 			}
 			if err != nil {
 				return nil, st, err
 			}
-			if fb := int64(len(frame)); fb > maxFrame {
-				maxFrame = fb
-			}
 		}
 	}
-	var out []byte
-	for _, p := range sortedInts(folds) {
+	out := make(map[int]*points.Block, len(ids))
+	for _, p := range ids {
 		blk, err := folds[p].Finish()
 		if err != nil {
 			return nil, st, err
 		}
 		if blk.Len() > 0 {
-			out = points.AppendFrameCodec(out, p, blk, codec)
+			out[p] = blk
 			st.ReduceOut += int64(blk.Len())
 		}
 	}

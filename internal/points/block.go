@@ -97,6 +97,16 @@ func (b *Block) Extend(dim, n int) []float64 {
 	return b.coords[lo:need:need]
 }
 
+// grow lengthens the block by total coordinates and returns them, contents
+// unspecified, for a decoder to fill in place. The backing array grows at
+// most once, as reserve grows it: to exactly the length needed when the
+// block holds no rows, by half again when it extends rows already there.
+func (b *Block) grow(total int) []float64 {
+	lo := len(b.coords)
+	b.coords = reserve(b.coords, total)[:lo+total]
+	return b.coords[lo : lo+total : lo+total]
+}
+
 // AppendBlock copies every row of o onto the end of the block. The usual
 // AppendRow rules apply: an empty dimension-inferring block adopts o's
 // dimension, and a mismatch panics.
@@ -164,6 +174,21 @@ func (b *Block) ToSet() Set {
 	copy(backing, b.coords)
 	for i := 0; i < n; i++ {
 		out[i] = Point(backing[i*b.dim : (i+1)*b.dim : (i+1)*b.dim])
+	}
+	return out
+}
+
+// Rows returns the block's rows as a point set of views into its backing
+// array: one allocation, the set's row headers, and no copy. Each view is
+// capped as Row's are, so an append through one cannot clobber the next,
+// but a write through a view is a write to the block and the set sees the
+// block's later writes — hand a block out this way only when nothing
+// mutates it afterwards, and use ToSet when something may.
+func (b *Block) Rows() Set {
+	n := b.Len()
+	out := make(Set, n)
+	for i := range out {
+		out[i] = Point(b.Row(i))
 	}
 	return out
 }

@@ -28,11 +28,14 @@ const maxFrameDim = 1 << 20
 
 // AppendFrame appends the encoding of one frame — every row of blk, owned
 // by partition id — onto dst and returns the extended slice. An empty
-// block encodes as a valid zero-count frame.
+// block encodes as a valid zero-count frame. dst grows at most once: to
+// exactly the frame's length (FrameV1Len) when it is empty, by half again
+// when the frame extends a stream already there.
 func AppendFrame(dst []byte, partition int, blk *Block) []byte {
 	if partition < 0 {
 		panic(fmt.Sprintf("points: negative partition id %d in frame", partition))
 	}
+	dst = reserve(dst, FrameV1Len(partition, blk))
 	n := blk.Len()
 	dst = append(dst, FrameVersion)
 	dst = binary.AppendUvarint(dst, uint64(partition))
@@ -41,20 +44,52 @@ func AppendFrame(dst []byte, partition int, blk *Block) []byte {
 		return binary.AppendUvarint(dst, 0)
 	}
 	dst = binary.AppendUvarint(dst, uint64(blk.dim))
-	// Grow once for the whole payload, then store with indexed writes —
-	// one capacity check per frame instead of one per coordinate.
+	// The payload is stored with indexed writes: one capacity check per
+	// frame instead of one per coordinate.
 	lo := len(dst)
-	need := lo + len(blk.coords)*8
-	if cap(dst) < need {
-		grown := make([]byte, lo, need+need/2)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:need]
+	dst = dst[:lo+len(blk.coords)*8]
 	for i, v := range blk.coords {
 		binary.LittleEndian.PutUint64(dst[lo+i*8:], math.Float64bits(v))
 	}
 	return dst
+}
+
+// FrameV1Len is the exact length of blk's v1 frame for partition, computed
+// without encoding it: what a writer reserves before it seals a stream. It
+// bounds FrameAuto's frame, which keeps v2 only when it is shorter, and v2's
+// on data that packs at all.
+func FrameV1Len(partition int, blk *Block) int {
+	n := blk.Len()
+	l := 1 + uvarintLen(uint64(partition)) + uvarintLen(uint64(n))
+	if n == 0 {
+		return l + 1
+	}
+	return l + uvarintLen(uint64(blk.dim)) + len(blk.coords)*8
+}
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+// reserve returns s with room for n more elements: exactly n when s is
+// empty, so that a frame written or decoded into an empty destination takes
+// what it holds and no more, and by half again when the elements extend
+// ones already there, so that a long run of appends stays amortised.
+func reserve[E any](s []E, n int) []E {
+	need := len(s) + n
+	if cap(s) >= need {
+		return s
+	}
+	size := need
+	if len(s) > 0 {
+		size += need / 2
+	}
+	return append(make([]E, 0, size), s...)
 }
 
 // frameHeader parses and validates a frame header, returning the owning
@@ -107,39 +142,24 @@ func frameHeader(b []byte) (partition int, count, dim uint64, hdrLen int, err er
 	return int(part), count, dim, off, nil
 }
 
-// FrameLen returns the total encoded length of the first frame in b
-// without decoding its coordinates — the reduce body uses it to walk a
-// sealed stream frame by frame.
-func FrameLen(b []byte) (int, error) {
+// FrameHeader reads the header of the first frame in b, v1 or v2, without
+// decoding its coordinates: the owning partition, the point count and
+// dimension, and the frame's total encoded length. A reader walks a sealed
+// stream frame by frame with it, and sizes what it decodes into before it
+// decodes anything.
+func FrameHeader(b []byte) (partition, count, dim, length int, err error) {
 	if len(b) > 0 && b[0] == FrameVersion2 {
-		_, _, _, packed, hdr, err := frameHeaderV2(b)
+		p, c, d, packed, hdr, err := frameHeaderV2(b)
 		if err != nil {
-			return 0, err
+			return 0, 0, 0, 0, err
 		}
-		return hdr + packed, nil
+		return p, int(c), int(d), hdr + packed, nil
 	}
-	_, count, dim, hdr, err := frameHeader(b)
+	p, c, d, hdr, err := frameHeader(b)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, 0, err
 	}
-	return hdr + int(count*dim)*8, nil
-}
-
-// FrameCount returns the owning partition and point count of the first
-// frame in b — header-only, for counters.
-func FrameCount(b []byte) (partition, count int, err error) {
-	if len(b) > 0 && b[0] == FrameVersion2 {
-		p, c, _, _, _, err := frameHeaderV2(b)
-		if err != nil {
-			return 0, 0, err
-		}
-		return p, int(c), nil
-	}
-	p, c, _, _, err := frameHeader(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	return p, int(c), nil
+	return p, int(c), int(d), hdr + int(c*d)*8, nil
 }
 
 // DecodeFrame consumes one frame from the front of b, appending its
@@ -168,16 +188,7 @@ func DecodeFrame(blk *Block, b []byte) (partition int, rest []byte, err error) {
 		return 0, nil, fmt.Errorf("points: decoding %d-dim frame into %d-dim block", dim, blk.dim)
 	}
 	// Grow once for the whole frame, then decode with indexed stores.
-	lo := len(blk.coords)
-	need := lo + total
-	if cap(blk.coords) >= need {
-		blk.coords = blk.coords[:need]
-	} else {
-		grown := make([]float64, need, need+need/2)
-		copy(grown, blk.coords)
-		blk.coords = grown
-	}
-	row := blk.coords[lo:need]
+	row := blk.grow(total)
 	for i := range row {
 		row[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
 	}
@@ -205,17 +216,22 @@ func AppendFrameRows(dst []byte, partition int, rows Set) ([]byte, error) {
 }
 
 // WalkFrames decodes a frame stream row by row: each frame of b is decoded,
-// as DecodeFrame decodes it, into one reused scratch block and its rows go
-// to fn in order, each valid for the call only. The block keeps its
-// dimension from frame to frame, so — as when a stream is decoded into one
-// block — the first non-empty frame fixes it and a later mismatch is an
-// error. Memory is the longest frame's: whoever seals a stream to be walked
-// keeps its frames short. It returns the number of rows fn accepted.
-func WalkFrames(b []byte, fn func(row []float64) error) (rows int, err error) {
-	var scratch Block
+// as DecodeFrame decodes it, into scratch — emptied before every frame; nil
+// is a block of the walk's own — and its rows go to fn in order, each valid
+// for the call only. The block keeps its dimension from frame to frame, so
+// — as when a stream is decoded into one block — the first non-empty frame
+// fixes it and a later mismatch is an error. Memory is the longest frame's,
+// and none once scratch carries it: a caller that walks stream after stream
+// hands every walk the one block. It returns the number of rows fn
+// accepted.
+func WalkFrames(b []byte, scratch *Block, fn func(row []float64) error) (rows int, err error) {
+	if scratch == nil {
+		scratch = new(Block)
+	}
+	scratch.Clear()
 	for len(b) > 0 {
 		scratch.Reset()
-		if _, b, err = DecodeFrame(&scratch, b); err != nil {
+		if _, b, err = DecodeFrame(scratch, b); err != nil {
 			return rows, err
 		}
 		for i, n := 0, scratch.Len(); i < n; i++ {

@@ -3,6 +3,7 @@ package points
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -20,11 +21,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	src := buildBlock(t, rows)
 	stream := AppendFrame(nil, 7, src)
 
-	if n, err := FrameLen(stream); err != nil || n != len(stream) {
-		t.Fatalf("FrameLen = %d, %v; want %d", n, err, len(stream))
-	}
-	if p, c, err := FrameCount(stream); err != nil || p != 7 || c != len(rows) {
-		t.Fatalf("FrameCount = %d, %d, %v", p, c, err)
+	if p, c, d, n, err := FrameHeader(stream); err != nil || p != 7 || c != len(rows) || d != 3 || n != len(stream) {
+		t.Fatalf("FrameHeader = %d, %d, %d, %d, %v; want 7, %d, 3, %d", p, c, d, n, err, len(rows), len(stream))
 	}
 
 	dst := NewBlock(0, 0)
@@ -87,8 +85,8 @@ func TestFrameRejects(t *testing.T) {
 		if _, _, err := DecodeFrame(NewBlock(0, 0), b); err == nil {
 			t.Errorf("%s: decode accepted", name)
 		}
-		if _, err := FrameLen(b); err == nil {
-			t.Errorf("%s: FrameLen accepted", name)
+		if _, _, _, _, err := FrameHeader(b); err == nil {
+			t.Errorf("%s: FrameHeader accepted", name)
 		}
 	}
 	// Dimension mismatch against a committed block.
@@ -148,4 +146,36 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-encode mismatch: %x vs %x", re, consumed)
 		}
 	})
+}
+
+// TestFramesAreSizedOnce: a v1 frame sealed into an empty buffer and a
+// frame of either codec decoded into an empty block take exactly what they
+// hold — capacity equal to length — and a reused walk scratch is not grown
+// again for a stream no longer than the one before.
+func TestFramesAreSizedOnce(t *testing.T) {
+	blk := randomBlock(rand.New(rand.NewSource(5)), 300, 6, false)
+	enc := AppendFrame(nil, 3, blk)
+	if len(enc) != FrameV1Len(3, blk) || cap(enc) != len(enc) {
+		t.Fatalf("sealed frame: len %d cap %d, FrameV1Len %d", len(enc), cap(enc), FrameV1Len(3, blk))
+	}
+	for _, codec := range []FrameCodec{FrameV1, FrameV2} {
+		stream := AppendFrameCodec(nil, 3, blk, codec)
+		got := NewBlock(0, 0)
+		if _, _, err := DecodeFrame(got, stream); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.coords) != len(blk.coords) || cap(got.coords) != len(got.coords) {
+			t.Errorf("%v: decoded block len %d cap %d, want both %d", codec, len(got.coords), cap(got.coords), len(blk.coords))
+		}
+		scratch := new(Block)
+		walk := func() {
+			if _, err := WalkFrames(stream, scratch, func([]float64) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		walk()
+		if allocs := testing.AllocsPerRun(5, walk); allocs != 0 {
+			t.Errorf("%v: %.0f allocations walking into a carried scratch, want 0", codec, allocs)
+		}
+	}
 }

@@ -91,32 +91,13 @@ func AppendFrameCodec(dst []byte, partition int, blk *Block, codec FrameCodec) [
 		}
 		mark := len(dst)
 		dst = appendFrameV2(dst, partition, blk)
-		if v1Len := frameV1Len(partition, blk); len(dst)-mark >= v1Len {
+		if v1Len := FrameV1Len(partition, blk); len(dst)-mark >= v1Len {
 			return AppendFrame(dst[:mark], partition, blk)
 		}
 		return dst
 	default:
 		return AppendFrame(dst, partition, blk)
 	}
-}
-
-// frameV1Len computes the exact v1 encoding length without encoding.
-func frameV1Len(partition int, blk *Block) int {
-	n := blk.Len()
-	l := 1 + uvarintLen(uint64(partition)) + uvarintLen(uint64(n))
-	if n == 0 {
-		return l + 1
-	}
-	return l + uvarintLen(uint64(blk.dim)) + len(blk.coords)*8
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -339,17 +320,8 @@ func decodeFrameV2(blk *Block, b []byte) (partition int, rest []byte, err error)
 		return 0, nil, fmt.Errorf("points: decoding %d-dim frame into %d-dim block", dim, blk.dim)
 	}
 	d := int(dim)
-	total := int(count) * d
 	lo := len(blk.coords)
-	need := lo + total
-	if cap(blk.coords) >= need {
-		blk.coords = blk.coords[:need]
-	} else {
-		grown := make([]float64, need, need+need/2)
-		copy(grown, blk.coords)
-		blk.coords = grown
-	}
-	rows := blk.coords[lo:need]
+	rows := blk.grow(int(count) * d)
 	r := bitReader{buf: payload}
 	for j := 0; j < d; j++ {
 		prev := r.readBits(64)

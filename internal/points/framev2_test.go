@@ -63,11 +63,8 @@ func TestFrameV2RoundTrip(t *testing.T) {
 			if enc[0] != FrameVersion2 {
 				t.Fatalf("version byte = %d, want %d", enc[0], FrameVersion2)
 			}
-			if l, err := FrameLen(enc); err != nil || l != len(enc) {
-				t.Fatalf("FrameLen = %d, %v; want %d", l, err, len(enc))
-			}
-			if p, c, err := FrameCount(enc); err != nil || p != 5 || c != tc.n {
-				t.Fatalf("FrameCount = %d, %d, %v; want 5, %d", p, c, err, tc.n)
+			if p, c, d, l, err := FrameHeader(enc); err != nil || p != 5 || c != tc.n || d != tc.d || l != len(enc) {
+				t.Fatalf("FrameHeader = %d, %d, %d, %d, %v; want 5, %d, %d, %d", p, c, d, l, err, tc.n, tc.d, len(enc))
 			}
 			got := NewBlock(0, 0)
 			part, rest, err := DecodeFrame(got, enc)
@@ -284,7 +281,7 @@ func TestFrameV2ReserveKeepsBytes(t *testing.T) {
 	// One allocation per v2 frame — the bit buffer, never re-grown — when
 	// the packed payload is no longer than the raw one.
 	uniform := randomBlock(rng, 2000, 6, false)
-	dst := make([]byte, 0, 2*frameV1Len(0, uniform))
+	dst := make([]byte, 0, 2*FrameV1Len(0, uniform))
 	if allocs := testing.AllocsPerRun(10, func() { AppendFrameCodec(dst, 0, uniform, FrameV2) }); allocs != 1 {
 		t.Errorf("v2 encode of an uncompressible block: %v allocations, want 1", allocs)
 	}

@@ -20,7 +20,7 @@ func walkAgainstDecode(t *testing.T, stream []byte) {
 	}
 	var got []float64
 	dim := 0
-	rows, err := WalkFrames(stream, func(row []float64) error {
+	rows, err := WalkFrames(stream, nil, func(row []float64) error {
 		dim = len(row)
 		got = append(got, row...)
 		return nil
@@ -90,7 +90,7 @@ func TestWalkFramesStopsOnCallbackError(t *testing.T) {
 	for _, codec := range []FrameCodec{FrameV1, FrameV2} {
 		stream := AppendFrameCodec(nil, 0, randomBlock(rand.New(rand.NewSource(2)), 50, 3, false), codec)
 		seen := 0
-		rows, err := WalkFrames(stream, func([]float64) error {
+		rows, err := WalkFrames(stream, nil, func([]float64) error {
 			if seen == 20 {
 				return stop
 			}
@@ -110,7 +110,7 @@ func TestWalkFramesAllocatesPerStream(t *testing.T) {
 	for _, codec := range []FrameCodec{FrameV1, FrameV2} {
 		stream := AppendFrameCodec(nil, 0, randomBlock(rng, 20000, 6, false), codec)
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := WalkFrames(stream, func([]float64) error { return nil }); err != nil {
+			if _, err := WalkFrames(stream, nil, func([]float64) error { return nil }); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -98,7 +98,7 @@ func NewBudgetedFold(dim int, budgetBytes int64, spillDir string, codec points.F
 	if obufCap > 256 {
 		obufCap = 256
 	}
-	win := newWindow(dim, min(winCap, 16)) // grows with the skyline, as BlockBNL's
+	win := newWindow(dim, 0) // sized by Expect, or grown with the skyline as BlockBNL's
 	win.timed = true
 	return &BudgetedFold{
 		dim:           dim,
@@ -110,6 +110,17 @@ func NewBudgetedFold(dim int, budgetBytes int64, spillDir string, codec points.F
 		firstOverflow: -1,
 		codec:         codec,
 		stats:         FoldStats{Passes: 1},
+	}
+}
+
+// Expect tells the fold that rows more rows are coming: it sizes its window
+// — rows, signatures and ticks — once, for every row it could then hold,
+// and no more than the budget lets it, so that it is not grown by doubling
+// as the survivors arrive. The engine's reduce body calls it with the rows
+// of a partition's frames (mapreduce.SizedFold). It changes no result.
+func (f *BudgetedFold) Expect(rows int) {
+	if !f.done {
+		f.win.reserve(min(f.win.rows.Len()+rows, f.winCap))
 	}
 }
 

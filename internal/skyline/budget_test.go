@@ -222,3 +222,42 @@ func TestBudgetedFoldClose(t *testing.T) {
 		t.Errorf("Close after Finish: err %v, result %d → %d rows, %d files", err, rows, sky.Len(), files())
 	}
 }
+
+// TestExpectSizesTheWindowOnce: a fold told the rows of its frames holds its
+// window rows, signatures and ticks in arrays sized once — a skyline of
+// every row comes out with capacity equal to length — and keeps what it
+// keeps unchanged; a budget caps what it reserves.
+func TestExpectSizesTheWindowOnce(t *testing.T) {
+	const n = 600 // two sealed frames of one anti-diagonal: nothing dominates
+	frames := [2]*points.Block{points.NewBlock(2, n/2), points.NewBlock(2, n/2)}
+	for i := 0; i < n; i++ {
+		frames[i%2].AppendRow([]float64{float64(i), float64(n - i)})
+	}
+	f := NewBudgetedFold(2, 0, "", points.FrameV1)
+	f.Expect(n)
+	for _, blk := range frames {
+		if err := f.AbsorbSealed(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(f.win.sigs) != n || cap(f.win.ticks) != n {
+		t.Errorf("signatures cap %d, ticks cap %d, want %d", cap(f.win.sigs), cap(f.win.ticks), n)
+	}
+	out, err := f.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &out.Row(0)[0]
+	if out.Len() != n {
+		t.Fatalf("%d rows kept, want %d", out.Len(), n)
+	}
+	if out.AppendRow(out.Row(0)); &out.Row(0)[0] == first {
+		t.Error("the window has room past its rows")
+	}
+	budgeted := NewBudgetedFold(2, 10*16, "", points.FrameV1)
+	budgeted.Expect(n)
+	if got := cap(budgeted.win.ticks); got != 10 {
+		t.Errorf("a 10-row budget reserved %d ticks", got)
+	}
+	budgeted.Close()
+}

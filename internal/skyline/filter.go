@@ -258,8 +258,8 @@ func newGroup(levels, blk *points.Block, band int) (*group, error) {
 	for j := 0; j < n; j++ {
 		bit := uint64(1) << (j % 64)
 		for i, v := range g.rows.Row(j) {
-			bm, t := g.ge[i*L*words+j/64:], g.thr[i*L:i*L+L]
-			for k := 0; k < L && v > t[k]; k++ {
+			bm := g.ge[i*L*words+j/64:]
+			for k := range g.level(i, v) {
 				bm[k*words] |= bit
 			}
 		}

@@ -82,6 +82,22 @@ func newWindow(dim, capPoints int) *window {
 	return &window{rows: points.NewBlock(dim, capPoints), fitAt: firstFit}
 }
 
+// reserve sizes the window for n rows: its coordinates, its ticks when it
+// is timed and, past the first fit's size, its signatures, so that pushes up
+// to n rows grow none of them.
+func (w *window) reserve(n int) {
+	if m := w.rows.Len(); n > m {
+		w.rows.Extend(w.rows.Dim(), n-m) // grows the array once, to exactly n rows
+		w.rows.Truncate(m)
+	}
+	if w.timed && cap(w.ticks) < n {
+		w.ticks = append(make([]int64, 0, n), w.ticks...)
+	}
+	if n >= firstFit && cap(w.sigs) < n {
+		w.sigs = append(make([]uint64, 0, n), w.sigs...)
+	}
+}
+
 // reset empties the window for reuse, keeping capacity but forgetting
 // dimension, signatures and thresholds: the next rows may come from a
 // different partition or dimensionality.
@@ -105,10 +121,14 @@ func (w *window) sign(p []float64) uint64 {
 	L := w.levels
 	var sig uint64
 	for i, v := range p {
-		t := w.thr[i*L : i*L+L]
+		// The thresholds ascend, so the count of those v exceeds is its
+		// level; counted without a branch on each, as group.level counts
+		// it: a row's level is as likely one value as another.
 		k := 0
-		for k < L && v > t[k] {
-			k++
+		for _, t := range w.thr[i*L : i*L+L] {
+			if v > t {
+				k++
+			}
 		}
 		sig |= (uint64(1)<<uint(k) - 1) << uint(i*L)
 	}
