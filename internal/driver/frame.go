@@ -170,22 +170,17 @@ func MergeInput(candidates []*points.Block, dim, tasks int, budget int64) ([][]*
 // what MergeInput cut for it: the level thresholds the candidates were
 // fitted to, group g of the candidates, sorted by (sum, index), and the
 // rows that can dominate one of the group's, which it streams past the
-// group's layout before the group's own (skyline.MergeTask). It emits the
-// group's rows no candidate strictly dominates (band k >= 1: fewer than k
-// do) to the one global partition (paper line 13: output(null, si)).
-// Nothing is combined and nothing is reduced: the job's output — its tasks'
-// survivors in task order — is the global skyline, in (sum, index) order
-// for any number of groups, and no row of it crosses a shuffle. A task
-// reports its group's rows as its input and the peak it counts: the layout
-// with its dominator counts, the largest block streamed past it and the
-// rows it kept.
+// group's layout before the group's own (skyline.MergeTask). It returns
+// the group's rows no candidate strictly dominates (band k >= 1: fewer than
+// k do) as one block (paper line 13: output(null, si)): in task order the
+// blocks are the global skyline, in (sum, index) order for any number of
+// groups, and no row of it crosses a shuffle. A task reports its group's
+// rows as its input and the peak it counts: the layout with its dominator
+// counts, the largest block streamed past it and the rows it kept.
 func MergeJob(dim, band int) mapreduce.FrameJob {
-	return mapreduce.FrameJob{TaskMapper: func(input mapreduce.Blocks, _, _ int, emit mapreduce.EmitPoint) (mapreduce.FrameStats, error) {
-		rows, peak, err := skyline.MergeTask(input, dim, band, func(row []float64) { emit(0, row) })
-		if err != nil {
-			return mapreduce.FrameStats{}, err
-		}
-		return mapreduce.FrameStats{MapIn: int64(rows), PeakBytes: peak, Passes: 1}, nil
+	return mapreduce.FrameJob{TaskMapper: func(input mapreduce.Blocks) (*points.Block, mapreduce.FrameStats, error) {
+		kept, rows, peak, err := skyline.MergeTask(input, dim, band)
+		return kept, mapreduce.FrameStats{MapIn: int64(rows), PeakBytes: peak, Passes: 1}, err
 	}}
 }
 
@@ -349,13 +344,22 @@ func TwoJobs(ctx context.Context, exec Executor, dim int, part partition.Partiti
 	stats.book(res2, &stats.MergeJob)
 	stats.MergeJob.Map += cut
 	stats.MergeJob.Total += cut
-	globalBlk := res2.Blocks[0]
 	stats.Timing = stats.PartitionJob
 	stats.Timing.Add(stats.MergeJob)
 
-	var global points.Set // a view of the merge's output block, as the local skylines are
-	if globalBlk != nil {
-		global = globalBlk.Rows()
+	// The global skyline is views of the merge tasks' blocks in task order,
+	// as the local skylines are of Job 1's; a task that kept no row has none.
+	survivors := 0
+	for _, blk := range res2.Blocks {
+		survivors += blk.Len()
+	}
+	global := make(points.Set, 0, survivors)
+	for t := range inputs {
+		if blk := res2.Blocks[t]; blk != nil {
+			for i := 0; i < blk.Len(); i++ {
+				global = append(global, blk.Row(i))
+			}
+		}
 	}
 	if reg := opts.Metrics; reg != nil {
 		reg.Gauge("skyline_global_size").Set(float64(len(global)))

@@ -70,8 +70,8 @@ type computeShape struct {
 // d = 6 set of ind_d6's kind at a fifth of its size.
 func computeShapes() []computeShape {
 	return []computeShape{
-		{"qws_d10", qws.Extend(qws.Generate(2012, 10000, 10), 2012, 50000), 12 << 20},
-		{"ind_d6", dataset.Independent(2012, 200000, 6), 4 << 20},
+		{"qws_d10", qws.Extend(qws.Generate(2012, 10000, 10), 2012, 50000), 11 << 20},
+		{"ind_d6", dataset.Independent(2012, 200000, 6), 3 << 20},
 	}
 }
 
@@ -81,10 +81,13 @@ var shapeOpts = Options{Scheme: partition.Angular, Nodes: 4, Workers: 2}
 // allocates, the collector off while it runs so that every byte it asks for
 // is counted and the accumulator pools stay warm. With every frame stream,
 // reduce fold and result block sized once from counts the engine holds,
-// Job 1's reduce output handed to the merge as the folds' blocks and the
-// result's sets views of its blocks, a job read 8.0–9.6 MB on the QWS shape
-// and 3.0 MB on the independent one (2 vCPUs, Xeon); grown by doubling and
-// copied at every hand-off it read 20.1 and 5.8.
+// Job 1's reduce output handed to the merge as the folds' blocks, each
+// merge task's survivors returned as one block sized once and the result's
+// sets views of its blocks, a job read 6.9–7.0 MB on the QWS shape (9.7 in
+// one run of eight, the pools' warmth being bimodal there) and 2.7–2.8 MB on
+// the independent one (2 vCPUs, Xeon). With the survivors staged, sealed
+// and decoded it read 7.6–9.3 and 2.9–3.0; grown by doubling and copied at
+// every hand-off, 20.1 and 5.8.
 func TestComputeAllocatesWhatItReturns(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pool puts at random: the pools are not warm")
@@ -126,11 +129,35 @@ func BenchmarkCompute(b *testing.B) {
 	}
 }
 
+// keepsMerge is an executor that keeps the candidates its merge read.
+type keepsMerge struct {
+	Executor
+	inputs [][]*points.Block
+}
+
+func (k *keepsMerge) Merge(ctx context.Context, inputs [][]*points.Block) (*mapreduce.FrameResult, error) {
+	k.inputs = inputs
+	return k.Executor.Merge(ctx, inputs)
+}
+
+// overwrite writes -1 over every coordinate of rows.
+func overwrite(rows points.Set) {
+	for _, p := range rows {
+		for i := range p {
+			p[i] = -1
+		}
+	}
+}
+
 // TestResultSetsOwnTheirRows: a job's global skyline and local skylines are
 // views of blocks its result owns, and nothing else holds those blocks —
 // not the input, not a pool, not the next job. Writing over every row of
 // one job's result leaves the next job's result, its oracle check and the
 // input intact, and no row of one result shares memory with the other's.
+// Within a job, the global skyline is the merge tasks' own blocks: writing
+// over Job 1's blocks and over the sorted candidates the merge read — the
+// levels, the groups and the rows streamed past them — leaves it as it was,
+// so it keeps none of them alive.
 func TestResultSetsOwnTheirRows(t *testing.T) {
 	data := uniformSet(8, 20000, 4)
 	input := data.Clone()
@@ -162,10 +189,8 @@ func TestResultSetsOwnTheirRows(t *testing.T) {
 		if seen[&p[0]] {
 			t.Fatal("a row of one job's result lies in the other's memory")
 		}
-		for i := range p {
-			p[i] = -1
-		}
 	}
+	overwrite(rows(global1, stats1))
 	if !reflect.DeepEqual(global2, keptGlobal) || !reflect.DeepEqual(input, data) {
 		t.Fatal("writing into one job's result changed the next job's result or the input")
 	}
@@ -175,6 +200,44 @@ func TestResultSetsOwnTheirRows(t *testing.T) {
 		}
 	}
 	checkAgainstOracle(t, data, shapeOpts, 0, true, global2, stats2)
+
+	// Rows on the plane of coordinate sum 1 dominate none of each other, so
+	// every candidate survives its merge task, which must still copy it.
+	data, opts := uniformSet(9, 3000, 4), shapeOpts.withDefaults()
+	for _, p := range data {
+		sum := p[0] + p[1] + p[2] + p[3]
+		for i := range p {
+			p[i] /= sum
+		}
+	}
+	part, err := partition.New(opts.Scheme, data, opts.Partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := &keepsMerge{Executor: InProcess(mapreduce.SetRows(data), PartitionJob(part, nil, 4, 0, opts), 4, 0, opts)}
+	global3, stats3, err := TwoJobs(context.Background(), exec, 4, part, nil, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exec.inputs) < 2 {
+		t.Fatalf("the merge ran %d tasks; want several, each with a block of its own", len(exec.inputs))
+	}
+	checkAgainstOracle(t, data, opts, 0, true, global3, stats3)
+	if len(global3) != len(data) {
+		t.Fatalf("%d of %d rows on the plane survived", len(global3), len(data))
+	}
+	keptGlobal = global3.Clone()
+	for _, ls := range stats3.LocalSkylines {
+		overwrite(ls)
+	}
+	for _, in := range exec.inputs {
+		for _, blk := range in {
+			overwrite(blk.Rows())
+		}
+	}
+	if !reflect.DeepEqual(global3, keptGlobal) {
+		t.Fatal("writing over Job 1's blocks or the merge's candidates changed the global skyline")
+	}
 }
 
 // TestFitAllocatesPerSample pins the other per-point cost the prologue

@@ -39,15 +39,12 @@ type RowMapper func(row []float64, emit EmitPoint) error
 // cluster a block decoded afresh from its split.
 type Blocks func(each func(blk *points.Block) error) error
 
-// TaskMapper maps a whole map task at once, for a job whose map tasks are
-// each handed a list of blocks (see WholeInput): input streams task's list,
-// and task is its index of tasks. The merge gives each task the levels and
-// its own group first, keeps them, and streams the rest past the group. It
-// returns the task's own tallies: MapIn, the input rows that were this
-// task's to map — summed over the tasks, the job's mr.map.records.in — and,
-// for a task that holds state, its PeakBytes and Passes. Must be safe for
-// concurrent use.
-type TaskMapper func(input Blocks, task, tasks int, emit EmitPoint) (FrameStats, error)
+// TaskMapper is a map task of a job whose tasks are each handed a list of
+// blocks (see WholeInput), which input streams. It returns the task's output
+// as one block that nothing else shares, and its tallies: MapIn, the rows
+// that were its to map (summed, mr.map.records.in), and for a task that
+// holds state its PeakBytes and Passes. Must be safe for concurrent use.
+type TaskMapper func(input Blocks) (*points.Block, FrameStats, error)
 
 // FrameCombiner folds the block one partition's accumulator sealed,
 // map-side, before the frame is encoded — a whole-block combiner for
@@ -80,7 +77,7 @@ type FrameStats struct {
 	CombineNanos int64
 	ShuffleRecs  int64
 	ShuffleBytes int64
-	// OutputBytes is a map-only job's sealed output: mr.output.bytes.
+	// OutputBytes is a task job's output as frames: mr.output.bytes.
 	OutputBytes int64
 	Groups      int64
 	ReduceIn    int64
@@ -134,9 +131,9 @@ func (s *FrameStats) Add(o FrameStats) {
 
 // FrameResult is the outcome of a successful frame job.
 type FrameResult struct {
-	// Blocks maps partition id → that partition's reduce output: the block
-	// its fold finished (frames folded in map-task order), or a map-only
-	// job's frames assembled in task order. Contents are deterministic. The
+	// Blocks maps partition id → the block its reduce fold finished (frames
+	// folded in map-task order), or, for a task job, task index → the block
+	// the task returned, if it kept a row. Contents are deterministic. The
 	// result owns the blocks: no pool or later job shares their memory.
 	Blocks   map[int]*points.Block
 	Counters *Counters
@@ -311,11 +308,9 @@ func (fb *frameBuilder) seal(reducers int, combiner FrameCombiner, codec points.
 	return streams, nil
 }
 
-// buildFrames is the one map-task body, shared by every executor: feed
+// buildFrames is the one row map-task body, shared by every executor: feed
 // pushes the task's routed rows into a borrowed builder's accumulators and
-// returns the task's own tallies (see TaskMapper), and the accumulators are
-// then sealed into one frame stream per reducer — or, with no reducers (a
-// map-only job's task), into the one stream that is the task's output.
+// returns its tallies, and they are sealed into a stream per reducer.
 func buildFrames(feed func(emit EmitPoint) (FrameStats, error), accs *Accumulators, combiner FrameCombiner, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
 	if accs == nil {
 		accs = Staging
@@ -329,32 +324,30 @@ func buildFrames(feed func(emit EmitPoint) (FrameStats, error), accs *Accumulato
 	if err != nil {
 		return nil, FrameStats{}, err
 	}
-	streams, err := fb.seal(max(reducers, 1), combiner, codec, &st)
-	if reducers == 0 {
-		st.OutputBytes, st.ShuffleBytes, st.ShuffleRecs = st.ShuffleBytes, 0, 0
-	}
+	streams, err := fb.seal(reducers, combiner, codec, &st)
 	return streams, st, err
 }
 
-// MapFrames is map task task, of tasks, of job for an executor that ships a
-// task's input as sealed frame streams (rpcmr), one split at a time:
-// split(i) returns split i of the task's splits, in order, and what it
-// returns need only last until the next call, so one buffer can carry them
-// all. The rows of every split are walked straight into job.Mapper and the
-// one set of accumulators the task borrowed — the body RunFrames gives a
-// Feed's rows — so the windows stay warm across the splits, the task seals
-// once, and nothing the size of a split is copied on the way; a job with a
-// TaskMapper reads its input as the stream of blocks it is handed in
-// process, each split decoded into a fresh block as the stream reaches it.
-// job.Feed is not read. A task without splits, an empty, malformed or
-// mixed-dimension split, or an error from split fails the task, as does a
-// task index outside the job.
-func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task, tasks, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
+// MapFrames is map task task of job for an executor that ships a task's
+// input as sealed frame streams (rpcmr), one split at a time: split(i)
+// returns split i of the task's splits, in order, and what it returns need
+// only last until the next call, so one buffer can carry them all. The rows
+// of every split are walked straight into job.Mapper and the one set of
+// accumulators the task borrowed — the body RunFrames gives a Feed's rows —
+// so the windows stay warm across the splits, the task seals once, and
+// nothing the size of a split is copied on the way. A task job's task
+// reads each split as a fresh block and its output is the block it returns,
+// sealed as one frame of partition task, which AssembleFrames keys by task
+// as RunFrames does. job.Feed is not read. A job of neither shape, a task
+// without splits, an empty, malformed or mixed-dimension split, or an error
+// from split fails the task.
+func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task, reducers int, codec points.FrameCodec) ([][]byte, FrameStats, error) {
+	whole, err := job.Check()
+	if err != nil {
+		return nil, FrameStats{}, err
+	}
 	if splits < 1 {
 		return nil, FrameStats{}, fmt.Errorf("mapreduce: map task without an input frame")
-	}
-	if task < 0 || task >= tasks {
-		return nil, FrameStats{}, fmt.Errorf("mapreduce: map task %d of %d", task, tasks)
 	}
 	// each hands the task's splits to read, in order.
 	each := func(read func(input []byte) error) error {
@@ -372,20 +365,11 @@ func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task
 		}
 		return nil
 	}
-	feed := func(emit EmitPoint) (st FrameStats, err error) {
-		scratch := new(points.Block) // every split's frames decode into it
-		err = each(func(input []byte) error {
-			n, err := points.WalkFrames(input, scratch, func(row []float64) error { return job.Mapper(row, emit) })
-			st.MapIn += int64(n)
-			return err
-		})
-		return st, err
-	}
-	if job.TaskMapper != nil {
+	if whole {
 		// A split is one block, which the task may keep: its frames decode
 		// into it, so a split whose dimension changes fails here; whether
 		// the blocks agree is the task's to check.
-		input := func(block func(*points.Block) error) error {
+		blk, st, err := job.TaskMapper(func(block func(*points.Block) error) error {
 			return each(func(input []byte) error {
 				blk, err := decodeBlock(input)
 				if err != nil {
@@ -393,16 +377,26 @@ func MapFrames(job FrameJob, splits int, split func(i int) ([]byte, error), task
 				}
 				return block(blk)
 			})
+		})
+		if err != nil {
+			return nil, FrameStats{}, err
 		}
-		feed = func(emit EmitPoint) (FrameStats, error) {
-			return job.TaskMapper(input, task, tasks, emit)
+		var frame []byte
+		if blk.Len() > 0 {
+			frame = points.AppendFrameCodec(make([]byte, 0, points.FrameV1Len(task, blk)), task, blk, codec)
 		}
+		st.MapOut, st.OutputBytes = int64(blk.Len()), int64(len(frame))
+		return [][]byte{frame}, st, nil
 	}
-	reducers = max(reducers, 1)
-	if job.Folder == nil {
-		reducers = 0 // map-only: the task's one stream is its output
-	}
-	return buildFrames(feed, job.Accumulators, job.Combiner, reducers, codec)
+	return buildFrames(func(emit EmitPoint) (st FrameStats, err error) {
+		scratch := new(points.Block) // every split's frames decode into it
+		err = each(func(input []byte) error {
+			n, err := points.WalkFrames(input, scratch, func(row []float64) error { return job.Mapper(row, emit) })
+			st.MapIn += int64(n)
+			return err
+		})
+		return st, err
+	}, job.Accumulators, job.Combiner, max(reducers, 1), codec)
 }
 
 // AssembleFrames decodes frame streams into per-partition blocks,
@@ -572,20 +566,16 @@ func ChunkRows(src ChunkSource) RowFeed {
 // ---------------------------------------------------------------------------
 // In-process frame job execution
 
-// FrameJob is what a frame-shuffle job computes: rows from Feed are routed
-// by Mapper — or, where a task maps a list of blocks at once, each task's
-// list of a WholeInput by TaskMapper — into
-// per-partition Accumulators (nil means Staging), each sealed block
-// optionally passes through Combiner, and the shuffled frames are reduced
-// by Folder's per-partition folds, which absorb the frames one at a time.
-// The two sides mirror each other: rows arrive one at a time in an
-// Accumulator, frames one at a time in a FrameFold, and where the operator
-// needs everything at once the rows are staged (Staging + Combiner) and the
-// frames assembled (Assembled). What a reduce task holds
-// is up to its folds — a budgeted one keeps it near its budget whatever the
-// partition's size — plus one frame of decode scratch. A job without a
-// Folder is map-only: its sealed map output, in task order, is its result,
-// and nothing is shuffled or reduced.
+// FrameJob is what a job computes, in one of two shapes (Check). A row job
+// routes the rows of its Feed by Mapper into per-partition Accumulators
+// (nil means Staging), each sealed block optionally passes through
+// Combiner, and the shuffled frames are reduced by Folder's per-partition
+// folds, a frame at a time. The sides mirror each other: rows arrive one at
+// a time in an Accumulator, frames in a FrameFold, and an operator that
+// needs everything at once has the rows staged (Staging + Combiner) and
+// the frames assembled (Assembled). A reduce task holds what its folds do
+// plus one frame of decode scratch. A task job is a WholeInput feed and a
+// TaskMapper alone: it is map-only, and its result is its tasks' blocks.
 type FrameJob struct {
 	Feed         RowFeed
 	Mapper       RowMapper
@@ -593,6 +583,17 @@ type FrameJob struct {
 	Accumulators *Accumulators
 	Combiner     FrameCombiner
 	Folder       FrameFolder
+}
+
+// Check is the one rule of what a job is, which every executor applies: a
+// row job has Mapper and Folder and no TaskMapper, a task job (whole) has
+// TaskMapper and none of the others. Anything else is an error.
+func (job FrameJob) Check() (whole bool, err error) {
+	whole = job.TaskMapper != nil && job.Mapper == nil && job.Folder == nil && job.Accumulators == nil && job.Combiner == nil
+	if !whole && (job.Mapper == nil || job.TaskMapper != nil || job.Folder == nil) {
+		err = fmt.Errorf("mapreduce: a job is a mapper with a folder, or a task mapper alone")
+	}
+	return whole, err
 }
 
 // sealsSkylines reports whether every frame the job's map tasks seal is a
@@ -611,25 +612,24 @@ func (job FrameJob) sealsSkylines() bool {
 // as they are: in process nothing seals them only to decode them again.
 // Each phase is timed, counted (mr.* counters; the
 // shuffle-byte counter reports frame payload bytes, header + coordinates),
-// traced and bridged into cfg.Metrics. A map-only job (no Folder) stops
-// after its map phase: its map tasks' sealed streams, assembled in task
-// order, are its result — they cross no wire, so they are always sealed as
-// raw v1 frames — and their bytes are mr.output.bytes, not shuffle.
+// traced and bridged into cfg.Metrics. A task job stops after its map
+// phase: each task's block is the result under its index, as it is, and its
+// v1 frame length (points.FrameV1Len) is mr.output.bytes, never shuffle.
 func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, error) {
-	if (job.Mapper == nil) == (job.TaskMapper == nil) || (job.Mapper == nil) != (job.Feed.feed == nil) {
-		return nil, fmt.Errorf("mapreduce: %s: need a row feed and a mapper, or a whole-input feed and a task mapper", cfg.Name)
+	whole, err := job.Check()
+	if err == nil && whole != (job.Feed.feed == nil) {
+		err = fmt.Errorf("mapreduce: a row feed goes with a mapper, a whole input with a task mapper")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: %s: %w", cfg.Name, err)
 	}
 	units := job.Feed.units
 	cfg = cfg.withDefaults()
 	// A map task is a worker's share of the feed's units (see RowFeed).
 	share := max((units+cfg.Workers-1)/cfg.Workers, 1)
 	tasks := (units + share - 1) / share
-	if job.TaskMapper != nil {
-		tasks = len(job.Feed.whole)
-	}
-	mapOnly := job.Folder == nil
-	if mapOnly {
-		cfg.Reducers, cfg.Codec = 0, points.FrameDefault
+	if whole {
+		tasks, cfg.Reducers = len(job.Feed.whole), 0
 	}
 	counters := NewCounters()
 	start := time.Now()
@@ -646,20 +646,25 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	// --- Map (+ combine) -----------------------------------------------
 	mapCtx, mapSpan := telemetry.StartSpan(ctx, "map", telemetry.A("tasks", tasks))
 	mapStart := time.Now()
-	// outputs[task][r] is map task task's sealed stream for reducer r.
-	outputs := make([][][]byte, tasks)
+	// A row task's stream for reducer r is outputs[task][r], a task's block returned[task].
+	outputs, returned := make([][][]byte, tasks), make([]*points.Block, tasks)
 	st, err := runPhase(mapCtx, cfg, "map", tasks, func(task int) (st FrameStats, err error) {
-		outputs[task], st, err = buildFrames(func(emit EmitPoint) (FrameStats, error) {
-			if job.TaskMapper != nil {
-				return job.TaskMapper(func(each func(*points.Block) error) error {
-					for _, blk := range job.Feed.whole[task] {
-						if err := each(blk); err != nil {
-							return err
-						}
+		if whole {
+			blk, st, err := job.TaskMapper(func(each func(*points.Block) error) error {
+				for _, blk := range job.Feed.whole[task] {
+					if err := each(blk); err != nil {
+						return err
 					}
-					return nil
-				}, task, tasks, emit)
+				}
+				return nil
+			})
+			if err == nil && blk.Len() > 0 {
+				returned[task] = blk
+				st.MapOut, st.OutputBytes = int64(blk.Len()), int64(points.FrameV1Len(task, blk))
 			}
+			return st, err
+		}
+		outputs[task], st, err = buildFrames(func(emit EmitPoint) (FrameStats, error) {
 			lo := task * share
 			rows, err := job.Feed.feed(lo, min(lo+share, job.Feed.units), job.Mapper, emit)
 			return FrameStats{MapIn: int64(rows)}, err
@@ -672,19 +677,15 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	}
 	timing := Timing{Map: time.Since(mapStart)}
 
-	// A map-only job's output is its map tasks' streams, assembled in task
-	// order; any other job's is the blocks its reduce tasks' folds finished,
-	// handed over as they are.
-	var blocks map[int]*points.Block
-	if mapOnly {
-		var streams [][]byte
-		for _, out := range outputs {
-			streams = append(streams, out...)
+	// A task job's output is its tasks' blocks, a row job's the blocks its
+	// reduce folds finished, both handed over as they are.
+	blocks := make(map[int]*points.Block)
+	for task, blk := range returned {
+		if blk != nil {
+			blocks[task] = blk
 		}
-		if blocks, err = AssembleFrames(streams); err != nil {
-			return fail(fmt.Errorf("mapreduce: %s: assembling the output: %w", cfg.Name, err))
-		}
-	} else {
+	}
+	if !whole {
 		// --- Shuffle -----------------------------------------------------
 		// Frames are already partitioned per reducer when map tasks seal
 		// them, so the in-memory shuffle is zero-copy and this phase is a
@@ -715,7 +716,6 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		}
 		timing.Reduce = time.Since(reduceStart)
 		st.Add(redStats)
-		blocks = make(map[int]*points.Block)
 		for _, out := range reduced {
 			maps.Copy(blocks, out)
 		}

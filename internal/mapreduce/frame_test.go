@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -229,88 +230,87 @@ func TestRunFramesEmptyInput(t *testing.T) {
 	}
 }
 
+// evenRows is a task mapper that returns, in order, the rows of its list
+// whose first coordinate is even, in a block of its own.
+var evenRows = TaskMapper(func(input Blocks) (*points.Block, FrameStats, error) {
+	var st FrameStats
+	var keep []*points.Block
+	err := input(func(blk *points.Block) error {
+		keep = append(keep, blk)
+		st.MapIn += int64(blk.Len())
+		return nil
+	})
+	out := points.NewBlock(3, int(st.MapIn))
+	for _, blk := range keep {
+		for r := 0; r < blk.Len(); r++ {
+			if int(blk.Row(r)[0])%2 == 0 {
+				out.AppendRow(blk.Row(r))
+			}
+		}
+	}
+	return out, st, err
+})
+
 // TestWholeInputTaskMapper: a job with a TaskMapper runs exactly the tasks
-// its WholeInput names, each handed its list — here all the blocks, every
-// time — and its own index; the counters are the rows the tasks took between
-// them, and MapFrames — the same task on an executor that ships the input as
-// a frame stream — seals the bytes the in-process task does.
+// its WholeInput names, each handed its own list, and its result is the
+// block each task returned, keyed by task — none for a task that returned
+// no rows; the counters are the rows the tasks took and returned between
+// them. MapFrames — the same task on an executor that ships the input as a
+// frame stream — seals that block as one frame of partition task, so the
+// tasks' frames assemble into the in-process result.
 func TestWholeInputTaskMapper(t *testing.T) {
 	data := frameTestData(500, 3, 5)
 	a, _ := points.BlockOf(data[:200])
 	b, _ := points.BlockOf(data[200:])
-	blocks := []*points.Block{a, points.NewBlock(0, 0), b}
-	const tasks = 4
-	// Task t keeps rows t, t+4, … of the input taken as one sequence.
-	strided := TaskMapper(func(input Blocks, task, n int, emit EmitPoint) (FrameStats, error) {
-		var st FrameStats
-		i := 0
-		err := input(func(blk *points.Block) error {
-			for r := 0; r < blk.Len(); r, i = r+1, i+1 {
-				if i%n == task {
-					emit(int(blk.Row(r)[0])%3, blk.Row(r))
-					st.MapIn++
-				}
-			}
-			return nil
-		})
-		return st, err
-	})
-	_, folder := identityFrameJob(3)
-	whole := WholeInput([][]*points.Block{blocks, blocks, blocks, blocks})
+	odd, _ := points.BlockOf(points.Set{{1, 2, 3}, {3, 2, 1}})
+	lists := [][]*points.Block{{a}, {points.NewBlock(3, 0), b}, {a, b}, {odd}}
 	res, err := RunFrames(context.Background(), Config{Name: "whole", Workers: 3, Reducers: 2},
-		FrameJob{Feed: whole, TaskMapper: strided, Folder: folder})
+		FrameJob{Feed: WholeInput(lists), TaskMapper: evenRows})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[int]points.Set)
-	for id, blk := range res.Blocks {
-		got[id] = blk.ToSet()
-	}
-	requireSameSets(t, routedDirectly(data, 3), got)
-	n := int64(len(data))
-	if c := res.Counters.Snapshot(); c[CounterMapIn] != n || c[CounterMapOut] != n || c[CounterShuffle] != n ||
-		c[CounterCombineIn] != 0 {
-		t.Errorf("counters %v; want %d rows in, out and shuffled, nothing combined", c, n)
-	}
-
-	// The same tasks from sealed splits, a split a block.
-	var stream []byte
-	for _, blk := range blocks {
-		stream = points.AppendFrame(stream, 0, blk)
-	}
-	for task := 0; task < tasks; task++ {
-		want, wantStats, err := buildFrames(func(emit EmitPoint) (FrameStats, error) {
-			return strided(blocksOf(blocks), task, tasks, emit)
-		}, nil, nil, 2, points.FrameDefault)
+	var in, out, sealed int64
+	var frames [][]byte
+	for task, list := range lists {
+		want, wantStats, err := evenRows(blocksOf(list))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, st, err := MapFrames(FrameJob{TaskMapper: strided, Folder: folder}, len(blocks), splitPerBlock(blocks), task, tasks, 2, points.FrameDefault)
+		in += wantStats.MapIn
+		got, ok := res.Blocks[task]
+		if ok != (want.Len() > 0) || ok && !slices.EqualFunc(got.ToSet(), want.ToSet(), slices.Equal[points.Point]) {
+			t.Errorf("task %d: the result holds %v, want the %d rows the task returned", task, ok, want.Len())
+		}
+		var frame []byte
+		if want.Len() > 0 {
+			frame = points.AppendFrame(nil, task, want)
+			out, sealed = out+int64(want.Len()), sealed+int64(len(frame))
+		}
+		parts, st, err := MapFrames(FrameJob{TaskMapper: evenRows}, len(list), splitPerBlock(list), task, 2, points.FrameDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(parts) != len(want) || !bytes.Equal(parts[0], want[0]) || !bytes.Equal(parts[1], want[1]) || st.MapIn != wantStats.MapIn {
-			t.Errorf("task %d: MapFrames sealed other bytes than the in-process task (%d rows in, want %d)", task, st.MapIn, wantStats.MapIn)
+		if len(parts) != 1 || !bytes.Equal(parts[0], frame) || st.MapIn != wantStats.MapIn ||
+			st.MapOut != int64(want.Len()) || st.OutputBytes != int64(len(frame)) || st.ShuffleBytes != 0 {
+			t.Errorf("task %d: MapFrames sealed %d streams, %+v; want one frame of the task's %d rows", task, len(parts), st, want.Len())
 		}
+		frames = append(frames, parts...)
 	}
-
-	// What is not a job, and what is not a task of one.
-	mapper, _ := identityFrameJob(3)
-	for name, job := range map[string]FrameJob{
-		"both mappers":              {Feed: whole, Mapper: mapper, TaskMapper: strided, Folder: folder},
-		"task mapper over rows":     {Feed: SetRows(data), TaskMapper: strided, Folder: folder},
-		"row mapper over the whole": {Feed: whole, Mapper: mapper, Folder: folder},
-	} {
-		if _, err := RunFrames(context.Background(), Config{Name: name}, job); err == nil {
-			t.Errorf("%s: RunFrames accepted it", name)
-		}
+	if len(res.Blocks) != 3 {
+		t.Errorf("the result has %d blocks, want one for each of the 3 tasks that kept a row", len(res.Blocks))
 	}
-	for _, at := range [][2]int{{-1, 4}, {4, 4}, {0, 0}} {
-		if _, _, err := MapFrames(FrameJob{TaskMapper: strided}, 1, oneSplit(stream), at[0], at[1], 2, points.FrameDefault); err == nil {
-			t.Errorf("MapFrames ran task %d of %d", at[0], at[1])
-		}
+	if c := res.Counters.Snapshot(); c[CounterMapIn] != in || c[CounterMapOut] != out || c[CounterOutputBytes] != sealed ||
+		c[CounterShuffle] != 0 || c[CounterShuffleBytes] != 0 || c[CounterCombineIn] != 0 {
+		t.Errorf("counters %v; want %d rows in, %d out as %d output bytes, nothing shuffled or combined", c, in, out, sealed)
 	}
-	if _, _, err := MapFrames(FrameJob{TaskMapper: strided}, 1, oneSplit(stream[:len(stream)-3]), 0, tasks, 2, points.FrameDefault); err == nil {
+	assembled, err := AssembleFrames(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(assembled, res.Blocks) {
+		t.Error("the workers' frames assemble into another result than the in-process job's")
+	}
+	if _, _, err := MapFrames(FrameJob{TaskMapper: evenRows}, 1, oneSplit(frames[0][:len(frames[0])-3]), 0, 2, points.FrameDefault); err == nil {
 		t.Error("MapFrames decoded a truncated whole input")
 	}
 }
@@ -350,14 +350,14 @@ func TestTaskMapperKeepsItsBlocks(t *testing.T) {
 		blocks = append(blocks, blk)
 	}
 	var kept []*points.Block
-	keep := TaskMapper(func(input Blocks, _, _ int, emit EmitPoint) (FrameStats, error) {
+	keep := TaskMapper(func(input Blocks) (*points.Block, FrameStats, error) {
 		err := input(func(blk *points.Block) error {
 			kept = append(kept, blk)
 			return nil
 		})
-		return FrameStats{}, err
+		return points.NewBlock(4, 0), FrameStats{}, err
 	})
-	if _, _, err := MapFrames(FrameJob{TaskMapper: keep}, len(blocks), splitPerBlock(blocks), 0, 1, 0, points.FrameDefault); err != nil {
+	if _, _, err := MapFrames(FrameJob{TaskMapper: keep}, len(blocks), splitPerBlock(blocks), 0, 0, points.FrameDefault); err != nil {
 		t.Fatal(err)
 	}
 	if len(kept) != len(blocks) {
@@ -370,23 +370,22 @@ func TestTaskMapperKeepsItsBlocks(t *testing.T) {
 	}
 	stop := errors.New("enough")
 	fetched := 0
-	first := TaskMapper(func(input Blocks, _, _ int, emit EmitPoint) (FrameStats, error) {
-		return FrameStats{}, input(func(*points.Block) error { return stop })
+	first := TaskMapper(func(input Blocks) (*points.Block, FrameStats, error) {
+		return nil, FrameStats{}, input(func(*points.Block) error { return stop })
 	})
 	_, _, err := MapFrames(FrameJob{TaskMapper: first}, len(blocks), func(i int) ([]byte, error) {
 		fetched++
 		return points.AppendFrame(nil, 0, blocks[i]), nil
-	}, 0, 1, 0, points.FrameDefault)
+	}, 0, 0, points.FrameDefault)
 	if !errors.Is(err, stop) || fetched != 1 {
 		t.Errorf("a task that stopped at its first block: err %v after %d fetches, want its own error after one", err, fetched)
 	}
 }
 
-// TestMapOnlyJob: a job without a Folder stops after its map phase. Its
-// result is its map tasks' sealed streams assembled in task order, whatever
-// order the tasks finished in; no reduce task runs; its bytes are
-// mr.output.bytes and never shuffle. MapFrames seals the same
-// bytes for such a job on a worker, as one stream.
+// TestMapOnlyJob: a task job stops after its map phase. Its result is the
+// blocks its tasks returned, as they are, each under its task's index
+// whatever order the tasks finished in; no reduce task runs; their v1
+// frame bytes are mr.output.bytes and never shuffle.
 func TestMapOnlyJob(t *testing.T) {
 	data := frameTestData(900, 3, 11)
 	var groups [][]*points.Block
@@ -394,35 +393,32 @@ func TestMapOnlyJob(t *testing.T) {
 		blk, _ := points.BlockOf(data[lo:min(lo+200, len(data))])
 		groups = append(groups, []*points.Block{blk})
 	}
-	// Task g sends its group, in order, to one shared partition.
-	concat := TaskMapper(func(input Blocks, task, tasks int, emit EmitPoint) (FrameStats, error) {
-		var st FrameStats
-		err := input(func(blk *points.Block) error {
-			for r := 0; r < blk.Len(); r++ {
-				emit(0, blk.Row(r))
-			}
-			st.MapIn += int64(blk.Len())
+	// Task g returns its group itself.
+	same := TaskMapper(func(input Blocks) (out *points.Block, st FrameStats, err error) {
+		err = input(func(blk *points.Block) error {
+			out, st.MapIn = blk, int64(blk.Len())
 			return nil
 		})
-		return st, err
+		return out, st, err
 	})
 	tr := telemetry.NewTracer()
 	res, err := RunFrames(telemetry.WithTracer(context.Background(), tr),
 		Config{Name: "map-only", Workers: 3, Reducers: 2},
-		FrameJob{Feed: WholeInput(groups), TaskMapper: concat})
+		FrameJob{Feed: WholeInput(groups), TaskMapper: same})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Blocks) != 1 || !slices.EqualFunc(res.Blocks[0].ToSet(), data, slices.Equal[points.Point]) {
-		t.Fatalf("map-only output is not the tasks' rows in task order")
-	}
 	var sealed int64
-	for _, g := range groups {
-		sealed += int64(len(points.AppendFrame(nil, 0, g[0])))
+	for g, in := range groups {
+		if res.Blocks[g] != in[0] {
+			t.Errorf("task %d's block was not handed over as it is", g)
+		}
+		sealed += int64(len(points.AppendFrame(nil, g, in[0])))
 	}
 	c := res.Counters.Snapshot()
-	if c[CounterShuffleBytes] != 0 || c[CounterShuffle] != 0 || c[CounterOutputBytes] != sealed || c[CounterMapIn] != int64(len(data)) {
-		t.Errorf("counters %v; want %d output bytes, nothing shuffled", c, sealed)
+	if len(res.Blocks) != len(groups) || c[CounterShuffleBytes] != 0 || c[CounterShuffle] != 0 || c[CounterOutputBytes] != sealed ||
+		c[CounterMapIn] != int64(len(data)) || c[CounterMapOut] != int64(len(data)) {
+		t.Errorf("%d blocks, counters %v; want %d blocks, %d output bytes, nothing shuffled", len(res.Blocks), c, len(groups), sealed)
 	}
 	for _, s := range tr.Spans() {
 		if s.Name == "reduce" || s.Name == "reduce-task" || s.Name == "shuffle" {
@@ -431,17 +427,6 @@ func TestMapOnlyJob(t *testing.T) {
 	}
 	if res.Timing.Reduce != 0 || res.Timing.Shuffle != 0 {
 		t.Errorf("timing %+v: a map-only job has no shuffle or reduce time", res.Timing)
-	}
-
-	// On a worker: one stream, the task's output.
-	stream := points.AppendFrame(nil, 0, groups[1][0])
-	parts, st, err := MapFrames(FrameJob{TaskMapper: concat}, 1, oneSplit(stream), 1, len(groups), 2, points.FrameDefault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 1 || !bytes.Equal(parts[0], stream) || st.OutputBytes != int64(len(stream)) || st.ShuffleBytes != 0 {
-		t.Errorf("MapFrames of a map-only task: %d streams, %d output bytes, %d shuffle bytes; want one stream of %d output bytes",
-			len(parts), st.OutputBytes, st.ShuffleBytes, len(stream))
 	}
 }
 

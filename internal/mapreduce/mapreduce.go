@@ -17,7 +17,8 @@
 // float64 coordinates, its keys are integer partition ids, and everything
 // between phases is a packed point frame (package points) — no string
 // keys and no per-point record anywhere. What a job computes is a FrameJob
-// value, which package rpcmr executes on a cluster unchanged.
+// value of one of two shapes (FrameJob.Check), which package rpcmr executes
+// on a cluster unchanged.
 package mapreduce
 
 import (
@@ -135,9 +136,8 @@ const (
 	// (gob framing, RPC headers), so in-process and rpcmr runs, and the
 	// paper's Fig. 6 shuffle volumes, compare like-for-like.
 	CounterShuffleBytes = "mr.shuffle.bytes"
-	// CounterOutputBytes counts the payload bytes a map-only job's tasks
-	// sealed: its output, in the same units, which crosses no shuffle and so
-	// is never booked as mr.shuffle.bytes.
+	// CounterOutputBytes counts a task job's output as frame bytes (v1 in
+	// process, as a worker sealed it on a cluster); it crosses no shuffle.
 	CounterOutputBytes = "mr.output.bytes"
 	CounterReduceIn    = "mr.reduce.records.in"
 	CounterReduceOut   = "mr.reduce.records.out"

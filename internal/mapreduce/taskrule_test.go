@@ -202,7 +202,7 @@ func TestMapFramesFoldsSplitsWarm(t *testing.T) {
 		buf = append(buf[:0], splits[i]...)
 		return buf, nil
 	}
-	got, gotStats, err := MapFrames(job, len(splits), inOneBuffer, 0, 1, 3, points.FrameDefault)
+	got, gotStats, err := MapFrames(job, len(splits), inOneBuffer, 0, 3, points.FrameDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestMapFramesFoldsSplitsWarm(t *testing.T) {
 	}
 	var cold int64
 	for _, s := range splits {
-		_, st, err := MapFrames(job, 1, oneSplit(s), 0, 1, 3, points.FrameDefault)
+		_, st, err := MapFrames(job, 1, oneSplit(s), 0, 3, points.FrameDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,11 +236,11 @@ func TestMapFramesFoldsSplitsWarm(t *testing.T) {
 			return splits[i], nil
 		},
 	} {
-		if _, _, err := MapFrames(job, len(splits), split, 0, 1, 3, points.FrameDefault); err == nil {
+		if _, _, err := MapFrames(job, len(splits), split, 0, 3, points.FrameDefault); err == nil {
 			t.Errorf("%s: the task did not fail", name)
 		}
 	}
-	if _, _, err := MapFrames(job, 0, inOneBuffer, 0, 1, 3, points.FrameDefault); err == nil {
+	if _, _, err := MapFrames(job, 0, inOneBuffer, 0, 3, points.FrameDefault); err == nil {
 		t.Error("a task of no splits did not fail")
 	}
 }

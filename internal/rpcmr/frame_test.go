@@ -26,20 +26,24 @@ const frameParts = 5
 // so ordering matters.
 var frameJobsOnce sync.Once
 
+// skyline-frame's mapper routes by first coordinate; its combiner is the
+// local skyline of the staged block, and of each assembled partition in
+// reduce.
+var (
+	frameMapper = func(row []float64, emit mapreduce.EmitPoint) error {
+		emit(int(row[0])%frameParts, row)
+		return nil
+	}
+	frameCombiner = func(partition int, blk *points.Block) (*points.Block, error) {
+		return skyline.BlockBNL(blk), nil
+	}
+)
+
 func ensureFrameJobs() {
 	ensureJobs()
 	frameJobsOnce.Do(func() {
-		// skyline-frame: route by first coordinate, local skyline as the
-		// combiner on the staged block, and over each assembled partition in
-		// reduce.
-		mapper := func(row []float64, emit mapreduce.EmitPoint) error {
-			emit(int(row[0])%frameParts, row)
-			return nil
-		}
-		combiner := func(partition int, blk *points.Block) (*points.Block, error) {
-			return skyline.BlockBNL(blk), nil
-		}
-		// skyline-fold: the same over 3-dimensional rows, its reducers 1 KiB
+		mapper, combiner := frameMapper, frameCombiner
+		// skyline-fold: skyline-frame's over 3-dimensional rows, its reducers 1 KiB
 		// budgeted folds — reduce tasks with a peak and a pass count to report.
 		RegisterJob("skyline-fold", func(params []byte) (Job, error) {
 			return Job{FrameJob: mapreduce.FrameJob{Mapper: mapper, Combiner: combiner,
@@ -58,12 +62,38 @@ func ensureFrameJobs() {
 				Folder:   mapreduce.Assembled(combiner),
 			}}, nil
 		})
-		// no-mapper: a job its factory builds with a reduce fold and nothing
-		// to map with, which lookupJob must refuse to instantiate.
-		RegisterJob("no-mapper", func([]byte) (Job, error) {
-			return Job{FrameJob: mapreduce.FrameJob{Folder: mapreduce.Assembled(nil)}}, nil
-		})
+		// Each of notJobs, which lookupJob must refuse to instantiate.
+		for name, nj := range notJobs() {
+			RegisterJob("not-a-job/"+name, func([]byte) (Job, error) { return Job{FrameJob: nj.job}, nil })
+		}
 	})
+}
+
+// notJob is a FrameJob that is no job: of neither of the engine's two
+// shapes, or — fed, only RunFrames refuses it — of one shape, fed the
+// other's input.
+type notJob struct {
+	job      mapreduce.FrameJob
+	feedOnly bool
+}
+
+// notJobs is what is not a job.
+func notJobs() map[string]notJob {
+	mapper, combiner := frameMapper, frameCombiner
+	rows := mapreduce.SetRows(frameClusterData(50, 3, 2))
+	blk, _ := points.BlockOf(frameClusterData(50, 3, 3))
+	whole := mapreduce.WholeInput([][]*points.Block{{blk}})
+	task, folder := driver.MergeJob(3, 0).TaskMapper, mapreduce.Assembled(nil)
+	return map[string]notJob{
+		"both mappers":                  {job: mapreduce.FrameJob{Feed: whole, Mapper: mapper, TaskMapper: task, Folder: folder}},
+		"no mapper":                     {job: mapreduce.FrameJob{Feed: rows, Folder: folder}},
+		"rows without a folder":         {job: mapreduce.FrameJob{Feed: rows, Mapper: mapper}},
+		"task mapper with a folder":     {job: mapreduce.FrameJob{Feed: whole, TaskMapper: task, Folder: folder}},
+		"task mapper with accumulators": {job: mapreduce.FrameJob{Feed: whole, TaskMapper: task, Accumulators: mapreduce.Staging}},
+		"task mapper with a combiner":   {job: mapreduce.FrameJob{Feed: whole, TaskMapper: task, Combiner: combiner}},
+		"task mapper over rows":         {job: mapreduce.FrameJob{Feed: rows, TaskMapper: task}, feedOnly: true},
+		"row mapper over the whole":     {job: mapreduce.FrameJob{Feed: whole, Mapper: mapper, Folder: folder}, feedOnly: true},
+	}
 }
 
 // frameClusterData builds a duplicate-heavy dataset.
@@ -187,7 +217,7 @@ func TestFramedShuffleMetrics(t *testing.T) {
 			wantInput += int64(len(frame))
 			return frame, err
 		}
-		streams, _, err := mapreduce.MapFrames(job.FrameJob, share[1]-share[0], split, 0, 1, 2, job.Codec)
+		streams, _, err := mapreduce.MapFrames(job.FrameJob, share[1]-share[0], split, 0, 2, job.Codec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,8 +577,10 @@ func TestRunRejectsWrongInputForm(t *testing.T) {
 // TestHostileReduceStreamsRejected: a reduce task's frame streams crossed a
 // wire, so what a worker does with bad ones is fail the task — a returned
 // error from the one reduce body (mapreduce's FuzzReduceFramesStream holds it
-// to more), under an assembling folder and a budgeted fold alike — and a job
-// with neither mapper is no job (one without a folder is map-only).
+// to more), under an assembling folder and a budgeted fold alike. And what
+// is not a job (notJobs) runs nowhere: RunFrames refuses it, and so do
+// MapFrames and lookupJob unless only its feed is wrong, which they do not
+// read.
 func TestHostileReduceStreamsRejected(t *testing.T) {
 	ensureFrameJobs()
 	rows := func(d int) *points.Block {
@@ -574,7 +606,24 @@ func TestHostileReduceStreamsRejected(t *testing.T) {
 		}
 	}
 
-	if _, err := lookupJob("no-mapper", nil); err == nil || !strings.Contains(err.Error(), "exactly one of mapper and task mapper") {
-		t.Errorf("a job without a mapper was instantiated: %v", err)
+	const notAShape, wrongFeed = "a job is a mapper with a folder, or a task mapper alone", "a row feed goes with a mapper"
+	refused := func(err error, why string) bool { return err != nil && strings.Contains(err.Error(), why) }
+	for name, nj := range notJobs() {
+		why := notAShape
+		if nj.feedOnly {
+			why = wrongFeed
+		}
+		if _, err := mapreduce.RunFrames(context.Background(), mapreduce.Config{Name: name}, nj.job); !refused(err, why) {
+			t.Errorf("%s: RunFrames did not refuse it with %q: %v", name, why, err)
+		}
+		if nj.feedOnly {
+			continue
+		}
+		if _, _, err := mapreduce.MapFrames(nj.job, 1, func(int) ([]byte, error) { return good, nil }, 0, 2, points.FrameDefault); !refused(err, notAShape) {
+			t.Errorf("%s: MapFrames did not refuse it: %v", name, err)
+		}
+		if _, err := lookupJob("not-a-job/"+name, nil); !refused(err, notAShape) {
+			t.Errorf("%s: lookupJob instantiated it: %v", name, err)
+		}
 	}
 }

@@ -88,7 +88,7 @@ type Master struct {
 type jobState struct {
 	spec    JobSpec
 	phase   TaskKind // TaskMap or TaskReduce
-	mapOnly bool     // the job has no Folder: its map output is its result
+	mapOnly bool     // a task job: its map tasks' blocks are its result
 	seq     uint64   // which of the master's jobs this is: TaskReply.Job
 	input   Input
 	tasks   []*taskState
@@ -375,10 +375,10 @@ func (m *Master) workersUp() int {
 // completes, fails, or ctx is cancelled. Only one job runs at a time;
 // concurrent Run calls return an error. The result is what
 // mapreduce.RunFrames returns for the job in process: blocks assembled from
-// the workers' output frames in reduce-task order — or, for a map-only job
-// (no Folder), which finishes on its last map report with no reduce phase,
-// in map-task order — the counters and per-partition volumes of the
-// accepted task reports, and the phase timing as the master saw it.
+// the workers' output frames in reduce-task order — or, for a task job,
+// which finishes on its last map report, a block per task, keyed by task —
+// the counters and per-partition volumes of the accepted task reports, and
+// the phase timing as the master saw it.
 func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce.FrameResult, error) {
 	// Validate the job is instantiable on the master side too, so typos
 	// fail fast rather than on a worker.
@@ -386,7 +386,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	if err != nil {
 		return nil, err
 	}
-	mapOnly := job.FrameJob.Folder == nil
+	mapOnly, _ := job.FrameJob.Check() // lookupJob refused any other shape
 	switch {
 	case mapOnly:
 		spec.Reducers = 0
@@ -397,7 +397,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		return nil, fmt.Errorf("rpcmr: job %q: no input (build one with FrameRows)", spec.Name)
 	}
 	// A task mapper's tasks each need every row; a row mapper's must not get them.
-	if whole := input.ends != nil; input.rows > 0 && whole != (job.FrameJob.TaskMapper != nil) {
+	if whole := input.ends != nil; input.rows > 0 && whole != mapOnly {
 		return nil, fmt.Errorf("rpcmr: job %q: a task mapper and a whole input (WholeFrames) go together", spec.Name)
 	}
 	ctx, jobSpan := telemetry.StartSpan(ctx, "rpcmr-job:"+spec.Name,

@@ -86,8 +86,8 @@ func lookupJob(name string, params []byte) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("rpcmr: instantiating job %q: %w", name, err)
 	}
-	if f := job.FrameJob; (f.Mapper == nil) == (f.TaskMapper == nil) {
-		return Job{}, fmt.Errorf("rpcmr: job %q must provide exactly one of mapper and task mapper", name)
+	if _, err := job.FrameJob.Check(); err != nil {
+		return Job{}, fmt.Errorf("rpcmr: job %q: %w", name, err)
 	}
 	return job, nil
 }
@@ -150,10 +150,6 @@ type TaskReply struct {
 	JobName  string
 	Params   []byte
 	Reducers int
-	// Tasks, on a map task, is the number of map tasks in the job: with
-	// TaskID, what a job whose tasks each receive a whole input of their own
-	// (see WholeFrames) divides its work by.
-	Tasks int
 	// Splits, on a map task, is how many splits its share is. Frames
 	// carries the first; the worker fetches each of the others with
 	// Master.NextSplit, whose reply is a TaskReply too, once it has walked
@@ -217,7 +213,8 @@ type ResultArgs struct {
 	Attempt  int
 	// Frames is the task's output as sealed frame streams: a map task's one
 	// batched payload per reducer, Frames[r] destined for reducer r, or the
-	// one output stream of a reduce task or of a map-only job's map task.
+	// one output stream of a reduce task, or a task job's map task's one
+	// frame, of partition TaskID.
 	Frames [][]byte
 	// Err is a non-empty string if the task failed on the worker.
 	Err string

@@ -146,7 +146,6 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	}
 	// A map task: its share's first split rides on the assignment, and the
 	// worker fetches each of the others (NextSplit).
-	reply.Tasks = len(js.tasks)
 	reply.Splits = t.end - t.first
 	if reply.Splits > 0 && !m.sealSplit(js, worker, t.first, reply) {
 		*reply = TaskReply{Kind: TaskWait}

@@ -181,7 +181,7 @@ func handTask(t *testing.T, svc *MasterService, worker string, task *TaskReply) 
 	var frames [][]byte
 	var st mapreduce.FrameStats
 	if task.Kind == TaskMap {
-		frames, st, err = mapreduce.MapFrames(job.FrameJob, task.Splits, split, task.TaskID, task.Tasks, task.Reducers, job.Codec)
+		frames, st, err = mapreduce.MapFrames(job.FrameJob, task.Splits, split, task.TaskID, task.Reducers, job.Codec)
 	} else {
 		frames, st, err = executeReduce(job, task)
 	}
@@ -269,9 +269,9 @@ func TestShareRule(t *testing.T) {
 			sealed = sealed[:0]
 			taker := fmt.Sprint("w", i)
 			task := take(svc, taker)
-			if task.Kind != TaskMap || task.TaskID != i || task.Tasks != len(tc.shares) || task.Splits != share[1]-share[0] {
-				t.Fatalf("%s: kind %d, task %d of %d with %d splits; want map task %d of %d with %d",
-					name, task.Kind, task.TaskID, task.Tasks, task.Splits, i, len(tc.shares), share[1]-share[0])
+			if task.Kind != TaskMap || task.TaskID != i || task.Splits != share[1]-share[0] {
+				t.Fatalf("%s: kind %d, task %d with %d splits; want map task %d with %d",
+					name, task.Kind, task.TaskID, task.Splits, i, share[1]-share[0])
 			}
 			for s := 1; s < task.Splits; s++ {
 				if next := fetch(svc, taker, task.Job, task.TaskID, task.Attempt, s); next.Kind != TaskMap || len(next.Frames) == 0 {
@@ -481,10 +481,10 @@ func TestLateReportNotCounted(t *testing.T) {
 	}
 }
 
-// TestMapOnlyJobFinishesOnItsLastMapReport: a job without a Folder is
-// map-only on the cluster too. Its last accepted map report finishes it —
-// no reduce task is ever handed out — and its result is its map tasks'
-// output in task order, booked as output, never as shuffle. A superseded
+// TestMapOnlyJobFinishesOnItsLastMapReport: a task job is map-only on the
+// cluster too. Its last accepted map report finishes it — no reduce task is
+// ever handed out — and its result is its map tasks' output, a block under
+// each task's index, booked as output, never as shuffle. A superseded
 // attempt's report and a late duplicate, after the finish, change nothing.
 // A worker holds one task, so the superseding attempt is another worker's.
 func TestMapOnlyJobFinishesOnItsLastMapReport(t *testing.T) {
@@ -541,10 +541,21 @@ func TestMapOnlyJobFinishesOnItsLastMapReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.res.Blocks) != 1 || !reflect.DeepEqual(out.res.Blocks[0].ToSet(), want[0].ToSet()) {
-		t.Error("the result is not the map tasks' output in task order")
+	if len(want) == 0 || !reflect.DeepEqual(out.res.Blocks, want) {
+		t.Error("the result is not the map tasks' output keyed by task")
 	}
-	if got, oracle := distinctSorted(out.res.Blocks[0].ToSet()), distinctSorted(skyline.BNL(data)); !reflect.DeepEqual(got, oracle) {
+	var global points.Set // the tasks' blocks in task order; a task that kept nothing has none
+	for task := range out.res.Blocks {
+		if task != late.TaskID && task != other.TaskID {
+			t.Errorf("the result has a block under %d, which is no task's index", task)
+		}
+	}
+	for task := 0; task < 2; task++ {
+		if blk := out.res.Blocks[task]; blk != nil {
+			global = append(global, blk.ToSet()...)
+		}
+	}
+	if got, oracle := distinctSorted(global), distinctSorted(skyline.BNL(data)); !reflect.DeepEqual(got, oracle) {
 		t.Errorf("a skyline of %d points, the oracle's has %d", len(got), len(oracle))
 	}
 	c := out.res.Counters.Snapshot()

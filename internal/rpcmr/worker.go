@@ -249,7 +249,7 @@ func (w *Worker) runTask(task *TaskReply) error {
 	switch {
 	case err != nil:
 	case task.Kind == TaskMap:
-		args.Frames, args.Stats, err = mapreduce.MapFrames(job.FrameJob, task.Splits, split, task.TaskID, task.Tasks, task.Reducers, job.Codec)
+		args.Frames, args.Stats, err = mapreduce.MapFrames(job.FrameJob, task.Splits, split, task.TaskID, task.Reducers, job.Codec)
 	default:
 		args.Frames, args.Stats, err = executeReduce(job, task)
 	}

@@ -148,7 +148,7 @@ func TestFramedMapSideMatchesBlockCombiner(t *testing.T) {
 	if job.FrameJob.Accumulators == nil || job.FrameJob.Combiner != nil {
 		t.Fatal("the BNL partitioning job does not fold map-side windows")
 	}
-	got, gotStats, err := mapreduce.MapFrames(job.FrameJob, 1, func(int) ([]byte, error) { return frame, nil }, 0, 1, 3, spec.Codec)
+	got, gotStats, err := mapreduce.MapFrames(job.FrameJob, 1, func(int) ([]byte, error) { return frame, nil }, 0, 3, spec.Codec)
 	if err != nil {
 		t.Fatal(err)
 	}

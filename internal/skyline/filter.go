@@ -168,14 +168,13 @@ func (s *Sorted) Input(ends []int, g, piece int) []*points.Block {
 // MergeTask is one task of the merge over dim-dimensional rows, reading its
 // input as Sorted.Input cuts it: the levels, the task's group, then the
 // rows to stream past the group. It lays the group out, kills it with every
-// streamed block and then with the group's own rows, and hands keep every
-// row of the group with fewer dominators than band (band 0: than one), in
-// the group's order, each valid for the call only. It returns the group's
-// rows and the peak it counts: the layout (LayoutBytes), the largest block
-// streamed and the rows kept. Input of another dimension, levels that are
-// not the merge's, and an input without a group are errors wrapping
-// ErrCandidates.
-func MergeTask(input func(each func(*points.Block) error) error, dim, band int, keep func(row []float64)) (rows int, peak int64, err error) {
+// streamed block and then with the group's own rows. It returns a copy of
+// the group's rows with fewer dominators than band (band 0: than one), in
+// its order, sized once; the group's rows; and the peak it counts: the
+// layout (LayoutBytes), the largest block streamed and the rows kept. Input
+// of another dimension, levels that are not the merge's, and an input
+// without a group are errors wrapping ErrCandidates.
+func MergeTask(input func(each func(*points.Block) error) error, dim, band int) (kept *points.Block, rows int, peak int64, err error) {
 	var (
 		levels   *points.Block
 		g        *group
@@ -200,10 +199,10 @@ func MergeTask(input func(each func(*points.Block) error) error, dim, band int, 
 		err = fmt.Errorf("%w: a merge task without a group", ErrCandidates)
 	}
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, 0, err
 	}
-	kept := g.alive(keep)
-	return g.rows.Len(), LayoutBytes(g.rows.Len(), dim) + int64(streamed+kept)*int64(dim)*8, nil
+	kept = g.alive()
+	return kept, g.rows.Len(), LayoutBytes(g.rows.Len(), dim) + int64(streamed+kept.Len())*int64(dim)*8, nil
 }
 
 // group is one group of the candidates laid out to be killed.
@@ -481,10 +480,9 @@ func (g *group) kills(q []float64, offs []int) int64 {
 
 // alive streams the group's own rows past it, in its order — skipping the
 // dead, whose killers came before them and have killed every row they
-// would — then hands keep every row with fewer dominators than it dies of,
-// in the group's order, each valid for the call only, and returns how many
-// it kept. It is called once, after the last kill.
-func (g *group) alive(keep func(row []float64)) int {
+// would — then returns a copy of the live rows, in its order, in a block
+// allocated at their count. It is called once, after the last kill.
+func (g *group) alive() *points.Block {
 	tests, offs := int64(0), make([]int, 0, g.rows.Dim())
 	for j := range g.dominators {
 		if g.dead[j/64]>>(j%64)&1 == 0 {
@@ -492,11 +490,14 @@ func (g *group) alive(keep func(row []float64)) int {
 		}
 	}
 	dominanceTests.Add(tests)
-	kept := 0
+	live := len(g.dominators)
+	for _, w := range g.dead {
+		live -= bits.OnesCount64(w)
+	}
+	kept := points.NewBlock(g.rows.Dim(), live)
 	for j, n := range g.dominators {
 		if n < g.dies {
-			keep(g.rows.Row(j))
-			kept++
+			kept.AppendRow(g.rows.Row(j))
 		}
 	}
 	return kept

@@ -99,9 +99,11 @@ func benchBlocked(b *testing.B, blocks []*points.Block, n, d int, budget int64) 
 		}
 		kept = 0
 		for g := range ends {
-			if _, _, err := MergeTask(stream(s.Input(ends, g, piece)), d, 0, func([]float64) { kept++ }); err != nil {
+			out, _, _, err := MergeTask(stream(s.Input(ends, g, piece)), d, 0)
+			if err != nil {
 				b.Fatal(err)
 			}
+			kept += out.Len()
 		}
 	}
 	b.ReportMetric(float64(kept), "survivors")

@@ -59,15 +59,32 @@ func merged(t testing.TB, rows [][]float64, nBlocks, builders, piece, band int, 
 		if g > 0 {
 			lo = at[g-1]
 		}
-		n, peak, err := MergeTask(stream(s.Input(at, g, piece)), d, band, func(row []float64) { out = append(out, slices.Clone(row)) })
+		kept, n, peak, err := MergeTask(stream(s.Input(at, g, piece)), d, band)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != hi-lo || peak < LayoutBytes(n, d) || LayoutBytes(n, d) <= int64(n)*int64(d)*8 {
 			t.Fatalf("group %d of %d rows: a task of %d rows, a peak of %d bytes (LayoutBytes %d)", g, hi-lo, n, peak, LayoutBytes(n, d))
 		}
+		if kept.Dim() != d || !sizedOnce(kept) {
+			t.Fatalf("group %d: %d survivors of dimension %d in a block with room past them", g, kept.Len(), kept.Dim())
+		}
+		out = append(out, kept.ToSet()...)
 	}
 	return out, s
+}
+
+// sizedOnce reports whether blk's backing array has no room past its rows
+// — capacity equal to length — by whether one more row moves them.
+func sizedOnce(blk *points.Block) bool {
+	n := blk.Len()
+	if n == 0 {
+		return true
+	}
+	defer blk.Truncate(n)
+	first := &blk.Row(0)[0]
+	blk.AppendRow(blk.Row(0))
+	return &blk.Row(0)[0] != first
 }
 
 // aGroupEach cuts every row into a group of its own.
@@ -293,7 +310,7 @@ func TestFilterRejects(t *testing.T) {
 		"a group of 3 dims":      {s.Levels, three},
 		"an empty group":         {s.Levels, points.NewBlock(2, 0)},
 	} {
-		if _, _, err := MergeTask(stream(in), 2, 0, func([]float64) {}); !errors.Is(err, ErrCandidates) {
+		if _, _, _, err := MergeTask(stream(in), 2, 0); !errors.Is(err, ErrCandidates) {
 			t.Errorf("%s: MergeTask returned %v; want ErrCandidates", name, err)
 		}
 	}
@@ -385,11 +402,12 @@ func TestFilterSharedReadOnly(t *testing.T) {
 	before := sortOf(s)
 	ends := s.Cut(8)
 	task := func(g int) int {
-		kept := 0
-		if _, _, err := MergeTask(stream(s.Input(ends, g, 100)), 5, 0, func([]float64) { kept++ }); err != nil {
+		kept, _, _, err := MergeTask(stream(s.Input(ends, g, 100)), 5, 0)
+		if err != nil {
 			t.Error(err)
+			return 0
 		}
-		return kept
+		return kept.Len()
 	}
 	want := make([]int, len(ends))
 	total := 0

@@ -87,8 +87,8 @@ func ParallelBlock(ctx context.Context, src *points.Block, workers int) *points.
 
 // mergeBlocks merges partial skylines of dim dimensions down to the skyline
 // of their union on workers goroutines: the merging job's groups and tasks
-// (filter.go), a group a goroutine, cut by Sorted.Cut, their survivors in
-// group order. The error is Sort's, or a task's.
+// (filter.go), a group a goroutine, cut by Sorted.Cut, the blocks they
+// return joined in group order. The error is Sort's, or a task's.
 func mergeBlocks(ctx context.Context, partials []*points.Block, dim, workers int) (*points.Block, error) {
 	_, span := telemetry.StartSpan(ctx, "merge", telemetry.A("blocks", len(partials)))
 	defer span.End()
@@ -100,8 +100,7 @@ func mergeBlocks(ctx context.Context, partials []*points.Block, dim, workers int
 	ends := s.Cut(workers)
 	outs, errs := make([]*points.Block, len(ends)), make([]error, len(ends))
 	fan.Out(len(ends), func(g int) {
-		outs[g] = points.NewBlock(dim, 0)
-		_, _, errs[g] = MergeTask(stream(s.Input(ends, g, 0)), dim, 0, outs[g].AppendRow)
+		outs[g], _, _, errs[g] = MergeTask(stream(s.Input(ends, g, 0)), dim, 0)
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
