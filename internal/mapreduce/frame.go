@@ -1,9 +1,11 @@
 package mapreduce
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -495,9 +497,23 @@ type RowFeed struct {
 // WholeInput feeds map task t the blocks inputs[t], whole and as they are,
 // one at a time — len(inputs) tasks: the feed of a job with a TaskMapper.
 // The merge hands task g the levels, its group and then the rows at or
-// below the group's sums.
+// below the group's sums. The tasks start in LargestFirst order.
 func WholeInput(inputs [][]*points.Block) RowFeed {
 	return RowFeed{whole: inputs}
+}
+
+// LargestFirst is the order a task job's tasks start in, on either
+// executor: by descending input rows, ties by index. A task's work grows
+// with its input, so the longest tasks start first and the round does not
+// wait on a large task that started last. The result is keyed by task
+// index whatever the order.
+func LargestFirst(rows []int) []int {
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(rows[b], rows[a]) })
+	return order
 }
 
 // SetRows feeds an in-memory point set, in order; its unit is the row.
@@ -628,8 +644,16 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	// A map task is a worker's share of the feed's units (see RowFeed).
 	share := max((units+cfg.Workers-1)/cfg.Workers, 1)
 	tasks := (units + share - 1) / share
+	var order []int // the map tasks in the order they start; nil: by index
 	if whole {
 		tasks, cfg.Reducers = len(job.Feed.whole), 0
+		rows := make([]int, tasks)
+		for task, input := range job.Feed.whole {
+			for _, blk := range input {
+				rows[task] += blk.Len()
+			}
+		}
+		order = LargestFirst(rows)
 	}
 	counters := NewCounters()
 	start := time.Now()
@@ -648,7 +672,7 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 	mapStart := time.Now()
 	// A row task's stream for reducer r is outputs[task][r], a task's block returned[task].
 	outputs, returned := make([][][]byte, tasks), make([]*points.Block, tasks)
-	st, err := runPhase(mapCtx, cfg, "map", tasks, func(task int) (st FrameStats, err error) {
+	st, err := runPhase(mapCtx, cfg, "map", tasks, order, func(task int) (st FrameStats, err error) {
 		if whole {
 			blk, st, err := job.TaskMapper(func(each func(*points.Block) error) error {
 				for _, blk := range job.Feed.whole[task] {
@@ -702,7 +726,7 @@ func RunFrames(ctx context.Context, cfg Config, job FrameJob) (*FrameResult, err
 		redCtx, reduceSpan := telemetry.StartSpan(ctx, "reduce", telemetry.A("tasks", cfg.Reducers))
 		reduceStart := time.Now()
 		reduced := make([]map[int]*points.Block, cfg.Reducers)
-		redStats, err := runPhase(redCtx, cfg, "reduce", cfg.Reducers, func(r int) (st FrameStats, err error) {
+		redStats, err := runPhase(redCtx, cfg, "reduce", cfg.Reducers, nil, func(r int) (st FrameStats, err error) {
 			in := make([][]byte, tasks)
 			for task, out := range outputs {
 				in[task] = out[r]
@@ -760,13 +784,16 @@ func NewFrameResult(blocks map[int]*points.Block, counters *Counters, st FrameSt
 
 // runPhase runs a phase's n tasks on cfg.Workers goroutines, each under a
 // "<kind>-task" span on its worker's track, and returns their summed
-// tallies. A task runs once: in process a failure repeats on a second
-// attempt (a bad row, a fold's full overflow disk), so the first error fails
-// the job.
-func runPhase(ctx context.Context, cfg Config, kind string, n int, task func(i int) (FrameStats, error)) (FrameStats, error) {
+// tallies. The tasks start in order (nil: by index). A task runs once: in
+// process a failure repeats on a second attempt (a bad row, a fold's full
+// overflow disk), so the first error fails the job.
+func runPhase(ctx context.Context, cfg Config, kind string, n int, order []int, task func(i int) (FrameStats, error)) (FrameStats, error) {
 	var mu sync.Mutex
 	var agg FrameStats
 	err := runTasks(ctx, cfg.Workers, n, func(worker, i int) error {
+		if order != nil {
+			i = order[i]
+		}
 		_, span := telemetry.StartSpan(ctx, kind+"-task", telemetry.A("task", i))
 		span.SetTrack(worker + 1)
 		defer span.End()

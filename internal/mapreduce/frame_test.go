@@ -315,6 +315,41 @@ func TestWholeInputTaskMapper(t *testing.T) {
 	}
 }
 
+// TestTaskJobStartsLargestFirst: a task job's tasks start by descending
+// input rows, ties by index (LargestFirst), and the result is keyed by task
+// index whatever the order.
+func TestTaskJobStartsLargestFirst(t *testing.T) {
+	if got, want := LargestFirst([]int{3, 7, 0, 7, 5}), []int{1, 3, 4, 0, 2}; !slices.Equal(got, want) {
+		t.Errorf("LargestFirst = %v, want %v", got, want)
+	}
+	data := frameTestData(60, 3, 9)
+	var lists [][]*points.Block
+	for _, n := range []int{5, 20, 1, 20, 14} {
+		blk, _ := points.BlockOf(data[:n])
+		lists = append(lists, []*points.Block{blk})
+	}
+	var started []int64
+	record := TaskMapper(func(input Blocks) (*points.Block, FrameStats, error) {
+		blk, st, err := evenRows(input)
+		started = append(started, st.MapIn) // one worker: one task at a time
+		return blk, st, err
+	})
+	res, err := RunFrames(context.Background(), Config{Name: "order", Workers: 1},
+		FrameJob{Feed: WholeInput(lists), TaskMapper: record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{20, 20, 14, 5, 1}; !slices.Equal(started, want) {
+		t.Errorf("tasks of %v rows started in the order %v, want %v", []int{5, 20, 1, 20, 14}, started, want)
+	}
+	for task, list := range lists {
+		want, _, _ := evenRows(blocksOf(list))
+		if got := res.Blocks[task]; want.Len() > 0 && (got == nil || got.Len() != want.Len()) {
+			t.Errorf("task %d: the result under its index is not its block", task)
+		}
+	}
+}
+
 // blocksOf is blocks as a task's input stream, the way WholeInput hands it.
 func blocksOf(blocks []*points.Block) Blocks {
 	return func(each func(*points.Block) error) error {

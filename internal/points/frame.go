@@ -59,12 +59,18 @@ func AppendFrame(dst []byte, partition int, blk *Block) []byte {
 // bounds FrameAuto's frame, which keeps v2 only when it is shorter, and v2's
 // on data that packs at all.
 func FrameV1Len(partition int, blk *Block) int {
-	n := blk.Len()
-	l := 1 + uvarintLen(uint64(partition)) + uvarintLen(uint64(n))
-	if n == 0 {
+	return FrameRowsLen(partition, blk.Len(), blk.dim)
+}
+
+// FrameRowsLen is the exact length of the v1 frame of rows points of
+// dimension dim for partition: AppendFrameRows's, and AppendFrame's for a
+// block of that shape.
+func FrameRowsLen(partition, rows, dim int) int {
+	l := 1 + uvarintLen(uint64(partition)) + uvarintLen(uint64(rows))
+	if rows == 0 {
 		return l + 1
 	}
-	return l + uvarintLen(uint64(blk.dim)) + len(blk.coords)*8
+	return l + uvarintLen(uint64(dim)) + rows*dim*8
 }
 
 func uvarintLen(v uint64) int {

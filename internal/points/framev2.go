@@ -193,31 +193,23 @@ func appendFrameV2(dst []byte, partition int, blk *Block) []byte {
 		w.writeBits(prev, 64)
 		// Invalid window: sig 0 forces the first non-zero XOR onto the
 		// '11' full-window branch.
-		var lead, trail, sig uint = 0, 0, 0
+		var win window
 		for i := 1; i < n; i++ {
 			cur := math.Float64bits(blk.coords[i*d+j])
 			xor := cur ^ prev
 			prev = cur
-			if xor == 0 {
+			switch {
+			case xor == 0:
 				w.writeBit(0)
-				continue
-			}
-			l := uint(bits.LeadingZeros64(xor))
-			if l > 63 {
-				l = 63
-			}
-			t := uint(bits.TrailingZeros64(xor))
-			if sig > 0 && l >= lead && t >= trail {
+			case win.fits(xor):
 				w.writeBits(2, 2) // '10'
-				w.writeBits(xor>>trail, sig)
-				continue
+				w.writeBits(xor>>win.trail, win.sig)
+			default:
+				w.writeBits(3, 2) // '11'
+				w.writeBits(uint64(win.lead), 6)
+				w.writeBits(uint64(win.sig-1), 6)
+				w.writeBits(xor>>win.trail, win.sig)
 			}
-			lead, trail = l, t
-			sig = 64 - lead - trail
-			w.writeBits(3, 2) // '11'
-			w.writeBits(uint64(lead), 6)
-			w.writeBits(uint64(sig-1), 6)
-			w.writeBits(xor>>trail, sig)
 		}
 	}
 	payload := w.finish()
@@ -230,6 +222,60 @@ func appendFrameV2(dst []byte, partition int, blk *Block) []byte {
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
 	dst = append(dst, crc[:]...)
 	return append(dst, payload...)
+}
+
+// window is a v2 column's bit window: the leading and trailing zeros and
+// the significant bits of the XOR that opened it. The zero window is
+// invalid, so that the first non-zero XOR of a column opens one.
+type window struct{ lead, trail, sig uint }
+
+// fits says whether the non-zero xor's bits fit the window; when they do
+// not, xor opens the window that replaces it.
+func (w *window) fits(xor uint64) bool {
+	l := min(uint(bits.LeadingZeros64(xor)), 63)
+	t := uint(bits.TrailingZeros64(xor))
+	if w.sig > 0 && l >= w.lead && t >= w.trail {
+		return true
+	}
+	w.lead, w.trail, w.sig = l, t, 64-l-t
+	return false
+}
+
+// FrameCodecLen is the exact length of AppendFrameCodec's frame of blk for
+// partition under codec, computed without encoding it: what a writer that
+// announces a frame's length before it writes the frame reads. Under v2 and
+// FrameAuto it counts the bits appendFrameV2 would write.
+func FrameCodecLen(partition int, blk *Block, codec FrameCodec) int {
+	v1 := FrameV1Len(partition, blk)
+	n := blk.Len()
+	if n == 0 || (codec != FrameV2 && codec != FrameAuto) {
+		return v1
+	}
+	nbits, d := 0, blk.dim
+	for j := 0; j < d; j++ {
+		nbits += 64
+		prev := math.Float64bits(blk.coords[j])
+		var win window
+		for i := 1; i < n; i++ {
+			cur := math.Float64bits(blk.coords[i*d+j])
+			xor := cur ^ prev
+			prev = cur
+			switch {
+			case xor == 0:
+				nbits++
+			case win.fits(xor):
+				nbits += 2 + int(win.sig)
+			default:
+				nbits += 14 + int(win.sig)
+			}
+		}
+	}
+	packed := (nbits + 7) / 8
+	v2 := 1 + uvarintLen(uint64(partition)) + uvarintLen(uint64(n)) + uvarintLen(uint64(d)) + uvarintLen(uint64(packed)) + 4 + packed
+	if codec == FrameAuto && v2 >= v1 {
+		return v1
+	}
+	return v2
 }
 
 // ---------------------------------------------------------------------------

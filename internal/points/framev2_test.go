@@ -286,3 +286,44 @@ func TestFrameV2ReserveKeepsBytes(t *testing.T) {
 		t.Errorf("v2 encode of an uncompressible block: %v allocations, want 1", allocs)
 	}
 }
+
+// TestFrameLensAreTheEncodersLengths: FrameCodecLen is the length of the
+// frame AppendFrameCodec writes, under every codec, for blocks that pack,
+// that do not (where FrameAuto falls back to v1), that hold special values
+// and that are empty or one row; and FrameRowsLen is AppendFrameRows's.
+func TestFrameLensAreTheEncodersLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	special := NewBlock(3, 0)
+	for _, r := range [][]float64{{0, math.Copysign(0, -1), 1}, {math.Inf(1), math.Inf(-1), math.NaN()}, {1, 1, 1}, {1, 1, 1}} {
+		special.AppendRow(r)
+	}
+	adversarial := NewBlock(2, 0)
+	for i := 0; i < 100; i++ {
+		adversarial.AppendRow([]float64{math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64())})
+	}
+	blocks := map[string]*Block{
+		"correlated":  randomBlock(rng, 500, 6, true),
+		"uniform":     randomBlock(rng, 700, 4, false),
+		"one row":     randomBlock(rng, 1, 5, false),
+		"empty":       NewBlock(3, 0),
+		"special":     special,
+		"adversarial": adversarial,
+	}
+	for name, blk := range blocks {
+		for _, codec := range []FrameCodec{FrameDefault, FrameV1, FrameV2, FrameAuto} {
+			for _, partition := range []int{0, 300} {
+				if got, want := FrameCodecLen(partition, blk, codec), len(AppendFrameCodec(nil, partition, blk, codec)); got != want {
+					t.Errorf("%s, codec %v, partition %d: FrameCodecLen %d, the frame is %d bytes", name, codec, partition, got, want)
+				}
+			}
+		}
+		rows := blk.ToSet()
+		frame, err := AppendFrameRows(nil, 200, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := FrameRowsLen(200, len(rows), rows.Dim()); got != len(frame) {
+			t.Errorf("%s: FrameRowsLen %d, AppendFrameRows wrote %d bytes", name, got, len(frame))
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,17 +114,20 @@ func frameClusterData(n, d int, seed int64) points.Set {
 	return data
 }
 
-// setFrames is a set as a job's input: each split one v1 frame, encoded
-// into the master's buffer when it asks. built, when non-nil, sees every
-// frame handed over (under the caller's own synchronisation) — while it is
-// handed over: the master will seal another split into the same memory.
+// setFrames is a set as a job's input: each split v1 frames of at most
+// WalkRows rows, framed from the set as the split is written. built, when
+// non-nil, sees every frame written (under the caller's own
+// synchronisation), keyed by its rows.
 func setFrames(data points.Set, built func(lo, hi int, frame []byte)) Input {
-	return FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) {
-		frame, err := points.AppendFrameRows(dst, 0, data[lo:hi])
+	return FrameRows(len(data), func(lo, hi int) (int, error) {
+		return points.FrameRowsLen(0, hi-lo, data.Dim()), nil
+	}, func(dst []byte, lo, hi int) ([]byte, error) {
+		mark := len(dst)
+		dst, err := points.AppendFrameRows(dst, 0, data[lo:hi])
 		if err == nil && built != nil {
-			built(lo, hi, frame)
+			built(lo, hi, dst[mark:])
 		}
-		return frame, err
+		return dst, err
 	})
 }
 
@@ -133,7 +137,7 @@ const wholeBlockRows = 256
 // wholeFrames is a set, as blocks of wholeBlockRows rows, cut into the
 // merging job's input over tasks groups (driver.MergeInput): each task's
 // blocks a v1 frame and a split each. built, when not nil, sees every split
-// sealed, keyed by its index in the job.
+// written, keyed by its index in the job.
 func wholeFrames(data points.Set, tasks int, built func(lo, hi int, frame []byte)) Input {
 	var candidates []*points.Block
 	for lo := 0; lo < len(data); lo += wholeBlockRows {
@@ -144,20 +148,59 @@ func wholeFrames(data points.Set, tasks int, built func(lo, hi int, frame []byte
 	if err != nil {
 		panic(err)
 	}
-	blocks, first := make([]int, len(inputs)), make([]int, len(inputs))
+	rows, blocks, first := make([]int, len(inputs)), make([]int, len(inputs)), make([]int, len(inputs))
 	for t, in := range inputs {
 		blocks[t] = len(in)
+		for _, blk := range in {
+			rows[t] += blk.Len()
+		}
 		if t > 0 {
 			first[t] = first[t-1] + blocks[t-1]
 		}
 	}
-	return WholeFrames(len(data), blocks, func(dst []byte, t, b int) ([]byte, error) {
-		frame := points.AppendFrame(dst, 0, inputs[t][b])
+	return WholeFrames(rows, blocks, func(t, b int) (int, error) {
+		return points.FrameV1Len(0, inputs[t][b]), nil
+	}, func(dst []byte, t, b int) ([]byte, error) {
+		mark := len(dst)
+		dst = points.AppendFrame(dst, 0, inputs[t][b])
 		if built != nil {
-			built(first[t]+b, first[t]+b+1, frame)
+			built(first[t]+b, first[t]+b+1, dst[mark:])
 		}
-		return frame, nil
+		return dst, nil
 	})
+}
+
+// splitBytes is split number split of in, of size rows a split, as the wire
+// writes it.
+func splitBytes(in Input, split, size int) ([]byte, error) {
+	p, err := in.split(split, size)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	_, err = p.writeTo(&buf, nil)
+	return buf.Bytes(), err
+}
+
+// delivered is a reply taken by hand as a worker receives it: its split
+// written out into Frames, as the wire writes it, and the reply sent.
+func delivered(reply *TaskReply) *TaskReply {
+	if reply.split.frame != nil {
+		var buf bytes.Buffer
+		if _, err := reply.split.writeTo(&buf, nil); err != nil {
+			panic(err)
+		}
+		reply.Frames, reply.split = buf.Bytes(), payload{}
+	}
+	reply.sent()
+	return reply
+}
+
+// requestTask is one RequestTask by hand, its reply delivered.
+func requestTask(svc *MasterService, worker string) TaskReply {
+	var task TaskReply
+	_ = svc.RequestTask(TaskArgs{WorkerID: worker}, &task)
+	return *delivered(&task)
 }
 
 // distinctSorted reduces a multiset to its sorted distinct points.
@@ -213,7 +256,7 @@ func TestFramedShuffleMetrics(t *testing.T) {
 	for _, share := range shares {
 		split := func(i int) ([]byte, error) {
 			s := share[0] + i
-			frame, err := input.frame(nil, s, 200)
+			frame, err := splitBytes(input, s, 200)
 			wantInput += int64(len(frame))
 			return frame, err
 		}
@@ -360,8 +403,7 @@ func TestBadReportsNotCounted(t *testing.T) {
 	svc := &MasterService{m: master}
 	failed := map[[2]int]bool{} // (kind, task) already reported failed once
 	for {
-		var task TaskReply
-		_ = svc.RequestTask(TaskArgs{WorkerID: "hand"}, &task)
+		task := requestTask(svc, "hand")
 		switch task.Kind {
 		case TaskWait:
 			select {
@@ -415,8 +457,7 @@ func TestReportFromPastJobIgnored(t *testing.T) {
 	svc := &MasterService{m: master}
 	take := func() TaskReply {
 		for {
-			var task TaskReply
-			_ = svc.RequestTask(TaskArgs{WorkerID: "hand"}, &task)
+			task := requestTask(svc, "hand")
 			if task.Kind == TaskMap {
 				return task
 			}
@@ -463,18 +504,21 @@ func TestReportFromPastJobIgnored(t *testing.T) {
 }
 
 // TestSplitBuiltOutsideMasterLock: while one worker's split is still being
-// encoded, the master goes on answering everyone else — registrations, task
-// requests (the next split is built and handed out), health reads.
+// checked and sized, the master goes on answering everyone else —
+// registrations, task requests (the next split is sized and handed out),
+// health reads.
 func TestSplitBuiltOutsideMasterLock(t *testing.T) {
 	ensureFrameJobs()
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 0, WorkerConfig{})
 	data := frameClusterData(300, 3, 5)
 	entered, release := make(chan struct{}), make(chan struct{})
-	input := FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) {
+	input := FrameRows(len(data), func(lo, hi int) (int, error) {
 		if lo == 0 {
 			close(entered)
 			<-release
 		}
+		return points.FrameRowsLen(0, hi-lo, 3), nil
+	}, func(dst []byte, lo, hi int) ([]byte, error) {
 		return points.AppendFrameRows(dst, 0, data[lo:hi])
 	})
 	// Two workers: two shares, the first of splits 0 and 1, the second of 2.
@@ -491,17 +535,12 @@ func TestSplitBuiltOutsideMasterLock(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	held := make(chan TaskReply, 1)
-	go func() {
-		var reply TaskReply
-		_ = svc.RequestTask(TaskArgs{WorkerID: "slow"}, &reply)
-		held <- reply
-	}()
-	<-entered // split 0's builder is now blocked, off the lock
+	go func() { held <- requestTask(svc, "slow") }()
+	<-entered // split 0's check is now blocked, off the lock
 	answered := make(chan TaskReply, 1)
 	go func() {
 		_ = svc.Register(RegisterArgs{WorkerID: "newcomer"}, &RegisterReply{})
-		var reply TaskReply
-		_ = svc.RequestTask(TaskArgs{WorkerID: "other"}, &reply)
+		reply := requestTask(svc, "other")
 		_ = master.Health()
 		answered <- reply
 	}()
@@ -540,9 +579,13 @@ func TestRunRejectsWrongInputForm(t *testing.T) {
 	if err := run("skyline-frame", Input{}); err == nil || !strings.Contains(err.Error(), "FrameRows") {
 		t.Errorf("zero Input: %v", err)
 	}
-	broken := FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) { return nil, errors.New("disk on fire") })
-	if err := run("skyline-frame", broken); err == nil || !strings.Contains(err.Error(), "disk on fire") {
-		t.Errorf("failing split source: %v", err)
+	// A split whose rows fail their check fails the job before a byte of it
+	// is written.
+	var framed atomic.Int64
+	broken := FrameRows(len(data), func(lo, hi int) (int, error) { return 0, errors.New("disk on fire") },
+		func(dst []byte, lo, hi int) ([]byte, error) { framed.Add(1); return dst, nil })
+	if err := run("skyline-frame", broken); err == nil || !strings.Contains(err.Error(), "disk on fire") || framed.Load() != 0 {
+		t.Errorf("failing split source: %v, %d frames written", err, framed.Load())
 	}
 	// A task mapper needs the whole input in every task, a row mapper must
 	// not get it: tasks of the other kind would each compute something, wrongly.
@@ -568,9 +611,14 @@ func TestRunRejectsWrongInputForm(t *testing.T) {
 	}
 	t.Cleanup(func() { w.Close() })
 	go func() { _ = w.Run(context.Background()) }()
-	_, err = small.Run(context.Background(), JobSpec{Name: "skyline-frame", Reducers: 2}, setFrames(data, nil))
+	var written atomic.Int64
+	_, err = small.Run(context.Background(), JobSpec{Name: "skyline-frame", Reducers: 2},
+		setFrames(data, func(int, int, []byte) { written.Add(1) }))
 	if err == nil || !strings.Contains(err.Error(), "SplitSize") {
 		t.Errorf("oversized split: %v, want an error naming SplitSize", err)
+	}
+	if n := written.Load(); n != 0 {
+		t.Errorf("%d frames of an oversized split written, want none", n)
 	}
 }
 

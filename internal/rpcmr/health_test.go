@@ -304,8 +304,7 @@ func TestRestartedWorkerGivesUpItsTask(t *testing.T) {
 			case "RequestTask":
 				// Were the task not queued again, the request would be held.
 				asked := time.Now()
-				var again TaskReply
-				_ = svc.RequestTask(TaskArgs{WorkerID: "w"}, &again)
+				again := requestTask(svc, "w")
 				if again.Kind != TaskMap || again.TaskID != task.TaskID || again.Attempt != task.Attempt+1 {
 					t.Fatalf("kind %d, task %d attempt %d; want the task it held again", again.Kind, again.TaskID, again.Attempt)
 				}

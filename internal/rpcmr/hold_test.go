@@ -3,9 +3,11 @@ package rpcmr
 import (
 	"bytes"
 	"context"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/points"
 )
@@ -17,23 +19,17 @@ func heldRequests(m *Master) int {
 	return m.held
 }
 
-// TestSplitBufferBorrowedUntilSent: a split buffer belongs to the reply that
-// carries it until that reply has been sent, and only then to the next
-// split. Replies that cross no wire are never sent, so here the test says
-// when: two tasks in flight are two buffers; the one that is sent is the
-// next task's; and a task whose worker died is sealed again — the same
-// bytes — into memory that is none of the unsent replies'.
-func TestSplitBufferBorrowedUntilSent(t *testing.T) {
+// TestRunWaitsForSplitsInFlight: a split is checked and sized when it is
+// handed out and read from the input only when the reply that carries it is
+// written, so Run does not return while a split it handed out is unwritten.
+// Replies that cross no wire are never sent, so here the test says when. A
+// task whose worker died is handed out again, to the same bytes.
+func TestRunWaitsForSplitsInFlight(t *testing.T) {
 	ensureFrameJobs()
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: 100, LivenessWindow: healthWindow}, 0, WorkerConfig{})
 	data := frameClusterData(250, 3, 8) // 300 rows: three splits
-	// split's first row → the memory it was last asked to seal into. Splits
-	// are sealed by whoever asks for a task: here, this goroutine alone.
-	lent := map[int]*byte{}
-	input := FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) {
-		lent[lo] = unsafe.SliceData(dst)
-		return points.AppendFrameRows(dst, 0, data[lo:hi])
-	})
+	var framed atomic.Int64
+	input := setFrames(data, func(int, int, []byte) { framed.Add(1) })
 	// Three workers: three shares, one split each.
 	svc := &MasterService{m: master}
 	for _, id := range []string{"a", "b", "c"} {
@@ -49,43 +45,117 @@ func TestSplitBufferBorrowedUntilSent(t *testing.T) {
 		if err := svc.RequestTask(TaskArgs{WorkerID: worker}, reply); err != nil {
 			t.Fatal(err)
 		}
-		if reply.Kind != TaskMap || len(reply.Frames) == 0 {
-			t.Fatalf("worker %s got kind %d with %d frame bytes, want a map task", worker, reply.Kind, len(reply.Frames))
+		if reply.Kind != TaskMap || reply.split.n != points.FrameRowsLen(0, 100, 3) || len(reply.Frames) != 0 {
+			t.Fatalf("worker %s got kind %d, a %d-byte split and %d frame bytes; want a map task's 100-row split, unwritten",
+				worker, reply.Kind, reply.split.n, len(reply.Frames))
 		}
 		return reply
 	}
-	a, b := request("a"), request("b") // held until the job is installed
-	if a.TaskID != 0 || b.TaskID != 1 {
-		t.Fatalf("tasks %d and %d, want 0 and 1", a.TaskID, b.TaskID)
+	a, b, c := request("a"), request("b"), request("c") // held until the job is installed
+	if a.TaskID != 0 || b.TaskID != 1 || c.TaskID != 2 {
+		t.Fatalf("tasks %d, %d and %d, want 0, 1 and 2", a.TaskID, b.TaskID, c.TaskID)
 	}
-	if lent[0] != nil || lent[100] != nil || unsafe.SliceData(a.Frames) == unsafe.SliceData(b.Frames) {
-		t.Fatal("two tasks in flight do not have a buffer each")
+	if n := framed.Load(); n != 0 {
+		t.Fatalf("%d frames written for three replies not yet sent", n)
 	}
-	first := bytes.Clone(a.Frames)
-	sentMemory := unsafe.SliceData(a.Frames)
-	a.sent()
-	c := request("c")
-	if c.TaskID != 2 || lent[200] != sentMemory {
-		t.Errorf("task %d was not sealed into the buffer the sent reply gave back", c.TaskID)
+	want, _ := points.AppendFrameRows(nil, 0, data[:100])
+	if !bytes.Equal(delivered(a).Frames, want) {
+		t.Fatal("split 0 as written is not its rows' frame")
 	}
-	for _, id := range []string{"a", "b", "c"} { // all three holders die, a's task first
-		silenceToDeath(t, master, id)
-	}
+	silenceToDeath(t, master, "a")
 	again := request("d")
 	if again.TaskID != 0 || again.Attempt != 1 {
-		t.Fatalf("task %d attempt %d after the holders died, want task 0 again", again.TaskID, again.Attempt)
+		t.Fatalf("task %d attempt %d after its holder died, want task 0 again", again.TaskID, again.Attempt)
 	}
-	for name, unsent := range map[string]*TaskReply{"b": b, "c": c} {
-		if lent[0] == unsafe.SliceData(unsent.Frames) {
-			t.Errorf("the re-issued task was sealed into the buffer of reply %s, which has not been sent", name)
-		}
-	}
-	if !bytes.Equal(again.Frames, first) {
+	if !bytes.Equal(delivered(again).Frames, want) {
 		t.Error("the re-issued task's input differs from its first attempt's")
 	}
 	master.Close()
+	for _, unsent := range []*TaskReply{b, c} {
+		select {
+		case err := <-done:
+			t.Fatalf("Run returned (%v) while a split it handed out was unwritten", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		delivered(unsent)
+	}
 	if err := <-done; err == nil {
 		t.Error("job finished though none of its map tasks was executed")
+	}
+}
+
+// TestNothingReadsTheInputAfterRun: when Run returns nothing reads its input
+// any more — no split is being sized or written — whether the job was
+// cancelled, its master closed, or it failed at a worker while a split was
+// being written. Every row is overwritten the moment Run returns: under
+// -race a read after that is a race, and a frame written after it is
+// counted.
+func TestNothingReadsTheInputAfterRun(t *testing.T) {
+	ensureFrameJobs()
+	for _, end := range []string{"cancelled", "closed", "failed"} {
+		t.Run(end, func(t *testing.T) {
+			master, _, _ := newCluster(t, MasterConfig{SplitSize: 100}, 2, WorkerConfig{})
+			for master.WorkerCount() < 2 { // two workers: two tasks, of splits 0–11 and 12–23
+				time.Sleep(time.Millisecond)
+			}
+			// failed: split 0 goes out, once the other task's first split is
+			// being written, as a frame of no version; its task fails at its
+			// worker and, on its only attempt, the job.
+			master.maxAttempts = 1
+			data := frameClusterData(2000, 3, 21) // 2 400 rows: 24 splits
+			var (
+				returned      atomic.Bool
+				writing, late atomic.Int64
+				once          sync.Once
+			)
+			inFlight := make(chan struct{})
+			input := setFrames(data, func(lo, _ int, frame []byte) {
+				if returned.Load() {
+					late.Add(1)
+				}
+				if lo == 0 && end == "failed" {
+					<-inFlight
+					frame[0] = 0
+				}
+				if lo >= 300 { // from the fourth split on, a write is slow
+					writing.Add(1)
+					once.Do(func() { close(inFlight) })
+					time.Sleep(20 * time.Millisecond)
+					writing.Add(-1)
+				}
+			})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := master.Run(ctx, JobSpec{Name: "skyline-frame", Reducers: 2}, input)
+				returned.Store(true)
+				done <- err
+			}()
+			<-inFlight
+			switch end {
+			case "cancelled":
+				cancel()
+			case "closed":
+				master.Close()
+			}
+			err := <-done
+			if w := writing.Load(); err == nil || w != 0 {
+				t.Fatalf("Run returned %v with %d splits still being written", err, w)
+			}
+			if end == "failed" && !strings.Contains(err.Error(), "frame version") {
+				t.Fatalf("Run returned %v, want the worker's refusal of split 0", err)
+			}
+			for _, p := range data {
+				for j := range p {
+					p[j] = -1
+				}
+			}
+			time.Sleep(50 * time.Millisecond)
+			if n := late.Load(); n != 0 {
+				t.Errorf("%d frames written after Run returned", n)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -105,12 +106,10 @@ type jobState struct {
 	redStart     time.Time
 	finished     chan struct{}
 	err          error
-	// spare is the job's free list of split buffers: sealSplit seals a
-	// split into one (or into a new one when the list is empty) and it comes
-	// back once the reply that carries it has been written, so as many exist
-	// as splits were ever in flight at once. It is dropped with the job: an
-	// idle master holds none.
-	spare [][]byte
+	// reading counts the splits handed out and not yet written, or that
+	// could not be: each reads the input when its reply is written, so Run
+	// waits for it to reach zero before it returns.
+	reading sync.WaitGroup
 	// Stitched-trace state. tracer comes from the Run context (nil when
 	// off); traceID doubles as the wire trace id and the parent span for
 	// imported worker spans.
@@ -152,55 +151,85 @@ type JobSpec struct {
 	Reducers int
 }
 
-// Input is a job's input: a number of rows, which Run cuts into splits of
+// Input is a job's input: rows points, which Run cuts into splits of
 // MasterConfig.SplitSize and deals out to map tasks a worker's share each
-// (FrameRows) or hands a given number of map tasks one whole input each
-// (WholeFrames), and frame, which seals split number split, of size rows a
-// split, onto dst when it is sent.
+// (FrameRows), or the whole inputs of a given number of map tasks, a block
+// a split (WholeFrames). No split is ever held: the master checks and
+// sizes one when it hands it out (split), and the wire writes it from the
+// input when the reply that carries it is sent (payload).
 type Input struct {
 	rows int
 	// ends, for a whole input, is one entry per map task: task i's splits
-	// are [ends[i-1], ends[i]).
+	// are [ends[i-1], ends[i]). order is the tasks as they are handed out.
 	ends  []int
-	frame func(dst []byte, split, size int) ([]byte, error)
+	order []int
+	split func(split, size int) (payload, error)
 }
 
-// FrameRows is rows points of input, of which frame(dst, lo, hi) seals rows
-// [lo, hi) into one frame stream appended to dst, as points.AppendFrame
-// does. The master calls it each time it sends the split — with its task's
-// assignment or for the worker's NextSplit, and again, for the same bytes,
-// on a retry — from RPC handlers, concurrently and outside its own lock.
-// The result is the master's: once it has been sent it is the dst of a
-// later call, empty but with its capacity, so only the splits in flight
-// exist at any moment and a steady job allocates none.
-func FrameRows(rows int, frame func(dst []byte, lo, hi int) ([]byte, error)) Input {
-	return Input{rows: rows, frame: func(dst []byte, split, size int) ([]byte, error) {
-		lo := split * size
-		return frame(dst, lo, min(lo+size, rows))
+// A payload is a split as the master sends it: n bytes of frame stream,
+// which frame appends to a scratch piece by piece — pieces 0 … pieces−1 —
+// when the reply that carries it is written (see payload.writeTo).
+type payload struct {
+	n, pieces int
+	frame     func(dst []byte, piece int) ([]byte, error)
+}
+
+// FrameRows is rows points of input, a split of which crosses the wire as
+// frames of at most mapreduce.WalkRows rows: size(lo, hi) checks rows
+// [lo, hi) of one such frame and returns the frame's exact length, and
+// frame(dst, lo, hi) appends the frame to dst. The master calls size for
+// each frame of a split when it hands the split out — with its task's
+// assignment, for the worker's NextSplit, and again on a retry — so an
+// error fails the job before any of the split is written; and frame when
+// the reply is written, for the same bytes each time. Both are called from
+// RPC handlers and connections, concurrently and outside the master's lock,
+// and never once Run has returned.
+func FrameRows(rows int, size func(lo, hi int) (int, error), frame func(dst []byte, lo, hi int) ([]byte, error)) Input {
+	return Input{rows: rows, split: func(split, splitSize int) (payload, error) {
+		lo := split * splitSize
+		hi := min(lo+splitSize, rows)
+		p := payload{pieces: (hi - lo + mapreduce.WalkRows - 1) / mapreduce.WalkRows, frame: func(dst []byte, piece int) ([]byte, error) {
+			a := lo + piece*mapreduce.WalkRows
+			return frame(dst, a, min(a+mapreduce.WalkRows, hi))
+		}}
+		for a := lo; a < hi; a += mapreduce.WalkRows {
+			n, err := size(a, min(a+mapreduce.WalkRows, hi))
+			if err != nil {
+				return payload{}, err
+			}
+			p.n += n
+		}
+		return p, nil
 	}}
 }
 
-// WholeFrames is rows points of input dealt to len(blocks) map tasks, one
-// whole input each — the input of a job with a TaskMapper. Task t's input is
-// blocks[t] blocks, a split each, which its worker fetches one at a time as
-// a FrameRows share's, and frame(dst, t, b) seals block b of task t under
-// FrameRows' rules. The merging job seals task g the candidates' levels,
-// its group and then the rows at or below the group's sums.
-func WholeFrames(rows int, blocks []int, frame func(dst []byte, task, block int) ([]byte, error)) Input {
-	ends := make([]int, len(blocks))
+// WholeFrames is the input of a job with a TaskMapper: len(blocks) map
+// tasks, each handed a whole input of its own — task t blocks[t] blocks, a
+// split each, and rows[t] rows in all — which its worker fetches one at a
+// time as a FrameRows share's. size(t, b) is the exact length of block b of
+// task t as one frame, and frame(dst, t, b) appends that frame, under
+// FrameRows' rules. The tasks are handed out in mapreduce.LargestFirst
+// order of their rows, as they start in process. The merging job's task g
+// is the candidates' levels, its group and then the rows at or below the
+// group's sums.
+func WholeFrames(rows, blocks []int, size func(task, block int) (int, error), frame func(dst []byte, task, block int) ([]byte, error)) Input {
+	in := Input{ends: make([]int, len(blocks)), order: mapreduce.LargestFirst(rows)}
 	for t, n := range blocks {
-		ends[t] = n
+		in.rows += rows[t]
+		in.ends[t] = n
 		if t > 0 {
-			ends[t] += ends[t-1]
+			in.ends[t] += in.ends[t-1]
 		}
 	}
-	return Input{rows: rows, ends: ends, frame: func(dst []byte, split, _ int) ([]byte, error) {
-		t := sort.SearchInts(ends, split+1)
+	in.split = func(split, _ int) (payload, error) {
+		t := sort.SearchInts(in.ends, split+1)
 		if t > 0 {
-			split -= ends[t-1]
+			split -= in.ends[t-1]
 		}
-		return frame(dst, t, split)
-	}}
+		n, err := size(t, split)
+		return payload{n: n, pieces: 1, frame: func(dst []byte, _ int) ([]byte, error) { return frame(dst, t, split) }}, err
+	}
+	return in
 }
 
 // maxSplitBytes caps one frame payload on the wire — a split's stream, a map
@@ -348,7 +377,12 @@ func (m *Master) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		go m.server.ServeCodec(newWire(conn))
+		w := newWire(conn)
+		// A peer that takes no piece of a split for three liveness windows
+		// is dead by the health sweep's rule; a short window does not make
+		// the write give up sooner than splitStall.
+		w.stall = max(3*m.cfg.LivenessWindow, splitStall)
+		go m.server.ServeCodec(w)
 	}
 }
 
@@ -393,7 +427,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	case spec.Reducers <= 0:
 		spec.Reducers = 1
 	}
-	if input.frame == nil {
+	if input.split == nil {
 		return nil, fmt.Errorf("rpcmr: job %q: no input (build one with FrameRows)", spec.Name)
 	}
 	// A task mapper's tasks each need every row; a row mapper's must not get them.
@@ -468,8 +502,11 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	}
 	mapTasks := len(js.tasks)
 	js.out = make([][][]byte, mapTasks)
-	for i := range js.tasks {
-		js.pending = append(js.pending, i)
+	js.pending = slices.Clone(input.order) // the queue is the job's own
+	if js.pending == nil {
+		for i := range js.tasks {
+			js.pending = append(js.pending, i)
+		}
 	}
 	m.job = js
 	if mapTasks == 0 {
@@ -488,6 +525,7 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 		}
 		m.job = nil
 		m.mu.Unlock()
+		js.reading.Wait()
 		endJob("cancelled", ctx.Err())
 		return nil, ctx.Err()
 	case <-js.finished:
@@ -496,6 +534,9 @@ func (m *Master) Run(ctx context.Context, spec JobSpec, input Input) (*mapreduce
 	m.mu.Lock()
 	m.job = nil
 	m.mu.Unlock()
+	// No split is handed out once the job is finished; the caller's input is
+	// its own again when the last one handed out has been written.
+	js.reading.Wait()
 	if js.err != nil {
 		endJob("error", js.err)
 		return nil, js.err

@@ -155,10 +155,13 @@ type TaskReply struct {
 	// Master.NextSplit, whose reply is a TaskReply too, once it has walked
 	// the one before.
 	Splits int
-	// Map payload: a split as one sealed frame stream. Like every frame
+	// Map payload: a split as a sealed frame stream. Like every frame
 	// payload it crosses outside gob, in the message's payload section (see
-	// wire), into the memory the receiver's TaskReply already has.
+	// wire), into the memory the receiver's TaskReply already has. The
+	// master never fills it: its reply carries split, which the wire
+	// writes in its place from the job's input.
 	Frames []byte
+	split  payload
 	// Reduce payload: sealed frame streams for this reducer, one per
 	// contributing map task, in map-task order.
 	FrameStreams [][]byte
@@ -171,9 +174,9 @@ type TaskReply struct {
 	ParentSpan uint64
 	Track      int
 	// onSent, on the master, is called by the wire once the response that
-	// carries this reply has been written or could not be: what the reply
-	// borrowed — a split buffer, a place among the held requests — goes
-	// back. A reply that crosses no wire never calls it.
+	// carries this reply has been written or could not be: the reply no
+	// longer reads the job's input, and gives back its place among the held
+	// requests. A reply that crosses no wire never calls it.
 	onSent func()
 }
 

@@ -152,38 +152,32 @@ func (m *Master) assignTask(worker string, reply *TaskReply) {
 	}
 }
 
-// sealSplit (mu held) seals split of js's input — rows [split·SplitSize, …)
-// of a FrameRows input, a block of a whole one — into reply.Frames, and says
-// whether it could; when it could not, the job has failed. The split goes
-// into a buffer of the job's free list that is this reply's alone until the
-// reply has been sent; a retry seals it again, into another. It is
-// megabytes, so mu is released meanwhile: heartbeats, reports and health
-// sweeps must not wait on an encode. A handler calls it last, or reads the
-// master's state afresh after it.
+// sealSplit (mu held) hands reply split number split of js's input — rows
+// [split·SplitSize, …) of a FrameRows input, a block of a whole one — and
+// says whether it could; when it could not, the job has failed. Here the
+// split is checked and sized, against the most one message may carry;
+// its bytes are read from the input only as the reply is written, and Run
+// waits for that (jobState.reading). Checking reads every row, so mu is
+// released meanwhile: heartbeats, reports and health sweeps must not wait
+// on it. A handler calls it last, or reads the master's state afresh after
+// it.
 func (m *Master) sealSplit(js *jobState, worker string, split int, reply *TaskReply) bool {
-	var dst []byte
-	if n := len(js.spare); n > 0 {
-		dst, js.spare = js.spare[n-1], js.spare[:n-1]
-	}
+	js.reading.Add(1)
 	m.mu.Unlock()
-	frame, err := js.input.frame(dst, split, m.cfg.SplitSize)
-	if err == nil && len(frame) > m.maxSplit {
-		err = fmt.Errorf("a %d-byte frame is more than the %d bytes one message may carry: lower MasterConfig.SplitSize (%d rows)",
-			len(frame), m.maxSplit, m.cfg.SplitSize)
+	p, err := js.input.split(split, m.cfg.SplitSize)
+	if err == nil && p.n > m.maxSplit {
+		err = fmt.Errorf("a %d-byte split is more than the %d bytes one message may carry: lower MasterConfig.SplitSize (%d rows)",
+			p.n, m.maxSplit, m.cfg.SplitSize)
 	}
 	m.mu.Lock()
 	if err != nil {
+		js.reading.Done()
 		m.finish(js, fmt.Errorf("rpcmr: sealing split %d of the input: %w", split, err))
 		return false
 	}
-	reply.Frames = frame
-	reply.onSent = func() {
-		m.mu.Lock()
-		js.spare = append(js.spare, frame[:0])
-		m.mu.Unlock()
-	}
+	reply.split, reply.onSent = p, js.reading.Done
 	if reg := m.cfg.Metrics; reg != nil {
-		reg.Counter("rpcmr_input_bytes_total", telemetry.L("worker", worker)).Add(int64(len(frame)))
+		reg.Counter("rpcmr_input_bytes_total", telemetry.L("worker", worker)).Add(int64(p.n))
 	}
 	return true
 }

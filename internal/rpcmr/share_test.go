@@ -145,19 +145,17 @@ func runAsync(m *Master, input Input) <-chan outcome {
 // take is a task request by hand, repeated until the answer is a task.
 func take(svc *MasterService, worker string) TaskReply {
 	for {
-		var task TaskReply
-		_ = svc.RequestTask(TaskArgs{WorkerID: worker}, &task)
-		if task.Kind != TaskWait {
+		if task := requestTask(svc, worker); task.Kind != TaskWait {
 			return task
 		}
 	}
 }
 
-// fetch is one NextSplit by hand.
+// fetch is one NextSplit by hand, its reply delivered.
 func fetch(svc *MasterService, worker string, job uint64, task, attempt, split int) TaskReply {
 	var reply TaskReply
 	_ = svc.NextSplit(SplitArgs{WorkerID: worker, Job: job, TaskID: task, Attempt: attempt, Split: split}, &reply)
-	return reply
+	return *delivered(&reply)
 }
 
 // handTask runs, as worker, a task taken by hand — fetching a map task's
@@ -213,8 +211,7 @@ func handFinish(t *testing.T, svc *MasterService, worker string, done <-chan out
 			return out.res
 		default:
 		}
-		var task TaskReply
-		_ = svc.RequestTask(TaskArgs{WorkerID: worker}, &task)
+		task := requestTask(svc, worker)
 		if task.Kind == TaskMap || task.Kind == TaskReduce {
 			reportTask(svc, handTask(t, svc, worker, &task))
 		}
@@ -226,6 +223,39 @@ func handFinish(t *testing.T, svc *MasterService, worker string, done <-chan out
 func silenceToDeath(t *testing.T, m *Master, id string) {
 	t.Helper()
 	silence(t, m, id, 3*m.cfg.LivenessWindow+time.Millisecond)
+}
+
+// TestTaskJobHandedOutLargestFirst: a task job's tasks are handed out by
+// descending input rows, ties by index (mapreduce.LargestFirst), the order
+// they start in in process; a task queued again goes to the back.
+func TestTaskJobHandedOutLargestFirst(t *testing.T) {
+	ensureFrameJobs()
+	master, _, _ := newCluster(t, MasterConfig{LivenessWindow: time.Minute}, 0, WorkerConfig{})
+	svc := &MasterService{m: master}
+	frame := points.AppendFrame(nil, 0, points.NewBlock(3, 0))
+	input := WholeFrames([]int{4, 9, 4, 12}, []int{1, 1, 1, 1}, func(int, int) (int, error) {
+		return len(frame), nil
+	}, func(dst []byte, _, _ int) ([]byte, error) {
+		return append(dst, frame...), nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := master.Run(context.Background(), JobSpec{Name: "skyline-merge"}, input)
+		done <- err
+	}()
+	first := take(svc, "w0")
+	_ = svc.Register(RegisterArgs{WorkerID: "w0"}, &RegisterReply{}) // w0 restarted: its task goes to the back
+	var order []int
+	for i := 1; i <= 4; i++ {
+		order = append(order, take(svc, fmt.Sprint("w", i)).TaskID)
+	}
+	if want := []int{1, 0, 2, 3}; first.TaskID != 3 || !reflect.DeepEqual(order, want) {
+		t.Errorf("tasks of 4, 9, 4 and 12 rows handed out as %d then %v, want 3 then %v", first.TaskID, order, want)
+	}
+	master.Close()
+	if err := <-done; err == nil {
+		t.Error("the job finished though no task was reported")
+	}
 }
 
 // TestShareRule: a map task is a worker's share of the splits. With S splits
@@ -261,8 +291,10 @@ func TestShareRule(t *testing.T) {
 		data := frameClusterData(tc.splits*split, 3, 1)[:tc.splits*split]
 		// The splits sealed, in order. Only this goroutine asks for them.
 		var sealed []int
-		done := runAsync(master, FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) {
+		done := runAsync(master, FrameRows(len(data), func(lo, hi int) (int, error) {
 			sealed = append(sealed, lo/split)
+			return points.FrameRowsLen(0, hi-lo, 3), nil
+		}, func(dst []byte, lo, hi int) ([]byte, error) {
 			return points.AppendFrameRows(dst, 0, data[lo:hi])
 		}))
 		for i, share := range tc.shares {
@@ -531,9 +563,7 @@ func TestMapOnlyJobFinishesOnItsLastMapReport(t *testing.T) {
 	if reportTask(svc, againReport) {
 		t.Error("a late duplicate report after the finish was accepted")
 	}
-	var task TaskReply
-	_ = svc.RequestTask(TaskArgs{WorkerID: "prompt"}, &task)
-	if task.Kind != TaskWait {
+	if task := requestTask(svc, "prompt"); task.Kind != TaskWait {
 		t.Errorf("after the map-only job a %d task was handed out", task.Kind)
 	}
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/rpc"
+	"time"
 )
 
 // The wire: what one rpcmr connection carries, the same in both directions
@@ -19,14 +20,16 @@ import (
 //	section  uvarint count, count uvarint lengths, then the payloads'
 //	         bytes back to back
 //
-// so that a frame stream crosses as itself: written straight from the slice
-// that holds it and read straight into the slice that will, with gob moving
-// only the small struct around it. The section is always there (count 0 for
-// Register, Status, TaskArgs), so a body can be skipped without knowing its
-// type, and its slots are a function of the decoded body (see payloadSlots),
-// so a count that disagrees with the body is an error before anything is
-// sized from it. There is no fallback to stock gob: master and workers are
-// one build.
+// so that a frame stream crosses as itself, with gob moving only the small
+// struct around it: read straight into the slice that will hold it, and
+// written straight from the slice that holds it — or, for a split of a
+// job's input, which nothing holds, framed from the input through the
+// wire's scratch as it is written (payload.writeTo). The section is always
+// there (count 0 for Register, Status, TaskArgs), so a body can be skipped
+// without knowing its type, and its slots are a function of the decoded body
+// (see payloadSlots), so a count that disagrees with the body is an error
+// before anything is sized from it. There is no fallback to stock gob:
+// master and workers are one build.
 //
 // One wire has one reader and one writer at a time — net/rpc reads a
 // connection from one goroutine and serialises its writes — which is what
@@ -40,11 +43,21 @@ type wire struct {
 
 	// Writer's scratch: a copy of the body's outer payload slice (the
 	// body's own may be shared — a reduce task's FrameStreams are the
-	// job's), the copy's slots, the detached payloads, and a varint.
-	outer  [][]byte
-	slots  []*[]byte
-	out    [][]byte
-	varint [binary.MaxVarintLen64]byte
+	// job's), the copy's slots, the detached payloads, the split that is
+	// the first of them when the body is a master's reply that carries one,
+	// what that split is framed into, and a varint.
+	outer   [][]byte
+	slots   []*[]byte
+	out     [][]byte
+	split   payload
+	scratch []byte
+	varint  [binary.MaxVarintLen64]byte
+	// stall, on the master's end, is how long a split's write waits for the
+	// peer to take a piece of it before the connection is given up (zero:
+	// for ever). Run waits for every split it handed out to be written, so a
+	// peer that stopped reading must not hold it for longer than the health
+	// sweep takes to declare the peer dead.
+	stall time.Duration
 	// Reader's scratch: the decoded body's slots and the section's lengths.
 	in   []*[]byte
 	lens []int
@@ -74,6 +87,18 @@ func dial(addr string) (*rpc.Client, error) {
 // destination grows (see readPayload).
 const payloadStep = 1 << 20
 
+// splitWrite is how much of a split the wire frames before it writes it:
+// some ten WalkRows-row frames of 6-dimensional rows, so that a split of
+// megabytes is a dozen writes and the scratch stays about this size. A
+// whole input's block is one frame, framed whole; a scratch grown past
+// twice this for one is let go once it is written.
+const splitWrite = 256 << 10
+
+// splitStall is the least time a master's write of a split waits for the
+// peer to take a piece of it (see wire.stall): a loopback or LAN peer that
+// takes no 256 KiB in that long has stopped reading.
+const splitStall = 30 * time.Second
+
 // errSection is what every refusal of a payload section wraps.
 var errSection = errors.New("rpcmr: malformed payload section")
 
@@ -98,17 +123,19 @@ func payloadSlots(dst []*[]byte, body any) []*[]byte {
 
 // detach returns the body as gob carries it — a copy whose payload slots
 // are empty, an emptied slot still counting as one — and leaves the
-// payloads in w.out. The caller's body, and any slice it shares, is not
-// written to.
+// payloads in w.out, and a reply's split in w.split. The caller's body, and
+// any slice it shares, is not written to.
 func (w *wire) detach(body any) any {
 	switch b := body.(type) {
 	case *TaskReply:
 		c := *b
 		c.FrameStreams = w.copyOuter(b.FrameStreams)
+		w.split = b.split
 		body = &c
 	case *ResultReply:
 		c := *b
 		c.Next.FrameStreams = w.copyOuter(b.Next.FrameStreams)
+		w.split = b.Next.split
 		body = &c
 	case *ResultArgs:
 		c := *b
@@ -133,8 +160,12 @@ func (w *wire) copyOuter(s [][]byte) [][]byte {
 // that got none would wait for it for ever.
 func (w *wire) write(header, body any) error {
 	err := w.writeMessage(header, w.detach(body))
-	clear(w.outer) // the scratch must not keep a job's streams alive
+	clear(w.outer) // the scratch must not keep a job's streams or input alive
 	clear(w.out)
+	w.split = payload{}
+	if cap(w.scratch) > 2*splitWrite {
+		w.scratch = nil // a whole input's large block is not kept for the next split
+	}
 	if err != nil {
 		w.conn.Close()
 	}
@@ -142,9 +173,9 @@ func (w *wire) write(header, body any) error {
 }
 
 func (w *wire) writeMessage(header, body any) error {
-	for _, p := range w.out {
-		if len(p) > maxSplitBytes {
-			return fmt.Errorf("%w: a %d-byte payload is more than the %d bytes one may carry", errSection, len(p), maxSplitBytes)
+	for i := range w.out {
+		if n := w.payloadLen(i); n > maxSplitBytes {
+			return fmt.Errorf("%w: a %d-byte payload is more than the %d bytes one may carry", errSection, n, maxSplitBytes)
 		}
 	}
 	if err := w.enc.Encode(header); err != nil {
@@ -156,19 +187,87 @@ func (w *wire) writeMessage(header, body any) error {
 	if err := w.writeUvarint(len(w.out)); err != nil {
 		return err
 	}
-	for _, p := range w.out {
-		if err := w.writeUvarint(len(p)); err != nil {
+	for i := range w.out {
+		if err := w.writeUvarint(w.payloadLen(i)); err != nil {
 			return err
 		}
 	}
-	for _, p := range w.out {
-		// A payload larger than the buffer goes from its slice to the
-		// connection without passing through the buffer.
-		if _, err := w.bw.Write(p); err != nil {
+	for i, p := range w.out {
+		var err error
+		if i == 0 && w.split.frame != nil {
+			w.scratch, err = w.split.writeTo(stallWriter{w}, w.scratch)
+		} else {
+			// A payload larger than the buffer goes from its slice to the
+			// connection without passing through the buffer.
+			_, err = w.bw.Write(p)
+		}
+		if err != nil {
 			return err
 		}
 	}
-	return w.bw.Flush()
+	if err := w.bw.Flush(); err != nil || w.split.frame == nil {
+		return err
+	}
+	return w.setDeadline(time.Time{})
+}
+
+// A stallWriter writes to the wire's buffer, each write first given the
+// wire's stall to complete in; writeMessage lifts the deadline once the
+// split and the rest of its message are out.
+type stallWriter struct{ w *wire }
+
+func (s stallWriter) Write(p []byte) (int, error) {
+	if err := s.w.setDeadline(time.Now().Add(s.w.stall)); err != nil {
+		return 0, err
+	}
+	return s.w.bw.Write(p)
+}
+
+// setDeadline sets the connection's write deadline, when the wire has a
+// stall and its connection deadlines.
+func (w *wire) setDeadline(t time.Time) error {
+	if c, ok := w.conn.(net.Conn); ok && w.stall > 0 {
+		return c.SetWriteDeadline(t)
+	}
+	return nil
+}
+
+// payloadLen is the length the section gives payload i: a split's own, for
+// the first payload of a reply that carries one.
+func (w *wire) payloadLen(i int) int {
+	if i == 0 && w.split.frame != nil {
+		return w.split.n
+	}
+	return len(w.out[i])
+}
+
+// writeTo writes the split to dst: its pieces framed into scratch's
+// memory, and written splitWrite bytes or more at a time (a scratch that
+// large goes past a bufio.Writer's buffer to the connection). It writes p.n
+// bytes, or fails before it would write a byte more, and returns scratch
+// for the next split.
+func (p payload) writeTo(dst io.Writer, scratch []byte) ([]byte, error) {
+	scratch, written := scratch[:0], 0
+	for i := 0; i < p.pieces; i++ {
+		var err error
+		if scratch, err = p.frame(scratch, i); err != nil {
+			return scratch[:0], err
+		}
+		if len(scratch) < splitWrite && i < p.pieces-1 {
+			continue
+		}
+		if written += len(scratch); written > p.n {
+			break
+		}
+		if _, err := dst.Write(scratch); err != nil {
+			return scratch[:0], err
+		}
+		scratch = scratch[:0]
+	}
+	if written != p.n {
+		return scratch[:0], fmt.Errorf("%w: a %d-byte split framed as %d bytes", errSection, p.n, written)
+	}
+	return scratch, nil
 }
 
 func (w *wire) writeUvarint(v int) error {

@@ -6,16 +6,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/rpc"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/mapreduce"
 	"repro/internal/points"
@@ -419,9 +420,10 @@ var firstRowOnce sync.Once
 
 // TestWarmMapTaskAllocatesNoSplit: once a worker and a job are warm, a map
 // task allocates nothing the size of a split on either side — the master
-// seals into a buffer that came back, the worker reads into the one the
-// last split left. One worker's share is all eight splits; from one sealing
-// to the next (one split: seal, send, receive, walk, fetch the next) the
+// frames each split from the input through its connection's scratch as it
+// writes it, the worker reads into the memory the last split left. One
+// worker's share is all eight splits; from one split's first frame to the
+// next's (one split: size, write, receive, walk, fetch the next) the
 // process allocates under 64 KiB, for splits of 1.2 MB.
 func TestWarmMapTaskAllocatesNoSplit(t *testing.T) {
 	ensureJobs()
@@ -433,53 +435,208 @@ func TestWarmMapTaskAllocatesNoSplit(t *testing.T) {
 	for i := range data {
 		data[i] = points.Point{float64(i), 1, 2}
 	}
-	// The master's writer takes a split's buffer back once the reply is
-	// written; a fetch that arrives before that finds the list empty and
-	// makes a second buffer — allowed, the first being the unwritten reply's
-	// still, but not the steady state measured here: the loop below skips
-	// such a split. With two buffers on the list, which one a split is
-	// sealed into is a race too, and does not matter.
 	master, _, _ := newCluster(t, MasterConfig{SplitSize: rows}, 1, WorkerConfig{})
-	var sealedAt []uint64 // TotalAlloc as each split is about to be sealed
-	var dsts []*byte      // and the memory it is sealed into
-	input := FrameRows(len(data), func(dst []byte, lo, hi int) ([]byte, error) {
-		sealedAt = append(sealedAt, totalAlloc()) // one worker: one sealing at a time
-		dsts = append(dsts, unsafe.SliceData(dst))
-		// Frames of 500 rows, as skyjob cuts them: a worker walks a split
-		// through a scratch block the size of its longest frame.
-		var err error
-		for ; lo < hi && err == nil; lo += 500 {
-			dst, err = points.AppendFrameRows(dst, 0, data[lo:min(lo+500, hi)])
+	var writtenAt []uint64 // TotalAlloc as each split's first frame is written
+	input := FrameRows(len(data), func(lo, hi int) (int, error) {
+		return points.FrameRowsLen(0, hi-lo, dim), nil
+	}, func(dst []byte, lo, hi int) ([]byte, error) {
+		if lo%rows == 0 { // one worker: one split written at a time
+			writtenAt = append(writtenAt, totalAlloc())
 		}
-		return dst, err
+		return points.AppendFrameRows(dst, 0, data[lo:hi])
 	})
 	if _, err := master.Run(context.Background(), JobSpec{Name: "first-row", Reducers: 1}, input); err != nil {
 		t.Fatal(err)
 	}
-	if len(sealedAt) != splits {
-		t.Fatalf("%d splits sealed, want %d", len(sealedAt), splits)
+	if len(writtenAt) != splits {
+		t.Fatalf("%d splits written, want %d", len(writtenAt), splits)
 	}
-	// One split is in flight at a time, and one more may not have been
-	// written back yet: no more than two buffers are ever made.
-	made, warm := 0, 0
-	for _, dst := range dsts {
-		if dst == nil {
-			made++
-		}
-	}
-	if made > 2 {
-		t.Errorf("%d split buffers made for %d splits sealed one at a time, want at most 2", made, splits)
-	}
+	// The first split grows the scratch and the worker's split memory.
 	for i := 2; i < splits; i++ {
-		if dsts[i-1] == nil || dsts[i] == nil {
-			continue // split i-1 or its successor was sealed into a new buffer
-		}
-		warm++
-		if grew := sealedAt[i] - sealedAt[i-1]; grew >= 64<<10 {
+		if grew := writtenAt[i] - writtenAt[i-1]; grew >= 64<<10 {
 			t.Errorf("split %d (%d bytes) cost the process %d bytes, want < 64 KiB", i-1, rows*dim*8, grew)
 		}
 	}
-	if warm < (splits-2)/2 {
-		t.Errorf("%d of %d splits found their buffer waiting", warm, splits-2)
+}
+
+// countingWriter records the size of every write.
+type countingWriter struct {
+	bytes.Buffer
+	writes []int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestSplitWrittenAsItsFrames: a split crosses the wire as the bytes it
+// was sealed into before the master streamed it. A set's split is
+// points.AppendFrameRows over its WalkRows-row pieces — a short last piece,
+// a one-row split, a split of exactly one piece — and a whole input's block
+// is points.AppendFrameCodec's frame under the job's codec, FrameDefault or
+// FrameAuto. A split of more than splitWrite bytes goes out in writes of at
+// least splitWrite bytes but the last, and on a TaskReply and on a
+// piggybacked ResultReply.Next alike the section gives its exact length and
+// the receiver gets its bytes.
+func TestSplitWrittenAsItsFrames(t *testing.T) {
+	data := frameClusterData(5000, 6, 17) // 6 000 rows
+	in := setFrames(data, nil)
+	for _, c := range []struct{ size, split, rows int }{
+		{1100, 0, 1100}, // 512 + 512 + 76
+		{1, 7, 1},
+		{512, 2, 512},
+		{6000, 0, 6000}, // eleven pieces and a short one: 288 000 bytes
+	} {
+		lo := c.split * c.size
+		var want []byte
+		for a := lo; a < lo+c.rows; a += mapreduce.WalkRows {
+			want, _ = points.AppendFrameRows(want, 0, data[a:min(a+mapreduce.WalkRows, lo+c.rows)])
+		}
+		p, err := in.split(c.split, c.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w countingWriter
+		scratch, err := p.writeTo(&w, []byte("left over"))
+		if err != nil || p.n != len(want) || !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("a %d-row split: %d bytes announced, %d written (%v); want its %d bytes of frames", c.rows, p.n, w.Len(), err, len(want))
+		}
+		for i, n := range w.writes[:len(w.writes)-1] {
+			if n < splitWrite {
+				t.Errorf("a %d-row split: write %d of %d is %d bytes, want at least %d", c.rows, i, len(w.writes), n, splitWrite)
+			}
+		}
+		if big := len(want) > splitWrite; big != (len(w.writes) > 1) || len(scratch) != 0 {
+			t.Errorf("a %d-byte split went out in %d writes, leaving %d bytes of scratch", len(want), len(w.writes), len(scratch))
+		}
+		var task TaskReply
+		var result ResultReply
+		for _, rt := range []struct {
+			sent, into any
+			frames     *[]byte
+		}{
+			{&TaskReply{Kind: TaskMap, split: p}, &task, &task.Frames},
+			{&ResultReply{Next: TaskReply{Kind: TaskMap, split: p}}, &result, &result.Next.Frames},
+		} {
+			header, gobBody, sec := message(t, rt.sent)
+			if _, err := readBack(header, append(gobBody, sec...), rt.into); err != nil || !bytes.Equal(*rt.frames, want) {
+				t.Errorf("a %d-row split on a %T: %d bytes received (%v), want %d", c.rows, rt.sent, len(*rt.frames), err, len(want))
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	// corr packs; noisy, random bits, does not: FrameAuto keeps it v1.
+	corr, noisy := points.NewBlock(4, 600), points.NewBlock(4, 600)
+	for i := 0; i < 600; i++ {
+		base := float64(i) / 600
+		corr.AppendRow([]float64{base, base + 1e-9, base, 1 - base})
+		noisy.AppendRow([]float64{math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64()), math.Float64frombits(rng.Uint64())})
+	}
+	inputs := [][]*points.Block{{corr, noisy}, {noisy}}
+	for _, codec := range []points.FrameCodec{points.FrameDefault, points.FrameAuto} {
+		whole := WholeFrames([]int{1200, 600}, []int{2, 1}, func(task, block int) (int, error) {
+			return points.FrameCodecLen(0, inputs[task][block], codec), nil
+		}, func(dst []byte, task, block int) ([]byte, error) {
+			return points.AppendFrameCodec(dst, 0, inputs[task][block], codec), nil
+		})
+		packed := 0
+		for split, blk := range []*points.Block{corr, noisy, noisy} {
+			got, err := splitBytes(whole, split, 0)
+			if want := points.AppendFrameCodec(nil, 0, blk, codec); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("codec %v, split %d: %d bytes (%v), want the block's %d-byte frame", codec, split, len(got), err, len(want))
+			}
+			if len(got) > 0 && got[0] == points.FrameVersion2 {
+				packed++
+			}
+		}
+		if want := map[points.FrameCodec]int{points.FrameAuto: 1}[codec]; packed != want {
+			t.Errorf("codec %v: %d blocks went as v2 frames, want %d", codec, packed, want)
+		}
+	}
+
+	// A split whose frames are not the length it was sized to is refused
+	// before a byte more than it was sized to is written.
+	long := payload{n: 5, pieces: 1, frame: func(dst []byte, _ int) ([]byte, error) { return append(dst, noise(9, 9)...), nil }}
+	var w bytes.Buffer
+	if _, err := long.writeTo(&w, nil); !errors.Is(err, errSection) || w.Len() != 0 {
+		t.Errorf("a 5-byte split framed as 9: %d bytes written, error %v", w.Len(), err)
+	}
+}
+
+// TestStalledPeerGivesUpItsSplit: the master's write of a split waits on a
+// peer that takes none of it no longer than the wire's stall; then the
+// connection is closed and the reply told it was sent, so Run, which waits
+// for every split it handed out to be written, is not held by a worker that
+// stopped reading. A split written to a reading peer leaves no deadline
+// behind for the connection's later messages.
+func TestStalledPeerGivesUpItsSplit(t *testing.T) {
+	data := frameClusterData(2000, 3, 4)
+	p, err := setFrames(data, nil).split(0, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stall = 20 * time.Millisecond
+	header := &rpc.Response{ServiceMethod: "Master.NextSplit"}
+
+	near, far := net.Pipe()
+	defer far.Close()
+	go func() { _, _ = io.Copy(io.Discard, far) }()
+	w := newWire(near)
+	w.stall = stall
+	if err := w.WriteResponse(header, &TaskReply{Kind: TaskMap, split: p}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * stall)
+	if err := w.WriteResponse(header, &TaskReply{Kind: TaskWait}); err != nil {
+		t.Errorf("a message after a written split: %v", err)
+	}
+
+	near, far = net.Pipe()
+	defer far.Close()
+	w = newWire(near)
+	w.stall = stall
+	var sent bool
+	start := time.Now()
+	err = w.WriteResponse(header, &TaskReply{Kind: TaskMap, split: p, onSent: func() { sent = true }})
+	if !errors.Is(err, os.ErrDeadlineExceeded) || !sent || time.Since(start) > time.Second {
+		t.Errorf("a split to a peer that reads nothing: %v after %v, reply told it was sent: %v", err, time.Since(start), sent)
+	}
+	if _, err := near.Write([]byte{0}); !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("the stalled connection is still open: %v", err)
+	}
+}
+
+// TestWireLetsGoOfALargeBlocksScratch: the scratch a connection frames
+// splits into is kept for its next split, but not when one whole input's
+// block grew it past twice splitWrite.
+func TestWireLetsGoOfALargeBlocksScratch(t *testing.T) {
+	small, _ := setFrames(frameClusterData(2000, 3, 4), nil).split(0, 1000)
+	large := points.NewBlock(8, 0)
+	for i := 0; i < 2*splitWrite/64+1; i++ {
+		large.AppendRow([]float64{1, 2, 3, 4, 5, 6, 7, float64(i)})
+	}
+	whole, _ := WholeFrames([]int{large.Len()}, []int{1}, func(int, int) (int, error) {
+		return points.FrameV1Len(0, large), nil
+	}, func(dst []byte, _, _ int) ([]byte, error) {
+		return points.AppendFrame(dst, 0, large), nil
+	}).split(0, 0)
+	near, far := net.Pipe()
+	defer far.Close()
+	go func() { _, _ = io.Copy(io.Discard, far) }()
+	w := newWire(near)
+	header := &rpc.Response{ServiceMethod: "Master.NextSplit"}
+	for _, c := range []struct {
+		name string
+		p    payload
+		kept bool
+	}{{"a split", small, true}, {"a large block", whole, false}} {
+		if err := w.WriteResponse(header, &TaskReply{Kind: TaskMap, split: c.p}); err != nil {
+			t.Fatal(err)
+		}
+		if kept := w.scratch != nil; kept != c.kept {
+			t.Errorf("after %s (%d bytes) the scratch is kept: %v, want %v", c.name, c.p.n, kept, c.kept)
+		}
 	}
 }

@@ -220,16 +220,16 @@ func warmCluster(tb testing.TB, data points.Set, splitSize int) (run func(ctx co
 // pool puts at random, triples it — hence the driver test's bound of 0.05.
 //
 // Bytes, at the benchmark's shape (1 000 000 points in sixteen splits, a
-// share of eight for each of the two workers): under 18 a point, well under
+// share of eight for each of the two workers): under 9 a point, well under
 // the 48 of the point itself. With every split sealed, gob-encoded and
 // gob-decoded into fresh memory the input alone cost 145 bytes a point (174
-// in all); sealed into a job's two or three recycled buffers and read into
-// the workers' own it costs 6–9. The rest — sealed map output, the
-// reducers' blocks, window growth — read 19.3 while streams and folds grew
-// by doubling and each split decoded into fresh scratch, and reads 14.2–15.2
-// with every stream, fold and block sized once and one split scratch a
-// task. At 200 000 points that rest is most of the bytes a point, which is
-// why the bound is not asserted there.
+// in all); sealed into a job's recycled split buffers it cost 14.2–15.2 in
+// all. The master holds no split now — each is framed from the input, a
+// few hundred KiB at a time, through its connection's scratch as it is
+// written — so the input costs the workers' split memory and little else,
+// and the job reads 7.8–8.3: sealed map output, the reducers' blocks, window
+// growth, one split's memory a task. At 200 000 points that rest is most of
+// the bytes a point, which is why the bound is not asserted there.
 func TestClusterMapAllocatesPerTaskNotPerPoint(t *testing.T) {
 	measure := func(n, splitSize int) (mallocs, bytes float64) {
 		run := warmCluster(t, uniformSet(42, n, 6), splitSize)
@@ -248,8 +248,8 @@ func TestClusterMapAllocatesPerTaskNotPerPoint(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		return // the byte bound is for the uninstrumented build, and its run is the long one
 	}
-	if _, bytes := measure(1000000, 62500); bytes >= 18 {
-		t.Fatalf("a cluster job allocated %.1f bytes per input point, want less than 18", bytes)
+	if _, bytes := measure(1000000, 62500); bytes >= 9 {
+		t.Fatalf("a cluster job allocated %.1f bytes per input point, want less than 9", bytes)
 	}
 }
 

@@ -738,10 +738,12 @@ func TestHostileInputFrameRejected(t *testing.T) {
 	// One task's split, in the form the job takes: rows cut off an input for
 	// Job 1, the whole candidate set — for two tasks — for the merge.
 	splitOf := func(job string, frame []byte) rpcmr.Input {
+		size := func(int, int) (int, error) { return len(frame), nil }
+		raw := func(dst []byte, _, _ int) ([]byte, error) { return append(dst, frame...), nil }
 		if wholeInput(job) {
-			return rpcmr.WholeFrames(50, []int{1, 1}, func(dst []byte, _, _ int) ([]byte, error) { return append(dst, frame...), nil })
+			return rpcmr.WholeFrames([]int{25, 25}, []int{1, 1}, size, raw)
 		}
-		return rpcmr.FrameRows(50, func(dst []byte, lo, hi int) ([]byte, error) { return append(dst, frame...), nil })
+		return rpcmr.FrameRows(50, size, raw)
 	}
 	master := startCluster(t, 3)
 	for _, h := range hostile {
@@ -782,8 +784,11 @@ func TestHostileInputFrameRejected(t *testing.T) {
 	}
 	levels := points.AppendFrameCodec(nil, 0, sorted.Levels, points.FrameV1)
 	wide := frameOf(uniformSet(2, 5, 4), points.FrameV1)
-	groupThenWide := rpcmr.WholeFrames(60, []int{3}, func(dst []byte, _, block int) ([]byte, error) {
-		return append(dst, [][]byte{levels, good, wide}[block]...), nil
+	blocks := [][]byte{levels, good, wide}
+	groupThenWide := rpcmr.WholeFrames([]int{60}, []int{3}, func(_, block int) (int, error) {
+		return len(blocks[block]), nil
+	}, func(dst []byte, _, block int) ([]byte, error) {
+		return append(dst, blocks[block]...), nil
 	})
 	_, err = master.Run(context.Background(), rpcmr.JobSpec{Name: MergeJobName, Params: params[false]}, groupThenWide)
 	if want := "skyline: unusable candidate set: 4-dimensional rows streamed past a 3-dimensional layout"; err == nil || !strings.Contains(err.Error(), want) {

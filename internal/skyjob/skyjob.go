@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/driver"
 	"repro/internal/mapreduce"
@@ -157,42 +156,37 @@ func (s Spec) options() driver.Options {
 }
 
 // setSplits is an in-memory set as job input: split [lo, hi) is those rows
-// as v1 frames, encoded from the set when the master asks for them, into the
-// buffer it lends. The seal is the one pass on the master that reads every
-// row, so it validates them (against row 0's dimension, as
-// points.Set.Validate does): an invalid row fails the job at its split's
-// seal instead of failing every worker's attempt at the task in turn.
+// as v1 frames, written from the set when the master sends them. Sizing a
+// split is the one pass on the master that reads every row before it is
+// sent, so it validates them (against row 0's dimension, as
+// points.Set.Validate does): an invalid row fails the job as its split is
+// handed out, before any of it is written, instead of failing every
+// worker's attempt at the task in turn.
 func setSplits(data points.Set) rpcmr.Input {
 	d := data.Dim()
-	return rpcmr.FrameRows(len(data), func(frames []byte, lo, hi int) ([]byte, error) {
-		// Payload + headers at once: a job's first splits do not grow by
-		// doubling, and its later ones find the room already there.
-		frames = slices.Grow(frames, (hi-lo)*(d*8+1)+16)
-		var err error
-		for ; lo < hi && err == nil; lo += mapreduce.WalkRows {
-			end := min(lo+mapreduce.WalkRows, hi)
-			if err = data.ValidateRows(lo, end, d); err == nil {
-				frames, err = points.AppendFrameRows(frames, 0, data[lo:end])
-			}
-		}
-		return frames, err
+	return rpcmr.FrameRows(len(data), func(lo, hi int) (int, error) {
+		return points.FrameRowsLen(0, hi-lo, d), data.ValidateRows(lo, hi, d)
+	}, func(frames []byte, lo, hi int) ([]byte, error) {
+		return points.AppendFrameRows(frames, 0, data[lo:hi])
 	})
 }
 
 // blockSplits is a merging job's input: task t gets inputs[t], block after
-// block, sealed as they are, a split a block — the levels, its group, and
-// the rows at or below the group's sums. It is a map task's input, booked as
-// input bytes, not as shuffle: over K groups the candidates cross the wire
-// about (K+1)/2 times.
+// block, each one frame under codec, a split a block — the levels, its
+// group, and the rows at or below the group's sums. It is a map task's
+// input, booked as input bytes, not as shuffle: over K groups the
+// candidates cross the wire about (K+1)/2 times.
 func blockSplits(inputs [][]*points.Block, codec points.FrameCodec) rpcmr.Input {
-	rows, blocks := 0, make([]int, len(inputs))
+	rows, blocks := make([]int, len(inputs)), make([]int, len(inputs))
 	for t, list := range inputs {
 		blocks[t] = len(list)
 		for _, blk := range list {
-			rows += blk.Len()
+			rows[t] += blk.Len()
 		}
 	}
-	return rpcmr.WholeFrames(rows, blocks, func(frames []byte, task, block int) ([]byte, error) {
+	return rpcmr.WholeFrames(rows, blocks, func(task, block int) (int, error) {
+		return points.FrameCodecLen(0, inputs[task][block], codec), nil
+	}, func(frames []byte, task, block int) ([]byte, error) {
 		return points.AppendFrameCodec(frames, 0, inputs[task][block], codec), nil
 	})
 }
